@@ -328,7 +328,6 @@ func BenchmarkResident(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := context.Background()
 	d := DomainForRegions(regions...)
 	ps := join.PointSet{Pts: pts, Weights: weights}
 	for _, bound := range []float64{8, 16} {
@@ -344,29 +343,59 @@ func BenchmarkResident(b *testing.B) {
 				}
 			}
 		})
+		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Repetitions: 100000}
+		// Warm the cover artifact and the joiner's partials: the warm
+		// resident Do — snapshot, two atomic loads, one O(regions) merge —
+		// is the zero-alloc acceptance gate, and CI fails this benchmark on
+		// any allocs/op.
 		b.Run(fmt.Sprintf("resident-pointidx/bound=%g", bound), func(b *testing.B) {
-			b.ReportAllocs()
-			req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Repetitions: 100000}
-			// Warm the cover artifact, then measure probes only. The warm
-			// resident Do path is the zero-alloc acceptance gate: CI fails
-			// this benchmark on any allocs/op.
-			warm, err := e.Do(ctx, req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			warm.Release()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resp, err := e.Do(ctx, req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if resp.Strategy != StrategyPointIdx {
-					b.Fatalf("planned %v, want pointidx", resp.Strategy)
-				}
-				resp.Release()
-			}
+			benchResidentDo(b, e, req, nil)
 		})
+		// Partials dropped before every request: probe and fold re-run, which
+		// is what every executed request paid before the partials existed.
+		b.Run(fmt.Sprintf("resident-pointidx-cold/bound=%g", bound), func(b *testing.B) {
+			benchResidentDo(b, e, req, func() { e.dropPartials(ds, bound) })
+		})
+	}
+	// The same warm request over an un-compacted delta whose watermark is
+	// current — the steady state between two appends — under the same
+	// zero-alloc gate. Runs last: the delta stays.
+	ds.SetCompactionThreshold(0)
+	if _, err := ds.Append(pts[:4096], weights[:4096]); err != nil {
+		b.Fatal(err)
+	}
+	for _, bound := range []float64{8, 16} {
+		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Repetitions: 100000}
+		b.Run(fmt.Sprintf("resident-pointidx-delta/bound=%g", bound), func(b *testing.B) {
+			benchResidentDo(b, e, req, nil)
+		})
+	}
+}
+
+// benchResidentDo times an unforced resident request that must plan
+// pointidx, after one untimed warm-up; before, when set, runs ahead of every
+// timed request.
+func benchResidentDo(b *testing.B, e *Engine, req Request, before func()) {
+	b.ReportAllocs()
+	ctx := context.Background()
+	warm, err := e.Do(ctx, req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	warm.Release()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if before != nil {
+			before()
+		}
+		resp, err := e.Do(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.Strategy != StrategyPointIdx {
+			b.Fatalf("planned %v, want pointidx", resp.Strategy)
+		}
+		resp.Release()
 	}
 }
 
@@ -414,6 +443,9 @@ func BenchmarkCoverPlan(b *testing.B) {
 				b.ReportAllocs()
 				results := join.NewResults(aggs, len(regions))
 				for i := 0; i < b.N; i++ {
+					// The head-to-head is between two executions: without the
+					// drop the plan side would be the warm merge.
+					pj.DropPartials()
 					if _, err := pj.AggregateMultiInto(ctx, aggs, 1, results); err != nil {
 						b.Fatal(err)
 					}

@@ -26,9 +26,17 @@ type PersistConfig struct {
 	DisableMMap bool
 
 	// fs overrides the backing filesystem; nil selects the operating
-	// system. Unexported: only the package's own tests inject the
-	// fault-injecting implementation here.
+	// system. Unexported: only tests inject the fault-injecting
+	// implementation here, directly or through WithFS.
 	fs persist.FS
+}
+
+// WithFS returns cfg backed by fs instead of the operating system: the seam
+// this module's other packages' tests inject filesystem faults through
+// (persist is internal, so no caller outside the module can name one).
+func (c PersistConfig) WithFS(fs persist.FS) PersistConfig {
+	c.fs = fs
+	return c
 }
 
 func (c PersistConfig) options() persist.Options {
@@ -102,7 +110,7 @@ func (e *Engine) OpenDataset(name, dir string, cfg PersistConfig) (*Dataset, err
 			name, src.Domain().Origin, src.Domain().Size, src.Curve().Name(),
 			e.domain.Origin, e.domain.Size, Hilbert.Name())
 	}
-	ds := &Dataset{name: name, src: src}
+	ds := &Dataset{name: name, src: src, e: e}
 	ds.dur.Store(dur)
 	ds.compactThreshold.Store(DefaultCompactionThreshold)
 	e.dsMu.Lock()

@@ -301,6 +301,7 @@ const DefaultCompactionThreshold = 1 << 16
 type Dataset struct {
 	name string
 	src  *pointstore.Mutable
+	e    *Engine // the registering engine: owner of the dataset's cover artifacts
 
 	// dur, when set, binds the dataset to its on-disk snapshot + log (see
 	// Persist/OpenDataset in durable.go): mutations route through it so the
@@ -559,6 +560,12 @@ func (d *Dataset) CompactionThreshold() int { return int(d.compactThreshold.Load
 // re-arms once more after releasing the guard to close the race with a
 // mutation that crossed the threshold between its last check and the
 // release.
+//
+// After each publish the goroutine also brings the dataset's ready cover
+// artifacts up to the new base (refreshJoiners), so the span re-resolution
+// and base refill a compaction forces are paid here, off the read path,
+// rather than by the first query to arrive afterwards. A synchronous
+// Compact caller is never charged for it — its next query is, as before.
 func (d *Dataset) maybeCompact() {
 	th := d.compactThreshold.Load()
 	if th <= 0 || int64(d.src.Pending()) < th {
@@ -570,6 +577,7 @@ func (d *Dataset) maybeCompact() {
 	go func() {
 		for {
 			d.timedCompact()
+			d.refreshJoiners()
 			th := d.compactThreshold.Load()
 			if th <= 0 || int64(d.src.Pending()) < th {
 				break
@@ -578,6 +586,21 @@ func (d *Dataset) maybeCompact() {
 		d.compacting.Store(false)
 		d.maybeCompact()
 	}()
+}
+
+// refreshJoiners refreshes every ready cover artifact of the dataset against
+// its current snapshot, single-threaded: the work is bounded by the joiners
+// that exist (at most the cover cache's capacity) and runs beside serving
+// traffic, which it must not crowd out. A query racing it simply does the
+// same refill itself; both publish identical state.
+//
+//distbound:allow-background runs on the dataset's own compaction goroutine, which no caller's context governs
+func (d *Dataset) refreshJoiners() {
+	d.e.pidx.EachReady(func(k pidxKey, j *join.PointIdxJoiner) {
+		if k.src == d.src {
+			j.Refresh(context.Background(), 1) //nolint:errcheck // only a canceled context fails it
+		}
+	})
 }
 
 // RegisterPoints builds the resident artifact for a point dataset over the
@@ -605,7 +628,7 @@ func (e *Engine) RegisterPoints(name string, pts []Point, weights []float64) (*D
 	if err != nil {
 		return nil, fmt.Errorf("distbound: building point store: %w", err)
 	}
-	ds := &Dataset{name: name, src: src}
+	ds := &Dataset{name: name, src: src, e: e}
 	ds.compactThreshold.Store(DefaultCompactionThreshold)
 	e.dsMu.Lock()
 	defer e.dsMu.Unlock()

@@ -7,20 +7,27 @@ import (
 )
 
 // TestResponseProbeCounters pins the probe metering of the resident path:
-// pointidx responses report how many unique cover-plan ranges were resolved
-// and how many live delta rows were searched; every other strategy reports
-// zero — the counters meter the probe economy only pointidx has.
+// pointidx responses report the work the request did — unique cover-plan
+// ranges probed by a base fill, live delta rows newly inverted — so a warm
+// request reports zeros; every other strategy always reports zero — the
+// counters meter the probe economy only pointidx has.
 func TestResponseProbeCounters(t *testing.T) {
 	e, ds, ps := requestFixture(t)
+	e.SetResultCacheCapacity(0) // every request below must execute
 	ctx := context.Background()
 	pidx := StrategyPointIdx
-
-	resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: 16, Strategy: &pidx})
-	if err != nil {
-		t.Fatal(err)
+	do := func(aggs ...Agg) Response {
+		t.Helper()
+		resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: aggs, Bound: 16, Strategy: &pidx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
+
+	resp := do(Count, Sum)
 	if resp.RangesProbed <= 0 {
-		t.Errorf("RangesProbed %d on a pointidx run", resp.RangesProbed)
+		t.Errorf("RangesProbed %d on the first pointidx run", resp.RangesProbed)
 	}
 	// The fixture's delta: 4000 appended, the first 1000 deleted again —
 	// dead rows must not be counted as probed.
@@ -28,12 +35,23 @@ func TestResponseProbeCounters(t *testing.T) {
 		t.Errorf("DeltaProbed %d, want %d (live delta rows only)", resp.DeltaProbed, want)
 	}
 	ranges := resp.RangesProbed
-
-	ds.Compact()
-	resp, err = e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Strategy: &pidx})
-	if err != nil {
+	if resp = do(Count, Sum); resp.RangesProbed != 0 || resp.DeltaProbed != 0 {
+		t.Errorf("warm repeat reports {%d %d}, want no work", resp.RangesProbed, resp.DeltaProbed)
+	}
+	// An append costs the next read exactly its rows; a base delete, a refill.
+	if _, err := ds.Append(ps.Pts[:25], ps.Weights[:25]); err != nil {
 		t.Fatal(err)
 	}
+	if resp = do(Count, Sum); resp.RangesProbed != 0 || resp.DeltaProbed != 25 {
+		t.Errorf("read after 25 appends reports {%d %d}, want {0 25}", resp.RangesProbed, resp.DeltaProbed)
+	}
+	ds.Delete(0)
+	if resp = do(Count, Sum); resp.RangesProbed != ranges || resp.DeltaProbed != 0 {
+		t.Errorf("read after a base delete reports {%d %d}, want {%d 0}", resp.RangesProbed, resp.DeltaProbed, ranges)
+	}
+
+	ds.Compact()
+	resp = do(Count)
 	if resp.DeltaProbed != 0 {
 		t.Errorf("DeltaProbed %d after compaction, want 0", resp.DeltaProbed)
 	}
@@ -44,7 +62,7 @@ func TestResponseProbeCounters(t *testing.T) {
 
 	// Streaming strategies never touch the plan.
 	act := StrategyACT
-	resp, err = e.Do(ctx, Request{Points: ps, Aggs: []Agg{Count}, Bound: 16, Strategy: &act})
+	resp, err := e.Do(ctx, Request{Points: ps, Aggs: []Agg{Count}, Bound: 16, Strategy: &act})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +114,14 @@ func TestExplainCoverPlanLineWarm(t *testing.T) {
 // TestWarmResidentDoAllocationFree is the zero-allocation acceptance
 // criterion as a regression test: a warm single-threaded resident Do whose
 // responses are released must not allocate — not in planning (pooled maps),
-// not in artifact lookup (closure-free cache hit), not in execution (pooled
-// plan scratch and result columns).
+// not in artifact lookup (closure-free cache hit), not in execution
+// (published partials merged into pooled result columns) — on a compact
+// dataset and on one carrying a delta whose watermark is current.
 func TestWarmResidentDoAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomizes sync.Pool reuse; allocation counts are meaningless under it")
 	}
-	e, ds, _ := requestFixture(t)
+	e, ds, ps := requestFixture(t)
 	e.SetWorkers(1)
 	// The gate is about the executed warm path; a result-cache hit is
 	// trivially allocation-free and gated by TestCachedDoAllocationFree.
@@ -113,22 +132,27 @@ func TestWarmResidentDoAllocationFree(t *testing.T) {
 	// plan choice (the planner still runs and must not allocate either).
 	pidx := StrategyPointIdx
 	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum, Min}, Bound: 16, Repetitions: 100000, Strategy: &pidx}
-	// Warm plan, covers and pools.
-	for i := 0; i < 3; i++ {
-		resp, err := e.Do(ctx, req)
-		if err != nil {
+	for _, state := range []string{"compact", "delta, watermark current"} {
+		// Warm plan, covers, partials and pools.
+		for i := 0; i < 3; i++ {
+			resp, err := e.Do(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Release()
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			resp, err := e.Do(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Release()
+		}); allocs > 0 {
+			t.Errorf("%s: warm resident Do allocates %.1f times per call, want 0", state, allocs)
+		}
+		if _, err := ds.Append(ps.Pts[:500], ps.Weights[:500]); err != nil {
 			t.Fatal(err)
 		}
-		resp.Release()
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		resp, err := e.Do(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Release()
-	}); allocs > 0 {
-		t.Errorf("warm resident Do allocates %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -317,6 +317,25 @@ func (c *Cache[K, V]) PeekReady(key K) (V, bool) {
 	return e.val, true
 }
 
+// EachReady calls fn for every entry whose build has completed successfully,
+// without recording stats or refreshing recency. The entries are collected
+// under the lock and visited after it is released, so fn may take as long as
+// it likes — and may use the cache — without stalling lookups; an entry
+// evicted in between is still visited, one inserted in between is not.
+func (c *Cache[K, V]) EachReady(fn func(K, V)) {
+	c.mu.Lock()
+	ready := make([]*entry[K, V], 0, len(c.entries))
+	for key := range c.entries {
+		if e, ok := c.lookupReady(key); ok {
+			ready = append(ready, e)
+		}
+	}
+	c.mu.Unlock()
+	for _, e := range ready {
+		fn(e.key, e.val)
+	}
+}
+
 // Peek returns the value cached under key without affecting recency. It
 // blocks if the entry's build is still in flight.
 func (c *Cache[K, V]) Peek(key K) (V, bool) {

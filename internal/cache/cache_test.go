@@ -439,3 +439,41 @@ func TestGetOrBuildCtxPanickingBuildContained(t *testing.T) {
 		t.Fatalf("key wedged after contained panic: (%d, %v)", v, err)
 	}
 }
+
+// TestEachReady: the walk visits exactly the entries whose builds completed
+// successfully, outside the lock — fn may use the cache — and leaves stats
+// and recency alone.
+func TestEachReady(t *testing.T) {
+	c := New[int, string](4)
+	for k, v := range map[int]string{1: "a", 2: "b"} {
+		if _, err := c.GetOrBuild(k, func() (string, error) { return v, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release := make(chan struct{})
+	started := make(chan struct{})
+	done := make(chan struct{})
+	go func() { // an in-flight build: must not be visited
+		defer close(done)
+		c.GetOrBuild(3, func() (string, error) { //nolint:errcheck // result irrelevant
+			close(started)
+			<-release
+			return "c", nil
+		})
+	}()
+	<-started
+	before := c.Stats()
+	seen := map[int]string{}
+	c.EachReady(func(k int, v string) {
+		seen[k] = v
+		c.Contains(k) // re-entering the cache must not deadlock
+	})
+	if len(seen) != 2 || seen[1] != "a" || seen[2] != "b" {
+		t.Fatalf("EachReady visited %v, want the two completed entries", seen)
+	}
+	if after := c.Stats(); after != before {
+		t.Fatalf("EachReady moved the counters: %+v -> %+v", before, after)
+	}
+	close(release)
+	<-done
+}

@@ -12,37 +12,68 @@ import (
 
 // Cover-plan execution: instead of probing the learned index once per
 // (region, range) pair, the joiner flattens every region's cover ranges into
-// ONE globally sorted, deduplicated range list at construction and executes
-// queries against it in phases:
+// ONE globally sorted, deduplicated range list at construction. What a query
+// then costs depends on what changed since the previous one, because the two
+// halves of an answer — the per-region fold of the base column and the
+// per-region accumulators of the un-compacted delta — are published on the
+// joiner and only ever extended:
+//
+// The fill runs once per base identity (a base store plus its tombstone
+// count; compactions and deletes change it, appends do not):
 //
 //  1. Resolve: every unique span boundary (range Lo / Hi+1 key) is resolved
 //     against the sorted key column in a single monotone sweep
 //     (pointstore.SpanMulti) — sequential access, each boundary located
-//     once no matter how many regions share it.
+//     once no matter how many regions share it. The resolution itself
+//     survives deletes; only a new base forces it.
 //  2. Probe: per unique range, the span aggregates (count, sum, block
 //     min/max, tombstones subtracted) are computed once and shared by every
 //     region posting that range.
-//  3. Delta: the un-compacted tail is inverted — each live delta row is
-//     binary-searched into the plan's boundary segments once (O(log
-//     ranges)) and fanned out to the segment's covered regions' delta
-//     accumulators, instead of every region scanning every delta row.
-//  4. Fold: per region, the shared per-range aggregates are folded in the
-//     region's own Lo-ascending range order and merged with its delta
-//     accumulator.
+//  3. Fold: per region, the shared per-range aggregates are folded in the
+//     region's own Lo-ascending range order into the region's base partial,
+//     and the partials are published (basePartials). Columns fill by need: a
+//     {count} query never pays the MIN/MAX block scans, and a later query
+//     asking for more refills with the union of what has been asked.
 //
-// Parallel phases partition work by estimated probe cost — resolved span
-// length for ranges, range count plus delta hits for regions — so one
-// region with a huge cover no longer pins a whole worker's tail latency the
-// way region-count sharding did.
+// The inversion is incremental per delta lineage (a compaction generation
+// plus its dead-row count; appends extend it, delta deletes and compactions
+// restart it):
 //
-// Result identity with the per-region reference execution
-// (AggregateMultiPerRegion): COUNT, MIN and MAX are bit-identical — the
-// same spans produce the same per-range values, folded per region in the
+//  4. Invert: each delta row past the published watermark is binary-searched
+//     into the plan's boundary segments once (O(log ranges)) and fanned out
+//     to the segment's covered regions' accumulators, in append order, and
+//     the accumulators are republished at the new watermark (deltaPartials).
+//
+// Every query ends with
+//
+//  5. Merge: one O(regions) pass adds each region's delta accumulator to its
+//     base partial and writes the caller's result columns.
+//
+// A warm query — same base, no new delta rows — is therefore one snapshot
+// load, two atomic loads and the merge: no probe, no fold, no allocation.
+// Under ingest a query pays the merge plus the rows appended since the last
+// query at this bound. Tombstones are deliberately not maintained
+// incrementally: subtracting a deleted weight from a published SUM would
+// associate differently from the prefix-difference form, so a base delete
+// invalidates the base partials and the next query refills them.
+//
+// The parallel fill phases partition work by estimated probe cost — resolved
+// span length for ranges, range count for regions — so one region with a
+// huge cover no longer pins a whole worker's tail latency the way
+// region-count sharding did. Inversion and merge always run inline: delta
+// accumulators must not depend on the worker count.
+//
+// Result identity. Against re-execution from nothing (partials dropped),
+// every aggregate is bit-identical, SUM included: base partials are the same
+// values folded in the same order, and delta rows accumulate in append order
+// whether inverted in one pass or many. Against the per-region reference
+// execution (AggregateMultiPerRegion): COUNT, MIN and MAX are bit-identical —
+// the same spans produce the same per-range values, folded per region in the
 // same order. SUM/AVG fold base contributions in the identical order too;
 // only the delta tail's contributions associate differently (summed per
-// region in phase 3, then added once in phase 4, where the reference adds
-// each row to the running total), so float sums can differ by
-// re-association exactly when a delta is present — never in what is summed.
+// region in phase 4, then added once in phase 5, where the reference adds
+// each row to the running total), so float sums can differ by re-association
+// exactly when a delta is present — never in what is summed.
 
 // coverPlan is the immutable global execution plan derived from the
 // per-region covers. It depends only on the regions, domain, curve and
@@ -95,31 +126,85 @@ func (rs *resolvedSpans) memoryBytes() int {
 	return 8 * (len(rs.resolved) + len(rs.spanLo) + len(rs.spanHi))
 }
 
-// planScratch is the reusable per-query workspace of a cover-plan
-// execution, recycled through the joiner's sync.Pool so the warm path
-// allocates nothing. Every slice is sized once for the joiner's fixed plan
-// and region count.
+// planScratch is the reusable per-range workspace of a base fill, recycled
+// through the joiner's sync.Pool so a fill after every compaction or delete
+// does not re-allocate range-sized columns. Every slice is sized once for
+// the joiner's fixed plan.
 type planScratch struct {
 	cnt []int64 // per unique range: live row count
 	sum []float64
 	mn  []float64
 	mx  []float64 // nil when the store is weightless
 
-	dCnt []int64 // per region: delta accumulator
-	dSum []float64
-	dMn  []float64
-	dMx  []float64
-
 	shards [][2]int // reusable weighted shard bounds
 }
 
-// ProbeStats reports what one cover-plan execution actually touched.
+// regionAcc is one region's accumulator: the four columns every aggregate
+// derives from.
+type regionAcc struct {
+	cnt int64
+	sum float64
+	mn  float64
+	mx  float64
+}
+
+// basePartials is the per-region fold of one base column under one tombstone
+// set — the output of the fill. For one base store the tombstone list only
+// grows, so (base, tombs) identifies the live base rows exactly. The fold is
+// a pure function of that identity and the plan, so it is published through
+// the joiner's atomic pointer beside the span resolution and shared
+// read-only by every query until a delete or compaction changes the
+// identity. gen orders publications: a reader still holding a
+// pre-compaction snapshot must not replace the partials of the base that
+// superseded it.
+type basePartials struct {
+	base  *pointstore.Store
+	gen   uint64
+	tombs int
+	have  aggNeeds // which weight columns of acc are filled; cnt always is
+	acc   []regionAcc
+}
+
+// serves reports whether bp answers needs over snap's base rows.
+//
+//distbound:noalloc
+func (bp *basePartials) serves(snap *pointstore.Snapshot, needs aggNeeds) bool {
+	return bp != nil && bp.base == snap.BaseStore() && bp.tombs == snap.Tombstones() &&
+		(bp.have.sum || !needs.sum) && (bp.have.min || !needs.min) && (bp.have.max || !needs.max)
+}
+
+// deltaPartials is the per-region accumulation of delta rows [0, upto) of
+// one delta lineage: within a compaction generation the delta tail is
+// append-only and its dead set only grows, so (gen, dead) fixes the content
+// and liveness of every row below upto, and any snapshot of the same lineage
+// with a longer tail extends these accumulators instead of recomputing them.
+// All four columns are always maintained — a row's fan-out costs the same
+// cache line either way, and it spares the watermark a per-column history.
+type deltaPartials struct {
+	gen  uint64
+	dead int
+	upto int
+	acc  []regionAcc
+}
+
+// extends reports whether dp accumulates a prefix of snap's delta tail.
+//
+//distbound:noalloc
+func (dp *deltaPartials) extends(snap *pointstore.Snapshot) bool {
+	return dp != nil && dp.gen == snap.Gen() && dp.dead == snap.DeltaDead() && dp.upto <= snap.DeltaLen()
+}
+
+// ProbeStats reports the work one cover-plan execution performed — not the
+// size of what it answered from.
 type ProbeStats struct {
 	// RangesProbed is the number of unique ranges whose span aggregates were
-	// computed — the shared probes all regions folded from.
+	// computed by a base fill: the whole unique range list when this
+	// execution filled (or widened) the base partials, 0 when it was served
+	// from published ones.
 	RangesProbed int
-	// DeltaProbed is the number of live delta rows searched into the range
-	// list.
+	// DeltaProbed is the number of live delta rows this execution searched
+	// into the range list: the rows past the published watermark, 0 when the
+	// watermark already covered the snapshot's tail.
 	DeltaProbed int
 }
 
@@ -270,19 +355,13 @@ func (p *coverPlan) memoryBytes() int {
 // newScratch sizes a workspace for the plan; hasW decides whether the float
 // columns exist.
 //
-//distbound:allow-scratch-escape pool accessor; AggregateMultiInto returns the workspace to the pool before returning
-func (p *coverPlan) newScratch(numReg int, hasW bool) *planScratch {
-	sc := &planScratch{
-		cnt:  make([]int64, len(p.uniq)),
-		dCnt: make([]int64, numReg),
-	}
+//distbound:allow-scratch-escape pool accessor; fillBase returns the workspace to the pool before returning
+func (p *coverPlan) newScratch(hasW bool) *planScratch {
+	sc := &planScratch{cnt: make([]int64, len(p.uniq))}
 	if hasW {
 		sc.sum = make([]float64, len(p.uniq))
 		sc.mn = make([]float64, len(p.uniq))
 		sc.mx = make([]float64, len(p.uniq))
-		sc.dSum = make([]float64, numReg)
-		sc.dMn = make([]float64, numReg)
-		sc.dMx = make([]float64, numReg)
 	}
 	return sc
 }
@@ -296,86 +375,191 @@ const cancelStride = 4096
 // one Result per aggregate, positionally aligned with aggs, each with
 // Counts (and Sums/Extremes where the aggregate needs them) sized to the
 // region count; every slot is overwritten. The returned ProbeStats counts
-// the work performed. With workers ≤ 1 the call runs entirely inline —
-// no goroutines, no allocations beyond a pooled scratch reuse.
+// the work this call performed: zero on the warm path. workers only shapes
+// a base fill; inversion and merge run inline whatever it says.
 //
 //distbound:noalloc
 func (j *PointIdxJoiner) AggregateMultiInto(ctx context.Context, aggs []Agg, workers int, results []Result) (ProbeStats, error) {
 	if err := j.validateAggs(aggs); err != nil {
 		return ProbeStats{}, err
 	}
-	needs := needsOf(aggs)
+	return j.aggregateSnapshot(ctx, j.src.Snapshot(), needsOf(aggs), workers, results)
+}
+
+// aggregateSnapshot answers over one snapshot: load the published base
+// partials and delta accumulators, bring whichever does not cover snap up to
+// it (fillBase, extendDelta — the only steps that allocate), and merge. It
+// allocates nothing when both already do.
+//
+//distbound:noalloc
+func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore.Snapshot, needs aggNeeds, workers int, results []Result) (ProbeStats, error) {
+	var stats ProbeStats
+	var err error
+	bp := j.base.Load()
+	if !bp.serves(snap, needs) {
+		if bp, err = j.fillBase(ctx, snap, needs, workers); err != nil {
+			return ProbeStats{}, err
+		}
+		stats.RangesProbed = len(j.plan.uniq)
+	}
+	var delta []regionAcc
+	if snap.DeltaLen() > 0 {
+		dp := j.delta.Load()
+		if !(dp.extends(snap) && dp.upto == snap.DeltaLen()) {
+			if dp, stats.DeltaProbed, err = j.extendDelta(ctx, snap, dp); err != nil {
+				return ProbeStats{}, err
+			}
+		}
+		delta = dp.acc
+	}
+	mergeRegions(bp.acc, delta, results)
+	return stats, nil
+}
+
+// fillBase is the fill: it resolves (or reuses) snap's span resolution,
+// probes every unique range for the columns needs asks, folds them per
+// region, and publishes the partials. When the published partials already
+// describe snap's base rows and merely lack columns, the fill computes the
+// union, so the published set only widens while the base rows stand still
+// (three widenings at most). Racing fills of one identity produce identical
+// columns from the same immutable base, so any of their publications is
+// correct; a fill for a superseded base answers its caller and publishes
+// nothing.
+func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot, needs aggNeeds, workers int) (*basePartials, error) {
 	p := j.plan
 	numReg := len(j.covers)
-	snap := j.src.Snapshot()
-	done := ctx.Done()
-	stats := ProbeStats{RangesProbed: len(p.uniq)}
-
+	if cur := j.base.Load(); cur.serves(snap, aggNeeds{}) {
+		needs = aggNeeds{sum: needs.sum || cur.have.sum, min: needs.min || cur.have.min, max: needs.max || cur.have.max}
+	}
+	next := &basePartials{
+		base: snap.BaseStore(), gen: snap.Gen(), tombs: snap.Tombstones(),
+		have: needs, acc: make([]regionAcc, numReg),
+	}
 	sc := j.scratch.Get().(*planScratch)
 	defer j.scratch.Put(sc)
 
-	// Span resolution is shared, not per-query: spansFor returns the plan's
+	// Span resolution is shared, not per-fill: spansFor returns the plan's
 	// published resolution when snap still serves the base it was resolved
-	// against, and re-resolves — the one incremental step a compaction forces
-	// — only on base-identity change.
+	// against (a fill forced by a delete), and re-resolves only on
+	// base-identity change.
 	rs, err := j.spansFor(ctx, snap, workers)
 	if err != nil {
-		return ProbeStats{}, err
+		return nil, err
 	}
+	done := ctx.Done()
 	if workers > 1 {
 		if err := j.probeShards(ctx, snap, rs, sc, needs, workers); err != nil {
-			return ProbeStats{}, err
+			return nil, err
 		}
-	} else {
-		for lo, n := 0, len(p.uniq); lo < n; lo += cancelStride {
-			if canceled(done) {
-				return ProbeStats{}, ctx.Err()
-			}
-			probeRanges(snap, rs, sc, needs, lo, min(lo+cancelStride, n))
-		}
-	}
-
-	// Delta inversion runs sequentially: delta accumulators must not depend
-	// on the worker count (a region's float sum would otherwise change with
-	// sharding), and the planner keeps the delta small relative to the base.
-	deltaAny := snap.DeltaLen() > 0
-	if deltaAny {
-		n, err := j.invertDelta(ctx, snap, sc, needs, numReg)
-		if err != nil {
-			return ProbeStats{}, err
-		}
-		stats.DeltaProbed = n
-	}
-
-	if workers > 1 {
 		shards := pool.SplitWeighted(numReg, workers, func(ri int) int64 {
-			w := int64(p.regOff[ri+1]-p.regOff[ri]) + 1
-			if deltaAny {
-				// Without a delta this query never wrote dCnt — a previous
-				// query's counts may still sit in the pooled scratch.
-				w += sc.dCnt[ri]
-			}
-			return w
+			return int64(p.regOff[ri+1]-p.regOff[ri]) + 1
 		}, sc.shards)
 		sc.shards = shards
 		err := pool.RunCtx(ctx, len(shards), len(shards), func(_, si int) error {
 			for ri := shards[si][0]; ri < shards[si][1]; ri++ {
-				j.foldRegion(sc, needs, deltaAny, ri, results)
+				j.foldRegion(sc, needs, ri, next.acc)
 			}
 			return nil
 		})
 		if err != nil {
-			return ProbeStats{}, err
+			return nil, err
 		}
 	} else {
+		for lo, n := 0, len(p.uniq); lo < n; lo += cancelStride {
+			if canceled(done) {
+				return nil, ctx.Err()
+			}
+			probeRanges(snap, rs, sc, needs, lo, min(lo+cancelStride, n))
+		}
 		for ri := 0; ri < numReg; ri++ {
 			if ri&(cancelStride-1) == 0 && canceled(done) {
-				return ProbeStats{}, ctx.Err()
+				return nil, ctx.Err()
 			}
-			j.foldRegion(sc, needs, deltaAny, ri, results)
+			j.foldRegion(sc, needs, ri, next.acc)
 		}
 	}
-	return stats, nil
+	if cur := j.base.Load(); cur == nil || cur.gen < next.gen || (cur.gen == next.gen && cur.tombs <= next.tombs) {
+		j.base.Store(next)
+	}
+	return next, nil
+}
+
+// extendDelta returns delta accumulators covering snap's whole delta tail:
+// cur's copied and extended by the rows past its watermark when cur
+// accumulates a prefix of that tail, a fresh inversion from row 0 otherwise
+// (a delta delete or compaction started a new lineage, or the reader's
+// snapshot predates the watermark). It also returns how many live rows it
+// inverted. The result is published unless the slot already holds something
+// at least as new — racing extensions of one lineage are identical over
+// their common prefix, so keeping the larger watermark loses nothing, and a
+// stale reader's inversion is its own answer only.
+func (j *PointIdxJoiner) extendDelta(ctx context.Context, snap *pointstore.Snapshot, cur *deltaPartials) (*deltaPartials, int, error) {
+	next := &deltaPartials{
+		gen: snap.Gen(), dead: snap.DeltaDead(), upto: snap.DeltaLen(),
+		acc: make([]regionAcc, len(j.covers)),
+	}
+	from := 0
+	if cur.extends(snap) {
+		copy(next.acc, cur.acc)
+		from = cur.upto
+	} else {
+		for ri := range next.acc {
+			next.acc[ri].mn, next.acc[ri].mx = math.Inf(1), math.Inf(-1)
+		}
+	}
+	probed, err := j.invertDelta(ctx, snap, next.acc, from)
+	if err != nil {
+		return nil, 0, err
+	}
+	for {
+		cur = j.delta.Load()
+		if cur != nil && (cur.gen > next.gen || (cur.gen == next.gen &&
+			(cur.dead > next.dead || (cur.dead == next.dead && cur.upto >= next.upto)))) {
+			break
+		}
+		if j.delta.CompareAndSwap(cur, next) {
+			break
+		}
+	}
+	return next, probed, nil
+}
+
+// mergeRegions writes every region's answer: its base partial plus, when the
+// snapshot carries a delta tail, its delta accumulator — one add per column,
+// exactly what the fold's last step did when it ran per query.
+//
+//distbound:noalloc
+func mergeRegions(base, delta []regionAcc, results []Result) {
+	for ri, a := range base {
+		if delta != nil {
+			d := &delta[ri]
+			a.cnt += d.cnt
+			a.sum += d.sum
+			a.mn = math.Min(a.mn, d.mn)
+			a.mx = math.Max(a.mx, d.mx)
+		}
+		a.writeTo(results, ri)
+	}
+}
+
+// writeTo stores the accumulator as region ri's slot of every result, each
+// taking the columns its aggregate derives from.
+//
+//distbound:noalloc
+func (a regionAcc) writeTo(results []Result, ri int) {
+	for k := range results {
+		results[k].Counts[ri] = a.cnt
+		if results[k].Sums != nil {
+			results[k].Sums[ri] = a.sum
+		}
+		if results[k].Extremes != nil {
+			if results[k].Agg == Min {
+				results[k].Extremes[ri] = a.mn
+			} else {
+				results[k].Extremes[ri] = a.mx
+			}
+		}
+	}
 }
 
 // spansFor returns the plan's span resolution for snap's base: the published
@@ -485,29 +669,19 @@ func probeRanges(snap *pointstore.Snapshot, rs *resolvedSpans, sc *planScratch, 
 	}
 }
 
-// invertDelta searches each live delta row into the plan's boundary
-// segments and fans its contribution out to the segment's stab list of
-// covered regions, returning how many rows were probed. One binary search
-// plus the fan-out replaces the per-region brute scan — O(delta ×
-// (log ranges + hits)) instead of O(regions × delta).
+// invertDelta searches each live delta row from index from on into the
+// plan's boundary segments and fans its contribution out to the segment's
+// stab list of covered regions, in append order, returning how many rows
+// were probed. One binary search plus the fan-out replaces the per-region
+// brute scan — O(rows × (log ranges + hits)) instead of O(regions × rows).
 //
 //distbound:noalloc
-func (j *PointIdxJoiner) invertDelta(ctx context.Context, snap *pointstore.Snapshot, sc *planScratch, needs aggNeeds, numReg int) (int, error) {
+func (j *PointIdxJoiner) invertDelta(ctx context.Context, snap *pointstore.Snapshot, acc []regionAcc, from int) (int, error) {
 	p := j.plan
 	done := ctx.Done()
-	for ri := 0; ri < numReg; ri++ {
-		sc.dCnt[ri] = 0
-	}
-	if needs.sum || needs.min || needs.max {
-		for ri := 0; ri < numReg; ri++ {
-			sc.dSum[ri] = 0
-			sc.dMn[ri] = math.Inf(1)
-			sc.dMx[ri] = math.Inf(-1)
-		}
-	}
 	probed := 0
 	hasW := snap.HasWeights()
-	for k, dn := 0, snap.DeltaLen(); k < dn; k++ {
+	for k, dn := from, snap.DeltaLen(); k < dn; k++ {
 		if k&(cancelStride-1) == 0 && canceled(done) {
 			return 0, ctx.Err()
 		}
@@ -534,72 +708,44 @@ func (j *PointIdxJoiner) invertDelta(ctx context.Context, snap *pointstore.Snaps
 		if len(stab) == 0 {
 			continue
 		}
-		var w float64
-		if hasW {
-			w = snap.DeltaWeight(k)
+		if !hasW {
+			for _, ri := range stab {
+				acc[ri].cnt++
+			}
+			continue
 		}
+		w := snap.DeltaWeight(k)
 		for _, ri := range stab {
-			sc.dCnt[ri]++
-			if needs.sum {
-				sc.dSum[ri] += w
-			}
-			if needs.min {
-				sc.dMn[ri] = math.Min(sc.dMn[ri], w)
-			}
-			if needs.max {
-				sc.dMx[ri] = math.Max(sc.dMx[ri], w)
-			}
+			a := &acc[ri]
+			a.cnt++
+			a.sum += w
+			a.mn = math.Min(a.mn, w)
+			a.mx = math.Max(a.mx, w)
 		}
 	}
 	return probed, nil
 }
 
-// foldRegion folds one region's accumulators from the shared per-range
-// values (in the region's own Lo-ascending order, preserving the reference
-// execution's fold order) plus its delta accumulator, and writes the
-// region's slot of every result.
+// foldRegion folds one region's base partial from the shared per-range
+// values, in the region's own Lo-ascending order (preserving the reference
+// execution's fold order); columns needs does not name stay at their
+// identities and are never read.
 //
 //distbound:noalloc
-func (j *PointIdxJoiner) foldRegion(sc *planScratch, needs aggNeeds, deltaAny bool, ri int, results []Result) {
+func (j *PointIdxJoiner) foldRegion(sc *planScratch, needs aggNeeds, ri int, acc []regionAcc) {
 	p := j.plan
-	var cnt int64
-	var sum float64
-	mn, mx := math.Inf(1), math.Inf(-1)
+	a := regionAcc{mn: math.Inf(1), mx: math.Inf(-1)}
 	for _, u := range p.regUniq[p.regOff[ri]:p.regOff[ri+1]] {
-		cnt += sc.cnt[u]
+		a.cnt += sc.cnt[u]
 		if needs.sum {
-			sum += sc.sum[u]
+			a.sum += sc.sum[u]
 		}
 		if needs.min {
-			mn = math.Min(mn, sc.mn[u])
+			a.mn = math.Min(a.mn, sc.mn[u])
 		}
 		if needs.max {
-			mx = math.Max(mx, sc.mx[u])
+			a.mx = math.Max(a.mx, sc.mx[u])
 		}
 	}
-	if deltaAny {
-		cnt += sc.dCnt[ri]
-		if needs.sum {
-			sum += sc.dSum[ri]
-		}
-		if needs.min {
-			mn = math.Min(mn, sc.dMn[ri])
-		}
-		if needs.max {
-			mx = math.Max(mx, sc.dMx[ri])
-		}
-	}
-	for k := range results {
-		results[k].Counts[ri] = cnt
-		if results[k].Sums != nil {
-			results[k].Sums[ri] = sum
-		}
-		if results[k].Extremes != nil {
-			if results[k].Agg == Min {
-				results[k].Extremes[ri] = mn
-			} else {
-				results[k].Extremes[ri] = mx
-			}
-		}
-	}
+	acc[ri] = a
 }

@@ -180,7 +180,8 @@ func TestCoverPlanSparseRegions(t *testing.T) {
 
 // TestCoverPlanStats pins the plan-shape accounting the engine surfaces:
 // deduplication can only shrink the list, every unique range needs at most
-// two boundary probes, and probe stats report what a query touched.
+// two boundary probes, and probe stats report the work a query did — not
+// the size of what it answered from.
 func TestCoverPlanStats(t *testing.T) {
 	_, regions, store := pointIdxFixture(t, 5000, true)
 	pj, err := NewPointIdxJoiner(regions, store, 16, 0)
@@ -203,9 +204,10 @@ func TestCoverPlanStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.RangesProbed != u || stats.DeltaProbed != 0 {
-		t.Errorf("compact probe stats {%d %d}, want {%d 0}", stats.RangesProbed, stats.DeltaProbed, u)
+		t.Errorf("first-query probe stats {%d %d}, want {%d 0}: the fill probes every unique range", stats.RangesProbed, stats.DeltaProbed, u)
 	}
-	// Live delta rows are probed; dead ones are not.
+	// Live delta rows are probed once, when a query first sees them; dead
+	// ones are not.
 	ids, err := store.Append([]geom.Point{geom.Pt(1, 1), geom.Pt(2, 2), geom.Pt(3, 3)}, []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +217,15 @@ func TestCoverPlanStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.DeltaProbed != 2 {
-		t.Errorf("DeltaProbed %d, want 2 (dead rows are skipped)", stats.DeltaProbed)
+	if stats != (ProbeStats{DeltaProbed: 2}) {
+		t.Errorf("probe stats %+v, want {0 2}: base partials reused, dead rows skipped", stats)
+	}
+	stats, err = pj.AggregateMultiInto(context.Background(), []Agg{Count}, 1, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats != (ProbeStats{}) {
+		t.Errorf("repeat probe stats %+v, want no work", stats)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // bitIdentical fails unless got matches want bit-for-bit in every filled
 // column — the multi-agg contract is exact equality with per-agg runs, float
 // sums included, because both fold in the identical order.
-func bitIdentical(t *testing.T, label string, want, got Result) {
+func bitIdentical(t testing.TB, label string, want, got Result) {
 	t.Helper()
 	if got.Agg != want.Agg || len(got.Counts) != len(want.Counts) {
 		t.Fatalf("%s: result shape differs", label)

@@ -48,10 +48,15 @@ type PointIdxJoiner struct {
 	// postings, plus the sorted boundary-key list one monotone sweep
 	// resolves. spans publishes the plan's current span resolution — shared
 	// by every query against one base, re-resolved incrementally when a
-	// compaction installs a new one. scratch recycles the per-query
-	// workspace sized for the plan.
+	// compaction installs a new one. base and delta publish the two halves
+	// of the current answer the same way: the per-region fold of the base
+	// rows, refilled when a delete or compaction changes them, and the
+	// per-region delta accumulators up to a watermark, extended as the tail
+	// grows. scratch recycles the fill's per-range workspace.
 	plan    *coverPlan
 	spans   atomic.Pointer[resolvedSpans]
+	base    atomic.Pointer[basePartials]
+	delta   atomic.Pointer[deltaPartials]
 	scratch sync.Pool
 }
 
@@ -94,8 +99,8 @@ func NewPointIdxJoinerCtx(ctx context.Context, regions []geom.Region, src *point
 		j.ranges += len(rs)
 	}
 	j.plan = buildCoverPlan(j.covers)
-	numReg, hasW, plan := len(regions), src.HasWeights(), j.plan
-	j.scratch.New = func() any { return plan.newScratch(numReg, hasW) }
+	hasW, plan := src.HasWeights(), j.plan
+	j.scratch.New = func() any { return plan.newScratch(hasW) }
 	return j, nil
 }
 
@@ -122,14 +127,63 @@ func (j *PointIdxJoiner) NumBoundaryProbes() int { return len(j.plan.bkeys) }
 func (j *PointIdxJoiner) UniqueRanges() []raster.PosRange { return j.plan.uniq }
 
 // MemoryBytes returns the cover artifact's footprint — the per-region
-// ranges (16 bytes each), the global cover plan, and the current span
-// resolution if one is published — excluding the shared dataset.
+// ranges (16 bytes each), the global cover plan, and whichever of the span
+// resolution and the per-region partials (32 bytes a region each) are
+// published — excluding the shared dataset.
 func (j *PointIdxJoiner) MemoryBytes() int {
 	n := 16*j.ranges + j.plan.memoryBytes()
 	if rs := j.spans.Load(); rs != nil {
 		n += rs.memoryBytes()
 	}
+	if bp := j.base.Load(); bp != nil {
+		n += 32 * len(bp.acc)
+	}
+	if dp := j.delta.Load(); dp != nil {
+		n += 32 * len(dp.acc)
+	}
 	return n
+}
+
+// Pending reports the work a query for aggs over snap would perform against
+// what the joiner has published right now, in ProbeStats' units: the unique
+// ranges a base fill would probe (0 when the base partials serve snap) and
+// the delta rows, dead ones included, past the watermark. It is the
+// planner's view of the joiner — two atomic loads, no side effects.
+func (j *PointIdxJoiner) Pending(snap *pointstore.Snapshot, aggs []Agg) ProbeStats {
+	var st ProbeStats
+	if !j.base.Load().serves(snap, needsOf(aggs)) {
+		st.RangesProbed = len(j.plan.uniq)
+	}
+	st.DeltaProbed = snap.DeltaLen()
+	if dp := j.delta.Load(); dp.extends(snap) {
+		st.DeltaProbed -= dp.upto
+	}
+	return st
+}
+
+// DropPartials discards the published base partials and delta accumulators,
+// so the next query recomputes both from nothing — the re-execution the
+// incremental state is differentially tested against, and what a benchmark
+// comparing executions (spatialbench's cover-plan head-to-head) must time.
+func (j *PointIdxJoiner) DropPartials() {
+	j.base.Store(nil)
+	j.delta.Store(nil)
+}
+
+// Refresh brings the published span resolution and base partials up to the
+// dataset's current snapshot, refilling exactly the columns earlier queries
+// asked for. A background compaction calls it right after publishing its new
+// base, so the refill happens on the compaction's goroutine instead of
+// inside the first query to arrive afterwards. A joiner no query has touched
+// has nothing to keep warm and is left alone.
+func (j *PointIdxJoiner) Refresh(ctx context.Context, workers int) error {
+	cur := j.base.Load()
+	snap := j.src.Snapshot()
+	if cur == nil || cur.serves(snap, cur.have) {
+		return nil
+	}
+	_, err := j.fillBase(ctx, snap, cur.have, workers)
+	return err
 }
 
 // validate mirrors PointSet.validate for the resident dataset.
@@ -223,19 +277,7 @@ func (j *PointIdxJoiner) aggregateRegion(snap *pointstore.Snapshot, results []Re
 			}
 		}
 	}
-	for k := range results {
-		results[k].Counts[ri] = cnt
-		if results[k].Sums != nil {
-			results[k].Sums[ri] = sum
-		}
-		if results[k].Extremes != nil {
-			if results[k].Agg == Min {
-				results[k].Extremes[ri] = mn
-			} else {
-				results[k].Extremes[ri] = mx
-			}
-		}
-	}
+	regionAcc{cnt: cnt, sum: sum, mn: mn, mx: mx}.writeTo(results, ri)
 }
 
 // coversKey reports whether a leaf key falls in one of the merged, sorted

@@ -94,6 +94,15 @@ type Query struct {
 	// correctly tips plans back to the streaming strategies until compaction
 	// catches up. Ignored unless ResidentPoints is set.
 	DeltaPoints int
+	// DeltaInverted is how many of DeltaPoints' rows the resident joiner has
+	// already inverted into its published delta accumulators: a run pays the
+	// inverted join only for the rows past that watermark. BaseFolded reports
+	// that the joiner's published base partials already answer this query's
+	// aggregate set over the current base rows, so a run probes no range at
+	// all. Both describe a built joiner; they stay zero for a cold one, whose
+	// first run owes the full probe and the whole delta.
+	DeltaInverted int
+	BaseFolded    bool
 	// CachedBuild marks strategies whose one-time build artifact (the ACT
 	// trie, the R*-tree, or the BRJ region-mask canvases) is already
 	// resident in the caller's cache: their build cost has been paid, so
@@ -278,17 +287,20 @@ func (m CostModel) Estimate(q Query, s Strategy) Cost {
 		// store itself was built at registration and is shared by every
 		// bound, so it charges nothing here). Per run: one range probe per
 		// merged cover range — independent of the point count, which is the
-		// whole attraction for large resident datasets — plus the inverted
-		// delta join: each un-compacted delta row is binary-searched into
+		// whole attraction for large resident datasets — unless the joiner
+		// already holds the base fold, plus the inverted delta join over the
+		// rows the joiner has not inverted yet: each is binary-searched into
 		// the global merged range list once, so the term grows with
-		// delta × log(ranges), not regions × delta. That keeps the point
-		// index viable under heavy ingest; compaction still wins back the
-		// pure range-probe economy.
+		// new rows × log(ranges), not regions × delta. That keeps the point
+		// index viable under heavy ingest: a resident query between
+		// compactions owes only what was appended since the last one.
 		cells := 2 * st.totalPerim / cellSide
 		ranges := cells / rangeMergeFactor
 		c.Build = cells * m.TrieCellBuild
-		c.PerRun = ranges*m.RangeProbe +
-			float64(q.DeltaPoints)*math.Log2(ranges+2)*m.DeltaProbe
+		c.PerRun = float64(q.DeltaPoints-q.DeltaInverted) * math.Log2(ranges+2) * m.DeltaProbe
+		if !q.BaseFolded {
+			c.PerRun += ranges * m.RangeProbe
+		}
 	}
 	if q.CachedBuild[s] {
 		c.Build = 0

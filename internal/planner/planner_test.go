@@ -283,6 +283,39 @@ func TestDeltaTermScalesWithLogRanges(t *testing.T) {
 	}
 }
 
+// TestPointIdxChargesOnlyWhatTheJoinerOwes pins the planner's view of a warm
+// joiner: rows already inverted are not charged again, a held base fold
+// drops the probe term, a fully warm run costs nothing — and none of it
+// hides the un-compacted tail from the plan's delta fraction.
+func TestPointIdxChargesOnlyWhatTheJoinerOwes(t *testing.T) {
+	regions := data.Regions(data.Census(3, 200))
+	m := DefaultCostModel()
+	cold := Query{NumPoints: 1_000_000, Regions: regions, Bound: 16, ResidentPoints: true, DeltaPoints: 60_000}
+	clean := cold
+	clean.DeltaPoints = 0
+	probe := m.Estimate(clean, StrategyPointIdx).PerRun
+	full := m.Estimate(cold, StrategyPointIdx).PerRun
+
+	suffix := cold
+	suffix.DeltaInverted = 56_000
+	perRow := (full - probe) / float64(cold.DeltaPoints)
+	if got, want := m.Estimate(suffix, StrategyPointIdx).PerRun, probe+4_000*perRow; math.Abs(got-want) > 1e-9*want {
+		t.Errorf("a 4k-row suffix costs %g per run, want probe + 4k rows = %g", got, want)
+	}
+	suffix.BaseFolded = true
+	if got, want := m.Estimate(suffix, StrategyPointIdx).PerRun, 4_000*perRow; math.Abs(got-want) > 1e-9*want {
+		t.Errorf("with the base folded the suffix costs %g per run, want %g", got, want)
+	}
+	warm := suffix
+	warm.DeltaInverted = warm.DeltaPoints
+	if got := m.Estimate(warm, StrategyPointIdx).PerRun; got != 0 {
+		t.Errorf("a fully warm run costs %g, want 0", got)
+	}
+	if p := m.Choose(warm); p.DeltaFraction == 0 || !strings.Contains(p.Explain(), "delta:") {
+		t.Error("a warm joiner hid the un-compacted tail from the plan")
+	}
+}
+
 // TestExplainCoverPlanLine pins the cover-plan rendering: plans carrying
 // measured CoverStats print the line, estimate-only plans never do.
 func TestExplainCoverPlanLine(t *testing.T) {

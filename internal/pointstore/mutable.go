@@ -405,6 +405,15 @@ func (s *Snapshot) DeltaLen() int { return len(s.deltaKeys) }
 // DeltaLiveLen returns the number of live delta rows.
 func (s *Snapshot) DeltaLiveLen() int { return len(s.deltaKeys) - len(s.deltaDead) }
 
+// DeltaDead returns the number of delta rows deleted before a compaction
+// collected them. Within one generation the delta tail is append-only and its
+// dead set only grows, so two snapshots agreeing on (Gen, DeltaDead) hold
+// identical rows — liveness included — over their common delta prefix: the
+// invariant the joiner's incremental delta inversion keys on.
+//
+//distbound:noalloc
+func (s *Snapshot) DeltaDead() int { return len(s.deltaDead) }
+
 // LiveLen returns the number of live points in the snapshot.
 func (s *Snapshot) LiveLen() int {
 	return s.base.Len() - len(s.tombPos) + s.DeltaLiveLen()

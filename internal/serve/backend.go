@@ -33,6 +33,10 @@ type Backend interface {
 	// ResultCacheStats reports the backend's result-cache counters: the
 	// merged scatter-gather cache when sharded, the engine cache when not.
 	ResultCacheStats() cache.Stats
+	// Healthy reports the sticky durable-log failure (DatasetStats.DurableErr
+	// of the dataset, or of the first wedged shard) that makes the backend
+	// refuse every mutation; nil while writes are being accepted.
+	Healthy() error
 	// Describe fills the dataset half of a stats response.
 	Describe(st *StatsResponse)
 	// Close releases the backend's datasets.
@@ -69,6 +73,8 @@ func (b *ShardedBackend) Append(pts []distbound.Point, weights []float64) ([]uin
 func (b *ShardedBackend) Epoch() uint64 { return b.S.EpochSum() }
 
 func (b *ShardedBackend) ResultCacheStats() cache.Stats { return b.S.CacheStats() }
+
+func (b *ShardedBackend) Healthy() error { return b.S.DurableErr() }
 
 func (b *ShardedBackend) Describe(st *StatsResponse) {
 	s := b.S.Stats()
@@ -194,6 +200,8 @@ func (b *UnshardedBackend) Append(pts []distbound.Point, weights []float64) ([]u
 func (b *UnshardedBackend) Epoch() uint64 { return b.DS.Epoch() }
 
 func (b *UnshardedBackend) ResultCacheStats() cache.Stats { return b.E.ResultCacheStats() }
+
+func (b *UnshardedBackend) Healthy() error { return b.DS.Stats().DurableErr }
 
 func (b *UnshardedBackend) Describe(st *StatsResponse) {
 	s := b.DS.Stats()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"distbound/internal/cache"
+	"distbound/internal/shard"
 )
 
 // latRingSize bounds the latency sample window the percentiles summarize;
@@ -29,18 +30,32 @@ type metrics struct {
 	fanoutSum atomic.Uint64
 	fanoutMax atomic.Uint64
 
+	// Probe work summed over executed queries (shard.Response's counters):
+	// unique ranges probed by base fills and delta rows newly inverted.
+	// Against the request counters they give the resident path's warm ratio.
+	rangesProbed atomic.Uint64
+	deltaProbed  atomic.Uint64
+
 	mu    sync.Mutex
 	ring  [latRingSize]time.Duration
 	next  int
 	count int
 }
 
-// observe records one finished query execution.
-func (m *metrics) observe(d time.Duration, shardsContacted int) {
-	m.fanoutSum.Add(uint64(shardsContacted))
+// observe records one finished query execution. A result-cache hit and a
+// warm resident read carry zero probe counters and skip those adds.
+func (m *metrics) observe(d time.Duration, resp *shard.Response) {
+	if resp.RangesProbed > 0 {
+		m.rangesProbed.Add(uint64(resp.RangesProbed))
+	}
+	if resp.DeltaProbed > 0 {
+		m.deltaProbed.Add(uint64(resp.DeltaProbed))
+	}
+	contacted := uint64(resp.ShardsContacted)
+	m.fanoutSum.Add(contacted)
 	for {
 		cur := m.fanoutMax.Load()
-		if uint64(shardsContacted) <= cur || m.fanoutMax.CompareAndSwap(cur, uint64(shardsContacted)) {
+		if contacted <= cur || m.fanoutMax.CompareAndSwap(cur, contacted) {
 			break
 		}
 	}
@@ -90,6 +105,8 @@ func (m *metrics) render(w io.Writer, rejections uint64, draining bool, cacheSta
 	fmt.Fprintf(w, "distboundd_shard_fanout_sum %d\n", m.fanoutSum.Load())
 	fmt.Fprintf(w, "distboundd_shard_fanout_count %d\n", executed)
 	fmt.Fprintf(w, "distboundd_shard_fanout_max %d\n", m.fanoutMax.Load())
+	fmt.Fprintf(w, "distboundd_ranges_probed_total %d\n", m.rangesProbed.Load())
+	fmt.Fprintf(w, "distboundd_delta_probed_total %d\n", m.deltaProbed.Load())
 	p50, p90, p99 := m.percentiles()
 	fmt.Fprintf(w, "distboundd_query_latency_seconds{quantile=\"0.5\"} %g\n", p50.Seconds())
 	fmt.Fprintf(w, "distboundd_query_latency_seconds{quantile=\"0.9\"} %g\n", p90.Seconds())

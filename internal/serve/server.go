@@ -170,7 +170,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, httpStatus(err), err)
 		return
 	}
-	s.met.observe(time.Since(t0), resp.ShardsContacted)
+	s.met.observe(time.Since(t0), &resp)
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(toWire(req, resp)) //nolint:errcheck // client disconnects surface as write errors
 }
@@ -256,7 +256,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				line = QueryResponse{Error: errs[slot].Error()}
 			default:
 				s.met.batchLines.Add(1)
-				s.met.observe(perLine, resps[slot].ShardsContacted)
+				s.met.observe(perLine, &resps[slot])
 				line = toWire(reqs[slot], resps[slot])
 			}
 			if err := enc.Encode(line); err != nil {
@@ -339,6 +339,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
+		return
+	}
+	// A wedged store still answers queries but refuses every mutation; a
+	// load balancer must stop treating it as a healthy writer.
+	if err := s.backend.Healthy(); err != nil {
+		http.Error(w, "wedged: "+err.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	w.WriteHeader(http.StatusOK)

@@ -21,6 +21,7 @@ import (
 	"distbound/internal/data"
 	"distbound/internal/shard"
 	"distbound/internal/testutil"
+	"distbound/internal/testutil/errorfs"
 )
 
 // testWorkload builds the shared small fixture: city-tiling regions and a
@@ -274,6 +275,7 @@ func (b *blockingBackend) Append(pts []distbound.Point, weights []float64) ([]ui
 }
 func (b *blockingBackend) Epoch() uint64                 { return 0 }
 func (b *blockingBackend) ResultCacheStats() cache.Stats { return cache.Stats{} }
+func (b *blockingBackend) Healthy() error                { return nil }
 func (b *blockingBackend) Describe(st *StatsResponse)    {}
 func (b *blockingBackend) Close()                        {}
 
@@ -425,6 +427,108 @@ func TestDrainingHealth(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"count"}, Bound: 32}, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("draining query: %d", resp.StatusCode)
+	}
+}
+
+// TestHealthzFailsOnWedgedStore: a write-ahead-log failure wedges the store
+// — every later mutation is refused — and /healthz must say so with a 503
+// on both backends, while queries keep answering. Before the failure, and
+// on a store that was never persisted, health is ok.
+func TestHealthzFailsOnWedgedStore(t *testing.T) {
+	regions, pts, ws := testWorkload(t, 1500)
+	for name, mk := range map[string]func(t *testing.T, cfg distbound.PersistConfig) Backend{
+		"sharded": func(t *testing.T, cfg distbound.PersistConfig) Backend {
+			s, _, err := shard.New("taxi", regions, pts, ws, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Persist(t.TempDir(), cfg); err != nil {
+				t.Fatal(err)
+			}
+			return &ShardedBackend{S: s}
+		},
+		"unsharded": func(t *testing.T, cfg distbound.PersistConfig) Backend {
+			e := distbound.NewEngine(regions)
+			ds, err := e.RegisterPoints("taxi", pts, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.Persist("db", cfg); err != nil {
+				t.Fatal(err)
+			}
+			return &UnshardedBackend{E: e, DS: ds}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := errorfs.New()
+			srv := NewServer(mk(t, distbound.PersistConfig{}.WithFS(fs)), 0)
+			ts := httptest.NewServer(srv.Handler())
+			defer func() { ts.Close(); srv.Close() }()
+
+			one := AppendRequest{Points: [][2]float64{{pts[0].X, pts[0].Y}}, Weights: []float64{1}}
+			if resp, body := postJSON(t, ts.URL+"/v1/append", one, nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("healthy append: %d %s", resp.StatusCode, body)
+			}
+			if resp, body := getBody(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+				t.Fatalf("healthy durable store: healthz %d %q", resp.StatusCode, body)
+			}
+
+			fs.FailAt(fs.Ops()) // the very next filesystem call: the append's log record
+			if resp, _ := postJSON(t, ts.URL+"/v1/append", one, nil); resp.StatusCode == http.StatusOK {
+				t.Fatal("the append whose log write failed was acknowledged")
+			}
+			resp, body := getBody(t, ts.URL+"/healthz")
+			if resp.StatusCode != http.StatusServiceUnavailable || !strings.HasPrefix(string(body), "wedged: ") {
+				t.Fatalf("wedged store: healthz %d %q, want 503 wedged: …", resp.StatusCode, body)
+			}
+			if resp, _ := postJSON(t, ts.URL+"/v1/append", one, nil); resp.StatusCode == http.StatusOK {
+				t.Fatal("a wedged store accepted an append")
+			}
+			if resp, _ := postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"count"}, Bound: 32}, nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("wedged store stopped answering queries: %d", resp.StatusCode)
+			}
+		})
+	}
+}
+
+// TestProbeWorkMetrics: /metrics sums the probe work executed queries did —
+// a fill's ranges on the first query, nothing on a result-cache hit, and
+// after an append exactly the appended rows with no new fill — which is the
+// resident path's warm ratio, readable without a profiler.
+func TestProbeWorkMetrics(t *testing.T) {
+	ts, _, pts, _ := newShardedTS(t, 0)
+	scrape := func() (ranges, delta uint64) {
+		t.Helper()
+		_, body := getBody(t, ts.URL+"/metrics")
+		for _, line := range strings.Split(string(body), "\n") {
+			fmt.Sscanf(line, "distboundd_ranges_probed_total %d", &ranges) //nolint:errcheck // non-matching lines
+			fmt.Sscanf(line, "distboundd_delta_probed_total %d", &delta)   //nolint:errcheck // non-matching lines
+		}
+		return ranges, delta
+	}
+	q := QueryRequest{Aggs: []string{"count", "sum"}, Bound: 32}
+	if r, d := scrape(); r != 0 || d != 0 {
+		t.Fatalf("fresh server reports probe work {%d %d}", r, d)
+	}
+	postJSON(t, ts.URL+"/v1/query", q, nil)
+	filled, d := scrape()
+	if filled == 0 || d != 0 {
+		t.Fatalf("first query reports {%d %d}, want a fill and no delta", filled, d)
+	}
+	postJSON(t, ts.URL+"/v1/query", q, nil) // result-cache hit
+	if r, d := scrape(); r != filled || d != 0 {
+		t.Fatalf("a cache hit added probe work: {%d %d} after {%d 0}", r, d, filled)
+	}
+	app := AppendRequest{Weights: []float64{1, 2, 3}}
+	for _, p := range pts[:3] {
+		app.Points = append(app.Points, [2]float64{p.X, p.Y})
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/append", app, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("append: %d %s", resp.StatusCode, body)
+	}
+	postJSON(t, ts.URL+"/v1/query", q, nil)
+	if r, d := scrape(); r != filled || d != 3 {
+		t.Fatalf("read after 3 appends reports {%d %d}, want {%d 3}: base partials reused, new rows inverted once", r, d, filled)
 	}
 }
 

@@ -132,3 +132,16 @@ func Open(regions []distbound.Region, dir string, cfg distbound.PersistConfig) (
 	}
 	return s, nil
 }
+
+// DurableErr returns the first wedged shard's sticky durable-log error (see
+// distbound.DatasetStats.DurableErr): once set, that shard refuses every
+// mutation, so the sharded dataset as a whole no longer accepts writes. Nil
+// while every shard does, and always for a dataset that was never persisted.
+func (s *Sharded) DurableErr() error {
+	for i := range s.shards {
+		if err := s.shards[i].ds.Stats().DurableErr; err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
+}

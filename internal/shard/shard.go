@@ -293,7 +293,9 @@ type Response struct {
 	// shards the cover plan intersected vs the partition width.
 	ShardsContacted int
 	ShardsTotal     int
-	// RangesProbed / DeltaProbed sum the contacted shards' probe counters.
+	// RangesProbed / DeltaProbed sum the contacted shards' probe counters:
+	// the work this scatter performed (see distbound.Response), 0 on a
+	// result-cache hit.
 	RangesProbed int
 	DeltaProbed  int
 	// Wall is the whole scatter-gather's execution time.
@@ -396,8 +398,10 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	out.Wall = time.Since(t0)
 	if cacheable {
 		// The merged Results are freshly allocated and never pooled, so the
-		// cache stores them directly — no copy, no refcount.
+		// cache stores them directly — no copy, no refcount. A hit probes
+		// nothing, so the cached copy carries no probe counters.
 		c := out
+		c.RangesProbed, c.DeltaProbed = 0, 0
 		s.results.Put(key, &c)
 	}
 	return out, nil

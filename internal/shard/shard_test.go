@@ -179,6 +179,11 @@ func TestShardedMutationParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The probe counters sum the shards' work: the first read inverts every
+	// live appended row exactly once, on the shard owning it.
+	if liveExtra := len(extra) - (len(extra)+2)/3; resp.DeltaProbed != liveExtra {
+		t.Fatalf("first read after the appends inverted %d delta rows, want the %d live ones", resp.DeltaProbed, liveExtra)
+	}
 	want := unshardedDo(t, e, ds, allAggs, 64)
 	for k, agg := range allAggs {
 		testutil.CheckIdentical(t, fmt.Sprintf("post-mutation agg=%v", agg), want.Results[k], resp.Results[k])
@@ -192,8 +197,8 @@ func TestShardedMutationParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp2.DeltaProbed != 0 {
-		t.Fatalf("post-compaction query probed %d delta rows", resp2.DeltaProbed)
+	if resp2.DeltaProbed != 0 || resp2.RangesProbed == 0 {
+		t.Fatalf("post-compaction query reports {%d %d}: want a base refill and no delta rows", resp2.RangesProbed, resp2.DeltaProbed)
 	}
 	want2 := unshardedDo(t, e, ds, allAggs, 64)
 	for k, agg := range allAggs {
@@ -448,8 +453,12 @@ func TestShardedResultCache(t *testing.T) {
 	if got := s.Stats().ContactedTotal; got != contacts0 {
 		t.Fatalf("cache hit still contacted shards: %d -> %d", contacts0, got)
 	}
-	if warm.ShardsContacted != cold.ShardsContacted || warm.RangesProbed != cold.RangesProbed {
+	if warm.ShardsContacted != cold.ShardsContacted {
 		t.Fatalf("hit altered routing stats: cold %+v warm %+v", cold, warm)
+	}
+	if cold.RangesProbed == 0 || warm.RangesProbed != 0 || warm.DeltaProbed != 0 {
+		t.Fatalf("probe counters must meter work done: cold {%d %d} (a fill), hit {%d %d} (none)",
+			cold.RangesProbed, cold.DeltaProbed, warm.RangesProbed, warm.DeltaProbed)
 	}
 	want := unshardedDo(t, e, ds, allAggs, 64)
 	for k, agg := range allAggs {

@@ -76,10 +76,15 @@ type Response struct {
 	Build time.Duration
 	// Wall is the request's total execution time.
 	Wall time.Duration
-	// RangesProbed counts the unique cover-plan ranges the request resolved
-	// against the resident key column; DeltaProbed counts the live delta
-	// rows searched into the range list. Both are 0 for strategies other
-	// than pointidx — the probe economy they meter is the resident path's.
+	// RangesProbed and DeltaProbed count the work this request performed on
+	// the resident path, not the size of what it answered from: the unique
+	// cover-plan ranges probed by a base fill (the whole range list on the
+	// first request against a base or after a delete, 0 once the joiner
+	// holds the fold), and the live delta rows newly searched into the
+	// range list (the rows appended since the previous request at this
+	// bound, 0 when nothing was). Both are 0 on a result-cache hit and for
+	// strategies other than pointidx — the probe economy they meter is the
+	// resident path's.
 	RangesProbed int
 	// DeltaProbed — see RangesProbed.
 	DeltaProbed int
@@ -254,6 +259,10 @@ func (e *Engine) planRequest(req Request, reps int, sc *respScratch) Plan {
 	}
 	var cover planner.CoverStats
 	if ds := req.Dataset; ds != nil {
+		snap := ds.src.Snapshot()
+		q.NumPoints = snap.LiveLen()
+		q.ResidentPoints = true
+		q.DeltaPoints = snap.DeltaLen()
 		if j, ok := e.pidx.PeekReady(pidxKey{src: ds.src, bound: req.Bound}); ok {
 			q.CachedBuild[StrategyPointIdx] = true
 			// The resident artifact knows the real cover-plan shape; surface
@@ -263,11 +272,13 @@ func (e *Engine) planRequest(req Request, reps int, sc *respScratch) Plan {
 				Unique:     j.NumUniqueRanges(),
 				Boundaries: j.NumBoundaryProbes(),
 			}
+			// It also knows what a run still owes: only the delta rows past
+			// its watermark, and no probe at all while its base partials
+			// serve this snapshot.
+			owed := j.Pending(snap, req.Aggs)
+			q.DeltaInverted = q.DeltaPoints - owed.DeltaProbed
+			q.BaseFolded = owed.RangesProbed == 0
 		}
-		snap := ds.src.Snapshot()
-		q.NumPoints = snap.LiveLen()
-		q.ResidentPoints = true
-		q.DeltaPoints = snap.DeltaLen()
 	} else {
 		q.NumPoints = len(req.Points.Pts)
 	}

@@ -100,23 +100,16 @@ func resultCacheKey(req Request) (resultKey, bool) {
 // bugs cannot exist on this path — and the memory is reclaimed by the
 // collector once the last holder lets go.
 type cachedResponse struct {
-	results      []Result
-	strategy     Strategy
-	plan         Plan
-	rangesProbed int
-	deltaProbed  int
-	refs         atomic.Int64
+	results  []Result
+	strategy Strategy
+	plan     Plan
+	refs     atomic.Int64
 }
 
 // newCachedResponse deep-copies an executed response: fresh result columns
 // and a cloned plan cost table, sharing nothing with resp's scratch.
 func newCachedResponse(resp *Response) *cachedResponse {
-	c := &cachedResponse{
-		strategy:     resp.Strategy,
-		plan:         resp.Plan,
-		rangesProbed: resp.RangesProbed,
-		deltaProbed:  resp.DeltaProbed,
-	}
+	c := &cachedResponse{strategy: resp.Strategy, plan: resp.Plan}
 	c.refs.Store(1) // the cache's own reference
 	c.results = make([]Result, len(resp.Results))
 	for i, r := range resp.Results {
@@ -140,20 +133,18 @@ func newCachedResponse(resp *Response) *cachedResponse {
 }
 
 // respond materializes one hit: a by-value Response sharing the entry's
-// read-only columns, holding one reference until its Release. Allocation-
-// free.
+// read-only columns, holding one reference until its Release. The probe
+// counters stay zero — a hit probes nothing. Allocation-free.
 //
 //distbound:noalloc
 func (c *cachedResponse) respond(start time.Time) Response {
 	c.refs.Add(1)
 	return Response{
-		Results:      c.results,
-		Strategy:     c.strategy,
-		Plan:         c.plan,
-		Wall:         time.Since(start),
-		RangesProbed: c.rangesProbed,
-		DeltaProbed:  c.deltaProbed,
-		cached:       c,
+		Results:  c.results,
+		Strategy: c.strategy,
+		Plan:     c.plan,
+		Wall:     time.Since(start),
+		cached:   c,
 	}
 }
 
