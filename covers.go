@@ -1,0 +1,118 @@
+package distbound
+
+import (
+	"context"
+	"fmt"
+	"sync"
+
+	"distbound/internal/join"
+	"distbound/internal/pointstore"
+)
+
+// coverEntry is one resident bound of the cover cache: the immutable cover
+// set — raster covers and cover plan, which depend only on the regions,
+// domain, curve and bound — shared by every registered dataset, plus the
+// joiner (span resolution and partials) of each dataset queried at the
+// bound. Joiners live inside the entry so that capacity counts bounds, an
+// evicted bound takes its set and every joiner over it along, and a joiner
+// can never meet another bound's plan.
+type coverEntry struct {
+	set     *join.CoverSet
+	joiners sync.Map // *pointstore.Mutable → *join.PointIdxJoiner
+}
+
+// peek returns the joiner attached for src, or nil.
+func (ce *coverEntry) peek(src *pointstore.Mutable) *join.PointIdxJoiner {
+	if j, ok := ce.joiners.Load(src); ok {
+		return j.(*join.PointIdxJoiner)
+	}
+	return nil
+}
+
+// joiner returns ds's joiner over the entry's set, attaching one on first
+// use. It publishes first and checks the registration second, so a request
+// racing UnregisterPoints is still answered but cannot leave the dataset
+// attached — its store pinned — behind the unregister's sweep: whichever of
+// the two runs last removes the joiner.
+func (ce *coverEntry) joiner(e *Engine, ds *Dataset) *join.PointIdxJoiner {
+	if j := ce.peek(ds.src); j != nil {
+		return j
+	}
+	j, _ := ce.joiners.LoadOrStore(ds.src, ce.set.Attach(ds.src))
+	if e.checkDataset(ds) != nil {
+		ce.joiners.Delete(ds.src)
+	}
+	return j.(*join.PointIdxJoiner)
+}
+
+// coverEntryCtx returns the cover-cache entry for the bound, building its set
+// under the cache's singleflight on a miss. Like BRJ mask builds, a cold
+// rasterization fans out across the caller's worker budget, no wider;
+// canceling ctx abandons the wait (and the build, once no caller is left).
+func (e *Engine) coverEntryCtx(ctx context.Context, bound float64, workers int) (*coverEntry, error) {
+	// Closure-free warm path: a ready entry is served without materializing
+	// the build closure below, so a hot resident loop allocates nothing here.
+	if ce, ok := e.covers.GetReady(bound); ok {
+		return ce, nil
+	}
+	ce, err := e.covers.GetOrBuildCtx(ctx, bound, func(bctx context.Context) (*coverEntry, error) {
+		set, err := join.NewCoverSetCtx(bctx, e.regions, e.domain, Hilbert, bound, workers)
+		if err != nil {
+			return nil, err
+		}
+		return &coverEntry{set: set}, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("distbound: building point-index covers: %w", err)
+	}
+	return ce, nil
+}
+
+// CoverKeyRanges returns the deduplicated, (Lo, Hi)-sorted global cover-plan
+// ranges at the bound: the SFC key intervals a query at this bound can ever
+// touch. They depend only on the engine's regions, domain, curve and bound,
+// so the list routes any dataset sharded by key range over the region set: a
+// shard whose key range intersects no returned range can never contribute to
+// a bound-ε answer. A cold call builds (and caches) the bound's cover set as
+// a query would, across workers (≤ 0 selects GOMAXPROCS). The slice is the
+// cached plan's backing storage — treat it as read-only.
+func (e *Engine) CoverKeyRanges(ctx context.Context, bound float64, workers int) ([]PosRange, error) {
+	if !(bound > 0) {
+		return nil, fmt.Errorf("distbound: cover key ranges require a positive bound, got %v", bound)
+	}
+	ce, err := e.coverEntryCtx(ctx, bound, workers)
+	if err != nil {
+		return nil, err
+	}
+	return ce.set.UniqueRanges(), nil
+}
+
+// CoverBytes returns the resident cover sets' footprint, each counted once;
+// DatasetStats.CoverStateBytes is a dataset's own state over them.
+func (e *Engine) CoverBytes() int {
+	n := 0
+	e.covers.EachReady(func(_ float64, ce *coverEntry) { n += ce.set.MemoryBytes() })
+	return n
+}
+
+// eachJoiner visits the dataset's joiner at every resident bound.
+func (d *Dataset) eachJoiner(fn func(*join.PointIdxJoiner)) {
+	d.e.covers.EachReady(func(_ float64, ce *coverEntry) {
+		if j := ce.peek(d.src); j != nil {
+			fn(j)
+		}
+	})
+}
+
+// refreshJoiners refreshes the dataset's joiners against its current
+// snapshot, single-threaded: the work is bounded by the cover cache's
+// capacity and must not crowd out the serving traffic it runs beside. A query
+// racing it does the same refill; both publish identical state. An
+// unregistered dataset has no joiners left, so a late refresh does nothing.
+//
+//distbound:allow-background runs on the dataset's own compaction goroutine, which no caller's context governs
+func (d *Dataset) refreshJoiners() {
+	d.eachJoiner(func(j *join.PointIdxJoiner) {
+		j.Refresh(context.Background(), 1) //nolint:errcheck // only a canceled context fails it
+	})
+}

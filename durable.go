@@ -87,38 +87,21 @@ func (d *Dataset) Sync() error {
 // The persisted dataset must have been linearized over this engine's domain
 // and curve — covers computed here would otherwise probe foreign keys — so
 // opening a dataset persisted by an engine over a different region set is
-// an error. Cover artifacts are keyed by store identity and thus start
-// cold after a reopen; they rebuild on first use at each bound.
+// an error. The engine's cover sets are shared and stay warm across a
+// reopen; only the dataset's own state over them (span resolution, partials)
+// starts cold and refills on the first query at each bound.
 func (e *Engine) OpenDataset(name, dir string, cfg PersistConfig) (*Dataset, error) {
-	if name == "" {
-		return nil, fmt.Errorf("distbound: dataset name must be non-empty")
-	}
-	e.dsMu.RLock()
-	_, dup := e.datasets[name]
-	e.dsMu.RUnlock()
-	if dup {
-		return nil, fmt.Errorf("distbound: dataset %q already registered", name)
+	if err := e.checkFreeName(name); err != nil {
+		return nil, err
 	}
 	dur, err := persist.Open(dir, cfg.options())
 	if err != nil {
 		return nil, fmt.Errorf("distbound: opening dataset %q: %w", name, err)
 	}
-	src := dur.Mutable()
-	if src.Domain() != e.domain || src.Curve().Name() != Hilbert.Name() {
+	ds, err := e.register(name, dur.Mutable(), dur)
+	if err != nil {
 		dur.Close() //nolint:errcheck // refusing the dataset; nothing was logged
-		return nil, fmt.Errorf("distbound: dataset %q was persisted over domain (origin %v, size %g, curve %s); this engine's is (origin %v, size %g, curve %s)",
-			name, src.Domain().Origin, src.Domain().Size, src.Curve().Name(),
-			e.domain.Origin, e.domain.Size, Hilbert.Name())
+		return nil, err
 	}
-	ds := &Dataset{name: name, src: src, e: e}
-	ds.dur.Store(dur)
-	ds.compactThreshold.Store(DefaultCompactionThreshold)
-	e.dsMu.Lock()
-	defer e.dsMu.Unlock()
-	if _, dup := e.datasets[name]; dup {
-		dur.Close() //nolint:errcheck // refusing the dataset; nothing was logged
-		return nil, fmt.Errorf("distbound: dataset %q already registered", name)
-	}
-	e.datasets[name] = ds
 	return ds, nil
 }

@@ -44,10 +44,11 @@ const DefaultIndexCacheCapacity = 8
 // it (BRJJoiner.MemoryBytes reports a resident set's footprint).
 const DefaultBRJCacheCapacity = 2
 
-// DefaultCoverCacheCapacity bounds the per-(dataset, bound) cover cache of
-// the resident point-index strategy: each entry is the merged cover ranges
-// of every region at one bound (16 bytes per range — megabytes at fine
-// bounds, far smaller than an ACT trie). Resize with SetCoverCacheCapacity.
+// DefaultCoverCacheCapacity bounds the resident point-index strategy's cover
+// cache, in bounds: each entry is one bound's cover set (every region's
+// merged cover ranges and the cover plan — megabytes at fine bounds, far
+// smaller than an ACT trie), shared by every registered dataset, plus their
+// own state over it. Resize with SetCoverCacheCapacity.
 const DefaultCoverCacheCapacity = 8
 
 // Engine answers spatial aggregation queries over a fixed region set,
@@ -67,8 +68,8 @@ const DefaultCoverCacheCapacity = 8
 //
 // Engine is a serving layer: all methods are safe for concurrent use by any
 // number of goroutines. Lazily built artifacts (the R*-tree, one ACT trie
-// per bound, one set of BRJ mask canvases per bound, one cover artifact per
-// registered dataset and bound) are cached in bounded LRU caches with
+// per bound, one set of BRJ mask canvases per bound, one cover set per bound
+// shared by every registered dataset) are cached in bounded LRU caches with
 // singleflight build deduplication — concurrent misses on the same bound
 // run one build and share it. The planner is told which artifacts are
 // already resident, so cached-index reuse across concurrent callers
@@ -89,7 +90,8 @@ type Engine struct {
 
 	dsMu     sync.RWMutex // guards datasets
 	datasets map[string]*Dataset
-	pidx     *cache.Cache[pidxKey, *join.PointIdxJoiner]
+	lastDSID atomic.Uint64                      // last Dataset.id handed out
+	covers   *cache.Cache[float64, *coverEntry] // by bound; see covers.go
 
 	// results caches executed Responses by (dataset identity, mutation
 	// epoch, bound, aggregate set, override); see resultcache.go. Mutations
@@ -113,20 +115,6 @@ func (e *Engine) getScratch() *respScratch {
 	return &respScratch{e: e, cached: make(map[Strategy]bool, 4)}
 }
 
-// pidxKey identifies one resident probe artifact: the cover ranges of every
-// region at one bound, paired with one registered dataset's mutable store.
-// Keying by store identity (not name) means an entry outliving
-// UnregisterPoints can never be served to a same-named successor dataset —
-// it just ages out of the LRU. The covers themselves depend only on the
-// regions and bound, never on the data, so appends, deletes and compactions
-// of the dataset reuse the same entry: the joiner reads a fresh snapshot of
-// the store on every query, and the epoch swap at compaction retires the old
-// base without ever exposing a stale cover+data pairing.
-type pidxKey struct {
-	src   *pointstore.Mutable
-	bound float64
-}
-
 // NewEngine creates an engine over the region set.
 func NewEngine(regions []Region) *Engine {
 	return &Engine{
@@ -137,7 +125,7 @@ func NewEngine(regions []Region) *Engine {
 		act:      cache.New[float64, *join.ACTJoiner](DefaultIndexCacheCapacity),
 		brj:      cache.New[float64, *join.BRJJoiner](DefaultBRJCacheCapacity),
 		datasets: map[string]*Dataset{},
-		pidx:     cache.New[pidxKey, *join.PointIdxJoiner](DefaultCoverCacheCapacity),
+		covers:   cache.New[float64, *coverEntry](DefaultCoverCacheCapacity),
 		results:  newResultCache(),
 	}
 }
@@ -209,11 +197,11 @@ func (e *Engine) SetMaskCacheCapacity(n int) {
 	e.brj.SetCapacity(n)
 }
 
-// SetCoverCacheCapacity bounds how many (dataset, bound) cover artifacts of
-// the resident point-index strategy stay resident (default
-// DefaultCoverCacheCapacity); least recently used entries are evicted.
+// SetCoverCacheCapacity bounds how many bounds' cover sets stay resident
+// (default DefaultCoverCacheCapacity), however many datasets share them; the
+// least recently used bound goes with every dataset's state over it.
 func (e *Engine) SetCoverCacheCapacity(n int) {
-	e.pidx.SetCapacity(n)
+	e.covers.SetCapacity(n)
 }
 
 // costModel snapshots the planner constants.
@@ -300,8 +288,9 @@ const DefaultCompactionThreshold = 1 << 16
 // StrategyPointIdx without re-streaming the points.
 type Dataset struct {
 	name string
+	id   uint64 // engine-unique registration number; the result cache's dataset identity
 	src  *pointstore.Mutable
-	e    *Engine // the registering engine: owner of the dataset's cover artifacts
+	e    *Engine // the registering engine: owner of the cover cache holding the dataset's joiners
 
 	// dur, when set, binds the dataset to its on-disk snapshot + log (see
 	// Persist/OpenDataset in durable.go): mutations route through it so the
@@ -322,7 +311,7 @@ type Dataset struct {
 // DatasetStats is a point-in-time accounting snapshot of a dataset — the
 // generation-aware counterpart of the engine's CacheStats.
 type DatasetStats struct {
-	// Generation counts completed compactions; cover artifacts survive
+	// Generation counts completed compactions; cover sets survive
 	// generation changes (they depend only on the regions), but every query
 	// issued after the swap probes the new base.
 	Generation uint64
@@ -341,6 +330,9 @@ type DatasetStats struct {
 	// the number of times cached results for this dataset have been
 	// invalidated.
 	Epoch uint64
+	// CoverStateBytes is the dataset's own point-index state (span
+	// resolutions, partials) over the shared cover sets (Engine.CoverBytes).
+	CoverStateBytes int
 
 	// Durable reports whether the dataset is bound to an on-disk snapshot +
 	// write-ahead log (Persist/OpenDataset); the fields below are zero
@@ -413,6 +405,7 @@ func (d *Dataset) Stats() DatasetStats {
 		DeltaLive:  s.DeltaLiveLen(),
 		DeltaDead:  s.DeltaLen() - s.DeltaLiveLen(),
 	}
+	d.eachJoiner(func(j *join.PointIdxJoiner) { st.CoverStateBytes += j.MemoryBytes() })
 	if dur := d.dur.Load(); dur != nil {
 		ps := dur.Stats()
 		st.Durable = true
@@ -561,8 +554,8 @@ func (d *Dataset) CompactionThreshold() int { return int(d.compactThreshold.Load
 // mutation that crossed the threshold between its last check and the
 // release.
 //
-// After each publish the goroutine also brings the dataset's ready cover
-// artifacts up to the new base (refreshJoiners), so the span re-resolution
+// After each publish the goroutine also brings the dataset's joiners up to
+// the new base (refreshJoiners), so the span re-resolution
 // and base refill a compaction forces are paid here, off the read path,
 // rather than by the first query to arrive afterwards. A synchronous
 // Compact caller is never charged for it — its next query is, as before.
@@ -588,21 +581,6 @@ func (d *Dataset) maybeCompact() {
 	}()
 }
 
-// refreshJoiners refreshes every ready cover artifact of the dataset against
-// its current snapshot, single-threaded: the work is bounded by the joiners
-// that exist (at most the cover cache's capacity) and runs beside serving
-// traffic, which it must not crowd out. A query racing it simply does the
-// same refill itself; both publish identical state.
-//
-//distbound:allow-background runs on the dataset's own compaction goroutine, which no caller's context governs
-func (d *Dataset) refreshJoiners() {
-	d.e.pidx.EachReady(func(k pidxKey, j *join.PointIdxJoiner) {
-		if k.src == d.src {
-			j.Refresh(context.Background(), 1) //nolint:errcheck // only a canceled context fails it
-		}
-	})
-}
-
 // RegisterPoints builds the resident artifact for a point dataset over the
 // engine's domain and registers it under name, returning the query handle.
 // The dataset is live: Dataset.Append and Dataset.Delete mutate it after
@@ -615,20 +593,54 @@ func (d *Dataset) refreshJoiners() {
 // reuse pts and weights freely afterwards. Registering an already registered
 // name is an error.
 func (e *Engine) RegisterPoints(name string, pts []Point, weights []float64) (*Dataset, error) {
-	if name == "" {
-		return nil, fmt.Errorf("distbound: dataset name must be non-empty")
-	}
-	e.dsMu.RLock()
-	_, dup := e.datasets[name]
-	e.dsMu.RUnlock()
-	if dup {
-		return nil, fmt.Errorf("distbound: dataset %q already registered", name)
+	if err := e.checkFreeName(name); err != nil {
+		return nil, err
 	}
 	src, err := pointstore.NewMutable(pts, weights, e.domain, Hilbert)
 	if err != nil {
 		return nil, fmt.Errorf("distbound: building point store: %w", err)
 	}
-	ds := &Dataset{name: name, src: src, e: e}
+	return e.register(name, src, nil)
+}
+
+// RegisterStore is RegisterPoints for a store the caller already built —
+// the seam internal/shard hands each shard's presorted run through
+// (pointstore is internal, so no caller outside the module can name one).
+func (e *Engine) RegisterStore(name string, src *pointstore.Mutable) (*Dataset, error) {
+	if err := e.checkFreeName(name); err != nil {
+		return nil, err
+	}
+	return e.register(name, src, nil)
+}
+
+// checkFreeName is the cheap pre-build rejection of an empty or taken name;
+// register re-checks under the write lock.
+func (e *Engine) checkFreeName(name string) error {
+	if name == "" {
+		return fmt.Errorf("distbound: dataset name must be non-empty")
+	}
+	e.dsMu.RLock()
+	_, dup := e.datasets[name]
+	e.dsMu.RUnlock()
+	if dup {
+		return fmt.Errorf("distbound: dataset %q already registered", name)
+	}
+	return nil
+}
+
+// register installs src (bound to dur when recovered from disk) as dataset
+// name. The store must be linearized over this engine's domain and curve —
+// covers computed here would otherwise probe foreign keys.
+func (e *Engine) register(name string, src *pointstore.Mutable, dur *persist.Durable) (*Dataset, error) {
+	if src.Domain() != e.domain || src.Curve().Name() != Hilbert.Name() {
+		return nil, fmt.Errorf("distbound: dataset %q is linearized over domain (origin %v, size %g, curve %s); this engine's is (origin %v, size %g, curve %s)",
+			name, src.Domain().Origin, src.Domain().Size, src.Curve().Name(),
+			e.domain.Origin, e.domain.Size, Hilbert.Name())
+	}
+	ds := &Dataset{name: name, id: e.lastDSID.Add(1), src: src, e: e}
+	if dur != nil {
+		ds.dur.Store(dur)
+	}
 	ds.compactThreshold.Store(DefaultCompactionThreshold)
 	e.dsMu.Lock()
 	defer e.dsMu.Unlock()
@@ -650,10 +662,8 @@ func (e *Engine) Dataset(name string) (*Dataset, bool) {
 // UnregisterPoints removes the dataset registered under name, freeing the
 // name for re-registration; it reports whether a dataset was registered.
 // Outstanding queries holding the old handle fail their next call. The
-// dataset's cover artifacts are not flushed eagerly — they are keyed by the
-// store's identity, so they can never be served to a successor dataset and
-// simply age out of the bounded cover cache, releasing the store's memory
-// with them.
+// dataset's joiners are dropped from every resident bound, so nothing in the
+// engine keeps its store reachable; the shared cover sets stay cached.
 // For a durable dataset the on-disk files stay behind — only the handle's
 // log is flushed and closed — so OpenDataset can resurrect it later.
 func (e *Engine) UnregisterPoints(name string) bool {
@@ -662,6 +672,7 @@ func (e *Engine) UnregisterPoints(name string) bool {
 	delete(e.datasets, name)
 	e.dsMu.Unlock()
 	if ok {
+		e.covers.EachReady(func(_ float64, ce *coverEntry) { ce.joiners.Delete(ds.src) })
 		if dur := ds.dur.Load(); dur != nil {
 			dur.Close() //nolint:errcheck // flush-and-release; files stay valid
 		}
@@ -686,7 +697,7 @@ func (e *Engine) checkDataset(ds *Dataset) error {
 }
 
 // PlanForDataset is PlanFor for a registered dataset: the resident
-// learned-index strategy joins the candidate set, and its cover artifact's
+// learned-index strategy joins the candidate set, and its cover set's
 // residency participates in build-cost amortization like the other caches.
 // Like AggregateDataset, it rejects handles not registered with this
 // engine — planning a foreign handle against this engine's regions would
@@ -731,53 +742,6 @@ func (e *Engine) AggregateDataset(ds *Dataset, agg Agg, bound float64, repetitio
 		return Result{}, resp.Strategy, err
 	}
 	return resp.Results[0], resp.Strategy, nil
-}
-
-// pointIdxJoinerCtx returns the cover/probe artifact for (dataset, bound),
-// building it under the cache's singleflight on a miss. Like BRJ mask
-// builds, a cold cover rasterization fans out across the caller's worker
-// budget and never exceeds the parallelism the query itself was granted;
-// canceling ctx abandons the wait (and the build itself, once no caller
-// remains interested in it).
-func (e *Engine) pointIdxJoinerCtx(ctx context.Context, ds *Dataset, bound float64, workers int) (*join.PointIdxJoiner, error) {
-	key := pidxKey{src: ds.src, bound: bound}
-	// Closure-free warm path: a ready entry is served without materializing
-	// the build closure below, so a hot resident loop allocates nothing here.
-	if j, ok := e.pidx.GetReady(key); ok {
-		return j, nil
-	}
-	j, err := e.pidx.GetOrBuildCtx(ctx, key, func(bctx context.Context) (*join.PointIdxJoiner, error) {
-		return join.NewPointIdxJoinerCtx(bctx, e.regions, ds.src, bound, workers)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("distbound: building point-index covers: %w", err)
-	}
-	return j, nil
-}
-
-// CoverKeyRanges returns the deduplicated, (Lo, Hi)-sorted global cover-plan
-// ranges of the dataset at the bound: the SFC key intervals a query at this
-// bound can ever touch. The ranges depend only on the engine's regions,
-// domain, curve and bound — never on the dataset's rows — so the same list
-// routes any dataset sharded by key range over the same region set: a shard
-// whose key range intersects no returned range can never contribute to a
-// bound-ε answer. A cold call builds (and caches) the dataset's cover
-// artifact exactly as a query would, fanning the rasterization across
-// workers (≤ 0 selects GOMAXPROCS); canceling ctx abandons the build. The
-// returned slice is the cached plan's backing storage — treat it as
-// read-only.
-func (e *Engine) CoverKeyRanges(ctx context.Context, ds *Dataset, bound float64, workers int) ([]PosRange, error) {
-	if err := e.checkDataset(ds); err != nil {
-		return nil, err
-	}
-	if !(bound > 0) {
-		return nil, fmt.Errorf("distbound: cover key ranges require a positive bound, got %v", bound)
-	}
-	j, err := e.pointIdxJoinerCtx(ctx, ds, bound, workers)
-	if err != nil {
-		return nil, err
-	}
-	return j.UniqueRanges(), nil
 }
 
 // Aggregate answers the aggregation query with the planner-selected
@@ -913,12 +877,13 @@ func (e *Engine) AggregateBatch(queries []BatchQuery, workers int) []BatchResult
 
 // CacheStats reports the engine's index-cache counters (hits, misses,
 // builds, coalesced waits on in-flight builds, evictions) for the ACT, BRJ
-// and resident-cover caches. Cover entries survive dataset compactions —
-// covers depend only on the region set and bound — so a steady-state
-// ingest workload shows cover hits, not rebuilds, across generations; the
-// per-dataset generation and delta accounting lives in Dataset.Stats.
+// and resident-cover caches. The cover cache is keyed by bound alone — one
+// build per bound however many datasets query it — and entries survive
+// dataset compactions, so a steady-state ingest workload shows cover hits,
+// not rebuilds, across generations; the per-dataset generation and delta
+// accounting lives in Dataset.Stats.
 func (e *Engine) CacheStats() (act, brj, cover cache.Stats) {
-	return e.act.Stats(), e.brj.Stats(), e.pidx.Stats()
+	return e.act.Stats(), e.brj.Stats(), e.covers.Stats()
 }
 
 // ExplainFor renders the cost comparison for a query, marking the chosen

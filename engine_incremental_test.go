@@ -120,7 +120,7 @@ func TestBackgroundCompactionRefreshesJoiners(t *testing.T) {
 		}
 		resp.Release()
 	}
-	if e.pidx.ContainsReady(pidxKey{src: ds.src, bound: 32}) {
+	if e.covers.ContainsReady(32) {
 		t.Error("the refresh built a cover artifact nobody asked for")
 	}
 

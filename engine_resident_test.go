@@ -46,8 +46,9 @@ func TestRegisterPoints(t *testing.T) {
 }
 
 // TestUnregisterPoints: the name frees up, old handles die, and a
-// same-named successor dataset gets fresh covers — never the predecessor's
-// (the cover cache is keyed by store identity, not name).
+// same-named successor dataset gets a fresh joiner over the shared cover set
+// — never the predecessor's state (joiners are keyed by store identity, not
+// name).
 func TestUnregisterPoints(t *testing.T) {
 	e, ds, ps, _ := residentFixture(t, 200_000)
 	// Warm a cover artifact for the first dataset.

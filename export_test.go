@@ -17,13 +17,15 @@ func (e *Engine) runDataset(ds *Dataset, agg Agg, bound float64, strategy Strate
 	return resp.Results[0], nil
 }
 
-// dropPartials discards whatever the dataset's cover artifact at bound has
+// dropPartials discards whatever the dataset's joiner at bound has
 // published — base partials and delta accumulators — so the next pointidx
 // request re-executes from nothing: the cold side of the benchmarks and the
 // reference side of differential tests. A bound with no built artifact is a
 // no-op.
 func (e *Engine) dropPartials(ds *Dataset, bound float64) {
-	if j, ok := e.pidx.PeekReady(pidxKey{src: ds.src, bound: bound}); ok {
-		j.DropPartials()
+	if ce, ok := e.covers.PeekReady(bound); ok {
+		if j := ce.peek(ds.src); j != nil {
+			j.DropPartials()
+		}
 	}
 }

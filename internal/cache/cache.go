@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"time"
 )
 
 // errBuildPanicked is what waiters coalesced onto a build receive when that
@@ -33,6 +34,8 @@ type Stats struct {
 	Coalesced int64
 	// Evictions is the number of entries dropped by the capacity bound.
 	Evictions int64
+	// BuildTime is the wall time spent inside build functions, slot waits excluded.
+	BuildTime time.Duration
 }
 
 // entry is one cache slot. ready is closed once val/err are final; waiters
@@ -238,9 +241,11 @@ func (c *Cache[K, V]) runBuild(e *entry[K, V], build func() (V, error)) {
 		c.mu.Unlock()
 	}()
 
+	t0 := time.Now()
 	e.val, e.err = build()
 	completed = true
 	c.mu.Lock()
+	c.stats.BuildTime += time.Since(t0)
 	if e.err != nil {
 		// Drop the failed entry so a later call can retry; only remove our
 		// own entry in case a concurrent retry already replaced it.

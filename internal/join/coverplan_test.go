@@ -195,8 +195,11 @@ func TestCoverPlanStats(t *testing.T) {
 	if nb == 0 || nb > 2*u {
 		t.Errorf("boundary probes %d outside (0, %d]", nb, 2*u)
 	}
-	if pj.MemoryBytes() <= 16*pj.NumRanges() {
-		t.Error("MemoryBytes does not account for the plan")
+	if pj.CoverSet.MemoryBytes() <= 16*pj.NumRanges() {
+		t.Error("CoverSet.MemoryBytes does not account for the plan")
+	}
+	if pj.MemoryBytes() != 0 {
+		t.Errorf("an unqueried joiner reports %d B of state; the shared set must not be charged to it", pj.MemoryBytes())
 	}
 	results := NewResults([]Agg{Count}, len(regions))
 	stats, err := pj.AggregateMultiInto(context.Background(), []Agg{Count}, 1, results)

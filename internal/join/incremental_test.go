@@ -43,13 +43,10 @@ var foldTemplates = sync.OnceValue(func() []*PointIdxJoiner {
 	return out
 })
 
-// withSource returns a joiner sharing j's covers and plan — immutable, and
-// independent of the data — over another store, with no state published.
+// withSource returns a joiner sharing j's cover set over another store, with
+// no state published.
 func (j *PointIdxJoiner) withSource(src *pointstore.Mutable) *PointIdxJoiner {
-	c := &PointIdxJoiner{src: src, covers: j.covers, bound: j.bound, ranges: j.ranges, plan: j.plan}
-	hasW := src.HasWeights()
-	c.scratch.New = func() any { return c.plan.newScratch(hasW) }
-	return c
+	return j.CoverSet.Attach(src)
 }
 
 // foldHarness is one store under mutation with, per bound, the joiner under

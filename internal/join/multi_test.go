@@ -187,7 +187,7 @@ func TestAggregateMultiCancellation(t *testing.T) {
 	if _, err := NewBRJJoinerCtx(ctx, regions, d.Bounds(), 16, 0, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("NewBRJJoinerCtx: %v, want context.Canceled", err)
 	}
-	if _, err := NewPointIdxJoinerCtx(ctx, regions, store, 16, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("NewPointIdxJoinerCtx: %v, want context.Canceled", err)
+	if _, err := NewCoverSetCtx(ctx, regions, store.Domain(), store.Curve(), 16, 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("NewCoverSetCtx: %v, want context.Canceled", err)
 	}
 }

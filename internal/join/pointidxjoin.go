@@ -12,15 +12,92 @@ import (
 	"distbound/internal/pointstore"
 	"distbound/internal/pool"
 	"distbound/internal/raster"
+	"distbound/internal/sfc"
 )
 
+// CoverSet is the immutable, data-independent half of the resident §5 join:
+// every region covered once by its conservative distance-bounded hierarchical
+// raster, kept as merged 1D leaf ranges, plus the global cover plan derived
+// from them (coverplan.go). It depends only on the regions, domain, curve and
+// bound — never on the points — so one set serves every dataset linearized
+// over that domain and curve, across all their appends, deletes and
+// compactions. Attach pairs it with a dataset.
+type CoverSet struct {
+	covers [][]raster.PosRange // merged leaf ranges per region
+	bound  float64
+	ranges int
+	plan   *coverPlan
+}
+
+// NewCoverSetCtx rasterizes every region at distance bound eps over the
+// domain and curve, fanning the per-region rasterization across workers (≤ 0
+// selects GOMAXPROCS), and builds the global cover plan. Canceling ctx
+// abandons the rasterization between regions and returns ctx.Err(), so a
+// build nobody waits for anymore stops burning CPU.
+func NewCoverSetCtx(ctx context.Context, regions []geom.Region, d sfc.Domain, c sfc.Curve, eps float64, workers int) (*CoverSet, error) {
+	if !(eps > 0) {
+		return nil, fmt.Errorf("join: point-index join requires a positive bound, got %v", eps)
+	}
+	cs := &CoverSet{covers: make([][]raster.PosRange, len(regions)), bound: eps}
+	err := pool.RunCtx(ctx, len(regions), pool.Workers(workers, len(regions)), func(_, ri int) error {
+		a, err := raster.Hierarchical(regions[ri], d, c, eps, raster.Conservative)
+		if err != nil {
+			return err
+		}
+		cs.covers[ri] = a.Ranges()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, rs := range cs.covers {
+		cs.ranges += len(rs)
+	}
+	cs.plan = buildCoverPlan(cs.covers)
+	return cs, nil
+}
+
+// Attach returns a joiner over src sharing this set read-only, with no state
+// published yet. src must be linearized over the set's domain and curve.
+func (cs *CoverSet) Attach(src *pointstore.Mutable) *PointIdxJoiner {
+	j := &PointIdxJoiner{CoverSet: cs, src: src}
+	hasW := src.HasWeights()
+	j.scratch.New = func() any { return cs.plan.newScratch(hasW) }
+	return j
+}
+
+// Bound returns the distance bound the covers guarantee.
+func (cs *CoverSet) Bound() float64 { return cs.bound }
+
+// NumRanges returns the total number of per-region merged cover ranges —
+// what the per-region reference execution probes.
+func (cs *CoverSet) NumRanges() int { return cs.ranges }
+
+// NumUniqueRanges returns the size of the deduplicated global range list —
+// what the cover-plan execution probes.
+func (cs *CoverSet) NumUniqueRanges() int { return len(cs.plan.uniq) }
+
+// NumBoundaryProbes returns how many distinct span boundaries one query
+// resolves against the key column — the monotone sweep's length.
+func (cs *CoverSet) NumBoundaryProbes() int { return len(cs.plan.bkeys) }
+
+// UniqueRanges returns the cover plan's deduplicated global range list,
+// sorted by (Lo, Hi) ascending — the key intervals a query at this bound can
+// ever touch, which is what a shard router intersects against its shards'
+// key boundaries. The slice is the plan's own backing storage; callers must
+// treat it as read-only.
+func (cs *CoverSet) UniqueRanges() []raster.PosRange { return cs.plan.uniq }
+
+// MemoryBytes returns the set's footprint: the per-region ranges (16 bytes
+// each) and the global cover plan.
+func (cs *CoverSet) MemoryBytes() int { return 16*cs.ranges + cs.plan.memoryBytes() }
+
 // PointIdxJoiner answers the §5 aggregation join against a resident point
-// dataset instead of a streamed PointSet. The point side is a
-// pointstore.Mutable — an SFC-sorted base column under a RadixSpline learned
-// index with prefix-sum and block min/max columns, plus an unsorted delta
-// tail and tombstone set for points appended or deleted since the last
-// compaction — and each region is covered once by its conservative
-// distance-bounded hierarchical raster, kept as merged 1D leaf ranges.
+// dataset instead of a streamed PointSet: one dataset's state over a shared
+// CoverSet. The point side is a pointstore.Mutable — an SFC-sorted base
+// column under a RadixSpline learned index with prefix-sum and block min/max
+// columns, plus an unsorted delta tail and tombstone set for points appended
+// or deleted since the last compaction.
 //
 // A query loads one immutable snapshot of the dataset and, per region, folds
 // the base's range aggregates over the region's cover ranges (tombstones
@@ -33,105 +110,42 @@ import (
 // COUNT results are bit-identical to ACTJoiner.Aggregate over the same live
 // points at the same bound: both sides test the same leaf positions against
 // the same conservative covers.
-//
-// The covers depend only on the regions, domain, curve and bound — never on
-// the data — so one joiner stays valid across appends, deletes and
-// compactions of its dataset.
 type PointIdxJoiner struct {
-	src    *pointstore.Mutable
-	covers [][]raster.PosRange // merged leaf ranges per region
-	bound  float64
-	ranges int
+	*CoverSet
+	src *pointstore.Mutable
 
-	// plan is the global cover plan (coverplan.go): all (region, range)
-	// pairs flattened into one sorted, deduplicated range list with region
-	// postings, plus the sorted boundary-key list one monotone sweep
-	// resolves. spans publishes the plan's current span resolution — shared
+	// spans publishes the plan's current span resolution against src — shared
 	// by every query against one base, re-resolved incrementally when a
 	// compaction installs a new one. base and delta publish the two halves
 	// of the current answer the same way: the per-region fold of the base
 	// rows, refilled when a delete or compaction changes them, and the
 	// per-region delta accumulators up to a watermark, extended as the tail
 	// grows. scratch recycles the fill's per-range workspace.
-	plan    *coverPlan
 	spans   atomic.Pointer[resolvedSpans]
 	base    atomic.Pointer[basePartials]
 	delta   atomic.Pointer[deltaPartials]
 	scratch sync.Pool
 }
 
-// NewPointIdxJoiner rasterizes every region at distance bound eps over the
-// dataset's domain and curve, fanning the per-region rasterization across
-// workers (≤ 0 selects GOMAXPROCS). The returned joiner is immutable and
-// safe for concurrent use; it reads a fresh snapshot of the dataset on every
-// Aggregate call.
+// NewPointIdxJoiner builds a cover set over the dataset's domain and curve
+// and attaches the dataset to it — the one-dataset convenience over
+// NewCoverSetCtx and Attach. The returned joiner is safe for concurrent use;
+// it reads a fresh snapshot of the dataset on every Aggregate call.
 //
-//distbound:allow-background context-free convenience over NewPointIdxJoinerCtx; callers hold no context to thread
+//distbound:allow-background context-free convenience over NewCoverSetCtx; callers hold no context to thread
 func NewPointIdxJoiner(regions []geom.Region, src *pointstore.Mutable, eps float64, workers int) (*PointIdxJoiner, error) {
-	return NewPointIdxJoinerCtx(context.Background(), regions, src, eps, workers)
-}
-
-// NewPointIdxJoinerCtx is NewPointIdxJoiner under a context: canceling ctx
-// abandons the per-region cover rasterization between regions and returns
-// ctx.Err(), so a build nobody waits for anymore stops burning CPU.
-func NewPointIdxJoinerCtx(ctx context.Context, regions []geom.Region, src *pointstore.Mutable, eps float64, workers int) (*PointIdxJoiner, error) {
-	if !(eps > 0) {
-		return nil, fmt.Errorf("join: point-index join requires a positive bound, got %v", eps)
-	}
-	j := &PointIdxJoiner{
-		src:    src,
-		covers: make([][]raster.PosRange, len(regions)),
-		bound:  eps,
-	}
-	d, c := src.Domain(), src.Curve()
-	err := pool.RunCtx(ctx, len(regions), pool.Workers(workers, len(regions)), func(_, ri int) error {
-		a, err := raster.Hierarchical(regions[ri], d, c, eps, raster.Conservative)
-		if err != nil {
-			return err
-		}
-		j.covers[ri] = a.Ranges()
-		return nil
-	})
+	cs, err := NewCoverSetCtx(context.Background(), regions, src.Domain(), src.Curve(), eps, workers)
 	if err != nil {
 		return nil, err
 	}
-	for _, rs := range j.covers {
-		j.ranges += len(rs)
-	}
-	j.plan = buildCoverPlan(j.covers)
-	hasW, plan := src.HasWeights(), j.plan
-	j.scratch.New = func() any { return plan.newScratch(hasW) }
-	return j, nil
+	return cs.Attach(src), nil
 }
 
-// Bound returns the distance bound the covers guarantee.
-func (j *PointIdxJoiner) Bound() float64 { return j.bound }
-
-// NumRanges returns the total number of per-region merged cover ranges —
-// what the per-region reference execution probes.
-func (j *PointIdxJoiner) NumRanges() int { return j.ranges }
-
-// NumUniqueRanges returns the size of the deduplicated global range list —
-// what the cover-plan execution probes.
-func (j *PointIdxJoiner) NumUniqueRanges() int { return len(j.plan.uniq) }
-
-// NumBoundaryProbes returns how many distinct span boundaries one query
-// resolves against the key column — the monotone sweep's length.
-func (j *PointIdxJoiner) NumBoundaryProbes() int { return len(j.plan.bkeys) }
-
-// UniqueRanges returns the cover plan's deduplicated global range list,
-// sorted by (Lo, Hi) ascending — the key intervals a query at this joiner's
-// bound can ever touch, which is what a shard router intersects against its
-// shards' key boundaries. The slice is the plan's own backing storage;
-// callers must treat it as read-only.
-func (j *PointIdxJoiner) UniqueRanges() []raster.PosRange { return j.plan.uniq }
-
-// MemoryBytes returns the cover artifact's footprint — the per-region
-// ranges (16 bytes each), the global cover plan, and whichever of the span
-// resolution and the per-region partials (32 bytes a region each) are
-// published — excluding the shared dataset.
+// MemoryBytes returns this dataset's state over the cover set — whichever of
+// the span resolution and the per-region partials (32 bytes a region each)
+// are published — excluding the shared CoverSet and the dataset.
 func (j *PointIdxJoiner) MemoryBytes() int {
-	n := 16*j.ranges + j.plan.memoryBytes()
+	n := 0
 	if rs := j.spans.Load(); rs != nil {
 		n += rs.memoryBytes()
 	}

@@ -41,7 +41,7 @@ func TestPointIdxMatchesACTBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pj.Bound() != bound || pj.NumRanges() == 0 || pj.MemoryBytes() <= 0 {
+		if pj.Bound() != bound || pj.NumRanges() == 0 || pj.CoverSet.MemoryBytes() <= 0 {
 			t.Fatalf("bound %g: joiner accounting wrong", bound)
 		}
 		for _, agg := range []Agg{Count, Sum, Avg, Min, Max} {

@@ -17,6 +17,7 @@ package pointstore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,28 +78,44 @@ func NewMutable(pts []geom.Point, weights []float64, d sfc.Domain, c sfc.Curve) 
 	if err := validateWeights(pts, weights); err != nil {
 		return nil, err
 	}
-	m := &Mutable{domain: d, curve: c, hasW: weights != nil, nextID: uint64(len(pts))}
-	keys := make([]uint64, 0, len(pts))
-	ids := make([]uint64, 0, len(pts))
-	kept := make([]geom.Point, 0, len(pts))
+	keys, rows := SortedKeys(pts, d, c)
+	m := &Mutable{domain: d, curve: c, hasW: weights != nil, dropped: len(pts) - len(keys), nextID: uint64(len(pts))}
+	ids := make([]uint64, len(rows))
+	kept := make([]geom.Point, len(rows))
 	var ws []float64
 	if weights != nil {
-		ws = make([]float64, 0, len(pts))
+		ws = make([]float64, len(rows))
 	}
-	for i, p := range pts {
-		pos, ok := d.LeafPos(c, p)
-		if !ok {
-			m.dropped++
-			continue
-		}
-		keys = append(keys, pos)
-		ids = append(ids, uint64(i))
-		kept = append(kept, p)
-		if weights != nil {
-			ws = append(ws, weights[i])
+	for i, r := range rows {
+		ids[i], kept[i] = uint64(r), pts[r]
+		if ws != nil {
+			ws[i] = weights[r]
 		}
 	}
-	m.installBase(keys, ws, ids, kept, 0)
+	m.installBase(keys, ws, ids, kept)
+	return m, nil
+}
+
+// NewMutableSorted is NewMutable for in-domain rows the caller already
+// linearized and ordered (SortedKeys): keys must ascend and align with pts
+// and weights. Row i gets ID i, so it builds the store NewMutable would from
+// the same points in this order. The store takes ownership of the slices.
+func NewMutableSorted(keys []uint64, pts []geom.Point, weights []float64, d sfc.Domain, c sfc.Curve) (*Mutable, error) {
+	if len(keys) != len(pts) {
+		return nil, fmt.Errorf("pointstore: %d keys for %d points", len(keys), len(pts))
+	}
+	if err := validateWeights(pts, weights); err != nil {
+		return nil, err
+	}
+	if !slices.IsSorted(keys) {
+		return nil, fmt.Errorf("pointstore: presorted keys are not ascending")
+	}
+	m := &Mutable{domain: d, curve: c, hasW: weights != nil, nextID: uint64(len(pts))}
+	ids := make([]uint64, len(pts))
+	for i := range ids {
+		ids[i] = uint64(i)
+	}
+	m.installBase(keys, weights, ids, pts)
 	return m, nil
 }
 
@@ -116,19 +133,15 @@ func validateWeights(pts []geom.Point, weights []float64) error {
 	return nil
 }
 
-// installBase sorts the columns by (key, ID) and publishes a fresh-base
-// snapshot with empty delta and tombstones. Called at construction and from
-// Compact, with mu held in the latter case. The input ids must be ascending
-// (sortColumnsByKey's precondition); both callers satisfy it.
-func (m *Mutable) installBase(keys []uint64, ws []float64, ids []uint64, pts []geom.Point, gen uint64) {
-	sk, sw, si, sp := sortColumnsByKey(keys, ws, ids, pts, 0)
+// installBase publishes (key, ID)-sorted columns as the construction-time
+// snapshot: generation 0, empty delta, no tombstones.
+func (m *Mutable) installBase(sk []uint64, sw []float64, si []uint64, sp []geom.Point) {
 	m.baseByID = buildIDIndex(si, 0)
 	m.deltaByID = map[uint64]int{}
 	m.snap.Store(&Snapshot{
 		base:    newStoreSorted(sk, sw, m.domain, m.curve, m.dropped),
 		baseIDs: si,
 		basePts: sp,
-		gen:     gen,
 	})
 }
 

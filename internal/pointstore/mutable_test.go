@@ -413,3 +413,60 @@ func TestMutableEpochMonotone(t *testing.T) {
 		t.Fatal("republish compaction should keep the base store identity")
 	}
 }
+
+// TestNewMutableSortedMatchesNewMutable: SortedKeys orders the in-domain rows
+// exactly as NewMutable's base, and a store built from those rows as they
+// stand is bit-identical — columns, IDs, ID index, next ID — to NewMutable
+// given the same rows, at sizes on both sides of the radix threshold and
+// with duplicate keys and out-of-domain points in the input.
+func TestNewMutableSortedMatchesNewMutable(t *testing.T) {
+	d := testDomain(t)
+	for _, n := range []int{0, 1, 300, 3 * radixParallelMin} {
+		for _, weighted := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(n) + 7))
+			pts := randPts(rng, n)
+			for i := 0; i+3 < n; i += 3 {
+				pts[i+1] = pts[i]            // duplicate key: ties must keep input order
+				pts[i+2] = geom.Pt(-5, 2000) // outside the domain
+			}
+			keys, rows := SortedKeys(pts, d, sfc.Hilbert{})
+			if n >= 4 && len(keys) >= n {
+				t.Fatalf("n=%d: SortedKeys kept all %d rows, out-of-domain ones included", n, len(keys))
+			}
+			runPts := make([]geom.Point, len(rows))
+			var runWs []float64
+			if weighted {
+				runWs = eighths(rng, len(rows))
+			}
+			for i, r := range rows {
+				runPts[i] = pts[r]
+				if i > 0 && (keys[i] < keys[i-1] || (keys[i] == keys[i-1] && rows[i] < rows[i-1])) {
+					t.Fatalf("n=%d: row %d out of (key, input position) order", n, i)
+				}
+			}
+			want, err := NewMutable(runPts, runWs, d, sfc.Hilbert{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := NewMutableSorted(keys, runPts, runWs, d, sfc.Hilbert{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSnapshotBitIdentical(t, got.Snapshot(), want.Snapshot())
+			flat := map[uint64]int{}
+			for row, id := range want.Snapshot().baseIDs {
+				flat[id] = row
+			}
+			requireIndexMatches(t, got.baseByID, flat)
+			if got.nextID != want.nextID || got.Dropped() != 0 || got.HasWeights() != weighted {
+				t.Fatalf("n=%d: nextID %d (want %d), dropped %d, weighted %v", n, got.nextID, want.nextID, got.Dropped(), got.HasWeights())
+			}
+		}
+	}
+	if _, err := NewMutableSorted([]uint64{2, 1}, randPts(rand.New(rand.NewSource(1)), 2), nil, d, sfc.Hilbert{}); err == nil {
+		t.Error("descending keys accepted")
+	}
+	if _, err := NewMutableSorted([]uint64{1}, nil, nil, d, sfc.Hilbert{}); err == nil {
+		t.Error("key/point length mismatch accepted")
+	}
+}

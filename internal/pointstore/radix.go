@@ -17,6 +17,7 @@ import (
 
 	"distbound/internal/geom"
 	"distbound/internal/pool"
+	"distbound/internal/sfc"
 )
 
 // keyRef pairs one key with its original row — the 16-byte unit the radix
@@ -73,13 +74,43 @@ func sortColumnsByKey(keys []uint64, ws []float64, ids []uint64, pts []geom.Poin
 	for i := range pairs {
 		pairs[i] = keyRef{keys[i], int32(i)}
 	}
+	return gatherColumns(pairs, keys, ws, ids, pts, sortPairs(pairs, workers))
+}
+
+// sortPairs sorts pairs — whose rows must ascend — by (key, row), radix or
+// comparison sort by size, and returns the worker count it settled on.
+func sortPairs(pairs []keyRef, workers int) int {
+	n := len(pairs)
 	w := pool.Workers(workers, n/radixParallelMin+1)
 	if w > 1 && n >= radixParallelMin {
 		radixSortPairs(pairs, w)
 	} else {
 		sortPairsCmp(pairs)
 	}
-	return gatherColumns(pairs, keys, ws, ids, pts, w)
+	return w
+}
+
+// SortedKeys linearizes pts over the domain and returns the in-domain rows in
+// (key, input position) order — NewMutable's base order: keys[i] is the leaf
+// key of pts[rows[i]]. A caller partitioning one point set by key range sorts
+// it here once and hands each run to NewMutableSorted.
+func SortedKeys(pts []geom.Point, d sfc.Domain, c sfc.Curve) (keys []uint64, rows []int32) {
+	if len(pts) > math.MaxInt32 {
+		panic("pointstore: column exceeds 2^31 rows")
+	}
+	pairs := make([]keyRef, 0, len(pts))
+	for i, p := range pts {
+		if pos, ok := d.LeafPos(c, p); ok {
+			pairs = append(pairs, keyRef{pos, int32(i)})
+		}
+	}
+	sortPairs(pairs, 0)
+	keys = make([]uint64, len(pairs))
+	rows = make([]int32, len(pairs))
+	for i, p := range pairs {
+		keys[i], rows[i] = p.key, p.row
+	}
+	return keys, rows
 }
 
 // sortPairsCmp is the sequential fallback: a comparison sort on (key, row),

@@ -83,11 +83,14 @@ func (b *ShardedBackend) Describe(st *StatsResponse) {
 	st.Live = s.Live
 	st.Dropped = s.Dropped
 	st.MemoryBytes = b.S.MemoryBytes()
+	st.Covers = CoverCounters{Builds: s.Covers.Builds, BuildSeconds: s.Covers.BuildTime.Seconds(), Bytes: s.CoverBytes}
 	for _, sh := range s.PerShard {
 		st.Shards = append(st.Shards, ShardStats{
 			LoKey: sh.LoKey, HiKey: sh.HiKey, Live: sh.Live,
 			Generation: sh.Generation, Epoch: sh.Epoch,
+			CoverStateBytes: sh.CoverStateBytes,
 		})
+		st.Covers.StateBytes += sh.CoverStateBytes
 	}
 }
 
@@ -210,6 +213,8 @@ func (b *UnshardedBackend) Describe(st *StatsResponse) {
 	st.Live = s.Live
 	st.Dropped = b.DS.Dropped()
 	st.MemoryBytes = b.DS.MemoryBytes()
+	_, _, cs := b.E.CacheStats()
+	st.Covers = CoverCounters{Builds: cs.Builds, BuildSeconds: cs.BuildTime.Seconds(), Bytes: b.E.CoverBytes(), StateBytes: s.CoverStateBytes}
 }
 
 func (b *UnshardedBackend) Close() { b.E.UnregisterPoints(b.DS.Name()) }

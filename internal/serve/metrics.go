@@ -87,9 +87,9 @@ func (m *metrics) percentiles() (p50, p90, p99 time.Duration) {
 }
 
 // render writes the counters in the text exposition format /metrics serves.
-// cacheStats and epoch come from the backend — the result cache and its
-// invalidation counter live below the handler layer.
-func (m *metrics) render(w io.Writer, rejections uint64, draining bool, cacheStats cache.Stats, epoch uint64) {
+// cacheStats, epoch and covers come from the backend — the result cache, its
+// invalidation counter and the cover cache live below the handler layer.
+func (m *metrics) render(w io.Writer, rejections uint64, draining bool, cacheStats cache.Stats, epoch uint64, covers CoverCounters) {
 	queries, batches := m.queries.Load(), m.batches.Load()
 	fmt.Fprintf(w, "distboundd_requests_total{endpoint=\"query\"} %d\n", queries)
 	fmt.Fprintf(w, "distboundd_requests_total{endpoint=\"batch\"} %d\n", batches)
@@ -107,6 +107,9 @@ func (m *metrics) render(w io.Writer, rejections uint64, draining bool, cacheSta
 	fmt.Fprintf(w, "distboundd_shard_fanout_max %d\n", m.fanoutMax.Load())
 	fmt.Fprintf(w, "distboundd_ranges_probed_total %d\n", m.rangesProbed.Load())
 	fmt.Fprintf(w, "distboundd_delta_probed_total %d\n", m.deltaProbed.Load())
+	fmt.Fprintf(w, "distboundd_cover_builds_total %d\n", covers.Builds)
+	fmt.Fprintf(w, "distboundd_cover_build_seconds_total %g\n", covers.BuildSeconds)
+	fmt.Fprintf(w, "distboundd_cover_bytes %d\n", covers.Bytes)
 	p50, p90, p99 := m.percentiles()
 	fmt.Fprintf(w, "distboundd_query_latency_seconds{quantile=\"0.5\"} %g\n", p50.Seconds())
 	fmt.Fprintf(w, "distboundd_query_latency_seconds{quantile=\"0.9\"} %g\n", p90.Seconds())

@@ -353,6 +353,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	var st StatsResponse
+	s.backend.Describe(&st)
 	s.met.render(w, s.adm.rejections.Load(), s.draining.Load(),
-		s.backend.ResultCacheStats(), s.backend.Epoch())
+		s.backend.ResultCacheStats(), s.backend.Epoch(), st.Covers)
 }

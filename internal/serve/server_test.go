@@ -494,29 +494,37 @@ func TestHealthzFailsOnWedgedStore(t *testing.T) {
 // TestProbeWorkMetrics: /metrics sums the probe work executed queries did —
 // a fill's ranges on the first query, nothing on a result-cache hit, and
 // after an append exactly the appended rows with no new fill — which is the
-// resident path's warm ratio, readable without a profiler.
+// resident path's warm ratio, readable without a profiler. The cover
+// counters beside them show the bound was rasterized once for all four
+// shards, and /v1/stats splits its bytes into the shared sets and the
+// shards' own state.
 func TestProbeWorkMetrics(t *testing.T) {
 	ts, _, pts, _ := newShardedTS(t, 0)
-	scrape := func() (ranges, delta uint64) {
+	scrape := func() (ranges, delta, builds, coverBytes uint64) {
 		t.Helper()
 		_, body := getBody(t, ts.URL+"/metrics")
 		for _, line := range strings.Split(string(body), "\n") {
 			fmt.Sscanf(line, "distboundd_ranges_probed_total %d", &ranges) //nolint:errcheck // non-matching lines
 			fmt.Sscanf(line, "distboundd_delta_probed_total %d", &delta)   //nolint:errcheck // non-matching lines
+			fmt.Sscanf(line, "distboundd_cover_builds_total %d", &builds)  //nolint:errcheck // non-matching lines
+			fmt.Sscanf(line, "distboundd_cover_bytes %d", &coverBytes)     //nolint:errcheck // non-matching lines
 		}
-		return ranges, delta
+		return ranges, delta, builds, coverBytes
 	}
 	q := QueryRequest{Aggs: []string{"count", "sum"}, Bound: 32}
-	if r, d := scrape(); r != 0 || d != 0 {
-		t.Fatalf("fresh server reports probe work {%d %d}", r, d)
+	if r, d, b, cb := scrape(); r != 0 || d != 0 || b != 0 || cb != 0 {
+		t.Fatalf("fresh server reports probe work {%d %d}, %d cover builds, %d cover bytes", r, d, b, cb)
 	}
 	postJSON(t, ts.URL+"/v1/query", q, nil)
-	filled, d := scrape()
+	filled, d, builds, coverBytes := scrape()
 	if filled == 0 || d != 0 {
 		t.Fatalf("first query reports {%d %d}, want a fill and no delta", filled, d)
 	}
+	if builds != 1 || coverBytes == 0 {
+		t.Fatalf("first query over 4 shards reports %d cover builds (%d B), want the one shared set", builds, coverBytes)
+	}
 	postJSON(t, ts.URL+"/v1/query", q, nil) // result-cache hit
-	if r, d := scrape(); r != filled || d != 0 {
+	if r, d, _, _ := scrape(); r != filled || d != 0 {
 		t.Fatalf("a cache hit added probe work: {%d %d} after {%d 0}", r, d, filled)
 	}
 	app := AppendRequest{Weights: []float64{1, 2, 3}}
@@ -527,8 +535,21 @@ func TestProbeWorkMetrics(t *testing.T) {
 		t.Fatalf("append: %d %s", resp.StatusCode, body)
 	}
 	postJSON(t, ts.URL+"/v1/query", q, nil)
-	if r, d := scrape(); r != filled || d != 3 {
-		t.Fatalf("read after 3 appends reports {%d %d}, want {%d 3}: base partials reused, new rows inverted once", r, d, filled)
+	if r, d, b, _ := scrape(); r != filled || d != 3 || b != 1 {
+		t.Fatalf("read after 3 appends reports {%d %d} and %d cover builds, want {%d 3} and 1: base partials reused, new rows inverted once", r, d, b, filled)
+	}
+
+	_, body := getBody(t, ts.URL+"/v1/stats")
+	var st StatsResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	perShard := 0
+	for _, sh := range st.Shards {
+		perShard += sh.CoverStateBytes
+	}
+	if c := st.Covers; c.Builds != 1 || uint64(c.Bytes) != coverBytes || c.BuildSeconds <= 0 || c.StateBytes == 0 || c.StateBytes != perShard {
+		t.Fatalf("stats covers %+v (shards sum to %d B of state), metrics said %d B", c, perShard, coverBytes)
 	}
 }
 

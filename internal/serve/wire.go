@@ -87,6 +87,17 @@ type StatsResponse struct {
 	Rejections  uint64            `json:"admission_rejections"`
 	Draining    bool              `json:"draining"`
 	ResultCache CacheCounters     `json:"result_cache"`
+	Covers      CoverCounters     `json:"covers"`
+}
+
+// CoverCounters is the cover cache's slice of StatsResponse: cover sets built
+// (one per distinct bound, however many shards) and their total build wall,
+// the resident sets' bytes counted once, and the shards' own state over them.
+type CoverCounters struct {
+	Builds       int64   `json:"builds"`
+	BuildSeconds float64 `json:"build_seconds"`
+	Bytes        int     `json:"bytes"`
+	StateBytes   int     `json:"state_bytes"`
 }
 
 // CacheCounters is the result cache's slice of StatsResponse.
@@ -103,6 +114,8 @@ type ShardStats struct {
 	Live       int    `json:"live"`
 	Generation uint64 `json:"generation"`
 	Epoch      uint64 `json:"epoch"`
+	// CoverStateBytes is this shard's share of Covers.StateBytes.
+	CoverStateBytes int `json:"cover_state_bytes"`
 }
 
 // AppendRequest is the JSON body of POST /v1/append: points as [x, y]

@@ -81,9 +81,9 @@ func (s *Sharded) Persist(dir string, cfg distbound.PersistConfig) error {
 
 // Open reconstructs a sharded dataset persisted under dir: the manifest
 // names the shards and their key boundaries, and every shard recovers
-// through Engine.OpenDataset over a fresh engine on regions — which must be
-// the region set the partition was built over; the per-shard domain check
-// inside OpenDataset rejects anything else. The recovered Sharded stays
+// through OpenDataset into one fresh engine on regions — which must be the
+// region set the partition was built over; the per-shard domain check inside
+// OpenDataset rejects anything else. The recovered Sharded stays
 // durable shard by shard.
 func Open(regions []distbound.Region, dir string, cfg distbound.PersistConfig) (*Sharded, error) {
 	buf, err := os.ReadFile(filepath.Join(dir, manifestName))
@@ -100,14 +100,8 @@ func Open(regions []distbound.Region, dir string, cfg distbound.PersistConfig) (
 	if m.Name == "" || len(m.Shards) == 0 || len(m.Shards) > MaxShards {
 		return nil, fmt.Errorf("shard: manifest names %d shards for dataset %q", len(m.Shards), m.Name)
 	}
-	s := &Sharded{
-		name:    m.Name,
-		regions: regions,
-		domain:  distbound.DomainForRegions(regions...),
-		hasW:    m.HasWeights,
-		dropped: m.Dropped,
-		results: newShardResultCache(),
-	}
+	s := newSharded(m.Name, regions, m.HasWeights)
+	s.dropped = m.Dropped
 	prevHi := uint64(0)
 	for i, ms := range m.Shards {
 		// The intervals must tile the key space exactly: contiguity is what
@@ -123,12 +117,11 @@ func Open(regions []distbound.Region, dir string, cfg distbound.PersistConfig) (
 			return nil, fmt.Errorf("shard: shard %d owns malformed interval [%d, %d]", i, ms.Lo, ms.Hi)
 		}
 		prevHi = ms.Hi
-		e := distbound.NewEngine(regions)
-		ds, err := e.OpenDataset(m.Name, filepath.Join(dir, ms.Dir), cfg)
+		ds, err := s.engine.OpenDataset(shardDatasetName(m.Name, i), filepath.Join(dir, ms.Dir), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		s.shards = append(s.shards, shardState{engine: e, ds: ds, lo: ms.Lo, hi: ms.Hi})
+		s.shards = append(s.shards, shardState{ds: ds, lo: ms.Lo, hi: ms.Hi})
 	}
 	return s, nil
 }

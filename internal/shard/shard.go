@@ -1,10 +1,15 @@
 // Package shard partitions a resident point dataset into N contiguous
-// SFC-key-range shards, each backed by its own engine and registered
-// dataset, and answers distance-bounded aggregation queries by scatter-
-// gather: the query's cover plan — the deduplicated, sorted global range
-// list every bound-ε execution probes — is intersected against the shards'
-// key boundaries, only intersecting shards are contacted, and their partial
-// per-region aggregates merge exactly.
+// SFC-key-range shards — N datasets registered with one engine — and answers
+// distance-bounded aggregation queries by scatter-gather: the query's cover
+// plan — the deduplicated, sorted global range list every bound-ε execution
+// probes — is intersected against the shards' key boundaries, only
+// intersecting shards are contacted, and their partial per-region aggregates
+// merge exactly.
+//
+// The engine owns what does not depend on the data: the regions and, per
+// bound, one immutable cover set, built once — by the routing step, with the
+// query's whole worker budget — and shared by every shard. A shard owns only
+// its point store and its own span resolution and partials over each set.
 //
 // Merge guarantees, relative to the same query on one unsharded engine over
 // the same points (both sides on the resident point-index strategy):
@@ -35,6 +40,7 @@ import (
 	"distbound"
 	"distbound/internal/cache"
 	"distbound/internal/join"
+	"distbound/internal/pointstore"
 	"distbound/internal/pool"
 )
 
@@ -53,10 +59,9 @@ const localIDMask = (uint64(1) << shardIDBits) - 1
 // be deleted, matching the engine's own out-of-domain drop accounting.
 const NoID = math.MaxUint64
 
-// shardState is one shard: an engine over the shared region set, the
-// shard's registered dataset, and the inclusive SFC key interval it owns.
+// shardState is one shard: its dataset in the shared engine and the
+// inclusive SFC key interval it owns.
 type shardState struct {
-	engine *distbound.Engine
 	ds     *distbound.Dataset
 	lo, hi uint64
 }
@@ -64,10 +69,10 @@ type shardState struct {
 // Sharded is a resident dataset partitioned into contiguous key-range
 // shards. All methods are safe for concurrent use: queries fan out to
 // immutable per-shard snapshots, and mutations route to the per-shard
-// engines' own concurrency machinery.
+// datasets' own concurrency machinery.
 type Sharded struct {
 	name    string
-	regions []distbound.Region
+	engine  *distbound.Engine // hosts every shard's dataset and the shared cover sets
 	domain  distbound.Domain
 	hasW    bool
 	dropped int
@@ -123,9 +128,9 @@ func newShardResultCache() *cache.ShardedLRU[resultKey, *Response] {
 }
 
 // New partitions pts into at most n contiguous key-range shards and
-// registers each run as a resident dataset in its own engine over regions.
-// Points are linearized over the engine domain (derived from the regions,
-// exactly as distbound.NewEngine does) and sorted by (key, input position);
+// registers each run as a resident dataset of one engine over regions.
+// Points are linearized over the engine domain and sorted by (key, input
+// position) once, and every shard's store is built from its run as is;
 // split positions aim at equal point counts but always advance to a key
 // change, so equal keys land in one shard and the effective shard count can
 // be lower than n on key-collapsed data. Points outside the domain are
@@ -148,46 +153,23 @@ func New(name string, regions []distbound.Region, pts []distbound.Point, weights
 	if weights != nil && len(weights) != len(pts) {
 		return nil, nil, fmt.Errorf("shard: %d weights for %d points", len(weights), len(pts))
 	}
-	s := &Sharded{
-		name:    name,
-		regions: regions,
-		domain:  distbound.DomainForRegions(regions...),
-		hasW:    weights != nil,
-		results: newShardResultCache(),
-	}
+	s := newSharded(name, regions, weights != nil)
 
 	// Linearize and key-sort the in-domain points, remembering input
 	// positions so registration IDs can be reported back.
-	type keyed struct {
-		key uint64
-		idx int
-	}
-	pairs := make([]keyed, 0, len(pts))
-	for i, p := range pts {
-		key, ok := s.domain.LeafPos(distbound.Hilbert, p)
-		if !ok {
-			s.dropped++
-			continue
-		}
-		pairs = append(pairs, keyed{key, i})
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].key != pairs[b].key {
-			return pairs[a].key < pairs[b].key
-		}
-		return pairs[a].idx < pairs[b].idx
-	})
+	keys, rows := pointstore.SortedKeys(pts, s.domain, distbound.Hilbert)
+	s.dropped = len(pts) - len(keys)
 
 	// Split positions: equal counts, advanced to the next key change so a
 	// shard's key interval never splits a key. Degenerate (empty) splits
 	// collapse, shrinking the effective shard count.
 	splits := []int{0}
 	for i := 1; i < n; i++ {
-		p := len(pairs) * i / n
-		for p > 0 && p < len(pairs) && pairs[p].key == pairs[p-1].key {
+		p := len(keys) * i / n
+		for p > 0 && p < len(keys) && keys[p] == keys[p-1] {
 			p++
 		}
-		if p >= len(pairs) {
+		if p >= len(keys) {
 			break
 		}
 		if p > splits[len(splits)-1] {
@@ -200,37 +182,55 @@ func New(name string, regions []distbound.Region, pts []distbound.Point, weights
 		ids[i] = NoID
 	}
 	for si, begin := range splits {
-		end := len(pairs)
+		end := len(keys)
 		lo, hi := uint64(0), uint64(math.MaxUint64)
 		if si > 0 {
-			lo = pairs[begin].key
+			lo = keys[begin]
 		}
 		if si+1 < len(splits) {
 			end = splits[si+1]
-			hi = pairs[end].key - 1
+			hi = keys[end] - 1
 		}
-		run := pairs[begin:end]
+		run := rows[begin:end]
 		shardPts := make([]distbound.Point, len(run))
 		var shardWs []float64
 		if s.hasW {
 			shardWs = make([]float64, len(run))
 		}
-		for k, pr := range run {
-			shardPts[k] = pts[pr.idx]
+		for k, row := range run {
+			shardPts[k] = pts[row]
 			if s.hasW {
-				shardWs[k] = weights[pr.idx]
+				shardWs[k] = weights[row]
 			}
-			ids[pr.idx] = globalID(si, uint64(k))
+			ids[row] = globalID(si, uint64(k))
 		}
-		e := distbound.NewEngine(regions)
-		ds, err := e.RegisterPoints(name, shardPts, shardWs)
+		// Local IDs are positions in the run, as RegisterPoints would assign.
+		src, err := pointstore.NewMutableSorted(keys[begin:end:end], shardPts, shardWs, s.domain, distbound.Hilbert)
+		if err != nil {
+			return nil, nil, fmt.Errorf("shard: building shard %d: %w", si, err)
+		}
+		ds, err := s.engine.RegisterStore(shardDatasetName(name, si), src)
 		if err != nil {
 			return nil, nil, fmt.Errorf("shard: registering shard %d: %w", si, err)
 		}
-		s.shards = append(s.shards, shardState{engine: e, ds: ds, lo: lo, hi: hi})
+		s.shards = append(s.shards, shardState{ds: ds, lo: lo, hi: hi})
 	}
 	return s, ids, nil
 }
+
+// newSharded returns an empty partition: one engine to host the shards.
+func newSharded(name string, regions []distbound.Region, hasW bool) *Sharded {
+	return &Sharded{
+		name:    name,
+		engine:  distbound.NewEngine(regions),
+		domain:  distbound.DomainForRegions(regions...),
+		hasW:    hasW,
+		results: newShardResultCache(),
+	}
+}
+
+// shardDatasetName is shard i's registration name inside the shared engine.
+func shardDatasetName(name string, i int) string { return fmt.Sprintf("%s/%03d", name, i) }
 
 // globalID packs a shard index and shard-local point ID into the sharded
 // dataset's ID currency.
@@ -238,14 +238,14 @@ func globalID(shard int, local uint64) uint64 {
 	return uint64(shard)<<shardIDBits | (local & localIDMask)
 }
 
-// Name returns the registration name shared by every shard's dataset.
+// Name returns the sharded dataset's name.
 func (s *Sharded) Name() string { return s.name }
 
 // NumShards returns the effective shard count.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
 // NumRegions returns the region count every result column spans.
-func (s *Sharded) NumRegions() int { return len(s.regions) }
+func (s *Sharded) NumRegions() int { return s.engine.NumRegions() }
 
 // HasWeights reports whether the dataset carries an attribute column.
 func (s *Sharded) HasWeights() bool { return s.hasW }
@@ -328,11 +328,10 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 			return out, nil
 		}
 	}
-	// Any shard's engine knows the cover plan — it depends only on the
-	// shared regions, domain, curve and bound — so shard 0 doubles as the
-	// router; its cached cover artifact is the same one it executes with.
-	router := &s.shards[0]
-	ranges, err := router.engine.CoverKeyRanges(ctx, router.ds, req.Bound, req.Workers)
+	// Route from the bound's shared cover set. A cold bound builds it here —
+	// once, with the request's whole worker budget — so the single-threaded
+	// shard queries below only ever attach to it.
+	ranges, err := s.engine.CoverKeyRanges(ctx, req.Bound, req.Workers)
 	if err != nil {
 		return Response{}, err
 	}
@@ -348,7 +347,7 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	}
 
 	out := Response{
-		Results:         join.NewResults(req.Aggs, len(s.regions)),
+		Results:         join.NewResults(req.Aggs, s.engine.NumRegions()),
 		ShardsContacted: len(contacted),
 		ShardsTotal:     len(s.shards),
 	}
@@ -364,7 +363,7 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	parts := make([]distbound.Response, len(contacted))
 	err = pool.RunCtx(ctx, len(contacted), pool.Workers(req.Workers, len(contacted)), func(_, i int) error {
 		sh := &s.shards[contacted[i]]
-		resp, err := sh.engine.Do(ctx, distbound.Request{
+		resp, err := s.engine.Do(ctx, distbound.Request{
 			Dataset:     sh.ds,
 			Aggs:        req.Aggs,
 			Bound:       req.Bound,
@@ -427,7 +426,7 @@ func (s *Sharded) cacheKey(req Request) (resultKey, bool) {
 }
 
 // SetResultCacheCapacity re-bounds the scatter-gather result cache; 0
-// disables it. The per-shard engines keep their own result caches — this
+// disables it. The engine keeps its own per-shard result cache — this
 // governs only the merged layer above the fan-out.
 func (s *Sharded) SetResultCacheCapacity(n int) { s.results.SetCapacity(n) }
 
@@ -603,6 +602,8 @@ type ShardInfo struct {
 	Live       int
 	Generation uint64
 	Epoch      uint64
+	// CoverStateBytes is the shard's own state over the resident cover sets.
+	CoverStateBytes int
 }
 
 // Stats is a point-in-time accounting snapshot of the sharded dataset.
@@ -623,6 +624,11 @@ type Stats struct {
 	// shard's mutation epoch. ResultCache reports the merged-layer cache.
 	EpochSum    uint64
 	ResultCache cache.Stats
+	// Covers reports the shared cover cache — Builds is one per bound,
+	// whatever the shard count — and CoverBytes the resident sets' footprint,
+	// counted once; PerShard carries each shard's own state over them.
+	Covers     cache.Stats
+	CoverBytes int
 	// PerShard holds one entry per shard, in key order.
 	PerShard []ShardInfo
 }
@@ -636,7 +642,9 @@ func (s *Sharded) Stats() Stats {
 		ContactedTotal: s.contacts.Load(),
 		MaxFanOut:      int(s.maxFan.Load()),
 		ResultCache:    s.results.Stats(),
+		CoverBytes:     s.engine.CoverBytes(),
 	}
+	_, _, st.Covers = s.engine.CacheStats()
 	for i := range s.shards {
 		d := s.shards[i].ds.Stats()
 		st.Live += d.Live
@@ -647,15 +655,18 @@ func (s *Sharded) Stats() Stats {
 			Live:       d.Live,
 			Generation: d.Generation,
 			Epoch:      d.Epoch,
+
+			CoverStateBytes: d.CoverStateBytes,
 		})
 	}
 	return st
 }
 
 // Close unregisters every shard's dataset, flushing and closing durable
-// logs where Persist bound them; the on-disk files stay valid for Open.
+// logs where Persist bound them; the on-disk files stay valid for Open. The
+// engine drops each shard's joiners with it, so nothing pins the stores.
 func (s *Sharded) Close() {
 	for i := range s.shards {
-		s.shards[i].engine.UnregisterPoints(s.name)
+		s.engine.UnregisterPoints(shardDatasetName(s.name, i))
 	}
 }

@@ -1,0 +1,122 @@
+package shard
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"distbound/internal/testutil"
+)
+
+// TestShardedBuildsEachBoundOnce: the cover sets belong to the one engine
+// behind the shards, so first queries at three bounds cost three builds
+// whether the partition is 1, 3 or 8 wide; the sets' bytes are the same for
+// every width, and only the per-shard state scales with it.
+func TestShardedBuildsEachBoundOnce(t *testing.T) {
+	bounds := []float64{16, 64, 256}
+	coverBytes := 0
+	for _, n := range []int{1, 3, 8} {
+		s, _, _, _, _, _, _ := fixture(t, 3, 12000, n)
+		s.SetResultCacheCapacity(0)
+		for rep := 0; rep < 2; rep++ {
+			for _, b := range bounds {
+				if _, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: b, Workers: 4}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		st := s.Stats()
+		if st.Covers.Builds != int64(len(bounds)) {
+			t.Errorf("%d shards: %d cover builds for %d bounds", s.NumShards(), st.Covers.Builds, len(bounds))
+		}
+		if st.Covers.BuildTime <= 0 {
+			t.Errorf("%d shards: no build time recorded", s.NumShards())
+		}
+		if coverBytes == 0 {
+			coverBytes = st.CoverBytes
+		}
+		if st.CoverBytes != coverBytes || coverBytes == 0 {
+			t.Errorf("%d shards: %d B of cover sets, want the same %d B at every width", s.NumShards(), st.CoverBytes, coverBytes)
+		}
+		for i, sh := range st.PerShard {
+			if sh.CoverStateBytes <= 0 {
+				t.Errorf("%d shards: shard %d reports no state of its own", s.NumShards(), i)
+			}
+		}
+	}
+}
+
+// TestShardedColdBurstCoalesces: sixteen cold first queries at one bound are
+// one build, and one waiter walking away neither fails the build for the
+// others nor restarts it. Run under -race.
+func TestShardedColdBurstCoalesces(t *testing.T) {
+	s, _, _, _, _, _, _ := fixture(t, 5, 12000, 4)
+	s.SetResultCacheCapacity(0)
+	const bound, callers = 8, 16
+	quitter, quit := context.WithCancel(context.Background())
+	defer quit()
+	var wg sync.WaitGroup
+	resps := make([]Response, callers)
+	errs := make([]error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ctx := context.Background()
+			if g == 0 {
+				ctx = quitter
+			}
+			resps[g], errs[g] = s.Do(ctx, Request{Aggs: allAggs, Bound: bound, Workers: 2})
+		}(g)
+	}
+	// Cancel once the build has a second waiter (a build its only caller
+	// abandons is rightly canceled and restarted by the next arrival).
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for waiting := true; waiting && s.Stats().Covers.Coalesced == 0; {
+		select {
+		case <-done:
+			waiting = false
+		case <-time.After(100 * time.Microsecond):
+		}
+	}
+	quit()
+	<-done
+
+	if errs[0] != nil && !errors.Is(errs[0], context.Canceled) {
+		t.Errorf("the canceled caller failed with %v", errs[0])
+	}
+	for g := 1; g < callers; g++ {
+		if errs[g] != nil {
+			t.Fatalf("caller %d: %v", g, errs[g])
+		}
+		for k, agg := range allAggs {
+			testutil.CheckIdentical(t, fmt.Sprintf("caller %d %v", g, agg), resps[1].Results[k], resps[g].Results[k])
+		}
+	}
+	if st := s.Stats().Covers; st.Builds != 1 {
+		t.Errorf("%d cover builds for one cold bound under %d callers (coalesced %d)", st.Builds, callers, st.Coalesced)
+	}
+}
+
+// TestShardedCloseDropsState: Close drops every shard's point-index state
+// eagerly; the cover sets stay cached in the engine.
+func TestShardedCloseDropsState(t *testing.T) {
+	s, _, _, _, _, _, _ := fixture(t, 3, 8000, 4)
+	if _, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 32}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	st := s.Stats()
+	if st.CoverBytes == 0 {
+		t.Error("Close flushed the shared cover sets")
+	}
+	for i, sh := range st.PerShard {
+		if sh.CoverStateBytes != 0 {
+			t.Errorf("shard %d still holds %d B of state after Close", i, sh.CoverStateBytes)
+		}
+	}
+}

@@ -263,21 +263,24 @@ func (e *Engine) planRequest(req Request, reps int, sc *respScratch) Plan {
 		q.NumPoints = snap.LiveLen()
 		q.ResidentPoints = true
 		q.DeltaPoints = snap.DeltaLen()
-		if j, ok := e.pidx.PeekReady(pidxKey{src: ds.src, bound: req.Bound}); ok {
+		if ce, ok := e.covers.PeekReady(req.Bound); ok {
 			q.CachedBuild[StrategyPointIdx] = true
-			// The resident artifact knows the real cover-plan shape; surface
+			// The resident cover set knows the real cover-plan shape; surface
 			// it so Explain reports what a pointidx run will actually probe.
 			cover = planner.CoverStats{
-				Ranges:     j.NumRanges(),
-				Unique:     j.NumUniqueRanges(),
-				Boundaries: j.NumBoundaryProbes(),
+				Ranges:     ce.set.NumRanges(),
+				Unique:     ce.set.NumUniqueRanges(),
+				Boundaries: ce.set.NumBoundaryProbes(),
 			}
-			// It also knows what a run still owes: only the delta rows past
-			// its watermark, and no probe at all while its base partials
-			// serve this snapshot.
-			owed := j.Pending(snap, req.Aggs)
-			q.DeltaInverted = q.DeltaPoints - owed.DeltaProbed
-			q.BaseFolded = owed.RangesProbed == 0
+			// The dataset's joiner, once attached, also knows what a run still
+			// owes: only the delta rows past its watermark, and no probe at
+			// all while its base partials serve this snapshot. Without one
+			// the run owes everything, which the zero values already say.
+			if j := ce.peek(ds.src); j != nil {
+				owed := j.Pending(snap, req.Aggs)
+				q.DeltaInverted = q.DeltaPoints - owed.DeltaProbed
+				q.BaseFolded = owed.RangesProbed == 0
+			}
 		}
 	} else {
 		q.NumPoints = len(req.Points.Pts)
@@ -384,11 +387,12 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request, workers int) ([]Re
 	// containing MIN/MAX are keyed separately — they can never run BRJ, so
 	// counting them toward a COUNT request's amortization could credit a
 	// mask build the extremes will never touch. Dataset requests are keyed
-	// separately as well: their learned-index artifact is per-(dataset,
-	// bound), so crediting it to ad-hoc requests (or vice versa) could
-	// promise sharing that never happens. The builds they can genuinely
-	// share (ACT at the same bound) still coalesce in the cache at execution
-	// time; under-crediting that is conservative.
+	// separately as well: the learned-index strategy exists only for them,
+	// so crediting it to ad-hoc requests (or vice versa) could promise
+	// sharing that never happens. The builds they can genuinely share (ACT
+	// at the same bound, or one bound's cover set across datasets) still
+	// coalesce in the cache at execution time; under-crediting that is
+	// conservative.
 	type shareKey struct {
 		bound   float64
 		extreme bool
@@ -485,11 +489,12 @@ func (e *Engine) executeMulti(ctx context.Context, req Request, strategy Strateg
 	if ds := req.Dataset; ds != nil {
 		if strategy == StrategyPointIdx {
 			tb := time.Now()
-			j, err := e.pointIdxJoinerCtx(ctx, ds, req.Bound, workers)
+			ce, err := e.coverEntryCtx(ctx, req.Bound, workers)
 			resp.Build = time.Since(tb)
 			if err != nil {
 				return err
 			}
+			j := ce.joiner(e, ds)
 			var results []Result
 			if resp.scratch != nil {
 				results = resp.scratch.prepResults(req.Aggs, len(e.regions))

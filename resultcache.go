@@ -2,7 +2,7 @@
 // resident dataset skip planning, snapshotting and folding entirely. Heavy
 // traffic repeats itself — the same dashboards re-issue the same region sets
 // and bounds against a dataset that mutates slowly — so the cache keys one
-// executed Response by (store identity, mutation epoch, bound, aggregate
+// executed Response by (dataset identity, mutation epoch, bound, aggregate
 // set, strategy override) and serves copies of it until any mutation bumps
 // the dataset's epoch, making every prior key unreachable. There is no
 // invalidation scan and no lock on the read path beyond one cache-shard
@@ -16,7 +16,6 @@ import (
 
 	"distbound/internal/cache"
 	"distbound/internal/planner"
-	"distbound/internal/pointstore"
 )
 
 // DefaultResultCacheCapacity bounds the query-result cache. Entries are one
@@ -27,14 +26,16 @@ import (
 const DefaultResultCacheCapacity = 1024
 
 // resultKey identifies one cacheable request shape against one state of one
-// dataset. The store pointer (not the name) is the dataset identity, so an
-// entry can never be served to a same-named successor; epoch is the store's
-// mutation counter, so any Append/Delete/Compact strands every prior key.
+// dataset. The registration id (not the name) is the dataset identity, so an
+// entry can never be served to a same-named successor — nor, as a store
+// pointer would, keep an unregistered dataset's columns reachable while it
+// ages out; epoch is the store's mutation counter, so any
+// Append/Delete/Compact strands every prior key.
 // The key deliberately excludes Workers (results are worker-count
 // independent by the fold-order contract) and Repetitions (it steers the
 // planner's amortization, never the answer).
 type resultKey struct {
-	src   *pointstore.Mutable
+	ds    uint64 // Dataset.id
 	epoch uint64
 	bound float64
 	aggs  uint64 // nibble-packed aggregate set, see packAggs
@@ -63,7 +64,7 @@ func packAggs(aggs []Agg) (uint64, bool) {
 
 // resultCacheKey computes the cache key for a normalized request, reporting
 // ok=false for shapes the cache does not serve: ad-hoc point-set targets
-// (no store identity to key on), Explain requests (the rendering is not
+// (no dataset identity to key on), Explain requests (the rendering is not
 // cached), NaN bounds (NaN keys can never be found again), and oversized
 // aggregate sets. The epoch is read here — before execution — which is what
 // makes a later hit linearizable: the cached entry's data is at least as new
@@ -80,7 +81,7 @@ func resultCacheKey(req Request) (resultKey, bool) {
 		return resultKey{}, false
 	}
 	k := resultKey{
-		src:   req.Dataset.src,
+		ds:    req.Dataset.id,
 		epoch: req.Dataset.src.Epoch(),
 		bound: req.Bound,
 		aggs:  packed,
