@@ -1,8 +1,9 @@
 // Benchmarks regenerating the core measurement of every table and figure in
 // the paper's evaluation (one Benchmark* family per experiment; the full
 // tables, with workload sweeps and accuracy columns, are produced by
-// cmd/spatialbench). Fixtures are built once at a reduced scale so the whole
-// suite completes in minutes; scale knobs live in cmd/spatialbench.
+// cmd/spatialbench -experiment). Fixtures are built once at a reduced scale so
+// the whole suite completes in minutes; the experiments' scale knobs are
+// spatialbench's -points, -census and -quick.
 package distbound
 
 import (

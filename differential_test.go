@@ -11,7 +11,7 @@ import (
 
 // TestDifferentialMutableVsRebuild is the acceptance harness for the write
 // path: after an arbitrary Append/Delete sequence, every strategy's
-// AggregateDataset result over the mutated dataset must be bit-identical to
+// Do result over the mutated dataset must be bit-identical to
 // the same strategy over a dataset freshly registered from the surviving
 // points — pre- and post-compaction, for all five aggregates — and every
 // bounded strategy must respect the distance-bound guarantee against ground

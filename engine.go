@@ -62,9 +62,7 @@ const DefaultCoverCacheCapacity = 8
 // a registered *Dataset), a set of aggregates answered in a single pass,
 // the bound, and optional per-request overrides, under a context whose
 // cancellation unwinds the query promptly. DoBatch shards many requests
-// across a worker pool. The earlier per-shape methods (Aggregate,
-// AggregateDataset, AggregateBatch, Plan*, Explain*) remain as thin
-// deprecated wrappers over the same path.
+// across a worker pool.
 //
 // Engine is a serving layer: all methods are safe for concurrent use by any
 // number of goroutines. Lazily built artifacts (the R*-tree, one ACT trie
@@ -144,8 +142,8 @@ func (e *Engine) SetCostModel(m CostModel) {
 // fitted model, and returns it. Every fitted constant is clamped to a sane
 // envelope around the defaults, so calibration refines strategy crossover
 // points without ever producing a pathological model. Call it once at server
-// startup, before the serving workload; Explain reports the installed model
-// on its cost-model line. Canceling ctx abandons the run with ctx's error
+// startup, before the serving workload; Response.Explain reports the
+// installed model on its cost-model line. Canceling ctx abandons the run with ctx's error
 // and leaves the current model untouched.
 func (e *Engine) Calibrate(ctx context.Context) (CostModel, error) {
 	m, err := planner.Calibrate(ctx)
@@ -156,12 +154,11 @@ func (e *Engine) Calibrate(ctx context.Context) (CostModel, error) {
 	return m, nil
 }
 
-// SetWorkers fixes the intra-query fan-out: every Aggregate call shards its
-// point set across this many goroutines. n ≤ 0 (the default) selects
-// GOMAXPROCS; a server that already runs many queries concurrently
-// typically wants 1 to avoid oversubscription. AggregateBatch ignores this
-// setting — it parallelizes across queries and runs each join
-// single-threaded.
+// SetWorkers fixes the intra-query fan-out: every Do call shards its point
+// set across this many goroutines. n ≤ 0 (the default) selects GOMAXPROCS; a
+// server that already runs many queries concurrently typically wants 1 to
+// avoid oversubscription. DoBatch ignores this setting — it parallelizes
+// across queries and runs each join single-threaded.
 func (e *Engine) SetWorkers(n int) {
 	e.mu.Lock()
 	e.workers = n
@@ -211,17 +208,12 @@ func (e *Engine) costModel() planner.CostModel {
 	return e.model
 }
 
-// cachedBuilds reports which strategies' build artifacts are resident for
-// the bound, so the planner charges no build cost for them. Only completed
+// cachedBuildsInto reports which strategies' build artifacts are resident
+// for the bound, so the planner charges no build cost for them. Only completed
 // builds count: an in-flight build has not been paid yet, and crediting it
-// would steer cheap one-shot queries into blocking on a slow build.
-func (e *Engine) cachedBuilds(bound float64) map[Strategy]bool {
-	return e.cachedBuildsInto(bound, nil)
-}
-
-// cachedBuildsInto is cachedBuilds filling a caller-reused map (allocating
-// only when m is nil) — the warm planning path charges no allocation for
-// the residency probe.
+// would steer cheap one-shot queries into blocking on a slow build. It fills a
+// caller-reused map (allocating only when m is nil) — the warm planning path
+// charges no allocation for the residency probe.
 func (e *Engine) cachedBuildsInto(bound float64, m map[Strategy]bool) map[Strategy]bool {
 	if m == nil {
 		m = make(map[Strategy]bool, 4)
@@ -238,39 +230,6 @@ func (e *Engine) cachedBuildsInto(bound float64, m map[Strategy]bool) map[Strate
 		m[StrategyBRJ] = true
 	}
 	return m
-}
-
-// PlanFor returns the planner's decision for a query without executing it.
-// bound ≤ 0 requests exact answers; repetitions is the number of times the
-// caller expects to aggregate over this region set (amortizing index
-// builds), minimum 1. MIN/MAX aggregations exclude the raster join, so the
-// returned plan is exactly what Aggregate will run — no silent fallback.
-//
-// Deprecated: use Do with Request.Explain (Response.Plan carries the same
-// decision); PlanFor cannot express aggregate sets or per-request overrides.
-//
-//distbound:allow-background deprecated context-free API; callers hold no context to thread
-func (e *Engine) PlanFor(numPoints int, agg Agg, bound float64, repetitions int) planner.Plan {
-	return e.costModel().Choose(planner.Query{
-		NumPoints:   numPoints,
-		Regions:     e.regions,
-		Bound:       bound,
-		Repetitions: repetitions,
-		Aggs:        []Agg{agg},
-		CachedBuild: e.cachedBuilds(bound),
-		Stats:       &e.stats,
-	})
-}
-
-// Plan is PlanFor for a COUNT-like aggregation (any of COUNT/SUM/AVG, which
-// every strategy supports).
-//
-// Deprecated: use Do with Request.Explain; Response.Plan carries the same
-// decision.
-//
-//distbound:allow-background deprecated context-free API; callers hold no context to thread
-func (e *Engine) Plan(numPoints int, bound float64, repetitions int) planner.Plan {
-	return e.PlanFor(numPoints, Count, bound, repetitions)
 }
 
 // DefaultCompactionThreshold is the un-compacted state (delta rows plus
@@ -301,11 +260,9 @@ type Dataset struct {
 	compactThreshold atomic.Int64
 	compacting       atomic.Bool
 
-	// compactMu serializes dataset-level compactions and guards
-	// compactWalls: one wall-time sample per completed compaction
-	// generation, recorded by manual and background compactions alike.
-	compactMu    sync.Mutex
-	compactWalls []time.Duration
+	// compactMu serializes dataset-level compactions, manual and background
+	// alike.
+	compactMu sync.Mutex
 }
 
 // DatasetStats is a point-in-time accounting snapshot of a dataset — the
@@ -462,21 +419,12 @@ func (d *Dataset) Append(pts []Point, weights []float64) ([]uint64, error) {
 // being live); appended points carry the IDs Append returned. Deletions are
 // visible to every query issued after Delete returns.
 //
-// Delete discards the durable-log error: on a durable dataset a critical
-// path should use DeleteChecked, or watch Stats().DurableErr, to learn that
-// a deletion failed to reach the log.
-func (d *Dataset) Delete(ids ...uint64) int {
-	n, _ := d.DeleteChecked(ids...)
-	return n
-}
-
-// DeleteChecked is Delete surfacing the durable-log failure: on a durable
-// dataset a deletion that fails to reach the log still returns its live
-// count — the removal is visible in memory — but the dataset wedges (later
-// mutations are refused, Stats().DurableErr stays set) and the error
-// reports it at the call site. On a non-durable dataset the error is
-// always nil.
-func (d *Dataset) DeleteChecked(ids ...uint64) (int, error) {
+// On a durable dataset a deletion that fails to reach the log still returns
+// its live count — the removal is visible in memory — but the dataset wedges
+// (later mutations are refused, Stats().DurableErr stays set) and the error
+// reports it at the call site. On a non-durable dataset the error is always
+// nil.
+func (d *Dataset) Delete(ids ...uint64) (int, error) {
 	var n int
 	var err error
 	if dur := d.dur.Load(); dur != nil {
@@ -497,19 +445,9 @@ func (d *Dataset) DeleteChecked(ids ...uint64) (int, error) {
 // In-flight queries finish on the pre-compaction snapshot; queries issued
 // after Compact returns probe the new base with an empty delta. Appends and
 // deletes block for the duration; queries never do.
-func (d *Dataset) Compact() { d.timedCompact() }
-
-// timedCompact runs one compaction and records its wall time when the
-// generation actually advanced — a compaction that found nothing pending
-// publishes no new generation and records no sample, so CompactionWalls
-// stays one sample per generation. Holding compactMu across the merge
-// serializes compactors, which keeps the generation check attributable to
-// this call and time spent waiting on another compactor out of the sample.
-func (d *Dataset) timedCompact() {
+func (d *Dataset) Compact() {
 	d.compactMu.Lock()
 	defer d.compactMu.Unlock()
-	before := d.src.Gen()
-	t0 := time.Now()
 	if dur := d.dur.Load(); dur != nil {
 		// Durable datasets checkpoint instead: the same radix merge, then the
 		// result replaces the on-disk snapshot atomically and the log is
@@ -522,18 +460,6 @@ func (d *Dataset) timedCompact() {
 	} else {
 		d.src.Compact()
 	}
-	wall := time.Since(t0)
-	if d.src.Gen() != before {
-		d.compactWalls = append(d.compactWalls, wall)
-	}
-}
-
-// CompactionWalls returns the wall time of every completed compaction, in
-// generation order — the merge cost trajectory an ingest-heavy workload pays.
-func (d *Dataset) CompactionWalls() []time.Duration {
-	d.compactMu.Lock()
-	defer d.compactMu.Unlock()
-	return append([]time.Duration(nil), d.compactWalls...)
 }
 
 // SetCompactionThreshold sets how much un-compacted state (delta rows plus
@@ -569,7 +495,7 @@ func (d *Dataset) maybeCompact() {
 	}
 	go func() {
 		for {
-			d.timedCompact()
+			d.Compact()
 			d.refreshJoiners()
 			th := d.compactThreshold.Load()
 			if th <= 0 || int64(d.src.Pending()) < th {
@@ -696,76 +622,6 @@ func (e *Engine) checkDataset(ds *Dataset) error {
 	return nil
 }
 
-// PlanForDataset is PlanFor for a registered dataset: the resident
-// learned-index strategy joins the candidate set, and its cover set's
-// residency participates in build-cost amortization like the other caches.
-// Like AggregateDataset, it rejects handles not registered with this
-// engine — planning a foreign handle against this engine's regions would
-// produce a plan no execution path honors.
-//
-// Deprecated: use Do with a Dataset-target Request and Request.Explain;
-// Response.Plan carries the same decision.
-//
-//distbound:allow-background deprecated context-free API; callers hold no context to thread
-func (e *Engine) PlanForDataset(ds *Dataset, agg Agg, bound float64, repetitions int) (planner.Plan, error) {
-	if err := e.checkDataset(ds); err != nil {
-		return planner.Plan{}, err
-	}
-	return e.planRequest(Request{Dataset: ds, Aggs: []Agg{agg}, Bound: bound}, repetitions, nil), nil
-}
-
-// AggregateDataset answers the aggregation query over a registered dataset
-// with the planner-selected strategy. The learned-index strategy probes the
-// resident store through each region's cover ranges; all other strategies
-// stream the dataset's points exactly as Aggregate would, so ad-hoc and
-// handle-bearing queries over the same points agree plan-for-plan. Safe for
-// concurrent use.
-//
-// Deprecated: use Do with a Dataset-target Request — it additionally
-// expresses cancellation, aggregate sets, and per-request overrides.
-//
-//distbound:allow-background deprecated context-free API; callers hold no context to thread
-func (e *Engine) AggregateDataset(ds *Dataset, agg Agg, bound float64, repetitions int) (Result, Strategy, error) {
-	// A nil handle must fail here: a Request with a nil Dataset legitimately
-	// means an ad-hoc (empty) Points query, which is not what this caller
-	// asked for.
-	if err := e.checkDataset(ds); err != nil {
-		return Result{}, StrategyExact, err
-	}
-	resp, err := e.Do(context.Background(), Request{
-		Dataset:     ds,
-		Aggs:        []Agg{agg},
-		Bound:       bound,
-		Repetitions: repetitions,
-	})
-	if err != nil {
-		return Result{}, resp.Strategy, err
-	}
-	return resp.Results[0], resp.Strategy, nil
-}
-
-// Aggregate answers the aggregation query with the planner-selected
-// strategy, reporting which strategy ran. Exact strategies ignore the bound;
-// approximate ones guarantee every error is within bound of a region
-// boundary. Safe for concurrent use.
-//
-// Deprecated: use Do — it additionally expresses cancellation, aggregate
-// sets, and per-request overrides.
-//
-//distbound:allow-background deprecated context-free API; callers hold no context to thread
-func (e *Engine) Aggregate(ps PointSet, agg Agg, bound float64, repetitions int) (Result, Strategy, error) {
-	resp, err := e.Do(context.Background(), Request{
-		Points:      ps,
-		Aggs:        []Agg{agg},
-		Bound:       bound,
-		Repetitions: repetitions,
-	})
-	if err != nil {
-		return Result{}, resp.Strategy, err
-	}
-	return resp.Results[0], resp.Strategy, nil
-}
-
 // exactJoiner returns the R*-tree joiner, building it exactly once.
 func (e *Engine) exactJoiner() *join.RStarJoiner {
 	e.exactOnce.Do(func() {
@@ -802,79 +658,6 @@ func (e *Engine) brjJoinerCtx(ctx context.Context, bound float64, workers int) (
 	return bj, nil
 }
 
-// BatchQuery is one query of an AggregateBatch call.
-//
-// Deprecated: use Request with DoBatch.
-type BatchQuery struct {
-	// Points is the point relation of this query; ignored when Dataset is
-	// set.
-	Points PointSet
-	// Dataset, when non-nil, aggregates the registered resident dataset
-	// instead of Points: the planner may then answer through the learned-
-	// index strategy without streaming any points.
-	Dataset *Dataset
-	// Agg selects the aggregation function.
-	Agg Agg
-	// Bound is the distance bound; ≤ 0 requests exact answers.
-	Bound float64
-	// Repetitions is how many times the caller expects to run this query in
-	// total, counting its occurrence in this batch (minimum 1) — the same
-	// inclusive meaning as Aggregate's parameter. Queries sharing a bound
-	// within the batch additionally amortize each other's index builds.
-	Repetitions int
-}
-
-// BatchResult pairs one batch query's outcome with the strategy that ran.
-//
-// Deprecated: use Response, returned by DoBatch.
-type BatchResult struct {
-	Result   Result
-	Strategy Strategy
-	Err      error
-}
-
-// AggregateBatch answers many queries by sharding them across a pool of
-// workers (≤ 0 selects GOMAXPROCS). Every query's plan is fixed up front
-// against the cache state at batch entry, so a batch's results — including
-// the chosen strategies — are deterministic for a given engine state
-// regardless of worker count. Queries that share a distance bound amortize
-// one index build across the batch, and the build itself is deduplicated by
-// the engine's caches, so concurrent workers hitting the same cold bound
-// wait for a single build instead of racing. Results are positionally
-// aligned with queries. Counts are identical to running the same plan
-// sequentially; note a sequential Aggregate loop may choose different plans
-// for later queries, because earlier builds complete in between and
-// different (still bound-respecting) plans may disagree on counts.
-//
-// Each query's join runs single-threaded: the batch parallelizes across
-// queries, so the SetWorkers intra-query fan-out deliberately does not
-// apply here — combining both would oversubscribe the pool.
-//
-// Deprecated: use DoBatch — it additionally expresses cancellation,
-// aggregate sets, and per-request overrides.
-//
-//distbound:allow-background deprecated context-free API; callers hold no context to thread
-func (e *Engine) AggregateBatch(queries []BatchQuery, workers int) []BatchResult {
-	reqs := make([]Request, len(queries))
-	for i, q := range queries {
-		reqs[i] = Request{Aggs: []Agg{q.Agg}, Bound: q.Bound, Repetitions: q.Repetitions}
-		if q.Dataset != nil {
-			reqs[i].Dataset = q.Dataset // Points is documented as ignored here
-		} else {
-			reqs[i].Points = q.Points
-		}
-	}
-	resps, _ := e.DoBatch(context.Background(), reqs, workers)
-	results := make([]BatchResult, len(resps))
-	for i, r := range resps {
-		results[i] = BatchResult{Strategy: r.Strategy, Err: r.Err}
-		if len(r.Results) > 0 {
-			results[i].Result = r.Results[0]
-		}
-	}
-	return results
-}
-
 // CacheStats reports the engine's index-cache counters (hits, misses,
 // builds, coalesced waits on in-flight builds, evictions) for the ACT, BRJ
 // and resident-cover caches. The cover cache is keyed by bound alone — one
@@ -884,42 +667,4 @@ func (e *Engine) AggregateBatch(queries []BatchQuery, workers int) []BatchResult
 // accounting lives in Dataset.Stats.
 func (e *Engine) CacheStats() (act, brj, cover cache.Stats) {
 	return e.act.Stats(), e.brj.Stats(), e.covers.Stats()
-}
-
-// ExplainFor renders the cost comparison for a query, marking the chosen
-// plan.
-//
-// Deprecated: use Do with Request.Explain; Response.Explain carries the
-// same rendering.
-//
-//distbound:allow-background deprecated context-free API; callers hold no context to thread
-func (e *Engine) ExplainFor(numPoints int, agg Agg, bound float64, repetitions int) string {
-	return e.PlanFor(numPoints, agg, bound, repetitions).Explain()
-}
-
-// Explain is ExplainFor for a COUNT-like aggregation.
-//
-// Deprecated: use Do with Request.Explain; Response.Explain carries the
-// same rendering.
-//
-//distbound:allow-background deprecated context-free API; callers hold no context to thread
-func (e *Engine) Explain(numPoints int, bound float64, repetitions int) string {
-	return e.ExplainFor(numPoints, Count, bound, repetitions)
-}
-
-// ExplainDataset renders the cost comparison for a query over a registered
-// dataset, marking the chosen plan; the comparison includes the resident
-// learned-index strategy. It errors on handles not registered with this
-// engine.
-//
-// Deprecated: use Do with a Dataset-target Request and Request.Explain;
-// Response.Explain carries the same rendering.
-//
-//distbound:allow-background deprecated context-free API; callers hold no context to thread
-func (e *Engine) ExplainDataset(ds *Dataset, agg Agg, bound float64, repetitions int) (string, error) {
-	plan, err := e.PlanForDataset(ds, agg, bound, repetitions)
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(), nil
 }

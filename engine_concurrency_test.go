@@ -1,6 +1,7 @@
 package distbound
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -22,12 +23,12 @@ func engineReference(t *testing.T, e *Engine, ps PointSet, agg Agg, queries []mi
 	strategies := map[Strategy]bool{}
 	for round := 0; round < 2; round++ {
 		for _, q := range queries {
-			res, strat, err := e.Aggregate(ps, agg, q.bound, q.reps)
+			resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{agg}, Bound: q.bound, Repetitions: q.reps})
 			if err != nil {
 				t.Fatalf("bound %g: %v", q.bound, err)
 			}
-			ref[q.bound] = res
-			strategies[strat] = true
+			ref[q.bound] = resp.Results[0]
+			strategies[resp.Strategy] = true
 		}
 	}
 	return ref, strategies
@@ -64,12 +65,12 @@ func TestEngineConcurrentMixedBounds(t *testing.T) {
 			<-start
 			for i := 0; i < 6; i++ {
 				q := queries[(g+i)%len(queries)]
-				res, _, err := e.Aggregate(ps, Count, q.bound, q.reps)
+				resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: q.bound, Repetitions: q.reps})
 				if err != nil {
 					t.Errorf("goroutine %d bound %g: %v", g, q.bound, err)
 					return
 				}
-				want := ref[q.bound]
+				res, want := resp.Results[0], ref[q.bound]
 				for ri := range regions {
 					if res.Counts[ri] != want.Counts[ri] {
 						t.Errorf("goroutine %d bound %g region %d: %d != %d",
@@ -101,7 +102,7 @@ func TestEngineConcurrentBuildsAreDeduplicated(t *testing.T) {
 			<-start
 			// High repetitions force the ACT plan for both bounds.
 			b := []float64{8, 16}[g%2]
-			if _, _, err := e.Aggregate(ps, Count, b, 1_000_000); err != nil {
+			if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: b, Repetitions: 1_000_000}); err != nil {
 				t.Errorf("bound %g: %v", b, err)
 			}
 		}(g)
@@ -128,7 +129,7 @@ func TestEngineIndexCacheEviction(t *testing.T) {
 
 	bounds := []float64{8, 12, 16, 24}
 	for _, b := range bounds {
-		if _, _, err := e.Aggregate(ps, Count, b, 1_000_000); err != nil {
+		if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: b, Repetitions: 1_000_000}); err != nil {
 			t.Fatalf("bound %g: %v", b, err)
 		}
 	}
@@ -142,7 +143,7 @@ func TestEngineIndexCacheEviction(t *testing.T) {
 		t.Errorf("no evictions counted: %+v", st)
 	}
 	// An evicted bound is rebuilt transparently.
-	if _, _, err := e.Aggregate(ps, Count, 8, 1_000_000); err != nil {
+	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 8, Repetitions: 1_000_000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -155,7 +156,7 @@ func TestEngineCachedBuildInformsPlanner(t *testing.T) {
 	ps, _ := facadeWorkload(20000)
 	e := NewEngine(regions)
 
-	cold := e.PlanFor(len(ps.Pts), Count, 16, 1)
+	cold := e.planOnly(adHoc(len(ps.Pts), Count, 16), 1)
 	if cold.Strategy == StrategyACT {
 		t.Fatalf("cold one-shot query already plans ACT: %v", cold.Costs)
 	}
@@ -166,10 +167,10 @@ func TestEngineCachedBuildInformsPlanner(t *testing.T) {
 
 	// Warm the ACT index via a heavily repeated query, then re-plan the
 	// identical one-shot query: the ACT build cost must read as paid.
-	if _, _, err := e.Aggregate(ps, Count, 16, 1_000_000); err != nil {
+	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16, Repetitions: 1_000_000}); err != nil {
 		t.Fatal(err)
 	}
-	warm := e.PlanFor(len(ps.Pts), Count, 16, 1)
+	warm := e.planOnly(adHoc(len(ps.Pts), Count, 16), 1)
 	if got := warm.Costs[StrategyACT].Build; got != 0 {
 		t.Errorf("resident ACT index still charged build cost %g", got)
 	}
@@ -188,23 +189,30 @@ func TestEngineAggregateBatch(t *testing.T) {
 	e := NewEngine(regions)
 	e.SetMaskCacheCapacity(8) // every bound stays resident: no eviction churn
 
-	mkQueries := func() []BatchQuery {
-		var qs []BatchQuery
+	mkQueries := func() []Request {
+		var qs []Request
 		for i := 0; i < 12; i++ {
-			qs = append(qs, BatchQuery{
+			qs = append(qs, Request{
 				Points: ps,
-				Agg:    Count,
+				Aggs:   []Agg{Count},
 				Bound:  []float64{0, 16, 32, 64}[i%4],
 			})
 		}
 		return qs
 	}
+	doBatch := func(workers int) []Response {
+		resps, err := e.DoBatch(context.Background(), mkQueries(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resps
+	}
 
-	e.AggregateBatch(mkQueries(), 4) // warm every bound's plan and index
+	doBatch(4) // warm every bound's plan and index
 	queries := mkQueries()
-	seq := e.AggregateBatch(queries, 1)
+	seq := doBatch(1)
 	for _, workers := range []int{0, 4, 8} {
-		par := e.AggregateBatch(mkQueries(), workers)
+		par := doBatch(workers)
 		for i := range queries {
 			if seq[i].Err != nil || par[i].Err != nil {
 				t.Fatalf("query %d: seq err %v, par err %v", i, seq[i].Err, par[i].Err)
@@ -214,9 +222,9 @@ func TestEngineAggregateBatch(t *testing.T) {
 					workers, i, par[i].Strategy, seq[i].Strategy)
 			}
 			for ri := range regions {
-				if seq[i].Result.Counts[ri] != par[i].Result.Counts[ri] {
+				if seq[i].Results[0].Counts[ri] != par[i].Results[0].Counts[ri] {
 					t.Fatalf("workers=%d query %d region %d: %d != %d", workers, i, ri,
-						par[i].Result.Counts[ri], seq[i].Result.Counts[ri])
+						par[i].Results[0].Counts[ri], seq[i].Results[0].Counts[ri])
 				}
 			}
 		}
@@ -231,17 +239,20 @@ func TestEngineBatchAmortizesSharedBounds(t *testing.T) {
 	regions := complexRegions()
 	ps, _ := facadeWorkload(20000)
 
-	single := NewEngine(regions).PlanFor(len(ps.Pts), Count, 16, 1)
+	single := NewEngine(regions).planOnly(adHoc(len(ps.Pts), Count, 16), 1)
 	if single.Strategy == StrategyACT {
 		t.Skip("single one-shot query already plans ACT; sharing not observable")
 	}
 
 	e := NewEngine(regions)
-	queries := make([]BatchQuery, 400)
+	queries := make([]Request, 400)
 	for i := range queries {
-		queries[i] = BatchQuery{Points: ps, Agg: Count, Bound: 16}
+		queries[i] = Request{Points: ps, Aggs: []Agg{Count}, Bound: 16}
 	}
-	results := e.AggregateBatch(queries, 4)
+	results, err := e.DoBatch(context.Background(), queries, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)

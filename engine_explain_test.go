@@ -37,7 +37,7 @@ func explainFixture(t *testing.T) (*Engine, *Dataset) {
 // reviewed here, not discovered by downstream parsers.
 func TestExplainGolden(t *testing.T) {
 	e, _ := explainFixture(t)
-	got := e.Explain(50_000, 16, 10)
+	got := e.planOnly(adHoc(50_000, Count, 16), 10).Explain()
 	const want = `* exact(R*)  build=0.0ms run=22.3ms total=223.3ms
   act        build=191.9ms run=20.0ms total=391.9ms
   brj        build=43.3ms run=111.9ms total=1161.9ms
@@ -48,8 +48,8 @@ cost-model: default`
 }
 
 // TestResponseExplainGolden pins the Request/Response explain path: a
-// Request with Explain set renders exactly what the deprecated Explain
-// methods render for the same query, and a multi-aggregate set containing an
+// Request with Explain set renders exactly the plan comparison planning
+// alone produces for the same query, and a multi-aggregate set containing an
 // extreme drops the BRJ row from the comparison entirely.
 func TestResponseExplainGolden(t *testing.T) {
 	e, ds := explainFixture(t)
@@ -62,8 +62,8 @@ func TestResponseExplainGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := e.Explain(len(pts), 16, 10); resp.Explain != want {
-		t.Errorf("Response.Explain drifted from the legacy rendering:\n--- got ---\n%s\n--- want ---\n%s",
+	if want := e.planOnly(adHoc(len(pts), Count, 16), 10).Explain(); resp.Explain != want {
+		t.Errorf("Response.Explain drifted from the plan-only rendering:\n--- got ---\n%s\n--- want ---\n%s",
 			resp.Explain, want)
 	}
 
@@ -90,10 +90,10 @@ cost-model: default`
 // delta-fraction term must appear and the costs must reflect the scan).
 func TestExplainDatasetGolden(t *testing.T) {
 	e, ds := explainFixture(t)
-	got, err := e.ExplainDataset(ds, Count, 16, 10)
-	if err != nil {
-		t.Fatal(err)
+	explain := func() string {
+		return e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}, 10).Explain()
 	}
+	got := explain()
 	const wantCompact = `* exact(R*)  build=0.0ms run=22.3ms total=223.3ms
   pointidx   build=191.9ms run=6.4ms total=255.9ms
   act        build=191.9ms run=20.0ms total=391.9ms
@@ -111,10 +111,7 @@ cost-model: default`
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = e.ExplainDataset(ds, Count, 16, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got = explain()
 	const wantDelta = `* pointidx   build=191.9ms run=8.4ms total=275.8ms
   exact(R*)  build=0.0ms run=27.9ms total=279.2ms
   act        build=191.9ms run=25.0ms total=441.9ms
@@ -127,14 +124,11 @@ cost-model: default`
 
 	// Deleting the appended rows and compacting restores the original
 	// rendering exactly: same live points, no delta term.
-	if n := ds.Delete(ids...); n != 12_500 {
-		t.Fatalf("deleted %d", n)
+	if n, err := ds.Delete(ids...); n != 12_500 || err != nil {
+		t.Fatalf("deleted %d (%v)", n, err)
 	}
 	ds.Compact()
-	got, err = e.ExplainDataset(ds, Count, 16, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got = explain()
 	if got != wantCompact {
 		t.Errorf("ExplainDataset after compaction drifted:\n--- got ---\n%s\n--- want ---\n%s", got, wantCompact)
 	}

@@ -1,6 +1,7 @@
 package distbound
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"sync"
@@ -56,23 +57,23 @@ func TestDatasetMutationLifecycle(t *testing.T) {
 	}
 
 	// Deleting the appended points restores the original results exactly.
-	if n := ds.Delete(ids...); n != 500 {
-		t.Fatalf("deleted %d, want 500", n)
+	if n, err := ds.Delete(ids...); n != 500 || err != nil {
+		t.Fatalf("deleted %d (%v), want 500", n, err)
 	}
 	if got := total(); got != before {
 		t.Errorf("total %d after delete, want %d", got, before)
 	}
 
 	// Delete 1000 base points; totals shrink or stay equal per region.
-	if n := ds.Delete(ids[:0]...); n != 0 {
-		t.Errorf("empty delete reported %d", n)
+	if n, err := ds.Delete(ids[:0]...); n != 0 || err != nil {
+		t.Errorf("empty delete reported %d (%v)", n, err)
 	}
 	var baseIDs []uint64
 	for id := uint64(0); id < 1000; id++ {
 		baseIDs = append(baseIDs, id)
 	}
-	if n := ds.Delete(baseIDs...); n != 1000 {
-		t.Fatalf("deleted %d base points, want 1000", n)
+	if n, err := ds.Delete(baseIDs...); n != 1000 || err != nil {
+		t.Fatalf("deleted %d base points (%v), want 1000", n, err)
 	}
 	if ds.Len() != 4000 {
 		t.Errorf("Len %d, want 4000", ds.Len())
@@ -127,13 +128,14 @@ func TestDatasetAppendVisibleToAllStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bound ≤ 0 forces the exact strategy through the materialized path.
-	res, strat, err := e.AggregateDataset(ds, Count, 0, 1)
+	resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{Count}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat != StrategyExact {
-		t.Fatalf("bound 0 ran %v", strat)
+	if resp.Strategy != StrategyExact {
+		t.Fatalf("bound 0 ran %v", resp.Strategy)
 	}
+	res := resp.Results[0]
 	for ri := range regions {
 		if res.Counts[ri] != want.Counts[ri] {
 			t.Fatalf("region %d: exact count %d != brute force over live points %d",
@@ -193,10 +195,10 @@ func TestDatasetDeltaSurvivesPlanner(t *testing.T) {
 	}
 	ps := PointSet{Pts: pts, Weights: weights}
 	ds.SetCompactionThreshold(0) // keep the delta; this test wants the bloat
-	plan, err := e.PlanForDataset(ds, Count, 16, 100000)
-	if err != nil {
-		t.Fatal(err)
+	planNow := func() Plan {
+		return e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}, 100000)
 	}
+	plan := planNow()
 	if plan.Strategy != StrategyPointIdx {
 		t.Skipf("fixture planned %v pre-mutation; delta check needs pointidx", plan.Strategy)
 	}
@@ -208,10 +210,7 @@ func TestDatasetDeltaSurvivesPlanner(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bloated, err := e.PlanForDataset(ds, Count, 16, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bloated := planNow()
 	if bloated.Strategy != StrategyPointIdx {
 		t.Errorf("planner abandoned pointidx under a 100%% delta despite the inverted join (costs %v)", bloated.Costs)
 	}
@@ -221,20 +220,13 @@ func TestDatasetDeltaSurvivesPlanner(t *testing.T) {
 	if bloated.DeltaFraction == 0 {
 		t.Error("plan reports no delta fraction on a bloated dataset")
 	}
-	out, err := e.ExplainDataset(ds, Count, 16, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "delta:") {
-		t.Errorf("ExplainDataset omits the delta term:\n%s", out)
+	if out := bloated.Explain(); !strings.Contains(out, "delta:") {
+		t.Errorf("Explain omits the delta term:\n%s", out)
 	}
 	// Compaction folds the delta in: the fraction and the extra per-run cost
 	// both vanish.
 	ds.Compact()
-	recovered, err := e.PlanForDataset(ds, Count, 16, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recovered := planNow()
 	if recovered.Strategy != StrategyPointIdx {
 		t.Errorf("planner stuck on %v after compaction", recovered.Strategy)
 	}
@@ -312,7 +304,7 @@ func TestMutableConcurrency(t *testing.T) {
 					// Planner path: any strategy; only failure modes are
 					// races/panics and non-unregister errors.
 					agg := aggs[rng.Intn(len(aggs))]
-					res, _, err := e.AggregateDataset(ds, agg, bound, 100000)
+					resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{agg}, Bound: bound, Repetitions: 100000})
 					if err != nil {
 						if unregister.Load() && strings.Contains(err.Error(), "not registered") {
 							return
@@ -320,7 +312,7 @@ func TestMutableConcurrency(t *testing.T) {
 						failures[g] = err
 						return
 					}
-					if res.NumRegions() != len(regions) {
+					if resp.Results[0].NumRegions() != len(regions) {
 						failures[g] = errDrift
 						return
 					}
@@ -350,37 +342,5 @@ func TestMutableConcurrency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
-	}
-}
-
-// TestDatasetCompactionWalls pins the wall-time accounting: exactly one
-// sample per completed generation — a compaction with nothing pending
-// publishes no generation and records no sample.
-func TestDatasetCompactionWalls(t *testing.T) {
-	_, ds, ps, _ := residentFixture(t, 5000)
-	if walls := ds.CompactionWalls(); len(walls) != 0 {
-		t.Fatalf("fresh dataset has %d wall samples", len(walls))
-	}
-
-	ds.Compact() // nothing pending: no generation, no sample
-	if walls := ds.CompactionWalls(); len(walls) != 0 {
-		t.Fatalf("no-op compaction recorded %d wall samples", len(walls))
-	}
-
-	if _, err := ds.Append(ps.Pts[:100], ps.Weights[:100]); err != nil {
-		t.Fatal(err)
-	}
-	ds.Compact()
-	walls := ds.CompactionWalls()
-	if len(walls) != 1 || walls[0] <= 0 {
-		t.Fatalf("one real compaction recorded %v", walls)
-	}
-	if gen := ds.Generation(); gen != uint64(len(walls)) {
-		t.Fatalf("generation %d but %d wall samples", gen, len(walls))
-	}
-
-	ds.Compact() // pending drained: again no sample
-	if got := ds.CompactionWalls(); len(got) != 1 {
-		t.Fatalf("no-op compaction after drain recorded %v", got)
 	}
 }

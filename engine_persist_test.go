@@ -204,29 +204,28 @@ func TestPersistRegistrationErrors(t *testing.T) {
 	}
 }
 
-// TestDeleteCheckedSurfacesDurableError: a delete whose log write fails
-// still reports its live count, but DeleteChecked also returns the wedge
-// error that plain Delete discards, and the dataset refuses later
-// mutations.
-func TestDeleteCheckedSurfacesDurableError(t *testing.T) {
+// TestDeleteSurfacesDurableError: a delete whose log write fails still
+// reports its live count — the removal is visible in memory — beside the
+// wedge error, and the dataset refuses later mutations.
+func TestDeleteSurfacesDurableError(t *testing.T) {
 	_, ds, ps := requestFixture(t)
-	if n, err := ds.DeleteChecked(9); n != 1 || err != nil {
-		t.Fatalf("non-durable DeleteChecked = (%d, %v), want (1, nil)", n, err)
+	if n, err := ds.Delete(9); n != 1 || err != nil {
+		t.Fatalf("non-durable Delete = (%d, %v), want (1, nil)", n, err)
 	}
 	fs := errorfs.New()
 	if err := ds.Persist("db", PersistConfig{fs: fs}); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := ds.DeleteChecked(10); n != 1 || err != nil {
-		t.Fatalf("healthy durable DeleteChecked = (%d, %v), want (1, nil)", n, err)
+	if n, err := ds.Delete(10); n != 1 || err != nil {
+		t.Fatalf("healthy durable Delete = (%d, %v), want (1, nil)", n, err)
 	}
 	fs.FailAt(fs.Ops()) // the very next call: the delete's log record write
-	n, err := ds.DeleteChecked(11)
+	n, err := ds.Delete(11)
 	if n != 1 {
 		t.Fatalf("lost-log delete reported %d live rows, want 1", n)
 	}
 	if err == nil {
-		t.Fatal("DeleteChecked swallowed the log failure")
+		t.Fatal("Delete swallowed the log failure")
 	}
 	if ds.Stats().DurableErr == nil {
 		t.Fatal("log failure did not wedge the dataset")
@@ -234,8 +233,8 @@ func TestDeleteCheckedSurfacesDurableError(t *testing.T) {
 	if _, err := ds.Append(ps.Pts[:1], ps.Weights[:1]); err == nil {
 		t.Fatal("wedged dataset accepted an append")
 	}
-	if n, err := ds.DeleteChecked(12); n != 0 || err == nil {
-		t.Fatalf("wedged DeleteChecked = (%d, %v), want (0, refused)", n, err)
+	if n, err := ds.Delete(12); n != 0 || err == nil {
+		t.Fatalf("wedged Delete = (%d, %v), want (0, refused)", n, err)
 	}
 }
 

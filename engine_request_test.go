@@ -38,8 +38,8 @@ func requestFixture(t *testing.T) (*Engine, *Dataset, PointSet) {
 }
 
 // TestDoMultiAggBitIdenticalToLegacy pins the acceptance criterion: one Do
-// with all five aggregates returns, per aggregate, exactly what the legacy
-// single-aggregate path returns — for every strategy, on both targets,
+// with all five aggregates returns, per aggregate, exactly what a
+// single-aggregate request returns — for every strategy, on both targets,
 // pre- and post-compaction.
 func TestDoMultiAggBitIdenticalToLegacy(t *testing.T) {
 	e, ds, ps := requestFixture(t)
@@ -123,7 +123,7 @@ func TestDoRequestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := e.PlanFor(len(ps.Pts), Count, 64, 1); resp.Plan.Strategy != want.Strategy {
+	if want := e.planOnly(adHoc(len(ps.Pts), Count, 64), 1); resp.Plan.Strategy != want.Strategy {
 		t.Errorf("negative repetitions planned %v, reps=1 plans %v", resp.Plan.Strategy, want.Strategy)
 	}
 }
@@ -285,44 +285,6 @@ func TestDoBatchCancellation(t *testing.T) {
 	}
 
 	waitNoExtraGoroutines(t, base)
-}
-
-// TestDoBatchMatchesLegacyAggregateBatch: the deprecated wrapper and DoBatch
-// agree request-for-request, including strategy choice under shared-bound
-// amortization.
-func TestDoBatchMatchesLegacyAggregateBatch(t *testing.T) {
-	e, ds, ps := requestFixture(t)
-	queries := []BatchQuery{
-		{Points: ps, Agg: Count, Bound: 16, Repetitions: 500},
-		{Dataset: ds, Agg: Sum, Bound: 16, Repetitions: 500},
-		{Points: ps, Agg: Min, Bound: 16, Repetitions: 500},
-		{Points: ps, Agg: Count, Bound: 0},
-	}
-	// Warm every artifact the batch can touch so both calls below plan
-	// against the same cache state — comparing a cold plan to a warm one
-	// would test cost-model drift, not wrapper fidelity.
-	e.AggregateBatch(queries, 2)
-	legacy := e.AggregateBatch(queries, 2)
-	reqs := make([]Request, len(queries))
-	for i, q := range queries {
-		reqs[i] = Request{Dataset: q.Dataset, Aggs: []Agg{q.Agg}, Bound: q.Bound, Repetitions: q.Repetitions}
-		if q.Dataset == nil {
-			reqs[i].Points = q.Points
-		}
-	}
-	resps, err := e.DoBatch(context.Background(), reqs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range queries {
-		if legacy[i].Err != nil || resps[i].Err != nil {
-			t.Fatalf("query %d: errs %v / %v", i, legacy[i].Err, resps[i].Err)
-		}
-		if legacy[i].Strategy != resps[i].Strategy {
-			t.Errorf("query %d: strategies %v / %v", i, legacy[i].Strategy, resps[i].Strategy)
-		}
-		testutil.CheckIdentical(t, "legacy vs DoBatch", legacy[i].Result, resps[i].Results[0])
-	}
 }
 
 // TestWorkersNormalizedInOnePlace pins the Workers ≤ 0 normalization to

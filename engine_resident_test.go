@@ -1,6 +1,7 @@
 package distbound
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -52,20 +53,22 @@ func TestRegisterPoints(t *testing.T) {
 func TestUnregisterPoints(t *testing.T) {
 	e, ds, ps, _ := residentFixture(t, 200_000)
 	// Warm a cover artifact for the first dataset.
-	first, strat, err := e.AggregateDataset(ds, Count, 16, 100000)
+	ctx := context.Background()
+	resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Repetitions: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat != StrategyPointIdx {
-		t.Skipf("fixture planned %v; lifecycle check needs pointidx", strat)
+	if resp.Strategy != StrategyPointIdx {
+		t.Skipf("fixture planned %v; lifecycle check needs pointidx", resp.Strategy)
 	}
+	first := resp.Results[0]
 	if !e.UnregisterPoints("taxi") {
 		t.Fatal("unregister reported no dataset")
 	}
 	if e.UnregisterPoints("taxi") {
 		t.Error("double unregister reported a dataset")
 	}
-	if _, _, err := e.AggregateDataset(ds, Count, 16, 1); err == nil {
+	if _, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}); err == nil {
 		t.Error("stale handle accepted after unregister")
 	}
 	// Re-register the same name with HALF the points: results must reflect
@@ -75,10 +78,11 @@ func TestUnregisterPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, _, err := e.AggregateDataset(ds2, Count, 16, 100000)
+	resp, err = e.Do(ctx, Request{Dataset: ds2, Aggs: []Agg{Count}, Bound: 16, Repetitions: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	second := resp.Results[0]
 	var totFirst, totSecond int64
 	for ri := range first.Counts {
 		totFirst += first.Counts[ri]
@@ -90,24 +94,22 @@ func TestUnregisterPoints(t *testing.T) {
 	}
 }
 
+// TestAggregateDatasetRejectsForeignHandle: a handle registered with another
+// engine is keyed over that engine's domain; Do and DoBatch must refuse it
+// rather than probe it with this engine's covers.
 func TestAggregateDatasetRejectsForeignHandle(t *testing.T) {
 	_, ds, _, regions := residentFixture(t, 1000)
 	other := NewEngine(regions[:4])
-	if _, _, err := other.AggregateDataset(ds, Count, 16, 1); err == nil {
-		t.Error("foreign dataset handle accepted")
+	req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}
+	if _, err := other.Do(context.Background(), req); err == nil {
+		t.Error("Do accepted a foreign dataset handle")
 	}
-	if _, _, err := other.AggregateDataset(nil, Count, 16, 1); err == nil {
-		t.Error("nil dataset handle accepted")
+	resps, err := other.DoBatch(context.Background(), []Request{req}, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := other.AggregateBatch([]BatchQuery{{Dataset: ds, Agg: Count, Bound: 16}}, 1)
-	if res[0].Err == nil {
-		t.Error("batch accepted a foreign dataset handle")
-	}
-	if _, err := other.PlanForDataset(ds, Count, 16, 1); err == nil {
-		t.Error("PlanForDataset accepted a foreign dataset handle")
-	}
-	if _, err := other.ExplainDataset(nil, Count, 16, 1); err == nil {
-		t.Error("ExplainDataset accepted a nil handle")
+	if resps[0].Err == nil {
+		t.Error("DoBatch accepted a foreign dataset handle")
 	}
 }
 
@@ -116,26 +118,19 @@ func TestAggregateDatasetRejectsForeignHandle(t *testing.T) {
 // the learned-index strategy, and Explain must list it.
 func TestResidentPlannerSelectsPointIdx(t *testing.T) {
 	e, ds, _, _ := residentFixture(t, 200_000)
-	plan, err := e.PlanForDataset(ds, Count, 16, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}, 100000)
 	if plan.Strategy != StrategyPointIdx {
 		t.Errorf("repeated resident COUNT planned %v (costs: %v)", plan.Strategy, plan.Costs)
 	}
-	out, err := e.ExplainDataset(ds, Count, 16, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "pointidx") || !strings.Contains(out, "*") {
-		t.Errorf("ExplainDataset output unexpected:\n%s", out)
+	if out := plan.Explain(); !strings.Contains(out, "pointidx") || !strings.Contains(out, "*") {
+		t.Errorf("Explain output unexpected:\n%s", out)
 	}
 	// Exact requirement still forces the exact plan; ad-hoc planning is
 	// untouched by dataset registration.
-	if p, err := e.PlanForDataset(ds, Count, 0, 100000); err != nil || p.Strategy != StrategyExact {
-		t.Errorf("bound 0 resident query planned %v (err %v)", p.Strategy, err)
+	if p := e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}}, 100000); p.Strategy != StrategyExact {
+		t.Errorf("bound 0 resident query planned %v", p.Strategy)
 	}
-	if p := e.Plan(200_000, 16, 100000); p.Strategy == StrategyPointIdx {
+	if p := e.planOnly(adHoc(200_000, Count, 16), 100000); p.Strategy == StrategyPointIdx {
 		t.Error("ad-hoc plan chose the resident strategy")
 	}
 }
@@ -163,13 +158,14 @@ func TestAggregateDatasetMatchesStreaming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, strat, err := e.AggregateDataset(ds, agg, bound, 100000)
+		resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{agg}, Bound: bound, Repetitions: 100000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strat != StrategyPointIdx {
-			t.Fatalf("%v: resident query ran %v, want pointidx", agg, strat)
+		if resp.Strategy != StrategyPointIdx {
+			t.Fatalf("%v: resident query ran %v, want pointidx", agg, resp.Strategy)
 		}
+		res := resp.Results[0]
 		for ri := range regions {
 			if res.Counts[ri] != want.Counts[ri] {
 				t.Fatalf("%v region %d: resident count %d != ACT %d",
@@ -185,13 +181,14 @@ func TestAggregateDatasetMatchesStreaming(t *testing.T) {
 	}
 
 	// Exact plan on the resident handle streams the original points.
-	res, strat, err := e.AggregateDataset(ds, Count, 0, 1)
+	resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{Count}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat != StrategyExact {
-		t.Fatalf("bound 0 ran %v", strat)
+	if resp.Strategy != StrategyExact {
+		t.Fatalf("bound 0 ran %v", resp.Strategy)
 	}
+	res := resp.Results[0]
 	brute, _ := BruteForceJoin(ps, regions, Count)
 	for ri := range regions {
 		if res.Counts[ri] != brute.Counts[ri] {
@@ -205,13 +202,16 @@ func TestAggregateDatasetMatchesStreaming(t *testing.T) {
 // participation.
 func TestAggregateBatchWithDatasets(t *testing.T) {
 	e, ds, ps, regions := residentFixture(t, 200_000)
-	queries := []BatchQuery{
-		{Dataset: ds, Agg: Count, Bound: 16, Repetitions: 100000},
-		{Points: ps, Agg: Count, Bound: 16, Repetitions: 1},
-		{Dataset: ds, Agg: Sum, Bound: 16, Repetitions: 100000},
-		{Dataset: ds, Agg: Count, Bound: 0, Repetitions: 1},
+	queries := []Request{
+		{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Repetitions: 100000},
+		{Points: ps, Aggs: []Agg{Count}, Bound: 16, Repetitions: 1},
+		{Dataset: ds, Aggs: []Agg{Sum}, Bound: 16, Repetitions: 100000},
+		{Dataset: ds, Aggs: []Agg{Count}, Bound: 0, Repetitions: 1},
 	}
-	results := e.AggregateBatch(queries, 0)
+	results, err := e.DoBatch(context.Background(), queries, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
@@ -226,17 +226,18 @@ func TestAggregateBatchWithDatasets(t *testing.T) {
 	// The handle-bearing and ad-hoc COUNT queries at the same bound agree
 	// bit-identically whenever both run conservative-cover strategies over
 	// the same points.
-	single, strat, err := e.AggregateDataset(ds, Count, 16, 100000)
+	resp, err := e.Do(context.Background(), queries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strat != StrategyPointIdx {
-		t.Fatalf("single resident query ran %v", strat)
+	if resp.Strategy != StrategyPointIdx {
+		t.Fatalf("single resident query ran %v", resp.Strategy)
 	}
+	single := resp.Results[0]
 	for ri := range regions {
-		if results[0].Result.Counts[ri] != single.Counts[ri] {
+		if results[0].Results[0].Counts[ri] != single.Counts[ri] {
 			t.Fatalf("region %d: batch resident count %d != single %d",
-				ri, results[0].Result.Counts[ri], single.Counts[ri])
+				ri, results[0].Results[0].Counts[ri], single.Counts[ri])
 		}
 	}
 	_, _, cover := e.CacheStats()
@@ -259,14 +260,14 @@ func TestResidentConcurrency(t *testing.T) {
 	// Reference results on a warm engine.
 	want := map[float64]Result{}
 	for _, b := range bounds {
-		res, strat, err := e.AggregateDataset(ds, Count, b, 100000)
+		resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{Count}, Bound: b, Repetitions: 100000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strat != StrategyPointIdx {
-			t.Skipf("fixture planned %v at bound %g; concurrency check needs pointidx", strat, b)
+		if resp.Strategy != StrategyPointIdx {
+			t.Skipf("fixture planned %v at bound %g; concurrency check needs pointidx", resp.Strategy, b)
 		}
-		want[b] = res
+		want[b] = resp.Results[0]
 	}
 
 	// Fresh engine so every goroutine races on cold cover builds; also
@@ -292,11 +293,12 @@ func TestResidentConcurrency(t *testing.T) {
 			}
 			for i := 0; i < 6; i++ {
 				b := bounds[(g+i)%len(bounds)]
-				res, _, err := e2.AggregateDataset(ds2, Count, b, 100000)
+				resp, err := e2.Do(context.Background(), Request{Dataset: ds2, Aggs: []Agg{Count}, Bound: b, Repetitions: 100000})
 				if err != nil {
 					errs[g] = err
 					return
 				}
+				res := resp.Results[0]
 				for ri := range res.Counts {
 					if res.Counts[ri] != want[b].Counts[ri] {
 						errs[g] = errDrift

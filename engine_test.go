@@ -1,6 +1,7 @@
 package distbound
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,10 +16,11 @@ func dataRegions(seed int64, cols, rows, ptsPerEdge int) []Region {
 func TestEngineExactWhenNoBound(t *testing.T) {
 	ps, regions := facadeWorkload(10000)
 	e := NewEngine(regions)
-	res, strategy, err := e.Aggregate(ps, Count, 0, 1)
+	resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, strategy := resp.Results[0], resp.Strategy
 	if strategy != StrategyExact {
 		t.Errorf("no bound: ran %v", strategy)
 	}
@@ -43,10 +45,11 @@ func TestEngineApproximateStrategiesAccurate(t *testing.T) {
 	}{
 		{64, 1}, {16, 100000},
 	} {
-		res, strategy, err := e.Aggregate(ps, Count, q.bound, q.reps)
+		resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: q.bound, Repetitions: q.reps})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res, strategy := resp.Results[0], resp.Strategy
 		if med := MedianRelativeError(res, exact); med > 0.02 {
 			t.Errorf("bound=%g reps=%d (%v): median error %g", q.bound, q.reps, strategy, med)
 		}
@@ -65,15 +68,16 @@ func complexRegions() []Region {
 func TestEnginePlanSwitchesWithRepetitions(t *testing.T) {
 	regions := complexRegions()
 	e := NewEngine(regions)
-	oneShot := e.Plan(2_000_000, 2, 1)
-	repeated := e.Plan(2_000_000, 2, 100000)
+	req := adHoc(2_000_000, Count, 2)
+	oneShot := e.planOnly(req, 1)
+	repeated := e.planOnly(req, 100000)
 	if oneShot.Strategy == StrategyACT {
 		t.Errorf("one-shot fine-bound query planned ACT: %v", oneShot.Costs)
 	}
 	if repeated.Strategy != StrategyACT {
 		t.Errorf("heavily repeated query planned %v: %v", repeated.Strategy, repeated.Costs)
 	}
-	out := e.Explain(2_000_000, 2, 100000)
+	out := repeated.Explain()
 	if !strings.Contains(out, "act") || !strings.Contains(out, "*") {
 		t.Errorf("Explain output unexpected:\n%s", out)
 	}
@@ -84,14 +88,14 @@ func TestEngineMinMaxAvoidsBRJ(t *testing.T) {
 	e := NewEngine(regions)
 	// Force a setup where BRJ would normally be planned (coarse bound,
 	// one-shot) and verify MIN falls back to a supporting strategy.
-	res, strategy, err := e.Aggregate(ps, Min, 64, 1)
+	resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Min}, Bound: 64})
 	if err != nil {
-		t.Fatalf("MIN via engine failed (%v): %v", strategy, err)
+		t.Fatalf("MIN via engine failed (%v): %v", resp.Strategy, err)
 	}
-	if strategy == StrategyBRJ {
+	if resp.Strategy == StrategyBRJ {
 		t.Error("MIN ran on BRJ")
 	}
-	if res.NumRegions() != len(regions) {
+	if resp.Results[0].NumRegions() != len(regions) {
 		t.Error("result size wrong")
 	}
 }
@@ -102,12 +106,12 @@ func TestEnginePlanReflectsMinMaxFallback(t *testing.T) {
 	e := NewEngine(regions)
 	// The COUNT plan for this query must pick BRJ — otherwise the fallback
 	// scenario is not exercised and this test is vacuous.
-	countPlan := e.PlanFor(len(ps.Pts), Count, 64, 1)
+	countPlan := e.planOnly(adHoc(len(ps.Pts), Count, 64), 1)
 	if countPlan.Strategy != StrategyBRJ {
 		t.Fatalf("COUNT plan chose %v, not BRJ — workload no longer exercises the fallback; costs: %v",
 			countPlan.Strategy, countPlan.Costs)
 	}
-	plan := e.PlanFor(len(ps.Pts), Min, 64, 1)
+	plan := e.planOnly(adHoc(len(ps.Pts), Min, 64), 1)
 	if plan.Strategy == StrategyBRJ {
 		t.Error("MIN plan reports BRJ, which cannot run MIN")
 	}
@@ -115,15 +119,15 @@ func TestEnginePlanReflectsMinMaxFallback(t *testing.T) {
 		t.Error("MIN plan still lists BRJ as an alternative")
 	}
 	// The executed strategy must match the reported plan exactly.
-	_, strategy, err := e.Aggregate(ps, Min, 64, 1)
+	resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Min}, Bound: 64, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strategy != plan.Strategy {
-		t.Errorf("Aggregate ran %v but PlanFor reported %v", strategy, plan.Strategy)
+	if resp.Strategy != plan.Strategy {
+		t.Errorf("Do ran %v but the plan reported %v", resp.Strategy, plan.Strategy)
 	}
-	if out := e.ExplainFor(len(ps.Pts), Min, 64, 1); strings.Contains(out, "brj") {
-		t.Errorf("ExplainFor(MIN) still mentions brj:\n%s", out)
+	if strings.Contains(resp.Explain, "brj") {
+		t.Errorf("Explain for MIN still mentions brj:\n%s", resp.Explain)
 	}
 }
 
@@ -133,7 +137,7 @@ func TestEngineCachesACTIndex(t *testing.T) {
 	e := NewEngine(regions)
 	// Two aggregations at the same bound with huge repetitions: the second
 	// must reuse the cached index (observable via the map).
-	if _, _, err := e.Aggregate(ps, Count, 16, 1_000_000); err != nil {
+	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16, Repetitions: 1_000_000}); err != nil {
 		t.Fatal(err)
 	}
 	if e.act.Len() != 1 {
@@ -143,7 +147,7 @@ func TestEngineCachesACTIndex(t *testing.T) {
 	if !ok {
 		t.Fatal("bound 16 not resident")
 	}
-	if _, _, err := e.Aggregate(ps, Count, 16, 1_000_000); err != nil {
+	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16, Repetitions: 1_000_000}); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := e.act.Peek(16); got != idx {

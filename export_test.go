@@ -29,3 +29,15 @@ func (e *Engine) dropPartials(ds *Dataset, bound float64) {
 		}
 	}
 }
+
+// planOnly returns the plan Do would fix for req at an effective repetition
+// count, without executing anything — the hook for plan-only assertions.
+func (e *Engine) planOnly(req Request, reps int) Plan {
+	return e.planRequest(req, reps, nil)
+}
+
+// adHoc is a one-aggregate request over n ad-hoc points; the planner reads
+// only their count.
+func adHoc(n int, agg Agg, bound float64) Request {
+	return Request{Points: PointSet{Pts: make([]Point, n)}, Aggs: []Agg{agg}, Bound: bound}
+}

@@ -4,7 +4,7 @@
 // and cache waits — so a fresh background context inside the library is
 // almost always a severed cancellation chain. Commands, examples and tests
 // own their contexts and are exempt; a library declaration that genuinely
-// must detach (a deprecated context-free wrapper, a build shared across
+// must detach (a context-free convenience wrapper, a build shared across
 // waiters) carries a //distbound:allow-background directive with a reason.
 package ctxflow
 

@@ -15,15 +15,15 @@ import (
 	"time"
 )
 
-// errBuildPanicked is what waiters coalesced onto a build receive when that
-// build panics; the panicking goroutine itself sees the panic.
+// errBuildPanicked is what every waiter on a build receives when that build
+// panics; the panic itself is contained on the builder goroutine.
 var errBuildPanicked = errors.New("cache: build panicked")
 
 // Stats counts cache events since construction.
 type Stats struct {
-	// Hits is the number of GetOrBuild calls answered from a resident entry.
+	// Hits is the number of lookups answered from a resident entry.
 	Hits int64
-	// Misses is the number of GetOrBuild calls that found no entry.
+	// Misses is the number of GetOrBuildCtx calls that found no entry.
 	Misses int64
 	// Builds is the number of build functions actually executed (one per
 	// miss; concurrent callers arriving during a build count as hits).
@@ -41,9 +41,8 @@ type Stats struct {
 // entry is one cache slot. ready is closed once val/err are final; waiters
 // block on it without holding the cache lock, so a slow build never stalls
 // lookups of other keys. waiters counts the callers still interested in an
-// in-flight build; when the last of them cancels, cancelBuild (set only for
-// context-aware builds) cancels the build's own context so abandoned work
-// stops burning CPU.
+// in-flight build; when the last of them cancels, cancelBuild cancels the
+// build's own context so abandoned work stops burning CPU.
 type entry[K comparable, V any] struct {
 	key         K
 	val         V
@@ -88,37 +87,20 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	return c
 }
 
-// GetOrBuild returns the cached value for key, building it with build on a
+// GetOrBuildCtx returns the cached value for key, building it with build on a
 // miss. Concurrent calls for the same missing key run build once and share
-// the outcome. A failed build is not cached: every waiter receives the
-// error and the next GetOrBuild retries.
-func (c *Cache[K, V]) GetOrBuild(key K, build func() (V, error)) (V, error) {
-	c.mu.Lock()
-	if e, ok := c.lookup(key); ok {
-		c.noteHit(e)
-		c.mu.Unlock()
-		<-e.ready
-		return e.val, e.err
-	}
-	e := c.insertMiss(key, nil)
-	c.mu.Unlock()
-	c.runBuild(e, build)
-	return e.val, e.err
-}
-
-// GetOrBuildCtx is GetOrBuild under a context. The wait — on a build this
-// call starts or on one already in flight — aborts with ctx.Err() when ctx
-// is canceled, without disturbing the build or its other waiters: builds run
-// on their own goroutine, so the cache and its singleflight state stay
-// consistent no matter when callers leave. Each in-flight build carries its
-// own context, passed to the build function and canceled only when the last
-// interested caller has gone — a build every caller abandoned stops burning
-// CPU (if it watches its context), fails with that context's error, and is
-// dropped so the next call retries; a build that still has waiters runs to
-// completion and is cached as usual. Callers arriving via GetOrBuild count
-// as permanently interested. A panicking build fails every waiter with an
-// error and is contained on the builder goroutine — it never crashes the
-// process.
+// the outcome. A failed build is not cached: every waiter receives the error
+// and the next call retries. The wait — on a build this call starts or on one
+// already in flight — aborts with ctx.Err() when ctx is canceled, without
+// disturbing the build or its other waiters: builds run on their own
+// goroutine, so the cache and its singleflight state stay consistent no
+// matter when callers leave. Each in-flight build carries its own context,
+// passed to the build function and canceled only when the last interested
+// caller has gone — a build every caller abandoned stops burning CPU (if it
+// watches its context), fails with that context's error, and is dropped so
+// the next call retries; a build that still has waiters runs to completion
+// and is cached as usual. A panicking build fails every waiter with an error
+// and is contained on the builder goroutine — it never crashes the process.
 //
 //distbound:allow-background the build context is shared by all waiters and must outlive any one caller; cancellation is refcounted separately
 func (c *Cache[K, V]) GetOrBuildCtx(ctx context.Context, key K, build func(context.Context) (V, error)) (V, error) {
@@ -138,8 +120,7 @@ func (c *Cache[K, V]) GetOrBuildCtx(ctx context.Context, key K, build func(conte
 			// own deferred cleanup has already released the build slot,
 			// dropped the entry and failed every waiter with errBuildPanicked
 			// by the time the panic reaches here, so swallowing it loses
-			// nothing — unlike GetOrBuild, where the builder IS the caller
-			// and the panic propagates to it as before.
+			// nothing.
 			defer func() { _ = recover() }()
 			c.runBuild(e, func() (V, error) { return build(bctx) })
 		}()
@@ -159,7 +140,7 @@ func (c *Cache[K, V]) GetOrBuildCtx(ctx context.Context, key K, build func(conte
 	default:
 	}
 	e.waiters--
-	if e.waiters == 0 && e.cancelBuild != nil {
+	if e.waiters == 0 {
 		e.cancelBuild()
 		e.abandoned = true
 	}
@@ -287,9 +268,9 @@ func (c *Cache[K, V]) lookupReady(key K) (*entry[K, V], bool) {
 
 // GetReady returns the value cached under key iff its build has completed
 // successfully, recording a hit and refreshing recency exactly as
-// GetOrBuild's warm path would. A missing, in-flight or abandoned entry
+// GetOrBuildCtx's warm path would. A missing, in-flight or abandoned entry
 // returns false without recording anything — the caller falls back to
-// GetOrBuild/GetOrBuildCtx, whose stats then tell the full story. It exists
+// GetOrBuildCtx, whose stats then tell the full story. It exists
 // as the allocation-free warm path: unlike GetOrBuildCtx it takes no build
 // closure, so a hot serving loop heap-allocates nothing to ask for an
 // artifact that is almost always resident.

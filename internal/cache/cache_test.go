@@ -10,12 +10,18 @@ import (
 	"testing"
 )
 
+// get is GetOrBuildCtx under a context that never cancels, with a build that
+// ignores its own.
+func get[K comparable, V any](c *Cache[K, V], key K, build func() (V, error)) (V, error) {
+	return c.GetOrBuildCtx(context.Background(), key, func(context.Context) (V, error) { return build() })
+}
+
 func TestGetOrBuildCachesValue(t *testing.T) {
 	c := New[int, string](4)
 	builds := 0
 	build := func() (string, error) { builds++; return "v", nil }
 	for i := 0; i < 3; i++ {
-		v, err := c.GetOrBuild(7, build)
+		v, err := get(c, 7, build)
 		if err != nil || v != "v" {
 			t.Fatalf("get %d: %q, %v", i, v, err)
 		}
@@ -34,10 +40,10 @@ func TestLRUEvictionOrder(t *testing.T) {
 	mk := func(k int) func() (int, error) {
 		return func() (int, error) { return k * 10, nil }
 	}
-	c.GetOrBuild(1, mk(1))
-	c.GetOrBuild(2, mk(2))
-	c.GetOrBuild(1, mk(1)) // bump 1; 2 is now LRU
-	c.GetOrBuild(3, mk(3)) // evicts 2
+	get(c, 1, mk(1))
+	get(c, 2, mk(2))
+	get(c, 1, mk(1)) // bump 1; 2 is now LRU
+	get(c, 3, mk(3)) // evicts 2
 	if c.Contains(2) {
 		t.Error("2 not evicted")
 	}
@@ -55,13 +61,13 @@ func TestLRUEvictionOrder(t *testing.T) {
 func TestFailedBuildNotCached(t *testing.T) {
 	c := New[int, int](2)
 	boom := errors.New("boom")
-	if _, err := c.GetOrBuild(1, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, err := get(c, 1, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err %v", err)
 	}
 	if c.Contains(1) {
 		t.Error("failed build cached")
 	}
-	v, err := c.GetOrBuild(1, func() (int, error) { return 5, nil })
+	v, err := get(c, 1, func() (int, error) { return 5, nil })
 	if err != nil || v != 5 {
 		t.Fatalf("retry: %d, %v", v, err)
 	}
@@ -69,15 +75,15 @@ func TestFailedBuildNotCached(t *testing.T) {
 
 func TestFailedBuildDoesNotEvictResidents(t *testing.T) {
 	c := New[int, int](1)
-	c.GetOrBuild(1, func() (int, error) { return 1, nil })
-	if _, err := c.GetOrBuild(2, func() (int, error) { return 0, errors.New("boom") }); err == nil {
+	get(c, 1, func() (int, error) { return 1, nil })
+	if _, err := get(c, 2, func() (int, error) { return 0, errors.New("boom") }); err == nil {
 		t.Fatal("build error lost")
 	}
 	if !c.Contains(1) {
 		t.Error("failed build for key 2 evicted the resident key 1")
 	}
 	// A successful build still evicts the LRU resident.
-	c.GetOrBuild(3, func() (int, error) { return 3, nil })
+	get(c, 3, func() (int, error) { return 3, nil })
 	if c.Contains(1) || !c.Contains(3) || c.Len() != 1 {
 		t.Error("successful build did not take over the capacity-1 cache")
 	}
@@ -91,31 +97,26 @@ func TestPanickingBuildDoesNotWedgeKey(t *testing.T) {
 		// Coalesce onto the panicking build: this call must be released
 		// with an error, not block forever.
 		<-waiting
-		_, err := c.GetOrBuild(1, func() (int, error) { return 9, nil })
+		_, err := get(c, 1, func() (int, error) { return 9, nil })
 		gotErr <- err
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("panic did not propagate to the builder")
-			}
-		}()
-		c.GetOrBuild(1, func() (int, error) {
-			close(waiting)
-			// Give the waiter a moment to coalesce before panicking.
-			for i := 0; i < 1000; i++ {
-				runtime.Gosched()
-			}
-			panic("builder bug")
-		})
-	}()
+	if _, err := get(c, 1, func() (int, error) {
+		close(waiting)
+		// Give the waiter a moment to coalesce before panicking.
+		for i := 0; i < 1000; i++ {
+			runtime.Gosched()
+		}
+		panic("builder bug")
+	}); err == nil {
+		t.Error("the caller that started the panicking build got a nil error")
+	}
 	if err := <-gotErr; err == nil {
 		// The waiter may also have raced in after the cleanup and rebuilt
 		// successfully — both outcomes are fine; a hang is the bug.
 		t.Log("waiter retried after cleanup and succeeded")
 	}
 	// The key is not wedged: a fresh build succeeds.
-	v, err := c.GetOrBuild(1, func() (int, error) { return 42, nil })
+	v, err := get(c, 1, func() (int, error) { return 42, nil })
 	if err != nil || v != 42 {
 		t.Fatalf("key wedged after panic: %d, %v", v, err)
 	}
@@ -132,7 +133,7 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for k := 0; k < 4; k++ {
-				v, err := c.GetOrBuild(k, func() (int, error) {
+				v, err := get(c, k, func() (int, error) {
 					builds.Add(1)
 					return k + 100, nil
 				})
@@ -155,7 +156,7 @@ func TestCoalescedWaitsAreCounted(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		c.GetOrBuild(1, func() (int, error) {
+		get(c, 1, func() (int, error) {
 			close(inBuild)
 			<-release
 			return 1, nil
@@ -165,7 +166,7 @@ func TestCoalescedWaitsAreCounted(t *testing.T) {
 	<-inBuild // the build is provably in flight
 	waited := make(chan struct{})
 	go func() {
-		c.GetOrBuild(1, func() (int, error) { return 0, errors.New("must coalesce") })
+		get(c, 1, func() (int, error) { return 0, errors.New("must coalesce") })
 		close(waited)
 	}()
 	// The waiter registers as a hit (coalesced) before blocking on ready;
@@ -191,7 +192,7 @@ func TestBuildConcurrencyGatedByCapacity(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			c.GetOrBuild(k, func() (int, error) {
+			get(c, k, func() (int, error) {
 				n := concurrent.Add(1)
 				for {
 					p := peak.Load()
@@ -218,7 +219,7 @@ func TestBuildConcurrencyGatedByCapacity(t *testing.T) {
 func TestSetCapacityShrinks(t *testing.T) {
 	c := New[int, int](8)
 	for k := 0; k < 6; k++ {
-		c.GetOrBuild(k, func() (int, error) { return k, nil })
+		get(c, k, func() (int, error) { return k, nil })
 	}
 	c.SetCapacity(2)
 	if c.Len() != 2 {
@@ -232,12 +233,12 @@ func TestSetCapacityShrinks(t *testing.T) {
 
 func TestPeekDoesNotBumpRecency(t *testing.T) {
 	c := New[int, int](2)
-	c.GetOrBuild(1, func() (int, error) { return 1, nil })
-	c.GetOrBuild(2, func() (int, error) { return 2, nil })
+	get(c, 1, func() (int, error) { return 1, nil })
+	get(c, 2, func() (int, error) { return 2, nil })
 	if v, ok := c.Peek(1); !ok || v != 1 {
 		t.Fatalf("peek: %d, %v", v, ok)
 	}
-	c.GetOrBuild(3, func() (int, error) { return 3, nil }) // evicts 1 (peek did not bump)
+	get(c, 3, func() (int, error) { return 3, nil }) // evicts 1 (peek did not bump)
 	if c.Contains(1) {
 		t.Error("peek bumped recency")
 	}
@@ -252,7 +253,7 @@ func TestConcurrentMixedKeysUnderCapacityPressure(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := fmt.Sprintf("k%d", (g+i)%6)
-				if _, err := c.GetOrBuild(k, func() (int, error) { return len(k), nil }); err != nil {
+				if _, err := get(c, k, func() (int, error) { return len(k), nil }); err != nil {
 					t.Errorf("get %s: %v", k, err)
 				}
 			}
@@ -358,16 +359,16 @@ func TestGetOrBuildCtxLastWaiterCancelsBuild(t *testing.T) {
 	}
 }
 
-// TestGetOrBuildCtxMixedWithPlainGetOrBuild: a plain GetOrBuild caller
-// counts as permanently interested, so a ctx caller canceling must not
-// cancel the build out from under it.
-func TestGetOrBuildCtxMixedWithPlainGetOrBuild(t *testing.T) {
+// TestGetOrBuildCtxCancelSparesRemainingWaiter: a caller whose context never
+// cancels stays interested, so a second caller canceling must not cancel the
+// build out from under it.
+func TestGetOrBuildCtxCancelSparesRemainingWaiter(t *testing.T) {
 	c := New[string, int](2)
 	enter := make(chan struct{})
 	release := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.GetOrBuild("k", func() (int, error) {
+		_, err := get(c, "k", func() (int, error) {
 			close(enter)
 			<-release
 			return 5, nil
@@ -383,7 +384,7 @@ func TestGetOrBuildCtxMixedWithPlainGetOrBuild(t *testing.T) {
 	}
 	close(release)
 	if err := <-errc; err != nil {
-		t.Fatalf("plain builder got %v", err)
+		t.Fatalf("the caller that stayed got %v", err)
 	}
 	if v, ok := c.Peek("k"); !ok || v != 5 {
 		t.Errorf("artifact lost: (%d, %v)", v, ok)
@@ -446,7 +447,7 @@ func TestGetOrBuildCtxPanickingBuildContained(t *testing.T) {
 func TestEachReady(t *testing.T) {
 	c := New[int, string](4)
 	for k, v := range map[int]string{1: "a", 2: "b"} {
-		if _, err := c.GetOrBuild(k, func() (string, error) { return v, nil }); err != nil {
+		if _, err := get(c, k, func() (string, error) { return v, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -455,7 +456,7 @@ func TestEachReady(t *testing.T) {
 	done := make(chan struct{})
 	go func() { // an in-flight build: must not be visited
 		defer close(done)
-		c.GetOrBuild(3, func() (string, error) { //nolint:errcheck // result irrelevant
+		get(c, 3, func() (string, error) { //nolint:errcheck // result irrelevant
 			close(started)
 			<-release
 			return "c", nil

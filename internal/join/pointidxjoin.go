@@ -178,7 +178,7 @@ func (j *PointIdxJoiner) Pending(snap *pointstore.Snapshot, aggs []Agg) ProbeSta
 // DropPartials discards the published base partials and delta accumulators,
 // so the next query recomputes both from nothing — the re-execution the
 // incremental state is differentially tested against, and what a benchmark
-// comparing executions (spatialbench's cover-plan head-to-head) must time.
+// comparing cold and warm executions must time.
 func (j *PointIdxJoiner) DropPartials() {
 	j.base.Store(nil)
 	j.delta.Store(nil)

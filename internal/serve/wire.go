@@ -2,10 +2,9 @@
 // engine: request/response wire types, per-tenant admission control,
 // latency/fan-out metrics, and the handler set (query, streamed NDJSON
 // batch, stats, health, metrics) that cmd/distboundd mounts. It lives as a
-// library so the handlers are testable with httptest and usable by the
-// spatialbench HTTP client, and so the ctxflow discipline applies: every
-// handler threads the request's own context — deadline headers included —
-// into the engine.
+// library so the handlers are testable with httptest and so the ctxflow
+// discipline applies: every handler threads the request's own context —
+// deadline headers included — into the engine.
 package serve
 
 import (

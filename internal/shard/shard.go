@@ -31,6 +31,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -556,9 +557,11 @@ func (s *Sharded) owner(key uint64) int {
 // Delete removes points by global ID (the currency New and Append return),
 // returning how many were live. IDs naming unknown shards, or unknown or
 // already-deleted local IDs, are skipped — the same idempotence as
-// Dataset.Delete.
-func (s *Sharded) Delete(ids ...uint64) int {
-	groups := map[int][]uint64{}
+// Dataset.Delete. Every shard's group is attempted; a shard whose durable log
+// refused the deletion still counts its in-memory removals, and the joined
+// error names each such shard (they are wedged: see DurableErr).
+func (s *Sharded) Delete(ids ...uint64) (int, error) {
+	groups := make([][]uint64, len(s.shards))
 	for _, id := range ids {
 		if id == NoID {
 			continue
@@ -570,10 +573,18 @@ func (s *Sharded) Delete(ids ...uint64) int {
 		groups[si] = append(groups[si], id&localIDMask)
 	}
 	n := 0
+	var errs []error
 	for si, local := range groups {
-		n += s.shards[si].ds.Delete(local...)
+		if len(local) == 0 {
+			continue
+		}
+		k, err := s.shards[si].ds.Delete(local...)
+		n += k
+		if err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", si, err))
+		}
 	}
-	return n
+	return n, errors.Join(errs...)
 }
 
 // Compact synchronously compacts every shard — mainly a test and benchmark

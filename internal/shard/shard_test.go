@@ -2,15 +2,18 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"distbound"
 	"distbound/internal/data"
 	"distbound/internal/geom"
 	"distbound/internal/testutil"
+	"distbound/internal/testutil/errorfs"
 )
 
 // fixture builds the same workload twice: sharded into n shards, and as a
@@ -167,12 +170,20 @@ func TestShardedMutationParity(t *testing.T) {
 		delS = append(delS, gids[i])
 		delU = append(delU, uids[i])
 	}
-	if got, want := s.Delete(delS...), ds.Delete(delU...); got != want {
-		t.Fatalf("sharded delete removed %d, unsharded %d", got, want)
+	gotN, err := s.Delete(delS...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantN, err := ds.Delete(delU...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotN != wantN {
+		t.Fatalf("sharded delete removed %d, unsharded %d", gotN, wantN)
 	}
 	// Idempotence: re-deleting removes nothing.
-	if got := s.Delete(delS...); got != 0 {
-		t.Fatalf("re-delete removed %d", got)
+	if got, err := s.Delete(delS...); got != 0 || err != nil {
+		t.Fatalf("re-delete removed %d (%v)", got, err)
 	}
 
 	resp, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
@@ -368,6 +379,60 @@ func TestShardedPersistOpen(t *testing.T) {
 	}
 }
 
+// TestShardedDeleteSurfacesDurableError: a delete spanning several shards
+// where one shard's log write fails still attempts every shard and returns
+// the full live count — the removals are visible in memory — but the error
+// names the shard whose log lost the record, and that shard is wedged.
+func TestShardedDeleteSurfacesDurableError(t *testing.T) {
+	regions := data.Regions(data.Partition(5, 4, 4, 12))
+	pts, _ := data.TaxiPoints(35, 3000)
+	s, ids, err := New("taxi", regions, pts, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fs := errorfs.New()
+	if err := s.Persist(t.TempDir(), distbound.PersistConfig{}.WithFS(fs)); err != nil {
+		t.Fatal(err)
+	}
+	// Two live IDs from every shard: one pair for the healthy delete, one for
+	// the delete whose first log write fails.
+	perShard := make([][]uint64, s.NumShards())
+	for _, id := range ids {
+		if si := int(id >> shardIDBits); id != NoID && len(perShard[si]) < 2 {
+			perShard[si] = append(perShard[si], id)
+		}
+	}
+	var healthy, lost []uint64
+	for si, g := range perShard {
+		if len(g) < 2 {
+			t.Fatalf("shard %d holds %d points; fixture too small", si, len(g))
+		}
+		healthy, lost = append(healthy, g[0]), append(lost, g[1])
+	}
+	if n, err := s.Delete(healthy...); n != len(healthy) || err != nil {
+		t.Fatalf("healthy durable Delete = (%d, %v), want (%d, nil)", n, err, len(healthy))
+	}
+
+	fs.FailAt(fs.Ops()) // the very next call: shard 0's log record write
+	n, err := s.Delete(lost...)
+	if n != len(lost) {
+		t.Fatalf("lost-log delete reported %d live rows, want %d: a failed shard stopped the others", n, len(lost))
+	}
+	if err == nil {
+		t.Fatal("Sharded.Delete swallowed the log failure")
+	}
+	if !errors.Is(err, errorfs.ErrInjected) || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("error does not name the failed shard and its cause: %v", err)
+	}
+	if werr := s.DurableErr(); werr == nil || !strings.Contains(werr.Error(), "shard 0") {
+		t.Fatalf("DurableErr = %v, want shard 0 wedged", werr)
+	}
+	if want := len(pts) - len(healthy) - len(lost); s.Len() != want {
+		t.Fatalf("%d live points after the deletes, want %d", s.Len(), want)
+	}
+}
+
 // TestShardedValidation covers the constructor's and query path's rejection
 // cases, plus out-of-domain drop accounting.
 func TestShardedValidation(t *testing.T) {
@@ -494,8 +559,8 @@ func TestShardedResultCache(t *testing.T) {
 			}
 		}},
 		{"delete", func() {
-			if n := s.Delete(ids[3]); n != 1 {
-				t.Fatalf("delete removed %d points", n)
+			if n, err := s.Delete(ids[3]); n != 1 || err != nil {
+				t.Fatalf("delete removed %d points (%v)", n, err)
 			}
 		}},
 		{"compact", s.Compact},
@@ -532,8 +597,8 @@ func TestShardedResultCache(t *testing.T) {
 	if _, err := ds.Append(pts[:7], ws[:7]); err != nil {
 		t.Fatal(err)
 	}
-	if n := ds.Delete(3); n != 1 {
-		t.Fatalf("reference delete removed %d", n)
+	if n, err := ds.Delete(3); n != 1 || err != nil {
+		t.Fatalf("reference delete removed %d (%v)", n, err)
 	}
 	want = unshardedDo(t, e, ds, allAggs, 64)
 	final, err := s.Do(ctx, req)
