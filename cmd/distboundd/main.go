@@ -10,7 +10,8 @@
 //	distboundd -addr :7080 -shards 8 -weights -data /var/lib/distbound/taxi
 //
 // With -data, the first run partitions and persists under the directory and
-// later runs recover from it (write-ahead logged mutations included).
+// later runs recover from it (write-ahead logged mutations included), at any
+// -shards: -shards 1 is a one-shard partition, not a different backend.
 package main
 
 import (
@@ -40,9 +41,9 @@ func main() {
 		grid        = flag.String("grid", "4x4", "region partition of the city as COLSxROWS")
 		verts       = flag.Int("verts", 12, "jittered vertices per region edge")
 		weights     = flag.Bool("weights", false, "attach a weight column (enables SUM/AVG/MIN/MAX)")
-		shards      = flag.Int("shards", 8, "key-range shard count (1 = one unsharded engine behind Do/DoBatch)")
+		shards      = flag.Int("shards", 8, "key-range shard count (1 = a one-shard partition; ignored when -data holds a manifest, which fixes the width)")
 		tenantLimit = flag.Int("tenant-limit", 0, "max concurrent requests per tenant; exceeding tenants get 429 (0 = unlimited)")
-		dataDir     = flag.String("data", "", "durable dataset directory: recovered when it holds a manifest, created and persisted otherwise (sharded mode only)")
+		dataDir     = flag.String("data", "", "durable dataset directory: recovered when it holds a manifest, created and persisted otherwise")
 		cacheCap    = flag.Int("result-cache", distbound.DefaultResultCacheCapacity, "result cache capacity in entries; repeated identical queries are served without re-executing until a mutation bumps the epoch (0 disables)")
 		drainWait   = flag.Duration("drain-timeout", 10*time.Second, "how long SIGTERM waits for in-flight requests before closing")
 	)
@@ -59,11 +60,17 @@ func run(addr string, points int, seed int64, grid string, verts int, weights bo
 	}
 	regions := data.Regions(data.Partition(seed, cols, rows, verts))
 
-	backend, err := buildBackend(regions, points, seed, weights, shards, dataDir, cacheCap)
+	if cacheCap < 0 {
+		return fmt.Errorf("distboundd: -result-cache must be non-negative")
+	}
+	dataset, err := buildDataset(regions, points, seed, weights, shards, dataDir)
 	if err != nil {
 		return err
 	}
-	server := serve.NewServer(backend, tenantLimit)
+	// The merged scatter-gather cache is the one result cache on the serving
+	// path; 0 makes every request execute on the shards.
+	dataset.SetResultCacheCapacity(cacheCap)
+	server := serve.NewServer(&serve.ShardedBackend{S: dataset}, tenantLimit)
 	defer server.Close()
 
 	srv := &http.Server{
@@ -79,7 +86,7 @@ func run(addr string, points int, seed int64, grid string, verts int, weights bo
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("distboundd: serving %s on %s (%d shards, tenant limit %d)",
-		backend.Mode(), addr, shards, tenantLimit)
+		dataset.Name(), addr, dataset.NumShards(), tenantLimit)
 
 	select {
 	case err := <-errc:
@@ -100,45 +107,28 @@ func run(addr string, points int, seed int64, grid string, verts int, weights bo
 	return nil
 }
 
-// buildBackend assembles the dataset the server fronts: recovered from
-// dataDir when a manifest is present, synthesized (and, with dataDir,
-// persisted) otherwise. cacheCap re-bounds the result cache the serving
-// layer sits on — the merged scatter-gather cache when sharded, the engine
-// cache when not.
-func buildBackend(regions []distbound.Region, points int, seed int64, weights bool, shards int, dataDir string, cacheCap int) (serve.Backend, error) {
+// buildDataset assembles the sharded dataset the server fronts: recovered
+// from dataDir when a manifest is present — the manifest, not shards, then
+// fixes the partition width — synthesized (and, with dataDir, persisted)
+// otherwise.
+func buildDataset(regions []distbound.Region, points int, seed int64, weights bool, shards int, dataDir string) (*shard.Sharded, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("distboundd: -shards must be at least 1")
 	}
-	if cacheCap < 0 {
-		return nil, fmt.Errorf("distboundd: -result-cache must be non-negative")
-	}
 	if dataDir != "" {
-		if shards == 1 {
-			return nil, fmt.Errorf("distboundd: -data requires sharded mode (-shards > 1)")
-		}
 		if _, err := os.Stat(filepath.Join(dataDir, "MANIFEST.json")); err == nil {
 			s, err := shard.Open(regions, dataDir, distbound.PersistConfig{})
 			if err != nil {
 				return nil, fmt.Errorf("distboundd: recovering %s: %w", dataDir, err)
 			}
 			log.Printf("distboundd: recovered %d points in %d shards from %s", s.Len(), s.NumShards(), dataDir)
-			s.SetResultCacheCapacity(cacheCap)
-			return &serve.ShardedBackend{S: s}, nil
+			return s, nil
 		}
 	}
 
 	pts, ws := data.TaxiPoints(seed, points)
 	if !weights {
 		ws = nil
-	}
-	if shards == 1 {
-		e := distbound.NewEngine(regions)
-		ds, err := e.RegisterPoints("taxi", pts, ws)
-		if err != nil {
-			return nil, fmt.Errorf("distboundd: %w", err)
-		}
-		e.SetResultCacheCapacity(cacheCap)
-		return &serve.UnshardedBackend{E: e, DS: ds}, nil
 	}
 	s, _, err := shard.New("taxi", regions, pts, ws, shards)
 	if err != nil {
@@ -150,6 +140,5 @@ func buildBackend(regions []distbound.Region, points int, seed int64, weights bo
 		}
 		log.Printf("distboundd: persisted %d shards under %s", s.NumShards(), dataDir)
 	}
-	s.SetResultCacheCapacity(cacheCap)
-	return &serve.ShardedBackend{S: s}, nil
+	return s, nil
 }

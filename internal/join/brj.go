@@ -3,11 +3,9 @@ package join
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"distbound/internal/canvas"
 	"distbound/internal/geom"
-	"distbound/internal/pool"
 )
 
 // BRJ is the Bounded Raster Join of §5.2 (Tzirita Zacharatou et al.,
@@ -21,7 +19,7 @@ import (
 // situation the paper hits at a 1 m bound — the canvas is subdivided and the
 // join runs one pass per tile, which is what bends the cost curve upward at
 // small bounds in Figure 7. Tiles own disjoint pixels, so passes can also
-// run concurrently (RunParallel).
+// run concurrently (BRJJoiner.AggregateMulti).
 type BRJ struct {
 	// Bound is the distance bound (pixel diagonal = Bound).
 	Bound float64
@@ -206,18 +204,7 @@ func (p *brjPlan) runTile(ps PointSet, regions []geom.Region, agg Agg, tx, ty in
 
 // Run executes the raster join sequentially, one pass per tile.
 func (b BRJ) Run(ps PointSet, regions []geom.Region, agg Agg) (Result, BRJStats, error) {
-	res, _, stats, err := b.run(ps, regions, agg, 1, false)
-	return res, stats, err
-}
-
-// RunParallel executes the passes across the given number of workers
-// (≤ 0 selects GOMAXPROCS). Tiles own disjoint pixels, so the result is
-// identical to Run up to float-add reassociation per region.
-func (b BRJ) RunParallel(ps PointSet, regions []geom.Region, agg Agg, workers int) (Result, BRJStats, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	res, _, stats, err := b.run(ps, regions, agg, workers, false)
+	res, _, stats, err := b.run(ps, regions, agg, false)
 	return res, stats, err
 }
 
@@ -228,10 +215,10 @@ func (b BRJ) RunParallel(ps PointSet, regions []geom.Region, agg Agg, workers in
 // centroid sampling of the rasterizer admits false positives and false
 // negatives).
 func (b BRJ) RunWithRange(ps PointSet, regions []geom.Region) (Result, []Interval, BRJStats, error) {
-	return b.run(ps, regions, Count, 1, true)
+	return b.run(ps, regions, Count, true)
 }
 
-func (b BRJ) run(ps PointSet, regions []geom.Region, agg Agg, workers int, withRange bool) (Result, []Interval, BRJStats, error) {
+func (b BRJ) run(ps PointSet, regions []geom.Region, agg Agg, withRange bool) (Result, []Interval, BRJStats, error) {
 	if err := ps.validate(agg); err != nil {
 		return Result{}, nil, BRJStats{}, err
 	}
@@ -246,53 +233,20 @@ func (b BRJ) run(ps PointSet, regions []geom.Region, agg Agg, workers int, withR
 		return Result{}, nil, stats, err
 	}
 
-	type tileJob struct{ tx, ty int }
-	jobs := make([]tileJob, 0, stats.NumTiles)
-	for ty := 0; ty < plan.tilesY; ty++ {
-		for tx := 0; tx < plan.tilesX; tx++ {
-			jobs = append(jobs, tileJob{tx, ty})
-		}
-	}
-	workers = pool.Workers(workers, len(jobs))
-
-	type partial struct {
-		counts, sums, boundary []float64
-		maskPixels             int64
-	}
-	locals := make([]partial, workers)
-	for w := range locals {
-		locals[w] = partial{
-			counts: make([]float64, len(regions)),
-			sums:   make([]float64, len(regions)),
-		}
-		if withRange {
-			locals[w].boundary = make([]float64, len(regions))
-		}
-	}
-	err = pool.Run(len(jobs), workers, func(w, k int) error {
-		mp, err := plan.runTile(ps, regions, agg, jobs[k].tx, jobs[k].ty,
-			locals[w].counts, locals[w].sums, locals[w].boundary)
-		locals[w].maskPixels += mp
-		return err
-	})
-	if err != nil {
-		return Result{}, nil, stats, err
-	}
 	counts := make([]float64, len(regions))
 	sums := make([]float64, len(regions))
 	var boundaryCounts []float64
 	if withRange {
 		boundaryCounts = make([]float64, len(regions))
 	}
-	for _, p := range locals {
-		for i := range counts {
-			counts[i] += p.counts[i]
-			sums[i] += p.sums[i]
-			if withRange {
-				boundaryCounts[i] += p.boundary[i]
+	for ty := 0; ty < plan.tilesY; ty++ {
+		for tx := 0; tx < plan.tilesX; tx++ {
+			mp, err := plan.runTile(ps, regions, agg, tx, ty, counts, sums, boundaryCounts)
+			stats.MaskPixels += mp
+			if err != nil {
+				return Result{}, nil, stats, err
 			}
 		}
-		stats.MaskPixels += p.maskPixels
 	}
 
 	res := newResult(agg, len(regions))

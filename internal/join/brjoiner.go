@@ -154,19 +154,13 @@ func (j *BRJJoiner) MemoryBytes() int {
 	return n
 }
 
-// Aggregate runs the raster join against the cached masks, sequentially.
-// The receiver is never written, so concurrent calls are safe.
-func (j *BRJJoiner) Aggregate(ps PointSet, agg Agg) (Result, error) {
-	return j.AggregateParallel(ps, agg, 1)
-}
-
-// AggregateParallel runs the join with tiles fanned out across the given
-// number of workers (≤ 0 selects GOMAXPROCS). Counts are identical to the
-// sequential form; float sums differ only by re-association.
+// Aggregate runs the raster join against the cached masks, sequentially: the
+// single-aggregate, single-worker form of AggregateMulti. The receiver is
+// never written, so concurrent calls are safe.
 //
 //distbound:allow-background context-free convenience over AggregateMulti; callers hold no context to thread
-func (j *BRJJoiner) AggregateParallel(ps PointSet, agg Agg, workers int) (Result, error) {
-	rs, err := j.AggregateMulti(context.Background(), ps, []Agg{agg}, workers)
+func (j *BRJJoiner) Aggregate(ps PointSet, agg Agg) (Result, error) {
+	rs, err := j.AggregateMulti(context.Background(), ps, []Agg{agg}, 1)
 	if err != nil {
 		return Result{}, err
 	}

@@ -66,7 +66,7 @@ func TestBRJJoinerTiledMatchesUntiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := small.AggregateParallel(ps, Count, 4)
+	b, err := aggregateAt(small, ps, Count, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestBRJJoinerConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				got, err := j.AggregateParallel(ps, Count, 2)
+				got, err := aggregateAt(j, ps, Count, 2)
 				if err != nil {
 					t.Error(err)
 					return

@@ -49,6 +49,27 @@ func (a Agg) String() string {
 	}
 }
 
+// PackAggs encodes an aggregate set order-preservingly into one uint64 — the
+// aggregate-set component of both result-cache keys — 4 bits per aggregate
+// (offset by 1 so trailing zero nibbles encode the length). Sets longer than
+// 16 aggregates, or carrying an aggregate that does not fit a nibble, report
+// !ok and bypass the cache.
+//
+//distbound:noalloc
+func PackAggs(aggs []Agg) (uint64, bool) {
+	if len(aggs) > 16 {
+		return 0, false
+	}
+	var packed uint64
+	for i, a := range aggs {
+		if a < 0 || a > 14 {
+			return 0, false
+		}
+		packed |= uint64(a+1) << (4 * i)
+	}
+	return packed, true
+}
+
 // PointSet is the point relation P(loc, a): locations plus an optional
 // attribute column used by SUM and AVG.
 type PointSet struct {

@@ -418,7 +418,7 @@ func TestMinMaxAggregates(t *testing.T) {
 			}
 		}
 		// Parallel merge must preserve extremes exactly.
-		par, err := aj.AggregateParallel(ps, agg, 5)
+		par, err := aggregateAt(aj, ps, agg, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -229,8 +229,8 @@ func pointShardFold(ctx context.Context, nPts, workers, numReg int, aggs []Agg,
 
 // AggregateMulti computes every aggregate in aggs in one sharded pass over
 // the points: one trie lookup per point, shared by all aggregates. Results
-// align with aggs and are bit-identical to per-aggregate AggregateParallel
-// runs. Cancellation returns ctx.Err() after every worker has unwound.
+// align with aggs and are bit-identical to per-aggregate runs at the same
+// worker count. Cancellation returns ctx.Err() after every worker has unwound.
 func (j *ACTJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg, workers int) ([]Result, error) {
 	if err := ps.validateAggs(aggs); err != nil {
 		return nil, err

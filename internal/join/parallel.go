@@ -1,18 +1,12 @@
 package join
 
-import "context"
-
 // Parallel evaluation (§2.3 "Execution"): because every point lookup — and
 // every canvas pixel — is independent, and COUNT/SUM/AVG are distributive or
 // algebraic, the aggregation join decomposes into shard-local partial
 // aggregates that merge exactly. The parallel forms return bit-identical
 // counts and float-sum results that differ from the sequential ones only by
-// re-association of additions.
-//
-// Both single-aggregate forms below are one-element delegations to the
-// multi-aggregate fold in multi.go — one code path serves both, which is
-// what makes "multi-agg results are bit-identical to per-agg runs" true by
-// construction rather than by parallel maintenance.
+// re-association of additions. The fan-out itself lives in the
+// multi-aggregate fold in multi.go (AggregateMulti takes the worker count).
 
 // shardBounds splits n items into k contiguous shards.
 func shardBounds(n, k int) [][2]int {
@@ -31,27 +25,4 @@ func shardBounds(n, k int) [][2]int {
 		}
 	}
 	return out
-}
-
-// AggregateParallel is Aggregate across the given number of workers
-// (≤ 0 selects GOMAXPROCS). Counts are identical to the sequential result.
-//
-//distbound:allow-background context-free convenience over AggregateMulti; callers hold no context to thread
-func (j *ACTJoiner) AggregateParallel(ps PointSet, agg Agg, workers int) (Result, error) {
-	rs, err := j.AggregateMulti(context.Background(), ps, []Agg{agg}, workers)
-	if err != nil {
-		return Result{}, err
-	}
-	return rs[0], nil
-}
-
-// AggregateParallel is the sharded form of the exact R*-tree join.
-//
-//distbound:allow-background context-free convenience over AggregateMulti; callers hold no context to thread
-func (j *RStarJoiner) AggregateParallel(ps PointSet, agg Agg, workers int) (Result, error) {
-	rs, err := j.AggregateMulti(context.Background(), ps, []Agg{agg}, workers)
-	if err != nil {
-		return Result{}, err
-	}
-	return rs[0], nil
 }

@@ -1,12 +1,28 @@
 package join
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"distbound/internal/data"
 	"distbound/internal/sfc"
 )
+
+// multiJoiner is the fan-out surface the streaming joiners share.
+type multiJoiner interface {
+	AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg, workers int) ([]Result, error)
+}
+
+// aggregateAt runs one aggregate through AggregateMulti at the given worker
+// count — the parallel form the sequential Aggregate is compared against.
+func aggregateAt(j multiJoiner, ps PointSet, agg Agg, workers int) (Result, error) {
+	rs, err := j.AggregateMulti(context.Background(), ps, []Agg{agg}, workers)
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
+}
 
 func TestACTAggregateParallelMatchesSequential(t *testing.T) {
 	ps, regions, d := testWorkload(t, 30000)
@@ -20,7 +36,7 @@ func TestACTAggregateParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 3, 8, 0} {
-			par, err := aj.AggregateParallel(ps, agg, workers)
+			par, err := aggregateAt(aj, ps, agg, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +52,7 @@ func TestACTAggregateParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	// Validation still applies.
-	if _, err := aj.AggregateParallel(PointSet{Pts: ps.Pts}, Sum, 4); err == nil {
+	if _, err := aggregateAt(aj, PointSet{Pts: ps.Pts}, Sum, 4); err == nil {
 		t.Error("parallel SUM without weights accepted")
 	}
 }
@@ -48,7 +64,7 @@ func TestRStarAggregateParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := rj.AggregateParallel(ps, Count, 7)
+	par, err := aggregateAt(rj, ps, Count, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +75,9 @@ func TestRStarAggregateParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestBRJRunParallelMatchesSequential: tiles own disjoint pixels, so the
+// cached-mask joiner fanning its tiles across workers must agree with the
+// one-shot sequential BRJ.Run over the same tiling.
 func TestBRJRunParallelMatchesSequential(t *testing.T) {
 	bounds := data.DowntownBounds()
 	pts, weights := data.TaxiPointsIn(9, 20000, bounds)
@@ -70,11 +89,15 @@ func TestBRJRunParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, s2, err := brj.RunParallel(ps, regions, Sum, 6)
+	j, err := NewBRJJoiner(regions, bounds, 32, 128, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.NumTiles != s2.NumTiles || s1.MaskPixels != s2.MaskPixels {
+	par, err := aggregateAt(j, ps, Sum, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2 := j.Stats(); s1.NumTiles != s2.NumTiles || s1.MaskPixels != s2.MaskPixels {
 		t.Errorf("stats differ: %+v vs %+v", s1, s2)
 	}
 	if s1.NumTiles < 4 {

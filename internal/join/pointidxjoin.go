@@ -223,20 +223,12 @@ func (j *PointIdxJoiner) validateAggs(aggs []Agg) error {
 }
 
 // Aggregate answers the aggregation for every region by probing the learned
-// index over the region's cover ranges.
-func (j *PointIdxJoiner) Aggregate(agg Agg) (Result, error) {
-	return j.AggregateParallel(agg, 1)
-}
-
-// AggregateParallel is Aggregate sharded across workers (≤ 0 selects
-// GOMAXPROCS) by region. One snapshot is loaded up front, so every region of
-// one call sees the same instant of the dataset; every region is computed
-// wholly by one worker, so results — including float sums — are identical
-// for any worker count.
+// index over the region's cover ranges: the single-aggregate, single-worker
+// form of AggregateMulti.
 //
 //distbound:allow-background context-free convenience over AggregateMulti; callers hold no context to thread
-func (j *PointIdxJoiner) AggregateParallel(agg Agg, workers int) (Result, error) {
-	rs, err := j.AggregateMulti(context.Background(), []Agg{agg}, workers)
+func (j *PointIdxJoiner) Aggregate(agg Agg) (Result, error) {
+	rs, err := j.AggregateMulti(context.Background(), []Agg{agg}, 1)
 	if err != nil {
 		return Result{}, err
 	}

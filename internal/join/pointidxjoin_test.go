@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -153,10 +154,11 @@ func TestPointIdxParallelDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 2, 7, 64} {
-			par, err := pj.AggregateParallel(agg, workers)
+			pars, err := pj.AggregateMulti(context.Background(), []Agg{agg}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
+			par := pars[0]
 			for ri := range regions {
 				if par.Counts[ri] != seq.Counts[ri] {
 					t.Fatalf("%v workers=%d region %d: count drift", agg, workers, ri)

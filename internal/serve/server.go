@@ -175,10 +175,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(toWire(req, resp)) //nolint:errcheck // client disconnects surface as write errors
 }
 
-// batchChunk is how many NDJSON lines execute per backend Batch call: large
-// enough to amortize the batch machinery, small enough that responses
+// batchFlushEvery is how many response lines accumulate between flushes:
+// large enough to amortize the chunked writes, small enough that responses
 // stream out while later lines are still being read.
-const batchChunk = 64
+const batchFlushEvery = 64
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.met.batches.Add(1)
@@ -200,77 +200,57 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// The stream interleaves reading request lines with writing response
 	// lines; without full duplex net/http closes the request body at the
-	// first response write, truncating any batch longer than one chunk.
+	// first response write, truncating the batch.
 	rc := http.NewResponseController(w)
 	rc.EnableFullDuplex() //nolint:errcheck // unsupported writers just buffer more
 	enc := json.NewEncoder(w)
-	flush := func() { rc.Flush() } //nolint:errcheck // best-effort streaming
 
-	// Stream: decode up to batchChunk lines, execute, emit one response
-	// line per request line (errors inline, siblings unaffected), flush,
-	// repeat until the request stream ends.
+	// Stream: one response line per request line, in order (errors inline,
+	// siblings unaffected), until the request stream ends.
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 64*1024), maxBodyBytes)
-	done := false
-	for !done {
-		var reqs []shard.Request
-		var prefail []QueryResponse // malformed lines, reported in position
-		var order []int             // 0-based slot per line: >=0 into reqs, -1-k into prefail
-		for len(reqs) < batchChunk {
-			if !sc.Scan() {
-				done = true
-				break
-			}
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var q QueryRequest
-			var req shard.Request
-			err := json.Unmarshal(line, &q)
-			if err == nil {
-				req, err = toShardRequest(q)
-			}
-			if err != nil {
-				s.met.errors.Add(1)
-				order = append(order, -1-len(prefail))
-				prefail = append(prefail, QueryResponse{Error: err.Error()})
-				continue
-			}
-			order = append(order, len(reqs))
-			reqs = append(reqs, req)
-		}
-		if len(order) == 0 {
+	emitted := 0
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
 			continue
 		}
-		t0 := time.Now()
-		resps, errs := s.backend.Batch(ctx, reqs)
-		perLine := time.Since(t0) / time.Duration(max(len(reqs), 1))
-		for _, slot := range order {
-			var line QueryResponse
-			switch {
-			case slot < 0:
-				line = prefail[-1-slot]
-			case errs[slot] != nil:
-				s.met.errors.Add(1)
-				line = QueryResponse{Error: errs[slot].Error()}
-			default:
-				s.met.batchLines.Add(1)
-				s.met.observe(perLine, &resps[slot])
-				line = toWire(reqs[slot], resps[slot])
-			}
-			if err := enc.Encode(line); err != nil {
-				return // client went away; nothing left to stream to
-			}
+		if err := enc.Encode(s.batchLine(ctx, line)); err != nil {
+			return // client went away; nothing left to stream to
 		}
-		flush()
-		if ctx.Err() != nil {
-			return // deadline exhausted mid-stream; emitted lines stand
+		if emitted++; emitted%batchFlushEvery == 0 {
+			rc.Flush() //nolint:errcheck // best-effort streaming
+			if ctx.Err() != nil {
+				return // deadline exhausted mid-stream; emitted lines stand
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		enc.Encode(QueryResponse{Error: fmt.Sprintf("reading request stream: %v", err)}) //nolint:errcheck // already streaming
 	}
+}
+
+// batchLine answers one NDJSON request line: a malformed or failing line
+// becomes an inline error in its own position.
+func (s *Server) batchLine(ctx context.Context, line []byte) QueryResponse {
+	var q QueryRequest
+	var req shard.Request
+	var resp shard.Response
+	err := json.Unmarshal(line, &q)
+	if err == nil {
+		req, err = toShardRequest(q)
+	}
+	t0 := time.Now()
+	if err == nil {
+		resp, err = s.backend.Query(ctx, req)
+	}
+	if err != nil {
+		s.met.errors.Add(1)
+		return QueryResponse{Error: err.Error()}
+	}
+	s.met.batchLines.Add(1)
+	s.met.observe(time.Since(t0), &resp)
+	return toWire(req, resp)
 }
 
 // handleAppend ingests points over the wire. The backend bumps its epoch on
@@ -320,7 +300,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	cs := s.backend.ResultCacheStats()
 	st := StatsResponse{
-		Backend: s.backend.Mode(),
 		Requests: map[string]uint64{
 			"query":  s.met.queries.Load(),
 			"batch":  s.met.batches.Load(),

@@ -34,18 +34,25 @@ func testWorkload(t *testing.T, n int) ([]distbound.Region, []distbound.Point, [
 	return regions, pts, ws
 }
 
-// newShardedTS starts an httptest server over a sharded backend.
+// newShardedTS starts an httptest server over the shared workload in four
+// shards.
 func newShardedTS(t *testing.T, tenantLimit int) (*httptest.Server, []distbound.Region, []distbound.Point, []float64) {
 	t.Helper()
 	regions, pts, ws := testWorkload(t, 4000)
-	s, _, err := shard.New("taxi", regions, pts, ws, 4)
+	return newWidthTS(t, regions, pts, ws, 4, tenantLimit), regions, pts, ws
+}
+
+// newWidthTS starts an httptest server over a partition of the given width.
+func newWidthTS(t *testing.T, regions []distbound.Region, pts []distbound.Point, ws []float64, shards, tenantLimit int) *httptest.Server {
+	t.Helper()
+	s, _, err := shard.New("taxi", regions, pts, ws, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(&ShardedBackend{S: s}, tenantLimit)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
-	return ts, regions, pts, ws
+	return ts
 }
 
 func postJSON(t *testing.T, url string, body any, hdr map[string]string) (*http.Response, []byte) {
@@ -102,51 +109,57 @@ func TestQueryMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestShardedUnshardedHTTPParity: the two backend modes must serve
-// identical counts for the same workload over the wire.
+// TestShardedUnshardedHTTPParity: every partition width — one shard
+// included, the daemon's -shards 1 — must serve over the wire exactly what an
+// unsharded in-process Engine.Do answers, for all five aggregates.
 func TestShardedUnshardedHTTPParity(t *testing.T) {
-	ts, regions, pts, ws := newShardedTS(t, 0)
+	regions, pts, ws := testWorkload(t, 4000)
+	aggs := []distbound.Agg{distbound.Count, distbound.Sum, distbound.Avg, distbound.Min, distbound.Max}
 
 	e := distbound.NewEngine(regions)
 	ds, err := e.RegisterPoints("taxi", pts, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	usrv := NewServer(&UnshardedBackend{E: e, DS: ds}, 0)
-	uts := httptest.NewServer(usrv.Handler())
-	defer func() { uts.Close(); usrv.Close() }()
+	strat := distbound.StrategyPointIdx
+	want, err := e.Do(context.Background(), distbound.Request{Dataset: ds, Aggs: aggs, Bound: 48, Strategy: &strat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Release()
 
 	req := QueryRequest{Aggs: []string{"count", "sum", "avg", "min", "max"}, Bound: 48}
-	_, sBody := postJSON(t, ts.URL+"/v1/query", req, nil)
-	_, uBody := postJSON(t, uts.URL+"/v1/query", req, nil)
-	var sq, uq QueryResponse
-	if err := json.Unmarshal(sBody, &sq); err != nil {
-		t.Fatalf("%v in %s", err, sBody)
-	}
-	if err := json.Unmarshal(uBody, &uq); err != nil {
-		t.Fatalf("%v in %s", err, uBody)
-	}
-	if uq.ShardsTotal != 1 || uq.ShardsContacted != 1 {
-		t.Fatalf("unsharded fan-out %d/%d", uq.ShardsContacted, uq.ShardsTotal)
-	}
-	for k := range sq.Results {
-		for ri := range regions {
-			if sq.Results[k].Counts[ri] != uq.Results[k].Counts[ri] {
-				t.Fatalf("agg %s region %d: sharded count %d, unsharded %d",
-					sq.Results[k].Agg, ri, sq.Results[k].Counts[ri], uq.Results[k].Counts[ri])
+	for _, shards := range []int{1, 4} {
+		ts := newWidthTS(t, regions, pts, ws, shards, 0)
+		resp, body := postJSON(t, ts.URL+"/v1/query", req, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("shards=%d: %d %s", shards, resp.StatusCode, body)
+		}
+		var got QueryResponse
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatalf("%v in %s", err, body)
+		}
+		if got.ShardsTotal != shards || got.ShardsContacted < 1 || got.ShardsContacted > shards {
+			t.Fatalf("shards=%d fan-out %d/%d", shards, got.ShardsContacted, got.ShardsTotal)
+		}
+		for k, agg := range aggs {
+			// The wire carries counts and final values; rebuild a Result whose
+			// Value and Counts are exactly those, so CheckIdentical compares
+			// what a client sees. ExactWeights make even SUM/AVG bitwise
+			// comparable.
+			served := distbound.Result{Agg: distbound.Sum, Counts: got.Results[k].Counts, Sums: got.Results[k].Values}
+			oracle := distbound.Result{Agg: distbound.Sum, Counts: want.Results[k].Counts, Sums: make([]float64, len(regions))}
+			for ri := range regions {
+				oracle.Sums[ri] = want.Results[k].Value(ri)
 			}
-			// ExactWeights make even SUM/AVG bitwise comparable.
-			if sq.Results[k].Values[ri] != uq.Results[k].Values[ri] {
-				t.Fatalf("agg %s region %d: sharded %v, unsharded %v",
-					sq.Results[k].Agg, ri, sq.Results[k].Values[ri], uq.Results[k].Values[ri])
-			}
+			testutil.CheckIdentical(t, fmt.Sprintf("shards=%d agg=%v", shards, agg), oracle, served)
 		}
 	}
 }
 
 // TestBatchStreaming drives the NDJSON endpoint with a mixed stream — valid
-// lines, a malformed one, a bad aggregate — and expects one response line
-// per request line, in order, errors inline.
+// lines, a malformed one, a bad aggregate, a valid line again — and expects
+// one response line per request line, in order, errors inline in position.
 func TestBatchStreaming(t *testing.T) {
 	ts, _, _, _ := newShardedTS(t, 0)
 	var in bytes.Buffer
@@ -155,6 +168,7 @@ func TestBatchStreaming(t *testing.T) {
 	}
 	in.WriteString("not json\n")
 	in.WriteString("{\"aggs\":[\"median\"],\"bound\":16}\n")
+	in.WriteString("{\"aggs\":[\"count\"],\"bound\":88}\n") // line 9's shape again
 	resp, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", &in)
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +189,8 @@ func TestBatchStreaming(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 12 {
-		t.Fatalf("got %d response lines, want 12", len(lines))
+	if len(lines) != 13 {
+		t.Fatalf("got %d response lines, want 13", len(lines))
 	}
 	for i := 0; i < 10; i++ {
 		if lines[i].Error != "" || len(lines[i].Results) != 1 {
@@ -185,6 +199,16 @@ func TestBatchStreaming(t *testing.T) {
 	}
 	if lines[10].Error == "" || lines[11].Error == "" {
 		t.Fatalf("malformed lines answered without error: %+v %+v", lines[10], lines[11])
+	}
+	// The errors sit between their valid neighbours, not after them: the
+	// line following the two bad ones is line 9's answer again.
+	if lines[12].Error != "" || len(lines[12].Results) != 1 {
+		t.Fatalf("valid line after the malformed ones: %+v", lines[12])
+	}
+	for ri, c := range lines[9].Results[0].Counts {
+		if lines[12].Results[0].Counts[ri] != c {
+			t.Fatalf("line 12 region %d: count %d, want line 9's %d", ri, lines[12].Results[0].Counts[ri], c)
+		}
 	}
 	// Wider bounds match at least as many points per region.
 	for i := 1; i < 10; i++ {
@@ -253,7 +277,6 @@ type blockingBackend struct {
 	release chan struct{}
 }
 
-func (b *blockingBackend) Mode() string { return "blocking" }
 func (b *blockingBackend) Query(ctx context.Context, req shard.Request) (shard.Response, error) {
 	b.entered <- struct{}{}
 	select {
@@ -266,9 +289,6 @@ func (b *blockingBackend) Query(ctx context.Context, req shard.Request) (shard.R
 		results[i] = distbound.Result{Agg: a, Counts: []int64{}}
 	}
 	return shard.Response{Results: results, ShardsContacted: 1, ShardsTotal: 1}, nil
-}
-func (b *blockingBackend) Batch(ctx context.Context, reqs []shard.Request) ([]shard.Response, []error) {
-	return make([]shard.Response, len(reqs)), make([]error, len(reqs))
 }
 func (b *blockingBackend) Append(pts []distbound.Point, weights []float64) ([]uint64, error) {
 	return nil, fmt.Errorf("blocking backend is read-only")
@@ -432,36 +452,22 @@ func TestDrainingHealth(t *testing.T) {
 
 // TestHealthzFailsOnWedgedStore: a write-ahead-log failure wedges the store
 // — every later mutation is refused — and /healthz must say so with a 503
-// on both backends, while queries keep answering. Before the failure, and
-// on a store that was never persisted, health is ok.
+// at every partition width, one shard included, while queries keep
+// answering. Before the failure, and on a store that was never persisted,
+// health is ok.
 func TestHealthzFailsOnWedgedStore(t *testing.T) {
 	regions, pts, ws := testWorkload(t, 1500)
-	for name, mk := range map[string]func(t *testing.T, cfg distbound.PersistConfig) Backend{
-		"sharded": func(t *testing.T, cfg distbound.PersistConfig) Backend {
-			s, _, err := shard.New("taxi", regions, pts, ws, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Persist(t.TempDir(), cfg); err != nil {
-				t.Fatal(err)
-			}
-			return &ShardedBackend{S: s}
-		},
-		"unsharded": func(t *testing.T, cfg distbound.PersistConfig) Backend {
-			e := distbound.NewEngine(regions)
-			ds, err := e.RegisterPoints("taxi", pts, ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ds.Persist("db", cfg); err != nil {
-				t.Fatal(err)
-			}
-			return &UnshardedBackend{E: e, DS: ds}
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			fs := errorfs.New()
-			srv := NewServer(mk(t, distbound.PersistConfig{}.WithFS(fs)), 0)
+			s, _, err := shard.New("taxi", regions, pts, ws, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Persist(t.TempDir(), distbound.PersistConfig{}.WithFS(fs)); err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServer(&ShardedBackend{S: s}, 0)
 			ts := httptest.NewServer(srv.Handler())
 			defer func() { ts.Close(); srv.Close() }()
 

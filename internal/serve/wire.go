@@ -59,8 +59,8 @@ type AggResult struct {
 // answering a batch. A batch line that failed carries Error and no Results.
 type QueryResponse struct {
 	Results []AggResult `json:"results,omitempty"`
-	// ShardsContacted / ShardsTotal report the routing economy (1/1 on an
-	// unsharded backend).
+	// ShardsContacted / ShardsTotal report the routing economy (at most 1/1
+	// on a one-shard partition).
 	ShardsContacted int `json:"shards_contacted"`
 	ShardsTotal     int `json:"shards_total"`
 	// WallNs is the backend execution time in nanoseconds.
@@ -76,9 +76,8 @@ type StatsResponse struct {
 	Live        int    `json:"live"`
 	Dropped     int    `json:"dropped"`
 	MemoryBytes int    `json:"memory_bytes"`
-	// Epoch is the dataset's mutation counter (summed across shards when
-	// sharded) — every append, delete or compaction moves it, invalidating
-	// cached results.
+	// Epoch is the dataset's mutation counter, summed across shards — every
+	// append, delete or compaction moves it, invalidating cached results.
 	Epoch  uint64       `json:"epoch"`
 	Shards []ShardStats `json:"shards,omitempty"`
 
@@ -125,8 +124,8 @@ type AppendRequest struct {
 }
 
 // AppendResponse answers an append. IDs serialize as decimal strings —
-// they are uint64 handles (shard-tagged on a sharded backend) that float64
-// JSON numbers cannot carry exactly.
+// they are shard-tagged uint64 handles that float64 JSON numbers cannot
+// carry exactly.
 type AppendResponse struct {
 	Appended int      `json:"appended"`
 	IDs      []string `json:"ids"`

@@ -100,25 +100,7 @@ type Sharded struct {
 type resultKey struct {
 	epochSum uint64
 	bound    float64
-	aggs     uint64 // nibble-packed aggregate set
-}
-
-// packShardAggs nibble-packs an aggregate set (4 bits per aggregate,
-// value+1 so trailing zeros encode length), mirroring the engine result
-// cache's packing. Sets longer than 16 aggregates report !ok and bypass the
-// cache.
-func packShardAggs(aggs []distbound.Agg) (uint64, bool) {
-	if len(aggs) > 16 {
-		return 0, false
-	}
-	var packed uint64
-	for i, a := range aggs {
-		if a < 0 || a > 14 {
-			return 0, false
-		}
-		packed |= uint64(a+1) << (4 * i)
-	}
-	return packed, true
+	aggs     uint64 // nibble-packed aggregate set, see join.PackAggs
 }
 
 // newShardResultCache sizes the scatter-gather result cache. Merged
@@ -219,11 +201,16 @@ func New(name string, regions []distbound.Region, pts []distbound.Point, weights
 	return s, ids, nil
 }
 
-// newSharded returns an empty partition: one engine to host the shards.
+// newSharded returns an empty partition: one engine to host the shards, its
+// own result cache off — a per-shard partial is only ever reached through a
+// miss of the merged cache above the scatter, keyed on the same epochs, so
+// the merged layer is the serving path's one result cache.
 func newSharded(name string, regions []distbound.Region, hasW bool) *Sharded {
+	engine := distbound.NewEngine(regions)
+	engine.SetResultCacheCapacity(0)
 	return &Sharded{
 		name:    name,
-		engine:  distbound.NewEngine(regions),
+		engine:  engine,
 		domain:  distbound.DomainForRegions(regions...),
 		hasW:    hasW,
 		results: newShardResultCache(),
@@ -415,7 +402,7 @@ func (s *Sharded) cacheKey(req Request) (resultKey, bool) {
 	if !s.results.Enabled() {
 		return resultKey{}, false
 	}
-	packed, ok := packShardAggs(req.Aggs)
+	packed, ok := join.PackAggs(req.Aggs)
 	if !ok {
 		return resultKey{}, false
 	}
@@ -426,9 +413,9 @@ func (s *Sharded) cacheKey(req Request) (resultKey, bool) {
 	return resultKey{epochSum: sum, bound: req.Bound, aggs: packed}, true
 }
 
-// SetResultCacheCapacity re-bounds the scatter-gather result cache; 0
-// disables it. The engine keeps its own per-shard result cache — this
-// governs only the merged layer above the fan-out.
+// SetResultCacheCapacity re-bounds the scatter-gather result cache — the
+// only result cache on the path, the hosted engine's being off; 0 disables
+// it, and every Do then executes on the shards.
 func (s *Sharded) SetResultCacheCapacity(n int) { s.results.SetCapacity(n) }
 
 // CacheStats reports the scatter-gather result cache's hit/miss/eviction

@@ -63,20 +63,22 @@ func unshardedDo(t *testing.T, e *distbound.Engine, ds *distbound.Dataset, aggs 
 // general — compare bitwise here; COUNT/MIN/MAX are unconditionally
 // identical.
 func TestShardedDifferential(t *testing.T) {
-	s, _, e, ds, _, _, _ := fixture(t, 3, 12000, 8)
-	if got := s.NumShards(); got < 2 {
-		t.Fatalf("fixture collapsed to %d shards; differential needs a real partition", got)
-	}
-	for _, bound := range []float64{16, 64, 256} {
-		resp, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: bound, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
+	for _, n := range []int{1, 8} {
+		s, _, e, ds, _, _, _ := fixture(t, 3, 12000, n)
+		if got := s.NumShards(); got != n {
+			t.Fatalf("fixture built %d shards, want %d", got, n)
 		}
-		want := unshardedDo(t, e, ds, allAggs, bound)
-		for k, agg := range allAggs {
-			testutil.CheckIdentical(t, fmt.Sprintf("bound=%g agg=%v", bound, agg), want.Results[k], resp.Results[k])
+		for _, bound := range []float64{16, 64, 256} {
+			resp, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: bound, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := unshardedDo(t, e, ds, allAggs, bound)
+			for k, agg := range allAggs {
+				testutil.CheckIdentical(t, fmt.Sprintf("shards=%d bound=%g agg=%v", n, bound, agg), want.Results[k], resp.Results[k])
+			}
+			want.Release()
 		}
-		want.Release()
 	}
 }
 
@@ -146,76 +148,80 @@ func TestShardedPartitioning(t *testing.T) {
 // both sides — routed global IDs on the sharded one, registration/append
 // IDs on the unsharded one — and requires the answers to stay identical.
 func TestShardedMutationParity(t *testing.T) {
-	s, sids, e, ds, _, pts, _ := fixture(t, 13, 4000, 5)
+	for _, n := range []int{1, 5} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			s, sids, e, ds, _, pts, _ := fixture(t, 13, 4000, n)
 
-	extra, _ := data.TaxiPoints(17, 600)
-	extraWs := testutil.ExactWeights(rand.New(rand.NewSource(18)), len(extra))
-	gids, err := s.Append(extra, extraWs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uids, err := ds.Append(extra, extraWs)
-	if err != nil {
-		t.Fatal(err)
-	}
+			extra, _ := data.TaxiPoints(17, 600)
+			extraWs := testutil.ExactWeights(rand.New(rand.NewSource(18)), len(extra))
+			gids, err := s.Append(extra, extraWs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			uids, err := ds.Append(extra, extraWs)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Delete a slice of the registration-time points and a slice of the
-	// appended ones on both sides.
-	var delS, delU []uint64
-	for i := 100; i < len(pts); i += 7 {
-		delS = append(delS, sids[i])
-		delU = append(delU, uint64(i))
-	}
-	for i := 0; i < len(extra); i += 3 {
-		delS = append(delS, gids[i])
-		delU = append(delU, uids[i])
-	}
-	gotN, err := s.Delete(delS...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantN, err := ds.Delete(delU...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotN != wantN {
-		t.Fatalf("sharded delete removed %d, unsharded %d", gotN, wantN)
-	}
-	// Idempotence: re-deleting removes nothing.
-	if got, err := s.Delete(delS...); got != 0 || err != nil {
-		t.Fatalf("re-delete removed %d (%v)", got, err)
-	}
+			// Delete a slice of the registration-time points and a slice of the
+			// appended ones on both sides.
+			var delS, delU []uint64
+			for i := 100; i < len(pts); i += 7 {
+				delS = append(delS, sids[i])
+				delU = append(delU, uint64(i))
+			}
+			for i := 0; i < len(extra); i += 3 {
+				delS = append(delS, gids[i])
+				delU = append(delU, uids[i])
+			}
+			gotN, err := s.Delete(delS...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantN, err := ds.Delete(delU...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotN != wantN {
+				t.Fatalf("sharded delete removed %d, unsharded %d", gotN, wantN)
+			}
+			// Idempotence: re-deleting removes nothing.
+			if got, err := s.Delete(delS...); got != 0 || err != nil {
+				t.Fatalf("re-delete removed %d (%v)", got, err)
+			}
 
-	resp, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The probe counters sum the shards' work: the first read inverts every
-	// live appended row exactly once, on the shard owning it.
-	if liveExtra := len(extra) - (len(extra)+2)/3; resp.DeltaProbed != liveExtra {
-		t.Fatalf("first read after the appends inverted %d delta rows, want the %d live ones", resp.DeltaProbed, liveExtra)
-	}
-	want := unshardedDo(t, e, ds, allAggs, 64)
-	for k, agg := range allAggs {
-		testutil.CheckIdentical(t, fmt.Sprintf("post-mutation agg=%v", agg), want.Results[k], resp.Results[k])
-	}
-	want.Release()
+			resp, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The probe counters sum the shards' work: the first read inverts every
+			// live appended row exactly once, on the shard owning it.
+			if liveExtra := len(extra) - (len(extra)+2)/3; resp.DeltaProbed != liveExtra {
+				t.Fatalf("first read after the appends inverted %d delta rows, want the %d live ones", resp.DeltaProbed, liveExtra)
+			}
+			want := unshardedDo(t, e, ds, allAggs, 64)
+			for k, agg := range allAggs {
+				testutil.CheckIdentical(t, fmt.Sprintf("post-mutation agg=%v", agg), want.Results[k], resp.Results[k])
+			}
+			want.Release()
 
-	// Compaction folds every shard's delta; answers must not move.
-	s.Compact()
-	ds.Compact()
-	resp2, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
-	if err != nil {
-		t.Fatal(err)
+			// Compaction folds every shard's delta; answers must not move.
+			s.Compact()
+			ds.Compact()
+			resp2, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp2.DeltaProbed != 0 || resp2.RangesProbed == 0 {
+				t.Fatalf("post-compaction query reports {%d %d}: want a base refill and no delta rows", resp2.RangesProbed, resp2.DeltaProbed)
+			}
+			want2 := unshardedDo(t, e, ds, allAggs, 64)
+			for k, agg := range allAggs {
+				testutil.CheckIdentical(t, fmt.Sprintf("post-compaction agg=%v", agg), want2.Results[k], resp2.Results[k])
+			}
+			want2.Release()
+		})
 	}
-	if resp2.DeltaProbed != 0 || resp2.RangesProbed == 0 {
-		t.Fatalf("post-compaction query reports {%d %d}: want a base refill and no delta rows", resp2.RangesProbed, resp2.DeltaProbed)
-	}
-	want2 := unshardedDo(t, e, ds, allAggs, 64)
-	for k, agg := range allAggs {
-		testutil.CheckIdentical(t, fmt.Sprintf("post-compaction agg=%v", agg), want2.Results[k], resp2.Results[k])
-	}
-	want2.Release()
 }
 
 // TestShardedFanOut proves the routing economy the issue demands: a query
@@ -323,59 +329,63 @@ func TestRoute(t *testing.T) {
 // close, open, and the recovered Sharded must answer identically and stay
 // mutable/durable.
 func TestShardedPersistOpen(t *testing.T) {
-	regions := data.Regions(data.Partition(5, 4, 4, 12))
-	pts, _ := data.TaxiPoints(31, 3000)
-	ws := testutil.ExactWeights(rand.New(rand.NewSource(32)), len(pts))
-	s, _, err := New("taxi", regions, pts, ws, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			regions := data.Regions(data.Partition(5, 4, 4, 12))
+			pts, _ := data.TaxiPoints(31, 3000)
+			ws := testutil.ExactWeights(rand.New(rand.NewSource(32)), len(pts))
+			s, _, err := New("taxi", regions, pts, ws, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	dir := t.TempDir()
-	if err := s.Persist(dir, distbound.PersistConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	// Mutations after Persist write-ahead log into the owning shard.
-	extra, _ := data.TaxiPoints(33, 200)
-	extraWs := testutil.ExactWeights(rand.New(rand.NewSource(34)), len(extra))
-	gids, err := s.Append(extra, extraWs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Delete(gids[:50]...)
-	mutated, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+			dir := t.TempDir()
+			if err := s.Persist(dir, distbound.PersistConfig{}); err != nil {
+				t.Fatal(err)
+			}
+			// Mutations after Persist write-ahead log into the owning shard.
+			extra, _ := data.TaxiPoints(33, 200)
+			extraWs := testutil.ExactWeights(rand.New(rand.NewSource(34)), len(extra))
+			gids, err := s.Append(extra, extraWs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Delete(gids[:50]...)
+			mutated, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
 
-	re, err := Open(regions, dir, distbound.PersistConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.NumShards() != 4 || !re.HasWeights() {
-		t.Fatalf("recovered %d shards, weights=%v", re.NumShards(), re.HasWeights())
-	}
-	after, err := re.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, agg := range allAggs {
-		testutil.CheckIdentical(t, fmt.Sprintf("recovered agg=%v", agg), mutated.Results[k], after.Results[k])
-	}
-	// Sanity: recovery really replayed the logged mutations, not just the
-	// snapshot.
-	if before.Results[0].Counts[0] == after.Results[0].Counts[0] &&
-		re.Len() == len(pts) {
-		t.Fatalf("recovered dataset ignored the logged mutations")
-	}
-	if want := len(pts) + len(extra) - 50; re.Len() != want {
-		t.Fatalf("recovered %d live points, want %d", re.Len(), want)
+			re, err := Open(regions, dir, distbound.PersistConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.NumShards() != n || !re.HasWeights() {
+				t.Fatalf("recovered %d shards, weights=%v", re.NumShards(), re.HasWeights())
+			}
+			after, err := re.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, agg := range allAggs {
+				testutil.CheckIdentical(t, fmt.Sprintf("recovered agg=%v", agg), mutated.Results[k], after.Results[k])
+			}
+			// Sanity: recovery really replayed the logged mutations, not just the
+			// snapshot.
+			if before.Results[0].Counts[0] == after.Results[0].Counts[0] &&
+				re.Len() == len(pts) {
+				t.Fatalf("recovered dataset ignored the logged mutations")
+			}
+			if want := len(pts) + len(extra) - 50; re.Len() != want {
+				t.Fatalf("recovered %d live points, want %d", re.Len(), want)
+			}
+		})
 	}
 }
 
@@ -491,8 +501,8 @@ func TestShardedValidation(t *testing.T) {
 // TestShardedResultCache pins the scatter-gather result cache's contract:
 // a repeated identical query is served from the cache (no new shard
 // contacts), any mutation on any shard moves the epoch sum and strands the
-// entry, and a cached answer is bit-identical to the executed one and to the
-// unsharded oracle.
+// entry, a cached answer is bit-identical to the executed one and to the
+// unsharded oracle, and with the cache off nothing caches in its place.
 func TestShardedResultCache(t *testing.T) {
 	s, ids, e, ds, _, pts, ws := fixture(t, 21, 8000, 6)
 	ctx := context.Background()
@@ -610,13 +620,28 @@ func TestShardedResultCache(t *testing.T) {
 	}
 	want.Release()
 
-	// Disabling the cache is a full bypass: counters freeze.
+	// Disabling the cache is a full bypass: counters freeze, and nothing
+	// beneath the scatter caches in its place — the hosted engine's result
+	// cache is off, so every repeat executes on the shards and answers the same.
 	s.SetResultCacheCapacity(0)
 	frozen := s.CacheStats()
-	if _, err := s.Do(ctx, req); err != nil {
-		t.Fatal(err)
+	contacts := s.Stats().ContactedTotal
+	for i := 0; i < 2; i++ {
+		got, err := s.Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, agg := range allAggs {
+			testutil.CheckIdentical(t, fmt.Sprintf("uncached repeat %d agg=%v", i, agg), final.Results[k], got.Results[k])
+		}
 	}
 	if st := s.CacheStats(); st.Hits != frozen.Hits || st.Misses != frozen.Misses {
 		t.Fatalf("disabled cache still probed: %+v -> %+v", frozen, st)
+	}
+	if got, want := s.Stats().ContactedTotal, contacts+2*uint64(final.ShardsContacted); got != want {
+		t.Fatalf("uncached repeats contacted %d shards in total, want %d: something answered without executing", got, want)
+	}
+	if st := s.engine.ResultCacheStats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("a result cache beneath the scatter was consulted: %+v", st)
 	}
 }

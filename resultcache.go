@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"distbound/internal/cache"
+	"distbound/internal/join"
 	"distbound/internal/planner"
 )
 
@@ -38,28 +39,8 @@ type resultKey struct {
 	ds    uint64 // Dataset.id
 	epoch uint64
 	bound float64
-	aggs  uint64 // nibble-packed aggregate set, see packAggs
+	aggs  uint64 // nibble-packed aggregate set, see join.PackAggs
 	strat int8   // forced Strategy, or -1 for the planner's choice
-}
-
-// packAggs encodes an aggregate set order-preservingly into one uint64,
-// 4 bits per aggregate (offset by 1 so trailing zero nibbles encode the
-// length). Sets longer than 16 aggregates — or carrying an aggregate that
-// does not fit a nibble — report !ok and bypass the cache.
-//
-//distbound:noalloc
-func packAggs(aggs []Agg) (uint64, bool) {
-	if len(aggs) > 16 {
-		return 0, false
-	}
-	var packed uint64
-	for i, a := range aggs {
-		if a < 0 || a > 14 {
-			return 0, false
-		}
-		packed |= uint64(a+1) << (4 * i)
-	}
-	return packed, true
 }
 
 // resultCacheKey computes the cache key for a normalized request, reporting
@@ -76,7 +57,7 @@ func resultCacheKey(req Request) (resultKey, bool) {
 	if req.Dataset == nil || req.Explain || math.IsNaN(req.Bound) {
 		return resultKey{}, false
 	}
-	packed, ok := packAggs(req.Aggs)
+	packed, ok := join.PackAggs(req.Aggs)
 	if !ok {
 		return resultKey{}, false
 	}
