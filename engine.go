@@ -25,11 +25,11 @@ const (
 	StrategyPointIdx = planner.StrategyPointIdx
 )
 
-// CostModel holds the planner's calibrated per-operation constants.
+// CostModel holds the planner's per-operation constants.
 type CostModel = planner.CostModel
 
 // DefaultCostModel returns the reference-machine cost constants every new
-// engine starts with; Calibrate refits them to the running host.
+// engine starts with.
 func DefaultCostModel() CostModel { return planner.DefaultCostModel() }
 
 // DefaultIndexCacheCapacity bounds the ACT index cache: a long-running
@@ -51,12 +51,13 @@ const DefaultBRJCacheCapacity = 2
 // own state over it. Resize with SetCoverCacheCapacity.
 const DefaultCoverCacheCapacity = 8
 
-// Engine answers spatial aggregation queries over a fixed region set,
-// choosing the physical plan with the §4 cost-based planner: the exact
-// filter-and-refine join, the ACT-indexed approximate join, the Bounded
-// Raster Join, or — for datasets registered with RegisterPoints — the
-// resident learned-index probe — whichever is estimated cheapest for the
-// requested bound and expected repetitions.
+// Engine answers spatial aggregation queries over a fixed region set. For an
+// ad-hoc point set the §4 cost-based planner chooses the physical plan — the
+// exact filter-and-refine join, the ACT-indexed approximate join or the
+// Bounded Raster Join, whichever is estimated cheapest for the requested
+// bound and expected repetitions; a dataset registered with RegisterPoints
+// has one plan, the resident learned-index probe, whenever the bound is
+// positive.
 //
 // Do is the entry point: one Request names a target (an ad-hoc PointSet or
 // a registered *Dataset), a set of aggregates answered in a single pass,
@@ -128,30 +129,12 @@ func NewEngine(regions []Region) *Engine {
 	}
 }
 
-// SetCostModel overrides the planner constants (e.g. after calibrating on
+// SetCostModel overrides the planner constants (e.g. with ones measured on
 // the target machine).
 func (e *Engine) SetCostModel(m CostModel) {
 	e.mu.Lock()
 	e.model = m
 	e.mu.Unlock()
-}
-
-// Calibrate fits the planner's cost model to this host — a bounded startup
-// microbenchmark of a few milliseconds that times real range probes, delta
-// binary-searches and trie lookups against synthetic data — installs the
-// fitted model, and returns it. Every fitted constant is clamped to a sane
-// envelope around the defaults, so calibration refines strategy crossover
-// points without ever producing a pathological model. Call it once at server
-// startup, before the serving workload; Response.Explain reports the
-// installed model on its cost-model line. Canceling ctx abandons the run with ctx's error
-// and leaves the current model untouched.
-func (e *Engine) Calibrate(ctx context.Context) (CostModel, error) {
-	m, err := planner.Calibrate(ctx)
-	if err != nil {
-		return m, err
-	}
-	e.SetCostModel(m)
-	return m, nil
 }
 
 // SetWorkers fixes the intra-query fan-out: every Do call shards its point

@@ -2,6 +2,7 @@ package distbound
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"distbound/internal/data"
@@ -21,8 +22,6 @@ func explainFixture(t *testing.T) (*Engine, *Dataset) {
 		PIPPerVertex:   4,
 		PixelWrite:     2,
 		PointScatter:   20,
-		RangeProbe:     100,
-		DeltaProbe:     10,
 	})
 	ds, err := e.RegisterPoints("taxi", pts, weights)
 	if err != nil {
@@ -40,8 +39,7 @@ func TestExplainGolden(t *testing.T) {
 	got := e.planOnly(adHoc(50_000, Count, 16), 10).Explain()
 	const want = `* exact(R*)  build=0.0ms run=22.3ms total=223.3ms
   act        build=191.9ms run=20.0ms total=391.9ms
-  brj        build=43.3ms run=111.9ms total=1161.9ms
-cost-model: default`
+  brj        build=43.3ms run=111.9ms total=1161.9ms`
 	if got != want {
 		t.Errorf("Explain drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
@@ -70,66 +68,65 @@ func TestResponseExplainGolden(t *testing.T) {
 	// A set containing MIN excludes BRJ for the whole request — the plan
 	// comparison must not even list it.
 	resp, err = e.Do(context.Background(), Request{
-		Dataset: ds, Aggs: []Agg{Count, Min}, Bound: 16, Repetitions: 10, Explain: true,
+		Points: ps, Aggs: []Agg{Count, Min}, Bound: 16, Repetitions: 10, Explain: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const wantExtremeSet = `* exact(R*)  build=0.0ms run=22.3ms total=223.3ms
-  pointidx   build=191.9ms run=6.4ms total=255.9ms
-  act        build=191.9ms run=20.0ms total=391.9ms
-cost-model: default`
+  act        build=191.9ms run=20.0ms total=391.9ms`
 	if resp.Explain != wantExtremeSet {
 		t.Errorf("multi-agg Response.Explain drifted:\n--- got ---\n%s\n--- want ---\n%s",
 			resp.Explain, wantExtremeSet)
 	}
 }
 
-// TestExplainDatasetGolden pins the resident plan rendering in both states:
-// freshly compacted (no delta line) and carrying a delta tail (the
-// delta-fraction term must appear and the costs must reflect the scan).
+// TestExplainDatasetGolden pins the resident plan rendering: one rule line,
+// whatever the dataset's state — there is no comparison to render — plus the
+// measured cover-plan line once the bound's cover set is resident.
 func TestExplainDatasetGolden(t *testing.T) {
 	e, ds := explainFixture(t)
-	explain := func() string {
-		return e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}, 10).Explain()
+	explain := func(bound float64) string {
+		return e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Explain: true}, 10).Explain()
 	}
-	got := explain()
-	const wantCompact = `* exact(R*)  build=0.0ms run=22.3ms total=223.3ms
-  pointidx   build=191.9ms run=6.4ms total=255.9ms
-  act        build=191.9ms run=20.0ms total=391.9ms
-  brj        build=43.3ms run=111.9ms total=1161.9ms
-cost-model: default`
-	if got != wantCompact {
-		t.Errorf("ExplainDataset (compact) drifted:\n--- got ---\n%s\n--- want ---\n%s", got, wantCompact)
+	const wantRule = `* pointidx   rule: registered dataset, bound > 0`
+	if got := explain(16); got != wantRule {
+		t.Errorf("cold dataset Explain drifted:\n--- got ---\n%s\n--- want ---\n%s", got, wantRule)
+	}
+	if got, want := explain(0), `* exact(R*)  rule: registered dataset, no positive bound`; got != want {
+		t.Errorf("bound-0 dataset Explain drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 
-	// A 12.5k-row delta on a 62.5k-point dataset: the pointidx row's per-run
-	// cost now includes the delta scan, the ordering flips (pointidx still
-	// wins here), and the delta line names the fraction.
+	// A 12.5k-row delta changes nothing: the rule does not read the store.
 	pts, ws := ds.Points()
-	ids, err := ds.Append(pts[:12_500], ws[:12_500])
+	if _, err := ds.Append(pts[:12_500], ws[:12_500]); err != nil {
+		t.Fatal(err)
+	}
+	if got := explain(16); got != wantRule {
+		t.Errorf("dataset Explain under a delta drifted:\n--- got ---\n%s\n--- want ---\n%s", got, wantRule)
+	}
+
+	// Running the request builds the cover set; Explain then reports its
+	// measured shape.
+	resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = explain()
-	const wantDelta = `* pointidx   build=191.9ms run=8.4ms total=275.8ms
-  exact(R*)  build=0.0ms run=27.9ms total=279.2ms
-  act        build=191.9ms run=25.0ms total=441.9ms
-  brj        build=43.3ms run=112.1ms total=1164.4ms
-delta: 20.0% of resident points await compaction (pointidx per-run cost includes the inverted delta join)
-cost-model: default`
-	if got != wantDelta {
-		t.Errorf("ExplainDataset (delta) drifted:\n--- got ---\n%s\n--- want ---\n%s", got, wantDelta)
+	if resp.Strategy != StrategyPointIdx || resp.Explain != wantRule {
+		t.Errorf("cold Do ran %v and explained\n%s", resp.Strategy, resp.Explain)
 	}
-
-	// Deleting the appended rows and compacting restores the original
-	// rendering exactly: same live points, no delta term.
-	if n, err := ds.Delete(ids...); n != 12_500 || err != nil {
-		t.Fatalf("deleted %d (%v)", n, err)
+	cs, ok := e.covers.PeekReady(16)
+	if !ok {
+		t.Fatal("the pointidx run left no cover set resident")
 	}
-	ds.Compact()
-	got = explain()
-	if got != wantCompact {
-		t.Errorf("ExplainDataset after compaction drifted:\n--- got ---\n%s\n--- want ---\n%s", got, wantCompact)
+	want := fmt.Sprintf("%s\ncover-plan: %d region-ranges → %d unique, %d boundary probes per query",
+		wantRule, cs.set.NumRanges(), cs.set.NumUniqueRanges(), cs.set.NumBoundaryProbes())
+	if got := explain(16); got != want {
+		t.Errorf("warm dataset Explain drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	// Off the Explain path the plan carries no cover stats: the hot path
+	// never peeks.
+	if p := e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}, 1); p.Cover.Ranges != 0 || len(p.Costs) != 0 {
+		t.Errorf("unexplained dataset plan carries %+v", p)
 	}
 }

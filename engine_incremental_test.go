@@ -6,22 +6,18 @@ import (
 	"time"
 )
 
-// TestResidentNeverFallsBackWhileWarm closes ROADMAP item 3's hypothesis —
-// "the planner's delta penalty tips resident queries back to streaming joins
-// over a materialised live set" — with a test: while the joiner is warm, an
-// unforced request on a registered dataset plans pointidx at every delta
-// size below the compaction threshold, even with the streaming strategies'
-// build artifacts resident and no repetitions to amortize anything over.
-// The planner is charged what a run owes — the rows appended since the last
-// read — not the whole tail, and the executed counters agree with it.
+// TestResidentNeverFallsBackWhileWarm pins what a warm resident read costs
+// under ingest: an unforced request on a registered dataset runs pointidx at
+// every delta size below the compaction threshold, even with the streaming
+// strategies' build artifacts resident and no repetitions declared, and each
+// read does only what it owes — the rows appended since the last read
+// inverted, no range probed.
 func TestResidentNeverFallsBackWhileWarm(t *testing.T) {
 	e, ds, ps := requestFixture(t)
 	e.SetResultCacheCapacity(0)
 	e.SetWorkers(1)
 	ds.Compact()
 	ctx := context.Background()
-	// At ε = 64 the raster join is cheap enough that charging the whole tail
-	// tipped this fixture to brj from a ~40k-row delta on.
 	bounds := []float64{16, 64}
 	aggs := []Agg{Count, Sum, Avg}
 
@@ -55,21 +51,8 @@ func TestResidentNeverFallsBackWhileWarm(t *testing.T) {
 				t.Fatalf("ε %g, delta %d: the read did {%d %d} of work, want only the %d new rows inverted",
 					bound, delta, resp.RangesProbed, resp.DeltaProbed, chunk)
 			}
-			if resp.Plan.DeltaFraction == 0 {
-				t.Fatalf("ε %g, delta %d: the plan hides the un-compacted tail", bound, delta)
-			}
 			resp.Release()
 		}
-	}
-	// The charge follows the joiner's state, not the dataset's: with its
-	// partials gone the same request owes — and is charged — the probe and
-	// the whole tail again.
-	req := Request{Dataset: ds, Aggs: aggs, Bound: 16}
-	warm := e.planRequest(req, 1, nil).Costs[StrategyPointIdx].PerRun
-	e.dropPartials(ds, 16)
-	cold := e.planRequest(req, 1, nil).Costs[StrategyPointIdx].PerRun
-	if warm != 0 || !(cold > 0) {
-		t.Fatalf("pointidx per-run cost: warm joiner %g, cold %g; want 0 and > 0", warm, cold)
 	}
 }
 

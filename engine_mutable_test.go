@@ -178,66 +178,6 @@ func TestDatasetAutoCompaction(t *testing.T) {
 	}
 }
 
-// TestDatasetDeltaSurvivesPlanner: with the inverted delta join, a bloated
-// delta raises the point-index per-run cost only by delta × log(ranges) —
-// cheaper per row than one ACT lookup — so the planner keeps the point
-// index through heavy ingest instead of abandoning it the way the old
-// regions × delta scan forced. The delta debt must still be visible:
-// per-run cost grows monotonically with the delta, the plan reports the
-// fraction, Explain prints the line, and compaction clears all of it.
-func TestDatasetDeltaSurvivesPlanner(t *testing.T) {
-	pts, weights := data.TaxiPoints(51, 200_000)
-	regions := dataRegions(52, 12, 12, 10)
-	e := NewEngine(regions)
-	ds, err := e.RegisterPoints("taxi", pts, weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := PointSet{Pts: pts, Weights: weights}
-	ds.SetCompactionThreshold(0) // keep the delta; this test wants the bloat
-	planNow := func() Plan {
-		return e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}, 100000)
-	}
-	plan := planNow()
-	if plan.Strategy != StrategyPointIdx {
-		t.Skipf("fixture planned %v pre-mutation; delta check needs pointidx", plan.Strategy)
-	}
-	cleanRun := plan.Costs[StrategyPointIdx].PerRun
-	// Append a delta comparable to the base: the inverted join keeps the
-	// point index cheapest, but the per-run cost must charge the searches.
-	for i := 0; i < 4; i++ {
-		if _, err := ds.Append(ps.Pts[:50_000], ps.Weights[:50_000]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bloated := planNow()
-	if bloated.Strategy != StrategyPointIdx {
-		t.Errorf("planner abandoned pointidx under a 100%% delta despite the inverted join (costs %v)", bloated.Costs)
-	}
-	if got := bloated.Costs[StrategyPointIdx].PerRun; got <= cleanRun {
-		t.Errorf("bloated per-run cost %g not above clean %g", got, cleanRun)
-	}
-	if bloated.DeltaFraction == 0 {
-		t.Error("plan reports no delta fraction on a bloated dataset")
-	}
-	if out := bloated.Explain(); !strings.Contains(out, "delta:") {
-		t.Errorf("Explain omits the delta term:\n%s", out)
-	}
-	// Compaction folds the delta in: the fraction and the extra per-run cost
-	// both vanish.
-	ds.Compact()
-	recovered := planNow()
-	if recovered.Strategy != StrategyPointIdx {
-		t.Errorf("planner stuck on %v after compaction", recovered.Strategy)
-	}
-	if recovered.DeltaFraction != 0 {
-		t.Errorf("delta fraction %g after compaction", recovered.DeltaFraction)
-	}
-	if got := recovered.Costs[StrategyPointIdx].PerRun; got != cleanRun {
-		t.Errorf("post-compaction per-run cost %g, want the clean %g", got, cleanRun)
-	}
-}
-
 // TestMutableConcurrency races queries against Append, Delete, Compact and a
 // final UnregisterPoints on one dataset. Run with -race. Queries must never
 // panic or return torn results: the writer only ever appends from the

@@ -128,30 +128,38 @@ func TestDoRequestValidation(t *testing.T) {
 	}
 }
 
-// TestDoResponseMetadata: Explain and Plan ride the response, and multi-agg
-// sets containing MIN/MAX exclude BRJ from the plan entirely.
+// TestDoResponseMetadata: Explain and Plan ride the response; multi-agg sets
+// containing MIN/MAX exclude BRJ from an ad-hoc plan entirely, and a dataset
+// plan is the bare rule outcome.
 func TestDoResponseMetadata(t *testing.T) {
-	e, ds, _ := requestFixture(t)
-	resp, err := e.Do(context.Background(), Request{
-		Dataset: ds, Aggs: []Agg{Count, Sum, Min}, Bound: 16, Repetitions: 100, Explain: true,
-	})
+	e, ds, ps := requestFixture(t)
+	aggs := []Agg{Count, Sum, Min}
+	resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: aggs, Bound: 16, Repetitions: 100, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Explain == "" {
 		t.Error("Explain requested but empty")
 	}
-	if _, ok := resp.Plan.Costs[StrategyBRJ]; ok {
-		t.Error("a set containing MIN still lists BRJ as an alternative")
-	}
-	if _, ok := resp.Plan.Costs[StrategyPointIdx]; !ok {
-		t.Error("dataset request does not consider pointidx")
+	if _, ok := resp.Plan.Costs[StrategyBRJ]; ok || len(resp.Plan.Costs) != 2 {
+		t.Errorf("a set containing MIN weighs %v, want exact and act only", resp.Plan.Costs)
 	}
 	if resp.Wall <= 0 {
 		t.Error("Wall timing missing")
 	}
+
+	resp, err = e.Do(context.Background(), Request{Dataset: ds, Aggs: aggs, Bound: 16, Repetitions: 100, Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Strategy != StrategyPointIdx || resp.Plan.Strategy != StrategyPointIdx || len(resp.Plan.Costs) != 0 {
+		t.Errorf("dataset request ran %v on plan %+v, want the bare pointidx rule", resp.Strategy, resp.Plan)
+	}
+	if resp.Explain == "" {
+		t.Error("Explain requested but empty")
+	}
 	// Cold acquisition above paid a build; a warm repeat acquires in ~0.
-	if resp.Strategy == StrategyPointIdx && resp.Build <= 0 {
+	if resp.Build <= 0 {
 		t.Error("cold pointidx run reports no build time")
 	}
 }

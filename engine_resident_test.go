@@ -2,11 +2,15 @@ package distbound
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"distbound/internal/data"
+	"distbound/internal/testutil"
 )
 
 func residentFixture(t *testing.T, n int) (*Engine, *Dataset, PointSet, []Region) {
@@ -114,13 +118,13 @@ func TestAggregateDatasetRejectsForeignHandle(t *testing.T) {
 }
 
 // TestResidentPlannerSelectsPointIdx pins the acceptance criterion: for
-// repeated COUNT queries over a registered dataset the planner must select
-// the learned-index strategy, and Explain must list it.
+// COUNT queries over a registered dataset the plan is the learned-index
+// strategy, and Explain must list it.
 func TestResidentPlannerSelectsPointIdx(t *testing.T) {
 	e, ds, _, _ := residentFixture(t, 200_000)
 	plan := e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}, 100000)
 	if plan.Strategy != StrategyPointIdx {
-		t.Errorf("repeated resident COUNT planned %v (costs: %v)", plan.Strategy, plan.Costs)
+		t.Errorf("resident COUNT planned %v", plan.Strategy)
 	}
 	if out := plan.Explain(); !strings.Contains(out, "pointidx") || !strings.Contains(out, "*") {
 		t.Errorf("Explain output unexpected:\n%s", out)
@@ -132,6 +136,143 @@ func TestResidentPlannerSelectsPointIdx(t *testing.T) {
 	}
 	if p := e.planOnly(adHoc(200_000, Count, 16), 100000); p.Strategy == StrategyPointIdx {
 		t.Error("ad-hoc plan chose the resident strategy")
+	}
+}
+
+// TestResidentRule pins the one decision taken for a registered dataset: a
+// positive bound runs pointidx — cold, warm, under a delta, after a base
+// delete, after a compaction, whatever the declared repetitions and whatever
+// streaming artifacts are resident — and anything else runs exact, with no
+// cost table either way. A forced streaming strategy is still honoured and
+// still agrees with pointidx the way the differential suites require, and
+// dataset requests in a batch leave the ad-hoc requests' sharing credit alone.
+func TestResidentRule(t *testing.T) {
+	e, ds, ps := requestFixture(t)
+	e.SetResultCacheCapacity(0) // every request executes
+	ctx := context.Background()
+	const bound = 16.0
+	aggs := []Agg{Count, Sum, Min}
+	do := func(label string, req Request) Response {
+		t.Helper()
+		resp, err := e.Do(ctx, req)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return resp
+	}
+	forced := func(s Strategy, aggs []Agg) Request {
+		return Request{Dataset: ds, Aggs: aggs, Bound: bound, Strategy: &s}
+	}
+
+	steps := []struct {
+		name   string
+		mutate func()
+	}{
+		{"cold", func() {}},
+		{"warm", func() {}},
+		{"streaming artifacts resident", func() {
+			for _, s := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ} {
+				do("warming "+s.String(), Request{Points: ps, Aggs: []Agg{Count}, Bound: bound, Strategy: &s})
+			}
+			if cached := e.cachedBuildsInto(bound, nil); len(cached) != 3 {
+				t.Fatalf("streaming artifacts resident: %v", cached)
+			}
+		}},
+		{"under a delta", func() {
+			if _, err := ds.Append(ps.Pts[:3000], ps.Weights[:3000]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"after a base delete", func() {
+			if n, err := ds.Delete(11, 13, 17); n != 3 || err != nil {
+				t.Fatalf("deleted %d (%v)", n, err)
+			}
+		}},
+		{"after Compact", ds.Compact},
+	}
+	for _, step := range steps {
+		step.mutate()
+		var pidx Response
+		for _, reps := range []int{1, 100_000} {
+			pidx = do(step.name, Request{Dataset: ds, Aggs: aggs, Bound: bound, Repetitions: reps})
+			if pidx.Strategy != StrategyPointIdx || pidx.Plan.Strategy != StrategyPointIdx || len(pidx.Plan.Costs) != 0 {
+				t.Fatalf("%s, %d repetitions: ran %v on plan %+v, want the bare pointidx rule",
+					step.name, reps, pidx.Strategy, pidx.Plan)
+			}
+		}
+
+		// The escape hatch: every streaming strategy, forced, still executes
+		// over the same live points. ACT tests the same leaf positions against
+		// the same conservative covers, so it matches pointidx bit for bit;
+		// exact and BRJ owe it only the ε guarantee.
+		pts, ws := ds.Points()
+		cls := testutil.Classify(pts, ws, e.regions, bound)
+		for k, agg := range aggs {
+			cls.Check(t, step.name+" pointidx "+agg.String(), agg, pidx.Results[k])
+		}
+		for _, s := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ} {
+			sAggs := aggs
+			if s == StrategyBRJ {
+				sAggs = aggs[:2]
+			}
+			got := do(step.name, forced(s, sAggs))
+			if got.Strategy != s || got.Plan.Strategy != StrategyPointIdx {
+				t.Fatalf("%s: forced %v ran %v beside plan %v", step.name, s, got.Strategy, got.Plan.Strategy)
+			}
+			for k, agg := range sAggs {
+				label := step.name + " " + s.String() + " " + agg.String()
+				if s == StrategyACT {
+					testutil.CheckIdentical(t, label+" vs pointidx", pidx.Results[k], got.Results[k])
+				}
+				cls.Check(t, label, agg, got.Results[k])
+			}
+		}
+	}
+
+	// No positive bound, no approximation: the rule's other arm.
+	pts, ws := ds.Points()
+	brute, err := BruteForceJoin(PointSet{Pts: pts, Weights: ws}, e.regions, Count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []float64{0, -4, math.NaN()} {
+		resp := do("exact arm", Request{Dataset: ds, Aggs: []Agg{Count}, Bound: b, Repetitions: 100_000})
+		if resp.Strategy != StrategyExact || resp.Plan.Strategy != StrategyExact || len(resp.Plan.Costs) != 0 {
+			t.Fatalf("bound %v: ran %v on plan %+v, want the bare exact rule", b, resp.Strategy, resp.Plan)
+		}
+		testutil.CheckIdentical(t, fmt.Sprintf("bound %v vs brute force", b), brute, resp.Results[0])
+	}
+
+	// A mixed batch: three same-bound ad-hoc requests credit each other —
+	// their plans are the three-repetition plan — and neither the dataset
+	// requests at that bound nor the MIN-carrying set add to it.
+	adhocReq := Request{Points: ps, Aggs: []Agg{Count}, Bound: 64}
+	minReq := Request{Points: ps, Aggs: []Agg{Count, Min}, Bound: 64}
+	dsReq := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 64}
+	want, wantMin := e.planOnly(adhocReq, 3), e.planOnly(minReq, 1)
+	resps, err := e.DoBatch(ctx, []Request{adhocReq, dsReq, adhocReq, minReq, dsReq, adhocReq}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range resps {
+		if r.Err != nil {
+			t.Fatalf("batch request %d: %v", i, r.Err)
+		}
+		switch i {
+		case 1, 4:
+			if r.Strategy != StrategyPointIdx || len(r.Plan.Costs) != 0 {
+				t.Errorf("batch request %d (dataset): ran %v on plan %+v", i, r.Strategy, r.Plan)
+			}
+		case 3:
+			if !reflect.DeepEqual(r.Plan.Costs, wantMin.Costs) {
+				t.Errorf("the MIN-carrying request was credited: %v, want %v", r.Plan.Costs, wantMin.Costs)
+			}
+		default:
+			if r.Strategy != want.Strategy || !reflect.DeepEqual(r.Plan.Costs, want.Costs) {
+				t.Errorf("batch request %d (ad-hoc): %v on %v, want the 3-repetition plan %v on %v",
+					i, r.Strategy, r.Plan.Costs, want.Strategy, want.Costs)
+			}
+		}
 	}
 }
 

@@ -322,28 +322,6 @@ func (c *Cache[K, V]) EachReady(fn func(K, V)) {
 	}
 }
 
-// Peek returns the value cached under key without affecting recency. It
-// blocks if the entry's build is still in flight.
-func (c *Cache[K, V]) Peek(key K) (V, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	c.mu.Unlock()
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	<-e.ready
-	return e.val, e.err == nil
-}
-
-// Contains reports whether key is resident (built or building).
-func (c *Cache[K, V]) Contains(key K) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
-}
-
 // ContainsReady reports whether key is resident with a completed build —
 // the right check for "has this build cost been paid", where an in-flight
 // build must not count.
@@ -360,13 +338,6 @@ func (c *Cache[K, V]) ContainsReady(key K) bool {
 	default:
 		return false
 	}
-}
-
-// Len returns the number of resident entries.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // Stats returns a snapshot of the event counters.

@@ -16,6 +16,13 @@ func get[K comparable, V any](c *Cache[K, V], key K, build func() (V, error)) (V
 	return c.GetOrBuildCtx(context.Background(), key, func(context.Context) (V, error) { return build() })
 }
 
+// resident counts the entries whose build has completed.
+func resident[K comparable, V any](c *Cache[K, V]) int {
+	n := 0
+	c.EachReady(func(K, V) { n++ })
+	return n
+}
+
 func TestGetOrBuildCachesValue(t *testing.T) {
 	c := New[int, string](4)
 	builds := 0
@@ -44,14 +51,14 @@ func TestLRUEvictionOrder(t *testing.T) {
 	get(c, 2, mk(2))
 	get(c, 1, mk(1)) // bump 1; 2 is now LRU
 	get(c, 3, mk(3)) // evicts 2
-	if c.Contains(2) {
+	if c.ContainsReady(2) {
 		t.Error("2 not evicted")
 	}
-	if !c.Contains(1) || !c.Contains(3) {
+	if !c.ContainsReady(1) || !c.ContainsReady(3) {
 		t.Error("wrong survivors")
 	}
-	if c.Len() != 2 {
-		t.Errorf("len %d", c.Len())
+	if resident(c) != 2 {
+		t.Errorf("len %d", resident(c))
 	}
 	if ev := c.Stats().Evictions; ev != 1 {
 		t.Errorf("evictions %d", ev)
@@ -64,7 +71,7 @@ func TestFailedBuildNotCached(t *testing.T) {
 	if _, err := get(c, 1, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err %v", err)
 	}
-	if c.Contains(1) {
+	if c.ContainsReady(1) {
 		t.Error("failed build cached")
 	}
 	v, err := get(c, 1, func() (int, error) { return 5, nil })
@@ -79,12 +86,12 @@ func TestFailedBuildDoesNotEvictResidents(t *testing.T) {
 	if _, err := get(c, 2, func() (int, error) { return 0, errors.New("boom") }); err == nil {
 		t.Fatal("build error lost")
 	}
-	if !c.Contains(1) {
+	if !c.ContainsReady(1) {
 		t.Error("failed build for key 2 evicted the resident key 1")
 	}
 	// A successful build still evicts the LRU resident.
 	get(c, 3, func() (int, error) { return 3, nil })
-	if c.Contains(1) || !c.Contains(3) || c.Len() != 1 {
+	if c.ContainsReady(1) || !c.ContainsReady(3) || resident(c) != 1 {
 		t.Error("successful build did not take over the capacity-1 cache")
 	}
 }
@@ -222,11 +229,11 @@ func TestSetCapacityShrinks(t *testing.T) {
 		get(c, k, func() (int, error) { return k, nil })
 	}
 	c.SetCapacity(2)
-	if c.Len() != 2 {
-		t.Errorf("len %d after shrink", c.Len())
+	if resident(c) != 2 {
+		t.Errorf("len %d after shrink", resident(c))
 	}
 	// The two most recently used keys survive.
-	if !c.Contains(4) || !c.Contains(5) {
+	if !c.ContainsReady(4) || !c.ContainsReady(5) {
 		t.Error("wrong survivors after shrink")
 	}
 }
@@ -235,11 +242,11 @@ func TestPeekDoesNotBumpRecency(t *testing.T) {
 	c := New[int, int](2)
 	get(c, 1, func() (int, error) { return 1, nil })
 	get(c, 2, func() (int, error) { return 2, nil })
-	if v, ok := c.Peek(1); !ok || v != 1 {
+	if v, ok := c.PeekReady(1); !ok || v != 1 {
 		t.Fatalf("peek: %d, %v", v, ok)
 	}
 	get(c, 3, func() (int, error) { return 3, nil }) // evicts 1 (peek did not bump)
-	if c.Contains(1) {
+	if c.ContainsReady(1) {
 		t.Error("peek bumped recency")
 	}
 }
@@ -260,8 +267,8 @@ func TestConcurrentMixedKeysUnderCapacityPressure(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 3 {
-		t.Errorf("len %d exceeds capacity", c.Len())
+	if resident(c) > 3 {
+		t.Errorf("len %d exceeds capacity", resident(c))
 	}
 }
 
@@ -316,7 +323,7 @@ func TestGetOrBuildCtxCanceledWaiterDetaches(t *testing.T) {
 	if err := <-survivor; err != nil {
 		t.Fatalf("surviving waiter got %v", err)
 	}
-	if v, ok := c.Peek("k"); !ok || v != 42 {
+	if v, ok := c.PeekReady("k"); !ok || v != 42 {
 		t.Errorf("artifact not cached after a co-waiter canceled: (%d, %v)", v, ok)
 	}
 	if built.Load() != 1 {
@@ -386,7 +393,7 @@ func TestGetOrBuildCtxCancelSparesRemainingWaiter(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatalf("the caller that stayed got %v", err)
 	}
-	if v, ok := c.Peek("k"); !ok || v != 5 {
+	if v, ok := c.PeekReady("k"); !ok || v != 5 {
 		t.Errorf("artifact lost: (%d, %v)", v, ok)
 	}
 }
@@ -419,7 +426,7 @@ func TestAbandonedBuildIsReplacedNotJoined(t *testing.T) {
 		t.Fatalf("replacement build: (%d, %v), want (2, nil)", v, err)
 	}
 	close(stuck)
-	if v, ok := c.Peek("k"); !ok || v != 2 {
+	if v, ok := c.PeekReady("k"); !ok || v != 2 {
 		t.Errorf("cache serves (%d, %v), want the replacement's 2", v, ok)
 	}
 }
@@ -467,7 +474,7 @@ func TestEachReady(t *testing.T) {
 	seen := map[int]string{}
 	c.EachReady(func(k int, v string) {
 		seen[k] = v
-		c.Contains(k) // re-entering the cache must not deadlock
+		c.ContainsReady(k) // re-entering the cache must not deadlock
 	})
 	if len(seen) != 2 || seen[1] != "a" || seen[2] != "b" {
 		t.Fatalf("EachReady visited %v, want the two completed entries", seen)

@@ -427,14 +427,11 @@ func TestIncrementalFoldEdges(t *testing.T) {
 		if bp := h.inc[1].base.Load(); !bp.serves(h.store.Snapshot(), aggNeeds{sum: true}) || bp.have != (aggNeeds{sum: true}) {
 			t.Fatalf("Refresh published %+v", bp.have)
 		}
-		if st := h.inc[1].Pending(h.store.Snapshot(), []Agg{Count, Sum}); st != (ProbeStats{}) {
-			t.Fatalf("Pending after Refresh = %+v, want nothing owed", st)
-		}
 		if st := h.query(1, []Agg{Count, Sum}, 1); st != (ProbeStats{}) {
 			t.Fatalf("query after Refresh reported %+v, want no work", st)
 		}
-		if st := h.inc[1].Pending(h.store.Snapshot(), allFive); st.RangesProbed == 0 {
-			t.Fatal("Pending claims columns nobody filled")
+		if h.inc[1].base.Load().serves(h.store.Snapshot(), needsOf(allFive)) {
+			t.Fatal("Refresh claims columns nobody filled")
 		}
 	})
 }

@@ -158,23 +158,6 @@ func (j *PointIdxJoiner) MemoryBytes() int {
 	return n
 }
 
-// Pending reports the work a query for aggs over snap would perform against
-// what the joiner has published right now, in ProbeStats' units: the unique
-// ranges a base fill would probe (0 when the base partials serve snap) and
-// the delta rows, dead ones included, past the watermark. It is the
-// planner's view of the joiner — two atomic loads, no side effects.
-func (j *PointIdxJoiner) Pending(snap *pointstore.Snapshot, aggs []Agg) ProbeStats {
-	var st ProbeStats
-	if !j.base.Load().serves(snap, needsOf(aggs)) {
-		st.RangesProbed = len(j.plan.uniq)
-	}
-	st.DeltaProbed = snap.DeltaLen()
-	if dp := j.delta.Load(); dp.extends(snap) {
-		st.DeltaProbed -= dp.upto
-	}
-	return st
-}
-
 // DropPartials discards the published base partials and delta accumulators,
 // so the next query recomputes both from nothing — the re-execution the
 // incremental state is differentially tested against, and what a benchmark

@@ -4,8 +4,8 @@
 // lookup join, the Bounded Raster Join on canvases, or the classic exact
 // filter-and-refine — and "the optimizer can choose different query plans
 // based on the query parameters, the distance bound ... and the estimated
-// selectivity". This planner estimates each strategy's cost from workload
-// statistics and a calibrated constant model and picks the cheapest.
+// selectivity". This planner estimates each streaming strategy's cost from
+// workload statistics and a constant model and picks the cheapest.
 package planner
 
 import (
@@ -34,8 +34,9 @@ const (
 	StrategyBRJ
 	// StrategyPointIdx probes a resident learned-indexed point store with
 	// each region's cover ranges: per-run cost proportional to cover ranges,
-	// independent of the point count. Available only when the query's point
-	// side is a registered dataset (Query.ResidentPoints).
+	// independent of the point count. It exists only for a registered
+	// dataset, where it is the rule rather than a choice, so the cost model
+	// never weighs it.
 	StrategyPointIdx
 )
 
@@ -83,26 +84,6 @@ type Query struct {
 	// StrategyBRJ — the plan then reflects the fallback instead of the
 	// executor silently swapping strategies.
 	ExtremeAgg bool
-	// ResidentPoints marks the point side as a registered dataset: SFC-sorted
-	// and learned-indexed once, resident in memory. Only then is
-	// StrategyPointIdx available — an ad-hoc PointSet has no index to probe.
-	ResidentPoints bool
-	// DeltaPoints is the resident dataset's un-compacted tail: rows appended
-	// (or deleted from the delta) since the last compaction, which every
-	// region of a point-index query must brute-scan on top of its range
-	// probes. The term grows with regions × delta rows, so a bloated delta
-	// correctly tips plans back to the streaming strategies until compaction
-	// catches up. Ignored unless ResidentPoints is set.
-	DeltaPoints int
-	// DeltaInverted is how many of DeltaPoints' rows the resident joiner has
-	// already inverted into its published delta accumulators: a run pays the
-	// inverted join only for the rows past that watermark. BaseFolded reports
-	// that the joiner's published base partials already answer this query's
-	// aggregate set over the current base rows, so a run probes no range at
-	// all. Both describe a built joiner; they stay zero for a cold one, whose
-	// first run owes the full probe and the whole delta.
-	DeltaInverted int
-	BaseFolded    bool
 	// CachedBuild marks strategies whose one-time build artifact (the ACT
 	// trie, the R*-tree, or the BRJ region-mask canvases) is already
 	// resident in the caller's cache: their build cost has been paid, so
@@ -162,9 +143,9 @@ func perimeterOf(rg geom.Region) float64 {
 	}
 }
 
-// CostModel holds the calibrated per-operation constants (nanoseconds). The
-// defaults were measured on this repository's benchmark suite; Calibrate-
-// style refinement can overwrite them for a new machine.
+// CostModel holds the per-operation constants (nanoseconds). The defaults
+// were measured on this repository's benchmark suite; a caller on a very
+// different machine can overwrite them.
 type CostModel struct {
 	// TrieLookup is the ACT per-point lookup cost.
 	TrieLookup float64
@@ -179,20 +160,6 @@ type CostModel struct {
 	PixelWrite float64
 	// PointScatter is the per-point cost of rendering points to a canvas.
 	PointScatter float64
-	// RangeProbe is the cost of one resident-store range probe: two learned-
-	// index lookups plus the prefix-sum / block-aggregate folds.
-	RangeProbe float64
-	// DeltaProbe is the per-comparison cost of binary-searching one
-	// un-compacted delta row into the cover plan's global merged range list.
-	// The inverted delta join pays it DeltaPoints × log2(ranges) times per
-	// query — each live delta row is located once and fanned out to the
-	// regions posting its range, instead of every region re-scanning the
-	// whole delta.
-	DeltaProbe float64
-	// Calibrated reports whether the constants came from a Calibrate run on
-	// this host rather than the reference-machine defaults. Plans carry it
-	// through to Explain's cost-model line.
-	Calibrated bool
 }
 
 // DefaultCostModel returns constants measured on the reference machine
@@ -205,15 +172,8 @@ func DefaultCostModel() CostModel {
 		PIPPerVertex:   4,
 		PixelWrite:     2.5,
 		PointScatter:   25,
-		RangeProbe:     120,
-		DeltaProbe:     15,
 	}
 }
-
-// rangeMergeFactor estimates how many raw cover cells coalesce into one
-// probed leaf range: Hilbert locality makes adjacent cover cells contiguous
-// on the curve, so merged ranges are a small fraction of the cell count.
-const rangeMergeFactor = 3
 
 // Cost is an estimated execution profile in nanoseconds.
 type Cost struct {
@@ -222,7 +182,7 @@ type Cost struct {
 	Total  float64 // Build + Repetitions × PerRun
 }
 
-// Estimate predicts the cost of running q with strategy s.
+// Estimate predicts the cost of running q with streaming strategy s.
 func (m CostModel) Estimate(q Query, s Strategy) Cost {
 	reps := float64(q.Repetitions)
 	if reps < 1 {
@@ -278,29 +238,6 @@ func (m CostModel) Estimate(q Query, s Strategy) Cost {
 		maskCost := maskPixels * m.PixelWrite
 		c.Build = maskCost / 2
 		c.PerRun = maskCost/2 + tilePixels*m.PixelWrite + n*m.PointScatter + tiles*tiles*1e5
-	case StrategyPointIdx:
-		cellSide := q.Bound / math.Sqrt2
-		if cellSide <= 0 || !q.ResidentPoints {
-			return Cost{Total: math.Inf(1)}
-		}
-		// Build: the same per-region HR rasterization ACT pays (the point
-		// store itself was built at registration and is shared by every
-		// bound, so it charges nothing here). Per run: one range probe per
-		// merged cover range — independent of the point count, which is the
-		// whole attraction for large resident datasets — unless the joiner
-		// already holds the base fold, plus the inverted delta join over the
-		// rows the joiner has not inverted yet: each is binary-searched into
-		// the global merged range list once, so the term grows with
-		// new rows × log(ranges), not regions × delta. That keeps the point
-		// index viable under heavy ingest: a resident query between
-		// compactions owes only what was appended since the last one.
-		cells := 2 * st.totalPerim / cellSide
-		ranges := cells / rangeMergeFactor
-		c.Build = cells * m.TrieCellBuild
-		c.PerRun = float64(q.DeltaPoints-q.DeltaInverted) * math.Log2(ranges+2) * m.DeltaProbe
-		if !q.BaseFolded {
-			c.PerRun += ranges * m.RangeProbe
-		}
 	}
 	if q.CachedBuild[s] {
 		c.Build = 0
@@ -324,30 +261,24 @@ type CoverStats struct {
 	Boundaries int
 }
 
-// Plan is the planner's decision with its considered alternatives.
+// Plan is a strategy decision with the alternatives it was weighed against.
 type Plan struct {
 	Strategy Strategy
-	Costs    map[Strategy]Cost
-	// DeltaFraction is the share of a resident dataset's live points that
-	// sit in the un-compacted delta tail (0 for ad-hoc queries and freshly
-	// compacted datasets). Explain surfaces it so a plan carrying a large
-	// delta says where its per-run cost comes from.
-	DeltaFraction float64
+	// Costs holds one estimate per strategy Choose considered. It is empty
+	// for a plan fixed by rule rather than by comparison — the engine's
+	// registered-dataset rule (bound > 0 ⇒ pointidx, otherwise exact).
+	Costs map[Strategy]Cost
 	// Cover carries the resident cover plan's measured shape when its
 	// artifact is already built (the engine fills it in); Explain renders
 	// it as the cover-plan line.
 	Cover CoverStats
-	// Calibrated records whether the choosing model's constants were fitted
-	// to this host by Calibrate; Explain renders it as the cost-model line.
-	Calibrated bool
 }
 
-// Choose picks the cheapest strategy for q under the model — once per
-// aggregate set: every aggregate in q.Aggs rides the same plan, build and
+// Choose picks the cheapest streaming strategy for q under the model — once
+// per aggregate set: every aggregate in q.Aggs rides the same plan, build and
 // fold pass. A bound that is not strictly positive (including NaN) forces
 // the exact plan; a set containing MIN or MAX excludes the raster join,
-// which cannot answer extremes; the learned-index probe strategy is
-// considered only for resident datasets.
+// which cannot answer extremes.
 func (m CostModel) Choose(q Query) Plan {
 	var p Plan
 	m.ChooseInto(q, &p)
@@ -365,16 +296,7 @@ func (m CostModel) ChooseInto(q Query, p *Plan) {
 	} else {
 		clear(p.Costs)
 	}
-	p.DeltaFraction = 0
 	p.Cover = CoverStats{}
-	p.Calibrated = m.Calibrated
-	if q.ResidentPoints && q.NumPoints > 0 && q.DeltaPoints > 0 {
-		// DeltaPoints counts scanned delta rows, dead ones included, so it
-		// can exceed the live count (append K then delete all K); anything
-		// at or past 1 means the same thing — compact now — so clamp rather
-		// than report a >100% share.
-		p.DeltaFraction = math.Min(1, float64(q.DeltaPoints)/float64(q.NumPoints))
-	}
 	if !(q.Bound > 0) {
 		p.Strategy = StrategyExact
 		p.Costs[StrategyExact] = m.Estimate(q, StrategyExact)
@@ -382,11 +304,8 @@ func (m CostModel) ChooseInto(q Query, p *Plan) {
 	}
 	best := StrategyExact
 	bestCost := math.Inf(1)
-	for _, s := range [...]Strategy{StrategyExact, StrategyACT, StrategyBRJ, StrategyPointIdx} {
+	for _, s := range [...]Strategy{StrategyExact, StrategyACT, StrategyBRJ} {
 		if s == StrategyBRJ && q.ExtremeAgg {
-			continue
-		}
-		if s == StrategyPointIdx && !q.ResidentPoints {
 			continue
 		}
 		c := m.Estimate(q, s)
@@ -398,7 +317,8 @@ func (m CostModel) ChooseInto(q Query, p *Plan) {
 	p.Strategy = best
 }
 
-// Explain renders the plan comparison for diagnostics.
+// Explain renders the plan for diagnostics: the cost comparison, or the one
+// rule line of a plan that had no alternative to weigh.
 func (p Plan) Explain() string {
 	type row struct {
 		s Strategy
@@ -421,18 +341,16 @@ func (p Plan) Explain() string {
 			out += "\n"
 		}
 	}
+	if len(rows) == 0 {
+		why := "bound > 0"
+		if p.Strategy == StrategyExact {
+			why = "no positive bound"
+		}
+		out = fmt.Sprintf("* %-10s rule: registered dataset, %s", p.Strategy, why)
+	}
 	if p.Cover != (CoverStats{}) {
 		out += fmt.Sprintf("\ncover-plan: %d region-ranges → %d unique, %d boundary probes per query",
 			p.Cover.Ranges, p.Cover.Unique, p.Cover.Boundaries)
-	}
-	if p.DeltaFraction > 0 {
-		out += fmt.Sprintf("\ndelta: %.1f%% of resident points await compaction (pointidx per-run cost includes the inverted delta join)",
-			100*p.DeltaFraction)
-	}
-	if p.Calibrated {
-		out += "\ncost-model: calibrated"
-	} else {
-		out += "\ncost-model: default"
 	}
 	return out
 }

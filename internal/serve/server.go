@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -71,7 +72,13 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc, error
 	if err != nil || ms < 0 {
 		return nil, nil, fmt.Errorf("bad %s %q: want a non-negative integer of milliseconds", DeadlineHeader, h)
 	}
-	ctx, cancel := context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+	// A budget past what a Duration holds is the longest one, not an
+	// overflow into an already-expired deadline.
+	budget := time.Duration(math.MaxInt64)
+	if ms <= math.MaxInt64/int64(time.Millisecond) {
+		budget = time.Duration(ms) * time.Millisecond
+	}
+	ctx, cancel := context.WithTimeout(ctx, budget)
 	return ctx, cancel, nil
 }
 
@@ -93,7 +100,7 @@ func toShardRequest(q QueryRequest) (shard.Request, error) {
 	if !(q.Bound > 0) {
 		return shard.Request{}, fmt.Errorf("bound must be positive, got %v", q.Bound)
 	}
-	return shard.Request{Aggs: aggs, Bound: q.Bound, Repetitions: q.Repetitions, Workers: q.Workers}, nil
+	return shard.Request{Aggs: aggs, Bound: q.Bound, Workers: q.Workers}, nil
 }
 
 // toWire renders a backend response onto the wire.
@@ -281,11 +288,16 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	ids, err := s.backend.Append(pts, q.Weights)
 	if err != nil {
-		// Append failures are validation failures — weight-column mismatch,
-		// non-finite coordinates — never engine faults.
+		// A healthy store refuses an append for what the request carries —
+		// weight-column mismatch, out-of-domain point; a wedged one refuses
+		// every append, which is the server's fault and /healthz's answer.
+		status := http.StatusBadRequest
+		if werr := s.backend.Healthy(); werr != nil {
+			status, err = http.StatusServiceUnavailable, fmt.Errorf("wedged: %w", werr)
+		}
 		s.met.errors.Add(1)
 		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
+		w.WriteHeader(status)
 		json.NewEncoder(w).Encode(AppendResponse{Error: err.Error()}) //nolint:errcheck // best-effort error body
 		return
 	}

@@ -241,19 +241,27 @@ func TestDeadlinePropagation(t *testing.T) {
 		t.Fatalf("expired deadline took %v; want prompt failure", elapsed)
 	}
 
-	// A malformed budget is the client's error, not a timeout.
-	resp, _ = postJSON(t, ts.URL+"/v1/query",
-		QueryRequest{Aggs: []string{"count"}, Bound: 64},
-		map[string]string{DeadlineHeader: "soon"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad deadline header: %d", resp.StatusCode)
-	}
-	// A generous budget answers normally.
-	resp, _ = postJSON(t, ts.URL+"/v1/query",
-		QueryRequest{Aggs: []string{"count"}, Bound: 64},
-		map[string]string{DeadlineHeader: "30000"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("generous deadline: %d", resp.StatusCode)
+	// A malformed or negative budget is the client's error, not a timeout;
+	// the largest the header can carry is the longest budget there is, not an
+	// overflow into an expired one, and a generous one answers normally. The
+	// rows that answer come last: they leave a result-cache entry behind that
+	// would answer an expired request too.
+	for _, c := range []struct {
+		header string
+		status int
+	}{
+		{"soon", http.StatusBadRequest},
+		{"-1", http.StatusBadRequest},
+		{"0", http.StatusGatewayTimeout},
+		{"9223372036854775807", http.StatusOK},
+		{"30000", http.StatusOK},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/query",
+			QueryRequest{Aggs: []string{"count"}, Bound: 64},
+			map[string]string{DeadlineHeader: c.header})
+		if resp.StatusCode != c.status {
+			t.Fatalf("deadline header %q: %d %s, want %d", c.header, resp.StatusCode, body, c.status)
+		}
 	}
 
 	// No handler goroutine may outlive its expired request. Idle keep-alive
@@ -475,20 +483,24 @@ func TestHealthzFailsOnWedgedStore(t *testing.T) {
 			if resp, body := postJSON(t, ts.URL+"/v1/append", one, nil); resp.StatusCode != http.StatusOK {
 				t.Fatalf("healthy append: %d %s", resp.StatusCode, body)
 			}
+			// On a healthy store a refused append is the request's fault.
+			if resp, body := postJSON(t, ts.URL+"/v1/append", AppendRequest{Points: one.Points}, nil); resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("append without the weight column on a healthy store: %d %s, want 400", resp.StatusCode, body)
+			}
 			if resp, body := getBody(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
 				t.Fatalf("healthy durable store: healthz %d %q", resp.StatusCode, body)
 			}
 
 			fs.FailAt(fs.Ops()) // the very next filesystem call: the append's log record
-			if resp, _ := postJSON(t, ts.URL+"/v1/append", one, nil); resp.StatusCode == http.StatusOK {
-				t.Fatal("the append whose log write failed was acknowledged")
+			if resp, body := postJSON(t, ts.URL+"/v1/append", one, nil); resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("the append whose log write failed: %d %s, want 503", resp.StatusCode, body)
 			}
 			resp, body := getBody(t, ts.URL+"/healthz")
 			if resp.StatusCode != http.StatusServiceUnavailable || !strings.HasPrefix(string(body), "wedged: ") {
 				t.Fatalf("wedged store: healthz %d %q, want 503 wedged: …", resp.StatusCode, body)
 			}
-			if resp, _ := postJSON(t, ts.URL+"/v1/append", one, nil); resp.StatusCode == http.StatusOK {
-				t.Fatal("a wedged store accepted an append")
+			if resp, body := postJSON(t, ts.URL+"/v1/append", one, nil); resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "wedged: ") {
+				t.Fatalf("append to a wedged store: %d %s, want 503 wedged: …", resp.StatusCode, body)
 			}
 			if resp, _ := postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"count"}, Bound: 32}, nil); resp.StatusCode != http.StatusOK {
 				t.Fatalf("wedged store stopped answering queries: %d", resp.StatusCode)

@@ -37,9 +37,6 @@ type QueryRequest struct {
 	// Bound is the distance bound ε; it must be positive — the serving
 	// layer is the distance-bounded path.
 	Bound float64 `json:"bound"`
-	// Repetitions is the planner's amortization hint (how many times this
-	// query shape recurs); values < 1 normalize to 1.
-	Repetitions int `json:"repetitions,omitempty"`
 	// Workers bounds the scatter width (≤ 0 selects the server default).
 	Workers int `json:"workers,omitempty"`
 }

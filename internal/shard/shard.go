@@ -94,9 +94,9 @@ type Sharded struct {
 // resultKey identifies one cacheable scatter-gather result. epochSum is the
 // sum of every shard's mutation epoch: any Append, Delete or Compact on any
 // shard bumps that shard's epoch, moving the sum and stranding every entry
-// keyed under the old one — no scanning, no cross-shard locks. Workers and
-// Repetitions are excluded: the merge folds in ascending shard order for
-// every scatter width, and Repetitions only shapes per-shard planning.
+// keyed under the old one — no scanning, no cross-shard locks. Workers is
+// excluded: the merge folds in ascending shard order for every scatter
+// width.
 type resultKey struct {
 	epochSum uint64
 	bound    float64
@@ -264,8 +264,6 @@ type Request struct {
 	// Bound is the distance bound ε; it must be positive — routing is
 	// cover-driven, and covers exist only for distance-bounded execution.
 	Bound float64
-	// Repetitions is the planner amortization hint forwarded to each shard.
-	Repetitions int
 	// Workers bounds how many shards are queried concurrently (≤ 0 selects
 	// GOMAXPROCS); each contacted shard runs its join single-threaded — the
 	// scatter is the parallelism, mirroring DoBatch.
@@ -352,12 +350,11 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	err = pool.RunCtx(ctx, len(contacted), pool.Workers(req.Workers, len(contacted)), func(_, i int) error {
 		sh := &s.shards[contacted[i]]
 		resp, err := s.engine.Do(ctx, distbound.Request{
-			Dataset:     sh.ds,
-			Aggs:        req.Aggs,
-			Bound:       req.Bound,
-			Repetitions: req.Repetitions,
-			Strategy:    &strat,
-			Workers:     1,
+			Dataset:  sh.ds,
+			Aggs:     req.Aggs,
+			Bound:    req.Bound,
+			Strategy: &strat,
+			Workers:  1,
 		})
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", contacted[i], err)

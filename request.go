@@ -23,9 +23,11 @@ type Request struct {
 	// Points or Dataset — may be set.
 	Points PointSet
 	// Dataset, when non-nil, targets a registered resident dataset instead
-	// of an ad-hoc point set; the planner may then answer through the
-	// learned-index strategy without streaming any points. The handle must
-	// belong to this engine.
+	// of an ad-hoc point set. Registration is the declaration of repeated
+	// use, so no planning happens: a positive Bound runs the learned-index
+	// strategy without streaming any points, anything else the exact join;
+	// force Strategy to stream a dataset through ACT or BRJ instead. The
+	// handle must belong to this engine.
 	Dataset *Dataset
 	// Aggs is the aggregate set. At least one aggregate is required;
 	// Response.Results aligns with it positionally. Every aggregate is
@@ -40,7 +42,8 @@ type Request struct {
 	// Bound is the distance bound ε; ≤ 0 (or NaN) requests exact answers.
 	Bound float64
 	// Repetitions is how many times the caller expects to run this query in
-	// total (index build cost amortizes over it). Values < 1 normalize to 1
+	// total (index build cost amortizes over it); only the planner reads it,
+	// so it means nothing for a Dataset target. Values < 1 normalize to 1
 	// here — the single clamping point for every entry path.
 	Repetitions int
 	// Strategy, when non-nil, bypasses the planner and forces the physical
@@ -65,8 +68,9 @@ type Response struct {
 	// Strategy is the physical strategy that ran: the plan's choice, or the
 	// request's override.
 	Strategy Strategy
-	// Plan is the planner's full cost comparison for the request. Under a
-	// Strategy override it still records what the planner would have chosen.
+	// Plan is the planner's full cost comparison for an ad-hoc request, and
+	// the bare rule outcome (no Costs) for a Dataset target. Under a Strategy
+	// override it still records what would have been chosen.
 	Plan Plan
 	// Explain is the rendered plan comparison, filled iff Request.Explain.
 	Explain string
@@ -236,57 +240,47 @@ func checkOverride(req Request) error {
 	}
 }
 
-// planRequest plans one normalized request with an explicit effective
-// repetition count (DoBatch adds same-bound sharing credit on top of the
-// request's own). For a dataset target the point count and delta size come
-// from one snapshot, so the plan reflects a consistent instant of a dataset
-// under concurrent mutation. A non-nil scratch lends the planner its maps,
-// making a warm plan allocation-free; the returned Plan then shares them
-// until the scratch's Response is released.
+// planRequest fixes one normalized request's plan. A registered dataset is
+// answered by rule — registering it is the declaration of repeated use, so a
+// positive bound runs the resident point index and anything else the exact
+// join — and only an ad-hoc point set has a choice for the cost model to
+// make, at an explicit effective repetition count (DoBatch adds same-bound
+// sharing credit on top of the request's own). A non-nil scratch lends the
+// planner its maps, making a warm plan allocation-free; the returned Plan
+// then shares them until the scratch's Response is released.
 func (e *Engine) planRequest(req Request, reps int, sc *respScratch) Plan {
+	if req.Dataset != nil {
+		p := Plan{Strategy: StrategyExact}
+		if req.Bound > 0 {
+			p.Strategy = StrategyPointIdx
+		}
+		if req.Explain {
+			// The resident cover set knows the real cover-plan shape; surface
+			// it so Explain reports what a pointidx run will actually probe.
+			if ce, ok := e.covers.PeekReady(req.Bound); ok {
+				p.Cover = planner.CoverStats{
+					Ranges:     ce.set.NumRanges(),
+					Unique:     ce.set.NumUniqueRanges(),
+					Boundaries: ce.set.NumBoundaryProbes(),
+				}
+			}
+		}
+		return p
+	}
 	var cached map[Strategy]bool
 	planBuf := &planner.Plan{}
 	if sc != nil {
 		cached, planBuf = sc.cached, &sc.plan
 	}
-	q := planner.Query{
+	e.costModel().ChooseInto(planner.Query{
+		NumPoints:   len(req.Points.Pts),
 		Regions:     e.regions,
 		Bound:       req.Bound,
 		Repetitions: reps,
 		Aggs:        req.Aggs,
 		CachedBuild: e.cachedBuildsInto(req.Bound, cached),
 		Stats:       &e.stats,
-	}
-	var cover planner.CoverStats
-	if ds := req.Dataset; ds != nil {
-		snap := ds.src.Snapshot()
-		q.NumPoints = snap.LiveLen()
-		q.ResidentPoints = true
-		q.DeltaPoints = snap.DeltaLen()
-		if ce, ok := e.covers.PeekReady(req.Bound); ok {
-			q.CachedBuild[StrategyPointIdx] = true
-			// The resident cover set knows the real cover-plan shape; surface
-			// it so Explain reports what a pointidx run will actually probe.
-			cover = planner.CoverStats{
-				Ranges:     ce.set.NumRanges(),
-				Unique:     ce.set.NumUniqueRanges(),
-				Boundaries: ce.set.NumBoundaryProbes(),
-			}
-			// The dataset's joiner, once attached, also knows what a run still
-			// owes: only the delta rows past its watermark, and no probe at
-			// all while its base partials serve this snapshot. Without one
-			// the run owes everything, which the zero values already say.
-			if j := ce.peek(ds.src); j != nil {
-				owed := j.Pending(snap, req.Aggs)
-				q.DeltaInverted = q.DeltaPoints - owed.DeltaProbed
-				q.BaseFolded = owed.RangesProbed == 0
-			}
-		}
-	} else {
-		q.NumPoints = len(req.Points.Pts)
-	}
-	e.costModel().ChooseInto(q, planBuf)
-	planBuf.Cover = cover
+	}, planBuf)
 	return *planBuf
 }
 
@@ -381,33 +375,25 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request, workers int) ([]Re
 		norm[i], valid[i] = n, true
 	}
 
-	// Multiplicity inside the batch: k requests that can share a strategy's
-	// build artifact mean a freshly built index is reused at least k times,
-	// which the planner folds into its repetition amortization. Sets
+	// Multiplicity inside the batch: k ad-hoc requests that can share a
+	// strategy's build artifact mean a freshly built index is reused at least
+	// k times, which the planner folds into its repetition amortization. Sets
 	// containing MIN/MAX are keyed separately — they can never run BRJ, so
 	// counting them toward a COUNT request's amortization could credit a
-	// mask build the extremes will never touch. Dataset requests are keyed
-	// separately as well: the learned-index strategy exists only for them,
-	// so crediting it to ad-hoc requests (or vice versa) could promise
-	// sharing that never happens. The builds they can genuinely share (ACT
-	// at the same bound, or one bound's cover set across datasets) still
-	// coalesce in the cache at execution time; under-crediting that is
-	// conservative.
+	// mask build the extremes will never touch. Dataset requests are planned
+	// by rule and neither earn nor lend credit.
 	type shareKey struct {
 		bound   float64
 		extreme bool
-		dataset string
 	}
 	keyOf := func(r Request) shareKey {
-		k := shareKey{bound: r.Bound, extreme: join.ExtremeIn(r.Aggs)}
-		if r.Dataset != nil {
-			k.dataset = r.Dataset.name
-		}
-		return k
+		return shareKey{bound: r.Bound, extreme: join.ExtremeIn(r.Aggs)}
 	}
 	sharing := map[shareKey]int{}
 	for _, r := range reqs {
-		sharing[keyOf(r)]++
+		if r.Dataset == nil {
+			sharing[keyOf(r)]++
+		}
 	}
 
 	// Plan before executing anything: plans then reflect the batch-entry

@@ -16,7 +16,6 @@ import (
 
 	"distbound/internal/cache"
 	"distbound/internal/join"
-	"distbound/internal/planner"
 )
 
 // DefaultResultCacheCapacity bounds the query-result cache. Entries are one
@@ -33,14 +32,14 @@ const DefaultResultCacheCapacity = 1024
 // ages out; epoch is the store's mutation counter, so any
 // Append/Delete/Compact strands every prior key.
 // The key deliberately excludes Workers (results are worker-count
-// independent by the fold-order contract) and Repetitions (it steers the
-// planner's amortization, never the answer).
+// independent by the fold-order contract) and Repetitions (nothing reads it
+// for a dataset target).
 type resultKey struct {
 	ds    uint64 // Dataset.id
 	epoch uint64
 	bound float64
 	aggs  uint64 // nibble-packed aggregate set, see join.PackAggs
-	strat int8   // forced Strategy, or -1 for the planner's choice
+	strat int8   // forced Strategy, or -1 for the resident rule's
 }
 
 // resultCacheKey computes the cache key for a normalized request, reporting
@@ -89,7 +88,8 @@ type cachedResponse struct {
 }
 
 // newCachedResponse deep-copies an executed response: fresh result columns
-// and a cloned plan cost table, sharing nothing with resp's scratch.
+// sharing nothing with resp's scratch. Only dataset requests are cached, and
+// their rule-fixed plan carries no cost table to clone.
 func newCachedResponse(resp *Response) *cachedResponse {
 	c := &cachedResponse{strategy: resp.Strategy, plan: resp.Plan}
 	c.refs.Store(1) // the cache's own reference
@@ -103,13 +103,6 @@ func newCachedResponse(resp *Response) *cachedResponse {
 			cr.Extremes = append([]float64(nil), r.Extremes...)
 		}
 		c.results[i] = cr
-	}
-	if resp.Plan.Costs != nil {
-		costs := make(map[Strategy]planner.Cost, len(resp.Plan.Costs))
-		for s, cost := range resp.Plan.Costs {
-			costs[s] = cost
-		}
-		c.plan.Costs = costs
 	}
 	return c
 }
