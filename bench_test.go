@@ -352,10 +352,11 @@ func BenchmarkResident(b *testing.B) {
 		b.Run(fmt.Sprintf("resident-pointidx/bound=%g", bound), func(b *testing.B) {
 			benchResidentDo(b, e, req, nil)
 		})
-		// Partials dropped before every request: probe and fold re-run, which
-		// is what every executed request paid before the partials existed.
+		// Joiner dropped before every request: boundary resolution and the
+		// per-region folds re-run over the resident cover set — what the
+		// first request after a compaction pays.
 		b.Run(fmt.Sprintf("resident-pointidx-cold/bound=%g", bound), func(b *testing.B) {
-			benchResidentDo(b, e, req, func() { e.dropPartials(ds, bound) })
+			benchResidentDo(b, e, req, func() { e.dropJoiner(ds, bound) })
 		})
 	}
 	// The same warm request over an un-compacted delta whose watermark is
@@ -397,62 +398,6 @@ func benchResidentDo(b *testing.B, e *Engine, req Request, before func()) {
 			b.Fatalf("planned %v, want pointidx", resp.Strategy)
 		}
 		resp.Release()
-	}
-}
-
-// BenchmarkCoverPlan: the tentpole head-to-head — the global cover-plan
-// execution (one monotone boundary sweep, deduplicated probes, inverted
-// delta) against the per-region reference execution (independent Span
-// probes per region, delta brute-scanned per region) on the same joiner,
-// same snapshot, sequential on both sides. Run with -delta to see the
-// inversion's win too: the per-region side degrades with regions × delta
-// while the plan side pays delta × log(ranges).
-func BenchmarkCoverPlan(b *testing.B) {
-	pts, weights := data.TaxiPoints(1, benchPoints)
-	regions := data.Regions(data.Census(13, benchCensus))
-	e := NewEngine(regions)
-	ds, err := e.RegisterPoints("bench", pts, weights)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds.SetCompactionThreshold(0)
-	ctx := context.Background()
-	aggs := []Agg{Count, Sum}
-	for _, cfg := range []struct {
-		name  string
-		delta int
-	}{{"compact", 0}, {"delta=50k", 50_000}} {
-		if cfg.delta > 0 {
-			if _, err := ds.Append(pts[:cfg.delta], weights[:cfg.delta]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, bound := range []float64{8, 16} {
-			pj, err := join.NewPointIdxJoiner(regions, ds.src, bound, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("%s/per-region/bound=%g", cfg.name, bound), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := pj.AggregateMultiPerRegion(ctx, aggs, 1); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("%s/cover-plan/bound=%g", cfg.name, bound), func(b *testing.B) {
-				b.ReportAllocs()
-				results := join.NewResults(aggs, len(regions))
-				for i := 0; i < b.N; i++ {
-					// The head-to-head is between two executions: without the
-					// drop the plan side would be the warm merge.
-					pj.DropPartials()
-					if _, err := pj.AggregateMultiInto(ctx, aggs, 1, results); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // coverEntry is one resident bound of the cover cache: the immutable cover
-// set — raster covers and cover plan, which depend only on the regions,
-// domain, curve and bound — shared by every registered dataset, plus the
+// set — the cover table, which depends only on the regions, domain, curve
+// and bound — shared by every registered dataset, plus the
 // joiner (span resolution and partials) of each dataset queried at the
 // bound. Joiners live inside the entry so that capacity counts bounds, an
 // evicted bound takes its set and every joiner over it along, and a joiner
@@ -68,23 +68,21 @@ func (e *Engine) coverEntryCtx(ctx context.Context, bound float64, workers int) 
 	return ce, nil
 }
 
-// CoverKeyRanges returns the deduplicated, (Lo, Hi)-sorted global cover-plan
-// ranges at the bound: the SFC key intervals a query at this bound can ever
-// touch. They depend only on the engine's regions, domain, curve and bound,
-// so the list routes any dataset sharded by key range over the region set: a
-// shard whose key range intersects no returned range can never contribute to
-// a bound-ε answer. A cold call builds (and caches) the bound's cover set as
-// a query would, across workers (≤ 0 selects GOMAXPROCS). The slice is the
-// cached plan's backing storage — treat it as read-only.
-func (e *Engine) CoverKeyRanges(ctx context.Context, bound float64, workers int) ([]PosRange, error) {
+// CoverSet returns the engine's shared cover set at the bound — the cover
+// table every dataset queried at it attaches to. It depends only on the
+// engine's regions, domain, curve and bound, so it routes any dataset sharded
+// by key range over the region set: a shard whose key range the set does not
+// intersect can never contribute to a bound-ε answer. A cold call builds (and
+// caches) the set as a query would, across workers (≤ 0 selects GOMAXPROCS).
+func (e *Engine) CoverSet(ctx context.Context, bound float64, workers int) (*join.CoverSet, error) {
 	if !(bound > 0) {
-		return nil, fmt.Errorf("distbound: cover key ranges require a positive bound, got %v", bound)
+		return nil, fmt.Errorf("distbound: a cover set requires a positive bound, got %v", bound)
 	}
 	ce, err := e.coverEntryCtx(ctx, bound, workers)
 	if err != nil {
 		return nil, err
 	}
-	return ce.set.UniqueRanges(), nil
+	return ce.set, nil
 }
 
 // CoverBytes returns the resident cover sets' footprint, each counted once;

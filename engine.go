@@ -32,24 +32,25 @@ type CostModel = planner.CostModel
 // engine starts with.
 func DefaultCostModel() CostModel { return planner.DefaultCostModel() }
 
-// DefaultIndexCacheCapacity bounds the ACT index cache: a long-running
-// server that has seen more distinct bounds than this evicts the least
-// recently used index instead of accumulating one per bound forever.
-const DefaultIndexCacheCapacity = 8
-
-// DefaultBRJCacheCapacity bounds the BRJ mask-canvas cache separately and
-// much tighter: one cached bound holds a float64 per covered pixel across
-// every region mask — hundreds of MB at fine bounds — where an ACT trie is
-// compact. Raise it via SetMaskCacheCapacity only with the memory to back
-// it (BRJJoiner.MemoryBytes reports a resident set's footprint).
-const DefaultBRJCacheCapacity = 2
-
-// DefaultCoverCacheCapacity bounds the resident point-index strategy's cover
-// cache, in bounds: each entry is one bound's cover set (every region's
-// merged cover ranges and the cover plan — megabytes at fine bounds, far
-// smaller than an ACT trie), shared by every registered dataset, plus their
-// own state over it. Resize with SetCoverCacheCapacity.
-const DefaultCoverCacheCapacity = 8
+// Artifact cache capacities, in distinct bounds. A long-running server that
+// has seen more bounds than a cache holds evicts the least recently used
+// artifact instead of accumulating one per bound forever.
+const (
+	// indexCacheCapacity bounds the ACT index cache.
+	indexCacheCapacity = 8
+	// maskCacheCapacity bounds the BRJ mask-canvas cache, much tighter: one
+	// cached bound holds a float64 per covered pixel across every region mask
+	// — hundreds of MB at fine bounds — where an ACT trie is compact
+	// (BRJJoiner.MemoryBytes reports a resident set's footprint). It also
+	// caps how many mask builds run concurrently.
+	maskCacheCapacity = 2
+	// coverCacheCapacity bounds the resident point-index strategy's cover
+	// cache: each entry is one bound's cover set (the cover table — megabytes
+	// at fine bounds, far smaller than an ACT trie), shared by every
+	// registered dataset, plus their own state over it; an evicted bound goes
+	// with every dataset's state over it.
+	coverCacheCapacity = 8
+)
 
 // Engine answers spatial aggregation queries over a fixed region set. For an
 // ad-hoc point set the §4 cost-based planner chooses the physical plan — the
@@ -121,10 +122,10 @@ func NewEngine(regions []Region) *Engine {
 		domain:   DomainForRegions(regions...),
 		stats:    planner.ComputeStats(regions),
 		model:    planner.DefaultCostModel(),
-		act:      cache.New[float64, *join.ACTJoiner](DefaultIndexCacheCapacity),
-		brj:      cache.New[float64, *join.BRJJoiner](DefaultBRJCacheCapacity),
+		act:      cache.New[float64, *join.ACTJoiner](indexCacheCapacity),
+		brj:      cache.New[float64, *join.BRJJoiner](maskCacheCapacity),
 		datasets: map[string]*Dataset{},
-		covers:   cache.New[float64, *coverEntry](DefaultCoverCacheCapacity),
+		covers:   cache.New[float64, *coverEntry](coverCacheCapacity),
 		results:  newResultCache(),
 	}
 }
@@ -157,31 +158,6 @@ func (e *Engine) Workers() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.workers
-}
-
-// SetIndexCacheCapacity bounds how many distinct bounds' ACT tries stay
-// resident (default DefaultIndexCacheCapacity); least recently used
-// entries are evicted. The BRJ mask cache is sized separately with
-// SetMaskCacheCapacity — tries are compact, mask sets are not, so the two
-// should not share one knob.
-func (e *Engine) SetIndexCacheCapacity(n int) {
-	e.act.SetCapacity(n)
-}
-
-// SetMaskCacheCapacity bounds how many distinct bounds' BRJ mask-canvas
-// sets stay resident (default DefaultBRJCacheCapacity). Mask canvases cost
-// a float64 per covered pixel, so n resident fine-bound mask sets can
-// reach gigabytes; size this against available memory, not query
-// diversity. The capacity also caps how many mask builds run concurrently.
-func (e *Engine) SetMaskCacheCapacity(n int) {
-	e.brj.SetCapacity(n)
-}
-
-// SetCoverCacheCapacity bounds how many bounds' cover sets stay resident
-// (default DefaultCoverCacheCapacity), however many datasets share them; the
-// least recently used bound goes with every dataset's state over it.
-func (e *Engine) SetCoverCacheCapacity(n int) {
-	e.covers.SetCapacity(n)
 }
 
 // costModel snapshots the planner constants.

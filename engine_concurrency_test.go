@@ -125,7 +125,7 @@ func TestEngineIndexCacheEviction(t *testing.T) {
 	ps, _ := facadeWorkload(2000)
 	regions := complexRegions()
 	e := NewEngine(regions)
-	e.SetIndexCacheCapacity(2)
+	e.act.SetCapacity(2)
 
 	bounds := []float64{8, 12, 16, 24}
 	for _, b := range bounds {
@@ -187,7 +187,7 @@ func TestEngineCachedBuildInformsPlanner(t *testing.T) {
 func TestEngineAggregateBatch(t *testing.T) {
 	ps, regions := facadeWorkload(20000)
 	e := NewEngine(regions)
-	e.SetMaskCacheCapacity(8) // every bound stays resident: no eviction churn
+	e.brj.SetCapacity(8) // every bound stays resident: no eviction churn
 
 	mkQueries := func() []Request {
 		var qs []Request

@@ -41,9 +41,9 @@ func pointIdxDo(t *testing.T, e *Engine, ds *Dataset, bound float64, aggs ...Agg
 }
 
 // TestCoverSetSharedAcrossDatasets: however many datasets query a bound, the
-// engine rasterizes it once, every dataset's joiner hangs off that one set
-// (one UniqueRanges backing array, the router's included), and the set's
-// bytes are charged once while each dataset reports only its own state.
+// engine rasterizes it once, the router and every dataset's joiner hold that
+// one *CoverSet, and the set's bytes are charged once while each dataset
+// reports only its own state.
 func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 	e, dss := shareFixture(t, 3, 4000)
 	e.SetResultCacheCapacity(0)
@@ -64,7 +64,7 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 			t.Fatalf("bound %g not resident", b)
 		}
 		setBytes += ce.set.MemoryBytes()
-		routed, err := e.CoverKeyRanges(context.Background(), b, 1)
+		routed, err := e.CoverSet(context.Background(), b, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,8 +73,8 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 			if j == nil {
 				t.Fatalf("bound %g: dataset %d has no joiner", b, i)
 			}
-			if got := j.UniqueRanges(); &got[0] != &routed[0] {
-				t.Errorf("bound %g: dataset %d probes its own copy of the range list", b, i)
+			if j.CoverSet != routed {
+				t.Errorf("bound %g: dataset %d probes its own copy of the cover table", b, i)
 			}
 		}
 	}
@@ -97,10 +97,10 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 func TestCoverCacheEvictsByBound(t *testing.T) {
 	e, dss := shareFixture(t, 4, 3000)
 	ref, refDss := shareFixture(t, 4, 3000)
-	ref.SetCoverCacheCapacity(16)
+	ref.covers.SetCapacity(16)
 	e.SetResultCacheCapacity(0)
 	bounds := []float64{16, 24, 32, 48, 64, 96, 128, 192, 256}
-	if len(bounds) != DefaultCoverCacheCapacity+1 {
+	if len(bounds) != coverCacheCapacity+1 {
 		t.Fatalf("fixture needs capacity+1 bounds, have %d", len(bounds))
 	}
 	const laps = 2
@@ -130,9 +130,9 @@ func TestCoverCacheEvictsByBound(t *testing.T) {
 	// Cyclic access to capacity+1 keys misses every time under LRU.
 	_, _, cover := e.CacheStats()
 	wantBuilds := int64(laps * len(bounds))
-	if cover.Builds != wantBuilds || cover.Evictions != wantBuilds-DefaultCoverCacheCapacity {
+	if cover.Builds != wantBuilds || cover.Evictions != wantBuilds-coverCacheCapacity {
 		t.Errorf("builds %d evictions %d, want %d and %d: capacity must count bounds, not (dataset, bound) pairs",
-			cover.Builds, cover.Evictions, wantBuilds, wantBuilds-DefaultCoverCacheCapacity)
+			cover.Builds, cover.Evictions, wantBuilds, wantBuilds-coverCacheCapacity)
 	}
 	if e.covers.ContainsReady(bounds[0]) || !e.covers.ContainsReady(bounds[1]) {
 		t.Error("eviction did not take the least recently used bound")

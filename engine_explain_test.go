@@ -119,8 +119,8 @@ func TestExplainDatasetGolden(t *testing.T) {
 	if !ok {
 		t.Fatal("the pointidx run left no cover set resident")
 	}
-	want := fmt.Sprintf("%s\ncover-plan: %d region-ranges → %d unique, %d boundary probes per query",
-		wantRule, cs.set.NumRanges(), cs.set.NumUniqueRanges(), cs.set.NumBoundaryProbes())
+	want := fmt.Sprintf("%s\ncover-plan: %d region-ranges, %d boundary probes per query",
+		wantRule, cs.set.NumRanges(), cs.set.NumBoundaryProbes())
 	if got := explain(16); got != want {
 		t.Errorf("warm dataset Explain drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}

@@ -17,16 +17,13 @@ func (e *Engine) runDataset(ds *Dataset, agg Agg, bound float64, strategy Strate
 	return resp.Results[0], nil
 }
 
-// dropPartials discards whatever the dataset's joiner at bound has
-// published — base partials and delta accumulators — so the next pointidx
-// request re-executes from nothing: the cold side of the benchmarks and the
-// reference side of differential tests. A bound with no built artifact is a
-// no-op.
-func (e *Engine) dropPartials(ds *Dataset, bound float64) {
+// dropJoiner detaches the dataset's joiner at bound — span resolution, base
+// partials and delta accumulators — so the next pointidx request attaches a
+// fresh one to the still-resident cover set and re-executes from nothing: the
+// cold side of the benchmarks. A bound with no built artifact is a no-op.
+func (e *Engine) dropJoiner(ds *Dataset, bound float64) {
 	if ce, ok := e.covers.PeekReady(bound); ok {
-		if j := ce.peek(ds.src); j != nil {
-			j.DropPartials()
-		}
+		ce.joiners.Delete(ds.src)
 	}
 }
 

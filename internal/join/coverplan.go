@@ -3,50 +3,49 @@ package join
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"distbound/internal/pointstore"
 	"distbound/internal/pool"
 	"distbound/internal/raster"
 )
 
-// Cover-plan execution: instead of probing the learned index once per
-// (region, range) pair, the joiner flattens every region's cover ranges into
-// ONE globally sorted, deduplicated range list at construction. What a query
-// then costs depends on what changed since the previous one, because the two
-// halves of an answer — the per-region fold of the base column and the
-// per-region accumulators of the un-compacted delta — are published on the
-// joiner and only ever extended:
+// Cover-plan execution: the per-region covers are kept as ONE table — the
+// sorted boundary keys every range starts or ends on, and each region's
+// ranges as index pairs into them — and the joiner answers from it. What a
+// query then costs depends on what changed since the previous one, because
+// the two halves of an answer — the per-region fold of the base column and
+// the per-region accumulators of the un-compacted delta — are published on
+// the joiner and only ever extended:
 //
 // The fill runs once per base identity (a base store plus its tombstone
 // count; compactions and deletes change it, appends do not):
 //
-//  1. Resolve: every unique span boundary (range Lo / Hi+1 key) is resolved
-//     against the sorted key column in a single monotone sweep
-//     (pointstore.SpanMulti) — sequential access, each boundary located
-//     once no matter how many regions share it. The resolution itself
-//     survives deletes; only a new base forces it.
-//  2. Probe: per unique range, the span aggregates (count, sum, block
-//     min/max, tombstones subtracted) are computed once and shared by every
-//     region posting that range.
-//  3. Fold: per region, the shared per-range aggregates are folded in the
-//     region's own Lo-ascending range order into the region's base partial,
-//     and the partials are published (basePartials). Columns fill by need: a
-//     {count} query never pays the MIN/MAX block scans, and a later query
-//     asking for more refills with the union of what has been asked.
+//  1. Resolve: every boundary key is resolved against the sorted key column
+//     in a single monotone sweep (pointstore.SpanMulti) — sequential access,
+//     each boundary located once however many ranges meet at it — and
+//     gathered through the index pairs into one region-ordered span column.
+//     The resolution survives deletes; only a new base forces it.
+//  2. Fold: per region, the span aggregates (count, sum, block min/max,
+//     tombstones subtracted) of its contiguous slice of the span column are
+//     computed by the batched span folds and folded in the region's own
+//     Lo-ascending range order into the region's base partial, and the
+//     partials are published (basePartials). Columns fill by need: a {count}
+//     query never pays the MIN/MAX block scans, and a later query asking for
+//     more refills with the union of what has been asked.
 //
 // The inversion is incremental per delta lineage (a compaction generation
 // plus its dead-row count; appends extend it, delta deletes and compactions
 // restart it):
 //
-//  4. Invert: each delta row past the published watermark is binary-searched
-//     into the plan's boundary segments once (O(log ranges)) and fanned out
-//     to the segment's covered regions' accumulators, in append order, and
-//     the accumulators are republished at the new watermark (deltaPartials).
+//  3. Invert: each delta row past the published watermark is binary-searched
+//     into the boundary segments once (O(log ranges)) and fanned out to the
+//     segment's covered regions' accumulators, in append order, and the
+//     accumulators are republished at the new watermark (deltaPartials).
 //
 // Every query ends with
 //
-//  5. Merge: one O(regions) pass adds each region's delta accumulator to its
+//  4. Merge: one O(regions) pass adds each region's delta accumulator to its
 //     base partial and writes the caller's result columns.
 //
 // A warm query — same base, no new delta rows — is therefore one snapshot
@@ -57,86 +56,76 @@ import (
 // associate differently from the prefix-difference form, so a base delete
 // invalidates the base partials and the next query refills them.
 //
-// The parallel fill phases partition work by estimated probe cost — resolved
-// span length for ranges, range count for regions — so one region with a
-// huge cover no longer pins a whole worker's tail latency the way
-// region-count sharding did. Inversion and merge always run inline: delta
-// accumulators must not depend on the worker count.
+// A parallel fill partitions the regions by range count, so one region with
+// a huge cover does not pin a whole worker's tail latency the way
+// region-count sharding did; each region is folded whole by one worker, so
+// the partials do not depend on the worker count. Inversion and merge always
+// run inline for the same reason.
+//
+// Ranges are not deduplicated across regions: two regions share a range only
+// when they share a whole run of leaf cells (30 of 605,435 ranges on a
+// 16×16×12 partition at ε = 4), so an index of shared probes costs more table
+// than it saves work. Nor is the fill driven from the boundary segments,
+// which the stab lists would allow: that is twice the probes, and a
+// tombstoned MIN/MAX scan per segment instead of per range.
 //
 // Result identity. Against re-execution from nothing (partials dropped),
 // every aggregate is bit-identical, SUM included: base partials are the same
 // values folded in the same order, and delta rows accumulate in append order
 // whether inverted in one pass or many. Against the per-region reference
-// execution (AggregateMultiPerRegion): COUNT, MIN and MAX are bit-identical —
-// the same spans produce the same per-range values, folded per region in the
+// execution the tests keep (independent Span probes over the rasterizer's own
+// ranges, delta brute-scanned): COUNT, MIN and MAX are bit-identical — the
+// same spans produce the same per-range values, folded per region in the
 // same order. SUM/AVG fold base contributions in the identical order too;
 // only the delta tail's contributions associate differently (summed per
-// region in phase 4, then added once in phase 5, where the reference adds
+// region in phase 3, then added once in phase 4, where the reference adds
 // each row to the running total), so float sums can differ by re-association
 // exactly when a delta is present — never in what is summed.
 
-// coverPlan is the immutable global execution plan derived from the
-// per-region covers. It depends only on the regions, domain, curve and
-// bound — never on the data — so it survives appends, deletes and
-// compactions of its dataset just like the covers themselves.
+// keySpan is one cover range as a pair of boundary-key indexes: the keys
+// bkeys[lo] … bkeys[hi]-1, or bkeys[lo] … MaxUint64 when hi is -1 (a range
+// ending at MaxUint64 has no Hi+1 to index).
+type keySpan struct{ lo, hi int32 }
+
+// coverPlan is the immutable cover table of one (regions, bound) pair. It
+// depends only on the regions, domain, curve and bound — never on the data —
+// so it survives appends, deletes and compactions of every dataset it serves.
 type coverPlan struct {
-	uniq []raster.PosRange // globally (Lo, Hi)-sorted, deduplicated ranges
+	bkeys []uint64 // sorted, deduplicated boundary keys (Lo and Hi+1 values)
 
-	postOff  []int32 // len(uniq)+1; postings[postOff[u]:postOff[u+1]] = regions of uniq[u]
-	postings []int32
+	regOff []int32   // len(regions)+1; ranges[regOff[r]:regOff[r+1]] = r's ranges
+	ranges []keySpan // region-ordered, Lo-ascending within a region
 
-	bkeys []uint64 // sorted, deduplicated boundary probe keys (Lo and Hi+1 values)
-	loB   []int32  // per unique range: bkeys index resolving to the span start
-	hiB   []int32  // per unique range: bkeys index resolving to the span end; -1 ⇒ column end
-
-	regOff  []int32 // len(regions)+1; regUniq[regOff[r]:regOff[r+1]] = r's ranges
-	regUniq []int32 // unique-range index per (region, range), Lo-ascending within a region
-
-	// Boundary-segment stab lists for the inverted delta join: every key in
-	// [bkeys[s], bkeys[s+1]) — and, for the final segment, [bkeys[last], ∞)
-	// — is covered by exactly the regions in
-	// stabRegions[stabOff[s]:stabOff[s+1]] (range boundaries only ever fall
-	// on bkeys). One binary search per delta row then fans straight out to
-	// the covered regions, with no dependence on how wide any single range
-	// is — a walk over candidate ranges would degrade to O(ranges) per row
-	// the moment one region's merged cover spans a fat slice of the curve.
+	// Boundary-segment stab lists: every key in [bkeys[s], bkeys[s+1]) — and,
+	// for the final segment, [bkeys[last], ∞) — is covered by exactly the
+	// regions in stabRegions[stabOff[s]:stabOff[s+1]] (range boundaries only
+	// ever fall on bkeys). One binary search per delta row then fans straight
+	// out to the covered regions, and the router asks whether a key interval
+	// meets any cover the same way, with no dependence on how wide any single
+	// range is.
 	stabOff     []int32
 	stabRegions []int32
 }
 
-// resolvedSpans is the span resolution of the plan's boundary keys against
-// one base column: the positions SpanMulti located plus the per-range SoA
-// span list [spanLo[u], spanHi[u]) the batched folds consume. The resolution
-// depends only on the plan and the base store — not on deltas, tombstones or
-// the query — so it is computed once per base identity, published through
-// the joiner's atomic pointer, and shared read-only by every query until a
-// compaction installs a new base. That makes cover-plan maintenance across
-// compactions incremental: the deduplicated range list, region postings,
-// boundary keys and stab lists survive verbatim, and the first query against
-// the new base re-runs only this resolution.
+// resolvedSpans is the span resolution of the plan against one base column:
+// the position SpanMulti located for every boundary key, gathered through the
+// index pairs into the region-ordered SoA span list [spanLo[i], spanHi[i])
+// the batched folds consume. The resolution depends only on the plan and the
+// base store — not on deltas, tombstones or the query — so it is computed
+// once per base identity, published through the joiner's atomic pointer, and
+// shared read-only by every query until a compaction installs a new base.
+// That makes cover-plan maintenance across compactions incremental: the
+// table survives verbatim, and the first query against the new base re-runs
+// only this resolution.
 type resolvedSpans struct {
-	base     *pointstore.Store // identity of the base column resolved against
-	resolved []int             // per boundary key: position of the first column key ≥ it
-	spanLo   []int
-	spanHi   []int
+	base   *pointstore.Store // identity of the base column resolved against
+	spanLo []int
+	spanHi []int
 }
 
 // memoryBytes is the resolution's resident footprint.
 func (rs *resolvedSpans) memoryBytes() int {
-	return 8 * (len(rs.resolved) + len(rs.spanLo) + len(rs.spanHi))
-}
-
-// planScratch is the reusable per-range workspace of a base fill, recycled
-// through the joiner's sync.Pool so a fill after every compaction or delete
-// does not re-allocate range-sized columns. Every slice is sized once for
-// the joiner's fixed plan.
-type planScratch struct {
-	cnt []int64 // per unique range: live row count
-	sum []float64
-	mn  []float64
-	mx  []float64 // nil when the store is weightless
-
-	shards [][2]int // reusable weighted shard bounds
+	return 8 * (len(rs.spanLo) + len(rs.spanHi))
 }
 
 // regionAcc is one region's accumulator: the four columns every aggregate
@@ -197,177 +186,134 @@ func (dp *deltaPartials) extends(snap *pointstore.Snapshot) bool {
 // ProbeStats reports the work one cover-plan execution performed — not the
 // size of what it answered from.
 type ProbeStats struct {
-	// RangesProbed is the number of unique ranges whose span aggregates were
-	// computed by a base fill: the whole unique range list when this
-	// execution filled (or widened) the base partials, 0 when it was served
-	// from published ones.
+	// RangesProbed is the number of cover ranges whose span aggregates were
+	// computed by a base fill: every region's every range (NumRanges) when
+	// this execution filled (or widened) the base partials, 0 when it was
+	// served from published ones.
 	RangesProbed int
 	// DeltaProbed is the number of live delta rows this execution searched
-	// into the range list: the rows past the published watermark, 0 when the
-	// watermark already covered the snapshot's tail.
+	// into the boundary segments: the rows past the published watermark, 0
+	// when the watermark already covered the snapshot's tail.
 	DeltaProbed int
 }
 
-// buildCoverPlan flattens per-region covers into the global plan.
+// buildCoverPlan encodes per-region covers (each merged and Lo-ascending, as
+// the rasterizer emits them) as the table.
 func buildCoverPlan(covers [][]raster.PosRange) *coverPlan {
-	total := 0
-	for _, rs := range covers {
-		total += len(rs)
-	}
-	type tagged struct {
-		r      raster.PosRange
-		region int32
-	}
-	all := make([]tagged, 0, total)
-	for ri, rs := range covers {
-		for _, r := range rs {
-			all = append(all, tagged{r, int32(ri)})
-		}
-	}
-	sort.Slice(all, func(a, b int) bool {
-		if all[a].r.Lo != all[b].r.Lo {
-			return all[a].r.Lo < all[b].r.Lo
-		}
-		if all[a].r.Hi != all[b].r.Hi {
-			return all[a].r.Hi < all[b].r.Hi
-		}
-		return all[a].region < all[b].region
-	})
-
-	p := &coverPlan{}
-	// Deduplicate identical (Lo, Hi) ranges; tag each pair with its unique
-	// index for the per-region lists below.
-	uniqOf := make([]int32, len(all))
-	p.postOff = append(p.postOff, 0)
-	for i, t := range all {
-		if i == 0 || t.r != all[i-1].r {
-			p.uniq = append(p.uniq, t.r)
-			p.postOff = append(p.postOff, int32(len(p.postings)))
-		}
-		uniqOf[i] = int32(len(p.uniq) - 1)
-		p.postings = append(p.postings, t.region)
-		p.postOff[len(p.postOff)-1] = int32(len(p.postings))
-	}
-	// Per-region unique-range lists: `all` is Lo-sorted and a region's own
-	// ranges are disjoint, so distributing in order preserves each region's
-	// Lo-ascending fold order.
-	p.regOff = make([]int32, len(covers)+1)
+	p := &coverPlan{regOff: make([]int32, len(covers)+1)}
 	for ri, rs := range covers {
 		p.regOff[ri+1] = p.regOff[ri] + int32(len(rs))
 	}
-	p.regUniq = make([]int32, total)
-	fill := make([]int32, len(covers))
-	copy(fill, p.regOff[:len(covers)])
-	for i, t := range all {
-		p.regUniq[fill[t.region]] = uniqOf[i]
-		fill[t.region]++
-	}
+	total := int(p.regOff[len(covers)])
 
-	// Boundary probe keys: Lo and Hi+1 per unique range, sorted and
-	// deduplicated. Hi = MaxUint64 cannot be probed as Hi+1; the sentinel -1
-	// resolves to the column end at query time.
-	keys := make([]uint64, 0, 2*len(p.uniq))
-	for _, r := range p.uniq {
-		keys = append(keys, r.Lo)
-		if r.Hi != math.MaxUint64 {
-			keys = append(keys, r.Hi+1)
+	// Boundary keys: Lo and Hi+1 per range, sorted and deduplicated.
+	// Hi = MaxUint64 has no Hi+1; such a range carries hi = -1 instead.
+	keys := make([]uint64, 0, 2*total)
+	for _, rs := range covers {
+		for _, r := range rs {
+			keys = append(keys, r.Lo)
+			if r.Hi != math.MaxUint64 {
+				keys = append(keys, r.Hi+1)
+			}
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	for _, k := range keys {
-		if n := len(p.bkeys); n == 0 || p.bkeys[n-1] != k {
-			p.bkeys = append(p.bkeys, k)
+	slices.Sort(keys)
+	p.bkeys = slices.Clip(slices.Compact(keys))
+
+	p.ranges = make([]keySpan, 0, total)
+	for _, rs := range covers {
+		for _, r := range rs {
+			lo, _ := slices.BinarySearch(p.bkeys, r.Lo)
+			hi := -1
+			if r.Hi != math.MaxUint64 {
+				hi, _ = slices.BinarySearch(p.bkeys, r.Hi+1)
+			}
+			p.ranges = append(p.ranges, keySpan{int32(lo), int32(hi)})
 		}
 	}
-	p.loB = make([]int32, len(p.uniq))
-	p.hiB = make([]int32, len(p.uniq))
-	for u, r := range p.uniq {
-		p.loB[u] = int32(sort.Search(len(p.bkeys), func(i int) bool { return p.bkeys[i] >= r.Lo }))
-		if r.Hi == math.MaxUint64 {
-			p.hiB[u] = -1
-		} else {
-			p.hiB[u] = int32(sort.Search(len(p.bkeys), func(i int) bool { return p.bkeys[i] >= r.Hi+1 }))
-		}
-	}
-	p.buildStab(len(covers))
+	p.buildStab()
 	return p
 }
 
-// buildStab sweeps the boundary segments once, maintaining the set of
-// covered regions, and freezes each segment's region list. A region's
-// merged ranges are disjoint, so it is active at most once at any key and
-// each stab list holds it at most once — fan-out can never double-credit.
-func (p *coverPlan) buildStab(numReg int) {
-	type event struct {
-		key    uint64
-		region int32
-		open   bool
+// segments returns the boundary segments [first, end) range r covers.
+func (p *coverPlan) segments(r keySpan) (first, end int32) {
+	if r.hi < 0 {
+		return r.lo, int32(len(p.bkeys))
 	}
-	events := make([]event, 0, 2*len(p.postings))
-	for u, r := range p.uniq {
-		for _, ri := range p.postings[p.postOff[u]:p.postOff[u+1]] {
-			events = append(events, event{r.Lo, ri, true})
-			if r.Hi != math.MaxUint64 {
-				// A MaxUint64-high range never closes; it stays active
-				// through the open-ended final segment.
-				events = append(events, event{r.Hi + 1, ri, false})
-			}
-		}
-	}
-	sort.Slice(events, func(a, b int) bool { return events[a].key < events[b].key })
+	return r.lo, r.hi
+}
 
-	active := make([]int32, 0, numReg) // regions covering the current segment
-	pos := make([]int32, numReg)       // index into active, or -1
-	for ri := range pos {
-		pos[ri] = -1
+// buildStab freezes each boundary segment's list of covering regions: a
+// range covers exactly the segments between its two boundary indexes, so the
+// lists are sized by one counting pass and filled by a second, in region
+// order. A region's merged ranges are disjoint, so each stab list holds it at
+// most once — fan-out can never double-credit.
+func (p *coverPlan) buildStab() {
+	p.stabOff = make([]int32, len(p.bkeys)+1)
+	for _, r := range p.ranges {
+		first, end := p.segments(r)
+		p.stabOff[first+1]++
+		if int(end) < len(p.bkeys) {
+			p.stabOff[end+1]--
+		}
 	}
-	p.stabOff = make([]int32, 1, len(p.bkeys)+1)
-	ev := 0
-	for _, key := range p.bkeys {
-		for ev < len(events) && events[ev].key == key {
-			e := events[ev]
-			ev++
-			if e.open {
-				pos[e.region] = int32(len(active))
-				active = append(active, e.region)
-			} else {
-				// Swap-remove; patch the moved region's position.
-				at := pos[e.region]
-				last := active[len(active)-1]
-				active[at] = last
-				pos[last] = at
-				active = active[:len(active)-1]
-				pos[e.region] = -1
+	// Running sum once turns the open/close marks into per-segment list
+	// lengths, twice into offsets.
+	for pass := 0; pass < 2; pass++ {
+		for s := 1; s < len(p.stabOff); s++ {
+			p.stabOff[s] += p.stabOff[s-1]
+		}
+	}
+	p.stabRegions = make([]int32, p.stabOff[len(p.bkeys)])
+	next := slices.Clone(p.stabOff[:len(p.bkeys)])
+	for ri := range p.regOff[1:] {
+		for _, r := range p.ranges[p.regOff[ri]:p.regOff[ri+1]] {
+			for s, end := p.segments(r); s < end; s++ {
+				p.stabRegions[next[s]] = int32(ri)
+				next[s]++
 			}
 		}
-		p.stabRegions = append(p.stabRegions, active...)
-		p.stabOff = append(p.stabOff, int32(len(p.stabRegions)))
 	}
+}
+
+// segmentOf returns the boundary segment holding key — the one starting at
+// the last boundary key ≤ key — or -1 when key precedes every boundary, where
+// nothing is covered.
+//
+//distbound:noalloc
+func (p *coverPlan) segmentOf(key uint64) int {
+	lo, hi := 0, len(p.bkeys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.bkeys[mid] <= key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1
+}
+
+// intersects reports whether any region's cover holds a key in [lo, hi]:
+// from lo's segment it walks the segments starting at or below hi until one
+// has a non-empty stab list.
+func (p *coverPlan) intersects(lo, hi uint64) bool {
+	for s := max(p.segmentOf(lo), 0); s < len(p.bkeys) && p.bkeys[s] <= hi; s++ {
+		if p.stabOff[s] < p.stabOff[s+1] {
+			return true
+		}
+	}
+	return false
 }
 
 // memoryBytes is the plan's resident footprint.
 func (p *coverPlan) memoryBytes() int {
-	return 16*len(p.uniq) + 8*len(p.bkeys) +
-		4*(len(p.postOff)+len(p.postings)+len(p.loB)+len(p.hiB)+
-			len(p.regOff)+len(p.regUniq)+len(p.stabOff)+len(p.stabRegions))
+	return 8*(len(p.bkeys)+len(p.ranges)) +
+		4*(len(p.regOff)+len(p.stabOff)+len(p.stabRegions))
 }
 
-// newScratch sizes a workspace for the plan; hasW decides whether the float
-// columns exist.
-//
-//distbound:allow-scratch-escape pool accessor; fillBase returns the workspace to the pool before returning
-func (p *coverPlan) newScratch(hasW bool) *planScratch {
-	sc := &planScratch{cnt: make([]int64, len(p.uniq))}
-	if hasW {
-		sc.sum = make([]float64, len(p.uniq))
-		sc.mn = make([]float64, len(p.uniq))
-		sc.mx = make([]float64, len(p.uniq))
-	}
-	return sc
-}
-
-// cancelStride throttles per-item context polls on the inline (workers = 1)
-// path, mirroring cancelCheckMask for the goroutine fan-outs.
+// cancelStride throttles the inversion's per-row context polls, mirroring
+// cancelCheckMask for the goroutine fan-outs.
 const cancelStride = 4096
 
 // AggregateMultiInto is AggregateMulti writing into caller-provided results
@@ -400,7 +346,7 @@ func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore
 		if bp, err = j.fillBase(ctx, snap, needs, workers); err != nil {
 			return ProbeStats{}, err
 		}
-		stats.RangesProbed = len(j.plan.uniq)
+		stats.RangesProbed = j.NumRanges()
 	}
 	var delta []regionAcc
 	if snap.DeltaLen() > 0 {
@@ -417,27 +363,22 @@ func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore
 }
 
 // fillBase is the fill: it resolves (or reuses) snap's span resolution,
-// probes every unique range for the columns needs asks, folds them per
-// region, and publishes the partials. When the published partials already
-// describe snap's base rows and merely lack columns, the fill computes the
-// union, so the published set only widens while the base rows stand still
-// (three widenings at most). Racing fills of one identity produce identical
-// columns from the same immutable base, so any of their publications is
-// correct; a fill for a superseded base answers its caller and publishes
-// nothing.
+// folds every region's ranges for the columns needs asks, and publishes the
+// partials. When the published partials already describe snap's base rows
+// and merely lack columns, the fill computes the union, so the published set
+// only widens while the base rows stand still (three widenings at most).
+// Racing fills of one identity produce identical columns from the same
+// immutable base, so any of their publications is correct; a fill for a
+// superseded base answers its caller and publishes nothing.
 func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot, needs aggNeeds, workers int) (*basePartials, error) {
 	p := j.plan
-	numReg := len(j.covers)
 	if cur := j.base.Load(); cur.serves(snap, aggNeeds{}) {
 		needs = aggNeeds{sum: needs.sum || cur.have.sum, min: needs.min || cur.have.min, max: needs.max || cur.have.max}
 	}
 	next := &basePartials{
 		base: snap.BaseStore(), gen: snap.Gen(), tombs: snap.Tombstones(),
-		have: needs, acc: make([]regionAcc, numReg),
+		have: needs, acc: make([]regionAcc, j.NumRegions()),
 	}
-	sc := j.scratch.Get().(*planScratch)
-	defer j.scratch.Put(sc)
-
 	// Span resolution is shared, not per-fill: spansFor returns the plan's
 	// published resolution when snap still serves the base it was resolved
 	// against (a fill forced by a delete), and re-resolves only on
@@ -446,42 +387,74 @@ func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot
 	if err != nil {
 		return nil, err
 	}
-	done := ctx.Done()
-	if workers > 1 {
-		if err := j.probeShards(ctx, snap, rs, sc, needs, workers); err != nil {
-			return nil, err
-		}
-		shards := pool.SplitWeighted(numReg, workers, func(ri int) int64 {
-			return int64(p.regOff[ri+1]-p.regOff[ri]) + 1
-		}, sc.shards)
-		sc.shards = shards
-		err := pool.RunCtx(ctx, len(shards), len(shards), func(_, si int) error {
-			for ri := shards[si][0]; ri < shards[si][1]; ri++ {
-				j.foldRegion(sc, needs, ri, next.acc)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		for lo, n := 0, len(p.uniq); lo < n; lo += cancelStride {
-			if canceled(done) {
-				return nil, ctx.Err()
-			}
-			probeRanges(snap, rs, sc, needs, lo, min(lo+cancelStride, n))
-		}
-		for ri := 0; ri < numReg; ri++ {
-			if ri&(cancelStride-1) == 0 && canceled(done) {
-				return nil, ctx.Err()
-			}
-			j.foldRegion(sc, needs, ri, next.acc)
-		}
+	shards := pool.SplitWeighted(len(next.acc), workers, func(ri int) int64 {
+		return int64(p.regOff[ri+1]-p.regOff[ri]) + 1
+	})
+	err = pool.RunCtx(ctx, len(shards), len(shards), func(_, si int) error {
+		return p.foldRegions(ctx, snap, rs, needs, shards[si][0], shards[si][1], next.acc)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if cur := j.base.Load(); cur == nil || cur.gen < next.gen || (cur.gen == next.gen && cur.tombs <= next.tombs) {
 		j.base.Store(next)
 	}
 	return next, nil
+}
+
+// foldChunk is how many ranges one batched span fold takes: the fold's
+// workspace is four stack columns of this length, and the context is polled
+// once per chunk.
+const foldChunk = 4096
+
+// foldRegions folds the base partials of regions [from, to): per region, its
+// contiguous slice of the resolved span columns goes through the batched span
+// folds a chunk at a time, one pass per needed column, and the per-range
+// values fold in the region's own Lo-ascending order (the reference
+// execution's fold order). Columns needs does not name stay at their
+// identities and are never read.
+//
+//distbound:noalloc
+func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, rs *resolvedSpans, needs aggNeeds, from, to int, acc []regionAcc) error {
+	var (
+		cnt         [foldChunk]int64
+		sum, mn, mx [foldChunk]float64
+	)
+	done := ctx.Done()
+	for ri := from; ri < to; ri++ {
+		a := regionAcc{mn: math.Inf(1), mx: math.Inf(-1)}
+		for lo, end := int(p.regOff[ri]), int(p.regOff[ri+1]); lo < end; lo += foldChunk {
+			if canceled(done) {
+				return ctx.Err()
+			}
+			n := min(foldChunk, end-lo)
+			los, his := rs.spanLo[lo:lo+n], rs.spanHi[lo:lo+n]
+			snap.CountSpans(los, his, cnt[:n])
+			if needs.sum {
+				snap.SumSpans(los, his, sum[:n])
+			}
+			if needs.min {
+				snap.MinSpans(los, his, mn[:n])
+			}
+			if needs.max {
+				snap.MaxSpans(los, his, mx[:n])
+			}
+			for i := 0; i < n; i++ {
+				a.cnt += cnt[i]
+				if needs.sum {
+					a.sum += sum[i]
+				}
+				if needs.min {
+					a.mn = math.Min(a.mn, mn[i])
+				}
+				if needs.max {
+					a.mx = math.Max(a.mx, mx[i])
+				}
+			}
+		}
+		acc[ri] = a
+	}
+	return nil
 }
 
 // extendDelta returns delta accumulators covering snap's whole delta tail:
@@ -496,7 +469,7 @@ func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot
 func (j *PointIdxJoiner) extendDelta(ctx context.Context, snap *pointstore.Snapshot, cur *deltaPartials) (*deltaPartials, int, error) {
 	next := &deltaPartials{
 		gen: snap.Gen(), dead: snap.DeltaDead(), upto: snap.DeltaLen(),
-		acc: make([]regionAcc, len(j.covers)),
+		acc: make([]regionAcc, j.NumRegions()),
 	}
 	from := 0
 	if cur.extends(snap) {
@@ -582,91 +555,39 @@ func (j *PointIdxJoiner) spansFor(ctx context.Context, snap *pointstore.Snapshot
 	return rs, nil
 }
 
-// refreshSpans is the incremental cover-plan maintenance step: every unique
-// span boundary is resolved against snap's base column in a monotone sweep
-// (chunked across workers when asked), and the hiB = -1 sentinel becomes the
-// column end. The plan's range list, postings and stab lists are untouched —
-// they depend only on regions and bound — so this is all a compaction costs
-// the cover plan.
+// refreshSpans is the incremental cover-plan maintenance step: every
+// boundary key is resolved against snap's base column in a monotone sweep
+// (chunked across workers when asked), and each range's pair of resolved
+// positions is gathered into the span columns, hi = -1 becoming the column
+// end. The table is untouched — it depends only on regions and bound — so
+// this is all a compaction costs the cover plan.
 func (j *PointIdxJoiner) refreshSpans(ctx context.Context, snap *pointstore.Snapshot, workers int) (*resolvedSpans, error) {
 	p := j.plan
-	rs := &resolvedSpans{
-		base:     snap.BaseStore(),
-		resolved: make([]int, len(p.bkeys)),
-		spanLo:   make([]int, len(p.uniq)),
-		spanHi:   make([]int, len(p.uniq)),
+	resolved := make([]int, len(p.bkeys))
+	chunks := shardBounds(len(p.bkeys), workers)
+	err := pool.RunCtx(ctx, len(chunks), len(chunks), func(_, ci int) error {
+		lo, hi := chunks[ci][0], chunks[ci][1]
+		snap.SpanMulti(p.bkeys[lo:hi], resolved[lo:hi])
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if workers > 1 {
-		chunks := shardBounds(len(p.bkeys), workers)
-		err := pool.RunCtx(ctx, len(chunks), len(chunks), func(_, ci int) error {
-			lo, hi := chunks[ci][0], chunks[ci][1]
-			snap.SpanMulti(p.bkeys[lo:hi], rs.resolved[lo:hi])
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if canceled(ctx.Done()) {
-			return nil, ctx.Err()
-		}
-		snap.SpanMulti(p.bkeys, rs.resolved)
+	rs := &resolvedSpans{
+		base:   snap.BaseStore(),
+		spanLo: make([]int, len(p.ranges)),
+		spanHi: make([]int, len(p.ranges)),
 	}
 	baseLen := snap.BaseLen()
-	for u := range p.uniq {
-		rs.spanLo[u] = rs.resolved[p.loB[u]]
-		if p.hiB[u] >= 0 {
-			rs.spanHi[u] = rs.resolved[p.hiB[u]]
+	for i, r := range p.ranges {
+		rs.spanLo[i] = resolved[r.lo]
+		if r.hi >= 0 {
+			rs.spanHi[i] = resolved[r.hi]
 		} else {
-			rs.spanHi[u] = baseLen
+			rs.spanHi[i] = baseLen
 		}
 	}
 	return rs, nil
-}
-
-// probeShards runs phase 2 across workers: the unique ranges are probed in
-// shards weighted by resolved span length, so one huge range cannot
-// serialize a worker behind a tail of small ones.
-func (j *PointIdxJoiner) probeShards(ctx context.Context, snap *pointstore.Snapshot, rs *resolvedSpans, sc *planScratch, needs aggNeeds, workers int) error {
-	p := j.plan
-	spanLen := func(u int) int64 {
-		// The +16 floor charges the fixed per-range work (tombstone searches,
-		// prefix lookups) so empty spans still count toward balance.
-		return int64(rs.spanHi[u]-rs.spanLo[u]) + 16
-	}
-	shards := pool.SplitWeighted(len(p.uniq), workers, spanLen, sc.shards)
-	sc.shards = shards
-	return pool.RunCtx(ctx, len(shards), len(shards), func(_, si int) error {
-		done := ctx.Done()
-		for lo := shards[si][0]; lo < shards[si][1]; lo += cancelStride {
-			if canceled(done) {
-				return ctx.Err()
-			}
-			probeRanges(snap, rs, sc, needs, lo, min(lo+cancelStride, shards[si][1]))
-		}
-		return nil
-	})
-}
-
-// probeRanges computes the span aggregates of unique ranges [lo, hi) into the
-// scratch columns — the shared values every posting region folds from — via
-// the batched span folds, one pass per needed aggregate column. The span
-// bounds come from the shared resolution, which the caller has matched to
-// snap's base.
-//
-//distbound:noalloc
-func probeRanges(snap *pointstore.Snapshot, rs *resolvedSpans, sc *planScratch, needs aggNeeds, lo, hi int) {
-	los, his := rs.spanLo[lo:hi], rs.spanHi[lo:hi]
-	snap.CountSpans(los, his, sc.cnt[lo:hi])
-	if needs.sum {
-		snap.SumSpans(los, his, sc.sum[lo:hi])
-	}
-	if needs.min {
-		snap.MinSpans(los, his, sc.mn[lo:hi])
-	}
-	if needs.max {
-		snap.MaxSpans(los, his, sc.mx[lo:hi])
-	}
 }
 
 // invertDelta searches each live delta row from index from on into the
@@ -690,21 +611,11 @@ func (j *PointIdxJoiner) invertDelta(ctx context.Context, snap *pointstore.Snaps
 		}
 		key := snap.DeltaKey(k)
 		probed++
-		// Last boundary key ≤ key names the segment; keys below the first
-		// boundary precede every range and cover nothing.
-		lo, hi := 0, len(p.bkeys)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if p.bkeys[mid] <= key {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == 0 {
+		seg := p.segmentOf(key)
+		if seg < 0 {
 			continue
 		}
-		stab := p.stabRegions[p.stabOff[lo-1]:p.stabOff[lo]]
+		stab := p.stabRegions[p.stabOff[seg]:p.stabOff[seg+1]]
 		if len(stab) == 0 {
 			continue
 		}
@@ -724,28 +635,4 @@ func (j *PointIdxJoiner) invertDelta(ctx context.Context, snap *pointstore.Snaps
 		}
 	}
 	return probed, nil
-}
-
-// foldRegion folds one region's base partial from the shared per-range
-// values, in the region's own Lo-ascending order (preserving the reference
-// execution's fold order); columns needs does not name stay at their
-// identities and are never read.
-//
-//distbound:noalloc
-func (j *PointIdxJoiner) foldRegion(sc *planScratch, needs aggNeeds, ri int, acc []regionAcc) {
-	p := j.plan
-	a := regionAcc{mn: math.Inf(1), mx: math.Inf(-1)}
-	for _, u := range p.regUniq[p.regOff[ri]:p.regOff[ri+1]] {
-		a.cnt += sc.cnt[u]
-		if needs.sum {
-			a.sum += sc.sum[u]
-		}
-		if needs.min {
-			a.mn = math.Min(a.mn, sc.mn[u])
-		}
-		if needs.max {
-			a.mx = math.Max(a.mx, sc.mx[u])
-		}
-	}
-	acc[ri] = a
 }

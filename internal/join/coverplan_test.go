@@ -7,6 +7,7 @@ import (
 	"distbound/internal/data"
 	"distbound/internal/geom"
 	"distbound/internal/pointstore"
+	"distbound/internal/raster"
 	"distbound/internal/sfc"
 )
 
@@ -16,13 +17,10 @@ import (
 // executions associate the delta tail's float sums differently by design,
 // and exact weights make that difference invisible iff the selected points
 // agree — which is exactly what the test must pin.
-func checkPlanMatchesPerRegion(t *testing.T, label string, pj *PointIdxJoiner, aggs []Agg) {
+func checkPlanMatchesPerRegion(t *testing.T, label string, pj *PointIdxJoiner, ref [][]raster.PosRange, aggs []Agg) {
 	t.Helper()
 	ctx := context.Background()
-	want, err := pj.AggregateMultiPerRegion(ctx, aggs, 1)
-	if err != nil {
-		t.Fatalf("%s: reference: %v", label, err)
-	}
+	want := aggregatePerRegion(pj.src.Snapshot(), ref, aggs)
 	for _, workers := range []int{1, 3, 16} {
 		got, err := pj.AggregateMulti(ctx, aggs, workers)
 		if err != nil {
@@ -63,22 +61,24 @@ func TestCoverPlanDeltaOnRangeBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := refCovers(regions, pj)
 	allAggs := []Agg{Count, Sum, Avg, Min, Max}
 
-	// Land one delta point exactly on every 16th unique range's Lo and Hi
-	// key (bounded count so the test stays fast), with distinct weights so a
+	// Land one delta point exactly on every 16th range's Lo and Hi key
+	// (bounded count so the test stays fast), with distinct weights so a
 	// mis-credited region would show up in SUM and MIN/MAX, not just COUNT.
 	var bPts []geom.Point
 	var bWs []float64
-	for u := 0; u < len(pj.plan.uniq); u += 16 {
-		r := pj.plan.uniq[u]
-		for _, pos := range []uint64{r.Lo, r.Hi} {
-			p := leafCenter(d, c, pos)
-			if got, ok := d.LeafPos(c, p); !ok || got != pos {
-				t.Fatalf("leaf center of pos %d linearizes to %d (ok=%v)", pos, got, ok)
+	for _, ranges := range ref {
+		for u := 0; u < len(ranges); u += 16 {
+			for _, pos := range []uint64{ranges[u].Lo, ranges[u].Hi} {
+				p := leafCenter(d, c, pos)
+				if got, ok := d.LeafPos(c, p); !ok || got != pos {
+					t.Fatalf("leaf center of pos %d linearizes to %d (ok=%v)", pos, got, ok)
+				}
+				bPts = append(bPts, p)
+				bWs = append(bWs, float64(2+len(bPts)%31))
 			}
-			bPts = append(bPts, p)
-			bWs = append(bWs, float64(2+len(bPts)%31))
 		}
 	}
 	if len(bPts) == 0 {
@@ -88,7 +88,7 @@ func TestCoverPlanDeltaOnRangeBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPlanMatchesPerRegion(t, "boundary-delta", pj, allAggs)
+	checkPlanMatchesPerRegion(t, "boundary-delta", pj, ref, allAggs)
 
 	// Tombstone every third boundary row (dead delta rows must be skipped by
 	// the inversion exactly as the brute scan skips them) and a few base
@@ -99,12 +99,12 @@ func TestCoverPlanDeltaOnRangeBoundaries(t *testing.T) {
 	}
 	dead = append(dead, 0, 7, 4242)
 	store.Delete(dead...)
-	checkPlanMatchesPerRegion(t, "tombstoned-delta", pj, allAggs)
+	checkPlanMatchesPerRegion(t, "tombstoned-delta", pj, ref, allAggs)
 
 	// Compaction folds everything into the base; both executions converge on
 	// the pure-span path.
 	store.Compact()
-	checkPlanMatchesPerRegion(t, "post-compaction", pj, allAggs)
+	checkPlanMatchesPerRegion(t, "post-compaction", pj, ref, allAggs)
 }
 
 // TestCoverPlanSparseRegions drives the inversion where most delta rows hit
@@ -149,7 +149,7 @@ func TestCoverPlanSparseRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	allAggs := []Agg{Count, Sum, Avg, Min, Max}
-	checkPlanMatchesPerRegion(t, "sparse-regions", pj, allAggs)
+	checkPlanMatchesPerRegion(t, "sparse-regions", pj, refCovers(regions, pj), allAggs)
 
 	// The shared probes must agree with ground truth too, not only with the
 	// reference execution: counts can only overcount within the bound.
@@ -179,24 +179,20 @@ func TestCoverPlanSparseRegions(t *testing.T) {
 }
 
 // TestCoverPlanStats pins the plan-shape accounting the engine surfaces:
-// deduplication can only shrink the list, every unique range needs at most
-// two boundary probes, and probe stats report the work a query did — not
-// the size of what it answered from.
+// every range needs at most two boundary probes, and probe stats report the
+// work a query did — not the size of what it answered from.
 func TestCoverPlanStats(t *testing.T) {
 	_, regions, store := pointIdxFixture(t, 5000, true)
 	pj, err := NewPointIdxJoiner(regions, store, 16, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, nb := pj.NumUniqueRanges(), pj.NumBoundaryProbes()
-	if u == 0 || u > pj.NumRanges() {
-		t.Errorf("unique ranges %d outside (0, %d]", u, pj.NumRanges())
-	}
+	u, nb := pj.NumRanges(), pj.NumBoundaryProbes()
 	if nb == 0 || nb > 2*u {
 		t.Errorf("boundary probes %d outside (0, %d]", nb, 2*u)
 	}
-	if pj.CoverSet.MemoryBytes() <= 16*pj.NumRanges() {
-		t.Error("CoverSet.MemoryBytes does not account for the plan")
+	if pj.CoverSet.MemoryBytes() <= 8*(u+nb) {
+		t.Error("CoverSet.MemoryBytes does not account for the stab lists")
 	}
 	if pj.MemoryBytes() != 0 {
 		t.Errorf("an unqueried joiner reports %d B of state; the shared set must not be charged to it", pj.MemoryBytes())
@@ -207,7 +203,7 @@ func TestCoverPlanStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.RangesProbed != u || stats.DeltaProbed != 0 {
-		t.Errorf("first-query probe stats {%d %d}, want {%d 0}: the fill probes every unique range", stats.RangesProbed, stats.DeltaProbed, u)
+		t.Errorf("first-query probe stats {%d %d}, want {%d 0}: the fill probes every range", stats.RangesProbed, stats.DeltaProbed, u)
 	}
 	// Live delta rows are probed once, when a query first sees them; dead
 	// ones are not.
@@ -274,14 +270,14 @@ func TestCoverPlanWeightedFoldIsolation(t *testing.T) {
 	}
 	// Results must still be correct (and identical to the reference) under
 	// the weighted sharding.
-	checkPlanMatchesPerRegion(t, "weighted-fold", pj, []Agg{Count})
+	checkPlanMatchesPerRegion(t, "weighted-fold", pj, refCovers(regions, pj), []Agg{Count})
 }
 
 // TestResolvedSpansIncrementalMaintenance pins the sharing contract of the
 // span resolution: queries against one base — including under appends and
 // deletes, which never move base rows — reuse one published resolvedSpans;
 // a compaction's new base forces exactly one re-resolution, reusing the
-// plan's range list, postings and stab lists by identity; and results stay
+// cover table by identity; and results stay
 // bit-identical to the reference execution across the switch.
 func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	pts, _ := data.TaxiPoints(31, 8000)
@@ -304,8 +300,9 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	if pj.spans.Load() != nil {
 		t.Fatal("construction resolved spans before any query")
 	}
+	ref := refCovers(regions, pj)
 	aggs := []Agg{Count, Sum, Min, Max}
-	checkPlanMatchesPerRegion(t, "cold", pj, aggs)
+	checkPlanMatchesPerRegion(t, "cold", pj, ref, aggs)
 	rs1 := pj.spans.Load()
 	if rs1 == nil {
 		t.Fatal("first query published no span resolution")
@@ -321,14 +318,14 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	}
 	store.Delete(ids[:100]...)
 	store.Delete(3, 5, 7)
-	checkPlanMatchesPerRegion(t, "mutated-same-base", pj, aggs)
+	checkPlanMatchesPerRegion(t, "mutated-same-base", pj, ref, aggs)
 	if pj.spans.Load() != rs1 {
 		t.Fatal("append/delete re-resolved spans; only a base change should")
 	}
 
 	plan := pj.plan
 	store.Compact()
-	checkPlanMatchesPerRegion(t, "post-compaction", pj, aggs)
+	checkPlanMatchesPerRegion(t, "post-compaction", pj, ref, aggs)
 	rs2 := pj.spans.Load()
 	if rs2 == rs1 {
 		t.Fatal("compaction did not refresh the span resolution")
@@ -351,8 +348,8 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 // BenchmarkCoverPlanRebuild is the incremental-maintenance acceptance
 // benchmark: what the first query after a compaction pays. "refresh" is the
 // incremental step — re-resolving span boundaries against the new base,
-// reusing the plan verbatim; "fromscratch" rebuilds the global plan from
-// the per-region covers and then resolves, which is what a non-incremental
+// reusing the table verbatim; "fromscratch" rebuilds the table from the
+// per-region covers and then resolves, which is what a non-incremental
 // design would owe. The acceptance criterion is refresh ≥ 2× faster.
 func BenchmarkCoverPlanRebuild(b *testing.B) {
 	pts, weights := data.TaxiPoints(31, 100_000)
@@ -367,6 +364,7 @@ func BenchmarkCoverPlanRebuild(b *testing.B) {
 	}
 	ctx := context.Background()
 	snap := store.Snapshot()
+	covers := refCovers(regions, pj)
 
 	b.Run("refresh", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -377,8 +375,8 @@ func BenchmarkCoverPlanRebuild(b *testing.B) {
 	})
 	b.Run("fromscratch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			plan := buildCoverPlan(pj.covers)
-			if len(plan.uniq) != len(pj.plan.uniq) {
+			plan := buildCoverPlan(covers)
+			if len(plan.ranges) != len(pj.plan.ranges) {
 				b.Fatal("rebuilt plan diverged")
 			}
 			if _, err := pj.refreshSpans(ctx, snap, 1); err != nil {

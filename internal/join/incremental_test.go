@@ -10,6 +10,7 @@ import (
 	"distbound/internal/data"
 	"distbound/internal/geom"
 	"distbound/internal/pointstore"
+	"distbound/internal/raster"
 	"distbound/internal/sfc"
 )
 
@@ -25,20 +26,28 @@ import (
 
 var foldBounds = [...]float64{4, 16, 64}
 
+// foldTemplate is one bound's cover table beside the rasterizer's own ranges
+// the per-region reference reads.
+type foldTemplate struct {
+	*PointIdxJoiner
+	ref [][]raster.PosRange
+}
+
 // foldTemplates builds the per-bound cover plans once per process: they
 // depend only on regions, domain, curve and bound, and at ε = 4 the
 // rasterization is most of a second.
-var foldTemplates = sync.OnceValue(func() []*PointIdxJoiner {
+var foldTemplates = sync.OnceValue(func() []foldTemplate {
 	store, err := pointstore.NewMutable(nil, nil, data.CityDomain(), sfc.Hilbert{})
 	if err != nil {
 		panic(err)
 	}
 	regions := data.Regions(data.Partition(32, 4, 4, 6))
-	out := make([]*PointIdxJoiner, len(foldBounds))
+	out := make([]foldTemplate, len(foldBounds))
 	for i, b := range foldBounds {
-		if out[i], err = NewPointIdxJoiner(regions, store, b, 0); err != nil {
+		if out[i].PointIdxJoiner, err = NewPointIdxJoiner(regions, store, b, 0); err != nil {
 			panic(err)
 		}
+		out[i].ref = refCovers(regions, out[i].PointIdxJoiner)
 	}
 	return out
 })
@@ -163,30 +172,24 @@ func (h *foldHarness) query(bi int, aggs []Agg, workers int) ProbeStats {
 func (h *foldHarness) queryAt(snap *pointstore.Snapshot, bi int, aggs []Agg, workers int) ProbeStats {
 	h.t.Helper()
 	ctx := context.Background()
-	n := len(h.inc[bi].covers)
+	n := h.inc[bi].NumRegions()
 	got, want := NewResults(aggs, n), NewResults(aggs, n)
 	stats, err := h.inc[bi].aggregateSnapshot(ctx, snap, needsOf(aggs), workers, got)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	h.ref[bi].DropPartials()
+	h.ref[bi].dropPartials()
 	full, err := h.ref[bi].aggregateSnapshot(ctx, snap, needsOf(aggs), 1, want)
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	if full.RangesProbed != len(h.ref[bi].plan.uniq) || full.DeltaProbed != snap.DeltaLiveLen() {
+	if full.RangesProbed != h.ref[bi].NumRanges() || full.DeltaProbed != snap.DeltaLiveLen() {
 		h.t.Fatalf("re-execution reported %+v, want the whole plan and every live delta row", full)
 	}
 	for k := range aggs {
 		bitIdentical(h.t, aggs[k].String()+" incremental vs recomputed", want[k], got[k])
 	}
-	if snap != h.store.Snapshot() {
-		return stats // the per-region reference only answers the current snapshot
-	}
-	perRegion, err := h.inc[bi].AggregateMultiPerRegion(ctx, aggs, 1)
-	if err != nil {
-		h.t.Fatal(err)
-	}
+	perRegion := aggregatePerRegion(snap, foldTemplates()[bi].ref, aggs)
 	for k, agg := range aggs {
 		for ri := range perRegion[k].Counts {
 			if got[k].Counts[ri] != perRegion[k].Counts[ri] {
@@ -264,7 +267,7 @@ var allFive = []Agg{Count, Sum, Avg, Min, Max}
 func TestIncrementalFoldEdges(t *testing.T) {
 	t.Run("warm reads do no work", func(t *testing.T) {
 		h := newFoldHarness(t, true)
-		uniq := h.inc[1].NumUniqueRanges()
+		uniq := h.inc[1].NumRanges()
 		if st := h.query(1, allFive, 1); st != (ProbeStats{RangesProbed: uniq}) {
 			t.Fatalf("first query reported %+v, want a full fill and no delta", st)
 		}
@@ -328,7 +331,7 @@ func TestIncrementalFoldEdges(t *testing.T) {
 
 	t.Run("lazy column union", func(t *testing.T) {
 		h := newFoldHarness(t, true)
-		uniq := h.inc[2].NumUniqueRanges()
+		uniq := h.inc[2].NumRanges()
 		for _, step := range []struct {
 			aggs []Agg
 			have aggNeeds
@@ -385,7 +388,7 @@ func TestIncrementalFoldEdges(t *testing.T) {
 		if st := h.query(0, []Agg{Count}, 1); st != (ProbeStats{DeltaProbed: 3}) {
 			t.Fatalf("reported %+v, want 3 rows", st)
 		}
-		results := NewResults([]Agg{Sum}, len(h.inc[0].covers))
+		results := NewResults([]Agg{Sum}, h.inc[0].NumRegions())
 		if _, err := h.inc[0].AggregateMultiInto(context.Background(), []Agg{Sum}, 1, results); err == nil {
 			t.Fatal("SUM over a weightless dataset was answered")
 		}
@@ -486,7 +489,7 @@ func TestIncrementalFoldConcurrent(t *testing.T) {
 			bi := 1 + r%2
 			inc, own := h.inc[bi], foldTemplates()[bi].withSource(h.store)
 			aggs := h.aggSubset(1 + 7*r)
-			n := len(inc.covers)
+			n := inc.NumRegions()
 			got, want := NewResults(aggs, n), NewResults(aggs, n)
 			for i := 0; i < rounds; i++ {
 				snap := h.store.Snapshot()
@@ -494,7 +497,7 @@ func TestIncrementalFoldConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				own.DropPartials()
+				own.dropPartials()
 				if _, err := own.aggregateSnapshot(ctx, snap, needsOf(aggs), 1, want); err != nil {
 					t.Error(err)
 					return

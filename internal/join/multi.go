@@ -344,13 +344,12 @@ func (j *BRJJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 	return out, nil
 }
 
-// AggregateMulti computes every aggregate in aggs through the global cover
-// plan (coverplan.go): one monotone boundary sweep, one probe per unique
-// range shared by every region posting it, the delta tail inverted into the
-// range list once, and per-region folds partitioned by probe cost. COUNT/SUM
-// share the span lookups and prefix folds, MIN/MAX share the block scans.
-// One snapshot is loaded up front, so every aggregate of one call answers
-// over the same instant of the dataset.
+// AggregateMulti computes every aggregate in aggs through the cover table
+// (coverplan.go): one monotone boundary sweep, one batched span fold per
+// region and needed column, and the delta tail inverted into the boundary
+// segments once. COUNT/SUM share the span lookups and prefix folds, MIN/MAX
+// share the block scans. One snapshot is loaded up front, so every aggregate
+// of one call answers over the same instant of the dataset.
 func (j *PointIdxJoiner) AggregateMulti(ctx context.Context, aggs []Agg, workers int) ([]Result, error) {
 	if err := j.validateAggs(aggs); err != nil {
 		return nil, err
@@ -358,47 +357,9 @@ func (j *PointIdxJoiner) AggregateMulti(ctx context.Context, aggs []Agg, workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	results := NewResults(aggs, len(j.covers))
+	results := NewResults(aggs, j.NumRegions())
 	if _, err := j.AggregateMultiInto(ctx, aggs, workers, results); err != nil {
 		return nil, err
-	}
-	return results, nil
-}
-
-// AggregateMultiPerRegion is the pre-plan reference execution: every region
-// independently probes its own cover ranges and brute-scans the delta tail.
-// It is retained as the differential baseline the cover-plan execution is
-// pinned against — COUNT/MIN/MAX bit-identical, SUM/AVG identical up to the
-// delta tail's re-association — and as the benchmark head-to-head
-// (BenchmarkCoverPlan) measuring what the plan buys.
-func (j *PointIdxJoiner) AggregateMultiPerRegion(ctx context.Context, aggs []Agg, workers int) ([]Result, error) {
-	if err := j.validateAggs(aggs); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	needs := needsOf(aggs)
-	done := ctx.Done()
-	snap := j.src.Snapshot()
-	results := NewResults(aggs, len(j.covers))
-	shards := shardBounds(len(j.covers), workers)
-	var wg sync.WaitGroup
-	for _, sh := range shards {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for ri := lo; ri < hi; ri++ {
-				if canceled(done) {
-					return
-				}
-				j.aggregateRegion(snap, results, needs, ri)
-			}
-		}(sh[0], sh[1])
-	}
-	wg.Wait()
-	if canceled(done) {
-		return nil, ctx.Err()
 	}
 	return results, nil
 }

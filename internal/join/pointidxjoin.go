@@ -3,9 +3,6 @@ package join
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"distbound/internal/geom"
@@ -17,80 +14,69 @@ import (
 
 // CoverSet is the immutable, data-independent half of the resident §5 join:
 // every region covered once by its conservative distance-bounded hierarchical
-// raster, kept as merged 1D leaf ranges, plus the global cover plan derived
-// from them (coverplan.go). It depends only on the regions, domain, curve and
-// bound — never on the points — so one set serves every dataset linearized
-// over that domain and curve, across all their appends, deletes and
-// compactions. Attach pairs it with a dataset.
+// raster, its merged 1D leaf ranges kept as the cover table (coverplan.go).
+// It depends only on the regions, domain, curve and bound — never on the
+// points — so one set serves every dataset linearized over that domain and
+// curve, across all their appends, deletes and compactions. Attach pairs it
+// with a dataset.
 type CoverSet struct {
-	covers [][]raster.PosRange // merged leaf ranges per region
-	bound  float64
-	ranges int
-	plan   *coverPlan
+	bound float64
+	plan  *coverPlan
 }
 
 // NewCoverSetCtx rasterizes every region at distance bound eps over the
 // domain and curve, fanning the per-region rasterization across workers (≤ 0
-// selects GOMAXPROCS), and builds the global cover plan. Canceling ctx
-// abandons the rasterization between regions and returns ctx.Err(), so a
-// build nobody waits for anymore stops burning CPU.
+// selects GOMAXPROCS), and builds the cover table. Canceling ctx abandons the
+// rasterization between regions and returns ctx.Err(), so a build nobody
+// waits for anymore stops burning CPU.
 func NewCoverSetCtx(ctx context.Context, regions []geom.Region, d sfc.Domain, c sfc.Curve, eps float64, workers int) (*CoverSet, error) {
 	if !(eps > 0) {
 		return nil, fmt.Errorf("join: point-index join requires a positive bound, got %v", eps)
 	}
-	cs := &CoverSet{covers: make([][]raster.PosRange, len(regions)), bound: eps}
+	covers := make([][]raster.PosRange, len(regions))
 	err := pool.RunCtx(ctx, len(regions), pool.Workers(workers, len(regions)), func(_, ri int) error {
 		a, err := raster.Hierarchical(regions[ri], d, c, eps, raster.Conservative)
 		if err != nil {
 			return err
 		}
-		cs.covers[ri] = a.Ranges()
+		covers[ri] = a.Ranges()
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, rs := range cs.covers {
-		cs.ranges += len(rs)
-	}
-	cs.plan = buildCoverPlan(cs.covers)
-	return cs, nil
+	return &CoverSet{bound: eps, plan: buildCoverPlan(covers)}, nil
 }
 
 // Attach returns a joiner over src sharing this set read-only, with no state
 // published yet. src must be linearized over the set's domain and curve.
 func (cs *CoverSet) Attach(src *pointstore.Mutable) *PointIdxJoiner {
-	j := &PointIdxJoiner{CoverSet: cs, src: src}
-	hasW := src.HasWeights()
-	j.scratch.New = func() any { return cs.plan.newScratch(hasW) }
-	return j
+	return &PointIdxJoiner{CoverSet: cs, src: src}
 }
 
 // Bound returns the distance bound the covers guarantee.
 func (cs *CoverSet) Bound() float64 { return cs.bound }
 
-// NumRanges returns the total number of per-region merged cover ranges —
-// what the per-region reference execution probes.
-func (cs *CoverSet) NumRanges() int { return cs.ranges }
+// NumRegions returns how many regions the set covers — the length of every
+// result column.
+func (cs *CoverSet) NumRegions() int { return len(cs.plan.regOff) - 1 }
 
-// NumUniqueRanges returns the size of the deduplicated global range list —
-// what the cover-plan execution probes.
-func (cs *CoverSet) NumUniqueRanges() int { return len(cs.plan.uniq) }
+// NumRanges returns the total number of per-region merged cover ranges —
+// what a base fill probes.
+func (cs *CoverSet) NumRanges() int { return len(cs.plan.ranges) }
 
 // NumBoundaryProbes returns how many distinct span boundaries one query
 // resolves against the key column — the monotone sweep's length.
 func (cs *CoverSet) NumBoundaryProbes() int { return len(cs.plan.bkeys) }
 
-// UniqueRanges returns the cover plan's deduplicated global range list,
-// sorted by (Lo, Hi) ascending — the key intervals a query at this bound can
-// ever touch, which is what a shard router intersects against its shards'
-// key boundaries. The slice is the plan's own backing storage; callers must
-// treat it as read-only.
-func (cs *CoverSet) UniqueRanges() []raster.PosRange { return cs.plan.uniq }
+// Intersects reports whether any region's cover holds a key in [lo, hi]
+// (lo ≤ hi) — whether a query at this bound can ever count a point whose key
+// lies in the interval, which is what a shard router asks of each shard's
+// key range.
+func (cs *CoverSet) Intersects(lo, hi uint64) bool { return cs.plan.intersects(lo, hi) }
 
-// MemoryBytes returns the set's footprint: the per-region ranges (16 bytes
-// each) and the global cover plan.
-func (cs *CoverSet) MemoryBytes() int { return 16*cs.ranges + cs.plan.memoryBytes() }
+// MemoryBytes returns the cover table's footprint.
+func (cs *CoverSet) MemoryBytes() int { return cs.plan.memoryBytes() }
 
 // PointIdxJoiner answers the §5 aggregation join against a resident point
 // dataset instead of a streamed PointSet: one dataset's state over a shared
@@ -99,10 +85,11 @@ func (cs *CoverSet) MemoryBytes() int { return 16*cs.ranges + cs.plan.memoryByte
 // columns, plus an unsorted delta tail and tombstone set for points appended
 // or deleted since the last compaction.
 //
-// A query loads one immutable snapshot of the dataset and, per region, folds
-// the base's range aggregates over the region's cover ranges (tombstones
-// subtracted) and brute-scans the delta tail against the same ranges. The
-// result is therefore exactly what a freshly compacted store would return:
+// A query loads one immutable snapshot of the dataset and answers from the
+// cover table (coverplan.go): per region, the base's range aggregates folded
+// over the region's cover ranges (tombstones subtracted), plus the delta
+// tail's rows fanned out to the regions covering their keys. The result is
+// therefore exactly what a freshly compacted store would return:
 // COUNT/MIN/MAX are bit-identical to a full rebuild of the surviving points,
 // SUM/AVG agree up to float re-association (the delta tail sums in append
 // order rather than key order).
@@ -120,11 +107,10 @@ type PointIdxJoiner struct {
 	// of the current answer the same way: the per-region fold of the base
 	// rows, refilled when a delete or compaction changes them, and the
 	// per-region delta accumulators up to a watermark, extended as the tail
-	// grows. scratch recycles the fill's per-range workspace.
-	spans   atomic.Pointer[resolvedSpans]
-	base    atomic.Pointer[basePartials]
-	delta   atomic.Pointer[deltaPartials]
-	scratch sync.Pool
+	// grows.
+	spans atomic.Pointer[resolvedSpans]
+	base  atomic.Pointer[basePartials]
+	delta atomic.Pointer[deltaPartials]
 }
 
 // NewPointIdxJoiner builds a cover set over the dataset's domain and curve
@@ -156,15 +142,6 @@ func (j *PointIdxJoiner) MemoryBytes() int {
 		n += 32 * len(dp.acc)
 	}
 	return n
-}
-
-// DropPartials discards the published base partials and delta accumulators,
-// so the next query recomputes both from nothing — the re-execution the
-// incremental state is differentially tested against, and what a benchmark
-// comparing cold and warm executions must time.
-func (j *PointIdxJoiner) DropPartials() {
-	j.base.Store(nil)
-	j.delta.Store(nil)
 }
 
 // Refresh brings the published span resolution and base partials up to the
@@ -216,64 +193,4 @@ func (j *PointIdxJoiner) Aggregate(agg Agg) (Result, error) {
 		return Result{}, err
 	}
 	return rs[0], nil
-}
-
-// aggregateRegion folds the snapshot's base range aggregates over one
-// region's cover ranges and brute-scans the delta tail against them, writing
-// only that region's slots of every result. Each Span is located once and
-// every needed aggregate folds from it — the shared-lookup economy of the
-// multi-aggregate path.
-//
-//distbound:noalloc
-func (j *PointIdxJoiner) aggregateRegion(snap *pointstore.Snapshot, results []Result, needs aggNeeds, ri int) {
-	var cnt int64
-	var sum float64
-	mn, mx := math.Inf(1), math.Inf(-1)
-	ranges := j.covers[ri]
-	for _, r := range ranges {
-		lo, hi := snap.Span(r.Lo, r.Hi)
-		if lo >= hi {
-			continue
-		}
-		cnt += int64(snap.CountSpan(lo, hi))
-		if needs.sum {
-			sum += snap.SumSpan(lo, hi)
-		}
-		if needs.min {
-			mn = math.Min(mn, snap.MinSpan(lo, hi))
-		}
-		if needs.max {
-			mx = math.Max(mx, snap.MaxSpan(lo, hi))
-		}
-	}
-	// Delta scan: every live delta row whose key falls in one of the
-	// region's cover ranges contributes exactly as a base row would.
-	for k, dn := 0, snap.DeltaLen(); k < dn; k++ {
-		if !snap.DeltaLive(k) || !coversKey(ranges, snap.DeltaKey(k)) {
-			continue
-		}
-		cnt++
-		if needs.sum || needs.min || needs.max {
-			w := snap.DeltaWeight(k)
-			if needs.sum {
-				sum += w
-			}
-			if needs.min {
-				mn = math.Min(mn, w)
-			}
-			if needs.max {
-				mx = math.Max(mx, w)
-			}
-		}
-	}
-	regionAcc{cnt: cnt, sum: sum, mn: mn, mx: mx}.writeTo(results, ri)
-}
-
-// coversKey reports whether a leaf key falls in one of the merged, sorted
-// cover ranges — binary search, mirroring Approximation.CoversLeafPos.
-//
-//distbound:noalloc
-func coversKey(ranges []raster.PosRange, key uint64) bool {
-	i := sort.Search(len(ranges), func(i int) bool { return ranges[i].Hi >= key })
-	return i < len(ranges) && ranges[i].Lo <= key
 }

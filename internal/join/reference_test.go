@@ -1,0 +1,163 @@
+package join
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+
+	"distbound/internal/data"
+	"distbound/internal/geom"
+	"distbound/internal/pointstore"
+	"distbound/internal/raster"
+	"distbound/internal/sfc"
+)
+
+// The per-region reference execution: every region independently probes its
+// own cover ranges and brute-scans the delta tail. It is the oracle the cover
+// table is pinned against — COUNT/MIN/MAX bit-identical, SUM/AVG identical up
+// to the delta tail's re-association — so it takes its ranges from the
+// rasterizer, never from the table it checks.
+
+// rasterCovers rasterizes every region to its merged leaf ranges.
+func rasterCovers(regions []geom.Region, d sfc.Domain, c sfc.Curve, eps float64, mode raster.Mode) [][]raster.PosRange {
+	covers := make([][]raster.PosRange, len(regions))
+	for ri, rg := range regions {
+		a, err := raster.Hierarchical(rg, d, c, eps, mode)
+		if err != nil {
+			panic(err)
+		}
+		covers[ri] = a.Ranges()
+	}
+	return covers
+}
+
+// refCovers rasterizes the regions the way NewCoverSetCtx does, over the
+// joiner's own domain, curve and bound.
+func refCovers(regions []geom.Region, j *PointIdxJoiner) [][]raster.PosRange {
+	return rasterCovers(regions, j.src.Domain(), j.src.Curve(), j.bound, raster.Conservative)
+}
+
+// aggregatePerRegion answers aggs over snap from the per-region covers.
+func aggregatePerRegion(snap *pointstore.Snapshot, covers [][]raster.PosRange, aggs []Agg) []Result {
+	needs := needsOf(aggs)
+	results := NewResults(aggs, len(covers))
+	for ri := range covers {
+		aggregateRegion(snap, results, needs, covers[ri], ri)
+	}
+	return results
+}
+
+// aggregateRegion folds the snapshot's base range aggregates over one
+// region's cover ranges and brute-scans the delta tail against them, writing
+// only that region's slots of every result.
+func aggregateRegion(snap *pointstore.Snapshot, results []Result, needs aggNeeds, ranges []raster.PosRange, ri int) {
+	a := regionAcc{mn: math.Inf(1), mx: math.Inf(-1)}
+	for _, r := range ranges {
+		lo, hi := snap.Span(r.Lo, r.Hi)
+		if lo >= hi {
+			continue
+		}
+		a.cnt += int64(snap.CountSpan(lo, hi))
+		if needs.sum {
+			a.sum += snap.SumSpan(lo, hi)
+		}
+		if needs.min {
+			a.mn = math.Min(a.mn, snap.MinSpan(lo, hi))
+		}
+		if needs.max {
+			a.mx = math.Max(a.mx, snap.MaxSpan(lo, hi))
+		}
+	}
+	// Delta scan: every live delta row whose key falls in one of the
+	// region's cover ranges contributes exactly as a base row would.
+	for k, dn := 0, snap.DeltaLen(); k < dn; k++ {
+		if !snap.DeltaLive(k) || !coversKey(ranges, snap.DeltaKey(k)) {
+			continue
+		}
+		a.cnt++
+		if needs.sum || needs.min || needs.max {
+			w := snap.DeltaWeight(k)
+			if needs.sum {
+				a.sum += w
+			}
+			if needs.min {
+				a.mn = math.Min(a.mn, w)
+			}
+			if needs.max {
+				a.mx = math.Max(a.mx, w)
+			}
+		}
+	}
+	a.writeTo(results, ri)
+}
+
+// coversKey reports whether a leaf key falls in one of the merged, sorted
+// cover ranges — binary search, mirroring Approximation.CoversLeafPos.
+func coversKey(ranges []raster.PosRange, key uint64) bool {
+	i := sort.Search(len(ranges), func(i int) bool { return ranges[i].Hi >= key })
+	return i < len(ranges) && ranges[i].Lo <= key
+}
+
+// dropPartials discards the published base partials and delta accumulators,
+// so the next query recomputes both from nothing — the re-execution the
+// incremental state is differentially tested against, and what a benchmark
+// comparing cold and warm executions must time.
+func (j *PointIdxJoiner) dropPartials() {
+	j.base.Store(nil)
+	j.delta.Store(nil)
+}
+
+// BenchmarkCoverPlan is the head-to-head of the cover-table execution (one
+// monotone boundary sweep, batched per-region folds, inverted delta) against
+// the per-region reference (independent Span probes per region, delta
+// brute-scanned per region) on the same snapshot, sequential on both sides.
+// The delta legs show the inversion's win: the reference degrades with
+// regions × delta while the table pays delta × log(ranges).
+func BenchmarkCoverPlan(b *testing.B) {
+	pts, weights := data.TaxiPoints(1, 200_000)
+	regions := data.Regions(data.Census(13, 400))
+	store, err := pointstore.NewMutable(pts, weights, data.CityDomain(), sfc.Hilbert{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	aggs := []Agg{Count, Sum}
+	for _, cfg := range []struct {
+		name  string
+		delta int
+	}{{"compact", 0}, {"delta=50k", 50_000}} {
+		if cfg.delta > 0 {
+			if _, err := store.Append(pts[:cfg.delta], weights[:cfg.delta]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		snap := store.Snapshot()
+		for _, bound := range []float64{8, 16} {
+			pj, err := NewPointIdxJoiner(regions, store, bound, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ref := refCovers(regions, pj)
+			b.Run(fmt.Sprintf("%s/per-region/bound=%g", cfg.name, bound), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					aggregatePerRegion(snap, ref, aggs)
+				}
+			})
+			b.Run(fmt.Sprintf("%s/cover-plan/bound=%g", cfg.name, bound), func(b *testing.B) {
+				b.ReportAllocs()
+				results := NewResults(aggs, len(regions))
+				for i := 0; i < b.N; i++ {
+					// The head-to-head is between two executions: without the
+					// drop the table side would be the warm merge.
+					pj.dropPartials()
+					if _, err := pj.AggregateMultiInto(ctx, aggs, 1, results); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -246,18 +246,16 @@ func (m CostModel) Estimate(q Query, s Strategy) Cost {
 	return c
 }
 
-// CoverStats describes a resident dataset's cover plan — what the
+// CoverStats describes a resident dataset's cover table — what the
 // point-index strategy will actually execute at this bound. The zero value
-// means "no resident cover plan is built yet"; Explain prints the
+// means "no resident cover table is built yet"; Explain prints the
 // cover-plan line only when the stats are real, never estimated.
 type CoverStats struct {
-	// Ranges is the total per-region cover range count.
+	// Ranges is the total per-region cover range count — the probe count a
+	// base fill pays.
 	Ranges int
-	// Unique is the size of the deduplicated global range list — the probe
-	// count one query pays.
-	Unique int
-	// Boundaries is the number of distinct span boundaries the monotone
-	// sweep resolves.
+	// Boundaries is the number of distinct range boundaries — what the
+	// monotone sweep resolves after a compaction.
 	Boundaries int
 }
 
@@ -349,8 +347,8 @@ func (p Plan) Explain() string {
 		out = fmt.Sprintf("* %-10s rule: registered dataset, %s", p.Strategy, why)
 	}
 	if p.Cover != (CoverStats{}) {
-		out += fmt.Sprintf("\ncover-plan: %d region-ranges → %d unique, %d boundary probes per query",
-			p.Cover.Ranges, p.Cover.Unique, p.Cover.Boundaries)
+		out += fmt.Sprintf("\ncover-plan: %d region-ranges, %d boundary probes per query",
+			p.Cover.Ranges, p.Cover.Boundaries)
 	}
 	return out
 }

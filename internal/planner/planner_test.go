@@ -194,15 +194,15 @@ func TestExplainCoverPlanLine(t *testing.T) {
 	if strings.Contains(p.Explain(), "cover-plan:") {
 		t.Error("Explain invented a cover-plan line without measured stats")
 	}
-	p.Cover = CoverStats{Ranges: 1200, Unique: 900, Boundaries: 1500}
+	p.Cover = CoverStats{Ranges: 1200, Boundaries: 1500}
 	out := p.Explain()
-	if !strings.Contains(out, "cover-plan: 1200 region-ranges → 900 unique, 1500 boundary probes per query") {
+	if !strings.Contains(out, "cover-plan: 1200 region-ranges, 1500 boundary probes per query") {
 		t.Errorf("cover-plan line drifted:\n%s", out)
 	}
 
 	rule := Plan{Strategy: StrategyPointIdx, Cover: p.Cover}
 	if got, want := rule.Explain(), "* pointidx   rule: registered dataset, bound > 0\n"+
-		"cover-plan: 1200 region-ranges → 900 unique, 1500 boundary probes per query"; got != want {
+		"cover-plan: 1200 region-ranges, 1500 boundary probes per query"; got != want {
 		t.Errorf("rule plan renders\n%s\nwant\n%s", got, want)
 	}
 	if got, want := (Plan{Strategy: StrategyExact}).Explain(), "* exact(R*)  rule: registered dataset, no positive bound"; got != want {

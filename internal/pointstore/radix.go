@@ -206,7 +206,7 @@ func radixSortPairs(pairs []keyRef, workers int) {
 	// ones. Data sits in scratch; every finish lands it back in pairs.
 	shards := pool.SplitWeighted(256, workers, func(b int) int64 {
 		return int64(bucketStart[b+1] - bucketStart[b])
-	}, nil)
+	})
 	pool.Run(len(shards), len(shards), func(_, si int) error {
 		for b := shards[si][0]; b < shards[si][1]; b++ {
 			finishBucket(pairs, scratch, int(bucketStart[b]), int(bucketStart[b+1]), shifts)

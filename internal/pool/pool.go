@@ -30,27 +30,24 @@ func Workers(requested, jobs int) int {
 }
 
 // SplitWeighted partitions n jobs (job i carrying weight(i) ≥ 0) into at
-// most k contiguous shards of roughly equal total weight, appending
-// [lo, hi) bounds to out and returning it. Unlike an even count split, a
+// most k contiguous shards of roughly equal total weight, returned as
+// [lo, hi) bounds. Unlike an even count split, a
 // weighted split keeps one outsized job — a region with a huge cover, a
 // range spanning half the column — from serializing a whole worker behind
 // a tail of average ones: the heavy job gets a narrow shard and the light
 // jobs pack together. Jobs are never reordered or split, so a shard's work
 // is a contiguous, deterministic slice of the input regardless of k.
-//
-// Passing a reusable out slice keeps repeated splits allocation-free; nil
-// is fine.
-func SplitWeighted(n, k int, weight func(i int) int64, out [][2]int) [][2]int {
-	out = out[:0]
+func SplitWeighted(n, k int, weight func(i int) int64) [][2]int {
 	if n <= 0 {
-		return out
+		return nil
 	}
 	if k > n {
 		k = n
 	}
 	if k <= 1 {
-		return append(out, [2]int{0, n})
+		return [][2]int{{0, n}}
 	}
+	out := make([][2]int, 0, k)
 	var total int64
 	for i := 0; i < n; i++ {
 		total += weight(i)

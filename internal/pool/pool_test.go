@@ -173,12 +173,12 @@ func TestSplitWeighted(t *testing.T) {
 	}
 	unit := func(int) int64 { return 1 }
 
-	check("empty", 0, 4, SplitWeighted(0, 4, unit, nil))
-	check("k>n", 3, 8, SplitWeighted(3, 8, unit, nil))
-	check("k=1", 5, 1, SplitWeighted(5, 1, unit, nil))
+	check("empty", 0, 4, SplitWeighted(0, 4, unit))
+	check("k>n", 3, 8, SplitWeighted(3, 8, unit))
+	check("k=1", 5, 1, SplitWeighted(5, 1, unit))
 
 	// Uniform weights degenerate to the even count split.
-	got := SplitWeighted(8, 4, unit, nil)
+	got := SplitWeighted(8, 4, unit)
 	check("uniform", 8, 4, got)
 	for _, sh := range got {
 		if sh[1]-sh[0] != 2 {
@@ -187,7 +187,7 @@ func TestSplitWeighted(t *testing.T) {
 	}
 
 	// All-zero weights must not divide by zero and still cover every job.
-	check("zero-weights", 6, 3, SplitWeighted(6, 3, func(int) int64 { return 0 }, nil))
+	check("zero-weights", 6, 3, SplitWeighted(6, 3, func(int) int64 { return 0 }))
 
 	// One giant job among many small ones: the giant gets a shard of its
 	// own, wherever it sits.
@@ -198,20 +198,12 @@ func TestSplitWeighted(t *testing.T) {
 			}
 			return 1
 		}
-		got := SplitWeighted(16, 4, w, nil)
+		got := SplitWeighted(16, 4, w)
 		check("giant", 16, 4, got)
 		for _, sh := range got {
 			if giantAt >= sh[0] && giantAt < sh[1] && sh[1]-sh[0] != 1 {
 				t.Errorf("giant at %d shares shard %v with light jobs: %v", giantAt, sh, got)
 			}
 		}
-	}
-
-	// Reusing the out slice keeps repeated splits allocation-free.
-	buf := make([][2]int, 0, 8)
-	if allocs := testing.AllocsPerRun(100, func() {
-		buf = SplitWeighted(16, 4, unit, buf[:0])
-	}); allocs > 0 {
-		t.Errorf("reused split allocates %.1f per call", allocs)
 	}
 }

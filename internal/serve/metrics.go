@@ -31,7 +31,7 @@ type metrics struct {
 	fanoutMax atomic.Uint64
 
 	// Probe work summed over executed queries (shard.Response's counters):
-	// unique ranges probed by base fills and delta rows newly inverted.
+	// cover ranges probed by base fills and delta rows newly inverted.
 	// Against the request counters they give the resident path's warm ratio.
 	rangesProbed atomic.Uint64
 	deltaProbed  atomic.Uint64

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -287,6 +288,17 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		pts[i] = distbound.Pt(p[0], p[1])
 	}
 	ids, err := s.backend.Append(pts, q.Weights)
+	// IDs align with the request's points; a partial failure across shards
+	// still reports the rows that landed (NoID for the rest) beside its error.
+	var out AppendResponse
+	out.IDs = slices.Grow(out.IDs, len(ids))
+	for _, id := range ids {
+		out.IDs = append(out.IDs, strconv.FormatUint(id, 10))
+		if id != shard.NoID {
+			out.Appended++
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
 	if err != nil {
 		// A healthy store refuses an append for what the request carries —
 		// weight-column mismatch, out-of-domain point; a wedged one refuses
@@ -296,16 +308,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			status, err = http.StatusServiceUnavailable, fmt.Errorf("wedged: %w", werr)
 		}
 		s.met.errors.Add(1)
-		w.Header().Set("Content-Type", "application/json")
+		out.Error = err.Error()
 		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(AppendResponse{Error: err.Error()}) //nolint:errcheck // best-effort error body
-		return
 	}
-	out := AppendResponse{Appended: len(ids), IDs: make([]string, len(ids))}
-	for i, id := range ids {
-		out.IDs[i] = strconv.FormatUint(id, 10)
-	}
-	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out) //nolint:errcheck // client disconnects surface as write errors
 }
 

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -506,6 +507,50 @@ func TestHealthzFailsOnWedgedStore(t *testing.T) {
 				t.Fatalf("wedged store stopped answering queries: %d", resp.StatusCode)
 			}
 		})
+	}
+}
+
+// TestAppendErrorBodyCarriesLandedIDs: when one shard's log fails under a
+// batch spanning several, the 503 body still aligns an ID with every point —
+// real for the rows the healthy shards accepted, NoID for the wedged shard's
+// — so a client knows which rows not to resend.
+func TestAppendErrorBodyCarriesLandedIDs(t *testing.T) {
+	regions, pts, ws := testWorkload(t, 1500)
+	fs := errorfs.New()
+	s, _, err := shard.New("taxi", regions, pts, ws, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Persist(t.TempDir(), distbound.PersistConfig{}.WithFS(fs)); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(&ShardedBackend{S: s}, 0)
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+
+	var batch AppendRequest
+	for i := 0; i < 64; i++ {
+		batch.Points = append(batch.Points, [2]float64{pts[i].X, pts[i].Y})
+		batch.Weights = append(batch.Weights, 1)
+	}
+	fs.FailAt(fs.Ops()) // the first group's log record; the later shards' succeed
+	resp, body := postJSON(t, ts.URL+"/v1/append", batch, nil)
+	var ar AppendResponse
+	if err := json.Unmarshal(body, &ar); err != nil {
+		t.Fatalf("decoding %s: %v", body, err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(ar.Error, "wedged: ") {
+		t.Fatalf("partially failed append: %d %s, want 503 wedged: …", resp.StatusCode, body)
+	}
+	landed := 0
+	for _, id := range ar.IDs {
+		if id != strconv.FormatUint(shard.NoID, 10) {
+			landed++
+		}
+	}
+	if len(ar.IDs) != len(batch.Points) || landed == 0 || landed == len(ar.IDs) || ar.Appended != landed {
+		t.Fatalf("error body reports %d appended, %d of %d IDs real; want every point aligned, some landed, some not",
+			ar.Appended, landed, len(ar.IDs))
 	}
 }
 

@@ -122,7 +122,9 @@ type AppendRequest struct {
 
 // AppendResponse answers an append. IDs serialize as decimal strings —
 // they are shard-tagged uint64 handles that float64 JSON numbers cannot
-// carry exactly.
+// carry exactly. When some shards refused their rows (Error set, 503), IDs
+// still aligns with the request's points: rows the other shards accepted
+// carry their IDs, refused rows shard.NoID, and Appended counts the former.
 type AppendResponse struct {
 	Appended int      `json:"appended"`
 	IDs      []string `json:"ids"`

@@ -105,8 +105,8 @@ func Open(regions []distbound.Region, dir string, cfg distbound.PersistConfig) (
 	prevHi := uint64(0)
 	for i, ms := range m.Shards {
 		// The intervals must tile the key space exactly: contiguity is what
-		// makes routing's single forward sweep — and Append's ownership
-		// search — sound.
+		// makes Append's ownership search sound, and what lets routing skip
+		// a shard without losing a key.
 		if i == 0 && ms.Lo != 0 {
 			return nil, fmt.Errorf("shard: first shard starts at key %d, want 0", ms.Lo)
 		}

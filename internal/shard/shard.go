@@ -1,10 +1,10 @@
 // Package shard partitions a resident point dataset into N contiguous
 // SFC-key-range shards — N datasets registered with one engine — and answers
-// distance-bounded aggregation queries by scatter-gather: the query's cover
-// plan — the deduplicated, sorted global range list every bound-ε execution
-// probes — is intersected against the shards' key boundaries, only
-// intersecting shards are contacted, and their partial per-region aggregates
-// merge exactly.
+// distance-bounded aggregation queries by scatter-gather: each shard's key
+// interval is tested against the bound's cover table — the boundary segments
+// and their covering regions every bound-ε execution answers from — only
+// shards holding a covered key are contacted, and their partial per-region
+// aggregates merge exactly.
 //
 // The engine owns what does not depend on the data: the regions and, per
 // bound, one immutable cover set, built once — by the routing step, with the
@@ -22,11 +22,14 @@
 // merged SUM and COUNT, so it inherits SUM's reassociation bound with an
 // exact denominator.
 //
-// Routing is conservative and exact: a shard whose key range intersects no
+// Routing is conservative and exact: a shard whose key interval meets no
 // cover range holds no point any bound-respecting execution could count, so
-// skipping it can never change the answer; a shard intersecting any range
-// is contacted. A query over a small region therefore touches only the few
-// shards its cover lands on, not all N.
+// skipping it can never change the answer; a shard meeting any range is
+// contacted. The test is one binary search into the table's boundary keys
+// per shard, then a walk over the segments inside the shard's interval to
+// the first one any region covers — a single step wherever covers are dense.
+// A query over a small region therefore touches only the few shards its
+// cover lands on, not all N.
 package shard
 
 import (
@@ -276,7 +279,7 @@ type Response struct {
 	// aligned with Request.Aggs, each spanning every region.
 	Results []distbound.Result
 	// ShardsContacted / ShardsTotal measure the routing economy: how many
-	// shards the cover plan intersected vs the partition width.
+	// shards the cover set intersected vs the partition width.
 	ShardsContacted int
 	ShardsTotal     int
 	// RangesProbed / DeltaProbed sum the contacted shards' probe counters:
@@ -317,11 +320,11 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	// Route from the bound's shared cover set. A cold bound builds it here —
 	// once, with the request's whole worker budget — so the single-threaded
 	// shard queries below only ever attach to it.
-	ranges, err := s.engine.CoverKeyRanges(ctx, req.Bound, req.Workers)
+	cover, err := s.engine.CoverSet(ctx, req.Bound, req.Workers)
 	if err != nil {
 		return Response{}, err
 	}
-	contacted := s.route(ranges)
+	contacted := s.route(cover)
 
 	s.queries.Add(1)
 	s.contacts.Add(uint64(len(contacted)))
@@ -430,21 +433,12 @@ func (s *Sharded) EpochSum() uint64 {
 	return sum
 }
 
-// route returns the indexes of shards whose key interval intersects any
-// cover range. ranges is sorted by Lo ascending and shard intervals are
-// contiguous ascending, so one forward pointer suffices: a range whose Hi
-// precedes the current shard can never intersect a later one, and once the
-// first surviving range starts past the shard's end, no later range (all
-// with ≥ Lo) can intersect it either.
-func (s *Sharded) route(ranges []distbound.PosRange) []int {
+// route returns the indexes of shards whose key interval the cover set
+// intersects, in ascending order.
+func (s *Sharded) route(cover *join.CoverSet) []int {
 	var out []int
-	ri := 0
 	for si := range s.shards {
-		lo, hi := s.shards[si].lo, s.shards[si].hi
-		for ri < len(ranges) && ranges[ri].Hi < lo {
-			ri++
-		}
-		if ri < len(ranges) && ranges[ri].Lo <= hi {
+		if cover.Intersects(s.shards[si].lo, s.shards[si].hi) {
 			out = append(out, si)
 		}
 	}
@@ -475,12 +469,15 @@ func mergeResults(acc, part []distbound.Result) {
 
 // Append routes points to the shards owning their keys and appends each
 // group through the shard's dataset, returning global IDs aligned with pts.
-// Like Dataset.Append, the batch is atomic across shards in the validation
-// sense: a point outside the domain, or a weight-column mismatch, rejects
-// the whole batch before any shard is touched. Appended points are visible
-// to queries issued after Append returns; a shard whose delta crosses its
-// compaction threshold compacts in the background exactly as an unsharded
-// dataset would.
+// Validation is atomic across shards: a point outside the domain, or a
+// weight-column mismatch, rejects the whole batch before any shard is
+// touched. Past validation every shard's group is attempted; when a shard
+// refuses its group (its durable log failed: the shard is wedged, see
+// DurableErr) the rows the other shards accepted stay appended and keep their
+// IDs, the refused rows report NoID, and the joined error names each such
+// shard — the contract Delete has. Appended points are visible to queries
+// issued after Append returns; a shard whose delta crosses its compaction
+// threshold compacts in the background exactly as an unsharded dataset would.
 func (s *Sharded) Append(pts []distbound.Point, weights []float64) ([]uint64, error) {
 	if s.hasW != (weights != nil) && len(pts) > 0 {
 		if s.hasW {
@@ -491,45 +488,48 @@ func (s *Sharded) Append(pts []distbound.Point, weights []float64) ([]uint64, er
 	if weights != nil && len(weights) != len(pts) {
 		return nil, fmt.Errorf("shard: %d weights for %d points", len(weights), len(pts))
 	}
-	owners := make([]int, len(pts))
+	type group struct {
+		pts  []distbound.Point
+		ws   []float64
+		rows []int // positions in pts
+	}
+	groups := make([]group, len(s.shards))
 	for i, p := range pts {
 		key, ok := s.domain.LeafPos(distbound.Hilbert, p)
 		if !ok {
 			return nil, fmt.Errorf("shard: appended point %v lies outside the domain (origin %v, size %g)",
 				p, s.domain.Origin, s.domain.Size)
 		}
-		owners[i] = s.owner(key)
+		g := &groups[s.owner(key)]
+		g.pts = append(g.pts, p)
+		if s.hasW {
+			g.ws = append(g.ws, weights[i])
+		}
+		g.rows = append(g.rows, i)
 	}
 	ids := make([]uint64, len(pts))
-	for si := range s.shards {
-		var grpPts []distbound.Point
-		var grpWs []float64
-		var grpIdx []int
-		for i, o := range owners {
-			if o != si {
-				continue
-			}
-			grpPts = append(grpPts, pts[i])
-			if s.hasW {
-				grpWs = append(grpWs, weights[i])
-			}
-			grpIdx = append(grpIdx, i)
-		}
-		if len(grpPts) == 0 {
+	for i := range ids {
+		ids[i] = NoID
+	}
+	var errs []error
+	for si, g := range groups {
+		if len(g.pts) == 0 {
 			continue
 		}
-		local, err := s.shards[si].ds.Append(grpPts, grpWs)
+		local, err := s.shards[si].ds.Append(g.pts, g.ws)
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", si, err)
+			errs = append(errs, fmt.Errorf("shard %d: %w", si, err))
+			continue
 		}
 		for k, li := range local {
 			if li > localIDMask {
-				return nil, fmt.Errorf("shard %d: local ID %d overflows the %d-bit ID space", si, li, shardIDBits)
+				errs = append(errs, fmt.Errorf("shard %d: local ID %d overflows the %d-bit ID space", si, li, shardIDBits))
+				break
 			}
-			ids[grpIdx[k]] = globalID(si, li)
+			ids[g.rows[k]] = globalID(si, li)
 		}
 	}
-	return ids, nil
+	return ids, errors.Join(errs...)
 }
 
 // owner returns the index of the shard owning key: shard intervals are

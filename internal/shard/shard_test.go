@@ -1,17 +1,20 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"distbound"
 	"distbound/internal/data"
 	"distbound/internal/geom"
+	"distbound/internal/raster"
 	"distbound/internal/testutil"
 	"distbound/internal/testutil/errorfs"
 )
@@ -286,42 +289,78 @@ func TestShardedFanOut(t *testing.T) {
 	}
 }
 
-// TestRoute exercises the two-pointer intersection directly on synthetic
-// boundaries, including ranges spanning several shards, ranges between
-// shards, and wide ranges arriving before narrow ones.
-func TestRoute(t *testing.T) {
-	s := &Sharded{shards: []shardState{
-		{lo: 0, hi: 99},
-		{lo: 100, hi: 199},
-		{lo: 200, hi: 299},
-		{lo: 300, hi: math.MaxUint64},
-	}}
-	cases := []struct {
-		ranges []distbound.PosRange
-		want   []int
-	}{
-		{nil, nil},
-		{[]distbound.PosRange{{Lo: 5, Hi: 10}}, []int{0}},
-		{[]distbound.PosRange{{Lo: 95, Hi: 105}}, []int{0, 1}},
-		{[]distbound.PosRange{{Lo: 0, Hi: 1000}}, []int{0, 1, 2, 3}},
-		// A wide range sorted before a narrow one must not be skipped for
-		// later shards.
-		{[]distbound.PosRange{{Lo: 0, Hi: 250}, {Lo: 5, Hi: 6}}, []int{0, 1, 2}},
-		{[]distbound.PosRange{{Lo: 110, Hi: 120}, {Lo: 130, Hi: 140}, {Lo: 310, Hi: 320}}, []int{1, 3}},
-		// Ranges falling entirely between two shards' populated keys still
-		// route to the owner of their interval.
-		{[]distbound.PosRange{{Lo: 205, Hi: 207}}, []int{2}},
+// walkRoute is the routing rule the cover table's interval test replaced,
+// kept as its reference: one forward pointer over every region's cover
+// ranges, sorted by Lo, against the ascending shard intervals.
+func walkRoute(shards []shardState, ranges []raster.PosRange) []int {
+	var out []int
+	ri := 0
+	for si := range shards {
+		for ri < len(ranges) && ranges[ri].Hi < shards[si].lo {
+			ri++
+		}
+		if ri < len(ranges) && ranges[ri].Lo <= shards[si].hi {
+			out = append(out, si)
+		}
 	}
-	for i, c := range cases {
-		got := s.route(c.ranges)
-		if len(got) != len(c.want) {
-			t.Fatalf("case %d: route = %v, want %v", i, got, c.want)
+	return out
+}
+
+// TestRoute pins route against the range walk it replaced, on ranges the
+// test rasterizes itself: a partition tiling the domain (every shard
+// contacted), corner regions (the middle of the key space skipped) and a
+// single small region, each across bounds and partition widths. The
+// synthetic edge cases — ranges between shards, wide before narrow, open
+// ends — are TestCoverTableExact's in internal/join.
+func TestRoute(t *testing.T) {
+	pts, _ := data.TaxiPoints(23, 6000)
+	tiling := data.Regions(data.Partition(5, 4, 4, 12))
+	b := data.CityDomain().Bounds()
+	corner := func(fx, fy float64) distbound.Region {
+		x0, y0 := b.Min.X+fx*b.Width(), b.Min.Y+fy*b.Height()
+		w, h := 0.06*b.Width(), 0.06*b.Height()
+		poly, err := geom.NewPolygon(geom.Ring{geom.Pt(x0, y0), geom.Pt(x0+w, y0), geom.Pt(x0+w, y0+h), geom.Pt(x0, y0+h)})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k := range got {
-			if got[k] != c.want[k] {
-				t.Fatalf("case %d: route = %v, want %v", i, got, c.want)
+		return poly
+	}
+	skipped := false
+	for name, regions := range map[string][]distbound.Region{
+		"tiling":  tiling,
+		"corners": {corner(0.02, 0.02), corner(0.9, 0.02), corner(0.9, 0.9)},
+		"one":     {corner(0.4, 0.55)},
+	} {
+		for _, n := range []int{1, 5, 16} {
+			s, _, err := New("taxi", regions, pts, nil, n)
+			if err != nil {
+				t.Fatal(err)
 			}
+			for _, bound := range []float64{8, 64, 512} {
+				var ranges []raster.PosRange
+				for _, rg := range regions {
+					a, err := raster.Hierarchical(rg, s.domain, distbound.Hilbert, bound, raster.Conservative)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ranges = append(ranges, a.Ranges()...)
+				}
+				slices.SortFunc(ranges, func(a, b raster.PosRange) int { return cmp.Compare(a.Lo, b.Lo) })
+				cover, err := s.engine.CoverSet(context.Background(), bound, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := s.route(cover), walkRoute(s.shards, ranges)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s, %d shards, ε=%g: route = %v, the range walk contacts %v", name, n, bound, got, want)
+				}
+				skipped = skipped || len(got) < len(s.shards)
+			}
+			s.Close()
 		}
+	}
+	if !skipped {
+		t.Fatal("no fixture made routing skip a shard")
 	}
 }
 
@@ -440,6 +479,83 @@ func TestShardedDeleteSurfacesDurableError(t *testing.T) {
 	}
 	if want := len(pts) - len(healthy) - len(lost); s.Len() != want {
 		t.Fatalf("%d live points after the deletes, want %d", s.Len(), want)
+	}
+}
+
+// TestShardedAppendReportsWhatLanded: an append spanning several shards where
+// one shard's log write fails mid-batch still attempts every shard, returns
+// the IDs of the rows the healthy shards accepted (NoID for the wedged
+// shard's), and names the failed shard — acknowledged rows are never
+// reported as lost.
+func TestShardedAppendReportsWhatLanded(t *testing.T) {
+	regions := data.Regions(data.Partition(5, 4, 4, 12))
+	pts, _ := data.TaxiPoints(35, 3000)
+	s, _, err := New("taxi", regions, pts, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fs := errorfs.New()
+	if err := s.Persist(t.TempDir(), distbound.PersistConfig{}.WithFS(fs)); err != nil {
+		t.Fatal(err)
+	}
+	// Interleave four rows for every shard, so the batch's groups are not
+	// contiguous in the input.
+	extra, _ := data.TaxiPoints(36, 600)
+	perShard := make([]int, s.NumShards())
+	var batch []distbound.Point
+	var owners []int
+	for _, p := range extra {
+		key, _ := s.domain.LeafPos(distbound.Hilbert, p)
+		if si := s.owner(key); perShard[si] < 4 {
+			perShard[si]++
+			batch, owners = append(batch, p), append(owners, si)
+		}
+	}
+	if len(batch) != 4*s.NumShards() {
+		t.Fatalf("fixture too small: %v rows per shard", perShard)
+	}
+
+	// A healthy batch measures the filesystem calls one shard's group costs.
+	before := fs.Ops()
+	if ids, err := s.Append(batch, nil); err != nil || slices.Contains(ids, NoID) {
+		t.Fatalf("healthy durable Append = (%v, %v)", ids, err)
+	}
+	perGroup := (fs.Ops() - before) / s.NumShards()
+	live := s.Len()
+
+	fs.FailAt(fs.Ops() + perGroup) // shard 1's first call, after shard 0 has logged its rows
+	ids, err := s.Append(batch, nil)
+	if err == nil {
+		t.Fatal("Sharded.Append swallowed the log failure")
+	}
+	if !errors.Is(err, errorfs.ErrInjected) || !strings.Contains(err.Error(), "shard 1") ||
+		strings.Contains(err.Error(), "shard 0") || strings.Contains(err.Error(), "shard 2") {
+		t.Fatalf("error does not name exactly the failed shard and its cause: %v", err)
+	}
+	if len(ids) != len(batch) {
+		t.Fatalf("%d IDs for %d rows: a failed shard dropped the others' acknowledgements", len(ids), len(batch))
+	}
+	var landed []uint64
+	for i, id := range ids {
+		switch {
+		case owners[i] == 1 && id != NoID:
+			t.Fatalf("row %d: the wedged shard's row was acknowledged with ID %d", i, id)
+		case owners[i] != 1 && (id == NoID || int(id>>shardIDBits) != owners[i]):
+			t.Fatalf("row %d: shard %d accepted it but Append reported ID %d", i, owners[i], id)
+		case owners[i] != 1:
+			landed = append(landed, id)
+		}
+	}
+	if werr := s.DurableErr(); werr == nil || !strings.Contains(werr.Error(), "shard 1") {
+		t.Fatalf("DurableErr = %v, want shard 1 wedged", werr)
+	}
+	if s.Len() < live+len(landed) {
+		t.Fatalf("%d live points, want at least the %d before plus %d acknowledged", s.Len(), live, len(landed))
+	}
+	// The acknowledged IDs are real: the healthy shards delete them.
+	if n, err := s.Delete(landed...); n != len(landed) || err != nil {
+		t.Fatalf("deleting the acknowledged rows = (%d, %v), want (%d, nil)", n, err, len(landed))
 	}
 }
 

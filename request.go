@@ -81,12 +81,12 @@ type Response struct {
 	// Wall is the request's total execution time.
 	Wall time.Duration
 	// RangesProbed and DeltaProbed count the work this request performed on
-	// the resident path, not the size of what it answered from: the unique
-	// cover-plan ranges probed by a base fill (the whole range list on the
-	// first request against a base or after a delete, 0 once the joiner
-	// holds the fold), and the live delta rows newly searched into the
-	// range list (the rows appended since the previous request at this
-	// bound, 0 when nothing was). Both are 0 on a result-cache hit and for
+	// the resident path, not the size of what it answered from: the cover
+	// ranges probed by a base fill (every region's every range on the first
+	// request against a base or after a delete, 0 once the joiner holds the
+	// fold), and the live delta rows newly searched into the cover table's
+	// boundary segments (the rows appended since the previous request at
+	// this bound, 0 when nothing was). Both are 0 on a result-cache hit and for
 	// strategies other than pointidx — the probe economy they meter is the
 	// resident path's.
 	RangesProbed int
@@ -260,7 +260,6 @@ func (e *Engine) planRequest(req Request, reps int, sc *respScratch) Plan {
 			if ce, ok := e.covers.PeekReady(req.Bound); ok {
 				p.Cover = planner.CoverStats{
 					Ranges:     ce.set.NumRanges(),
-					Unique:     ce.set.NumUniqueRanges(),
 					Boundaries: ce.set.NumBoundaryProbes(),
 				}
 			}
