@@ -306,8 +306,21 @@ func (r Rect) IntersectsSegment(s Segment) bool {
 	if !r.Intersects(s.Bounds()) {
 		return false
 	}
-	for _, e := range r.Edges() {
-		if s.Intersects(e) {
+	// With both endpoints outside, s meets the rect exactly when it
+	// Intersects one of the four sides. Each corner's orientation against s
+	// is computed once, not per side; the clauses of Segment.Intersects for
+	// an endpoint of s lying on a side cannot hold: it would be in the rect.
+	c := r.Corners()
+	var o [4]int
+	for k, p := range c {
+		o[k] = orient(s.A, s.B, p)
+		if o[k] == collinear && onSegment(s.A, s.B, p) {
+			return true
+		}
+	}
+	for k, a := range c {
+		b := c[(k+1)&3]
+		if o[k] != o[(k+1)&3] && orient(a, b, s.A) != orient(a, b, s.B) {
 			return true
 		}
 	}

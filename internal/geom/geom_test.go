@@ -400,3 +400,71 @@ func TestTranslateAndClone(t *testing.T) {
 		t.Error("Clone shares backing array")
 	}
 }
+
+// refRectIntersectsSegment is Rect.IntersectsSegment as it stood before it
+// shared corner orientations between sides: four full Segment.Intersects.
+func refRectIntersectsSegment(r Rect, s Segment) bool {
+	if r.ContainsPoint(s.A) || r.ContainsPoint(s.B) {
+		return true
+	}
+	if !r.Intersects(s.Bounds()) {
+		return false
+	}
+	for _, e := range r.Edges() {
+		if s.Intersects(e) {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzRectIntersectsSegment holds the predicate the rasterizer spends most
+// of its time in to its four-sides definition on every input: raw floats
+// (NaN, ±Inf, inverted and degenerate rects included) and the same values
+// snapped to a small lattice, where corner touches, collinear overlaps and
+// sides lying on the segment's line actually occur.
+func FuzzRectIntersectsSegment(f *testing.F) {
+	f.Add(0.0, 0.0, 4.0, 4.0, -1.0, 2.0, 5.0, 2.0)    // straight through
+	f.Add(0.0, 0.0, 4.0, 4.0, -2.0, 2.0, 2.0, 6.0)    // touches corner (0,4)
+	f.Add(0.0, 0.0, 4.0, 4.0, -3.0, 4.0, 7.0, 4.0)    // along the top side's line
+	f.Add(0.0, 0.0, 4.0, 4.0, 5.0, 4.0, 7.0, 4.0)     // collinear with it, apart
+	f.Add(0.0, 0.0, 4.0, 4.0, 5.0, -1.0, 9.0, 9.0)    // bounds overlap, misses
+	f.Add(0.0, 0.0, 4.0, 4.0, 1.0, 1.0, 2.0, 3.0)     // inside
+	f.Add(0.0, 0.0, 0.0, 4.0, -1.0, 1.0, 1.0, 3.0)    // zero-width rect
+	f.Add(4.0, 4.0, 0.0, 0.0, -1.0, 2.0, 5.0, 2.0)    // inverted rect
+	f.Add(0.0, 0.0, 4.0, 4.0, -1.0, -1.0, -1.0, -1.0) // point segment
+	f.Fuzz(func(t *testing.T, x0, y0, x1, y1, ax, ay, bx, by float64) {
+		check := func(r Rect, s Segment) {
+			if got, want := r.IntersectsSegment(s), refRectIntersectsSegment(r, s); got != want {
+				t.Fatalf("%v.IntersectsSegment(%v) = %v, four sides say %v", r, s, got, want)
+			}
+		}
+		check(Rect{Pt(x0, y0), Pt(x1, y1)}, Segment{Pt(ax, ay), Pt(bx, by)})
+		q := func(v float64) float64 { return math.Round(math.Mod(v, 8)) }
+		check(Rect{Pt(q(x0), q(y0)), Pt(q(x1), q(y1))}, Segment{Pt(q(ax), q(ay)), Pt(q(bx), q(by))})
+	})
+}
+
+// TestRectIntersectsSegmentLattice runs the same differential exhaustively
+// over a 5×5 lattice: every rect (inverted ones included) against every
+// segment, which enumerates each touching and collinear configuration.
+func TestRectIntersectsSegmentLattice(t *testing.T) {
+	var pts []Point
+	for x := 0.0; x < 5; x++ {
+		for y := 0.0; y < 5; y++ {
+			pts = append(pts, Pt(x, y))
+		}
+	}
+	for _, r0 := range pts {
+		for _, r1 := range pts {
+			for _, a := range pts {
+				for _, b := range pts {
+					r, s := Rect{r0, r1}, Segment{a, b}
+					if got, want := r.IntersectsSegment(s), refRectIntersectsSegment(r, s); got != want {
+						t.Fatalf("%v.IntersectsSegment(%v) = %v, four sides say %v", r, s, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -76,6 +76,31 @@ func TestPointIdxMatchesACTBitIdentical(t *testing.T) {
 	}
 }
 
+// TestACTBuildUnchangedByDescent pins what the ACT build reads off the
+// rasterizer on the repository benchmark's partition — total cells, boundary
+// cells and the compacted trie's footprint — to the figures the decode-per-
+// cell descent produced (PR 21): the trie rides whatever descent
+// raster.Hierarchical runs, and a cell more or fewer shows here.
+func TestACTBuildUnchangedByDescent(t *testing.T) {
+	regions := data.Regions(data.Partition(1, 16, 16, 12))
+	for _, want := range []struct {
+		eps                    float64
+		cells, boundary, bytes int
+	}{
+		{16, 1294318, 637893, 20160532},
+		{64, 315538, 159129, 3659408},
+	} {
+		j, err := NewACTJoinerCtx(context.Background(), regions, data.CityDomain(), sfc.Hilbert{}, want.eps, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.NumCells() != want.cells || j.boundaryCells != want.boundary || j.MemoryBytes() != want.bytes {
+			t.Errorf("ε%g: %d cells, %d boundary, %d bytes; want %d, %d, %d",
+				want.eps, j.NumCells(), j.boundaryCells, j.MemoryBytes(), want.cells, want.boundary, want.bytes)
+		}
+	}
+}
+
 // TestPointIdxWithinBoundGuarantee is the property test against ground
 // truth: over random points and regions, every aggregate from the resident
 // join must respect the conservative distance-bound guarantee — counts never

@@ -161,3 +161,22 @@ func BenchmarkCoverPlan(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCoverBuild times the largest cold cost of the resident path: the
+// cover set of the repository benchmark's 16×16×12 partition at the three
+// bounds serve_executed queries. allocs/op must stay unrelated to the number
+// of partial cells the descent visits.
+func BenchmarkCoverBuild(b *testing.B) {
+	regions := data.Regions(data.Partition(1, 16, 16, 12))
+	ctx := context.Background()
+	for _, eps := range []float64{4, 8, 16} {
+		b.Run(fmt.Sprintf("e%g", eps), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewCoverSetCtx(ctx, regions, data.CityDomain(), sfc.Hilbert{}, eps, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

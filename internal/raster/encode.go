@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"distbound/internal/geom"
 	"distbound/internal/sfc"
@@ -150,6 +151,6 @@ func readCellList(data []byte) ([]sfc.CellID, []byte, error) {
 			ids = append(ids, sfc.FromPosLevel(pos, level))
 		}
 	}
-	sortCells(ids)
+	slices.Sort(ids)
 	return ids, data, nil
 }

@@ -3,6 +3,7 @@ package raster
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 
 	"distbound/internal/geom"
 	"distbound/internal/sfc"
@@ -23,43 +24,40 @@ func Hierarchical(rg geom.Region, d sfc.Domain, curve sfc.Curve, eps float64, mo
 		return nil, fmt.Errorf("raster: bound %g m needs cells finer than MaxLevel (diagonal %g m)",
 			eps, d.CellDiagonal(sfc.MaxLevel))
 	}
-	return hierarchicalAtLevel(rg, d, curve, level, mode), nil
+	return HierarchicalAtLevel(rg, d, curve, level, mode), nil
 }
 
 // HierarchicalAtLevel is Hierarchical with the refinement level given
-// directly instead of derived from a distance bound.
-func HierarchicalAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, level int, mode Mode) *Approximation {
-	return hierarchicalAtLevel(rg, d, curve, level, mode)
-}
-
-func hierarchicalAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode) *Approximation {
+// directly instead of derived from a distance bound: the one depth-first
+// descent the package doc describes.
+func HierarchicalAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode) *Approximation {
 	a := &Approximation{Domain: d, Curve: curve}
-	cl := newClassifier(rg, d, curve)
+	cl := newClassifier(rg)
+	n := len(cl.edges)
+	blocks := make([]int32, (maxLevel+2)*n)
 
-	var rec func(id sfc.CellID, cand []int32)
-	rec = func(id sfc.CellID, cand []int32) {
-		rel, sub := cl.relateCell(id, cand)
+	var visit func(id sfc.CellID, level int, x, y uint32, st uint8, cand []int32)
+	visit = func(id sfc.CellID, level int, x, y uint32, st uint8, cand []int32) {
+		rect := d.CellRect(x, y, level)
+		rel, sub := cl.relate(rect, cand, blocks[(level+1)*n:(level+1)*n:(level+2)*n])
 		switch rel {
-		case geom.RectOutside:
-			return
 		case geom.RectInside:
 			a.Interior = append(a.Interior, id)
 		case geom.RectPartial:
-			if id.Level() >= maxLevel {
-				if mode == Centroid && !rg.ContainsPoint(d.CellIDRect(curve, id).Center()) {
+			if level >= maxLevel {
+				if mode == Centroid && !cl.contains(rect.Center()) {
 					return
 				}
 				a.Boundary = append(a.Boundary, id)
 				return
 			}
-			for _, ch := range id.Children() {
-				rec(ch, sub)
+			for digit, ch := range id.Children() {
+				dx, dy, next := curve.Step(st, digit)
+				visit(ch, level+1, x<<1|dx, y<<1|dy, next, sub)
 			}
 		}
 	}
-	rec(sfc.FromPosLevel(0, 0), cl.rootCand())
-	sortCells(a.Interior)
-	sortCells(a.Boundary)
+	visit(sfc.FromPosLevel(0, 0), 0, 0, 0, 0, cl.rootCand(blocks[:0]))
 	return a
 }
 
@@ -99,11 +97,11 @@ func CoverBudget(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxCells int) *A
 		maxCells = 1
 	}
 	a := &Approximation{Domain: d, Curve: curve}
-	cl := newClassifier(rg, d, curve)
+	cl := newClassifier(rg)
 
 	q := &coverQueue{}
 	push := func(id sfc.CellID, cand []int32) bool {
-		rel, sub := cl.relateCell(id, cand)
+		rel, sub := cl.relate(d.CellIDRect(curve, id), cand, nil)
 		switch rel {
 		case geom.RectInside:
 			a.Interior = append(a.Interior, id)
@@ -114,7 +112,7 @@ func CoverBudget(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxCells int) *A
 		}
 		return false
 	}
-	push(sfc.FromPosLevel(0, 0), cl.rootCand())
+	push(sfc.FromPosLevel(0, 0), cl.rootCand(nil))
 
 	for q.Len() > 0 {
 		// Splitting one cell replaces it with up to 4 entries; stop when the
@@ -131,7 +129,7 @@ func CoverBudget(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxCells int) *A
 	for _, it := range *q {
 		a.Boundary = append(a.Boundary, it.id)
 	}
-	sortCells(a.Interior)
-	sortCells(a.Boundary)
+	slices.Sort(a.Interior)
+	slices.Sort(a.Boundary)
 	return a
 }

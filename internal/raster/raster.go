@@ -18,11 +18,23 @@
 // 1(b)) and Hierarchical (variable-sized cells, Figure 1(c)), plus a
 // budgeted cover that trades cell count for precision (the 32/128/512
 // cells-per-polygon precision levels of Figure 4).
+//
+// Hierarchical is one depth-first descent of the quadtree. A cell's grid
+// coordinates and curve state travel down with it, so a child's rectangle
+// costs one sfc.Curve.Step, not a Decode from level 0. Children are visited
+// in curve order — ascending CellID order, a subtree finished before the next
+// sibling starts — so Interior and Boundary come out sorted, are never sorted
+// afterwards, and merge into Ranges in one pass. A depth's candidate edges
+// are a subset of its parent's and dead once its subtree returns, so one
+// block of the edge count per depth serves every cell: nothing is allocated
+// per cell (see classifier for what is decided at each one).
 package raster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"distbound/internal/geom"
@@ -72,7 +84,8 @@ type Approximation struct {
 	// than the distance bound requires, since they contribute no error.
 	Interior []sfc.CellID
 	// Boundary cells overlap the region boundary; their diagonal determines
-	// the approximation error.
+	// the approximation error. Both lists are in ascending CellID order,
+	// which is curve order; Ranges relies on it.
 	Boundary []sfc.CellID
 
 	ranges []PosRange // cached merged leaf ranges of Interior ∪ Boundary
@@ -104,30 +117,45 @@ func (a *Approximation) MaxCellDiagonal() float64 {
 
 // Ranges returns the merged, sorted leaf-position ranges covered by the
 // approximation. These are the 1D intervals a point index probes to answer
-// a containment query on the approximation (§3). The result is cached.
+// a containment query on the approximation (§3). The result is cached. It
+// is a two-way merge of the two ascending cell lists, coalescing as it goes.
 func (a *Approximation) Ranges() []PosRange {
 	if a.ranges != nil {
 		return a.ranges
 	}
-	raw := make([]PosRange, 0, a.NumCells())
-	for _, id := range a.Interior {
+	in, bd := a.Interior, a.Boundary
+	var out []PosRange
+	for len(in) > 0 || len(bd) > 0 {
+		var id sfc.CellID
+		if len(bd) == 0 || (len(in) > 0 && in[0] < bd[0]) {
+			id, in = in[0], in[1:]
+		} else {
+			id, bd = bd[0], bd[1:]
+		}
 		lo, hi := id.LeafPosRange()
-		raw = append(raw, PosRange{lo, hi})
+		// The constructions here emit disjoint cells, but a decoded
+		// approximation may nest them: an ancestor sorts after the
+		// descendants in its lower half and swallows their ranges.
+		for len(out) > 0 && out[len(out)-1].Lo >= lo {
+			out = out[:len(out)-1]
+		}
+		if n := len(out); n > 0 && lo <= out[n-1].Hi+1 { // adjacent or overlapping
+			out[n-1].Hi = max(out[n-1].Hi, hi)
+			continue
+		}
+		out = append(out, PosRange{lo, hi})
 	}
-	for _, id := range a.Boundary {
-		lo, hi := id.LeafPosRange()
-		raw = append(raw, PosRange{lo, hi})
-	}
-	a.ranges = MergeRanges(raw)
+	a.ranges = out
 	return a.ranges
 }
 
-// MergeRanges sorts and coalesces overlapping or adjacent ranges.
+// MergeRanges sorts and coalesces overlapping or adjacent ranges. It works
+// in place: rs is reordered and the result aliases it.
 func MergeRanges(rs []PosRange) []PosRange {
 	if len(rs) == 0 {
 		return nil
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
+	slices.SortFunc(rs, func(a, b PosRange) int { return cmp.Compare(a.Lo, b.Lo) })
 	out := rs[:1]
 	for _, r := range rs[1:] {
 		last := &out[len(out)-1]

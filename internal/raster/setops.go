@@ -36,8 +36,8 @@ func OverlapLeafCount(a, b *Approximation) uint64 {
 	var total uint64
 	i, j := 0, 0
 	for i < len(ra) && j < len(rb) {
-		lo := maxU64(ra[i].Lo, rb[j].Lo)
-		hi := minU64(ra[i].Hi, rb[j].Hi)
+		lo := max(ra[i].Lo, rb[j].Lo)
+		hi := min(ra[i].Hi, rb[j].Hi)
 		if lo <= hi {
 			total += hi - lo + 1
 		}
@@ -56,18 +56,4 @@ func OverlapLeafCount(a, b *Approximation) uint64 {
 func OverlapArea(a, b *Approximation) float64 {
 	side := a.Domain.CellSide(sfc.MaxLevel)
 	return float64(OverlapLeafCount(a, b)) * side * side
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

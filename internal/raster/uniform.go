@@ -2,6 +2,7 @@ package raster
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"distbound/internal/geom"
@@ -23,7 +24,6 @@ func Uniform(rg geom.Region, d sfc.Domain, curve sfc.Curve, level int, mode Mode
 		return uniformGeneric(rg, d, curve, level, mode)
 	}
 
-	n := uint32(1) << uint(level)
 	side := d.CellSide(level)
 
 	// Clip the working window to the domain.
@@ -81,7 +81,6 @@ func Uniform(rg geom.Region, d sfc.Domain, curve sfc.Curve, level int, mode Mode
 			}
 		}
 	}
-	_ = n
 
 	// Phase 3: assemble according to the mode.
 	for key := range centerInside {
@@ -100,8 +99,8 @@ func Uniform(rg geom.Region, d sfc.Domain, curve sfc.Curve, level int, mode Mode
 		}
 		a.Boundary = append(a.Boundary, sfc.FromXY(curve, x, y, level))
 	}
-	sortCells(a.Interior)
-	sortCells(a.Boundary)
+	slices.Sort(a.Interior)
+	slices.Sort(a.Boundary)
 	return a
 }
 
@@ -129,8 +128,8 @@ func uniformGeneric(rg geom.Region, d sfc.Domain, curve sfc.Curve, level int, mo
 			}
 		}
 	}
-	sortCells(a.Interior)
-	sortCells(a.Boundary)
+	slices.Sort(a.Interior)
+	slices.Sort(a.Boundary)
 	return a
 }
 
@@ -174,8 +173,4 @@ func traverseEdge(d sfc.Domain, level int, e geom.Segment, mark func(x, y uint32
 	if x, y, ok := d.Coord(e.B, level); ok {
 		mark(x, y)
 	}
-}
-
-func sortCells(ids []sfc.CellID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }

@@ -22,6 +22,12 @@ type Curve interface {
 	// Decode returns the cell coordinates for a curve position on the level
 	// grid.
 	Decode(level int, pos uint64) (x, y uint32)
+	// Step descends one level without decoding from the root: for a cell in
+	// traversal state st (the level-0 cell's is 0) it returns which quadrant
+	// (dx, dy ∈ {0, 1}) the cell's digit-th child in curve order occupies,
+	// and that child's state. The child of cell (x, y) is (2x+dx, 2y+dy), so
+	// stepping along a position's base-4 digits reproduces Decode.
+	Step(st uint8, digit int) (dx, dy uint32, next uint8)
 	// Name identifies the curve ("morton" or "hilbert").
 	Name() string
 }
@@ -64,13 +70,19 @@ func (Morton) Decode(_ int, pos uint64) (x, y uint32) {
 	return compact(pos), compact(pos >> 1)
 }
 
+// Step implements Curve. Z-order has a single state: the digit's low bit is
+// x, its high bit y.
+func (Morton) Step(_ uint8, digit int) (dx, dy uint32, next uint8) {
+	return uint32(digit & 1), uint32(digit >> 1), 0
+}
+
 // Hilbert is the Hilbert curve: positions follow the recursive U-shaped
 // traversal, giving better locality (fewer range fragments per region cover)
 // than Z-order at the cost of a slightly more expensive encode.
 //
 // Encode/Decode run a precomputed orientation state machine (one table
-// lookup per level); hilbertEncodeRef is the textbook rotate-and-flip
-// formulation kept as the test oracle.
+// lookup per level); the textbook rotate-and-flip formulation is the test
+// oracle (hilbertEncodeRef in hilbert_test.go).
 type Hilbert struct{}
 
 // Name implements Curve.
@@ -101,48 +113,10 @@ func (Hilbert) Decode(level int, pos uint64) (x, y uint32) {
 	return x, y
 }
 
-// hilbertEncodeRef is the classic per-level rotate/flip Hilbert encoding
-// (Wikipedia's xy2d), used to derive and verify the state tables.
-func hilbertEncodeRef(level int, x, y uint32) uint64 {
-	var d uint64
-	for s := uint32(1) << (uint(level) - 1); s > 0; s >>= 1 {
-		var rx, ry uint32
-		if x&s > 0 {
-			rx = 1
-		}
-		if y&s > 0 {
-			ry = 1
-		}
-		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
-		x, y = hilbertRot(s, x, y, rx, ry)
-	}
-	return d
-}
-
-// hilbertDecodeRef is the classic d2xy inverse.
-func hilbertDecodeRef(level int, pos uint64) (x, y uint32) {
-	t := pos
-	for s := uint32(1); s < uint32(1)<<uint(level); s <<= 1 {
-		rx := uint32(t>>1) & 1
-		ry := uint32(t^uint64(rx)) & 1
-		x, y = hilbertRot(s, x, y, rx, ry)
-		x += s * rx
-		y += s * ry
-		t >>= 2
-	}
-	return x, y
-}
-
-// hilbertRot rotates/reflects the quadrant-local coordinates.
-func hilbertRot(s, x, y, rx, ry uint32) (uint32, uint32) {
-	if ry == 0 {
-		if rx == 1 {
-			x = s - 1 - x
-			y = s - 1 - y
-		}
-		x, y = y, x
-	}
-	return x, y
+// Step implements Curve: one transition of the state machine Decode runs.
+func (Hilbert) Step(st uint8, digit int) (dx, dy uint32, next uint8) {
+	rawq := hilbertDecBits[st][digit]
+	return uint32(rawq >> 1), uint32(rawq & 1), hilbertDecNext[st][digit]
 }
 
 // State tables for the fast Hilbert codec. A state is the accumulated

@@ -68,3 +68,47 @@ func BenchmarkMortonEncode(b *testing.B) {
 	}
 	_ = sink
 }
+
+// hilbertEncodeRef is the classic per-level rotate/flip Hilbert encoding
+// (Wikipedia's xy2d), used to derive and verify the state tables.
+func hilbertEncodeRef(level int, x, y uint32) uint64 {
+	var d uint64
+	for s := uint32(1) << (uint(level) - 1); s > 0; s >>= 1 {
+		var rx, ry uint32
+		if x&s > 0 {
+			rx = 1
+		}
+		if y&s > 0 {
+			ry = 1
+		}
+		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
+		x, y = hilbertRot(s, x, y, rx, ry)
+	}
+	return d
+}
+
+// hilbertDecodeRef is the classic d2xy inverse.
+func hilbertDecodeRef(level int, pos uint64) (x, y uint32) {
+	t := pos
+	for s := uint32(1); s < uint32(1)<<uint(level); s <<= 1 {
+		rx := uint32(t>>1) & 1
+		ry := uint32(t^uint64(rx)) & 1
+		x, y = hilbertRot(s, x, y, rx, ry)
+		x += s * rx
+		y += s * ry
+		t >>= 2
+	}
+	return x, y
+}
+
+// hilbertRot rotates/reflects the quadrant-local coordinates.
+func hilbertRot(s, x, y, rx, ry uint32) (uint32, uint32) {
+	if ry == 0 {
+		if rx == 1 {
+			x = s - 1 - x
+			y = s - 1 - y
+		}
+		x, y = y, x
+	}
+	return x, y
+}

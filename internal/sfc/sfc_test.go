@@ -319,3 +319,49 @@ func TestSortCellIDs(t *testing.T) {
 		t.Error("SortCellIDs ordering wrong")
 	}
 }
+
+// TestStepReproducesDecodeInCurveOrder pins the two properties the
+// rasterizer's sort-free descent rests on. Stepping from the root along a
+// position's base-4 digits lands on Decode's cell at every level; and at
+// every cell on the way, Children() is strictly ascending with contiguous
+// leaf ranges that tile the parent's, child k being the cell Step(·, k)
+// names — so visiting children in Step order emits ascending CellIDs. A
+// curve that breaks either fails here, not in a cover.
+func TestStepReproducesDecodeInCurveOrder(t *testing.T) {
+	for _, c := range curves {
+		rng := rand.New(rand.NewSource(23))
+		for i := 0; i < 300; i++ {
+			leaf := rng.Uint64() >> (64 - 2*MaxLevel)
+			var x, y uint32
+			var st uint8
+			for level := 0; level <= MaxLevel; level++ {
+				pos := leaf >> uint(2*(MaxLevel-level))
+				if dx, dy := c.Decode(level, pos); dx != x || dy != y {
+					t.Fatalf("%s L%d pos %d: stepped to (%d,%d), Decode says (%d,%d)", c.Name(), level, pos, x, y, dx, dy)
+				}
+				if level == MaxLevel {
+					break
+				}
+				id := FromPosLevel(pos, level)
+				lo, hi := id.LeafPosRange()
+				next := lo
+				for k, ch := range id.Children() {
+					clo, chi := ch.LeafPosRange()
+					if clo != next || (k > 0 && ch <= id.Children()[k-1]) {
+						t.Fatalf("%s %v: child %d %v not ascending and contiguous (starts %d, want %d)", c.Name(), id, k, ch, clo, next)
+					}
+					next = chi + 1
+					dx, dy, _ := c.Step(st, k)
+					if cx, cy := ch.XY(c); cx != x<<1|dx || cy != y<<1|dy {
+						t.Fatalf("%s %v: Step child %d is (%d,%d), Children()[%d] is (%d,%d)", c.Name(), id, k, x<<1|dx, y<<1|dy, k, cx, cy)
+					}
+				}
+				if next != hi+1 {
+					t.Fatalf("%s %v: children end at %d, parent at %d", c.Name(), id, next-1, hi)
+				}
+				dx, dy, ns := c.Step(st, int(leaf>>uint(2*(MaxLevel-level-1))&3))
+				x, y, st = x<<1|dx, y<<1|dy, ns
+			}
+		}
+	}
+}
