@@ -153,7 +153,9 @@ func HierarchicalRaster(rg Region, d Domain, c Curve, eps float64) (*Approximati
 }
 
 // UniformRaster approximates a region with equal-sized cells at the given
-// grid level.
+// grid level: the cells HierarchicalRaster would emit with that level as its
+// finest, every interior one written out at the level. Cells are closed, so
+// an edge lying exactly on a grid line touches the cells on both sides.
 func UniformRaster(rg Region, d Domain, c Curve, level int) *Approximation {
 	return raster.Uniform(rg, d, c, level, raster.Conservative)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -293,6 +294,36 @@ func TestDoBatchCancellation(t *testing.T) {
 	}
 
 	waitNoExtraGoroutines(t, base)
+}
+
+// TestDoBatchInvalidSiblingLendsNoCredit: a rejected request builds nothing
+// its siblings could reuse, so a valid ad-hoc request plans the same beside
+// an invalid one at its bound as it does alone.
+func TestDoBatchInvalidSiblingLendsNoCredit(t *testing.T) {
+	e, ds, ps := requestFixture(t)
+	ctx := context.Background()
+	valid := Request{Points: ps, Aggs: []Agg{Count}, Bound: 64}
+	noAggs := Request{Points: ps, Bound: 64}
+	twoTargets := Request{Points: ps, Dataset: ds, Aggs: []Agg{Count}, Bound: 64}
+
+	alone := e.planOnly(valid, 1)
+	if three := e.planOnly(valid, 3); reflect.DeepEqual(alone.Costs, three.Costs) {
+		t.Fatalf("fixture cannot show credit: 1- and 3-repetition plans agree on %v", alone.Costs)
+	}
+	resps, err := e.DoBatch(ctx, []Request{noAggs, valid, twoTargets}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resps[0].Err == nil || resps[2].Err == nil {
+		t.Fatalf("invalid siblings were accepted: %v, %v", resps[0].Err, resps[2].Err)
+	}
+	if resps[1].Err != nil {
+		t.Fatal(resps[1].Err)
+	}
+	if resps[1].Strategy != alone.Strategy || !reflect.DeepEqual(resps[1].Plan.Costs, alone.Costs) {
+		t.Errorf("beside invalid siblings: %v on %v; alone: %v on %v",
+			resps[1].Strategy, resps[1].Plan.Costs, alone.Strategy, alone.Costs)
+	}
 }
 
 // TestWorkersNormalizedInOnePlace pins the Workers ≤ 0 normalization to

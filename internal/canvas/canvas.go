@@ -201,10 +201,10 @@ func Blend(dst, src *Canvas, f BlendFunc) error {
 	if dst.G != src.G {
 		return fmt.Errorf("canvas: blend across different grids")
 	}
-	x0 := maxInt(dst.X0, src.X0)
-	y0 := maxInt(dst.Y0, src.Y0)
-	x1 := minInt(dst.X0+dst.W, src.X0+src.W)
-	y1 := minInt(dst.Y0+dst.H, src.Y0+src.H)
+	x0 := max(dst.X0, src.X0)
+	y0 := max(dst.Y0, src.Y0)
+	x1 := min(dst.X0+dst.W, src.X0+src.W)
+	y1 := min(dst.Y0+dst.H, src.Y0+src.H)
 	for gy := y0; gy < y1; gy++ {
 		di := dst.idx(x0, gy)
 		si := src.idx(x0, gy)
@@ -227,10 +227,10 @@ func DotSum(a, b *Canvas) (float64, error) {
 	if a.G != b.G {
 		return 0, fmt.Errorf("canvas: dot-sum across different grids")
 	}
-	x0 := maxInt(a.X0, b.X0)
-	y0 := maxInt(a.Y0, b.Y0)
-	x1 := minInt(a.X0+a.W, b.X0+b.W)
-	y1 := minInt(a.Y0+a.H, b.Y0+b.H)
+	x0 := max(a.X0, b.X0)
+	y0 := max(a.Y0, b.Y0)
+	x1 := min(a.X0+a.W, b.X0+b.W)
+	y1 := min(a.Y0+a.H, b.Y0+b.H)
 	var s float64
 	for gy := y0; gy < y1; gy++ {
 		ai := a.idx(x0, gy)
@@ -270,18 +270,4 @@ func Translate(c *Canvas, dx, dy int) *Canvas {
 	out.X0 += dx
 	out.Y0 += dy
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -41,8 +41,8 @@ func (c *Canvas) RenderRegion(rg geom.Region, value float64) {
 	}
 	gx0, gy0 := c.G.PixelOf(bb.Min)
 	gx1, gy1 := c.G.PixelOf(bb.Max)
-	gx0, gy0 = maxInt(gx0, c.X0), maxInt(gy0, c.Y0)
-	gx1, gy1 = minInt(gx1, c.X0+c.W-1), minInt(gy1, c.Y0+c.H-1)
+	gx0, gy0 = max(gx0, c.X0), max(gy0, c.Y0)
+	gx1, gy1 = min(gx1, c.X0+c.W-1), min(gy1, c.Y0+c.H-1)
 
 	if rings == nil {
 		// Generic fallback: test every pixel center.
@@ -77,7 +77,7 @@ func (c *Canvas) RenderRegion(rg geom.Region, value float64) {
 		for k := 0; k+1 < len(xs); k += 2 {
 			lo := int(math.Ceil((xs[k]-c.G.Origin.X)/c.G.PixelSize - 0.5))
 			hi := int(math.Ceil((xs[k+1]-c.G.Origin.X)/c.G.PixelSize-0.5)) - 1
-			lo, hi = maxInt(lo, gx0), minInt(hi, gx1)
+			lo, hi = max(lo, gx0), min(hi, gx1)
 			if lo > hi {
 				continue
 			}
@@ -102,8 +102,9 @@ func (c *Canvas) RenderRegionBoundary(rg geom.Region, value float64) {
 	}
 }
 
-// renderSegment marks the pixels along a segment (midpoint grid traversal,
-// same approach as raster.traverseEdge).
+// renderSegment marks the pixels along a segment by midpoint grid traversal:
+// the segment is split at every grid-line crossing and each piece's midpoint
+// located.
 func (c *Canvas) renderSegment(e geom.Segment, value float64) {
 	ps := c.G.PixelSize
 	ts := []float64{0, 1}
@@ -168,8 +169,8 @@ func Tiles(g Grid, bounds geom.Rect, maxTex int) []geom.Rect {
 	var out []geom.Rect
 	for ty := y0; ty <= y1; ty += maxTex {
 		for tx := x0; tx <= x1; tx += maxTex {
-			hx := minInt(tx+maxTex-1, x1)
-			hy := minInt(ty+maxTex-1, y1)
+			hx := min(tx+maxTex-1, x1)
+			hy := min(ty+maxTex-1, y1)
 			out = append(out, geom.Rect{
 				Min: g.PixelRect(tx, ty).Min,
 				Max: g.PixelRect(hx, hy).Max,

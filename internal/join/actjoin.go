@@ -104,11 +104,17 @@ func (j *ACTJoiner) LookupPoint(p geom.Point) int {
 	return region
 }
 
-// Aggregate runs the approximate aggregation join: one trie lookup per
-// point, no refinement.
+// Aggregate runs the approximate aggregation join — one trie lookup per
+// point, no refinement: the single-aggregate, single-worker form of
+// AggregateMulti.
+//
+//distbound:allow-background context-free convenience over AggregateMulti; callers hold no context to thread
 func (j *ACTJoiner) Aggregate(ps PointSet, agg Agg) (Result, error) {
-	res, _, err := j.aggregate(ps, agg, false)
-	return res, err
+	rs, err := j.AggregateMulti(context.Background(), ps, []Agg{agg}, 1)
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
 }
 
 // Interval is a guaranteed enclosure of an exact aggregate (§6).
@@ -129,9 +135,27 @@ func (j *ACTJoiner) AggregateWithRange(ps PointSet, agg Agg) (Result, []Interval
 	if agg != Count && agg != Sum {
 		return Result{}, nil, fmt.Errorf("join: result-range estimation applies to COUNT and SUM, not %v", agg)
 	}
-	res, boundary, err := j.aggregate(ps, agg, true)
-	if err != nil {
+	if err := ps.validate(agg); err != nil {
 		return Result{}, nil, err
+	}
+	res, boundary := newResult(agg, j.numReg), newResult(agg, j.numReg)
+	// The one loop that reads the payload's boundary bit; the visit order is
+	// AggregateMulti's, so res is what Aggregate answers.
+	buf := make([]int32, 0, 4)
+	for i, p := range ps.Pts {
+		pos, ok := j.domain.LeafPos(j.curve, p)
+		if !ok {
+			continue
+		}
+		w := ps.weight(i)
+		buf = j.trie.LookupAppend(pos, buf[:0])
+		for _, v := range buf {
+			region, isBoundary := decodePayload(v)
+			res.add(region, w)
+			if isBoundary {
+				boundary.add(region, w)
+			}
+		}
 	}
 	ivs := make([]Interval, j.numReg)
 	for i := range ivs {
@@ -145,37 +169,4 @@ func (j *ACTJoiner) AggregateWithRange(ps PointSet, agg Agg) (Result, []Interval
 		ivs[i] = Interval{Lo: alpha - eps, Hi: alpha}
 	}
 	return res, ivs, nil
-}
-
-func (j *ACTJoiner) aggregate(ps PointSet, agg Agg, trackBoundary bool) (Result, Result, error) {
-	if err := ps.validate(agg); err != nil {
-		return Result{}, Result{}, err
-	}
-	res := newResult(agg, j.numReg)
-	var boundary Result
-	if trackBoundary {
-		boundary = newResult(agg, j.numReg)
-	}
-	// Visit every covering cell per point: near shared boundaries the
-	// conservative covers of adjacent regions overlap, and counting the
-	// point for each keeps the per-region guarantee "approximate ⊇ exact"
-	// that the result-range interval of §6 relies on. A region's own cells
-	// are disjoint, so a point is counted at most once per region.
-	buf := make([]int32, 0, 4)
-	for i, p := range ps.Pts {
-		pos, ok := j.domain.LeafPos(j.curve, p)
-		if !ok {
-			continue
-		}
-		w := ps.weight(i)
-		buf = j.trie.LookupAppend(pos, buf[:0])
-		for _, v := range buf {
-			region, isBoundary := decodePayload(v)
-			res.add(region, w)
-			if trackBoundary && isBoundary {
-				boundary.add(region, w)
-			}
-		}
-	}
-	return res, boundary, nil
 }

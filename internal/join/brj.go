@@ -1,6 +1,7 @@
 package join
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -20,6 +21,12 @@ import (
 // join runs one pass per tile, which is what bends the cost curve upward at
 // small bounds in Figure 7. Tiles own disjoint pixels, so passes can also
 // run concurrently (BRJJoiner.AggregateMulti).
+//
+// BRJ is the one-shot driver over the pass kernel below (brjPass): one tile
+// at a time it scatters the tile's points, then renders each region's mask,
+// folds it in and drops it, so a single mask is resident at any moment.
+// BRJJoiner drives the same kernel and differs in retention alone: it renders
+// every mask once and keeps them for any number of point sets.
 type BRJ struct {
 	// Bound is the distance bound (pixel diagonal = Bound).
 	Bound float64
@@ -39,167 +46,163 @@ type BRJStats struct {
 	MaskPixels int64 // pixels written across all region masks
 }
 
-// tileGeom fixes one pass window of a tiled raster join. It is shared by
-// the one-shot BRJ and the cached BRJJoiner so their pass geometry — the
-// agreement the "counts identical" guarantee rests on — cannot diverge.
+// brjPass is the pass geometry of a tiled raster join — the pixel grid, the
+// extent's pixel range and the texture cap that cuts it into tiles — and,
+// through its methods, the kernel both drivers run per tile: scatter the
+// tile's points, renderMask a region in the tile's window, foldMask it into
+// the running sums. The one-shot BRJ and the cached BRJJoiner hold a brjPass
+// each, so their passes agree by construction.
+type brjPass struct {
+	grid           canvas.Grid
+	x0, y0, x1, y1 int
+	maxTex         int
+	tilesX, tilesY int
+}
+
+// newBRJPass fixes the geometry for a bound over an extent; maxTex ≤ 0
+// selects canvas.DefaultMaxTextureSize.
+func newBRJPass(bounds geom.Rect, bound float64, maxTex int) (brjPass, error) {
+	if !(bound > 0) {
+		return brjPass{}, fmt.Errorf("join: BRJ needs a positive distance bound")
+	}
+	if maxTex <= 0 {
+		maxTex = canvas.DefaultMaxTextureSize
+	}
+	p := brjPass{grid: canvas.GridForBound(bounds.Min, bound), maxTex: maxTex}
+	p.x0, p.y0 = p.grid.PixelOf(bounds.Min)
+	p.x1, p.y1 = p.grid.PixelOf(bounds.Max)
+	p.tilesX = (p.x1 - p.x0 + maxTex) / maxTex
+	p.tilesY = (p.y1 - p.y0 + maxTex) / maxTex
+	return p, nil
+}
+
+func (p brjPass) numTiles() int { return p.tilesX * p.tilesY }
+
+// stats reports the geometry with the given mask-pixel total.
+func (p brjPass) stats(maskPixels int64) BRJStats {
+	return BRJStats{
+		PixelSize:  p.grid.PixelSize,
+		GridWidth:  p.x1 - p.x0 + 1,
+		GridHeight: p.y1 - p.y0 + 1,
+		NumTiles:   p.numTiles(),
+		MaskPixels: maskPixels,
+	}
+}
+
+// tileGeom is one pass window: a tile's pixel range and its rectangle.
 type tileGeom struct {
 	x0, y0, w, h int
 	rect         geom.Rect
 }
 
-// tileGeomAt computes tile (tx, ty)'s window within the pixel range
-// [x0, x1] × [y0, y1] under the given texture cap.
-func tileGeomAt(grid canvas.Grid, x0, y0, x1, y1, maxTex, tx, ty int) tileGeom {
-	t := tileGeom{x0: x0 + tx*maxTex, y0: y0 + ty*maxTex}
-	t.w = minI(maxTex, x1-t.x0+1)
-	t.h = minI(maxTex, y1-t.y0+1)
+// tile computes tile ti's window (row-major over tilesX × tilesY).
+func (p brjPass) tile(ti int) tileGeom {
+	t := tileGeom{x0: p.x0 + ti%p.tilesX*p.maxTex, y0: p.y0 + ti/p.tilesX*p.maxTex}
+	t.w = min(p.maxTex, p.x1-t.x0+1)
+	t.h = min(p.maxTex, p.y1-t.y0+1)
 	t.rect = geom.Rect{
-		Min: grid.PixelRect(t.x0, t.y0).Min,
-		Max: grid.PixelRect(t.x0+t.w-1, t.y0+t.h-1).Max,
+		Min: p.grid.PixelRect(t.x0, t.y0).Min,
+		Max: p.grid.PixelRect(t.x0+t.w-1, t.y0+t.h-1).Max,
 	}
 	return t
 }
 
-// maskWindow clips a region's bounds to the tile, in pixels; ok is false
-// when the region misses the tile.
-func (t tileGeom) maskWindow(grid canvas.Grid, rb geom.Rect) (mx0, my0, mx1, my1 int, ok bool) {
-	window := rb.Intersection(t.rect)
-	if window.IsEmpty() {
-		return 0, 0, 0, 0, false
-	}
-	mx0, my0 = grid.PixelOf(window.Min)
-	mx1, my1 = grid.PixelOf(window.Max)
-	mx0, my0 = maxI(mx0, t.x0), maxI(my0, t.y0)
-	mx1, my1 = minI(mx1, t.x0+t.w-1), minI(my1, t.y0+t.h-1)
-	if mx0 > mx1 || my0 > my1 {
-		return 0, 0, 0, 0, false
-	}
-	return mx0, my0, mx1, my1, true
-}
-
-// bucketByTile assigns each in-range point index to its tile — the other
-// half (besides tileGeom) of the pass geometry both BRJ forms must agree
-// on for their counts to stay identical.
-func bucketByTile(ps PointSet, grid canvas.Grid, x0, y0, x1, y1, maxTex, tilesX, numTiles int) [][]int32 {
-	buckets := make([][]int32, numTiles)
+// bucketByTile assigns each in-range point index to its tile.
+func (p brjPass) bucketByTile(ps PointSet) [][]int32 {
+	buckets := make([][]int32, p.numTiles())
 	for i, pt := range ps.Pts {
-		px, py := grid.PixelOf(pt)
-		if px < x0 || px > x1 || py < y0 || py > y1 {
+		px, py := p.grid.PixelOf(pt)
+		if px < p.x0 || px > p.x1 || py < p.y0 || py > p.y1 {
 			continue
 		}
-		ti := ((py-y0)/maxTex)*tilesX + (px-x0)/maxTex
+		ti := ((py-p.y0)/p.maxTex)*p.tilesX + (px-p.x0)/p.maxTex
 		buckets[ti] = append(buckets[ti], int32(i))
 	}
 	return buckets
 }
 
-// brjPlan is the precomputed pass schedule of one run.
-type brjPlan struct {
-	grid         canvas.Grid
-	x0, y0       int
-	x1, y1       int
-	maxTex       int
-	tilesX       int
-	tilesY       int
-	buckets      [][]int32
-	regionBounds []geom.Rect
-}
-
-// plan buckets points into tiles and fixes the pixel windows.
-func (b BRJ) plan(ps PointSet, regions []geom.Region) (*brjPlan, BRJStats, error) {
-	if !(b.Bound > 0) {
-		return nil, BRJStats{}, fmt.Errorf("join: BRJ needs a positive distance bound")
+// scatter renders one tile's point canvases: per-pixel counts always and,
+// when some aggregate sums, per-pixel weights (two color channels of the
+// paper's off-screen buffer).
+func (p brjPass) scatter(ctx context.Context, t tileGeom, ps PointSet, needSum bool, bucket []int32) (ptCount, ptSum *canvas.Canvas, err error) {
+	done := ctx.Done()
+	if ptCount, err = canvas.NewCanvas(p.grid, t.x0, t.y0, t.w, t.h); err != nil {
+		return nil, nil, err
 	}
-	maxTex := b.MaxTextureSize
-	if maxTex <= 0 {
-		maxTex = canvas.DefaultMaxTextureSize
-	}
-	grid := canvas.GridForBound(b.Bounds.Min, b.Bound)
-	x0, y0 := grid.PixelOf(b.Bounds.Min)
-	x1, y1 := grid.PixelOf(b.Bounds.Max)
-	stats := BRJStats{
-		PixelSize:  grid.PixelSize,
-		GridWidth:  x1 - x0 + 1,
-		GridHeight: y1 - y0 + 1,
-	}
-	p := &brjPlan{grid: grid, x0: x0, y0: y0, x1: x1, y1: y1, maxTex: maxTex}
-	p.tilesX = (stats.GridWidth + maxTex - 1) / maxTex
-	p.tilesY = (stats.GridHeight + maxTex - 1) / maxTex
-	stats.NumTiles = p.tilesX * p.tilesY
-
-	p.buckets = bucketByTile(ps, grid, x0, y0, x1, y1, maxTex, p.tilesX, stats.NumTiles)
-	p.regionBounds = make([]geom.Rect, len(regions))
-	for ri, rg := range regions {
-		p.regionBounds[ri] = rg.Bounds()
-	}
-	return p, stats, nil
-}
-
-// runTile executes one pass: render the tile's point canvases, then blend
-// with every overlapping region mask and accumulate into counts/sums. When
-// boundaryCounts is non-nil it additionally accumulates, per region, the
-// point count falling into pixels crossed by the region boundary — the ε_b
-// of §6's result-range estimation. Returns the mask pixels written.
-func (p *brjPlan) runTile(ps PointSet, regions []geom.Region, agg Agg, tx, ty int, counts, sums, boundaryCounts []float64) (int64, error) {
-	t := tileGeomAt(p.grid, p.x0, p.y0, p.x1, p.y1, p.maxTex, tx, ty)
-
-	// Point canvases for this pass: counts and, for SUM/AVG, weights (two
-	// color channels of the paper's off-screen buffer).
-	ptCount, err := canvas.NewCanvas(p.grid, t.x0, t.y0, t.w, t.h)
-	if err != nil {
-		return 0, err
-	}
-	var ptSum *canvas.Canvas
-	if agg != Count {
-		ptSum, err = canvas.NewCanvas(p.grid, t.x0, t.y0, t.w, t.h)
-		if err != nil {
-			return 0, err
+	if needSum {
+		if ptSum, err = canvas.NewCanvas(p.grid, t.x0, t.y0, t.w, t.h); err != nil {
+			return nil, nil, err
 		}
 	}
-	for _, pi := range p.buckets[ty*p.tilesX+tx] {
+	for bi, pi := range bucket {
+		if bi&cancelCheckMask == 0 && canceled(done) {
+			return nil, nil, ctx.Err()
+		}
 		gx, gy := p.grid.PixelOf(ps.Pts[pi])
 		ptCount.Add(gx, gy, 1)
 		if ptSum != nil {
 			ptSum.Add(gx, gy, ps.weight(int(pi)))
 		}
 	}
+	return ptCount, ptSum, nil
+}
 
-	var maskPixels int64
-	for ri, rg := range regions {
-		mx0, my0, mx1, my1, ok := t.maskWindow(p.grid, p.regionBounds[ri])
-		if !ok {
-			continue
-		}
-		mask, err := canvas.NewCanvas(p.grid, mx0, my0, mx1-mx0+1, my1-my0+1)
-		if err != nil {
-			return maskPixels, err
-		}
-		mask.RenderRegion(rg, 1)
-		maskPixels += int64(len(mask.Pix))
-		if boundaryCounts != nil {
-			bMask, err := canvas.NewCanvas(p.grid, mx0, my0, mx1-mx0+1, my1-my0+1)
-			if err != nil {
-				return maskPixels, err
-			}
-			bMask.RenderRegionBoundary(rg, 1)
-			if err := canvas.Blend(bMask, ptCount, canvas.BlendMul); err != nil {
-				return maskPixels, err
-			}
-			boundaryCounts[ri] += bMask.Sum()
-		}
-		if agg != Count {
-			sumMask := mask.Clone()
-			if err := canvas.Blend(sumMask, ptSum, canvas.BlendMul); err != nil {
-				return maskPixels, err
-			}
-			sums[ri] += sumMask.Sum()
-		}
-		if err := canvas.Blend(mask, ptCount, canvas.BlendMul); err != nil {
-			return maskPixels, err
-		}
-		counts[ri] += mask.Sum()
+// renderMask renders a region onto a fresh canvas over its bounds clipped to
+// the tile — the region itself, or with boundary set the pixels its boundary
+// crosses. It returns nil when the region misses the tile.
+func (p brjPass) renderMask(t tileGeom, rg geom.Region, boundary bool) (*canvas.Canvas, error) {
+	window := rg.Bounds().Intersection(t.rect)
+	if window.IsEmpty() {
+		return nil, nil
 	}
-	return maskPixels, nil
+	mx0, my0 := p.grid.PixelOf(window.Min)
+	mx1, my1 := p.grid.PixelOf(window.Max)
+	mx0, my0 = max(mx0, t.x0), max(my0, t.y0)
+	mx1, my1 = min(mx1, t.x0+t.w-1), min(my1, t.y0+t.h-1)
+	if mx0 > mx1 || my0 > my1 {
+		return nil, nil
+	}
+	mask, err := canvas.NewCanvas(p.grid, mx0, my0, mx1-mx0+1, my1-my0+1)
+	if err != nil {
+		return nil, err
+	}
+	if boundary {
+		mask.RenderRegionBoundary(rg, 1)
+	} else {
+		mask.RenderRegion(rg, 1)
+	}
+	return mask, nil
+}
+
+// foldMask adds mask·points to region ri's running count and, when the
+// weight canvas is present, sum: the blend-and-sum of Figure 5 as read-only
+// dot products, so the mask may be dropped or kept.
+func foldMask(mask, ptCount, ptSum *canvas.Canvas, ri int, counts, sums []float64) error {
+	if ptSum != nil {
+		s, err := canvas.DotSum(mask, ptSum)
+		if err != nil {
+			return err
+		}
+		sums[ri] += s
+	}
+	c, err := canvas.DotSum(mask, ptCount)
+	if err != nil {
+		return err
+	}
+	counts[ri] += c
+	return nil
+}
+
+// brjResult rounds the accumulated pixel sums into a Result.
+func brjResult(agg Agg, counts, sums []float64) Result {
+	r := newResult(agg, len(counts))
+	for ri := range counts {
+		r.Counts[ri] = int64(math.Round(counts[ri]))
+		if r.Sums != nil {
+			r.Sums[ri] = sums[ri]
+		}
+	}
+	return r
 }
 
 // Run executes the raster join sequentially, one pass per tile.
@@ -228,47 +231,68 @@ func (b BRJ) run(ps PointSet, regions []geom.Region, agg Agg, withRange bool) (R
 		// the index-based joins provide directly.
 		return Result{}, nil, BRJStats{}, fmt.Errorf("join: BRJ supports COUNT/SUM/AVG, not %v", agg)
 	}
-	plan, stats, err := b.plan(ps, regions)
+	pass, err := newBRJPass(b.Bounds, b.Bound, b.MaxTextureSize)
 	if err != nil {
-		return Result{}, nil, stats, err
+		return Result{}, nil, BRJStats{}, err
 	}
-
 	counts := make([]float64, len(regions))
 	sums := make([]float64, len(regions))
 	var boundaryCounts []float64
 	if withRange {
 		boundaryCounts = make([]float64, len(regions))
 	}
-	for ty := 0; ty < plan.tilesY; ty++ {
-		for tx := 0; tx < plan.tilesX; tx++ {
-			mp, err := plan.runTile(ps, regions, agg, tx, ty, counts, sums, boundaryCounts)
-			stats.MaskPixels += mp
-			if err != nil {
-				return Result{}, nil, stats, err
-			}
+	var maskPixels int64
+	for ti, bucket := range pass.bucketByTile(ps) {
+		mp, err := pass.renderAndFold(pass.tile(ti), ps, regions, agg != Count, bucket, counts, sums, boundaryCounts)
+		if err != nil {
+			return Result{}, nil, BRJStats{}, err
 		}
+		maskPixels += mp
 	}
 
-	res := newResult(agg, len(regions))
 	var ivs []Interval
 	if withRange {
 		ivs = make([]Interval, len(regions))
-	}
-	for ri := range regions {
-		res.Counts[ri] = int64(math.Round(counts[ri]))
-		if res.Sums != nil {
-			res.Sums[ri] = sums[ri]
-		}
-		if withRange {
+		for ri := range ivs {
 			ivs[ri] = Interval{Lo: counts[ri] - boundaryCounts[ri], Hi: counts[ri] + boundaryCounts[ri]}
 		}
 	}
-	return res, ivs, stats, nil
+	return brjResult(agg, counts, sums), ivs, pass.stats(maskPixels), nil
 }
 
-func maxI(a, b int) int {
-	if a > b {
-		return a
+// renderAndFold is one pass of the one-shot driver: scatter the tile's
+// points, then render, fold and drop one region mask after another. When
+// boundaryCounts is non-nil it accumulates, per region, the points in pixels
+// the region's boundary crosses — the ε_b of §6's result-range estimation —
+// from a boundary mask folded the same way. It returns the mask pixels
+// rendered (boundary masks not counted).
+//
+//distbound:allow-background the one-shot join is context-free; callers hold no context to thread
+func (p brjPass) renderAndFold(t tileGeom, ps PointSet, regions []geom.Region, needSum bool, bucket []int32, counts, sums, boundaryCounts []float64) (maskPixels int64, err error) {
+	ptCount, ptSum, err := p.scatter(context.Background(), t, ps, needSum, bucket)
+	if err != nil {
+		return 0, err
 	}
-	return b
+	for ri, rg := range regions {
+		mask, err := p.renderMask(t, rg, false)
+		if err != nil {
+			return 0, err
+		}
+		if mask == nil {
+			continue
+		}
+		maskPixels += int64(len(mask.Pix))
+		if err := foldMask(mask, ptCount, ptSum, ri, counts, sums); err != nil {
+			return 0, err
+		}
+		if boundaryCounts != nil {
+			if mask, err = p.renderMask(t, rg, true); err != nil {
+				return 0, err
+			}
+			if err := foldMask(mask, ptCount, nil, ri, boundaryCounts, nil); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return maskPixels, nil
 }

@@ -76,8 +76,8 @@ func (j *GridJoiner) Aggregate(regions []geom.Region, agg Agg) (Result, error) {
 		y0 := int(math.Floor((bb.Min.Y - j.bounds.Min.Y) / j.cellH))
 		x1 := int(math.Floor((bb.Max.X - j.bounds.Min.X) / j.cellW))
 		y1 := int(math.Floor((bb.Max.Y - j.bounds.Min.Y) / j.cellH))
-		x1 = minI(x1, j.res-1)
-		y1 = minI(y1, j.res-1)
+		x1 = min(x1, j.res-1)
+		y1 = min(y1, j.res-1)
 		for y := y0; y <= y1; y++ {
 			for x := x0; x <= x1; x++ {
 				for _, pi := range j.buckets[y*j.res+x] {
@@ -97,13 +97,6 @@ func (j *GridJoiner) MemoryBytes() int {
 	b := 24 * len(j.buckets)
 	for _, bk := range j.buckets {
 		b += 4 * len(bk)
-	}
-	return b
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
 	}
 	return b
 }

@@ -248,6 +248,30 @@ func TestBRJTilingInvariance(t *testing.T) {
 	}
 }
 
+// TestBRJRunStats pins what the one-shot join renders on the benchmark's
+// partition: the passes and the mask pixels across them are Figure 7's cost
+// curve, and the same numbers BRJJoiner.Stats reports for the masks it keeps.
+func TestBRJRunStats(t *testing.T) {
+	pts, _ := data.TaxiPoints(1, 1000)
+	regions := data.Regions(data.Partition(1, 16, 16, 12))
+	for _, want := range []struct {
+		bound      float64
+		tiles      int
+		maskPixels int64
+	}{{64, 1, 2747303}, {16, 4, 43327948}, {8, 9, 172933063}} {
+		if testing.Short() && want.tiles > 1 {
+			continue // the finer bounds render 0.3 and 1.4 GB of masks, one at a time
+		}
+		_, got, err := BRJ{Bound: want.bound, Bounds: data.CityBounds()}.Run(PointSet{Pts: pts}, regions, Count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.NumTiles != want.tiles || got.MaskPixels != want.maskPixels {
+			t.Errorf("bound %g: %d tiles, %d mask pixels; want %d, %d", want.bound, got.NumTiles, got.MaskPixels, want.tiles, want.maskPixels)
+		}
+	}
+}
+
 func TestBRJErrorShrinksWithBound(t *testing.T) {
 	bounds := data.DowntownBounds()
 	pts, _ := data.TaxiPointsIn(7, 30000, bounds)

@@ -235,6 +235,11 @@ func (j *ACTJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 	if err := ps.validateAggs(aggs); err != nil {
 		return nil, err
 	}
+	// Visit every covering cell per point: near shared boundaries the
+	// conservative covers of adjacent regions overlap, and counting the
+	// point for each keeps the per-region guarantee "approximate ⊇ exact"
+	// that the result-range interval of §6 relies on. A region's own cells
+	// are disjoint, so a point is counted at most once per region.
 	return pointShardFold(ctx, len(ps.Pts), workers, j.numReg, aggs, func() func(int, *acc) {
 		buf := make([]int32, 0, 4)
 		return func(i int, part *acc) {
@@ -264,6 +269,7 @@ func (j *RStarJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Ag
 			p := ps.Pts[i]
 			w := ps.weight(i)
 			j.tree.SearchPoint(p, func(it rstar.Item) bool {
+				// Refinement: the exact PIP test the approximate joins skip.
 				if j.regions[it.ID].ContainsPoint(p) {
 					part.add(int(it.ID), w)
 				}
@@ -291,10 +297,10 @@ func (j *BRJJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 
 	// Bucket points into tiles; tiles without points (or masks) contribute
 	// nothing and are skipped.
-	buckets := bucketByTile(ps, j.grid, j.x0, j.y0, j.x1, j.y1, j.maxTex, j.tilesX, len(j.tiles))
+	buckets := j.bucketByTile(ps)
 	jobs := make([]int, 0, len(j.tiles))
 	for ti := range j.tiles {
-		if len(buckets[ti]) > 0 && len(j.tiles[ti].masks) > 0 {
+		if len(buckets[ti]) > 0 && len(j.tiles[ti]) > 0 {
 			jobs = append(jobs, ti)
 		}
 	}
@@ -332,14 +338,7 @@ func (j *BRJJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 
 	out := make([]Result, len(aggs))
 	for k, agg := range aggs {
-		r := newResult(agg, j.numReg)
-		for ri := 0; ri < j.numReg; ri++ {
-			r.Counts[ri] = int64(math.Round(counts[ri]))
-			if r.Sums != nil {
-				r.Sums[ri] = sums[ri]
-			}
-		}
-		out[k] = r
+		out[k] = brjResult(agg, counts, sums)
 	}
 	return out, nil
 }

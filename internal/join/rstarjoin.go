@@ -1,6 +1,8 @@
 package join
 
 import (
+	"context"
+
 	"distbound/internal/geom"
 	"distbound/internal/index/rstar"
 )
@@ -30,23 +32,16 @@ func NewRStarJoiner(regions []geom.Region, fanout int) *RStarJoiner {
 // over Neighborhood MBRs is just 27.9 KB).
 func (j *RStarJoiner) MemoryBytes() int { return j.tree.MemoryBytes() }
 
-// Aggregate runs the exact index-nested-loop join with aggregation fused.
+// Aggregate runs the exact index-nested-loop join with aggregation fused:
+// the single-aggregate, single-worker form of AggregateMulti.
+//
+//distbound:allow-background context-free convenience over AggregateMulti; callers hold no context to thread
 func (j *RStarJoiner) Aggregate(ps PointSet, agg Agg) (Result, error) {
-	if err := ps.validate(agg); err != nil {
+	rs, err := j.AggregateMulti(context.Background(), ps, []Agg{agg}, 1)
+	if err != nil {
 		return Result{}, err
 	}
-	res := newResult(agg, len(j.regions))
-	for i, p := range ps.Pts {
-		w := ps.weight(i)
-		j.tree.SearchPoint(p, func(it rstar.Item) bool {
-			// Refinement: the exact PIP test the approximate joins skip.
-			if j.regions[it.ID].ContainsPoint(p) {
-				res.add(int(it.ID), w)
-			}
-			return true
-		})
-	}
-	return res, nil
+	return rs[0], nil
 }
 
 // FilterCount returns how many (point, region) MBR candidate pairs the

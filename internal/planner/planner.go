@@ -13,6 +13,7 @@ import (
 	"math"
 	"sort"
 
+	"distbound/internal/canvas"
 	"distbound/internal/geom"
 	"distbound/internal/join"
 )
@@ -67,23 +68,18 @@ type Query struct {
 	// (e.g. one per time slice in a dashboard); index build cost amortizes
 	// over it. 0 means 1.
 	Repetitions int
-	// MaxTextureSize caps BRJ pass size; ≤ 0 selects the default (4096).
-	MaxTextureSize int
 	// Aggs is the aggregate set of the query. One request computes every
 	// aggregate in it with a single multi-fold pass over a single build, so
 	// the planner costs the whole set as ONE run — the expensive per-item
 	// work (lookups, range probes, scatters) is shared and the extra
 	// per-aggregate fold arithmetic is noise against it. The one set-level
 	// decision the planner must make is exclusion: the Bounded Raster Join
-	// is unavailable iff ANY aggregate in the set is MIN or MAX. Empty means
-	// a single COUNT-like aggregate; ExtremeAgg is OR-ed in for callers
-	// still planning per aggregate.
-	Aggs []join.Agg
-	// ExtremeAgg marks a MIN/MAX aggregation. The Bounded Raster Join's
+	// is unavailable iff ANY aggregate in the set is MIN or MAX — its
 	// additive canvases carry counts and sums only, so Choose excludes
-	// StrategyBRJ — the plan then reflects the fallback instead of the
-	// executor silently swapping strategies.
-	ExtremeAgg bool
+	// StrategyBRJ and the plan reflects the fallback instead of the executor
+	// silently swapping strategies. Empty means a single COUNT-like
+	// aggregate.
+	Aggs []join.Agg
 	// CachedBuild marks strategies whose one-time build artifact (the ACT
 	// trie, the R*-tree, or the BRJ region-mask canvases) is already
 	// resident in the caller's cache: their build cost has been paid, so
@@ -224,12 +220,8 @@ func (m CostModel) Estimate(q Query, s Strategy) Cost {
 		maskPixels := st.totalBBoxArea / (pixel * pixel)
 		tilePixels := st.extent.Area() / (pixel * pixel)
 		// Multi-pass tax: clearing/point canvases per tile.
-		maxTex := float64(q.MaxTextureSize)
-		if maxTex <= 0 {
-			maxTex = 4096
-		}
 		side := math.Max(st.extent.Width(), st.extent.Height()) / pixel
-		tiles := math.Max(1, math.Ceil(side/maxTex))
+		tiles := math.Max(1, math.Ceil(side/canvas.DefaultMaxTextureSize))
 		// Mask rendering (edge walks + span fills) is the one-time half of
 		// the mask cost and is cacheable per bound; the per-run half is the
 		// read-only mask·points blend. The split keeps the one-shot total
@@ -288,7 +280,7 @@ func (m CostModel) Choose(q Query) Plan {
 // loop that recycles its Plan plans without allocating. All other fields
 // are reset.
 func (m CostModel) ChooseInto(q Query, p *Plan) {
-	q.ExtremeAgg = q.ExtremeAgg || join.ExtremeIn(q.Aggs)
+	extreme := join.ExtremeIn(q.Aggs)
 	if p.Costs == nil {
 		p.Costs = make(map[Strategy]Cost, 4)
 	} else {
@@ -303,7 +295,7 @@ func (m CostModel) ChooseInto(q Query, p *Plan) {
 	best := StrategyExact
 	bestCost := math.Inf(1)
 	for _, s := range [...]Strategy{StrategyExact, StrategyACT, StrategyBRJ} {
-		if s == StrategyBRJ && q.ExtremeAgg {
+		if s == StrategyBRJ && extreme {
 			continue
 		}
 		c := m.Estimate(q, s)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"distbound/internal/data"
+	"distbound/internal/join"
 )
 
 func TestChooseArchetypes(t *testing.T) {
@@ -89,7 +90,7 @@ func TestExtremeAggExcludesBRJ(t *testing.T) {
 		t.Skipf("baseline query chose %v, BRJ exclusion not observable", plain.Strategy)
 	}
 	extreme := base
-	extreme.ExtremeAgg = true
+	extreme.Aggs = []join.Agg{join.Count, join.Min}
 	p := m.Choose(extreme)
 	if p.Strategy == StrategyBRJ {
 		t.Error("MIN/MAX query planned BRJ")

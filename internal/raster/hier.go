@@ -61,6 +61,35 @@ func HierarchicalAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel
 	return a
 }
 
+// Uniform computes the uniform raster (UR) approximation of a region at a
+// fixed grid level (Figure 1(b)). All cells have the same size, so the
+// approximation satisfies d_H ≤ cell diagonal = Domain.CellDiagonal(level).
+//
+// It is HierarchicalAtLevel's cell set written out at the leaf level: the
+// boundary cells already sit at level, and a coarser interior cell is an
+// aligned block of 4^(level−l) level cells at consecutive curve positions —
+// exactly the same set, no additions, no gaps — so the two approximations
+// cover identical Ranges. The blocks are disjoint and ascending, so Interior
+// stays in curve order. Cells are closed, as everywhere else (see the package
+// doc): a region edge on a grid line makes boundary cells of both sides.
+func Uniform(rg geom.Region, d sfc.Domain, curve sfc.Curve, level int, mode Mode) *Approximation {
+	a := HierarchicalAtLevel(rg, d, curve, level, mode)
+	n := 0
+	for _, id := range a.Interior {
+		n += 1 << (2 * (level - id.Level()))
+	}
+	cells := make([]sfc.CellID, 0, n)
+	for _, id := range a.Interior {
+		shift := 2 * (level - id.Level())
+		first := id.Pos() << shift
+		for k := range uint64(1) << shift {
+			cells = append(cells, sfc.FromPosLevel(first+k, level))
+		}
+	}
+	a.Interior = cells
+	return a
+}
+
 // coverItem is a priority-queue entry for budgeted covering.
 type coverItem struct {
 	id   sfc.CellID

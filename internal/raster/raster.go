@@ -14,12 +14,18 @@
 //     include the cells whose center is inside, admitting both error kinds,
 //     each still within ε of the boundary.
 //
-// Two constructions are provided: Uniform (all cells at one level, Figure
-// 1(b)) and Hierarchical (variable-sized cells, Figure 1(c)), plus a
-// budgeted cover that trades cell count for precision (the 32/128/512
-// cells-per-polygon precision levels of Figure 4).
+// One construction is provided, with two emissions: Hierarchical
+// (variable-sized cells, Figure 1(c)) is the descent below, and Uniform (all
+// cells at one level, Figure 1(b)) is the same cell set with every coarse
+// interior cell written out as its run of level cells — so at one level the
+// two cover the same leaf positions. A budgeted cover trades cell count for
+// precision (the 32/128/512 cells-per-polygon precision levels of Figure 4).
 //
-// Hierarchical is one depth-first descent of the quadtree. A cell's grid
+// Cells are closed rectangles, here and in everything built from these cells
+// (the ACT trie, the cover sets): a region edge lying exactly on a grid line
+// touches the cells on both sides of it, and both are boundary cells.
+//
+// The descent is one depth-first walk of the quadtree. A cell's grid
 // coordinates and curve state travel down with it, so a child's rectangle
 // costs one sfc.Curve.Step, not a Decode from level 0. Children are visited
 // in curve order — ascending CellID order, a subtree finished before the next

@@ -36,15 +36,18 @@ func TestUniformAlignedSquare(t *testing.T) {
 	// A 4x4 square exactly covering cells (4..7, 4..7) at level 2 (cell side 4).
 	p := geom.MustPolygon(geom.Ring{geom.Pt(4, 4), geom.Pt(12, 4), geom.Pt(12, 12), geom.Pt(4, 12)})
 	a := Uniform(p, d, sfc.Morton{}, 2, Conservative)
-	// Level 2: 4x4 cells of side 4, half-open semantics: an edge on grid
-	// line x=4 belongs to cell 1, an edge on x=12 to cell 3, so the square
-	// maps to the 3x3 block of cells (1..3, 1..3) with only cell (2,2)
-	// untouched by the boundary.
-	if got := a.NumCells(); got != 9 {
-		t.Errorf("NumCells = %d, want 9", got)
+	// Level 2: 4x4 cells of side 4, closed cells — the convention of the
+	// hierarchical raster, RelateRect, the ACT and the cover sets: the edge on
+	// grid line x=4 touches cells 0 and 1, the edge on x=12 cells 2 and 3, so
+	// every cell of the level meets the boundary and none is interior. (The
+	// scanline rasterizer this test was written for broke the tie half-open
+	// and answered 9 cells, 1 interior — a different set from
+	// HierarchicalAtLevel(2), which Figure 1 says it cannot be.)
+	if got := a.NumCells(); got != 16 {
+		t.Errorf("NumCells = %d, want 16", got)
 	}
-	if len(a.Interior) != 1 || len(a.Boundary) != 8 {
-		t.Errorf("interior=%d boundary=%d, want 1/8", len(a.Interior), len(a.Boundary))
+	if len(a.Interior) != 0 || len(a.Boundary) != 16 {
+		t.Errorf("interior=%d boundary=%d, want 0/16", len(a.Interior), len(a.Boundary))
 	}
 	// At level 3 (cell side 2) the interior cells strictly inside are (3..5)^2 = 9... verify by probe.
 	a3 := Uniform(p, d, sfc.Morton{}, 3, Conservative)

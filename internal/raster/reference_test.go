@@ -1,7 +1,9 @@
 package raster
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -182,4 +184,198 @@ func TestHierarchicalAllocs(t *testing.T) {
 	if got > ceiling {
 		t.Errorf("HierarchicalAtLevel and Ranges allocate %.0f times, ceiling %d", got, ceiling)
 	}
+}
+
+// The uniform raster's definition, as a flat scan: every cell of the level
+// whose closed rectangle meets the region's bounding box, classified by
+// Region.RelateRect alone, a boundary cell kept in Centroid mode only when
+// its centre is in the region. No descent, no pruning, no candidate edges and
+// no half-open window — the oracle Uniform is held to element for element;
+// nothing outside this file may call it.
+func refUniform(rg geom.Region, d sfc.Domain, curve sfc.Curve, level int, mode Mode) *Approximation {
+	a := &Approximation{Domain: d, Curve: curve}
+	bb := rg.Bounds()
+	last := uint32(1)<<uint(level) - 1
+	xMin, yMin, _ := d.Coord(bb.Min, level) // clamped to the domain
+	xMax, yMax, _ := d.Coord(bb.Max, level)
+	// One cell of margin: a closed cell whose edge lies on the box's edge.
+	for y := max(yMin, 1) - 1; y <= min(yMax+1, last); y++ {
+		for x := max(xMin, 1) - 1; x <= min(xMax+1, last); x++ {
+			rect := d.CellRect(x, y, level)
+			if !rect.Intersects(bb) {
+				continue
+			}
+			switch rg.RelateRect(rect) {
+			case geom.RectInside:
+				a.Interior = append(a.Interior, sfc.FromXY(curve, x, y, level))
+			case geom.RectPartial:
+				if mode == Centroid && !rg.ContainsPoint(rect.Center()) {
+					continue
+				}
+				a.Boundary = append(a.Boundary, sfc.FromXY(curve, x, y, level))
+			}
+		}
+	}
+	slices.Sort(a.Interior) // row-major scan order is not curve order
+	slices.Sort(a.Boundary)
+	return a
+}
+
+// leafCells counts the level cells a range list covers.
+func leafCells(rs []PosRange, level int) int {
+	n := uint64(0)
+	for _, r := range rs {
+		n += r.Len()
+	}
+	return int(n >> uint(2*(sfc.MaxLevel-level)))
+}
+
+// checkUniform holds Uniform to its definition on one input.
+func checkUniform(t *testing.T, label string, rg geom.Region, d sfc.Domain, curve sfc.Curve, level int, mode Mode) {
+	t.Helper()
+	got := Uniform(rg, d, curve, level, mode)
+	want := refUniform(rg, d, curve, level, mode)
+	if !slices.Equal(got.Interior, want.Interior) {
+		t.Errorf("%s: interior differs: %d cells, definition %d", label, len(got.Interior), len(want.Interior))
+	}
+	if !slices.Equal(got.Boundary, want.Boundary) {
+		t.Errorf("%s: boundary differs: %d cells, definition %d", label, len(got.Boundary), len(want.Boundary))
+	}
+}
+
+// alignedSquare is the measure-zero input on which a half-open and a closed
+// cell convention differ: every edge lies on a grid line of levels 2 to 4 of
+// a 16-unit domain. Closed cells touch an edge from both sides, so the cells
+// of the square and one ring around it all meet the boundary.
+func alignedSquare() *geom.Polygon {
+	return geom.MustPolygon(geom.Ring{geom.Pt(4, 4), geom.Pt(12, 4), geom.Pt(12, 12), geom.Pt(4, 12)})
+}
+
+// uniformCases runs check over the inputs the Uniform tests share: the
+// benchmark's partition, the neighbourhood polygons, hand-built shapes and
+// the grid-aligned square.
+func uniformCases(t *testing.T, check func(t *testing.T, label string, rg geom.Region, d sfc.Domain, curve sfc.Curve, level int, mode Mode)) {
+	modes := []Mode{Conservative, Centroid}
+	stride := 1
+	if testing.Short() {
+		stride = 16
+	}
+	city := data.CityDomain()
+	families := map[string]struct {
+		polys  []*geom.Polygon
+		levels []int
+	}{
+		"partition/seed=1": {data.Partition(1, 16, 16, 12), []int{6, 8, 10}},
+		"partition/seed=2": {data.Partition(2, 16, 16, 12), []int{6, 8, 10}},
+		"partition/seed=3": {data.Partition(3, 16, 16, 12), []int{6, 8, 10}},
+		"neighborhoods/12": {data.Neighborhoods(12), []int{8, 10}},
+	}
+	for name, fam := range families {
+		for _, level := range fam.levels {
+			t.Run(fmt.Sprintf("%s/L%d", name, level), func(t *testing.T) {
+				t.Parallel()
+				for ri := 0; ri < len(fam.polys); ri += stride {
+					for _, curve := range testCurves {
+						for _, mode := range modes {
+							check(t, fmt.Sprintf("region %d/%s/%v", ri, curve.Name(), mode), fam.polys[ri], city, curve, level, mode)
+						}
+					}
+				}
+			})
+		}
+	}
+
+	d := mustDomain(t, geom.Pt(0, 0), 64)
+	rng := rand.New(rand.NewSource(23))
+	star := randomStar(rng, geom.Pt(30, 34), 6, 25, 17)
+	shapes := map[string]geom.Region{
+		"hole": geom.MustPolygon(
+			geom.Ring{geom.Pt(5.3, 6.1), geom.Pt(58.2, 4.7), geom.Pt(60.9, 57.4), geom.Pt(31.7, 61.2), geom.Pt(3.8, 55.5)},
+			geom.Ring{geom.Pt(36, 36), geom.Pt(48.5, 36), geom.Pt(48.5, 48.5), geom.Pt(36, 48.5)}, // on grid lines and on centres
+		),
+		"multi": geom.NewMultiPolygon( // disjoint parts: RelateRect's union and the even-odd rings agree
+			randomStar(rng, geom.Pt(16, 16), 4, 11, 9),
+			randomStar(rng, geom.Pt(45, 40), 5, 16, 13),
+		),
+		"clipped": randomStar(rng, geom.Pt(58, 3), 8, 30, 15), // half outside the domain
+		"generic": wrappedRegion{star},                        // rings inaccessible: Region.RelateRect per cell
+		"star":    star,
+	}
+	d16 := mustDomain(t, geom.Pt(0, 0), 16)
+	for _, curve := range testCurves {
+		for _, mode := range modes {
+			for name, rg := range shapes {
+				for _, level := range []int{0, 1, 4, 6, 7} {
+					check(t, fmt.Sprintf("%s/%s/%v/L%d", name, curve.Name(), mode, level), rg, d, curve, level, mode)
+				}
+			}
+			for _, level := range []int{2, 3, 4} {
+				check(t, fmt.Sprintf("aligned square/%s/%v/L%d", curve.Name(), mode, level), alignedSquare(), d16, curve, level, mode)
+			}
+		}
+	}
+}
+
+func TestUniformMatchesDefinition(t *testing.T) {
+	uniformCases(t, checkUniform)
+	d16 := mustDomain(t, geom.Pt(0, 0), 16)
+	for level, want := range map[int]int{2: 16, 3: 36, 4: 100} {
+		if got := Uniform(alignedSquare(), d16, sfc.Hilbert{}, level, Conservative).NumCells(); got != want {
+			t.Errorf("aligned square at level %d: %d cells, want %d", level, got, want)
+		}
+	}
+}
+
+// TestUniformIsHierarchicalAtTheSameLevel is the property Figure 1 states:
+// the uniform raster is the hierarchical one with its interior de-aggregated,
+// the same leaf positions cell for cell. It fails on the aligned square for
+// a rasterizer that breaks the grid-line tie differently in the two forms
+// (the scanline one did: 9 cells against 16).
+func TestUniformIsHierarchicalAtTheSameLevel(t *testing.T) {
+	uniformCases(t, func(t *testing.T, label string, rg geom.Region, d sfc.Domain, curve sfc.Curve, level int, mode Mode) {
+		t.Helper()
+		ur := Uniform(rg, d, curve, level, mode)
+		hr := HierarchicalAtLevel(rg, d, curve, level, mode).Ranges()
+		if !slices.Equal(ur.Ranges(), hr) {
+			t.Errorf("%s: Uniform covers %d ranges, HierarchicalAtLevel %d", label, len(ur.Ranges()), len(hr))
+		}
+		if n := leafCells(hr, level); ur.NumCells() != n {
+			t.Errorf("%s: Uniform has %d cells, the hierarchical ranges hold %d", label, ur.NumCells(), n)
+		}
+	})
+}
+
+// FuzzUniformMatchesDefinition decodes a small polygon from bytes — two per
+// vertex, quarter units on a 64-unit domain, an odd byte snapped to the
+// nearest grid line of the level so the closed-cell tie is exercised about
+// half the time — orders the vertices around their mean so the ring is
+// (nearly always) simple, and holds Uniform to the flat scan. The committed
+// corpus (testdata/fuzz) seeds it with the aligned square and one star.
+func FuzzUniformMatchesDefinition(f *testing.F) {
+	f.Fuzz(func(t *testing.T, verts []byte, lvl, flags uint8) {
+		n := min(len(verts)/2, 16)
+		if n < 3 {
+			return
+		}
+		d := mustDomain(t, geom.Pt(0, 0), 64)
+		level := int(lvl % 7)
+		side := d.CellSide(level)
+		coord := func(b byte) float64 {
+			v := float64(b) / 4
+			if b&1 == 1 {
+				v = math.Round(v/side) * side
+			}
+			return v
+		}
+		ring := make(geom.Ring, n)
+		var mean geom.Point
+		for i := range ring {
+			ring[i] = geom.Pt(coord(verts[2*i]), coord(verts[2*i+1]))
+			mean = mean.Add(ring[i].Scale(1 / float64(n)))
+		}
+		angle := func(p geom.Point) float64 { return math.Atan2(p.Y-mean.Y, p.X-mean.X) }
+		slices.SortFunc(ring, func(a, b geom.Point) int { return cmp.Compare(angle(a), angle(b)) })
+		curve, mode := testCurves[flags&1], Mode(flags>>1&1)
+		checkUniform(t, fmt.Sprintf("%v/%s/%v/L%d", ring, curve.Name(), mode, level), geom.MustPolygon(ring), d, curve, level, mode)
+	})
 }

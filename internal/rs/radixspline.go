@@ -75,7 +75,7 @@ func (r *RadixSpline) buildSpline(maxErr int) {
 		if !havePrev {
 			prev = splinePoint{key, pos}
 			upper = splinePoint{key, pos + maxErr}
-			lower = splinePoint{key, maxInt(pos-maxErr, 0)}
+			lower = splinePoint{key, max(pos-maxErr, 0)}
 			havePrev = true
 			return
 		}
@@ -89,7 +89,7 @@ func (r *RadixSpline) buildSpline(maxErr int) {
 			emit(prev)
 			base = prev
 			upper = splinePoint{key, pos + maxErr}
-			lower = splinePoint{key, maxInt(pos-maxErr, 0)}
+			lower = splinePoint{key, max(pos-maxErr, 0)}
 			prev = splinePoint{key, pos}
 			return
 		}
@@ -97,8 +97,8 @@ func (r *RadixSpline) buildSpline(maxErr int) {
 		if s := slope(base, splinePoint{key, pos + maxErr}); s < upperSlope {
 			upper = splinePoint{key, pos + maxErr}
 		}
-		if s := slope(base, splinePoint{key, maxInt(pos-maxErr, 0)}); s > lowerSlope {
-			lower = splinePoint{key, maxInt(pos-maxErr, 0)}
+		if s := slope(base, splinePoint{key, max(pos-maxErr, 0)}); s > lowerSlope {
+			lower = splinePoint{key, max(pos-maxErr, 0)}
 		}
 		prev = splinePoint{key, pos}
 	}
@@ -138,13 +138,6 @@ func lastFirstPos(keys []uint64) int {
 
 func slope(a, b splinePoint) float64 {
 	return float64(b.pos-a.pos) / float64(b.key-a.key)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // buildRadixTable fills table[p] = index of the first spline point whose
@@ -220,7 +213,7 @@ func (r *RadixSpline) LowerBound(k uint64) int {
 	est := r.predict(k)
 	// Correct within the error window (+1 guards the rounding of the
 	// interpolation itself).
-	lo := maxInt(est-r.maxErr-1, 0)
+	lo := max(est-r.maxErr-1, 0)
 	hi := est + r.maxErr + 1
 	if hi > n {
 		hi = n
@@ -229,10 +222,10 @@ func (r *RadixSpline) LowerBound(k uint64) int {
 	// defensively if the target escaped (never happens when the corridor
 	// invariant holds, but costs nothing to keep lookups correct).
 	for lo > 0 && r.keys[lo] >= k {
-		lo = maxInt(lo-r.maxErr, 0)
+		lo = max(lo-r.maxErr, 0)
 	}
 	for hi < n && r.keys[hi-1] < k {
-		hi = minInt(hi+r.maxErr, n)
+		hi = min(hi+r.maxErr, n)
 	}
 	// Binary search within [lo, hi).
 	for lo < hi {
@@ -244,13 +237,6 @@ func (r *RadixSpline) LowerBound(k uint64) int {
 		}
 	}
 	return lo
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // UpperBound returns the index of the first key > k.

@@ -283,6 +283,62 @@ func (e *Engine) planRequest(req Request, reps int, sc *respScratch) Plan {
 	return *planBuf
 }
 
+// inflight is one normalized request between begin and finish.
+type inflight struct {
+	req       Request
+	key       resultKey // set by begin; meaningful iff cacheable
+	cacheable bool
+}
+
+// begin is the first of the two steps every request takes: probe the result
+// cache and, on a miss, borrow a pooled scratch, fix the plan at the given
+// effective repetition count and render it if asked. It reports a hit —
+// resp is then the cached answer (resp.cached set), its Wall counted from
+// start, and there is nothing to finish.
+//
+// The cache key reads the dataset's mutation epoch here, before execution: a
+// hit then serves data at least as new as any state this request could have
+// observed by executing, which keeps cached serving linearizable under
+// concurrent mutation. A disabled cache is a full bypass — no probe, no
+// counters, and no deep copy on the way out — so the executed warm path
+// stays allocation-free.
+func (e *Engine) begin(f *inflight, reps int, start time.Time, resp *Response) (hit bool) {
+	if k, ok := resultCacheKey(f.req); ok && e.results.Enabled() {
+		if c, ok := e.results.Get(k); ok {
+			*resp = c.respond(start)
+			return true
+		}
+		f.key, f.cacheable = k, true
+	}
+	resp.scratch = e.getScratch()
+	plan := e.planRequest(f.req, reps, resp.scratch)
+	resp.Strategy, resp.Plan = plan.Strategy, plan
+	if f.req.Strategy != nil {
+		resp.Strategy = *f.req.Strategy
+	}
+	if f.req.Explain {
+		resp.Explain = plan.Explain()
+	}
+	return false
+}
+
+// finish is the second step: execute the begun request on its fixed
+// strategy, stamp Wall from start, and publish a cacheable answer. A failed
+// response still references the scratch's plan tables, so the scratch is not
+// recycled — Release on an errored response is a no-op.
+func (e *Engine) finish(ctx context.Context, f *inflight, start time.Time, resp *Response) error {
+	err := e.executeMulti(ctx, f.req, resp.Strategy, f.req.Workers, resp)
+	resp.Wall = time.Since(start)
+	if err != nil {
+		resp.scratch = nil
+		return canceledAs(ctx, err)
+	}
+	if f.cacheable {
+		e.results.Put(f.key, newCachedResponse(resp))
+	}
+	return nil
+}
+
 // Do answers one request: it plans once for the whole aggregate set, builds
 // (or reuses) one artifact, and computes every aggregate in a single fold
 // pass over one snapshot. Canceling ctx unwinds the worker fan-out promptly
@@ -291,44 +347,16 @@ func (e *Engine) planRequest(req Request, reps int, sc *respScratch) Plan {
 // concurrent use.
 func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 	start := time.Now()
-	req, err := e.normalizeRequest(req, false)
-	if err != nil {
+	var f inflight
+	var err error
+	if f.req, err = e.normalizeRequest(req, false); err != nil {
 		return Response{}, err
 	}
-	// The cache key reads the dataset's mutation epoch here, before
-	// execution: a hit then serves data at least as new as any state this
-	// request could have observed by executing, which keeps cached serving
-	// linearizable under concurrent mutation. A disabled cache is a full
-	// bypass — no probe, no counters, and no deep copy on the way out — so
-	// the executed warm path stays allocation-free.
-	key, cacheable := resultCacheKey(req)
-	cacheable = cacheable && e.results.Enabled()
-	if cacheable {
-		if c, ok := e.results.Get(key); ok {
-			return c.respond(start), nil
-		}
+	var resp Response
+	if !e.begin(&f, f.req.Repetitions, start, &resp) {
+		err = e.finish(ctx, &f, start, &resp)
 	}
-	resp := Response{scratch: e.getScratch()}
-	plan := e.planRequest(req, req.Repetitions, resp.scratch)
-	resp.Strategy, resp.Plan = plan.Strategy, plan
-	if req.Strategy != nil {
-		resp.Strategy = *req.Strategy
-	}
-	if req.Explain {
-		resp.Explain = plan.Explain()
-	}
-	err = e.executeMulti(ctx, req, resp.Strategy, req.Workers, &resp)
-	resp.Wall = time.Since(start)
-	if err != nil {
-		// The failed response still references the scratch's plan tables, so
-		// it is not recycled — Release on an errored response is a no-op.
-		resp.scratch = nil
-		return resp, canceledAs(ctx, err)
-	}
-	if cacheable {
-		e.results.Put(key, newCachedResponse(&resp))
-	}
-	return resp, nil
+	return resp, err
 }
 
 // canceledAs maps a cancellation-shaped execution error back to the
@@ -363,16 +391,7 @@ func canceledAs(ctx context.Context, err error) error {
 func (e *Engine) DoBatch(ctx context.Context, reqs []Request, workers int) ([]Response, error) {
 	workers = pool.Workers(workers, len(reqs))
 	resps := make([]Response, len(reqs))
-	norm := make([]Request, len(reqs))
-	valid := make([]bool, len(reqs))
-	for i, r := range reqs {
-		n, err := e.normalizeRequest(r, true)
-		if err != nil {
-			resps[i].Err = err
-			continue
-		}
-		norm[i], valid[i] = n, true
-	}
+	flights := make([]inflight, len(reqs))
 
 	// Multiplicity inside the batch: k ad-hoc requests that can share a
 	// strategy's build artifact mean a freshly built index is reused at least
@@ -380,7 +399,8 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request, workers int) ([]Re
 	// containing MIN/MAX are keyed separately — they can never run BRJ, so
 	// counting them toward a COUNT request's amortization could credit a
 	// mask build the extremes will never touch. Dataset requests are planned
-	// by rule and neither earn nor lend credit.
+	// by rule and neither earn nor lend credit, and nor does a rejected
+	// request: it builds nothing for its siblings to reuse.
 	type shareKey struct {
 		bound   float64
 		extreme bool
@@ -389,78 +409,41 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request, workers int) ([]Re
 		return shareKey{bound: r.Bound, extreme: join.ExtremeIn(r.Aggs)}
 	}
 	sharing := map[shareKey]int{}
-	for _, r := range reqs {
-		if r.Dataset == nil {
+	for i, r := range reqs {
+		if flights[i].req, resps[i].Err = e.normalizeRequest(r, true); resps[i].Err == nil && r.Dataset == nil {
 			sharing[keyOf(r)]++
 		}
 	}
 
-	// Plan before executing anything: plans then reflect the batch-entry
-	// cache state instead of whatever builds happen to finish mid-batch,
-	// which would make strategy choice depend on worker interleaving. Each
-	// valid request borrows a pooled scratch here and keeps it through
-	// execution, so batched warm resident requests reuse backing storage
-	// exactly as Do's do.
-	strategies := make([]Strategy, len(reqs))
-	keys := make([]resultKey, len(reqs))
-	cacheable := make([]bool, len(reqs))
-	hit := make([]bool, len(reqs))
-	for i := range reqs {
-		if !valid[i] {
-			continue
-		}
-		// Result-cache probe, with the same pre-execution epoch read as Do's:
-		// a warm request skips planning and execution entirely; a cacheable
-		// miss remembers its key so the worker inserts after executing. As in
-		// Do, a disabled cache is bypassed outright.
-		if k, ok := resultCacheKey(norm[i]); ok && e.results.Enabled() {
-			if c, ok := e.results.Get(k); ok {
-				resps[i] = c.respond(time.Now())
-				hit[i] = true
-				continue
-			}
-			keys[i], cacheable[i] = k, true
-		}
-		resps[i].scratch = e.getScratch()
-		plan := e.planRequest(norm[i], norm[i].Repetitions+sharing[keyOf(reqs[i])]-1, resps[i].scratch)
-		resps[i].Plan = plan
-		strategies[i] = plan.Strategy
-		if norm[i].Strategy != nil {
-			strategies[i] = *norm[i].Strategy
-		}
-		resps[i].Strategy = strategies[i]
-		if norm[i].Explain {
-			resps[i].Explain = plan.Explain()
+	// Begin everything before finishing anything: plans then reflect the
+	// batch-entry cache state instead of whatever builds happen to finish
+	// mid-batch, which would make strategy choice depend on worker
+	// interleaving. Each valid request borrows its pooled scratch here and
+	// keeps it through execution, so batched warm resident requests reuse
+	// backing storage exactly as Do's do.
+	for i := range flights {
+		if f := &flights[i]; resps[i].Err == nil {
+			e.begin(f, f.req.Repetitions+sharing[keyOf(f.req)]-1, time.Now(), &resps[i])
 		}
 	}
 
 	err := pool.RunCtx(ctx, len(reqs), workers, func(_, i int) error {
-		if !valid[i] || hit[i] {
-			return nil
+		if resps[i].Err == nil && resps[i].cached == nil { // neither rejected nor a hit
+			// Per-request failures land in Err rather than aborting the
+			// pool, so one bad request never drops its siblings.
+			resps[i].Err = e.finish(ctx, &flights[i], time.Now(), &resps[i])
 		}
-		t0 := time.Now()
-		err := e.executeMulti(ctx, norm[i], strategies[i], norm[i].Workers, &resps[i])
-		resps[i].Wall = time.Since(t0)
-		if err != nil {
-			resps[i].Err = canceledAs(ctx, err)
-			resps[i].scratch = nil // failed responses keep their plan tables
-		} else if cacheable[i] {
-			e.results.Put(keys[i], newCachedResponse(&resps[i]))
-		}
-		// Per-request failures land in Err rather than aborting the pool, so
-		// one bad request never drops its siblings.
 		return nil
 	})
 	if err != nil {
 		for i := range resps {
-			if valid[i] && resps[i].Results == nil && resps[i].Err == nil {
+			if resps[i].Results == nil && resps[i].Err == nil {
 				resps[i].Err = err
 				resps[i].scratch = nil // failed responses keep their plan tables
 			}
 		}
-		return resps, err
 	}
-	return resps, nil
+	return resps, err
 }
 
 // executeMulti runs one normalized request's aggregate set on a fixed
