@@ -590,11 +590,14 @@ func (e *Engine) exactJoiner() *join.RStarJoiner {
 }
 
 // actJoinerCtx returns the ACT joiner for the bound, building it under the
-// cache's singleflight on a miss; canceling ctx abandons the wait (and the
-// build itself, once no caller remains interested in it).
-func (e *Engine) actJoinerCtx(ctx context.Context, bound float64) (*join.ACTJoiner, error) {
+// cache's singleflight on a miss. A cold build rasterises across the caller's
+// worker budget — the configured fan-out for Do, 1 from the batch pool — so
+// it never exceeds the parallelism the query itself was granted; canceling
+// ctx abandons the wait (and the build itself, once no caller remains
+// interested in it).
+func (e *Engine) actJoinerCtx(ctx context.Context, bound float64, workers int) (*join.ACTJoiner, error) {
 	aj, err := e.act.GetOrBuildCtx(ctx, bound, func(bctx context.Context) (*join.ACTJoiner, error) {
-		return join.NewACTJoinerCtx(bctx, e.regions, e.domain, Hilbert, bound, 0)
+		return join.NewACTJoinerCtx(bctx, e.regions, e.domain, Hilbert, bound, 0, workers)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("distbound: building ACT index: %w", err)
@@ -602,11 +605,8 @@ func (e *Engine) actJoinerCtx(ctx context.Context, bound float64) (*join.ACTJoin
 	return aj, nil
 }
 
-// brjJoinerCtx returns the mask-cached raster joiner for the bound. A cold
-// build fans out across the caller's worker budget — the configured fan-out
-// for Do, 1 from the batch pool — so mask renders never exceed the
-// parallelism the query itself was granted; canceling ctx abandons the wait
-// (and the build itself, once no caller remains interested in it).
+// brjJoinerCtx returns the mask-cached raster joiner for the bound, its cold
+// build under the same worker budget and cancellation rule as actJoinerCtx.
 func (e *Engine) brjJoinerCtx(ctx context.Context, bound float64, workers int) (*join.BRJJoiner, error) {
 	bj, err := e.brj.GetOrBuildCtx(ctx, bound, func(bctx context.Context) (*join.BRJJoiner, error) {
 		return join.NewBRJJoinerCtx(bctx, e.regions, e.domain.Bounds(), bound, 0, workers)

@@ -61,9 +61,14 @@ func (n *node) child(slot uint16) *node {
 }
 
 func (n *node) ensureChild(slot uint16) *node {
-	i := sort.Search(len(n.slots), func(i int) bool { return n.slots[i] >= slot })
-	if i < len(n.slots) && n.slots[i] == slot {
-		return n.kids[i]
+	// A region's cells arrive in ascending curve order, so the slot is
+	// usually the last child or past it; search only when it is neither.
+	i := len(n.slots)
+	if i > 0 && slot <= n.slots[i-1] {
+		i = sort.Search(i, func(i int) bool { return n.slots[i] >= slot })
+		if n.slots[i] == slot {
+			return n.kids[i]
+		}
 	}
 	c := &node{}
 	n.slots = append(n.slots, 0)

@@ -217,31 +217,38 @@ func Blend(dst, src *Canvas, f BlendFunc) error {
 	return nil
 }
 
-// DotSum returns Σ a[p]·b[p] over the overlap of the two windows — the
-// blend-with-BlendMul-then-Sum step of the raster join as one read-only
-// pass. Neither canvas is written, so a cached region mask can be shared by
-// any number of concurrent joins. The iteration order matches Blend
-// followed by Sum restricted to the overlap, so results are bit-identical
-// to the mutating form.
-func DotSum(a, b *Canvas) (float64, error) {
-	if a.G != b.G {
-		return 0, fmt.Errorf("canvas: dot-sum across different grids")
+// DotSums returns Σ m[p]·a[p] and, when b is non-nil, Σ m[p]·b[p] over the
+// overlap of m's window with a's — the blend-with-BlendMul-then-Sum step of
+// the raster join as one read-only pass that reads the mask once for both
+// point channels; b must share a's window, as the count and weight canvases
+// of one tile do. No canvas is written, so a cached region mask can be shared
+// by any number of concurrent joins. Each channel is accumulated in the
+// row-major order of Blend followed by Sum restricted to the overlap, so
+// either result is bit-identical to the mutating form.
+func DotSums(m, a, b *Canvas) (sa, sb float64, err error) {
+	if m.G != a.G || b != nil && (b.G != a.G || b.X0 != a.X0 || b.Y0 != a.Y0 || b.W != a.W || b.H != a.H) {
+		return 0, 0, fmt.Errorf("canvas: dot-sum across different grids or point-channel windows")
 	}
-	x0 := max(a.X0, b.X0)
-	y0 := max(a.Y0, b.Y0)
-	x1 := min(a.X0+a.W, b.X0+b.W)
-	y1 := min(a.Y0+a.H, b.Y0+b.H)
-	var s float64
-	for gy := y0; gy < y1; gy++ {
-		ai := a.idx(x0, gy)
-		bi := b.idx(x0, gy)
-		for gx := x0; gx < x1; gx++ {
-			s += a.Pix[ai] * b.Pix[bi]
-			ai++
-			bi++
+	x0, y0 := max(m.X0, a.X0), max(m.Y0, a.Y0)
+	n := min(m.X0+m.W, a.X0+a.W) - x0
+	y1 := min(m.Y0+m.H, a.Y0+a.H)
+	for gy := y0; gy < y1 && n > 0; gy++ {
+		mi, ai := m.idx(x0, gy), a.idx(x0, gy)
+		mrow := m.Pix[mi : mi+n]
+		arow := a.Pix[ai : ai+n][:len(mrow)]
+		if b == nil {
+			for i, v := range mrow {
+				sa += v * arow[i]
+			}
+			continue
+		}
+		brow := b.Pix[ai : ai+n][:len(mrow)]
+		for i, v := range mrow {
+			sa += v * arow[i]
+			sb += v * brow[i]
 		}
 	}
-	return s, nil
+	return sa, sb, nil
 }
 
 // Mask zeroes every pixel of c for which pred(mask value at that pixel) is

@@ -346,3 +346,58 @@ func TestBRJStyleComposition(t *testing.T) {
 		t.Fatal("degenerate test: no points inside")
 	}
 }
+
+// TestDotSumsMatchesBlendThenSum: each channel of the read-only kernel is the
+// mutating form — Blend with BlendMul, then Sum — bit for bit, with or without
+// the second channel, over a mask that only partly overlaps the point canvas.
+func TestDotSumsMatchesBlendThenSum(t *testing.T) {
+	g := Grid{Origin: geom.Pt(0, 0), PixelSize: 1}
+	rng := rand.New(rand.NewSource(9))
+	fill := func(c *Canvas) *Canvas {
+		for i := range c.Pix {
+			c.Pix[i] = rng.Float64()
+		}
+		return c
+	}
+	newCanvas := func(x0, y0, w, h int) *Canvas {
+		c, err := NewCanvas(g, x0, y0, w, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fill(c)
+	}
+	a, b := newCanvas(0, 0, 30, 20), newCanvas(0, 0, 30, 20)
+	for _, m := range []*Canvas{newCanvas(5, 5, 10, 8), newCanvas(-4, 12, 12, 20), newCanvas(40, 40, 3, 3)} {
+		blendSum := func(pts *Canvas) float64 {
+			j := m.Clone()
+			for i := range j.Pix {
+				j.Pix[i] = 0 // outside the overlap the product is with an empty pixel
+			}
+			if err := Blend(j, pts, BlendOver); err != nil {
+				t.Fatal(err)
+			}
+			if err := Blend(j, m, BlendMul); err != nil {
+				t.Fatal(err)
+			}
+			return j.Sum()
+		}
+		sa, sb, err := DotSums(m, a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sa != blendSum(a) || sb != blendSum(b) {
+			t.Errorf("mask at (%d,%d): DotSums %v, %v; blend-then-sum %v, %v", m.X0, m.Y0, sa, sb, blendSum(a), blendSum(b))
+		}
+		if alone, zero, err := DotSums(m, a, nil); err != nil || alone != sa || zero != 0 {
+			t.Errorf("mask at (%d,%d): one channel %v, %v (%v), want %v, 0", m.X0, m.Y0, alone, zero, err, sa)
+		}
+	}
+	m := newCanvas(0, 0, 4, 4)
+	if _, _, err := DotSums(m, a, newCanvas(1, 0, 30, 20)); err == nil {
+		t.Error("point channels over different windows accepted")
+	}
+	other, _ := NewCanvas(Grid{PixelSize: 2}, 0, 0, 4, 4)
+	if _, _, err := DotSums(other, a, nil); err == nil {
+		t.Error("mask on a different grid accepted")
+	}
+}

@@ -18,15 +18,15 @@ import (
 //
 // When the required canvas resolution exceeds MaxTextureSize — exactly the
 // situation the paper hits at a 1 m bound — the canvas is subdivided and the
-// join runs one pass per tile, which is what bends the cost curve upward at
-// small bounds in Figure 7. Tiles own disjoint pixels, so passes can also
-// run concurrently (BRJJoiner.AggregateMulti).
+// join runs one pass per tile, one tile after another, which is what bends
+// the cost curve upward at small bounds in Figure 7.
 //
-// BRJ is the one-shot driver over the pass kernel below (brjPass): one tile
-// at a time it scatters the tile's points, then renders each region's mask,
-// folds it in and drops it, so a single mask is resident at any moment.
-// BRJJoiner drives the same kernel and differs in retention alone: it renders
-// every mask once and keeps them for any number of point sets.
+// BRJ is the one-shot driver over the pass kernel below (brjPass): per tile
+// it scatters the tile's points onto fresh canvases, then renders each
+// region's mask, folds it in and drops it, so a single mask is resident at
+// any moment. BRJJoiner drives the same kernel and differs in what it keeps:
+// every mask, rendered once, and one pair of point canvases that a pass
+// un-scatters instead of reallocating.
 type BRJ struct {
 	// Bound is the distance bound (pixel diagonal = Bound).
 	Bound float64
@@ -49,9 +49,10 @@ type BRJStats struct {
 // brjPass is the pass geometry of a tiled raster join — the pixel grid, the
 // extent's pixel range and the texture cap that cuts it into tiles — and,
 // through its methods, the kernel both drivers run per tile: scatter the
-// tile's points, renderMask a region in the tile's window, foldMask it into
-// the running sums. The one-shot BRJ and the cached BRJJoiner hold a brjPass
-// each, so their passes agree by construction.
+// tile's points, renderMask a region in the tile's window, foldMask it — one
+// read of the mask for the count and the sum — into the running sums. The
+// one-shot BRJ and the cached BRJJoiner hold a brjPass each, so their passes
+// agree by construction.
 type brjPass struct {
 	grid           canvas.Grid
 	x0, y0, x1, y1 int
@@ -121,18 +122,29 @@ func (p brjPass) bucketByTile(ps PointSet) [][]int32 {
 	return buckets
 }
 
-// scatter renders one tile's point canvases: per-pixel counts always and,
-// when some aggregate sums, per-pixel weights (two color channels of the
-// paper's off-screen buffer).
-func (p brjPass) scatter(ctx context.Context, t tileGeom, ps PointSet, needSum bool, bucket []int32) (ptCount, ptSum *canvas.Canvas, err error) {
-	done := ctx.Done()
-	if ptCount, err = canvas.NewCanvas(p.grid, t.x0, t.y0, t.w, t.h); err != nil {
-		return nil, nil, err
+// brjScratch backs one pass's point canvases — per-pixel counts and, once
+// some aggregate has summed, per-pixel weights (two color channels of the
+// paper's off-screen buffer) — sized for the largest tile and all zero
+// between passes, so it serves one tile after another. The zero value
+// allocates on first use.
+type brjScratch struct{ count, sum []float64 }
+
+// window is buf as tile t's canvas, allocated for the largest tile if absent.
+func (p brjPass) window(buf *[]float64, t tileGeom) *canvas.Canvas {
+	if *buf == nil {
+		*buf = make([]float64, min(p.maxTex, p.x1-p.x0+1)*min(p.maxTex, p.y1-p.y0+1))
 	}
+	return &canvas.Canvas{G: p.grid, X0: t.x0, Y0: t.y0, W: t.w, H: t.h, Pix: (*buf)[:t.w*t.h]}
+}
+
+// scatter renders one tile's point canvases onto sc, which must be all zero:
+// counts always and, when some aggregate sums, weights. On an error sc is
+// left partly written and must be dropped.
+func (p brjPass) scatter(ctx context.Context, sc *brjScratch, t tileGeom, ps PointSet, needSum bool, bucket []int32) (ptCount, ptSum *canvas.Canvas, err error) {
+	done := ctx.Done()
+	ptCount = p.window(&sc.count, t)
 	if needSum {
-		if ptSum, err = canvas.NewCanvas(p.grid, t.x0, t.y0, t.w, t.h); err != nil {
-			return nil, nil, err
-		}
+		ptSum = p.window(&sc.sum, t)
 	}
 	for bi, pi := range bucket {
 		if bi&cancelCheckMask == 0 && canceled(done) {
@@ -145,6 +157,18 @@ func (p brjPass) scatter(ctx context.Context, t tileGeom, ps PointSet, needSum b
 		}
 	}
 	return ptCount, ptSum, nil
+}
+
+// unscatter replays the bucket and zeroes every pixel scatter wrote — the
+// cost of the points, not of the tile's pixels.
+func (p brjPass) unscatter(ptCount, ptSum *canvas.Canvas, ps PointSet, bucket []int32) {
+	for _, pi := range bucket {
+		gx, gy := p.grid.PixelOf(ps.Pts[pi])
+		ptCount.Set(gx, gy, 0)
+		if ptSum != nil {
+			ptSum.Set(gx, gy, 0)
+		}
+	}
 }
 
 // renderMask renders a region onto a fresh canvas over its bounds clipped to
@@ -175,21 +199,18 @@ func (p brjPass) renderMask(t tileGeom, rg geom.Region, boundary bool) (*canvas.
 }
 
 // foldMask adds mask·points to region ri's running count and, when the
-// weight canvas is present, sum: the blend-and-sum of Figure 5 as read-only
-// dot products, so the mask may be dropped or kept.
+// weight canvas is present, sum: the blend-and-sum of Figure 5 as one
+// read-only pass over the mask feeding both channels, so the mask may be
+// dropped or kept.
 func foldMask(mask, ptCount, ptSum *canvas.Canvas, ri int, counts, sums []float64) error {
-	if ptSum != nil {
-		s, err := canvas.DotSum(mask, ptSum)
-		if err != nil {
-			return err
-		}
-		sums[ri] += s
-	}
-	c, err := canvas.DotSum(mask, ptCount)
+	c, s, err := canvas.DotSums(mask, ptCount, ptSum)
 	if err != nil {
 		return err
 	}
 	counts[ri] += c
+	if ptSum != nil {
+		sums[ri] += s
+	}
 	return nil
 }
 
@@ -269,7 +290,7 @@ func (b BRJ) run(ps PointSet, regions []geom.Region, agg Agg, withRange bool) (R
 //
 //distbound:allow-background the one-shot join is context-free; callers hold no context to thread
 func (p brjPass) renderAndFold(t tileGeom, ps PointSet, regions []geom.Region, needSum bool, bucket []int32, counts, sums, boundaryCounts []float64) (maskPixels int64, err error) {
-	ptCount, ptSum, err := p.scatter(context.Background(), t, ps, needSum, bucket)
+	ptCount, ptSum, err := p.scatter(context.Background(), &brjScratch{}, t, ps, needSum, bucket)
 	if err != nil {
 		return 0, err
 	}

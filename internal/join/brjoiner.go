@@ -2,6 +2,7 @@ package join
 
 import (
 	"context"
+	"sync/atomic"
 
 	"distbound/internal/canvas"
 	"distbound/internal/geom"
@@ -17,15 +18,24 @@ import (
 // BRJJoiner per distance bound and pays only the point-canvas scatter and
 // the mask·points dot products per query.
 //
-// It drives the same pass kernel as the one-shot BRJ (brjPass) and differs
-// in retention alone, so counts — and, on one worker, sums — are bit-identical
-// to BRJ.Run on the same inputs.
+// It drives the same pass kernel as the one-shot BRJ (brjPass) and differs in
+// what it retains: every mask, and at most one pair of point canvases, which
+// a pass un-scatters rather than reallocates. That pair is all a call writes:
+// it swaps the pair out of the joiner for its whole run (a concurrent call
+// finds none and allocates its own) and puts it back, after a run that
+// succeeded, if the slot is still empty — so no two concurrent calls share.
+//
+// Tiles run one after another and the workers split a tile's masks: the
+// bounds the planner sends here fit one tile, where tile parallelism is one
+// core. A region spanning several tiles is thereby summed in tile order, so
+// counts and sums are bit-identical to BRJ.Run's at every worker count.
 type BRJJoiner struct {
 	bound float64
 	brjPass
 	tiles      [][]brjCachedMask // per tile, the pre-rendered masks of the regions that meet it
 	numReg     int
 	maskPixels int64
+	scratch    atomic.Pointer[brjScratch] // the retained point canvases, all zero and never written while here
 }
 
 // brjCachedMask is one region's mask clipped to a tile.
@@ -97,13 +107,18 @@ func (j *BRJJoiner) Bound() float64 { return j.bound }
 // the whole extent, not one run).
 func (j *BRJJoiner) Stats() BRJStats { return j.stats(j.maskPixels) }
 
-// MemoryBytes returns the footprint of the cached mask canvases: one float64
-// per mask pixel.
-func (j *BRJJoiner) MemoryBytes() int { return 8 * int(j.maskPixels) }
+// MemoryBytes returns the footprint of the cached mask canvases — one float64
+// per mask pixel — plus the point canvases retained between calls.
+func (j *BRJJoiner) MemoryBytes() int {
+	n := 8 * int(j.maskPixels)
+	if sc := j.scratch.Load(); sc != nil {
+		n += 8 * (len(sc.count) + len(sc.sum))
+	}
+	return n
+}
 
 // Aggregate runs the raster join against the cached masks, sequentially: the
-// single-aggregate, single-worker form of AggregateMulti. The receiver is
-// never written, so concurrent calls are safe.
+// single-aggregate, single-worker form of AggregateMulti.
 //
 //distbound:allow-background context-free convenience over AggregateMulti; callers hold no context to thread
 func (j *BRJJoiner) Aggregate(ps PointSet, agg Agg) (Result, error) {
@@ -112,23 +127,4 @@ func (j *BRJJoiner) Aggregate(ps PointSet, agg Agg) (Result, error) {
 		return Result{}, err
 	}
 	return rs[0], nil
-}
-
-// runTile scatters one tile's points onto fresh point canvases and folds the
-// cached masks in.
-func (j *BRJJoiner) runTile(ctx context.Context, ps PointSet, needSum bool, ti int, bucket []int32, counts, sums []float64) error {
-	done := ctx.Done()
-	ptCount, ptSum, err := j.scatter(ctx, j.tile(ti), ps, needSum, bucket)
-	if err != nil {
-		return err
-	}
-	for _, m := range j.tiles[ti] {
-		if canceled(done) {
-			return ctx.Err()
-		}
-		if err := foldMask(m.mask, ptCount, ptSum, int(m.region), counts, sums); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -280,10 +280,13 @@ func (j *RStarJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Ag
 }
 
 // AggregateMulti is the multi-aggregate form of the cached-mask raster join:
-// one point scatter per tile feeds the count and (when needed) sum canvases,
-// and each region mask is dotted against both in one visit. MIN/MAX cannot
-// run on additive canvases and are rejected, exactly as in the single-
-// aggregate form.
+// tile after tile, one point scatter feeds the count and (when needed) sum
+// canvases and the tile's masks are folded in — split over the workers by
+// pixel weight, each mask read once for both canvases by one worker, each
+// region's slot of counts and sums therefore written by one. Results are
+// bit-identical at every worker count. MIN/MAX cannot run on additive
+// canvases and are rejected, exactly as in the single-aggregate form. A failed
+// or canceled run drops its point canvases; any other puts them back zeroed.
 func (j *BRJJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg, workers int) ([]Result, error) {
 	if err := ps.validateAggs(aggs); err != nil {
 		return nil, err
@@ -293,48 +296,42 @@ func (j *BRJJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 			return nil, fmt.Errorf("join: BRJ supports COUNT/SUM/AVG, not %v", a)
 		}
 	}
-	needs := needsOf(aggs)
-
-	// Bucket points into tiles; tiles without points (or masks) contribute
-	// nothing and are skipped.
-	buckets := j.bucketByTile(ps)
-	jobs := make([]int, 0, len(j.tiles))
-	for ti := range j.tiles {
-		if len(buckets[ti]) > 0 && len(j.tiles[ti]) > 0 {
-			jobs = append(jobs, ti)
-		}
-	}
-	workers = pool.Workers(workers, len(jobs))
-
-	// Worker-local accumulators, merged in worker order after the pool
-	// drains so counts stay deterministic.
-	type partial struct{ counts, sums []float64 }
-	locals := make([]partial, workers)
-	for w := range locals {
-		locals[w] = partial{counts: make([]float64, j.numReg)}
-		if needs.sum {
-			locals[w].sums = make([]float64, j.numReg)
-		}
-	}
-	err := pool.RunCtx(ctx, len(jobs), workers, func(w, k int) error {
-		ti := jobs[k]
-		return j.runTile(ctx, ps, needs.sum, ti, buckets[ti], locals[w].counts, locals[w].sums)
-	})
-	if err != nil {
-		return nil, err
-	}
+	needSum, done := needsOf(aggs).sum, ctx.Done()
 	counts := make([]float64, j.numReg)
 	sums := make([]float64, j.numReg)
-	for _, p := range locals {
-		for i := range counts {
-			counts[i] += p.counts[i]
-		}
-		if p.sums != nil {
-			for i := range sums {
-				sums[i] += p.sums[i]
-			}
-		}
+	var sc brjScratch
+	if retained := j.scratch.Swap(nil); retained != nil {
+		sc = *retained
 	}
+	for ti, bucket := range j.bucketByTile(ps) {
+		masks := j.tiles[ti]
+		if len(bucket) == 0 || len(masks) == 0 {
+			continue // no points or no masks: the tile contributes nothing
+		}
+		ptCount, ptSum, err := j.scatter(ctx, &sc, j.tile(ti), ps, needSum, bucket)
+		if err != nil {
+			return nil, err
+		}
+		shards := pool.SplitWeighted(len(masks), pool.Workers(workers, len(masks)), func(i int) int64 {
+			return int64(len(masks[i].mask.Pix))
+		})
+		err = pool.RunCtx(ctx, len(shards), len(shards), func(_, s int) error {
+			for _, m := range masks[shards[s][0]:shards[s][1]] {
+				if canceled(done) {
+					return ctx.Err()
+				}
+				if err := foldMask(m.mask, ptCount, ptSum, int(m.region), counts, sums); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		j.unscatter(ptCount, ptSum, ps, bucket)
+	}
+	j.scratch.CompareAndSwap(nil, &sc)
 
 	out := make([]Result, len(aggs))
 	for k, agg := range aggs {

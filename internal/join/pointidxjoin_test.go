@@ -90,7 +90,7 @@ func TestACTBuildUnchangedByDescent(t *testing.T) {
 		{16, 1294318, 637893, 20160532},
 		{64, 315538, 159129, 3659408},
 	} {
-		j, err := NewACTJoinerCtx(context.Background(), regions, data.CityDomain(), sfc.Hilbert{}, want.eps, 0)
+		j, err := NewACTJoinerCtx(context.Background(), regions, data.CityDomain(), sfc.Hilbert{}, want.eps, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -180,3 +180,34 @@ func BenchmarkCoverBuild(b *testing.B) {
 		})
 	}
 }
+
+// benchBRJJoinerRun is the repository benchmark's raster-join shape —
+// {count,sum} at ε64 over a 50 k-point slice of the 16×16×12 partition's
+// extent, masks cached, point canvases warm — on the given worker count.
+func benchBRJJoinerRun(b *testing.B, workers int) {
+	pts, weights := data.TaxiPoints(1, 50_000)
+	ps := PointSet{Pts: pts, Weights: weights}
+	regions := data.Regions(data.Partition(1, 16, 16, 12))
+	j, err := NewBRJJoiner(regions, data.CityDomain().Bounds(), 64, 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, aggs := context.Background(), []Agg{Count, Sum}
+	if _, err := j.AggregateMulti(ctx, ps, aggs, workers); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := j.AggregateMulti(ctx, ps, aggs, workers); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBRJJoinerRun times the warm raster join of adhoc_join's slowest
+// shape. bytes/op must stay unrelated to the tile's pixel count: the point
+// canvases are retained and un-scattered, not reallocated.
+func BenchmarkBRJJoinerRun(b *testing.B) {
+	b.Run("e64", func(b *testing.B) { benchBRJJoinerRun(b, 0) })
+}

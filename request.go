@@ -498,7 +498,7 @@ func (e *Engine) executeMulti(ctx context.Context, req Request, strategy Strateg
 		return err
 	case StrategyACT:
 		tb := time.Now()
-		aj, err := e.actJoinerCtx(ctx, req.Bound)
+		aj, err := e.actJoinerCtx(ctx, req.Bound, workers)
 		resp.Build = time.Since(tb)
 		if err != nil {
 			return err
