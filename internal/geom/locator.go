@@ -106,6 +106,21 @@ func (rl *ringLocator) containsPoint(p Point) bool {
 	return inside
 }
 
+// MemoryBytes estimates the locator's footprint: its bucket tables and the
+// edge copies in them, not the region's rings.
+func (l *PointLocator) MemoryBytes() int {
+	b := 56 + 56*len(l.polys)
+	for _, pl := range l.polys {
+		for _, rl := range pl.rings {
+			b += 64 + 24*len(rl.buckets)
+			for _, bk := range rl.buckets {
+				b += 32 * cap(bk)
+			}
+		}
+	}
+	return b
+}
+
 // ContainsPoint reports what the indexed region's ContainsPoint reports, by
 // the rules of MultiPolygon.ContainsPoint and Polygon.ContainsPoint.
 func (l *PointLocator) ContainsPoint(pt Point) bool {

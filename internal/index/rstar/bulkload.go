@@ -72,10 +72,3 @@ func packInternalLevel(children []*node, fanout int) []*node {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -356,9 +356,30 @@ func (n *node) search(q geom.Rect, fn func(it Item) bool) bool {
 }
 
 // SearchPoint calls fn for every item whose rect contains p — the MBR
-// filtering step of the paper's filter-and-refine baselines.
+// filtering step of the paper's filter-and-refine baselines — in the order
+// SearchRect visits them for the rect {p, p}.
 func (t *Tree) SearchPoint(p geom.Point, fn func(it Item) bool) {
-	t.SearchRect(geom.Rect{Min: p, Max: p}, fn)
+	t.root.searchPoint(p, fn)
+}
+
+func (n *node) searchPoint(p geom.Point, fn func(it Item) bool) bool {
+	if !n.bounds.ContainsPoint(p) {
+		return true
+	}
+	if n.leaf {
+		for _, it := range n.items {
+			if it.Rect.ContainsPoint(p) && !fn(it) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, c := range n.children {
+		if !c.searchPoint(p, fn) {
+			return false
+		}
+	}
+	return true
 }
 
 // CountRect returns the number of items intersecting q.

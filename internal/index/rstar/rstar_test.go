@@ -1,6 +1,7 @@
 package rstar
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -136,6 +137,75 @@ func TestSearchPoint(t *testing.T) {
 	tr.SearchPoint(geom.Pt(12, 12), func(it Item) bool { got = append(got, it.ID); return true })
 	if len(got) != 1 || got[0] != 2 {
 		t.Errorf("SearchPoint(12,12) = %v", got)
+	}
+}
+
+// TestSearchPointMatchesSearchRect: the point probe visits exactly the items
+// the rect search visits for {p, p}, in the same order, and stops where it
+// stops — on bulk-loaded and insert-built trees (the latter through forced
+// reinsertion and splits), with zero-width and zero-area items, on the empty
+// tree, at item corners, edge midpoints and centres, and at NaN.
+func TestSearchPointMatchesSearchRect(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	items := make([]Item, 3000)
+	for i := range items {
+		// A coarse lattice, so corners and edges are shared between items.
+		lo := geom.Pt(float64(rng.Intn(60)), float64(rng.Intn(60)))
+		w, h := float64(rng.Intn(6)), float64(rng.Intn(6))
+		switch i % 5 {
+		case 0:
+			w = 0
+		case 1:
+			w, h = 0, 0
+		}
+		items[i] = Item{Rect: geom.Rect{Min: lo, Max: geom.Pt(lo.X+w, lo.Y+h)}, ID: int32(i)}
+	}
+	inserted := New(8)
+	for _, it := range items {
+		inserted.Insert(it)
+	}
+	trees := map[string]*Tree{
+		"bulk16":   BulkLoad(items, 16),
+		"bulk4":    BulkLoad(items, 4),
+		"inserted": inserted,
+		"empty":    New(0),
+		"bulkNone": BulkLoad(nil, 0),
+	}
+	nan := math.NaN()
+	probes := []geom.Point{{X: nan, Y: nan}, {X: nan, Y: 3}, {X: 3, Y: nan}, {X: -1, Y: -1}}
+	for _, it := range items[:400] {
+		r := it.Rect
+		for _, p := range r.Corners() {
+			probes = append(probes, p)
+		}
+		for _, e := range r.Edges() {
+			probes = append(probes, e.Midpoint())
+		}
+		probes = append(probes, r.Center())
+	}
+	for name, tr := range trees {
+		for _, p := range probes {
+			for _, stopAt := range []int{0, 1, 3} { // 0: never stop early
+				collect := func(search func(func(Item) bool)) []Item {
+					var got []Item
+					search(func(it Item) bool {
+						got = append(got, it)
+						return len(got) != stopAt
+					})
+					return got
+				}
+				want := collect(func(fn func(Item) bool) { tr.SearchRect(geom.Rect{Min: p, Max: p}, fn) })
+				got := collect(func(fn func(Item) bool) { tr.SearchPoint(p, fn) })
+				if len(got) != len(want) {
+					t.Fatalf("%s at %v (stop at %d): %d items, rect search %d", name, p, stopAt, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s at %v: item %d is %v, rect search %v", name, p, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -258,19 +258,19 @@ func (j *ACTJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 }
 
 // AggregateMulti is the multi-aggregate form of the exact filter-and-refine
-// join: one R*-tree descent and one PIP refinement per point, shared by all
-// aggregates.
+// join: one R*-tree point probe per point and one refinement per candidate,
+// shared by all aggregates.
 func (j *RStarJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg, workers int) ([]Result, error) {
 	if err := ps.validateAggs(aggs); err != nil {
 		return nil, err
 	}
-	return pointShardFold(ctx, len(ps.Pts), workers, len(j.regions), aggs, func() func(int, *acc) {
+	return pointShardFold(ctx, len(ps.Pts), workers, len(j.refine), aggs, func() func(int, *acc) {
 		return func(i int, part *acc) {
 			p := ps.Pts[i]
 			w := ps.weight(i)
 			j.tree.SearchPoint(p, func(it rstar.Item) bool {
 				// Refinement: the exact PIP test the approximate joins skip.
-				if j.regions[it.ID].ContainsPoint(p) {
+				if j.refine[it.ID].ContainsPoint(p) {
 					part.add(int(it.ID), w)
 				}
 				return true

@@ -211,3 +211,25 @@ func benchBRJJoinerRun(b *testing.B, workers int) {
 func BenchmarkBRJJoinerRun(b *testing.B) {
 	b.Run("e64", func(b *testing.B) { benchBRJJoinerRun(b, 0) })
 }
+
+// benchRStarJoiner is the repository benchmark's exact shape — {count} over a
+// 50 k-point slice of the 16×16×12 partition's extent, R*-tree filter plus
+// exact refinement — on one worker.
+func benchRStarJoiner(b *testing.B) {
+	pts, _ := data.TaxiPoints(1, 50_000)
+	ps := PointSet{Pts: pts}
+	j := NewRStarJoiner(data.Regions(data.Partition(1, 16, 16, 12)), 0)
+	ctx, aggs := context.Background(), []Agg{Count}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := j.AggregateMulti(ctx, ps, aggs, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRStarJoiner times the exact join of adhoc_join's ε = 0 shape.
+func BenchmarkRStarJoiner(b *testing.B) {
+	b.Run("benchset", benchRStarJoiner)
+}
