@@ -316,11 +316,6 @@ func BenchmarkResident(b *testing.B) {
 	pts, weights := data.TaxiPoints(1, benchPoints)
 	regions := data.Regions(data.Census(13, benchCensus))
 	e := NewEngine(regions)
-	// Single-threaded on both sides: the streaming baseline below is the
-	// sequential ACT join, so the resident path must not get intra-query
-	// parallelism the baseline is denied — the measured gap is then the
-	// strategy's, not the core count's.
-	e.SetWorkers(1)
 	// This benchmark (and CI's allocs/op gate on it) measures the executed
 	// resident path; the result cache would serve every repeat warm.
 	// BenchmarkCachedDo measures the cache.
@@ -344,7 +339,11 @@ func BenchmarkResident(b *testing.B) {
 				}
 			}
 		})
-		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Repetitions: 100000}
+		// Single-threaded on both sides: the streaming baseline above is the
+		// sequential ACT join, so the resident path must not get intra-query
+		// parallelism the baseline is denied — the measured gap is then the
+		// strategy's, not the core count's.
+		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Repetitions: 100000, Workers: 1}
 		// Warm the cover artifact and the joiner's partials: the warm
 		// resident Do — snapshot, two atomic loads, one O(regions) merge —
 		// is the zero-alloc acceptance gate, and CI fails this benchmark on
@@ -367,7 +366,7 @@ func BenchmarkResident(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, bound := range []float64{8, 16} {
-		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Repetitions: 100000}
+		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Repetitions: 100000, Workers: 1}
 		b.Run(fmt.Sprintf("resident-pointidx-delta/bound=%g", bound), func(b *testing.B) {
 			benchResidentDo(b, e, req, nil)
 		})
@@ -555,7 +554,6 @@ func BenchmarkMultiAgg(b *testing.B) {
 	pts, weights := data.TaxiPoints(1, benchPoints)
 	regions := data.Regions(data.Census(13, benchCensus))
 	e := NewEngine(regions)
-	e.SetWorkers(1)
 	// Both sides measure execution; the result cache would serve the
 	// repeats warm and time nothing.
 	e.SetResultCacheCapacity(0)
@@ -568,13 +566,13 @@ func BenchmarkMultiAgg(b *testing.B) {
 	pidx := StrategyPointIdx
 	allAggs := []Agg{Count, Sum, Avg, Min, Max}
 	// Warm the cover artifact so both sides measure probes only.
-	if _, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Strategy: &pidx}); err != nil {
+	if _, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Strategy: &pidx, Workers: 1}); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("single-pass", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: allAggs, Bound: bound, Strategy: &pidx})
+			resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: allAggs, Bound: bound, Strategy: &pidx, Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -588,7 +586,7 @@ func BenchmarkMultiAgg(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, agg := range allAggs {
-				resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{agg}, Bound: bound, Strategy: &pidx})
+				resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{agg}, Bound: bound, Strategy: &pidx, Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -26,11 +26,10 @@
 //	idx, err := distbound.NewPolygonIndex(regions, 4 /* meters */)
 //	region := idx.Lookup(distbound.Pt(x, y)) // no PIP test, error ≤ 4 m
 //
-// For serving workloads, [Engine.Do] is the unified entry point: one
-// [Request] carries a target (ad-hoc points or a registered dataset), a set
-// of aggregates answered in a single pass, and a context whose cancellation
-// unwinds the query promptly; [Engine.DoBatch] shards many requests across
-// a worker pool.
+// For serving workloads, [Engine.Do] is the one entry point: one [Request]
+// carries a target (ad-hoc points or a registered dataset), a set of
+// aggregates answered in a single pass, and a context whose cancellation
+// unwinds the query promptly.
 package distbound
 
 import (

@@ -25,13 +25,6 @@ const (
 	StrategyPointIdx = planner.StrategyPointIdx
 )
 
-// CostModel holds the planner's per-operation constants.
-type CostModel = planner.CostModel
-
-// DefaultCostModel returns the reference-machine cost constants every new
-// engine starts with.
-func DefaultCostModel() CostModel { return planner.DefaultCostModel() }
-
 // Artifact cache capacities, in distinct bounds. A long-running server that
 // has seen more bounds than a cache holds evicts the least recently used
 // artifact instead of accumulating one per bound forever.
@@ -63,8 +56,7 @@ const (
 // Do is the entry point: one Request names a target (an ad-hoc PointSet or
 // a registered *Dataset), a set of aggregates answered in a single pass,
 // the bound, and optional per-request overrides, under a context whose
-// cancellation unwinds the query promptly. DoBatch shards many requests
-// across a worker pool.
+// cancellation unwinds the query promptly.
 //
 // Engine is a serving layer: all methods are safe for concurrent use by any
 // number of goroutines. Lazily built artifacts (the R*-tree, one ACT trie
@@ -78,10 +70,6 @@ type Engine struct {
 	regions []Region
 	domain  Domain
 	stats   planner.RegionStats // precomputed once; regions are immutable
-
-	mu      sync.RWMutex // guards model and workers
-	model   planner.CostModel
-	workers int
 
 	exactOnce sync.Once
 	exact     atomic.Pointer[join.RStarJoiner]
@@ -99,7 +87,7 @@ type Engine struct {
 	// age out of the LRU.
 	results *cache.ShardedLRU[resultKey, *cachedResponse]
 
-	// scratch recycles respScratch instances across Do/DoBatch; together
+	// scratch recycles respScratch instances across Do calls; together
 	// with the joiner-level plan scratch it makes the warm resident path
 	// allocation-free for callers that Release their Responses.
 	scratch sync.Pool
@@ -121,7 +109,6 @@ func NewEngine(regions []Region) *Engine {
 		regions:  regions,
 		domain:   DomainForRegions(regions...),
 		stats:    planner.ComputeStats(regions),
-		model:    planner.DefaultCostModel(),
 		act:      cache.New[float64, *join.ACTJoiner](indexCacheCapacity),
 		brj:      cache.New[float64, *join.BRJJoiner](maskCacheCapacity),
 		datasets: map[string]*Dataset{},
@@ -130,55 +117,18 @@ func NewEngine(regions []Region) *Engine {
 	}
 }
 
-// SetCostModel overrides the planner constants (e.g. with ones measured on
-// the target machine).
-func (e *Engine) SetCostModel(m CostModel) {
-	e.mu.Lock()
-	e.model = m
-	e.mu.Unlock()
-}
-
-// SetWorkers fixes the intra-query fan-out: every Do call shards its point
-// set across this many goroutines. n ≤ 0 (the default) selects GOMAXPROCS; a
-// server that already runs many queries concurrently typically wants 1 to
-// avoid oversubscription. DoBatch ignores this setting — it parallelizes
-// across queries and runs each join single-threaded.
-func (e *Engine) SetWorkers(n int) {
-	e.mu.Lock()
-	e.workers = n
-	e.mu.Unlock()
-}
-
 // NumRegions returns how many regions the engine aggregates over — the
 // width of every result column.
 func (e *Engine) NumRegions() int { return len(e.regions) }
-
-// Workers returns the configured intra-query worker count (0 = GOMAXPROCS).
-func (e *Engine) Workers() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.workers
-}
-
-// costModel snapshots the planner constants.
-func (e *Engine) costModel() planner.CostModel {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.model
-}
 
 // cachedBuildsInto reports which strategies' build artifacts are resident
 // for the bound, so the planner charges no build cost for them. Only completed
 // builds count: an in-flight build has not been paid yet, and crediting it
 // would steer cheap one-shot queries into blocking on a slow build. It fills a
-// caller-reused map (allocating only when m is nil) — the warm planning path
-// charges no allocation for the residency probe.
+// caller-reused map — the warm planning path charges no allocation for the
+// residency probe.
 func (e *Engine) cachedBuildsInto(bound float64, m map[Strategy]bool) map[Strategy]bool {
-	if m == nil {
-		m = make(map[Strategy]bool, 4)
-	} else {
-		clear(m)
-	}
+	clear(m)
 	if e.exact.Load() != nil {
 		m[StrategyExact] = true
 	}
@@ -427,9 +377,6 @@ func (d *Dataset) Compact() {
 // default is DefaultCompactionThreshold.
 func (d *Dataset) SetCompactionThreshold(n int) { d.compactThreshold.Store(int64(n)) }
 
-// CompactionThreshold returns the current auto-compaction threshold.
-func (d *Dataset) CompactionThreshold() int { return int(d.compactThreshold.Load()) }
-
 // maybeCompact schedules a background compaction when the un-compacted
 // state crosses the threshold. The CAS guard keeps at most one compaction
 // goroutine per dataset in flight; that goroutine keeps compacting while
@@ -590,11 +537,10 @@ func (e *Engine) exactJoiner() *join.RStarJoiner {
 }
 
 // actJoinerCtx returns the ACT joiner for the bound, building it under the
-// cache's singleflight on a miss. A cold build rasterises across the caller's
-// worker budget — the configured fan-out for Do, 1 from the batch pool — so
-// it never exceeds the parallelism the query itself was granted; canceling
-// ctx abandons the wait (and the build itself, once no caller remains
-// interested in it).
+// cache's singleflight on a miss. A cold build rasterises across the
+// request's worker budget, so it never exceeds the parallelism the query
+// itself was granted; canceling ctx abandons the wait (and the build itself,
+// once no caller remains interested in it).
 func (e *Engine) actJoinerCtx(ctx context.Context, bound float64, workers int) (*join.ACTJoiner, error) {
 	aj, err := e.act.GetOrBuildCtx(ctx, bound, func(bctx context.Context) (*join.ACTJoiner, error) {
 		return join.NewACTJoinerCtx(bctx, e.regions, e.domain, Hilbert, bound, 0, workers)

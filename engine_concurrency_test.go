@@ -179,90 +179,3 @@ func TestEngineCachedBuildInformsPlanner(t *testing.T) {
 			warm.Strategy, warm.Costs)
 	}
 }
-
-// TestEngineAggregateBatch checks that the batched path is deterministic
-// across parallelism levels: identical strategies and counts for every
-// worker count. Caches are warmed (with capacities covering every bound)
-// first, so all batches plan against the same stable cache state.
-func TestEngineAggregateBatch(t *testing.T) {
-	ps, regions := facadeWorkload(20000)
-	e := NewEngine(regions)
-	e.brj.SetCapacity(8) // every bound stays resident: no eviction churn
-
-	mkQueries := func() []Request {
-		var qs []Request
-		for i := 0; i < 12; i++ {
-			qs = append(qs, Request{
-				Points: ps,
-				Aggs:   []Agg{Count},
-				Bound:  []float64{0, 16, 32, 64}[i%4],
-			})
-		}
-		return qs
-	}
-	doBatch := func(workers int) []Response {
-		resps, err := e.DoBatch(context.Background(), mkQueries(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resps
-	}
-
-	doBatch(4) // warm every bound's plan and index
-	queries := mkQueries()
-	seq := doBatch(1)
-	for _, workers := range []int{0, 4, 8} {
-		par := doBatch(workers)
-		for i := range queries {
-			if seq[i].Err != nil || par[i].Err != nil {
-				t.Fatalf("query %d: seq err %v, par err %v", i, seq[i].Err, par[i].Err)
-			}
-			if seq[i].Strategy != par[i].Strategy {
-				t.Fatalf("workers=%d query %d: strategy %v != sequential %v",
-					workers, i, par[i].Strategy, seq[i].Strategy)
-			}
-			for ri := range regions {
-				if seq[i].Results[0].Counts[ri] != par[i].Results[0].Counts[ri] {
-					t.Fatalf("workers=%d query %d region %d: %d != %d", workers, i, ri,
-						par[i].Results[0].Counts[ri], seq[i].Results[0].Counts[ri])
-				}
-			}
-		}
-	}
-}
-
-// TestEngineBatchAmortizesSharedBounds checks that same-bound multiplicity
-// inside a batch feeds the planner's repetition amortization: a batch of
-// one-shot queries at one fine bound should plan the indexed strategy where
-// a single one-shot query would not.
-func TestEngineBatchAmortizesSharedBounds(t *testing.T) {
-	regions := complexRegions()
-	ps, _ := facadeWorkload(20000)
-
-	single := NewEngine(regions).planOnly(adHoc(len(ps.Pts), Count, 16), 1)
-	if single.Strategy == StrategyACT {
-		t.Skip("single one-shot query already plans ACT; sharing not observable")
-	}
-
-	e := NewEngine(regions)
-	queries := make([]Request, 400)
-	for i := range queries {
-		queries[i] = Request{Points: ps, Aggs: []Agg{Count}, Bound: 16}
-	}
-	results, err := e.DoBatch(context.Background(), queries, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", i, r.Err)
-		}
-	}
-	if results[0].Strategy != StrategyACT {
-		t.Errorf("400 same-bound queries planned %v, expected the amortized ACT plan",
-			results[0].Strategy)
-	}
-	if st := e.act.Stats(); st.Builds > 1 {
-		t.Errorf("batch rebuilt the ACT index %d times", st.Builds)
-	}
-}

@@ -117,7 +117,6 @@ func TestWarmResidentDoAllocationFree(t *testing.T) {
 		t.Skip("the race detector randomizes sync.Pool reuse; allocation counts are meaningless under it")
 	}
 	e, ds, ps := requestFixture(t)
-	e.SetWorkers(1)
 	// The gate is about the executed warm path; a result-cache hit is
 	// trivially allocation-free and gated by TestCachedDoAllocationFree.
 	e.SetResultCacheCapacity(0)
@@ -126,7 +125,7 @@ func TestWarmResidentDoAllocationFree(t *testing.T) {
 	// The strategy is pinned: the gate is about the execution path, not the
 	// plan choice (the planner still runs and must not allocate either).
 	pidx := StrategyPointIdx
-	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum, Min}, Bound: 16, Repetitions: 100000, Strategy: &pidx}
+	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum, Min}, Bound: 16, Repetitions: 100000, Strategy: &pidx, Workers: 1}
 	for _, state := range []string{"compact", "delta, watermark current"} {
 		// Warm plan, covers, partials and pools.
 		for i := 0; i < 3; i++ {
@@ -157,13 +156,12 @@ func TestWarmResidentDoAllocationFree(t *testing.T) {
 // unreleased response's results are never overwritten by later requests.
 func TestResponseReleaseSemantics(t *testing.T) {
 	e, ds, _ := requestFixture(t)
-	e.SetWorkers(1)
 	// Scratch recycling is only observable on executed responses; cached
 	// hits deliberately never touch the pool (see resultcache.go).
 	e.SetResultCacheCapacity(0)
 	ctx := context.Background()
 	pidx := StrategyPointIdx
-	req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Strategy: &pidx}
+	req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Strategy: &pidx, Workers: 1}
 
 	var zero Response
 	zero.Release() // must not panic

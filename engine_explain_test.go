@@ -8,21 +8,14 @@ import (
 	"distbound/internal/data"
 )
 
-// explainFixture pins every input of the cost model: a deterministic region
-// set, a round-number cost model, and a fixed dataset size — so the rendered
-// plan text is stable and reviewable.
+// explainFixture pins every input of the cost model but its constants: a
+// deterministic region set and a fixed dataset size, planned on the default
+// model — so the rendered plan text is stable and reviewable, and a change
+// to the default constants shows here.
 func explainFixture(t *testing.T) (*Engine, *Dataset) {
 	t.Helper()
 	pts, weights := data.TaxiPoints(81, 50_000)
 	e := NewEngine(dataRegions(82, 4, 4, 8))
-	e.SetCostModel(CostModel{
-		TrieLookup:     400,
-		TrieCellBuild:  1000,
-		TreePointQuery: 500,
-		PIPPerVertex:   4,
-		PixelWrite:     2,
-		PointScatter:   20,
-	})
 	ds, err := e.RegisterPoints("taxi", pts, weights)
 	if err != nil {
 		t.Fatal(err)
@@ -37,9 +30,9 @@ func explainFixture(t *testing.T) (*Engine, *Dataset) {
 func TestExplainGolden(t *testing.T) {
 	e, _ := explainFixture(t)
 	got := e.planOnly(adHoc(50_000, Count, 16), 10).Explain()
-	const want = `* exact(R*)  build=0.0ms run=22.3ms total=223.3ms
-  act        build=191.9ms run=20.0ms total=391.9ms
-  brj        build=43.3ms run=111.9ms total=1161.9ms`
+	const want = `* exact(R*)  build=0.0ms run=23.6ms total=236.4ms
+  act        build=211.1ms run=22.5ms total=436.1ms
+  brj        build=54.2ms run=139.7ms total=1451.4ms`
 	if got != want {
 		t.Errorf("Explain drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
@@ -73,8 +66,8 @@ func TestResponseExplainGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantExtremeSet = `* exact(R*)  build=0.0ms run=22.3ms total=223.3ms
-  act        build=191.9ms run=20.0ms total=391.9ms`
+	const wantExtremeSet = `* exact(R*)  build=0.0ms run=23.6ms total=236.4ms
+  act        build=211.1ms run=22.5ms total=436.1ms`
 	if resp.Explain != wantExtremeSet {
 		t.Errorf("multi-agg Response.Explain drifted:\n--- got ---\n%s\n--- want ---\n%s",
 			resp.Explain, wantExtremeSet)

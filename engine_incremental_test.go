@@ -15,7 +15,6 @@ import (
 func TestResidentNeverFallsBackWhileWarm(t *testing.T) {
 	e, ds, ps := requestFixture(t)
 	e.SetResultCacheCapacity(0)
-	e.SetWorkers(1)
 	ds.Compact()
 	ctx := context.Background()
 	bounds := []float64{16, 64}
@@ -24,7 +23,7 @@ func TestResidentNeverFallsBackWhileWarm(t *testing.T) {
 	// Make every alternative as attractive as it can be: builds paid.
 	for _, bound := range bounds {
 		for _, s := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ, StrategyPointIdx} {
-			resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: aggs, Bound: bound, Strategy: &s})
+			resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: aggs, Bound: bound, Strategy: &s, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,15 +31,15 @@ func TestResidentNeverFallsBackWhileWarm(t *testing.T) {
 		}
 	}
 
-	threshold := ds.CompactionThreshold()
-	ds.SetCompactionThreshold(0) // the delta must survive to the threshold's edge
+	// The fixture turns auto-compaction off, so the delta survives to the
+	// default threshold's edge.
 	const chunk = 4096
-	for delta := chunk; delta < threshold; delta += chunk {
+	for delta := chunk; delta < DefaultCompactionThreshold; delta += chunk {
 		if _, err := ds.Append(ps.Pts[:chunk], ps.Weights[:chunk]); err != nil {
 			t.Fatal(err)
 		}
 		for _, bound := range bounds {
-			resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: aggs, Bound: bound})
+			resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: aggs, Bound: bound, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -149,8 +149,8 @@ func TestDatasetAppendVisibleToAllStrategies(t *testing.T) {
 func TestDatasetAutoCompaction(t *testing.T) {
 	e, ds, ps, _ := residentFixture(t, 2000)
 	_ = e
-	if ds.CompactionThreshold() != DefaultCompactionThreshold {
-		t.Errorf("default threshold %d", ds.CompactionThreshold())
+	if th := ds.compactThreshold.Load(); th != DefaultCompactionThreshold {
+		t.Errorf("default threshold %d", th)
 	}
 	ds.SetCompactionThreshold(100)
 	if _, err := ds.Append(ps.Pts[:150], ps.Weights[:150]); err != nil {

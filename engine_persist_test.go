@@ -132,7 +132,6 @@ func TestPersistedWarmResidentAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2 := NewEngine(dataRegions(92, 5, 5, 8))
-	e2.SetWorkers(1)
 	// The gate is about the executed warm path over the reopened base; a
 	// result-cache hit would be trivially allocation-free.
 	e2.SetResultCacheCapacity(0)
@@ -143,7 +142,7 @@ func TestPersistedWarmResidentAllocationFree(t *testing.T) {
 	ds2.Compact() // fold the replayed tail so the warm path is all base
 	ctx := context.Background()
 	pidx := StrategyPointIdx
-	req := Request{Dataset: ds2, Aggs: []Agg{Count, Sum, Min}, Bound: 16, Repetitions: 100000, Strategy: &pidx}
+	req := Request{Dataset: ds2, Aggs: []Agg{Count, Sum, Min}, Bound: 16, Repetitions: 100000, Strategy: &pidx, Workers: 1}
 	for i := 0; i < 3; i++ {
 		resp, err := e2.Do(ctx, req)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -244,111 +243,24 @@ func TestDoCancellation(t *testing.T) {
 	waitNoExtraGoroutines(t, base)
 }
 
-// TestDoBatchCancellation: canceling a batch stops dispatching, marks every
-// unfinished request with ctx.Err(), returns ctx.Err(), and leaves the
-// engine fully serviceable.
-func TestDoBatchCancellation(t *testing.T) {
-	base := runtime.NumGoroutine()
-	e, ds, ps := requestFixture(t)
-	reqs := make([]Request, 16)
-	for i := range reqs {
-		if i%2 == 0 {
-			reqs[i] = Request{Points: ps, Aggs: []Agg{Count, Sum}, Bound: 16, Repetitions: 1000}
-		} else {
-			reqs[i] = Request{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: 16, Repetitions: 1000}
-		}
-	}
-
-	canceledCtx, cancel := context.WithCancel(context.Background())
-	cancel()
-	resps, err := e.DoBatch(canceledCtx, reqs, 4)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("DoBatch returned %v, want context.Canceled", err)
-	}
-	for i, r := range resps {
-		if r.Results == nil && !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("request %d neither ran nor carries ctx.Err(): %+v", i, r.Err)
-		}
-	}
-
-	// Mid-batch cancellation, then a clean batch: everything answers and all
-	// same-shape requests agree.
-	midCtx, midCancel := context.WithCancel(context.Background())
-	go func() { time.Sleep(time.Millisecond); midCancel() }()
-	if _, err := e.DoBatch(midCtx, reqs, 4); err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-batch cancel surfaced %v", err)
-	}
-	midCancel()
-
-	resps, err = e.DoBatch(context.Background(), reqs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range resps {
-		if r.Err != nil {
-			t.Fatalf("request %d failed after cancellations: %v", i, r.Err)
-		}
-		ref := resps[i%2]
-		testutil.CheckIdentical(t, "batch agreement", ref.Results[0], r.Results[0])
-		testutil.CheckIdentical(t, "batch agreement", ref.Results[1], r.Results[1])
-	}
-
-	waitNoExtraGoroutines(t, base)
-}
-
-// TestDoBatchInvalidSiblingLendsNoCredit: a rejected request builds nothing
-// its siblings could reuse, so a valid ad-hoc request plans the same beside
-// an invalid one at its bound as it does alone.
-func TestDoBatchInvalidSiblingLendsNoCredit(t *testing.T) {
-	e, ds, ps := requestFixture(t)
-	ctx := context.Background()
-	valid := Request{Points: ps, Aggs: []Agg{Count}, Bound: 64}
-	noAggs := Request{Points: ps, Bound: 64}
-	twoTargets := Request{Points: ps, Dataset: ds, Aggs: []Agg{Count}, Bound: 64}
-
-	alone := e.planOnly(valid, 1)
-	if three := e.planOnly(valid, 3); reflect.DeepEqual(alone.Costs, three.Costs) {
-		t.Fatalf("fixture cannot show credit: 1- and 3-repetition plans agree on %v", alone.Costs)
-	}
-	resps, err := e.DoBatch(ctx, []Request{noAggs, valid, twoTargets}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resps[0].Err == nil || resps[2].Err == nil {
-		t.Fatalf("invalid siblings were accepted: %v, %v", resps[0].Err, resps[2].Err)
-	}
-	if resps[1].Err != nil {
-		t.Fatal(resps[1].Err)
-	}
-	if resps[1].Strategy != alone.Strategy || !reflect.DeepEqual(resps[1].Plan.Costs, alone.Costs) {
-		t.Errorf("beside invalid siblings: %v on %v; alone: %v on %v",
-			resps[1].Strategy, resps[1].Plan.Costs, alone.Strategy, alone.Costs)
-	}
-}
-
 // TestWorkersNormalizedInOnePlace pins the Workers ≤ 0 normalization to
-// Request normalization: every non-positive value behaves exactly like the
-// documented default — the engine's SetWorkers configuration under Do, a
-// single-threaded join under DoBatch — with no per-caller clamping left to
-// drift. The resident path is deterministic for any worker count, so the
-// results must be bit-identical across the spelling of "default".
+// Request normalization: every non-positive value behaves exactly like an
+// explicit GOMAXPROCS, with no per-caller clamping left to drift. The
+// resident path is deterministic for any worker count, so the results must
+// be bit-identical across the spelling of "default". The result cache is off,
+// so every variant executes.
 func TestWorkersNormalizedInOnePlace(t *testing.T) {
 	e, ds, _ := requestFixture(t)
+	e.SetResultCacheCapacity(0)
 	ctx := context.Background()
 	aggs := []Agg{Count, Sum, Min, Max}
-	base := Request{Dataset: ds, Aggs: aggs, Bound: 16}
+	base := Request{Dataset: ds, Aggs: aggs, Bound: 16, Workers: runtime.GOMAXPROCS(0)}
 
-	// Warm the cover artifact so every variant below plans identically.
-	if _, err := e.Do(ctx, base); err != nil {
-		t.Fatal(err)
-	}
-
-	e.SetWorkers(2) // a non-trivial engine default the zero Workers must select
 	want, err := e.Do(ctx, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{-5, -1, 0} {
+	for _, workers := range []int{-3, 0} {
 		req := base
 		req.Workers = workers
 		got, err := e.Do(ctx, req)
@@ -357,27 +269,6 @@ func TestWorkersNormalizedInOnePlace(t *testing.T) {
 		}
 		for k := range aggs {
 			testutil.CheckIdentical(t, "Do default workers", want.Results[k], got.Results[k])
-		}
-	}
-
-	// DoBatch: non-positive per-request Workers normalizes to the batched
-	// single-threaded default, identical to an explicit 1.
-	mk := func(workers int) []Request {
-		req := base
-		req.Workers = workers
-		return []Request{req}
-	}
-	ref, err := e.DoBatch(ctx, mk(1), 1)
-	if err != nil || ref[0].Err != nil {
-		t.Fatalf("reference batch: %v / %v", err, ref[0].Err)
-	}
-	for _, workers := range []int{-7, 0} {
-		got, err := e.DoBatch(ctx, mk(workers), 1)
-		if err != nil || got[0].Err != nil {
-			t.Fatalf("Workers=%d: %v / %v", workers, err, got[0].Err)
-		}
-		for k := range aggs {
-			testutil.CheckIdentical(t, "DoBatch default workers", ref[0].Results[k], got[0].Results[k])
 		}
 	}
 }

@@ -99,21 +99,17 @@ func TestUnregisterPoints(t *testing.T) {
 }
 
 // TestAggregateDatasetRejectsForeignHandle: a handle registered with another
-// engine is keyed over that engine's domain; Do and DoBatch must refuse it
-// rather than probe it with this engine's covers.
+// engine is keyed over that engine's domain; Do must refuse it, at a
+// positive bound and at the exact arm alike, rather than probe it with this
+// engine's covers.
 func TestAggregateDatasetRejectsForeignHandle(t *testing.T) {
 	_, ds, _, regions := residentFixture(t, 1000)
 	other := NewEngine(regions[:4])
-	req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}
-	if _, err := other.Do(context.Background(), req); err == nil {
-		t.Error("Do accepted a foreign dataset handle")
-	}
-	resps, err := other.DoBatch(context.Background(), []Request{req}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resps[0].Err == nil {
-		t.Error("DoBatch accepted a foreign dataset handle")
+	for _, bound := range []float64{16, 0} {
+		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound}
+		if _, err := other.Do(context.Background(), req); err == nil {
+			t.Errorf("bound %g: Do accepted a foreign dataset handle", bound)
+		}
 	}
 }
 
@@ -145,7 +141,7 @@ func TestResidentPlannerSelectsPointIdx(t *testing.T) {
 // streaming artifacts are resident — and anything else runs exact, with no
 // cost table either way. A forced streaming strategy is still honoured and
 // still agrees with pointidx the way the differential suites require, and
-// dataset requests in a batch leave the ad-hoc requests' sharing credit alone.
+// ad-hoc requests beside the dataset still plan by the cost model.
 func TestResidentRule(t *testing.T) {
 	e, ds, ps := requestFixture(t)
 	e.SetResultCacheCapacity(0) // every request executes
@@ -174,7 +170,7 @@ func TestResidentRule(t *testing.T) {
 			for _, s := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ} {
 				do("warming "+s.String(), Request{Points: ps, Aggs: []Agg{Count}, Bound: bound, Strategy: &s})
 			}
-			if cached := e.cachedBuildsInto(bound, nil); len(cached) != 3 {
+			if cached := e.cachedBuildsInto(bound, map[Strategy]bool{}); len(cached) != 3 {
 				t.Fatalf("streaming artifacts resident: %v", cached)
 			}
 		}},
@@ -243,35 +239,22 @@ func TestResidentRule(t *testing.T) {
 		testutil.CheckIdentical(t, fmt.Sprintf("bound %v vs brute force", b), brute, resp.Results[0])
 	}
 
-	// A mixed batch: three same-bound ad-hoc requests credit each other —
-	// their plans are the three-repetition plan — and neither the dataset
-	// requests at that bound nor the MIN-carrying set add to it.
-	adhocReq := Request{Points: ps, Aggs: []Agg{Count}, Bound: 64}
-	minReq := Request{Points: ps, Aggs: []Agg{Count, Min}, Bound: 64}
-	dsReq := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 64}
-	want, wantMin := e.planOnly(adhocReq, 3), e.planOnly(minReq, 1)
-	resps, err := e.DoBatch(ctx, []Request{adhocReq, dsReq, adhocReq, minReq, dsReq, adhocReq}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range resps {
-		if r.Err != nil {
-			t.Fatalf("batch request %d: %v", i, r.Err)
+	// Ad-hoc requests at a bound the dataset also serves plan by the cost
+	// model at their own repetitions — a MIN-carrying set without BRJ — while
+	// the dataset request stays on the bare rule.
+	for _, req := range []Request{
+		{Points: ps, Aggs: []Agg{Count}, Bound: 64, Repetitions: 3},
+		{Dataset: ds, Aggs: []Agg{Count}, Bound: 64, Repetitions: 3},
+		{Points: ps, Aggs: []Agg{Count, Min}, Bound: 64, Repetitions: 1},
+	} {
+		want := Plan{Strategy: StrategyPointIdx}
+		if req.Dataset == nil {
+			want = e.planOnly(req, req.Repetitions)
 		}
-		switch i {
-		case 1, 4:
-			if r.Strategy != StrategyPointIdx || len(r.Plan.Costs) != 0 {
-				t.Errorf("batch request %d (dataset): ran %v on plan %+v", i, r.Strategy, r.Plan)
-			}
-		case 3:
-			if !reflect.DeepEqual(r.Plan.Costs, wantMin.Costs) {
-				t.Errorf("the MIN-carrying request was credited: %v, want %v", r.Plan.Costs, wantMin.Costs)
-			}
-		default:
-			if r.Strategy != want.Strategy || !reflect.DeepEqual(r.Plan.Costs, want.Costs) {
-				t.Errorf("batch request %d (ad-hoc): %v on %v, want the 3-repetition plan %v on %v",
-					i, r.Strategy, r.Plan.Costs, want.Strategy, want.Costs)
-			}
+		r := do("bound 64", req)
+		if r.Strategy != want.Strategy || !reflect.DeepEqual(r.Plan.Costs, want.Costs) {
+			t.Errorf("%v at %d repetitions: ran %v on %v, want %v on %v",
+				req.Aggs, req.Repetitions, r.Strategy, r.Plan.Costs, want.Strategy, want.Costs)
 		}
 	}
 }
@@ -338,8 +321,8 @@ func TestAggregateDatasetMatchesStreaming(t *testing.T) {
 	}
 }
 
-// TestAggregateBatchWithDatasets mixes handle-bearing and ad-hoc queries in
-// one batch and checks positional results, strategies and cover-cache
+// TestAggregateBatchWithDatasets interleaves handle-bearing and ad-hoc
+// queries on one engine and checks strategies and cover-cache
 // participation.
 func TestAggregateBatchWithDatasets(t *testing.T) {
 	e, ds, ps, regions := residentFixture(t, 200_000)
@@ -349,13 +332,11 @@ func TestAggregateBatchWithDatasets(t *testing.T) {
 		{Dataset: ds, Aggs: []Agg{Sum}, Bound: 16, Repetitions: 100000},
 		{Dataset: ds, Aggs: []Agg{Count}, Bound: 0, Repetitions: 1},
 	}
-	results, err := e.DoBatch(context.Background(), queries, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", i, r.Err)
+	results := make([]Response, len(queries))
+	for i, q := range queries {
+		var err error
+		if results[i], err = e.Do(context.Background(), q); err != nil {
+			t.Fatalf("query %d: %v", i, err)
 		}
 	}
 	if results[0].Strategy != StrategyPointIdx || results[2].Strategy != StrategyPointIdx {
@@ -377,7 +358,7 @@ func TestAggregateBatchWithDatasets(t *testing.T) {
 	single := resp.Results[0]
 	for ri := range regions {
 		if results[0].Results[0].Counts[ri] != single.Counts[ri] {
-			t.Fatalf("region %d: batch resident count %d != single %d",
+			t.Fatalf("region %d: first resident count %d != repeat %d",
 				ri, results[0].Results[0].Counts[ri], single.Counts[ri])
 		}
 	}

@@ -58,9 +58,8 @@ func cloneResults(rs []Result) []Result {
 // the warm entry, so the next request executes (and re-warms).
 func TestCachedDoHitAndInvalidation(t *testing.T) {
 	e, ds, _ := requestFixture(t)
-	e.SetWorkers(1)
 	ctx := context.Background()
-	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum, Min, Max}, Bound: 16}
+	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum, Min, Max}, Bound: 16, Workers: 1}
 
 	first, err := e.Do(ctx, req)
 	if err != nil {
@@ -136,11 +135,10 @@ func TestCachedDoHitAndInvalidation(t *testing.T) {
 // executes everything.
 func TestResultCacheBypasses(t *testing.T) {
 	e, ds, ps := requestFixture(t)
-	e.SetWorkers(1)
 	ctx := context.Background()
 
 	for i := 0; i < 2; i++ {
-		resp, err := e.Do(ctx, Request{Points: ps, Aggs: []Agg{Count}, Bound: 16})
+		resp, err := e.Do(ctx, Request{Points: ps, Aggs: []Agg{Count}, Bound: 16, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +149,7 @@ func TestResultCacheBypasses(t *testing.T) {
 	}
 
 	for i := 0; i < 2; i++ {
-		resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Explain: true})
+		resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Explain: true, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +164,7 @@ func TestResultCacheBypasses(t *testing.T) {
 
 	// Planner-choice and override are distinct keys: the override's first
 	// use executes even though the planner-choice entry is warm.
-	plain := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}
+	plain := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Workers: 1}
 	for i := 0; i < 2; i++ {
 		resp, err := e.Do(ctx, plain)
 		if err != nil {
@@ -212,9 +210,8 @@ func TestResultCacheBypasses(t *testing.T) {
 // Response copy twice stays a no-op.
 func TestCachedReleaseIsRefcount(t *testing.T) {
 	e, ds, _ := requestFixture(t)
-	e.SetWorkers(1)
 	ctx := context.Background()
-	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: 16}
+	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: 16, Workers: 1}
 
 	warm, err := e.Do(ctx, req)
 	if err != nil {
@@ -244,7 +241,7 @@ func TestCachedReleaseIsRefcount(t *testing.T) {
 	// Release had handed shared storage to the pool, these would overwrite
 	// h2's columns.
 	for _, bound := range []float64{8, 24, 32} {
-		resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: bound})
+		resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: bound, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,51 +251,6 @@ func TestCachedReleaseIsRefcount(t *testing.T) {
 	h2.Release()
 }
 
-// TestCachedDoBatch: DoBatch probes the cache per request — a repeated
-// batch is all hits, and a batch mixing warm and cold shapes executes only
-// the cold ones, with results identical either way.
-func TestCachedDoBatch(t *testing.T) {
-	e, ds, _ := requestFixture(t)
-	ctx := context.Background()
-	reqs := []Request{
-		{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: 16},
-		{Dataset: ds, Aggs: []Agg{Count}, Bound: 8},
-		{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: 16}, // duplicate of [0]
-	}
-	first, err := e.DoBatch(ctx, reqs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var executed [][]Result
-	for i := range first {
-		if first[i].Err != nil {
-			t.Fatal(first[i].Err)
-		}
-		executed = append(executed, cloneResults(first[i].Results))
-		first[i].Release()
-	}
-	sameColumns(t, "duplicate within batch", executed[2], executed[0])
-	st := e.ResultCacheStats()
-	if st.Hits != 0 || st.Misses != 3 {
-		t.Fatalf("cold batch: %+v, want 3 misses (duplicates probe before any execution)", st)
-	}
-
-	second, err := e.DoBatch(ctx, reqs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range second {
-		if second[i].Err != nil {
-			t.Fatal(second[i].Err)
-		}
-		sameColumns(t, "repeated batch", second[i].Results, executed[i])
-		second[i].Release()
-	}
-	if got := e.ResultCacheStats(); got.Hits != 3 {
-		t.Fatalf("repeated batch: %+v, want 3 hits", got)
-	}
-}
-
 // TestCachedDoAllocationFree: the cache-hit path — key computation, lookup,
 // refcount acquire, by-value Response, Release — allocates nothing.
 func TestCachedDoAllocationFree(t *testing.T) {
@@ -306,9 +258,8 @@ func TestCachedDoAllocationFree(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	e, ds, _ := requestFixture(t)
-	e.SetWorkers(1)
 	ctx := context.Background()
-	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum, Min}, Bound: 16}
+	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum, Min}, Bound: 16, Workers: 1}
 	for i := 0; i < 2; i++ {
 		resp, err := e.Do(ctx, req)
 		if err != nil {
@@ -348,8 +299,6 @@ func FuzzCachedDo(f *testing.F) {
 		cachedE := NewEngine(regions)
 		plainE := NewEngine(regions)
 		plainE.SetResultCacheCapacity(0)
-		cachedE.SetWorkers(1)
-		plainE.SetWorkers(1)
 		newDS := func(e *Engine) *Dataset {
 			ds, err := e.RegisterPoints("fuzz", pool[:3_000], weights[:3_000])
 			if err != nil {
@@ -377,6 +326,7 @@ func FuzzCachedDo(f *testing.F) {
 				Aggs:     aggSets[int(op>>4)%len(aggSets)],
 				Bound:    bounds[int(op)%len(bounds)],
 				Strategy: &pidx,
+				Workers:  1,
 			}
 			got, err := cachedE.Do(ctx, req)
 			if err != nil {
@@ -443,13 +393,12 @@ func BenchmarkCachedDo(b *testing.B) {
 	pts, weights := data.TaxiPoints(1, benchPoints)
 	regions := data.Regions(data.Census(13, benchCensus))
 	e := NewEngine(regions)
-	e.SetWorkers(1)
 	ds, err := e.RegisterPoints("bench", pts, weights)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: 8, Repetitions: 100000}
+	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: 8, Repetitions: 100000, Workers: 1}
 
 	b.Run("executed", func(b *testing.B) {
 		e.SetResultCacheCapacity(0)

@@ -8,9 +8,9 @@ import "context"
 // production callers all route through Do/executeMulti; keeping it here
 // means there is exactly one execution path to diverge from (none).
 func (e *Engine) runDataset(ds *Dataset, agg Agg, bound float64, strategy Strategy, workers int) (Result, error) {
-	var resp Response
+	resp := Response{Strategy: strategy, scratch: e.getScratch()}
 	err := e.executeMulti(context.Background(),
-		Request{Dataset: ds, Aggs: []Agg{agg}, Bound: bound}, strategy, workers, &resp)
+		Request{Dataset: ds, Aggs: []Agg{agg}, Bound: bound, Workers: workers}, &resp)
 	if err != nil {
 		return Result{}, err
 	}
@@ -27,10 +27,12 @@ func (e *Engine) dropJoiner(ds *Dataset, bound float64) {
 	}
 }
 
-// planOnly returns the plan Do would fix for req at an effective repetition
-// count, without executing anything — the hook for plan-only assertions.
+// planOnly returns the plan Do would fix for req at reps repetitions,
+// without executing anything — the hook for plan-only assertions. The plan
+// keeps its scratch's maps, so the scratch never returns to the pool.
 func (e *Engine) planOnly(req Request, reps int) Plan {
-	return e.planRequest(req, reps, nil)
+	req.Repetitions = reps
+	return e.planRequest(req, e.getScratch())
 }
 
 // adHoc is a one-aggregate request over n ad-hoc points; the planner reads

@@ -75,7 +75,7 @@ type Query struct {
 	// per-aggregate fold arithmetic is noise against it. The one set-level
 	// decision the planner must make is exclusion: the Bounded Raster Join
 	// is unavailable iff ANY aggregate in the set is MIN or MAX — its
-	// additive canvases carry counts and sums only, so Choose excludes
+	// additive canvases carry counts and sums only, so ChooseInto excludes
 	// StrategyBRJ and the plan reflects the fallback instead of the executor
 	// silently swapping strategies. Empty means a single COUNT-like
 	// aggregate.
@@ -254,7 +254,7 @@ type CoverStats struct {
 // Plan is a strategy decision with the alternatives it was weighed against.
 type Plan struct {
 	Strategy Strategy
-	// Costs holds one estimate per strategy Choose considered. It is empty
+	// Costs holds one estimate per strategy ChooseInto considered. It is empty
 	// for a plan fixed by rule rather than by comparison — the engine's
 	// registered-dataset rule (bound > 0 ⇒ pointidx, otherwise exact).
 	Costs map[Strategy]Cost
@@ -264,21 +264,14 @@ type Plan struct {
 	Cover CoverStats
 }
 
-// Choose picks the cheapest streaming strategy for q under the model — once
-// per aggregate set: every aggregate in q.Aggs rides the same plan, build and
-// fold pass. A bound that is not strictly positive (including NaN) forces
-// the exact plan; a set containing MIN or MAX excludes the raster join,
-// which cannot answer extremes.
-func (m CostModel) Choose(q Query) Plan {
-	var p Plan
-	m.ChooseInto(q, &p)
-	return p
-}
-
-// ChooseInto is Choose writing into a caller-retained Plan: p.Costs is
-// cleared and refilled when present (allocated once when nil), so a serving
-// loop that recycles its Plan plans without allocating. All other fields
-// are reset.
+// ChooseInto picks the cheapest streaming strategy for q under the model —
+// once per aggregate set: every aggregate in q.Aggs rides the same plan,
+// build and fold pass. A bound that is not strictly positive (including NaN)
+// forces the exact plan; a set containing MIN or MAX excludes the raster
+// join, which cannot answer extremes. The plan is written into a
+// caller-retained Plan: p.Costs is cleared and refilled when present
+// (allocated once when nil), so a serving loop that recycles its Plan plans
+// without allocating. All other fields are reset.
 func (m CostModel) ChooseInto(q Query, p *Plan) {
 	extreme := join.ExtremeIn(q.Aggs)
 	if p.Costs == nil {

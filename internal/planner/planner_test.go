@@ -9,19 +9,26 @@ import (
 	"distbound/internal/join"
 )
 
+// choose plans q into a fresh Plan.
+func choose(m CostModel, q Query) Plan {
+	var p Plan
+	m.ChooseInto(q, &p)
+	return p
+}
+
 func TestChooseArchetypes(t *testing.T) {
 	m := DefaultCostModel()
 	regions := data.Regions(data.Neighborhoods(1))
 
 	// Exact requirement (no bound) forces the exact plan.
-	p := m.Choose(Query{NumPoints: 1_000_000, Regions: regions, Bound: 0})
+	p := choose(m, Query{NumPoints: 1_000_000, Regions: regions, Bound: 0})
 	if p.Strategy != StrategyExact {
 		t.Errorf("no bound: chose %v", p.Strategy)
 	}
 
 	// One-shot query at a moderate bound: BRJ needs no build and wins over
 	// paying for an ACT index used once.
-	oneShot := m.Choose(Query{NumPoints: 2_000_000, Regions: regions, Bound: 10, Repetitions: 1})
+	oneShot := choose(m, Query{NumPoints: 2_000_000, Regions: regions, Bound: 10, Repetitions: 1})
 	if oneShot.Strategy == StrategyACT {
 		t.Errorf("one-shot: chose ACT despite unamortized build (costs: %v)", oneShot.Costs)
 	}
@@ -30,14 +37,14 @@ func TestChooseArchetypes(t *testing.T) {
 	// the ACT build, and per-run trie lookups beat re-rasterizing a huge
 	// canvas every time (at coarse bounds BRJ legitimately stays cheaper per
 	// run, as Figure 7 shows).
-	repeated := m.Choose(Query{NumPoints: 2_000_000, Regions: regions, Bound: 2, Repetitions: 5000})
+	repeated := choose(m, Query{NumPoints: 2_000_000, Regions: regions, Bound: 2, Repetitions: 5000})
 	if repeated.Strategy != StrategyACT {
 		t.Errorf("repeated: chose %v (costs: %v)", repeated.Strategy, repeated.Costs)
 	}
 
 	// Tiny bound: BRJ's canvas explodes quadratically; it must not win
 	// against ACT at high repetitions.
-	tiny := m.Choose(Query{NumPoints: 2_000_000, Regions: regions, Bound: 0.5, Repetitions: 5000})
+	tiny := choose(m, Query{NumPoints: 2_000_000, Regions: regions, Bound: 0.5, Repetitions: 5000})
 	if tiny.Strategy == StrategyBRJ {
 		t.Errorf("tiny bound: chose BRJ (costs: %v)", tiny.Costs)
 	}
@@ -85,13 +92,13 @@ func TestExtremeAggExcludesBRJ(t *testing.T) {
 	regions := data.Regions(data.Neighborhoods(1))
 	base := Query{NumPoints: 2_000_000, Regions: regions, Bound: 10, Repetitions: 1}
 
-	plain := m.Choose(base)
+	plain := choose(m, base)
 	if plain.Strategy != StrategyBRJ {
 		t.Skipf("baseline query chose %v, BRJ exclusion not observable", plain.Strategy)
 	}
 	extreme := base
 	extreme.Aggs = []join.Agg{join.Count, join.Min}
-	p := m.Choose(extreme)
+	p := choose(m, extreme)
 	if p.Strategy == StrategyBRJ {
 		t.Error("MIN/MAX query planned BRJ")
 	}
@@ -146,7 +153,7 @@ func TestNaNBoundForcesExact(t *testing.T) {
 	m := DefaultCostModel()
 	regions := data.Regions(data.Census(1, 20))
 	nan := math.NaN()
-	p := m.Choose(Query{NumPoints: 1000, Regions: regions, Bound: nan})
+	p := choose(m, Query{NumPoints: 1000, Regions: regions, Bound: nan})
 	if p.Strategy != StrategyExact {
 		t.Errorf("NaN bound chose %v", p.Strategy)
 	}
@@ -154,7 +161,7 @@ func TestNaNBoundForcesExact(t *testing.T) {
 
 func TestExplain(t *testing.T) {
 	m := DefaultCostModel()
-	p := m.Choose(Query{NumPoints: 100_000, Regions: data.Regions(data.Census(1, 100)), Bound: 10})
+	p := choose(m, Query{NumPoints: 100_000, Regions: data.Regions(data.Census(1, 100)), Bound: 10})
 	out := p.Explain()
 	if !strings.Contains(out, "*") {
 		t.Error("Explain does not mark the chosen plan")
@@ -173,7 +180,7 @@ func TestPointIdxRequiresResidentPoints(t *testing.T) {
 
 	// The cost model weighs streaming strategies only: a point set it plans
 	// for has no index to probe, so pointidx is never chosen and never listed.
-	p := m.Choose(Query{NumPoints: 2_000_000, Regions: regions, Bound: 16, Repetitions: 100000})
+	p := choose(m, Query{NumPoints: 2_000_000, Regions: regions, Bound: 16, Repetitions: 100000})
 	if p.Strategy == StrategyPointIdx {
 		t.Error("pointidx chosen for an ad-hoc point set")
 	}
@@ -191,7 +198,7 @@ func TestPointIdxRequiresResidentPoints(t *testing.T) {
 func TestExplainCoverPlanLine(t *testing.T) {
 	m := DefaultCostModel()
 	regions := data.Regions(data.Census(3, 50))
-	p := m.Choose(Query{NumPoints: 100_000, Regions: regions, Bound: 16, Repetitions: 1000})
+	p := choose(m, Query{NumPoints: 100_000, Regions: regions, Bound: 16, Repetitions: 1000})
 	if strings.Contains(p.Explain(), "cover-plan:") {
 		t.Error("Explain invented a cover-plan line without measured stats")
 	}
@@ -282,7 +289,7 @@ func TestAdhocBenchmarkPicks(t *testing.T) {
 			{sums, 16, 1000, StrategyACT},
 			{[]join.Agg{join.Count, join.Sum}, 64, 1000, StrategyBRJ},
 		} {
-			p := m.Choose(Query{NumPoints: 50_000, Regions: regions, Bound: c.bound, Repetitions: c.reps,
+			p := choose(m, Query{NumPoints: 50_000, Regions: regions, Bound: c.bound, Repetitions: c.reps,
 				Aggs: c.aggs, CachedBuild: cached, Stats: &stats})
 			if p.Strategy != c.want {
 				t.Errorf("ε%g reps %d (cached builds: %v): chose %v, want %v (costs: %v)",

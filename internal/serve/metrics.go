@@ -27,8 +27,9 @@ type metrics struct {
 	appends    atomic.Uint64
 	errors     atomic.Uint64
 
-	fanoutSum atomic.Uint64
-	fanoutMax atomic.Uint64
+	fanoutSum   atomic.Uint64
+	fanoutCount atomic.Uint64 // observed executions, the fan-out mean's denominator
+	fanoutMax   atomic.Uint64
 
 	// Probe work summed over executed queries (shard.Response's counters):
 	// cover ranges probed by base fills and delta rows newly inverted.
@@ -53,6 +54,7 @@ func (m *metrics) observe(d time.Duration, resp *shard.Response) {
 	}
 	contacted := uint64(resp.ShardsContacted)
 	m.fanoutSum.Add(contacted)
+	m.fanoutCount.Add(1)
 	for {
 		cur := m.fanoutMax.Load()
 		if contacted <= cur || m.fanoutMax.CompareAndSwap(cur, contacted) {
@@ -90,9 +92,8 @@ func (m *metrics) percentiles() (p50, p90, p99 time.Duration) {
 // cacheStats, epoch and covers come from the backend — the result cache, its
 // invalidation counter and the cover cache live below the handler layer.
 func (m *metrics) render(w io.Writer, rejections uint64, draining bool, cacheStats cache.Stats, epoch uint64, covers CoverCounters) {
-	queries, batches := m.queries.Load(), m.batches.Load()
-	fmt.Fprintf(w, "distboundd_requests_total{endpoint=\"query\"} %d\n", queries)
-	fmt.Fprintf(w, "distboundd_requests_total{endpoint=\"batch\"} %d\n", batches)
+	fmt.Fprintf(w, "distboundd_requests_total{endpoint=\"query\"} %d\n", m.queries.Load())
+	fmt.Fprintf(w, "distboundd_requests_total{endpoint=\"batch\"} %d\n", m.batches.Load())
 	fmt.Fprintf(w, "distboundd_requests_total{endpoint=\"append\"} %d\n", m.appends.Load())
 	fmt.Fprintf(w, "distboundd_batch_lines_total %d\n", m.batchLines.Load())
 	fmt.Fprintf(w, "distboundd_result_cache_hits_total %d\n", cacheStats.Hits)
@@ -101,9 +102,8 @@ func (m *metrics) render(w io.Writer, rejections uint64, draining bool, cacheSta
 	fmt.Fprintf(w, "distboundd_dataset_epoch %d\n", epoch)
 	fmt.Fprintf(w, "distboundd_request_errors_total %d\n", m.errors.Load())
 	fmt.Fprintf(w, "distboundd_admission_rejections_total %d\n", rejections)
-	executed := m.batchLines.Load() + queries
 	fmt.Fprintf(w, "distboundd_shard_fanout_sum %d\n", m.fanoutSum.Load())
-	fmt.Fprintf(w, "distboundd_shard_fanout_count %d\n", executed)
+	fmt.Fprintf(w, "distboundd_shard_fanout_count %d\n", m.fanoutCount.Load())
 	fmt.Fprintf(w, "distboundd_shard_fanout_max %d\n", m.fanoutMax.Load())
 	fmt.Fprintf(w, "distboundd_ranges_probed_total %d\n", m.rangesProbed.Load())
 	fmt.Fprintf(w, "distboundd_delta_probed_total %d\n", m.deltaProbed.Load())

@@ -636,6 +636,63 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestRepeatedAggregateRejected: an aggregate named twice is a 400 on
+// /v1/query and an inline error on its /v1/batch line, so a request body
+// cannot buy one region-wide result column per repeated entry.
+func TestRepeatedAggregateRejected(t *testing.T) {
+	ts, _, _, _ := newShardedTS(t, 0)
+	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"count", "sum", "count"}, Bound: 16}, nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "repeated") {
+		t.Fatalf("repeated aggregate on /v1/query: %d %s, want 400", resp.StatusCode, body)
+	}
+
+	in := strings.NewReader("{\"aggs\":[\"sum\",\" SUM\"],\"bound\":16}\n{\"aggs\":[\"count\",\"sum\",\"avg\",\"min\",\"max\"],\"bound\":16}\n")
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var lines []QueryResponse
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		var q QueryResponse
+		if err := json.Unmarshal(sc.Bytes(), &q); err != nil {
+			t.Fatalf("%v in line %q", err, sc.Text())
+		}
+		lines = append(lines, q)
+	}
+	if len(lines) != 2 || !strings.Contains(lines[0].Error, "repeated") || lines[1].Error != "" || len(lines[1].Results) != 5 {
+		t.Fatalf("batch answered %+v, want an inline repeat error then the five distinct aggregates", lines)
+	}
+}
+
+// TestFanoutCountCountsObservations: distboundd_shard_fanout_count is the
+// denominator of the mean fan-out, so it counts exactly the executions
+// distboundd_shard_fanout_sum saw — a rejected query adds to neither.
+func TestFanoutCountCountsObservations(t *testing.T) {
+	ts, _, _, _ := newShardedTS(t, 0)
+	scrape := func() (count uint64) {
+		t.Helper()
+		_, body := getBody(t, ts.URL+"/metrics")
+		for _, line := range strings.Split(string(body), "\n") {
+			fmt.Sscanf(line, "distboundd_shard_fanout_count %d", &count) //nolint:errcheck // non-matching lines
+		}
+		return count
+	}
+	before := scrape()
+	if resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"count"}, Bound: -1}, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("invalid query: %d %s, want 400", resp.StatusCode, body)
+	}
+	if got := scrape(); got != before {
+		t.Fatalf("a 400 moved the fan-out count %d -> %d", before, got)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"count"}, Bound: 16}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: %d %s", resp.StatusCode, body)
+	}
+	if got := scrape(); got != before+1 {
+		t.Fatalf("a served query moved the fan-out count %d -> %d, want +1", before, got)
+	}
+}
+
 // TestResultCacheOverHTTP is the daemon-level cache contract: a repeated
 // identical query is a cache hit, an append through POST /v1/append bumps
 // the epoch and strands the entry, and /v1/stats + /metrics expose all of

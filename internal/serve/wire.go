@@ -9,6 +9,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"distbound"
@@ -131,7 +132,9 @@ type AppendResponse struct {
 	Error    string   `json:"error,omitempty"`
 }
 
-// ParseAggs maps wire aggregate names onto engine aggregates.
+// ParseAggs maps wire aggregate names onto engine aggregates. A repeated
+// aggregate is rejected, which caps a set at the five distinct ones: every
+// entry costs a region-wide result column on every contacted shard.
 func ParseAggs(names []string) ([]distbound.Agg, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("at least one aggregate is required")
@@ -151,6 +154,9 @@ func ParseAggs(names []string) ([]distbound.Agg, error) {
 			out[i] = distbound.Max
 		default:
 			return nil, fmt.Errorf("unknown aggregate %q", s)
+		}
+		if slices.Contains(out[:i], out[i]) {
+			return nil, fmt.Errorf("aggregate %q repeated", s)
 		}
 	}
 	return out, nil

@@ -269,7 +269,7 @@ type Request struct {
 	Bound float64
 	// Workers bounds how many shards are queried concurrently (≤ 0 selects
 	// GOMAXPROCS); each contacted shard runs its join single-threaded — the
-	// scatter is the parallelism, mirroring DoBatch.
+	// scatter is the parallelism.
 	Workers int
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"distbound/internal/join"
 	"distbound/internal/planner"
-	"distbound/internal/pool"
 )
 
 // Plan is the planner's decision with its considered alternatives.
@@ -51,10 +50,9 @@ type Request struct {
 	// answer it (BRJ with MIN/MAX in the set, pointidx without a Dataset
 	// target, any non-exact strategy without a positive bound).
 	Strategy *Strategy
-	// Workers overrides the engine's intra-query fan-out for this request;
-	// ≤ 0 selects the engine's SetWorkers configuration (and, inside
-	// DoBatch, a single-threaded join — the batch parallelizes across
-	// requests instead).
+	// Workers caps the request's intra-query fan-out, cold builds included;
+	// ≤ 0 selects GOMAXPROCS. A server already running many queries
+	// concurrently typically wants 1 to avoid oversubscription.
 	Workers int
 	// Explain asks for the rendered plan comparison in Response.Explain.
 	Explain bool
@@ -92,10 +90,6 @@ type Response struct {
 	RangesProbed int
 	// DeltaProbed — see RangesProbed.
 	DeltaProbed int
-	// Err is the per-request outcome in DoBatch (a failed request never
-	// aborts its siblings). Do reports errors through its error return
-	// instead and leaves Err nil.
-	Err error
 
 	// scratch is the engine-pooled backing storage behind Results and
 	// Plan.Costs; Release hands it back. Exactly one of scratch and cached
@@ -180,14 +174,10 @@ func (sc *respScratch) prepResults(aggs []Agg, numReg int) []Result {
 	return sc.out
 }
 
-// normalizeRequest validates req and applies the shared normalization every
-// entry path goes through — the Repetitions < 1 → 1 clamp and the
-// Workers ≤ 0 default both live here and nowhere else. batch selects the
-// batched default for Workers: a single-threaded join, because DoBatch
-// parallelizes across requests and combining both fan-outs would
-// oversubscribe the pool; Do's default is the engine's SetWorkers
-// configuration.
-func (e *Engine) normalizeRequest(req Request, batch bool) (Request, error) {
+// normalizeRequest validates req and applies the shared normalization:
+// the Repetitions < 1 → 1 clamp and the Workers ≤ 0 → 0 (GOMAXPROCS)
+// default live here and nowhere else.
+func (e *Engine) normalizeRequest(req Request) (Request, error) {
 	if len(req.Aggs) == 0 {
 		return req, fmt.Errorf("distbound: request needs at least one aggregate")
 	}
@@ -202,12 +192,8 @@ func (e *Engine) normalizeRequest(req Request, batch bool) (Request, error) {
 	if req.Repetitions < 1 {
 		req.Repetitions = 1
 	}
-	if req.Workers <= 0 {
-		if batch {
-			req.Workers = 1
-		} else {
-			req.Workers = e.Workers()
-		}
+	if req.Workers < 0 {
+		req.Workers = 0
 	}
 	if req.Strategy != nil {
 		if err := checkOverride(req); err != nil {
@@ -244,11 +230,10 @@ func checkOverride(req Request) error {
 // answered by rule — registering it is the declaration of repeated use, so a
 // positive bound runs the resident point index and anything else the exact
 // join — and only an ad-hoc point set has a choice for the cost model to
-// make, at an explicit effective repetition count (DoBatch adds same-bound
-// sharing credit on top of the request's own). A non-nil scratch lends the
-// planner its maps, making a warm plan allocation-free; the returned Plan
-// then shares them until the scratch's Response is released.
-func (e *Engine) planRequest(req Request, reps int, sc *respScratch) Plan {
+// make. The scratch lends the planner its maps, making a warm plan
+// allocation-free; the returned Plan shares them until the scratch's
+// Response is released.
+func (e *Engine) planRequest(req Request, sc *respScratch) Plan {
 	if req.Dataset != nil {
 		p := Plan{Strategy: StrategyExact}
 		if req.Bound > 0 {
@@ -266,77 +251,16 @@ func (e *Engine) planRequest(req Request, reps int, sc *respScratch) Plan {
 		}
 		return p
 	}
-	var cached map[Strategy]bool
-	planBuf := &planner.Plan{}
-	if sc != nil {
-		cached, planBuf = sc.cached, &sc.plan
-	}
-	e.costModel().ChooseInto(planner.Query{
+	planner.DefaultCostModel().ChooseInto(planner.Query{
 		NumPoints:   len(req.Points.Pts),
 		Regions:     e.regions,
 		Bound:       req.Bound,
-		Repetitions: reps,
+		Repetitions: req.Repetitions,
 		Aggs:        req.Aggs,
-		CachedBuild: e.cachedBuildsInto(req.Bound, cached),
+		CachedBuild: e.cachedBuildsInto(req.Bound, sc.cached),
 		Stats:       &e.stats,
-	}, planBuf)
-	return *planBuf
-}
-
-// inflight is one normalized request between begin and finish.
-type inflight struct {
-	req       Request
-	key       resultKey // set by begin; meaningful iff cacheable
-	cacheable bool
-}
-
-// begin is the first of the two steps every request takes: probe the result
-// cache and, on a miss, borrow a pooled scratch, fix the plan at the given
-// effective repetition count and render it if asked. It reports a hit —
-// resp is then the cached answer (resp.cached set), its Wall counted from
-// start, and there is nothing to finish.
-//
-// The cache key reads the dataset's mutation epoch here, before execution: a
-// hit then serves data at least as new as any state this request could have
-// observed by executing, which keeps cached serving linearizable under
-// concurrent mutation. A disabled cache is a full bypass — no probe, no
-// counters, and no deep copy on the way out — so the executed warm path
-// stays allocation-free.
-func (e *Engine) begin(f *inflight, reps int, start time.Time, resp *Response) (hit bool) {
-	if k, ok := resultCacheKey(f.req); ok && e.results.Enabled() {
-		if c, ok := e.results.Get(k); ok {
-			*resp = c.respond(start)
-			return true
-		}
-		f.key, f.cacheable = k, true
-	}
-	resp.scratch = e.getScratch()
-	plan := e.planRequest(f.req, reps, resp.scratch)
-	resp.Strategy, resp.Plan = plan.Strategy, plan
-	if f.req.Strategy != nil {
-		resp.Strategy = *f.req.Strategy
-	}
-	if f.req.Explain {
-		resp.Explain = plan.Explain()
-	}
-	return false
-}
-
-// finish is the second step: execute the begun request on its fixed
-// strategy, stamp Wall from start, and publish a cacheable answer. A failed
-// response still references the scratch's plan tables, so the scratch is not
-// recycled — Release on an errored response is a no-op.
-func (e *Engine) finish(ctx context.Context, f *inflight, start time.Time, resp *Response) error {
-	err := e.executeMulti(ctx, f.req, resp.Strategy, f.req.Workers, resp)
-	resp.Wall = time.Since(start)
-	if err != nil {
-		resp.scratch = nil
-		return canceledAs(ctx, err)
-	}
-	if f.cacheable {
-		e.results.Put(f.key, newCachedResponse(resp))
-	}
-	return nil
+	}, &sc.plan)
+	return sc.plan
 }
 
 // Do answers one request: it plans once for the whole aggregate set, builds
@@ -345,18 +269,47 @@ func (e *Engine) finish(ctx context.Context, f *inflight, start time.Time, resp 
 // — and a build every waiter abandoned stops too — returning ctx.Err();
 // caches and in-flight builds other callers share stay consistent. Safe for
 // concurrent use.
+//
+// The result-cache key reads the dataset's mutation epoch before execution:
+// a hit then serves data at least as new as any state this request could
+// have observed by executing, which keeps cached serving linearizable under
+// concurrent mutation. A disabled cache is a full bypass — no probe, no
+// counters, and no deep copy on the way out — so the executed warm path
+// stays allocation-free.
 func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 	start := time.Now()
-	var f inflight
-	var err error
-	if f.req, err = e.normalizeRequest(req, false); err != nil {
+	req, err := e.normalizeRequest(req)
+	if err != nil {
 		return Response{}, err
 	}
-	var resp Response
-	if !e.begin(&f, f.req.Repetitions, start, &resp) {
-		err = e.finish(ctx, &f, start, &resp)
+	key, cacheable := resultCacheKey(req)
+	cacheable = cacheable && e.results.Enabled()
+	if cacheable {
+		if c, ok := e.results.Get(key); ok {
+			return c.respond(start), nil
+		}
 	}
-	return resp, err
+	resp := Response{scratch: e.getScratch()}
+	plan := e.planRequest(req, resp.scratch)
+	resp.Strategy, resp.Plan = plan.Strategy, plan
+	if req.Strategy != nil {
+		resp.Strategy = *req.Strategy
+	}
+	if req.Explain {
+		resp.Explain = plan.Explain()
+	}
+	err = e.executeMulti(ctx, req, &resp)
+	resp.Wall = time.Since(start)
+	if err != nil {
+		// A failed response still references the scratch's plan tables, so
+		// the scratch is not recycled — Release on it is a no-op.
+		resp.scratch = nil
+		return resp, canceledAs(ctx, err)
+	}
+	if cacheable {
+		e.results.Put(key, newCachedResponse(&resp))
+	}
+	return resp, nil
 }
 
 // canceledAs maps a cancellation-shaped execution error back to the
@@ -373,86 +326,13 @@ func canceledAs(ctx context.Context, err error) error {
 	return err
 }
 
-// DoBatch answers many requests by sharding them across a pool of workers
-// (≤ 0 selects GOMAXPROCS). Every request's plan is fixed up front against
-// the cache state at batch entry, so a batch's results — including the
-// chosen strategies — are deterministic for a given engine state regardless
-// of worker count; requests that share a distance bound amortize one index
-// build across the batch. Responses align positionally with requests, and a
-// failed request reports through its Response.Err without aborting its
-// siblings. Canceling ctx stops dispatching, lets started requests unwind
-// promptly, marks every unfinished request's Err with ctx.Err(), and
-// returns ctx.Err(); a nil error means every request ran (check per-request
-// Errs for individual failures).
-//
-// Unless a request sets Workers explicitly, its join runs single-threaded:
-// the batch parallelizes across requests, and combining both fan-outs would
-// oversubscribe the pool.
-func (e *Engine) DoBatch(ctx context.Context, reqs []Request, workers int) ([]Response, error) {
-	workers = pool.Workers(workers, len(reqs))
-	resps := make([]Response, len(reqs))
-	flights := make([]inflight, len(reqs))
-
-	// Multiplicity inside the batch: k ad-hoc requests that can share a
-	// strategy's build artifact mean a freshly built index is reused at least
-	// k times, which the planner folds into its repetition amortization. Sets
-	// containing MIN/MAX are keyed separately — they can never run BRJ, so
-	// counting them toward a COUNT request's amortization could credit a
-	// mask build the extremes will never touch. Dataset requests are planned
-	// by rule and neither earn nor lend credit, and nor does a rejected
-	// request: it builds nothing for its siblings to reuse.
-	type shareKey struct {
-		bound   float64
-		extreme bool
-	}
-	keyOf := func(r Request) shareKey {
-		return shareKey{bound: r.Bound, extreme: join.ExtremeIn(r.Aggs)}
-	}
-	sharing := map[shareKey]int{}
-	for i, r := range reqs {
-		if flights[i].req, resps[i].Err = e.normalizeRequest(r, true); resps[i].Err == nil && r.Dataset == nil {
-			sharing[keyOf(r)]++
-		}
-	}
-
-	// Begin everything before finishing anything: plans then reflect the
-	// batch-entry cache state instead of whatever builds happen to finish
-	// mid-batch, which would make strategy choice depend on worker
-	// interleaving. Each valid request borrows its pooled scratch here and
-	// keeps it through execution, so batched warm resident requests reuse
-	// backing storage exactly as Do's do.
-	for i := range flights {
-		if f := &flights[i]; resps[i].Err == nil {
-			e.begin(f, f.req.Repetitions+sharing[keyOf(f.req)]-1, time.Now(), &resps[i])
-		}
-	}
-
-	err := pool.RunCtx(ctx, len(reqs), workers, func(_, i int) error {
-		if resps[i].Err == nil && resps[i].cached == nil { // neither rejected nor a hit
-			// Per-request failures land in Err rather than aborting the
-			// pool, so one bad request never drops its siblings.
-			resps[i].Err = e.finish(ctx, &flights[i], time.Now(), &resps[i])
-		}
-		return nil
-	})
-	if err != nil {
-		for i := range resps {
-			if resps[i].Results == nil && resps[i].Err == nil {
-				resps[i].Err = err
-				resps[i].scratch = nil // failed responses keep their plan tables
-			}
-		}
-	}
-	return resps, err
-}
-
-// executeMulti runs one normalized request's aggregate set on a fixed
-// strategy — one artifact acquisition, one multi-aggregate fold — writing
-// Results, Build and the probe counters into resp. The pointidx path folds
-// into resp's pooled scratch columns (allocating fresh ones only when resp
-// carries no scratch), which is what keeps the warm resident path
+// executeMulti runs one normalized request's aggregate set on resp.Strategy
+// — one artifact acquisition, one multi-aggregate fold — writing Results,
+// Build and the probe counters into resp. The pointidx path folds into
+// resp's pooled scratch columns, which is what keeps the warm resident path
 // allocation-free.
-func (e *Engine) executeMulti(ctx context.Context, req Request, strategy Strategy, workers int, resp *Response) error {
+func (e *Engine) executeMulti(ctx context.Context, req Request, resp *Response) error {
+	strategy, workers := resp.Strategy, req.Workers
 	ps := req.Points
 	if ds := req.Dataset; ds != nil {
 		if strategy == StrategyPointIdx {
@@ -463,12 +343,7 @@ func (e *Engine) executeMulti(ctx context.Context, req Request, strategy Strateg
 				return err
 			}
 			j := ce.joiner(e, ds)
-			var results []Result
-			if resp.scratch != nil {
-				results = resp.scratch.prepResults(req.Aggs, len(e.regions))
-			} else {
-				results = join.NewResults(req.Aggs, len(e.regions))
-			}
+			results := resp.scratch.prepResults(req.Aggs, len(e.regions))
 			stats, err := j.AggregateMultiInto(ctx, req.Aggs, workers, results)
 			if err != nil {
 				return err

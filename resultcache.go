@@ -1,4 +1,4 @@
-// The engine's query-result cache: warm repeated Do/DoBatch requests over a
+// The engine's query-result cache: warm repeated Do requests over a
 // resident dataset skip planning, snapshotting and folding entirely. Heavy
 // traffic repeats itself — the same dashboards re-issue the same region sets
 // and bounds against a dataset that mutates slowly — so the cache keys one
@@ -153,9 +153,9 @@ func (e *Engine) SetResultCacheCapacity(n int) {
 }
 
 // ResultCacheStats reports the query-result cache's counters: Hits and
-// Misses count cacheable Do/DoBatch requests served warm vs executed,
-// Evictions counts entries dropped by the capacity bound or replaced by a
-// racing insert. (Builds and Coalesced stay zero — result entries are
+// Misses count cacheable Do requests served warm vs executed, Evictions
+// counts entries dropped by the capacity bound or replaced by a racing
+// insert. (Builds and Coalesced stay zero — result entries are
 // by-products of execution, never built by the cache.) The index-artifact
 // caches report separately through CacheStats.
 func (e *Engine) ResultCacheStats() cache.Stats {
