@@ -20,7 +20,6 @@ import (
 	"distbound/internal/index/quadtree"
 	"distbound/internal/index/rstar"
 	"distbound/internal/index/sorted"
-	"distbound/internal/index/strtree"
 	"distbound/internal/join"
 	"distbound/internal/raster"
 	"distbound/internal/rs"
@@ -41,7 +40,6 @@ type fig4Fixture struct {
 	rsIdx   *rs.RadixSpline
 	col     *sorted.Column
 	rstar   *rstar.Tree
-	str     *strtree.Tree
 	qt      *quadtree.Tree
 	kd      *kdtree.Tree
 }
@@ -74,14 +72,10 @@ func fig4Setup(b *testing.B) *fig4Fixture {
 			f.covers[prec] = ranges
 		}
 		ptItems := make([]rstar.Item, len(f.pts))
-		strItems := make([]strtree.Item, len(f.pts))
 		for i, p := range f.pts {
-			r := geom.Rect{Min: p, Max: p}
-			ptItems[i] = rstar.Item{Rect: r, ID: int32(i)}
-			strItems[i] = strtree.Item{Rect: r, ID: int32(i)}
+			ptItems[i] = rstar.Item{Rect: geom.Rect{Min: p, Max: p}, ID: int32(i)}
 		}
 		f.rstar = rstar.BulkLoad(ptItems, rstar.DefaultMaxEntries)
-		f.str = strtree.Build(strItems, strtree.DefaultFanout)
 		f.qt = quadtree.Build(f.pts, nil)
 		f.kd = kdtree.Build(f.pts, nil)
 		fig4 = f
@@ -118,16 +112,6 @@ func BenchmarkFig4aRStarTree(b *testing.B) {
 	var sink int
 	for i := 0; i < b.N; i++ {
 		sink += f.rstar.CountRect(f.queries[i%len(f.queries)].Bounds())
-	}
-	_ = sink
-}
-
-func BenchmarkFig4aSTRTree(b *testing.B) {
-	f := fig4Setup(b)
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += f.str.CountRect(f.queries[i%len(f.queries)].Bounds())
 	}
 	_ = sink
 }

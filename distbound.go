@@ -232,8 +232,11 @@ func (ix *PolygonIndex) Aggregate(ps PointSet, agg Agg) (Result, error) {
 	return ix.joiner.Aggregate(ps, agg)
 }
 
-// AggregateWithRange additionally returns guaranteed per-region result
-// intervals (§6).
+// AggregateWithRange additionally returns per-region result intervals (§6)
+// for COUNT and SUM: [α − Σ⁺, α − Σ⁻], where Σ⁺ and Σ⁻ are the positive and
+// negative weight the region's boundary cells matched. That is [α − ε_b, α]
+// for COUNT and for SUM with non-negative weights; SUM's interval holds up to
+// float rounding.
 func (ix *PolygonIndex) AggregateWithRange(ps PointSet, agg Agg) (Result, []Interval, error) {
 	return ix.joiner.AggregateWithRange(ps, agg)
 }

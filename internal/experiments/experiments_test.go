@@ -67,8 +67,8 @@ func TestFig4aProducesAllMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 8 { // RS-32/128/512, BS-512, R*, STR, Quadtree, Kd
-		t.Fatalf("rows = %d, want 8", len(tb.Rows))
+	if len(tb.Rows) != 7 { // RS-32/128/512, BS-512, R*, Quadtree, Kd
+		t.Fatalf("rows = %d, want 7", len(tb.Rows))
 	}
 	// All methods must return plausible qualifying counts; RS counts shrink
 	// (or stay equal) as precision grows.

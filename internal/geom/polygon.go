@@ -14,9 +14,6 @@ type Ring []Point
 // fewer than three vertices.
 var ErrDegenerateRing = errors.New("geom: ring needs at least 3 vertices")
 
-// NumEdges returns the number of edges of the ring.
-func (r Ring) NumEdges() int { return len(r) }
-
 // Edge returns the i-th edge (from vertex i to vertex (i+1) mod n).
 func (r Ring) Edge(i int) Segment {
 	j := i + 1
@@ -320,12 +317,6 @@ func (p *Polygon) RelateRect(r Rect) RectRelation {
 		return RectInside
 	}
 	return RectOutside
-}
-
-// IntersectsRect reports whether the polygon and the closed rect share at
-// least one point.
-func (p *Polygon) IntersectsRect(r Rect) bool {
-	return p.RelateRect(r) != RectOutside
 }
 
 // Translate returns a copy of the polygon shifted by d.

@@ -6,14 +6,10 @@ import (
 	"strings"
 )
 
-// WKT encoding and a small parser for the subset of Well-Known Text used by
-// the tooling: POINT, POLYGON and MULTIPOLYGON. This keeps the synthetic
-// datasets dumpable and diffable (cmd/datagen) and makes examples concrete.
-
-// PointWKT renders p as a WKT POINT.
-func PointWKT(p Point) string {
-	return fmt.Sprintf("POINT (%s %s)", fmtCoord(p.X), fmtCoord(p.Y))
-}
+// WKT encoding of (multi)polygons and a small parser for the subset of
+// Well-Known Text used by the tooling: POINT, POLYGON and MULTIPOLYGON. This
+// keeps the synthetic datasets dumpable and diffable (cmd/datagen) and makes
+// examples concrete.
 
 // PolygonWKT renders p as a WKT POLYGON, closing each ring.
 func PolygonWKT(p *Polygon) string {

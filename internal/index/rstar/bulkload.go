@@ -3,22 +3,26 @@ package rstar
 import (
 	"math"
 	"sort"
+
+	"distbound/internal/geom"
 )
 
-// BulkLoad builds an R*-tree from items with Sort-Tile-Recursive packing —
-// the "bulk-loading mode" of the Boost R*-tree used by the paper's
-// experiments. The resulting tree supports further Insert calls.
+// BulkLoad builds a tree from items with Sort-Tile-Recursive packing — the
+// "bulk-loading mode" of the Boost R*-tree used by the paper's experiments.
+// maxEntries ≤ 3 selects DefaultMaxEntries; no items give an empty tree of
+// height 1.
 func BulkLoad(items []Item, maxEntries int) *Tree {
-	t := New(maxEntries)
-	t.size = len(items)
+	if maxEntries <= 3 {
+		maxEntries = DefaultMaxEntries
+	}
+	t := &Tree{root: &node{leaf: true, bounds: geom.EmptyRect()}, size: len(items), height: 1}
 	if len(items) == 0 {
 		return t
 	}
 	its := append([]Item(nil), items...)
-	level := packLeafLevel(its, t.maxEntries)
-	t.height = 1
+	level := packLeafLevel(its, maxEntries)
 	for len(level) > 1 {
-		level = packInternalLevel(level, t.maxEntries)
+		level = packInternalLevel(level, maxEntries)
 		t.height++
 	}
 	t.root = level[0]

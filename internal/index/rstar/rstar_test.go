@@ -71,63 +71,53 @@ func checkInvariants(t *testing.T, tr *Tree) {
 	}
 }
 
-func TestInsertSearchMatchesBruteForce(t *testing.T) {
+func TestBulkLoadMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	items := randomItems(rng, 20000, 1000, 10)
+	tr := BulkLoad(items, 16)
+	checkInvariants(t, tr)
+	checkSearchRect(t, rng, tr, items, 60)
+}
+
+// TestDefaultFanoutMatchesBruteForce: BulkLoad with maxEntries 0 packs at
+// DefaultMaxEntries and still finds exactly the intersecting IDs.
+func TestDefaultFanoutMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	items := randomItems(rng, 5000, 1000, 20)
-	tr := New(16)
-	for _, it := range items {
-		tr.Insert(it)
+	items := randomItems(rng, 10000, 1000, 20)
+	tr := BulkLoad(items, 0)
+	if tr.Len() != len(items) {
+		t.Fatalf("Len = %d", tr.Len())
 	}
 	checkInvariants(t, tr)
+	checkSearchRect(t, rng, tr, items, 100)
+}
+
+// checkSearchRect runs 100 random query rects of side up to maxSide and
+// checks SearchRect returns exactly the IDs a linear scan finds.
+func checkSearchRect(t *testing.T, rng *rand.Rand, tr *Tree, items []Item, maxSide float64) {
+	t.Helper()
 	for trial := 0; trial < 100; trial++ {
 		lo := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		q := geom.Rect{Min: lo, Max: geom.Pt(lo.X+rng.Float64()*100, lo.Y+rng.Float64()*100)}
+		q := geom.Rect{Min: lo, Max: geom.Pt(lo.X+rng.Float64()*maxSide, lo.Y+rng.Float64()*maxSide)}
 		want := bruteIntersect(items, q)
 		got := map[int32]bool{}
 		tr.SearchRect(q, func(it Item) bool { got[it.ID] = true; return true })
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d hits, want %d", trial, len(got), len(want))
 		}
-	}
-}
-
-func TestBulkLoadMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	items := randomItems(rng, 20000, 1000, 10)
-	tr := BulkLoad(items, 16)
-	checkInvariants(t, tr)
-	for trial := 0; trial < 100; trial++ {
-		lo := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		q := geom.Rect{Min: lo, Max: geom.Pt(lo.X+rng.Float64()*60, lo.Y+rng.Float64()*60)}
-		want := bruteIntersect(items, q)
-		got := 0
-		tr.SearchRect(q, func(Item) bool { got++; return true })
-		if got != len(want) {
-			t.Fatalf("trial %d: got %d hits, want %d", trial, got, len(want))
+		for id := range want {
+			if !got[id] {
+				t.Fatalf("trial %d: missing id %d", trial, id)
+			}
 		}
 	}
 }
 
-func TestInsertIntoBulkLoaded(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	items := randomItems(rng, 2000, 500, 10)
-	tr := BulkLoad(items[:1000], 8)
-	for _, it := range items[1000:] {
-		tr.Insert(it)
-	}
-	checkInvariants(t, tr)
-	q := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(500, 500)}
-	got := 0
-	tr.SearchRect(q.Expand(20), func(Item) bool { got++; return true })
-	if got != 2000 {
-		t.Fatalf("full search = %d, want 2000", got)
-	}
-}
-
 func TestSearchPoint(t *testing.T) {
-	tr := New(8)
-	tr.Insert(Item{Rect: geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(10, 10)}, ID: 1})
-	tr.Insert(Item{Rect: geom.Rect{Min: geom.Pt(5, 5), Max: geom.Pt(15, 15)}, ID: 2})
+	tr := BulkLoad([]Item{
+		{Rect: geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(10, 10)}, ID: 1},
+		{Rect: geom.Rect{Min: geom.Pt(5, 5), Max: geom.Pt(15, 15)}, ID: 2},
+	}, 8)
 	var got []int32
 	tr.SearchPoint(geom.Pt(7, 7), func(it Item) bool { got = append(got, it.ID); return true })
 	if len(got) != 2 {
@@ -140,10 +130,24 @@ func TestSearchPoint(t *testing.T) {
 	}
 }
 
+// TestSearchPointSmallFanout: at fanout 4, a point under two overlapping
+// items finds both and skips the disjoint third.
+func TestSearchPointSmallFanout(t *testing.T) {
+	tr := BulkLoad([]Item{
+		{Rect: geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(10, 10)}, ID: 1},
+		{Rect: geom.Rect{Min: geom.Pt(5, 5), Max: geom.Pt(15, 15)}, ID: 2},
+		{Rect: geom.Rect{Min: geom.Pt(20, 20), Max: geom.Pt(30, 30)}, ID: 3},
+	}, 4)
+	var got []int32
+	tr.SearchPoint(geom.Pt(7, 7), func(it Item) bool { got = append(got, it.ID); return true })
+	if len(got) != 2 {
+		t.Fatalf("SearchPoint hits = %v", got)
+	}
+}
+
 // TestSearchPointMatchesSearchRect: the point probe visits exactly the items
 // the rect search visits for {p, p}, in the same order, and stops where it
-// stops — on bulk-loaded and insert-built trees (the latter through forced
-// reinsertion and splits), with zero-width and zero-area items, on the empty
+// stops — at two fanouts, with zero-width and zero-area items, on the empty
 // tree, at item corners, edge midpoints and centres, and at NaN.
 func TestSearchPointMatchesSearchRect(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
@@ -160,16 +164,10 @@ func TestSearchPointMatchesSearchRect(t *testing.T) {
 		}
 		items[i] = Item{Rect: geom.Rect{Min: lo, Max: geom.Pt(lo.X+w, lo.Y+h)}, ID: int32(i)}
 	}
-	inserted := New(8)
-	for _, it := range items {
-		inserted.Insert(it)
-	}
 	trees := map[string]*Tree{
-		"bulk16":   BulkLoad(items, 16),
-		"bulk4":    BulkLoad(items, 4),
-		"inserted": inserted,
-		"empty":    New(0),
-		"bulkNone": BulkLoad(nil, 0),
+		"bulk16": BulkLoad(items, 16),
+		"bulk4":  BulkLoad(items, 4),
+		"empty":  BulkLoad(nil, 0),
 	}
 	nan := math.NaN()
 	probes := []geom.Point{{X: nan, Y: nan}, {X: nan, Y: 3}, {X: 3, Y: nan}, {X: -1, Y: -1}}
@@ -226,11 +224,12 @@ func TestDegeneratePointItems(t *testing.T) {
 }
 
 func TestIdenticalRects(t *testing.T) {
-	tr := New(8)
 	r := geom.Rect{Min: geom.Pt(1, 1), Max: geom.Pt(2, 2)}
-	for i := 0; i < 500; i++ {
-		tr.Insert(Item{Rect: r, ID: int32(i)})
+	items := make([]Item, 500)
+	for i := range items {
+		items[i] = Item{Rect: r, ID: int32(i)}
 	}
+	tr := BulkLoad(items, 8)
 	checkInvariants(t, tr)
 	if got := tr.CountRect(r); got != 500 {
 		t.Errorf("identical rect count = %d", got)
@@ -238,29 +237,66 @@ func TestIdenticalRects(t *testing.T) {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New(0)
+	tr := BulkLoad(nil, 0)
 	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Error("fresh tree wrong")
+		t.Error("empty tree wrong")
 	}
-	n := 0
-	tr.SearchRect(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}, func(Item) bool { n++; return true })
-	if n != 0 {
-		t.Error("empty search returned items")
+	if n := tr.CountRect(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}); n != 0 {
+		t.Errorf("empty search returned %d items", n)
 	}
 	if tr.MemoryBytes() <= 0 {
 		t.Error("MemoryBytes must be positive")
 	}
 }
 
+func TestSingleItem(t *testing.T) {
+	tr := BulkLoad([]Item{{Rect: geom.Rect{Min: geom.Pt(1, 1), Max: geom.Pt(2, 2)}, ID: 7}}, 8)
+	if tr.Len() != 1 || tr.Height() != 1 {
+		t.Errorf("single item: Len %d, Height %d", tr.Len(), tr.Height())
+	}
+	var got []int32
+	tr.SearchPoint(geom.Pt(1.5, 1.5), func(it Item) bool { got = append(got, it.ID); return true })
+	if len(got) != 1 || got[0] != 7 {
+		t.Errorf("single item search = %v", got)
+	}
+}
+
+func TestEarlyStop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tr := BulkLoad(randomItems(rng, 1000, 100, 5), 8)
+	n := 0
+	tr.SearchRect(tr.Bounds(), func(Item) bool { n++; return n < 3 })
+	if n != 3 {
+		t.Errorf("visited %d", n)
+	}
+}
+
+// TestPackedHeight: STR packs every level full, so 4096 items at fanout 16
+// are 256 leaves under 16 nodes under the root.
+func TestPackedHeight(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	items := randomItems(rng, 4096, 1000, 5)
+	tr := BulkLoad(items, 16)
+	if tr.Height() != 3 {
+		t.Errorf("height = %d, want 3", tr.Height())
+	}
+	for _, it := range items {
+		if !tr.Bounds().ContainsRect(it.Rect) {
+			t.Fatalf("root bounds %v do not cover item %v", tr.Bounds(), it.Rect)
+		}
+	}
+}
+
+// TestHeightGrowth: a packed tree of n items at fanout f is at most
+// ⌈log_f n⌉ + 1 levels high.
 func TestHeightGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tr := New(8)
-	for i, it := range randomItems(rng, 1000, 100, 2) {
-		tr.Insert(it)
-		_ = i
+	for _, n := range []int{1, 15, 16, 17, 256, 257, 1000, 5000} {
+		tr := BulkLoad(randomItems(rng, n, 100, 2), 16)
+		checkInvariants(t, tr)
+		limit := int(math.Ceil(math.Log(float64(n))/math.Log(16))) + 1
+		if tr.Height() > limit {
+			t.Errorf("n=%d: height %d > ⌈log16 n⌉ + 1 = %d", n, tr.Height(), limit)
+		}
 	}
-	if tr.Height() < 3 {
-		t.Errorf("height = %d, expected ≥ 3 at 1000 items fanout 8", tr.Height())
-	}
-	checkInvariants(t, tr)
 }

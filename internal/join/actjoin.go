@@ -170,11 +170,14 @@ type Interval struct {
 func (iv Interval) Contains(v float64) bool { return iv.Lo <= v && v <= iv.Hi }
 
 // AggregateWithRange additionally returns, per region, an interval that is
-// guaranteed to contain the exact aggregate: with a conservative
-// approximation only boundary cells can contribute false positives, so the
-// exact COUNT lies in [α − ε_b, α] where ε_b is the partial count over
-// boundary cells (§6 "Result Range Estimation"). For SUM the same reasoning
-// applies to the boundary partial sum.
+// guaranteed to contain the exact aggregate (§6 "Result Range Estimation").
+// With a conservative approximation only boundary cells can contribute false
+// positives, so the exact value is α minus the weight of some subset of the
+// points that hit the region's boundary cells. That weight lies between the
+// negative part Σ⁻ and the positive part Σ⁺ of the boundary partial, so the
+// exact value lies in [α − Σ⁺, α − Σ⁻]. For COUNT every weight is 1, and for
+// COUNT and for SUM with non-negative weights the interval is [α − Σ⁺, α].
+// SUM's bound holds up to the rounding of the float sums.
 func (j *ACTJoiner) AggregateWithRange(ps PointSet, agg Agg) (Result, []Interval, error) {
 	if agg != Count && agg != Sum {
 		return Result{}, nil, fmt.Errorf("join: result-range estimation applies to COUNT and SUM, not %v", agg)
@@ -182,35 +185,39 @@ func (j *ACTJoiner) AggregateWithRange(ps PointSet, agg Agg) (Result, []Interval
 	if err := ps.validate(agg); err != nil {
 		return Result{}, nil, err
 	}
-	res, boundary := newResult(agg, j.numReg), newResult(agg, j.numReg)
+	res := newResult(agg, j.numReg)
+	// The boundary partial, folded by sign.
+	pos, neg := make([]float64, j.numReg), make([]float64, j.numReg)
 	// The one loop that reads the payload's boundary bit; the visit order is
 	// AggregateMulti's, so res is what Aggregate answers.
 	buf := make([]int32, 0, 4)
 	for i, p := range ps.Pts {
-		pos, ok := j.domain.LeafPos(j.curve, p)
+		key, ok := j.domain.LeafPos(j.curve, p)
 		if !ok {
 			continue
 		}
 		w := ps.weight(i)
-		buf = j.trie.LookupAppend(pos, buf[:0])
+		bw := w // the point's weight in the aggregate
+		if agg == Count {
+			bw = 1
+		}
+		buf = j.trie.LookupAppend(key, buf[:0])
 		for _, v := range buf {
 			region, isBoundary := decodePayload(v)
 			res.add(region, w)
-			if isBoundary {
-				boundary.add(region, w)
+			switch {
+			case !isBoundary:
+			case bw > 0:
+				pos[region] += bw
+			default:
+				neg[region] += bw
 			}
 		}
 	}
 	ivs := make([]Interval, j.numReg)
 	for i := range ivs {
-		var alpha, eps float64
-		switch agg {
-		case Sum:
-			alpha, eps = res.Sums[i], boundary.Sums[i]
-		default:
-			alpha, eps = float64(res.Counts[i]), float64(boundary.Counts[i])
-		}
-		ivs[i] = Interval{Lo: alpha - eps, Hi: alpha}
+		alpha := res.Value(i)
+		ivs[i] = Interval{Lo: alpha - pos[i], Hi: alpha - neg[i]}
 	}
 	return res, ivs, nil
 }

@@ -128,6 +128,47 @@ func TestACTJoinCountsConservative(t *testing.T) {
 	}
 }
 
+// TestACTSumRangeMixedSignWeights: the §6 SUM interval encloses the exact
+// sum when weights are negative too. Integer weights keep every sum exact,
+// so the check is free of rounding.
+func TestACTSumRangeMixedSignWeights(t *testing.T) {
+	pts, _ := data.TaxiPoints(11, 20000)
+	regions := data.Regions(data.Partition(12, 4, 4, 4))
+	aj, err := NewACTJoiner(regions, data.CityDomain(), sfc.Hilbert{}, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, weight := range map[string]func(i int) float64{
+		"all -1":    func(int) float64 { return -1 },
+		"mixed":     func(i int) float64 { return float64(i%7 - 3) },
+		"non-neg":   func(i int) float64 { return float64(i % 5) },
+		"alternate": func(i int) float64 { return float64(1 - 2*(i%2)) },
+	} {
+		ps := PointSet{Pts: pts, Weights: make([]float64, len(pts))}
+		for i := range ps.Weights {
+			ps.Weights[i] = weight(i)
+		}
+		exact, err := BruteForce(ps, regions, Sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		approx, ivs, err := aj.AggregateWithRange(ps, Sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ri := range regions {
+			// The approximate α lies in the interval too: the positive and the
+			// negative boundary partials widen it on opposite sides.
+			for _, v := range []float64{exact.Sums[ri], approx.Sums[ri]} {
+				if !ivs[ri].Contains(v) {
+					t.Errorf("%s: region %d: SUM %g outside [%g, %g] (exact %g, approx %g)",
+						name, ri, v, ivs[ri].Lo, ivs[ri].Hi, exact.Sums[ri], approx.Sums[ri])
+				}
+			}
+		}
+	}
+}
+
 func TestACTJoinErrorShrinksWithBound(t *testing.T) {
 	ps, regions, d := testWorkload(t, 20000)
 	exact, _ := BruteForce(ps, regions, Count)

@@ -114,9 +114,3 @@ func (d Domain) LeafPos(c Curve, p geom.Point) (pos uint64, ok bool) {
 	x, y, ok := d.Coord(p, MaxLevel)
 	return c.Encode(MaxLevel, x, y), ok
 }
-
-// LeafCellID returns the MaxLevel CellID containing p.
-func (d Domain) LeafCellID(c Curve, p geom.Point) (CellID, bool) {
-	pos, ok := d.LeafPos(c, p)
-	return FromPosLevel(pos, MaxLevel), ok
-}
