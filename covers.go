@@ -11,9 +11,9 @@ import (
 
 // coverEntry is one resident bound of the cover cache: the immutable cover
 // set — the cover table, which depends only on the regions, domain, curve
-// and bound — shared by every registered dataset, plus the
-// joiner (span resolution and partials) of each dataset queried at the
-// bound. Joiners live inside the entry so that capacity counts bounds, an
+// and bound — shared by every registered dataset and by ad-hoc act requests,
+// plus the joiner (span resolution and partials) of each dataset queried at
+// the bound. Joiners live inside the entry so that capacity counts bounds, an
 // evicted bound takes its set and every joiner over it along, and a joiner
 // can never meet another bound's plan.
 type coverEntry struct {
@@ -46,9 +46,10 @@ func (ce *coverEntry) joiner(e *Engine, ds *Dataset) *join.PointIdxJoiner {
 }
 
 // coverEntryCtx returns the cover-cache entry for the bound, building its set
-// under the cache's singleflight on a miss. Like BRJ mask builds, a cold
-// rasterization fans out across the caller's worker budget, no wider;
-// canceling ctx abandons the wait (and the build, once no caller is left).
+// under the cache's singleflight on a miss — for a resident pointidx read and
+// an ad-hoc act read alike. Like BRJ mask builds, a cold rasterization fans
+// out across the caller's worker budget, no wider; canceling ctx abandons the
+// wait (and the build, once no caller is left).
 func (e *Engine) coverEntryCtx(ctx context.Context, bound float64, workers int) (*coverEntry, error) {
 	// Closure-free warm path: a ready entry is served without materializing
 	// the build closure below, so a hot resident loop allocates nothing here.
@@ -63,7 +64,7 @@ func (e *Engine) coverEntryCtx(ctx context.Context, bound float64, workers int) 
 		return &coverEntry{set: set}, nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("distbound: building point-index covers: %w", err)
+		return nil, fmt.Errorf("distbound: building cover set: %w", err)
 	}
 	return ce, nil
 }

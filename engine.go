@@ -29,25 +29,23 @@ const (
 // has seen more bounds than a cache holds evicts the least recently used
 // artifact instead of accumulating one per bound forever.
 const (
-	// indexCacheCapacity bounds the ACT index cache.
-	indexCacheCapacity = 8
-	// maskCacheCapacity bounds the BRJ mask-canvas cache, much tighter: one
-	// cached bound holds a float64 per covered pixel across every region mask
-	// — hundreds of MB at fine bounds — where an ACT trie is compact
+	// maskCacheCapacity bounds the BRJ mask-canvas cache, tight: one cached
+	// bound holds a float64 per covered pixel across every region mask —
+	// hundreds of MB at fine bounds — where a cover set is megabytes
 	// (BRJJoiner.MemoryBytes reports a resident set's footprint). It also
 	// caps how many mask builds run concurrently.
 	maskCacheCapacity = 2
-	// coverCacheCapacity bounds the resident point-index strategy's cover
-	// cache: each entry is one bound's cover set (the cover table — megabytes
-	// at fine bounds, far smaller than an ACT trie), shared by every
-	// registered dataset, plus their own state over it; an evicted bound goes
-	// with every dataset's state over it.
+	// coverCacheCapacity bounds the cover cache: each entry is one bound's
+	// cover set (the cover table — megabytes at fine bounds), shared by the
+	// ad-hoc act strategy and every registered dataset, plus the datasets'
+	// own state over it; an evicted bound goes with every dataset's state
+	// over it.
 	coverCacheCapacity = 8
 )
 
 // Engine answers spatial aggregation queries over a fixed region set. For an
 // ad-hoc point set the §4 cost-based planner chooses the physical plan — the
-// exact filter-and-refine join, the ACT-indexed approximate join or the
+// exact filter-and-refine join, the approximate cell-lookup join (act) or the
 // Bounded Raster Join, whichever is estimated cheapest for the requested
 // bound and expected repetitions; a dataset registered with RegisterPoints
 // has one plan, the resident learned-index probe, whenever the bound is
@@ -59,13 +57,14 @@ const (
 // cancellation unwinds the query promptly.
 //
 // Engine is a serving layer: all methods are safe for concurrent use by any
-// number of goroutines. Lazily built artifacts (the R*-tree, one ACT trie
-// per bound, one set of BRJ mask canvases per bound, one cover set per bound
-// shared by every registered dataset) are cached in bounded LRU caches with
-// singleflight build deduplication — concurrent misses on the same bound
-// run one build and share it. The planner is told which artifacts are
-// already resident, so cached-index reuse across concurrent callers
-// participates in its repetition amortization.
+// number of goroutines. Lazily built artifacts (the R*-tree, one set of BRJ
+// mask canvases per bound, and one cover set per bound — the one artifact
+// both the ad-hoc act join and every registered dataset answer from) are
+// cached in bounded LRU caches with singleflight build deduplication —
+// concurrent misses on the same bound run one build and share it. The
+// planner is told which artifacts are already resident, so cached-index
+// reuse across concurrent callers participates in its repetition
+// amortization.
 type Engine struct {
 	regions []Region
 	domain  Domain
@@ -73,7 +72,6 @@ type Engine struct {
 
 	exactOnce sync.Once
 	exact     atomic.Pointer[join.RStarJoiner]
-	act       *cache.Cache[float64, *join.ACTJoiner]
 	brj       *cache.Cache[float64, *join.BRJJoiner]
 
 	dsMu     sync.RWMutex // guards datasets
@@ -109,7 +107,6 @@ func NewEngine(regions []Region) *Engine {
 		regions:  regions,
 		domain:   DomainForRegions(regions...),
 		stats:    planner.ComputeStats(regions),
-		act:      cache.New[float64, *join.ACTJoiner](indexCacheCapacity),
 		brj:      cache.New[float64, *join.BRJJoiner](maskCacheCapacity),
 		datasets: map[string]*Dataset{},
 		covers:   cache.New[float64, *coverEntry](coverCacheCapacity),
@@ -122,7 +119,8 @@ func NewEngine(regions []Region) *Engine {
 func (e *Engine) NumRegions() int { return len(e.regions) }
 
 // cachedBuildsInto reports which strategies' build artifacts are resident
-// for the bound, so the planner charges no build cost for them. Only completed
+// for the bound — act's is the bound's cover set, whichever request built it —
+// so the planner charges no build cost for them. Only completed
 // builds count: an in-flight build has not been paid yet, and crediting it
 // would steer cheap one-shot queries into blocking on a slow build. It fills a
 // caller-reused map — the warm planning path charges no allocation for the
@@ -132,7 +130,7 @@ func (e *Engine) cachedBuildsInto(bound float64, m map[Strategy]bool) map[Strate
 	if e.exact.Load() != nil {
 		m[StrategyExact] = true
 	}
-	if e.act.ContainsReady(bound) {
+	if e.covers.ContainsReady(bound) {
 		m[StrategyACT] = true
 	}
 	if e.brj.ContainsReady(bound) {
@@ -536,23 +534,11 @@ func (e *Engine) exactJoiner() *join.RStarJoiner {
 	return e.exact.Load()
 }
 
-// actJoinerCtx returns the ACT joiner for the bound, building it under the
-// cache's singleflight on a miss. A cold build rasterises across the
-// request's worker budget, so it never exceeds the parallelism the query
+// brjJoinerCtx returns the mask-cached raster joiner for the bound, building
+// it under the cache's singleflight on a miss. A cold build renders across
+// the request's worker budget, so it never exceeds the parallelism the query
 // itself was granted; canceling ctx abandons the wait (and the build itself,
 // once no caller remains interested in it).
-func (e *Engine) actJoinerCtx(ctx context.Context, bound float64, workers int) (*join.ACTJoiner, error) {
-	aj, err := e.act.GetOrBuildCtx(ctx, bound, func(bctx context.Context) (*join.ACTJoiner, error) {
-		return join.NewACTJoinerCtx(bctx, e.regions, e.domain, Hilbert, bound, 0, workers)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("distbound: building ACT index: %w", err)
-	}
-	return aj, nil
-}
-
-// brjJoinerCtx returns the mask-cached raster joiner for the bound, its cold
-// build under the same worker budget and cancellation rule as actJoinerCtx.
 func (e *Engine) brjJoinerCtx(ctx context.Context, bound float64, workers int) (*join.BRJJoiner, error) {
 	bj, err := e.brj.GetOrBuildCtx(ctx, bound, func(bctx context.Context) (*join.BRJJoiner, error) {
 		return join.NewBRJJoinerCtx(bctx, e.regions, e.domain.Bounds(), bound, 0, workers)
@@ -564,12 +550,12 @@ func (e *Engine) brjJoinerCtx(ctx context.Context, bound float64, workers int) (
 }
 
 // CacheStats reports the engine's index-cache counters (hits, misses,
-// builds, coalesced waits on in-flight builds, evictions) for the ACT, BRJ
-// and resident-cover caches. The cover cache is keyed by bound alone — one
-// build per bound however many datasets query it — and entries survive
+// builds, coalesced waits on in-flight builds, evictions) for the BRJ and
+// cover caches. The cover cache is keyed by bound alone — one build per bound
+// however many datasets and ad-hoc act requests use it — and entries survive
 // dataset compactions, so a steady-state ingest workload shows cover hits,
 // not rebuilds, across generations; the per-dataset generation and delta
 // accounting lives in Dataset.Stats.
-func (e *Engine) CacheStats() (act, brj, cover cache.Stats) {
-	return e.act.Stats(), e.brj.Stats(), e.covers.Stats()
+func (e *Engine) CacheStats() (brj, cover cache.Stats) {
+	return e.brj.Stats(), e.covers.Stats()
 }

@@ -86,8 +86,8 @@ func TestEngineConcurrentMixedBounds(t *testing.T) {
 }
 
 // TestEngineConcurrentBuildsAreDeduplicated hammers a cold engine with many
-// goroutines asking for the same two bounds; the singleflight caches must
-// run exactly one build per distinct artifact.
+// goroutines asking for the same two bounds; the singleflight cover cache
+// must run exactly one build per distinct bound.
 func TestEngineConcurrentBuildsAreDeduplicated(t *testing.T) {
 	ps, _ := facadeWorkload(2000)
 	regions := complexRegions()
@@ -110,41 +110,12 @@ func TestEngineConcurrentBuildsAreDeduplicated(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	st := e.act.Stats()
+	st := e.covers.Stats()
 	if st.Builds != 2 {
 		t.Errorf("10 goroutines over 2 bounds ran %d builds (want 2); stats %+v", st.Builds, st)
 	}
-	if !e.act.ContainsReady(8) || !e.act.ContainsReady(16) || st.Evictions != 0 {
-		t.Errorf("cache does not hold both bounds' indexes; stats %+v", st)
-	}
-}
-
-// TestEngineIndexCacheEviction checks the LRU bound: a server queried at
-// more bounds than the capacity must evict, not grow without limit.
-func TestEngineIndexCacheEviction(t *testing.T) {
-	ps, _ := facadeWorkload(2000)
-	regions := complexRegions()
-	e := NewEngine(regions)
-	e.act.SetCapacity(2)
-
-	bounds := []float64{8, 12, 16, 24}
-	for _, b := range bounds {
-		if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: b, Repetitions: 1_000_000}); err != nil {
-			t.Fatalf("bound %g: %v", b, err)
-		}
-	}
-	if st := e.act.Stats(); st.Builds-st.Evictions > 2 {
-		t.Errorf("cache grew to %d entries despite capacity 2", st.Builds-st.Evictions)
-	}
-	if e.act.ContainsReady(8) {
-		t.Error("least recently used bound 8 survived eviction")
-	}
-	if st := e.act.Stats(); st.Evictions == 0 {
-		t.Errorf("no evictions counted: %+v", st)
-	}
-	// An evicted bound is rebuilt transparently.
-	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 8, Repetitions: 1_000_000}); err != nil {
-		t.Fatal(err)
+	if !e.covers.ContainsReady(8) || !e.covers.ContainsReady(16) || st.Evictions != 0 {
+		t.Errorf("cache does not hold both bounds' cover sets; stats %+v", st)
 	}
 }
 

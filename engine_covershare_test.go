@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"distbound/internal/cache"
 	"distbound/internal/data"
 	"distbound/internal/pointstore"
 	"distbound/internal/testutil"
@@ -54,7 +55,7 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 			resp.Release()
 		}
 	}
-	if _, _, cover := e.CacheStats(); cover.Builds != int64(len(bounds)) {
+	if _, cover := e.CacheStats(); cover.Builds != int64(len(bounds)) {
 		t.Fatalf("%d cover builds for %d bounds × %d datasets, want one per bound", cover.Builds, len(bounds), len(dss))
 	}
 	setBytes := 0
@@ -97,9 +98,9 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 func TestCoverCacheEvictsByBound(t *testing.T) {
 	e, dss := shareFixture(t, 4, 3000)
 	ref, refDss := shareFixture(t, 4, 3000)
-	ref.covers.SetCapacity(16)
-	e.SetResultCacheCapacity(0)
 	bounds := []float64{16, 24, 32, 48, 64, 96, 128, 192, 256}
+	ref.covers = cache.New[float64, *coverEntry](len(bounds))
+	e.SetResultCacheCapacity(0)
 	if len(bounds) != coverCacheCapacity+1 {
 		t.Fatalf("fixture needs capacity+1 bounds, have %d", len(bounds))
 	}
@@ -128,7 +129,7 @@ func TestCoverCacheEvictsByBound(t *testing.T) {
 		}
 	}
 	// Cyclic access to capacity+1 keys misses every time under LRU.
-	_, _, cover := e.CacheStats()
+	_, cover := e.CacheStats()
 	wantBuilds := int64(laps * len(bounds))
 	if cover.Builds != wantBuilds || cover.Evictions != wantBuilds-coverCacheCapacity {
 		t.Errorf("builds %d evictions %d, want %d and %d: capacity must count bounds, not (dataset, bound) pairs",
@@ -136,6 +137,38 @@ func TestCoverCacheEvictsByBound(t *testing.T) {
 	}
 	if e.covers.ContainsReady(bounds[0]) || !e.covers.ContainsReady(bounds[1]) {
 		t.Error("eviction did not take the least recently used bound")
+	}
+}
+
+// TestAdhocACTSharesResidentCoverSet: the ad-hoc act join answers from the
+// cover cache, so a resident read at a bound, a forced act read and a
+// planned act read at the same bound build one cover set between them — and
+// once the set is resident the planner charges act no build.
+func TestAdhocACTSharesResidentCoverSet(t *testing.T) {
+	e, dss := shareFixture(t, 1, 4000)
+	resp := pointIdxDo(t, e, dss[0], 16, Count, Sum)
+	resp.Release()
+	pts, ws := data.TaxiPoints(63, 2000)
+	ps := PointSet{Pts: pts, Weights: ws}
+	act := StrategyACT
+	for _, req := range []Request{
+		{Points: ps, Aggs: []Agg{Count, Sum, Min}, Bound: 16, Strategy: &act, Workers: 1},
+		{Points: ps, Aggs: []Agg{Count, Sum, Avg}, Bound: 16},
+	} {
+		resp, err := e.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Strategy != StrategyACT {
+			t.Fatalf("request ran %v, want act: %v", resp.Strategy, resp.Plan.Costs)
+		}
+		if c, ok := resp.Plan.Costs[StrategyACT]; ok && c.Build != 0 {
+			t.Errorf("act charged %g of build beside a resident cover set", c.Build)
+		}
+		resp.Release()
+	}
+	if got := coverBuilds(e); got != 1 {
+		t.Errorf("%d cover builds for one bound read resident, forced act and planned act; want 1", got)
 	}
 }
 
@@ -235,6 +268,6 @@ func TestUnregisterRacesQueries(t *testing.T) {
 }
 
 func coverBuilds(e *Engine) int64 {
-	_, _, cover := e.CacheStats()
+	_, cover := e.CacheStats()
 	return cover.Builds
 }

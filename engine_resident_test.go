@@ -362,7 +362,7 @@ func TestAggregateBatchWithDatasets(t *testing.T) {
 				ri, results[0].Results[0].Counts[ri], single.Counts[ri])
 		}
 	}
-	_, _, cover := e.CacheStats()
+	_, cover := e.CacheStats()
 	if cover.Builds == 0 {
 		t.Error("resident queries never built a cover artifact")
 	}
@@ -436,7 +436,7 @@ func TestResidentConcurrency(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
 	}
-	_, _, cover := e2.CacheStats()
+	_, cover := e2.CacheStats()
 	if int(cover.Builds) > len(bounds) {
 		t.Errorf("%d cover builds for %d distinct bounds: singleflight failed", cover.Builds, len(bounds))
 	}

@@ -136,21 +136,21 @@ func TestEngineCachesACTIndex(t *testing.T) {
 	regions := complexRegions()
 	e := NewEngine(regions)
 	// Two aggregations at the same bound with huge repetitions: the second
-	// must reuse the cached index (observable via the map).
+	// must reuse the bound's cached cover set.
 	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16, Repetitions: 1_000_000}); err != nil {
 		t.Fatal(err)
 	}
-	idx, ok := e.act.PeekReady(16)
+	ce, ok := e.covers.PeekReady(16)
 	if !ok {
 		t.Fatal("bound 16 not resident")
 	}
 	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16, Repetitions: 1_000_000}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := e.act.PeekReady(16); got != idx {
-		t.Error("ACT index rebuilt instead of reused")
+	if got, _ := e.covers.PeekReady(16); got != ce {
+		t.Error("cover set rebuilt instead of reused")
 	}
-	if st := e.act.Stats(); st.Builds != 1 {
+	if st := e.covers.Stats(); st.Builds != 1 {
 		t.Errorf("expected 1 build, counted %d", st.Builds)
 	}
 }

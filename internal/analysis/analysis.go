@@ -78,15 +78,17 @@ const (
 	ClassLibrary FileClass = iota
 	// ClassTest is a _test.go file.
 	ClassTest
-	// ClassCommand is a file under a cmd/ directory.
+	// ClassCommand is a file under a cmd/ directory, or any other file of a
+	// main package.
 	ClassCommand
 	// ClassExample is a file under an examples/ directory.
 	ClassExample
 )
 
 // ClassifyFile reports how a file should be treated by analyzers that exempt
-// non-library code: _test.go files, and files under cmd/ or examples/
-// relative to the module root.
+// non-library code: _test.go files, files under cmd/ or examples/ relative to
+// the module root, and any other package main file, which no caller can
+// import and which owns its process the way a command does.
 func (p *Pass) ClassifyFile(file *ast.File) FileClass {
 	name := p.Fset.Position(file.Package).Filename
 	if strings.HasSuffix(name, "_test.go") {
@@ -105,6 +107,9 @@ func (p *Pass) ClassifyFile(file *ast.File) FileClass {
 		case "examples":
 			return ClassExample
 		}
+	}
+	if file.Name.Name == "main" {
+		return ClassCommand
 	}
 	return ClassLibrary
 }

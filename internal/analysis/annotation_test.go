@@ -62,17 +62,19 @@ func F() {}
 func TestClassifyFile(t *testing.T) {
 	fset := token.NewFileSet()
 	cases := []struct {
-		path string
-		want FileClass
+		path, pkg string
+		want      FileClass
 	}{
-		{"/mod/engine.go", ClassLibrary},
-		{"/mod/engine_test.go", ClassTest},
-		{"/mod/cmd/spatialbench/main.go", ClassCommand},
-		{"/mod/examples/demo/main.go", ClassExample},
-		{"/mod/internal/join/coverplan.go", ClassLibrary},
+		{"/mod/engine.go", "p", ClassLibrary},
+		{"/mod/engine_test.go", "p", ClassTest},
+		{"/mod/cmd/spatialbench/main.go", "main", ClassCommand},
+		{"/mod/examples/demo/main.go", "main", ClassExample},
+		{"/mod/internal/join/coverplan.go", "p", ClassLibrary},
+		{"/mod/bench/main.go", "main", ClassCommand},
+		{"/mod/bench/main_test.go", "main", ClassTest},
 	}
 	for _, c := range cases {
-		f, err := parser.ParseFile(fset, c.path, "package p\n", 0)
+		f, err := parser.ParseFile(fset, c.path, "package "+c.pkg+"\n", 0)
 		if err != nil {
 			t.Fatal(err)
 		}

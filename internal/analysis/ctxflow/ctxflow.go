@@ -2,10 +2,11 @@
 // library code. Every layer of the engine threads a caller context — that is
 // what makes cancellation and deadlines propagate through builds, fan-outs
 // and cache waits — so a fresh background context inside the library is
-// almost always a severed cancellation chain. Commands, examples and tests
-// own their contexts and are exempt; a library declaration that genuinely
-// must detach (a context-free convenience wrapper, a build shared across
-// waiters) carries a //distbound:allow-background directive with a reason.
+// almost always a severed cancellation chain. Commands (any package main),
+// examples and tests own their contexts and are exempt; a library
+// declaration that genuinely must detach (a context-free convenience
+// wrapper, a build shared across waiters) carries a
+// //distbound:allow-background directive with a reason.
 package ctxflow
 
 import (

@@ -16,3 +16,9 @@ func TestCtxflowCommandExempt(t *testing.T) {
 	// a diagnostic there fails the run.
 	analysistest.Run(t, ".", ctxflow.Analyzer, "cfix/cmd/tool")
 }
+
+func TestCtxflowMainPackageExempt(t *testing.T) {
+	// A package main outside cmd/ — a harness like bench/ — owns its contexts
+	// too: a diagnostic in the fixture fails the run.
+	analysistest.Run(t, ".", ctxflow.Analyzer, "cfix/harness")
+}

@@ -68,7 +68,7 @@ type entry[K comparable, V any] struct {
 // capacity bound exists to contain.
 type Cache[K comparable, V any] struct {
 	mu        sync.Mutex
-	buildSlot *sync.Cond // signaled when a build finishes or capacity grows
+	buildSlot *sync.Cond // signaled when a build finishes
 	building  int
 	capacity  int
 	entries   map[K]*entry[K, V]
@@ -345,19 +345,6 @@ func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// SetCapacity changes the bound, evicting least-recently-used entries if
-// the cache is over the new capacity.
-func (c *Cache[K, V]) SetCapacity(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	c.evictOver()
-	c.buildSlot.Broadcast() // a raised capacity may unblock queued builders
 }
 
 // evictOver drops LRU entries until the cache fits its capacity. Entries

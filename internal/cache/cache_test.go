@@ -223,21 +223,6 @@ func TestBuildConcurrencyGatedByCapacity(t *testing.T) {
 	}
 }
 
-func TestSetCapacityShrinks(t *testing.T) {
-	c := New[int, int](8)
-	for k := 0; k < 6; k++ {
-		get(c, k, func() (int, error) { return k, nil })
-	}
-	c.SetCapacity(2)
-	if resident(c) != 2 {
-		t.Errorf("len %d after shrink", resident(c))
-	}
-	// The two most recently used keys survive.
-	if !c.ContainsReady(4) || !c.ContainsReady(5) {
-		t.Error("wrong survivors after shrink")
-	}
-}
-
 func TestPeekDoesNotBumpRecency(t *testing.T) {
 	c := New[int, int](2)
 	get(c, 1, func() (int, error) { return 1, nil })

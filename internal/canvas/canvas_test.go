@@ -280,35 +280,6 @@ func TestRenderRegionBoundary(t *testing.T) {
 	}
 }
 
-func TestTiles(t *testing.T) {
-	g := grid1(t)
-	bounds := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(99.5, 49.5)}
-	tiles := Tiles(g, bounds, 40)
-	// 100 x 50 pixels at tile size 40 → 3 x 2 tiles.
-	if len(tiles) != 6 {
-		t.Fatalf("tiles = %d, want 6", len(tiles))
-	}
-	// Tiles must cover the bounds and be disjoint in pixel space.
-	union := geom.EmptyRect()
-	var area float64
-	for _, tr := range tiles {
-		union = union.Union(tr)
-		area += tr.Area()
-	}
-	if !union.ContainsRect(bounds) {
-		t.Error("tiles do not cover bounds")
-	}
-	if math.Abs(area-union.Area()) > 1e-6 {
-		t.Errorf("tiles overlap: sum %v vs union %v", area, union.Area())
-	}
-	if Tiles(g, geom.EmptyRect(), 40) != nil {
-		t.Error("empty bounds should give no tiles")
-	}
-	if got := Tiles(g, bounds, 0); len(got) != 1 {
-		t.Errorf("default maxTex should give 1 tile, got %d", len(got))
-	}
-}
-
 func TestBRJStyleComposition(t *testing.T) {
 	// End-to-end mini-BRJ: scatter points, render a polygon mask, multiply,
 	// sum — and compare with the exact count.

@@ -34,7 +34,7 @@ func (c *Canvas) RenderPoints(pts []geom.Point, weight func(i int) float64) {
 // non-conservative distance-bounded approximation with bound = pixel
 // diagonal. Already-set pixels are overwritten (BlendOver semantics).
 func (c *Canvas) RenderRegion(rg geom.Region, value float64) {
-	rings := regionRings(rg)
+	polys := geom.Polygons(rg)
 	bb := rg.Bounds().Intersection(c.Bounds())
 	if bb.IsEmpty() {
 		return
@@ -44,7 +44,7 @@ func (c *Canvas) RenderRegion(rg geom.Region, value float64) {
 	gx0, gy0 = max(gx0, c.X0), max(gy0, c.Y0)
 	gx1, gy1 = min(gx1, c.X0+c.W-1), min(gy1, c.Y0+c.H-1)
 
-	if rings == nil {
+	if polys == nil {
 		// Generic fallback: test every pixel center.
 		for gy := gy0; gy <= gy1; gy++ {
 			for gx := gx0; gx <= gx1; gx++ {
@@ -57,6 +57,10 @@ func (c *Canvas) RenderRegion(rg geom.Region, value float64) {
 	}
 
 	// Scanline fill: crossings of each pixel-center row with all rings.
+	var rings []geom.Ring
+	for _, p := range polys {
+		rings = append(rings, p.Rings()...)
+	}
 	var xs []float64
 	for gy := gy0; gy <= gy1; gy++ {
 		cy := c.G.Origin.Y + (float64(gy)+0.5)*c.G.PixelSize
@@ -95,9 +99,11 @@ func (c *Canvas) RenderRegion(rg geom.Region, value float64) {
 // used for result-range estimation (§6: errors happen only at boundary
 // cells).
 func (c *Canvas) RenderRegionBoundary(rg geom.Region, value float64) {
-	for _, ring := range regionRings(rg) {
-		for i := range ring {
-			c.renderSegment(ring.Edge(i), value)
+	for _, p := range geom.Polygons(rg) {
+		for _, ring := range p.Rings() {
+			for i := range ring {
+				c.renderSegment(ring.Edge(i), value)
+			}
 		}
 	}
 }
@@ -135,47 +141,4 @@ func (c *Canvas) renderSegment(e geom.Segment, value float64) {
 	c.Set(gx, gy, value)
 	gx, gy = c.G.PixelOf(e.B)
 	c.Set(gx, gy, value)
-}
-
-// regionRings mirrors raster.regionRings for the known Region types.
-func regionRings(rg geom.Region) []geom.Ring {
-	switch v := rg.(type) {
-	case *geom.Polygon:
-		return v.Rings()
-	case *geom.MultiPolygon:
-		var out []geom.Ring
-		for _, p := range v.Polygons {
-			out = append(out, p.Rings()...)
-		}
-		return out
-	default:
-		return nil
-	}
-}
-
-// Tiles splits the pixel window needed for bounds into tile windows of at
-// most maxTex × maxTex pixels — the multi-pass subdivision the paper
-// describes when the required canvas resolution exceeds what the GPU
-// supports.
-func Tiles(g Grid, bounds geom.Rect, maxTex int) []geom.Rect {
-	if bounds.IsEmpty() {
-		return nil
-	}
-	if maxTex < 1 {
-		maxTex = DefaultMaxTextureSize
-	}
-	x0, y0 := g.PixelOf(bounds.Min)
-	x1, y1 := g.PixelOf(bounds.Max)
-	var out []geom.Rect
-	for ty := y0; ty <= y1; ty += maxTex {
-		for tx := x0; tx <= x1; tx += maxTex {
-			hx := min(tx+maxTex-1, x1)
-			hy := min(ty+maxTex-1, y1)
-			out = append(out, geom.Rect{
-				Min: g.PixelRect(tx, ty).Min,
-				Max: g.PixelRect(hx, hy).Max,
-			})
-		}
-	}
-	return out
 }

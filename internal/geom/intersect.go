@@ -31,8 +31,8 @@ func PolygonsIntersect(a, b *Polygon) bool {
 // RegionsIntersect reports whether two regions (Polygon or MultiPolygon)
 // share at least one point.
 func RegionsIntersect(a, b Region) bool {
-	for _, pa := range regionPolys(a) {
-		for _, pb := range regionPolys(b) {
+	for _, pa := range Polygons(a) {
+		for _, pb := range Polygons(b) {
 			if PolygonsIntersect(pa, pb) {
 				return true
 			}
@@ -60,15 +60,4 @@ func RegionDistance(a, b Region, step float64) float64 {
 		return 0
 	}
 	return d
-}
-
-func regionPolys(rg Region) []*Polygon {
-	switch v := rg.(type) {
-	case *Polygon:
-		return []*Polygon{v}
-	case *MultiPolygon:
-		return v.Polygons
-	default:
-		return nil
-	}
 }

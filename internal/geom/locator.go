@@ -34,13 +34,8 @@ type ringLocator struct {
 // NewPointLocator indexes rg's rings. It returns nil for a Region that is
 // neither a *Polygon nor a *MultiPolygon: its rings are not accessible.
 func NewPointLocator(rg Region) *PointLocator {
-	var polys []*Polygon
-	switch v := rg.(type) {
-	case *Polygon:
-		polys = []*Polygon{v}
-	case *MultiPolygon:
-		polys = v.Polygons
-	default:
+	polys := Polygons(rg)
+	if polys == nil {
 		return nil
 	}
 	l := &PointLocator{bounds: rg.Bounds(), polys: make([]polygonLocator, len(polys))}

@@ -447,3 +447,17 @@ var (
 	_ Region = (*Polygon)(nil)
 	_ Region = (*MultiPolygon)(nil)
 )
+
+// Polygons decomposes a region into its polygons: the polygon itself, or a
+// multi-polygon's parts. It returns nil for any other Region, whose rings
+// are not accessible.
+func Polygons(rg Region) []*Polygon {
+	switch v := rg.(type) {
+	case *Polygon:
+		return []*Polygon{v}
+	case *MultiPolygon:
+		return v.Polygons
+	default:
+		return nil
+	}
+}

@@ -3,7 +3,6 @@ package join
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"distbound/internal/act"
 	"distbound/internal/geom"
@@ -32,77 +31,29 @@ type ACTJoiner struct {
 // NewACTJoiner builds the joiner: one HR approximation per region at
 // distance bound eps, all cells inserted into a single trie. Payloads encode
 // (region ID, boundary flag) so that result-range estimation can attribute
-// hits to boundary cells. The build rasterises on GOMAXPROCS workers.
-//
-//distbound:allow-background context-free convenience over NewACTJoinerCtx; callers hold no context to thread
+// hits to boundary cells. The regions are rasterised on GOMAXPROCS workers
+// into a slice — 8 bytes a cell, less than the trie built from them — and
+// inserted in region order, so the trie is cell for cell the one-worker
+// build's.
 func NewACTJoiner(regions []geom.Region, d sfc.Domain, curve sfc.Curve, eps float64, stride int) (*ACTJoiner, error) {
-	return NewACTJoinerCtx(context.Background(), regions, d, curve, eps, stride, 0)
-}
-
-// NewACTJoinerCtx is NewACTJoiner under a context and a worker budget (≤ 0
-// selects GOMAXPROCS): canceling ctx abandons the build between regions and
-// returns ctx.Err() once every goroutine it started has exited, so an index
-// build nobody waits for anymore stops burning CPU. The caller is one of the
-// workers: it inserts in region order while the others rasterise ahead of it,
-// so the trie is cell for cell the one-worker build's.
-func NewACTJoinerCtx(ctx context.Context, regions []geom.Region, d sfc.Domain, curve sfc.Curve, eps float64, stride, workers int) (*ACTJoiner, error) {
 	trie, err := act.New(stride)
 	if err != nil {
 		return nil, err
 	}
-	type hr struct {
-		a   *raster.Approximation
-		err error
-	}
-	rasterise := func(ri int) (r hr) {
-		r.a, r.err = raster.Hierarchical(regions[ri], d, curve, eps, raster.Conservative)
-		return r
-	}
-	done := ctx.Done()
-	fetch := rasterise // region ri's approximation, asked for in region order
-	if ahead := pool.Workers(workers, len(regions)) - 1; ahead > 0 {
-		pctx, stop := context.WithCancel(ctx)
-		var wg sync.WaitGroup
-		defer wg.Wait()
-		defer stop()
-		// Worker w rasterises regions w, w+ahead, … onto its own channel, so
-		// region ri is the next thing to arrive on out[ri%ahead].
-		out := make([]chan hr, ahead)
-		for w := range out {
-			out[w] = make(chan hr, 2) // the look-ahead: two finished regions per worker
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ri := w; ri < len(regions) && pctx.Err() == nil; ri += ahead {
-					select {
-					case out[w] <- rasterise(ri):
-					case <-pctx.Done():
-					}
-				}
-			}()
-		}
-		fetch = func(ri int) (r hr) {
-			select {
-			case r = <-out[ri%ahead]:
-			case <-done:
-				r.err = ctx.Err()
-			}
-			return r
-		}
+	hrs := make([]*raster.Approximation, len(regions))
+	err = pool.Run(len(regions), pool.Workers(0, len(regions)), func(_, ri int) (err error) {
+		hrs[ri], err = raster.Hierarchical(regions[ri], d, curve, eps, raster.Conservative)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	j := &ACTJoiner{domain: d, curve: curve, bound: eps, numReg: len(regions)}
-	for ri := range regions {
-		if canceled(done) {
-			return nil, ctx.Err()
-		}
-		r := fetch(ri)
-		if r.err != nil {
-			return nil, r.err
-		}
-		trie.InsertCells(r.a.Interior, encodePayload(ri, false))
-		trie.InsertCells(r.a.Boundary, encodePayload(ri, true))
-		j.cells += r.a.NumCells()
-		j.boundaryCells += len(r.a.Boundary)
+	for ri, a := range hrs {
+		trie.InsertCells(a.Interior, encodePayload(ri, false))
+		trie.InsertCells(a.Boundary, encodePayload(ri, true))
+		j.cells += a.NumCells()
+		j.boundaryCells += len(a.Boundary)
 	}
 	// Freeze into the read-optimized layout: the joiner only ever reads.
 	j.trie = trie.Compact()

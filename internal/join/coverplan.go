@@ -294,6 +294,18 @@ func (p *coverPlan) segmentOf(key uint64) int {
 	return lo - 1
 }
 
+// stab returns the regions whose covers hold key: the stab list of key's
+// boundary segment, empty when key precedes every boundary.
+//
+//distbound:noalloc
+func (p *coverPlan) stab(key uint64) []int32 {
+	seg := p.segmentOf(key)
+	if seg < 0 {
+		return nil
+	}
+	return p.stabRegions[p.stabOff[seg]:p.stabOff[seg+1]]
+}
+
 // intersects reports whether any region's cover holds a key in [lo, hi]:
 // from lo's segment it walks the segments starting at or below hi until one
 // has a non-empty stab list.
@@ -564,7 +576,7 @@ func (j *PointIdxJoiner) spansFor(ctx context.Context, snap *pointstore.Snapshot
 func (j *PointIdxJoiner) refreshSpans(ctx context.Context, snap *pointstore.Snapshot, workers int) (*resolvedSpans, error) {
 	p := j.plan
 	resolved := make([]int, len(p.bkeys))
-	chunks := shardBounds(len(p.bkeys), workers)
+	chunks := pool.Split(len(p.bkeys), workers)
 	err := pool.RunCtx(ctx, len(chunks), len(chunks), func(_, ci int) error {
 		lo, hi := chunks[ci][0], chunks[ci][1]
 		snap.SpanMulti(p.bkeys[lo:hi], resolved[lo:hi])
@@ -609,13 +621,8 @@ func (j *PointIdxJoiner) invertDelta(ctx context.Context, snap *pointstore.Snaps
 		if !snap.DeltaLive(k) {
 			continue
 		}
-		key := snap.DeltaKey(k)
 		probed++
-		seg := p.segmentOf(key)
-		if seg < 0 {
-			continue
-		}
-		stab := p.stabRegions[p.stabOff[seg]:p.stabOff[seg+1]]
+		stab := p.stab(snap.DeltaKey(k))
 		if len(stab) == 0 {
 			continue
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"distbound/internal/index/rstar"
 	"distbound/internal/pool"
@@ -25,6 +24,13 @@ import (
 // fan-out promptly (workers poll between regions / every cancelCheckMask+1
 // points) and the call returns ctx.Err() only after every worker has exited,
 // so no goroutine outlives the call and no partial result escapes.
+//
+// Parallel evaluation (§2.3 "Execution"): because every point lookup — and
+// every canvas pixel — is independent, and COUNT/SUM/AVG are distributive or
+// algebraic, the aggregation join decomposes into shard-local partial
+// aggregates that merge exactly. The parallel forms return bit-identical
+// counts and float-sum results that differ from the sequential ones only by
+// re-association of additions.
 
 // cancelCheckMask throttles per-point context polls: workers check
 // ctx.Done() every 8192 points, cheap enough to vanish in the fold cost yet
@@ -200,27 +206,22 @@ func pointShardFold(ctx context.Context, nPts, workers, numReg int, aggs []Agg,
 	}
 	needs := needsOf(aggs)
 	done := ctx.Done()
-	shards := shardBounds(nPts, workers)
+	shards := pool.Split(nPts, workers)
 	parts := make([]acc, len(shards))
-	var wg sync.WaitGroup
-	for si, sh := range shards {
-		wg.Add(1)
-		go func(si, lo, hi int) {
-			defer wg.Done()
-			part := newAcc(needs, numReg)
-			perPoint := perWorker()
-			for i := lo; i < hi; i++ {
-				if i&cancelCheckMask == 0 && canceled(done) {
-					return
-				}
-				perPoint(i, &part)
+	err := pool.RunCtx(ctx, len(shards), len(shards), func(_, si int) error {
+		part := newAcc(needs, numReg)
+		perPoint := perWorker()
+		for i := shards[si][0]; i < shards[si][1]; i++ {
+			if i&cancelCheckMask == 0 && canceled(done) {
+				return ctx.Err()
 			}
-			parts[si] = part
-		}(si, sh[0], sh[1])
-	}
-	wg.Wait()
-	if canceled(done) {
-		return nil, ctx.Err()
+			perPoint(i, &part)
+		}
+		parts[si] = part
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	total := newAcc(needs, numReg)
 	total.merge(parts)
@@ -252,6 +253,32 @@ func (j *ACTJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 			for _, v := range buf {
 				region, _ := decodePayload(v)
 				part.add(region, w)
+			}
+		}
+	})
+}
+
+// AggregateMulti joins a streamed point set through the cover table: each
+// point's leaf key is located among the boundary segments once and fanned out
+// to the segment's stab list, the regions whose covers hold it. The covers are
+// the cells the ACT trie indexes — the same conservative hierarchical raster
+// per region at the same bound — so a point meets exactly the regions its trie
+// lookup finds, and the fold visits points in the same shards and order:
+// every aggregate is bit-identical to ACTJoiner.AggregateMulti at the same
+// worker count.
+func (cs *CoverSet) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg, workers int) ([]Result, error) {
+	if err := ps.validateAggs(aggs); err != nil {
+		return nil, err
+	}
+	return pointShardFold(ctx, len(ps.Pts), workers, cs.NumRegions(), aggs, func() func(int, *acc) {
+		return func(i int, part *acc) {
+			key, ok := cs.domain.LeafPos(cs.curve, ps.Pts[i])
+			if !ok {
+				return
+			}
+			w := ps.weight(i)
+			for _, ri := range cs.plan.stab(key) {
+				part.add(int(ri), w)
 			}
 		}
 	})

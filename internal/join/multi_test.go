@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"testing"
 
 	"distbound/internal/data"
@@ -181,10 +180,15 @@ func TestAggregateMultiCancellation(t *testing.T) {
 		t.Errorf("pointidx: %v, want context.Canceled", err)
 	}
 
-	// Canceled builds abort too.
-	if _, err := NewACTJoinerCtx(ctx, regions, d, sfc.Hilbert{}, 16, 0, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("NewACTJoinerCtx: %v, want context.Canceled", err)
+	cs, err := NewCoverSetCtx(context.Background(), regions, d, sfc.Hilbert{}, 16, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := cs.AggregateMulti(ctx, ps, []Agg{Count}, 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("cover set: %v, want context.Canceled", err)
+	}
+
+	// Canceled builds abort too.
 	if _, err := NewBRJJoinerCtx(ctx, regions, d.Bounds(), 16, 0, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("NewBRJJoinerCtx: %v, want context.Canceled", err)
 	}
@@ -193,67 +197,33 @@ func TestAggregateMultiCancellation(t *testing.T) {
 	}
 }
 
-// cancelingRegion cancels a context the first time the rasteriser asks it
-// about a rectangle (a wrapped region takes the RelateRect path).
-type cancelingRegion struct {
-	geom.Region
-	cancel context.CancelFunc
-}
-
-func (r cancelingRegion) RelateRect(rc geom.Rect) geom.RectRelation {
-	r.cancel()
-	return r.Region.RelateRect(rc)
-}
-
-// TestACTBuildCancellationLeavesNoGoroutine: a pooled build canceled while
-// its second region is being rasterised returns the context's error, and
-// every goroutine it started has exited by then.
-func TestACTBuildCancellationLeavesNoGoroutine(t *testing.T) {
-	_, regions, _ := multiFixture(t, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	regions = slices.Clone(regions)
-	regions[1] = cancelingRegion{regions[1], cancel}
-	before := runtime.NumGoroutine()
-	if _, err := NewACTJoinerCtx(ctx, regions, data.CityDomain(), sfc.Hilbert{}, 16, 0, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled build: %v, want context.Canceled", err)
-	}
-	// A goroutine is counted until it has fully exited, a moment after the
-	// WaitGroup the build waited on let go.
-	for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
-		runtime.Gosched()
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("%d goroutines after the canceled build, %d before", n, before)
-	}
-}
-
-// TestACTBuildPooledMatchesSequential: regions rasterised ahead on a pool are
-// still inserted in region order, so the trie — its cells, its footprint and
-// every answer read off it — is the one-worker build's on any host.
+// TestACTBuildPooledMatchesSequential: regions rasterised on a pool are still
+// inserted in region order, so the trie — its cells, its footprint and every
+// answer read off it — is the one-worker build's on any host.
 func TestACTBuildPooledMatchesSequential(t *testing.T) {
 	ps, regions, _ := multiFixture(t, 5000)
-	ctx := context.Background()
-	build := func(workers int) (*ACTJoiner, []Result) {
-		j, err := NewACTJoinerCtx(ctx, regions, data.CityDomain(), sfc.Hilbert{}, 32, 0, workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	build := func(procs int) (*ACTJoiner, []Result) {
+		runtime.GOMAXPROCS(procs) // NewACTJoiner rasterises on GOMAXPROCS workers
+		j, err := NewACTJoiner(regions, data.CityDomain(), sfc.Hilbert{}, 32, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := j.AggregateMulti(ctx, ps, []Agg{Count, Sum}, 1)
+		rs, err := j.AggregateMulti(context.Background(), ps, []Agg{Count, Sum}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return j, rs
 	}
 	seq, want := build(1)
-	for _, workers := range []int{2, 5} {
-		j, got := build(workers)
+	for _, procs := range []int{2, 5} {
+		j, got := build(procs)
 		if j.NumCells() != seq.NumCells() || j.boundaryCells != seq.boundaryCells || j.MemoryBytes() != seq.MemoryBytes() {
-			t.Errorf("workers=%d: %d cells, %d boundary, %d bytes; one worker built %d, %d, %d", workers,
+			t.Errorf("GOMAXPROCS=%d: %d cells, %d boundary, %d bytes; one worker built %d, %d, %d", procs,
 				j.NumCells(), j.boundaryCells, j.MemoryBytes(), seq.NumCells(), seq.boundaryCells, seq.MemoryBytes())
 		}
 		for k := range want {
-			bitIdentical(t, fmt.Sprintf("workers=%d", workers), want[k], got[k])
+			bitIdentical(t, fmt.Sprintf("GOMAXPROCS=%d", procs), want[k], got[k])
 		}
 	}
 }

@@ -112,32 +112,3 @@ func TestBRJRunParallelMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-func TestShardBounds(t *testing.T) {
-	cases := []struct {
-		n, k int
-		want int
-	}{
-		{10, 3, 3}, {10, 20, 10}, {0, 4, 0}, {7, 1, 1}, {5, 0, 1},
-	}
-	for _, c := range cases {
-		got := shardBounds(c.n, c.k)
-		if len(got) != c.want {
-			t.Errorf("shardBounds(%d,%d) = %d shards, want %d", c.n, c.k, len(got), c.want)
-			continue
-		}
-		// Shards must partition [0, n).
-		prev := 0
-		total := 0
-		for _, s := range got {
-			if s[0] != prev {
-				t.Errorf("shardBounds(%d,%d): gap at %d", c.n, c.k, s[0])
-			}
-			total += s[1] - s[0]
-			prev = s[1]
-		}
-		if total != c.n {
-			t.Errorf("shardBounds(%d,%d): covers %d items", c.n, c.k, total)
-		}
-	}
-}

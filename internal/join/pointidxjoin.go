@@ -18,10 +18,12 @@ import (
 // It depends only on the regions, domain, curve and bound — never on the
 // points — so one set serves every dataset linearized over that domain and
 // curve, across all their appends, deletes and compactions. Attach pairs it
-// with a dataset.
+// with a dataset; AggregateMulti joins a streamed point set through it.
 type CoverSet struct {
-	bound float64
-	plan  *coverPlan
+	domain sfc.Domain
+	curve  sfc.Curve
+	bound  float64
+	plan   *coverPlan
 }
 
 // NewCoverSetCtx rasterizes every region at distance bound eps over the
@@ -45,7 +47,7 @@ func NewCoverSetCtx(ctx context.Context, regions []geom.Region, d sfc.Domain, c 
 	if err != nil {
 		return nil, err
 	}
-	return &CoverSet{bound: eps, plan: buildCoverPlan(covers)}, nil
+	return &CoverSet{domain: d, curve: c, bound: eps, plan: buildCoverPlan(covers)}, nil
 }
 
 // Attach returns a joiner over src sharing this set read-only, with no state

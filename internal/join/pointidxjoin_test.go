@@ -2,6 +2,7 @@ package join
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -76,6 +77,59 @@ func TestPointIdxMatchesACTBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCoverSetAggregateMultiMatchesACT: a streamed point set joined through
+// the cover table answers every aggregate bit for bit what the ACT trie
+// answers — both hold the same conservative cells per region, and both fold
+// the same point shards in the same order. The points include every region
+// vertex and every edge midpoint (each on a boundary two regions share), a
+// NaN point and points outside the domain, beside ordinary ones with
+// fractional signed weights, so float sums would betray any difference in
+// which regions a point reaches or in what order.
+func TestCoverSetAggregateMultiMatchesACT(t *testing.T) {
+	polys := data.Partition(5, 4, 4, 3)
+	regions := data.Regions(polys)
+	d := data.CityDomain()
+	pts, _ := data.TaxiPoints(7, 3000)
+	for _, p := range polys {
+		for i, v := range p.Outer {
+			w := p.Outer[(i+1)%len(p.Outer)]
+			pts = append(pts, v, geom.Pt((v.X+w.X)/2, (v.Y+w.Y)/2))
+		}
+	}
+	pts = append(pts, geom.Pt(math.NaN(), 100), geom.Pt(-5, 100), geom.Pt(100, data.CitySize+1), geom.Pt(math.Inf(1), 0))
+	weights := make([]float64, len(pts))
+	for i := range weights {
+		weights[i] = float64(i%13-6) * 1.37
+	}
+	all := []Agg{Count, Sum, Avg, Min, Max}
+	ctx := context.Background()
+	for _, eps := range []float64{4, 16, 64} {
+		aj, err := NewACTJoiner(regions, d, sfc.Hilbert{}, eps, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := NewCoverSetCtx(ctx, regions, d, sfc.Hilbert{}, eps, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ps := range []PointSet{{Pts: pts, Weights: weights}, {Pts: []geom.Point{}, Weights: []float64{}}} {
+			for _, workers := range []int{1, 2, 3} {
+				want, err := aj.AggregateMulti(ctx, ps, all, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := cs.AggregateMulti(ctx, ps, all, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, agg := range all {
+					bitIdentical(t, fmt.Sprintf("ε%g %d points workers=%d %v", eps, len(ps.Pts), workers, agg), want[k], got[k])
+				}
+			}
+		}
+	}
+}
+
 // TestACTBuildUnchangedByDescent pins what the ACT build reads off the
 // rasterizer on the repository benchmark's partition — total cells, boundary
 // cells and the compacted trie's footprint — to the figures the decode-per-
@@ -90,7 +144,7 @@ func TestACTBuildUnchangedByDescent(t *testing.T) {
 		{16, 1294318, 637893, 20160532},
 		{64, 315538, 159129, 3659408},
 	} {
-		j, err := NewACTJoinerCtx(context.Background(), regions, data.CityDomain(), sfc.Hilbert{}, want.eps, 0, 0)
+		j, err := NewACTJoiner(regions, data.CityDomain(), sfc.Hilbert{}, want.eps, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,8 +26,11 @@ const (
 	// StrategyExact is the R*-tree filter-and-refine join (exact answers,
 	// no build beyond MBR bulk-loading, PIP cost per candidate).
 	StrategyExact Strategy = iota
-	// StrategyACT is the approximate trie join: expensive distance-bounded
-	// index build, then very cheap repeated evaluation.
+	// StrategyACT is the approximate cell-lookup join: expensive
+	// distance-bounded covers built once per bound, then one lookup per
+	// point. The estimate prices the paper's ACT trie; the engine answers
+	// from the bound's cover table, which holds the same cells and gives the
+	// same answers.
 	StrategyACT
 	// StrategyBRJ is the Bounded Raster Join: no pre-computation, cost
 	// proportional to canvas pixels — attractive for one-shot queries at
@@ -80,9 +83,10 @@ type Query struct {
 	// silently swapping strategies. Empty means a single COUNT-like
 	// aggregate.
 	Aggs []join.Agg
-	// CachedBuild marks strategies whose one-time build artifact (the ACT
-	// trie, the R*-tree, or the BRJ region-mask canvases) is already
-	// resident in the caller's cache: their build cost has been paid, so
+	// CachedBuild marks strategies whose one-time build artifact (the
+	// bound's cover set for act, the R*-tree, or the BRJ region-mask
+	// canvases) is already resident in the caller's cache — whatever request
+	// built it: their build cost has been paid, so
 	// Estimate charges none. This is how repetition amortization extends
 	// across concurrent callers sharing one engine.
 	CachedBuild map[Strategy]bool

@@ -40,25 +40,6 @@ const (
 	insertionSortMax = 64
 )
 
-// chunkBounds splits n rows into at most k contiguous, near-equal [lo, hi)
-// chunks (never empty ones).
-func chunkBounds(n, k int) [][2]int {
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		k = 1
-	}
-	out := make([][2]int, 0, k)
-	for s := 0; s < k; s++ {
-		lo, hi := n*s/k, n*(s+1)/k
-		if lo < hi {
-			out = append(out, [2]int{lo, hi})
-		}
-	}
-	return out
-}
-
 // sortColumnsByKey returns the four columns sorted by (key, ID). ids must be
 // ascending — both call sites satisfy it: construction feeds input-order IDs
 // and compaction feeds the delta tail in append (ID) order — so a stable
@@ -133,7 +114,7 @@ func sortPairsCmp(pairs []keyRef) {
 // entirely.
 func radixSortPairs(pairs []keyRef, workers int) {
 	n := len(pairs)
-	chunks := chunkBounds(n, workers)
+	chunks := pool.Split(n, workers)
 
 	// diff accumulates the bits on which any two keys disagree; bytes outside
 	// it need no pass at all.
@@ -289,7 +270,7 @@ func gatherColumns(pairs []keyRef, keys []uint64, ws []float64, ids []uint64, pt
 	if ws != nil {
 		sw = make([]float64, n)
 	}
-	chunks := chunkBounds(n, workers)
+	chunks := pool.Split(n, workers)
 	pool.Run(len(chunks), workers, func(_, ci int) error {
 		for i := chunks[ci][0]; i < chunks[ci][1]; i++ {
 			j := pairs[i].row

@@ -29,6 +29,22 @@ func Workers(requested, jobs int) int {
 	return w
 }
 
+// Split partitions n jobs into at most k contiguous, near-equal shards,
+// returned as [lo, hi) bounds and never empty: shard s is [n·s/k, n·(s+1)/k)
+// with k clamped to [1, n]. The bounds depend only on n and k, so a fold
+// merging per-shard partials in shard order associates the same way on every
+// run at the same k.
+func Split(n, k int) [][2]int {
+	k = max(min(k, n), 1)
+	out := make([][2]int, 0, k)
+	for s := 0; s < k; s++ {
+		if lo, hi := n*s/k, n*(s+1)/k; lo < hi {
+			out = append(out, [2]int{lo, hi})
+		}
+	}
+	return out
+}
+
 // SplitWeighted partitions n jobs (job i carrying weight(i) ≥ 0) into at
 // most k contiguous shards of roughly equal total weight, returned as
 // [lo, hi) bounds. Unlike an even count split, a
@@ -47,21 +63,14 @@ func SplitWeighted(n, k int, weight func(i int) int64) [][2]int {
 	if k <= 1 {
 		return [][2]int{{0, n}}
 	}
-	out := make([][2]int, 0, k)
 	var total int64
 	for i := 0; i < n; i++ {
 		total += weight(i)
 	}
 	if total <= 0 {
-		// Weightless jobs degenerate to the even count split.
-		for s := 0; s < k; s++ {
-			lo, hi := n*s/k, n*(s+1)/k
-			if lo < hi {
-				out = append(out, [2]int{lo, hi})
-			}
-		}
-		return out
+		return Split(n, k) // weightless jobs degenerate to the even count split
 	}
+	out := make([][2]int, 0, k)
 	// Midpoint rule: a job whose weight midpoint falls in the s-th of k equal
 	// weight intervals belongs to shard s. Midpoints are non-decreasing in i,
 	// so shards come out contiguous; an outsized job lands alone in its shard

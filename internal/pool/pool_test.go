@@ -147,6 +147,38 @@ func TestRunCtxNoCancelBehavesLikeRun(t *testing.T) {
 	}
 }
 
+// TestSplit pins the even split: the shards partition [0, n) contiguously,
+// with no empty shard, k clamped to [1, n], and shard s starting at n·s/k.
+func TestSplit(t *testing.T) {
+	cases := []struct {
+		n, k int
+		want int
+	}{
+		{10, 3, 3}, {10, 20, 10}, {0, 4, 0}, {7, 1, 1}, {5, 0, 1}, {5, -2, 1},
+	}
+	for _, c := range cases {
+		got := Split(c.n, c.k)
+		if len(got) != c.want {
+			t.Errorf("Split(%d,%d) = %d shards, want %d", c.n, c.k, len(got), c.want)
+			continue
+		}
+		prev := 0
+		for s, sh := range got {
+			if sh[0] != prev || sh[1] <= sh[0] {
+				t.Errorf("Split(%d,%d): shards not a contiguous cover: %v", c.n, c.k, got)
+				break
+			}
+			if k := len(got); sh[0] != c.n*s/k {
+				t.Errorf("Split(%d,%d): shard %d starts at %d, want %d", c.n, c.k, s, sh[0], c.n*s/k)
+			}
+			prev = sh[1]
+		}
+		if prev != c.n {
+			t.Errorf("Split(%d,%d): covers %d items", c.n, c.k, prev)
+		}
+	}
+}
+
 // TestSplitWeighted pins the cost-weighted shard assignment: contiguous
 // cover of all jobs, at most k shards, and — the reason it exists — an
 // outsized job isolated in its own narrow shard instead of dragging an

@@ -21,11 +21,13 @@ type classifier struct {
 
 func newClassifier(rg geom.Region) *classifier {
 	cl := &classifier{region: rg}
-	for _, ring := range regionRings(rg) {
-		for i := range ring {
-			e := ring.Edge(i)
-			cl.edges = append(cl.edges, e)
-			cl.bounds = append(cl.bounds, e.Bounds())
+	for _, p := range geom.Polygons(rg) {
+		for _, ring := range p.Rings() {
+			for i := range ring {
+				e := ring.Edge(i)
+				cl.edges = append(cl.edges, e)
+				cl.bounds = append(cl.bounds, e.Bounds())
+			}
 		}
 	}
 	cl.contains = rg.ContainsPoint
@@ -33,24 +35,6 @@ func newClassifier(rg geom.Region) *classifier {
 		cl.contains = loc.ContainsPoint
 	}
 	return cl
-}
-
-// regionRings extracts all boundary rings from the known Region
-// implementations. Unknown implementations yield nil, which callers treat by
-// falling back to Region.RelateRect.
-func regionRings(rg geom.Region) []geom.Ring {
-	switch v := rg.(type) {
-	case *geom.Polygon:
-		return v.Rings()
-	case *geom.MultiPolygon:
-		var out []geom.Ring
-		for _, p := range v.Polygons {
-			out = append(out, p.Rings()...)
-		}
-		return out
-	default:
-		return nil
-	}
 }
 
 // generic reports whether the classifier must fall back to Region.RelateRect

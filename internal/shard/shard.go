@@ -639,7 +639,7 @@ func (s *Sharded) Stats() Stats {
 		ResultCache:    s.results.Stats(),
 		CoverBytes:     s.engine.CoverBytes(),
 	}
-	_, _, st.Covers = s.engine.CacheStats()
+	_, st.Covers = s.engine.CacheStats()
 	for i := range s.shards {
 		d := s.shards[i].ds.Stats()
 		st.Live += d.Live

@@ -372,13 +372,15 @@ func (e *Engine) executeMulti(ctx context.Context, req Request, resp *Response) 
 		resp.Results = results
 		return err
 	case StrategyACT:
+		// The approximate cell-lookup join answers from the bound's cover
+		// set, the artifact resident reads at the bound share.
 		tb := time.Now()
-		aj, err := e.actJoinerCtx(ctx, req.Bound, workers)
+		ce, err := e.coverEntryCtx(ctx, req.Bound, workers)
 		resp.Build = time.Since(tb)
 		if err != nil {
 			return err
 		}
-		results, err := aj.AggregateMulti(ctx, ps, req.Aggs, workers)
+		results, err := ce.set.AggregateMulti(ctx, ps, req.Aggs, workers)
 		resp.Results = results
 		return err
 	case StrategyBRJ:
