@@ -40,6 +40,7 @@ import (
 	"distbound/internal/join"
 	"distbound/internal/pointstore"
 	"distbound/internal/raster"
+	"distbound/internal/rs"
 	"distbound/internal/sfc"
 )
 
@@ -246,7 +247,10 @@ func (ix *PolygonIndex) AggregateWithRange(ps PointSet, agg Agg) (Result, []Inte
 // learned index). Queries are arbitrary regions approximated on the fly with
 // a budgeted cover.
 type PointIndex struct {
-	store *pointstore.Store
+	keys   []uint64
+	index  *rs.RadixSpline
+	domain Domain
+	curve  Curve
 }
 
 // NewPointIndex linearizes and indexes the points over the given domain. It
@@ -256,25 +260,27 @@ type PointIndex struct {
 // guarantee. Grow the domain (DomainForRegions of the data extent) or
 // filter the points first.
 func NewPointIndex(pts []Point, d Domain, c Curve) (*PointIndex, error) {
-	st, err := pointstore.Build(pts, nil, d, c)
-	if err != nil {
-		return nil, fmt.Errorf("distbound: %w", err)
-	}
-	if n := st.Dropped(); n > 0 {
+	keys, _ := pointstore.SortedKeys(pts, d, c)
+	if n := len(pts) - len(keys); n > 0 {
 		return nil, fmt.Errorf("distbound: %d of %d points lie outside the domain (origin %v, size %g)",
 			n, len(pts), d.Origin, d.Size)
 	}
-	return &PointIndex{store: st}, nil
+	return &PointIndex{
+		keys:   keys,
+		index:  rs.Build(keys, rs.DefaultRadixBits, rs.DefaultSplineError),
+		domain: d,
+		curve:  c,
+	}, nil
 }
 
 // Len returns the number of indexed points.
-func (ix *PointIndex) Len() int { return ix.store.Len() }
+func (ix *PointIndex) Len() int { return len(ix.keys) }
 
 // CountIn returns the approximate number of points inside the region, using
 // a conservative cover with maxCells cells (more cells → tighter bound,
 // never an undercount). The achieved distance bound is also returned.
 func (ix *PointIndex) CountIn(rg Region, maxCells int) (count int, bound float64) {
-	a := raster.CoverBudget(rg, ix.store.Domain(), ix.store.Curve(), maxCells)
+	a := raster.CoverBudget(rg, ix.domain, ix.curve, maxCells)
 	return ix.CountApprox(a), a.MaxCellDiagonal()
 }
 
@@ -282,13 +288,13 @@ func (ix *PointIndex) CountIn(rg Region, maxCells int) (count int, bound float64
 func (ix *PointIndex) CountApprox(a *Approximation) int {
 	n := 0
 	for _, r := range a.Ranges() {
-		n += ix.store.CountRange(r.Lo, r.Hi)
+		n += ix.index.CountRange(r.Lo, r.Hi)
 	}
 	return n
 }
 
 // MemoryBytes returns the key column plus learned-index footprint.
-func (ix *PointIndex) MemoryBytes() int { return ix.store.MemoryBytes() }
+func (ix *PointIndex) MemoryBytes() int { return 8*len(ix.keys) + ix.index.MemoryBytes() }
 
 // ACTJoin is the one-shot form of the approximate aggregation join of §5.1:
 // COUNT/SUM/AVG of points per region with distance bound eps and no exact

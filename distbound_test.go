@@ -73,6 +73,46 @@ func TestPointIndexCountConservative(t *testing.T) {
 	}
 }
 
+// TestPointIndexCountApproxExact pins CountApprox to its definition: the
+// number of indexed keys inside the approximation's ranges, counted by brute
+// force over every point's leaf key, at several cover budgets.
+func TestPointIndexCountApproxExact(t *testing.T) {
+	ps, regions := facadeWorkload(30000)
+	d := DomainForRegions(regions...)
+	idx, err := NewPointIndex(ps.Pts, d, Hilbert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]uint64, len(ps.Pts))
+	for i, p := range ps.Pts {
+		keys[i], _ = d.LeafPos(Hilbert, p)
+	}
+	for _, budget := range []int{8, 64, 512} {
+		for ri, rg := range regions[:4] {
+			a := CoverBudget(rg, d, Hilbert, budget)
+			want := 0
+			for _, k := range keys {
+				for _, r := range a.Ranges() {
+					if r.Lo <= k && k <= r.Hi {
+						want++
+						break
+					}
+				}
+			}
+			if got := idx.CountApprox(a); got != want {
+				t.Errorf("budget %d, region %d: CountApprox %d, brute count %d", budget, ri, got, want)
+			}
+		}
+	}
+	empty, err := NewPointIndex(nil, d, Hilbert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := empty.CountApprox(CoverBudget(regions[0], d, Hilbert, 64)); empty.Len() != 0 || got != 0 {
+		t.Errorf("empty index: len %d, CountApprox %d", empty.Len(), got)
+	}
+}
+
 // TestPointIndexRejectsOutOfDomain is the regression test for NewPointIndex
 // silently keying out-of-domain points onto clamped border cells: such
 // points would be counted in regions touching the border no matter how far

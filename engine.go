@@ -48,8 +48,8 @@ const (
 // exact filter-and-refine join, the approximate cell-lookup join (act) or the
 // Bounded Raster Join, whichever is estimated cheapest for the requested
 // bound and expected repetitions; a dataset registered with RegisterPoints
-// has one plan, the resident learned-index probe, whenever the bound is
-// positive.
+// has one plan, the resident cover-range fold over its sorted keys, whenever
+// the bound is positive.
 //
 // Do is the entry point: one Request names a target (an ad-hoc PointSet or
 // a registered *Dataset), a set of aggregates answered in a single pass,
@@ -130,10 +130,10 @@ func (e *Engine) cachedBuildsInto(bound float64, m map[Strategy]bool) map[Strate
 	if e.exact.Load() != nil {
 		m[StrategyExact] = true
 	}
-	if e.covers.ContainsReady(bound) {
+	if _, ok := e.covers.PeekReady(bound); ok {
 		m[StrategyACT] = true
 	}
-	if e.brj.ContainsReady(bound) {
+	if _, ok := e.brj.PeekReady(bound); ok {
 		m[StrategyBRJ] = true
 	}
 	return m
@@ -145,9 +145,9 @@ func (e *Engine) cachedBuildsInto(bound float64, m map[Strategy]bool) map[Strate
 const DefaultCompactionThreshold = 1 << 16
 
 // Dataset is a handle to a live point dataset registered with
-// RegisterPoints: an SFC-sorted base column under a learned index with
-// prefix-sum and block min/max columns, plus an append-only delta buffer and
-// tombstone set for points added or removed since the last compaction.
+// RegisterPoints: an SFC-sorted base key column with prefix-sum and block
+// min/max columns, plus an append-only delta buffer and tombstone set for
+// points added or removed since the last compaction.
 // Handles are safe for concurrent use: queries read immutable snapshots, so
 // they never observe a torn mutation, and Append/Delete/Compact may race
 // queries and each other freely. Queries taking a handle may be answered by
@@ -242,7 +242,7 @@ func (d *Dataset) Len() int { return d.src.Len() }
 func (d *Dataset) Dropped() int { return d.src.Dropped() }
 
 // MemoryBytes returns the resident artifact's footprint (columns, retained
-// coordinates, delta tail, tombstones and the learned index).
+// coordinates, delta tail and tombstones).
 func (d *Dataset) MemoryBytes() int { return d.src.MemoryBytes() }
 
 // Generation returns the dataset's compaction generation.
@@ -418,10 +418,10 @@ func (d *Dataset) maybeCompact() {
 // the accumulated delta back into the sorted base. The weight column may be
 // nil, restricting the dataset to COUNT aggregations; weights must be finite
 // (a NaN/Inf weight cannot live in a prefix-sum column without diverging
-// from the streaming aggregates). The build is one sort plus one
-// learned-index pass; the engine keeps its own columns, so the caller may
-// reuse pts and weights freely afterwards. Registering an already registered
-// name is an error.
+// from the streaming aggregates). The build is one sort plus one pass that
+// derives the aggregate columns; the engine keeps its own columns, so the
+// caller may reuse pts and weights freely afterwards. Registering an already
+// registered name is an error.
 func (e *Engine) RegisterPoints(name string, pts []Point, weights []float64) (*Dataset, error) {
 	if err := e.checkFreeName(name); err != nil {
 		return nil, err

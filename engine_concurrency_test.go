@@ -114,7 +114,7 @@ func TestEngineConcurrentBuildsAreDeduplicated(t *testing.T) {
 	if st.Builds != 2 {
 		t.Errorf("10 goroutines over 2 bounds ran %d builds (want 2); stats %+v", st.Builds, st)
 	}
-	if !e.covers.ContainsReady(8) || !e.covers.ContainsReady(16) || st.Evictions != 0 {
+	if !coverReady(e, 8) || !coverReady(e, 16) || st.Evictions != 0 {
 		t.Errorf("cache does not hold both bounds' cover sets; stats %+v", st)
 	}
 }

@@ -135,7 +135,7 @@ func TestCoverCacheEvictsByBound(t *testing.T) {
 		t.Errorf("builds %d evictions %d, want %d and %d: capacity must count bounds, not (dataset, bound) pairs",
 			cover.Builds, cover.Evictions, wantBuilds, wantBuilds-coverCacheCapacity)
 	}
-	if e.covers.ContainsReady(bounds[0]) || !e.covers.ContainsReady(bounds[1]) {
+	if coverReady(e, bounds[0]) || !coverReady(e, bounds[1]) {
 		t.Error("eviction did not take the least recently used bound")
 	}
 }
@@ -270,4 +270,10 @@ func TestUnregisterRacesQueries(t *testing.T) {
 func coverBuilds(e *Engine) int64 {
 	_, cover := e.CacheStats()
 	return cover.Builds
+}
+
+// coverReady reports whether the bound's cover set is resident and built.
+func coverReady(e *Engine, bound float64) bool {
+	_, ok := e.covers.PeekReady(bound)
+	return ok
 }

@@ -102,7 +102,7 @@ func TestBackgroundCompactionRefreshesJoiners(t *testing.T) {
 		}
 		resp.Release()
 	}
-	if e.covers.ContainsReady(32) {
+	if coverReady(e, 32) {
 		t.Error("the refresh built a cover artifact nobody asked for")
 	}
 

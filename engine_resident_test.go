@@ -114,8 +114,8 @@ func TestAggregateDatasetRejectsForeignHandle(t *testing.T) {
 }
 
 // TestResidentPlannerSelectsPointIdx pins the acceptance criterion: for
-// COUNT queries over a registered dataset the plan is the learned-index
-// strategy, and Explain must list it.
+// COUNT queries over a registered dataset the plan is the pointidx strategy,
+// and Explain must list it.
 func TestResidentPlannerSelectsPointIdx(t *testing.T) {
 	e, ds, _, _ := residentFixture(t, 200_000)
 	plan := e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}, 100000)

@@ -3,8 +3,8 @@
 // include points far from P, while the distance-bounded raster answer only
 // ever miscounts points within ε of P's boundary — making the approximate
 // result interpretable. The counting runs through the engine's unified
-// Request API over a registered resident dataset, so every bound probes the
-// same learned-index artifact instead of re-streaming the points.
+// Request API over a registered resident dataset, so every bound folds the
+// same sorted key and aggregate columns instead of re-streaming the points.
 package main
 
 import (
@@ -60,8 +60,8 @@ func main() {
 	}
 
 	// Distance-bounded counts through the engine: register the trips once,
-	// then one Request per bound; the forced pointidx strategy probes the
-	// resident learned index over P's cover ranges.
+	// then one Request per bound; the forced pointidx strategy resolves P's
+	// cover ranges against the resident sorted keys and folds their counts.
 	// The engine's domain covers its regions, so trips outside P's bounding
 	// square are dropped at registration: they lie outside every cover and
 	// can never match, and indexing only the candidates keeps the resident

@@ -289,9 +289,9 @@ func (c *Cache[K, V]) GetReady(key K) (V, bool) {
 
 // PeekReady returns the value cached under key iff its build has completed
 // successfully, without recording stats or refreshing recency — the
-// side-effect-free residency probe (ContainsReady handing back the value it
-// found). A missing, in-flight, failed or abandoned entry returns false
-// immediately.
+// side-effect-free residency probe, and the right check for "has this build
+// cost been paid", where an in-flight build must not count. A missing,
+// in-flight, failed or abandoned entry returns false immediately.
 func (c *Cache[K, V]) PeekReady(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -319,24 +319,6 @@ func (c *Cache[K, V]) EachReady(fn func(K, V)) {
 	c.mu.Unlock()
 	for _, e := range ready {
 		fn(e.key, e.val)
-	}
-}
-
-// ContainsReady reports whether key is resident with a completed build —
-// the right check for "has this build cost been paid", where an in-flight
-// build must not count.
-func (c *Cache[K, V]) ContainsReady(key K) bool {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	c.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-e.ready:
-		return true
-	default:
-		return false
 	}
 }
 

@@ -16,6 +16,12 @@ func get[K comparable, V any](c *Cache[K, V], key K, build func() (V, error)) (V
 	return c.GetOrBuildCtx(context.Background(), key, func(context.Context) (V, error) { return build() })
 }
 
+// ready reports whether key holds a completed, successful build.
+func ready[K comparable, V any](c *Cache[K, V], key K) bool {
+	_, ok := c.PeekReady(key)
+	return ok
+}
+
 // resident counts the entries whose build has completed.
 func resident[K comparable, V any](c *Cache[K, V]) int {
 	n := 0
@@ -51,10 +57,10 @@ func TestLRUEvictionOrder(t *testing.T) {
 	get(c, 2, mk(2))
 	get(c, 1, mk(1)) // bump 1; 2 is now LRU
 	get(c, 3, mk(3)) // evicts 2
-	if c.ContainsReady(2) {
+	if ready(c, 2) {
 		t.Error("2 not evicted")
 	}
-	if !c.ContainsReady(1) || !c.ContainsReady(3) {
+	if !ready(c, 1) || !ready(c, 3) {
 		t.Error("wrong survivors")
 	}
 	if resident(c) != 2 {
@@ -71,7 +77,7 @@ func TestFailedBuildNotCached(t *testing.T) {
 	if _, err := get(c, 1, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err %v", err)
 	}
-	if c.ContainsReady(1) {
+	if ready(c, 1) {
 		t.Error("failed build cached")
 	}
 	v, err := get(c, 1, func() (int, error) { return 5, nil })
@@ -86,12 +92,12 @@ func TestFailedBuildDoesNotEvictResidents(t *testing.T) {
 	if _, err := get(c, 2, func() (int, error) { return 0, errors.New("boom") }); err == nil {
 		t.Fatal("build error lost")
 	}
-	if !c.ContainsReady(1) {
+	if !ready(c, 1) {
 		t.Error("failed build for key 2 evicted the resident key 1")
 	}
 	// A successful build still evicts the LRU resident.
 	get(c, 3, func() (int, error) { return 3, nil })
-	if c.ContainsReady(1) || !c.ContainsReady(3) || resident(c) != 1 {
+	if ready(c, 1) || !ready(c, 3) || resident(c) != 1 {
 		t.Error("successful build did not take over the capacity-1 cache")
 	}
 }
@@ -231,7 +237,7 @@ func TestPeekDoesNotBumpRecency(t *testing.T) {
 		t.Fatalf("peek: %d, %v", v, ok)
 	}
 	get(c, 3, func() (int, error) { return 3, nil }) // evicts 1 (peek did not bump)
-	if c.ContainsReady(1) {
+	if ready(c, 1) {
 		t.Error("peek bumped recency")
 	}
 }
@@ -459,7 +465,7 @@ func TestEachReady(t *testing.T) {
 	seen := map[int]string{}
 	c.EachReady(func(k int, v string) {
 		seen[k] = v
-		c.ContainsReady(k) // re-entering the cache must not deadlock
+		c.PeekReady(k) // re-entering the cache must not deadlock
 	})
 	if len(seen) != 2 || seen[1] != "a" || seen[2] != "b" {
 		t.Fatalf("EachReady visited %v, want the two completed entries", seen)

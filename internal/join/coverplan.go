@@ -73,8 +73,8 @@ import (
 // every aggregate is bit-identical, SUM included: base partials are the same
 // values folded in the same order, and delta rows accumulate in append order
 // whether inverted in one pass or many. Against the per-region reference
-// execution the tests keep (independent Span probes over the rasterizer's own
-// ranges, delta brute-scanned): COUNT, MIN and MAX are bit-identical — the
+// execution the tests keep (independent binary searches over the rasterizer's
+// own ranges, delta brute-scanned): COUNT, MIN and MAX are bit-identical — the
 // same spans produce the same per-range values, folded per region in the
 // same order. SUM/AVG fold base contributions in the identical order too;
 // only the delta tail's contributions associate differently (summed per

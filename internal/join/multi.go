@@ -12,7 +12,7 @@ import (
 
 // Multi-aggregate evaluation: the expensive part of every strategy — the trie
 // lookup, the R*-tree descent + PIP refinement, the canvas scatter, the
-// learned-index range probe — depends only on the point's location, never on
+// cover-range boundary sweep — depends only on the point's location, never on
 // which aggregate is being computed. AggregateMulti therefore runs ONE pass
 // and folds every requested aggregate from it: prefix-sum aggregates share
 // the lookups, MIN/MAX share the block scans. Results are positionally

@@ -82,10 +82,10 @@ func (cs *CoverSet) MemoryBytes() int { return cs.plan.memoryBytes() }
 
 // PointIdxJoiner answers the §5 aggregation join against a resident point
 // dataset instead of a streamed PointSet: one dataset's state over a shared
-// CoverSet. The point side is a pointstore.Mutable — an SFC-sorted base
-// column under a RadixSpline learned index with prefix-sum and block min/max
-// columns, plus an unsorted delta tail and tombstone set for points appended
-// or deleted since the last compaction.
+// CoverSet. The point side is a pointstore.Mutable — an SFC-sorted base key
+// column with prefix-sum and block min/max columns, plus an unsorted delta
+// tail and tombstone set for points appended or deleted since the last
+// compaction.
 //
 // A query loads one immutable snapshot of the dataset and answers from the
 // cover table (coverplan.go): per region, the base's range aggregates folded
@@ -184,8 +184,8 @@ func (j *PointIdxJoiner) validateAggs(aggs []Agg) error {
 	return nil
 }
 
-// Aggregate answers the aggregation for every region by probing the learned
-// index over the region's cover ranges: the single-aggregate, single-worker
+// Aggregate answers the aggregation for every region by folding the base
+// columns over the region's cover ranges: the single-aggregate, single-worker
 // form of AggregateMulti.
 //
 //distbound:allow-background context-free convenience over AggregateMulti; callers hold no context to thread

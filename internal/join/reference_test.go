@@ -54,8 +54,10 @@ func aggregatePerRegion(snap *pointstore.Snapshot, covers [][]raster.PosRange, a
 // only that region's slots of every result.
 func aggregateRegion(snap *pointstore.Snapshot, results []Result, needs aggNeeds, ranges []raster.PosRange, ri int) {
 	a := regionAcc{mn: math.Inf(1), mx: math.Inf(-1)}
+	keys := snap.BaseColumns().Keys
 	for _, r := range ranges {
-		lo, hi := snap.Span(r.Lo, r.Hi)
+		lo := sort.Search(len(keys), func(i int) bool { return keys[i] >= r.Lo })
+		hi := sort.Search(len(keys), func(i int) bool { return keys[i] > r.Hi })
 		if lo >= hi {
 			continue
 		}
@@ -111,7 +113,7 @@ func (j *PointIdxJoiner) dropPartials() {
 
 // BenchmarkCoverPlan is the head-to-head of the cover-table execution (one
 // monotone boundary sweep, batched per-region folds, inverted delta) against
-// the per-region reference (independent Span probes per region, delta
+// the per-region reference (independent binary searches per region, delta
 // brute-scanned per region) on the same snapshot, sequential on both sides.
 // The delta legs show the inversion's win: the reference degrades with
 // regions × delta while the table pays delta × log(ranges).

@@ -36,11 +36,12 @@ const (
 	// proportional to canvas pixels — attractive for one-shot queries at
 	// moderate bounds.
 	StrategyBRJ
-	// StrategyPointIdx probes a resident learned-indexed point store with
-	// each region's cover ranges: per-run cost proportional to cover ranges,
-	// independent of the point count. It exists only for a registered
-	// dataset, where it is the rule rather than a choice, so the cost model
-	// never weighs it.
+	// StrategyPointIdx resolves each region's cover ranges against a
+	// resident point store's sorted keys in one galloping sweep and folds the
+	// range aggregates from its prefix-sum and block columns: per-run cost
+	// proportional to cover ranges, independent of the point count. It
+	// exists only for a registered dataset, where it is the rule rather than
+	// a choice, so the cost model never weighs it.
 	StrategyPointIdx
 )
 

@@ -86,7 +86,11 @@ func NewMutableFromColumns(cols BaseColumns, d sfc.Domain, c sfc.Curve, dropped 
 	m.baseByID = buildIDIndex(cols.IDs, 0)
 	m.deltaByID = map[uint64]int{}
 	m.snap.Store(&Snapshot{
-		base:    newStoreFromColumns(cols.Keys, cols.Weights, cols.Prefix, cols.BlockMin, cols.BlockMax, d, c, dropped, pin),
+		base: &Store{
+			keys: cols.Keys, weights: cols.Weights, prefix: cols.Prefix,
+			blockMin: cols.BlockMin, blockMax: cols.BlockMax,
+			pin: pin,
+		},
 		baseIDs: cols.IDs,
 		basePts: cols.Pts,
 		gen:     gen,

@@ -15,7 +15,7 @@ import (
 // order vector by (key, ID), gather serially, and fill a flat byID map. It is
 // the oracle the parity test and BenchmarkCompact's sequential leg measure
 // the parallel path against.
-func compactSeqRef(s *Snapshot, d sfc.Domain, c sfc.Curve, dropped int, hasW bool) (*Snapshot, map[uint64]int) {
+func compactSeqRef(s *Snapshot, hasW bool) (*Snapshot, map[uint64]int) {
 	n := s.LiveLen()
 	keys := make([]uint64, 0, n)
 	ids := make([]uint64, 0, n)
@@ -76,7 +76,7 @@ func compactSeqRef(s *Snapshot, d sfc.Domain, c sfc.Curve, dropped int, hasW boo
 		byID[si[i]] = i
 	}
 	return &Snapshot{
-		base:    newStoreSorted(sk, sw, d, c, dropped),
+		base:    newStoreSorted(sk, sw),
 		baseIDs: si,
 		basePts: sp,
 		gen:     s.gen + 1,
@@ -187,9 +187,9 @@ func TestCompactParity(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
 			m := dirtySnapshot(t, rng, d, tc.nBase, tc.nDelta, tc.weighted, tc.dels)
 			s := m.Snapshot()
-			want, wantByID := compactSeqRef(s, d, sfc.Hilbert{}, 0, tc.weighted)
+			want, wantByID := compactSeqRef(s, tc.weighted)
 			for _, workers := range []int{1, 2, 3, 8, 0} {
-				got, gotByID := compactSnapshot(s, d, sfc.Hilbert{}, 0, tc.weighted, workers)
+				got, gotByID := compactSnapshot(s, tc.weighted, workers)
 				requireSnapshotBitIdentical(t, got, want)
 				requireIndexMatches(t, gotByID, wantByID)
 			}
@@ -222,9 +222,9 @@ func TestCompactParityDuplicateKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.Snapshot()
-	want, wantByID := compactSeqRef(s, d, sfc.Hilbert{}, 0, true)
+	want, wantByID := compactSeqRef(s, true)
 	for _, workers := range []int{1, 4, 0} {
-		got, gotByID := compactSnapshot(s, d, sfc.Hilbert{}, 0, true, workers)
+		got, gotByID := compactSnapshot(s, true, workers)
 		requireSnapshotBitIdentical(t, got, want)
 		requireIndexMatches(t, gotByID, wantByID)
 	}
@@ -343,7 +343,7 @@ func BenchmarkCompact(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			snap, byID := compactSeqRef(s, d, sfc.Hilbert{}, 0, true)
+			snap, byID := compactSeqRef(s, true)
 			if snap.BaseLen() == 0 || len(byID) == 0 {
 				b.Fatal("empty compaction result")
 			}
@@ -352,7 +352,7 @@ func BenchmarkCompact(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			snap, byID := compactSnapshot(s, d, sfc.Hilbert{}, 0, true, 0)
+			snap, byID := compactSnapshot(s, true, 0)
 			if snap.BaseLen() == 0 || byID == nil {
 				b.Fatal("empty compaction result")
 			}

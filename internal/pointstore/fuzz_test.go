@@ -21,8 +21,9 @@ import (
 // Weights are exact eighths, so COUNT/SUM/MIN/MAX over any range must match
 // the reference bit-for-bit at every step, pre- and post-compaction. Every
 // range check also resolves its boundaries through the batch SpanMulti
-// sweep and requires it to agree with Span — the invariant the cover-plan
-// execution's boundary resolution rests on. Every compaction additionally
+// sweep and requires it to agree with a binary search over the base key
+// column — the invariant the cover-plan execution's boundary resolution rests
+// on. Every compaction additionally
 // cross-checks the radix-sort-and-merge machinery against a from-scratch
 // rebuild of the surviving rows: the published base must be bit-identical
 // (keys, IDs, weights, points, prefix sums, block extremes) to a stable
@@ -104,7 +105,7 @@ func FuzzMutableOps(f *testing.F) {
 				keys[i], ws[i], ids[i], pts[i] = r.key, r.w, r.id, r.pt
 			}
 			want := &Snapshot{
-				base:    newStoreSorted(keys, ws, d, c, m.dropped),
+				base:    newStoreSorted(keys, ws),
 				baseIDs: ids,
 				basePts: pts,
 				gen:     s.Gen(),
@@ -127,7 +128,7 @@ func FuzzMutableOps(f *testing.F) {
 				mx = math.Max(mx, r.w)
 			}
 			s := m.Snapshot()
-			i, j := s.Span(lo, hi)
+			i, j := keySpan(s.BaseColumns().Keys, lo, hi)
 			// The batch boundary sweep must resolve to the same span.
 			probes := []uint64{lo}
 			if hi != math.MaxUint64 {
@@ -136,7 +137,7 @@ func FuzzMutableOps(f *testing.F) {
 			resolved := make([]int, len(probes))
 			s.SpanMulti(probes, resolved)
 			if resolved[0] != i || (len(resolved) == 2 && resolved[1] != j) {
-				t.Fatalf("range [%d,%d]: SpanMulti resolved %v, Span gave (%d,%d)", lo, hi, resolved, i, j)
+				t.Fatalf("range [%d,%d]: SpanMulti resolved %v, search gave (%d,%d)", lo, hi, resolved, i, j)
 			}
 			gotCnt, gotSum := s.CountSpan(i, j), s.SumSpan(i, j)
 			gotMin, gotMax := s.MinSpan(i, j), s.MaxSpan(i, j)

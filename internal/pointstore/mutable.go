@@ -69,11 +69,16 @@ type Snapshot struct {
 	matWs   []float64
 }
 
-// NewMutable linearizes, sorts and indexes the points like Build, assigning
-// each point the ID equal to its input position (appends continue the
-// sequence). Points outside the domain are excluded and counted in Dropped;
-// their IDs are never live. Ties on the curve key sort by ID, so rebuilds of
+// NewMutable linearizes and sorts the points and derives the range-aggregate
+// columns, assigning each point the ID equal to its input position (appends
+// continue the sequence). Ties on the curve key sort by ID, so rebuilds of
 // the same live set are deterministic.
+//
+// Points outside the domain are excluded and counted in Dropped; their IDs
+// are never live. Their clamped border key would let far-away points match
+// border regions, and since every region cover lies inside the domain they
+// can never truly match — excluding them is exactly what the streaming joins
+// do when they skip out-of-domain points.
 func NewMutable(pts []geom.Point, weights []float64, d sfc.Domain, c sfc.Curve) (*Mutable, error) {
 	if err := validateWeights(pts, weights); err != nil {
 		return nil, err
@@ -119,8 +124,11 @@ func NewMutableSorted(keys []uint64, pts []geom.Point, weights []float64, d sfc.
 	return m, nil
 }
 
-// validateWeights rejects a mismatched or non-finite weight column with the
-// same contract as Build.
+// validateWeights rejects a mismatched or non-finite weight column. A NaN or
+// ±Inf weight cannot be represented in a prefix-sum column (its poison
+// spreads to ranges that do not contain the point, where a streaming join
+// would localize it), so it is refused instead of silently diverging from the
+// streaming aggregates.
 func validateWeights(pts []geom.Point, weights []float64) error {
 	if weights != nil && len(weights) != len(pts) {
 		return fmt.Errorf("pointstore: %d weights for %d points", len(weights), len(pts))
@@ -139,7 +147,7 @@ func (m *Mutable) installBase(sk []uint64, sw []float64, si []uint64, sp []geom.
 	m.baseByID = buildIDIndex(si, 0)
 	m.deltaByID = map[uint64]int{}
 	m.snap.Store(&Snapshot{
-		base:    newStoreSorted(sk, sw, m.domain, m.curve, m.dropped),
+		base:    newStoreSorted(sk, sw),
 		baseIDs: si,
 		basePts: sp,
 	})
@@ -344,7 +352,7 @@ func (m *Mutable) Compact() {
 		})
 		return
 	}
-	ns, byID := compactSnapshot(s, m.domain, m.curve, m.dropped, m.hasW, 0)
+	ns, byID := compactSnapshot(s, m.hasW, 0)
 	m.baseByID = byID
 	m.deltaByID = map[uint64]int{}
 	m.snap.Store(ns)
@@ -357,7 +365,7 @@ func (m *Mutable) Compact() {
 // parity tests can drive it directly; workers ≤ 0 selects GOMAXPROCS. The
 // output permutation is the unique (key, ID) order, bit-identical to the
 // sequential reference for every worker count.
-func compactSnapshot(s *Snapshot, d sfc.Domain, c sfc.Curve, dropped int, hasW bool, workers int) (*Snapshot, *idIndex) {
+func compactSnapshot(s *Snapshot, hasW bool, workers int) (*Snapshot, *idIndex) {
 	base := cols{keys: s.base.keys, ws: s.base.weights, ids: s.baseIDs, pts: s.basePts}
 	if len(s.tombPos) > 0 {
 		base = filterBase(s, hasW)
@@ -375,7 +383,7 @@ func compactSnapshot(s *Snapshot, d sfc.Domain, c sfc.Curve, dropped int, hasW b
 		}
 	}
 	ns := &Snapshot{
-		base:    newStoreSorted(out.keys, out.ws, d, c, dropped),
+		base:    newStoreSorted(out.keys, out.ws),
 		baseIDs: out.ids,
 		basePts: out.pts,
 		gen:     s.gen + 1,
@@ -435,15 +443,9 @@ func (s *Snapshot) LiveLen() int {
 // HasWeights reports whether the snapshot carries an attribute column.
 func (s *Snapshot) HasWeights() bool { return s.base.HasWeights() }
 
-// Span locates the base rows whose keys fall in the inclusive key range
-// [lo, hi] — tombstoned rows included; the per-span accessors subtract them.
-//
-//distbound:noalloc
-func (s *Snapshot) Span(lo, hi uint64) (i, j int) { return s.base.Span(lo, hi) }
-
 // SpanMulti resolves ascending probe keys against the base column in one
-// monotone sweep; see Store.SpanMulti. Tombstones do not shift base rows, so
-// the resolved positions feed the same per-span accessors Span's do.
+// monotone sweep; see Store.SpanMulti. Tombstoned rows are included: they do
+// not shift base rows, and the per-span accessors subtract them.
 //
 //distbound:noalloc
 func (s *Snapshot) SpanMulti(probes []uint64, out []int) { s.base.SpanMulti(probes, out) }
@@ -477,7 +479,7 @@ func (s *Snapshot) SumSpan(i, j int) float64 {
 		return 0
 	}
 	t, first := s.tombsIn(i, j)
-	sum := s.base.SumSpan(i, j)
+	sum := s.base.prefix[j] - s.base.prefix[i]
 	if t > 0 {
 		sum -= s.tombPrefix[first+t] - s.tombPrefix[first]
 	}
@@ -486,8 +488,8 @@ func (s *Snapshot) SumSpan(i, j int) float64 {
 
 // MinSpan returns the minimum live weight over base rows [i, j), +Inf when no
 // live row remains. Blocks without tombstones fold through the sparse block
-// column exactly as the immutable store does; blocks containing a tombstone
-// are scanned with the dead rows skipped.
+// column; blocks containing a tombstone are scanned with the dead rows
+// skipped.
 //
 //distbound:noalloc
 func (s *Snapshot) MinSpan(i, j int) float64 {
@@ -505,9 +507,9 @@ func (s *Snapshot) MaxSpan(i, j int) float64 {
 func (s *Snapshot) extremeSpan(i, j int, maxAgg bool) float64 {
 	if len(s.tombPos) == 0 {
 		if maxAgg {
-			return s.base.MaxSpan(i, j)
+			return s.base.maxSpanFold(i, j)
 		}
-		return s.base.MinSpan(i, j)
+		return s.base.minSpanFold(i, j)
 	}
 	m := math.Inf(1)
 	if maxAgg {

@@ -60,7 +60,7 @@ func checkAgainstRef(t *testing.T, m *Mutable, ref *mutRef, rng *rand.Rand) {
 	}
 	for _, r := range ranges {
 		cnt, sum, mn, mx := ref.rangeAgg(d, c, r[0], r[1])
-		i, j := s.Span(r[0], r[1])
+		i, j := keySpan(s.BaseColumns().Keys, r[0], r[1])
 		gotCnt := s.CountSpan(i, j)
 		gotSum := s.SumSpan(i, j)
 		gotMin, gotMax := s.MinSpan(i, j), s.MaxSpan(i, j)

@@ -1,25 +1,19 @@
 // Package pointstore implements the resident half of the paper's §3 point
 // pipeline: a point dataset linearized to SFC leaf keys, sorted once, and
-// kept in memory as an immutable columnar artifact a learned index probes.
+// kept in memory as an immutable columnar artifact.
 //
-// The store holds the sorted key column under a RadixSpline, plus — when the
-// dataset carries a weight attribute — a co-sorted weight column with a
-// prefix-sum column (SUM/AVG over any key range is two prefix lookups) and
-// sparse per-block min/max aggregates (MIN/MAX over a range folds whole
-// blocks and scans only the two partial blocks at the ends). Together these
-// answer COUNT/SUM/AVG/MIN/MAX over a 1D key range in O(log + range/BlockSize)
+// The store holds the sorted key column, plus — when the dataset carries a
+// weight attribute — a co-sorted weight column with a prefix-sum column
+// (SUM/AVG over any key range is two prefix lookups) and sparse per-block
+// min/max aggregates (MIN/MAX over a range folds whole blocks and scans only
+// the two partial blocks at the ends). A batch of range boundaries resolves
+// to row positions in one galloping sweep over the key column (SpanMulti),
+// so a cover's COUNT/SUM/AVG/MIN/MAX cost O(Σ log gap + range/BlockSize)
 // instead of O(points), which is what lets a serving engine answer repeated
 // aggregations over the same points without re-streaming them.
 package pointstore
 
-import (
-	"math"
-	"sort"
-
-	"distbound/internal/geom"
-	"distbound/internal/rs"
-	"distbound/internal/sfc"
-)
+import "math"
 
 // BlockSize is the width of the sparse min/max blocks: small enough that
 // partial-block scans at range ends stay cheap, large enough that the block
@@ -27,20 +21,14 @@ import (
 const BlockSize = 256
 
 // Store is an immutable, SFC-sorted point dataset with range-aggregate
-// columns. Build once, then share freely: all methods are read-only and safe
-// for concurrent use.
+// columns. It is read-only once built and safe for concurrent use; Mutable
+// wraps it with the write path.
 type Store struct {
-	domain sfc.Domain
-	curve  sfc.Curve
-
 	keys    []uint64  // sorted leaf positions
 	weights []float64 // co-sorted attribute column; nil when absent
 	prefix  []float64 // prefix[i] = sum(weights[:i]); nil when absent
 	blockMin,
 	blockMax []float64 // per-BlockSize min/max of weights; nil when absent
-
-	index   *rs.RadixSpline
-	dropped int
 
 	// pin keeps an external backing allocation — an mmap of a snapshot file —
 	// reachable for as long as the store is: the columns above may alias it,
@@ -48,91 +36,11 @@ type Store struct {
 	pin any
 }
 
-// Build linearizes the points over the domain, sorts them by key (co-sorting
-// the optional weight column), and builds the learned index plus the range-
-// aggregate columns. Points outside the domain are excluded and counted in
-// Dropped: their clamped border key would let far-away points match border
-// regions, and since every region cover lies inside the domain they can
-// never truly match — excluding them is exactly what the streaming joins do
-// when they skip out-of-domain points.
-//
-// Weights must be finite: a NaN or ±Inf weight cannot be represented in a
-// prefix-sum column (its poison spreads to ranges that do not contain the
-// point, where a streaming join would localize it), so Build rejects it
-// instead of silently diverging from the streaming aggregates.
-func Build(pts []geom.Point, weights []float64, d sfc.Domain, c sfc.Curve) (*Store, error) {
-	if err := validateWeights(pts, weights); err != nil {
-		return nil, err
-	}
-	s := &Store{domain: d, curve: c}
-	keys := make([]uint64, 0, len(pts))
-	var ws []float64
-	if weights != nil {
-		ws = make([]float64, 0, len(pts))
-	}
-	for i, p := range pts {
-		pos, ok := d.LeafPos(c, p)
-		if !ok {
-			s.dropped++
-			continue
-		}
-		keys = append(keys, pos)
-		if weights != nil {
-			ws = append(ws, weights[i])
-		}
-	}
-
-	if ws != nil {
-		ord := make([]int, len(keys))
-		for i := range ord {
-			ord[i] = i
-		}
-		sort.Slice(ord, func(a, b int) bool { return keys[ord[a]] < keys[ord[b]] })
-		sk := make([]uint64, len(keys))
-		sw := make([]float64, len(ws))
-		for i, j := range ord {
-			sk[i], sw[i] = keys[j], ws[j]
-		}
-		keys, ws = sk, sw
-	} else {
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	}
-
-	s.finishSorted(keys, ws)
-	return s, nil
-}
-
-// newStoreSorted builds a Store directly from already-sorted columns — the
-// compaction path, which merges pre-linearized base and delta columns and
-// must not pay a second linearization or sort. keys must be ascending and ws
+// newStoreSorted builds a Store from already-sorted columns, deriving the
+// prefix-sum and block-aggregate columns. keys must be ascending and ws
 // either nil or co-sorted with keys.
-func newStoreSorted(keys []uint64, ws []float64, d sfc.Domain, c sfc.Curve, dropped int) *Store {
-	s := &Store{domain: d, curve: c, dropped: dropped}
-	s.finishSorted(keys, ws)
-	return s
-}
-
-// newStoreFromColumns builds a Store from sorted columns whose derived
-// columns (prefix sums, block extremes) are already computed — the reopen
-// path of a persisted snapshot, where all five columns come straight out of
-// a checksummed file (possibly aliasing an mmap kept alive by pin) and
-// re-deriving them would both waste the recovery budget and force a copy of
-// zero-copy data. Only the learned index, which holds its own allocations,
-// is rebuilt. The caller has validated the columns' shape and order.
-func newStoreFromColumns(keys []uint64, ws, prefix, blockMin, blockMax []float64, d sfc.Domain, c sfc.Curve, dropped int, pin any) *Store {
-	s := &Store{
-		domain: d, curve: c, dropped: dropped,
-		keys: keys, weights: ws, prefix: prefix,
-		blockMin: blockMin, blockMax: blockMax,
-		pin: pin,
-	}
-	s.index = rs.Build(keys, rs.DefaultRadixBits, rs.DefaultSplineError)
-	return s
-}
-
-// finishSorted installs the sorted columns and derives the prefix-sum and
-// block-aggregate columns plus the learned index.
-func (s *Store) finishSorted(keys []uint64, ws []float64) {
+func newStoreSorted(keys []uint64, ws []float64) *Store {
+	s := &Store{keys: keys, weights: ws}
 	if ws != nil {
 		s.prefix = make([]float64, len(ws)+1)
 		for i, w := range ws {
@@ -151,48 +59,23 @@ func (s *Store) finishSorted(keys []uint64, ws []float64) {
 			s.blockMin[b], s.blockMax[b] = mn, mx
 		}
 	}
-	s.keys = keys
-	s.weights = ws
-	s.index = rs.Build(keys, rs.DefaultRadixBits, rs.DefaultSplineError)
+	return s
 }
 
 // Len returns the number of resident (in-domain) points.
 func (s *Store) Len() int { return len(s.keys) }
 
-// Dropped returns how many input points fell outside the domain and were
-// excluded.
-func (s *Store) Dropped() int { return s.dropped }
-
 // HasWeights reports whether the store carries an attribute column; SUM, AVG,
 // MIN and MAX require one.
 func (s *Store) HasWeights() bool { return s.weights != nil }
-
-// Domain returns the domain the keys were linearized over.
-func (s *Store) Domain() sfc.Domain { return s.domain }
-
-// Curve returns the linearization curve.
-func (s *Store) Curve() sfc.Curve { return s.curve }
-
-// Span locates the contiguous run of points whose keys fall in the inclusive
-// key range [lo, hi], as half-open positions [i, j) into the sorted columns —
-// two learned-index lookups.
-//
-//distbound:noalloc
-func (s *Store) Span(lo, hi uint64) (i, j int) {
-	if lo > hi {
-		return 0, 0
-	}
-	return s.index.LowerBound(lo), s.index.UpperBound(hi)
-}
 
 // SpanMulti resolves a batch of probe keys against the sorted key column:
 // out[i] becomes the position of the first key ≥ probes[i] — exactly
 // LowerBound(probes[i]) — for every i. probes must be ascending (duplicates
 // allowed) and len(out) ≥ len(probes).
 //
-// Where Span pays two independent learned-index lookups per range, a batch of
-// sorted probes is resolved in one monotone sweep: each answer is ≥ the
-// previous one, so the cursor gallops forward from the last position and
+// The batch is resolved in one monotone sweep: each answer is ≥ the previous
+// one, so the cursor gallops forward from the last position and
 // binary-searches only the doubling window it lands in. The column is then
 // walked strictly left to right — sequential access instead of N random
 // probes — at O(Σ log gap) total comparisons, which is what makes a global
@@ -231,64 +114,9 @@ func (s *Store) SpanMulti(probes []uint64, out []int) {
 	}
 }
 
-// CountRange returns the number of points with keys in the inclusive range
-// [lo, hi].
-//
-//distbound:noalloc
-func (s *Store) CountRange(lo, hi uint64) int {
-	i, j := s.Span(lo, hi)
-	return j - i
-}
-
-// SumSpan returns the weight sum over positions [i, j) via the prefix-sum
-// column. The store must have weights.
-//
-//distbound:noalloc
-func (s *Store) SumSpan(i, j int) float64 { return s.prefix[j] - s.prefix[i] }
-
-// MinSpan returns the minimum weight over positions [i, j), folding whole
-// blocks through the sparse block column and scanning only partial blocks.
-// It returns +Inf for an empty span. The store must have weights.
-//
-//distbound:noalloc
-func (s *Store) MinSpan(i, j int) float64 {
-	m := math.Inf(1)
-	for i < j {
-		if i%BlockSize == 0 && i+BlockSize <= j {
-			m = math.Min(m, s.blockMin[i/BlockSize])
-			i += BlockSize
-			continue
-		}
-		end := min((i/BlockSize+1)*BlockSize, j)
-		for ; i < end; i++ {
-			m = math.Min(m, s.weights[i])
-		}
-	}
-	return m
-}
-
-// MaxSpan is MinSpan for the maximum; it returns -Inf for an empty span.
-//
-//distbound:noalloc
-func (s *Store) MaxSpan(i, j int) float64 {
-	m := math.Inf(-1)
-	for i < j {
-		if i%BlockSize == 0 && i+BlockSize <= j {
-			m = math.Max(m, s.blockMax[i/BlockSize])
-			i += BlockSize
-			continue
-		}
-		end := min((i/BlockSize+1)*BlockSize, j)
-		for ; i < end; i++ {
-			m = math.Max(m, s.weights[i])
-		}
-	}
-	return m
-}
-
 // MemoryBytes returns the store's resident footprint: key column, weight and
-// prefix-sum columns, block aggregates, and the learned index.
+// prefix-sum columns, and block aggregates.
 func (s *Store) MemoryBytes() int {
 	return 8*len(s.keys) + 8*len(s.weights) + 8*len(s.prefix) +
-		8*(len(s.blockMin)+len(s.blockMax)) + s.index.MemoryBytes()
+		8*(len(s.blockMin)+len(s.blockMax))
 }

@@ -25,7 +25,15 @@ type naive struct {
 	ws   []float64
 }
 
-func buildBoth(t *testing.T, n int, seed int64, withWeights bool) (*Store, naive) {
+// keySpan is the reference span of the inclusive key range [lo, hi] over a
+// sorted key column: the first position holding a key ≥ lo and the first
+// holding a key > hi, by binary search.
+func keySpan(keys []uint64, lo, hi uint64) (i, j int) {
+	return sort.Search(len(keys), func(k int) bool { return keys[k] >= lo }),
+		sort.Search(len(keys), func(k int) bool { return keys[k] > hi })
+}
+
+func buildBoth(t *testing.T, n int, seed int64, withWeights bool) (*Snapshot, naive) {
 	t.Helper()
 	d := testDomain(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -40,7 +48,7 @@ func buildBoth(t *testing.T, n int, seed int64, withWeights bool) (*Store, naive
 			ws[i] = rng.NormFloat64() * 10
 		}
 	}
-	s, err := Build(pts, ws, d, sfc.Hilbert{})
+	m, err := NewMutable(pts, ws, d, sfc.Hilbert{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +77,14 @@ func buildBoth(t *testing.T, n int, seed int64, withWeights bool) (*Store, naive
 	for i, p := range pairs {
 		nv.keys[i], nv.ws[i] = p.k, p.w
 	}
-	return s, nv
+	return m.Snapshot(), nv
 }
 
 func TestRangeAggregatesMatchNaive(t *testing.T) {
 	const n = 3000
 	s, nv := buildBoth(t, n, 7, true)
-	if s.Len() != n || s.Dropped() != 0 || !s.HasWeights() {
-		t.Fatalf("store accounting wrong: len=%d dropped=%d", s.Len(), s.Dropped())
+	if s.LiveLen() != n || !s.HasWeights() {
+		t.Fatalf("store accounting wrong: len=%d", s.LiveLen())
 	}
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 500; trial++ {
@@ -100,10 +108,10 @@ func TestRangeAggregatesMatchNaive(t *testing.T) {
 				mx = math.Max(mx, nv.ws[i])
 			}
 		}
-		if got := s.CountRange(lo, hi); got != cnt {
+		i, j := keySpan(s.BaseColumns().Keys, lo, hi)
+		if got := s.CountSpan(i, j); got != cnt {
 			t.Fatalf("range [%d,%d]: count %d != %d", lo, hi, got, cnt)
 		}
-		i, j := s.Span(lo, hi)
 		if j-i != cnt {
 			t.Fatalf("range [%d,%d]: span width %d != %d", lo, hi, j-i, cnt)
 		}
@@ -157,40 +165,41 @@ func TestOutOfDomainPointsDropped(t *testing.T) {
 		geom.Pt(10, 10), geom.Pt(-5, 10), geom.Pt(2000, 500), geom.Pt(500, 500),
 	}
 	ws := []float64{1, 2, 3, 4}
-	s, err := Build(pts, ws, d, sfc.Hilbert{})
+	m, err := NewMutable(pts, ws, d, sfc.Hilbert{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 2 || s.Dropped() != 2 {
-		t.Fatalf("len=%d dropped=%d, want 2/2", s.Len(), s.Dropped())
+	if m.Len() != 2 || m.Dropped() != 2 {
+		t.Fatalf("len=%d dropped=%d, want 2/2", m.Len(), m.Dropped())
 	}
 	// The surviving weights are 1 and 4.
-	if got := s.SumSpan(0, s.Len()); got != 5 {
+	if got := m.Snapshot().SumSpan(0, m.Len()); got != 5 {
 		t.Errorf("sum over survivors = %g, want 5", got)
 	}
 }
 
 func TestWeightValidationAndEmpty(t *testing.T) {
 	d := testDomain(t)
-	if _, err := Build([]geom.Point{geom.Pt(1, 1)}, []float64{1, 2}, d, sfc.Hilbert{}); err == nil {
+	if _, err := NewMutable([]geom.Point{geom.Pt(1, 1)}, []float64{1, 2}, d, sfc.Hilbert{}); err == nil {
 		t.Error("mismatched weight column accepted")
 	}
 	// Non-finite weights cannot live in a prefix-sum column without
-	// diverging from streaming aggregation; Build must reject them.
+	// diverging from streaming aggregation; construction must reject them.
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := Build([]geom.Point{geom.Pt(1, 1)}, []float64{bad}, d, sfc.Hilbert{}); err == nil {
+		if _, err := NewMutable([]geom.Point{geom.Pt(1, 1)}, []float64{bad}, d, sfc.Hilbert{}); err == nil {
 			t.Errorf("non-finite weight %v accepted", bad)
 		}
 	}
-	s, err := Build(nil, nil, d, sfc.Hilbert{})
+	m, err := NewMutable(nil, nil, d, sfc.Hilbert{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 || s.HasWeights() || s.CountRange(0, math.MaxUint64) != 0 {
+	s := m.Snapshot()
+	if i, j := keySpan(s.BaseColumns().Keys, 0, math.MaxUint64); s.LiveLen() != 0 || s.HasWeights() || s.CountSpan(i, j) != 0 {
 		t.Error("empty store misbehaves")
 	}
-	if s.MemoryBytes() < 0 {
-		t.Error("negative footprint")
+	if s.MemoryBytes() != 0 {
+		t.Errorf("empty store footprint %d, want 0", s.MemoryBytes())
 	}
 }
 
@@ -199,18 +208,19 @@ func TestNoWeightsStore(t *testing.T) {
 	if s.HasWeights() {
 		t.Fatal("weightless store claims weights")
 	}
-	if got := s.CountRange(nv.keys[0], nv.keys[len(nv.keys)-1]); got != 500 {
-		t.Errorf("full-range count %d != 500", got)
+	if i, j := keySpan(s.BaseColumns().Keys, nv.keys[0], nv.keys[len(nv.keys)-1]); s.CountSpan(i, j) != 500 {
+		t.Errorf("full-range count %d != 500", s.CountSpan(i, j))
 	}
-	if s.MemoryBytes() <= 8*500 {
-		t.Error("footprint misses the index")
+	// Keys (8 B), coordinates (16 B) and IDs (8 B) a row; no weight columns.
+	if got := s.MemoryBytes(); got != 32*500 {
+		t.Errorf("footprint %d B, want %d", got, 32*500)
 	}
 }
 
-// TestSpanMultiMatchesLowerBound pins the batch resolver against the
-// per-key learned-index lookup: for any ascending probe list — duplicates,
-// out-of-range keys and boundary hits included — SpanMulti must return
-// exactly LowerBound per probe.
+// TestSpanMultiMatchesLowerBound pins the batch resolver against a per-key
+// binary search: for any ascending probe list — duplicates, out-of-range keys
+// and boundary hits included — SpanMulti must return exactly the lower bound
+// per probe.
 func TestSpanMultiMatchesLowerBound(t *testing.T) {
 	s, nv := buildBoth(t, 4000, 17, true)
 	rng := rand.New(rand.NewSource(18))
@@ -229,22 +239,17 @@ func TestSpanMultiMatchesLowerBound(t *testing.T) {
 	out := make([]int, len(probes))
 	s.SpanMulti(probes, out)
 	for i, k := range probes {
-		want, _ := s.Span(k, math.MaxUint64)
-		if k == math.MaxUint64 {
-			// Span's UpperBound path is irrelevant; LowerBound still defined.
-			want = s.index.LowerBound(k)
-		}
-		if out[i] != want {
-			t.Fatalf("probe %d (key %d): SpanMulti %d != LowerBound %d", i, k, out[i], want)
+		if want, _ := keySpan(nv.keys, k, k); out[i] != want {
+			t.Fatalf("probe %d (key %d): SpanMulti %d != lower bound %d", i, k, out[i], want)
 		}
 	}
 	// An empty store resolves everything to 0.
-	empty, err := Build(nil, nil, testDomain(t), sfc.Hilbert{})
+	empty, err := NewMutable(nil, nil, testDomain(t), sfc.Hilbert{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out2 := make([]int, 3)
-	empty.SpanMulti([]uint64{0, 5, math.MaxUint64}, out2)
+	empty.Snapshot().SpanMulti([]uint64{0, 5, math.MaxUint64}, out2)
 	for i, got := range out2 {
 		if got != 0 {
 			t.Fatalf("empty store probe %d resolved to %d", i, got)
@@ -253,9 +258,9 @@ func TestSpanMultiMatchesLowerBound(t *testing.T) {
 }
 
 // TestSpanMultiSpansMatchSpan verifies range semantics end to end: spans
-// assembled from batch-resolved boundaries (Lo and Hi+1 probes) must equal
-// Span's (i, j) pair for every range, on the mutable snapshot the joiner
-// actually probes.
+// assembled from batch-resolved boundaries (Lo and Hi+1 probes) must equal a
+// binary search's (first key ≥ lo, first key > hi) pair for every range, on
+// the mutable snapshot the joiner actually probes.
 func TestSpanMultiSpansMatchSpan(t *testing.T) {
 	d := testDomain(t)
 	rng := rand.New(rand.NewSource(19))
@@ -291,10 +296,11 @@ func TestSpanMultiSpansMatchSpan(t *testing.T) {
 		i := sort.Search(len(probes), func(j int) bool { return probes[j] >= k })
 		return out[i]
 	}
+	keys := snap.BaseColumns().Keys
 	for _, r := range ranges {
-		wantI, wantJ := snap.Span(r.lo, r.hi)
+		wantI, wantJ := keySpan(keys, r.lo, r.hi)
 		if gotI, gotJ := find(r.lo), find(r.hi+1); gotI != wantI || gotJ != wantJ {
-			t.Fatalf("range [%d,%d]: batch span (%d,%d) != Span (%d,%d)", r.lo, r.hi, gotI, gotJ, wantI, wantJ)
+			t.Fatalf("range [%d,%d]: batch span (%d,%d) != search (%d,%d)", r.lo, r.hi, gotI, gotJ, wantI, wantJ)
 		}
 	}
 }

@@ -1,15 +1,15 @@
-// Batched span folds: the plural counterparts of CountSpan/SumSpan/MinSpan/
-// MaxSpan, taking a cover plan's whole resolved span list at once. Folding
-// every range in one pass over structure-of-arrays inputs replaces the per-
-// range call-and-branch cadence with tight unrolled loops — the probe phase
-// of the warm resident path spends its time here, so everything below is on
-// the zero-allocation contract.
+// Batched span folds: the plural counterparts of Snapshot's CountSpan/SumSpan/
+// MinSpan/MaxSpan, taking a cover plan's whole resolved span list at once.
+// Folding every range in one pass over structure-of-arrays inputs replaces
+// the per-range call-and-branch cadence with tight unrolled loops — the probe
+// phase of the warm resident path spends its time here, so everything below
+// is on the zero-allocation contract.
 //
-// Bit-compatibility with the scalar accessors is load-bearing: the fold
-// decomposition (partial head rows, whole sparse blocks, partial tail rows)
-// matches the scalar loops exactly, and the 4-way unrolled block folds are
-// safe because min/max over finite weights — Build and Append reject NaN and
-// ±Inf — are order-independent, multiple accumulators included.
+// Bit-compatibility with the scalar accessors is load-bearing: both fold the
+// same rows and blocks (partial head rows, whole sparse blocks, partial tail
+// rows), and the 4-way unrolled block folds are safe because min/max over
+// finite weights — construction and Append reject NaN and ±Inf — are
+// order-independent, multiple accumulators included.
 package pointstore
 
 import "math"
@@ -54,10 +54,9 @@ func (s *Store) MaxSpans(los, his []int, out []float64) {
 	}
 }
 
-// minSpanFold is MinSpan with the block/partial branch hoisted out of the
-// loop: the span splits once into head rows, whole blocks, and tail rows, and
-// the block fold runs 4-way unrolled. Identical results to MinSpan — the same
-// rows and blocks fold in, and min over finite weights is order-independent.
+// minSpanFold returns the minimum weight over positions [i, j), +Inf for an
+// empty span: the span splits once into head rows, whole blocks, and tail
+// rows, and the block fold runs 4-way unrolled.
 //
 //distbound:noalloc
 func (s *Store) minSpanFold(i, j int) float64 {

@@ -1,6 +1,7 @@
 package pointstore
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -82,7 +83,9 @@ func TestBatchedSpansMatchScalar(t *testing.T) {
 }
 
 // TestStoreBatchedSpansMatchScalar exercises the Store-level folds directly
-// (the tombstone-free fast path the snapshot wrappers dispatch to).
+// (the tombstone-free fast path the snapshot wrappers dispatch to) against a
+// brute scan of the weight column. SUM is compared to a tolerance: the
+// prefix difference and a left-to-right sum associate differently.
 func TestStoreBatchedSpansMatchScalar(t *testing.T) {
 	s, los, his := spansFixture(t, 30_000, 300, false)
 	st := s.base
@@ -94,14 +97,19 @@ func TestStoreBatchedSpansMatchScalar(t *testing.T) {
 	st.MinSpans(los, his, mn)
 	st.MaxSpans(los, his, mx)
 	for r := 0; r < n; r++ {
-		if want := st.SumSpan(los[r], his[r]); sum[r] != want {
-			t.Fatalf("span %d: sum %v, scalar %v", r, sum[r], want)
+		wantSum, wantMin, wantMax := 0.0, math.Inf(1), math.Inf(-1)
+		for _, w := range st.weights[los[r]:his[r]] {
+			wantSum += w
+			wantMin, wantMax = math.Min(wantMin, w), math.Max(wantMax, w)
 		}
-		if want := st.MinSpan(los[r], his[r]); mn[r] != want {
-			t.Fatalf("span %d: min %v, scalar %v", r, mn[r], want)
+		if math.Abs(sum[r]-wantSum) > 1e-9*math.Max(1, st.prefix[len(st.prefix)-1]) {
+			t.Fatalf("span %d: sum %v, brute %v", r, sum[r], wantSum)
 		}
-		if want := st.MaxSpan(los[r], his[r]); mx[r] != want {
-			t.Fatalf("span %d: max %v, scalar %v", r, mx[r], want)
+		if mn[r] != wantMin {
+			t.Fatalf("span %d: min %v, brute %v", r, mn[r], wantMin)
+		}
+		if mx[r] != wantMax {
+			t.Fatalf("span %d: max %v, brute %v", r, mx[r], wantMax)
 		}
 	}
 }

@@ -23,7 +23,7 @@ type Request struct {
 	Points PointSet
 	// Dataset, when non-nil, targets a registered resident dataset instead
 	// of an ad-hoc point set. Registration is the declaration of repeated
-	// use, so no planning happens: a positive Bound runs the learned-index
+	// use, so no planning happens: a positive Bound runs the pointidx
 	// strategy without streaming any points, anything else the exact join;
 	// force Strategy to stream a dataset through ACT or BRJ instead. The
 	// handle must belong to this engine.
@@ -282,8 +282,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
-	key, cacheable := resultCacheKey(req)
-	cacheable = cacheable && e.results.Enabled()
+	key, cacheable := e.resultCacheKey(req)
 	if cacheable {
 		if c, ok := e.results.Get(key); ok {
 			return c.respond(start), nil

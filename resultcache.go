@@ -43,17 +43,18 @@ type resultKey struct {
 }
 
 // resultCacheKey computes the cache key for a normalized request, reporting
-// ok=false for shapes the cache does not serve: ad-hoc point-set targets
-// (no dataset identity to key on), Explain requests (the rendering is not
-// cached), NaN bounds (NaN keys can never be found again), and oversized
-// aggregate sets. The epoch is read here — before execution — which is what
-// makes a later hit linearizable: the cached entry's data is at least as new
-// as the epoch in its key, so a request hitting that key observes a state no
-// older than one it could have observed by executing.
+// ok=false — before building anything — when the cache is disabled, and for
+// shapes the cache does not serve: ad-hoc point-set targets (no dataset
+// identity to key on), Explain requests (the rendering is not cached), NaN
+// bounds (NaN keys can never be found again), and oversized aggregate sets.
+// The epoch is read here — before execution — which is what makes a later
+// hit linearizable: the cached entry's data is at least as new as the epoch
+// in its key, so a request hitting that key observes a state no older than
+// one it could have observed by executing.
 //
 //distbound:noalloc
-func resultCacheKey(req Request) (resultKey, bool) {
-	if req.Dataset == nil || req.Explain || math.IsNaN(req.Bound) {
+func (e *Engine) resultCacheKey(req Request) (resultKey, bool) {
+	if !e.results.Enabled() || req.Dataset == nil || req.Explain || math.IsNaN(req.Bound) {
 		return resultKey{}, false
 	}
 	packed, ok := join.PackAggs(req.Aggs)
