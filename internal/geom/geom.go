@@ -67,8 +67,8 @@ func (s Segment) Midpoint() Point {
 // Bounds returns the minimal Rect enclosing the segment.
 func (s Segment) Bounds() Rect {
 	return Rect{
-		Min: Point{math.Min(s.A.X, s.B.X), math.Min(s.A.Y, s.B.Y)},
-		Max: Point{math.Max(s.A.X, s.B.X), math.Max(s.A.Y, s.B.Y)},
+		Min: Point{min(s.A.X, s.B.X), min(s.A.Y, s.B.Y)},
+		Max: Point{max(s.A.X, s.B.X), max(s.A.Y, s.B.Y)},
 	}
 }
 
@@ -299,6 +299,12 @@ func (r Rect) DistToPoint(p Point) float64 {
 
 // IntersectsSegment reports whether the closed rect shares at least one point
 // with segment s. A segment entirely inside the rect intersects it.
+//
+// It is the separating-axis test of two convex sets: they are disjoint
+// exactly when their projections onto one of the rect's two axes or the
+// segment's normal do not overlap. The bounds check projects onto the rect's
+// axes; the segment's normal separates them exactly when all four corners lie
+// strictly on one side of the segment's line.
 func (r Rect) IntersectsSegment(s Segment) bool {
 	if r.ContainsPoint(s.A) || r.ContainsPoint(s.B) {
 		return true
@@ -306,21 +312,13 @@ func (r Rect) IntersectsSegment(s Segment) bool {
 	if !r.Intersects(s.Bounds()) {
 		return false
 	}
-	// With both endpoints outside, s meets the rect exactly when it
-	// Intersects one of the four sides. Each corner's orientation against s
-	// is computed once, not per side; the clauses of Segment.Intersects for
-	// an endpoint of s lying on a side cannot hold: it would be in the rect.
 	c := r.Corners()
-	var o [4]int
-	for k, p := range c {
-		o[k] = orient(s.A, s.B, p)
-		if o[k] == collinear && onSegment(s.A, s.B, p) {
-			return true
-		}
+	o := orient(s.A, s.B, c[0])
+	if o == collinear {
+		return true
 	}
-	for k, a := range c {
-		b := c[(k+1)&3]
-		if o[k] != o[(k+1)&3] && orient(a, b, s.A) != orient(a, b, s.B) {
+	for _, p := range c[1:] {
+		if orient(s.A, s.B, p) != o {
 			return true
 		}
 	}

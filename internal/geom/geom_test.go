@@ -401,8 +401,8 @@ func TestTranslateAndClone(t *testing.T) {
 	}
 }
 
-// refRectIntersectsSegment is Rect.IntersectsSegment as it stood before it
-// shared corner orientations between sides: four full Segment.Intersects.
+// refRectIntersectsSegment is Rect.IntersectsSegment's four-sides definition:
+// the rect holds an endpoint, or one of its sides Intersects s.
 func refRectIntersectsSegment(r Rect, s Segment) bool {
 	if r.ContainsPoint(s.A) || r.ContainsPoint(s.B) {
 		return true
@@ -433,6 +433,19 @@ func FuzzRectIntersectsSegment(f *testing.F) {
 	f.Add(0.0, 0.0, 0.0, 4.0, -1.0, 1.0, 1.0, 3.0)    // zero-width rect
 	f.Add(4.0, 4.0, 0.0, 0.0, -1.0, 2.0, 5.0, 2.0)    // inverted rect
 	f.Add(0.0, 0.0, 4.0, 4.0, -1.0, -1.0, -1.0, -1.0) // point segment
+	// Cells of the benchmark's city domain (data.CityDomain: a 65,536 m
+	// square at the origin) at the levels of ε 4, 8 and 16, where the
+	// rasterizer asks this question of every polygon edge.
+	for _, side := range []float64{2, 4, 8} {
+		x0, y0 := 12345*side, 6789*side
+		x1, y1 := x0+side, y0+side
+		f.Add(x0, y0, x1, y1, x1-3*side, y1-side, x1+3*side, y1+side)             // through corner Max, into the cell
+		f.Add(x0, y0, x1, y1, x0-side, y0+side, x0+side, y0-side)                 // through corner Min, touching only it
+		f.Add(x0, y0, x1, y1, x0-side, y1, x1+side, y1)                           // along the top side
+		f.Add(x0, y0, x1, y1, x1, y0-side, x1, y0-side/2)                         // along the right side's line, short of it
+		f.Add(x0, y0, x1, y1, x0-side, y0+side/2, x0, y0+side/2)                  // ending on the left side
+		f.Add(x0, y0, x1, y1, x0-side, y0+side/2, math.Nextafter(x0, 0), y0+side) // ending an ulp short of it
+	}
 	f.Fuzz(func(t *testing.T, x0, y0, x1, y1, ax, ay, bx, by float64) {
 		check := func(r Rect, s Segment) {
 			if got, want := r.IntersectsSegment(s), refRectIntersectsSegment(r, s); got != want {

@@ -198,41 +198,101 @@ type ProbeStats struct {
 }
 
 // buildCoverPlan encodes per-region covers (each merged and Lo-ascending, as
-// the rasterizer emits them) as the table.
+// the rasterizer emits them) as the table. A region's boundary keys — Lo₀,
+// Hi₀+1, Lo₁, Hi₁+1, … — are already strictly ascending, so the sorted,
+// deduplicated key list is a k-way merge of the regions' sequences through a
+// min-heap of one cursor per region, and each key's index is known the moment
+// it is emitted: it goes straight into the range it bounds, with no sort and
+// no search. Hi = MaxUint64 has no Hi+1, so such a range — necessarily its
+// region's last — is never given an hi and keeps -1.
 func buildCoverPlan(covers [][]raster.PosRange) *coverPlan {
 	p := &coverPlan{regOff: make([]int32, len(covers)+1)}
 	for ri, rs := range covers {
 		p.regOff[ri+1] = p.regOff[ri] + int32(len(rs))
 	}
 	total := int(p.regOff[len(covers)])
+	p.ranges = make([]keySpan, total)
+	for i := range p.ranges {
+		p.ranges[i].hi = -1
+	}
 
-	// Boundary keys: Lo and Hi+1 per range, sorted and deduplicated.
-	// Hi = MaxUint64 has no Hi+1; such a range carries hi = -1 instead.
+	h := make(cursorHeap, 0, len(covers))
+	for ri, rs := range covers {
+		if key, ok := boundaryKey(rs, 0); ok {
+			h = append(h, boundaryCursor{key: key, region: int32(ri)})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 	keys := make([]uint64, 0, 2*total)
-	for _, rs := range covers {
-		for _, r := range rs {
-			keys = append(keys, r.Lo)
-			if r.Hi != math.MaxUint64 {
-				keys = append(keys, r.Hi+1)
-			}
+	for len(h) > 0 {
+		c := &h[0]
+		if n := len(keys); n == 0 || keys[n-1] != c.key {
+			keys = append(keys, c.key)
 		}
-	}
-	slices.Sort(keys)
-	p.bkeys = slices.Clip(slices.Compact(keys))
-
-	p.ranges = make([]keySpan, 0, total)
-	for _, rs := range covers {
-		for _, r := range rs {
-			lo, _ := slices.BinarySearch(p.bkeys, r.Lo)
-			hi := -1
-			if r.Hi != math.MaxUint64 {
-				hi, _ = slices.BinarySearch(p.bkeys, r.Hi+1)
-			}
-			p.ranges = append(p.ranges, keySpan{int32(lo), int32(hi)})
+		ks := &p.ranges[int(p.regOff[c.region])+c.seq/2]
+		if c.seq&1 == 0 {
+			ks.lo = int32(len(keys) - 1)
+		} else {
+			ks.hi = int32(len(keys) - 1)
 		}
+		c.seq++
+		var ok bool
+		if c.key, ok = boundaryKey(covers[c.region], c.seq); !ok {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		h.down(0)
 	}
+	p.bkeys = slices.Clip(keys)
 	p.buildStab()
 	return p
+}
+
+// boundaryKey returns element seq of a merged cover's boundary-key sequence
+// Lo₀, Hi₀+1, Lo₁, Hi₁+1, …, and false past its end.
+func boundaryKey(rs []raster.PosRange, seq int) (uint64, bool) {
+	r := seq / 2
+	switch {
+	case r >= len(rs):
+		return 0, false
+	case seq&1 == 0:
+		return rs[r].Lo, true
+	case rs[r].Hi == math.MaxUint64:
+		return 0, false
+	}
+	return rs[r].Hi + 1, true
+}
+
+// boundaryCursor is one region's position in its boundary-key sequence during
+// buildCoverPlan's merge: key is the sequence's element seq.
+type boundaryCursor struct {
+	key    uint64
+	region int32
+	seq    int
+}
+
+// cursorHeap is a min-heap of cursors by key.
+type cursorHeap []boundaryCursor
+
+// down restores the heap order below i after h[i]'s key grew.
+func (h cursorHeap) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(h) && h[r].key < h[l].key {
+			m = r
+		}
+		if h[i].key <= h[m].key {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // segments returns the boundary segments [first, end) range r covers.

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -47,9 +48,51 @@ func anyIntersects(covers [][]raster.PosRange, lo, hi uint64) bool {
 	return false
 }
 
+// refBuildCoverPlan is buildCoverPlan's construction by sort and search:
+// every Lo and Hi+1 appended, sorted and deduplicated, then each range's two
+// indexes found by binary search. The merge-built table must equal it field
+// for field.
+func refBuildCoverPlan(covers [][]raster.PosRange) *coverPlan {
+	p := &coverPlan{regOff: make([]int32, len(covers)+1)}
+	for ri, rs := range covers {
+		p.regOff[ri+1] = p.regOff[ri] + int32(len(rs))
+	}
+	var keys []uint64
+	for _, rs := range covers {
+		for _, r := range rs {
+			keys = append(keys, r.Lo)
+			if r.Hi != math.MaxUint64 {
+				keys = append(keys, r.Hi+1)
+			}
+		}
+	}
+	slices.Sort(keys)
+	p.bkeys = slices.Compact(keys)
+	p.ranges = []keySpan{}
+	for _, rs := range covers {
+		for _, r := range rs {
+			lo, _ := slices.BinarySearch(p.bkeys, r.Lo)
+			hi := -1
+			if r.Hi != math.MaxUint64 {
+				hi, _ = slices.BinarySearch(p.bkeys, r.Hi+1)
+			}
+			p.ranges = append(p.ranges, keySpan{int32(lo), int32(hi)})
+		}
+	}
+	p.buildStab()
+	return p
+}
+
 func checkTable(t *testing.T, label string, covers [][]raster.PosRange, rng *rand.Rand) {
 	t.Helper()
 	p := buildCoverPlan(covers)
+
+	// The merge builds what sorting and searching build.
+	ref := refBuildCoverPlan(covers)
+	if !slices.Equal(p.bkeys, ref.bkeys) || !slices.Equal(p.regOff, ref.regOff) || !slices.Equal(p.ranges, ref.ranges) ||
+		!slices.Equal(p.stabOff, ref.stabOff) || !slices.Equal(p.stabRegions, ref.stabRegions) {
+		t.Fatalf("%s: the merge-built table differs from the sort-and-search one", label)
+	}
 
 	// (a) The pairs rebuild every region's ranges element for element.
 	for ri, want := range covers {
@@ -128,7 +171,14 @@ func randomCovers(rng *rand.Rand, regions int, universe uint64) [][]raster.PosRa
 			lo := rng.Uint64() % universe
 			raw = append(raw, raster.PosRange{Lo: lo, Hi: lo + rng.Uint64()%(universe/16)})
 		}
-		covers[ri] = raster.MergeRanges(raw)
+		slices.SortFunc(raw, func(a, b raster.PosRange) int { return cmp.Compare(a.Lo, b.Lo) })
+		for _, r := range raw {
+			if n := len(covers[ri]); n > 0 && r.Lo <= covers[ri][n-1].Hi+1 { // overlapping or adjacent
+				covers[ri][n-1].Hi = max(covers[ri][n-1].Hi, r.Hi)
+				continue
+			}
+			covers[ri] = append(covers[ri], r)
+		}
 	}
 	return covers
 }

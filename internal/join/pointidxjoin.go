@@ -27,22 +27,20 @@ type CoverSet struct {
 }
 
 // NewCoverSetCtx rasterizes every region at distance bound eps over the
-// domain and curve, fanning the per-region rasterization across workers (≤ 0
-// selects GOMAXPROCS), and builds the cover table. Canceling ctx abandons the
-// rasterization between regions and returns ctx.Err(), so a build nobody
-// waits for anymore stops burning CPU.
+// domain and curve straight to its leaf ranges, holding no cell list
+// (raster.HierarchicalRanges), fanning the per-region rasterization across
+// workers (≤ 0 selects GOMAXPROCS), and builds the cover table. Canceling ctx
+// abandons the rasterization between regions and returns ctx.Err(), so a
+// build nobody waits for anymore stops burning CPU.
 func NewCoverSetCtx(ctx context.Context, regions []geom.Region, d sfc.Domain, c sfc.Curve, eps float64, workers int) (*CoverSet, error) {
 	if !(eps > 0) {
 		return nil, fmt.Errorf("join: point-index join requires a positive bound, got %v", eps)
 	}
 	covers := make([][]raster.PosRange, len(regions))
 	err := pool.RunCtx(ctx, len(regions), pool.Workers(workers, len(regions)), func(_, ri int) error {
-		a, err := raster.Hierarchical(regions[ri], d, c, eps, raster.Conservative)
-		if err != nil {
-			return err
-		}
-		covers[ri] = a.Ranges()
-		return nil
+		var err error
+		covers[ri], err = raster.HierarchicalRanges(regions[ri], d, c, eps, raster.Conservative)
+		return err
 	})
 	if err != nil {
 		return nil, err

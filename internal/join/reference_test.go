@@ -167,7 +167,9 @@ func BenchmarkCoverPlan(b *testing.B) {
 // BenchmarkCoverBuild times the largest cold cost of the resident path: the
 // cover set of the repository benchmark's 16×16×12 partition at the three
 // bounds serve_executed queries. allocs/op must stay unrelated to the number
-// of partial cells the descent visits.
+// of partial cells the descent visits, and B/op follows the ranges, not the
+// cells: the descent coalesces cells into ranges as they arrive, and the
+// table is merged from the regions' ascending boundary keys, never sorted.
 func BenchmarkCoverBuild(b *testing.B) {
 	regions := data.Regions(data.Partition(1, 16, 16, 12))
 	ctx := context.Background()

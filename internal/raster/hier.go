@@ -19,19 +19,68 @@ import (
 // Domain.LevelForBound(eps). An error is returned when eps is so small that
 // even MaxLevel cells cannot honor it.
 func Hierarchical(rg geom.Region, d sfc.Domain, curve sfc.Curve, eps float64, mode Mode) (*Approximation, error) {
-	level := d.LevelForBound(eps)
-	if eps > 0 && d.CellDiagonal(level) > eps {
-		return nil, fmt.Errorf("raster: bound %g m needs cells finer than MaxLevel (diagonal %g m)",
-			eps, d.CellDiagonal(sfc.MaxLevel))
+	level, err := boundLevel(d, eps)
+	if err != nil {
+		return nil, err
 	}
 	return HierarchicalAtLevel(rg, d, curve, level, mode), nil
 }
 
+// HierarchicalRanges returns Hierarchical(rg, d, curve, eps, mode).Ranges()
+// without the cell lists: the descent's cells are coalesced into leaf ranges
+// as they arrive, so memory follows the range count, not the cell count.
+func HierarchicalRanges(rg geom.Region, d sfc.Domain, curve sfc.Curve, eps float64, mode Mode) ([]PosRange, error) {
+	level, err := boundLevel(d, eps)
+	if err != nil {
+		return nil, err
+	}
+	return rangesAtLevel(rg, d, curve, level, mode), nil
+}
+
+// boundLevel is the level whose cells honor the distance bound eps.
+func boundLevel(d sfc.Domain, eps float64) (int, error) {
+	level := d.LevelForBound(eps)
+	if eps > 0 && d.CellDiagonal(level) > eps {
+		return 0, fmt.Errorf("raster: bound %g m needs cells finer than MaxLevel (diagonal %g m)",
+			eps, d.CellDiagonal(sfc.MaxLevel))
+	}
+	return level, nil
+}
+
 // HierarchicalAtLevel is Hierarchical with the refinement level given
-// directly instead of derived from a distance bound: the one depth-first
-// descent the package doc describes.
+// directly instead of derived from a distance bound.
 func HierarchicalAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode) *Approximation {
 	a := &Approximation{Domain: d, Curve: curve}
+	descend(rg, d, curve, maxLevel, mode, func(id sfc.CellID, interior bool) {
+		if interior {
+			a.Interior = append(a.Interior, id)
+		} else {
+			a.Boundary = append(a.Boundary, id)
+		}
+	})
+	return a
+}
+
+// rangesAtLevel is HierarchicalRanges at a given level. The descent emits
+// disjoint cells in ascending curve order, so a cell either extends the last
+// range or starts a new one.
+func rangesAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode) []PosRange {
+	var out []PosRange
+	descend(rg, d, curve, maxLevel, mode, func(id sfc.CellID, _ bool) {
+		lo, hi := id.LeafPosRange()
+		if n := len(out); n > 0 && lo == out[n-1].Hi+1 {
+			out[n-1].Hi = hi
+			return
+		}
+		out = append(out, PosRange{lo, hi})
+	})
+	return out
+}
+
+// descend is the one depth-first descent the package doc describes: it hands
+// every cell of the approximation to emit in ascending curve order, flagged
+// interior or boundary.
+func descend(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode, emit func(id sfc.CellID, interior bool)) {
 	cl := newClassifier(rg)
 	n := len(cl.edges)
 	blocks := make([]int32, (maxLevel+2)*n)
@@ -42,13 +91,13 @@ func HierarchicalAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel
 		rel, sub := cl.relate(rect, cand, blocks[(level+1)*n:(level+1)*n:(level+2)*n])
 		switch rel {
 		case geom.RectInside:
-			a.Interior = append(a.Interior, id)
+			emit(id, true)
 		case geom.RectPartial:
 			if level >= maxLevel {
 				if mode == Centroid && !cl.contains(rect.Center()) {
 					return
 				}
-				a.Boundary = append(a.Boundary, id)
+				emit(id, false)
 				return
 			}
 			for digit, ch := range id.Children() {
@@ -58,7 +107,6 @@ func HierarchicalAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel
 		}
 	}
 	visit(sfc.FromPosLevel(0, 0), 0, 0, 0, 0, cl.rootCand(blocks[:0]))
-	return a
 }
 
 // Uniform computes the uniform raster (UR) approximation of a region at a

@@ -14,7 +14,7 @@
 //     include the cells whose center is inside, admitting both error kinds,
 //     each still within ε of the boundary.
 //
-// One construction is provided, with two emissions: Hierarchical
+// One construction is provided, in two forms: Hierarchical
 // (variable-sized cells, Figure 1(c)) is the descent below, and Uniform (all
 // cells at one level, Figure 1(b)) is the same cell set with every coarse
 // interior cell written out as its run of level cells — so at one level the
@@ -29,18 +29,23 @@
 // coordinates and curve state travel down with it, so a child's rectangle
 // costs one sfc.Curve.Step, not a Decode from level 0. Children are visited
 // in curve order — ascending CellID order, a subtree finished before the next
-// sibling starts — so Interior and Boundary come out sorted, are never sorted
-// afterwards, and merge into Ranges in one pass. A depth's candidate edges
-// are a subset of its parent's and dead once its subtree returns, so one
-// block of the edge count per depth serves every cell: nothing is allocated
-// per cell (see classifier for what is decided at each one).
+// sibling starts — so cells come out sorted and are never sorted afterwards.
+// A depth's candidate edges are a subset of its parent's and dead once its
+// subtree returns, so one block of the edge count per depth serves every
+// cell: nothing is allocated per cell (see classifier for what is decided at
+// each one).
+//
+// The descent hands each cell to one of two sinks. Hierarchical, and Uniform
+// through it, append the cells to Interior and Boundary, which merge into
+// Ranges in one pass. HierarchicalRanges, which builds the cover sets,
+// coalesces the cells into leaf ranges as they arrive and keeps no cell list:
+// at a fine bound a region has many more cells than ranges (the benchmark's
+// 16×16×12 partition has 5.2 M cells and 0.61 M ranges at ε 4).
 package raster
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"distbound/internal/geom"
@@ -153,27 +158,6 @@ func (a *Approximation) Ranges() []PosRange {
 	}
 	a.ranges = out
 	return a.ranges
-}
-
-// MergeRanges sorts and coalesces overlapping or adjacent ranges. It works
-// in place: rs is reordered and the result aliases it.
-func MergeRanges(rs []PosRange) []PosRange {
-	if len(rs) == 0 {
-		return nil
-	}
-	slices.SortFunc(rs, func(a, b PosRange) int { return cmp.Compare(a.Lo, b.Lo) })
-	out := rs[:1]
-	for _, r := range rs[1:] {
-		last := &out[len(out)-1]
-		if r.Lo <= last.Hi+1 && last.Hi+1 != 0 { // adjacent or overlapping
-			if r.Hi > last.Hi {
-				last.Hi = r.Hi
-			}
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
 }
 
 // CoversLeafPos reports whether a MaxLevel curve position falls in the

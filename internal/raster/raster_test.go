@@ -290,22 +290,6 @@ func TestCoverBudget(t *testing.T) {
 	}
 }
 
-func TestMergeRanges(t *testing.T) {
-	in := []PosRange{{10, 20}, {5, 8}, {21, 30}, {50, 60}, {55, 58}, {9, 9}}
-	got := MergeRanges(in)
-	want := []PosRange{{5, 30}, {50, 60}}
-	if !rangesEqual(got, want) {
-		t.Errorf("MergeRanges = %v, want %v", got, want)
-	}
-	if MergeRanges(nil) != nil {
-		t.Error("MergeRanges(nil) should be nil")
-	}
-	one := MergeRanges([]PosRange{{3, 4}})
-	if !rangesEqual(one, []PosRange{{3, 4}}) {
-		t.Errorf("single range = %v", one)
-	}
-}
-
 func TestApproximationAreaUpperBound(t *testing.T) {
 	d := mustDomain(t, geom.Pt(0, 0), 1024)
 	rng := rand.New(rand.NewSource(14))

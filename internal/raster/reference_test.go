@@ -16,9 +16,12 @@ import (
 // The reference descent: the hierarchical rasterization as it stood before
 // the descent carried coordinates and emitted in curve order. It decodes
 // every cell's coordinates from level 0, allocates a candidate list per
-// partial cell, decides edge-free cells by Region.ContainsPoint over every
-// ring edge, and sorts cells and ranges at the end. It is the oracle the live
-// descent is held to cell for cell; nothing outside this file may call it.
+// partial cell, tests cell against edge by the four-sides definition rather
+// than geom.Rect.IntersectsSegment, decides edge-free cells by
+// Region.ContainsPoint over every ring edge, and sorts cells and ranges at the
+// end. It is the oracle the live descent and the cover build's range sink are
+// held to cell for cell and range for range; nothing outside this file may
+// call it.
 
 func refHierarchicalAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode) *Approximation {
 	a := &Approximation{Domain: d, Curve: curve}
@@ -60,7 +63,7 @@ func refRelate(cl *classifier, rect geom.Rect, cand []int32) (geom.RectRelation,
 		if !rect.Intersects(cl.bounds[ei]) {
 			continue
 		}
-		if rect.IntersectsSegment(cl.edges[ei]) {
+		if refIntersectsSegment(rect, cl.edges[ei]) {
 			sub = append(sub, ei)
 		}
 	}
@@ -73,6 +76,21 @@ func refRelate(cl *classifier, rect geom.Rect, cand []int32) (geom.RectRelation,
 	return geom.RectOutside, nil
 }
 
+// refIntersectsSegment is the four-sides definition of a closed rect meeting
+// a segment, kept apart from geom.Rect.IntersectsSegment, which the live
+// descent calls: the rect holds an endpoint, or one of its sides Intersects e.
+func refIntersectsSegment(rect geom.Rect, e geom.Segment) bool {
+	if rect.ContainsPoint(e.A) || rect.ContainsPoint(e.B) {
+		return true
+	}
+	for _, side := range rect.Edges() {
+		if side.Intersects(e) {
+			return true
+		}
+	}
+	return false
+}
+
 // refRanges is Ranges as it was: every cell's range copied out, sorted by
 // its low end and coalesced.
 func refRanges(a *Approximation) []PosRange {
@@ -81,7 +99,16 @@ func refRanges(a *Approximation) []PosRange {
 		lo, hi := id.LeafPosRange()
 		raw = append(raw, PosRange{lo, hi})
 	}
-	return MergeRanges(raw)
+	slices.SortFunc(raw, func(x, y PosRange) int { return cmp.Compare(x.Lo, y.Lo) })
+	var out []PosRange
+	for _, r := range raw {
+		if n := len(out); n > 0 && (r.Lo <= out[n-1].Hi || r.Lo == out[n-1].Hi+1) {
+			out[n-1].Hi = max(out[n-1].Hi, r.Hi)
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 // checkDescent holds the live descent to the reference on one input.
@@ -95,8 +122,12 @@ func checkDescent(t *testing.T, label string, rg geom.Region, d sfc.Domain, curv
 	if !slices.Equal(got.Boundary, want.Boundary) {
 		t.Errorf("%s: boundary differs: %d cells, reference %d", label, len(got.Boundary), len(want.Boundary))
 	}
-	if !slices.Equal(got.Ranges(), refRanges(want)) {
-		t.Errorf("%s: ranges differ: %d, reference %d", label, len(got.Ranges()), len(refRanges(want)))
+	wantRanges := refRanges(want)
+	if !slices.Equal(got.Ranges(), wantRanges) {
+		t.Errorf("%s: ranges differ: %d, reference %d", label, len(got.Ranges()), len(wantRanges))
+	}
+	if cover := rangesAtLevel(rg, d, curve, level, mode); !slices.Equal(cover, wantRanges) {
+		t.Errorf("%s: the cover build's ranges differ: %d, reference %d", label, len(cover), len(wantRanges))
 	}
 }
 
@@ -183,6 +214,30 @@ func TestHierarchicalAllocs(t *testing.T) {
 	const ceiling = 320
 	if got > ceiling {
 		t.Errorf("HierarchicalAtLevel and Ranges allocate %.0f times, ceiling %d", got, ceiling)
+	}
+}
+
+// TestHierarchicalRangesBytes pins the cover build's range sink to memory in
+// proportion to a region's ranges, not its cells: on one benchmark region at
+// ε 8 it allocates under a ceiling the cell lists alone would break, so a
+// change that materializes Interior and Boundary on that path again fails.
+func TestHierarchicalRangesBytes(t *testing.T) {
+	d := data.CityDomain()
+	rg := data.Partition(1, 16, 16, 12)[100]
+	level := d.LevelForBound(8)
+	ranges := 0
+	got := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ranges = len(rangesAtLevel(rg, d, sfc.Hilbert{}, level, Conservative))
+		}
+	}).AllocedBytesPerOp()
+	t.Logf("%d B/op for %d ranges", got, ranges)
+	// Twice the 74,160 B measured; through the 10,014-cell lists the same
+	// ranges take 330,768 B.
+	const ceiling = 148_000
+	if got > ceiling {
+		t.Errorf("the range sink allocates %d B/op, ceiling %d", got, ceiling)
 	}
 }
 
