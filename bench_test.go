@@ -9,6 +9,7 @@ package distbound
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -381,6 +382,49 @@ func benchResidentDo(b *testing.B, e *Engine, req Request, before func()) {
 			b.Fatalf("planned %v, want pointidx", resp.Strategy)
 		}
 		resp.Release()
+	}
+}
+
+// BenchmarkAdhocArms: the three ad-hoc arms forced on the repository
+// benchmark's shapes — exact at ε0, act at ε16, brj at ε64 — over the 16×16
+// partition, one iteration = one Do over the next 50 k-point slice of 1 M
+// points, builds warm, at one worker and at GOMAXPROCS. The next decision
+// about which arms the engine keeps starts from these walls.
+func BenchmarkAdhocArms(b *testing.B) {
+	const slice = 50_000
+	pts, weights := data.TaxiPoints(1, 1_000_000)
+	e := NewEngine(data.Regions(data.Partition(1, 16, 16, 12)))
+	arms := []struct {
+		s     Strategy
+		bound float64
+		aggs  []Agg
+	}{
+		{StrategyExact, 0, []Agg{Count}},
+		{StrategyACT, 16, []Agg{Count, Sum, Avg}},
+		{StrategyBRJ, 64, []Agg{Count, Sum}},
+	}
+	ctx := context.Background()
+	for _, arm := range arms {
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("%v/e%g/workers=%d", arm.s, arm.bound, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				req := Request{Aggs: arm.aggs, Bound: arm.bound, Strategy: &arm.s, Workers: workers}
+				run := func(i int) {
+					off := i * slice % len(pts)
+					req.Points = PointSet{Pts: pts[off : off+slice], Weights: weights[off : off+slice]}
+					resp, err := e.Do(ctx, req)
+					if err != nil {
+						b.Fatal(err)
+					}
+					resp.Release()
+				}
+				run(0) // the build
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run(i)
+				}
+			})
+		}
 	}
 }
 

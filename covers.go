@@ -69,6 +69,19 @@ func (e *Engine) coverEntryCtx(ctx context.Context, bound float64, workers int) 
 	return ce, nil
 }
 
+// exactCoverCtx returns the engine's one exact cover, building it under the
+// cache's singleflight on a miss across the caller's worker budget; canceling
+// ctx abandons the wait (and the build, once no caller is left).
+func (e *Engine) exactCoverCtx(ctx context.Context, workers int) (*join.ExactCover, error) {
+	ec, err := e.exact.GetOrBuildCtx(ctx, struct{}{}, func(bctx context.Context) (*join.ExactCover, error) {
+		return join.NewExactCoverCtx(bctx, e.regions, e.domain, Hilbert, workers)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("distbound: building exact cover: %w", err)
+	}
+	return ec, nil
+}
+
 // CoverSet returns the engine's shared cover set at the bound — the cover
 // table every dataset queried at it attaches to. It depends only on the
 // engine's regions, domain, curve and bound, so it routes any dataset sharded

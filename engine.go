@@ -57,10 +57,11 @@ const (
 // cancellation unwinds the query promptly.
 //
 // Engine is a serving layer: all methods are safe for concurrent use by any
-// number of goroutines. Lazily built artifacts (the R*-tree, one set of BRJ
-// mask canvases per bound, and one cover set per bound — the one artifact
-// both the ad-hoc act join and every registered dataset answer from) are
-// cached in bounded LRU caches with singleflight build deduplication —
+// number of goroutines. Lazily built artifacts (the exact cover — interior and
+// boundary cells at one coarse level, with each region's point locator — one
+// set of BRJ mask canvases per bound, and one cover set per bound — the one
+// artifact both the ad-hoc act join and every registered dataset answer from)
+// are cached in bounded LRU caches with singleflight build deduplication —
 // concurrent misses on the same bound run one build and share it. The
 // planner is told which artifacts are already resident, so cached-index
 // reuse across concurrent callers participates in its repetition
@@ -70,9 +71,8 @@ type Engine struct {
 	domain  Domain
 	stats   planner.RegionStats // precomputed once; regions are immutable
 
-	exactOnce sync.Once
-	exact     atomic.Pointer[join.RStarJoiner]
-	brj       *cache.Cache[float64, *join.BRJJoiner]
+	exact *cache.Cache[struct{}, *join.ExactCover] // the one exact cover; see covers.go
+	brj   *cache.Cache[float64, *join.BRJJoiner]
 
 	dsMu     sync.RWMutex // guards datasets
 	datasets map[string]*Dataset
@@ -107,6 +107,7 @@ func NewEngine(regions []Region) *Engine {
 		regions:  regions,
 		domain:   DomainForRegions(regions...),
 		stats:    planner.ComputeStats(regions),
+		exact:    cache.New[struct{}, *join.ExactCover](1),
 		brj:      cache.New[float64, *join.BRJJoiner](maskCacheCapacity),
 		datasets: map[string]*Dataset{},
 		covers:   cache.New[float64, *coverEntry](coverCacheCapacity),
@@ -119,15 +120,16 @@ func NewEngine(regions []Region) *Engine {
 func (e *Engine) NumRegions() int { return len(e.regions) }
 
 // cachedBuildsInto reports which strategies' build artifacts are resident
-// for the bound — act's is the bound's cover set, whichever request built it —
-// so the planner charges no build cost for them. Only completed
+// for the bound — act's is the bound's cover set, whichever request built it,
+// and exact's the engine's exact cover — so the planner charges no build cost
+// for them. Only completed
 // builds count: an in-flight build has not been paid yet, and crediting it
 // would steer cheap one-shot queries into blocking on a slow build. It fills a
 // caller-reused map — the warm planning path charges no allocation for the
 // residency probe.
 func (e *Engine) cachedBuildsInto(bound float64, m map[Strategy]bool) map[Strategy]bool {
 	clear(m)
-	if e.exact.Load() != nil {
+	if _, ok := e.exact.PeekReady(struct{}{}); ok {
 		m[StrategyExact] = true
 	}
 	if _, ok := e.covers.PeekReady(bound); ok {
@@ -524,14 +526,6 @@ func (e *Engine) checkDataset(ds *Dataset) error {
 		return fmt.Errorf("distbound: dataset %q is not registered with this engine", ds.name)
 	}
 	return nil
-}
-
-// exactJoiner returns the R*-tree joiner, building it exactly once.
-func (e *Engine) exactJoiner() *join.RStarJoiner {
-	e.exactOnce.Do(func() {
-		e.exact.Store(join.NewRStarJoiner(e.regions, 0))
-	})
-	return e.exact.Load()
 }
 
 // brjJoinerCtx returns the mask-cached raster joiner for the bound, building

@@ -30,7 +30,7 @@ func explainFixture(t *testing.T) (*Engine, *Dataset) {
 func TestExplainGolden(t *testing.T) {
 	e, _ := explainFixture(t)
 	got := e.planOnly(adHoc(50_000, Count, 16), 10).Explain()
-	const want = `* exact(R*)  build=0.0ms run=23.6ms total=236.4ms
+	const want = `* exact      build=0.0ms run=23.6ms total=236.4ms
   act        build=211.1ms run=22.5ms total=436.1ms
   brj        build=54.2ms run=139.7ms total=1451.4ms`
 	if got != want {
@@ -66,7 +66,7 @@ func TestResponseExplainGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantExtremeSet = `* exact(R*)  build=0.0ms run=23.6ms total=236.4ms
+	const wantExtremeSet = `* exact      build=0.0ms run=23.6ms total=236.4ms
   act        build=211.1ms run=22.5ms total=436.1ms`
 	if resp.Explain != wantExtremeSet {
 		t.Errorf("multi-agg Response.Explain drifted:\n--- got ---\n%s\n--- want ---\n%s",
@@ -86,7 +86,7 @@ func TestExplainDatasetGolden(t *testing.T) {
 	if got := explain(16); got != wantRule {
 		t.Errorf("cold dataset Explain drifted:\n--- got ---\n%s\n--- want ---\n%s", got, wantRule)
 	}
-	if got, want := explain(0), `* exact(R*)  rule: registered dataset, no positive bound`; got != want {
+	if got, want := explain(0), `* exact      rule: registered dataset, no positive bound`; got != want {
 		t.Errorf("bound-0 dataset Explain drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"distbound/internal/data"
+	"distbound/internal/geom"
 	"distbound/internal/testutil"
 )
 
@@ -29,6 +30,26 @@ func TestEngineExactWhenNoBound(t *testing.T) {
 		if res.Counts[i] != brute.Counts[i] {
 			t.Fatalf("region %d: exact engine differs from brute force", i)
 		}
+	}
+}
+
+// TestEngineExactCircleMatchesBruteForce: a disk's predicates must agree, or
+// the exact join (which filters by MBR) and brute force (which asks the disk)
+// count different points. Two of the three points lie 1e-11 beyond the
+// radius, outside the MBR; only (50, 50) is in the disk.
+func TestEngineExactCircleMatchesBruteForce(t *testing.T) {
+	regions := []Region{geom.Circle{Center: Pt(0, 0), Radius: 100}}
+	ps := PointSet{Pts: []Point{Pt(100+1e-11, 0), Pt(0, -100-1e-11), Pt(50, 50)}}
+	resp, err := NewEngine(regions).Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	brute, err := BruteForceJoin(ps, regions, Count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resp.Results[0].Counts[0], brute.Counts[0]; got != 1 || want != 1 {
+		t.Fatalf("exact join counts %d, brute force %d; the disk holds 1", got, want)
 	}
 }
 

@@ -102,7 +102,7 @@ func MBC(p *geom.Polygon) Geometry {
 }
 
 func (g circleGeometry) Name() string                    { return "MBC" }
-func (g circleGeometry) ContainsPoint(p geom.Point) bool { return g.c.ContainsPoint(p) }
+func (g circleGeometry) ContainsPoint(p geom.Point) bool { return g.c.Encloses(p) }
 func (g circleGeometry) Area() float64                   { return g.c.Area() }
 func (g circleGeometry) BoundarySamples(step float64) []geom.Point {
 	n := int(2*math.Pi*g.c.Radius/step) + 4

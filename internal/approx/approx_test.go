@@ -61,6 +61,24 @@ func TestAllApproximationsEncloseConvexInput(t *testing.T) {
 	}
 }
 
+// TestMBCHoldsEveryVertex: the circle passes through some of the polygon's
+// own vertices, which land on it only up to rounding — each must still test
+// inside, or the conservative approximation drops a point of the polygon.
+func TestMBCHoldsEveryVertex(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 500; trial++ {
+		cx, cy := rng.Float64()*1024, rng.Float64()*1024
+		r := 1 + rng.Float64()*500
+		p := star(rng, cx, cy, r/3, r, 3+rng.Intn(30))
+		g := MBC(p)
+		for _, v := range p.Outer {
+			if !g.ContainsPoint(v) {
+				t.Fatalf("trial %d: vertex %v outside its own MBC", trial, v)
+			}
+		}
+	}
+}
+
 func TestApproxAreasOrdered(t *testing.T) {
 	// MBR dominates RMBR dominates CH in area; CH has the least area of the
 	// convex approximations.

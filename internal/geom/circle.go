@@ -41,14 +41,16 @@ func (c Circle) RelateRect(r Rect) RectRelation {
 	if r.DistToPoint(c.Center) > c.Radius {
 		return RectOutside
 	}
-	// Inside: the rect's farthest corner is inside the disk.
+	// Inside: the rect's farthest corner is inside the disk, by ContainsPoint's
+	// own Dist2 ≤ r² form — no point of the rect lies farther than that corner,
+	// so an inside rect holds only points ContainsPoint accepts.
 	far := 0.0
 	for _, corner := range r.Corners() {
 		if d := c.Center.Dist2(corner); d > far {
 			far = d
 		}
 	}
-	if math.Sqrt(far) <= c.Radius {
+	if far <= c.Radius*c.Radius {
 		return RectInside
 	}
 	return RectPartial

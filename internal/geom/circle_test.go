@@ -29,6 +29,44 @@ func TestCircleRegionInterface(t *testing.T) {
 	}
 }
 
+// TestCirclePredicatesAgree: ContainsPoint has no tolerance band, never
+// accepts a point its Bounds exclude, and accepts every point of a rect
+// RelateRect calls inside.
+func TestCirclePredicatesAgree(t *testing.T) {
+	c := Circle{Center: Pt(0, 0), Radius: 100}
+	for _, p := range []Point{Pt(100+1e-11, 0), Pt(0, -100-1e-11), Pt(-100-1e-11, 0)} {
+		if c.ContainsPoint(p) || c.Bounds().ContainsPoint(p) {
+			t.Errorf("%v, 1e-11 beyond the radius, is held: ContainsPoint %v, Bounds %v", p, c.ContainsPoint(p), c.Bounds().ContainsPoint(p))
+		}
+	}
+	for _, p := range []Point{Pt(100, 0), Pt(0, -100), Pt(50, 50)} {
+		if !c.ContainsPoint(p) {
+			t.Errorf("%v is in the closed disk", p)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		c := Circle{Center: Pt(rng.Float64()*1000, rng.Float64()*1000), Radius: 1 + rng.Float64()*300}
+		a := rng.Float64() * 2 * math.Pi
+		p := Pt(c.Center.X+c.Radius*math.Cos(a), c.Center.Y+c.Radius*math.Sin(a))
+		for _, q := range []Point{p, Pt(math.Nextafter(p.X, math.Inf(1)), p.Y), Pt(p.X, math.Nextafter(p.Y, math.Inf(-1)))} {
+			if c.ContainsPoint(q) && !c.Bounds().ContainsPoint(q) {
+				t.Fatalf("%v holds %v outside its MBR %v", c, q, c.Bounds())
+			}
+		}
+		side := rng.Float64() * c.Radius
+		r := Rect{Min: Pt(p.X-side, p.Y-side), Max: p}
+		if c.RelateRect(r) == RectInside {
+			corners := r.Corners()
+			for _, q := range append(corners[:], r.Center()) {
+				if !c.ContainsPoint(q) {
+					t.Fatalf("%v calls %v inside but does not hold %v", c, r, q)
+				}
+			}
+		}
+	}
+}
+
 func TestCircleRelateRect(t *testing.T) {
 	c := Circle{Center: Pt(0, 0), Radius: 10}
 	cases := []struct {

@@ -60,8 +60,19 @@ type Circle struct {
 	Radius float64
 }
 
-// ContainsPoint reports whether p lies in the closed disk.
+// ContainsPoint reports whether p lies in the closed disk: in Bounds, and
+// Dist2 ≤ r² — the form RelateRect's inside test uses. With no tolerance band
+// and no point outside the MBR, Bounds, RelateRect and ContainsPoint agree
+// on every point, so an MBR filter never drops a point the disk holds.
 func (c Circle) ContainsPoint(p Point) bool {
+	return c.Bounds().ContainsPoint(p) && c.Center.Dist2(p) <= c.Radius*c.Radius
+}
+
+// Encloses is ContainsPoint with a tolerance band beyond the radius and no MBR
+// test, for a circle computed through its defining points — MinBoundingCircle
+// and the MBC approximation built from it: those points land on the computed
+// circle only up to rounding, and must still test inside it.
+func (c Circle) Encloses(p Point) bool {
 	return c.Center.Dist2(p) <= c.Radius*c.Radius*(1+1e-12)+1e-12
 }
 
@@ -79,17 +90,17 @@ func MinBoundingCircle(pts []Point) Circle {
 	}
 	c := Circle{Center: pts[0], Radius: 0}
 	for i := 1; i < len(pts); i++ {
-		if c.ContainsPoint(pts[i]) {
+		if c.Encloses(pts[i]) {
 			continue
 		}
 		c = Circle{Center: pts[i], Radius: 0}
 		for j := 0; j < i; j++ {
-			if c.ContainsPoint(pts[j]) {
+			if c.Encloses(pts[j]) {
 				continue
 			}
 			c = circleFrom2(pts[i], pts[j])
 			for k := 0; k < j; k++ {
-				if !c.ContainsPoint(pts[k]) {
+				if !c.Encloses(pts[k]) {
 					c = circleFrom3(pts[i], pts[j], pts[k])
 				}
 			}

@@ -8,6 +8,7 @@ import (
 	"distbound/internal/pointstore"
 	"distbound/internal/pool"
 	"distbound/internal/raster"
+	"distbound/internal/sfc"
 )
 
 // Cover-plan execution: the per-region covers are kept as ONE table — the
@@ -38,8 +39,9 @@ import (
 // plus its dead-row count; appends extend it, delta deletes and compactions
 // restart it):
 //
-//  3. Invert: each delta row past the published watermark is binary-searched
-//     into the boundary segments once (O(log ranges)) and fanned out to the
+//  3. Invert: each delta row past the published watermark is located among
+//     the boundary segments once (segmentOf: a radix probe, then a binary
+//     search inside one bucket) and fanned out to the
 //     segment's covered regions' accumulators, in append order, and the
 //     accumulators are republished at the new watermark (deltaPartials).
 //
@@ -105,7 +107,20 @@ type coverPlan struct {
 	// range is.
 	stabOff     []int32
 	stabRegions []int32
+
+	// radix[b] is the index of the first boundary key whose top radixBits
+	// bits (of a 60-bit leaf key) are ≥ b; bucket radixBuckets holds every
+	// key ≥ 2^60, and radix[radixBuckets+1] = len(bkeys). segmentOf binary
+	// searches only inside its key's bucket.
+	radix []int32
 }
+
+// The cover table's radix index: the top 16 bits of a 60-bit leaf key.
+const (
+	radixBits    = 16
+	radixShift   = 2*sfc.MaxLevel - radixBits
+	radixBuckets = 1 << radixBits
+)
 
 // resolvedSpans is the span resolution of the plan against one base column:
 // the position SpanMulti located for every boundary key, gathered through the
@@ -247,6 +262,7 @@ func buildCoverPlan(covers [][]raster.PosRange) *coverPlan {
 	}
 	p.bkeys = slices.Clip(keys)
 	p.buildStab()
+	p.buildRadix()
 	return p
 }
 
@@ -336,13 +352,29 @@ func (p *coverPlan) buildStab() {
 	}
 }
 
+// buildRadix fills the radix offsets in one pass over the sorted keys.
+func (p *coverPlan) buildRadix() {
+	p.radix = make([]int32, radixBuckets+2)
+	i := 0
+	for b := range radixBuckets + 1 {
+		for i < len(p.bkeys) && p.bkeys[i]>>radixShift < uint64(b) {
+			i++
+		}
+		p.radix[b] = int32(i)
+	}
+	p.radix[radixBuckets+1] = int32(len(p.bkeys))
+}
+
 // segmentOf returns the boundary segment holding key — the one starting at
 // the last boundary key ≤ key — or -1 when key precedes every boundary, where
-// nothing is covered.
+// nothing is covered. Every boundary key in an earlier radix bucket is below
+// key and every one in a later bucket above it, so the binary search runs
+// over key's bucket alone.
 //
 //distbound:noalloc
 func (p *coverPlan) segmentOf(key uint64) int {
-	lo, hi := 0, len(p.bkeys)
+	b := min(key>>radixShift, radixBuckets)
+	lo, hi := int(p.radix[b]), int(p.radix[b+1])
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if p.bkeys[mid] <= key {
@@ -381,7 +413,7 @@ func (p *coverPlan) intersects(lo, hi uint64) bool {
 // memoryBytes is the plan's resident footprint.
 func (p *coverPlan) memoryBytes() int {
 	return 8*(len(p.bkeys)+len(p.ranges)) +
-		4*(len(p.regOff)+len(p.stabOff)+len(p.stabRegions))
+		4*(len(p.regOff)+len(p.stabOff)+len(p.stabRegions)+len(p.radix))
 }
 
 // cancelStride throttles the inversion's per-row context polls, mirroring

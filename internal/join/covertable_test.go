@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"distbound/internal/data"
@@ -135,6 +136,19 @@ func checkTable(t *testing.T, label string, covers [][]raster.PosRange, rng *ran
 	if len(p.bkeys) > 0 && p.bkeys[0] > 0 && p.segmentOf(p.bkeys[0]-1) != -1 {
 		t.Fatalf("%s: a key below every boundary resolved to a segment", label)
 	}
+	// The radix-indexed search ≡ a whole-table sort.Search, at every boundary
+	// key ± 1 and at the radix edges: the 60-bit key space's ends, 2^60 (the
+	// Hi+1 of a range ending on the last leaf) and MaxUint64.
+	probes := []uint64{0, 1<<60 - 1, 1 << 60, 1<<60 + 1, math.MaxUint64}
+	for _, k := range p.bkeys {
+		probes = append(probes, k-1, k, k+1)
+	}
+	for _, key := range probes {
+		want := sort.Search(len(p.bkeys), func(i int) bool { return p.bkeys[i] > key }) - 1
+		if got := p.segmentOf(key); got != want {
+			t.Fatalf("%s: segmentOf(%d) = %d, sort.Search says %d", label, key, got, want)
+		}
+	}
 
 	// (c) intersects ≡ brute force, on intervals aligned to boundaries (each
 	// sampled boundary ± 1 as either end) and on random ones.
@@ -201,6 +215,17 @@ func TestCoverTableExact(t *testing.T) {
 			{{Lo: 0, Hi: 12}, {Lo: top - 9, Hi: top - 3}},
 			{{Lo: top, Hi: top}},
 			{{Lo: 0, Hi: top}},
+		}, rng)
+		// Every key in one radix bucket, and ranges ending on the last leaf
+		// (Hi+1 = 2^60, the bucket past the 60-bit keys).
+		const block, leafEnd = 0xbeef << radixShift, 1<<60 - 1
+		checkTable(t, "one radix bucket", [][]raster.PosRange{
+			{{Lo: block + 3, Hi: block + 9}, {Lo: block + 40, Hi: block + 41}},
+			{{Lo: block, Hi: block + 5}, {Lo: block + 1<<radixShift - 8, Hi: block + 1<<radixShift - 1}},
+		}, rng)
+		checkTable(t, "ranges ending on the last leaf", [][]raster.PosRange{
+			{{Lo: 0, Hi: 7}, {Lo: leafEnd - 3, Hi: leafEnd}},
+			{{Lo: leafEnd, Hi: leafEnd}},
 		}, rng)
 	})
 

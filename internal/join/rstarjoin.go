@@ -14,30 +14,58 @@ import (
 // point, where the paper's Boost baseline runs a PIP linear in vertex count.
 type RStarJoiner struct {
 	tree   *rstar.Tree
-	refine []interface{ ContainsPoint(geom.Point) bool } // a region's locator, else the region
+	refine []refiner
+}
+
+// refiner is the exact point-in-region test of one region.
+type refiner interface{ ContainsPoint(geom.Point) bool }
+
+// boundedRegion refines a region whose rings are not accessible: its MBR,
+// then its own predicate — what the R*-tree's filter and refinement accept
+// together.
+type boundedRegion struct {
+	geom.Region
+	bounds geom.Rect
+}
+
+func (b boundedRegion) ContainsPoint(p geom.Point) bool {
+	return b.bounds.ContainsPoint(p) && b.Region.ContainsPoint(p)
+}
+
+// refiners returns each region's exact test: a polygon's point locator (which
+// checks the MBR first), any other region behind its MBR.
+func refiners(regions []geom.Region) []refiner {
+	out := make([]refiner, len(regions))
+	for i, rg := range regions {
+		out[i] = boundedRegion{rg, rg.Bounds()}
+		if l := geom.NewPointLocator(rg); l != nil {
+			out[i] = l
+		}
+	}
+	return out
 }
 
 // NewRStarJoiner bulk-loads the region MBRs, as the Boost baseline does, and
 // builds each polygon's point locator. fanout ≤ 3 selects the default.
 func NewRStarJoiner(regions []geom.Region, fanout int) *RStarJoiner {
 	items := make([]rstar.Item, len(regions))
-	refine := make([]interface{ ContainsPoint(geom.Point) bool }, len(regions))
 	for i, rg := range regions {
 		items[i] = rstar.Item{Rect: rg.Bounds(), ID: int32(i)}
-		refine[i] = rg
-		if l := geom.NewPointLocator(rg); l != nil {
-			refine[i] = l
-		}
 	}
-	return &RStarJoiner{tree: rstar.BulkLoad(items, fanout), refine: refine}
+	return &RStarJoiner{tree: rstar.BulkLoad(items, fanout), refine: refiners(regions)}
 }
 
 // MemoryBytes returns the R-tree footprint plus the point locators'; the
 // geometries are the caller's. (The paper counts the tree alone: 27.9 KB
 // over Neighborhood MBRs.)
 func (j *RStarJoiner) MemoryBytes() int {
-	n := j.tree.MemoryBytes()
-	for _, r := range j.refine {
+	return j.tree.MemoryBytes() + locatorBytes(j.refine)
+}
+
+// locatorBytes is the point locators' footprint among rs.
+func locatorBytes(rs []refiner) int {
+	n := 0
+	for _, r := range rs {
 		if l, ok := r.(*geom.PointLocator); ok {
 			n += l.MemoryBytes()
 		}

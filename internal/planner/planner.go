@@ -23,8 +23,10 @@ type Strategy int
 
 // Available strategies.
 const (
-	// StrategyExact is the R*-tree filter-and-refine join (exact answers,
-	// no build beyond MBR bulk-loading, PIP cost per candidate).
+	// StrategyExact is the exact filter-and-refine join (exact answers). The
+	// estimate prices the paper's baseline — an R*-tree descent and a PIP per
+	// candidate, no build; the engine answers from its exact cover, where
+	// only points in boundary cells pay the point-in-region test.
 	StrategyExact Strategy = iota
 	// StrategyACT is the approximate cell-lookup join: expensive
 	// distance-bounded covers built once per bound, then one lookup per
@@ -49,7 +51,7 @@ const (
 func (s Strategy) String() string {
 	switch s {
 	case StrategyExact:
-		return "exact(R*)"
+		return "exact"
 	case StrategyACT:
 		return "act"
 	case StrategyPointIdx:
@@ -85,7 +87,7 @@ type Query struct {
 	// aggregate.
 	Aggs []join.Agg
 	// CachedBuild marks strategies whose one-time build artifact (the
-	// bound's cover set for act, the R*-tree, or the BRJ region-mask
+	// bound's cover set for act, the exact cover, or the BRJ region-mask
 	// canvases) is already resident in the caller's cache — whatever request
 	// built it: their build cost has been paid, so
 	// Estimate charges none. This is how repetition amortization extends

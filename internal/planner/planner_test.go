@@ -169,7 +169,7 @@ func TestExplain(t *testing.T) {
 	if len(strings.Split(out, "\n")) != 3 {
 		t.Errorf("Explain should list 3 strategies and nothing else:\n%s", out)
 	}
-	if Strategy(0).String() != "exact(R*)" || StrategyACT.String() != "act" || StrategyBRJ.String() != "brj" {
+	if Strategy(0).String() != "exact" || StrategyACT.String() != "act" || StrategyBRJ.String() != "brj" {
 		t.Error("strategy names wrong")
 	}
 }
@@ -213,7 +213,7 @@ func TestExplainCoverPlanLine(t *testing.T) {
 		"cover-plan: 1200 region-ranges, 1500 boundary probes per query"; got != want {
 		t.Errorf("rule plan renders\n%s\nwant\n%s", got, want)
 	}
-	if got, want := (Plan{Strategy: StrategyExact}).Explain(), "* exact(R*)  rule: registered dataset, no positive bound"; got != want {
+	if got, want := (Plan{Strategy: StrategyExact}).Explain(), "* exact      rule: registered dataset, no positive bound"; got != want {
 		t.Errorf("exact rule plan renders %q, want %q", got, want)
 	}
 }

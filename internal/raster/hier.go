@@ -67,14 +67,35 @@ func HierarchicalAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel
 func rangesAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode) []PosRange {
 	var out []PosRange
 	descend(rg, d, curve, maxLevel, mode, func(id sfc.CellID, _ bool) {
-		lo, hi := id.LeafPosRange()
-		if n := len(out); n > 0 && lo == out[n-1].Hi+1 {
-			out[n-1].Hi = hi
-			return
-		}
-		out = append(out, PosRange{lo, hi})
+		out = appendCell(out, id)
 	})
 	return out
+}
+
+// KindRangesAtLevel is the conservative range sink that keeps the descent's
+// interior flag: interior and boundary cells coalesce into two separate
+// ascending range lists, so a range never mixes the two kinds. Every point of
+// an interior range's cells lies in the region; a boundary range's may not.
+func KindRangesAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int) (interior, boundary []PosRange) {
+	descend(rg, d, curve, maxLevel, Conservative, func(id sfc.CellID, in bool) {
+		if in {
+			interior = appendCell(interior, id)
+		} else {
+			boundary = appendCell(boundary, id)
+		}
+	})
+	return interior, boundary
+}
+
+// appendCell coalesces a cell arriving in ascending curve order into out: it
+// extends the last range when adjacent, else starts a new one.
+func appendCell(out []PosRange, id sfc.CellID) []PosRange {
+	lo, hi := id.LeafPosRange()
+	if n := len(out); n > 0 && lo == out[n-1].Hi+1 {
+		out[n-1].Hi = hi
+		return out
+	}
+	return append(out, PosRange{lo, hi})
 }
 
 // descend is the one depth-first descent the package doc describes: it hands

@@ -129,6 +129,15 @@ func checkDescent(t *testing.T, label string, rg geom.Region, d sfc.Domain, curv
 	if cover := rangesAtLevel(rg, d, curve, level, mode); !slices.Equal(cover, wantRanges) {
 		t.Errorf("%s: the cover build's ranges differ: %d, reference %d", label, len(cover), len(wantRanges))
 	}
+	if mode == Conservative {
+		in, bd := KindRangesAtLevel(rg, d, curve, level)
+		if want := refRanges(&Approximation{Interior: want.Interior}); !slices.Equal(in, want) {
+			t.Errorf("%s: the kind sink's interior ranges differ: %d, reference %d", label, len(in), len(want))
+		}
+		if want := refRanges(&Approximation{Boundary: want.Boundary}); !slices.Equal(bd, want) {
+			t.Errorf("%s: the kind sink's boundary ranges differ: %d, reference %d", label, len(bd), len(want))
+		}
+	}
 }
 
 func TestDescentMatchesReference(t *testing.T) {

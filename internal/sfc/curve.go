@@ -80,9 +80,12 @@ func (Morton) Step(_ uint8, digit int) (dx, dy uint32, next uint8) {
 // traversal, giving better locality (fewer range fragments per region cover)
 // than Z-order at the cost of a slightly more expensive encode.
 //
-// Encode/Decode run a precomputed orientation state machine (one table
-// lookup per level); the textbook rotate-and-flip formulation is the test
-// oracle (hilbertEncodeRef in hilbert_test.go).
+// Decode runs a precomputed orientation state machine, one table lookup per
+// level. Encode runs the same machine four levels at a time: a nibble table
+// maps (state, four bits of x, four bits of y) to four position digits and the
+// next state, so a MaxLevel key costs two single-level steps and seven nibble
+// steps instead of thirty dependent lookups. The textbook rotate-and-flip
+// formulation is the test oracle (hilbertEncodeRef in hilbert_test.go).
 type Hilbert struct{}
 
 // Name implements Curve.
@@ -92,10 +95,17 @@ func (Hilbert) Name() string { return "hilbert" }
 func (Hilbert) Encode(level int, x, y uint32) uint64 {
 	var d uint64
 	st := uint8(0)
-	for i := level - 1; i >= 0; i-- {
-		rawq := (x>>uint(i)&1)<<1 | (y >> uint(i) & 1)
+	i := level
+	for ; i&3 != 0; i-- {
+		rawq := (x>>uint(i-1)&1)<<1 | (y >> uint(i-1) & 1)
 		d = d<<2 | uint64(hilbertEncDigit[st][rawq])
 		st = hilbertEncNext[st][rawq]
+	}
+	for i > 0 {
+		i -= 4
+		e := hilbertEnc4[st][(x>>uint(i)&15)<<4|(y>>uint(i)&15)]
+		d = d<<8 | uint64(e>>3)
+		st = uint8(e & 7)
 	}
 	return d
 }
@@ -129,6 +139,10 @@ var (
 	hilbertEncNext  [8][4]uint8
 	hilbertDecBits  [8][4]uint8
 	hilbertDecNext  [8][4]uint8
+
+	// hilbertEnc4[st][xn<<4|yn] is four Encode steps from state st over the
+	// nibbles xn, yn: the four digits in bits 3–10, the next state in bits 0–2.
+	hilbertEnc4 [8][256]uint16
 )
 
 func init() {
@@ -186,6 +200,19 @@ func init() {
 			hilbertEncNext[si][rawq] = uint8(ni)
 			hilbertDecBits[si][digit] = uint8(rawq)
 			hilbertDecNext[si][digit] = uint8(ni)
+		}
+	}
+
+	for st := range hilbertEnc4 {
+		for xy := range hilbertEnc4[st] {
+			var digits uint16
+			s := uint8(st)
+			for b := 3; b >= 0; b-- {
+				rawq := (xy>>(4+b)&1)<<1 | (xy >> b & 1)
+				digits = digits<<2 | uint16(hilbertEncDigit[s][rawq])
+				s = hilbertEncNext[s][rawq]
+			}
+			hilbertEnc4[st][xy] = digits<<3 | uint16(s)
 		}
 	}
 }

@@ -43,6 +43,28 @@ func TestHilbertTablesMatchReference(t *testing.T) {
 	}
 }
 
+// FuzzHilbertEncode holds the nibble-table Encode to the rotate/flip
+// reference at every level, x and y masked to the level's grid. The seeds put
+// the grid's first and last cell at a level of each residue mod 4 (the count
+// of single-level steps before the nibble steps).
+func FuzzHilbertEncode(f *testing.F) {
+	for _, level := range []uint8{0, 1, 2, 3, 4, 5, 6, 7, 28, 29, 30} {
+		last := uint32(1)<<level - 1
+		f.Add(level, uint32(0), uint32(0))
+		f.Add(level, last, last)
+		f.Add(level, last, uint32(0))
+		f.Add(level, uint32(0x5a5a5a5a)&last, uint32(0x3c3c3c3c)&last)
+	}
+	f.Fuzz(func(t *testing.T, lv uint8, x, y uint32) {
+		level := int(lv) % (MaxLevel + 1)
+		mask := uint32(1)<<uint(level) - 1
+		x, y = x&mask, y&mask
+		if got, want := (Hilbert{}).Encode(level, x, y), hilbertEncodeRef(level, x, y); got != want {
+			t.Fatalf("L%d Encode(%d,%d) = %d, want %d", level, x, y, got, want)
+		}
+	})
+}
+
 func BenchmarkHilbertEncode(b *testing.B) {
 	h := Hilbert{}
 	var sink uint64

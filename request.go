@@ -361,13 +361,15 @@ func (e *Engine) executeMulti(ctx context.Context, req Request, resp *Response) 
 	}
 	switch strategy {
 	case StrategyExact:
-		// The R*-tree build is MBR bulk-loading — milliseconds, charged no
-		// cost by the planner and not worth a context gate — but the one
-		// caller who does pay it should see it in Build.
+		// The exact join filters through the engine's exact cover and refines
+		// only the points in boundary cells.
 		tb := time.Now()
-		j := e.exactJoiner()
+		ec, err := e.exactCoverCtx(ctx, workers)
 		resp.Build = time.Since(tb)
-		results, err := j.AggregateMulti(ctx, ps, req.Aggs, workers)
+		if err != nil {
+			return err
+		}
+		results, err := ec.AggregateMulti(ctx, ps, req.Aggs, workers)
 		resp.Results = results
 		return err
 	case StrategyACT:
