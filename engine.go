@@ -29,9 +29,9 @@ const (
 // has seen more bounds than a cache holds evicts the least recently used
 // artifact instead of accumulating one per bound forever.
 const (
-	// maskCacheCapacity bounds the BRJ mask-canvas cache, tight: one cached
-	// bound holds a float64 per covered pixel across every region mask —
-	// hundreds of MB at fine bounds — where a cover set is megabytes
+	// maskCacheCapacity bounds the BRJ mask cache, tight: one cached bound
+	// holds 8 bytes per covered row span of every region mask, plus one
+	// retained set of point buffers sized by the last call's points
 	// (BRJJoiner.MemoryBytes reports a resident set's footprint). It also
 	// caps how many mask builds run concurrently.
 	maskCacheCapacity = 2
@@ -59,7 +59,7 @@ const (
 // Engine is a serving layer: all methods are safe for concurrent use by any
 // number of goroutines. Lazily built artifacts (the exact cover — interior and
 // boundary cells at one coarse level, with each region's point locator — one
-// set of BRJ mask canvases per bound, and one cover set per bound — the one
+// set of BRJ region masks per bound, and one cover set per bound — the one
 // artifact both the ad-hoc act join and every registered dataset answer from)
 // are cached in bounded LRU caches with singleflight build deduplication —
 // concurrent misses on the same bound run one build and share it. The
@@ -529,7 +529,7 @@ func (e *Engine) checkDataset(ds *Dataset) error {
 }
 
 // brjJoinerCtx returns the mask-cached raster joiner for the bound, building
-// it under the cache's singleflight on a miss. A cold build renders across
+// it under the cache's singleflight on a miss. A cold build rasterizes across
 // the request's worker budget, so it never exceeds the parallelism the query
 // itself was granted; canceling ctx abandons the wait (and the build itself,
 // once no caller remains interested in it).

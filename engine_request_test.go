@@ -3,8 +3,10 @@ package distbound
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -270,5 +272,40 @@ func TestWorkersNormalizedInOnePlace(t *testing.T) {
 		for k := range aggs {
 			testutil.CheckIdentical(t, "Do default workers", want.Results[k], got.Results[k])
 		}
+	}
+}
+
+// TestAdhocNonFiniteWeightRejected: a NaN or ±Inf ad-hoc weight is refused
+// once per call, naming its row, on every ad-hoc entry point — as the
+// resident append refuses it. Accepted, one +Inf weight made the one-shot
+// raster join's SUM NaN in regions whose bounding box held the point's pixel
+// but which did not contain the point (0·Inf in the mask product).
+func TestAdhocNonFiniteWeightRejected(t *testing.T) {
+	e, _, ps := requestFixture(t)
+	ctx := context.Background()
+	regions := dataRegions(92, 5, 5, 8)
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := PointSet{Pts: ps.Pts, Weights: append([]float64(nil), ps.Weights...)}
+		bad.Weights[1234] = w
+		check := func(what string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), "weight 1234") {
+				t.Errorf("weight %v, %s: err %v, want a refusal naming row 1234", w, what, err)
+			}
+		}
+		for _, strat := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ} {
+			_, err := e.Do(ctx, Request{Points: bad, Aggs: []Agg{Count, Sum}, Bound: 64, Strategy: &strat})
+			check("Do "+strat.String(), err)
+		}
+		_, err := e.Do(ctx, Request{Points: bad, Aggs: []Agg{Count}, Bound: 64})
+		check("planned count-only Do", err)
+		_, _, err = RasterJoin(bad, regions, 64, Sum)
+		check("RasterJoin", err)
+		_, err = ACTJoin(bad, regions, 64, Sum)
+		check("ACTJoin", err)
+		_, err = ExactJoin(bad, regions, Sum)
+		check("ExactJoin", err)
+		_, err = BruteForceJoin(bad, regions, Sum)
+		check("BruteForceJoin", err)
 	}
 }

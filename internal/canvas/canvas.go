@@ -221,8 +221,8 @@ func Blend(dst, src *Canvas, f BlendFunc) error {
 // overlap of m's window with a's — the blend-with-BlendMul-then-Sum step of
 // the raster join as one read-only pass that reads the mask once for both
 // point channels; b must share a's window, as the count and weight canvases
-// of one tile do. No canvas is written, so a cached region mask can be shared
-// by any number of concurrent joins. Each channel is accumulated in the
+// of one tile do. No canvas is written, so one mask serves both channels.
+// Each channel is accumulated in the
 // row-major order of Blend followed by Sum restricted to the overlap, so
 // either result is bit-identical to the mutating form.
 func DotSums(m, a, b *Canvas) (sa, sb float64, err error) {

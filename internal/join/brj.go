@@ -1,7 +1,6 @@
 package join
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -24,9 +23,11 @@ import (
 // BRJ is the one-shot driver over the pass kernel below (brjPass): per tile
 // it scatters the tile's points onto fresh canvases, then renders each
 // region's mask, folds it in and drops it, so a single mask is resident at
-// any moment. BRJJoiner drives the same kernel and differs in what it keeps:
-// every mask, rendered once, and one pair of point canvases that a pass
-// un-scatters instead of reallocating.
+// any moment. It is the paper's dense canvas model, and the reference the
+// cached BRJJoiner is held to: that joiner shares the pass geometry and the
+// one scanline (canvas.Grid.RegionSpans) RenderRegion fills from, keeps each
+// mask as its covered runs, and folds only the pixels points landed in —
+// bit for bit the sums this driver computes.
 type BRJ struct {
 	// Bound is the distance bound (pixel diagonal = Bound).
 	Bound float64
@@ -48,11 +49,11 @@ type BRJStats struct {
 
 // brjPass is the pass geometry of a tiled raster join — the pixel grid, the
 // extent's pixel range and the texture cap that cuts it into tiles — and,
-// through its methods, the kernel both drivers run per tile: scatter the
-// tile's points, renderMask a region in the tile's window, foldMask it — one
-// read of the mask for the count and the sum — into the running sums. The
-// one-shot BRJ and the cached BRJJoiner hold a brjPass each, so their passes
-// agree by construction.
+// through its methods, the one-shot kernel per tile: scatter the tile's
+// points, renderMask a region in the tile's window, foldMask it — one read of
+// the mask for the count and the sum — into the running sums. The one-shot
+// BRJ and the cached BRJJoiner hold a brjPass each, so their tiles, buckets
+// and mask windows agree by construction.
 type brjPass struct {
 	grid           canvas.Grid
 	x0, y0, x1, y1 int
@@ -122,34 +123,19 @@ func (p brjPass) bucketByTile(ps PointSet) [][]int32 {
 	return buckets
 }
 
-// brjScratch backs one pass's point canvases — per-pixel counts and, once
-// some aggregate has summed, per-pixel weights (two color channels of the
-// paper's off-screen buffer) — sized for the largest tile and all zero
-// between passes, so it serves one tile after another. The zero value
-// allocates on first use.
-type brjScratch struct{ count, sum []float64 }
-
-// window is buf as tile t's canvas, allocated for the largest tile if absent.
-func (p brjPass) window(buf *[]float64, t tileGeom) *canvas.Canvas {
-	if *buf == nil {
-		*buf = make([]float64, min(p.maxTex, p.x1-p.x0+1)*min(p.maxTex, p.y1-p.y0+1))
+// scatter renders one tile's point canvases: counts always and, when some
+// aggregate sums, weights (two color channels of the paper's off-screen
+// buffer).
+func (p brjPass) scatter(t tileGeom, ps PointSet, needSum bool, bucket []int32) (ptCount, ptSum *canvas.Canvas, err error) {
+	if ptCount, err = canvas.NewCanvas(p.grid, t.x0, t.y0, t.w, t.h); err != nil {
+		return nil, nil, err
 	}
-	return &canvas.Canvas{G: p.grid, X0: t.x0, Y0: t.y0, W: t.w, H: t.h, Pix: (*buf)[:t.w*t.h]}
-}
-
-// scatter renders one tile's point canvases onto sc, which must be all zero:
-// counts always and, when some aggregate sums, weights. On an error sc is
-// left partly written and must be dropped.
-func (p brjPass) scatter(ctx context.Context, sc *brjScratch, t tileGeom, ps PointSet, needSum bool, bucket []int32) (ptCount, ptSum *canvas.Canvas, err error) {
-	done := ctx.Done()
-	ptCount = p.window(&sc.count, t)
 	if needSum {
-		ptSum = p.window(&sc.sum, t)
-	}
-	for bi, pi := range bucket {
-		if bi&cancelCheckMask == 0 && canceled(done) {
-			return nil, nil, ctx.Err()
+		if ptSum, err = canvas.NewCanvas(p.grid, t.x0, t.y0, t.w, t.h); err != nil {
+			return nil, nil, err
 		}
+	}
+	for _, pi := range bucket {
 		gx, gy := p.grid.PixelOf(ps.Pts[pi])
 		ptCount.Add(gx, gy, 1)
 		if ptSum != nil {
@@ -159,34 +145,30 @@ func (p brjPass) scatter(ctx context.Context, sc *brjScratch, t tileGeom, ps Poi
 	return ptCount, ptSum, nil
 }
 
-// unscatter replays the bucket and zeroes every pixel scatter wrote — the
-// cost of the points, not of the tile's pixels.
-func (p brjPass) unscatter(ptCount, ptSum *canvas.Canvas, ps PointSet, bucket []int32) {
-	for _, pi := range bucket {
-		gx, gy := p.grid.PixelOf(ps.Pts[pi])
-		ptCount.Set(gx, gy, 0)
-		if ptSum != nil {
-			ptSum.Set(gx, gy, 0)
-		}
-	}
-}
-
-// renderMask renders a region onto a fresh canvas over its bounds clipped to
-// the tile — the region itself, or with boundary set the pixels its boundary
-// crosses. It returns nil when the region misses the tile.
-func (p brjPass) renderMask(t tileGeom, rg geom.Region, boundary bool) (*canvas.Canvas, error) {
+// maskWindow is a region's mask window in a tile: the pixels of its bounds
+// clipped to the tile, as origin and size. ok is false when the region
+// misses the tile.
+func (p brjPass) maskWindow(t tileGeom, rg geom.Region) (x0, y0, w, h int, ok bool) {
 	window := rg.Bounds().Intersection(t.rect)
 	if window.IsEmpty() {
-		return nil, nil
+		return 0, 0, 0, 0, false
 	}
 	mx0, my0 := p.grid.PixelOf(window.Min)
 	mx1, my1 := p.grid.PixelOf(window.Max)
 	mx0, my0 = max(mx0, t.x0), max(my0, t.y0)
 	mx1, my1 = min(mx1, t.x0+t.w-1), min(my1, t.y0+t.h-1)
-	if mx0 > mx1 || my0 > my1 {
+	return mx0, my0, mx1 - mx0 + 1, my1 - my0 + 1, mx0 <= mx1 && my0 <= my1
+}
+
+// renderMask renders a region onto a fresh canvas over its mask window — the
+// region itself, or with boundary set the pixels its boundary crosses. It
+// returns nil when the region misses the tile.
+func (p brjPass) renderMask(t tileGeom, rg geom.Region, boundary bool) (*canvas.Canvas, error) {
+	mx0, my0, w, h, ok := p.maskWindow(t, rg)
+	if !ok {
 		return nil, nil
 	}
-	mask, err := canvas.NewCanvas(p.grid, mx0, my0, mx1-mx0+1, my1-my0+1)
+	mask, err := canvas.NewCanvas(p.grid, mx0, my0, w, h)
 	if err != nil {
 		return nil, err
 	}
@@ -287,10 +269,8 @@ func (b BRJ) run(ps PointSet, regions []geom.Region, agg Agg, withRange bool) (R
 // the region's boundary crosses — the ε_b of §6's result-range estimation —
 // from a boundary mask folded the same way. It returns the mask pixels
 // rendered (boundary masks not counted).
-//
-//distbound:allow-background the one-shot join is context-free; callers hold no context to thread
 func (p brjPass) renderAndFold(t tileGeom, ps PointSet, regions []geom.Region, needSum bool, bucket []int32, counts, sums, boundaryCounts []float64) (maskPixels int64, err error) {
-	ptCount, ptSum, err := p.scatter(context.Background(), &brjScratch{}, t, ps, needSum, bucket)
+	ptCount, ptSum, err := p.scatter(t, ps, needSum, bucket)
 	if err != nil {
 		return 0, err
 	}

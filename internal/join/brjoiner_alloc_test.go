@@ -5,9 +5,10 @@ package join
 import "testing"
 
 // TestBRJJoinerRunRetainsItsCanvases is BenchmarkBRJJoinerRun/e64's guard in
-// a form any host can hold: a warm run allocates its buckets and results —
-// under a megabyte — where a tile-sized pair of point canvases per call was
-// 35 MB. (Not under -race, whose allocator accounting differs.)
+// a form any host can hold: a warm run allocates its result columns — under a
+// megabyte — where point buffers allocated per call were 2.7 MB, and a
+// tile-sized pair of point canvases 35 MB. (Not under -race, whose allocator
+// accounting differs.)
 func TestBRJJoinerRunRetainsItsCanvases(t *testing.T) {
 	r := testing.Benchmark(func(b *testing.B) { benchBRJJoinerRun(b, 1) })
 	if got := r.AllocedBytesPerOp(); got >= 1<<20 {

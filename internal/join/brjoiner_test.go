@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
+	"distbound/internal/canvas"
 	"distbound/internal/data"
 	"distbound/internal/geom"
 )
@@ -127,6 +130,15 @@ func TestBRJJoinerRejectsExtremes(t *testing.T) {
 	}
 }
 
+// TestBRJJoinerRejectsOversizedTiles: a tile's pixel keys are 24 bits, so
+// the cached join refuses a texture cap above the default 4096.
+func TestBRJJoinerRejectsOversizedTiles(t *testing.T) {
+	_, regions, bounds := brjWorkload(0)
+	if _, err := NewBRJJoiner(regions, bounds, 64, canvas.DefaultMaxTextureSize+1, 0); err == nil {
+		t.Error("a 4097-pixel texture cap accepted")
+	}
+}
+
 func TestBRJJoinerAccounting(t *testing.T) {
 	_, regions, bounds := brjWorkload(0)
 	j, err := NewBRJJoiner(regions, bounds, 64, 0, 0)
@@ -203,11 +215,11 @@ func TestBRJJoinerSumsIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestBRJJoinerRetainedCanvasesStayClean: the point canvases outlive a call,
+// TestBRJJoinerRetainedCanvasesStayClean: the point buffers outlive a call,
 // so every call on a used joiner must answer what a fresh joiner answers —
 // over disjoint, overlapping and empty point sets, and with a count-only run
-// after a summing one (the weight canvas is retained too, and must not be
-// read).
+// after a summing one (the per-pixel weight sums are retained too, and must
+// not be read). One set stays behind, and MemoryBytes counts it.
 func TestBRJJoinerRetainedCanvasesStayClean(t *testing.T) {
 	ps, regions, bounds := brjWorkload(20000)
 	slice := func(lo, hi int) PointSet { return PointSet{Pts: ps.Pts[lo:hi], Weights: ps.Weights[lo:hi]} }
@@ -243,19 +255,20 @@ func TestBRJJoinerRetainedCanvasesStayClean(t *testing.T) {
 		}
 		sc := used.scratch.Load()
 		if sc == nil || sc.sum == nil {
-			t.Fatalf("maxTex=%d: no point-canvas pair retained", maxTex)
+			t.Fatalf("maxTex=%d: no point buffers retained", maxTex)
 		}
-		if got, want := used.MemoryBytes(), 8*(int(used.Stats().MaskPixels)+len(sc.count)+len(sc.sum)); got != want {
-			t.Errorf("maxTex=%d: MemoryBytes %d, masks and the retained pair hold %d", maxTex, got, want)
+		if got, want := used.MemoryBytes(), used.maskBytes+sc.bytes(); got != want || sc.bytes() <= 0 {
+			t.Errorf("maxTex=%d: MemoryBytes %d, masks and the retained buffers hold %d", maxTex, got, want)
 		}
 	}
 }
 
 // phaseCtx cancels itself at its nth Done call. Every phase of a run asks for
-// the channel once, on the calling goroutine — AggregateMulti, then per tile
-// the scatter and the fold's pool — so n walks a cancellation through the
-// phases of a run in order; with async the close races the phase it was asked
-// in, which lands it inside the scatter loop rather than in front of it.
+// the channel once, on the calling goroutine — AggregateMulti, the keying of
+// the points, then per tile the fold's pool — so n walks a cancellation
+// through the phases of a run in order; with async the close races the phase
+// it was asked in, which lands it inside the keying loop rather than in front
+// of it.
 type phaseCtx struct {
 	context.Context
 	n, calls int
@@ -281,10 +294,10 @@ func (c *phaseCtx) Err() error {
 	return nil
 }
 
-// TestBRJJoinerCanceledRunDropsCanvases: a run canceled in front of a tile's
-// scatter, inside it, or in front of its fold — the canvases then hold the
-// tile's points — returns the context's error and hands no canvases back, so
-// the next run starts from clean ones and is right.
+// TestBRJJoinerCanceledRunDropsCanvases: a run canceled in front of the
+// keying, inside it, or in front of a tile's fold — the buffers then hold the
+// points — returns the context's error and hands no buffers back, so the next
+// run starts from clean ones and is right.
 func TestBRJJoinerCanceledRunDropsCanvases(t *testing.T) {
 	ps, regions, bounds := brjWorkload(40000)
 	j, err := NewBRJJoiner(regions, bounds, 64, 600, 0)
@@ -296,7 +309,7 @@ func TestBRJJoinerCanceledRunDropsCanvases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	masks := 8 * int(j.Stats().MaskPixels)
+	masks := j.maskBytes
 	canceledRuns := 0
 	for _, async := range []bool{false, true} {
 		for n := 1; ; n++ {
@@ -312,7 +325,7 @@ func TestBRJJoinerCanceledRunDropsCanvases(t *testing.T) {
 					t.Fatalf("async=%v n=%d: %v, want context.Canceled", async, n, err)
 				}
 				if j.MemoryBytes() != masks {
-					t.Fatalf("async=%v n=%d: a canceled run handed its canvases back", async, n)
+					t.Fatalf("async=%v n=%d: a canceled run handed its buffers back", async, n)
 				}
 			}
 			got, err = j.AggregateMulti(context.Background(), ps, aggs, 2)
@@ -328,8 +341,9 @@ func TestBRJJoinerCanceledRunDropsCanvases(t *testing.T) {
 }
 
 // TestBRJJoinerConcurrentCallersKeepOnePair: concurrent callers never share
-// point canvases — run under -race — answer what sequential calls answer, and
-// leave at most one pair behind.
+// point buffers — run under -race — answer what sequential calls answer, and
+// leave one set behind: more than the masks, less than the masks and two of
+// the smallest set a caller's points grow.
 func TestBRJJoinerConcurrentCallersKeepOnePair(t *testing.T) {
 	ps, regions, bounds := brjWorkload(12000)
 	j, err := NewBRJJoiner(regions, bounds, 48, 700, 0)
@@ -339,13 +353,15 @@ func TestBRJJoinerConcurrentCallersKeepOnePair(t *testing.T) {
 	ctx, aggs := context.Background(), []Agg{Count, Sum}
 	sets := make([]PointSet, 6)
 	want := make([][]Result, len(sets))
+	oneSet := math.MaxInt
 	for g := range sets {
 		sets[g] = PointSet{Pts: ps.Pts[g*1500 : g*1500+4000], Weights: ps.Weights[g*1500 : g*1500+4000]}
+		j.scratch.Store(nil)
 		if want[g], err = j.AggregateMulti(ctx, sets[g], aggs, 1); err != nil {
 			t.Fatal(err)
 		}
+		oneSet = min(oneSet, j.scratch.Load().bytes())
 	}
-	onePair := j.MemoryBytes()
 	var wg sync.WaitGroup
 	for g := range sets {
 		wg.Add(1)
@@ -362,7 +378,106 @@ func TestBRJJoinerConcurrentCallersKeepOnePair(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if j.MemoryBytes() != onePair {
-		t.Errorf("MemoryBytes %d after concurrent use, %d with one retained pair", j.MemoryBytes(), onePair)
+	if got := j.MemoryBytes() - j.maskBytes; got <= 0 || got >= 2*oneSet {
+		t.Errorf("%d bytes retained after concurrent use, one set holds %d", got, oneSet)
 	}
+}
+
+// brjEdgeCases builds n points over bounds for the raster join at bound from
+// seed: uniform points over an extent 10 % wider than bounds (so some fall
+// outside), a crowd in one pixel, points on pixel edges, corners and tile
+// seams (a 200-pixel texture cap) and one ulp either side, and on the
+// extent's far edge. Weights are fractional, of both signs, and sometimes −0.
+func brjEdgeCases(seed int64, n int, bounds geom.Rect, bound float64) PointSet {
+	rng := rand.New(rand.NewSource(seed))
+	g := canvas.GridForBound(bounds.Min, bound)
+	w, h := bounds.Max.X-bounds.Min.X, bounds.Max.Y-bounds.Min.Y
+	cells := int(w / g.PixelSize)
+	line := func(k int) float64 { return g.Origin.X + float64(k)*g.PixelSize }
+	nudge := func(x float64) float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return math.Nextafter(x, math.Inf(-1))
+		case 1:
+			return math.Nextafter(x, math.Inf(1))
+		}
+		return x
+	}
+	crowd := g.PixelCenter(rng.Intn(cells), rng.Intn(cells))
+	ps := PointSet{Pts: make([]geom.Point, n), Weights: make([]float64, n)}
+	for i := range ps.Pts {
+		var p geom.Point
+		switch i % 6 {
+		case 0:
+			p = geom.Pt(bounds.Min.X-0.05*w+1.1*w*rng.Float64(), bounds.Min.Y-0.05*h+1.1*h*rng.Float64())
+		case 1:
+			p = geom.Pt(crowd.X+(rng.Float64()-0.5)*g.PixelSize*0.9, crowd.Y+(rng.Float64()-0.5)*g.PixelSize*0.9)
+		case 2:
+			p = geom.Pt(nudge(line(rng.Intn(cells))), bounds.Min.Y+h*rng.Float64())
+		case 3:
+			p = geom.Pt(nudge(line(rng.Intn(cells))), nudge(line(rng.Intn(cells))))
+		case 4:
+			p = geom.Pt(nudge(line(200*rng.Intn(cells/200+1))), nudge(line(200*rng.Intn(cells/200+1))))
+		default:
+			p = geom.Pt(nudge(bounds.Max.X), bounds.Min.Y+h*rng.Float64())
+		}
+		ps.Pts[i] = p
+		switch ps.Weights[i] = (rng.Float64() - 0.3) * 1000; {
+		case i%17 == 0:
+			ps.Weights[i] = math.Copysign(0, -1)
+		case i%13 == 0:
+			ps.Weights[i] = math.Round(ps.Weights[i])
+		}
+	}
+	return ps
+}
+
+// FuzzBRJJoinerMatchesRun holds the cached joiner's sparse fold to the
+// one-shot BRJ.Run it replaces, by IEEE bits: count-only and count+sum sets,
+// one tile and a 200-pixel texture cap whose seams the regions straddle, one
+// worker and three, over brjEdgeCases' points — an empty set included.
+func FuzzBRJJoinerMatchesRun(f *testing.F) {
+	bounds := data.DowntownBounds()
+	regions := data.Regions(data.PartitionIn(10, bounds, 5, 5, 6))
+	const bound = 32
+	joiners := map[int]*BRJJoiner{}
+	for _, maxTex := range []int{0, 200} {
+		j, err := NewBRJJoiner(regions, bounds, bound, maxTex, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		joiners[maxTex] = j
+	}
+	if joiners[200].Stats().NumTiles < 9 {
+		f.Fatalf("%d tiles under the 200-pixel cap, want at least 9", joiners[200].Stats().NumTiles)
+	}
+	f.Add(int64(1), uint16(3000))
+	f.Add(int64(2), uint16(0))
+	f.Add(int64(3), uint16(1))
+	f.Add(int64(4), uint16(600))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
+		ps := brjEdgeCases(seed, int(n%4096), bounds, bound)
+		ctx := context.Background()
+		for maxTex, j := range joiners {
+			want := map[Agg]Result{}
+			for _, agg := range []Agg{Count, Sum} {
+				r, _, err := BRJ{Bound: bound, Bounds: bounds, MaxTextureSize: maxTex}.Run(ps, regions, agg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[agg] = r
+			}
+			for _, aggs := range [][]Agg{{Count}, {Count, Sum}} {
+				for _, workers := range []int{1, 3} {
+					got, err := j.AggregateMulti(ctx, ps, aggs, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k, agg := range aggs {
+						bitIdentical(t, fmt.Sprintf("seed %d n %d maxTex %d %v workers %d: %v", seed, n, maxTex, aggs, workers, agg), want[agg], got[k])
+					}
+				}
+			}
+		}
+	})
 }

@@ -78,12 +78,30 @@ type PointSet struct {
 }
 
 // validate checks the weight column against the aggregate.
-func (ps PointSet) validate(agg Agg) error {
-	if agg != Count && ps.Weights == nil {
-		return fmt.Errorf("join: %v requires a weight column", agg)
+func (ps PointSet) validate(agg Agg) error { return ps.validateAggs([]Agg{agg}) }
+
+// validateAggs checks the aggregate set against the weight column, and the
+// column itself once: one weight per point, every one finite. A NaN or ±Inf
+// weight is refused, as the resident store refuses it: the raster join's
+// one-shot form multiplies every pixel of a region's bounding box by its 0/1
+// mask, so one such weight would turn the SUM of regions that do not contain
+// the point into NaN.
+func (ps PointSet) validateAggs(aggs []Agg) error {
+	if len(aggs) == 0 {
+		return fmt.Errorf("join: no aggregates requested")
+	}
+	for _, a := range aggs {
+		if a != Count && ps.Weights == nil {
+			return fmt.Errorf("join: %v requires a weight column", a)
+		}
 	}
 	if ps.Weights != nil && len(ps.Weights) != len(ps.Pts) {
 		return fmt.Errorf("join: %d weights for %d points", len(ps.Weights), len(ps.Pts))
+	}
+	for i, w := range ps.Weights {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("join: weight %d is %v; aggregation requires finite weights", i, w)
+		}
 	}
 	return nil
 }

@@ -165,20 +165,6 @@ func (a *acc) results(aggs []Agg) []Result {
 	return out
 }
 
-// validateAggs checks the aggregate set against the point set's weight
-// column.
-func (ps PointSet) validateAggs(aggs []Agg) error {
-	if len(aggs) == 0 {
-		return fmt.Errorf("join: no aggregates requested")
-	}
-	for _, a := range aggs {
-		if err := ps.validate(a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // canceled reports whether done (a ctx.Done() channel, possibly nil) has
 // fired.
 func canceled(done <-chan struct{}) bool {
@@ -307,13 +293,20 @@ func (j *RStarJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Ag
 }
 
 // AggregateMulti is the multi-aggregate form of the cached-mask raster join:
-// tile after tile, one point scatter feeds the count and (when needed) sum
-// canvases and the tile's masks are folded in — split over the workers by
-// pixel weight, each mask read once for both canvases by one worker, each
-// region's slot of counts and sums therefore written by one. Results are
-// bit-identical at every worker count. MIN/MAX cannot run on additive
-// canvases and are rejected, exactly as in the single-aggregate form. A failed
-// or canceled run drops its point canvases; any other puts them back zeroed.
+// tile after tile, the tile's points become one sorted pixel run feeding the
+// count and (when needed) sum, and each of the tile's masks sweeps it along
+// its spans — split over the workers by span count, each mask swept by one
+// worker, each region's slot of counts and sums therefore written by one.
+//
+// The sums are bit-identical to BRJ.Run's at every worker count, for finite
+// weights (validation refuses others) whose pixel sums do not overflow.
+// BRJ.Run folds a mask as Σ m·a over the
+// mask window in row-major order from +0, then adds that into the region's
+// slot; a sweep adds the same terms in the same order, minus those where the
+// mask or the pixel is 0. Each dropped term is ±0, which leaves a finite sum
+// that starts at +0 unchanged (such a sum is never −0). MIN/MAX cannot run on
+// additive pixels and are rejected, exactly as in the single-aggregate form.
+// A failed or canceled run drops its point buffers; any other puts them back.
 func (j *BRJJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg, workers int) ([]Result, error) {
 	if err := ps.validateAggs(aggs); err != nil {
 		return nil, err
@@ -326,29 +319,31 @@ func (j *BRJJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 	needSum, done := needsOf(aggs).sum, ctx.Done()
 	counts := make([]float64, j.numReg)
 	sums := make([]float64, j.numReg)
-	var sc brjScratch
-	if retained := j.scratch.Swap(nil); retained != nil {
-		sc = *retained
+	sc := j.scratch.Swap(nil)
+	if sc == nil {
+		sc = new(brjScratch)
 	}
-	for ti, bucket := range j.bucketByTile(ps) {
+	if err := sc.key(ctx, &j.brjPass, ps); err != nil {
+		return nil, err
+	}
+	for ti, pairs := range sc.tiles {
 		masks := j.tiles[ti]
-		if len(bucket) == 0 || len(masks) == 0 {
+		if len(pairs) == 0 || len(masks) == 0 {
 			continue // no points or no masks: the tile contributes nothing
 		}
-		ptCount, ptSum, err := j.scatter(ctx, &sc, j.tile(ti), ps, needSum, bucket)
-		if err != nil {
-			return nil, err
-		}
+		sc.load(j.tile(ti), ps, needSum, pairs)
 		shards := pool.SplitWeighted(len(masks), pool.Workers(workers, len(masks)), func(i int) int64 {
-			return int64(len(masks[i].mask.Pix))
+			return int64(len(masks[i].spans))
 		})
-		err = pool.RunCtx(ctx, len(shards), len(shards), func(_, s int) error {
+		err := pool.RunCtx(ctx, len(shards), len(shards), func(_, s int) error {
 			for _, m := range masks[shards[s][0]:shards[s][1]] {
 				if canceled(done) {
 					return ctx.Err()
 				}
-				if err := foldMask(m.mask, ptCount, ptSum, int(m.region), counts, sums); err != nil {
-					return err
+				c, w := sc.sweep(m.spans, needSum)
+				counts[m.region] += c
+				if needSum {
+					sums[m.region] += w
 				}
 			}
 			return nil
@@ -356,9 +351,8 @@ func (j *BRJJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 		if err != nil {
 			return nil, err
 		}
-		j.unscatter(ptCount, ptSum, ps, bucket)
 	}
-	j.scratch.CompareAndSwap(nil, &sc)
+	j.scratch.CompareAndSwap(nil, sc)
 
 	out := make([]Result, len(aggs))
 	for k, agg := range aggs {

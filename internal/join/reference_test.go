@@ -187,7 +187,7 @@ func BenchmarkCoverBuild(b *testing.B) {
 
 // benchBRJJoinerRun is the repository benchmark's raster-join shape —
 // {count,sum} at ε64 over a 50 k-point slice of the 16×16×12 partition's
-// extent, masks cached, point canvases warm — on the given worker count.
+// extent, masks cached, point buffers warm — on the given worker count.
 func benchBRJJoinerRun(b *testing.B, workers int) {
 	pts, weights := data.TaxiPoints(1, 50_000)
 	ps := PointSet{Pts: pts, Weights: weights}
@@ -210,8 +210,8 @@ func benchBRJJoinerRun(b *testing.B, workers int) {
 }
 
 // BenchmarkBRJJoinerRun times the warm raster join of adhoc_join's slowest
-// shape. bytes/op must stay unrelated to the tile's pixel count: the point
-// canvases are retained and un-scattered, not reallocated.
+// shape. bytes/op must stay unrelated to the tile's pixel count and to the
+// points: the point buffers are retained, not reallocated.
 func BenchmarkBRJJoinerRun(b *testing.B) {
 	b.Run("e64", func(b *testing.B) { benchBRJJoinerRun(b, 0) })
 }

@@ -34,9 +34,12 @@ const (
 	// from the bound's cover table, which holds the same cells and gives the
 	// same answers.
 	StrategyACT
-	// StrategyBRJ is the Bounded Raster Join: no pre-computation, cost
-	// proportional to canvas pixels — attractive for one-shot queries at
-	// moderate bounds.
+	// StrategyBRJ is the Bounded Raster Join. The engine caches its region
+	// masks per bound as covered row spans, and a run sorts the points by
+	// pixel and sweeps each mask's spans: it costs the points plus the spans.
+	// The model still prices the one-shot canvas join — mask and tile pixels,
+	// not refitted — so it over-charges cached runs; the picks it makes on
+	// the benchmark's shapes are unchanged.
 	StrategyBRJ
 	// StrategyPointIdx resolves each region's cover ranges against a
 	// resident point store's sorted keys in one galloping sweep and folds the
@@ -87,11 +90,11 @@ type Query struct {
 	// aggregate.
 	Aggs []join.Agg
 	// CachedBuild marks strategies whose one-time build artifact (the
-	// bound's cover set for act, the exact cover, or the BRJ region-mask
-	// canvases) is already resident in the caller's cache — whatever request
-	// built it: their build cost has been paid, so
-	// Estimate charges none. This is how repetition amortization extends
-	// across concurrent callers sharing one engine.
+	// bound's cover set for act, the exact cover, or the BRJ region masks)
+	// is already resident in the caller's cache — whatever request built
+	// it: their build cost has been paid, so Estimate charges none. This is
+	// how repetition amortization extends across concurrent callers sharing
+	// one engine.
 	CachedBuild map[Strategy]bool
 	// Stats, when non-nil, is the precomputed ComputeStats of Regions;
 	// Estimate then skips its per-call region scan. Callers own keeping it

@@ -265,8 +265,9 @@ func TestStatsOf(t *testing.T) {
 //
 // The ε64 cell is the one a planner change would flip, so what it trades is
 // written here: on one worker the model charges the raster join 10.0 ms a
-// run against the trie's 22.5 ms, the walls are ≈ 7 ms and ≈ 7 ms, and
-// the answers are not equally good. At equal ε the trie is conservative and
+// run against the trie's 22.5 ms, the walls are ≈ 2.5 ms and ≈ 4.1 ms (the
+// raster join sweeping row spans; the model, not refitted, still prices its
+// pixels), and the answers are not equally good. At equal ε the trie is conservative and
 // the raster join centroid-sampled: ACT@ε64 reads count_rel_err
 // 0.0178–0.0199 on seeds 1–3 where BRJ@ε64 reads 0.0044–0.0049, so sending
 // this shape to the trie moves adhoc_join's pooled count_rel_err 0.0048 →
