@@ -84,7 +84,6 @@ func NewMutableFromColumns(cols BaseColumns, d sfc.Domain, c sfc.Curve, dropped 
 	}
 	m := &Mutable{domain: d, curve: c, hasW: hasW, dropped: dropped, nextID: nextID}
 	m.baseByID = buildIDIndex(cols.IDs, 0)
-	m.deltaByID = map[uint64]int{}
 	m.snap.Store(&Snapshot{
 		base: &Store{
 			keys: cols.Keys, weights: cols.Weights, prefix: cols.Prefix,

@@ -114,16 +114,12 @@ func requireSnapshotBitIdentical(t *testing.T, got, want *Snapshot) {
 	}
 }
 
-// requireIndexMatches fails unless the sharded index holds exactly the flat
+// requireIndexMatches fails unless the ID index holds exactly the flat
 // reference map.
 func requireIndexMatches(t *testing.T, got *idIndex, want map[uint64]int) {
 	t.Helper()
-	n := 0
-	for _, sh := range got.shards {
-		n += len(sh)
-	}
-	if n != len(want) {
-		t.Fatalf("index holds %d IDs, want %d", n, len(want))
+	if len(got.byID) != len(want) {
+		t.Fatalf("index holds %d IDs, want %d", len(got.byID), len(want))
 	}
 	for id, row := range want {
 		g, ok := got.get(id)
@@ -266,6 +262,34 @@ func TestSortColumnsByKeyMatchesComparison(t *testing.T) {
 				if gk[i] == gk[i-1] && gi[i] < gi[i-1] {
 					t.Fatalf("IDs out of order within equal keys at row %d", i)
 				}
+			}
+		})
+	}
+}
+
+// TestSortPairsOneWorkerMatchesComparison: from radixParallelMin rows up,
+// sortPairs radix-sorts even at one worker, so that sort's output must equal
+// the comparison sort's on shuffled, sorted and duplicate-key input.
+func TestSortPairsOneWorkerMatchesComparison(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	n := radixParallelMin * 4
+	perm := rng.Perm(n)
+	shapes := map[string]func(i int) uint64{
+		"shuffled":   func(i int) uint64 { return uint64(perm[i]) },
+		"sorted":     func(i int) uint64 { return uint64(i) << 3 },
+		"duplicates": func(int) uint64 { return uint64(rng.Intn(64)) << 20 },
+	}
+	for name, key := range shapes {
+		t.Run(name, func(t *testing.T) {
+			want := make([]keyRef, n)
+			for i := range want {
+				want[i] = keyRef{key(i), int32(i)}
+			}
+			radix := slices.Clone(want)
+			sortPairsCmp(want)
+			radixSortPairs(radix, 1)
+			if !slices.Equal(radix, want) {
+				t.Fatal("one-worker radix sort diverged from the comparison sort")
 			}
 		})
 	}

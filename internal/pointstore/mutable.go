@@ -36,11 +36,10 @@ type Mutable struct {
 	hasW    bool
 	dropped int // set at construction, immutable afterwards
 
-	mu        sync.Mutex // serializes mutations and compaction
-	snap      atomic.Pointer[Snapshot]
-	baseByID  *idIndex       // live base rows by point ID, sharded for parallel rebuild
-	deltaByID map[uint64]int // live delta rows by point ID
-	nextID    uint64
+	mu       sync.Mutex // serializes mutations and compaction
+	snap     atomic.Pointer[Snapshot]
+	baseByID *idIndex // base rows by point ID, tombstoned ones included
+	nextID   uint64
 }
 
 // Snapshot is one immutable, internally consistent view of a Mutable: the
@@ -145,7 +144,6 @@ func validateWeights(pts []geom.Point, weights []float64) error {
 // snapshot: generation 0, empty delta, no tombstones.
 func (m *Mutable) installBase(sk []uint64, sw []float64, si []uint64, sp []geom.Point) {
 	m.baseByID = buildIDIndex(si, 0)
-	m.deltaByID = map[uint64]int{}
 	m.snap.Store(&Snapshot{
 		base:    newStoreSorted(sk, sw),
 		baseIDs: si,
@@ -194,9 +192,13 @@ func (m *Mutable) Pending() int {
 	return len(s.deltaKeys) + len(s.tombPos)
 }
 
-// MemoryBytes returns the resident footprint across base columns, retained
-// coordinates, delta tail and tombstones.
-func (m *Mutable) MemoryBytes() int { return m.Snapshot().MemoryBytes() }
+// MemoryBytes returns the resident footprint: the snapshot's columns plus the
+// ID index. The index holds one 16-byte pair per base row, tombstoned rows
+// included, so its size follows from the snapshot without the mutation lock.
+func (m *Mutable) MemoryBytes() int {
+	s := m.Snapshot()
+	return s.MemoryBytes() + 16*s.BaseLen()
+}
 
 // Append adds points (with weights iff the dataset has a weight column),
 // assigning and returning their IDs. The append is atomic: any invalid input
@@ -233,7 +235,6 @@ func (m *Mutable) Append(pts []geom.Point, weights []float64) ([]uint64, error) 
 	nw := s.deltaWs
 	for i := range pts {
 		ids[i] = m.nextID
-		m.deltaByID[m.nextID] = len(nk)
 		m.nextID++
 		nk = append(nk, keys[i])
 		ni = append(ni, ids[i])
@@ -254,9 +255,11 @@ func (m *Mutable) Append(pts []geom.Point, weights []float64) ([]uint64, error) 
 }
 
 // Delete removes the points with the given IDs, returning how many were live
-// (already-deleted or unknown IDs are skipped). Base points become
-// tombstones; delta points are marked dead in place. Deletions are visible
-// the moment Delete returns.
+// (already-deleted or unknown IDs, and repeats within the batch, are skipped).
+// Base points become tombstones; delta points are marked dead in place.
+// Deletions are visible the moment Delete returns. Base IDs are found through
+// the ID index, delta IDs by binary search of the delta's ID column, which
+// ascends because appends assign IDs in order.
 //
 // Copy-on-write snapshots make one Delete call cost O(existing tombstones +
 // batch) regardless of batch size: prefer one call with many IDs over a loop
@@ -269,13 +272,17 @@ func (m *Mutable) Delete(ids ...uint64) int {
 	var newTombs, newDead []int
 	for _, id := range ids {
 		if row, ok := m.baseByID.get(id); ok {
-			newTombs = append(newTombs, row)
-			m.baseByID.del(id)
-		} else if k, ok := m.deltaByID[id]; ok {
+			if _, dead := slices.BinarySearch(s.tombPos, row); !dead {
+				newTombs = append(newTombs, row)
+			}
+		} else if k, ok := slices.BinarySearch(s.deltaIDs, id); ok && s.DeltaLive(k) {
 			newDead = append(newDead, k)
-			delete(m.deltaByID, id)
 		}
 	}
+	// Sorted and compacted, a batch naming one ID twice marks its row once.
+	slices.Sort(newTombs)
+	slices.Sort(newDead)
+	newTombs, newDead = slices.Compact(newTombs), slices.Compact(newDead)
 	if len(newTombs) == 0 && len(newDead) == 0 {
 		return 0
 	}
@@ -305,10 +312,9 @@ func (m *Mutable) Delete(ids ...uint64) int {
 	return len(newTombs) + len(newDead)
 }
 
-// mergeSorted returns a fresh sorted slice holding both inputs; add need not
-// be sorted. The old slice is never written — snapshots sharing it stay valid.
+// mergeSorted returns a fresh sorted slice holding both sorted inputs. The old
+// slice is never written — snapshots sharing it stay valid.
 func mergeSorted(old, add []int) []int {
-	sort.Ints(add)
 	out := make([]int, 0, len(old)+len(add))
 	i, j := 0, 0
 	for i < len(old) || j < len(add) {
@@ -331,7 +337,7 @@ func mergeSorted(old, add []int) []int {
 // goroutine. Compacting an already-compact store is a cheap no-op.
 //
 // The heavy lifting — sorting the delta tail, merging it with the surviving
-// base, rebuilding the ID index — runs parallel across GOMAXPROCS via
+// base, sorting the new base's ID index — runs parallel across GOMAXPROCS via
 // compactSnapshot, shrinking the write pause that Append and Delete wait out.
 func (m *Mutable) Compact() {
 	m.mu.Lock()
@@ -342,10 +348,9 @@ func (m *Mutable) Compact() {
 	}
 	if len(s.tombPos) == 0 && s.DeltaLiveLen() == 0 {
 		// Every delta row is dead and nothing is tombstoned: the base columns
-		// and the live-ID index are already exact. Republish them under a new
+		// and the ID index are already exact. Republish them under a new
 		// generation — dropping the dead tail — without resorting anything or
 		// rebuilding the index.
-		m.deltaByID = map[uint64]int{}
 		m.snap.Store(&Snapshot{
 			base: s.base, baseIDs: s.baseIDs, basePts: s.basePts,
 			gen: s.gen + 1, epoch: s.epoch + 1,
@@ -354,17 +359,16 @@ func (m *Mutable) Compact() {
 	}
 	ns, byID := compactSnapshot(s, m.hasW, 0)
 	m.baseByID = byID
-	m.deltaByID = map[uint64]int{}
 	m.snap.Store(ns)
 }
 
 // compactSnapshot builds the post-compaction snapshot of s: base survivors
 // keep their (key, ID) order, live delta rows are radix-sorted once, the two
-// runs merge in parallel partitions, and the live-ID index rebuilds
-// shard-wise. Pure — it reads s and touches nothing else — so benchmarks and
-// parity tests can drive it directly; workers ≤ 0 selects GOMAXPROCS. The
-// output permutation is the unique (key, ID) order, bit-identical to the
-// sequential reference for every worker count.
+// runs merge in parallel partitions, and the ID index is radix-sorted from
+// the merged ID column. Pure — it reads s and touches nothing else — so
+// benchmarks and parity tests can drive it directly; workers ≤ 0 selects
+// GOMAXPROCS. The output permutation is the unique (key, ID) order,
+// bit-identical to the sequential reference for every worker count.
 func compactSnapshot(s *Snapshot, hasW bool, workers int) (*Snapshot, *idIndex) {
 	base := cols{keys: s.base.keys, ws: s.base.weights, ids: s.baseIDs, pts: s.basePts}
 	if len(s.tombPos) > 0 {

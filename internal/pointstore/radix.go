@@ -1,8 +1,8 @@
 // Parallel compaction machinery: a stable MSB-radix sort over the uint64 key
-// column, a partitioned merge of two (key, ID)-sorted column sets, and the
-// sharded live-ID index — the pieces Compact composes so a write pause is
-// bounded by memory bandwidth across cores instead of a single-threaded
-// comparison sort.
+// column, a partitioned merge of two (key, ID)-sorted column sets, and the ID
+// index — the base's (ID, row) pairs sorted by the same radix sort — the
+// pieces Compact composes so a write pause is bounded by memory bandwidth
+// across cores instead of a single-threaded comparison sort.
 //
 // Every entry point here produces the unique (key, ID)-sorted permutation of
 // its input (IDs are unique, so that order is total), which makes the result
@@ -30,9 +30,10 @@ type keyRef struct {
 }
 
 const (
-	// radixParallelMin is the row count under which the sequential
-	// comparison sort wins outright: goroutine handoff and per-worker
-	// histograms cost more than they save on small columns.
+	// radixParallelMin is the row count under which the comparison sort wins
+	// outright: counting passes and per-worker histograms cost more than they
+	// save on small columns. At or above it the radix sort wins at any worker
+	// count, one included.
 	radixParallelMin = 1 << 13
 	// insertionSortMax bounds the bucket size finished by insertion sort
 	// instead of LSD counting passes; tiny buckets are dominated by the
@@ -59,11 +60,11 @@ func sortColumnsByKey(keys []uint64, ws []float64, ids []uint64, pts []geom.Poin
 }
 
 // sortPairs sorts pairs — whose rows must ascend — by (key, row), radix or
-// comparison sort by size, and returns the worker count it settled on.
+// comparison sort by size alone, and returns the worker count it settled on.
 func sortPairs(pairs []keyRef, workers int) int {
 	n := len(pairs)
 	w := pool.Workers(workers, n/radixParallelMin+1)
-	if w > 1 && n >= radixParallelMin {
+	if n >= radixParallelMin {
 		radixSortPairs(pairs, w)
 	} else {
 		sortPairsCmp(pairs)
@@ -94,7 +95,7 @@ func SortedKeys(pts []geom.Point, d sfc.Domain, c sfc.Curve) (keys []uint64, row
 	return keys, rows
 }
 
-// sortPairsCmp is the sequential fallback: a comparison sort on (key, row),
+// sortPairsCmp is the small-input sort: a comparison sort on (key, row),
 // which equals the stable-by-key order because rows ascend in the input.
 func sortPairsCmp(pairs []keyRef) {
 	sort.Slice(pairs, func(a, b int) bool {
@@ -358,58 +359,32 @@ func mergeSortedColumns(a, b cols, hasW bool, workers int) cols {
 	return out
 }
 
-// idShards is the shard count of the live-ID index; a power of two so the
-// shard of an ID is one mask.
-const idShards = 16
-
-// idIndex is the sharded replacement for the flat byID map: shard id&15
-// holds the sorted-column row of every live base ID in that residue class.
-// Sharding exists for rebuild speed — after a compaction each shard is
-// filled by its own worker — not for concurrent access; Mutable's mutation
-// lock still serializes every use.
+// idIndex finds a base ID's row: the base's (ID, row) pairs sorted by ID,
+// 16 bytes a row, probed by binary search. Tombstoned rows stay in it —
+// Delete checks a found row against the snapshot's tombstones — so it changes
+// only when the base does, and every new base builds it whole.
 type idIndex struct {
-	shards [idShards]map[uint64]int
+	byID []keyRef // key is the point ID
 }
 
-// get returns the base row of a live ID.
+// get returns the base row holding id, tombstoned or not.
 func (x *idIndex) get(id uint64) (int, bool) {
-	row, ok := x.shards[id&(idShards-1)][id]
-	return row, ok
-}
-
-// del removes an ID (tombstoned rows leave the live index).
-func (x *idIndex) del(id uint64) {
-	delete(x.shards[id&(idShards-1)], id)
-}
-
-// buildIDIndex indexes the sorted ID column, shard-parallel when the column
-// is large enough to pay for it: each shard's worker scans the whole column
-// — sequential reads are cheap — and inserts only its own residue class, so
-// the expensive map writes split W ways with no locking.
-func buildIDIndex(ids []uint64, workers int) *idIndex {
-	x := &idIndex{}
-	sizeHint := len(ids)/idShards + 1
-	if len(ids) < radixParallelMin || pool.Workers(workers, idShards) <= 1 {
-		for sh := range x.shards {
-			x.shards[sh] = make(map[uint64]int, sizeHint)
-		}
-		for row, id := range ids {
-			x.shards[id&(idShards-1)][id] = row
-		}
-		return x
+	i := sort.Search(len(x.byID), func(i int) bool { return x.byID[i].key >= id })
+	if i == len(x.byID) || x.byID[i].key != id {
+		return 0, false
 	}
-	pool.Run(idShards, pool.Workers(workers, idShards), func(_, sh int) error {
-		m := make(map[uint64]int, sizeHint)
-		want := uint64(sh)
-		for row, id := range ids {
-			if id&(idShards-1) == want {
-				m[id] = row
-			}
-		}
-		x.shards[sh] = m
-		return nil
-	})
-	return x
+	return int(x.byID[i].row), true
+}
+
+// buildIDIndex pairs each ID of a base's ID column with its row and sorts the
+// pairs by ID — the one build path registration, reopen and compaction share.
+func buildIDIndex(ids []uint64, workers int) *idIndex {
+	pairs := make([]keyRef, len(ids))
+	for row, id := range ids {
+		pairs[row] = keyRef{id, int32(row)}
+	}
+	sortPairs(pairs, workers)
+	return &idIndex{byID: pairs}
 }
 
 // filterBase copies the base survivors — every row not tombstoned — into
