@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"distbound/internal/act"
 	"distbound/internal/approx"
 	"distbound/internal/data"
 	"distbound/internal/geom"
@@ -536,40 +535,6 @@ func BenchmarkAblRasterModes(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAblCompactTrie: frozen flat-array trie vs pointer trie for the
-// join's point lookups.
-func BenchmarkAblCompactTrie(b *testing.B) {
-	d := data.CityDomain()
-	curve := sfc.Hilbert{}
-	polys := data.Neighborhoods(12)
-	trie := act.MustNew(3)
-	for ri, p := range polys {
-		a, err := raster.Hierarchical(p, d, curve, 8, raster.Conservative)
-		if err != nil {
-			b.Fatal(err)
-		}
-		trie.InsertCells(a.Cells(), int32(ri))
-	}
-	compact := trie.Compact()
-	pts, _ := data.TaxiPoints(1, 10_000)
-	positions := make([]uint64, len(pts))
-	for i, p := range pts {
-		positions[i], _ = d.LeafPos(curve, p)
-	}
-	b.Run("pointer", func(b *testing.B) {
-		var buf []int32
-		for i := 0; i < b.N; i++ {
-			buf = trie.LookupAppend(positions[i%len(positions)], buf[:0])
-		}
-	})
-	b.Run("compact", func(b *testing.B) {
-		var buf []int32
-		for i := 0; i < b.N; i++ {
-			buf = compact.LookupAppend(positions[i%len(positions)], buf[:0])
-		}
-	})
 }
 
 // BenchmarkMultiAgg: the acceptance benchmark of the unified request API —

@@ -39,6 +39,15 @@ func (c PersistConfig) WithFS(fs persist.FS) PersistConfig {
 	return c
 }
 
+// FS returns the filesystem cfg persists through: the one WithFS injected,
+// or the operating system's.
+func (c PersistConfig) FS() persist.FS {
+	if c.fs == nil {
+		return persist.OSFS
+	}
+	return c.fs
+}
+
 func (c PersistConfig) options() persist.Options {
 	return persist.Options{FS: c.fs, GroupCommit: c.GroupCommit, DisableMMap: c.DisableMMap}
 }

@@ -291,13 +291,7 @@ func (d *Dataset) Stats() DatasetStats {
 // appends in append order. This is the relation a fresh RegisterPoints of
 // the surviving data would receive.
 func (d *Dataset) Points() ([]Point, []float64) {
-	pts, ws := d.src.Snapshot().Materialize()
-	outP := append([]Point(nil), pts...)
-	var outW []float64
-	if ws != nil {
-		outW = append([]float64(nil), ws...)
-	}
-	return outP, outW
+	return d.src.Snapshot().Materialize()
 }
 
 // Append adds points to the dataset, assigning and returning their IDs (the

@@ -10,6 +10,16 @@ import (
 	"distbound/internal/sfc"
 )
 
+// newTrie returns an empty trie of the given stride.
+func newTrie(t testing.TB, stride int) *Trie {
+	t.Helper()
+	tr, err := New(stride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestNewValidatesStride(t *testing.T) {
 	for _, s := range []int{1, 2, 3, 5, 6} {
 		if _, err := New(s); err != nil {
@@ -25,96 +35,95 @@ func TestNewValidatesStride(t *testing.T) {
 }
 
 func TestInsertAlignedCellLookup(t *testing.T) {
-	tr := MustNew(3)
+	tr := newTrie(t, 3)
 	// A cell at level 3 (aligned to stride 3).
 	id := sfc.FromPosLevel(0b101010, 3)
 	tr.Insert(id, 7)
 	if tr.NumCells() != 1 {
 		t.Fatalf("NumCells = %d", tr.NumCells())
 	}
+	ct := tr.Compact()
 	lo, hi := id.LeafPosRange()
 	for _, pos := range []uint64{lo, hi, (lo + hi) / 2} {
-		if got := tr.LookupFirst(pos); got != 7 {
+		if got := ct.LookupFirst(pos); got != 7 {
 			t.Errorf("LookupFirst(inside) = %d, want 7", got)
 		}
 	}
-	if got := tr.LookupFirst(hi + 1); got != -1 {
+	if got := ct.LookupFirst(hi + 1); got != -1 {
 		t.Errorf("LookupFirst(outside) = %d, want -1", got)
 	}
 	if lo > 0 {
-		if got := tr.LookupFirst(lo - 1); got != -1 {
+		if got := ct.LookupFirst(lo - 1); got != -1 {
 			t.Errorf("LookupFirst(below) = %d, want -1", got)
 		}
 	}
 }
 
 func TestInsertUnalignedCellLookup(t *testing.T) {
-	tr := MustNew(3)
 	// Levels 1..6 cover aligned and unaligned cases for stride 3.
 	for level := 1; level <= 6; level++ {
-		tr2 := MustNew(3)
+		tr := newTrie(t, 3)
 		id := sfc.FromPosLevel(uint64(level), level) // arbitrary pos
-		tr2.Insert(id, int32(level))
+		tr.Insert(id, int32(level))
+		ct := tr.Compact()
 		lo, hi := id.LeafPosRange()
 		for _, pos := range []uint64{lo, hi, (lo + hi) / 2} {
-			if got := tr2.LookupFirst(pos); got != int32(level) {
+			if got := ct.LookupFirst(pos); got != int32(level) {
 				t.Errorf("level %d: LookupFirst(inside) = %d", level, got)
 			}
 		}
 		if hi+1 != 0 {
-			if got := tr2.LookupFirst(hi + 1); got != -1 {
+			if got := ct.LookupFirst(hi + 1); got != -1 {
 				t.Errorf("level %d: LookupFirst(outside) = %d", level, got)
 			}
 		}
 	}
-	_ = tr
 }
 
 func TestRootLevelCell(t *testing.T) {
-	tr := MustNew(3)
+	tr := newTrie(t, 3)
 	tr.Insert(sfc.FromPosLevel(0, 0), 42) // the whole domain
-	if got := tr.LookupFirst(12345678); got != 42 {
+	if got := tr.Compact().LookupFirst(12345678); got != 42 {
 		t.Errorf("root cell lookup = %d", got)
 	}
 }
 
 func TestLeafLevelCell(t *testing.T) {
-	tr := MustNew(3)
+	tr := newTrie(t, 3)
 	pos := uint64(987654321)
 	tr.Insert(sfc.FromPosLevel(pos, sfc.MaxLevel), 5)
-	if got := tr.LookupFirst(pos); got != 5 {
+	ct := tr.Compact()
+	if got := ct.LookupFirst(pos); got != 5 {
 		t.Errorf("leaf cell lookup = %d", got)
 	}
-	if got := tr.LookupFirst(pos + 1); got != -1 {
+	if got := ct.LookupFirst(pos + 1); got != -1 {
 		t.Errorf("adjacent leaf = %d", got)
 	}
 }
 
 func TestMultipleValuesSameCell(t *testing.T) {
-	tr := MustNew(3)
+	tr := newTrie(t, 3)
 	id := sfc.FromPosLevel(9, 4)
 	tr.Insert(id, 1)
 	tr.Insert(id, 2)
 	lo, _ := id.LeafPosRange()
-	vals := tr.LookupAll(lo)
-	if len(vals) != 2 {
-		t.Fatalf("LookupAll = %v", vals)
+	if vals := tr.Compact().LookupAppend(lo, nil); len(vals) != 2 {
+		t.Fatalf("LookupAppend = %v", vals)
 	}
 }
 
 func TestNestedCellsReportedCoarsestFirst(t *testing.T) {
-	tr := MustNew(3)
+	tr := newTrie(t, 3)
 	outer := sfc.FromPosLevel(1, 2)
 	inner := outer.Children()[2].Children()[1] // level 4
 	tr.Insert(outer, 10)
 	tr.Insert(inner, 20)
+	ct := tr.Compact()
 	lo, _ := inner.LeafPosRange()
-	var order []int32
-	tr.Lookup(lo, func(v int32) bool { order = append(order, v); return true })
-	if len(order) != 2 || order[0] != 10 || order[1] != 20 {
+	if order := ct.LookupAppend(lo, nil); len(order) != 2 || order[0] != 10 || order[1] != 20 {
 		t.Errorf("lookup order = %v, want [10 20] (coarsest first)", order)
 	}
-	if got := tr.LookupFirst(lo); got != 10 {
+	if got := ct.LookupFirst(lo); got != 10 {
 		t.Errorf("LookupFirst = %d, want the coarser cell", got)
 	}
 }
@@ -127,7 +136,7 @@ func TestAgainstRasterApproximationOracle(t *testing.T) {
 	curve := sfc.Hilbert{}
 	rng := rand.New(rand.NewSource(1))
 	for _, stride := range []int{2, 3, 5} {
-		tr := MustNew(stride)
+		tr := newTrie(t, stride)
 		var approxes []*raster.Approximation
 		for pid := 0; pid < 5; pid++ {
 			ring := make(geom.Ring, 12)
@@ -142,14 +151,18 @@ func TestAgainstRasterApproximationOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr.InsertCells(a.Cells(), int32(pid))
+			tr.InsertCells(a.Interior, int32(pid))
+			tr.InsertCells(a.Boundary, int32(pid))
 			approxes = append(approxes, a)
 		}
+		ct := tr.Compact()
+		var buf []int32
 		for i := 0; i < 3000; i++ {
 			pt := geom.Pt(rng.Float64()*1024, rng.Float64()*1024)
 			pos, _ := d.LeafPos(curve, pt)
 			got := map[int32]bool{}
-			for _, v := range tr.LookupAll(pos) {
+			buf = ct.LookupAppend(pos, buf[:0])
+			for _, v := range buf {
 				got[v] = true
 			}
 			for pid, a := range approxes {
@@ -162,22 +175,9 @@ func TestAgainstRasterApproximationOracle(t *testing.T) {
 	}
 }
 
-func TestEarlyStop(t *testing.T) {
-	tr := MustNew(3)
-	id := sfc.FromPosLevel(3, 3)
-	for v := int32(0); v < 10; v++ {
-		tr.Insert(id, v)
-	}
-	lo, _ := id.LeafPosRange()
-	n := 0
-	tr.Lookup(lo, func(int32) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Errorf("early stop visited %d", n)
-	}
-}
-
 func TestAccounting(t *testing.T) {
-	tr := MustNew(3)
+	tr := newTrie(t, 3)
+	empty := tr.Compact().MemoryBytes()
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 1000; i++ {
 		level := 3 + rng.Intn(10)
@@ -187,13 +187,11 @@ func TestAccounting(t *testing.T) {
 	if tr.NumCells() != 1000 {
 		t.Errorf("NumCells = %d", tr.NumCells())
 	}
-	if tr.NumNodes() < 2 {
-		t.Error("trie did not branch")
+	ct := tr.Compact()
+	if ct.NumCells() != 1000 {
+		t.Errorf("compact NumCells = %d", ct.NumCells())
 	}
-	if tr.MemoryBytes() <= 0 {
-		t.Error("MemoryBytes must be positive")
-	}
-	if h := tr.Height(); h < 1 || h > 10 {
-		t.Errorf("Height = %d out of range", h)
+	if ct.MemoryBytes() <= empty {
+		t.Errorf("MemoryBytes = %d, not above the empty trie's %d", ct.MemoryBytes(), empty)
 	}
 }

@@ -86,7 +86,8 @@ func (t *Trie) Compact() *CompactTrie {
 func (c *CompactTrie) NumCells() int { return c.cells }
 
 // LookupAppend appends every payload whose cell covers the MaxLevel curve
-// position to buf, semantically identical to Trie.LookupAppend.
+// position to buf, coarsest cell first: a root-to-leaf walk reports a node's
+// own-level cells, then the entries covering the probe's slot.
 func (c *CompactTrie) LookupAppend(pos uint64, buf []int32) []int32 {
 	ni := int32(0)
 	maxDepth := sfc.MaxLevel / c.stride
@@ -168,6 +169,3 @@ func (c *CompactTrie) LookupFirst(pos uint64) int32 {
 func (c *CompactTrie) MemoryBytes() int {
 	return 20*len(c.nodes) + 8*len(c.kids) + 8*len(c.ents) + 4*len(c.terms) + 64
 }
-
-// NumNodes returns the node count.
-func (c *CompactTrie) NumNodes() int { return len(c.nodes) }

@@ -2,39 +2,38 @@ package act
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"distbound/internal/sfc"
 )
 
-// randomTrie builds a trie with random cells for equivalence testing.
-func randomTrie(t *testing.T, seed int64, stride, n int) (*Trie, []sfc.CellID) {
-	t.Helper()
-	tr := MustNew(stride)
-	rng := rand.New(rand.NewSource(seed))
-	cells := make([]sfc.CellID, n)
-	for i := range cells {
-		level := rng.Intn(sfc.MaxLevel + 1)
-		pos := rng.Uint64() & (uint64(1)<<(2*uint(level)) - 1)
-		cells[i] = sfc.FromPosLevel(pos, level)
-		tr.Insert(cells[i], int32(i))
-	}
-	return tr, cells
-}
-
-func TestCompactEquivalence(t *testing.T) {
-	for _, stride := range []int{2, 3, 5} {
-		tr, cells := randomTrie(t, int64(stride), stride, 2000)
+// TestCompactTrieMatchesCellOracle holds the frozen trie to the cells it was
+// built from, with no second trie as the reference: LookupAppend returns, as
+// a multiset, the payload of every inserted cell whose leaf range holds the
+// probe, and LookupFirst is -1 exactly when no cell covers the probe and
+// otherwise the payload of a covering cell at the shallowest trie depth
+// ⌊level/stride⌋. Cells come at every level, so strides 2, 3 and 5 store
+// them both as node terminals and as slot-range entries; stride 1 stores
+// terminals only.
+func TestCompactTrieMatchesCellOracle(t *testing.T) {
+	const nCells, nProbes = 1500, 4000
+	for _, stride := range []int{1, 2, 3, 5} {
+		rng := rand.New(rand.NewSource(int64(stride)))
+		tr := newTrie(t, stride)
+		cells := make([]sfc.CellID, nCells)
+		for i := range cells {
+			level := rng.Intn(sfc.MaxLevel + 1)
+			pos := rng.Uint64() & (uint64(1)<<(2*uint(level)) - 1)
+			cells[i] = sfc.FromPosLevel(pos, level)
+			tr.Insert(cells[i], int32(i))
+		}
 		ct := tr.Compact()
-		if ct.NumCells() != tr.NumCells() {
-			t.Fatalf("stride %d: cell count %d vs %d", stride, ct.NumCells(), tr.NumCells())
+		if ct.NumCells() != nCells {
+			t.Fatalf("stride %d: NumCells = %d, want %d", stride, ct.NumCells(), nCells)
 		}
-		if ct.NumNodes() != tr.NumNodes() {
-			t.Fatalf("stride %d: node count %d vs %d", stride, ct.NumNodes(), tr.NumNodes())
-		}
-		rng := rand.New(rand.NewSource(99))
-		var a, b []int32
-		for i := 0; i < 20000; i++ {
+		var got, want []int32
+		for i := 0; i < nProbes; i++ {
 			var pos uint64
 			if i%2 == 0 {
 				pos = rng.Uint64() & (uint64(1)<<(2*sfc.MaxLevel) - 1)
@@ -43,26 +42,42 @@ func TestCompactEquivalence(t *testing.T) {
 				lo, hi := cells[rng.Intn(len(cells))].LeafPosRange()
 				pos = lo + rng.Uint64()%(hi-lo+1)
 			}
-			a = tr.LookupAppend(pos, a[:0])
-			b = ct.LookupAppend(pos, b[:0])
-			if len(a) != len(b) {
-				t.Fatalf("stride %d pos %d: %v vs %v", stride, pos, a, b)
-			}
-			for k := range a {
-				if a[k] != b[k] {
-					t.Fatalf("stride %d pos %d: %v vs %v", stride, pos, a, b)
+			want = want[:0]
+			first, firstDepth := int32(-1), sfc.MaxLevel+1
+			for ci, id := range cells {
+				if lo, hi := id.LeafPosRange(); lo <= pos && pos <= hi {
+					want = append(want, int32(ci))
+					if d := id.Level() / stride; d < firstDepth {
+						first, firstDepth = int32(ci), d
+					}
 				}
 			}
-			if tr.LookupFirst(pos) != ct.LookupFirst(pos) {
-				t.Fatalf("stride %d pos %d: LookupFirst differs", stride, pos)
+			got = ct.LookupAppend(pos, got[:0])
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("stride %d pos %d: LookupAppend = %v, want %v", stride, pos, got, want)
+			}
+			f := ct.LookupFirst(pos)
+			switch {
+			case first < 0:
+				if f != -1 {
+					t.Fatalf("stride %d pos %d: LookupFirst = %d on an uncovered probe", stride, pos, f)
+				}
+			case f < 0 || int(f) >= nCells:
+				t.Fatalf("stride %d pos %d: LookupFirst = %d, want a payload at depth %d", stride, pos, f, firstDepth)
+			default:
+				lo, hi := cells[f].LeafPosRange()
+				if pos < lo || pos > hi || cells[f].Level()/stride != firstDepth {
+					t.Fatalf("stride %d pos %d: LookupFirst = %d (cell %v), want a covering cell at depth %d",
+						stride, pos, f, cells[f], firstDepth)
+				}
 			}
 		}
 	}
 }
 
 func TestCompactEmpty(t *testing.T) {
-	tr := MustNew(3)
-	ct := tr.Compact()
+	ct := newTrie(t, 3).Compact()
 	if got := ct.LookupFirst(12345); got != -1 {
 		t.Errorf("empty compact trie returned %d", got)
 	}
@@ -74,17 +89,8 @@ func TestCompactEmpty(t *testing.T) {
 	}
 }
 
-func TestCompactSmallerThanPointerTrie(t *testing.T) {
-	tr, _ := randomTrie(t, 7, 3, 50000)
-	ct := tr.Compact()
-	if ct.MemoryBytes() >= tr.MemoryBytes() {
-		t.Errorf("compact (%d B) not smaller than pointer trie (%d B)",
-			ct.MemoryBytes(), tr.MemoryBytes())
-	}
-}
-
 func BenchmarkTrieLookup(b *testing.B) {
-	tr := MustNew(3)
+	tr := newTrie(b, 3)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500000; i++ {
 		level := 10 + rng.Intn(6)
@@ -96,16 +102,9 @@ func BenchmarkTrieLookup(b *testing.B) {
 	for i := range probes {
 		probes[i] = rng.Uint64() & (uint64(1)<<(2*sfc.MaxLevel) - 1)
 	}
-	b.Run("pointer", func(b *testing.B) {
-		var buf []int32
-		for i := 0; i < b.N; i++ {
-			buf = tr.LookupAppend(probes[i%len(probes)], buf[:0])
-		}
-	})
-	b.Run("compact", func(b *testing.B) {
-		var buf []int32
-		for i := 0; i < b.N; i++ {
-			buf = ct.LookupAppend(probes[i%len(probes)], buf[:0])
-		}
-	})
+	b.ResetTimer()
+	var buf []int32
+	for i := 0; i < b.N; i++ {
+		buf = ct.LookupAppend(probes[i%len(probes)], buf[:0])
+	}
 }

@@ -179,32 +179,6 @@ func TestTranslate(t *testing.T) {
 	}
 }
 
-func TestRenderPoints(t *testing.T) {
-	g := grid1(t)
-	c, _ := NewCanvas(g, 0, 0, 10, 10)
-	pts := []geom.Point{
-		geom.Pt(0.5, 0.5), geom.Pt(0.9, 0.1), // same pixel
-		geom.Pt(5.5, 5.5),
-		geom.Pt(50, 50), // clipped
-	}
-	c.RenderPoints(pts, nil)
-	if c.At(0, 0) != 2 {
-		t.Errorf("pixel(0,0) = %v, want 2", c.At(0, 0))
-	}
-	if c.At(5, 5) != 1 {
-		t.Errorf("pixel(5,5) = %v", c.At(5, 5))
-	}
-	if c.Sum() != 3 {
-		t.Errorf("Sum = %v, want 3 (one point clipped)", c.Sum())
-	}
-	// Weighted scatter.
-	c2, _ := NewCanvas(g, 0, 0, 10, 10)
-	c2.RenderPoints(pts[:3], func(i int) float64 { return float64(i + 1) })
-	if c2.At(0, 0) != 3 || c2.At(5, 5) != 3 {
-		t.Errorf("weighted scatter wrong: %v %v", c2.At(0, 0), c2.At(5, 5))
-	}
-}
-
 func TestRenderRegionCentroidRule(t *testing.T) {
 	g := grid1(t)
 	c, _ := NewCanvas(g, 0, 0, 10, 10)
@@ -292,7 +266,10 @@ func TestBRJStyleComposition(t *testing.T) {
 	p := geom.MustPolygon(geom.Ring{geom.Pt(4, 4), geom.Pt(16, 5), geom.Pt(14, 15), geom.Pt(5, 13)})
 
 	ptCanvas, _ := CanvasForRect(g, geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(20, 20)})
-	ptCanvas.RenderPoints(pts, nil)
+	for _, pt := range pts {
+		gx, gy := g.PixelOf(pt)
+		ptCanvas.Add(gx, gy, 1)
+	}
 	maskCanvas, _ := CanvasForRect(g, p.Bounds())
 	maskCanvas.RenderRegion(p, 1)
 	joined := maskCanvas.Clone()

@@ -11,23 +11,6 @@ import (
 // a rasterized canvas are rendering data directly ("on the GPU") and reading
 // it out of an index; this is the former.
 
-// RenderPoints scatters points into the canvas, accumulating weight(i) at
-// the pixel containing each point (BlendAdd semantics, matching additive
-// blending of point sprites). Points outside the window are clipped.
-func (c *Canvas) RenderPoints(pts []geom.Point, weight func(i int) float64) {
-	for i, p := range pts {
-		gx, gy := c.G.PixelOf(p)
-		if !c.contains(gx, gy) {
-			continue
-		}
-		w := 1.0
-		if weight != nil {
-			w = weight(i)
-		}
-		c.Pix[c.idx(gx, gy)] += w
-	}
-}
-
 // RenderRegion fills the region into the canvas with the given value using
 // the GPU sampling rule: a pixel is covered exactly when its center is
 // inside the region (centroid sampling). This makes the canvas a

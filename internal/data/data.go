@@ -260,15 +260,10 @@ func DowntownBounds() geom.Rect {
 	return geom.Rect{Min: geom.Pt(1.5*q, 1.5*q), Max: geom.Pt(2.5*q, 2.5*q)}
 }
 
-// NeighborhoodRegions260 returns 260 regions over the 289 neighborhood
-// cells, where 29 regions are multi-polygons of two cells — mirroring the
-// Figure 7 workload note that "some of the regions are multi-polygons".
-func NeighborhoodRegions260(seed int64) []geom.Region {
-	return NeighborhoodRegions260In(seed, CityBounds())
-}
-
-// NeighborhoodRegions260In is NeighborhoodRegions260 over an arbitrary
-// extent.
+// NeighborhoodRegions260In returns 260 regions over the 289 neighborhood
+// cells of the extent, where 29 regions are multi-polygons of two cells —
+// mirroring the Figure 7 workload note that "some of the regions are
+// multi-polygons".
 func NeighborhoodRegions260In(seed int64, bounds geom.Rect) []geom.Region {
 	polys := PartitionIn(seed, bounds, 17, 17, 7)
 	const merged = 29

@@ -144,7 +144,7 @@ func TestPresetStatisticsMatchPaper(t *testing.T) {
 }
 
 func TestNeighborhoodRegions260(t *testing.T) {
-	regions := NeighborhoodRegions260(1)
+	regions := NeighborhoodRegions260In(1, CityBounds())
 	if len(regions) != 260 {
 		t.Fatalf("regions = %d", len(regions))
 	}

@@ -106,6 +106,12 @@ func MinBoundingCircle(pts []Point) Circle {
 			}
 		}
 	}
+	// A circumcentre far from the origin carries rounding that Encloses'
+	// tolerance does not absorb, so a defining point can land outside the
+	// computed circle: grow the radius to the farthest input point.
+	for _, p := range pts {
+		c.Radius = max(c.Radius, c.Center.Dist(p))
+	}
 	return c
 }
 

@@ -99,6 +99,31 @@ func TestMinBoundingCircleContainsAll(t *testing.T) {
 	}
 }
 
+// TestMinBoundingCircleEnclosesFarFromOrigin: Welzl's circumcentres round
+// worse the farther the input lies from the origin, and city coordinates
+// reach 65,536 m. Every vertex of a small star must still test inside its
+// circle at every scale.
+func TestMinBoundingCircleEnclosesFarFromOrigin(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, scale := range []float64{1e3, 1e4, 1e5, 1e6} {
+		misses := 0
+		for trial := 0; trial < 5000; trial++ {
+			center := Pt((2*rng.Float64()-1)*scale, (2*rng.Float64()-1)*scale)
+			star := randomStarPolygon(rng, center, 1, 10, 3+rng.Intn(20))
+			c := MinBoundingCircle(star.Outer)
+			for _, p := range star.Outer {
+				if !c.Encloses(p) {
+					misses++
+					break
+				}
+			}
+		}
+		if misses > 0 {
+			t.Errorf("|centre| ≤ %g: %d of 5000 stars leave a vertex outside their MBC", scale, misses)
+		}
+	}
+}
+
 func TestMinAreaOrientedRect(t *testing.T) {
 	// A rotated 4x2 rectangle: the oriented MBR should recover area 8, while
 	// the axis-aligned MBR is strictly larger.

@@ -1,28 +1,15 @@
 // Package sorted implements the simplest physical representation for
 // linearized cell keys from §3 of the paper: a sorted array probed with
-// binary search (the "BS" baseline of Figure 4), plus a prefix-sum array for
-// O(1)-per-range aggregation in the style of Ho et al. (SIGMOD'97): COUNT
-// and SUM over a key range reduce to one lower-bound and one upper-bound
-// lookup.
+// binary search (the "BS" baseline of Figure 4). COUNT over a key range
+// reduces to one lower-bound and one upper-bound lookup.
 package sorted
 
-import (
-	"errors"
-	"sort"
-)
+import "sort"
 
-// Column is an immutable sorted column of uint64 keys (duplicates allowed)
-// with optional per-key weights for SUM aggregation.
+// Column is an immutable sorted column of uint64 keys (duplicates allowed).
 type Column struct {
 	keys []uint64
-	// prefix[i] is the sum of weights of keys[:i]; len = len(keys)+1.
-	// Built lazily only when weights are attached.
-	prefix []float64
 }
-
-// ErrWeightsLength is returned when the weight slice does not match the key
-// slice.
-var ErrWeightsLength = errors.New("sorted: weights length mismatch")
 
 // New builds a Column from keys, sorting a copy.
 func New(keys []uint64) *Column {
@@ -41,19 +28,6 @@ func NewFromSorted(keys []uint64) *Column {
 		}
 	}
 	return &Column{keys: keys}
-}
-
-// AttachWeights builds the prefix-sum array for SUM aggregation. weights[i]
-// corresponds to the i-th key in sorted order.
-func (c *Column) AttachWeights(weights []float64) error {
-	if len(weights) != len(c.keys) {
-		return ErrWeightsLength
-	}
-	c.prefix = make([]float64, len(weights)+1)
-	for i, w := range weights {
-		c.prefix[i+1] = c.prefix[i] + w
-	}
-	return nil
 }
 
 // Len returns the number of keys.
@@ -83,27 +57,5 @@ func (c *Column) CountRange(lo, hi uint64) int {
 	return c.UpperBound(hi) - c.LowerBound(lo)
 }
 
-// SumRange returns the weight sum over keys in [lo, hi]. AttachWeights must
-// have been called.
-func (c *Column) SumRange(lo, hi uint64) float64 {
-	if c.prefix == nil || lo > hi {
-		return 0
-	}
-	a, b := c.LowerBound(lo), c.UpperBound(hi)
-	return c.prefix[b] - c.prefix[a]
-}
-
-// Visit calls fn with the index of every key in [lo, hi], stopping early
-// when fn returns false.
-func (c *Column) Visit(lo, hi uint64, fn func(i int) bool) {
-	for i := c.LowerBound(lo); i < len(c.keys) && c.keys[i] <= hi; i++ {
-		if !fn(i) {
-			return
-		}
-	}
-}
-
-// MemoryBytes reports the footprint of the column (keys plus prefix sums).
-func (c *Column) MemoryBytes() int {
-	return 8*len(c.keys) + 8*len(c.prefix)
-}
+// MemoryBytes reports the footprint of the key column.
+func (c *Column) MemoryBytes() int { return 8 * len(c.keys) }

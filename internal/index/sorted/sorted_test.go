@@ -41,25 +41,6 @@ func TestCountRange(t *testing.T) {
 	}
 }
 
-func TestSumRange(t *testing.T) {
-	c := New([]uint64{1, 3, 3, 5, 9})
-	if got := c.SumRange(0, 100); got != 0 {
-		t.Errorf("SumRange before AttachWeights = %v, want 0", got)
-	}
-	if err := c.AttachWeights([]float64{10, 20, 30, 40, 50}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.SumRange(3, 5); got != 90 {
-		t.Errorf("SumRange(3,5) = %v, want 90", got)
-	}
-	if got := c.SumRange(0, 100); got != 150 {
-		t.Errorf("SumRange(all) = %v, want 150", got)
-	}
-	if err := c.AttachWeights([]float64{1}); err != ErrWeightsLength {
-		t.Errorf("short weights: err = %v", err)
-	}
-}
-
 func TestNewFromSorted(t *testing.T) {
 	c := NewFromSorted([]uint64{1, 2, 3})
 	if c.Len() != 3 || c.LowerBound(2) != 1 {
@@ -69,22 +50,6 @@ func TestNewFromSorted(t *testing.T) {
 	c2 := NewFromSorted([]uint64{3, 1, 2})
 	if c2.Keys()[0] != 1 || c2.Keys()[2] != 3 {
 		t.Errorf("defensive sort failed: %v", c2.Keys())
-	}
-}
-
-func TestVisit(t *testing.T) {
-	c := New([]uint64{1, 3, 3, 5, 9})
-	var got []uint64
-	c.Visit(2, 5, func(i int) bool { got = append(got, c.Keys()[i]); return true })
-	want := []uint64{3, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("Visit = %v, want %v", got, want)
-	}
-	// Early stop.
-	n := 0
-	c.Visit(0, 100, func(int) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Errorf("early stop visited %d", n)
 	}
 }
 

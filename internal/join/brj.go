@@ -160,10 +160,9 @@ func (p brjPass) maskWindow(t tileGeom, rg geom.Region) (x0, y0, w, h int, ok bo
 	return mx0, my0, mx1 - mx0 + 1, my1 - my0 + 1, mx0 <= mx1 && my0 <= my1
 }
 
-// renderMask renders a region onto a fresh canvas over its mask window — the
-// region itself, or with boundary set the pixels its boundary crosses. It
+// renderMask renders a region onto a fresh canvas over its mask window. It
 // returns nil when the region misses the tile.
-func (p brjPass) renderMask(t tileGeom, rg geom.Region, boundary bool) (*canvas.Canvas, error) {
+func (p brjPass) renderMask(t tileGeom, rg geom.Region) (*canvas.Canvas, error) {
 	mx0, my0, w, h, ok := p.maskWindow(t, rg)
 	if !ok {
 		return nil, nil
@@ -172,11 +171,7 @@ func (p brjPass) renderMask(t tileGeom, rg geom.Region, boundary bool) (*canvas.
 	if err != nil {
 		return nil, err
 	}
-	if boundary {
-		mask.RenderRegionBoundary(rg, 1)
-	} else {
-		mask.RenderRegion(rg, 1)
-	}
+	mask.RenderRegion(rg, 1)
 	return mask, nil
 }
 
@@ -210,72 +205,42 @@ func brjResult(agg Agg, counts, sums []float64) Result {
 
 // Run executes the raster join sequentially, one pass per tile.
 func (b BRJ) Run(ps PointSet, regions []geom.Region, agg Agg) (Result, BRJStats, error) {
-	res, _, stats, err := b.run(ps, regions, agg, false)
-	return res, stats, err
-}
-
-// RunWithRange is Run extended with §6 result-range estimation on the
-// canvas: errors can only involve points in pixels crossed by a region
-// boundary, so with per-region boundary partial counts ε_b the exact COUNT
-// is guaranteed to lie in [α − ε_b, α + ε_b] (both directions, because the
-// centroid sampling of the rasterizer admits false positives and false
-// negatives).
-func (b BRJ) RunWithRange(ps PointSet, regions []geom.Region) (Result, []Interval, BRJStats, error) {
-	return b.run(ps, regions, Count, true)
-}
-
-func (b BRJ) run(ps PointSet, regions []geom.Region, agg Agg, withRange bool) (Result, []Interval, BRJStats, error) {
 	if err := ps.validate(agg); err != nil {
-		return Result{}, nil, BRJStats{}, err
+		return Result{}, BRJStats{}, err
 	}
 	if agg == Min || agg == Max {
 		// The additive-blend point canvas carries counts and sums; MIN/MAX
 		// need min/max-blended channels with an empty-pixel sentinel, which
 		// the index-based joins provide directly.
-		return Result{}, nil, BRJStats{}, fmt.Errorf("join: BRJ supports COUNT/SUM/AVG, not %v", agg)
+		return Result{}, BRJStats{}, fmt.Errorf("join: BRJ supports COUNT/SUM/AVG, not %v", agg)
 	}
 	pass, err := newBRJPass(b.Bounds, b.Bound, b.MaxTextureSize)
 	if err != nil {
-		return Result{}, nil, BRJStats{}, err
+		return Result{}, BRJStats{}, err
 	}
 	counts := make([]float64, len(regions))
 	sums := make([]float64, len(regions))
-	var boundaryCounts []float64
-	if withRange {
-		boundaryCounts = make([]float64, len(regions))
-	}
 	var maskPixels int64
 	for ti, bucket := range pass.bucketByTile(ps) {
-		mp, err := pass.renderAndFold(pass.tile(ti), ps, regions, agg != Count, bucket, counts, sums, boundaryCounts)
+		mp, err := pass.renderAndFold(pass.tile(ti), ps, regions, agg != Count, bucket, counts, sums)
 		if err != nil {
-			return Result{}, nil, BRJStats{}, err
+			return Result{}, BRJStats{}, err
 		}
 		maskPixels += mp
 	}
-
-	var ivs []Interval
-	if withRange {
-		ivs = make([]Interval, len(regions))
-		for ri := range ivs {
-			ivs[ri] = Interval{Lo: counts[ri] - boundaryCounts[ri], Hi: counts[ri] + boundaryCounts[ri]}
-		}
-	}
-	return brjResult(agg, counts, sums), ivs, pass.stats(maskPixels), nil
+	return brjResult(agg, counts, sums), pass.stats(maskPixels), nil
 }
 
 // renderAndFold is one pass of the one-shot driver: scatter the tile's
-// points, then render, fold and drop one region mask after another. When
-// boundaryCounts is non-nil it accumulates, per region, the points in pixels
-// the region's boundary crosses — the ε_b of §6's result-range estimation —
-// from a boundary mask folded the same way. It returns the mask pixels
-// rendered (boundary masks not counted).
-func (p brjPass) renderAndFold(t tileGeom, ps PointSet, regions []geom.Region, needSum bool, bucket []int32, counts, sums, boundaryCounts []float64) (maskPixels int64, err error) {
+// points, then render, fold and drop one region mask after another. It
+// returns the mask pixels rendered.
+func (p brjPass) renderAndFold(t tileGeom, ps PointSet, regions []geom.Region, needSum bool, bucket []int32, counts, sums []float64) (maskPixels int64, err error) {
 	ptCount, ptSum, err := p.scatter(t, ps, needSum, bucket)
 	if err != nil {
 		return 0, err
 	}
 	for ri, rg := range regions {
-		mask, err := p.renderMask(t, rg, false)
+		mask, err := p.renderMask(t, rg)
 		if err != nil {
 			return 0, err
 		}
@@ -285,14 +250,6 @@ func (p brjPass) renderAndFold(t tileGeom, ps PointSet, regions []geom.Region, n
 		maskPixels += int64(len(mask.Pix))
 		if err := foldMask(mask, ptCount, ptSum, ri, counts, sums); err != nil {
 			return 0, err
-		}
-		if boundaryCounts != nil {
-			if mask, err = p.renderMask(t, rg, true); err != nil {
-				return 0, err
-			}
-			if err := foldMask(mask, ptCount, nil, ri, boundaryCounts, nil); err != nil {
-				return 0, err
-			}
 		}
 	}
 	return maskPixels, nil

@@ -159,18 +159,6 @@ func (j *BRJJoiner) MemoryBytes() int {
 	return n
 }
 
-// Aggregate runs the raster join against the cached masks, sequentially: the
-// single-aggregate, single-worker form of AggregateMulti.
-//
-//distbound:allow-background context-free convenience over AggregateMulti; callers hold no context to thread
-func (j *BRJJoiner) Aggregate(ps PointSet, agg Agg) (Result, error) {
-	rs, err := j.AggregateMulti(context.Background(), ps, []Agg{agg}, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	return rs[0], nil
-}
-
 // pixelDigit is the digit of the pixel-key sort: two counting passes cover
 // the 24 bits of a 4096² tile's keys.
 const pixelDigit = 12

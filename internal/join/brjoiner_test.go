@@ -33,7 +33,7 @@ func TestBRJJoinerMatchesBRJRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := j.Aggregate(ps, agg)
+			got, err := aggregateAt(j, ps, agg, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestBRJJoinerTiledMatchesUntiled(t *testing.T) {
 		t.Fatalf("texture cap did not tile: %d vs %d tiles",
 			small.Stats().NumTiles, big.Stats().NumTiles)
 	}
-	a, err := big.Aggregate(ps, Count)
+	a, err := aggregateAt(big, ps, Count, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestBRJJoinerConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := j.Aggregate(ps, Count)
+	want, err := aggregateAt(j, ps, Count, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBRJJoinerRejectsExtremes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Aggregate(ps, Min); err == nil {
+	if _, err := aggregateAt(j, ps, Min, 1); err == nil {
 		t.Error("MIN accepted by raster join")
 	}
 	if _, err := NewBRJJoiner(regions, bounds, 0, 0, 0); err == nil {

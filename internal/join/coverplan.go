@@ -420,13 +420,17 @@ func (p *coverPlan) memoryBytes() int {
 // cancelCheckMask for the goroutine fan-outs.
 const cancelStride = 4096
 
-// AggregateMultiInto is AggregateMulti writing into caller-provided results
-// — the allocation-free form of the cover-plan execution. results must hold
-// one Result per aggregate, positionally aligned with aggs, each with
-// Counts (and Sums/Extremes where the aggregate needs them) sized to the
-// region count; every slot is overwritten. The returned ProbeStats counts
-// the work this call performed: zero on the warm path. workers only shapes
-// a base fill; inversion and merge run inline whatever it says.
+// AggregateMultiInto computes every aggregate in aggs over the attached
+// dataset through the cover table — one monotone boundary sweep, one batched
+// span fold per region and needed column, the delta tail inverted into the
+// boundary segments once — into caller-provided results, allocation-free
+// when warm. One snapshot is loaded up front, so every aggregate of one call
+// answers over the same instant of the dataset. results must hold one Result
+// per aggregate, positionally aligned with aggs, each with Counts (and
+// Sums/Extremes where the aggregate needs them) sized to the region count;
+// every slot is overwritten. The returned ProbeStats counts the work this
+// call performed: zero on the warm path. workers only shapes a base fill;
+// inversion and merge run inline whatever it says.
 //
 //distbound:noalloc
 func (j *PointIdxJoiner) AggregateMultiInto(ctx context.Context, aggs []Agg, workers int, results []Result) (ProbeStats, error) {

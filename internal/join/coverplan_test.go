@@ -22,7 +22,7 @@ func checkPlanMatchesPerRegion(t *testing.T, label string, pj *PointIdxJoiner, r
 	ctx := context.Background()
 	want := aggregatePerRegion(pj.src.Snapshot(), ref, aggs)
 	for _, workers := range []int{1, 3, 16} {
-		got, err := pj.AggregateMulti(ctx, aggs, workers)
+		got, err := residentAggregate(ctx, pj, aggs, workers)
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", label, workers, err)
 		}
@@ -153,7 +153,7 @@ func TestCoverPlanSparseRegions(t *testing.T) {
 
 	// The shared probes must agree with ground truth too, not only with the
 	// reference execution: counts can only overcount within the bound.
-	got, err := pj.AggregateMulti(context.Background(), []Agg{Count}, 1)
+	got, err := residentAggregate(context.Background(), pj, []Agg{Count}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 		t.Fatal("compaction rebuilt the cover plan; maintenance must be incremental")
 	}
 	// The steady state after the refresh shares again.
-	if _, err := pj.AggregateMulti(context.Background(), aggs, 1); err != nil {
+	if _, err := residentAggregate(context.Background(), pj, aggs, 1); err != nil {
 		t.Fatal(err)
 	}
 	if pj.spans.Load() != rs2 {

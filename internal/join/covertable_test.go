@@ -286,7 +286,7 @@ func TestCoverTableExecutionOnSyntheticCovers(t *testing.T) {
 		want := aggregatePerRegion(store.Snapshot(), covers, allFive)
 		for _, workers := range []int{1, 3} {
 			pj.dropPartials()
-			got, err := pj.AggregateMulti(ctx, allFive, workers)
+			got, err := residentAggregate(ctx, pj, allFive, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -360,23 +360,3 @@ func (j *BRJJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 	}
 	return out, nil
 }
-
-// AggregateMulti computes every aggregate in aggs through the cover table
-// (coverplan.go): one monotone boundary sweep, one batched span fold per
-// region and needed column, and the delta tail inverted into the boundary
-// segments once. COUNT/SUM share the span lookups and prefix folds, MIN/MAX
-// share the block scans. One snapshot is loaded up front, so every aggregate
-// of one call answers over the same instant of the dataset.
-func (j *PointIdxJoiner) AggregateMulti(ctx context.Context, aggs []Agg, workers int) ([]Result, error) {
-	if err := j.validateAggs(aggs); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results := NewResults(aggs, j.NumRegions())
-	if _, err := j.AggregateMultiInto(ctx, aggs, workers, results); err != nil {
-		return nil, err
-	}
-	return results, nil
-}

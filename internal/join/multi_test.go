@@ -87,7 +87,7 @@ func TestAggregateMultiBitIdenticalToSingle(t *testing.T) {
 			"exact": func(aggs []Agg) ([]Result, error) { return exact.AggregateMulti(ctx, ps, aggs, workers) },
 			"brj":   func(aggs []Agg) ([]Result, error) { return brj.AggregateMulti(ctx, ps, aggs, workers) },
 			"pointidx": func(aggs []Agg) ([]Result, error) {
-				return pidx.AggregateMulti(ctx, aggs, workers)
+				return residentAggregate(ctx, pidx, aggs, workers)
 			},
 		}
 		for name, do := range run {
@@ -141,7 +141,7 @@ func TestAggregateMultiRejectsBadSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pidx.AggregateMulti(ctx, nil, 1); err == nil {
+	if _, err := residentAggregate(ctx, pidx, nil, 1); err == nil {
 		t.Error("pointidx accepted an empty aggregate set")
 	}
 }
@@ -176,7 +176,7 @@ func TestAggregateMultiCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pidx.AggregateMulti(ctx, []Agg{Count}, 4); !errors.Is(err, context.Canceled) {
+	if _, err := residentAggregate(ctx, pidx, []Agg{Count}, 4); !errors.Is(err, context.Canceled) {
 		t.Errorf("pointidx: %v, want context.Canceled", err)
 	}
 

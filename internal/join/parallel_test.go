@@ -14,14 +14,24 @@ type multiJoiner interface {
 	AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg, workers int) ([]Result, error)
 }
 
-// aggregateAt runs one aggregate through AggregateMulti at the given worker
-// count — the parallel form the sequential Aggregate is compared against.
+// aggregateAt runs one aggregate over a point slice through AggregateMulti
+// at the given worker count.
 func aggregateAt(j multiJoiner, ps PointSet, agg Agg, workers int) (Result, error) {
 	rs, err := j.AggregateMulti(context.Background(), ps, []Agg{agg}, workers)
 	if err != nil {
 		return Result{}, err
 	}
 	return rs[0], nil
+}
+
+// residentAggregate runs aggs over the joiner's attached dataset through
+// AggregateMultiInto, the engine's resident read, into fresh results.
+func residentAggregate(ctx context.Context, j *PointIdxJoiner, aggs []Agg, workers int) ([]Result, error) {
+	results := NewResults(aggs, j.NumRegions())
+	if _, err := j.AggregateMultiInto(ctx, aggs, workers, results); err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 func TestACTAggregateParallelMatchesSequential(t *testing.T) {

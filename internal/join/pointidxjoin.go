@@ -116,7 +116,7 @@ type PointIdxJoiner struct {
 // NewPointIdxJoiner builds a cover set over the dataset's domain and curve
 // and attaches the dataset to it — the one-dataset convenience over
 // NewCoverSetCtx and Attach. The returned joiner is safe for concurrent use;
-// it reads a fresh snapshot of the dataset on every Aggregate call.
+// it reads a fresh snapshot of the dataset on every AggregateMultiInto call.
 //
 //distbound:allow-background context-free convenience over NewCoverSetCtx; callers hold no context to thread
 func NewPointIdxJoiner(regions []geom.Region, src *pointstore.Mutable, eps float64, workers int) (*PointIdxJoiner, error) {
@@ -180,17 +180,4 @@ func (j *PointIdxJoiner) validateAggs(aggs []Agg) error {
 		}
 	}
 	return nil
-}
-
-// Aggregate answers the aggregation for every region by folding the base
-// columns over the region's cover ranges: the single-aggregate, single-worker
-// form of AggregateMulti.
-//
-//distbound:allow-background context-free convenience over AggregateMulti; callers hold no context to thread
-func (j *PointIdxJoiner) Aggregate(agg Agg) (Result, error) {
-	rs, err := j.AggregateMulti(context.Background(), []Agg{agg}, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	return rs[0], nil
 }

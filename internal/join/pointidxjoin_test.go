@@ -51,10 +51,11 @@ func TestPointIdxMatchesACTBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := pj.Aggregate(agg)
+			gots, err := residentAggregate(context.Background(), pj, []Agg{agg}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := gots[0]
 			for ri := range regions {
 				if got.Counts[ri] != want.Counts[ri] {
 					t.Fatalf("bound %g %v region %d: count %d != ACT %d",
@@ -172,10 +173,11 @@ func TestPointIdxWithinBoundGuarantee(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pj.Aggregate(agg)
+		gots, err := residentAggregate(context.Background(), pj, []Agg{agg}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := gots[0]
 		for ri, rg := range regions {
 			// Conservative covers admit no false negatives: every exactly
 			// contained point is counted.
@@ -228,12 +230,13 @@ func TestPointIdxParallelDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, agg := range []Agg{Count, Sum, Avg, Min, Max} {
-		seq, err := pj.Aggregate(agg)
+		seqs, err := residentAggregate(context.Background(), pj, []Agg{agg}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		seq := seqs[0]
 		for _, workers := range []int{0, 2, 7, 64} {
-			pars, err := pj.AggregateMulti(context.Background(), []Agg{agg}, workers)
+			pars, err := residentAggregate(context.Background(), pj, []Agg{agg}, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,11 +263,11 @@ func TestPointIdxValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pj.Aggregate(Count); err != nil {
+	if _, err := residentAggregate(context.Background(), pj, []Agg{Count}, 1); err != nil {
 		t.Errorf("COUNT on a weightless store failed: %v", err)
 	}
 	for _, agg := range []Agg{Sum, Avg, Min, Max} {
-		if _, err := pj.Aggregate(agg); err == nil {
+		if _, err := residentAggregate(context.Background(), pj, []Agg{agg}, 1); err == nil {
 			t.Errorf("%v on a weightless store accepted", agg)
 		}
 	}

@@ -84,13 +84,3 @@ func (j *RStarJoiner) Aggregate(ps PointSet, agg Agg) (Result, error) {
 	}
 	return rs[0], nil
 }
-
-// FilterCount returns how many (point, region) MBR candidate pairs the
-// filter step produces — instrumentation for explaining the performance gap.
-func (j *RStarJoiner) FilterCount(ps PointSet) int64 {
-	var n int64
-	for _, p := range ps.Pts {
-		j.tree.SearchPoint(p, func(rstar.Item) bool { n++; return true })
-	}
-	return n
-}

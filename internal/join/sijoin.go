@@ -88,19 +88,3 @@ func (j *SIJoiner) Aggregate(ps PointSet, agg Agg) (Result, error) {
 	}
 	return res, nil
 }
-
-// RefinementCount returns how many PIP tests the join would execute on ps —
-// instrumentation showing that a finer cover buys fewer refinements.
-func (j *SIJoiner) RefinementCount(ps PointSet) int64 {
-	var n int64
-	buf := make([]int32, 0, 4)
-	for _, p := range ps.Pts {
-		pos, ok := j.domain.LeafPos(j.curve, p)
-		if !ok {
-			continue
-		}
-		buf = j.boundary.LookupAppend(pos, buf[:0])
-		n += int64(len(buf))
-	}
-	return n
-}

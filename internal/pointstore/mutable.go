@@ -62,10 +62,6 @@ type Snapshot struct {
 
 	gen   uint64 // bumped by every compaction
 	epoch uint64 // bumped by every publication (Append, Delete, Compact)
-
-	matOnce sync.Once // lazily materialized survivor relation
-	matPts  []geom.Point
-	matWs   []float64
 }
 
 // NewMutable linearizes and sorts the points and derives the range-aggregate
@@ -566,40 +562,38 @@ func (s *Snapshot) DeltaLive(k int) bool {
 }
 
 // Materialize returns the snapshot's live points (base survivors in key
-// order, then live delta rows in append order) with their weights. The
-// slices are built once per snapshot and shared; callers must treat them as
-// read-only — this is the point relation streaming strategies consume.
+// order, then live delta rows in append order) with their weights — the
+// point relation streaming strategies consume. Every call builds fresh
+// slices the caller owns: the snapshot keeps no copy, so an exact read pins
+// nothing past its own lifetime.
 func (s *Snapshot) Materialize() ([]geom.Point, []float64) {
-	s.matOnce.Do(func() {
-		n := s.LiveLen()
-		pts := make([]geom.Point, 0, n)
-		var ws []float64
-		if s.HasWeights() {
-			ws = make([]float64, 0, n)
+	n := s.LiveLen()
+	pts := make([]geom.Point, 0, n)
+	var ws []float64
+	if s.HasWeights() {
+		ws = make([]float64, 0, n)
+	}
+	ti := 0
+	for row := range s.basePts {
+		if ti < len(s.tombPos) && s.tombPos[ti] == row {
+			ti++
+			continue
 		}
-		ti := 0
-		for row := range s.basePts {
-			if ti < len(s.tombPos) && s.tombPos[ti] == row {
-				ti++
-				continue
-			}
-			pts = append(pts, s.basePts[row])
-			if ws != nil {
-				ws = append(ws, s.base.weights[row])
-			}
+		pts = append(pts, s.basePts[row])
+		if ws != nil {
+			ws = append(ws, s.base.weights[row])
 		}
-		for k := range s.deltaKeys {
-			if !s.DeltaLive(k) {
-				continue
-			}
-			pts = append(pts, s.deltaPts[k])
-			if ws != nil {
-				ws = append(ws, s.deltaWs[k])
-			}
+	}
+	for k := range s.deltaKeys {
+		if !s.DeltaLive(k) {
+			continue
 		}
-		s.matPts, s.matWs = pts, ws
-	})
-	return s.matPts, s.matWs
+		pts = append(pts, s.deltaPts[k])
+		if ws != nil {
+			ws = append(ws, s.deltaWs[k])
+		}
+	}
+	return pts, ws
 }
 
 // MemoryBytes returns the snapshot's resident footprint: the base store with

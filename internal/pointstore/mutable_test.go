@@ -3,6 +3,7 @@ package pointstore
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"distbound/internal/geom"
@@ -212,6 +213,28 @@ func TestMutableSnapshotIsolation(t *testing.T) {
 	pts, ws := preCompact.Materialize()
 	if len(pts) != 2 || len(ws) != 2 {
 		t.Fatalf("materialized %d points, want 2", len(pts))
+	}
+}
+
+// TestMaterializeKeepsNoCopy: every Materialize builds fresh slices, so the
+// snapshot pins no uncounted copy of its live rows after an exact read.
+func TestMaterializeKeepsNoCopy(t *testing.T) {
+	d := testDomain(t)
+	m, err := NewMutable([]geom.Point{geom.Pt(1, 1), geom.Pt(2, 2)}, []float64{1, 2}, d, sfc.Hilbert{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Append([]geom.Point{geom.Pt(3, 3)}, []float64{4}); err != nil {
+		t.Fatal(err)
+	}
+	snap := m.Snapshot()
+	p1, w1 := snap.Materialize()
+	p2, w2 := snap.Materialize()
+	if len(p1) != 3 || len(w1) != 3 || !slices.Equal(p1, p2) || !slices.Equal(w1, w2) {
+		t.Fatalf("Materialize answers differ: %v %v vs %v %v", p1, w1, p2, w2)
+	}
+	if &p1[0] == &p2[0] || &w1[0] == &w2[0] {
+		t.Fatal("two Materialize calls share a backing array: the snapshot retains a copy")
 	}
 }
 

@@ -105,14 +105,6 @@ type Approximation struct {
 // NumCells returns the total number of cells.
 func (a *Approximation) NumCells() int { return len(a.Interior) + len(a.Boundary) }
 
-// Cells returns all cells (interior first, then boundary). The returned
-// slice is shared for reading; callers must not modify it.
-func (a *Approximation) Cells() []sfc.CellID {
-	out := make([]sfc.CellID, 0, a.NumCells())
-	out = append(out, a.Interior...)
-	return append(out, a.Boundary...)
-}
-
 // MaxCellDiagonal returns the largest diagonal among boundary cells — the
 // guaranteed Hausdorff bound of the approximation. It returns 0 when there
 // are no boundary cells (the approximation is exact).

@@ -3,6 +3,7 @@ package raster
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"distbound/internal/geom"
@@ -127,10 +128,10 @@ func TestUniformModesRelationship(t *testing.T) {
 	cons := Uniform(p, d, sfc.Morton{}, 7, Conservative)
 	cent := Uniform(p, d, sfc.Morton{}, 7, Centroid)
 	consSet := make(map[sfc.CellID]bool)
-	for _, id := range cons.Cells() {
+	for _, id := range slices.Concat(cons.Interior, cons.Boundary) {
 		consSet[id] = true
 	}
-	for _, id := range cent.Cells() {
+	for _, id := range slices.Concat(cent.Interior, cent.Boundary) {
 		if !consSet[id] {
 			t.Errorf("centroid cell %v not in conservative approximation", id)
 		}
@@ -211,7 +212,7 @@ func TestHierarchicalCellsDisjoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sum uint64
-	for _, id := range a.Cells() {
+	for _, id := range slices.Concat(a.Interior, a.Boundary) {
 		lo, hi := id.LeafPosRange()
 		sum += hi - lo + 1
 	}
@@ -374,7 +375,7 @@ func TestCoversLeafPosConsistentWithCells(t *testing.T) {
 		pt := geom.Pt(rng.Float64()*1024, rng.Float64()*1024)
 		pos, _ := d.LeafPos(sfc.Hilbert{}, pt)
 		want := false
-		for _, id := range a.Cells() {
+		for _, id := range slices.Concat(a.Interior, a.Boundary) {
 			if lo, hi := id.LeafPosRange(); pos >= lo && pos <= hi {
 				want = true
 				break

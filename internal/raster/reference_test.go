@@ -95,7 +95,7 @@ func refIntersectsSegment(rect geom.Rect, e geom.Segment) bool {
 // its low end and coalesced.
 func refRanges(a *Approximation) []PosRange {
 	raw := make([]PosRange, 0, a.NumCells())
-	for _, id := range a.Cells() {
+	for _, id := range slices.Concat(a.Interior, a.Boundary) {
 		lo, hi := id.LeafPosRange()
 		raw = append(raw, PosRange{lo, hi})
 	}

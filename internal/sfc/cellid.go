@@ -65,20 +65,10 @@ func (id CellID) XY(c Curve) (x, y uint32) {
 	return c.Decode(id.Level(), id.Pos())
 }
 
-// IsLeaf reports whether the cell is at MaxLevel.
-func (id CellID) IsLeaf() bool { return uint64(id)&1 == 1 }
-
 // Parent returns the enclosing cell one level up. Calling Parent on a
 // level-0 cell is invalid.
 func (id CellID) Parent() CellID {
 	nlsb := id.lsb() << 2
-	return CellID(uint64(id)&^(2*nlsb-1) | nlsb)
-}
-
-// ParentAt returns the enclosing cell at the given level, which must not
-// exceed the cell's own level.
-func (id CellID) ParentAt(level int) CellID {
-	nlsb := uint64(1) << uint(2*(MaxLevel-level))
 	return CellID(uint64(id)&^(2*nlsb-1) | nlsb)
 }
 
@@ -125,18 +115,4 @@ func (id CellID) String() string {
 		return fmt.Sprintf("cell(invalid %#x)", uint64(id))
 	}
 	return fmt.Sprintf("cell(L%d pos=%d)", id.Level(), id.Pos())
-}
-
-// SortCellIDs is a convenience comparison for sorting cell IDs; plain uint64
-// order interleaves ancestors between the leaves of their left and right
-// subtrees, which is exactly the order radix tries and range lookups need.
-func SortCellIDs(a, b CellID) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }

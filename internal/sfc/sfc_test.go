@@ -103,12 +103,8 @@ func TestCellIDBasics(t *testing.T) {
 	if id.Pos() != 5 {
 		t.Errorf("Pos = %d, want 5", id.Pos())
 	}
-	if id.IsLeaf() {
-		t.Error("level-10 cell is not a leaf")
-	}
-	leaf := FromPosLevel(123456, MaxLevel)
-	if !leaf.IsLeaf() || leaf.Level() != MaxLevel {
-		t.Error("leaf detection wrong")
+	if leaf := FromPosLevel(123456, MaxLevel); leaf.Level() != MaxLevel || leaf.Pos() != 123456 {
+		t.Errorf("leaf cell = %v", leaf)
 	}
 	if CellID(0).IsValid() {
 		t.Error("zero id should be invalid")
@@ -154,19 +150,6 @@ func TestCellIDParentChildren(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestCellIDParentAt(t *testing.T) {
-	id := FromPosLevel(0b110110, 3)
-	if got := id.ParentAt(1); got.Pos() != 0b11 || got.Level() != 1 {
-		t.Errorf("ParentAt(1) = %v", got)
-	}
-	if got := id.ParentAt(3); got != id {
-		t.Errorf("ParentAt(own level) = %v, want identity", got)
-	}
-	if got := id.ParentAt(0); got.Level() != 0 || got.Pos() != 0 {
-		t.Errorf("ParentAt(0) = %v", got)
 	}
 }
 
@@ -285,7 +268,7 @@ func TestLeafPosRoundTripThroughDomain(t *testing.T) {
 			}
 			// The leaf must be inside every ancestor's pos range.
 			for level := 0; level < MaxLevel; level += 5 {
-				anc := id.ParentAt(level)
+				anc := FromPosLevel(pos>>uint(2*(MaxLevel-level)), level)
 				lo, hi := anc.LeafPosRange()
 				if pos < lo || pos > hi {
 					t.Fatalf("%s: leaf pos outside ancestor range at level %d", c.Name(), level)
@@ -310,13 +293,6 @@ func TestCellIDString(t *testing.T) {
 	}
 	if s := CellID(0).String(); s == "" {
 		t.Error("invalid id String empty")
-	}
-}
-
-func TestSortCellIDs(t *testing.T) {
-	a, b := FromPosLevel(1, 5), FromPosLevel(2, 5)
-	if SortCellIDs(a, b) != -1 || SortCellIDs(b, a) != 1 || SortCellIDs(a, a) != 0 {
-		t.Error("SortCellIDs ordering wrong")
 	}
 }
 

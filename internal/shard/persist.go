@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 
 	"distbound"
@@ -43,13 +42,15 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
 
 // Persist makes every shard durable under its own subdirectory of dir
 // (shard-000, shard-001, …), each through Dataset.Persist with cfg, and
-// writes the partition manifest last — atomically, via rename — so a
-// directory with a manifest always names fully persisted shards. Later
-// mutations through the Sharded keep write-ahead logging into the owning
-// shard's directory. Persisting an already-durable Sharded is an error, as
-// it is for a Dataset.
+// writes the partition manifest last — synced, then installed by rename and
+// a directory sync, all through cfg's filesystem — so a directory with a
+// manifest always names fully persisted shards, and a crash after Persist
+// returns keeps it. Later mutations through the Sharded keep write-ahead
+// logging into the owning shard's directory. Persisting an already-durable
+// Sharded is an error, as it is for a Dataset.
 func (s *Sharded) Persist(dir string, cfg distbound.PersistConfig) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	fsys := cfg.FS()
+	if err := fsys.MkdirAll(dir); err != nil {
 		return fmt.Errorf("shard: creating %s: %w", dir, err)
 	}
 	m := manifest{
@@ -70,11 +71,25 @@ func (s *Sharded) Persist(dir string, cfg distbound.PersistConfig) error {
 		return fmt.Errorf("shard: encoding manifest: %w", err)
 	}
 	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := os.WriteFile(tmp, append(buf, '\n'), 0o644); err != nil {
+	f, err := fsys.Create(tmp)
+	if err != nil {
 		return fmt.Errorf("shard: writing manifest: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
+	_, err = f.Write(append(buf, '\n'))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("shard: writing manifest: %w", err)
+	}
+	if err := fsys.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
 		return fmt.Errorf("shard: installing manifest: %w", err)
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("shard: syncing %s: %w", dir, err)
 	}
 	return nil
 }
@@ -86,7 +101,7 @@ func (s *Sharded) Persist(dir string, cfg distbound.PersistConfig) error {
 // OpenDataset rejects anything else. The recovered Sharded stays
 // durable shard by shard.
 func Open(regions []distbound.Region, dir string, cfg distbound.PersistConfig) (*Sharded, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, manifestName))
+	buf, err := cfg.FS().ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("shard: reading manifest: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -425,6 +426,48 @@ func TestShardedPersistOpen(t *testing.T) {
 				t.Fatalf("recovered %d live points, want %d", re.Len(), want)
 			}
 		})
+	}
+}
+
+// TestShardedManifestSurvivesCrash: the manifest goes through the configured
+// filesystem and is synced before Persist returns, so a crash right after
+// Persist keeps it, and Open over the same filesystem answers bit-identically
+// to the dataset that was persisted.
+func TestShardedManifestSurvivesCrash(t *testing.T) {
+	regions := data.Regions(data.Partition(5, 4, 4, 12))
+	pts, _ := data.TaxiPoints(37, 3000)
+	ws := testutil.ExactWeights(rand.New(rand.NewSource(38)), len(pts))
+	s, _, err := New("taxi", regions, pts, ws, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := errorfs.New()
+	cfg := distbound.PersistConfig{}.WithFS(fs)
+	dir := filepath.Join(t.TempDir(), "taxi")
+	if err := s.Persist(dir, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	fs.Crash()
+	fs.Recover()
+	if fs.Data(filepath.Join(dir, manifestName)) == nil {
+		t.Fatal("the manifest did not survive a crash after Persist in the configured filesystem")
+	}
+	re, err := Open(regions, dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	got, err := re.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, agg := range allAggs {
+		testutil.CheckIdentical(t, fmt.Sprintf("recovered agg=%v", agg), want.Results[k], got.Results[k])
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package viz renders geometries, raster approximations and canvases as
-// standalone SVG documents. Visual exploration tools are the paper's
-// motivating application (§1, Uber Movement), and pictures are also the
-// fastest way to audit an approximation: the interior/boundary split of
-// Figure 1 and the density maps of §4 come straight out of this package.
+// Package viz renders polygons and raster approximations as standalone SVG
+// documents. Visual exploration tools are the paper's motivating
+// application (§1, Uber Movement), and pictures are also the fastest way to
+// audit an approximation: the interior/boundary split of Figure 1 comes
+// straight out of this package.
 package viz
 
 import (
@@ -11,7 +11,6 @@ import (
 	"math"
 	"strings"
 
-	"distbound/internal/canvas"
 	"distbound/internal/geom"
 	"distbound/internal/raster"
 )
@@ -91,38 +90,6 @@ func (s *SVG) AddPolygon(p *geom.Polygon, style Style) {
 	s.layers = append(s.layers, b.String())
 }
 
-// AddRegion draws a Polygon or MultiPolygon.
-func (s *SVG) AddRegion(rg geom.Region, style Style) {
-	switch v := rg.(type) {
-	case *geom.Polygon:
-		s.AddPolygon(v, style)
-	case *geom.MultiPolygon:
-		for _, p := range v.Polygons {
-			s.AddPolygon(p, style)
-		}
-	default:
-		s.AddRect(rg.Bounds(), style)
-	}
-}
-
-// AddRect draws an axis-aligned rectangle.
-func (s *SVG) AddRect(r geom.Rect, style Style) {
-	s.layers = append(s.layers, fmt.Sprintf(
-		`<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" %s/>`,
-		s.x(r.Min.X), s.y(r.Max.Y), r.Width()*s.scale(), r.Height()*s.scale(), style.attrs()))
-}
-
-// AddPoints draws points as small circles.
-func (s *SVG) AddPoints(pts []geom.Point, radius float64, style Style) {
-	var b strings.Builder
-	fmt.Fprintf(&b, `<g %s>`, style.attrs())
-	for _, p := range pts {
-		fmt.Fprintf(&b, `<circle cx="%.2f" cy="%.2f" r="%g"/>`, s.x(p.X), s.y(p.Y), radius)
-	}
-	b.WriteString(`</g>`)
-	s.layers = append(s.layers, b.String())
-}
-
 // AddApproximation draws a raster approximation: interior cells in one
 // style, boundary cells in another — Figure 1 as an image.
 func (s *SVG) AddApproximation(a *raster.Approximation, interior, boundary Style) {
@@ -142,36 +109,6 @@ func (s *SVG) AddApproximation(a *raster.Approximation, interior, boundary Style
 		r := a.Domain.CellIDRect(a.Curve, id)
 		fmt.Fprintf(&b, `<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f"/>`,
 			s.x(r.Min.X), s.y(r.Max.Y), r.Width()*s.scale(), r.Height()*s.scale())
-	}
-	b.WriteString(`</g>`)
-	s.layers = append(s.layers, b.String())
-}
-
-// AddCanvasHeat draws a canvas as a heat layer: each non-empty pixel becomes
-// a rect whose opacity scales with log-value (the §4 density-map look).
-func (s *SVG) AddCanvasHeat(c *canvas.Canvas, color string) {
-	maxV := 0.0
-	for _, v := range c.Pix {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	if maxV <= 0 {
-		return
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, `<g fill=%q>`, color)
-	for gy := c.Y0; gy < c.Y0+c.H; gy++ {
-		for gx := c.X0; gx < c.X0+c.W; gx++ {
-			v := c.At(gx, gy)
-			if v <= 0 {
-				continue
-			}
-			op := math.Log1p(v) / math.Log1p(maxV)
-			r := c.G.PixelRect(gx, gy)
-			fmt.Fprintf(&b, `<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" opacity="%.3f"/>`,
-				s.x(r.Min.X), s.y(r.Max.Y), r.Width()*s.scale(), r.Height()*s.scale(), op)
-		}
 	}
 	b.WriteString(`</g>`)
 	s.layers = append(s.layers, b.String())

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"distbound/internal/canvas"
 	"distbound/internal/geom"
 	"distbound/internal/raster"
 	"distbound/internal/sfc"
@@ -21,13 +20,11 @@ func TestSVGDocumentStructure(t *testing.T) {
 	p := testPolygon()
 	s := New(p.Bounds().Expand(5), 400)
 	s.AddPolygon(p, Style{Fill: "#cde", Stroke: "#235", StrokeWidth: 1})
-	s.AddRect(p.Bounds(), Style{Stroke: "red", StrokeWidth: 0.5})
-	s.AddPoints([]geom.Point{geom.Pt(50, 50), geom.Pt(30, 30)}, 2, Style{Fill: "black"})
 	out := s.String()
 
 	for _, want := range []string{
-		"<svg xmlns", "</svg>", "<path", "evenodd", "<rect", "<circle",
-		`fill="#cde"`, `stroke="red"`,
+		"<svg xmlns", "</svg>", "<path", "evenodd",
+		`fill="#cde"`, `stroke="#235"`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("SVG missing %q", want)
@@ -61,45 +58,13 @@ func TestSVGApproximationLayers(t *testing.T) {
 	}
 }
 
-func TestSVGCanvasHeat(t *testing.T) {
-	g := canvas.Grid{Origin: geom.Pt(0, 0), PixelSize: 10}
-	c, err := canvas.NewCanvas(g, 0, 0, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Set(1, 1, 5)
-	c.Set(2, 3, 50)
-	s := New(c.Bounds(), 200)
-	s.AddCanvasHeat(c, "#f40")
-	out := s.String()
-	if got := strings.Count(out, "<rect"); got != 2 {
-		t.Errorf("heat rects = %d, want 2 (non-empty pixels only)", got)
-	}
-	if !strings.Contains(out, `opacity="1.000"`) {
-		t.Error("max pixel should have full opacity")
-	}
-	// Empty canvas adds nothing.
-	empty, _ := canvas.NewCanvas(g, 0, 0, 2, 2)
-	s2 := New(empty.Bounds(), 100)
-	s2.AddCanvasHeat(empty, "#000")
-	if strings.Contains(s2.String(), "<rect") {
-		t.Error("empty canvas produced rects")
-	}
-}
-
 func TestSVGCoordinateFlip(t *testing.T) {
-	// A point at the top of the extent must land near SVG y=0.
+	// A vertex at the top of the extent must land at SVG y=0, one at the
+	// bottom at the drawing's height.
 	s := New(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(100, 100)}, 100)
-	s.AddPoints([]geom.Point{geom.Pt(50, 100)}, 1, Style{Fill: "k"})
-	if !strings.Contains(s.String(), `cy="0.00"`) {
-		t.Errorf("top point not at SVG y=0:\n%s", s.String())
-	}
-	// MultiPolygon and fallback regions draw without panicking.
-	m := geom.NewMultiPolygon(testPolygon())
-	s.AddRegion(m, Style{Fill: "a"})
-	s.AddRegion(geom.Circle{Center: geom.Pt(50, 50), Radius: 10}, Style{Fill: "b"})
-	if s.String() == "" {
-		t.Error("render failed")
+	s.AddPolygon(geom.MustPolygon(geom.Ring{geom.Pt(50, 100), geom.Pt(20, 0), geom.Pt(80, 0)}), Style{Fill: "k"})
+	if out := s.String(); !strings.Contains(out, "M50.00 0.00") || !strings.Contains(out, "L20.00 100.00") {
+		t.Errorf("vertices not flipped onto SVG y:\n%s", out)
 	}
 }
 
