@@ -21,9 +21,6 @@ type PersistConfig struct {
 	// a consistent earlier state, never a torn one. Zero or negative syncs
 	// every mutation before acknowledging it.
 	GroupCommit time.Duration
-	// DisableMMap forces OpenDataset to copy the snapshot into the heap
-	// instead of serving the base columns from the mapped file.
-	DisableMMap bool
 
 	// fs overrides the backing filesystem; nil selects the operating
 	// system. Unexported: only tests inject the fault-injecting
@@ -49,7 +46,7 @@ func (c PersistConfig) FS() persist.FS {
 }
 
 func (c PersistConfig) options() persist.Options {
-	return persist.Options{FS: c.fs, GroupCommit: c.GroupCommit, DisableMMap: c.DisableMMap}
+	return persist.Options{FS: c.fs, GroupCommit: c.GroupCommit}
 }
 
 // Persist makes the dataset durable under dir: an immediate checkpoint

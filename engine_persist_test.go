@@ -7,9 +7,18 @@ import (
 
 	"distbound/internal/data"
 	"distbound/internal/geom"
+	"distbound/internal/pointstore/persist"
 	"distbound/internal/testutil"
 	"distbound/internal/testutil/errorfs"
 )
+
+// heapFS is the operating-system filesystem under another name: a snapshot
+// is mapped only when read through persist.OSFS itself, so a dataset opened
+// through heapFS loads its base into the heap on every platform.
+type heapFS struct{ persist.FS }
+
+// fullLoad is the persistence config of the heap-loaded leg.
+var fullLoad = PersistConfig{}.WithFS(heapFS{persist.OSFS})
 
 // persistFixture persists the mutated request fixture under a fresh
 // directory and keeps mutating afterwards, so the on-disk state is a
@@ -42,7 +51,7 @@ func TestOpenDatasetServesIdenticalResults(t *testing.T) {
 		cfg  PersistConfig
 	}{
 		{"mmap", PersistConfig{}},
-		{"fullload", PersistConfig{DisableMMap: true}},
+		{"fullload", fullLoad},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			e, ds, _, dir := persistFixture(t, mode.cfg)
@@ -99,16 +108,17 @@ func TestOpenDatasetServesIdenticalResults(t *testing.T) {
 }
 
 // TestOpenDatasetMMapStats pins the honesty of the MMapped flag: on when
-// the platform maps the snapshot, forced off by DisableMMap.
+// the platform maps the snapshot, off when it is read through another
+// filesystem.
 func TestOpenDatasetMMapStats(t *testing.T) {
 	_, _, _, dir := persistFixture(t, PersistConfig{})
 	e2 := NewEngine(dataRegions(92, 5, 5, 8))
-	ds2, err := e2.OpenDataset("a", dir, PersistConfig{DisableMMap: true})
+	ds2, err := e2.OpenDataset("a", dir, fullLoad)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ds2.Stats().MMapped {
-		t.Error("DisableMMap was ignored")
+		t.Error("MMapped through a filesystem other than OSFS")
 	}
 	ds3, err := e2.OpenDataset("b", dir, PersistConfig{})
 	if err != nil {

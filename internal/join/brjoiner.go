@@ -208,7 +208,7 @@ func (sc *brjScratch) key(ctx context.Context, p *brjPass, ps PointSet) error {
 	}
 	tiled := p.numTiles() > 1
 	for i, pt := range ps.Pts {
-		if i&cancelCheckMask == 0 && canceled(done) {
+		if i%foldChunk == 0 && canceled(done) {
 			return ctx.Err()
 		}
 		px, py := p.grid.PixelOf(pt)

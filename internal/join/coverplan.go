@@ -71,18 +71,19 @@ import (
 // which the stab lists would allow: that is twice the probes, and a
 // tombstoned MIN/MAX scan per segment instead of per range.
 //
-// Result identity. Against re-execution from nothing (partials dropped),
-// every aggregate is bit-identical, SUM included: base partials are the same
-// values folded in the same order, and delta rows accumulate in append order
-// whether inverted in one pass or many. Against the per-region reference
-// execution the tests keep (independent binary searches over the rasterizer's
-// own ranges, delta brute-scanned): COUNT, MIN and MAX are bit-identical — the
-// same spans produce the same per-range values, folded per region in the
-// same order. SUM/AVG fold base contributions in the identical order too;
-// only the delta tail's contributions associate differently (summed per
-// region in phase 3, then added once in phase 4, where the reference adds
-// each row to the running total), so float sums can differ by re-association
-// exactly when a delta is present — never in what is summed.
+// Result identity. Against re-execution from nothing (partials dropped), at
+// any worker count, every aggregate is bit-identical, SUM included: base
+// partials are the same values folded in the same order, and delta rows
+// accumulate in append order whether inverted in one pass or many. Against
+// the per-region reference execution the tests keep (independent binary
+// searches over the rasterizer's own ranges, delta brute-scanned): COUNT, MIN
+// and MAX are bit-identical — the same spans produce the same per-range
+// values, folded per region in the same order. SUM/AVG fold base
+// contributions in the identical order too; only the delta tail's
+// contributions associate differently (summed per region in phase 3, then
+// added once in phase 4, where the reference adds each row to the running
+// total), so float sums can differ by re-association exactly when a delta is
+// present — never in what is summed.
 
 // keySpan is one cover range as a pair of boundary-key indexes: the keys
 // bkeys[lo] … bkeys[hi]-1, or bkeys[lo] … MaxUint64 when hi is -1 (a range
@@ -143,15 +144,6 @@ func (rs *resolvedSpans) memoryBytes() int {
 	return 8 * (len(rs.spanLo) + len(rs.spanHi))
 }
 
-// regionAcc is one region's accumulator: the four columns every aggregate
-// derives from.
-type regionAcc struct {
-	cnt int64
-	sum float64
-	mn  float64
-	mx  float64
-}
-
 // basePartials is the per-region fold of one base column under one tombstone
 // set — the output of the fill. For one base store the tombstone list only
 // grows, so (base, tombs) identifies the live base rows exactly. The fold is
@@ -160,13 +152,12 @@ type regionAcc struct {
 // read-only by every query until a delete or compaction changes the
 // identity. gen orders publications: a reader still holding a
 // pre-compaction snapshot must not replace the partials of the base that
-// superseded it.
+// superseded it. acc holds the columns some query asked for.
 type basePartials struct {
 	base  *pointstore.Store
 	gen   uint64
 	tombs int
-	have  aggNeeds // which weight columns of acc are filled; cnt always is
-	acc   []regionAcc
+	acc   acc
 }
 
 // serves reports whether bp answers needs over snap's base rows.
@@ -174,7 +165,7 @@ type basePartials struct {
 //distbound:noalloc
 func (bp *basePartials) serves(snap *pointstore.Snapshot, needs aggNeeds) bool {
 	return bp != nil && bp.base == snap.BaseStore() && bp.tombs == snap.Tombstones() &&
-		(bp.have.sum || !needs.sum) && (bp.have.min || !needs.min) && (bp.have.max || !needs.max)
+		bp.acc.held().with(needs) == bp.acc.held()
 }
 
 // deltaPartials is the per-region accumulation of delta rows [0, upto) of
@@ -182,13 +173,14 @@ func (bp *basePartials) serves(snap *pointstore.Snapshot, needs aggNeeds) bool {
 // append-only and its dead set only grows, so (gen, dead) fixes the content
 // and liveness of every row below upto, and any snapshot of the same lineage
 // with a longer tail extends these accumulators instead of recomputing them.
-// All four columns are always maintained — a row's fan-out costs the same
-// cache line either way, and it spares the watermark a per-column history.
+// All four columns are maintained whenever the dataset has weights — a row's
+// fan-out costs about the same either way, and it spares the watermark a
+// per-column history.
 type deltaPartials struct {
 	gen  uint64
 	dead int
 	upto int
-	acc  []regionAcc
+	acc  acc
 }
 
 // extends reports whether dp accumulates a prefix of snap's delta tail.
@@ -416,10 +408,6 @@ func (p *coverPlan) memoryBytes() int {
 		4*(len(p.regOff)+len(p.stabOff)+len(p.stabRegions)+len(p.radix))
 }
 
-// cancelStride throttles the inversion's per-row context polls, mirroring
-// cancelCheckMask for the goroutine fan-outs.
-const cancelStride = 4096
-
 // AggregateMultiInto computes every aggregate in aggs over the attached
 // dataset through the cover table — one monotone boundary sweep, one batched
 // span fold per region and needed column, the delta tail inverted into the
@@ -456,7 +444,7 @@ func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore
 		}
 		stats.RangesProbed = j.NumRanges()
 	}
-	var delta []regionAcc
+	var delta *acc
 	if snap.DeltaLen() > 0 {
 		dp := j.delta.Load()
 		if !(dp.extends(snap) && dp.upto == snap.DeltaLen()) {
@@ -464,9 +452,9 @@ func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore
 				return ProbeStats{}, err
 			}
 		}
-		delta = dp.acc
+		delta = &dp.acc
 	}
-	mergeRegions(bp.acc, delta, results)
+	bp.acc.writeTo(results, delta)
 	return stats, nil
 }
 
@@ -481,11 +469,11 @@ func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore
 func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot, needs aggNeeds, workers int) (*basePartials, error) {
 	p := j.plan
 	if cur := j.base.Load(); cur.serves(snap, aggNeeds{}) {
-		needs = aggNeeds{sum: needs.sum || cur.have.sum, min: needs.min || cur.have.min, max: needs.max || cur.have.max}
+		needs = needs.with(cur.acc.held())
 	}
 	next := &basePartials{
 		base: snap.BaseStore(), gen: snap.Gen(), tombs: snap.Tombstones(),
-		have: needs, acc: make([]regionAcc, j.NumRegions()),
+		acc: newAcc(needs, j.NumRegions()),
 	}
 	// Span resolution is shared, not per-fill: spansFor returns the plan's
 	// published resolution when snap still serves the base it was resolved
@@ -495,11 +483,11 @@ func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot
 	if err != nil {
 		return nil, err
 	}
-	shards := pool.SplitWeighted(len(next.acc), workers, func(ri int) int64 {
+	shards := pool.SplitWeighted(j.NumRegions(), workers, func(ri int) int64 {
 		return int64(p.regOff[ri+1]-p.regOff[ri]) + 1
 	})
 	err = pool.RunCtx(ctx, len(shards), len(shards), func(_, si int) error {
-		return p.foldRegions(ctx, snap, rs, needs, shards[si][0], shards[si][1], next.acc)
+		return p.foldRegions(ctx, snap, rs, shards[si][0], shards[si][1], &next.acc)
 	})
 	if err != nil {
 		return nil, err
@@ -510,27 +498,22 @@ func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot
 	return next, nil
 }
 
-// foldChunk is how many ranges one batched span fold takes: the fold's
-// workspace is four stack columns of this length, and the context is polled
-// once per chunk.
-const foldChunk = 4096
-
-// foldRegions folds the base partials of regions [from, to): per region, its
-// contiguous slice of the resolved span columns goes through the batched span
-// folds a chunk at a time, one pass per needed column, and the per-range
-// values fold in the region's own Lo-ascending order (the reference
-// execution's fold order). Columns needs does not name stay at their
-// identities and are never read.
+// foldRegions folds the base partials of regions [from, to) into a's slots:
+// per region, its contiguous slice of the resolved span columns goes through
+// the batched span folds a chunk of foldChunk ranges at a time, one pass per
+// column a holds, and the per-range values fold in the region's own
+// Lo-ascending order (the reference execution's fold order).
 //
 //distbound:noalloc
-func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, rs *resolvedSpans, needs aggNeeds, from, to int, acc []regionAcc) error {
+func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, rs *resolvedSpans, from, to int, a *acc) error {
 	var (
 		cnt         [foldChunk]int64
 		sum, mn, mx [foldChunk]float64
 	)
+	needs := a.held()
 	done := ctx.Done()
 	for ri := from; ri < to; ri++ {
-		a := regionAcc{mn: math.Inf(1), mx: math.Inf(-1)}
+		rc, rsum, rmn, rmx := int64(0), 0.0, math.Inf(1), math.Inf(-1)
 		for lo, end := int(p.regOff[ri]), int(p.regOff[ri+1]); lo < end; lo += foldChunk {
 			if canceled(done) {
 				return ctx.Err()
@@ -548,19 +531,28 @@ func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, 
 				snap.MaxSpans(los, his, mx[:n])
 			}
 			for i := 0; i < n; i++ {
-				a.cnt += cnt[i]
+				rc += cnt[i]
 				if needs.sum {
-					a.sum += sum[i]
+					rsum += sum[i]
 				}
 				if needs.min {
-					a.mn = math.Min(a.mn, mn[i])
+					rmn = min(rmn, mn[i])
 				}
 				if needs.max {
-					a.mx = math.Max(a.mx, mx[i])
+					rmx = max(rmx, mx[i])
 				}
 			}
 		}
-		acc[ri] = a
+		a.counts[ri] = rc
+		if needs.sum {
+			a.sums[ri] = rsum
+		}
+		if needs.min {
+			a.mins[ri] = rmn
+		}
+		if needs.max {
+			a.maxs[ri] = rmx
+		}
 	}
 	return nil
 }
@@ -575,20 +567,17 @@ func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, 
 // their common prefix, so keeping the larger watermark loses nothing, and a
 // stale reader's inversion is its own answer only.
 func (j *PointIdxJoiner) extendDelta(ctx context.Context, snap *pointstore.Snapshot, cur *deltaPartials) (*deltaPartials, int, error) {
+	w := snap.HasWeights()
 	next := &deltaPartials{
 		gen: snap.Gen(), dead: snap.DeltaDead(), upto: snap.DeltaLen(),
-		acc: make([]regionAcc, j.NumRegions()),
+		acc: newAcc(aggNeeds{sum: w, min: w, max: w}, j.NumRegions()),
 	}
 	from := 0
 	if cur.extends(snap) {
-		copy(next.acc, cur.acc)
+		next.acc.merge(&cur.acc) // into the identities: a copy
 		from = cur.upto
-	} else {
-		for ri := range next.acc {
-			next.acc[ri].mn, next.acc[ri].mx = math.Inf(1), math.Inf(-1)
-		}
 	}
-	probed, err := j.invertDelta(ctx, snap, next.acc, from)
+	probed, err := j.invertDelta(ctx, snap, &next.acc, from)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -603,44 +592,6 @@ func (j *PointIdxJoiner) extendDelta(ctx context.Context, snap *pointstore.Snaps
 		}
 	}
 	return next, probed, nil
-}
-
-// mergeRegions writes every region's answer: its base partial plus, when the
-// snapshot carries a delta tail, its delta accumulator — one add per column,
-// exactly what the fold's last step did when it ran per query.
-//
-//distbound:noalloc
-func mergeRegions(base, delta []regionAcc, results []Result) {
-	for ri, a := range base {
-		if delta != nil {
-			d := &delta[ri]
-			a.cnt += d.cnt
-			a.sum += d.sum
-			a.mn = math.Min(a.mn, d.mn)
-			a.mx = math.Max(a.mx, d.mx)
-		}
-		a.writeTo(results, ri)
-	}
-}
-
-// writeTo stores the accumulator as region ri's slot of every result, each
-// taking the columns its aggregate derives from.
-//
-//distbound:noalloc
-func (a regionAcc) writeTo(results []Result, ri int) {
-	for k := range results {
-		results[k].Counts[ri] = a.cnt
-		if results[k].Sums != nil {
-			results[k].Sums[ri] = a.sum
-		}
-		if results[k].Extremes != nil {
-			if results[k].Agg == Min {
-				results[k].Extremes[ri] = a.mn
-			} else {
-				results[k].Extremes[ri] = a.mx
-			}
-		}
-	}
 }
 
 // spansFor returns the plan's span resolution for snap's base: the published
@@ -705,36 +656,25 @@ func (j *PointIdxJoiner) refreshSpans(ctx context.Context, snap *pointstore.Snap
 // brute scan — O(rows × (log ranges + hits)) instead of O(regions × rows).
 //
 //distbound:noalloc
-func (j *PointIdxJoiner) invertDelta(ctx context.Context, snap *pointstore.Snapshot, acc []regionAcc, from int) (int, error) {
+func (j *PointIdxJoiner) invertDelta(ctx context.Context, snap *pointstore.Snapshot, a *acc, from int) (int, error) {
 	p := j.plan
 	done := ctx.Done()
 	probed := 0
 	hasW := snap.HasWeights()
 	for k, dn := from, snap.DeltaLen(); k < dn; k++ {
-		if k&(cancelStride-1) == 0 && canceled(done) {
+		if k%foldChunk == 0 && canceled(done) {
 			return 0, ctx.Err()
 		}
 		if !snap.DeltaLive(k) {
 			continue
 		}
 		probed++
-		stab := p.stab(snap.DeltaKey(k))
-		if len(stab) == 0 {
-			continue
+		w := 1.0 // never read: a weightless dataset's acc holds counts alone
+		if hasW {
+			w = snap.DeltaWeight(k)
 		}
-		if !hasW {
-			for _, ri := range stab {
-				acc[ri].cnt++
-			}
-			continue
-		}
-		w := snap.DeltaWeight(k)
-		for _, ri := range stab {
-			a := &acc[ri]
-			a.cnt++
-			a.sum += w
-			a.mn = math.Min(a.mn, w)
-			a.mx = math.Max(a.mx, w)
+		for _, ri := range p.stab(snap.DeltaKey(k)) {
+			a.add(int(ri), w)
 		}
 	}
 	return probed, nil

@@ -26,10 +26,10 @@ import (
 // cell Domain.Coord rounded it into, and a point within rounding of a leaf
 // edge may lie just across it, so a point outside its leaf's closed rect —
 // the far edges pulled in by a few ulps, see leafHolds — is tested against
-// every region instead. The fold visits points in pointShardFold's shards and
+// every region instead. The fold visits points in pointChunkFold's chunks and
 // order and adds each to its regions in ascending order, as the R*-tree join
-// does: every aggregate is bit-identical to RStarJoiner.AggregateMulti at the
-// same worker count, SUM included.
+// does: every aggregate is bit-identical to RStarJoiner.AggregateMulti, SUM
+// included, and neither depends on the worker count.
 type ExactCover struct {
 	domain sfc.Domain
 	curve  sfc.Curve
@@ -121,12 +121,12 @@ func (ec *ExactCover) MemoryBytes() int { return ec.plan.memoryBytes() + locator
 
 // AggregateMulti joins a streamed point set exactly: each point's stab list
 // filters, and only points in boundary cells are refined. Every aggregate is
-// bit-identical to RStarJoiner.AggregateMulti at the same worker count.
+// bit-identical to RStarJoiner.AggregateMulti.
 func (ec *ExactCover) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg, workers int) ([]Result, error) {
 	if err := ps.validateAggs(aggs); err != nil {
 		return nil, err
 	}
-	return pointShardFold(ctx, len(ps.Pts), workers, ec.NumRegions(), aggs, func() func(int, *acc) {
+	return pointChunkFold(ctx, len(ps.Pts), workers, ec.NumRegions(), aggs, func() func(int, *acc) {
 		return func(i int, part *acc) { ec.fold(ps.Pts[i], ps.weight(i), part) }
 	})
 }

@@ -343,7 +343,7 @@ func TestIncrementalFoldEdges(t *testing.T) {
 			if st := h.query(2, step.aggs, 1); st.RangesProbed != uniq {
 				t.Fatalf("%v: reported %+v, want a fill for the missing columns", step.aggs, st)
 			}
-			if have := h.inc[2].base.Load().have; have != step.have {
+			if have := h.inc[2].base.Load().acc.held(); have != step.have {
 				t.Fatalf("%v: published columns %+v, want %+v", step.aggs, have, step.have)
 			}
 		}
@@ -354,7 +354,7 @@ func TestIncrementalFoldEdges(t *testing.T) {
 		// a narrower query does not shrink the set.
 		h.deleteFrom(&h.baseIDs, 5)
 		h.query(2, []Agg{Count}, 1)
-		if have := h.inc[2].base.Load().have; have != (aggNeeds{}) {
+		if have := h.inc[2].base.Load().acc.held(); have != (aggNeeds{}) {
 			t.Fatalf("count-only refill computed columns %+v nobody asked for", have)
 		}
 	})
@@ -427,8 +427,8 @@ func TestIncrementalFoldEdges(t *testing.T) {
 		if err := h.inc[1].Refresh(ctx, 1); err != nil {
 			t.Fatal(err)
 		}
-		if bp := h.inc[1].base.Load(); !bp.serves(h.store.Snapshot(), aggNeeds{sum: true}) || bp.have != (aggNeeds{sum: true}) {
-			t.Fatalf("Refresh published %+v", bp.have)
+		if bp := h.inc[1].base.Load(); !bp.serves(h.store.Snapshot(), aggNeeds{sum: true}) || bp.acc.held() != (aggNeeds{sum: true}) {
+			t.Fatalf("Refresh published %+v", bp.acc.held())
 		}
 		if st := h.query(1, []Agg{Count, Sum}, 1); st != (ProbeStats{}) {
 			t.Fatalf("query after Refresh reported %+v, want no work", st)

@@ -157,7 +157,8 @@ func newResult(agg Agg, n int) Result {
 	return r
 }
 
-// add records a matched point for a region.
+// add records a matched point for a region. Extremes use the builtin min and
+// max, which order −0 below +0, as every join's accumulator does.
 func (r *Result) add(region int, w float64) {
 	r.Counts[region]++
 	if r.Sums != nil {
@@ -165,11 +166,9 @@ func (r *Result) add(region int, w float64) {
 	}
 	if r.Extremes != nil {
 		if r.Agg == Min {
-			if w < r.Extremes[region] {
-				r.Extremes[region] = w
-			}
-		} else if w > r.Extremes[region] {
-			r.Extremes[region] = w
+			r.Extremes[region] = min(r.Extremes[region], w)
+		} else {
+			r.Extremes[region] = max(r.Extremes[region], w)
 		}
 	}
 }

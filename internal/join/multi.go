@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"distbound/internal/index/rstar"
 	"distbound/internal/pool"
@@ -17,25 +16,26 @@ import (
 // and folds every requested aggregate from it: prefix-sum aggregates share
 // the lookups, MIN/MAX share the block scans. Results are positionally
 // aligned with the aggregate set and bit-identical to running each aggregate
-// alone (COUNT/MIN/MAX exactly; SUM/AVG fold in the identical order, so even
-// float results match bit-for-bit).
+// alone.
 //
 // Every AggregateMulti takes a context: cancellation unwinds the worker
-// fan-out promptly (workers poll between regions / every cancelCheckMask+1
+// fan-out promptly (workers poll between regions or chunks of foldChunk
 // points) and the call returns ctx.Err() only after every worker has exited,
 // so no goroutine outlives the call and no partial result escapes.
 //
 // Parallel evaluation (§2.3 "Execution"): because every point lookup — and
 // every canvas pixel — is independent, and COUNT/SUM/AVG are distributive or
-// algebraic, the aggregation join decomposes into shard-local partial
-// aggregates that merge exactly. The parallel forms return bit-identical
-// counts and float-sum results that differ from the sequential ones only by
-// re-association of additions.
+// algebraic, the aggregation join decomposes into partial aggregates that
+// merge exactly. The fold order is fixed by the data, never by the worker
+// count: COUNT, MIN and MAX do not depend on order, and SUM is summed per
+// fixed-size chunk of points and merged in chunk order, so every strategy
+// returns the same bits at every worker count.
 
-// cancelCheckMask throttles per-point context polls: workers check
-// ctx.Done() every 8192 points, cheap enough to vanish in the fold cost yet
-// frequent enough for sub-millisecond cancellation.
-const cancelCheckMask = 8191
+// foldChunk is the fold's one unit of work: the points a point fold sums as
+// one partial, the ranges one batched span fold takes (its workspace is four
+// stack columns of this length), and the rows or points between two context
+// polls of the inline loops.
+const foldChunk = 4096
 
 // ExtremeIn reports whether the aggregate set contains MIN or MAX — the
 // set-level form of the per-aggregate extreme test: one multi-fold pass can
@@ -54,6 +54,11 @@ type aggNeeds struct {
 	sum, min, max bool
 }
 
+// with returns the columns either set requires.
+func (n aggNeeds) with(o aggNeeds) aggNeeds {
+	return aggNeeds{sum: n.sum || o.sum, min: n.min || o.min, max: n.max || o.max}
+}
+
 func needsOf(aggs []Agg) aggNeeds {
 	var n aggNeeds
 	for _, a := range aggs {
@@ -69,11 +74,11 @@ func needsOf(aggs []Agg) aggNeeds {
 	return n
 }
 
-// acc is the shared-column accumulator of a multi-aggregate fold: counts are
-// always kept, the other columns only when some aggregate needs them. add
-// applies exactly the updates Result.add would, in the same order, which is
-// what makes the final per-aggregate copies bit-identical to per-aggregate
-// runs.
+// acc is the per-region accumulator every fold keeps: the four columns every
+// aggregate derives from, counts always, the others only when some aggregate
+// needs them — a nil column is one nobody asked for. Extremes use the builtin
+// min and max, which order −0 below +0, so no MIN or MAX depends on the order
+// its values arrive in.
 type acc struct {
 	counts []int64
 	sums   []float64
@@ -101,68 +106,83 @@ func newAcc(needs aggNeeds, n int) acc {
 	return a
 }
 
+// held reports which weight columns a holds.
+//
+//distbound:noalloc
+func (a *acc) held() aggNeeds {
+	return aggNeeds{sum: a.sums != nil, min: a.mins != nil, max: a.maxs != nil}
+}
+
+// memoryBytes is the accumulator's footprint.
+func (a *acc) memoryBytes() int {
+	return 8 * (len(a.counts) + len(a.sums) + len(a.mins) + len(a.maxs))
+}
+
 // add records a matched point for a region across every tracked column.
+//
+//distbound:noalloc
 func (a *acc) add(region int, w float64) {
 	a.counts[region]++
 	if a.sums != nil {
 		a.sums[region] += w
 	}
-	if a.mins != nil && w < a.mins[region] {
-		a.mins[region] = w
+	if a.mins != nil {
+		a.mins[region] = min(a.mins[region], w)
 	}
-	if a.maxs != nil && w > a.maxs[region] {
-		a.maxs[region] = w
+	if a.maxs != nil {
+		a.maxs[region] = max(a.maxs[region], w)
 	}
 }
 
-// merge folds shard-partial accumulators into a, in shard order — the same
-// association mergeResults used, so parallel sums stay reproducible for a
-// fixed shard count.
-func (a *acc) merge(parts []acc) {
-	for _, p := range parts {
-		for i := range p.counts {
+// merge folds p into a, column by column, over the columns both hold.
+//
+//distbound:noalloc
+func (a *acc) merge(p *acc) {
+	if p.counts != nil {
+		for i := range a.counts {
 			a.counts[i] += p.counts[i]
 		}
-		if a.sums != nil {
-			for i := range p.sums {
-				a.sums[i] += p.sums[i]
-			}
+	}
+	if p.sums != nil {
+		for i := range a.sums {
+			a.sums[i] += p.sums[i]
 		}
-		if a.mins != nil {
-			for i := range p.mins {
-				if p.mins[i] < a.mins[i] {
-					a.mins[i] = p.mins[i]
-				}
-			}
+	}
+	if p.mins != nil {
+		for i := range a.mins {
+			a.mins[i] = min(a.mins[i], p.mins[i])
 		}
-		if a.maxs != nil {
-			for i := range p.maxs {
-				if p.maxs[i] > a.maxs[i] {
-					a.maxs[i] = p.maxs[i]
-				}
-			}
+	}
+	if p.maxs != nil {
+		for i := range a.maxs {
+			a.maxs[i] = max(a.maxs[i], p.maxs[i])
 		}
 	}
 }
 
-// results copies the shared columns out into one independent Result per
-// aggregate, positionally aligned with aggs.
-func (a *acc) results(aggs []Agg) []Result {
-	out := make([]Result, len(aggs))
-	for k, agg := range aggs {
-		r := Result{Agg: agg, Counts: make([]int64, len(a.counts))}
-		copy(r.Counts, a.counts)
-		switch agg {
-		case Sum, Avg:
-			r.Sums = append([]float64(nil), a.sums...)
+// writeTo writes every region's answer into results — a's columns plus, when
+// delta is non-nil, delta's — each result taking the columns its aggregate
+// derives from. a and delta are only read.
+//
+//distbound:noalloc
+func (a *acc) writeTo(results []Result, delta *acc) {
+	for k := range results {
+		r := &results[k]
+		out := acc{counts: r.Counts, sums: r.Sums}
+		copy(out.counts, a.counts)
+		copy(out.sums, a.sums)
+		switch r.Agg {
 		case Min:
-			r.Extremes = append([]float64(nil), a.mins...)
+			out.mins = r.Extremes
+			copy(out.mins, a.mins)
 		case Max:
-			r.Extremes = append([]float64(nil), a.maxs...)
+			out.maxs = r.Extremes
+			copy(out.maxs, a.maxs)
 		}
-		out[k] = r
+		if delta != nil {
+			out.merge(delta)
+		}
 	}
-	return out
 }
 
 // canceled reports whether done (a ctx.Done() channel, possibly nil) has
@@ -179,45 +199,59 @@ func canceled(done <-chan struct{}) bool {
 	}
 }
 
-// pointShardFold is the shared scaffold of the point-driven multi-aggregate
-// folds: shard the points contiguously across workers, give each worker a
-// private accumulator (perWorker returns the per-point body, so workers can
-// keep private scratch like the ACT lookup buffer), poll for cancellation
-// every cancelCheckMask+1 points, and merge in shard order — the fixed
-// association that keeps results reproducible for a given worker count.
-func pointShardFold(ctx context.Context, nPts, workers, numReg int, aggs []Agg,
+// pointChunkFold is the shared scaffold of the point-driven multi-aggregate
+// folds. The points are cut into chunks of foldChunk, dispatched across
+// workers (pool.RunCtx polls the context before each). Each worker keeps
+// private COUNT/MIN/MAX columns, which no order can change, and its per-point
+// body (perWorker returns it, so workers can keep private scratch like the
+// ACT lookup buffer); SUM is kept per chunk, summed in point order from +0,
+// and the chunk sums merge in chunk order. Which worker folded a chunk
+// therefore never shows in the result: it is the same at every worker count.
+func pointChunkFold(ctx context.Context, nPts, workers, numReg int, aggs []Agg,
 	perWorker func() func(i int, part *acc)) ([]Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	needs := needsOf(aggs)
-	done := ctx.Done()
-	shards := pool.Split(nPts, workers)
-	parts := make([]acc, len(shards))
-	err := pool.RunCtx(ctx, len(shards), len(shards), func(_, si int) error {
-		part := newAcc(needs, numReg)
-		perPoint := perWorker()
-		for i := shards[si][0]; i < shards[si][1]; i++ {
-			if i&cancelCheckMask == 0 && canceled(done) {
-				return ctx.Err()
-			}
-			perPoint(i, &part)
+	chunks := (nPts + foldChunk - 1) / foldChunk
+	workers = pool.Workers(workers, chunks)
+	parts := make([]acc, workers)
+	bodies := make([]func(int, *acc), workers)
+	var sums []float64
+	if needs.sum {
+		sums = make([]float64, chunks*numReg)
+	}
+	err := pool.RunCtx(ctx, chunks, workers, func(w, c int) error {
+		if bodies[w] == nil {
+			parts[w] = newAcc(aggNeeds{min: needs.min, max: needs.max}, numReg)
+			bodies[w] = perWorker()
 		}
-		parts[si] = part
+		part, body := &parts[w], bodies[w]
+		if sums != nil {
+			part.sums = sums[c*numReg : (c+1)*numReg]
+		}
+		for i, end := c*foldChunk, min(nPts, (c+1)*foldChunk); i < end; i++ {
+			body(i, part)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	total := newAcc(needs, numReg)
-	total.merge(parts)
-	return total.results(aggs), nil
+	for w := range parts {
+		parts[w].sums = nil // the worker's last chunk, merged below
+		total.merge(&parts[w])
+	}
+	for c := 0; sums != nil && c < chunks; c++ {
+		total.merge(&acc{sums: sums[c*numReg : (c+1)*numReg]})
+	}
+	results := NewResults(aggs, numReg)
+	total.writeTo(results, nil)
+	return results, nil
 }
 
-// AggregateMulti computes every aggregate in aggs in one sharded pass over
-// the points: one trie lookup per point, shared by all aggregates. Results
-// align with aggs and are bit-identical to per-aggregate runs at the same
-// worker count. Cancellation returns ctx.Err() after every worker has unwound.
+// AggregateMulti computes every aggregate in aggs in one pass over the
+// points: one trie lookup per point, shared by all aggregates. Results align
+// with aggs and are the same at every worker count. Cancellation returns
+// ctx.Err() after every worker has unwound.
 func (j *ACTJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg, workers int) ([]Result, error) {
 	if err := ps.validateAggs(aggs); err != nil {
 		return nil, err
@@ -227,7 +261,7 @@ func (j *ACTJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 	// point for each keeps the per-region guarantee "approximate ⊇ exact"
 	// that the result-range interval of §6 relies on. A region's own cells
 	// are disjoint, so a point is counted at most once per region.
-	return pointShardFold(ctx, len(ps.Pts), workers, j.numReg, aggs, func() func(int, *acc) {
+	return pointChunkFold(ctx, len(ps.Pts), workers, j.numReg, aggs, func() func(int, *acc) {
 		buf := make([]int32, 0, 4)
 		return func(i int, part *acc) {
 			pos, ok := j.domain.LeafPos(j.curve, ps.Pts[i])
@@ -249,14 +283,13 @@ func (j *ACTJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 // to the segment's stab list, the regions whose covers hold it. The covers are
 // the cells the ACT trie indexes — the same conservative hierarchical raster
 // per region at the same bound — so a point meets exactly the regions its trie
-// lookup finds, and the fold visits points in the same shards and order:
-// every aggregate is bit-identical to ACTJoiner.AggregateMulti at the same
-// worker count.
+// lookup finds, and the fold visits points in the same order: every aggregate
+// is bit-identical to ACTJoiner.AggregateMulti.
 func (cs *CoverSet) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg, workers int) ([]Result, error) {
 	if err := ps.validateAggs(aggs); err != nil {
 		return nil, err
 	}
-	return pointShardFold(ctx, len(ps.Pts), workers, cs.NumRegions(), aggs, func() func(int, *acc) {
+	return pointChunkFold(ctx, len(ps.Pts), workers, cs.NumRegions(), aggs, func() func(int, *acc) {
 		return func(i int, part *acc) {
 			key, ok := cs.domain.LeafPos(cs.curve, ps.Pts[i])
 			if !ok {
@@ -277,7 +310,7 @@ func (j *RStarJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Ag
 	if err := ps.validateAggs(aggs); err != nil {
 		return nil, err
 	}
-	return pointShardFold(ctx, len(ps.Pts), workers, len(j.refine), aggs, func() func(int, *acc) {
+	return pointChunkFold(ctx, len(ps.Pts), workers, len(j.refine), aggs, func() func(int, *acc) {
 		return func(i int, part *acc) {
 			p := ps.Pts[i]
 			w := ps.weight(i)

@@ -128,18 +128,18 @@ func NewPointIdxJoiner(regions []geom.Region, src *pointstore.Mutable, eps float
 }
 
 // MemoryBytes returns this dataset's state over the cover set — whichever of
-// the span resolution and the per-region partials (32 bytes a region each)
-// are published — excluding the shared CoverSet and the dataset.
+// the span resolution and the per-region partials (8 bytes a region per held
+// column) are published — excluding the shared CoverSet and the dataset.
 func (j *PointIdxJoiner) MemoryBytes() int {
 	n := 0
 	if rs := j.spans.Load(); rs != nil {
 		n += rs.memoryBytes()
 	}
 	if bp := j.base.Load(); bp != nil {
-		n += 32 * len(bp.acc)
+		n += bp.acc.memoryBytes()
 	}
 	if dp := j.delta.Load(); dp != nil {
-		n += 32 * len(dp.acc)
+		n += dp.acc.memoryBytes()
 	}
 	return n
 }
@@ -153,10 +153,10 @@ func (j *PointIdxJoiner) MemoryBytes() int {
 func (j *PointIdxJoiner) Refresh(ctx context.Context, workers int) error {
 	cur := j.base.Load()
 	snap := j.src.Snapshot()
-	if cur == nil || cur.serves(snap, cur.have) {
+	if cur == nil || cur.serves(snap, cur.acc.held()) {
 		return nil
 	}
-	_, err := j.fillBase(ctx, snap, cur.have, workers)
+	_, err := j.fillBase(ctx, snap, cur.acc.held(), workers)
 	return err
 }
 

@@ -41,19 +41,19 @@ func refCovers(regions []geom.Region, j *PointIdxJoiner) [][]raster.PosRange {
 
 // aggregatePerRegion answers aggs over snap from the per-region covers.
 func aggregatePerRegion(snap *pointstore.Snapshot, covers [][]raster.PosRange, aggs []Agg) []Result {
-	needs := needsOf(aggs)
-	results := NewResults(aggs, len(covers))
+	a := newAcc(needsOf(aggs), len(covers))
 	for ri := range covers {
-		aggregateRegion(snap, results, needs, covers[ri], ri)
+		aggregateRegion(snap, &a, covers[ri], ri)
 	}
+	results := NewResults(aggs, len(covers))
+	a.writeTo(results, nil)
 	return results
 }
 
 // aggregateRegion folds the snapshot's base range aggregates over one
-// region's cover ranges and brute-scans the delta tail against them, writing
-// only that region's slots of every result.
-func aggregateRegion(snap *pointstore.Snapshot, results []Result, needs aggNeeds, ranges []raster.PosRange, ri int) {
-	a := regionAcc{mn: math.Inf(1), mx: math.Inf(-1)}
+// region's cover ranges and brute-scans the delta tail against them, into
+// that region's slot of every column a holds.
+func aggregateRegion(snap *pointstore.Snapshot, a *acc, ranges []raster.PosRange, ri int) {
 	keys := snap.BaseColumns().Keys
 	for _, r := range ranges {
 		lo := sort.Search(len(keys), func(i int) bool { return keys[i] >= r.Lo })
@@ -61,15 +61,15 @@ func aggregateRegion(snap *pointstore.Snapshot, results []Result, needs aggNeeds
 		if lo >= hi {
 			continue
 		}
-		a.cnt += int64(snap.CountSpan(lo, hi))
-		if needs.sum {
-			a.sum += snap.SumSpan(lo, hi)
+		a.counts[ri] += int64(snap.CountSpan(lo, hi))
+		if a.sums != nil {
+			a.sums[ri] += snap.SumSpan(lo, hi)
 		}
-		if needs.min {
-			a.mn = math.Min(a.mn, snap.MinSpan(lo, hi))
+		if a.mins != nil {
+			a.mins[ri] = math.Min(a.mins[ri], snap.MinSpan(lo, hi))
 		}
-		if needs.max {
-			a.mx = math.Max(a.mx, snap.MaxSpan(lo, hi))
+		if a.maxs != nil {
+			a.maxs[ri] = math.Max(a.maxs[ri], snap.MaxSpan(lo, hi))
 		}
 	}
 	// Delta scan: every live delta row whose key falls in one of the
@@ -78,21 +78,17 @@ func aggregateRegion(snap *pointstore.Snapshot, results []Result, needs aggNeeds
 		if !snap.DeltaLive(k) || !coversKey(ranges, snap.DeltaKey(k)) {
 			continue
 		}
-		a.cnt++
-		if needs.sum || needs.min || needs.max {
-			w := snap.DeltaWeight(k)
-			if needs.sum {
-				a.sum += w
-			}
-			if needs.min {
-				a.mn = math.Min(a.mn, w)
-			}
-			if needs.max {
-				a.mx = math.Max(a.mx, w)
-			}
+		a.counts[ri]++
+		if a.sums != nil {
+			a.sums[ri] += snap.DeltaWeight(k)
+		}
+		if a.mins != nil {
+			a.mins[ri] = math.Min(a.mins[ri], snap.DeltaWeight(k))
+		}
+		if a.maxs != nil {
+			a.maxs[ri] = math.Max(a.maxs[ri], snap.DeltaWeight(k))
 		}
 	}
-	a.writeTo(results, ri)
 }
 
 // coversKey reports whether a leaf key falls in one of the merged, sorted

@@ -22,9 +22,6 @@ type Options struct {
 	// crash may lose mutations from the last unsynced window. Zero or
 	// negative syncs every record before it is acknowledged.
 	GroupCommit time.Duration
-	// DisableMMap forces Open to copy the snapshot into the heap instead of
-	// serving column reads from the mapped file.
-	DisableMMap bool
 }
 
 // Stats describes a durable store's on-disk and recovery state.
@@ -110,7 +107,8 @@ func Create(dir string, m *pointstore.Mutable, opts Options) (*Durable, error) {
 }
 
 // Open rebuilds the durable store persisted under dir: it validates and
-// loads (or mmaps) the snapshot, replays the log matching the snapshot's
+// loads the snapshot — mapped when the FS is OSFS and the platform supports
+// it, read into the heap otherwise — replays the log matching the snapshot's
 // generation, truncates any torn log tail, and resumes logging. The
 // recovered store is bit-identical to the acknowledged state at the crash:
 // same columns, same IDs, same nextID.
@@ -127,7 +125,7 @@ func Open(dir string, opts Options) (*Durable, error) {
 		pin     any
 		mmapped bool
 	)
-	if fsys == OSFS && !opts.DisableMMap && mmapSupported {
+	if fsys == OSFS && mmapSupported {
 		if b, p, err := mmapFile(snapPath); err == nil {
 			data, pin, mmapped = b, p, true
 		}

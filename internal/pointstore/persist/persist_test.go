@@ -17,6 +17,20 @@ var tdom = sfc.Domain{Origin: geom.Point{}, Size: 1024}
 
 // tpoints generates n deterministic in-domain points with exactly
 // representable dyadic weights, so prefix-sum comparisons are bitwise.
+// heapFS is the operating-system filesystem under another name: Open maps a
+// snapshot only through OSFS itself, so opening through heapFS takes the
+// full-load path on every platform.
+type heapFS struct{ FS }
+
+// openOptions returns Open's options for the full-load leg (fullLoad) or the
+// mapped one.
+func openOptions(fullLoad bool) Options {
+	if fullLoad {
+		return Options{FS: heapFS{OSFS}}
+	}
+	return Options{}
+}
+
 func tpoints(n int) ([]geom.Point, []float64) {
 	pts := make([]geom.Point, n)
 	ws := make([]float64, n)
@@ -150,9 +164,9 @@ func mutate(t *testing.T, d *Durable, oracle *pointstore.Mutable) {
 // (leaving an un-checkpointed WAL tail), close, reopen — full-load and mmap
 // — and require the recovered store bit-identical to the surviving oracle.
 func TestReopenReplaysTail(t *testing.T) {
-	for _, disableMMap := range []bool{true, false} {
+	for _, fullLoad := range []bool{true, false} {
 		name := "mmap"
-		if disableMMap {
+		if fullLoad {
 			name = "fullload"
 		}
 		t.Run(name, func(t *testing.T) {
@@ -171,7 +185,7 @@ func TestReopenReplaysTail(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			d2, err := Open(dir, Options{DisableMMap: disableMMap})
+			d2, err := Open(dir, openOptions(fullLoad))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,8 +194,8 @@ func TestReopenReplaysTail(t *testing.T) {
 			if st2.WALRecords != 3 {
 				t.Fatalf("recovered WALRecords = %d, want 3", st2.WALRecords)
 			}
-			if disableMMap && st2.MMapped {
-				t.Fatal("MMapped with mmap disabled")
+			if fullLoad && st2.MMapped {
+				t.Fatal("MMapped through a filesystem other than OSFS")
 			}
 			if st2.RecoveryWall <= 0 {
 				t.Fatal("RecoveryWall not measured")
@@ -273,8 +287,8 @@ func TestWeightlessRoundtrip(t *testing.T) {
 	oracle.Delete(2, 4)
 	d.Close()
 
-	for _, disableMMap := range []bool{true, false} {
-		d2, err := Open(dir, Options{DisableMMap: disableMMap})
+	for _, fullLoad := range []bool{true, false} {
+		d2, err := Open(dir, openOptions(fullLoad))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +349,7 @@ func TestMMapVsFullLoadParity(t *testing.T) {
 	mutate(t, d, oracle)
 	d.Close()
 
-	full, err := Open(dir, Options{DisableMMap: true})
+	full, err := Open(dir, openOptions(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +456,7 @@ func TestCorruptSnapshotRefused(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(dir, Options{DisableMMap: true}); err == nil {
+		if _, err := Open(dir, openOptions(true)); err == nil {
 			t.Fatalf("corruption at byte %d accepted", off)
 		}
 		if _, err := Open(dir, Options{}); err == nil {

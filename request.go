@@ -51,8 +51,9 @@ type Request struct {
 	// target, any non-exact strategy without a positive bound).
 	Strategy *Strategy
 	// Workers caps the request's intra-query fan-out, cold builds included;
-	// ≤ 0 selects GOMAXPROCS. A server already running many queries
-	// concurrently typically wants 1 to avoid oversubscription.
+	// ≤ 0 selects GOMAXPROCS. It shapes speed only: every strategy answers
+	// bit-identically at every worker count. A server already running many
+	// queries concurrently typically wants 1 to avoid oversubscription.
 	Workers int
 	// Explain asks for the rendered plan comparison in Response.Explain.
 	Explain bool

@@ -31,9 +31,9 @@ const DefaultResultCacheCapacity = 1024
 // pointer would, keep an unregistered dataset's columns reachable while it
 // ages out; epoch is the store's mutation counter, so any
 // Append/Delete/Compact strands every prior key.
-// The key deliberately excludes Workers (results are worker-count
-// independent by the fold-order contract) and Repetitions (nothing reads it
-// for a dataset target).
+// The key deliberately excludes Workers (every fold's order is fixed by the
+// data, so results are bit-identical at every worker count) and Repetitions
+// (nothing reads it for a dataset target).
 type resultKey struct {
 	ds    uint64 // Dataset.id
 	epoch uint64
