@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -104,26 +105,27 @@ func toShardRequest(q QueryRequest) (shard.Request, error) {
 	return shard.Request{Aggs: aggs, Bound: q.Bound, Workers: q.Workers}, nil
 }
 
-// toWire renders a backend response onto the wire.
-func toWire(req shard.Request, resp shard.Response) QueryResponse {
-	out := QueryResponse{
-		ShardsContacted: resp.ShardsContacted,
-		ShardsTotal:     resp.ShardsTotal,
-		WallNs:          resp.Wall.Nanoseconds(),
-	}
-	for k, agg := range req.Aggs {
-		r := resp.Results[k]
-		ar := AggResult{
-			Agg:    aggName(agg),
-			Values: make([]float64, r.NumRegions()),
-			Counts: append([]int64(nil), r.Counts...),
+// answerBufs pools the buffers answers render into.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// answer renders resp's body, then the tail only this request has: body is
+// the entry's bytes on a result-cache hit, else *scratch, which the tail follows.
+func answer(scratch *[]byte, req shard.Request, resp *shard.Response) (body, tail []byte, err error) {
+	body, err = resp.Rendered(scratch, func(b []byte) ([]byte, error) {
+		b, k, ri := appendAnswer(b, req, resp)
+		if k < 0 {
+			return b, nil
 		}
-		for ri := range ar.Values {
-			ar.Values[ri] = r.Value(ri)
-		}
-		out.Results = append(out.Results, ar)
+		return b, fmt.Errorf("%s of region %d is %v, which JSON cannot carry",
+			aggNames[req.Aggs[k]], ri, resp.Results[k].Value(ri))
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return out
+	n := len(*scratch)
+	*scratch = strconv.AppendInt(append(*scratch, `,"wall_ns":`...), resp.Wall.Nanoseconds(), 10)
+	*scratch = append(*scratch, "}\n"...) // the newline encoding/json's Encoder writes
+	return body, (*scratch)[n:], nil
 }
 
 // httpStatus maps an execution error onto a status code: context errors are
@@ -172,15 +174,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	t0 := time.Now()
-	resp, err := s.backend.Query(ctx, req)
+	bp := answerBufs.Get().(*[]byte)
+	defer answerBufs.Put(bp)
+	body, tail, err := s.execute(ctx, req, bp)
 	if err != nil {
 		s.writeError(w, httpStatus(err), err)
 		return
 	}
-	s.met.observe(time.Since(t0), &resp)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(toWire(req, resp)) //nolint:errcheck // client disconnects surface as write errors
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)+len(tail)))
+	w.Write(body) //nolint:errcheck // client disconnects surface as write errors
+	w.Write(tail) //nolint:errcheck // as above
 }
 
 // batchFlushEvery is how many response lines accumulate between flushes:
@@ -217,13 +221,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// siblings unaffected), until the request stream ends.
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 64*1024), maxBodyBytes)
+	bp := answerBufs.Get().(*[]byte)
+	defer answerBufs.Put(bp)
 	emitted := 0
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		if err := enc.Encode(s.batchLine(ctx, line)); err != nil {
+		body, tail, err := s.batchLine(ctx, line, bp)
+		if err != nil {
+			err = enc.Encode(QueryResponse{Error: err.Error()})
+		} else if _, err = w.Write(body); err == nil {
+			_, err = w.Write(tail)
+		}
+		if err != nil {
 			return // client went away; nothing left to stream to
 		}
 		if emitted++; emitted%batchFlushEvery == 0 {
@@ -238,27 +250,34 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// batchLine answers one NDJSON request line: a malformed or failing line
-// becomes an inline error in its own position.
-func (s *Server) batchLine(ctx context.Context, line []byte) QueryResponse {
+// execute answers req from the backend, rendered as answer does.
+func (s *Server) execute(ctx context.Context, req shard.Request, scratch *[]byte) (body, tail []byte, err error) {
+	t0 := time.Now()
+	resp, err := s.backend.Query(ctx, req)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.met.observe(time.Since(t0), &resp)
+	return answer(scratch, req, &resp)
+}
+
+// batchLine answers one NDJSON request line as execute does; a malformed or
+// failing line returns the error its inline error line carries.
+func (s *Server) batchLine(ctx context.Context, line []byte, scratch *[]byte) (body, tail []byte, err error) {
 	var q QueryRequest
 	var req shard.Request
-	var resp shard.Response
-	err := json.Unmarshal(line, &q)
-	if err == nil {
+	if err = json.Unmarshal(line, &q); err == nil {
 		req, err = toShardRequest(q)
 	}
-	t0 := time.Now()
 	if err == nil {
-		resp, err = s.backend.Query(ctx, req)
+		body, tail, err = s.execute(ctx, req, scratch)
 	}
 	if err != nil {
 		s.met.errors.Add(1)
-		return QueryResponse{Error: err.Error()}
+		return nil, nil, err
 	}
 	s.met.batchLines.Add(1)
-	s.met.observe(time.Since(t0), &resp)
-	return toWire(req, resp)
+	return body, tail, nil
 }
 
 // handleAppend ingests points over the wire. The backend bumps its epoch on

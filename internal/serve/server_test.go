@@ -713,6 +713,10 @@ func TestResultCacheOverHTTP(t *testing.T) {
 		}
 		return st
 	}
+	// The body up to wall_ns, the only per-request field: a miss, the first
+	// hit (which renders and keeps the bytes) and later hits (which write the
+	// kept bytes) must agree on it exactly.
+	var bodies []string
 	query := func() QueryResponse {
 		t.Helper()
 		resp, body := postJSON(t, ts.URL+"/v1/query",
@@ -720,10 +724,14 @@ func TestResultCacheOverHTTP(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query: %d %s", resp.StatusCode, body)
 		}
+		if resp.ContentLength != int64(len(body)) {
+			t.Fatalf("Content-Length %d for a %d-byte body", resp.ContentLength, len(body))
+		}
 		var q QueryResponse
 		if err := json.Unmarshal(body, &q); err != nil {
 			t.Fatal(err)
 		}
+		bodies = append(bodies, string(body[:bytes.LastIndex(body, []byte(`,"wall_ns":`))]))
 		return q
 	}
 
@@ -733,6 +741,12 @@ func TestResultCacheOverHTTP(t *testing.T) {
 	st1 := stats()
 	if st1.ResultCache.Hits != st0.ResultCache.Hits+1 {
 		t.Fatalf("repeated query was not a hit: %+v -> %+v", st0.ResultCache, st1.ResultCache)
+	}
+	query()
+	for i, b := range bodies[1:] {
+		if b != bodies[0] {
+			t.Fatalf("hit %d body differs from the miss's beyond wall_ns:\n%s\n%s", i+1, b, bodies[0])
+		}
 	}
 	if len(warm.Results) != len(cold.Results) {
 		t.Fatalf("hit reshaped the response: %d vs %d results", len(warm.Results), len(cold.Results))
@@ -771,6 +785,9 @@ func TestResultCacheOverHTTP(t *testing.T) {
 	if st3.ResultCache.Hits != st2.ResultCache.Hits {
 		t.Fatalf("post-append query hit a stale entry: %+v", st3.ResultCache)
 	}
+	if query(); bodies[len(bodies)-1] != bodies[len(bodies)-2] || bodies[len(bodies)-1] == bodies[0] {
+		t.Fatal("the first hit after an append must render the fresh answer, not the stranded one")
+	}
 	if st3.ResultCache.Misses <= st2.ResultCache.Misses {
 		t.Fatalf("post-append query did not miss: %+v -> %+v", st2.ResultCache, st3.ResultCache)
 	}
@@ -808,5 +825,71 @@ func TestResultCacheOverHTTP(t *testing.T) {
 		if !strings.Contains(string(mbody), want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, mbody)
 		}
+	}
+}
+
+// TestNonFiniteAggregate: finite weights can still sum past MaxFloat64, and
+// JSON has no number for the +Inf that results. /v1/query must answer 500
+// naming the aggregate and region, not 200 with an empty body, and a batch
+// must answer that line with an inline error and keep streaming its
+// siblings.
+func TestNonFiniteAggregate(t *testing.T) {
+	ts, _, _, _ := newShardedTS(t, 0)
+	countAt := func() []int64 {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"count"}, Bound: 64}, nil)
+		var q QueryResponse
+		if err := json.Unmarshal(body, &q); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("count query: %d %s (%v)", resp.StatusCode, body, err)
+		}
+		return q.Results[0].Counts
+	}
+	before := countAt()
+	resp, body := postJSON(t, ts.URL+"/v1/append",
+		AppendRequest{Points: [][2]float64{{100, 100}, {100, 100}}, Weights: []float64{1.5e308, 1.5e308}}, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("append: %d %s", resp.StatusCode, body)
+	}
+	region := -1
+	for ri, c := range countAt() {
+		if c != before[ri] {
+			region = ri
+			break
+		}
+	}
+	if region < 0 {
+		t.Fatal("the appended points landed in no region")
+	}
+	want := fmt.Sprintf("sum of region %d is +Inf", region)
+
+	resp, body = postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"count", "sum"}, Bound: 64}, nil)
+	var q QueryResponse
+	if err := json.Unmarshal(body, &q); err != nil {
+		t.Fatalf("query answered %d with %q: %v", resp.StatusCode, body, err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(q.Error, want) {
+		t.Fatalf("query answered %d %q, want 500 naming %q", resp.StatusCode, body, want)
+	}
+
+	bresp, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", strings.NewReader(
+		"{\"aggs\":[\"sum\"],\"bound\":64}\n{\"aggs\":[\"count\"],\"bound\":64}\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := io.ReadAll(bresp.Body)
+	bresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []QueryResponse
+	for _, line := range bytes.Split(bytes.TrimSpace(lines), []byte("\n")) {
+		var l QueryResponse
+		if err := json.Unmarshal(line, &l); err != nil {
+			t.Fatalf("batch line %q: %v", line, err)
+		}
+		got = append(got, l)
+	}
+	if len(got) != 2 || !strings.Contains(got[0].Error, want) || got[1].Error != "" || len(got[1].Results) != 1 {
+		t.Fatalf("batch answered %q, want an inline error naming %q, then the count line", lines, want)
 	}
 }

@@ -9,10 +9,13 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 
 	"distbound"
+	"distbound/internal/shard"
 )
 
 // Header names of the serving protocol.
@@ -132,6 +135,12 @@ type AppendResponse struct {
 	Error    string   `json:"error,omitempty"`
 }
 
+// aggNames are the aggregates' wire names, indexed by distbound.Agg.
+var aggNames = [...]string{
+	distbound.Count: "count", distbound.Sum: "sum", distbound.Avg: "avg",
+	distbound.Min: "min", distbound.Max: "max",
+}
+
 // ParseAggs maps wire aggregate names onto engine aggregates. A repeated
 // aggregate is rejected, which caps a set at the five distinct ones: every
 // entry costs a region-wide result column on every contacted shard.
@@ -141,20 +150,11 @@ func ParseAggs(names []string) ([]distbound.Agg, error) {
 	}
 	out := make([]distbound.Agg, len(names))
 	for i, s := range names {
-		switch strings.ToLower(strings.TrimSpace(s)) {
-		case "count":
-			out[i] = distbound.Count
-		case "sum":
-			out[i] = distbound.Sum
-		case "avg":
-			out[i] = distbound.Avg
-		case "min":
-			out[i] = distbound.Min
-		case "max":
-			out[i] = distbound.Max
-		default:
+		a := slices.Index(aggNames[:], strings.ToLower(strings.TrimSpace(s)))
+		if a < 0 {
 			return nil, fmt.Errorf("unknown aggregate %q", s)
 		}
+		out[i] = distbound.Agg(a)
 		if slices.Contains(out[:i], out[i]) {
 			return nil, fmt.Errorf("aggregate %q repeated", s)
 		}
@@ -162,5 +162,69 @@ func ParseAggs(names []string) ([]distbound.Agg, error) {
 	return out, nil
 }
 
-// aggName renders an engine aggregate back onto the wire.
-func aggName(a distbound.Agg) string { return strings.ToLower(a.String()) }
+// appendAnswer appends the QueryResponse answering req with resp, byte for
+// byte as encoding/json marshals it, up to "shards_total": nothing
+// per-request, so a result-cache entry can keep the bytes. req.Aggs is
+// non-empty, as shard.Sharded.Do requires. At the first value JSON cannot
+// carry (±Inf, NaN: a SUM can overflow from finite weights) it stops and
+// reports the aggregate's index and the region, else badAgg is -1.
+//
+//distbound:noalloc
+func appendAnswer(b []byte, req shard.Request, resp *shard.Response) (_ []byte, badAgg, badRegion int) {
+	b = append(b, `{"results":[`...)
+	for k, agg := range req.Aggs {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		r := &resp.Results[k]
+		b = append(b, `{"agg":"`...)
+		b = append(b, aggNames[agg]...)
+		b = append(b, `","values":[`...)
+		for ri, c := range r.Counts {
+			if ri > 0 {
+				b = append(b, ',')
+			}
+			if r.Agg == distbound.Count {
+				b = strconv.AppendInt(b, c, 10)
+			} else if v := r.Value(ri); math.IsInf(v, 0) || math.IsNaN(v) {
+				return b, k, ri
+			} else {
+				b = appendFloat(b, v)
+			}
+		}
+		if len(r.Counts) == 0 {
+			b = append(b, `],"counts":null}`...) // encoding/json's rendering of a nil copy
+			continue
+		}
+		b = append(b, `],"counts":[`...)
+		for ri, c := range r.Counts {
+			if ri > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, c, 10)
+		}
+		b = append(b, "]}"...)
+	}
+	b = append(b, `],"shards_contacted":`...)
+	b = strconv.AppendInt(b, int64(resp.ShardsContacted), 10)
+	b = append(b, `,"shards_total":`...)
+	b = strconv.AppendInt(b, int64(resp.ShardsTotal), 10)
+	return b, -1, 0
+}
+
+// appendFloat appends a finite v as encoding/json writes a float64: the
+// shortest round-trip digits, exponent form below 1e-6 and from 1e21 up.
+//
+//distbound:noalloc
+func appendFloat(b []byte, v float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 → e-7
+		b = b[:n-1]
+	}
+	return b
+}

@@ -289,6 +289,32 @@ type Response struct {
 	DeltaProbed  int
 	// Wall is the whole scatter-gather's execution time.
 	Wall time.Duration
+
+	// rendered is the result-cache entry's byte slot (see Rendered); nil on a miss.
+	rendered *atomic.Pointer[[]byte]
+}
+
+// Rendered returns the bytes render appends for r: rendered into *scratch,
+// which keeps them and any growth, unless r's result-cache entry holds them,
+// which leaves *scratch empty. The first hit on an entry keeps an exact-size
+// copy for later hits (racing first hits both render, harmlessly), so an
+// entry never hit keeps none. render may read only what the entry fixes:
+// Results, ShardsContacted and ShardsTotal. A failed render keeps nothing.
+func (r *Response) Rendered(scratch *[]byte, render func([]byte) ([]byte, error)) ([]byte, error) {
+	if r.rendered != nil {
+		if b := r.rendered.Load(); b != nil {
+			*scratch = (*scratch)[:0]
+			return *b, nil
+		}
+	}
+	b, err := render((*scratch)[:0])
+	*scratch = b
+	if err != nil || r.rendered == nil {
+		return b, err
+	}
+	memo := append([]byte(nil), b...)
+	r.rendered.Store(&memo)
+	return memo, nil
 }
 
 // Do answers one aggregation query: route, scatter to intersecting shards,
@@ -389,6 +415,7 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 		// nothing, so the cached copy carries no probe counters.
 		c := out
 		c.RangesProbed, c.DeltaProbed = 0, 0
+		c.rendered = new(atomic.Pointer[[]byte])
 		s.results.Put(key, &c)
 	}
 	return out, nil

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"distbound"
@@ -802,5 +803,120 @@ func TestShardedResultCache(t *testing.T) {
 	}
 	if st := s.engine.ResultCacheStats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("a result cache beneath the scatter was consulted: %+v", st)
+	}
+}
+
+// TestRenderedMemo pins the render slot a result-cache entry carries: a miss
+// renders every time and leaves its entry empty, the first hit fills it and
+// later hits return those bytes without rendering, a failed render stores
+// nothing, a mutation strands the bytes with their entry, and with the cache
+// off nothing is kept.
+func TestRenderedMemo(t *testing.T) {
+	s, _, _, _, _, pts, ws := fixture(t, 22, 4000, 4)
+	ctx := context.Background()
+	renders := 0
+	render := func(req Request, fail bool) []byte {
+		t.Helper()
+		resp, err := s.Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scratch []byte
+		b, err := resp.Rendered(&scratch, func(b []byte) ([]byte, error) {
+			renders++
+			if fail {
+				return b, errors.New("refused")
+			}
+			return fmt.Appendf(b, "%v %d/%d", resp.Results[0].Counts, resp.ShardsContacted, resp.ShardsTotal), nil
+		})
+		if (err != nil) != fail {
+			t.Fatalf("render error %v, want failure %v", err, fail)
+		}
+		return b
+	}
+	expect := func(step string, want int) {
+		t.Helper()
+		if renders != want {
+			t.Fatalf("%s: %d renders, want %d", step, renders, want)
+		}
+	}
+
+	req := Request{Aggs: allAggs, Bound: 64}
+	miss := render(req, false)
+	expect("miss", 1)
+	first := render(req, false)
+	expect("first hit after a miss", 2)
+	again := render(req, false)
+	expect("second hit", 2)
+	if string(first) != string(miss) || &again[0] != &first[0] {
+		t.Fatal("hits must return the bytes the first hit stored, equal to the miss's")
+	}
+
+	// A failed render is not kept: the next hit renders again.
+	other := Request{Aggs: allAggs[:1], Bound: 64}
+	render(other, false)
+	render(other, true)
+	render(other, false)
+	render(other, false)
+	expect("failed first hit", 5)
+
+	// An append strands the entry and its bytes; the new entry fills anew.
+	if _, err := s.Append(pts[:50], ws[:50]); err != nil {
+		t.Fatal(err)
+	}
+	fresh := render(req, false)
+	render(req, false)
+	render(req, false)
+	expect("after an append", 7)
+	if string(fresh) == string(first) {
+		t.Fatal("the read after an append returned the stranded bytes")
+	}
+
+	// With the cache off there is no entry to hold bytes.
+	s.SetResultCacheCapacity(0)
+	for i := 0; i < 3; i++ {
+		render(req, false)
+	}
+	expect("cache off", 10)
+	if resp, _ := s.Do(ctx, req); resp.rendered != nil {
+		t.Fatal("an uncached response carries a render slot")
+	}
+}
+
+// TestRenderedMemoConcurrentFirstHits races first hits on one entry: every
+// caller gets the same bytes, and the race detector sees the slot's
+// publication ordered.
+func TestRenderedMemoConcurrentFirstHits(t *testing.T) {
+	s, _, _, _, _, _, _ := fixture(t, 23, 4000, 4)
+	req := Request{Aggs: allAggs, Bound: 64}
+	if _, err := s.Do(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	var wg sync.WaitGroup
+	got := make([][]byte, n)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := s.Do(context.Background(), req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var scratch []byte
+			got[i], err = resp.Rendered(&scratch, func(b []byte) ([]byte, error) {
+				return fmt.Appendf(b, "%v", resp.Results[1].Sums), nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if string(got[i]) != string(got[0]) {
+			t.Fatalf("hit %d rendered %q, hit 0 %q", i, got[i], got[0])
+		}
 	}
 }
