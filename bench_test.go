@@ -341,6 +341,18 @@ func BenchmarkResident(b *testing.B) {
 		b.Run(fmt.Sprintf("resident-pointidx-cold/bound=%g", bound), func(b *testing.B) {
 			benchResidentDo(b, e, req, func() { e.dropJoiner(ds, bound) })
 		})
+		// The same cold fill for the weighted sets: SUM alone through the
+		// span fold, then SUM, MIN and MAX out of one fold call.
+		for _, set := range []struct {
+			name string
+			aggs []Agg
+		}{{"sums", []Agg{Count, Sum, Avg}}, {"all", []Agg{Count, Sum, Avg, Min, Max}}} {
+			wreq := req
+			wreq.Aggs = set.aggs
+			b.Run(fmt.Sprintf("resident-pointidx-cold-%s/bound=%g", set.name, bound), func(b *testing.B) {
+				benchResidentDo(b, e, wreq, func() { e.dropJoiner(ds, bound) })
+			})
+		}
 	}
 	// The same warm request over an un-compacted delta whose watermark is
 	// current — the steady state between two appends — under the same

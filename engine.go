@@ -147,8 +147,8 @@ func (e *Engine) cachedBuildsInto(bound float64, m map[Strategy]bool) map[Strate
 const DefaultCompactionThreshold = 1 << 16
 
 // Dataset is a handle to a live point dataset registered with
-// RegisterPoints: an SFC-sorted base key column with prefix-sum and block
-// min/max columns, plus an append-only delta buffer and tombstone set for
+// RegisterPoints: an SFC-sorted base key column with per-block sum/min/max
+// columns, plus an append-only delta buffer and tombstone set for
 // points added or removed since the last compaction.
 // Handles are safe for concurrent use: queries read immutable snapshots, so
 // they never observe a torn mutation, and Append/Delete/Compact may race
@@ -413,9 +413,9 @@ func (d *Dataset) maybeCompact() {
 // registration, with Dataset.Compact (manual or threshold-triggered) folding
 // the accumulated delta back into the sorted base. The weight column may be
 // nil, restricting the dataset to COUNT aggregations; weights must be finite
-// (a NaN/Inf weight cannot live in a prefix-sum column without diverging
-// from the streaming aggregates). The build is one sort plus one pass that
-// derives the aggregate columns; the engine keeps its own columns, so the
+// (a NaN/Inf weight would make every SUM, AVG, MIN and MAX that reads it
+// non-finite, which no answer on the wire can carry). The build is one sort
+// plus one pass that derives the block aggregate columns; the engine keeps its own columns, so the
 // caller may reuse pts and weights freely afterwards. Registering an already
 // registered name is an error.
 func (e *Engine) RegisterPoints(name string, pts []Point, weights []float64) (*Dataset, error) {

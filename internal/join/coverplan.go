@@ -27,13 +27,14 @@ import (
 //     each boundary located once however many ranges meet at it — and
 //     gathered through the index pairs into one region-ordered span column.
 //     The resolution survives deletes; only a new base forces it.
-//  2. Fold: per region, the span aggregates (count, sum, block min/max,
-//     tombstones subtracted) of its contiguous slice of the span column are
-//     computed by the batched span folds and folded in the region's own
+//  2. Fold: per region, the live count of each span in its contiguous slice
+//     of the span column comes from one count pass, and its sum, min and max
+//     from one span fold (whole blocks through their aggregates, the end
+//     rows read, tombstoned rows skipped); both fold in the region's own
 //     Lo-ascending range order into the region's base partial, and the
 //     partials are published (basePartials). Columns fill by need: a {count}
-//     query never pays the MIN/MAX block scans, and a later query asking for
-//     more refills with the union of what has been asked.
+//     query never reads a weight, and a later query asking for more refills
+//     with the union of what has been asked.
 //
 // The inversion is incremental per delta lineage (a compaction generation
 // plus its dead-row count; appends extend it, delta deletes and compactions
@@ -55,7 +56,7 @@ import (
 // Under ingest a query pays the merge plus the rows appended since the last
 // query at this bound. Tombstones are deliberately not maintained
 // incrementally: subtracting a deleted weight from a published SUM would
-// associate differently from the prefix-difference form, so a base delete
+// associate differently from folding the surviving rows, so a base delete
 // invalidates the base partials and the next query refills them.
 //
 // A parallel fill partitions the regions by range count, so one region with
@@ -69,7 +70,7 @@ import (
 // 16×16×12 partition at ε = 4), so an index of shared probes costs more table
 // than it saves work. Nor is the fill driven from the boundary segments,
 // which the stab lists would allow: that is twice the probes, and a
-// tombstoned MIN/MAX scan per segment instead of per range.
+// tombstoned row scan per segment instead of per range.
 //
 // Result identity. Against re-execution from nothing (partials dropped), at
 // any worker count, every aggregate is bit-identical, SUM included: base
@@ -500,17 +501,29 @@ func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot
 
 // foldRegions folds the base partials of regions [from, to) into a's slots:
 // per region, its contiguous slice of the resolved span columns goes through
-// the batched span folds a chunk of foldChunk ranges at a time, one pass per
-// column a holds, and the per-range values fold in the region's own
-// Lo-ascending order (the reference execution's fold order).
+// the batched span folds a chunk of foldChunk ranges at a time — one count
+// pass, then one weight fold for every float column a holds — and the
+// per-range values fold in the region's own Lo-ascending order (the
+// reference execution's fold order).
 //
 //distbound:noalloc
 func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, rs *resolvedSpans, from, to int, a *acc) error {
 	var (
 		cnt         [foldChunk]int64
 		sum, mn, mx [foldChunk]float64
+		// The weight fold's output columns; nil for an aggregate not held.
+		sumCol, mnCol, mxCol []float64
 	)
 	needs := a.held()
+	if needs.sum {
+		sumCol = sum[:]
+	}
+	if needs.min {
+		mnCol = mn[:]
+	}
+	if needs.max {
+		mxCol = mx[:]
+	}
 	done := ctx.Done()
 	for ri := from; ri < to; ri++ {
 		rc, rsum, rmn, rmx := int64(0), 0.0, math.Inf(1), math.Inf(-1)
@@ -521,15 +534,7 @@ func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, 
 			n := min(foldChunk, end-lo)
 			los, his := rs.spanLo[lo:lo+n], rs.spanHi[lo:lo+n]
 			snap.CountSpans(los, his, cnt[:n])
-			if needs.sum {
-				snap.SumSpans(los, his, sum[:n])
-			}
-			if needs.min {
-				snap.MinSpans(los, his, mn[:n])
-			}
-			if needs.max {
-				snap.MaxSpans(los, his, mx[:n])
-			}
+			snap.FoldSpans(los, his, sumCol, mnCol, mxCol)
 			for i := 0; i < n; i++ {
 				rc += cnt[i]
 				if needs.sum {

@@ -13,8 +13,8 @@ import (
 // lookup, the R*-tree descent + PIP refinement, the canvas scatter, the
 // cover-range boundary sweep — depends only on the point's location, never on
 // which aggregate is being computed. AggregateMulti therefore runs ONE pass
-// and folds every requested aggregate from it: prefix-sum aggregates share
-// the lookups, MIN/MAX share the block scans. Results are positionally
+// and folds every requested aggregate from it: every aggregate shares the
+// lookups, and on the resident path SUM, MIN and MAX share one span fold. Results are positionally
 // aligned with the aggregate set and bit-identical to running each aggregate
 // alone.
 //

@@ -81,13 +81,13 @@ func (cs *CoverSet) MemoryBytes() int { return cs.plan.memoryBytes() }
 // PointIdxJoiner answers the §5 aggregation join against a resident point
 // dataset instead of a streamed PointSet: one dataset's state over a shared
 // CoverSet. The point side is a pointstore.Mutable — an SFC-sorted base key
-// column with prefix-sum and block min/max columns, plus an unsorted delta
+// column with per-block sum/min/max columns, plus an unsorted delta
 // tail and tombstone set for points appended or deleted since the last
 // compaction.
 //
 // A query loads one immutable snapshot of the dataset and answers from the
 // cover table (coverplan.go): per region, the base's range aggregates folded
-// over the region's cover ranges (tombstones subtracted), plus the delta
+// over the region's cover ranges (tombstoned rows skipped), plus the delta
 // tail's rows fanned out to the regions covering their keys. The result is
 // therefore exactly what a freshly compacted store would return:
 // COUNT/MIN/MAX are bit-identical to a full rebuild of the surviving points,

@@ -43,10 +43,11 @@ const (
 	StrategyBRJ
 	// StrategyPointIdx resolves each region's cover ranges against a
 	// resident point store's sorted keys in one galloping sweep and folds the
-	// range aggregates from its prefix-sum and block columns: per-run cost
-	// proportional to cover ranges, independent of the point count. It
-	// exists only for a registered dataset, where it is the rule rather than
-	// a choice, so the cost model never weighs it.
+	// range aggregates from its per-block aggregates and the rows of each
+	// range's two partial end blocks: per-run cost proportional to cover
+	// ranges, independent of the point count. It exists only for a
+	// registered dataset, where it is the rule rather than a choice, so the
+	// cost model never weighs it.
 	StrategyPointIdx
 )
 

@@ -13,18 +13,13 @@ import (
 // BaseColumns is the flat columnar view of a snapshot's base: exactly the
 // payload a durable snapshot file carries. All slices are shared with the
 // snapshot (or, on the reopen path, with an mmap'd file) and must be treated
-// as read-only. Weights, Prefix, BlockMin and BlockMax are nil iff the
-// dataset is weightless; otherwise len(Prefix) == len(Keys)+1 and the block
-// columns hold ceil(len(Keys)/BlockSize) entries.
+// as read-only. Weights is nil iff the dataset is weightless. The block
+// aggregates are not part of it: every store derives them from Weights.
 type BaseColumns struct {
-	Keys []uint64
-	IDs  []uint64
-	Pts  []geom.Point
-
-	Weights  []float64
-	Prefix   []float64
-	BlockMin []float64
-	BlockMax []float64
+	Keys    []uint64
+	IDs     []uint64
+	Pts     []geom.Point
+	Weights []float64
 }
 
 // BaseColumns returns the snapshot's base columns. Tombstones and the delta
@@ -32,11 +27,7 @@ type BaseColumns struct {
 // compaction, when the base alone is the whole live dataset; other callers
 // must account for s.Tombstones() and the delta themselves.
 func (s *Snapshot) BaseColumns() BaseColumns {
-	return BaseColumns{
-		Keys: s.base.keys, IDs: s.baseIDs, Pts: s.basePts,
-		Weights: s.base.weights, Prefix: s.base.prefix,
-		BlockMin: s.base.blockMin, BlockMax: s.base.blockMax,
-	}
+	return BaseColumns{Keys: s.base.keys, IDs: s.baseIDs, Pts: s.basePts, Weights: s.base.weights}
 }
 
 // NextID returns the ID the next appended point will receive — persisted in
@@ -48,30 +39,20 @@ func (m *Mutable) NextID() uint64 {
 	return m.nextID
 }
 
-// NewMutableFromColumns rebuilds a Mutable around already-sorted,
-// already-derived base columns — the reopen path of a persisted dataset. The
-// columns are installed as generation gen with an empty delta and no
-// tombstones; pin (an mmap handle, typically) is kept reachable for as long
-// as any snapshot can alias the columns. Only structural validity is checked
-// here — consistent lengths, strict (key, ID) order, IDs below nextID; byte-
-// level integrity is the caller's contract (the persist layer admits no
-// section whose checksum does not match).
+// NewMutableFromColumns rebuilds a Mutable around already-sorted base
+// columns — the reopen path of a persisted dataset — deriving the block
+// aggregates in one pass. The columns are installed as generation gen with an
+// empty delta and no tombstones; pin (an mmap handle, typically) is kept
+// reachable for as long as any snapshot can alias the columns. Only
+// structural validity is checked here — consistent lengths, strict (key, ID)
+// order, IDs below nextID, finite weights; byte-level integrity is the
+// caller's contract (the persist layer admits no section whose checksum does
+// not match).
 func NewMutableFromColumns(cols BaseColumns, d sfc.Domain, c sfc.Curve, dropped int, nextID, gen uint64, pin any) (*Mutable, error) {
 	n := len(cols.Keys)
-	if len(cols.IDs) != n || len(cols.Pts) != n {
-		return nil, fmt.Errorf("pointstore: column lengths disagree: %d keys, %d ids, %d points",
-			n, len(cols.IDs), len(cols.Pts))
-	}
-	hasW := cols.Weights != nil
-	if hasW {
-		nb := (n + BlockSize - 1) / BlockSize
-		if len(cols.Weights) != n || len(cols.Prefix) != n+1 ||
-			len(cols.BlockMin) != nb || len(cols.BlockMax) != nb {
-			return nil, fmt.Errorf("pointstore: derived column lengths disagree for %d rows: %d weights, %d prefix, %d/%d blocks",
-				n, len(cols.Weights), len(cols.Prefix), len(cols.BlockMin), len(cols.BlockMax))
-		}
-	} else if cols.Prefix != nil || cols.BlockMin != nil || cols.BlockMax != nil {
-		return nil, fmt.Errorf("pointstore: weightless columns carry derived columns")
+	if len(cols.IDs) != n || len(cols.Pts) != n || (cols.Weights != nil && len(cols.Weights) != n) {
+		return nil, fmt.Errorf("pointstore: column lengths disagree: %d keys, %d ids, %d points, %d weights",
+			n, len(cols.IDs), len(cols.Pts), len(cols.Weights))
 	}
 	for i := 0; i < n; i++ {
 		if cols.IDs[i] >= nextID {
@@ -82,17 +63,13 @@ func NewMutableFromColumns(cols BaseColumns, d sfc.Domain, c sfc.Curve, dropped 
 			return nil, fmt.Errorf("pointstore: rows %d..%d break (key, ID) order", i-1, i)
 		}
 	}
-	m := &Mutable{domain: d, curve: c, hasW: hasW, dropped: dropped, nextID: nextID}
+	base, err := newStoreSorted(cols.Keys, cols.Weights)
+	if err != nil {
+		return nil, err
+	}
+	base.pin = pin
+	m := &Mutable{domain: d, curve: c, hasW: cols.Weights != nil, dropped: dropped, nextID: nextID}
 	m.baseByID = buildIDIndex(cols.IDs, 0)
-	m.snap.Store(&Snapshot{
-		base: &Store{
-			keys: cols.Keys, weights: cols.Weights, prefix: cols.Prefix,
-			blockMin: cols.BlockMin, blockMax: cols.BlockMax,
-			pin: pin,
-		},
-		baseIDs: cols.IDs,
-		basePts: cols.Pts,
-		gen:     gen,
-	})
+	m.snap.Store(&Snapshot{base: base, baseIDs: cols.IDs, basePts: cols.Pts, gen: gen})
 	return m, nil
 }

@@ -75,8 +75,12 @@ func compactSeqRef(s *Snapshot, hasW bool) (*Snapshot, map[uint64]int) {
 		}
 		byID[si[i]] = i
 	}
+	st, err := newStoreSorted(sk, sw)
+	if err != nil {
+		panic(err) // the snapshot's weights are finite
+	}
 	return &Snapshot{
-		base:    newStoreSorted(sk, sw),
+		base:    st,
 		baseIDs: si,
 		basePts: sp,
 		gen:     s.gen + 1,
@@ -84,8 +88,8 @@ func compactSeqRef(s *Snapshot, hasW bool) (*Snapshot, map[uint64]int) {
 }
 
 // requireSnapshotBitIdentical fails unless the two snapshots' base stores and
-// co-sorted columns are bit-for-bit equal: keys, IDs, weights, points, prefix
-// sums, and sparse block min/max.
+// co-sorted columns are bit-for-bit equal: keys, IDs, weights, points, and
+// sparse block sum/min/max.
 func requireSnapshotBitIdentical(t *testing.T, got, want *Snapshot) {
 	t.Helper()
 	if !slices.Equal(got.base.keys, want.base.keys) {
@@ -100,8 +104,8 @@ func requireSnapshotBitIdentical(t *testing.T, got, want *Snapshot) {
 	if !slices.Equal(got.basePts, want.basePts) {
 		t.Fatal("points differ")
 	}
-	if !slices.Equal(got.base.prefix, want.base.prefix) {
-		t.Fatal("prefix sums differ")
+	if !slices.Equal(got.base.blockSum, want.base.blockSum) {
+		t.Fatal("block sums differ")
 	}
 	if !slices.Equal(got.base.blockMin, want.base.blockMin) {
 		t.Fatal("block minima differ")

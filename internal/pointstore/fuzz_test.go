@@ -26,7 +26,7 @@ import (
 // on. Every compaction additionally
 // cross-checks the radix-sort-and-merge machinery against a from-scratch
 // rebuild of the surviving rows: the published base must be bit-identical
-// (keys, IDs, weights, points, prefix sums, block extremes) to a stable
+// (keys, IDs, weights, points, block sums and extremes) to a stable
 // (key, ID) sort of the reference.
 func FuzzMutableOps(f *testing.F) {
 	f.Add([]byte("012345678"))
@@ -104,8 +104,12 @@ func FuzzMutableOps(f *testing.F) {
 			for i, r := range rows {
 				keys[i], ws[i], ids[i], pts[i] = r.key, r.w, r.id, r.pt
 			}
+			st, err := newStoreSorted(keys, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := &Snapshot{
-				base:    newStoreSorted(keys, ws),
+				base:    st,
 				baseIDs: ids,
 				basePts: pts,
 				gen:     s.Gen(),

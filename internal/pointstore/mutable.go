@@ -51,8 +51,7 @@ type Snapshot struct {
 	baseIDs []uint64     // point IDs co-sorted with base keys
 	basePts []geom.Point // original coordinates co-sorted with base keys
 
-	tombPos    []int     // sorted base rows deleted since the last compaction
-	tombPrefix []float64 // prefix sums of tombstoned weights; nil when weightless
+	tombPos []int // sorted base rows deleted since the last compaction
 
 	deltaKeys []uint64
 	deltaWs   []float64 // nil when weightless
@@ -75,7 +74,7 @@ type Snapshot struct {
 // can never truly match — excluding them is exactly what the streaming joins
 // do when they skip out-of-domain points.
 func NewMutable(pts []geom.Point, weights []float64, d sfc.Domain, c sfc.Curve) (*Mutable, error) {
-	if err := validateWeights(pts, weights); err != nil {
+	if err := validateWeights(weights, len(pts)); err != nil {
 		return nil, err
 	}
 	keys, rows := SortedKeys(pts, d, c)
@@ -92,7 +91,9 @@ func NewMutable(pts []geom.Point, weights []float64, d sfc.Domain, c sfc.Curve) 
 			ws[i] = weights[r]
 		}
 	}
-	m.installBase(keys, ws, ids, kept)
+	if err := m.installBase(keys, ws, ids, kept); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -104,7 +105,7 @@ func NewMutableSorted(keys []uint64, pts []geom.Point, weights []float64, d sfc.
 	if len(keys) != len(pts) {
 		return nil, fmt.Errorf("pointstore: %d keys for %d points", len(keys), len(pts))
 	}
-	if err := validateWeights(pts, weights); err != nil {
+	if err := validateWeights(weights, len(pts)); err != nil {
 		return nil, err
 	}
 	if !slices.IsSorted(keys) {
@@ -115,22 +116,25 @@ func NewMutableSorted(keys []uint64, pts []geom.Point, weights []float64, d sfc.
 	for i := range ids {
 		ids[i] = uint64(i)
 	}
-	m.installBase(keys, weights, ids, pts)
+	if err := m.installBase(keys, weights, ids, pts); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
-// validateWeights rejects a mismatched or non-finite weight column. A NaN or
-// ±Inf weight cannot be represented in a prefix-sum column (its poison
-// spreads to ranges that do not contain the point, where a streaming join
-// would localize it), so it is refused instead of silently diverging from the
-// streaming aggregates.
-func validateWeights(pts []geom.Point, weights []float64) error {
-	if weights != nil && len(weights) != len(pts) {
-		return fmt.Errorf("pointstore: %d weights for %d points", len(weights), len(pts))
+// validateWeights rejects a weight column that is not nil and not n long, or
+// that holds a NaN or ±Inf weight, naming its row. A non-finite weight would
+// make every SUM, AVG, MIN and MAX that reads it — through its row or through
+// its block's aggregates — an answer no wire format here can carry, so it is
+// refused at the door: on construction, on Append, and on reopening a
+// snapshot, whose weights are input from outside the program.
+func validateWeights(weights []float64, n int) error {
+	if weights != nil && len(weights) != n {
+		return fmt.Errorf("pointstore: %d weights for %d points", len(weights), n)
 	}
 	for i, w := range weights {
 		if math.IsNaN(w) || math.IsInf(w, 0) {
-			return fmt.Errorf("pointstore: weight %d is %v; prefix-sum aggregation requires finite weights", i, w)
+			return fmt.Errorf("pointstore: weight %d is %v; aggregation requires finite weights", i, w)
 		}
 	}
 	return nil
@@ -138,13 +142,14 @@ func validateWeights(pts []geom.Point, weights []float64) error {
 
 // installBase publishes (key, ID)-sorted columns as the construction-time
 // snapshot: generation 0, empty delta, no tombstones.
-func (m *Mutable) installBase(sk []uint64, sw []float64, si []uint64, sp []geom.Point) {
+func (m *Mutable) installBase(sk []uint64, sw []float64, si []uint64, sp []geom.Point) error {
+	base, err := newStoreSorted(sk, sw)
+	if err != nil {
+		return err
+	}
 	m.baseByID = buildIDIndex(si, 0)
-	m.snap.Store(&Snapshot{
-		base:    newStoreSorted(sk, sw),
-		baseIDs: si,
-		basePts: sp,
-	})
+	m.snap.Store(&Snapshot{base: base, baseIDs: si, basePts: sp})
+	return nil
 }
 
 // Snapshot returns the current immutable view. The result never changes;
@@ -207,7 +212,7 @@ func (m *Mutable) Append(pts []geom.Point, weights []float64) ([]uint64, error) 
 	if !m.hasW && weights != nil {
 		return nil, fmt.Errorf("pointstore: dataset has no weight column; Append must not supply weights")
 	}
-	if err := validateWeights(pts, weights); err != nil {
+	if err := validateWeights(weights, len(pts)); err != nil {
 		return nil, err
 	}
 	keys := make([]uint64, len(pts))
@@ -241,7 +246,7 @@ func (m *Mutable) Append(pts []geom.Point, weights []float64) ([]uint64, error) 
 	}
 	m.snap.Store(&Snapshot{
 		base: s.base, baseIDs: s.baseIDs, basePts: s.basePts,
-		tombPos: s.tombPos, tombPrefix: s.tombPrefix,
+		tombPos:   s.tombPos,
 		deltaKeys: nk, deltaWs: nw, deltaIDs: ni, deltaPts: np,
 		deltaDead: s.deltaDead,
 		gen:       s.gen,
@@ -284,7 +289,7 @@ func (m *Mutable) Delete(ids ...uint64) int {
 	}
 	ns := &Snapshot{
 		base: s.base, baseIDs: s.baseIDs, basePts: s.basePts,
-		tombPos: s.tombPos, tombPrefix: s.tombPrefix,
+		tombPos:   s.tombPos,
 		deltaKeys: s.deltaKeys, deltaWs: s.deltaWs, deltaIDs: s.deltaIDs, deltaPts: s.deltaPts,
 		deltaDead: s.deltaDead,
 		gen:       s.gen,
@@ -292,14 +297,6 @@ func (m *Mutable) Delete(ids ...uint64) int {
 	}
 	if len(newTombs) > 0 {
 		ns.tombPos = mergeSorted(s.tombPos, newTombs)
-		if m.hasW {
-			// Tombstone weights get their own prefix column so a span's
-			// deleted sum is two lookups, mirroring the base prefix column.
-			ns.tombPrefix = make([]float64, len(ns.tombPos)+1)
-			for i, row := range ns.tombPos {
-				ns.tombPrefix[i+1] = ns.tombPrefix[i] + s.base.weights[row]
-			}
-		}
 	}
 	if len(newDead) > 0 {
 		ns.deltaDead = mergeSorted(s.deltaDead, newDead)
@@ -382,8 +379,12 @@ func compactSnapshot(s *Snapshot, hasW bool, workers int) (*Snapshot, *idIndex) 
 			out = mergeSortedColumns(base, delta, hasW, workers)
 		}
 	}
+	st, err := newStoreSorted(out.keys, out.ws)
+	if err != nil {
+		panic(err) // unreachable: every row's weight was validated on its way in
+	}
 	ns := &Snapshot{
-		base:    newStoreSorted(out.keys, out.ws),
+		base:    st,
 		baseIDs: out.ids,
 		basePts: out.pts,
 		gen:     s.gen + 1,
@@ -445,102 +446,45 @@ func (s *Snapshot) HasWeights() bool { return s.base.HasWeights() }
 
 // SpanMulti resolves ascending probe keys against the base column in one
 // monotone sweep; see Store.SpanMulti. Tombstoned rows are included: they do
-// not shift base rows, and the per-span accessors subtract them.
+// not shift base rows, and the per-span accessors skip them.
 //
 //distbound:noalloc
 func (s *Snapshot) SpanMulti(probes []uint64, out []int) { s.base.SpanMulti(probes, out) }
 
-// tombsIn returns how many tombstones fall in base rows [i, j), and the index
-// of the first one.
-//
-//distbound:noalloc
-func (s *Snapshot) tombsIn(i, j int) (count, first int) {
-	first = sort.SearchInts(s.tombPos, i)
-	return sort.SearchInts(s.tombPos, j) - first, first
-}
-
-// CountSpan returns the number of live points in base rows [i, j).
+// CountSpan returns the number of live points in base rows [i, j): the rows
+// less the tombstones among them.
 //
 //distbound:noalloc
 func (s *Snapshot) CountSpan(i, j int) int {
 	if i >= j {
 		return 0
 	}
-	t, _ := s.tombsIn(i, j)
-	return j - i - t
+	return j - i - (sort.SearchInts(s.tombPos, j) - sort.SearchInts(s.tombPos, i))
 }
 
-// SumSpan returns the live weight sum over base rows [i, j): the base prefix
-// difference minus the tombstoned prefix difference.
+// SumSpan returns the live weight sum over base rows [i, j); see FoldSpans.
 //
 //distbound:noalloc
 func (s *Snapshot) SumSpan(i, j int) float64 {
-	if i >= j {
-		return 0
-	}
-	t, first := s.tombsIn(i, j)
-	sum := s.base.prefix[j] - s.base.prefix[i]
-	if t > 0 {
-		sum -= s.tombPrefix[first+t] - s.tombPrefix[first]
-	}
+	sum, _, _ := s.foldSpan(i, j)
 	return sum
 }
 
 // MinSpan returns the minimum live weight over base rows [i, j), +Inf when no
-// live row remains. Blocks without tombstones fold through the sparse block
-// column; blocks containing a tombstone are scanned with the dead rows
-// skipped.
+// live row remains; see FoldSpans.
 //
 //distbound:noalloc
 func (s *Snapshot) MinSpan(i, j int) float64 {
-	return s.extremeSpan(i, j, false)
+	_, mn, _ := s.foldSpan(i, j)
+	return mn
 }
 
 // MaxSpan is MinSpan for the maximum (-Inf when empty).
 //
 //distbound:noalloc
 func (s *Snapshot) MaxSpan(i, j int) float64 {
-	return s.extremeSpan(i, j, true)
-}
-
-//distbound:noalloc
-func (s *Snapshot) extremeSpan(i, j int, maxAgg bool) float64 {
-	if len(s.tombPos) == 0 {
-		if maxAgg {
-			return s.base.maxSpanFold(i, j)
-		}
-		return s.base.minSpanFold(i, j)
-	}
-	m := math.Inf(1)
-	if maxAgg {
-		m = math.Inf(-1)
-	}
-	_, t := s.tombsIn(i, j)
-	for i < j {
-		blockClean := t >= len(s.tombPos) || s.tombPos[t] >= i+BlockSize
-		if i%BlockSize == 0 && i+BlockSize <= j && blockClean {
-			if maxAgg {
-				m = math.Max(m, s.base.blockMax[i/BlockSize])
-			} else {
-				m = math.Min(m, s.base.blockMin[i/BlockSize])
-			}
-			i += BlockSize
-			continue
-		}
-		end := min((i/BlockSize+1)*BlockSize, j)
-		for ; i < end; i++ {
-			if t < len(s.tombPos) && s.tombPos[t] == i {
-				t++
-				continue
-			}
-			if maxAgg {
-				m = math.Max(m, s.base.weights[i])
-			} else {
-				m = math.Min(m, s.base.weights[i])
-			}
-		}
-	}
-	return m
+	_, _, mx := s.foldSpan(i, j)
+	return mx
 }
 
 // DeltaKey returns delta row k's curve key.
@@ -601,6 +545,6 @@ func (s *Snapshot) Materialize() ([]geom.Point, []float64) {
 func (s *Snapshot) MemoryBytes() int {
 	return s.base.MemoryBytes() +
 		16*len(s.basePts) + 8*len(s.baseIDs) +
-		8*(len(s.tombPos)+len(s.tombPrefix)+len(s.deltaDead)) +
+		8*(len(s.tombPos)+len(s.deltaDead)) +
 		8*len(s.deltaKeys) + 8*len(s.deltaWs) + 8*len(s.deltaIDs) + 16*len(s.deltaPts)
 }

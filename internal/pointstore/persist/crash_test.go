@@ -118,22 +118,21 @@ func applyOracle(t testing.TB, m *pointstore.Mutable, op scriptOp) {
 
 // canon is a store's canonical (compacted) state, every column copied out.
 type canon struct {
-	keys, ids              []uint64
-	pts                    []geom.Point
-	ws, prefix, bmin, bmax []float64
-	nextID                 uint64
-	dropped                int
+	keys, ids []uint64
+	pts       []geom.Point
+	ws        []float64
+	nextID    uint64
+	dropped   int
 }
 
 func canonicalize(m *pointstore.Mutable) canon {
 	m.Compact()
 	c := m.Snapshot().BaseColumns()
 	return canon{
-		keys: append([]uint64(nil), c.Keys...),
-		ids:  append([]uint64(nil), c.IDs...),
-		pts:  append([]geom.Point(nil), c.Pts...),
-		ws:   cloneF(c.Weights), prefix: cloneF(c.Prefix),
-		bmin: cloneF(c.BlockMin), bmax: cloneF(c.BlockMax),
+		keys:    append([]uint64(nil), c.Keys...),
+		ids:     append([]uint64(nil), c.IDs...),
+		pts:     append([]geom.Point(nil), c.Pts...),
+		ws:      cloneF(c.Weights),
 		nextID:  m.NextID(),
 		dropped: m.Dropped(),
 	}
@@ -161,14 +160,12 @@ func equalCanon(a, b canon) bool {
 			return false
 		}
 	}
-	for _, col := range [][2][]float64{{a.ws, b.ws}, {a.prefix, b.prefix}, {a.bmin, b.bmin}, {a.bmax, b.bmax}} {
-		if (col[0] == nil) != (col[1] == nil) || len(col[0]) != len(col[1]) {
+	if (a.ws == nil) != (b.ws == nil) || len(a.ws) != len(b.ws) {
+		return false
+	}
+	for i := range a.ws {
+		if math.Float64bits(a.ws[i]) != math.Float64bits(b.ws[i]) {
 			return false
-		}
-		for i := range col[0] {
-			if math.Float64bits(col[0][i]) != math.Float64bits(col[1][i]) {
-				return false
-			}
 		}
 	}
 	return true

@@ -2,13 +2,14 @@
 // little-endian base columns, each section independently CRC'd. The columns
 // are exactly pointstore.BaseColumns — already flat arrays in memory — so a
 // snapshot is written in one streaming pass and can be mmap'd back and
-// served zero-copy on little-endian platforms.
+// served zero-copy on little-endian platforms. No derived column is stored:
+// the block aggregates are rebuilt from the weights at open.
 //
-// Layout (version 1, all integers and floats little-endian):
+// Layout (version 2, all integers and floats little-endian):
 //
 //	offset  size  field
 //	0       4     magic "DBPS"
-//	4       4     u32 format version (1)
+//	4       4     u32 format version (2)
 //	8       8     u64 generation
 //	16      8     u64 nextID
 //	24      8     u64 dropped
@@ -24,8 +25,12 @@
 //	+4      4     zero padding (8-byte alignment for the sections)
 //	...           sections, each 8-byte aligned
 //
-// Changing any of this requires bumping formatVersion — the golden format
-// test pins the exact bytes of a small snapshot.
+// Version 1 had the same layout plus three derived sections of a weighted
+// store (5: prefix sums, 6: block minima, 7: block maxima). A version-1 file
+// still opens: those sections are CRC-checked like any other, then ignored.
+//
+// Changing any of this requires bumping snapVersion — the golden format
+// tests pin the exact bytes of a small snapshot.
 package persist
 
 import (
@@ -40,9 +45,9 @@ import (
 )
 
 const (
-	snapMagic     = "DBPS"
-	walMagic      = "DBWL"
-	formatVersion = 1
+	snapMagic   = "DBPS"
+	walMagic    = "DBWL"
+	snapVersion = 2
 
 	flagHasWeights = 1 << 0
 
@@ -58,13 +63,10 @@ const (
 // Section identifiers. The writer emits them in this order; readers index
 // by id, not position.
 const (
-	secKeys     = 1
-	secIDs      = 2
-	secPts      = 3
-	secWeights  = 4
-	secPrefix   = 5
-	secBlockMin = 6
-	secBlockMax = 7
+	secKeys    = 1
+	secIDs     = 2
+	secPts     = 3
+	secWeights = 4
 )
 
 // castagnoli is the CRC-32C polynomial table shared by every checksum in the
@@ -176,18 +178,8 @@ func snapSections(cols pointstore.BaseColumns) ([]section, []func(func([]byte) e
 		func(e func([]byte) error) error { return emitPts(cols.Pts, e) },
 	}
 	if cols.Weights != nil {
-		secs = append(secs,
-			section{id: secWeights, size: 8 * uint64(len(cols.Weights))},
-			section{id: secPrefix, size: 8 * uint64(len(cols.Prefix))},
-			section{id: secBlockMin, size: 8 * uint64(len(cols.BlockMin))},
-			section{id: secBlockMax, size: 8 * uint64(len(cols.BlockMax))},
-		)
-		emitters = append(emitters,
-			func(e func([]byte) error) error { return emitF64s(cols.Weights, e) },
-			func(e func([]byte) error) error { return emitF64s(cols.Prefix, e) },
-			func(e func([]byte) error) error { return emitF64s(cols.BlockMin, e) },
-			func(e func([]byte) error) error { return emitF64s(cols.BlockMax, e) },
-		)
+		secs = append(secs, section{id: secWeights, size: 8 * uint64(len(cols.Weights))})
+		emitters = append(emitters, func(e func([]byte) error) error { return emitF64s(cols.Weights, e) })
 	}
 	return secs, emitters
 }
@@ -213,7 +205,7 @@ func writeSnapshot(f File, meta snapMeta, cols pointstore.BaseColumns) (int64, e
 
 	hdr := make([]byte, tableEnd+8)
 	copy(hdr, snapMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
+	binary.LittleEndian.PutUint32(hdr[4:], snapVersion)
 	binary.LittleEndian.PutUint64(hdr[8:], meta.gen)
 	binary.LittleEndian.PutUint64(hdr[16:], meta.nextID)
 	binary.LittleEndian.PutUint64(hdr[24:], meta.dropped)
@@ -265,8 +257,8 @@ func parseSnapshot(data []byte) (snapMeta, map[uint32]section, error) {
 	if string(data[:4]) != snapMagic {
 		return meta, nil, fmt.Errorf("persist: bad snapshot magic %q", data[:4])
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != formatVersion {
-		return meta, nil, fmt.Errorf("persist: snapshot format version %d, want %d", v, formatVersion)
+	if v := binary.LittleEndian.Uint32(data[4:]); v < 1 || v > snapVersion {
+		return meta, nil, fmt.Errorf("persist: snapshot format version %d, want 1 to %d", v, snapVersion)
 	}
 	meta.gen = binary.LittleEndian.Uint64(data[8:])
 	meta.nextID = binary.LittleEndian.Uint64(data[16:])
@@ -334,19 +326,13 @@ func parseSnapshot(data []byte) (snapMeta, map[uint32]section, error) {
 		}
 		return nil
 	}
-	nb := (meta.rows + pointstore.BlockSize - 1) / pointstore.BlockSize
 	checks := []error{
 		need(secKeys, 8*meta.rows),
 		need(secIDs, 8*meta.rows),
 		need(secPts, 16*meta.rows),
 	}
 	if meta.hasW {
-		checks = append(checks,
-			need(secWeights, 8*meta.rows),
-			need(secPrefix, 8*(meta.rows+1)),
-			need(secBlockMin, 8*nb),
-			need(secBlockMax, 8*nb),
-		)
+		checks = append(checks, need(secWeights, 8*meta.rows))
 	}
 	for _, err := range checks {
 		if err != nil {
@@ -367,14 +353,6 @@ func decodeColumns(data []byte, meta snapMeta, secs map[uint32]section) pointsto
 		}
 		return out
 	}
-	f64s := func(id uint32) []float64 {
-		s := secs[id]
-		out := make([]float64, s.size/8)
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[s.off+8*uint64(i):]))
-		}
-		return out
-	}
 	cols := pointstore.BaseColumns{Keys: u64s(secKeys), IDs: u64s(secIDs)}
 	pts := make([]geom.Point, meta.rows)
 	off := secs[secPts].off
@@ -384,10 +362,11 @@ func decodeColumns(data []byte, meta snapMeta, secs map[uint32]section) pointsto
 	}
 	cols.Pts = pts
 	if meta.hasW {
-		cols.Weights = f64s(secWeights)
-		cols.Prefix = f64s(secPrefix)
-		cols.BlockMin = f64s(secBlockMin)
-		cols.BlockMax = f64s(secBlockMax)
+		s := secs[secWeights]
+		cols.Weights = make([]float64, s.size/8)
+		for i := range cols.Weights {
+			cols.Weights[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[s.off+8*uint64(i):]))
+		}
 	}
 	return cols
 }

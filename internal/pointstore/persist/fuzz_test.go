@@ -132,8 +132,8 @@ func FuzzSnapshotParse(f *testing.F) {
 		if (cols.Weights != nil) != meta.hasW {
 			t.Fatalf("weight column presence %v contradicts header flag %v", cols.Weights != nil, meta.hasW)
 		}
-		if meta.hasW && len(cols.Prefix) != int(meta.rows)+1 {
-			t.Fatalf("prefix column has %d entries for %d rows", len(cols.Prefix), meta.rows)
+		if meta.hasW && len(cols.Weights) != int(meta.rows) {
+			t.Fatalf("weight column has %d entries for %d rows", len(cols.Weights), meta.rows)
 		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"distbound/internal/geom"
@@ -19,9 +20,10 @@ import (
 //
 //	go test ./internal/pointstore/persist -run TestGolden -update-golden
 //
-// ONLY alongside a formatVersion bump: these files are the compatibility
-// contract, and an unintended diff here means existing stores on disk
-// would stop opening.
+// ONLY alongside a snapVersion or walVersion bump: these files are the
+// compatibility contract, and an unintended diff here means existing stores
+// on disk would stop opening. Images of retired versions are never rewritten:
+// they pin what the current reader must still open.
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden format images")
 
 // goldenStore is a fixed four-point weighted relation whose snapshot bytes
@@ -59,15 +61,15 @@ func checkGolden(t *testing.T, name string, got []byte) {
 		t.Fatalf("golden image missing (run with -update-golden after a DELIBERATE format change): %v", err)
 	}
 	if !bytes.Equal([]byte(hex.Dump(got)), want) {
-		t.Fatalf("%s: on-disk bytes diverged from the pinned v%d image.\n"+
-			"If this is a deliberate format change, bump formatVersion and regenerate with -update-golden.\ngot:\n%s",
-			name, formatVersion, hex.Dump(got))
+		t.Fatalf("%s: on-disk bytes diverged from the pinned image.\n"+
+			"If this is a deliberate format change, bump the format's version and regenerate with -update-golden.\ngot:\n%s",
+			name, hex.Dump(got))
 	}
 }
 
 // TestGoldenSnapshotBytes pins the exact snapshot image — header fields at
 // their documented offsets, the section table, and the full file — so any
-// layout drift within format version 1 fails loudly.
+// layout drift within format version 2 fails loudly.
 func TestGoldenSnapshotBytes(t *testing.T) {
 	m := goldenStore(t)
 	var buf memWriteFile
@@ -83,8 +85,8 @@ func TestGoldenSnapshotBytes(t *testing.T) {
 	if string(b[0:4]) != "DBPS" {
 		t.Fatalf("magic %q", b[0:4])
 	}
-	if u32(4) != 1 {
-		t.Fatalf("version %d at offset 4, want 1", u32(4))
+	if u32(4) != 2 {
+		t.Fatalf("version %d at offset 4, want 2", u32(4))
 	}
 	if u64(8) != meta.gen {
 		t.Fatalf("generation %d at offset 8, want %d", u64(8), meta.gen)
@@ -101,8 +103,8 @@ func TestGoldenSnapshotBytes(t *testing.T) {
 	if u32(40) != flagHasWeights {
 		t.Fatalf("flags %#x at offset 40, want %#x", u32(40), flagHasWeights)
 	}
-	if u32(44) != 7 {
-		t.Fatalf("section count %d at offset 44, want 7", u32(44))
+	if u32(44) != 4 {
+		t.Fatalf("section count %d at offset 44, want 4", u32(44))
 	}
 	if f64(48) != 0 || f64(56) != 0 || f64(64) != 1024 {
 		t.Fatalf("domain (%g, %g, %g) at offset 48, want (0, 0, 1024)", f64(48), f64(56), f64(64))
@@ -111,10 +113,10 @@ func TestGoldenSnapshotBytes(t *testing.T) {
 		t.Fatalf("curve id %d at offset 72, want 0 (hilbert)", b[72])
 	}
 
-	// Section table: ids 1..7 in order, 8-aligned offsets, documented sizes
-	// for 4 rows in 1 block.
-	wantSize := map[uint32]uint64{1: 32, 2: 32, 3: 64, 4: 32, 5: 40, 6: 8, 7: 8}
-	for i := 0; i < 7; i++ {
+	// Section table: ids 1..4 in order, 8-aligned offsets, documented sizes
+	// for 4 rows.
+	wantSize := map[uint32]uint64{1: 32, 2: 32, 3: 64, 4: 32}
+	for i := 0; i < 4; i++ {
 		e := headerFixedSize + i*sectionEntrySize
 		id, off, size := u32(e), u64(e+8), u64(e+16)
 		if id != uint32(i+1) {
@@ -127,7 +129,7 @@ func TestGoldenSnapshotBytes(t *testing.T) {
 			t.Fatalf("section %d: size %d, want %d", id, size, wantSize[id])
 		}
 	}
-	checkGolden(t, "golden_v1.snap.hexdump", b)
+	checkGolden(t, "golden_v2.snap.hexdump", b)
 
 	// The image must round-trip, proving the pin is of a valid snapshot.
 	meta2, secs, err := parseSnapshot(b)
@@ -137,8 +139,60 @@ func TestGoldenSnapshotBytes(t *testing.T) {
 	if meta2 != meta {
 		t.Fatalf("round-trip header %+v, want %+v", meta2, meta)
 	}
-	if len(secs) != 7 {
+	if len(secs) != 4 {
 		t.Fatalf("round-trip found %d sections", len(secs))
+	}
+}
+
+// TestGoldenV1SnapshotOpens opens the pinned version-1 image — the golden
+// store written with its three derived sections — through both load paths:
+// it must open to the golden store's columns and answers.
+func TestGoldenV1SnapshotOpens(t *testing.T) {
+	dump, err := os.ReadFile(filepath.Join("testdata", "golden_v1.snap.hexdump"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img []byte
+	for _, line := range strings.Split(strings.TrimSuffix(string(dump), "\n"), "\n") {
+		// "00000000  44 42 50 53 ...  |DBPS...|": an offset, the bytes in
+		// hex, then the ASCII column.
+		hexPart, _, _ := strings.Cut(line, "|")
+		for _, f := range strings.Fields(hexPart)[1:] {
+			b, err := hex.DecodeString(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img = append(img, b...)
+		}
+	}
+	if v := binary.LittleEndian.Uint32(img[4:]); v != 1 {
+		t.Fatalf("pinned image is version %d, want 1", v)
+	}
+	want := goldenStore(t)
+	for _, fullLoad := range []bool{true, false} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, SnapshotName), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Open(dir, openOptions(fullLoad))
+		if err != nil {
+			t.Fatalf("fullLoad=%v: %v", fullLoad, err)
+		}
+		got := d.Mutable()
+		if got.NextID() != 4 || got.Len() != 4 {
+			t.Fatalf("fullLoad=%v: nextID %d, %d rows", fullLoad, got.NextID(), got.Len())
+		}
+		gs, ws := got.Snapshot(), want.Snapshot()
+		g, w := gs.BaseColumns(), ws.BaseColumns()
+		if !u64Equal(g.Keys, w.Keys) || !u64Equal(g.IDs, w.IDs) || !ptsEqual(g.Pts, w.Pts) || !f64Equal(g.Weights, w.Weights) {
+			t.Fatalf("fullLoad=%v: columns differ from the golden store", fullLoad)
+		}
+		if gs.SumSpan(0, 4) != 1023.5 || gs.MinSpan(0, 4) != -2 || gs.MaxSpan(0, 4) != 1024 {
+			t.Fatalf("fullLoad=%v: sum/min/max %v/%v/%v", fullLoad, gs.SumSpan(0, 4), gs.MinSpan(0, 4), gs.MaxSpan(0, 4))
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

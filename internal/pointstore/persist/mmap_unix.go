@@ -65,13 +65,6 @@ func aliasColumns(data []byte, meta snapMeta, secs map[uint32]section) pointstor
 		}
 		return unsafe.Slice((*uint64)(unsafe.Pointer(&data[s.off])), s.size/8)
 	}
-	f64s := func(id uint32) []float64 {
-		s := secs[id]
-		if s.size == 0 {
-			return []float64{}
-		}
-		return unsafe.Slice((*float64)(unsafe.Pointer(&data[s.off])), s.size/8)
-	}
 	cols := pointstore.BaseColumns{Keys: u64s(secKeys), IDs: u64s(secIDs)}
 	if s := secs[secPts]; s.size == 0 {
 		cols.Pts = []geom.Point{}
@@ -79,10 +72,10 @@ func aliasColumns(data []byte, meta snapMeta, secs map[uint32]section) pointstor
 		cols.Pts = unsafe.Slice((*geom.Point)(unsafe.Pointer(&data[s.off])), s.size/16)
 	}
 	if meta.hasW {
-		cols.Weights = f64s(secWeights)
-		cols.Prefix = f64s(secPrefix)
-		cols.BlockMin = f64s(secBlockMin)
-		cols.BlockMax = f64s(secBlockMax)
+		cols.Weights = []float64{}
+		if s := secs[secWeights]; s.size > 0 {
+			cols.Weights = unsafe.Slice((*float64)(unsafe.Pointer(&data[s.off])), s.size/8)
+		}
 	}
 	return cols
 }

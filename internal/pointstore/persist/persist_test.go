@@ -1,9 +1,12 @@
 package persist
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +19,7 @@ import (
 var tdom = sfc.Domain{Origin: geom.Point{}, Size: 1024}
 
 // tpoints generates n deterministic in-domain points with exactly
-// representable dyadic weights, so prefix-sum comparisons are bitwise.
+// representable dyadic weights, so SUM comparisons are bitwise.
 // heapFS is the operating-system filesystem under another name: Open maps a
 // snapshot only through OSFS itself, so opening through heapFS takes the
 // full-load path on every platform.
@@ -97,10 +100,10 @@ func ptsEqual(a, b []geom.Point) bool {
 }
 
 // requireSameState compacts both stores and asserts every base column —
-// keys, IDs, coordinates, weights, prefix sums, block extremes — plus the
-// next point ID are bit-identical. Compacting first canonicalizes: the
-// unique (key, ID) sort order makes the columns, and the left-to-right
-// prefix fold over them, deterministic for a given live set.
+// keys, IDs, coordinates, weights — plus the next point ID are
+// bit-identical. Compacting first canonicalizes: the unique (key, ID) sort
+// order makes the columns deterministic for a given live set, and the block
+// aggregates are derived from them.
 func requireSameState(t *testing.T, got, want *pointstore.Mutable) {
 	t.Helper()
 	got.Compact()
@@ -116,12 +119,6 @@ func requireSameState(t *testing.T, got, want *pointstore.Mutable) {
 		t.Fatal("points differ")
 	case !f64Equal(g.Weights, w.Weights):
 		t.Fatal("weights differ")
-	case !f64Equal(g.Prefix, w.Prefix):
-		t.Fatal("prefix sums differ")
-	case !f64Equal(g.BlockMin, w.BlockMin):
-		t.Fatal("block minima differ")
-	case !f64Equal(g.BlockMax, w.BlockMax):
-		t.Fatal("block maxima differ")
 	case got.NextID() != want.NextID():
 		t.Fatalf("nextID %d, want %d", got.NextID(), want.NextID())
 	case got.Dropped() != want.Dropped():
@@ -468,5 +465,54 @@ func TestCorruptSnapshotRefused(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{}); err != nil {
 		t.Fatalf("pristine snapshot refused after sweep: %v", err)
+	}
+}
+
+// TestNonFiniteWeightRefused: a snapshot is input from outside the program,
+// so one whose checksums hold but whose weight column carries a NaN or ±Inf
+// must not open through either load path, and the error names the row.
+func TestNonFiniteWeightRefused(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		dir := t.TempDir()
+		d, err := Create(dir, goldenStore(t), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, SnapshotName)
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, secs, err := parseSnapshot(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := secs[secWeights]
+		binary.LittleEndian.PutUint64(img[ws.off+8:], math.Float64bits(bad))
+		// Re-seal the image: the weight section's checksum, then the header's.
+		nsec := int(binary.LittleEndian.Uint32(img[44:]))
+		for i := 0; i < nsec; i++ {
+			if e := img[headerFixedSize+i*sectionEntrySize:]; binary.LittleEndian.Uint32(e) == secWeights {
+				binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(img[ws.off:ws.off+ws.size], castagnoli))
+			}
+		}
+		tableEnd := headerFixedSize + sectionEntrySize*nsec
+		binary.LittleEndian.PutUint32(img[tableEnd:], crc32.Checksum(img[:tableEnd], castagnoli))
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, fullLoad := range []bool{true, false} {
+			d, err := Open(dir, openOptions(fullLoad))
+			if err == nil {
+				d.Close()
+				t.Fatalf("weight %v, fullLoad=%v: snapshot opened", bad, fullLoad)
+			}
+			if !strings.Contains(err.Error(), "weight 1 ") {
+				t.Fatalf("weight %v, fullLoad=%v: error %q does not name row 1", bad, fullLoad, err)
+			}
+		}
 	}
 }

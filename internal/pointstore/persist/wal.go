@@ -34,6 +34,9 @@ import (
 )
 
 const (
+	// walVersion is the log format's version, kept apart from snapVersion:
+	// the log's bytes did not change when the snapshot's did.
+	walVersion    = 1
 	walHeaderSize = 24
 
 	walOpAppend = 1
@@ -44,7 +47,7 @@ const (
 func encodeWALHeader(gen uint64) []byte {
 	hdr := make([]byte, walHeaderSize)
 	copy(hdr, walMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], formatVersion)
+	binary.LittleEndian.PutUint32(hdr[4:], walVersion)
 	binary.LittleEndian.PutUint64(hdr[8:], gen)
 	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[:16], castagnoli))
 	return hdr
@@ -58,7 +61,7 @@ func decodeWALHeader(data []byte) (gen uint64, ok bool) {
 	if len(data) < walHeaderSize || string(data[:4]) != walMagic {
 		return 0, false
 	}
-	if binary.LittleEndian.Uint32(data[4:]) != formatVersion {
+	if binary.LittleEndian.Uint32(data[4:]) != walVersion {
 		return 0, false
 	}
 	if crc32.Checksum(data[:16], castagnoli) != binary.LittleEndian.Uint32(data[16:]) {

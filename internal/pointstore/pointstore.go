@@ -3,21 +3,23 @@
 // kept in memory as an immutable columnar artifact.
 //
 // The store holds the sorted key column, plus — when the dataset carries a
-// weight attribute — a co-sorted weight column with a prefix-sum column
-// (SUM/AVG over any key range is two prefix lookups) and sparse per-block
-// min/max aggregates (MIN/MAX over a range folds whole blocks and scans only
-// the two partial blocks at the ends). A batch of range boundaries resolves
-// to row positions in one galloping sweep over the key column (SpanMulti),
-// so a cover's COUNT/SUM/AVG/MIN/MAX cost O(Σ log gap + range/BlockSize)
-// instead of O(points), which is what lets a serving engine answer repeated
-// aggregations over the same points without re-streaming them.
+// weight attribute — a co-sorted weight column with sparse per-block
+// sum/min/max aggregates: SUM, MIN and MAX over a key range fold the whole
+// blocks it covers through their aggregates and read only the rows of the
+// two partial blocks at its ends, so a range's answer depends on that
+// range's rows alone. A batch of range boundaries resolves to row positions
+// in one galloping sweep over the key column (SpanMulti), so a cover's
+// COUNT/SUM/AVG/MIN/MAX cost O(Σ log gap) plus, per range, its whole blocks
+// and at most two partial blocks of rows, instead of O(points), which is
+// what lets a serving engine answer repeated aggregations over the same
+// points without re-streaming them.
 package pointstore
 
 import "math"
 
-// BlockSize is the width of the sparse min/max blocks: small enough that
-// partial-block scans at range ends stay cheap, large enough that the block
-// columns add under 1% to the weight column's footprint.
+// BlockSize is the width of the sparse aggregate blocks: small enough that
+// partial-block scans at range ends stay cheap, large enough that the three
+// block columns add about 1% to the weight column's footprint.
 const BlockSize = 256
 
 // Store is an immutable, SFC-sorted point dataset with range-aggregate
@@ -26,9 +28,9 @@ const BlockSize = 256
 type Store struct {
 	keys    []uint64  // sorted leaf positions
 	weights []float64 // co-sorted attribute column; nil when absent
-	prefix  []float64 // prefix[i] = sum(weights[:i]); nil when absent
+	blockSum,
 	blockMin,
-	blockMax []float64 // per-BlockSize min/max of weights; nil when absent
+	blockMax []float64 // per-BlockSize sum/min/max of weights; nil when absent
 
 	// pin keeps an external backing allocation — an mmap of a snapshot file —
 	// reachable for as long as the store is: the columns above may alias it,
@@ -37,29 +39,32 @@ type Store struct {
 }
 
 // newStoreSorted builds a Store from already-sorted columns, deriving the
-// prefix-sum and block-aggregate columns. keys must be ascending and ws
-// either nil or co-sorted with keys.
-func newStoreSorted(keys []uint64, ws []float64) *Store {
+// block columns in one pass. keys must be ascending and ws either nil or
+// co-sorted with keys. A non-finite weight fails the build with an error
+// naming its row: only the reopen path can meet one, because every other
+// caller's weights passed validateWeights on their way in.
+func newStoreSorted(keys []uint64, ws []float64) (*Store, error) {
 	s := &Store{keys: keys, weights: ws}
-	if ws != nil {
-		s.prefix = make([]float64, len(ws)+1)
-		for i, w := range ws {
-			s.prefix[i+1] = s.prefix[i] + w
-		}
-		nb := (len(ws) + BlockSize - 1) / BlockSize
-		s.blockMin = make([]float64, nb)
-		s.blockMax = make([]float64, nb)
-		for b := 0; b < nb; b++ {
-			mn, mx := math.Inf(1), math.Inf(-1)
-			end := min((b+1)*BlockSize, len(ws))
-			for i := b * BlockSize; i < end; i++ {
-				mn = math.Min(mn, ws[i])
-				mx = math.Max(mx, ws[i])
-			}
-			s.blockMin[b], s.blockMax[b] = mn, mx
-		}
+	if ws == nil {
+		return s, nil
 	}
-	return s
+	nb := (len(ws) + BlockSize - 1) / BlockSize
+	s.blockSum = make([]float64, nb)
+	s.blockMin = make([]float64, nb)
+	s.blockMax = make([]float64, nb)
+	for b := range nb {
+		sum, mn, mx := 0.0, math.Inf(1), math.Inf(-1)
+		for _, w := range ws[b*BlockSize : min((b+1)*BlockSize, len(ws))] {
+			sum += w
+			mn, mx = min(mn, w), max(mx, w)
+		}
+		// A NaN makes both extremes NaN and fails both comparisons.
+		if !(mn > math.Inf(-1) && mx < math.Inf(1)) {
+			return nil, validateWeights(ws, len(ws))
+		}
+		s.blockSum[b], s.blockMin[b], s.blockMax[b] = sum, mn, mx
+	}
+	return s, nil
 }
 
 // Len returns the number of resident (in-domain) points.
@@ -114,9 +119,9 @@ func (s *Store) SpanMulti(probes []uint64, out []int) {
 	}
 }
 
-// MemoryBytes returns the store's resident footprint: key column, weight and
-// prefix-sum columns, and block aggregates.
+// MemoryBytes returns the store's resident footprint: key and weight columns
+// and block aggregates.
 func (s *Store) MemoryBytes() int {
-	return 8*len(s.keys) + 8*len(s.weights) + 8*len(s.prefix) +
-		8*(len(s.blockMin)+len(s.blockMax))
+	return 8*len(s.keys) + 8*len(s.weights) +
+		8*(len(s.blockSum)+len(s.blockMin)+len(s.blockMax))
 }

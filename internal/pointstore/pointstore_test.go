@@ -183,8 +183,8 @@ func TestWeightValidationAndEmpty(t *testing.T) {
 	if _, err := NewMutable([]geom.Point{geom.Pt(1, 1)}, []float64{1, 2}, d, sfc.Hilbert{}); err == nil {
 		t.Error("mismatched weight column accepted")
 	}
-	// Non-finite weights cannot live in a prefix-sum column without
-	// diverging from streaming aggregation; construction must reject them.
+	// Non-finite weights would make every aggregate that reads them
+	// non-finite; construction must reject them.
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := NewMutable([]geom.Point{geom.Pt(1, 1)}, []float64{bad}, d, sfc.Hilbert{}); err == nil {
 			t.Errorf("non-finite weight %v accepted", bad)

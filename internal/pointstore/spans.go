@@ -1,138 +1,21 @@
-// Batched span folds: the plural counterparts of Snapshot's CountSpan/SumSpan/
-// MinSpan/MaxSpan, taking a cover plan's whole resolved span list at once.
-// Folding every range in one pass over structure-of-arrays inputs replaces
-// the per-range call-and-branch cadence with tight unrolled loops — the probe
+// Span folds: a cover plan's resolved spans — base row ranges [lo, hi) —
+// folded to their live COUNT, SUM, MIN and MAX a batch at a time. The probe
 // phase of the warm resident path spends its time here, so everything below
 // is on the zero-allocation contract.
 //
-// Bit-compatibility with the scalar accessors is load-bearing: both fold the
-// same rows and blocks (partial head rows, whole sparse blocks, partial tail
-// rows), and the 4-way unrolled block folds are safe because min/max over
-// finite weights — construction and Append reject NaN and ±Inf — are
-// order-independent, multiple accumulators included.
+// SUM, MIN and MAX share one fold: a span splits into head rows, whole
+// blocks and tail rows; a whole block holding no tombstone contributes its
+// per-block aggregates, and every other row is read from the weight column,
+// tombstoned rows skipped. A span's answer therefore reads that span's rows
+// and nothing else, the scalar accessors are views of the same fold, and a
+// span without tombstones folds bit-identically on clean and tombstoned
+// snapshots.
 package pointstore
 
-import "math"
-
-// SumSpans writes the weight sum of positions [los[r], his[r]) to out[r] for
-// every range, via the prefix-sum column: two loads and a subtract per range,
-// unrolled 4-way. The store must have weights and len(out) ≥ len(los) ==
-// len(his).
-//
-//distbound:noalloc
-func (s *Store) SumSpans(los, his []int, out []float64) {
-	p := s.prefix
-	n := len(los)
-	r := 0
-	for ; r+4 <= n; r += 4 {
-		out[r] = p[his[r]] - p[los[r]]
-		out[r+1] = p[his[r+1]] - p[los[r+1]]
-		out[r+2] = p[his[r+2]] - p[los[r+2]]
-		out[r+3] = p[his[r+3]] - p[los[r+3]]
-	}
-	for ; r < n; r++ {
-		out[r] = p[his[r]] - p[los[r]]
-	}
-}
-
-// MinSpans writes the minimum weight of positions [los[r], his[r]) to out[r]
-// for every range (+Inf for an empty range). The store must have weights.
-//
-//distbound:noalloc
-func (s *Store) MinSpans(los, his []int, out []float64) {
-	for r := range los {
-		out[r] = s.minSpanFold(los[r], his[r])
-	}
-}
-
-// MaxSpans is MinSpans for the maximum (-Inf when empty).
-//
-//distbound:noalloc
-func (s *Store) MaxSpans(los, his []int, out []float64) {
-	for r := range los {
-		out[r] = s.maxSpanFold(los[r], his[r])
-	}
-}
-
-// minSpanFold returns the minimum weight over positions [i, j), +Inf for an
-// empty span: the span splits once into head rows, whole blocks, and tail
-// rows, and the block fold runs 4-way unrolled.
-//
-//distbound:noalloc
-func (s *Store) minSpanFold(i, j int) float64 {
-	m := math.Inf(1)
-	if i >= j {
-		return m
-	}
-	w := s.weights
-	firstFull := (i + BlockSize - 1) / BlockSize
-	lastFull := j / BlockSize
-	if firstFull >= lastFull {
-		for ; i < j; i++ {
-			m = math.Min(m, w[i])
-		}
-		return m
-	}
-	for ; i < firstFull*BlockSize; i++ {
-		m = math.Min(m, w[i])
-	}
-	bm := s.blockMin[firstFull:lastFull]
-	m0, m1, m2, m3 := m, m, m, m
-	b := 0
-	for ; b+4 <= len(bm); b += 4 {
-		m0 = math.Min(m0, bm[b])
-		m1 = math.Min(m1, bm[b+1])
-		m2 = math.Min(m2, bm[b+2])
-		m3 = math.Min(m3, bm[b+3])
-	}
-	m = math.Min(math.Min(m0, m1), math.Min(m2, m3))
-	for ; b < len(bm); b++ {
-		m = math.Min(m, bm[b])
-	}
-	for i = lastFull * BlockSize; i < j; i++ {
-		m = math.Min(m, w[i])
-	}
-	return m
-}
-
-// maxSpanFold mirrors minSpanFold over blockMax.
-//
-//distbound:noalloc
-func (s *Store) maxSpanFold(i, j int) float64 {
-	m := math.Inf(-1)
-	if i >= j {
-		return m
-	}
-	w := s.weights
-	firstFull := (i + BlockSize - 1) / BlockSize
-	lastFull := j / BlockSize
-	if firstFull >= lastFull {
-		for ; i < j; i++ {
-			m = math.Max(m, w[i])
-		}
-		return m
-	}
-	for ; i < firstFull*BlockSize; i++ {
-		m = math.Max(m, w[i])
-	}
-	bm := s.blockMax[firstFull:lastFull]
-	m0, m1, m2, m3 := m, m, m, m
-	b := 0
-	for ; b+4 <= len(bm); b += 4 {
-		m0 = math.Max(m0, bm[b])
-		m1 = math.Max(m1, bm[b+1])
-		m2 = math.Max(m2, bm[b+2])
-		m3 = math.Max(m3, bm[b+3])
-	}
-	m = math.Max(math.Max(m0, m1), math.Max(m2, m3))
-	for ; b < len(bm); b++ {
-		m = math.Max(m, bm[b])
-	}
-	for i = lastFull * BlockSize; i < j; i++ {
-		m = math.Max(m, w[i])
-	}
-	return m
-}
+import (
+	"math"
+	"sort"
+)
 
 // CountSpans writes the live point count of base rows [los[r], his[r]) to
 // out[r] for every range. With no tombstones it is a pure subtract loop;
@@ -159,52 +42,74 @@ func (s *Snapshot) CountSpans(los, his []int, out []int64) {
 	}
 }
 
-// SumSpans writes the live weight sum of base rows [los[r], his[r]) to out[r]
-// for every range: the batched base prefix fold, then — only when tombstones
-// exist — a per-range subtraction of the tombstoned prefix difference.
+// FoldSpans writes the live weight sum, minimum and maximum of base rows
+// [los[r], his[r]) to sum[r], mn[r] and mx[r] for every range: 0, +Inf and
+// -Inf when no live row remains. A nil column is not asked for and is left
+// alone; a non-nil one must hold at least len(los) entries. With every
+// column nil it does nothing; otherwise the snapshot must have weights.
 //
 //distbound:noalloc
-func (s *Snapshot) SumSpans(los, his []int, out []float64) {
-	s.base.SumSpans(los, his, out)
-	if len(s.tombPos) == 0 {
+func (s *Snapshot) FoldSpans(los, his []int, sum, mn, mx []float64) {
+	if sum == nil && mn == nil && mx == nil {
 		return
 	}
 	for r := range los {
-		if los[r] >= his[r] {
+		a, lo, hi := s.foldSpan(los[r], his[r])
+		if sum != nil {
+			sum[r] = a
+		}
+		if mn != nil {
+			mn[r] = lo
+		}
+		if mx != nil {
+			mx[r] = hi
+		}
+	}
+}
+
+// foldSpan returns the live weight sum, minimum and maximum over base rows
+// [i, j), one block-bounded stretch at a time and in row order.
+//
+//distbound:noalloc
+func (s *Snapshot) foldSpan(i, j int) (sum, mn, mx float64) {
+	sum, mn, mx = 0, math.Inf(1), math.Inf(-1)
+	w, dead := s.base.weights, s.tombPos
+	t := sort.SearchInts(dead, i) // the first tombstone at or after row i
+	for i < j {
+		end := min((i/BlockSize+1)*BlockSize, j)
+		if end-i == BlockSize && (t == len(dead) || dead[t] >= end) {
+			b := i / BlockSize
+			sum += s.base.blockSum[b]
+			mn, mx = min(mn, s.base.blockMin[b]), max(mx, s.base.blockMax[b])
+			i = end
 			continue
 		}
-		t, first := s.tombsIn(los[r], his[r])
-		if t > 0 {
-			out[r] -= s.tombPrefix[first+t] - s.tombPrefix[first]
+		// The live rows of [i, end) are the stretches between its tombstones.
+		for ; t < len(dead) && dead[t] < end; t++ {
+			sum, mn, mx = foldRows(w[i:dead[t]], sum, mn, mx)
+			i = dead[t] + 1
+		}
+		sum, mn, mx = foldRows(w[i:end], sum, mn, mx)
+		i = end
+	}
+	return sum, mn, mx
+}
+
+// foldRows folds ws, in order, into a running sum, minimum and maximum.
+//
+//distbound:noalloc
+func foldRows(ws []float64, sum, mn, mx float64) (float64, float64, float64) {
+	for _, w := range ws {
+		sum += w
+		// Guarded, because a new extreme is rare: the comparison predicts
+		// well and keeps min and max off the sum's dependency chain. The
+		// builtins still break ties, ordering -0 below +0.
+		if w <= mn {
+			mn = min(mn, w)
+		}
+		if w >= mx {
+			mx = max(mx, w)
 		}
 	}
-}
-
-// MinSpans writes the live weight minimum of base rows [los[r], his[r]) to
-// out[r] for every range (+Inf when empty). Tombstone-free snapshots — the
-// steady state right after a compaction — take the batched store fold;
-// otherwise each range falls back to the tombstone-skipping scalar scan.
-//
-//distbound:noalloc
-func (s *Snapshot) MinSpans(los, his []int, out []float64) {
-	if len(s.tombPos) == 0 {
-		s.base.MinSpans(los, his, out)
-		return
-	}
-	for r := range los {
-		out[r] = s.extremeSpan(los[r], his[r], false)
-	}
-}
-
-// MaxSpans is MinSpans for the maximum (-Inf when empty).
-//
-//distbound:noalloc
-func (s *Snapshot) MaxSpans(los, his []int, out []float64) {
-	if len(s.tombPos) == 0 {
-		s.base.MaxSpans(los, his, out)
-		return
-	}
-	for r := range los {
-		out[r] = s.extremeSpan(los[r], his[r], true)
-	}
+	return sum, mn, mx
 }

@@ -3,22 +3,39 @@ package pointstore
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"distbound/internal/geom"
 	"distbound/internal/sfc"
 )
 
-// spansFixture builds a weighted mutable store and a batch of random resolved
-// spans over its base rows, including empty, block-aligned, sub-block and
-// column-spanning shapes.
+// spansFixture builds a weighted mutable store — every tenth point or so
+// deleted when del is set — and a batch of random resolved spans over its
+// base rows, including empty, block-aligned, sub-block and column-spanning
+// shapes. The weights spread over 30 binary orders of magnitude, both signs,
+// so a SUM's rounding depends on which rows it adds.
 func spansFixture(t testing.TB, n, nSpans int, del bool) (*Snapshot, []int, []int) {
 	rng := rand.New(rand.NewSource(21))
 	d, err := sfc.NewDomain(geom.Pt(0, 0), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := dirtySnapshot(t, rng, d, n, 0, true, del)
+	ws := make([]float64, n)
+	for i := range ws {
+		ws[i] = math.Ldexp(rng.Float64()-0.25, rng.Intn(30))
+	}
+	m, err := NewMutable(randPts(rng, n), ws, d, sfc.Hilbert{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if del {
+		ids := make([]uint64, 0, n/10)
+		for range n / 10 {
+			ids = append(ids, uint64(rng.Intn(n)))
+		}
+		m.Delete(ids...)
+	}
 	s := m.Snapshot()
 	base := s.BaseLen()
 	los := make([]int, nSpans)
@@ -45,8 +62,9 @@ func spansFixture(t testing.TB, n, nSpans int, del bool) (*Snapshot, []int, []in
 	return s, los, his
 }
 
-// TestBatchedSpansMatchScalar pins the batched folds bit-identical to the
-// scalar per-span accessors, with and without tombstones.
+// TestBatchedSpansMatchScalar pins the batched fold bit-identical to the
+// scalar per-span accessors, with and without tombstones, and a column asked
+// for alone bit-identical to the same column asked for with the others.
 func TestBatchedSpansMatchScalar(t *testing.T) {
 	for _, del := range []bool{false, true} {
 		name := "clean"
@@ -60,10 +78,10 @@ func TestBatchedSpansMatchScalar(t *testing.T) {
 			sum := make([]float64, n)
 			mn := make([]float64, n)
 			mx := make([]float64, n)
+			mnAlone := make([]float64, n)
 			s.CountSpans(los, his, cnt)
-			s.SumSpans(los, his, sum)
-			s.MinSpans(los, his, mn)
-			s.MaxSpans(los, his, mx)
+			s.FoldSpans(los, his, sum, mn, mx)
+			s.FoldSpans(los, his, nil, mnAlone, nil)
 			for r := 0; r < n; r++ {
 				if want := int64(s.CountSpan(los[r], his[r])); cnt[r] != want {
 					t.Fatalf("span %d [%d,%d): count %d, scalar %d", r, los[r], his[r], cnt[r], want)
@@ -71,8 +89,8 @@ func TestBatchedSpansMatchScalar(t *testing.T) {
 				if want := s.SumSpan(los[r], his[r]); sum[r] != want {
 					t.Fatalf("span %d [%d,%d): sum %v, scalar %v", r, los[r], his[r], sum[r], want)
 				}
-				if want := s.MinSpan(los[r], his[r]); mn[r] != want {
-					t.Fatalf("span %d [%d,%d): min %v, scalar %v", r, los[r], his[r], mn[r], want)
+				if want := s.MinSpan(los[r], his[r]); mn[r] != want || mnAlone[r] != want {
+					t.Fatalf("span %d [%d,%d): min %v (alone %v), scalar %v", r, los[r], his[r], mn[r], mnAlone[r], want)
 				}
 				if want := s.MaxSpan(los[r], his[r]); mx[r] != want {
 					t.Fatalf("span %d [%d,%d): max %v, scalar %v", r, los[r], his[r], mx[r], want)
@@ -82,41 +100,54 @@ func TestBatchedSpansMatchScalar(t *testing.T) {
 	}
 }
 
-// TestStoreBatchedSpansMatchScalar exercises the Store-level folds directly
-// (the tombstone-free fast path the snapshot wrappers dispatch to) against a
-// brute scan of the weight column. SUM is compared to a tolerance: the
-// prefix difference and a left-to-right sum associate differently.
-func TestStoreBatchedSpansMatchScalar(t *testing.T) {
-	s, los, his := spansFixture(t, 30_000, 300, false)
-	st := s.base
-	n := len(los)
-	sum := make([]float64, n)
-	mn := make([]float64, n)
-	mx := make([]float64, n)
-	st.SumSpans(los, his, sum)
-	st.MinSpans(los, his, mn)
-	st.MaxSpans(los, his, mx)
-	for r := 0; r < n; r++ {
-		wantSum, wantMin, wantMax := 0.0, math.Inf(1), math.Inf(-1)
-		for _, w := range st.weights[los[r]:his[r]] {
-			wantSum += w
-			wantMin, wantMax = math.Min(wantMin, w), math.Max(wantMax, w)
+// TestFoldSpansMatchBrute checks the snapshot fold against a brute scan of
+// each span's live rows, on clean and tombstoned snapshots: MIN and MAX
+// exactly, SUM within 2·n·u·Σ|w| over the span's own n live rows — the
+// worst-case rounding of two sums of the same terms, tight enough that
+// rounding carried in from rows outside the span would break it.
+func TestFoldSpansMatchBrute(t *testing.T) {
+	for _, del := range []bool{false, true} {
+		name := "clean"
+		if del {
+			name = "tombstoned"
 		}
-		if math.Abs(sum[r]-wantSum) > 1e-9*math.Max(1, st.prefix[len(st.prefix)-1]) {
-			t.Fatalf("span %d: sum %v, brute %v", r, sum[r], wantSum)
-		}
-		if mn[r] != wantMin {
-			t.Fatalf("span %d: min %v, brute %v", r, mn[r], wantMin)
-		}
-		if mx[r] != wantMax {
-			t.Fatalf("span %d: max %v, brute %v", r, mx[r], wantMax)
-		}
+		t.Run(name, func(t *testing.T) {
+			s, los, his := spansFixture(t, 30_000, 300, del)
+			n := len(los)
+			sum := make([]float64, n)
+			mn := make([]float64, n)
+			mx := make([]float64, n)
+			s.FoldSpans(los, his, sum, mn, mx)
+			for r := 0; r < n; r++ {
+				live, wantSum, abs := 0, 0.0, 0.0
+				wantMin, wantMax := math.Inf(1), math.Inf(-1)
+				for i := los[r]; i < his[r]; i++ {
+					if _, dead := slices.BinarySearch(s.tombPos, i); dead {
+						continue
+					}
+					w := s.base.weights[i]
+					live++
+					wantSum += w
+					abs += math.Abs(w)
+					wantMin, wantMax = math.Min(wantMin, w), math.Max(wantMax, w)
+				}
+				if math.Abs(sum[r]-wantSum) > 2*float64(live)*0x1p-53*abs {
+					t.Fatalf("span %d [%d,%d): sum %v, brute %v (Σ|w| %v over %d rows)", r, los[r], his[r], sum[r], wantSum, abs, live)
+				}
+				if mn[r] != wantMin {
+					t.Fatalf("span %d: min %v, brute %v", r, mn[r], wantMin)
+				}
+				if mx[r] != wantMax {
+					t.Fatalf("span %d: max %v, brute %v", r, mx[r], wantMax)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkSpanFolds is the scalar-vs-batched head-to-head over a tombstone-
-// free snapshot: the per-range accessor cadence the cover plan used to pay
-// against the one-pass batched folds it pays now.
+// free snapshot: the per-range accessor cadence against the one-pass batched
+// folds the cover plan pays.
 func BenchmarkSpanFolds(b *testing.B) {
 	s, los, his := spansFixture(b, 200_000, 1024, false)
 	n := len(los)
@@ -139,9 +170,7 @@ func BenchmarkSpanFolds(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s.CountSpans(los, his, cnt)
-			s.SumSpans(los, his, sum)
-			s.MinSpans(los, his, mn)
-			s.MaxSpans(los, his, mx)
+			s.FoldSpans(los, his, sum, mn, mx)
 		}
 	})
 }

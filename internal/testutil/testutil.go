@@ -16,7 +16,7 @@
 // sums are all exactly representable. Under them every summation order
 // produces identical bits, which is what lets CheckIdentical require
 // bit-for-bit equality of SUM/AVG across physically different execution
-// orders (base prefix sums minus tombstones plus delta vs a fresh rebuild).
+// orders (base span folds around tombstones plus delta vs a fresh rebuild).
 package testutil
 
 import (
