@@ -354,10 +354,32 @@ func BenchmarkResident(b *testing.B) {
 			})
 		}
 	}
+	// Tombstones and the delta below accumulate; no compaction may sweep
+	// them away mid-benchmark.
+	ds.SetCompactionThreshold(0)
+	// Read after delete: one more base row deleted before every request, so
+	// each one refills the base partials over the spans the previous fill
+	// resolved. The refill allocates, so the name keeps it out of CI's
+	// allocation gate. An untimed delete ahead of the warm-up builds the ID
+	// index. Runs after the cold fills, whose base stays free of tombstones.
+	nextID := uint64(0)
+	deleteOne := func() {
+		for ; ; nextID++ {
+			if n, err := ds.Delete(nextID); err != nil || n == 1 {
+				return
+			}
+		}
+	}
+	for _, bound := range []float64{8, 16} {
+		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Repetitions: 100000, Workers: 1}
+		b.Run(fmt.Sprintf("resident-pointidx-after-delete/bound=%g", bound), func(b *testing.B) {
+			deleteOne()
+			benchResidentDo(b, e, req, deleteOne)
+		})
+	}
 	// The same warm request over an un-compacted delta whose watermark is
 	// current — the steady state between two appends — under the same
 	// zero-alloc gate. Runs last: the delta stays.
-	ds.SetCompactionThreshold(0)
 	if _, err := ds.Append(pts[:4096], weights[:4096]); err != nil {
 		b.Fatal(err)
 	}

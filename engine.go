@@ -322,6 +322,10 @@ func (d *Dataset) Append(pts []Point, weights []float64) ([]uint64, error) {
 // being live); appended points carry the IDs Append returned. Deletions are
 // visible to every query issued after Delete returns.
 //
+// The first Delete naming a base ID (not one appended since the last
+// compaction) builds the base's ID index: 16 B a row, ≈22 ms a million rows
+// on two cores. Later deletes reuse it until the next compaction.
+//
 // On a durable dataset a deletion that fails to reach the log still returns
 // its live count — the removal is visible in memory — but the dataset wedges
 // (later mutations are refused, Stats().DurableErr stays set) and the error

@@ -26,7 +26,9 @@ import (
 //     in a single monotone sweep (pointstore.SpanMulti) — sequential access,
 //     each boundary located once however many ranges meet at it — and
 //     gathered through the index pairs into one region-ordered span column.
-//     The resolution survives deletes; only a new base forces it.
+//     The spans ride on the partials folded from them, so a fill over the
+//     same base store — after a delete, or to widen the columns — reuses
+//     them; only a new base store forces a resolution.
 //  2. Fold: per region, the live count of each span in its contiguous slice
 //     of the span column comes from one count pass, and its sum, min and max
 //     from one span fold (whole blocks through their aggregates, the end
@@ -124,41 +126,28 @@ const (
 	radixBuckets = 1 << radixBits
 )
 
-// resolvedSpans is the span resolution of the plan against one base column:
-// the position SpanMulti located for every boundary key, gathered through the
-// index pairs into the region-ordered SoA span list [spanLo[i], spanHi[i])
-// the batched folds consume. The resolution depends only on the plan and the
-// base store — not on deltas, tombstones or the query — so it is computed
-// once per base identity, published through the joiner's atomic pointer, and
-// shared read-only by every query until a compaction installs a new base.
-// That makes cover-plan maintenance across compactions incremental: the
-// table survives verbatim, and the first query against the new base re-runs
-// only this resolution.
-type resolvedSpans struct {
-	base   *pointstore.Store // identity of the base column resolved against
-	spanLo []int
-	spanHi []int
-}
-
-// memoryBytes is the resolution's resident footprint.
-func (rs *resolvedSpans) memoryBytes() int {
-	return 8 * (len(rs.spanLo) + len(rs.spanHi))
-}
-
 // basePartials is the per-region fold of one base column under one tombstone
-// set — the output of the fill. For one base store the tombstone list only
-// grows, so (base, tombs) identifies the live base rows exactly. The fold is
-// a pure function of that identity and the plan, so it is published through
-// the joiner's atomic pointer beside the span resolution and shared
-// read-only by every query until a delete or compaction changes the
-// identity. gen orders publications: a reader still holding a
+// set — the output of the fill — with the span resolution it was folded
+// from. For one base store the tombstone list only grows, so (base, tombs)
+// identifies the live base rows exactly. The fold is a pure function of that
+// identity and the plan, so it is published through the joiner's atomic
+// pointer and shared read-only by every query until a delete or compaction
+// changes the identity. gen orders publications: a reader still holding a
 // pre-compaction snapshot must not replace the partials of the base that
 // superseded it. acc holds the columns some query asked for.
+//
+// spanLo and spanHi are every cover range resolved against base: the rows
+// [spanLo[i], spanHi[i]), region-ordered like the plan's ranges. They depend
+// only on the plan and the base store — not on deltas, tombstones or the
+// query — so the next fill over the same store reuses them, and cover-plan
+// maintenance across a compaction is incremental: the table survives
+// verbatim, and the first fill against the new base re-runs only resolve.
 type basePartials struct {
-	base  *pointstore.Store
-	gen   uint64
-	tombs int
-	acc   acc
+	base           *pointstore.Store
+	gen            uint64
+	tombs          int
+	spanLo, spanHi []int32
+	acc            acc
 }
 
 // serves reports whether bp answers needs over snap's base rows.
@@ -459,36 +448,35 @@ func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore
 	return stats, nil
 }
 
-// fillBase is the fill: it resolves (or reuses) snap's span resolution,
+// fillBase is the fill: it takes the published partials' spans when they
+// were resolved against snap's base store and resolves afresh otherwise,
 // folds every region's ranges for the columns needs asks, and publishes the
-// partials. When the published partials already describe snap's base rows
-// and merely lack columns, the fill computes the union, so the published set
-// only widens while the base rows stand still (three widenings at most).
-// Racing fills of one identity produce identical columns from the same
-// immutable base, so any of their publications is correct; a fill for a
-// superseded base answers its caller and publishes nothing.
+// partials with their spans. When the published partials already describe
+// snap's base rows and merely lack columns, the fill computes the union, so
+// the published set only widens while the base rows stand still (three
+// widenings at most). Racing fills of one identity produce identical columns
+// from the same immutable base, so any of their publications is correct; a
+// fill for a superseded base answers its caller and publishes nothing.
 func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot, needs aggNeeds, workers int) (*basePartials, error) {
 	p := j.plan
-	if cur := j.base.Load(); cur.serves(snap, aggNeeds{}) {
-		needs = needs.with(cur.acc.held())
+	next := &basePartials{base: snap.BaseStore(), gen: snap.Gen(), tombs: snap.Tombstones()}
+	if cur := j.base.Load(); cur != nil && cur.base == next.base {
+		next.spanLo, next.spanHi = cur.spanLo, cur.spanHi
+		if cur.tombs == next.tombs {
+			needs = needs.with(cur.acc.held())
+		}
+	} else {
+		var err error
+		if next.spanLo, next.spanHi, err = p.resolve(ctx, snap, workers); err != nil {
+			return nil, err
+		}
 	}
-	next := &basePartials{
-		base: snap.BaseStore(), gen: snap.Gen(), tombs: snap.Tombstones(),
-		acc: newAcc(needs, j.NumRegions()),
-	}
-	// Span resolution is shared, not per-fill: spansFor returns the plan's
-	// published resolution when snap still serves the base it was resolved
-	// against (a fill forced by a delete), and re-resolves only on
-	// base-identity change.
-	rs, err := j.spansFor(ctx, snap, workers)
-	if err != nil {
-		return nil, err
-	}
+	next.acc = newAcc(needs, j.NumRegions())
 	shards := pool.SplitWeighted(j.NumRegions(), workers, func(ri int) int64 {
 		return int64(p.regOff[ri+1]-p.regOff[ri]) + 1
 	})
-	err = pool.RunCtx(ctx, len(shards), len(shards), func(_, si int) error {
-		return p.foldRegions(ctx, snap, rs, shards[si][0], shards[si][1], &next.acc)
+	err := pool.RunCtx(ctx, len(shards), len(shards), func(_, si int) error {
+		return p.foldRegions(ctx, snap, next, shards[si][0], shards[si][1])
 	})
 	if err != nil {
 		return nil, err
@@ -499,21 +487,22 @@ func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot
 	return next, nil
 }
 
-// foldRegions folds the base partials of regions [from, to) into a's slots:
-// per region, its contiguous slice of the resolved span columns goes through
+// foldRegions folds the base partials of regions [from, to) into bp's acc
+// slots: per region, its contiguous slice of bp's span columns goes through
 // the batched span folds a chunk of foldChunk ranges at a time — one count
-// pass, then one weight fold for every float column a holds — and the
+// pass, then one weight fold for every float column the acc holds — and the
 // per-range values fold in the region's own Lo-ascending order (the
 // reference execution's fold order).
 //
 //distbound:noalloc
-func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, rs *resolvedSpans, from, to int, a *acc) error {
+func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, bp *basePartials, from, to int) error {
 	var (
 		cnt         [foldChunk]int64
 		sum, mn, mx [foldChunk]float64
 		// The weight fold's output columns; nil for an aggregate not held.
 		sumCol, mnCol, mxCol []float64
 	)
+	a := &bp.acc
 	needs := a.held()
 	if needs.sum {
 		sumCol = sum[:]
@@ -532,7 +521,7 @@ func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, 
 				return ctx.Err()
 			}
 			n := min(foldChunk, end-lo)
-			los, his := rs.spanLo[lo:lo+n], rs.spanHi[lo:lo+n]
+			los, his := bp.spanLo[lo:lo+n], bp.spanHi[lo:lo+n]
 			snap.CountSpans(los, his, cnt[:n])
 			snap.FoldSpans(los, his, sumCol, mnCol, mxCol)
 			for i := 0; i < n; i++ {
@@ -599,59 +588,32 @@ func (j *PointIdxJoiner) extendDelta(ctx context.Context, snap *pointstore.Snaps
 	return next, probed, nil
 }
 
-// spansFor returns the plan's span resolution for snap's base: the published
-// one when the base identity matches (the warm path — one atomic load, no
-// allocation), a fresh resolution otherwise. Two queries racing past a
-// compaction may both resolve; they produce identical content from the same
-// immutable base, so either publication is correct and the loser's work is
-// garbage, not corruption.
-//
-//distbound:noalloc
-func (j *PointIdxJoiner) spansFor(ctx context.Context, snap *pointstore.Snapshot, workers int) (*resolvedSpans, error) {
-	if rs := j.spans.Load(); rs != nil && rs.base == snap.BaseStore() {
-		return rs, nil
-	}
-	rs, err := j.refreshSpans(ctx, snap, workers)
-	if err != nil {
-		return nil, err
-	}
-	j.spans.Store(rs)
-	return rs, nil
-}
-
-// refreshSpans is the incremental cover-plan maintenance step: every
-// boundary key is resolved against snap's base column in a monotone sweep
-// (chunked across workers when asked), and each range's pair of resolved
-// positions is gathered into the span columns, hi = -1 becoming the column
-// end. The table is untouched — it depends only on regions and bound — so
-// this is all a compaction costs the cover plan.
-func (j *PointIdxJoiner) refreshSpans(ctx context.Context, snap *pointstore.Snapshot, workers int) (*resolvedSpans, error) {
-	p := j.plan
+// resolve is the incremental cover-plan maintenance step: every boundary
+// key is resolved against snap's base column in a monotone sweep (chunked
+// across workers when asked), and each range's pair of resolved positions is
+// gathered into the span columns, hi = -1 becoming the column end. The table
+// is untouched — it depends only on regions and bound — so this is all a
+// compaction costs the cover plan.
+func (p *coverPlan) resolve(ctx context.Context, snap *pointstore.Snapshot, workers int) (spanLo, spanHi []int32, err error) {
 	resolved := make([]int, len(p.bkeys))
 	chunks := pool.Split(len(p.bkeys), workers)
-	err := pool.RunCtx(ctx, len(chunks), len(chunks), func(_, ci int) error {
+	err = pool.RunCtx(ctx, len(chunks), len(chunks), func(_, ci int) error {
 		lo, hi := chunks[ci][0], chunks[ci][1]
 		snap.SpanMulti(p.bkeys[lo:hi], resolved[lo:hi])
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	rs := &resolvedSpans{
-		base:   snap.BaseStore(),
-		spanLo: make([]int, len(p.ranges)),
-		spanHi: make([]int, len(p.ranges)),
-	}
-	baseLen := snap.BaseLen()
+	spanLo, spanHi = make([]int32, len(p.ranges)), make([]int32, len(p.ranges))
+	baseLen := int32(snap.BaseLen())
 	for i, r := range p.ranges {
-		rs.spanLo[i] = resolved[r.lo]
+		spanLo[i], spanHi[i] = int32(resolved[r.lo]), baseLen
 		if r.hi >= 0 {
-			rs.spanHi[i] = resolved[r.hi]
-		} else {
-			rs.spanHi[i] = baseLen
+			spanHi[i] = int32(resolved[r.hi])
 		}
 	}
-	return rs, nil
+	return spanLo, spanHi, nil
 }
 
 // invertDelta searches each live delta row from index from on into the

@@ -274,11 +274,13 @@ func TestCoverPlanWeightedFoldIsolation(t *testing.T) {
 }
 
 // TestResolvedSpansIncrementalMaintenance pins the sharing contract of the
-// span resolution: queries against one base — including under appends and
-// deletes, which never move base rows — reuse one published resolvedSpans;
-// a compaction's new base forces exactly one re-resolution, reusing the
-// cover table by identity; and results stay
-// bit-identical to the reference execution across the switch.
+// span resolution the base partials carry: fills against one base store —
+// under appends, deletes and column widenings, which never move base rows —
+// reuse one resolution; a compaction's new base forces exactly one
+// re-resolution, reusing the cover table by identity; a fill on a snapshot
+// the compaction superseded neither publishes nor disturbs the current
+// base's spans; and results stay bit-identical to the reference execution
+// throughout.
 func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	pts, _ := data.TaxiPoints(31, 8000)
 	// Integer weights: the two executions associate the delta tail's float
@@ -297,18 +299,24 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pj.spans.Load() != nil {
+	if pj.base.Load() != nil {
 		t.Fatal("construction resolved spans before any query")
 	}
+	// spans identifies the published resolution by its first element.
+	spans := func() *int32 { return &pj.base.Load().spanLo[0] }
+	ctx := context.Background()
 	ref := refCovers(regions, pj)
 	aggs := []Agg{Count, Sum, Min, Max}
-	checkPlanMatchesPerRegion(t, "cold", pj, ref, aggs)
-	rs1 := pj.spans.Load()
-	if rs1 == nil {
-		t.Fatal("first query published no span resolution")
+	if _, err := residentAggregate(ctx, pj, []Agg{Count}, 1); err != nil {
+		t.Fatal(err)
 	}
-	if rs1.base != store.Snapshot().BaseStore() {
+	rs1 := spans()
+	if pj.base.Load().base != store.Snapshot().BaseStore() {
 		t.Fatal("published resolution names a foreign base")
+	}
+	checkPlanMatchesPerRegion(t, "widened", pj, ref, aggs)
+	if spans() != rs1 {
+		t.Fatal("widening the columns re-resolved spans")
 	}
 
 	// Mutations that keep the base: the resolution must survive untouched.
@@ -319,28 +327,43 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	store.Delete(ids[:100]...)
 	store.Delete(3, 5, 7)
 	checkPlanMatchesPerRegion(t, "mutated-same-base", pj, ref, aggs)
-	if pj.spans.Load() != rs1 {
+	if spans() != rs1 {
 		t.Fatal("append/delete re-resolved spans; only a base change should")
 	}
 
 	plan := pj.plan
+	old := store.Snapshot()
 	store.Compact()
 	checkPlanMatchesPerRegion(t, "post-compaction", pj, ref, aggs)
-	rs2 := pj.spans.Load()
+	rs2 := spans()
 	if rs2 == rs1 {
 		t.Fatal("compaction did not refresh the span resolution")
 	}
-	if rs2.base != store.Snapshot().BaseStore() {
+	if pj.base.Load().base != store.Snapshot().BaseStore() {
 		t.Fatal("refreshed resolution names a stale base")
 	}
 	if pj.plan != plan {
 		t.Fatal("compaction rebuilt the cover plan; maintenance must be incremental")
 	}
-	// The steady state after the refresh shares again.
-	if _, err := residentAggregate(context.Background(), pj, aggs, 1); err != nil {
+	// A reader still on the pre-compaction snapshot fills for its own
+	// answer and publishes nothing, so a delete on the current base then
+	// refills from the current base's spans.
+	if _, err := pj.aggregateSnapshot(ctx, old, needsOf(aggs), 1, NewResults(aggs, pj.NumRegions())); err != nil {
 		t.Fatal(err)
 	}
-	if pj.spans.Load() != rs2 {
+	if spans() != rs2 {
+		t.Fatal("a fill on a superseded snapshot replaced the current base's spans")
+	}
+	store.Delete(11)
+	checkPlanMatchesPerRegion(t, "deleted-after-stale-fill", pj, ref, aggs)
+	if spans() != rs2 {
+		t.Fatal("a delete after a stale fill re-resolved the current base")
+	}
+	// The steady state after the refresh shares again.
+	if _, err := residentAggregate(ctx, pj, aggs, 1); err != nil {
+		t.Fatal(err)
+	}
+	if spans() != rs2 {
 		t.Fatal("post-compaction queries keep re-resolving")
 	}
 }
@@ -368,7 +391,7 @@ func BenchmarkCoverPlanRebuild(b *testing.B) {
 
 	b.Run("refresh", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := pj.refreshSpans(ctx, snap, 1); err != nil {
+			if _, _, err := pj.plan.resolve(ctx, snap, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -379,7 +402,7 @@ func BenchmarkCoverPlanRebuild(b *testing.B) {
 			if len(plan.ranges) != len(pj.plan.ranges) {
 				b.Fatal("rebuilt plan diverged")
 			}
-			if _, err := pj.refreshSpans(ctx, snap, 1); err != nil {
+			if _, _, err := pj.plan.resolve(ctx, snap, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

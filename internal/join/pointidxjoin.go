@@ -101,14 +101,12 @@ type PointIdxJoiner struct {
 	*CoverSet
 	src *pointstore.Mutable
 
-	// spans publishes the plan's current span resolution against src — shared
-	// by every query against one base, re-resolved incrementally when a
-	// compaction installs a new one. base and delta publish the two halves
-	// of the current answer the same way: the per-region fold of the base
-	// rows, refilled when a delete or compaction changes them, and the
+	// base and delta publish the two halves of the current answer: the
+	// per-region fold of the base rows with the span resolution it was
+	// folded from, refilled when a delete or compaction changes the rows and
+	// re-resolved only when a compaction installs a new base, and the
 	// per-region delta accumulators up to a watermark, extended as the tail
 	// grows.
-	spans atomic.Pointer[resolvedSpans]
 	base  atomic.Pointer[basePartials]
 	delta atomic.Pointer[deltaPartials]
 }
@@ -128,15 +126,13 @@ func NewPointIdxJoiner(regions []geom.Region, src *pointstore.Mutable, eps float
 }
 
 // MemoryBytes returns this dataset's state over the cover set — whichever of
-// the span resolution and the per-region partials (8 bytes a region per held
-// column) are published — excluding the shared CoverSet and the dataset.
+// the per-region partials (8 bytes a region per held column) are published,
+// and the base partials' span resolution (8 bytes a cover range) — excluding
+// the shared CoverSet and the dataset.
 func (j *PointIdxJoiner) MemoryBytes() int {
 	n := 0
-	if rs := j.spans.Load(); rs != nil {
-		n += rs.memoryBytes()
-	}
 	if bp := j.base.Load(); bp != nil {
-		n += bp.acc.memoryBytes()
+		n += 4*(len(bp.spanLo)+len(bp.spanHi)) + bp.acc.memoryBytes()
 	}
 	if dp := j.delta.Load(); dp != nil {
 		n += dp.acc.memoryBytes()
@@ -144,7 +140,7 @@ func (j *PointIdxJoiner) MemoryBytes() int {
 	return n
 }
 
-// Refresh brings the published span resolution and base partials up to the
+// Refresh brings the published base partials and their spans up to the
 // dataset's current snapshot, refilling exactly the columns earlier queries
 // asked for. A background compaction calls it right after publishing its new
 // base, so the refill happens on the compaction's goroutine instead of

@@ -45,9 +45,10 @@ func (m *Mutable) NextID() uint64 {
 // empty delta and no tombstones; pin (an mmap handle, typically) is kept
 // reachable for as long as any snapshot can alias the columns. Only
 // structural validity is checked here — consistent lengths, strict (key, ID)
-// order, IDs below nextID, finite weights; byte-level integrity is the
+// order, unique IDs below nextID, finite weights; byte-level integrity is the
 // caller's contract (the persist layer admits no section whose checksum does
-// not match).
+// not match). Uniqueness is checked on the ID index, which the check sorts
+// anyway and which is then installed for Delete.
 func NewMutableFromColumns(cols BaseColumns, d sfc.Domain, c sfc.Curve, dropped int, nextID, gen uint64, pin any) (*Mutable, error) {
 	n := len(cols.Keys)
 	if len(cols.IDs) != n || len(cols.Pts) != n || (cols.Weights != nil && len(cols.Weights) != n) {
@@ -63,13 +64,19 @@ func NewMutableFromColumns(cols BaseColumns, d sfc.Domain, c sfc.Curve, dropped 
 			return nil, fmt.Errorf("pointstore: rows %d..%d break (key, ID) order", i-1, i)
 		}
 	}
+	byID := buildIDIndex(cols.IDs, 0)
+	for i := 1; i < n; i++ {
+		if a, b := byID.byID[i-1], byID.byID[i]; a.key == b.key {
+			return nil, fmt.Errorf("pointstore: ID %d appears at rows %d and %d", a.key, min(a.row, b.row), max(a.row, b.row))
+		}
+	}
 	base, err := newStoreSorted(cols.Keys, cols.Weights)
 	if err != nil {
 		return nil, err
 	}
 	base.pin = pin
 	m := &Mutable{domain: d, curve: c, hasW: cols.Weights != nil, dropped: dropped, nextID: nextID}
-	m.baseByID = buildIDIndex(cols.IDs, 0)
-	m.snap.Store(&Snapshot{base: base, baseIDs: cols.IDs, basePts: cols.Pts, gen: gen})
+	m.baseByID.Store(byID)
+	m.snap.Store(&Snapshot{base: base, baseIDs: cols.IDs, basePts: cols.Pts, idFirst: nextID, gen: gen})
 	return m, nil
 }

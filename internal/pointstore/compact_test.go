@@ -44,7 +44,7 @@ func compactSeqRef(s *Snapshot, hasW bool) (*Snapshot, map[uint64]int) {
 			continue
 		}
 		keys = append(keys, s.deltaKeys[k])
-		ids = append(ids, s.deltaIDs[k])
+		ids = append(ids, s.idFirst+uint64(k))
 		pts = append(pts, s.deltaPts[k])
 		if hasW {
 			ws = append(ws, s.deltaWs[k])
@@ -83,13 +83,15 @@ func compactSeqRef(s *Snapshot, hasW bool) (*Snapshot, map[uint64]int) {
 		base:    st,
 		baseIDs: si,
 		basePts: sp,
+		idFirst: s.idFirst + uint64(len(s.deltaKeys)),
 		gen:     s.gen + 1,
 	}, byID
 }
 
 // requireSnapshotBitIdentical fails unless the two snapshots' base stores and
 // co-sorted columns are bit-for-bit equal: keys, IDs, weights, points, and
-// sparse block sum/min/max.
+// sparse block sum/min/max — and agree on the generation and the next delta
+// row's ID.
 func requireSnapshotBitIdentical(t *testing.T, got, want *Snapshot) {
 	t.Helper()
 	if !slices.Equal(got.base.keys, want.base.keys) {
@@ -116,6 +118,9 @@ func requireSnapshotBitIdentical(t *testing.T, got, want *Snapshot) {
 	if got.gen != want.gen {
 		t.Fatalf("generation %d != %d", got.gen, want.gen)
 	}
+	if got.idFirst != want.idFirst {
+		t.Fatalf("first delta ID %d != %d", got.idFirst, want.idFirst)
+	}
 }
 
 // requireIndexMatches fails unless the ID index holds exactly the flat
@@ -131,6 +136,19 @@ func requireIndexMatches(t *testing.T, got *idIndex, want map[uint64]int) {
 			t.Fatalf("index[%d] = %d,%v; want %d", id, g, ok, row)
 		}
 	}
+}
+
+// requireDeleteBuildsIndex fails unless m's compacted base has no ID index
+// and a Delete naming one of its IDs builds one holding exactly the flat
+// reference map. The Delete removes ID 0 if it is live; the index keeps
+// tombstoned rows, so the map still describes it.
+func requireDeleteBuildsIndex(t *testing.T, m *Mutable, want map[uint64]int) {
+	t.Helper()
+	if m.baseByID.Load() != nil {
+		t.Fatal("the compacted base has an ID index before any Delete")
+	}
+	m.Delete(0)
+	requireIndexMatches(t, m.baseByID.Load(), want)
 }
 
 // dirtySnapshot builds a Mutable with nBase construction points, nDelta
@@ -189,15 +207,14 @@ func TestCompactParity(t *testing.T) {
 			s := m.Snapshot()
 			want, wantByID := compactSeqRef(s, tc.weighted)
 			for _, workers := range []int{1, 2, 3, 8, 0} {
-				got, gotByID := compactSnapshot(s, tc.weighted, workers)
-				requireSnapshotBitIdentical(t, got, want)
-				requireIndexMatches(t, gotByID, wantByID)
+				requireSnapshotBitIdentical(t, compactSnapshot(s, tc.weighted, workers), want)
 			}
 			// The Mutable's own Compact must install exactly the reference
-			// state too.
+			// state too, and the index the next Delete builds must find
+			// every row.
 			m.Compact()
 			requireSnapshotBitIdentical(t, m.Snapshot(), want)
-			requireIndexMatches(t, m.baseByID, wantByID)
+			requireDeleteBuildsIndex(t, m, wantByID)
 		})
 	}
 }
@@ -224,10 +241,10 @@ func TestCompactParityDuplicateKeys(t *testing.T) {
 	s := m.Snapshot()
 	want, wantByID := compactSeqRef(s, true)
 	for _, workers := range []int{1, 4, 0} {
-		got, gotByID := compactSnapshot(s, true, workers)
-		requireSnapshotBitIdentical(t, got, want)
-		requireIndexMatches(t, gotByID, wantByID)
+		requireSnapshotBitIdentical(t, compactSnapshot(s, true, workers), want)
 	}
+	m.Compact()
+	requireDeleteBuildsIndex(t, m, wantByID)
 }
 
 // TestSortColumnsByKeyMatchesComparison drives the radix path directly over
@@ -301,8 +318,8 @@ func TestSortPairsOneWorkerMatchesComparison(t *testing.T) {
 
 // TestCompactNoOpSkipsRebuild pins the generation-bump fast path: when every
 // pending delta row is dead and no base row is tombstoned, Compact must
-// republish the existing base columns (pointer-identical — no resort, no
-// index rebuild) under a new generation, and the live-ID index must keep
+// republish the existing base columns (pointer-identical — no resort) under a
+// new generation, keep the ID index a Delete built, and that index must keep
 // serving deletes.
 func TestCompactNoOpSkipsRebuild(t *testing.T) {
 	d := testDomain(t)
@@ -310,6 +327,17 @@ func TestCompactNoOpSkipsRebuild(t *testing.T) {
 	m, err := NewMutable(randPts(rng, 500), eighths(rng, 500), d, sfc.Hilbert{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Deleting a base ID that is no longer live builds the ID index without
+	// tombstoning a row.
+	m.Delete(9)
+	m.Compact()
+	if got := m.Delete(9); got != 0 {
+		t.Fatalf("deleting a compacted-away ID removed %d rows", got)
+	}
+	idxBefore := m.baseByID.Load()
+	if idxBefore == nil {
+		t.Fatal("a batch naming a base ID built no ID index")
 	}
 	ids, err := m.Append(randPts(rng, 40), eighths(rng, 40))
 	if err != nil {
@@ -319,7 +347,6 @@ func TestCompactNoOpSkipsRebuild(t *testing.T) {
 		t.Fatalf("deleted %d delta rows, want %d", got, len(ids))
 	}
 	before := m.Snapshot()
-	idxBefore := m.baseByID
 	m.Compact()
 	after := m.Snapshot()
 	if after.gen != before.gen+1 {
@@ -331,8 +358,8 @@ func TestCompactNoOpSkipsRebuild(t *testing.T) {
 	if &after.baseIDs[0] != &before.baseIDs[0] || &after.basePts[0] != &before.basePts[0] {
 		t.Fatal("no-op compaction copied the ID or point columns")
 	}
-	if m.baseByID != idxBefore {
-		t.Fatal("no-op compaction rebuilt the live-ID index")
+	if m.baseByID.Load() != idxBefore {
+		t.Fatal("no-op compaction dropped or rebuilt the ID index")
 	}
 	if after.DeltaLen() != 0 || after.Tombstones() != 0 {
 		t.Fatalf("no-op compaction left pending state: %d delta, %d tombstones", after.DeltaLen(), after.Tombstones())
@@ -380,8 +407,7 @@ func BenchmarkCompact(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			snap, byID := compactSnapshot(s, true, 0)
-			if snap.BaseLen() == 0 || byID == nil {
+			if compactSnapshot(s, true, 0).BaseLen() == 0 {
 				b.Fatal("empty compaction result")
 			}
 		}

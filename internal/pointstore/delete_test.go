@@ -3,6 +3,8 @@ package pointstore
 import (
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"distbound/internal/geom"
@@ -30,9 +32,9 @@ func requireMatchesModel(t *testing.T, m *Mutable, ref *deleteModel, step int) {
 			got = append(got, id)
 		}
 	}
-	for k, id := range s.deltaIDs {
+	for k := range s.deltaKeys {
 		if s.DeltaLive(k) {
-			got = append(got, id)
+			got = append(got, s.idFirst+uint64(k))
 			sum += s.DeltaWeight(k)
 		}
 	}
@@ -65,6 +67,12 @@ func requireMatchesModel(t *testing.T, m *Mutable, ref *deleteModel, step int) {
 // delta IDs with repeats within the batch, IDs deleted in an earlier batch,
 // IDs at or beyond the next ID and IDs of points dropped at construction.
 // The base is large enough that the ID index takes the radix sort.
+//
+// It also pins the ID index's life: a base built by construction or
+// compaction has none, the first batch naming an ID below the delta's builds
+// it and later ones keep it, a batch of delta IDs alone builds none, reopen
+// builds it, and the all-dead compaction keeps whatever index there was.
+// Every index holds exactly the base's IDs.
 func TestDeleteMatchesReferenceModel(t *testing.T) {
 	d := testDomain(t)
 	c := sfc.Hilbert{}
@@ -88,6 +96,21 @@ func TestDeleteMatchesReferenceModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireMatchesModel(t, m, ref, 0)
+		requireIndex := func(want bool, step int, when string) {
+			t.Helper()
+			x := m.baseByID.Load()
+			if (x != nil) != want {
+				t.Fatalf("seed %d step %d: %s: ID index built %v, want %v", seed, step, when, x != nil, want)
+			}
+			if x != nil {
+				flat := map[uint64]int{}
+				for row, id := range m.Snapshot().baseIDs {
+					flat[id] = row
+				}
+				requireIndexMatches(t, x, flat)
+			}
+		}
+		requireIndex(false, 0, "constructed")
 		var recent []uint64 // IDs deleted since the last compaction
 		appendBatch := func(k int) []uint64 {
 			ap, aw := randPts(rng, k), eighths(rng, k)
@@ -106,6 +129,9 @@ func TestDeleteMatchesReferenceModel(t *testing.T) {
 			return ids
 		}
 		deleteBatch := func(batch []uint64, step int) {
+			had := m.baseByID.Load()
+			idFirst := m.Snapshot().idFirst
+			namesBase := slices.ContainsFunc(batch, func(id uint64) bool { return id < idFirst })
 			want := 0
 			seen := map[uint64]bool{}
 			for _, id := range batch {
@@ -121,6 +147,10 @@ func TestDeleteMatchesReferenceModel(t *testing.T) {
 				delete(ref.live, id)
 			}
 			recent = append(recent, batch...)
+			if had != nil && m.baseByID.Load() != had {
+				t.Fatalf("seed %d step %d: Delete replaced the ID index it had", seed, step)
+			}
+			requireIndex(had != nil || namesBase, step, "deleted")
 		}
 		for step := 1; step <= 200; step++ {
 			switch op := rng.Intn(10); {
@@ -148,17 +178,26 @@ func TestDeleteMatchesReferenceModel(t *testing.T) {
 				}
 				deleteBatch(batch, step)
 			case op < 9:
+				before := m.Snapshot().base
 				m.Compact()
 				recent = recent[:0]
+				if m.Snapshot().base != before {
+					requireIndex(false, step, "compacted")
+				}
 				if rng.Intn(2) == 0 {
 					// The all-dead no-op path: a delta tail deleted whole
 					// over a tombstone-free base republishes the base and
-					// keeps the ID index.
-					idx := m.baseByID
+					// keeps the ID index it had — half the time one built
+					// by a batch naming only a dropped ID, which tombstones
+					// nothing.
+					if rng.Intn(2) == 0 {
+						deleteBatch([]uint64{ref.dropped[rng.Intn(len(ref.dropped))]}, step)
+					}
+					idx := m.baseByID.Load()
 					deleteBatch(appendBatch(1+rng.Intn(20)), step)
 					m.Compact()
-					if m.baseByID != idx {
-						t.Fatalf("seed %d step %d: the all-dead compaction rebuilt the ID index", seed, step)
+					if m.baseByID.Load() != idx {
+						t.Fatalf("seed %d step %d: the all-dead compaction did not keep the ID index it had", seed, step)
 					}
 				}
 			default:
@@ -171,6 +210,7 @@ func TestDeleteMatchesReferenceModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				requireIndex(true, step, "reopened")
 			}
 			requireMatchesModel(t, m, ref, step)
 		}
@@ -178,7 +218,8 @@ func TestDeleteMatchesReferenceModel(t *testing.T) {
 }
 
 // TestMutableMemoryBytesCountsIDIndex: a store's footprint is its snapshot's
-// columns plus the ID index's 16-byte pairs, through every state change.
+// columns plus, once a Delete or reopen has built it, the ID index's 16-byte
+// pairs, through every state change.
 func TestMutableMemoryBytesCountsIDIndex(t *testing.T) {
 	d := testDomain(t)
 	rng := rand.New(rand.NewSource(13))
@@ -186,27 +227,73 @@ func TestMutableMemoryBytesCountsIDIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(when string) {
+	check := func(when string, built bool) {
 		t.Helper()
-		if got, want := m.MemoryBytes(), m.Snapshot().MemoryBytes()+16*len(m.baseByID.byID); got != want {
+		x := m.baseByID.Load()
+		if (x != nil) != built {
+			t.Fatalf("%s: ID index built %v, want %v", when, x != nil, built)
+		}
+		want := m.Snapshot().MemoryBytes()
+		if built {
+			want += 16 * len(x.byID)
+			if len(x.byID) != m.Snapshot().BaseLen() {
+				t.Fatalf("%s: index holds %d pairs for %d base rows", when, len(x.byID), m.Snapshot().BaseLen())
+			}
+		}
+		if got := m.MemoryBytes(); got != want {
 			t.Fatalf("%s: MemoryBytes %d, columns plus index %d", when, got, want)
 		}
-		if len(m.baseByID.byID) != m.Snapshot().BaseLen() {
-			t.Fatalf("%s: index holds %d pairs for %d base rows", when, len(m.baseByID.byID), m.Snapshot().BaseLen())
-		}
 	}
-	check("constructed")
+	check("constructed", false)
 	if _, err := m.Append(randPts(rng, 400), eighths(rng, 400)); err != nil {
 		t.Fatal(err)
 	}
-	check("appended")
-	m.Delete(1, 2, 3, 3001, 3002)
-	check("deleted")
+	check("appended", false)
+	m.Delete(3001, 3002)
+	check("deleted from the delta", false)
+	m.Delete(1, 2, 3)
+	check("deleted from the base", true)
 	m.Compact()
-	check("compacted")
+	check("compacted", false)
 	s := m.Snapshot()
 	if m, err = NewMutableFromColumns(s.BaseColumns(), d, sfc.Hilbert{}, 0, m.NextID(), s.Gen(), nil); err != nil {
 		t.Fatal(err)
 	}
-	check("reopened")
+	check("reopened", true)
+}
+
+// TestMutableMemoryBytesConcurrentWithDelete: MemoryBytes reads the ID index
+// without the mutation lock while Delete builds it and Compact drops it, so
+// under the race detector the readers below must not race the writer.
+func TestMutableMemoryBytesConcurrentWithDelete(t *testing.T) {
+	d := testDomain(t)
+	rng := rand.New(rand.NewSource(17))
+	m, err := NewMutable(randPts(rng, 2000), eighths(rng, 2000), d, sfc.Hilbert{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		wg   sync.WaitGroup
+		stop atomic.Bool
+	)
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if m.MemoryBytes() <= 0 {
+					t.Error("MemoryBytes read no columns")
+					return
+				}
+			}
+		}()
+	}
+	for id := uint64(0); id < 200; id++ {
+		m.Delete(id)
+		if id%20 == 19 {
+			m.Compact()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
 }

@@ -112,6 +112,7 @@ func FuzzMutableOps(f *testing.F) {
 				base:    st,
 				baseIDs: ids,
 				basePts: pts,
+				idFirst: uint64(len(issued)),
 				gen:     s.Gen(),
 			}
 			requireSnapshotBitIdentical(t, s, want)

@@ -439,7 +439,7 @@ func TestMutableEpochMonotone(t *testing.T) {
 
 // TestNewMutableSortedMatchesNewMutable: SortedKeys orders the in-domain rows
 // exactly as NewMutable's base, and a store built from those rows as they
-// stand is bit-identical — columns, IDs, ID index, next ID — to NewMutable
+// stand is bit-identical — columns, IDs, next ID, no ID index — to NewMutable
 // given the same rows, at sizes on both sides of the radix threshold and
 // with duplicate keys and out-of-domain points in the input.
 func TestNewMutableSortedMatchesNewMutable(t *testing.T) {
@@ -476,11 +476,9 @@ func TestNewMutableSortedMatchesNewMutable(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSnapshotBitIdentical(t, got.Snapshot(), want.Snapshot())
-			flat := map[uint64]int{}
-			for row, id := range want.Snapshot().baseIDs {
-				flat[id] = row
+			if got.baseByID.Load() != nil || want.baseByID.Load() != nil {
+				t.Fatalf("n=%d: a constructed base has an ID index before any Delete", n)
 			}
-			requireIndexMatches(t, got.baseByID, flat)
 			if got.nextID != want.nextID || got.Dropped() != 0 || got.HasWeights() != weighted {
 				t.Fatalf("n=%d: nextID %d (want %d), dropped %d, weighted %v", n, got.nextID, want.nextID, got.Dropped(), got.HasWeights())
 			}

@@ -316,6 +316,11 @@ func parseSnapshot(data []byte) (snapMeta, map[uint32]section, error) {
 	if meta.rows > math.MaxInt32 {
 		return meta, nil, fmt.Errorf("persist: snapshot advertises %d rows; the store caps columns at 2^31", meta.rows)
 	}
+	// Every row and every dropped point consumed an ID of its own.
+	if meta.dropped > meta.nextID || meta.rows > meta.nextID-meta.dropped {
+		return meta, nil, fmt.Errorf("persist: snapshot advertises %d rows and %d dropped points under next ID %d",
+			meta.rows, meta.dropped, meta.nextID)
+	}
 	need := func(id uint32, size uint64) error {
 		s, ok := secs[id]
 		if !ok {

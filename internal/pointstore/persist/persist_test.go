@@ -2,10 +2,12 @@ package persist
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -514,5 +516,87 @@ func TestNonFiniteWeightRefused(t *testing.T) {
 				t.Fatalf("weight %v, fullLoad=%v: error %q does not name row 1", bad, fullLoad, err)
 			}
 		}
+	}
+}
+
+// openCrafted writes meta and cols as the snapshot of a fresh directory —
+// every checksum valid — and opens it through both load paths, returning
+// each path's error.
+func openCrafted(t *testing.T, meta snapMeta, cols pointstore.BaseColumns) []error {
+	t.Helper()
+	var buf memWriteFile
+	if _, err := writeSnapshot(&buf, meta, cols); err != nil {
+		t.Fatal(err)
+	}
+	var errs []error
+	for _, fullLoad := range []bool{true, false} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, SnapshotName), buf.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Open(dir, openOptions(fullLoad))
+		if err == nil {
+			d.Close()
+		}
+		errs = append(errs, err)
+	}
+	return errs
+}
+
+// TestDuplicateIDRefused: a snapshot whose rows keep (key, ID) order but
+// carry one ID twice, at two keys, must not open — a Delete of that ID would
+// remove one row and report the other gone — and the error names the ID and
+// both rows.
+func TestDuplicateIDRefused(t *testing.T) {
+	m := goldenStore(t)
+	meta := snapMetaFor(m)
+	cols := m.Snapshot().BaseColumns()
+	if cols.Keys[0] == cols.Keys[3] {
+		t.Fatal("fixture rows 0 and 3 share a key")
+	}
+	cols.IDs = slices.Clone(cols.IDs)
+	cols.IDs[3] = cols.IDs[0]
+	want := fmt.Sprintf("ID %d appears at rows 0 and 3", cols.IDs[0])
+	for i, err := range openCrafted(t, meta, cols) {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("load path %d: error %v, want one containing %q", i, err, want)
+		}
+	}
+}
+
+// TestDroppedBeyondNextIDRefused: every row and every dropped point consumed
+// an ID of its own, so a header whose rows and dropped count exceed nextID
+// must not open — 2^63 dropped points would read back as a negative count —
+// while the largest consistent count opens and reads back exactly.
+func TestDroppedBeyondNextIDRefused(t *testing.T) {
+	m := goldenStore(t)
+	meta := snapMetaFor(m)
+	cols := m.Snapshot().BaseColumns()
+	spare := meta.nextID - meta.rows
+	for _, dropped := range []uint64{spare + 1, 1 << 63, math.MaxUint64} {
+		meta.dropped = dropped
+		for i, err := range openCrafted(t, meta, cols) {
+			if err == nil || !strings.Contains(err.Error(), "dropped points under next ID") {
+				t.Fatalf("dropped %d, load path %d: error %v", dropped, i, err)
+			}
+		}
+	}
+	meta.nextID += 5
+	meta.dropped = spare + 5
+	var buf memWriteFile
+	if _, err := writeSnapshot(&buf, meta, cols); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, SnapshotName), buf.data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("consistent header refused: %v", err)
+	}
+	defer d.Close()
+	if got := d.Mutable().Dropped(); uint64(got) != meta.dropped {
+		t.Fatalf("Dropped() = %d, header says %d", got, meta.dropped)
 	}
 }

@@ -1,8 +1,9 @@
 // Parallel compaction machinery: a stable MSB-radix sort over the uint64 key
-// column, a partitioned merge of two (key, ID)-sorted column sets, and the ID
-// index — the base's (ID, row) pairs sorted by the same radix sort — the
+// column and a partitioned merge of two (key, ID)-sorted column sets — the
 // pieces Compact composes so a write pause is bounded by memory bandwidth
-// across cores instead of a single-threaded comparison sort.
+// across cores instead of a single-threaded comparison sort — and the ID
+// index, the base's (ID, row) pairs sorted by the same radix sort, which
+// Delete and reopen build.
 //
 // Every entry point here produces the unique (key, ID)-sorted permutation of
 // its input (IDs are unique, so that order is total), which makes the result
@@ -361,8 +362,10 @@ func mergeSortedColumns(a, b cols, hasW bool, workers int) cols {
 
 // idIndex finds a base ID's row: the base's (ID, row) pairs sorted by ID,
 // 16 bytes a row, probed by binary search. Tombstoned rows stay in it —
-// Delete checks a found row against the snapshot's tombstones — so it changes
-// only when the base does, and every new base builds it whole.
+// Delete checks a found row against the snapshot's tombstones — so it stays
+// valid until the base changes. Only Delete reads it: Delete builds it when
+// a batch first names a base ID, reopen to check the IDs, and compaction
+// drops it.
 type idIndex struct {
 	byID []keyRef // key is the point ID
 }
@@ -377,7 +380,7 @@ func (x *idIndex) get(id uint64) (int, bool) {
 }
 
 // buildIDIndex pairs each ID of a base's ID column with its row and sorts the
-// pairs by ID — the one build path registration, reopen and compaction share.
+// pairs by ID — the one build path Delete and reopen share.
 func buildIDIndex(ids []uint64, workers int) *idIndex {
 	pairs := make([]keyRef, len(ids))
 	for row, id := range ids {
@@ -435,7 +438,7 @@ func liveDelta(s *Snapshot, hasW bool) cols {
 			continue
 		}
 		out.keys = append(out.keys, s.deltaKeys[k])
-		out.ids = append(out.ids, s.deltaIDs[k])
+		out.ids = append(out.ids, s.idFirst+uint64(k))
 		out.pts = append(out.pts, s.deltaPts[k])
 		if hasW {
 			out.ws = append(out.ws, s.deltaWs[k])

@@ -20,9 +20,10 @@ import (
 // CountSpans writes the live point count of base rows [los[r], his[r]) to
 // out[r] for every range. With no tombstones it is a pure subtract loop;
 // otherwise each range pays the same two tombstone searches CountSpan does.
+// Spans are int32, as every row index is: a column holds at most 2^31 rows.
 //
 //distbound:noalloc
-func (s *Snapshot) CountSpans(los, his []int, out []int64) {
+func (s *Snapshot) CountSpans(los, his []int32, out []int64) {
 	if len(s.tombPos) == 0 {
 		n := len(los)
 		r := 0
@@ -38,7 +39,7 @@ func (s *Snapshot) CountSpans(los, his []int, out []int64) {
 		return
 	}
 	for r := range los {
-		out[r] = int64(s.CountSpan(los[r], his[r]))
+		out[r] = int64(s.CountSpan(int(los[r]), int(his[r])))
 	}
 }
 
@@ -49,12 +50,12 @@ func (s *Snapshot) CountSpans(los, his []int, out []int64) {
 // column nil it does nothing; otherwise the snapshot must have weights.
 //
 //distbound:noalloc
-func (s *Snapshot) FoldSpans(los, his []int, sum, mn, mx []float64) {
+func (s *Snapshot) FoldSpans(los, his []int32, sum, mn, mx []float64) {
 	if sum == nil && mn == nil && mx == nil {
 		return
 	}
 	for r := range los {
-		a, lo, hi := s.foldSpan(los[r], his[r])
+		a, lo, hi := s.foldSpan(int(los[r]), int(his[r]))
 		if sum != nil {
 			sum[r] = a
 		}

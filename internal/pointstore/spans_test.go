@@ -15,7 +15,7 @@ import (
 // base rows, including empty, block-aligned, sub-block and column-spanning
 // shapes. The weights spread over 30 binary orders of magnitude, both signs,
 // so a SUM's rounding depends on which rows it adds.
-func spansFixture(t testing.TB, n, nSpans int, del bool) (*Snapshot, []int, []int) {
+func spansFixture(t testing.TB, n, nSpans int, del bool) (*Snapshot, []int32, []int32) {
 	rng := rand.New(rand.NewSource(21))
 	d, err := sfc.NewDomain(geom.Pt(0, 0), 1024)
 	if err != nil {
@@ -37,24 +37,24 @@ func spansFixture(t testing.TB, n, nSpans int, del bool) (*Snapshot, []int, []in
 		m.Delete(ids...)
 	}
 	s := m.Snapshot()
-	base := s.BaseLen()
-	los := make([]int, nSpans)
-	his := make([]int, nSpans)
+	base := int32(s.BaseLen())
+	los := make([]int32, nSpans)
+	his := make([]int32, nSpans)
 	for r := range los {
 		switch r % 5 {
 		case 0: // empty
-			los[r] = rng.Intn(base + 1)
+			los[r] = rng.Int31n(base + 1)
 			his[r] = los[r]
 		case 1: // sub-block
-			los[r] = rng.Intn(base)
-			his[r] = min(los[r]+rng.Intn(BlockSize), base)
+			los[r] = rng.Int31n(base)
+			his[r] = min(los[r]+rng.Int31n(BlockSize), base)
 		case 2: // block-aligned
-			lo := (rng.Intn(base) / BlockSize) * BlockSize
+			lo := (rng.Int31n(base) / BlockSize) * BlockSize
 			los[r] = lo
-			his[r] = min(lo+(1+rng.Intn(8))*BlockSize, base)
+			his[r] = min(lo+(1+rng.Int31n(8))*BlockSize, base)
 		case 3: // wide
-			los[r] = rng.Intn(base / 2)
-			his[r] = base/2 + rng.Intn(base/2)
+			los[r] = rng.Int31n(base / 2)
+			his[r] = base/2 + rng.Int31n(base/2)
 		default: // whole column
 			los[r], his[r] = 0, base
 		}
@@ -83,16 +83,17 @@ func TestBatchedSpansMatchScalar(t *testing.T) {
 			s.FoldSpans(los, his, sum, mn, mx)
 			s.FoldSpans(los, his, nil, mnAlone, nil)
 			for r := 0; r < n; r++ {
-				if want := int64(s.CountSpan(los[r], his[r])); cnt[r] != want {
+				i, j := int(los[r]), int(his[r])
+				if want := int64(s.CountSpan(i, j)); cnt[r] != want {
 					t.Fatalf("span %d [%d,%d): count %d, scalar %d", r, los[r], his[r], cnt[r], want)
 				}
-				if want := s.SumSpan(los[r], his[r]); sum[r] != want {
+				if want := s.SumSpan(i, j); sum[r] != want {
 					t.Fatalf("span %d [%d,%d): sum %v, scalar %v", r, los[r], his[r], sum[r], want)
 				}
-				if want := s.MinSpan(los[r], his[r]); mn[r] != want || mnAlone[r] != want {
+				if want := s.MinSpan(i, j); mn[r] != want || mnAlone[r] != want {
 					t.Fatalf("span %d [%d,%d): min %v (alone %v), scalar %v", r, los[r], his[r], mn[r], mnAlone[r], want)
 				}
-				if want := s.MaxSpan(los[r], his[r]); mx[r] != want {
+				if want := s.MaxSpan(i, j); mx[r] != want {
 					t.Fatalf("span %d [%d,%d): max %v, scalar %v", r, los[r], his[r], mx[r], want)
 				}
 			}
@@ -121,7 +122,7 @@ func TestFoldSpansMatchBrute(t *testing.T) {
 			for r := 0; r < n; r++ {
 				live, wantSum, abs := 0, 0.0, 0.0
 				wantMin, wantMax := math.Inf(1), math.Inf(-1)
-				for i := los[r]; i < his[r]; i++ {
+				for i := int(los[r]); i < int(his[r]); i++ {
 					if _, dead := slices.BinarySearch(s.tombPos, i); dead {
 						continue
 					}
@@ -159,10 +160,11 @@ func BenchmarkSpanFolds(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < n; r++ {
-				cnt[r] = int64(s.CountSpan(los[r], his[r]))
-				sum[r] = s.SumSpan(los[r], his[r])
-				mn[r] = s.MinSpan(los[r], his[r])
-				mx[r] = s.MaxSpan(los[r], his[r])
+				i, j := int(los[r]), int(his[r])
+				cnt[r] = int64(s.CountSpan(i, j))
+				sum[r] = s.SumSpan(i, j)
+				mn[r] = s.MinSpan(i, j)
+				mx[r] = s.MaxSpan(i, j)
 			}
 		}
 	})
