@@ -422,20 +422,25 @@ func benchResidentDo(b *testing.B, e *Engine, req Request, before func()) {
 // benchmark's shapes — exact at ε0, act at ε16, brj at ε64 — over the 16×16
 // partition, one iteration = one Do over the next 50 k-point slice of 1 M
 // points, builds warm, at one worker and at GOMAXPROCS. The next decision
-// about which arms the engine keeps starts from these walls.
+// about which arms the engine keeps starts from these walls. Each arm reports
+// its wall per point (ns/pt); act also reports coarse/pt, the share of the
+// points it ran that it resolves from their coarse cell (coarseShare).
 func BenchmarkAdhocArms(b *testing.B) {
-	const slice = 50_000
+	const slice, actBound = 50_000, 16
 	pts, weights := data.TaxiPoints(1, 1_000_000)
-	e := NewEngine(data.Regions(data.Partition(1, 16, 16, 12)))
+	regions := data.Regions(data.Partition(1, 16, 16, 12))
+	d := DomainForRegions(regions...)
+	e := NewEngine(regions)
 	arms := []struct {
 		s     Strategy
 		bound float64
 		aggs  []Agg
 	}{
 		{StrategyExact, 0, []Agg{Count}},
-		{StrategyACT, 16, []Agg{Count, Sum, Avg}},
+		{StrategyACT, actBound, []Agg{Count, Sum, Avg}},
 		{StrategyBRJ, 64, []Agg{Count, Sum}},
 	}
+	boundedBuckets := sync.OnceValue(func() *[1 << 16]bool { return bucketsWithBoundaries(regions, d, actBound) })
 	ctx := context.Background()
 	for _, arm := range arms {
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
@@ -456,9 +461,52 @@ func BenchmarkAdhocArms(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					run(i)
 				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slice), "ns/pt")
+				if arm.s == StrategyACT {
+					ran := pts[:min(b.N, len(pts)/slice)*slice]
+					b.ReportMetric(coarseShare(boundedBuckets(), d, ran), "coarse/pt")
+				}
 			})
 		}
 	}
+}
+
+// bucketsWithBoundaries marks the level-8 cells — the act arm's cover-table
+// radix buckets — that hold a boundary key of the regions' covers at bound.
+func bucketsWithBoundaries(regions []Region, d Domain, bound float64) *[1 << 16]bool {
+	const shift = 2 * (sfc.MaxLevel - 8)
+	var bounded [1 << 16]bool
+	for _, rg := range regions {
+		rs, err := raster.HierarchicalRanges(rg, d, Hilbert, bound, raster.Conservative)
+		if err != nil {
+			panic(err)
+		}
+		for _, r := range rs {
+			bounded[r.Lo>>shift] = true
+			if r.Hi < 1<<(2*sfc.MaxLevel)-1 { // Hi+1 is a leaf key
+				bounded[(r.Hi+1)>>shift] = true
+			}
+		}
+	}
+	return &bounded
+}
+
+// coarseShare is the share of the in-domain points among pts whose level-8
+// cell holds no boundary key: the points the act arm resolves without a leaf
+// key. It is counted here, from the rasterized covers; the engine keeps no
+// such counter.
+func coarseShare(bounded *[1 << 16]bool, d Domain, pts []Point) float64 {
+	in, free := 0, 0
+	for _, p := range pts {
+		if x, y, ok := d.Coord(p, 8); ok {
+			in++
+			if !bounded[Hilbert.Encode(8, x, y)] {
+				free++
+			}
+		}
+	}
+	return float64(free) / float64(in)
 }
 
 // BenchmarkAblApprox: construction cost of each approximation kind (§2.1

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"distbound/internal/geom"
 	"distbound/internal/pointstore"
 	"distbound/internal/pool"
 	"distbound/internal/raster"
@@ -366,6 +367,32 @@ func (p *coverPlan) segmentOf(key uint64) int {
 		}
 	}
 	return lo - 1
+}
+
+// resolvePoints writes into segs[i] the boundary segment of pts[i]'s leaf
+// key, or -1 when pts[i] lies outside the domain or its key precedes every
+// boundary: where nothing is covered. Most points need no leaf key: a
+// point's level-radixBits/2 cell is its key's radix bucket (the curve's
+// prefix property), and a bucket holding no boundary key lies inside the one
+// segment starting before it, which is what segmentOf would find. Only a
+// point whose bucket holds a boundary key pays the full leaf encode and the
+// in-bucket search.
+//
+//distbound:noalloc
+func (p *coverPlan) resolvePoints(d sfc.Domain, c sfc.Curve, pts []geom.Point, segs []int32) {
+	const shift = sfc.MaxLevel - radixBits/2
+	for i, pt := range pts {
+		x, y, ok := d.Coord(pt, sfc.MaxLevel)
+		b := c.Encode(radixBits/2, x>>shift, y>>shift)
+		switch {
+		case !ok:
+			segs[i] = -1
+		case p.radix[b] == p.radix[b+1]:
+			segs[i] = p.radix[b] - 1
+		default:
+			segs[i] = int32(p.segmentOf(c.Encode(sfc.MaxLevel, x, y)))
+		}
+	}
 }
 
 // stab returns the regions whose covers hold key: the stab list of key's

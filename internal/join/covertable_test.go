@@ -8,9 +8,11 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"distbound/internal/data"
+	"distbound/internal/geom"
 	"distbound/internal/pointstore"
 	"distbound/internal/raster"
 	"distbound/internal/sfc"
@@ -84,6 +86,28 @@ func refBuildCoverPlan(covers [][]raster.PosRange) *coverPlan {
 	return p
 }
 
+// bucketProbes returns every radix bucket's first key, last key and one
+// random key, each with the centre of its Hilbert leaf cell in a domain
+// whose leaf cells are unit squares, computed once for every table
+// checkTable checks.
+var bucketProbes = sync.OnceValue(func() (pr struct {
+	d    sfc.Domain
+	keys []uint64
+	pts  []geom.Point
+}) {
+	pr.d, _ = sfc.NewDomain(geom.Pt(0, 0), 1<<sfc.MaxLevel)
+	rng := rand.New(rand.NewSource(8))
+	for b := uint64(0); b < radixBuckets; b++ {
+		first := b << radixShift
+		for _, key := range []uint64{first, first + 1<<radixShift - 1, first + rng.Uint64()%(1<<radixShift)} {
+			x, y := sfc.Hilbert{}.Decode(sfc.MaxLevel, key)
+			pr.keys = append(pr.keys, key)
+			pr.pts = append(pr.pts, geom.Pt(float64(x)+0.5, float64(y)+0.5))
+		}
+	}
+	return pr
+})
+
 func checkTable(t *testing.T, label string, covers [][]raster.PosRange, rng *rand.Rand) {
 	t.Helper()
 	p := buildCoverPlan(covers)
@@ -147,6 +171,17 @@ func checkTable(t *testing.T, label string, covers [][]raster.PosRange, rng *ran
 		want := sort.Search(len(p.bkeys), func(i int) bool { return p.bkeys[i] > key }) - 1
 		if got := p.segmentOf(key); got != want {
 			t.Fatalf("%s: segmentOf(%d) = %d, sort.Search says %d", label, key, got, want)
+		}
+	}
+
+	// The coarse-cell resolve ≡ segmentOf, at every radix bucket's first
+	// key, last key and one random key.
+	bp := bucketProbes()
+	segs := make([]int32, len(bp.pts))
+	p.resolvePoints(bp.d, sfc.Hilbert{}, bp.pts, segs)
+	for i, key := range bp.keys {
+		if want := p.segmentOf(key); int(segs[i]) != want {
+			t.Fatalf("%s: the point of key %d resolves to segment %d, segmentOf says %d", label, key, segs[i], want)
 		}
 	}
 

@@ -126,8 +126,10 @@ func (ec *ExactCover) AggregateMulti(ctx context.Context, ps PointSet, aggs []Ag
 	if err := ps.validateAggs(aggs); err != nil {
 		return nil, err
 	}
-	return pointChunkFold(ctx, len(ps.Pts), workers, ec.NumRegions(), aggs, func() func(int, *acc) {
-		return func(i int, part *acc) { ec.fold(ps.Pts[i], ps.weight(i), part) }
+	return pointChunkFold(ctx, len(ps.Pts), workers, ec.NumRegions(), aggs, func(lo, hi int, part *acc, _ *[]int32) {
+		for i := lo; i < hi; i++ {
+			ec.fold(ps.Pts[i], ps.weight(i), part)
+		}
 	})
 }
 

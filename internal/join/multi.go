@@ -201,35 +201,33 @@ func canceled(done <-chan struct{}) bool {
 
 // pointChunkFold is the shared scaffold of the point-driven multi-aggregate
 // folds. The points are cut into chunks of foldChunk, dispatched across
-// workers (pool.RunCtx polls the context before each). Each worker keeps
-// private COUNT/MIN/MAX columns, which no order can change, and its per-point
-// body (perWorker returns it, so workers can keep private scratch like the
-// ACT lookup buffer); SUM is kept per chunk, summed in point order from +0,
-// and the chunk sums merge in chunk order. Which worker folded a chunk
-// therefore never shows in the result: it is the same at every worker count.
+// workers (pool.RunCtx polls the context before each), and fold runs once per
+// chunk [lo, hi) in point order. Each worker keeps private COUNT/MIN/MAX
+// columns, which no order can change, and a private scratch slice that fold
+// may grow and keep (the ACT lookup buffer, the cover set's segments); SUM
+// is kept per chunk, summed in point order from +0, and the chunk sums merge
+// in chunk order. Which worker folded a chunk therefore never shows in the
+// result: it is the same at every worker count.
 func pointChunkFold(ctx context.Context, nPts, workers, numReg int, aggs []Agg,
-	perWorker func() func(i int, part *acc)) ([]Result, error) {
+	fold func(lo, hi int, part *acc, scratch *[]int32)) ([]Result, error) {
 	needs := needsOf(aggs)
 	chunks := (nPts + foldChunk - 1) / foldChunk
 	workers = pool.Workers(workers, chunks)
 	parts := make([]acc, workers)
-	bodies := make([]func(int, *acc), workers)
+	scratch := make([][]int32, workers)
 	var sums []float64
 	if needs.sum {
 		sums = make([]float64, chunks*numReg)
 	}
 	err := pool.RunCtx(ctx, chunks, workers, func(w, c int) error {
-		if bodies[w] == nil {
+		if parts[w].counts == nil {
 			parts[w] = newAcc(aggNeeds{min: needs.min, max: needs.max}, numReg)
-			bodies[w] = perWorker()
 		}
-		part, body := &parts[w], bodies[w]
+		part := &parts[w]
 		if sums != nil {
 			part.sums = sums[c*numReg : (c+1)*numReg]
 		}
-		for i, end := c*foldChunk, min(nPts, (c+1)*foldChunk); i < end; i++ {
-			body(i, part)
-		}
+		fold(c*foldChunk, min(nPts, (c+1)*foldChunk), part, &scratch[w])
 		return nil
 	})
 	if err != nil {
@@ -261,16 +259,15 @@ func (j *ACTJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 	// point for each keeps the per-region guarantee "approximate ⊇ exact"
 	// that the result-range interval of §6 relies on. A region's own cells
 	// are disjoint, so a point is counted at most once per region.
-	return pointChunkFold(ctx, len(ps.Pts), workers, j.numReg, aggs, func() func(int, *acc) {
-		buf := make([]int32, 0, 4)
-		return func(i int, part *acc) {
+	return pointChunkFold(ctx, len(ps.Pts), workers, j.numReg, aggs, func(lo, hi int, part *acc, buf *[]int32) {
+		for i := lo; i < hi; i++ {
 			pos, ok := j.domain.LeafPos(j.curve, ps.Pts[i])
 			if !ok {
-				return
+				continue
 			}
 			w := ps.weight(i)
-			buf = j.trie.LookupAppend(pos, buf[:0])
-			for _, v := range buf {
+			*buf = j.trie.LookupAppend(pos, (*buf)[:0])
+			for _, v := range *buf {
 				region, _ := decodePayload(v)
 				part.add(region, w)
 			}
@@ -278,25 +275,29 @@ func (j *ACTJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 	})
 }
 
-// AggregateMulti joins a streamed point set through the cover table: each
-// point's leaf key is located among the boundary segments once and fanned out
-// to the segment's stab list, the regions whose covers hold it. The covers are
-// the cells the ACT trie indexes — the same conservative hierarchical raster
-// per region at the same bound — so a point meets exactly the regions its trie
-// lookup finds, and the fold visits points in the same order: every aggregate
-// is bit-identical to ACTJoiner.AggregateMulti.
+// AggregateMulti joins a streamed point set through the cover table, a chunk
+// at a time: the chunk's points are resolved to their boundary segments
+// (coverPlan.resolvePoints, most from their coarse cell alone), then each
+// point's weight fans out to its segment's stab list, the regions whose
+// covers hold it, in point order. The covers are the cells the ACT trie
+// indexes — the same conservative hierarchical raster per region at the same
+// bound — so a point meets exactly the regions its trie lookup finds, and the
+// fold visits points in the same order: every aggregate is bit-identical to
+// ACTJoiner.AggregateMulti.
 func (cs *CoverSet) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg, workers int) ([]Result, error) {
 	if err := ps.validateAggs(aggs); err != nil {
 		return nil, err
 	}
-	return pointChunkFold(ctx, len(ps.Pts), workers, cs.NumRegions(), aggs, func() func(int, *acc) {
-		return func(i int, part *acc) {
-			key, ok := cs.domain.LeafPos(cs.curve, ps.Pts[i])
-			if !ok {
-				return
+	return pointChunkFold(ctx, len(ps.Pts), workers, cs.NumRegions(), aggs, func(lo, hi int, part *acc, segs *[]int32) {
+		p := cs.plan
+		*segs = append((*segs)[:0], make([]int32, hi-lo)...)
+		p.resolvePoints(cs.domain, cs.curve, ps.Pts[lo:hi], *segs)
+		for k, seg := range *segs {
+			if seg < 0 {
+				continue
 			}
-			w := ps.weight(i)
-			for _, ri := range cs.plan.stab(key) {
+			w := ps.weight(lo + k)
+			for _, ri := range p.stabRegions[p.stabOff[seg]:p.stabOff[seg+1]] {
 				part.add(int(ri), w)
 			}
 		}
@@ -310,10 +311,9 @@ func (j *RStarJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Ag
 	if err := ps.validateAggs(aggs); err != nil {
 		return nil, err
 	}
-	return pointChunkFold(ctx, len(ps.Pts), workers, len(j.refine), aggs, func() func(int, *acc) {
-		return func(i int, part *acc) {
-			p := ps.Pts[i]
-			w := ps.weight(i)
+	return pointChunkFold(ctx, len(ps.Pts), workers, len(j.refine), aggs, func(lo, hi int, part *acc, _ *[]int32) {
+		for i := lo; i < hi; i++ {
+			p, w := ps.Pts[i], ps.weight(i)
 			j.tree.SearchPoint(p, func(it rstar.Item) bool {
 				// Refinement: the exact PIP test the approximate joins skip.
 				if j.refine[it.ID].ContainsPoint(p) {

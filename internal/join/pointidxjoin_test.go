@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"distbound/internal/data"
@@ -78,31 +80,65 @@ func TestPointIdxMatchesACTBitIdentical(t *testing.T) {
 	}
 }
 
+// edgePoints draws n points where a coarse-cell resolve could go wrong: the
+// centres of leaf cells on a radix bucket's edge (the low 22 bits of x or y
+// all 0 or all 1, so the cell is a bucket's first or last column or row), and
+// points on the domain's far edges, which Domain.Coord clamps into the last
+// leaf column or row.
+func edgePoints(rng *rand.Rand, d sfc.Domain, n int) []geom.Point {
+	const low = 1<<(sfc.MaxLevel-radixBits/2) - 1
+	farX, farY := d.Origin.X+d.Size, d.Origin.Y+d.Size
+	pts := make([]geom.Point, 0, n+2)
+	for len(pts) < n {
+		x, y := rng.Uint32()>>2, rng.Uint32()>>2
+		switch rng.Intn(6) {
+		case 0:
+			f := rng.Float64() * d.Size
+			pts = append(pts, geom.Pt(farX, d.Origin.Y+f), geom.Pt(d.Origin.X+f, farY), geom.Pt(farX, farY))
+			continue
+		case 1:
+			x &^= low
+		case 2:
+			x |= low
+		case 3:
+			y &^= low
+		case 4:
+			y |= low
+		default: // a bucket's corner cell
+			x, y = x|low, y&^low
+		}
+		pts = append(pts, d.CellRect(x, y, sfc.MaxLevel).Center())
+	}
+	return pts[:n]
+}
+
 // TestCoverSetAggregateMultiMatchesACT: a streamed point set joined through
 // the cover table answers every aggregate bit for bit what the ACT trie
 // answers — both hold the same conservative cells per region, and both fold
-// the same point shards in the same order. The points include every region
-// vertex and every edge midpoint (each on a boundary two regions share), a
-// NaN point and points outside the domain, beside ordinary ones with
-// fractional signed weights, so float sums would betray any difference in
-// which regions a point reaches or in what order.
+// the same point shards in the same order. The points span three full fold
+// chunks and a ragged tail, and include every region vertex and every edge
+// midpoint (each on a boundary two regions share), leaf cells on radix-bucket
+// edges, points clamped at the domain's far edges, a NaN point and points
+// outside the domain, beside ordinary ones with fractional signed weights, so
+// float sums would betray any difference in which regions a point reaches or
+// in what order.
 func TestCoverSetAggregateMultiMatchesACT(t *testing.T) {
 	polys := data.Partition(5, 4, 4, 3)
 	regions := data.Regions(polys)
 	d := data.CityDomain()
-	pts, _ := data.TaxiPoints(7, 3000)
+	pts, _ := data.TaxiPoints(7, 3*foldChunk+777)
 	for _, p := range polys {
 		for i, v := range p.Outer {
 			w := p.Outer[(i+1)%len(p.Outer)]
 			pts = append(pts, v, geom.Pt((v.X+w.X)/2, (v.Y+w.Y)/2))
 		}
 	}
+	pts = append(pts, edgePoints(rand.New(rand.NewSource(3)), d, 400)...)
 	pts = append(pts, geom.Pt(math.NaN(), 100), geom.Pt(-5, 100), geom.Pt(100, data.CitySize+1), geom.Pt(math.Inf(1), 0))
 	weights := make([]float64, len(pts))
 	for i := range weights {
 		weights[i] = float64(i%13-6) * 1.37
 	}
-	all := []Agg{Count, Sum, Avg, Min, Max}
 	ctx := context.Background()
 	for _, eps := range []float64{4, 16, 64} {
 		aj, err := NewACTJoiner(regions, d, sfc.Hilbert{}, eps, 0)
@@ -115,20 +151,74 @@ func TestCoverSetAggregateMultiMatchesACT(t *testing.T) {
 		}
 		for _, ps := range []PointSet{{Pts: pts, Weights: weights}, {Pts: []geom.Point{}, Weights: []float64{}}} {
 			for _, workers := range []int{1, 2, 3} {
-				want, err := aj.AggregateMulti(ctx, ps, all, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := cs.AggregateMulti(ctx, ps, all, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k, agg := range all {
-					bitIdentical(t, fmt.Sprintf("ε%g %d points workers=%d %v", eps, len(ps.Pts), workers, agg), want[k], got[k])
-				}
+				checkCoverSetMatchesACT(t, fmt.Sprintf("ε%g %d points workers=%d", eps, len(ps.Pts), workers), aj, cs, ps, workers)
 			}
 		}
 	}
+}
+
+// checkCoverSetMatchesACT holds every aggregate of the cover-set join to the
+// ACT trie join's, bit for bit.
+func checkCoverSetMatchesACT(t *testing.T, label string, aj *ACTJoiner, cs *CoverSet, ps PointSet, workers int) {
+	t.Helper()
+	ctx := context.Background()
+	want, err := aj.AggregateMulti(ctx, ps, allFive, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cs.AggregateMulti(ctx, ps, allFive, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, agg := range allFive {
+		bitIdentical(t, fmt.Sprintf("%s %v", label, agg), want[k], got[k])
+	}
+}
+
+// coverFuzzFixtures caches each (partition, bound) fixture's ACT trie and
+// cover set across fuzz inputs.
+var coverFuzzFixtures [4][4]struct {
+	once sync.Once
+	aj   *ACTJoiner
+	cs   *CoverSet
+}
+
+// FuzzCoverSetMatchesACT joins up to three and a half fold chunks of taxi and
+// edge points (edgePoints) over one of four partitions at one of four bounds,
+// at one to four workers: every aggregate must be the ACT trie join's, bit
+// for bit.
+func FuzzCoverSetMatchesACT(f *testing.F) {
+	f.Add(uint8(0), uint8(1), int64(1), uint16(3*foldChunk+5), uint8(1))
+	f.Add(uint8(1), uint8(0), int64(2), uint16(2*foldChunk), uint8(4))
+	f.Add(uint8(2), uint8(3), int64(3), uint16(77), uint8(2))
+	bounds := [4]float64{8, 16, 64, 250}
+	d := data.CityDomain()
+	f.Fuzz(func(t *testing.T, part, bound uint8, seed int64, n uint16, workers uint8) {
+		part, bound = part%4, bound%4
+		fx := &coverFuzzFixtures[part][bound]
+		fx.once.Do(func() {
+			regions := data.Regions(data.Partition(int64(part), 2+int(part), 3, 4))
+			var err error
+			if fx.aj, err = NewACTJoiner(regions, d, sfc.Hilbert{}, bounds[bound], 0); err != nil {
+				panic(err)
+			}
+			if fx.cs, err = NewCoverSetCtx(context.Background(), regions, d, sfc.Hilbert{}, bounds[bound], 0); err != nil {
+				panic(err)
+			}
+		})
+		n %= 3*foldChunk + foldChunk/2
+		pts, weights := data.TaxiPoints(seed, int(n))
+		rng := rand.New(rand.NewSource(seed))
+		for i, p := range edgePoints(rng, d, int(n)/7) {
+			pts[7*i] = p
+		}
+		for i := range weights {
+			weights[i] = float64(rng.Intn(2001)-1000) / 64
+		}
+		w := 1 + int(workers%4)
+		checkCoverSetMatchesACT(t, fmt.Sprintf("partition %d ε%g %d points workers=%d", part, bounds[bound], n, w),
+			fx.aj, fx.cs, PointSet{Pts: pts, Weights: weights}, w)
+	})
 }
 
 // TestACTBuildUnchangedByDescent pins what the ACT build reads off the
