@@ -9,13 +9,16 @@
 //	file:line:col: message (analyzer)
 //
 // and exits 1 if any were found. Pass package directories or ./... patterns;
-// with no arguments it checks the whole module. -list prints the analyzers
-// and exits.
+// with no arguments it checks the whole module. The whole-program reach
+// analyzer always loads the whole module (its roots are commands, examples and
+// the bench/ harness) and reports only within the targets. -list prints the
+// analyzers and exits.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,6 +27,7 @@ import (
 	"distbound/internal/analysis"
 	"distbound/internal/analysis/ctxflow"
 	"distbound/internal/analysis/noalloc"
+	"distbound/internal/analysis/reach"
 	"distbound/internal/analysis/releasepair"
 	"distbound/internal/analysis/snapshotdiscipline"
 )
@@ -34,6 +38,7 @@ var analyzers = []*analysis.Analyzer{
 	releasepair.Analyzer,
 	ctxflow.Analyzer,
 	noalloc.Analyzer,
+	reach.Analyzer,
 }
 
 func main() {
@@ -72,7 +77,16 @@ func main() {
 	}
 
 	findings := 0
-	for _, dir := range dirs {
+	emit := func(a *analysis.Analyzer, fset *token.FileSet, d analysis.Diagnostic) {
+		pos := fset.Position(d.Pos)
+		rel, rerr := filepath.Rel(root, pos.Filename)
+		if rerr != nil {
+			rel = pos.Filename
+		}
+		fmt.Printf("%s:%d:%d: %s (%s)\n", rel, pos.Line, pos.Column, d.Message, a.Name)
+		findings++
+	}
+	load := func(dir string) *analysis.Package {
 		path, err := loader.ImportPathForDir(dir)
 		if err != nil {
 			fatal(err)
@@ -81,19 +95,48 @@ func main() {
 		if err != nil {
 			fatal(fmt.Errorf("loading %s: %w", path, err))
 		}
+		return pkg
+	}
+	target := map[string]bool{}
+	for _, dir := range dirs {
+		target[dir] = true
+		pkg := load(dir)
 		for _, a := range selected {
+			if a.Program != nil {
+				continue
+			}
 			diags, err := analysis.Run(a, pkg, root)
 			if err != nil {
 				fatal(err)
 			}
 			for _, d := range diags {
-				pos := pkg.Fset.Position(d.Pos)
-				rel, rerr := filepath.Rel(root, pos.Filename)
-				if rerr != nil {
-					rel = pos.Filename
-				}
-				fmt.Printf("%s:%d:%d: %s (%s)\n", rel, pos.Line, pos.Column, d.Message, a.Name)
-				findings++
+				emit(a, pkg.Fset, d)
+			}
+		}
+	}
+	// A whole-program analyzer sees every package of the module, whatever
+	// the targets, and reports only within them: its roots may lie outside.
+	var program []*analysis.Package
+	for _, a := range selected {
+		if a.Program == nil {
+			continue
+		}
+		if program == nil {
+			all, err := analysis.PackageDirs(root)
+			if err != nil {
+				fatal(err)
+			}
+			for _, dir := range all {
+				program = append(program, load(dir))
+			}
+		}
+		diags, err := analysis.RunProgram(a, program)
+		if err != nil {
+			fatal(err)
+		}
+		for _, d := range diags {
+			if target[filepath.Dir(loader.Fset().Position(d.Pos).Filename)] {
+				emit(a, loader.Fset(), d)
 			}
 		}
 	}

@@ -7,7 +7,17 @@ import (
 
 	"distbound/internal/join"
 	"distbound/internal/pointstore"
+	"distbound/internal/sfc"
 )
+
+// BoundTooFineError refuses a positive bound finer than the leaf cell: no
+// cover can meet it, so it is the caller's error, raised before any build.
+// Floor is the leaf cell's diagonal, the finest bound a cover serves.
+type BoundTooFineError struct{ Bound, Floor float64 }
+
+func (e *BoundTooFineError) Error() string {
+	return fmt.Sprintf("distbound: bound %g m is finer than the leaf cell's diagonal %g m, the finest bound a cover can meet", e.Bound, e.Floor)
+}
 
 // coverEntry is one resident bound of the cover cache: the immutable cover
 // set — the cover table, which depends only on the regions, domain, curve
@@ -49,12 +59,16 @@ func (ce *coverEntry) joiner(e *Engine, ds *Dataset) *join.PointIdxJoiner {
 // under the cache's singleflight on a miss — for a resident pointidx read and
 // an ad-hoc act read alike. Like BRJ mask builds, a cold rasterization fans
 // out across the caller's worker budget, no wider; canceling ctx abandons the
-// wait (and the build, once no caller is left).
+// wait (and the build, once no caller is left). A bound no cover can meet is
+// refused with a BoundTooFineError before any build starts.
 func (e *Engine) coverEntryCtx(ctx context.Context, bound float64, workers int) (*coverEntry, error) {
 	// Closure-free warm path: a ready entry is served without materializing
 	// the build closure below, so a hot resident loop allocates nothing here.
 	if ce, ok := e.covers.GetReady(bound); ok {
 		return ce, nil
+	}
+	if floor := e.domain.CellDiagonal(sfc.MaxLevel); bound > 0 && bound < floor {
+		return nil, &BoundTooFineError{Bound: bound, Floor: floor}
 	}
 	ce, err := e.covers.GetOrBuildCtx(ctx, bound, func(bctx context.Context) (*coverEntry, error) {
 		set, err := join.NewCoverSetCtx(bctx, e.regions, e.domain, Hilbert, bound, workers)

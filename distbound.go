@@ -14,12 +14,13 @@
 //   - Data access (§3): geometries are rasterized ([HierarchicalRaster],
 //     [CoverBudget]), cells linearized with a space-filling curve, and
 //     indexed — polygons in an Adaptive Cell Trie ([PolygonIndex]), points
-//     as sorted 1D keys under a RadixSpline learned index ([PointIndex]).
-//   - Query optimization (§4): the raster canvas algebra (blend / mask /
-//     translate) in the internal canvas engine, surfaced via [RasterJoin].
-//   - Query execution (§5): spatial aggregation joins — the approximate
-//     [ACTJoin], the exact [ExactJoin], and the canvas-based [RasterJoin] —
-//     plus result-range estimation (§6) via [ACTJoiner.AggregateWithRange].
+//     of a registered [Dataset] as sorted 1D curve keys.
+//   - Query optimization (§4): the raster canvas algebra ([Blend],
+//     [MaskCanvas]) that the Bounded Raster Join evaluates on.
+//   - Query execution (§5): spatial aggregation joins, one per [Strategy] of
+//     [Engine.Do] — exact, the approximate ACT join, the Bounded Raster Join
+//     and the resident point index — plus result-range estimation (§6) via
+//     [PolygonIndex.AggregateWithRange].
 //
 // Quick start:
 //
@@ -33,14 +34,10 @@
 package distbound
 
 import (
-	"fmt"
-
 	"distbound/internal/canvas"
 	"distbound/internal/geom"
 	"distbound/internal/join"
-	"distbound/internal/pointstore"
 	"distbound/internal/raster"
-	"distbound/internal/rs"
 	"distbound/internal/sfc"
 )
 
@@ -116,12 +113,6 @@ func NewPolygon(outer Ring, holes ...Ring) (*Polygon, error) {
 	return geom.NewPolygon(outer, holes...)
 }
 
-// NewMultiPolygon builds a multi-part region.
-func NewMultiPolygon(parts ...*Polygon) *MultiPolygon { return geom.NewMultiPolygon(parts...) }
-
-// NewDomain returns a Domain covering the given square.
-func NewDomain(origin Point, size float64) (Domain, error) { return sfc.NewDomain(origin, size) }
-
 // DomainForRegions returns the smallest square domain covering all regions,
 // slightly expanded so boundary coordinates map strictly inside.
 func DomainForRegions(regions ...Region) Domain {
@@ -139,60 +130,28 @@ var (
 	Morton  Curve = sfc.Morton{}
 )
 
-// ParseWKT parses a POINT, POLYGON or MULTIPOLYGON.
-func ParseWKT(s string) (any, error) { return geom.ParseWKT(s) }
-
-// PolygonWKT renders a polygon as WKT.
-func PolygonWKT(p *Polygon) string { return geom.PolygonWKT(p) }
-
 // HierarchicalRaster approximates a region with variable-sized cells
 // guaranteeing a Hausdorff distance of at most eps (conservative: no false
 // negatives).
+//
+//distbound:api the §3 approximation for library users; the engine builds its covers through internal/raster
 func HierarchicalRaster(rg Region, d Domain, c Curve, eps float64) (*Approximation, error) {
 	return raster.Hierarchical(rg, d, c, eps, raster.Conservative)
 }
 
-// UniformRaster approximates a region with equal-sized cells at the given
-// grid level: the cells HierarchicalRaster would emit with that level as its
-// finest, every interior one written out at the level. Cells are closed, so
-// an edge lying exactly on a grid line touches the cells on both sides.
-func UniformRaster(rg Region, d Domain, c Curve, level int) *Approximation {
-	return raster.Uniform(rg, d, c, level, raster.Conservative)
-}
-
 // CoverBudget approximates a region with at most maxCells cells; the
 // achieved bound is Approximation.MaxCellDiagonal.
+//
+//distbound:api the budgeted cover for library users; the root benchmarks build covers with it
 func CoverBudget(rg Region, d Domain, c Curve, maxCells int) *Approximation {
 	return raster.CoverBudget(rg, d, c, maxCells)
 }
-
-// EncodeApproximation serializes an approximation to a compact binary form
-// (grouped-by-level, delta-encoded cell positions), so covers computed
-// offline can be stored and shipped to query nodes.
-func EncodeApproximation(a *Approximation) []byte { return a.Encode() }
-
-// DecodeApproximation reconstructs an approximation serialized by
-// EncodeApproximation.
-func DecodeApproximation(data []byte) (*Approximation, error) { return raster.Decode(data) }
-
-// ApproximationsIntersect reports whether two approximations share a cell:
-// the geometry-independent intersection test of §4. A false result proves
-// the underlying regions disjoint (for conservative approximations); a true
-// result means they are within the sum of the two bounds of intersecting.
-func ApproximationsIntersect(a, b *Approximation) bool { return raster.Intersects(a, b) }
-
-// OverlapArea returns the ε-accurate intersection area of two
-// approximations over the same domain.
-func OverlapArea(a, b *Approximation) float64 { return raster.OverlapArea(a, b) }
 
 // PolygonIndex answers approximate point-in-region queries over a region
 // set: the §3 polygon-indexing pipeline (distance-bounded HR approximation →
 // linearized cells → Adaptive Cell Trie) behind one type.
 type PolygonIndex struct {
 	joiner *join.ACTJoiner
-	domain Domain
-	curve  Curve
-	bound  float64
 }
 
 // NewPolygonIndex builds the index with the given distance bound (meters,
@@ -208,16 +167,13 @@ func NewPolygonIndexIn(regions []Region, d Domain, c Curve, bound float64) (*Pol
 	if err != nil {
 		return nil, err
 	}
-	return &PolygonIndex{joiner: j, domain: d, curve: c, bound: bound}, nil
+	return &PolygonIndex{joiner: j}, nil
 }
 
 // Lookup returns the index of a region whose ε-approximation contains p, or
-// -1. Any mismatch with the exact answer is within Bound() of a region
-// boundary.
+// -1. Any mismatch with the exact answer is within the index's bound of a
+// region boundary.
 func (ix *PolygonIndex) Lookup(p Point) int { return ix.joiner.LookupPoint(p) }
-
-// Bound returns the index's distance bound.
-func (ix *PolygonIndex) Bound() float64 { return ix.bound }
 
 // NumCells returns the number of indexed raster cells.
 func (ix *PolygonIndex) NumCells() int { return ix.joiner.NumCells() }
@@ -225,120 +181,26 @@ func (ix *PolygonIndex) NumCells() int { return ix.joiner.NumCells() }
 // MemoryBytes returns the index footprint.
 func (ix *PolygonIndex) MemoryBytes() int { return ix.joiner.MemoryBytes() }
 
-// Joiner exposes the underlying aggregation joiner.
-func (ix *PolygonIndex) Joiner() *ACTJoiner { return ix.joiner }
-
-// Aggregate runs the approximate aggregation join (§5.1).
-func (ix *PolygonIndex) Aggregate(ps PointSet, agg Agg) (Result, error) {
-	return ix.joiner.Aggregate(ps, agg)
-}
-
-// AggregateWithRange additionally returns per-region result intervals (§6)
-// for COUNT and SUM: [α − Σ⁺, α − Σ⁻], where Σ⁺ and Σ⁻ are the positive and
-// negative weight the region's boundary cells matched. That is [α − ε_b, α]
+// AggregateWithRange runs the approximate aggregation join (§5.1) and returns
+// per-region result intervals (§6) for COUNT and SUM: [α − Σ⁺, α − Σ⁻], where
+// Σ⁺ and Σ⁻ are the positive and negative weight the region's boundary cells
+// matched. That is [α − ε_b, α]
 // for COUNT and for SUM with non-negative weights; SUM's interval holds up to
 // float rounding.
 func (ix *PolygonIndex) AggregateWithRange(ps PointSet, agg Agg) (Result, []Interval, error) {
 	return ix.joiner.AggregateWithRange(ps, agg)
 }
 
-// PointIndex answers approximate containment aggregations over a point set:
-// the §3 point-indexing pipeline (points → linearized 1D keys → RadixSpline
-// learned index). Queries are arbitrary regions approximated on the fly with
-// a budgeted cover.
-type PointIndex struct {
-	keys   []uint64
-	index  *rs.RadixSpline
-	domain Domain
-	curve  Curve
-}
-
-// NewPointIndex linearizes and indexes the points over the given domain. It
-// is an error for any point to lie outside the domain: clamping such points
-// onto border cells would let arbitrarily distant points be counted in
-// regions touching the border, silently voiding the distance-bound
-// guarantee. Grow the domain (DomainForRegions of the data extent) or
-// filter the points first.
-func NewPointIndex(pts []Point, d Domain, c Curve) (*PointIndex, error) {
-	keys, _ := pointstore.SortedKeys(pts, d, c)
-	if n := len(pts) - len(keys); n > 0 {
-		return nil, fmt.Errorf("distbound: %d of %d points lie outside the domain (origin %v, size %g)",
-			n, len(pts), d.Origin, d.Size)
-	}
-	return &PointIndex{
-		keys:   keys,
-		index:  rs.Build(keys, rs.DefaultRadixBits, rs.DefaultSplineError),
-		domain: d,
-		curve:  c,
-	}, nil
-}
-
-// Len returns the number of indexed points.
-func (ix *PointIndex) Len() int { return len(ix.keys) }
-
-// CountIn returns the approximate number of points inside the region, using
-// a conservative cover with maxCells cells (more cells → tighter bound,
-// never an undercount). The achieved distance bound is also returned.
-func (ix *PointIndex) CountIn(rg Region, maxCells int) (count int, bound float64) {
-	a := raster.CoverBudget(rg, ix.domain, ix.curve, maxCells)
-	return ix.CountApprox(a), a.MaxCellDiagonal()
-}
-
-// CountApprox counts the points covered by a prebuilt approximation.
-func (ix *PointIndex) CountApprox(a *Approximation) int {
-	n := 0
-	for _, r := range a.Ranges() {
-		n += ix.index.CountRange(r.Lo, r.Hi)
-	}
-	return n
-}
-
-// MemoryBytes returns the key column plus learned-index footprint.
-func (ix *PointIndex) MemoryBytes() int { return 8*len(ix.keys) + ix.index.MemoryBytes() }
-
-// ACTJoin is the one-shot form of the approximate aggregation join of §5.1:
-// COUNT/SUM/AVG of points per region with distance bound eps and no exact
-// geometric tests.
-func ACTJoin(ps PointSet, regions []Region, eps float64, agg Agg) (Result, error) {
-	d := DomainForRegions(regions...)
-	j, err := join.NewACTJoiner(regions, d, Hilbert, eps, 0)
-	if err != nil {
-		return Result{}, err
-	}
-	return j.Aggregate(ps, agg)
-}
-
-// ExactJoin computes the exact aggregation with the classic
-// filter-and-refine strategy (R*-tree over MBRs plus PIP refinement).
-func ExactJoin(ps PointSet, regions []Region, agg Agg) (Result, error) {
-	return join.NewRStarJoiner(regions, 0).Aggregate(ps, agg)
-}
-
-// RasterJoin runs the Bounded Raster Join (§5.2) over the extent covering
-// all regions: points and regions are rasterized onto canvases with pixel
-// diagonal eps and aggregated per pixel.
-func RasterJoin(ps PointSet, regions []Region, eps float64, agg Agg) (Result, BRJStats, error) {
-	b := geom.EmptyRect()
-	for _, r := range regions {
-		b = b.Union(r.Bounds())
-	}
-	for _, p := range ps.Pts {
-		b = b.ExtendPoint(p)
-	}
-	return join.BRJ{Bound: eps, Bounds: b}.Run(ps, regions, agg)
-}
-
-// NewCanvas allocates a canvas window for direct use of the §4 operator
-// algebra (blend, mask, translate, render).
-func NewCanvas(g Grid, x0, y0, w, h int) (*Canvas, error) { return canvas.NewCanvas(g, x0, y0, w, h) }
-
-// CanvasForRect allocates the smallest canvas covering r.
+// CanvasForRect allocates the smallest canvas covering r, for direct use of
+// the §4 operator algebra (blend, mask).
 func CanvasForRect(g Grid, r Rect) (*Canvas, error) { return canvas.CanvasForRect(g, r) }
 
 // GridForBound returns a pixel lattice whose pixel diagonal equals eps.
 func GridForBound(origin Point, eps float64) Grid { return canvas.GridForBound(origin, eps) }
 
 // Blend merges src into dst with the blend function f (the ⊙ operator).
+//
+//distbound:api the §4 ⊙ operator for library users, beside MaskCanvas
 func Blend(dst, src *Canvas, f canvas.BlendFunc) error { return canvas.Blend(dst, src, f) }
 
 // Standard blend functions.
@@ -378,10 +240,4 @@ func RegionsIntersect(a, b Region) bool { return geom.RegionsIntersect(a, b) }
 // (point, region) pair; intended for validation at small scale.
 func BruteForceJoin(ps PointSet, regions []Region, agg Agg) (Result, error) {
 	return join.BruteForce(ps, regions, agg)
-}
-
-// MedianRelativeError compares an approximate against an exact result — the
-// accuracy metric of Figure 7.
-func MedianRelativeError(approx, exact Result) float64 {
-	return join.MedianRelativeError(approx, exact)
 }

@@ -31,6 +31,8 @@ type PersistConfig struct {
 // WithFS returns cfg backed by fs instead of the operating system: the seam
 // this module's other packages' tests inject filesystem faults through
 // (persist is internal, so no caller outside the module can name one).
+//
+//distbound:api test seam: the fault-injection tests run durable datasets on errorfs
 func (c PersistConfig) WithFS(fs persist.FS) PersistConfig {
 	c.fs = fs
 	return c
@@ -76,6 +78,8 @@ func (d *Dataset) Persist(dir string, cfg PersistConfig) error {
 
 // Sync forces any group-committed log records of a durable dataset to
 // stable storage now; it is a no-op for non-durable datasets.
+//
+//distbound:api durability control for library users: flush group-committed records now
 func (d *Dataset) Sync() error {
 	if dur := d.dur.Load(); dur != nil {
 		return dur.Sync()

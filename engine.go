@@ -230,6 +230,8 @@ type DatasetStats struct {
 }
 
 // Name returns the registration name.
+//
+//distbound:api library accessor: the name the dataset was registered under
 func (d *Dataset) Name() string { return d.name }
 
 // Len returns the number of live points in the dataset.
@@ -248,6 +250,8 @@ func (d *Dataset) Dropped() int { return d.src.Dropped() }
 func (d *Dataset) MemoryBytes() int { return d.src.MemoryBytes() }
 
 // Generation returns the dataset's compaction generation.
+//
+//distbound:api library accessor; the mutation tests observe compactions through it
 func (d *Dataset) Generation() uint64 { return d.src.Gen() }
 
 // Epoch returns the dataset's mutation epoch — bumped by every Append,
@@ -290,6 +294,8 @@ func (d *Dataset) Stats() DatasetStats {
 // dataset has them): base survivors in key order followed by un-compacted
 // appends in append order. This is the relation a fresh RegisterPoints of
 // the surviving data would receive.
+//
+//distbound:api library accessor: the live relation, which the differential tests re-register as their oracle
 func (d *Dataset) Points() ([]Point, []float64) {
 	return d.src.Snapshot().Materialize()
 }
@@ -331,6 +337,8 @@ func (d *Dataset) Append(pts []Point, weights []float64) ([]uint64, error) {
 // (later mutations are refused, Stats().DurableErr stays set) and the error
 // reports it at the call site. On a non-durable dataset the error is always
 // nil.
+//
+//distbound:api the delete chain (Sharded.Delete, Dataset.Delete, Durable.Delete) has no endpoint yet
 func (d *Dataset) Delete(ids ...uint64) (int, error) {
 	var n int
 	var err error
@@ -373,6 +381,8 @@ func (d *Dataset) Compact() {
 // tombstones) a mutation tolerates before scheduling a background
 // compaction; n ≤ 0 disables auto-compaction (Compact still works). The
 // default is DefaultCompactionThreshold.
+//
+//distbound:api library tuning knob; tests pin compaction timing with it
 func (d *Dataset) SetCompactionThreshold(n int) { d.compactThreshold.Store(int64(n)) }
 
 // maybeCompact schedules a background compaction when the un-compacted
@@ -482,6 +492,8 @@ func (e *Engine) register(name string, src *pointstore.Mutable, dur *persist.Dur
 }
 
 // Dataset returns the handle registered under name, if any.
+//
+//distbound:api library lookup of a registered dataset by name
 func (e *Engine) Dataset(name string) (*Dataset, bool) {
 	e.dsMu.RLock()
 	defer e.dsMu.RUnlock()

@@ -252,7 +252,7 @@ func TestMutableConcurrency(t *testing.T) {
 						failures[g] = err
 						return
 					}
-					if resp.Results[0].NumRegions() != len(regions) {
+					if len(resp.Results[0].Counts) != len(regions) {
 						failures[g] = errDrift
 						return
 					}

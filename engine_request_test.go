@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -299,13 +300,30 @@ func TestAdhocNonFiniteWeightRejected(t *testing.T) {
 		}
 		_, err := e.Do(ctx, Request{Points: bad, Aggs: []Agg{Count}, Bound: 64})
 		check("planned count-only Do", err)
-		_, _, err = RasterJoin(bad, regions, 64, Sum)
-		check("RasterJoin", err)
-		_, err = ACTJoin(bad, regions, 64, Sum)
-		check("ACTJoin", err)
-		_, err = ExactJoin(bad, regions, Sum)
-		check("ExactJoin", err)
 		_, err = BruteForceJoin(bad, regions, Sum)
 		check("BruteForceJoin", err)
+	}
+}
+
+// TestBoundFinerThanLeafCellRefused: a positive bound finer than the leaf
+// cell is the caller's error, typed and naming the floor, and refused before
+// any cover build starts — on a resident read and a forced ad-hoc act read.
+func TestBoundFinerThanLeafCellRefused(t *testing.T) {
+	e, ds, ps, _ := residentFixture(t, 2000)
+	floor := e.domain.CellDiagonal(MaxLevel)
+	act := StrategyACT
+	for _, req := range []Request{
+		{Dataset: ds, Aggs: []Agg{Count}, Bound: 5e-324},
+		{Points: ps, Aggs: []Agg{Count, Sum}, Bound: floor / 2, Strategy: &act},
+	} {
+		_, err := e.Do(context.Background(), req)
+		var tf *BoundTooFineError
+		if !errors.As(err, &tf) || tf.Bound != req.Bound || tf.Floor != floor ||
+			!strings.Contains(err.Error(), strconv.FormatFloat(floor, 'g', -1, 64)) {
+			t.Fatalf("bound %g: err %v, want a BoundTooFineError naming the floor %g", req.Bound, err, floor)
+		}
+	}
+	if _, cover := e.CacheStats(); cover.Builds != 0 {
+		t.Errorf("refused bounds started %d cover builds", cover.Builds)
 	}
 }

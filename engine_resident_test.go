@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"distbound/internal/data"
+	"distbound/internal/join"
 	"distbound/internal/testutil"
 )
 
@@ -270,15 +271,14 @@ func TestAggregateDatasetMatchesStreaming(t *testing.T) {
 	e, ds, ps, regions := residentFixture(t, 200_000)
 	const bound = 16.0
 
-	// Reference ACT result over the same domain (the polygon-index facade
-	// wraps exactly the streaming ACT joiner the engine runs).
-	idx, err := NewPolygonIndexIn(regions, DomainForRegions(regions...), Hilbert, bound)
+	// Reference ACT result over the same domain: the streaming ACT joiner.
+	act, err := join.NewACTJoiner(regions, DomainForRegions(regions...), Hilbert, bound, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, agg := range []Agg{Count, Sum, Avg, Min, Max} {
-		want, err := idx.Aggregate(ps, agg)
+		want, err := act.Aggregate(ps, agg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"distbound/internal/data"
 	"distbound/internal/geom"
+	"distbound/internal/join"
 	"distbound/internal/testutil"
 )
 
@@ -71,7 +72,7 @@ func TestEngineApproximateStrategiesAccurate(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, strategy := resp.Results[0], resp.Strategy
-		if med := MedianRelativeError(res, exact); med > 0.02 {
+		if med := join.MedianRelativeError(res, exact); med > 0.02 {
 			t.Errorf("bound=%g reps=%d (%v): median error %g", q.bound, q.reps, strategy, med)
 		}
 		// Whatever plan ran, the distance-bound guarantee must hold.
@@ -116,7 +117,7 @@ func TestEngineMinMaxAvoidsBRJ(t *testing.T) {
 	if resp.Strategy == StrategyBRJ {
 		t.Error("MIN ran on BRJ")
 	}
-	if resp.Results[0].NumRegions() != len(regions) {
+	if len(resp.Results[0].Counts) != len(regions) {
 		t.Error("result size wrong")
 	}
 }

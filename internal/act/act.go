@@ -68,9 +68,8 @@ func (n *node) ensureChild(slot uint16) *node {
 // to int32 payloads (polygon IDs): cells are inserted, then Compact freezes
 // it for lookups. The zero value is not usable; call New.
 type Trie struct {
-	root     *node
-	stride   int
-	numCells int
+	root   *node
+	stride int
 }
 
 // New returns an empty trie. stride is the number of quadtree levels per
@@ -84,9 +83,6 @@ func New(stride int) (*Trie, error) {
 	}
 	return &Trie{root: &node{}, stride: stride}, nil
 }
-
-// NumCells returns the number of inserted cells.
-func (t *Trie) NumCells() int { return t.numCells }
 
 // Insert adds a cell with a payload value. Inserting the same cell with
 // multiple values keeps all of them (adjacent polygons legitimately share
@@ -114,7 +110,6 @@ func (t *Trie) Insert(id sfc.CellID, value int32) {
 		base := uint16(pos&(1<<(2*uint(rem))-1)) * span
 		n.entries = append(n.entries, entry{lo: base, hi: base + span - 1, value: value})
 	}
-	t.numCells++
 }
 
 // InsertCells adds all cells with the same payload.

@@ -39,9 +39,6 @@ func TestInsertAlignedCellLookup(t *testing.T) {
 	// A cell at level 3 (aligned to stride 3).
 	id := sfc.FromPosLevel(0b101010, 3)
 	tr.Insert(id, 7)
-	if tr.NumCells() != 1 {
-		t.Fatalf("NumCells = %d", tr.NumCells())
-	}
 	ct := tr.Compact()
 	lo, hi := id.LeafPosRange()
 	for _, pos := range []uint64{lo, hi, (lo + hi) / 2} {
@@ -184,13 +181,7 @@ func TestAccounting(t *testing.T) {
 		pos := rng.Uint64() & (1<<(2*uint(level)) - 1)
 		tr.Insert(sfc.FromPosLevel(pos, level), int32(i))
 	}
-	if tr.NumCells() != 1000 {
-		t.Errorf("NumCells = %d", tr.NumCells())
-	}
 	ct := tr.Compact()
-	if ct.NumCells() != 1000 {
-		t.Errorf("compact NumCells = %d", ct.NumCells())
-	}
 	if ct.MemoryBytes() <= empty {
 		t.Errorf("MemoryBytes = %d, not above the empty trie's %d", ct.MemoryBytes(), empty)
 	}

@@ -15,7 +15,6 @@ type CompactTrie struct {
 	kids   []childRef
 	ents   []entry
 	terms  []int32
-	cells  int
 }
 
 type compactNode struct {
@@ -34,7 +33,7 @@ type childRef struct {
 
 // Compact freezes the trie into its read-optimized form.
 func (t *Trie) Compact() *CompactTrie {
-	c := &CompactTrie{stride: t.stride, cells: t.numCells}
+	c := &CompactTrie{stride: t.stride}
 	// First pass: count storage.
 	var nNodes, nKids, nEnts, nTerms int
 	var count func(n *node)
@@ -81,9 +80,6 @@ func (t *Trie) Compact() *CompactTrie {
 	layout(t.root, 0)
 	return c
 }
-
-// NumCells returns the number of cells the trie was built from.
-func (c *CompactTrie) NumCells() int { return c.cells }
 
 // LookupAppend appends every payload whose cell covers the MaxLevel curve
 // position to buf, coarsest cell first: a root-to-leaf walk reports a node's

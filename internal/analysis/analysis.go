@@ -6,10 +6,11 @@
 // pooling and warm-path invariants — guarantees that are otherwise enforced
 // only dynamically by -race runs and allocation-gated benchmarks.
 //
-// An Analyzer inspects one type-checked package at a time through a Pass and
-// reports Diagnostics. The cmd/distboundvet multichecker loads every package
-// of the module (loader.go) and runs the whole suite; per-analyzer fixtures
-// under testdata/ are exercised by the analysistest subpackage.
+// An Analyzer inspects one type-checked package at a time through a Pass, or
+// the whole loaded program at once, and reports Diagnostics. The
+// cmd/distboundvet multichecker loads every package of the module (loader.go)
+// and runs the whole suite; per-analyzer fixtures under testdata/ are
+// exercised by the analysistest subpackage.
 package analysis
 
 import (
@@ -31,9 +32,13 @@ type Analyzer struct {
 	// Doc is the analyzer's documentation: first line is the summary.
 	Doc string
 	// Run applies the analyzer to one package, reporting findings through
-	// pass.Report/Reportf. The result value is unused by this driver (kept
+	// pass.Reportf. The result value is unused by this driver (kept
 	// for x/tools API shape) and may be nil.
 	Run func(pass *Pass) (any, error)
+	// Program, set instead of Run, applies the analyzer once to every loaded
+	// package together: a whole-program check (reach) needs callers in other
+	// packages, which no single Pass sees. All packages share one FileSet.
+	Program func(pkgs []*Package, report func(Diagnostic)) error
 }
 
 // Pass carries one type-checked package through an analyzer run.
@@ -61,9 +66,6 @@ type Diagnostic struct {
 	Pos     token.Pos
 	Message string
 }
-
-// Report emits one diagnostic.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
 
 // Reportf emits a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {

@@ -15,13 +15,11 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
 
 	"distbound/internal/analysis"
@@ -50,7 +48,13 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkg string) {
 
 	// The fixture tree is the "module root" for classification purposes, so
 	// fixture files under cmd/ or examples/ classify the way real ones would.
-	diags, err := analysis.Run(a, loaded, srcRoot)
+	// A whole-program analyzer sees the fixture package as the program.
+	var diags []analysis.Diagnostic
+	if a.Program != nil {
+		diags, err = analysis.RunProgram(a, []*analysis.Package{loaded})
+	} else {
+		diags, err = analysis.Run(a, loaded, srcRoot)
+	}
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
@@ -143,14 +147,4 @@ func moduleRoot(t *testing.T, dir string) string {
 		}
 		d = parent
 	}
-}
-
-// Fprint is a debugging helper that renders diagnostics for a fixture run.
-func Fprint(fset *token.FileSet, diags []analysis.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		fmt.Fprintf(&b, "%s:%d:%d: %s\n", pos.Filename, pos.Line, pos.Column, d.Message)
-	}
-	return b.String()
 }

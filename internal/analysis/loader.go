@@ -178,7 +178,11 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // PackageDirs walks the module tree and returns every directory containing
 // at least one non-test .go file, skipping testdata, vendor, hidden and
-// underscore-prefixed directories — the same set `go list ./...` would name.
+// underscore-prefixed directories. That is the set `go list ./...` would name
+// plus the nested bench/ module, which `go list` skips: the benchmark harness
+// is a production root for reach (its main keeps alive what it calls), so
+// dropping it here would let reach report — and a sweep delete — code only
+// the harness runs.
 func PackageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -236,6 +240,17 @@ func Run(a *Analyzer, pkg *Package, moduleRoot string) ([]Diagnostic, error) {
 	}
 	if _, err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.PkgPath, err)
+	}
+	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
+	return diags, nil
+}
+
+// RunProgram applies one whole-program analyzer to every loaded package
+// together, collecting diagnostics.
+func RunProgram(a *Analyzer, pkgs []*Package) ([]Diagnostic, error) {
+	var diags []Diagnostic
+	if err := a.Program(pkgs, func(d Diagnostic) { diags = append(diags, d) }); err != nil {
+		return nil, fmt.Errorf("analysis: %s: %w", a.Name, err)
 	}
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags, nil

@@ -233,7 +233,3 @@ func (g rasterGeometry) Area() float64                   { return g.a.Area() }
 func (g rasterGeometry) BoundarySamples(step float64) []geom.Point {
 	return g.a.BoundarySamples(step)
 }
-
-// Raster exposes the underlying raster approximation (nil for non-raster
-// geometries).
-func (g rasterGeometry) Raster() *raster.Approximation { return g.a }

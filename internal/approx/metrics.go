@@ -70,6 +70,8 @@ type ContainmentError struct {
 }
 
 // MeasureContainment evaluates g against the exact polygon on the probes.
+//
+//distbound:oracle the approximation tests hold HR covers to the distance-bound guarantee with it
 func MeasureContainment(p *geom.Polygon, g Geometry, probes []geom.Point) ContainmentError {
 	var ce ContainmentError
 	ce.Probes = len(probes)

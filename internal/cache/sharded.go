@@ -191,6 +191,8 @@ func (c *ShardedLRU[K, V]) SetCapacity(capacity int) {
 func (c *ShardedLRU[K, V]) Enabled() bool { return !c.off.Load() }
 
 // Len returns the resident entry count.
+//
+//distbound:oracle the capacity tests count resident entries with it
 func (c *ShardedLRU[K, V]) Len() int {
 	n := 0
 	for i := range c.shards {

@@ -42,10 +42,6 @@ func GridForBound(origin geom.Point, eps float64) Grid {
 	return Grid{Origin: origin, PixelSize: eps / math.Sqrt2}
 }
 
-// Bound returns the distance bound guaranteed by the grid (the pixel
-// diagonal).
-func (g Grid) Bound() float64 { return g.PixelSize * math.Sqrt2 }
-
 // PixelOf returns the lattice coordinates of the pixel containing p
 // (half-open pixels).
 func (g Grid) PixelOf(p geom.Point) (int, int) {
@@ -129,6 +125,8 @@ func (c *Canvas) At(gx, gy int) float64 {
 
 // Set writes the value at global pixel (gx, gy); writes outside the window
 // are dropped (off-canvas fragments are clipped, as in the pipeline).
+//
+//distbound:api pixel write for library users of the §4 canvas algebra; tests build canvases with it
 func (c *Canvas) Set(gx, gy int, v float64) {
 	if c.contains(gx, gy) {
 		c.Pix[c.idx(gx, gy)] = v
@@ -159,6 +157,8 @@ func (c *Canvas) Sum() float64 {
 }
 
 // NonZero returns the number of non-empty pixels.
+//
+//distbound:oracle the scanline tests count covered pixels with it
 func (c *Canvas) NonZero() int {
 	n := 0
 	for _, v := range c.Pix {
@@ -168,9 +168,6 @@ func (c *Canvas) NonZero() int {
 	}
 	return n
 }
-
-// MemoryBytes returns the pixel-buffer footprint.
-func (c *Canvas) MemoryBytes() int { return 8 * len(c.Pix) }
 
 // BlendFunc is the ⊙ of the blend operator.
 type BlendFunc func(dst, src float64) float64
@@ -272,6 +269,8 @@ func Mask(c, mask *Canvas, pred func(v float64) bool) error {
 
 // Translate returns a view-copy of c shifted by (dx, dy) pixels — the affine
 // transformation operator restricted to lattice-preserving translations.
+//
+//distbound:api §4's translate operator; no plan composes it yet
 func Translate(c *Canvas, dx, dy int) *Canvas {
 	out := c.Clone()
 	out.X0 += dx

@@ -30,7 +30,7 @@ func TestGridPixelMapping(t *testing.T) {
 	if c := g.PixelCenter(0, 0); !c.Eq(geom.Pt(11, 21)) {
 		t.Errorf("PixelCenter = %v", c)
 	}
-	if math.Abs(GridForBound(geom.Pt(0, 0), 10).Bound()-10) > 1e-12 {
+	if math.Abs(GridForBound(geom.Pt(0, 0), 10).PixelSize*math.Sqrt2-10) > 1e-12 {
 		t.Error("GridForBound does not round-trip the bound")
 	}
 }

@@ -100,9 +100,10 @@ func (g Grid) RegionSpans(rg geom.Region, x0, y0, w, h int, emit func(gy, lo, hi
 }
 
 // RenderRegionBoundary marks every pixel the region boundary passes through
-// with value. Combined with RenderRegion this yields the boundary-pixel set
-// used for result-range estimation (§6: errors happen only at boundary
-// cells).
+// with value. Combined with RenderRegion it yields the boundary-pixel set
+// result-range estimation needs (§6: errors happen only at boundary cells).
+//
+//distbound:api §4's boundary rendering; no plan composes it yet
 func (c *Canvas) RenderRegionBoundary(rg geom.Region, value float64) {
 	for _, p := range geom.Polygons(rg) {
 		for _, ring := range p.Rings() {

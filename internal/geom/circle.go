@@ -21,6 +21,8 @@ func (c Circle) Bounds() Rect {
 func (c Circle) NumVertices() int { return 0 }
 
 // BoundaryDist returns the distance from p to the circle outline.
+//
+//distbound:oracle completes Region for the disk; the differential oracle measures boundary distance through Region
 func (c Circle) BoundaryDist(p Point) float64 {
 	return math.Abs(c.Center.Dist(p) - c.Radius)
 }

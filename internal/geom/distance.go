@@ -74,17 +74,10 @@ func DirectedHausdorff(samples []Point, target RegionSet) float64 {
 	return d
 }
 
-// HausdorffDist estimates the (filled-set) Hausdorff distance between two
-// region sets whose boundary samples are given. The estimate is a lower
-// bound that converges to the true value as the sampling step shrinks; tests
-// use a step well below the tolerance being checked.
-func HausdorffDist(aSamples []Point, a RegionSet, bSamples []Point, b RegionSet) float64 {
-	return math.Max(DirectedHausdorff(aSamples, b), DirectedHausdorff(bSamples, a))
-}
-
 // PointSetHausdorff returns the exact Hausdorff distance between two finite
-// point sets (used by the approximation-quality ablation where geometries are
-// compared via dense samples on both sides).
+// point sets, such as dense samples of two geometries.
+//
+//distbound:api the exact Hausdorff distance of finite point sets, the definition the sampled estimators approximate
 func PointSetHausdorff(a, b []Point) float64 {
 	directed := func(xs, ys []Point) float64 {
 		var dmax float64

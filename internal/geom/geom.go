@@ -60,6 +60,8 @@ type Segment struct {
 func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 
 // Midpoint returns the segment midpoint.
+//
+//distbound:oracle the R*-tree tests probe edge midpoints
 func (s Segment) Midpoint() Point {
 	return Point{(s.A.X + s.B.X) / 2, (s.A.Y + s.B.Y) / 2}
 }
@@ -223,6 +225,8 @@ func (r Rect) ContainsPoint(p Point) bool {
 }
 
 // ContainsRect reports whether o lies entirely within r (closed).
+//
+//distbound:oracle tests check that bounding rectangles cover their contents with it
 func (r Rect) ContainsRect(o Rect) bool {
 	if o.IsEmpty() {
 		return true
@@ -323,9 +327,4 @@ func (r Rect) IntersectsSegment(s Segment) bool {
 		}
 	}
 	return false
-}
-
-// String implements fmt.Stringer.
-func (r Rect) String() string {
-	return fmt.Sprintf("[%g, %g]x[%g, %g]", r.Min.X, r.Max.X, r.Min.Y, r.Max.Y)
 }

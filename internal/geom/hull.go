@@ -144,11 +144,15 @@ type OrientedRect struct {
 }
 
 // Area returns the oriented rect area.
+//
+//distbound:oracle the minimum-area tests measure the oriented rectangle with it
 func (o OrientedRect) Area() float64 {
 	return Ring(o.Corners[:]).Area()
 }
 
 // ContainsPoint reports whether p lies in the closed oriented rect.
+//
+//distbound:oracle the minimum-area tests check the rectangle covers every point with it
 func (o OrientedRect) ContainsPoint(p Point) bool {
 	return Ring(o.Corners[:]).ContainsPoint(p)
 }

@@ -45,6 +45,8 @@ func RegionsIntersect(a, b Region) bool {
 // disjoint regions, computed from boundary samples at the given step (0 when
 // the regions intersect). It is the measurement tool for the intersection
 // join's distance-bound guarantee.
+//
+//distbound:oracle the intersection-join tests bound false pairs' distance with it
 func RegionDistance(a, b Region, step float64) float64 {
 	if RegionsIntersect(a, b) {
 		return 0

@@ -54,27 +54,6 @@ func (r Ring) Perimeter() float64 {
 	return l
 }
 
-// Centroid returns the area centroid of the ring.
-func (r Ring) Centroid() Point {
-	var cx, cy, a float64
-	for i := range r {
-		e := r.Edge(i)
-		w := e.A.Cross(e.B)
-		cx += (e.A.X + e.B.X) * w
-		cy += (e.A.Y + e.B.Y) * w
-		a += w
-	}
-	if a == 0 {
-		// Degenerate ring: fall back to the vertex mean.
-		var s Point
-		for _, p := range r {
-			s = s.Add(p)
-		}
-		return s.Scale(1 / float64(len(r)))
-	}
-	return Point{cx / (3 * a), cy / (3 * a)}
-}
-
 // ContainsPoint reports whether p lies inside or on the boundary of the ring,
 // using the even-odd crossing rule with boundary points treated as inside.
 func (r Ring) ContainsPoint(p Point) bool {
@@ -120,15 +99,6 @@ func (r Ring) IntersectsSegment(s Segment) bool {
 		}
 	}
 	return false
-}
-
-// Reverse returns a copy of the ring with opposite winding.
-func (r Ring) Reverse() Ring {
-	out := make(Ring, len(r))
-	for i, p := range r {
-		out[len(r)-1-i] = p
-	}
-	return out
 }
 
 // Clone returns a deep copy of the ring.
@@ -210,10 +180,6 @@ func (p *Polygon) Perimeter() float64 {
 	return l
 }
 
-// Centroid returns the centroid of the outer ring. For the synthetic
-// workloads (hole-free partitions) this is the exact polygon centroid.
-func (p *Polygon) Centroid() Point { return p.Outer.Centroid() }
-
 // ContainsPoint reports whether pt lies inside the polygon (in the outer
 // ring, not strictly inside any hole). Boundary points are contained. This is
 // the exact point-in-polygon (PIP) test, with cost linear in the vertex
@@ -255,20 +221,6 @@ func (p *Polygon) DistToPoint(pt Point) float64 {
 	return p.BoundaryDist(pt)
 }
 
-// IntersectsSegment reports whether s crosses any polygon boundary or lies
-// inside the polygon.
-func (p *Polygon) IntersectsSegment(s Segment) bool {
-	if p.Outer.IntersectsSegment(s) {
-		return true
-	}
-	for _, h := range p.Holes {
-		if h.IntersectsSegment(s) {
-			return true
-		}
-	}
-	return p.ContainsPoint(s.A)
-}
-
 // RectRelation classifies an axis-aligned rectangle against a polygon.
 type RectRelation int
 
@@ -281,18 +233,6 @@ const (
 	// RectPartial: the rectangle overlaps the polygon boundary.
 	RectPartial
 )
-
-// String implements fmt.Stringer.
-func (rr RectRelation) String() string {
-	switch rr {
-	case RectOutside:
-		return "outside"
-	case RectInside:
-		return "inside"
-	default:
-		return "partial"
-	}
-}
 
 // RelateRect classifies r against the polygon. It is the primitive that
 // drives hierarchical rasterization: cells classified RectInside become
@@ -320,6 +260,8 @@ func (p *Polygon) RelateRect(r Rect) RectRelation {
 }
 
 // Translate returns a copy of the polygon shifted by d.
+//
+//distbound:oracle the WKT round-trip test builds its second part with it
 func (p *Polygon) Translate(d Point) *Polygon {
 	move := func(r Ring) Ring {
 		out := make(Ring, len(r))
@@ -333,15 +275,6 @@ func (p *Polygon) Translate(d Point) *Polygon {
 		holes[i] = move(h)
 	}
 	return MustPolygon(move(p.Outer), holes...)
-}
-
-// Clone returns a deep copy of the polygon.
-func (p *Polygon) Clone() *Polygon {
-	holes := make([]Ring, len(p.Holes))
-	for i, h := range p.Holes {
-		holes[i] = h.Clone()
-	}
-	return MustPolygon(p.Outer.Clone(), holes...)
 }
 
 // MultiPolygon is a collection of polygons treated as one region, as in the

@@ -20,6 +20,8 @@ func PolygonWKT(p *Polygon) string {
 }
 
 // MultiPolygonWKT renders m as a WKT MULTIPOLYGON.
+//
+//distbound:oracle writes the MULTIPOLYGON text the WKT round-trip test parses
 func MultiPolygonWKT(m *MultiPolygon) string {
 	var b strings.Builder
 	b.WriteString("MULTIPOLYGON (")

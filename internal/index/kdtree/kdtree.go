@@ -132,9 +132,6 @@ func quickSelect(k, n int, less func(i, j int) bool, swap func(i, j int)) {
 	}
 }
 
-// Len returns the number of indexed points.
-func (t *Tree) Len() int { return len(t.pts) }
-
 // SearchRect calls fn for every indexed point inside the closed rect,
 // stopping early when fn returns false.
 func (t *Tree) SearchRect(q geom.Rect, fn func(id int32, p geom.Point) bool) {
@@ -177,19 +174,4 @@ func (t *Tree) CountRect(q geom.Rect) int {
 	n := 0
 	t.SearchRect(q, func(int32, geom.Point) bool { n++; return true })
 	return n
-}
-
-// MemoryBytes estimates the tree footprint (points, ids and nodes).
-func (t *Tree) MemoryBytes() int {
-	nodes := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		nodes++
-		if !n.leaf() {
-			walk(n.left)
-			walk(n.right)
-		}
-	}
-	walk(t.root)
-	return 16*len(t.pts) + 4*len(t.ids) + nodes*40
 }

@@ -29,9 +29,6 @@ func TestSearchRectMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randomPoints(rng, 20000, 1000)
 	tr := Build(pts, nil)
-	if tr.Len() != len(pts) {
-		t.Fatalf("Len = %d", tr.Len())
-	}
 	for trial := 0; trial < 100; trial++ {
 		lo := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		sz := rng.Float64() * 200
@@ -92,7 +89,7 @@ func TestDuplicatePoints(t *testing.T) {
 }
 
 func TestSmallInputs(t *testing.T) {
-	if tr := Build(nil, nil); tr.Len() != 0 || tr.CountRect(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}) != 0 {
+	if tr := Build(nil, nil); tr.CountRect(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}) != 0 {
 		t.Error("empty tree broken")
 	}
 	one := Build([]geom.Point{geom.Pt(3, 4)}, nil)
@@ -118,8 +115,5 @@ func TestClusteredData(t *testing.T) {
 		if got, want := tr.CountRect(q), bruteCount(pts, q); got != want {
 			t.Fatalf("clustered: CountRect = %d, want %d", got, want)
 		}
-	}
-	if tr.MemoryBytes() <= 0 {
-		t.Error("MemoryBytes must be positive")
 	}
 }

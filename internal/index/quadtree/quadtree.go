@@ -30,7 +30,6 @@ type node struct {
 // Tree is a PR quadtree over 2D points with int32 payloads.
 type Tree struct {
 	root node
-	size int
 }
 
 // New returns an empty tree covering bounds; points outside bounds are
@@ -56,10 +55,9 @@ func Build(pts []geom.Point, ids []int32) *Tree {
 	return t
 }
 
-// Len returns the number of stored points.
-func (t *Tree) Len() int { return t.size }
-
 // Bounds returns the tree's coverage rectangle.
+//
+//distbound:oracle tests search the whole tree with it
 func (t *Tree) Bounds() geom.Rect { return t.root.bounds }
 
 // Insert adds a point; it reports false when p is outside the tree bounds.
@@ -72,7 +70,6 @@ func (t *Tree) Insert(p geom.Point, id int32) bool {
 		n = n.childFor(p)
 	}
 	n.entries = append(n.entries, entry{p, id})
-	t.size++
 	if len(n.entries) > bucketSize && n.depth < maxDepth {
 		n.split()
 	}
@@ -142,19 +139,4 @@ func (t *Tree) CountRect(q geom.Rect) int {
 	n := 0
 	t.SearchRect(q, func(int32, geom.Point) bool { n++; return true })
 	return n
-}
-
-// MemoryBytes estimates the tree footprint.
-func (t *Tree) MemoryBytes() int {
-	var walk func(n *node) int
-	walk = func(n *node) int {
-		b := 64 + 24*len(n.entries)
-		if n.children != nil {
-			for i := range n.children {
-				b += walk(&n.children[i])
-			}
-		}
-		return b
-	}
-	return walk(&t.root)
 }

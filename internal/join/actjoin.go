@@ -21,7 +21,6 @@ type ACTJoiner struct {
 	trie   *act.CompactTrie
 	domain sfc.Domain
 	curve  sfc.Curve
-	bound  float64
 	numReg int
 	cells  int
 	// boundaryCells counts boundary cells per region for reporting.
@@ -48,7 +47,7 @@ func NewACTJoiner(regions []geom.Region, d sfc.Domain, curve sfc.Curve, eps floa
 	if err != nil {
 		return nil, err
 	}
-	j := &ACTJoiner{domain: d, curve: curve, bound: eps, numReg: len(regions)}
+	j := &ACTJoiner{domain: d, curve: curve, numReg: len(regions)}
 	for ri, a := range hrs {
 		trie.InsertCells(a.Interior, encodePayload(ri, false))
 		trie.InsertCells(a.Boundary, encodePayload(ri, true))
@@ -72,9 +71,6 @@ func encodePayload(region int, boundary bool) int32 {
 func decodePayload(v int32) (region int, boundary bool) {
 	return int(v >> 1), v&1 == 1
 }
-
-// Bound returns the distance bound the joiner guarantees.
-func (j *ACTJoiner) Bound() float64 { return j.bound }
 
 // NumCells returns the total number of indexed cells.
 func (j *ACTJoiner) NumCells() int { return j.cells }

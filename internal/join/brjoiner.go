@@ -39,7 +39,6 @@ import (
 // core. A region spanning several tiles is thereby summed in tile order, so
 // counts and sums are bit-identical to BRJ.Run's at every worker count.
 type BRJJoiner struct {
-	bound float64
 	brjPass
 	tiles      [][]brjCachedMask // per tile, the masks of the regions that cover some pixel of it
 	numReg     int
@@ -82,7 +81,7 @@ func NewBRJJoinerCtx(ctx context.Context, regions []geom.Region, bounds geom.Rec
 	if err != nil {
 		return nil, err
 	}
-	j := &BRJJoiner{bound: bound, brjPass: pass, numReg: len(regions)}
+	j := &BRJJoiner{brjPass: pass, numReg: len(regions)}
 	j.tiles = make([][]brjCachedMask, j.numTiles())
 	workers = pool.Workers(workers, len(j.tiles))
 	windowPixels := make([]int64, len(j.tiles))
@@ -139,18 +138,19 @@ func (j *BRJJoiner) buildTile(ctx context.Context, ti int, regions []geom.Region
 	return windowPixels, nil
 }
 
-// Bound returns the joiner's distance bound.
-func (j *BRJJoiner) Bound() float64 { return j.bound }
-
 // Stats reports the cached-mask profile over the whole extent, not one run —
 // the profile BRJ.Run reports for the same extent, bound and texture cap:
 // MaskPixels counts the pixels of every mask window, though the joiner keeps
 // only the spans covered within them.
+//
+//distbound:api test seam: the raster-join tests check tiles and mask pixels through it
 func (j *BRJJoiner) Stats() BRJStats { return j.stats(j.maskPixels) }
 
 // MemoryBytes returns the footprint of the cached masks — a 32-byte record
 // per (tile, region) and 8 bytes per span — plus the point buffers retained
 // between calls.
+//
+//distbound:api test seam: the canvas-retention tests measure the retained masks through it
 func (j *BRJJoiner) MemoryBytes() int {
 	n := j.maskBytes
 	if sc := j.scratch.Load(); sc != nil {

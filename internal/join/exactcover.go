@@ -114,10 +114,9 @@ func NewExactCoverCtx(ctx context.Context, regions []geom.Region, d sfc.Domain, 
 func (ec *ExactCover) NumRegions() int { return len(ec.refine) }
 
 // NumRanges returns the table's merged ranges, interior and boundary.
+//
+//distbound:api test seam: the exact-cover tests hold the table to its cell budget with it
 func (ec *ExactCover) NumRanges() int { return len(ec.plan.ranges) }
-
-// MemoryBytes returns the cover table's footprint plus the point locators'.
-func (ec *ExactCover) MemoryBytes() int { return ec.plan.memoryBytes() + locatorBytes(ec.refine) }
 
 // AggregateMulti joins a streamed point set exactly: each point's stab list
 // filters, and only points in boundary cells are refined. Every aggregate is

@@ -228,7 +228,7 @@ func TestExactCoverMatchesRStar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("level %d, %d ranges, %d B, %d points", exactLevel(fx.regions, fx.d), ec.NumRanges(), ec.MemoryBytes(), len(fx.pts))
+			t.Logf("level %d, %d ranges, %d points", exactLevel(fx.regions, fx.d), ec.NumRanges(), len(fx.pts))
 			rj := NewRStarJoiner(fx.regions, 0)
 			ps := PointSet{Pts: fx.pts, Weights: weightsFor(len(fx.pts))}
 			checkExactCover(t, fx.name, ec, rj, fx.regions, ps, 1, 2, 3)

@@ -91,12 +91,3 @@ func (j *GridJoiner) Aggregate(regions []geom.Region, agg Agg) (Result, error) {
 	}
 	return res, nil
 }
-
-// MemoryBytes estimates the bucket index footprint.
-func (j *GridJoiner) MemoryBytes() int {
-	b := 24 * len(j.buckets)
-	for _, bk := range j.buckets {
-		b += 4 * len(bk)
-	}
-	return b
-}

@@ -17,7 +17,6 @@ import (
 // of touching.
 type IntersectJoiner struct {
 	left, right []*raster.Approximation
-	bound       float64
 }
 
 // NewIntersectJoiner approximates both region sets at distance bound eps.
@@ -41,13 +40,8 @@ func NewIntersectJoiner(left, right []geom.Region, d sfc.Domain, curve sfc.Curve
 	if err != nil {
 		return nil, err
 	}
-	return &IntersectJoiner{left: l, right: r, bound: 2 * eps}, nil
+	return &IntersectJoiner{left: l, right: r}, nil
 }
-
-// Bound returns the guarantee of the join: every reported pair of regions is
-// within Bound of intersecting (0 distance means truly intersecting), and no
-// intersecting pair is missed.
-func (j *IntersectJoiner) Bound() float64 { return j.bound }
 
 // ownedRange is a leaf-position interval tagged with its owning region.
 type ownedRange struct {

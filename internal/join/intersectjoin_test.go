@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"distbound/internal/geom"
-	"distbound/internal/raster"
 	"distbound/internal/sfc"
 )
 
@@ -43,9 +42,6 @@ func TestIntersectJoinerSupersetAndBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Bound() != 2*eps {
-		t.Errorf("Bound = %g, want %g", j.Bound(), 2*eps)
-	}
 	pairs := j.Pairs()
 	reported := make(map[[2]int32]bool, len(pairs))
 	for _, p := range pairs {
@@ -64,8 +60,8 @@ func TestIntersectJoinerSupersetAndBounded(t *testing.T) {
 				}
 			} else if reported[key] {
 				// False pair: must be within the bound of touching.
-				if dist := geom.RegionDistance(l, r, eps/4); dist > j.Bound() {
-					t.Errorf("false pair (%d, %d) at distance %g > bound %g", li, ri, dist, j.Bound())
+				if dist := geom.RegionDistance(l, r, eps/4); dist > 2*eps {
+					t.Errorf("false pair (%d, %d) at distance %g > bound %g", li, ri, dist, 2*eps)
 				}
 			}
 		}
@@ -109,34 +105,6 @@ func TestIntersectJoinerPairsSortedUnique(t *testing.T) {
 	}
 	if len(self) != len(regions) {
 		t.Errorf("self-pairs missing: %v", self)
-	}
-}
-
-func TestRasterSetOps(t *testing.T) {
-	d, _ := sfc.NewDomain(geom.Pt(0, 0), 1024)
-	a := geom.MustPolygon(geom.Ring{geom.Pt(100, 100), geom.Pt(400, 100), geom.Pt(400, 400), geom.Pt(100, 400)})
-	b := geom.MustPolygon(geom.Ring{geom.Pt(300, 300), geom.Pt(600, 300), geom.Pt(600, 600), geom.Pt(300, 600)})
-	c := geom.MustPolygon(geom.Ring{geom.Pt(700, 700), geom.Pt(900, 700), geom.Pt(900, 900), geom.Pt(700, 900)})
-	ra, err := raster.Hierarchical(a, d, sfc.Hilbert{}, 4, raster.Conservative)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, _ := raster.Hierarchical(b, d, sfc.Hilbert{}, 4, raster.Conservative)
-	rc, _ := raster.Hierarchical(c, d, sfc.Hilbert{}, 4, raster.Conservative)
-	if !raster.Intersects(ra, rb) {
-		t.Error("overlapping squares not detected")
-	}
-	if raster.Intersects(ra, rc) {
-		t.Error("distant squares reported intersecting")
-	}
-	// Overlap area ≈ 100x100 within the bound-induced slack.
-	got := raster.OverlapArea(ra, rb)
-	want := 100.0 * 100.0
-	if math.Abs(got-want) > 0.1*want {
-		t.Errorf("OverlapArea = %g, want ≈%g", got, want)
-	}
-	if raster.OverlapLeafCount(ra, rc) != 0 {
-		t.Error("disjoint overlap count non-zero")
 	}
 }
 

@@ -194,9 +194,6 @@ func (r *Result) Value(region int) float64 {
 	}
 }
 
-// NumRegions returns the number of groups.
-func (r *Result) NumRegions() int { return len(r.Counts) }
-
 // BruteForce computes the exact aggregation by testing every point against
 // every region — the ground truth for correctness tests and error metrics.
 // A point on a shared boundary matches every region containing it.

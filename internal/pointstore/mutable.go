@@ -500,6 +500,7 @@ func (s *Snapshot) MinSpan(i, j int) float64 {
 // MaxSpan is MinSpan for the maximum (-Inf when empty).
 //
 //distbound:noalloc
+//distbound:oracle the join reference test folds MAX spans through it
 func (s *Snapshot) MaxSpan(i, j int) float64 {
 	_, _, mx := s.foldSpan(i, j)
 	return mx

@@ -235,6 +235,8 @@ func (d *Durable) Append(pts []geom.Point, weights []float64) ([]uint64, error) 
 
 // Delete applies and logs a delete batch, returning how many points were
 // live. A batch that deletes nothing changes no state and is not logged.
+//
+//distbound:api the delete chain (Sharded.Delete, Dataset.Delete, Durable.Delete) has no endpoint yet
 func (d *Durable) Delete(ids ...uint64) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

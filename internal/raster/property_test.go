@@ -125,23 +125,3 @@ func TestQuickCoverBudgetConservative(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestQuickSerializationRoundTrip(t *testing.T) {
-	check := func(w quickWorkload) bool {
-		d := w.domain()
-		p := w.polygon(d)
-		a, err := Hierarchical(p, d, sfc.Hilbert{}, w.bound(d), Conservative)
-		if err != nil {
-			return false
-		}
-		back, err := Decode(a.Encode())
-		if err != nil {
-			t.Logf("decode: %v", err)
-			return false
-		}
-		return rangesEqual(a.Ranges(), back.Ranges()) && back.Domain == a.Domain
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}

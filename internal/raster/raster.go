@@ -44,7 +44,6 @@
 package raster
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -66,6 +65,8 @@ const (
 )
 
 // String implements fmt.Stringer.
+//
+//distbound:api fmt.Stringer; the raster-mode ablation benchmark names its sub-benchmarks with it
 func (m Mode) String() string {
 	if m == Conservative {
 		return "conservative"
@@ -78,16 +79,13 @@ type PosRange struct {
 	Lo, Hi uint64
 }
 
-// Len returns the number of leaf positions in the range.
-func (r PosRange) Len() uint64 { return r.Hi - r.Lo + 1 }
-
 // Contains reports whether pos falls in the range.
 func (r PosRange) Contains(pos uint64) bool { return r.Lo <= pos && pos <= r.Hi }
 
 // Approximation is a raster approximation of a region: a set of interior and
 // boundary cells over a Domain/Curve grid. It implements geom.RegionSet so
 // that the guaranteed distance bound can be verified against the original
-// geometry with geom.HausdorffDist.
+// geometry with geom.DirectedHausdorff.
 type Approximation struct {
 	Domain sfc.Domain
 	Curve  sfc.Curve
@@ -219,17 +217,6 @@ func (a *Approximation) Area() float64 {
 		s += side * side
 	}
 	return s
-}
-
-// MemoryBytes estimates the in-memory footprint of the cell list (8 bytes
-// per 64-bit cell ID), the figure the paper reports when comparing ACT, SI
-// and R-tree storage costs.
-func (a *Approximation) MemoryBytes() int { return 8 * a.NumCells() }
-
-// String implements fmt.Stringer.
-func (a *Approximation) String() string {
-	return fmt.Sprintf("raster{interior=%d boundary=%d dH≤%.3g}",
-		len(a.Interior), len(a.Boundary), a.MaxCellDiagonal())
 }
 
 var _ geom.RegionSet = (*Approximation)(nil)

@@ -289,7 +289,7 @@ func refUniform(rg geom.Region, d sfc.Domain, curve sfc.Curve, level int, mode M
 func leafCells(rs []PosRange, level int) int {
 	n := uint64(0)
 	for _, r := range rs {
-		n += r.Len()
+		n += (r.Hi - r.Lo + 1)
 	}
 	return int(n >> uint(2*(sfc.MaxLevel-level)))
 }

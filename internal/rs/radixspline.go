@@ -260,6 +260,8 @@ func (r *RadixSpline) CountRange(lo, hi uint64) int {
 func (r *RadixSpline) NumSplinePoints() int { return len(r.spline) }
 
 // MemoryBytes reports the index footprint excluding the shared key column.
+//
+//distbound:api the learned index's footprint, which stays far below the key column's
 func (r *RadixSpline) MemoryBytes() int {
 	return 16*len(r.spline) + 4*len(r.table)
 }

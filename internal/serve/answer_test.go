@@ -24,7 +24,7 @@ func toWire(req shard.Request, resp shard.Response) QueryResponse {
 		r := resp.Results[k]
 		ar := AggResult{
 			Agg:    aggNames[agg],
-			Values: make([]float64, r.NumRegions()),
+			Values: make([]float64, len(r.Counts)),
 			Counts: append([]int64(nil), r.Counts...),
 		}
 		for ri := range ar.Values {

@@ -129,14 +129,16 @@ func answer(scratch *[]byte, req shard.Request, resp *shard.Response) (body, tai
 }
 
 // httpStatus maps an execution error onto a status code: context errors are
-// the client's deadline or disconnect, validation errors are the client's
-// request, anything else is the server's fault.
+// the client's deadline or disconnect, a bound finer than the leaf cell is
+// the client's request, anything else is the server's fault.
 func httpStatus(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return 499 // client closed request, in nginx's convention
+	case errors.As(err, new(*distbound.BoundTooFineError)):
+		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
 	}

@@ -636,6 +636,36 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestBoundFinerThanLeafCell: a positive bound finer than the leaf cell is
+// the client's error: a 400 naming the floor on /v1/query, and an inline
+// error on its /v1/batch line that leaves its sibling answered.
+func TestBoundFinerThanLeafCell(t *testing.T) {
+	ts, regions, _, _ := newShardedTS(t, 0)
+	floor := strconv.FormatFloat(distbound.DomainForRegions(regions...).CellDiagonal(distbound.MaxLevel), 'g', -1, 64)
+	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"count"}, Bound: 5e-324}, nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), floor) {
+		t.Fatalf("too-fine bound on /v1/query: %d %s, want 400 naming the floor %s", resp.StatusCode, body, floor)
+	}
+
+	in := strings.NewReader("{\"aggs\":[\"count\"],\"bound\":1e-9}\n{\"aggs\":[\"count\"],\"bound\":16}\n")
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/x-ndjson", in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var lines []QueryResponse
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		var q QueryResponse
+		if err := json.Unmarshal(sc.Bytes(), &q); err != nil {
+			t.Fatalf("%v in line %q", err, sc.Text())
+		}
+		lines = append(lines, q)
+	}
+	if len(lines) != 2 || !strings.Contains(lines[0].Error, floor) || lines[1].Error != "" || len(lines[1].Results) != 1 {
+		t.Fatalf("batch answered %+v, want an inline error naming the floor %s, then an answer", lines, floor)
+	}
+}
+
 // TestRepeatedAggregateRejected: an aggregate named twice is a 400 on
 // /v1/query and an inline error on its /v1/batch line, so a request body
 // cannot buy one region-wide result column per repeated entry.

@@ -28,6 +28,8 @@ func FromPosLevel(pos uint64, level int) CellID {
 }
 
 // FromXY builds a CellID for cell (x, y) on the level grid under the curve.
+//
+//distbound:oracle raster's reference rasterizer names its cells with it
 func FromXY(c Curve, x, y uint32, level int) CellID {
 	return FromPosLevel(c.Encode(level, x, y), level)
 }
@@ -67,6 +69,8 @@ func (id CellID) XY(c Curve) (x, y uint32) {
 
 // Parent returns the enclosing cell one level up. Calling Parent on a
 // level-0 cell is invalid.
+//
+//distbound:oracle the cell-algebra tests check Children against it
 func (id CellID) Parent() CellID {
 	nlsb := id.lsb() << 2
 	return CellID(uint64(id)&^(2*nlsb-1) | nlsb)
@@ -99,17 +103,15 @@ func (id CellID) LeafPosRange() (lo, hi uint64) {
 }
 
 // Contains reports whether o is id itself or a descendant of id.
+//
+//distbound:oracle the cell-algebra tests check RangeMin and RangeMax against it
 func (id CellID) Contains(o CellID) bool {
 	return id.RangeMin() <= o && o <= id.RangeMax()
 }
 
-// Intersects reports whether the two cells overlap, i.e. one contains the
-// other.
-func (id CellID) Intersects(o CellID) bool {
-	return id.Contains(o) || o.Contains(id)
-}
-
 // String implements fmt.Stringer.
+//
+//distbound:api fmt.Stringer, so failures and logs print cells readably
 func (id CellID) String() string {
 	if !id.IsValid() {
 		return fmt.Sprintf("cell(invalid %#x)", uint64(id))

@@ -162,7 +162,7 @@ func TestCellIDContainment(t *testing.T) {
 		subLevels := int(rawSub % uint64(MaxLevel-level+1))
 		subPos := pos<<(2*uint(subLevels)) | (rawSub & ((uint64(1) << (2 * uint(subLevels))) - 1))
 		desc := FromPosLevel(subPos, level+subLevels)
-		if !id.Contains(desc) || !id.Intersects(desc) || !desc.Intersects(id) {
+		if !id.Contains(desc) {
 			return false
 		}
 		// A sibling (if one exists at this level) must not be contained.

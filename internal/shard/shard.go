@@ -238,9 +238,6 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // NumRegions returns the region count every result column spans.
 func (s *Sharded) NumRegions() int { return s.engine.NumRegions() }
 
-// HasWeights reports whether the dataset carries an attribute column.
-func (s *Sharded) HasWeights() bool { return s.hasW }
-
 // Len returns the number of live points across all shards.
 func (s *Sharded) Len() int {
 	n := 0
@@ -571,6 +568,8 @@ func (s *Sharded) owner(key uint64) int {
 // Dataset.Delete. Every shard's group is attempted; a shard whose durable log
 // refused the deletion still counts its in-memory removals, and the joined
 // error names each such shard (they are wedged: see DurableErr).
+//
+//distbound:api the delete chain (Sharded.Delete, Dataset.Delete, Durable.Delete) has no endpoint yet
 func (s *Sharded) Delete(ids ...uint64) (int, error) {
 	groups := make([][]uint64, len(s.shards))
 	for _, id := range ids {
@@ -601,6 +600,8 @@ func (s *Sharded) Delete(ids ...uint64) (int, error) {
 // Compact synchronously compacts every shard — mainly a test and benchmark
 // convenience; production shards compact in the background on their own
 // thresholds.
+//
+//distbound:api test seam: tests and benchmarks compact every shard synchronously
 func (s *Sharded) Compact() {
 	for i := range s.shards {
 		s.shards[i].ds.Compact()
@@ -609,6 +610,8 @@ func (s *Sharded) Compact() {
 
 // SetCompactionThreshold forwards the auto-compaction threshold to every
 // shard's dataset.
+//
+//distbound:api tuning knob forwarded to every shard; tests disable auto-compaction with it
 func (s *Sharded) SetCompactionThreshold(n int) {
 	for i := range s.shards {
 		s.shards[i].ds.SetCompactionThreshold(n)

@@ -407,8 +407,8 @@ func TestShardedPersistOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer re.Close()
-			if re.NumShards() != n || !re.HasWeights() {
-				t.Fatalf("recovered %d shards, weights=%v", re.NumShards(), re.HasWeights())
+			if re.NumShards() != n {
+				t.Fatalf("recovered %d shards", re.NumShards())
 			}
 			after, err := re.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
 			if err != nil {
@@ -918,5 +918,19 @@ func TestRenderedMemoConcurrentFirstHits(t *testing.T) {
 		if string(got[i]) != string(got[0]) {
 			t.Fatalf("hit %d rendered %q, hit 0 %q", i, got[i], got[0])
 		}
+	}
+}
+
+// TestShardedBoundFinerThanLeafCell: a positive bound finer than the leaf
+// cell comes back as the engine's typed error, before any cover build.
+func TestShardedBoundFinerThanLeafCell(t *testing.T) {
+	s, _, _, _, _, _, _ := fixture(t, 7, 2000, 4)
+	_, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 5e-324})
+	var tf *distbound.BoundTooFineError
+	if !errors.As(err, &tf) || tf.Bound != 5e-324 || !(tf.Floor > 0) {
+		t.Fatalf("Do at bound 5e-324: %v, want a BoundTooFineError", err)
+	}
+	if _, cover := s.engine.CacheStats(); cover.Builds != 0 {
+		t.Errorf("a refused bound started %d cover builds", cover.Builds)
 	}
 }

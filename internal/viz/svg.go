@@ -130,6 +130,8 @@ func (s *SVG) WriteTo(w io.Writer) (int64, error) {
 }
 
 // String renders the document.
+//
+//distbound:api fmt.Stringer; the SVG tests read the document through it
 func (s *SVG) String() string {
 	var b strings.Builder
 	if _, err := s.WriteTo(&b); err != nil {

@@ -159,6 +159,8 @@ func (e *Engine) SetResultCacheCapacity(n int) {
 // insert. (Builds and Coalesced stay zero — result entries are
 // by-products of execution, never built by the cache.) The index-artifact
 // caches report separately through CacheStats.
+//
+//distbound:api library observability: the result cache's hit, miss and eviction counters
 func (e *Engine) ResultCacheStats() cache.Stats {
 	return e.results.Stats()
 }
