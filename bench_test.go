@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"distbound/internal/approx"
 	"distbound/internal/data"
@@ -327,7 +328,7 @@ func BenchmarkResident(b *testing.B) {
 		// sequential ACT join, so the resident path must not get intra-query
 		// parallelism the baseline is denied — the measured gap is then the
 		// strategy's, not the core count's.
-		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Repetitions: 100000, Workers: 1}
+		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Workers: 1}
 		// Warm the cover artifact and the joiner's partials: the warm
 		// resident Do — snapshot, two atomic loads, one O(regions) merge —
 		// is the zero-alloc acceptance gate, and CI fails this benchmark on
@@ -371,7 +372,7 @@ func BenchmarkResident(b *testing.B) {
 		}
 	}
 	for _, bound := range []float64{8, 16} {
-		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Repetitions: 100000, Workers: 1}
+		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Workers: 1}
 		b.Run(fmt.Sprintf("resident-pointidx-after-delete/bound=%g", bound), func(b *testing.B) {
 			deleteOne()
 			benchResidentDo(b, e, req, deleteOne)
@@ -384,7 +385,7 @@ func BenchmarkResident(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, bound := range []float64{8, 16} {
-		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Repetitions: 100000, Workers: 1}
+		req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Workers: 1}
 		b.Run(fmt.Sprintf("resident-pointidx-delta/bound=%g", bound), func(b *testing.B) {
 			benchResidentDo(b, e, req, nil)
 		})
@@ -418,58 +419,100 @@ func benchResidentDo(b *testing.B, e *Engine, req Request, before func()) {
 	}
 }
 
-// BenchmarkAdhocArms: the three ad-hoc arms forced on the repository
-// benchmark's shapes — exact at ε0, act at ε16, brj at ε64 — over the 16×16
-// partition, one iteration = one Do over the next 50 k-point slice of 1 M
-// points, builds warm, at one worker and at GOMAXPROCS. The next decision
-// about which arms the engine keeps starts from these walls. Each arm reports
-// its wall per point (ns/pt); act also reports coarse/pt, the share of the
-// points it ran that it resolves from their coarse cell (coarseShare).
+// BenchmarkAdhocArms is the grid the ad-hoc rule (planner.ChooseInto) is
+// read from: every arm forced in turn over three region sets — the repository
+// benchmark's 16×16 partition, Boroughs and Neighborhoods — at ε ∈ {0, 2, …,
+// 128} and at one worker and GOMAXPROCS. Exact, whose answer does not depend
+// on the bound, runs at every ε beside the arms that do, so a row's walls are
+// taken close together in time. Each cell gets its own engine; its
+// first Do, over the first 50 k-point slice of 1 M points, reports the cold
+// build (build-ms) and the pooled count error against the exact arm on that
+// slice (cnt-err); then one iteration is one warm Do over the next slice, and
+// the wall is reported per point (ns/pt). Act cells also report coarse/pt, the
+// share of the points run that act resolves from their coarse cell
+// (coarseShare). Every aggregate set is {COUNT, SUM}, which every arm answers.
 func BenchmarkAdhocArms(b *testing.B) {
-	const slice, actBound = 50_000, 16
+	const slice = 50_000
 	pts, weights := data.TaxiPoints(1, 1_000_000)
-	regions := data.Regions(data.Partition(1, 16, 16, 12))
-	d := DomainForRegions(regions...)
-	e := NewEngine(regions)
-	arms := []struct {
-		s     Strategy
-		bound float64
-		aggs  []Agg
-	}{
-		{StrategyExact, 0, []Agg{Count}},
-		{StrategyACT, actBound, []Agg{Count, Sum, Avg}},
-		{StrategyBRJ, 64, []Agg{Count, Sum}},
-	}
-	boundedBuckets := sync.OnceValue(func() *[1 << 16]bool { return bucketsWithBoundaries(regions, d, actBound) })
+	first := PointSet{Pts: pts[:slice], Weights: weights[:slice]}
+	aggs := []Agg{Count, Sum}
 	ctx := context.Background()
-	for _, arm := range arms {
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			b.Run(fmt.Sprintf("%v/e%g/workers=%d", arm.s, arm.bound, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				req := Request{Aggs: arm.aggs, Bound: arm.bound, Strategy: &arm.s, Workers: workers}
-				run := func(i int) {
-					off := i * slice % len(pts)
-					req.Points = PointSet{Pts: pts[off : off+slice], Weights: weights[off : off+slice]}
-					resp, err := e.Do(ctx, req)
-					if err != nil {
-						b.Fatal(err)
-					}
-					resp.Release()
+	for _, set := range []struct {
+		name    string
+		regions []Region
+	}{
+		{"partition16x16", data.Regions(data.Partition(1, 16, 16, 12))},
+		{"boroughs", data.Regions(data.Boroughs(1))},
+		{"neighborhoods", data.Regions(data.Neighborhoods(1))},
+	} {
+		d := DomainForRegions(set.regions...)
+		exactCounts := sync.OnceValue(func() []int64 {
+			s := StrategyExact
+			resp, err := NewEngine(set.regions).Do(ctx, Request{Points: first, Aggs: aggs, Strategy: &s})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return resp.Results[0].Counts
+		})
+		for _, bound := range []float64{0, 2, 4, 8, 16, 32, 64, 128} {
+			bounded := sync.OnceValue(func() *[1 << 16]bool { return bucketsWithBoundaries(set.regions, d, bound) })
+			for _, s := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ} {
+				if s != StrategyExact && bound == 0 {
+					continue
 				}
-				run(0) // the build
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					run(i)
+				for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+					var (
+						e      *Engine // the cell's engine, kept across b.N rounds
+						build  time.Duration
+						cntErr float64
+					)
+					b.Run(fmt.Sprintf("%s/e%g/%v/workers=%d", set.name, bound, s, workers), func(b *testing.B) {
+						b.ReportAllocs()
+						req := Request{Aggs: aggs, Bound: bound, Strategy: &s, Workers: workers}
+						run := func(ps PointSet) Response {
+							req.Points = ps
+							resp, err := e.Do(ctx, req)
+							if err != nil {
+								b.Fatal(err)
+							}
+							return resp
+						}
+						if e == nil {
+							e = NewEngine(set.regions)
+							resp := run(first)
+							build, cntErr = resp.Build, countRelErr(resp.Results[0].Counts, exactCounts())
+							resp.Release()
+						}
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							off := (i + 1) * slice % len(pts)
+							resp := run(PointSet{Pts: pts[off : off+slice], Weights: weights[off : off+slice]})
+							resp.Release()
+						}
+						b.StopTimer()
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slice), "ns/pt")
+						b.ReportMetric(float64(build.Microseconds())/1e3, "build-ms")
+						b.ReportMetric(cntErr, "cnt-err")
+						if s == StrategyACT {
+							ran := pts[slice : slice+min(b.N, len(pts)/slice-1)*slice]
+							b.ReportMetric(coarseShare(bounded(), d, ran), "coarse/pt")
+						}
+					})
 				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slice), "ns/pt")
-				if arm.s == StrategyACT {
-					ran := pts[:min(b.N, len(pts)/slice)*slice]
-					b.ReportMetric(coarseShare(boundedBuckets(), d, ran), "coarse/pt")
-				}
-			})
+			}
 		}
 	}
+}
+
+// countRelErr pools a COUNT column's error against the exact one:
+// Σ|approx − exact| ÷ Σexact, the repository benchmark's count_rel_err.
+func countRelErr(approx, exact []int64) float64 {
+	var diff, total int64
+	for i, c := range exact {
+		diff += max(approx[i]-c, c-approx[i])
+		total += c
+	}
+	return float64(diff) / float64(max(total, 1))
 }
 
 // bucketsWithBoundaries marks the level-8 cells — the act arm's cover-table

@@ -44,12 +44,11 @@ const (
 )
 
 // Engine answers spatial aggregation queries over a fixed region set. For an
-// ad-hoc point set the §4 cost-based planner chooses the physical plan — the
-// exact filter-and-refine join, the approximate cell-lookup join (act) or the
-// Bounded Raster Join, whichever is estimated cheapest for the requested
-// bound and expected repetitions; a dataset registered with RegisterPoints
-// has one plan, the resident cover-range fold over its sorted keys, whenever
-// the bound is positive.
+// ad-hoc point set a rule on the bound (planner.ChooseInto, §4) chooses the
+// physical plan — the exact join, the approximate cell-lookup join (act) or
+// the Bounded Raster Join; a dataset registered with RegisterPoints has one
+// plan, the resident cover-range fold over its sorted keys, whenever the
+// bound is positive.
 //
 // Do is the entry point: one Request names a target (an ad-hoc PointSet or
 // a registered *Dataset), a set of aggregates answered in a single pass,
@@ -62,14 +61,12 @@ const (
 // set of BRJ region masks per bound, and one cover set per bound — the one
 // artifact both the ad-hoc act join and every registered dataset answer from)
 // are cached in bounded LRU caches with singleflight build deduplication —
-// concurrent misses on the same bound run one build and share it. The
-// planner is told which artifacts are already resident, so cached-index
-// reuse across concurrent callers participates in its repetition
-// amortization.
+// concurrent misses on the same bound run one build and share it. Neither
+// rule reads what is cached: the first request that needs an artifact builds
+// it.
 type Engine struct {
 	regions []Region
 	domain  Domain
-	stats   planner.RegionStats // precomputed once; regions are immutable
 
 	exact *cache.Cache[struct{}, *join.ExactCover] // the one exact cover; see covers.go
 	brj   *cache.Cache[float64, *join.BRJJoiner]
@@ -98,7 +95,7 @@ func (e *Engine) getScratch() *respScratch {
 	if sc, ok := e.scratch.Get().(*respScratch); ok {
 		return sc
 	}
-	return &respScratch{e: e, cached: make(map[Strategy]bool, 4)}
+	return &respScratch{e: e}
 }
 
 // NewEngine creates an engine over the region set.
@@ -106,7 +103,6 @@ func NewEngine(regions []Region) *Engine {
 	return &Engine{
 		regions:  regions,
 		domain:   DomainForRegions(regions...),
-		stats:    planner.ComputeStats(regions),
 		exact:    cache.New[struct{}, *join.ExactCover](1),
 		brj:      cache.New[float64, *join.BRJJoiner](maskCacheCapacity),
 		datasets: map[string]*Dataset{},
@@ -118,28 +114,6 @@ func NewEngine(regions []Region) *Engine {
 // NumRegions returns how many regions the engine aggregates over — the
 // width of every result column.
 func (e *Engine) NumRegions() int { return len(e.regions) }
-
-// cachedBuildsInto reports which strategies' build artifacts are resident
-// for the bound — act's is the bound's cover set, whichever request built it,
-// and exact's the engine's exact cover — so the planner charges no build cost
-// for them. Only completed
-// builds count: an in-flight build has not been paid yet, and crediting it
-// would steer cheap one-shot queries into blocking on a slow build. It fills a
-// caller-reused map — the warm planning path charges no allocation for the
-// residency probe.
-func (e *Engine) cachedBuildsInto(bound float64, m map[Strategy]bool) map[Strategy]bool {
-	clear(m)
-	if _, ok := e.exact.PeekReady(struct{}{}); ok {
-		m[StrategyExact] = true
-	}
-	if _, ok := e.covers.PeekReady(bound); ok {
-		m[StrategyACT] = true
-	}
-	if _, ok := e.brj.PeekReady(bound); ok {
-		m[StrategyBRJ] = true
-	}
-	return m
-}
 
 // DefaultCompactionThreshold is the un-compacted state (delta rows plus
 // tombstones) at which a dataset schedules a background compaction after a

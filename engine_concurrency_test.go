@@ -6,37 +6,25 @@ import (
 	"testing"
 )
 
-// mixedQuery is one (bound, repetitions) point of the concurrent workload.
-type mixedQuery struct {
-	bound float64
-	reps  int
-}
-
-// engineReference warms the engine's caches at every query and returns the
-// stable per-bound reference results plus the strategies that ran. Two
-// warm-up rounds are needed: the first builds the indexes, the second plans
-// with every build cost already amortized — the same state every later call
-// observes.
-func engineReference(t *testing.T, e *Engine, ps PointSet, agg Agg, queries []mixedQuery) (map[float64]Result, map[Strategy]bool) {
+// engineReference answers every bound once, building the engine's caches,
+// and returns the per-bound reference results plus the strategies that ran.
+func engineReference(t *testing.T, e *Engine, ps PointSet, agg Agg, bounds []float64) (map[float64]Result, map[Strategy]bool) {
 	t.Helper()
 	ref := map[float64]Result{}
 	strategies := map[Strategy]bool{}
-	for round := 0; round < 2; round++ {
-		for _, q := range queries {
-			resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{agg}, Bound: q.bound, Repetitions: q.reps})
-			if err != nil {
-				t.Fatalf("bound %g: %v", q.bound, err)
-			}
-			ref[q.bound] = resp.Results[0]
-			strategies[resp.Strategy] = true
+	for _, b := range bounds {
+		resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{agg}, Bound: b})
+		if err != nil {
+			t.Fatalf("bound %g: %v", b, err)
 		}
+		ref[b] = resp.Results[0]
+		strategies[resp.Strategy] = true
 	}
 	return ref, strategies
 }
 
 // TestEngineConcurrentMixedBounds drives one shared engine from many
-// goroutines with mixed bounds and repetition hints chosen so all three
-// strategies — and hence the exact joiner plus both the ACT and BRJ cache
+// goroutines with mixed bounds chosen so all three strategies — and hence the exact joiner plus both the ACT and BRJ cache
 // paths — run concurrently, checking every result against the sequential
 // reference. Run under -race this is the concurrency-safety gate for the
 // serving layer.
@@ -44,11 +32,10 @@ func TestEngineConcurrentMixedBounds(t *testing.T) {
 	ps, _ := facadeWorkload(20000)
 	regions := complexRegions()
 	e := NewEngine(regions)
-	// bound 0 → exact; fine bounds at high reps → ACT; a coarse one-shot
-	// bound → BRJ (asserted below so cost-model drift cannot silently turn
-	// this into an exact-only test).
-	queries := []mixedQuery{{0, 1}, {16, 1000}, {32, 1000}, {64, 1}}
-	ref, strategies := engineReference(t, e, ps, Count, queries)
+	// bound 0 → exact, 16 → act, 32 and 64 → brj (asserted below so a rule
+	// change cannot silently turn this into an exact-only test).
+	bounds := []float64{0, 16, 32, 64}
+	ref, strategies := engineReference(t, e, ps, Count, bounds)
 	for _, s := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ} {
 		if !strategies[s] {
 			t.Fatalf("workload never planned %v — concurrency gate lost coverage; saw %v", s, strategies)
@@ -64,17 +51,17 @@ func TestEngineConcurrentMixedBounds(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 6; i++ {
-				q := queries[(g+i)%len(queries)]
-				resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: q.bound, Repetitions: q.reps})
+				b := bounds[(g+i)%len(bounds)]
+				resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: b})
 				if err != nil {
-					t.Errorf("goroutine %d bound %g: %v", g, q.bound, err)
+					t.Errorf("goroutine %d bound %g: %v", g, b, err)
 					return
 				}
-				res, want := resp.Results[0], ref[q.bound]
+				res, want := resp.Results[0], ref[b]
 				for ri := range regions {
 					if res.Counts[ri] != want.Counts[ri] {
 						t.Errorf("goroutine %d bound %g region %d: %d != %d",
-							g, q.bound, ri, res.Counts[ri], want.Counts[ri])
+							g, b, ri, res.Counts[ri], want.Counts[ri])
 						return
 					}
 				}
@@ -100,9 +87,9 @@ func TestEngineConcurrentBuildsAreDeduplicated(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			// High repetitions force the ACT plan for both bounds.
+			// The rule plans act at both bounds.
 			b := []float64{8, 16}[g%2]
-			if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: b, Repetitions: 1_000_000}); err != nil {
+			if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: b}); err != nil {
 				t.Errorf("bound %g: %v", b, err)
 			}
 		}(g)
@@ -119,34 +106,37 @@ func TestEngineConcurrentBuildsAreDeduplicated(t *testing.T) {
 	}
 }
 
-// TestEngineCachedBuildInformsPlanner verifies the cost-model extension: a
-// one-shot query at a bound whose index is already resident may switch to
-// the indexed plan, because its build cost is sunk.
-func TestEngineCachedBuildInformsPlanner(t *testing.T) {
-	regions := complexRegions()
+// TestEngineColdRequestBuildsRuleArm pins the cold policy: the first
+// one-shot ad-hoc request at a bound builds the artifact of the arm the rule
+// names — nothing reads what is cached — and a repeat plans the same arm and
+// reuses the artifact.
+func TestEngineColdRequestBuildsRuleArm(t *testing.T) {
 	ps, _ := facadeWorkload(20000)
-	e := NewEngine(regions)
-
-	cold := e.planOnly(adHoc(len(ps.Pts), Count, 16), 1)
-	if cold.Strategy == StrategyACT {
-		t.Fatalf("cold one-shot query already plans ACT: %v", cold.Costs)
-	}
-	coldACT := cold.Costs[StrategyACT]
-	if coldACT.Build <= 0 {
-		t.Fatalf("cold ACT estimate has no build cost: %+v", coldACT)
-	}
-
-	// Warm the ACT index via a heavily repeated query, then re-plan the
-	// identical one-shot query: the ACT build cost must read as paid.
-	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16, Repetitions: 1_000_000}); err != nil {
-		t.Fatal(err)
-	}
-	warm := e.planOnly(adHoc(len(ps.Pts), Count, 16), 1)
-	if got := warm.Costs[StrategyACT].Build; got != 0 {
-		t.Errorf("resident ACT index still charged build cost %g", got)
-	}
-	if warm.Strategy != StrategyACT {
-		t.Errorf("warm one-shot query plans %v over the resident index: %v",
-			warm.Strategy, warm.Costs)
+	e := NewEngine(complexRegions())
+	ctx := context.Background()
+	for _, c := range []struct {
+		bound  float64
+		want   Strategy
+		builds func() int64
+	}{
+		{16, StrategyACT, func() int64 { return e.covers.Stats().Builds }},
+		{64, StrategyBRJ, func() int64 { return e.brj.Stats().Builds }},
+	} {
+		for round := 1; round <= 2; round++ {
+			resp, err := e.Do(ctx, Request{Points: ps, Aggs: []Agg{Count}, Bound: c.bound})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Strategy != c.want || resp.Plan.Strategy != c.want {
+				t.Errorf("ε%g round %d ran %v on plan %v, want %v", c.bound, round, resp.Strategy, resp.Plan.Strategy, c.want)
+			}
+			if round == 1 && resp.Build <= 0 {
+				t.Errorf("ε%g: the cold request reports no build", c.bound)
+			}
+			resp.Release()
+			if got := c.builds(); got != 1 {
+				t.Errorf("ε%g round %d: %d builds of the %v artifact, want 1", c.bound, round, got, c.want)
+			}
+		}
 	}
 }

@@ -125,7 +125,7 @@ func TestWarmResidentDoAllocationFree(t *testing.T) {
 	// The strategy is pinned: the gate is about the execution path, not the
 	// plan choice (the planner still runs and must not allocate either).
 	pidx := StrategyPointIdx
-	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum, Min}, Bound: 16, Repetitions: 100000, Strategy: &pidx, Workers: 1}
+	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum, Min}, Bound: 16, Strategy: &pidx, Workers: 1}
 	for _, state := range []string{"compact", "delta, watermark current"} {
 		// Warm plan, covers, partials and pools.
 		for i := 0; i < 3; i++ {

@@ -8,10 +8,9 @@ import (
 	"distbound/internal/data"
 )
 
-// explainFixture pins every input of the cost model but its constants: a
-// deterministic region set and a fixed dataset size, planned on the default
-// model — so the rendered plan text is stable and reviewable, and a change
-// to the default constants shows here.
+// explainFixture is a deterministic region set and a registered dataset, so
+// the rendered plan text — including the measured cover-plan line — is
+// stable and reviewable.
 func explainFixture(t *testing.T) (*Engine, *Dataset) {
 	t.Helper()
 	pts, weights := data.TaxiPoints(81, 50_000)
@@ -24,50 +23,54 @@ func explainFixture(t *testing.T) (*Engine, *Dataset) {
 	return e, ds
 }
 
-// TestExplainGolden pins the ad-hoc plan rendering: any change to the text —
-// a new strategy row, a cost-model tweak, a formatting change — must be
+// TestExplainGolden pins the ad-hoc plan rendering, one rule line per band:
+// any change to the text — a band edge, a formatting change — must be
 // reviewed here, not discovered by downstream parsers.
 func TestExplainGolden(t *testing.T) {
 	e, _ := explainFixture(t)
-	got := e.planOnly(adHoc(50_000, Count, 16), 10).Explain()
-	const want = `* exact      build=0.0ms run=23.6ms total=236.4ms
-  act        build=211.1ms run=22.5ms total=436.1ms
-  brj        build=54.2ms run=139.7ms total=1451.4ms`
-	if got != want {
-		t.Errorf("Explain drifted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	for _, c := range []struct {
+		bound float64
+		want  string
+	}{
+		{0, "* exact      rule: ad-hoc, no positive bound"},
+		{2, "* exact      rule: ad-hoc, ε < 4"},
+		{16, "* act        rule: ad-hoc, 4 ≤ ε < 32"},
+		{64, "* brj        rule: ad-hoc, ε ≥ 32"},
+	} {
+		if got := e.planRequest(adHoc(50_000, Count, c.bound)).Explain(); got != c.want {
+			t.Errorf("ε%g Explain drifted:\n--- got ---\n%s\n--- want ---\n%s", c.bound, got, c.want)
+		}
 	}
 }
 
 // TestResponseExplainGolden pins the Request/Response explain path: a
-// Request with Explain set renders exactly the plan comparison planning
-// alone produces for the same query, and a multi-aggregate set containing an
-// extreme drops the BRJ row from the comparison entirely.
+// Request with Explain set renders exactly the plan planning alone produces
+// for the same query, and a multi-aggregate set containing an extreme names
+// the band that excludes BRJ.
 func TestResponseExplainGolden(t *testing.T) {
 	e, ds := explainFixture(t)
 	pts, ws := ds.Points()
 	ps := PointSet{Pts: pts, Weights: ws}
 
 	resp, err := e.Do(context.Background(), Request{
-		Points: ps, Aggs: []Agg{Count}, Bound: 16, Repetitions: 10, Explain: true,
+		Points: ps, Aggs: []Agg{Count}, Bound: 64, Explain: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := e.planOnly(adHoc(len(pts), Count, 16), 10).Explain(); resp.Explain != want {
+	if want := e.planRequest(adHoc(len(pts), Count, 64)).Explain(); resp.Explain != want {
 		t.Errorf("Response.Explain drifted from the plan-only rendering:\n--- got ---\n%s\n--- want ---\n%s",
 			resp.Explain, want)
 	}
 
-	// A set containing MIN excludes BRJ for the whole request — the plan
-	// comparison must not even list it.
+	// A set containing MIN excludes BRJ for the whole request.
 	resp, err = e.Do(context.Background(), Request{
-		Points: ps, Aggs: []Agg{Count, Min}, Bound: 16, Repetitions: 10, Explain: true,
+		Points: ps, Aggs: []Agg{Count, Min}, Bound: 64, Explain: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantExtremeSet = `* exact      build=0.0ms run=23.6ms total=236.4ms
-  act        build=211.1ms run=22.5ms total=436.1ms`
+	const wantExtremeSet = `* act        rule: ad-hoc, ε ≥ 32 with MIN/MAX`
 	if resp.Explain != wantExtremeSet {
 		t.Errorf("multi-agg Response.Explain drifted:\n--- got ---\n%s\n--- want ---\n%s",
 			resp.Explain, wantExtremeSet)
@@ -80,7 +83,7 @@ func TestResponseExplainGolden(t *testing.T) {
 func TestExplainDatasetGolden(t *testing.T) {
 	e, ds := explainFixture(t)
 	explain := func(bound float64) string {
-		return e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Explain: true}, 10).Explain()
+		return e.planRequest(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: bound, Explain: true}).Explain()
 	}
 	const wantRule = `* pointidx   rule: registered dataset, bound > 0`
 	if got := explain(16); got != wantRule {
@@ -119,7 +122,7 @@ func TestExplainDatasetGolden(t *testing.T) {
 	}
 	// Off the Explain path the plan carries no cover stats: the hot path
 	// never peeks.
-	if p := e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}, 1); p.Cover.Ranges != 0 || len(p.Costs) != 0 {
+	if p := e.planRequest(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}); p.Cover.Ranges != 0 {
 		t.Errorf("unexplained dataset plan carries %+v", p)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // TestResidentNeverFallsBackWhileWarm pins what a warm resident read costs
 // under ingest: an unforced request on a registered dataset runs pointidx at
 // every delta size below the compaction threshold, even with the streaming
-// strategies' build artifacts resident and no repetitions declared, and each
+// strategies' build artifacts resident, and each
 // read does only what it owes — the rows appended since the last read
 // inverted, no range probed.
 func TestResidentNeverFallsBackWhileWarm(t *testing.T) {

@@ -244,7 +244,7 @@ func TestMutableConcurrency(t *testing.T) {
 					// Planner path: any strategy; only failure modes are
 					// races/panics and non-unregister errors.
 					agg := aggs[rng.Intn(len(aggs))]
-					resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{agg}, Bound: bound, Repetitions: 100000})
+					resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{agg}, Bound: bound})
 					if err != nil {
 						if unregister.Load() && strings.Contains(err.Error(), "not registered") {
 							return

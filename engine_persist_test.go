@@ -152,7 +152,7 @@ func TestPersistedWarmResidentAllocationFree(t *testing.T) {
 	ds2.Compact() // fold the replayed tail so the warm path is all base
 	ctx := context.Background()
 	pidx := StrategyPointIdx
-	req := Request{Dataset: ds2, Aggs: []Agg{Count, Sum, Min}, Bound: 16, Repetitions: 100000, Strategy: &pidx, Workers: 1}
+	req := Request{Dataset: ds2, Aggs: []Agg{Count, Sum, Min}, Bound: 16, Strategy: &pidx, Workers: 1}
 	for i := 0; i < 3; i++ {
 		resp, err := e2.Do(ctx, req)
 		if err != nil {

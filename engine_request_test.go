@@ -121,13 +121,15 @@ func TestDoRequestValidation(t *testing.T) {
 		}
 	}
 
-	// Repetitions < 1 normalizes to 1: the plan must equal the reps=1 plan.
-	resp, err := e.Do(ctx, Request{Points: ps, Aggs: []Agg{Count}, Bound: 64, Repetitions: -3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := e.planOnly(adHoc(len(ps.Pts), Count, 64), 1); resp.Plan.Strategy != want.Strategy {
-		t.Errorf("negative repetitions planned %v, reps=1 plans %v", resp.Plan.Strategy, want.Strategy)
+	// Repetitions is not read: any value, negative included, plans as none.
+	for _, reps := range []int{-3, 0, 1, 1_000_000} {
+		resp, err := e.Do(ctx, Request{Points: ps, Aggs: []Agg{Count}, Bound: 64, Repetitions: reps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := e.planRequest(adHoc(len(ps.Pts), Count, 64)); resp.Plan != want {
+			t.Errorf("%d repetitions planned %+v, no repetitions plans %+v", reps, resp.Plan, want)
+		}
 	}
 }
 
@@ -137,25 +139,25 @@ func TestDoRequestValidation(t *testing.T) {
 func TestDoResponseMetadata(t *testing.T) {
 	e, ds, ps := requestFixture(t)
 	aggs := []Agg{Count, Sum, Min}
-	resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: aggs, Bound: 16, Repetitions: 100, Explain: true})
+	resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: aggs, Bound: 64, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Explain == "" {
 		t.Error("Explain requested but empty")
 	}
-	if _, ok := resp.Plan.Costs[StrategyBRJ]; ok || len(resp.Plan.Costs) != 2 {
-		t.Errorf("a set containing MIN weighs %v, want exact and act only", resp.Plan.Costs)
+	if resp.Strategy != StrategyACT || strings.Contains(resp.Explain, "brj") {
+		t.Errorf("a set containing MIN ran %v and explained %q, want act without brj", resp.Strategy, resp.Explain)
 	}
 	if resp.Wall <= 0 {
 		t.Error("Wall timing missing")
 	}
 
-	resp, err = e.Do(context.Background(), Request{Dataset: ds, Aggs: aggs, Bound: 16, Repetitions: 100, Explain: true})
+	resp, err = e.Do(context.Background(), Request{Dataset: ds, Aggs: aggs, Bound: 16, Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Strategy != StrategyPointIdx || resp.Plan.Strategy != StrategyPointIdx || len(resp.Plan.Costs) != 0 {
+	if resp.Strategy != StrategyPointIdx || resp.Plan.Strategy != StrategyPointIdx {
 		t.Errorf("dataset request ran %v on plan %+v, want the bare pointidx rule", resp.Strategy, resp.Plan)
 	}
 	if resp.Explain == "" {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -59,7 +58,7 @@ func TestUnregisterPoints(t *testing.T) {
 	e, ds, ps, _ := residentFixture(t, 200_000)
 	// Warm a cover artifact for the first dataset.
 	ctx := context.Background()
-	resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Repetitions: 100000})
+	resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +82,7 @@ func TestUnregisterPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err = e.Do(ctx, Request{Dataset: ds2, Aggs: []Agg{Count}, Bound: 16, Repetitions: 100000})
+	resp, err = e.Do(ctx, Request{Dataset: ds2, Aggs: []Agg{Count}, Bound: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestAggregateDatasetRejectsForeignHandle(t *testing.T) {
 // and Explain must list it.
 func TestResidentPlannerSelectsPointIdx(t *testing.T) {
 	e, ds, _, _ := residentFixture(t, 200_000)
-	plan := e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}, 100000)
+	plan := e.planRequest(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16})
 	if plan.Strategy != StrategyPointIdx {
 		t.Errorf("resident COUNT planned %v", plan.Strategy)
 	}
@@ -128,21 +127,20 @@ func TestResidentPlannerSelectsPointIdx(t *testing.T) {
 	}
 	// Exact requirement still forces the exact plan; ad-hoc planning is
 	// untouched by dataset registration.
-	if p := e.planOnly(Request{Dataset: ds, Aggs: []Agg{Count}}, 100000); p.Strategy != StrategyExact {
+	if p := e.planRequest(Request{Dataset: ds, Aggs: []Agg{Count}}); p.Strategy != StrategyExact {
 		t.Errorf("bound 0 resident query planned %v", p.Strategy)
 	}
-	if p := e.planOnly(adHoc(200_000, Count, 16), 100000); p.Strategy == StrategyPointIdx {
+	if p := e.planRequest(adHoc(200_000, Count, 16)); p.Strategy == StrategyPointIdx {
 		t.Error("ad-hoc plan chose the resident strategy")
 	}
 }
 
 // TestResidentRule pins the one decision taken for a registered dataset: a
 // positive bound runs pointidx — cold, warm, under a delta, after a base
-// delete, after a compaction, whatever the declared repetitions and whatever
-// streaming artifacts are resident — and anything else runs exact, with no
-// cost table either way. A forced streaming strategy is still honoured and
+// delete, after a compaction, whatever streaming artifacts are resident — and
+// anything else runs exact. A forced streaming strategy is still honoured and
 // still agrees with pointidx the way the differential suites require, and
-// ad-hoc requests beside the dataset still plan by the cost model.
+// ad-hoc requests beside the dataset still plan by the ad-hoc rule.
 func TestResidentRule(t *testing.T) {
 	e, ds, ps := requestFixture(t)
 	e.SetResultCacheCapacity(0) // every request executes
@@ -171,8 +169,10 @@ func TestResidentRule(t *testing.T) {
 			for _, s := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ} {
 				do("warming "+s.String(), Request{Points: ps, Aggs: []Agg{Count}, Bound: bound, Strategy: &s})
 			}
-			if cached := e.cachedBuildsInto(bound, map[Strategy]bool{}); len(cached) != 3 {
-				t.Fatalf("streaming artifacts resident: %v", cached)
+			_, exact := e.exact.PeekReady(struct{}{})
+			_, brj := e.brj.PeekReady(bound)
+			if !exact || !brj || !coverReady(e, bound) {
+				t.Fatal("streaming artifacts not all resident")
 			}
 		}},
 		{"under a delta", func() {
@@ -189,13 +189,9 @@ func TestResidentRule(t *testing.T) {
 	}
 	for _, step := range steps {
 		step.mutate()
-		var pidx Response
-		for _, reps := range []int{1, 100_000} {
-			pidx = do(step.name, Request{Dataset: ds, Aggs: aggs, Bound: bound, Repetitions: reps})
-			if pidx.Strategy != StrategyPointIdx || pidx.Plan.Strategy != StrategyPointIdx || len(pidx.Plan.Costs) != 0 {
-				t.Fatalf("%s, %d repetitions: ran %v on plan %+v, want the bare pointidx rule",
-					step.name, reps, pidx.Strategy, pidx.Plan)
-			}
+		pidx := do(step.name, Request{Dataset: ds, Aggs: aggs, Bound: bound})
+		if pidx.Strategy != StrategyPointIdx || pidx.Plan != (Plan{Strategy: StrategyPointIdx}) {
+			t.Fatalf("%s: ran %v on plan %+v, want the bare pointidx rule", step.name, pidx.Strategy, pidx.Plan)
 		}
 
 		// The escape hatch: every streaming strategy, forced, still executes
@@ -233,29 +229,27 @@ func TestResidentRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range []float64{0, -4, math.NaN()} {
-		resp := do("exact arm", Request{Dataset: ds, Aggs: []Agg{Count}, Bound: b, Repetitions: 100_000})
-		if resp.Strategy != StrategyExact || resp.Plan.Strategy != StrategyExact || len(resp.Plan.Costs) != 0 {
+		resp := do("exact arm", Request{Dataset: ds, Aggs: []Agg{Count}, Bound: b})
+		if resp.Strategy != StrategyExact || resp.Plan != (Plan{Strategy: StrategyExact}) {
 			t.Fatalf("bound %v: ran %v on plan %+v, want the bare exact rule", b, resp.Strategy, resp.Plan)
 		}
 		testutil.CheckIdentical(t, fmt.Sprintf("bound %v vs brute force", b), brute, resp.Results[0])
 	}
 
-	// Ad-hoc requests at a bound the dataset also serves plan by the cost
-	// model at their own repetitions — a MIN-carrying set without BRJ — while
-	// the dataset request stays on the bare rule.
-	for _, req := range []Request{
-		{Points: ps, Aggs: []Agg{Count}, Bound: 64, Repetitions: 3},
-		{Dataset: ds, Aggs: []Agg{Count}, Bound: 64, Repetitions: 3},
-		{Points: ps, Aggs: []Agg{Count, Min}, Bound: 64, Repetitions: 1},
+	// Ad-hoc requests at a bound the dataset also serves plan by the ad-hoc
+	// rule — a MIN-carrying set without BRJ — while the dataset request stays
+	// on the bare resident rule.
+	for _, c := range []struct {
+		req  Request
+		want Strategy
+	}{
+		{Request{Points: ps, Aggs: []Agg{Count}, Bound: 64}, StrategyBRJ},
+		{Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 64}, StrategyPointIdx},
+		{Request{Points: ps, Aggs: []Agg{Count, Min}, Bound: 64}, StrategyACT},
 	} {
-		want := Plan{Strategy: StrategyPointIdx}
-		if req.Dataset == nil {
-			want = e.planOnly(req, req.Repetitions)
-		}
-		r := do("bound 64", req)
-		if r.Strategy != want.Strategy || !reflect.DeepEqual(r.Plan.Costs, want.Costs) {
-			t.Errorf("%v at %d repetitions: ran %v on %v, want %v on %v",
-				req.Aggs, req.Repetitions, r.Strategy, r.Plan.Costs, want.Strategy, want.Costs)
+		if r := do("bound 64", c.req); r.Strategy != c.want || r.Plan.Strategy != c.want {
+			t.Errorf("%v (dataset target: %v): ran %v on plan %v, want %v",
+				c.req.Aggs, c.req.Dataset != nil, r.Strategy, r.Plan.Strategy, c.want)
 		}
 	}
 }
@@ -282,7 +276,7 @@ func TestAggregateDatasetMatchesStreaming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{agg}, Bound: bound, Repetitions: 100000})
+		resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{agg}, Bound: bound})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,10 +321,10 @@ func TestAggregateDatasetMatchesStreaming(t *testing.T) {
 func TestAggregateBatchWithDatasets(t *testing.T) {
 	e, ds, ps, regions := residentFixture(t, 200_000)
 	queries := []Request{
-		{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Repetitions: 100000},
-		{Points: ps, Aggs: []Agg{Count}, Bound: 16, Repetitions: 1},
-		{Dataset: ds, Aggs: []Agg{Sum}, Bound: 16, Repetitions: 100000},
-		{Dataset: ds, Aggs: []Agg{Count}, Bound: 0, Repetitions: 1},
+		{Dataset: ds, Aggs: []Agg{Count}, Bound: 16},
+		{Points: ps, Aggs: []Agg{Count}, Bound: 16},
+		{Dataset: ds, Aggs: []Agg{Sum}, Bound: 16},
+		{Dataset: ds, Aggs: []Agg{Count}, Bound: 0},
 	}
 	results := make([]Response, len(queries))
 	for i, q := range queries {
@@ -382,7 +376,7 @@ func TestResidentConcurrency(t *testing.T) {
 	// Reference results on a warm engine.
 	want := map[float64]Result{}
 	for _, b := range bounds {
-		resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{Count}, Bound: b, Repetitions: 100000})
+		resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{Count}, Bound: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +409,7 @@ func TestResidentConcurrency(t *testing.T) {
 			}
 			for i := 0; i < 6; i++ {
 				b := bounds[(g+i)%len(bounds)]
-				resp, err := e2.Do(context.Background(), Request{Dataset: ds2, Aggs: []Agg{Count}, Bound: b, Repetitions: 100000})
+				resp, err := e2.Do(context.Background(), Request{Dataset: ds2, Aggs: []Agg{Count}, Bound: b})
 				if err != nil {
 					errs[g] = err
 					return

@@ -398,7 +398,7 @@ func BenchmarkCachedDo(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: 8, Repetitions: 100000, Workers: 1}
+	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: 8, Workers: 1}
 
 	b.Run("executed", func(b *testing.B) {
 		e.SetResultCacheCapacity(0)

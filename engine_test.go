@@ -2,6 +2,8 @@ package distbound
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -59,24 +61,19 @@ func TestEngineApproximateStrategiesAccurate(t *testing.T) {
 	exact, _ := BruteForceJoin(ps, regions, Count)
 	e := NewEngine(regions)
 
-	// One-shot at a moderate bound and a repeated fine-bound workload should
-	// pick different plans; both must stay within the error guarantee.
-	for _, q := range []struct {
-		bound float64
-		reps  int
-	}{
-		{64, 1}, {16, 100000},
-	} {
-		resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: q.bound, Repetitions: q.reps})
+	// A coarse and a fine bound pick different plans (brj and act); both
+	// must stay within the error guarantee.
+	for _, bound := range []float64{64, 16} {
+		resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: bound})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, strategy := resp.Results[0], resp.Strategy
 		if med := join.MedianRelativeError(res, exact); med > 0.02 {
-			t.Errorf("bound=%g reps=%d (%v): median error %g", q.bound, q.reps, strategy, med)
+			t.Errorf("bound=%g (%v): median error %g", bound, strategy, med)
 		}
 		// Whatever plan ran, the distance-bound guarantee must hold.
-		testutil.Classify(ps.Pts, ps.Weights, regions, q.bound).
+		testutil.Classify(ps.Pts, ps.Weights, regions, bound).
 			Check(t, strategy.String(), Count, res)
 	}
 }
@@ -87,21 +84,83 @@ func complexRegions() []Region {
 	return dataRegions(41, 5, 5, 40) // 164 vertices per region
 }
 
-func TestEnginePlanSwitchesWithRepetitions(t *testing.T) {
-	regions := complexRegions()
+// TestAdhocRuleMatchesForcedArm walks BenchmarkAdhocArms' grid — its three
+// region sets, its bounds, one worker and GOMAXPROCS — on a smaller point
+// set: at every cell an unforced request runs the arm the rule names, and
+// answers bit for bit what the same request forced onto that arm answers.
+// An additive set and a MIN/MAX set are both planned, so brj's exclusion is
+// walked too.
+func TestAdhocRuleMatchesForcedArm(t *testing.T) {
+	pts, ws := data.TaxiPoints(7, 20_000)
+	ps := PointSet{Pts: pts, Weights: ws}
+	ctx := context.Background()
+	arm := func(bound float64, aggs []Agg) Strategy {
+		switch {
+		case !(bound >= 4):
+			return StrategyExact
+		case bound < 32 || join.ExtremeIn(aggs):
+			return StrategyACT
+		}
+		return StrategyBRJ
+	}
+	for _, set := range []struct {
+		name    string
+		regions []Region
+	}{
+		{"partition16x16", dataRegions(1, 16, 16, 12)},
+		{"boroughs", data.Regions(data.Boroughs(1))},
+		{"neighborhoods", data.Regions(data.Neighborhoods(1))},
+	} {
+		e := NewEngine(set.regions)
+		for _, bound := range []float64{0, 2, 4, 8, 16, 32, 64, 128} {
+			for _, aggs := range [][]Agg{{Count, Sum}, {Count, Min, Max}} {
+				for _, workers := range []int{runtime.GOMAXPROCS(0), 1} {
+					label := fmt.Sprintf("%s ε%g %v workers=%d", set.name, bound, aggs, workers)
+					req := Request{Points: ps, Aggs: aggs, Bound: bound, Workers: workers}
+					planned, err := e.Do(ctx, req)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					want := arm(bound, aggs)
+					if planned.Strategy != want || planned.Plan.Strategy != want {
+						t.Fatalf("%s: ran %v on plan %v, want %v", label, planned.Strategy, planned.Plan.Strategy, want)
+					}
+					req.Strategy = &want
+					forced, err := e.Do(ctx, req)
+					if err != nil {
+						t.Fatalf("%s forced: %v", label, err)
+					}
+					for k, agg := range aggs {
+						testutil.CheckIdentical(t, label+" "+agg.String(), forced.Results[k], planned.Results[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAdhocBelowLeafCellIsExact: an unforced request at a positive bound
+// finer than a cover's leaf cell — where a forced act read is refused
+// (TestBoundFinerThanLeafCellRefused) — is answered exactly, as brute force
+// answers it, without starting a cover or mask build.
+func TestAdhocBelowLeafCellIsExact(t *testing.T) {
+	ps, regions := facadeWorkload(5000)
 	e := NewEngine(regions)
-	req := adHoc(2_000_000, Count, 2)
-	oneShot := e.planOnly(req, 1)
-	repeated := e.planOnly(req, 100000)
-	if oneShot.Strategy == StrategyACT {
-		t.Errorf("one-shot fine-bound query planned ACT: %v", oneShot.Costs)
+	bound := e.domain.CellDiagonal(MaxLevel) / 2
+	resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: bound})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if repeated.Strategy != StrategyACT {
-		t.Errorf("heavily repeated query planned %v: %v", repeated.Strategy, repeated.Costs)
+	if resp.Strategy != StrategyExact {
+		t.Errorf("ε%g ran %v, want exact", bound, resp.Strategy)
 	}
-	out := repeated.Explain()
-	if !strings.Contains(out, "act") || !strings.Contains(out, "*") {
-		t.Errorf("Explain output unexpected:\n%s", out)
+	brute, err := BruteForceJoin(ps, regions, Count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.CheckIdentical(t, "below the leaf cell vs brute force", brute, resp.Results[0])
+	if c, b := e.covers.Stats().Builds, e.brj.Stats().Builds; c != 0 || b != 0 {
+		t.Errorf("ε%g started %d cover and %d mask builds, want none", bound, c, b)
 	}
 }
 
@@ -128,17 +187,12 @@ func TestEnginePlanReflectsMinMaxFallback(t *testing.T) {
 	e := NewEngine(regions)
 	// The COUNT plan for this query must pick BRJ — otherwise the fallback
 	// scenario is not exercised and this test is vacuous.
-	countPlan := e.planOnly(adHoc(len(ps.Pts), Count, 64), 1)
-	if countPlan.Strategy != StrategyBRJ {
-		t.Fatalf("COUNT plan chose %v, not BRJ — workload no longer exercises the fallback; costs: %v",
-			countPlan.Strategy, countPlan.Costs)
+	if p := e.planRequest(adHoc(len(ps.Pts), Count, 64)); p.Strategy != StrategyBRJ {
+		t.Fatalf("COUNT plan chose %v, not BRJ — workload no longer exercises the fallback", p.Strategy)
 	}
-	plan := e.planOnly(adHoc(len(ps.Pts), Min, 64), 1)
+	plan := e.planRequest(adHoc(len(ps.Pts), Min, 64))
 	if plan.Strategy == StrategyBRJ {
 		t.Error("MIN plan reports BRJ, which cannot run MIN")
-	}
-	if _, ok := plan.Costs[StrategyBRJ]; ok {
-		t.Error("MIN plan still lists BRJ as an alternative")
 	}
 	// The executed strategy must match the reported plan exactly.
 	resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Min}, Bound: 64, Explain: true})
@@ -157,16 +211,16 @@ func TestEngineCachesACTIndex(t *testing.T) {
 	ps, _ := facadeWorkload(5000)
 	regions := complexRegions()
 	e := NewEngine(regions)
-	// Two aggregations at the same bound with huge repetitions: the second
-	// must reuse the bound's cached cover set.
-	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16, Repetitions: 1_000_000}); err != nil {
+	// Two aggregations at the same act bound: the second must reuse the
+	// bound's cached cover set.
+	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16}); err != nil {
 		t.Fatal(err)
 	}
 	ce, ok := e.covers.PeekReady(16)
 	if !ok {
 		t.Fatal("bound 16 not resident")
 	}
-	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16, Repetitions: 1_000_000}); err != nil {
+	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16}); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := e.covers.PeekReady(16); got != ce {

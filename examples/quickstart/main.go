@@ -38,10 +38,9 @@ func main() {
 	// The context cancels the query if the caller goes away.
 	e := distbound.NewEngine(districts)
 	resp, err := e.Do(context.Background(), distbound.Request{
-		Points:      distbound.PointSet{Pts: pts, Weights: fares},
-		Aggs:        []distbound.Agg{distbound.Count, distbound.Avg, distbound.Max},
-		Bound:       10,   // same 10 m guarantee as the lookups above
-		Repetitions: 1000, // a dashboard refreshing over and over
+		Points: distbound.PointSet{Pts: pts, Weights: fares},
+		Aggs:   []distbound.Agg{distbound.Count, distbound.Avg, distbound.Max},
+		Bound:  10, // same 10 m guarantee as the lookups above
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -27,16 +27,8 @@ func (e *Engine) dropJoiner(ds *Dataset, bound float64) {
 	}
 }
 
-// planOnly returns the plan Do would fix for req at reps repetitions,
-// without executing anything — the hook for plan-only assertions. The plan
-// keeps its scratch's maps, so the scratch never returns to the pool.
-func (e *Engine) planOnly(req Request, reps int) Plan {
-	req.Repetitions = reps
-	return e.planRequest(req, e.getScratch())
-}
-
-// adHoc is a one-aggregate request over n ad-hoc points; the planner reads
-// only their count.
+// adHoc is a one-aggregate request over n ad-hoc points, for plan-only
+// assertions: the rule reads none of them.
 func adHoc(n int, agg Agg, bound float64) Request {
 	return Request{Points: PointSet{Pts: make([]Point, n)}, Aggs: []Agg{agg}, Bound: bound}
 }

@@ -1,5 +1,5 @@
 // Package releasepair enforces the Response pooling contract: Release()
-// hands a Response's backing storage (result columns, plan tables) back to
+// hands a Response's backing storage (its result columns) back to
 // its engine's pool, after which Results, Plan and Explain may alias a later
 // request's in-flight write. Reading them after Release on ANY control-flow
 // path is a data race the type system cannot see; this analyzer sees it

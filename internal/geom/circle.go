@@ -16,10 +16,6 @@ func (c Circle) Bounds() Rect {
 	}
 }
 
-// NumVertices returns 0: a disk has no polygonal boundary, and the vertex
-// count only feeds PIP cost accounting, which never applies to disks.
-func (c Circle) NumVertices() int { return 0 }
-
 // BoundaryDist returns the distance from p to the circle outline.
 //
 //distbound:oracle completes Region for the disk; the differential oracle measures boundary distance through Region

@@ -24,9 +24,6 @@ func TestCircleRegionInterface(t *testing.T) {
 	if got := c.BoundaryDist(Pt(10, 10)); math.Abs(got-5) > 1e-12 {
 		t.Errorf("center BoundaryDist = %v, want 5", got)
 	}
-	if c.NumVertices() != 0 {
-		t.Error("NumVertices should be 0")
-	}
 }
 
 // TestCirclePredicatesAgree: ContainsPoint has no tolerance band, never

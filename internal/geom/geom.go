@@ -188,14 +188,6 @@ func (r Rect) Area() float64 {
 	return r.Width() * r.Height()
 }
 
-// Perimeter returns the rect perimeter.
-func (r Rect) Perimeter() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return 2 * (r.Width() + r.Height())
-}
-
 // Center returns the rect center point.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}

@@ -81,7 +81,7 @@ func TestSegmentClosestPoint(t *testing.T) {
 
 func TestRectBasics(t *testing.T) {
 	r := Rect{Pt(0, 0), Pt(4, 2)}
-	if r.Width() != 4 || r.Height() != 2 || r.Area() != 8 || r.Perimeter() != 12 {
+	if r.Width() != 4 || r.Height() != 2 || r.Area() != 8 {
 		t.Errorf("dims wrong: %v", r)
 	}
 	if !r.Center().Eq(Pt(2, 1)) {
@@ -175,9 +175,6 @@ func TestRingAreaCentroid(t *testing.T) {
 	}
 	if got := sq.Area(); got != 1 {
 		t.Errorf("Area = %v", got)
-	}
-	if got := sq.Perimeter(); got != 4 {
-		t.Errorf("Perimeter = %v", got)
 	}
 	tri := Ring{Pt(0, 0), Pt(4, 0), Pt(0, 3)}
 	if got := tri.Area(); got != 6 {

@@ -45,15 +45,6 @@ func (r Ring) SignedArea() float64 {
 // Area returns the absolute ring area.
 func (r Ring) Area() float64 { return math.Abs(r.SignedArea()) }
 
-// Perimeter returns the total edge length of the ring.
-func (r Ring) Perimeter() float64 {
-	var l float64
-	for i := range r {
-		l += r.Edge(i).Length()
-	}
-	return l
-}
-
 // ContainsPoint reports whether p lies inside or on the boundary of the ring,
 // using the even-odd crossing rule with boundary points treated as inside.
 func (r Ring) ContainsPoint(p Point) bool {
@@ -169,15 +160,6 @@ func (p *Polygon) Area() float64 {
 		a -= h.Area()
 	}
 	return a
-}
-
-// Perimeter returns the total boundary length including holes.
-func (p *Polygon) Perimeter() float64 {
-	l := p.Outer.Perimeter()
-	for _, h := range p.Holes {
-		l += h.Perimeter()
-	}
-	return l
 }
 
 // ContainsPoint reports whether pt lies inside the polygon (in the outer
@@ -369,7 +351,6 @@ func (m *MultiPolygon) RelateRect(r Rect) RectRelation {
 type Region interface {
 	Bounds() Rect
 	Area() float64
-	NumVertices() int
 	ContainsPoint(Point) bool
 	BoundaryDist(Point) float64
 	DistToPoint(Point) float64

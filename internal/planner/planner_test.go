@@ -5,169 +5,80 @@ import (
 	"strings"
 	"testing"
 
-	"distbound/internal/data"
 	"distbound/internal/join"
 )
 
 // choose plans q into a fresh Plan.
-func choose(m CostModel, q Query) Plan {
+func choose(q Query) Plan {
 	var p Plan
-	m.ChooseInto(q, &p)
+	CostModel{}.ChooseInto(q, &p)
 	return p
 }
 
+// TestChooseArchetypes pins the rule's bands at and between their edges:
+// exact below actFrom, act up to brjFrom, brj from there on.
 func TestChooseArchetypes(t *testing.T) {
-	m := DefaultCostModel()
-	regions := data.Regions(data.Neighborhoods(1))
-
-	// Exact requirement (no bound) forces the exact plan.
-	p := choose(m, Query{NumPoints: 1_000_000, Regions: regions, Bound: 0})
-	if p.Strategy != StrategyExact {
-		t.Errorf("no bound: chose %v", p.Strategy)
-	}
-
-	// One-shot query at a moderate bound: BRJ needs no build and wins over
-	// paying for an ACT index used once.
-	oneShot := choose(m, Query{NumPoints: 2_000_000, Regions: regions, Bound: 10, Repetitions: 1})
-	if oneShot.Strategy == StrategyACT {
-		t.Errorf("one-shot: chose ACT despite unamortized build (costs: %v)", oneShot.Costs)
-	}
-
-	// Dashboard workload at a fine bound: thousands of repetitions amortize
-	// the ACT build, and per-run trie lookups beat re-rasterizing a huge
-	// canvas every time (at coarse bounds BRJ legitimately stays cheaper per
-	// run, as Figure 7 shows).
-	repeated := choose(m, Query{NumPoints: 2_000_000, Regions: regions, Bound: 2, Repetitions: 5000})
-	if repeated.Strategy != StrategyACT {
-		t.Errorf("repeated: chose %v (costs: %v)", repeated.Strategy, repeated.Costs)
-	}
-
-	// Tiny bound: BRJ's canvas explodes quadratically; it must not win
-	// against ACT at high repetitions.
-	tiny := choose(m, Query{NumPoints: 2_000_000, Regions: regions, Bound: 0.5, Repetitions: 5000})
-	if tiny.Strategy == StrategyBRJ {
-		t.Errorf("tiny bound: chose BRJ (costs: %v)", tiny.Costs)
+	for _, c := range []struct {
+		bound float64
+		want  Strategy
+	}{
+		{-1, StrategyExact}, {0, StrategyExact}, {1e-9, StrategyExact}, {2, StrategyExact}, {3.99, StrategyExact},
+		{4, StrategyACT}, {8, StrategyACT}, {16, StrategyACT}, {31.9, StrategyACT},
+		{32, StrategyBRJ}, {64, StrategyBRJ}, {1e6, StrategyBRJ}, {math.Inf(1), StrategyBRJ},
+	} {
+		if p := choose(Query{Bound: c.bound}); p.Strategy != c.want {
+			t.Errorf("ε%g: chose %v, want %v", c.bound, p.Strategy, c.want)
+		}
 	}
 }
 
-func TestEstimateMonotonicity(t *testing.T) {
-	m := DefaultCostModel()
-	regions := data.Regions(data.Neighborhoods(1))
-	base := Query{NumPoints: 1_000_000, Regions: regions, Bound: 10, Repetitions: 1}
-
-	// BRJ cost grows as the bound shrinks.
-	coarse := m.Estimate(base, StrategyBRJ)
-	fine := m.Estimate(Query{NumPoints: base.NumPoints, Regions: regions, Bound: 1, Repetitions: 1}, StrategyBRJ)
-	if fine.Total <= coarse.Total {
-		t.Errorf("BRJ cost did not grow with finer bound: %v vs %v", fine.Total, coarse.Total)
-	}
-
-	// ACT build grows as the bound shrinks; per-run does not.
-	actCoarse := m.Estimate(base, StrategyACT)
-	actFine := m.Estimate(Query{NumPoints: base.NumPoints, Regions: regions, Bound: 1, Repetitions: 1}, StrategyACT)
-	if actFine.Build <= actCoarse.Build {
-		t.Error("ACT build did not grow with finer bound")
-	}
-	if actFine.PerRun != actCoarse.PerRun {
-		t.Error("ACT per-run cost should not depend on the bound")
-	}
-
-	// Exact cost grows with mean vertex count.
-	simple := m.Estimate(Query{NumPoints: 1_000_000, Regions: data.Regions(data.Census(1, 200)), Bound: 10}, StrategyExact)
-	complexQ := m.Estimate(Query{NumPoints: 1_000_000, Regions: data.Regions(data.Boroughs(1)), Bound: 10}, StrategyExact)
-	if complexQ.PerRun <= simple.PerRun {
-		t.Errorf("exact cost did not grow with polygon complexity: %v vs %v", complexQ.PerRun, simple.PerRun)
-	}
-
-	// Infinite cost for approximate strategies without a bound.
-	if c := m.Estimate(Query{NumPoints: 10, Regions: regions, Bound: 0}, StrategyACT); !isInf(c.Total) {
-		t.Error("ACT with zero bound should be infeasible")
+// TestChooseIgnoresUnreadFields: the fields the bench harness still sets —
+// point count, regions, repetitions, stats — change no pick.
+func TestChooseIgnoresUnreadFields(t *testing.T) {
+	st := ComputeStats(nil)
+	for _, bound := range []float64{0, 2, 16, 64} {
+		bare := choose(Query{Bound: bound})
+		full := choose(Query{NumPoints: 2_000_000, Bound: bound, Repetitions: 100_000, Stats: &st})
+		if bare != full {
+			t.Errorf("ε%g: %+v without the unread fields, %+v with them", bound, bare, full)
+		}
 	}
 }
-
-func isInf(v float64) bool { return v > 1e300 }
 
 func TestExtremeAggExcludesBRJ(t *testing.T) {
-	m := DefaultCostModel()
-	regions := data.Regions(data.Neighborhoods(1))
-	base := Query{NumPoints: 2_000_000, Regions: regions, Bound: 10, Repetitions: 1}
-
-	plain := choose(m, base)
-	if plain.Strategy != StrategyBRJ {
-		t.Skipf("baseline query chose %v, BRJ exclusion not observable", plain.Strategy)
+	for _, aggs := range [][]join.Agg{{join.Count, join.Min}, {join.Max}, {join.Sum, join.Max, join.Avg}} {
+		if p := choose(Query{Bound: 64, Aggs: aggs}); p.Strategy != StrategyACT {
+			t.Errorf("%v at ε64 chose %v, want act", aggs, p.Strategy)
+		}
+		if p := choose(Query{Bound: 16, Aggs: aggs}); p.Strategy != StrategyACT {
+			t.Errorf("%v at ε16 chose %v, want act", aggs, p.Strategy)
+		}
 	}
-	extreme := base
-	extreme.Aggs = []join.Agg{join.Count, join.Min}
-	p := choose(m, extreme)
-	if p.Strategy == StrategyBRJ {
-		t.Error("MIN/MAX query planned BRJ")
-	}
-	if _, ok := p.Costs[StrategyBRJ]; ok {
-		t.Error("MIN/MAX plan lists BRJ as a considered alternative")
-	}
-}
-
-func TestCachedBuildZeroesBuildCost(t *testing.T) {
-	m := DefaultCostModel()
-	regions := data.Regions(data.Neighborhoods(1))
-	base := Query{NumPoints: 100_000, Regions: regions, Bound: 2, Repetitions: 1}
-
-	cold := m.Estimate(base, StrategyACT)
-	if cold.Build <= 0 {
-		t.Fatalf("ACT estimate has no build cost: %+v", cold)
-	}
-	warm := base
-	warm.CachedBuild = map[Strategy]bool{StrategyACT: true}
-	c := m.Estimate(warm, StrategyACT)
-	if c.Build != 0 {
-		t.Errorf("cached ACT build still costs %g", c.Build)
-	}
-	if c.PerRun != cold.PerRun {
-		t.Error("caching changed the per-run cost")
-	}
-	// Other strategies keep their build cost.
-	if b := m.Estimate(warm, StrategyBRJ).Build; b <= 0 {
-		t.Error("BRJ build zeroed without being cached")
-	}
-}
-
-func TestBRJBuildRunSplitPreservesOneShotTotal(t *testing.T) {
-	m := DefaultCostModel()
-	regions := data.Regions(data.Neighborhoods(1))
-	q := Query{NumPoints: 1_000_000, Regions: regions, Bound: 10, Repetitions: 1}
-	c := m.Estimate(q, StrategyBRJ)
-	if c.Build <= 0 || c.PerRun <= 0 {
-		t.Fatalf("BRJ cost not split into build and per-run: %+v", c)
-	}
-	// With the build cached, many repetitions amortize: total over n runs is
-	// strictly less than n one-shot runs.
-	rep := q
-	rep.Repetitions = 100
-	rc := m.Estimate(rep, StrategyBRJ)
-	if rc.Total >= 100*c.Total {
-		t.Errorf("repetition did not amortize the mask render: %g vs %g", rc.Total, 100*c.Total)
+	if p := choose(Query{Bound: 64, Aggs: []join.Agg{join.Count, join.Sum, join.Avg}}); p.Strategy != StrategyBRJ {
+		t.Errorf("an additive set at ε64 chose %v, want brj", p.Strategy)
 	}
 }
 
 func TestNaNBoundForcesExact(t *testing.T) {
-	m := DefaultCostModel()
-	regions := data.Regions(data.Census(1, 20))
-	nan := math.NaN()
-	p := choose(m, Query{NumPoints: 1000, Regions: regions, Bound: nan})
-	if p.Strategy != StrategyExact {
+	if p := choose(Query{Bound: math.NaN()}); p.Strategy != StrategyExact {
 		t.Errorf("NaN bound chose %v", p.Strategy)
 	}
 }
 
 func TestExplain(t *testing.T) {
-	m := DefaultCostModel()
-	p := choose(m, Query{NumPoints: 100_000, Regions: data.Regions(data.Census(1, 100)), Bound: 10})
-	out := p.Explain()
-	if !strings.Contains(out, "*") {
-		t.Error("Explain does not mark the chosen plan")
-	}
-	if len(strings.Split(out, "\n")) != 3 {
-		t.Errorf("Explain should list 3 strategies and nothing else:\n%s", out)
+	for _, c := range []struct {
+		q    Query
+		want string
+	}{
+		{Query{Bound: 0}, "* exact      rule: ad-hoc, no positive bound"},
+		{Query{Bound: 2}, "* exact      rule: ad-hoc, ε < 4"},
+		{Query{Bound: 16}, "* act        rule: ad-hoc, 4 ≤ ε < 32"},
+		{Query{Bound: 64}, "* brj        rule: ad-hoc, ε ≥ 32"},
+		{Query{Bound: 64, Aggs: []join.Agg{join.Min}}, "* act        rule: ad-hoc, ε ≥ 32 with MIN/MAX"},
+	} {
+		if got := choose(c.q).Explain(); got != c.want {
+			t.Errorf("ε%g %v: Explain renders %q, want %q", c.q.Bound, c.q.Aggs, got, c.want)
+		}
 	}
 	if Strategy(0).String() != "exact" || StrategyACT.String() != "act" || StrategyBRJ.String() != "brj" {
 		t.Error("strategy names wrong")
@@ -175,17 +86,12 @@ func TestExplain(t *testing.T) {
 }
 
 func TestPointIdxRequiresResidentPoints(t *testing.T) {
-	m := DefaultCostModel()
-	regions := data.Regions(data.Neighborhoods(1))
-
-	// The cost model weighs streaming strategies only: a point set it plans
-	// for has no index to probe, so pointidx is never chosen and never listed.
-	p := choose(m, Query{NumPoints: 2_000_000, Regions: regions, Bound: 16, Repetitions: 100000})
-	if p.Strategy == StrategyPointIdx {
-		t.Error("pointidx chosen for an ad-hoc point set")
-	}
-	if _, ok := p.Costs[StrategyPointIdx]; ok {
-		t.Error("ad-hoc plan lists pointidx as a considered alternative")
+	// The ad-hoc rule plans streaming strategies only: a point set it plans
+	// for has no index to probe, so pointidx is never chosen.
+	for _, bound := range []float64{0, 2, 16, 64, 1e9} {
+		if p := choose(Query{Bound: bound}); p.Strategy == StrategyPointIdx {
+			t.Errorf("ε%g: pointidx chosen for an ad-hoc point set", bound)
+		}
 	}
 	if StrategyPointIdx.String() != "pointidx" {
 		t.Error("strategy name wrong")
@@ -193,12 +99,10 @@ func TestPointIdxRequiresResidentPoints(t *testing.T) {
 }
 
 // TestExplainCoverPlanLine pins the cover-plan rendering: plans carrying
-// measured CoverStats print the line, estimate-only plans never do — and a
-// plan with no cost rows renders as the one rule line it is.
+// measured CoverStats print the line, others never do — and a plan the
+// engine's registered-dataset rule fixed renders as its one rule line.
 func TestExplainCoverPlanLine(t *testing.T) {
-	m := DefaultCostModel()
-	regions := data.Regions(data.Census(3, 50))
-	p := choose(m, Query{NumPoints: 100_000, Regions: regions, Bound: 16, Repetitions: 1000})
+	p := choose(Query{Bound: 16})
 	if strings.Contains(p.Explain(), "cover-plan:") {
 		t.Error("Explain invented a cover-plan line without measured stats")
 	}
@@ -218,84 +122,45 @@ func TestExplainCoverPlanLine(t *testing.T) {
 	}
 }
 
-// TestChooseIntoReusesMaps pins the allocation-free planning contract:
-// ChooseInto must reuse a caller-retained Costs map and fully reset the
-// plan between uses.
-func TestChooseIntoReusesMaps(t *testing.T) {
-	m := DefaultCostModel()
-	regions := data.Regions(data.Census(3, 50))
-	var p Plan
-	m.ChooseInto(Query{NumPoints: 1000, Regions: regions, Bound: 16}, &p)
-	if len(p.Costs) != 3 {
-		t.Fatalf("first plan incomplete: %+v", p)
-	}
-	costs := p.Costs
-	p.Cover = CoverStats{Ranges: 1}
-	m.ChooseInto(Query{NumPoints: 1000, Regions: regions, Bound: 0}, &p)
-	if len(costs) != 1 || len(p.Costs) != 1 {
-		t.Errorf("exact replan did not reuse and clear the retained map (%d rows, alias %d)",
-			len(p.Costs), len(costs))
-	}
-	if p.Cover != (CoverStats{}) || p.Strategy != StrategyExact {
+// TestChooseIntoResetsPlan pins the caller-retained Plan contract: ChooseInto
+// replaces every field of the plan it is handed, and plans without
+// allocating.
+func TestChooseIntoResetsPlan(t *testing.T) {
+	p := Plan{Strategy: StrategyPointIdx, Cover: CoverStats{Ranges: 1}}
+	CostModel{}.ChooseInto(Query{Bound: 0}, &p)
+	if p != choose(Query{Bound: 0}) {
 		t.Errorf("replan did not reset the plan: %+v", p)
 	}
-	st := statsOf(regions)
 	if allocs := testing.AllocsPerRun(100, func() {
-		m.ChooseInto(Query{NumPoints: 1000, Regions: regions, Bound: 16, Stats: &st}, &p)
+		CostModel{}.ChooseInto(Query{Bound: 16, Aggs: []join.Agg{join.Count}}, &p)
 	}); allocs > 0 {
-		t.Errorf("warm ChooseInto allocates %.1f times per plan", allocs)
+		t.Errorf("ChooseInto allocates %.1f times per plan", allocs)
 	}
 }
 
-func TestStatsOf(t *testing.T) {
-	regions := data.Regions(data.Census(1, 50))
-	st := statsOf(regions)
-	if st.count != 50 || st.meanVertices < 10 || st.totalPerim <= 0 {
-		t.Errorf("stats implausible: %+v", st)
-	}
-	if !st.extent.ContainsRect(regions[0].Bounds()) {
-		t.Error("extent does not cover regions")
-	}
-}
-
-// TestAdhocBenchmarkPicks pins the three choices the repository benchmark's
-// adhoc_join workload rests on — its region set, 50 k points, its three
-// shapes — with every build cold and with every build cached, the state the
-// timed loop plans in.
+// TestAdhocBenchmarkPicks pins the three picks the repository benchmark's
+// adhoc_join workload rests on: its shapes are ε0 {count}, ε16
+// {count,sum,avg} and ε64 {count,sum}.
 //
-// The ε64 cell is the one a planner change would flip, so what it trades is
-// written here: on one worker the model charges the raster join 10.0 ms a
-// run against the trie's 22.5 ms, the walls are ≈ 2.5 ms and ≈ 4.1 ms (the
-// raster join sweeping row spans; the model, not refitted, still prices its
-// pixels), and the answers are not equally good. At equal ε the trie is conservative and
-// the raster join centroid-sampled: ACT@ε64 reads count_rel_err
-// 0.0178–0.0199 on seeds 1–3 where BRJ@ε64 reads 0.0044–0.0049, so sending
-// this shape to the trie moves adhoc_join's pooled count_rel_err 0.0048 →
-// ≈ 0.0117 — past the benchmark's bound. Accuracy is a cost the model does
-// not carry; until it does, the pick is kept right by keeping the raster join
-// fast.
+// The ε64 pick is the one the grid contests, so what it trades is written
+// here: at GOMAXPROCS act's warm wall is at or below brj's there (brj's
+// sorted-pixel run does not fan out), but at equal ε act is conservative and
+// brj centroid-sampled — on the bench partition act@ε64 reads a pooled count
+// error of 0.0196 against brj's 0.0042, and sending this shape to act would
+// move adhoc_join's count_rel_err past the benchmark's bound.
 func TestAdhocBenchmarkPicks(t *testing.T) {
-	m := DefaultCostModel()
-	regions := data.Regions(data.Partition(1, 16, 16, 12))
-	stats := ComputeStats(regions)
 	sums := []join.Agg{join.Count, join.Sum, join.Avg}
-	for _, cached := range []map[Strategy]bool{nil, {StrategyExact: true, StrategyACT: true, StrategyBRJ: true}} {
-		for _, c := range []struct {
-			aggs  []join.Agg
-			bound float64
-			reps  int
-			want  Strategy
-		}{
-			{[]join.Agg{join.Count}, 0, 1, StrategyExact},
-			{sums, 16, 1000, StrategyACT},
-			{[]join.Agg{join.Count, join.Sum}, 64, 1000, StrategyBRJ},
-		} {
-			p := choose(m, Query{NumPoints: 50_000, Regions: regions, Bound: c.bound, Repetitions: c.reps,
-				Aggs: c.aggs, CachedBuild: cached, Stats: &stats})
-			if p.Strategy != c.want {
-				t.Errorf("ε%g reps %d (cached builds: %v): chose %v, want %v (costs: %v)",
-					c.bound, c.reps, cached != nil, p.Strategy, c.want, p.Costs)
-			}
+	for _, c := range []struct {
+		aggs  []join.Agg
+		bound float64
+		want  Strategy
+	}{
+		{[]join.Agg{join.Count}, 0, StrategyExact},
+		{sums, 16, StrategyACT},
+		{[]join.Agg{join.Count, join.Sum}, 64, StrategyBRJ},
+	} {
+		if p := choose(Query{NumPoints: 50_000, Bound: c.bound, Repetitions: 1000, Aggs: c.aggs}); p.Strategy != c.want {
+			t.Errorf("ε%g %v: chose %v, want %v", c.bound, c.aggs, p.Strategy, c.want)
 		}
 	}
 }

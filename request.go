@@ -10,7 +10,7 @@ import (
 	"distbound/internal/planner"
 )
 
-// Plan is the planner's decision with its considered alternatives.
+// Plan is the planner's decision and the rule that made it.
 type Plan = planner.Plan
 
 // Request describes one aggregation query for Engine.Do: one target, one
@@ -33,17 +33,17 @@ type Request struct {
 	// computed in one pass: on a given strategy, results are bit-identical
 	// to issuing one request per aggregate (COUNT/MIN/MAX exactly; SUM/AVG
 	// fold in the identical order, so even float results match bit-for-bit),
-	// only cheaper. Note that splitting a set can change what the planner
-	// picks — a lone SUM may plan BRJ where a MIN-carrying set cannot — and
+	// only cheaper. Note that splitting a set can change the rule's pick — a
+	// lone SUM at ε ≥ 32 plans BRJ where a MIN-carrying set cannot — and
 	// different (equally bound-respecting) strategies associate float sums
 	// differently; pin Strategy to compare across request shapes.
 	Aggs []Agg
 	// Bound is the distance bound ε; ≤ 0 (or NaN) requests exact answers.
 	Bound float64
-	// Repetitions is how many times the caller expects to run this query in
-	// total (index build cost amortizes over it); only the planner reads it,
-	// so it means nothing for a Dataset target. Values < 1 normalize to 1
-	// here — the single clamping point for every entry path.
+	// Repetitions is not read: the ad-hoc rule picks by bound, and a cold
+	// artifact is built on first use whatever the caller expects to repeat.
+	// It stays until the repository benchmark's harness stops setting it
+	// (ROADMAP item 1).
 	Repetitions int
 	// Strategy, when non-nil, bypasses the planner and forces the physical
 	// strategy. The request is rejected up front if the strategy cannot
@@ -55,7 +55,7 @@ type Request struct {
 	// bit-identically at every worker count. A server already running many
 	// queries concurrently typically wants 1 to avoid oversubscription.
 	Workers int
-	// Explain asks for the rendered plan comparison in Response.Explain.
+	// Explain asks for the rendered plan in Response.Explain.
 	Explain bool
 }
 
@@ -67,11 +67,11 @@ type Response struct {
 	// Strategy is the physical strategy that ran: the plan's choice, or the
 	// request's override.
 	Strategy Strategy
-	// Plan is the planner's full cost comparison for an ad-hoc request, and
-	// the bare rule outcome (no Costs) for a Dataset target. Under a Strategy
-	// override it still records what would have been chosen.
+	// Plan is the rule's pick — the ad-hoc rule's for a point set, the
+	// resident rule's for a Dataset target. Under a Strategy override it
+	// still records what would have been chosen.
 	Plan Plan
-	// Explain is the rendered plan comparison, filled iff Request.Explain.
+	// Explain is the rendered plan, filled iff Request.Explain.
 	Explain string
 	// Build is the time this request spent acquiring the strategy's build
 	// artifact — a real build on a cold cache, a wait on a build in flight,
@@ -92,9 +92,9 @@ type Response struct {
 	// DeltaProbed — see RangesProbed.
 	DeltaProbed int
 
-	// scratch is the engine-pooled backing storage behind Results and
-	// Plan.Costs; Release hands it back. Exactly one of scratch and cached
-	// is set on a successful Response.
+	// scratch is the engine-pooled backing storage behind Results; Release
+	// hands it back. Exactly one of scratch and cached is set on a successful
+	// Response.
 	scratch *respScratch
 	// cached, when non-nil, marks a result-cache hit: Results and Plan are
 	// the entry's shared read-only copies, and this Response holds one of
@@ -102,9 +102,9 @@ type Response struct {
 	cached *cachedResponse
 }
 
-// Release returns the Response's backing storage — the result columns and
-// plan tables — to its engine for reuse by later requests, making a warm
-// resident serving loop allocation-free. After Release the Response's
+// Release returns the Response's backing storage — the result columns — to
+// its engine for reuse by later requests, making a warm resident serving loop
+// allocation-free. After Release the Response's
 // Results and Plan must not be touched: a later request may be writing into
 // them. Releasing is optional (an unreleased Response is ordinary garbage),
 // a released zero Response is a no-op, and each Response must be released
@@ -133,13 +133,11 @@ func (r *Response) Release() {
 	sc.e.scratch.Put(sc)
 }
 
-// respScratch is the reusable backing storage of one in-flight request:
-// the planner's maps and the per-aggregate result columns, sized once for
-// the engine's region count and recycled through Engine.scratch.
+// respScratch is the reusable backing storage of one in-flight request: the
+// per-aggregate result columns, sized once for the engine's region count and
+// recycled through Engine.scratch.
 type respScratch struct {
 	e      *Engine
-	cached map[Strategy]bool
-	plan   planner.Plan // retains the Costs map across uses
 	out    []Result
 	counts [][]int64   // one column per aggregate slot
 	floats [][]float64 // Sums/Extremes column per aggregate slot
@@ -175,9 +173,8 @@ func (sc *respScratch) prepResults(aggs []Agg, numReg int) []Result {
 	return sc.out
 }
 
-// normalizeRequest validates req and applies the shared normalization:
-// the Repetitions < 1 → 1 clamp and the Workers ≤ 0 → 0 (GOMAXPROCS)
-// default live here and nowhere else.
+// normalizeRequest validates req and applies the shared normalization: the
+// Workers ≤ 0 → 0 (GOMAXPROCS) default lives here and nowhere else.
 func (e *Engine) normalizeRequest(req Request) (Request, error) {
 	if len(req.Aggs) == 0 {
 		return req, fmt.Errorf("distbound: request needs at least one aggregate")
@@ -189,9 +186,6 @@ func (e *Engine) normalizeRequest(req Request) (Request, error) {
 		if err := e.checkDataset(req.Dataset); err != nil {
 			return req, err
 		}
-	}
-	if req.Repetitions < 1 {
-		req.Repetitions = 1
 	}
 	if req.Workers < 0 {
 		req.Workers = 0
@@ -227,14 +221,12 @@ func checkOverride(req Request) error {
 	}
 }
 
-// planRequest fixes one normalized request's plan. A registered dataset is
-// answered by rule — registering it is the declaration of repeated use, so a
-// positive bound runs the resident point index and anything else the exact
-// join — and only an ad-hoc point set has a choice for the cost model to
-// make. The scratch lends the planner its maps, making a warm plan
-// allocation-free; the returned Plan shares them until the scratch's
-// Response is released.
-func (e *Engine) planRequest(req Request, sc *respScratch) Plan {
+// planRequest fixes one normalized request's plan by rule. A registered
+// dataset — registering it is the declaration of repeated use — runs the
+// resident point index at a positive bound and the exact join otherwise; an
+// ad-hoc point set takes planner.ChooseInto's bands on the bound. Neither
+// reads what is cached: a cold artifact is built on first use.
+func (e *Engine) planRequest(req Request) Plan {
 	if req.Dataset != nil {
 		p := Plan{Strategy: StrategyExact}
 		if req.Bound > 0 {
@@ -252,16 +244,9 @@ func (e *Engine) planRequest(req Request, sc *respScratch) Plan {
 		}
 		return p
 	}
-	planner.DefaultCostModel().ChooseInto(planner.Query{
-		NumPoints:   len(req.Points.Pts),
-		Regions:     e.regions,
-		Bound:       req.Bound,
-		Repetitions: req.Repetitions,
-		Aggs:        req.Aggs,
-		CachedBuild: e.cachedBuildsInto(req.Bound, sc.cached),
-		Stats:       &e.stats,
-	}, &sc.plan)
-	return sc.plan
+	var p Plan
+	planner.CostModel{}.ChooseInto(planner.Query{Bound: req.Bound, Aggs: req.Aggs}, &p)
+	return p
 }
 
 // Do answers one request: it plans once for the whole aggregate set, builds
@@ -290,7 +275,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 		}
 	}
 	resp := Response{scratch: e.getScratch()}
-	plan := e.planRequest(req, resp.scratch)
+	plan := e.planRequest(req)
 	resp.Strategy, resp.Plan = plan.Strategy, plan
 	if req.Strategy != nil {
 		resp.Strategy = *req.Strategy
@@ -301,8 +286,8 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 	err = e.executeMulti(ctx, req, &resp)
 	resp.Wall = time.Since(start)
 	if err != nil {
-		// A failed response still references the scratch's plan tables, so
-		// the scratch is not recycled — Release on it is a no-op.
+		// A failed response may still reference the scratch's result
+		// columns, so the scratch is not recycled — Release on it is a no-op.
 		resp.scratch = nil
 		return resp, canceledAs(ctx, err)
 	}

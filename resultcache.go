@@ -33,7 +33,7 @@ const DefaultResultCacheCapacity = 1024
 // Append/Delete/Compact strands every prior key.
 // The key deliberately excludes Workers (every fold's order is fixed by the
 // data, so results are bit-identical at every worker count) and Repetitions
-// (nothing reads it for a dataset target).
+// (nothing reads it).
 type resultKey struct {
 	ds    uint64 // Dataset.id
 	epoch uint64
