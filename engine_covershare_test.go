@@ -47,7 +47,6 @@ func pointIdxDo(t *testing.T, e *Engine, ds *Dataset, bound float64, aggs ...Agg
 // reports only its own state.
 func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 	e, dss := shareFixture(t, 3, 4000)
-	e.SetResultCacheCapacity(0)
 	bounds := []float64{16, 64, 256}
 	for _, b := range bounds {
 		for _, ds := range dss {
@@ -100,7 +99,6 @@ func TestCoverCacheEvictsByBound(t *testing.T) {
 	ref, refDss := shareFixture(t, 4, 3000)
 	bounds := []float64{16, 24, 32, 48, 64, 96, 128, 192, 256}
 	ref.covers = cache.New[float64, *coverEntry](len(bounds))
-	e.SetResultCacheCapacity(0)
 	if len(bounds) != coverCacheCapacity+1 {
 		t.Fatalf("fixture needs capacity+1 bounds, have %d", len(bounds))
 	}
@@ -177,7 +175,7 @@ func TestUnregisterReleasesStore(t *testing.T) {
 	bounds := []float64{16, 64}
 	for _, b := range bounds {
 		for _, ds := range dss {
-			resp := pointIdxDo(t, e, ds, b, Count, Sum) // leaves a result-cache entry behind too
+			resp := pointIdxDo(t, e, ds, b, Count, Sum)
 			resp.Release()
 		}
 	}
@@ -234,7 +232,6 @@ func TestUnregisterReleasesStore(t *testing.T) {
 // dataset ends up attached to no bound. Run under -race.
 func TestUnregisterRacesQueries(t *testing.T) {
 	e, dss := shareFixture(t, 2, 2000)
-	e.SetResultCacheCapacity(0)
 	bounds := []float64{32, 64, 128}
 	pidx := StrategyPointIdx
 	var wg sync.WaitGroup

@@ -14,7 +14,6 @@ import (
 // inverted, no range probed.
 func TestResidentNeverFallsBackWhileWarm(t *testing.T) {
 	e, ds, ps := requestFixture(t)
-	e.SetResultCacheCapacity(0)
 	ds.Compact()
 	ctx := context.Background()
 	bounds := []float64{16, 64}
@@ -62,7 +61,6 @@ func TestResidentNeverFallsBackWhileWarm(t *testing.T) {
 // the next read does.
 func TestBackgroundCompactionRefreshesJoiners(t *testing.T) {
 	e, ds, ps, _ := residentFixture(t, 4000)
-	e.SetResultCacheCapacity(0)
 	ctx := context.Background()
 	pidx := StrategyPointIdx
 	read := func(bound float64, aggs ...Agg) Response {

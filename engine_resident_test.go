@@ -143,7 +143,6 @@ func TestResidentPlannerSelectsPointIdx(t *testing.T) {
 // ad-hoc requests beside the dataset still plan by the ad-hoc rule.
 func TestResidentRule(t *testing.T) {
 	e, ds, ps := requestFixture(t)
-	e.SetResultCacheCapacity(0) // every request executes
 	ctx := context.Background()
 	const bound = 16.0
 	aggs := []Agg{Count, Sum, Min}

@@ -27,6 +27,21 @@ func sameBits(t *testing.T, label string, want, got Result) {
 	}
 }
 
+// cloneResults deep-copies result columns, so they outlive the Response's
+// Release.
+func cloneResults(rs []Result) []Result {
+	out := make([]Result, len(rs))
+	for i, r := range rs {
+		out[i] = Result{
+			Agg:      r.Agg,
+			Counts:   append([]int64(nil), r.Counts...),
+			Sums:     append([]float64(nil), r.Sums...),
+			Extremes: append([]float64(nil), r.Extremes...),
+		}
+	}
+	return out
+}
+
 // TestEveryStrategyIgnoresWorkers holds Request.Workers to what its godoc
 // says it shapes — speed only: every strategy, on an ad-hoc point set, a
 // freshly registered dataset and a mutated one (delta rows and tombstones),
@@ -38,7 +53,6 @@ func TestEveryStrategyIgnoresWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(361))
 	pts, ws := data.TaxiPoints(362, 30_000)
 	e := NewEngine(dataRegions(363, 5, 5, 8))
-	e.SetResultCacheCapacity(0) // every Do executes
 
 	fresh, err := e.RegisterPoints("fresh", pts[:24_000], ws[:24_000])
 	if err != nil {
@@ -97,44 +111,6 @@ func TestEveryStrategyIgnoresWorkers(t *testing.T) {
 	}
 }
 
-// TestResultCacheHitMatchesOneWorker: the result cache leaves Workers out of
-// its key, so a hit filled at one worker count is served to every other. That
-// is sound only if execution at any count gives the same bits: an exact
-// (bound 0) resident request filled at 3 workers must equal a cache-off
-// execution at 1.
-func TestResultCacheHitMatchesOneWorker(t *testing.T) {
-	ctx := context.Background()
-	pts, ws := data.TaxiPoints(364, 50_000)
-	e := NewEngine(dataRegions(365, 5, 5, 8))
-	ds, err := e.RegisterPoints("taxi", pts, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Request{Dataset: ds, Aggs: []Agg{Count, Sum, Avg, Min, Max}, Workers: 3}
-	if _, err := e.Do(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	hit, err := e.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := e.ResultCacheStats(); st.Hits != 1 {
-		t.Fatalf("the repeat was not a hit: %+v", st)
-	}
-	got := cloneResults(hit.Results)
-	hit.Release()
-
-	e.SetResultCacheCapacity(0)
-	req.Workers = 1
-	exec, err := e.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range exec.Results {
-		sameBits(t, "hit@3 vs executed@1", exec.Results[k], got[k])
-	}
-}
-
 // TestSignedZeroExtremesAgree pins one MIN/MAX rule on every path: −0 orders
 // below +0, whichever arrives first. Two weights, +0 and −0, at one point
 // must read MIN −0 and MAX +0 from BruteForceJoin and from every strategy
@@ -169,7 +145,6 @@ func TestSignedZeroExtremesAgree(t *testing.T) {
 		}
 		pair := PointSet{Pts: []Point{p, p}, Weights: order}
 		e := NewEngine(regions)
-		e.SetResultCacheCapacity(0)
 		ds, err := e.RegisterPoints("pair", pair.Pts, pair.Weights)
 		if err != nil {
 			t.Fatal(err)

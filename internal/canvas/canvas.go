@@ -266,14 +266,3 @@ func Mask(c, mask *Canvas, pred func(v float64) bool) error {
 	}
 	return nil
 }
-
-// Translate returns a view-copy of c shifted by (dx, dy) pixels — the affine
-// transformation operator restricted to lattice-preserving translations.
-//
-//distbound:api §4's translate operator; no plan composes it yet
-func Translate(c *Canvas, dx, dy int) *Canvas {
-	out := c.Clone()
-	out.X0 += dx
-	out.Y0 += dy
-	return out
-}

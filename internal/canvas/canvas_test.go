@@ -166,19 +166,6 @@ func TestMask(t *testing.T) {
 	}
 }
 
-func TestTranslate(t *testing.T) {
-	g := grid1(t)
-	c, _ := NewCanvas(g, 0, 0, 2, 2)
-	c.Set(0, 0, 9)
-	moved := Translate(c, 3, 4)
-	if moved.At(3, 4) != 9 {
-		t.Errorf("translated value = %v", moved.At(3, 4))
-	}
-	if c.At(0, 0) != 9 {
-		t.Error("translate mutated source")
-	}
-}
-
 func TestRenderRegionCentroidRule(t *testing.T) {
 	g := grid1(t)
 	c, _ := NewCanvas(g, 0, 0, 10, 10)
@@ -237,20 +224,6 @@ func TestRenderRegionGenericFallback(t *testing.T) {
 	slow.RenderRegion(struct{ geom.Region }{p}, 1)
 	if fast.Sum() != slow.Sum() {
 		t.Errorf("fast %v vs generic %v", fast.Sum(), slow.Sum())
-	}
-}
-
-func TestRenderRegionBoundary(t *testing.T) {
-	g := grid1(t)
-	c, _ := NewCanvas(g, 0, 0, 12, 12)
-	p := geom.MustPolygon(geom.Ring{geom.Pt(2.5, 2.5), geom.Pt(8.5, 2.5), geom.Pt(8.5, 8.5), geom.Pt(2.5, 8.5)})
-	c.RenderRegionBoundary(p, 1)
-	// Interior pixel untouched, boundary pixel marked.
-	if c.At(5, 5) != 0 {
-		t.Error("interior marked as boundary")
-	}
-	if c.At(2, 2) != 1 || c.At(8, 8) != 1 || c.At(5, 2) != 1 {
-		t.Error("boundary pixels missing")
 	}
 }
 

@@ -98,53 +98,3 @@ func (g Grid) RegionSpans(rg geom.Region, x0, y0, w, h int, emit func(gy, lo, hi
 		}
 	}
 }
-
-// RenderRegionBoundary marks every pixel the region boundary passes through
-// with value. Combined with RenderRegion it yields the boundary-pixel set
-// result-range estimation needs (§6: errors happen only at boundary cells).
-//
-//distbound:api §4's boundary rendering; no plan composes it yet
-func (c *Canvas) RenderRegionBoundary(rg geom.Region, value float64) {
-	for _, p := range geom.Polygons(rg) {
-		for _, ring := range p.Rings() {
-			for i := range ring {
-				c.renderSegment(ring.Edge(i), value)
-			}
-		}
-	}
-}
-
-// renderSegment marks the pixels along a segment by midpoint grid traversal:
-// the segment is split at every grid-line crossing and each piece's midpoint
-// located.
-func (c *Canvas) renderSegment(e geom.Segment, value float64) {
-	ps := c.G.PixelSize
-	ts := []float64{0, 1}
-	collect := func(a, b, origin float64) {
-		if a == b {
-			return
-		}
-		lo, hi := math.Min(a, b), math.Max(a, b)
-		kLo := int64(math.Ceil((lo - origin) / ps))
-		kHi := int64(math.Floor((hi - origin) / ps))
-		for k := kLo; k <= kHi; k++ {
-			t := (origin + float64(k)*ps - a) / (b - a)
-			if t > 0 && t < 1 {
-				ts = append(ts, t)
-			}
-		}
-	}
-	collect(e.A.X, e.B.X, c.G.Origin.X)
-	collect(e.A.Y, e.B.Y, c.G.Origin.Y)
-	sort.Float64s(ts)
-	dir := e.B.Sub(e.A)
-	for i := 0; i+1 < len(ts); i++ {
-		p := e.A.Add(dir.Scale((ts[i] + ts[i+1]) / 2))
-		gx, gy := c.G.PixelOf(p)
-		c.Set(gx, gy, value)
-	}
-	gx, gy := c.G.PixelOf(e.A)
-	c.Set(gx, gy, value)
-	gx, gy = c.G.PixelOf(e.B)
-	c.Set(gx, gy, value)
-}

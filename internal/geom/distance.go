@@ -1,7 +1,5 @@
 package geom
 
-import "math"
-
 // This file implements the Hausdorff distance of §2.2:
 //
 //	d_H(g, g') = max( max_{p'∈g'} min_{p∈g} d(p,p'),  max_{p∈g} min_{p'∈g'} d(p',p) )
@@ -72,27 +70,4 @@ func DirectedHausdorff(samples []Point, target RegionSet) float64 {
 		}
 	}
 	return d
-}
-
-// PointSetHausdorff returns the exact Hausdorff distance between two finite
-// point sets, such as dense samples of two geometries.
-//
-//distbound:api the exact Hausdorff distance of finite point sets, the definition the sampled estimators approximate
-func PointSetHausdorff(a, b []Point) float64 {
-	directed := func(xs, ys []Point) float64 {
-		var dmax float64
-		for _, x := range xs {
-			dmin := math.Inf(1)
-			for _, y := range ys {
-				if d := x.Dist2(y); d < dmin {
-					dmin = d
-				}
-			}
-			if dmin > dmax {
-				dmax = dmin
-			}
-		}
-		return math.Sqrt(dmax)
-	}
-	return math.Max(directed(a, b), directed(b, a))
 }

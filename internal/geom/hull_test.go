@@ -227,17 +227,6 @@ func TestWKTErrors(t *testing.T) {
 	}
 }
 
-func TestHausdorffPointSets(t *testing.T) {
-	a := []Point{Pt(0, 0), Pt(1, 0)}
-	b := []Point{Pt(0, 0), Pt(1, 3)}
-	if got := PointSetHausdorff(a, b); math.Abs(got-3) > 1e-12 {
-		t.Errorf("PointSetHausdorff = %v, want 3", got)
-	}
-	if got := PointSetHausdorff(a, a); got != 0 {
-		t.Errorf("self distance = %v", got)
-	}
-}
-
 func TestSampleRingBoundary(t *testing.T) {
 	sq := unitSquare()
 	samples := SampleRingBoundary(sq, 0.1)

@@ -50,7 +50,7 @@ func (a Agg) String() string {
 }
 
 // PackAggs encodes an aggregate set order-preservingly into one uint64 — the
-// aggregate-set component of both result-cache keys — 4 bits per aggregate
+// aggregate-set component of the result-cache key — 4 bits per aggregate
 // (offset by 1 so trailing zero nibbles encode the length). Sets longer than
 // 16 aggregates, or carrying an aggregate that does not fit a nibble, report
 // !ok and bypass the cache.

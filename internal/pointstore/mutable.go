@@ -416,8 +416,8 @@ func (s *Snapshot) Gen() uint64 { return s.gen }
 
 // Epoch returns the snapshot's mutation epoch: a counter bumped by every
 // publication — Append, Delete and Compact alike — so two snapshots of one
-// Mutable carry the same epoch iff they are the same snapshot. Result caches
-// key on it: any mutation makes previously cached epochs unreachable.
+// Mutable carry the same epoch iff they are the same snapshot. The result
+// cache keys on it: any mutation makes previously cached epochs unreachable.
 //
 //distbound:noalloc
 func (s *Snapshot) Epoch() uint64 { return s.epoch }

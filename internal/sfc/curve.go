@@ -216,17 +216,3 @@ func init() {
 		}
 	}
 }
-
-// CurveByName returns the curve registered under name, or nil if unknown.
-//
-//distbound:api the inverse of Curve.Name, for callers that configure the curve as text
-func CurveByName(name string) Curve {
-	switch name {
-	case "morton":
-		return Morton{}
-	case "hilbert":
-		return Hilbert{}
-	default:
-		return nil
-	}
-}

@@ -278,15 +278,6 @@ func TestLeafPosRoundTripThroughDomain(t *testing.T) {
 	}
 }
 
-func TestCurveByName(t *testing.T) {
-	if CurveByName("morton") == nil || CurveByName("hilbert") == nil {
-		t.Error("known curves not found")
-	}
-	if CurveByName("peano") != nil {
-		t.Error("unknown curve returned")
-	}
-}
-
 func TestCellIDString(t *testing.T) {
 	if s := FromPosLevel(5, 3).String(); s != "cell(L3 pos=5)" {
 		t.Errorf("String = %q", s)

@@ -204,16 +204,13 @@ func New(name string, regions []distbound.Region, pts []distbound.Point, weights
 	return s, ids, nil
 }
 
-// newSharded returns an empty partition: one engine to host the shards, its
-// own result cache off — a per-shard partial is only ever reached through a
-// miss of the merged cache above the scatter, keyed on the same epochs, so
-// the merged layer is the serving path's one result cache.
+// newSharded returns an empty partition: one engine to host the shards, and
+// the merged result cache above the scatter — the engine caches no answers,
+// so every miss executes on the shards.
 func newSharded(name string, regions []distbound.Region, hasW bool) *Sharded {
-	engine := distbound.NewEngine(regions)
-	engine.SetResultCacheCapacity(0)
 	return &Sharded{
 		name:    name,
-		engine:  engine,
+		engine:  distbound.NewEngine(regions),
 		domain:  distbound.DomainForRegions(regions...),
 		hasW:    hasW,
 		results: newShardResultCache(),
@@ -326,11 +323,11 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 		return Response{}, fmt.Errorf("shard: scatter-gather requires a positive bound, got %v", req.Bound)
 	}
 	// Result-cache probe above the whole fan-out. The epoch sum is read here,
-	// before any shard executes, so a hit serves data at least as new as this
-	// scatter could have observed — the same pre-execution keying argument as
-	// the engine's cache. A hit's Results are the cached entry's own slices;
-	// callers must treat them as read-only, which every merge/wire consumer
-	// does.
+	// before any shard executes: an entry's data is at least as new as the
+	// epochs in its key, so a hit serves data at least as new as this scatter
+	// could have observed by executing. A hit's Results are the cached entry's
+	// own slices; callers must treat them as read-only, which every
+	// merge/wire consumer does.
 	key, cacheable := s.cacheKey(req)
 	if cacheable {
 		if c, ok := s.results.Get(key); ok {
@@ -430,16 +427,12 @@ func (s *Sharded) cacheKey(req Request) (resultKey, bool) {
 	if !ok {
 		return resultKey{}, false
 	}
-	var sum uint64
-	for i := range s.shards {
-		sum += s.shards[i].ds.Epoch()
-	}
-	return resultKey{epochSum: sum, bound: req.Bound, aggs: packed}, true
+	return resultKey{epochSum: s.EpochSum(), bound: req.Bound, aggs: packed}, true
 }
 
 // SetResultCacheCapacity re-bounds the scatter-gather result cache — the
-// only result cache on the path, the hosted engine's being off; 0 disables
-// it, and every Do then executes on the shards.
+// only result cache on the path, the engine keeping none; 0 disables it, and
+// every Do then executes on the shards.
 func (s *Sharded) SetResultCacheCapacity(n int) { s.results.SetCapacity(n) }
 
 // CacheStats reports the scatter-gather result cache's hit/miss/eviction

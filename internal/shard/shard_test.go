@@ -781,8 +781,8 @@ func TestShardedResultCache(t *testing.T) {
 	want.Release()
 
 	// Disabling the cache is a full bypass: counters freeze, and nothing
-	// beneath the scatter caches in its place — the hosted engine's result
-	// cache is off, so every repeat executes on the shards and answers the same.
+	// beneath the scatter caches in its place — every repeat executes on the
+	// shards and answers the same.
 	s.SetResultCacheCapacity(0)
 	frozen := s.CacheStats()
 	contacts := s.Stats().ContactedTotal
@@ -801,9 +801,113 @@ func TestShardedResultCache(t *testing.T) {
 	if got, want := s.Stats().ContactedTotal, contacts+2*uint64(final.ShardsContacted); got != want {
 		t.Fatalf("uncached repeats contacted %d shards in total, want %d: something answered without executing", got, want)
 	}
-	if st := s.engine.ResultCacheStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("a result cache beneath the scatter was consulted: %+v", st)
-	}
+}
+
+// FuzzShardedCachedDo interleaves Append/Delete/Compact with queries against
+// two four-shard partitions fed the identical op stream — one behind the
+// merged result cache, one with it off (the executed oracle). Any divergence
+// is a stale hit: the cache serving an epoch sum the mutations have moved
+// past. Auto-compaction is off on both, so their shards hold the same base
+// and delta and every column — COUNT, SUM, MIN, MAX — must match bit for bit.
+func FuzzShardedCachedDo(f *testing.F) {
+	f.Add([]byte{3, 0, 4, 1, 3, 2, 4, 0, 0, 3, 1, 4})
+	f.Add([]byte{4, 4, 4, 4})
+	f.Add([]byte{0, 3, 0, 3, 2, 3, 1, 3, 2, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		regions := data.Regions(data.Partition(101, 4, 4, 6))
+		pool, _ := data.TaxiPoints(102, 6_000)
+		weights := testutil.ExactWeights(rand.New(rand.NewSource(103)), len(pool))
+
+		newSharded := func() (*Sharded, []uint64) {
+			s, ids, err := New("fuzz", regions, pool[:3_000], weights[:3_000], 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s.Close)
+			s.SetCompactionThreshold(0)
+			return s, ids
+		}
+		cached, live := newSharded()
+		plain, _ := newSharded()
+		plain.SetResultCacheCapacity(0)
+
+		// IDs are deterministic (same regions, same input order), so one
+		// live list mirrors both partitions.
+		off := 3_000
+		ctx := context.Background()
+		bounds := []float64{8, 16, 32}
+		aggSets := [][]distbound.Agg{{distbound.Count}, {distbound.Count, distbound.Sum, distbound.Min, distbound.Max}}
+		query := func(op byte) {
+			req := Request{Aggs: aggSets[int(op>>4)%len(aggSets)], Bound: bounds[int(op)%len(bounds)]}
+			got, err := cached.Do(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.Do(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, w := range want.Results {
+				g := got.Results[k]
+				label := fmt.Sprintf("ε=%v %v", req.Bound, w.Agg)
+				if !slices.Equal(g.Counts, w.Counts) {
+					t.Fatalf("%s: cached counts %v, executed %v", label, g.Counts, w.Counts)
+				}
+				if !sameFloatBits(g.Sums, w.Sums) || !sameFloatBits(g.Extremes, w.Extremes) {
+					t.Fatalf("%s: cached values diverge from executed", label)
+				}
+			}
+		}
+		for i, op := range ops {
+			switch op % 5 {
+			case 0: // append a small batch
+				n := 1 + int(op/16)*8
+				if off+n > len(pool) {
+					continue
+				}
+				idsC, err := cached.Append(pool[off:off+n], weights[off:off+n])
+				if err != nil {
+					t.Fatal(err)
+				}
+				idsP, err := plain.Append(pool[off:off+n], weights[off:off+n])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(idsC, idsP) {
+					t.Fatalf("partitions diverged on assigned IDs: %v vs %v", idsC, idsP)
+				}
+				live = append(live, idsC...)
+				off += n
+			case 1: // delete one live point
+				if len(live) == 0 {
+					continue
+				}
+				k := (int(op) + i*7919) % len(live)
+				for _, s := range []*Sharded{cached, plain} {
+					if _, err := s.Delete(live[k]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				live[k] = live[len(live)-1]
+				live = live[:len(live)-1]
+			case 2:
+				cached.Compact()
+				plain.Compact()
+			default:
+				query(op)
+			}
+		}
+		// Close the stream with one query per bound so every mutation tail
+		// is checked against the oracle.
+		for b := byte(0); b < 3; b++ {
+			query(b)
+		}
+	})
+}
+
+// sameFloatBits reports whether two columns hold the same float64 bits.
+func sameFloatBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestRenderedMemo pins the render slot a result-cache entry carries: a miss

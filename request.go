@@ -85,21 +85,15 @@ type Response struct {
 	// request against a base or after a delete, 0 once the joiner holds the
 	// fold), and the live delta rows newly searched into the cover table's
 	// boundary segments (the rows appended since the previous request at
-	// this bound, 0 when nothing was). Both are 0 on a result-cache hit and for
-	// strategies other than pointidx — the probe economy they meter is the
-	// resident path's.
+	// this bound, 0 when nothing was). Both are 0 for strategies other than
+	// pointidx — the probe economy they meter is the resident path's.
 	RangesProbed int
 	// DeltaProbed — see RangesProbed.
 	DeltaProbed int
 
 	// scratch is the engine-pooled backing storage behind Results; Release
-	// hands it back. Exactly one of scratch and cached is set on a successful
-	// Response.
+	// hands it back. It is set on every successful Response.
 	scratch *respScratch
-	// cached, when non-nil, marks a result-cache hit: Results and Plan are
-	// the entry's shared read-only copies, and this Response holds one of
-	// its references until Release.
-	cached *cachedResponse
 }
 
 // Release returns the Response's backing storage — the result columns — to
@@ -110,19 +104,8 @@ type Response struct {
 // a released zero Response is a no-op, and each Response must be released
 // at most once, from one copy of it.
 //
-// For a result-cache hit, Release is a reference-count decrement on the
-// shared cached entry — never a pool return — so releasing a hit can never
-// hand another request's live backing storage back to the pool.
-//
 //distbound:noalloc
 func (r *Response) Release() {
-	if c := r.cached; c != nil {
-		r.cached = nil
-		r.Results = nil
-		r.Plan = Plan{}
-		c.release()
-		return
-	}
 	sc := r.scratch
 	if sc == nil {
 		return
@@ -254,25 +237,13 @@ func (e *Engine) planRequest(req Request) Plan {
 // pass over one snapshot. Canceling ctx unwinds the worker fan-out promptly
 // — and a build every waiter abandoned stops too — returning ctx.Err();
 // caches and in-flight builds other callers share stay consistent. Safe for
-// concurrent use.
-//
-// The result-cache key reads the dataset's mutation epoch before execution:
-// a hit then serves data at least as new as any state this request could
-// have observed by executing, which keeps cached serving linearizable under
-// concurrent mutation. A disabled cache is a full bypass — no probe, no
-// counters, and no deep copy on the way out — so the executed warm path
-// stays allocation-free.
+// concurrent use. Every call executes: the engine caches artifacts, never
+// answers.
 func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 	start := time.Now()
 	req, err := e.normalizeRequest(req)
 	if err != nil {
 		return Response{}, err
-	}
-	key, cacheable := e.resultCacheKey(req)
-	if cacheable {
-		if c, ok := e.results.Get(key); ok {
-			return c.respond(start), nil
-		}
 	}
 	resp := Response{scratch: e.getScratch()}
 	plan := e.planRequest(req)
@@ -290,9 +261,6 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 		// columns, so the scratch is not recycled — Release on it is a no-op.
 		resp.scratch = nil
 		return resp, canceledAs(ctx, err)
-	}
-	if cacheable {
-		e.results.Put(key, newCachedResponse(&resp))
 	}
 	return resp, nil
 }
