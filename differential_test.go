@@ -107,9 +107,9 @@ func TestDifferentialMutableVsRebuild(t *testing.T) {
 	}
 
 	check("pre-compaction")
-	gen := ds.Generation()
+	gen := ds.Stats().Generation
 	ds.Compact()
-	if ds.Generation() != gen+1 {
+	if ds.Stats().Generation != gen+1 {
 		t.Fatalf("compaction did not bump the generation")
 	}
 	if st := ds.Stats(); st.Tombstones != 0 || st.DeltaLive != 0 || st.DeltaDead != 0 {

@@ -75,9 +75,9 @@ type Engine struct {
 	datasets map[string]*Dataset
 	covers   *cache.Cache[float64, *coverEntry] // by bound; see covers.go
 
-	// scratch recycles respScratch instances across Do calls; together
-	// with the joiner-level plan scratch it makes the warm resident path
-	// allocation-free for callers that Release their Responses.
+	// scratch recycles respScratch instances across Do calls; it makes the
+	// warm resident path allocation-free for callers that Release their
+	// Responses.
 	scratch sync.Pool
 }
 
@@ -229,11 +229,6 @@ func (d *Dataset) Dropped() int { return d.src.Dropped() }
 // MemoryBytes returns the resident artifact's footprint (columns, retained
 // coordinates, delta tail and tombstones).
 func (d *Dataset) MemoryBytes() int { return d.src.MemoryBytes() }
-
-// Generation returns the dataset's compaction generation.
-//
-//distbound:api library accessor; the mutation tests observe compactions through it
-func (d *Dataset) Generation() uint64 { return d.src.Gen() }
 
 // Epoch returns the dataset's mutation epoch — bumped by every Append,
 // Delete and Compact that changed anything. Layers above the engine (the

@@ -2,7 +2,6 @@ package distbound
 
 import (
 	"context"
-	"strings"
 	"testing"
 )
 
@@ -70,38 +69,30 @@ func TestResponseProbeCounters(t *testing.T) {
 	}
 }
 
-// TestExplainCoverPlanLineWarm pins the Explain surface of the cover plan:
-// before the resident artifact exists the plan has nothing measured to
-// report; once a pointidx query has built it, Explain prints the cover-plan
-// line with the artifact's real shape and keeps the rule line intact.
-func TestExplainCoverPlanLineWarm(t *testing.T) {
+// TestColdReadProbesEveryCoverRange pins what a cold pointidx read pays: it
+// probes every region's every cover range of the bound's resident cover set,
+// and a warm repeat probes none.
+func TestColdReadProbesEveryCoverRange(t *testing.T) {
 	e, ds, _ := requestFixture(t)
 	ctx := context.Background()
 
-	cold, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Explain: true})
+	cold, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(cold.Explain, "cover-plan:") {
-		t.Errorf("cold Explain invented a cover-plan line:\n%s", cold.Explain)
+	ce, ok := peekReady(e.covers, 16)
+	if !ok {
+		t.Fatal("cover set at bound 16 not resident after a pointidx read")
 	}
-
-	warm, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16, Explain: true})
+	if ranges := ce.set.NumRanges(); cold.RangesProbed != ranges {
+		t.Errorf("the cold read probed %d ranges, the cover set holds %d", cold.RangesProbed, ranges)
+	}
+	warm, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(warm.Explain, "cover-plan:") {
-		t.Fatalf("warm Explain omits the cover-plan line:\n%s", warm.Explain)
-	}
-	if warm.Plan.Cover.Ranges != cold.RangesProbed {
-		t.Errorf("plan reports %d ranges, the cold run probed %d", warm.Plan.Cover.Ranges, cold.RangesProbed)
-	}
-	if warm.Plan.Cover.Boundaries > 2*warm.Plan.Cover.Ranges {
-		t.Errorf("implausible cover stats %+v", warm.Plan.Cover)
-	}
-	// The line is informational: the rule line stays.
-	if !strings.HasPrefix(warm.Explain, cold.Explain+"\n") {
-		t.Errorf("cover-plan line displaced the rule line:\n%s", warm.Explain)
+	if warm.RangesProbed != 0 {
+		t.Errorf("the warm repeat probed %d ranges, want 0", warm.RangesProbed)
 	}
 }
 

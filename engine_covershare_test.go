@@ -59,7 +59,7 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 	}
 	setBytes := 0
 	for _, b := range bounds {
-		ce, ok := e.covers.PeekReady(b)
+		ce, ok := peekReady(e.covers, b)
 		if !ok {
 			t.Fatalf("bound %g not resident", b)
 		}
@@ -115,7 +115,7 @@ func TestCoverCacheEvictsByBound(t *testing.T) {
 				got.Release()
 				want.Release()
 			}
-			ce, ok := e.covers.PeekReady(b)
+			ce, ok := peekReady(e.covers, b)
 			if !ok {
 				t.Fatalf("bound %g not resident right after its queries", b)
 			}
@@ -186,7 +186,7 @@ func TestUnregisterReleasesStore(t *testing.T) {
 		t.Fatal("dataset was not registered")
 	}
 	for _, b := range bounds {
-		ce, ok := e.covers.PeekReady(b)
+		ce, ok := peekReady(e.covers, b)
 		if !ok {
 			t.Fatalf("bound %g left the cache with the dataset", b)
 		}
@@ -197,11 +197,11 @@ func TestUnregisterReleasesStore(t *testing.T) {
 	dead.refreshJoiners() // the compaction goroutine's late refresh
 	// A request that passed checkDataset before the unregister reaches the
 	// joiner lookup after it: it is answered, and pins nothing.
-	if ce, _ := e.covers.PeekReady(bounds[0]); ce.joiner(e, dead) == nil {
+	if ce, _ := peekReady(e.covers, bounds[0]); ce.joiner(e, dead) == nil {
 		t.Fatal("the late request got no joiner to answer from")
 	}
 	for _, b := range bounds {
-		if ce, _ := e.covers.PeekReady(b); ce.peek(dead.src) != nil {
+		if ce, _ := peekReady(e.covers, b); ce.peek(dead.src) != nil {
 			t.Errorf("bound %g: the unregistered dataset was re-attached", b)
 		}
 	}
@@ -254,7 +254,7 @@ func TestUnregisterRacesQueries(t *testing.T) {
 	e.UnregisterPoints(dss[0].Name())
 	wg.Wait()
 	for _, b := range bounds {
-		if ce, ok := e.covers.PeekReady(b); ok && ce.peek(dss[0].src) != nil {
+		if ce, ok := peekReady(e.covers, b); ok && ce.peek(dss[0].src) != nil {
 			t.Errorf("bound %g: the unregistered dataset is still attached", b)
 		}
 	}
@@ -267,6 +267,6 @@ func coverBuilds(e *Engine) int64 {
 
 // coverReady reports whether the bound's cover set is resident and built.
 func coverReady(e *Engine, bound float64) bool {
-	_, ok := e.covers.PeekReady(bound)
+	_, ok := peekReady(e.covers, bound)
 	return ok
 }

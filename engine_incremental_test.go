@@ -43,7 +43,7 @@ func TestResidentNeverFallsBackWhileWarm(t *testing.T) {
 				t.Fatal(err)
 			}
 			if resp.Strategy != StrategyPointIdx {
-				t.Fatalf("ε %g, delta %d: an unforced request fell back to %v\n%s", bound, delta, resp.Strategy, resp.Plan.Explain())
+				t.Fatalf("ε %g, delta %d: an unforced request fell back to %v", bound, delta, resp.Strategy)
 			}
 			if resp.RangesProbed != 0 || resp.DeltaProbed != chunk {
 				t.Fatalf("ε %g, delta %d: the read did {%d %d} of work, want only the %d new rows inverted",
@@ -82,7 +82,7 @@ func TestBackgroundCompactionRefreshesJoiners(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for ds.Generation() == 0 || ds.compacting.Load() {
+	for ds.Stats().Generation == 0 || ds.compacting.Load() {
 		if time.Now().After(deadline) {
 			t.Fatalf("background compaction did not finish (stats %+v)", ds.Stats())
 		}

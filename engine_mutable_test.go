@@ -85,8 +85,8 @@ func TestDatasetMutationLifecycle(t *testing.T) {
 
 	// Compaction changes nothing observable except the generation.
 	ds.Compact()
-	if ds.Generation() != 1 {
-		t.Errorf("generation %d after compaction", ds.Generation())
+	if ds.Stats().Generation != 1 {
+		t.Errorf("generation %d after compaction", ds.Stats().Generation)
 	}
 	st = ds.Stats()
 	if st.DeltaLive != 0 || st.DeltaDead != 0 || st.Tombstones != 0 || st.Base != 4000 || st.Live != 4000 {
@@ -157,7 +157,7 @@ func TestDatasetAutoCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for ds.Generation() == 0 {
+	for ds.Stats().Generation == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no background compaction after threshold crossing (stats %+v)", ds.Stats())
 		}
@@ -168,12 +168,12 @@ func TestDatasetAutoCompaction(t *testing.T) {
 	}
 	// Disabled threshold: delta accumulates.
 	ds.SetCompactionThreshold(0)
-	gen := ds.Generation()
+	gen := ds.Stats().Generation
 	if _, err := ds.Append(ps.Pts[:150], ps.Weights[:150]); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(10 * time.Millisecond)
-	if ds.Generation() != gen {
+	if ds.Stats().Generation != gen {
 		t.Error("auto-compaction ran with the threshold disabled")
 	}
 }

@@ -127,41 +127,35 @@ func TestDoRequestValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := e.planRequest(adHoc(len(ps.Pts), Count, 64)); resp.Plan != want {
-			t.Errorf("%d repetitions planned %+v, no repetitions plans %+v", reps, resp.Plan, want)
+		if want := strategyFor(adHoc(len(ps.Pts), Count, 64)); resp.Strategy != want {
+			t.Errorf("%d repetitions ran %v, no repetitions picks %v", reps, resp.Strategy, want)
 		}
 	}
 }
 
-// TestDoResponseMetadata: Explain and Plan ride the response; multi-agg sets
-// containing MIN/MAX exclude BRJ from an ad-hoc plan entirely, and a dataset
-// plan is the bare rule outcome.
+// TestDoResponseMetadata: Strategy, Wall and Build ride the response;
+// multi-agg sets containing MIN/MAX exclude BRJ from an ad-hoc pick
+// entirely, and a dataset request runs the resident rule's pick.
 func TestDoResponseMetadata(t *testing.T) {
 	e, ds, ps := requestFixture(t)
 	aggs := []Agg{Count, Sum, Min}
-	resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: aggs, Bound: 64, Explain: true})
+	resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: aggs, Bound: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Explain == "" {
-		t.Error("Explain requested but empty")
-	}
-	if resp.Strategy != StrategyACT || strings.Contains(resp.Explain, "brj") {
-		t.Errorf("a set containing MIN ran %v and explained %q, want act without brj", resp.Strategy, resp.Explain)
+	if resp.Strategy != StrategyACT {
+		t.Errorf("a set containing MIN ran %v, want act", resp.Strategy)
 	}
 	if resp.Wall <= 0 {
 		t.Error("Wall timing missing")
 	}
 
-	resp, err = e.Do(context.Background(), Request{Dataset: ds, Aggs: aggs, Bound: 16, Explain: true})
+	resp, err = e.Do(context.Background(), Request{Dataset: ds, Aggs: aggs, Bound: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Strategy != StrategyPointIdx || resp.Plan.Strategy != StrategyPointIdx {
-		t.Errorf("dataset request ran %v on plan %+v, want the bare pointidx rule", resp.Strategy, resp.Plan)
-	}
-	if resp.Explain == "" {
-		t.Error("Explain requested but empty")
+	if resp.Strategy != StrategyPointIdx {
+		t.Errorf("dataset request ran %v, want pointidx", resp.Strategy)
 	}
 	// Cold acquisition above paid a build; a warm repeat acquires in ~0.
 	if resp.Build <= 0 {

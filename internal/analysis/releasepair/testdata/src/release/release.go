@@ -6,8 +6,6 @@ type respScratch struct{ out []float64 }
 
 type Response struct {
 	Results []float64
-	Plan    string
-	Explain string
 	scratch *respScratch
 }
 
@@ -32,12 +30,6 @@ func bad() float64 {
 	r := Do()
 	r.Release()
 	return r.Results[0] // want `read after`
-}
-
-func badExplain() string {
-	r := Do()
-	r.Release()
-	return r.Explain // want `read after`
 }
 
 func badBranch(cond bool) float64 {

@@ -287,22 +287,6 @@ func (c *Cache[K, V]) GetReady(key K) (V, bool) {
 	return e.val, true
 }
 
-// PeekReady returns the value cached under key iff its build has completed
-// successfully, without recording stats or refreshing recency — the
-// side-effect-free residency probe, and the right check for "has this build
-// cost been paid", where an in-flight build must not count. A missing,
-// in-flight, failed or abandoned entry returns false immediately.
-func (c *Cache[K, V]) PeekReady(key K) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.lookupReady(key)
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	return e.val, true
-}
-
 // EachReady calls fn for every entry whose build has completed successfully,
 // without recording stats or refreshing recency. The entries are collected
 // under the lock and visited after it is released, so fn may take as long as

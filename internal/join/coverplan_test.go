@@ -178,8 +178,8 @@ func TestCoverPlanSparseRegions(t *testing.T) {
 	}
 }
 
-// TestCoverPlanStats pins the plan-shape accounting the engine surfaces:
-// every range needs at most two boundary probes, and probe stats report the
+// TestCoverPlanStats pins the plan-shape accounting: every range needs at
+// most two boundary probes, and probe stats report the
 // work a query did — not the size of what it answered from.
 func TestCoverPlanStats(t *testing.T) {
 	_, regions, store := pointIdxFixture(t, 5000, true)
@@ -187,7 +187,7 @@ func TestCoverPlanStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, nb := pj.NumRanges(), pj.NumBoundaryProbes()
+	u, nb := pj.NumRanges(), len(pj.plan.bkeys)
 	if nb == 0 || nb > 2*u {
 		t.Errorf("boundary probes %d outside (0, %d]", nb, 2*u)
 	}

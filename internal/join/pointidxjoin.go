@@ -65,10 +65,6 @@ func (cs *CoverSet) NumRegions() int { return len(cs.plan.regOff) - 1 }
 // what a base fill probes.
 func (cs *CoverSet) NumRanges() int { return len(cs.plan.ranges) }
 
-// NumBoundaryProbes returns how many distinct span boundaries one query
-// resolves against the key column — the monotone sweep's length.
-func (cs *CoverSet) NumBoundaryProbes() int { return len(cs.plan.bkeys) }
-
 // Intersects reports whether any region's cover holds a key in [lo, hi]
 // (lo ≤ hi) — whether a query at this bound can ever count a point whose key
 // lies in the interval, which is what a shard router asks of each shard's

@@ -9,8 +9,6 @@
 package planner
 
 import (
-	"fmt"
-
 	"distbound/internal/geom"
 	"distbound/internal/join"
 )
@@ -102,29 +100,11 @@ const (
 	brjFrom = 32
 )
 
-// CoverStats describes a resident dataset's cover table — what the
-// point-index strategy will actually execute at this bound. The zero value
-// means "no resident cover table is built yet"; Explain prints the
-// cover-plan line only when the stats are real, never estimated.
-type CoverStats struct {
-	// Ranges is the total per-region cover range count — the probe count a
-	// base fill pays.
-	Ranges int
-	// Boundaries is the number of distinct range boundaries — what the
-	// monotone sweep resolves after a compaction.
-	Boundaries int
-}
-
-// Plan is a strategy decision and the rule that made it.
+// Plan is ChooseInto's output. It stays, holding only the strategy, until
+// the repository benchmark's harness stops declaring one (ROADMAP item 1);
+// the engine itself reads the rule's Strategy directly.
 type Plan struct {
 	Strategy Strategy
-	// Cover carries the resident cover plan's measured shape when its
-	// artifact is already built (the engine fills it in); Explain renders
-	// it as the cover-plan line.
-	Cover CoverStats
-	// rule is ChooseInto's band; empty for the engine's registered-dataset
-	// rule.
-	rule string
 }
 
 // ChooseInto writes q's ad-hoc plan into p, replacing all of it: ε ≤ 0 or
@@ -133,33 +113,10 @@ type Plan struct {
 func (CostModel) ChooseInto(q Query, p *Plan) {
 	switch {
 	case !(q.Bound >= actFrom):
-		*p = Plan{Strategy: StrategyExact, rule: "ad-hoc, ε < 4"}
-		if !(q.Bound > 0) {
-			p.rule = "ad-hoc, no positive bound"
-		}
-	case q.Bound < brjFrom:
-		*p = Plan{Strategy: StrategyACT, rule: "ad-hoc, 4 ≤ ε < 32"}
-	case join.ExtremeIn(q.Aggs):
-		*p = Plan{Strategy: StrategyACT, rule: "ad-hoc, ε ≥ 32 with MIN/MAX"}
+		p.Strategy = StrategyExact
+	case q.Bound < brjFrom || join.ExtremeIn(q.Aggs):
+		p.Strategy = StrategyACT
 	default:
-		*p = Plan{Strategy: StrategyBRJ, rule: "ad-hoc, ε ≥ 32"}
+		p.Strategy = StrategyBRJ
 	}
-}
-
-// Explain renders the plan for diagnostics: the rule line, and the measured
-// cover-plan line when the plan carries one.
-func (p Plan) Explain() string {
-	rule := p.rule
-	if rule == "" {
-		rule = "registered dataset, bound > 0"
-		if p.Strategy == StrategyExact {
-			rule = "registered dataset, no positive bound"
-		}
-	}
-	out := fmt.Sprintf("* %-10s rule: %s", p.Strategy, rule)
-	if p.Cover != (CoverStats{}) {
-		out += fmt.Sprintf("\ncover-plan: %d region-ranges, %d boundary probes per query",
-			p.Cover.Ranges, p.Cover.Boundaries)
-	}
-	return out
 }

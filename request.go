@@ -10,9 +10,6 @@ import (
 	"distbound/internal/planner"
 )
 
-// Plan is the planner's decision and the rule that made it.
-type Plan = planner.Plan
-
 // Request describes one aggregation query for Engine.Do: one target, one
 // distance bound, and a *set* of aggregates answered together — one plan,
 // one index build, one snapshot and one fold pass serve every aggregate in
@@ -55,8 +52,6 @@ type Request struct {
 	// bit-identically at every worker count. A server already running many
 	// queries concurrently typically wants 1 to avoid oversubscription.
 	Workers int
-	// Explain asks for the rendered plan in Response.Explain.
-	Explain bool
 }
 
 // Response carries one request's outcome.
@@ -64,15 +59,10 @@ type Response struct {
 	// Results holds one Result per requested aggregate, positionally aligned
 	// with Request.Aggs.
 	Results []Result
-	// Strategy is the physical strategy that ran: the plan's choice, or the
-	// request's override.
+	// Strategy is the physical strategy that ran: the request's override if
+	// it set one, and otherwise the rule's pick — the ad-hoc rule's for a
+	// point set, the resident rule's for a Dataset target.
 	Strategy Strategy
-	// Plan is the rule's pick — the ad-hoc rule's for a point set, the
-	// resident rule's for a Dataset target. Under a Strategy override it
-	// still records what would have been chosen.
-	Plan Plan
-	// Explain is the rendered plan, filled iff Request.Explain.
-	Explain string
 	// Build is the time this request spent acquiring the strategy's build
 	// artifact — a real build on a cold cache, a wait on a build in flight,
 	// ~0 on a warm hit.
@@ -98,11 +88,11 @@ type Response struct {
 
 // Release returns the Response's backing storage — the result columns — to
 // its engine for reuse by later requests, making a warm resident serving loop
-// allocation-free. After Release the Response's
-// Results and Plan must not be touched: a later request may be writing into
-// them. Releasing is optional (an unreleased Response is ordinary garbage),
-// a released zero Response is a no-op, and each Response must be released
-// at most once, from one copy of it.
+// allocation-free. After Release the Response's Results must not be
+// touched: a later request may be writing into them. Releasing is optional
+// (an unreleased Response is ordinary garbage), a released zero Response is
+// a no-op, and each Response must be released at most once, from one copy
+// of it.
 //
 //distbound:noalloc
 func (r *Response) Release() {
@@ -112,7 +102,6 @@ func (r *Response) Release() {
 	}
 	r.scratch = nil
 	r.Results = nil
-	r.Plan = Plan{}
 	sc.e.scratch.Put(sc)
 }
 
@@ -204,32 +193,21 @@ func checkOverride(req Request) error {
 	}
 }
 
-// planRequest fixes one normalized request's plan by rule. A registered
-// dataset — registering it is the declaration of repeated use — runs the
-// resident point index at a positive bound and the exact join otherwise; an
-// ad-hoc point set takes planner.ChooseInto's bands on the bound. Neither
-// reads what is cached: a cold artifact is built on first use.
-func (e *Engine) planRequest(req Request) Plan {
+// strategyFor picks one normalized, unforced request's strategy by rule. A
+// registered dataset — registering it is the declaration of repeated use —
+// runs the resident point index at a positive bound and the exact join
+// otherwise; an ad-hoc point set takes planner.ChooseInto's bands on the
+// bound. Neither reads what is cached: a cold artifact is built on first use.
+func strategyFor(req Request) Strategy {
 	if req.Dataset != nil {
-		p := Plan{Strategy: StrategyExact}
 		if req.Bound > 0 {
-			p.Strategy = StrategyPointIdx
+			return StrategyPointIdx
 		}
-		if req.Explain {
-			// The resident cover set knows the real cover-plan shape; surface
-			// it so Explain reports what a pointidx run will actually probe.
-			if ce, ok := e.covers.PeekReady(req.Bound); ok {
-				p.Cover = planner.CoverStats{
-					Ranges:     ce.set.NumRanges(),
-					Boundaries: ce.set.NumBoundaryProbes(),
-				}
-			}
-		}
-		return p
+		return StrategyExact
 	}
-	var p Plan
+	var p planner.Plan
 	planner.CostModel{}.ChooseInto(planner.Query{Bound: req.Bound, Aggs: req.Aggs}, &p)
-	return p
+	return p.Strategy
 }
 
 // Do answers one request: it plans once for the whole aggregate set, builds
@@ -246,13 +224,10 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 		return Response{}, err
 	}
 	resp := Response{scratch: e.getScratch()}
-	plan := e.planRequest(req)
-	resp.Strategy, resp.Plan = plan.Strategy, plan
 	if req.Strategy != nil {
 		resp.Strategy = *req.Strategy
-	}
-	if req.Explain {
-		resp.Explain = plan.Explain()
+	} else {
+		resp.Strategy = strategyFor(req)
 	}
 	err = e.executeMulti(ctx, req, &resp)
 	resp.Wall = time.Since(start)
