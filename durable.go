@@ -1,8 +1,7 @@
 // Engine-level durability: Dataset.Persist binds a registered dataset to an
 // on-disk directory (checksummed snapshot + write-ahead log), and
 // Engine.OpenDataset re-registers a persisted dataset after a restart,
-// replaying the logged tail and — on supported platforms — serving the base
-// columns straight out of the mapped snapshot file.
+// replaying the logged tail on top of the snapshot's checksummed base.
 package distbound
 
 import (
@@ -13,7 +12,7 @@ import (
 )
 
 // PersistConfig tunes a dataset's durability; the zero value is a sound
-// default (sync every mutation, mmap the snapshot where supported).
+// default (sync every mutation).
 type PersistConfig struct {
 	// GroupCommit batches write-ahead-log fsyncs: a mutation returns once
 	// written, and the log syncs at most GroupCommit later. A crash may
@@ -89,7 +88,7 @@ func (d *Dataset) Sync() error {
 
 // OpenDataset recovers the dataset persisted under dir and registers it as
 // name: the snapshot is validated (magic, version, every section checksum)
-// and loaded — mmap'd and served zero-copy on supported platforms — and the
+// and decoded into memory, so nothing served afterwards reads the file; the
 // write-ahead log's acknowledged tail is replayed on top, reproducing the
 // exact pre-shutdown columns and point IDs. The recovered dataset stays
 // durable: mutations keep logging to dir, compactions checkpoint.

@@ -185,11 +185,6 @@ type DatasetStats struct {
 	// write-ahead log (Persist/OpenDataset); the fields below are zero
 	// otherwise.
 	Durable bool
-	// MMapped reports whether the base columns are currently served from
-	// the mapped snapshot file rather than heap copies; the first
-	// checkpoint after a reopen replaces the mapped base with heap-compacted
-	// columns and clears it.
-	MMapped bool
 	// SnapshotBytes is the snapshot file's size; WALRecords and WALBytes
 	// measure the log of mutations acknowledged since the last checkpoint.
 	SnapshotBytes int64
@@ -253,7 +248,6 @@ func (d *Dataset) Stats() DatasetStats {
 	if dur := d.dur.Load(); dur != nil {
 		ps := dur.Stats()
 		st.Durable = true
-		st.MMapped = ps.MMapped
 		st.SnapshotBytes = ps.SnapshotBytes
 		st.WALRecords = ps.WALRecords
 		st.WALBytes = ps.WALBytes

@@ -7,18 +7,9 @@ import (
 
 	"distbound/internal/data"
 	"distbound/internal/geom"
-	"distbound/internal/pointstore/persist"
 	"distbound/internal/testutil"
 	"distbound/internal/testutil/errorfs"
 )
-
-// heapFS is the operating-system filesystem under another name: a snapshot
-// is mapped only when read through persist.OSFS itself, so a dataset opened
-// through heapFS loads its base into the heap on every platform.
-type heapFS struct{ persist.FS }
-
-// fullLoad is the persistence config of the heap-loaded leg.
-var fullLoad = PersistConfig{}.WithFS(heapFS{persist.OSFS})
 
 // persistFixture persists the mutated request fixture under a fresh
 // directory and keeps mutating afterwards, so the on-disk state is a
@@ -43,96 +34,65 @@ func persistFixture(t *testing.T, cfg PersistConfig) (*Engine, *Dataset, PointSe
 // TestOpenDatasetServesIdenticalResults is the durability acceptance
 // criterion at the query layer: an engine restarted from disk — snapshot
 // plus replayed log tail — answers resident requests bit-identically to the
-// pre-shutdown engine, for every strategy and several bounds, whether the
-// base is mmap-served or heap-loaded.
+// pre-shutdown engine, for every strategy and several bounds.
 func TestOpenDatasetServesIdenticalResults(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		cfg  PersistConfig
-	}{
-		{"mmap", PersistConfig{}},
-		{"fullload", fullLoad},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			e, ds, _, dir := persistFixture(t, mode.cfg)
-			if err := ds.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
+	// Open reads, checksums and decodes the whole snapshot; the subtest
+	// name is kept from when a mapped load path ran beside it.
+	t.Run("fullload", func(t *testing.T) {
+		e, ds, _, dir := persistFixture(t, PersistConfig{})
+		if err := ds.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
 
-			e2 := NewEngine(e.regions)
-			ds2, err := e2.OpenDataset("req-recovered", dir, mode.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := ds2.Stats()
-			if !st.Durable || st.RecoveryWall <= 0 {
-				t.Fatalf("recovered dataset stats not durable: %+v", st)
-			}
-			if st.WALRecords != 3 {
-				t.Errorf("recovered %d log records, the fixture wrote 3", st.WALRecords)
-			}
+		e2 := NewEngine(e.regions)
+		ds2, err := e2.OpenDataset("req-recovered", dir, PersistConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := ds2.Stats()
+		if !st.Durable || st.RecoveryWall <= 0 || st.SnapshotBytes <= 0 {
+			t.Fatalf("recovered dataset stats not durable: %+v", st)
+		}
+		if st.WALRecords != 3 {
+			t.Errorf("recovered %d log records, the fixture wrote 3", st.WALRecords)
+		}
 
-			for _, strat := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ, StrategyPointIdx} {
-				strat := strat
-				aggs := []Agg{Count, Sum, Avg, Min, Max}
-				if strat == StrategyBRJ {
-					aggs = []Agg{Count, Sum, Avg}
+		for _, strat := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ, StrategyPointIdx} {
+			strat := strat
+			aggs := []Agg{Count, Sum, Avg, Min, Max}
+			if strat == StrategyBRJ {
+				aggs = []Agg{Count, Sum, Avg}
+			}
+			bounds := []float64{16, 64}
+			if strat == StrategyExact || strat == StrategyPointIdx {
+				bounds = []float64{4, 16, 64} // no raster cost: sweep finer
+			}
+			if raceEnabled {
+				// The parity logic is identical per cell; one bound per
+				// strategy keeps the root package inside CI's race budget.
+				bounds = bounds[len(bounds)-1:]
+			}
+			for _, bound := range bounds {
+				want, err := e.Do(ctx, Request{Dataset: ds, Aggs: aggs, Bound: bound, Strategy: &strat})
+				if err != nil {
+					t.Fatal(err)
 				}
-				bounds := []float64{16, 64}
-				if strat == StrategyExact || strat == StrategyPointIdx {
-					bounds = []float64{4, 16, 64} // no raster cost: sweep finer
+				got, err := e2.Do(ctx, Request{Dataset: ds2, Aggs: aggs, Bound: bound, Strategy: &strat})
+				if err != nil {
+					t.Fatalf("%v bound %g on recovered dataset: %v", strat, bound, err)
 				}
-				if raceEnabled {
-					// The parity logic is identical per cell; one bound per
-					// strategy keeps the root package inside CI's race budget.
-					bounds = bounds[len(bounds)-1:]
-				}
-				for _, bound := range bounds {
-					want, err := e.Do(ctx, Request{Dataset: ds, Aggs: aggs, Bound: bound, Strategy: &strat})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := e2.Do(ctx, Request{Dataset: ds2, Aggs: aggs, Bound: bound, Strategy: &strat})
-					if err != nil {
-						t.Fatalf("%v bound %g on recovered dataset: %v", strat, bound, err)
-					}
-					for k := range aggs {
-						label := mode.name + " " + strat.String() + " " + aggs[k].String()
-						testutil.CheckIdentical(t, label, want.Results[k], got.Results[k])
-					}
+				for k := range aggs {
+					testutil.CheckIdentical(t, strat.String()+" "+aggs[k].String(), want.Results[k], got.Results[k])
 				}
 			}
-		})
-	}
-}
-
-// TestOpenDatasetMMapStats pins the honesty of the MMapped flag: on when
-// the platform maps the snapshot, off when it is read through another
-// filesystem.
-func TestOpenDatasetMMapStats(t *testing.T) {
-	_, _, _, dir := persistFixture(t, PersistConfig{})
-	e2 := NewEngine(dataRegions(92, 5, 5, 8))
-	ds2, err := e2.OpenDataset("a", dir, fullLoad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds2.Stats().MMapped {
-		t.Error("MMapped through a filesystem other than OSFS")
-	}
-	ds3, err := e2.OpenDataset("b", dir, PersistConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := ds3.Stats(); st.SnapshotBytes <= 0 {
-		t.Errorf("snapshot bytes %d after reopen", st.SnapshotBytes)
-	}
+		}
+	})
 }
 
 // TestPersistedWarmResidentAllocationFree extends the resident warm-path
-// allocation gate across a restart: a reopened, mmap-served dataset must
-// answer pinned point-index requests at zero allocations per call, base
-// columns aliasing the mapped file the whole time.
+// allocation gate across a restart: a reopened dataset must answer pinned
+// point-index requests at zero allocations per call.
 func TestPersistedWarmResidentAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomizes sync.Pool reuse; allocation counts are meaningless under it")

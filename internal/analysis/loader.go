@@ -126,10 +126,10 @@ func (l *Loader) Load(path string) (*Package, error) {
 // them as the package with the given import path. Files excluded by their
 // //go:build constraints or GOOS/GOARCH name suffixes for the current
 // platform are skipped, matching the file set `go build` would compile —
-// otherwise both halves of a platform pair (e.g. an mmap implementation
-// and its stub) land in one package and redeclare each other. Callers
-// outside the module tree (fixture runners) use it directly with an
-// explicit path.
+// otherwise both halves of a platform pair (a file built for some
+// platforms and its fallback for the rest) land in one package and
+// redeclare each other. Callers outside the module tree (fixture runners)
+// use it directly with an explicit path.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Columnar import/export hooks for the persistence layer: a snapshot's
 // compacted base rendered as flat columns, and the inverse constructor that
-// rebuilds a Mutable from columns read (or mmap'd) out of a snapshot file.
+// rebuilds a Mutable from columns decoded out of a snapshot file.
 package pointstore
 
 import (
@@ -12,9 +12,9 @@ import (
 
 // BaseColumns is the flat columnar view of a snapshot's base: exactly the
 // payload a durable snapshot file carries. All slices are shared with the
-// snapshot (or, on the reopen path, with an mmap'd file) and must be treated
-// as read-only. Weights is nil iff the dataset is weightless. The block
-// aggregates are not part of it: every store derives them from Weights.
+// snapshot and must be treated as read-only. Weights is nil iff the dataset
+// is weightless. The block aggregates are not part of it: every store
+// derives them from Weights.
 type BaseColumns struct {
 	Keys    []uint64
 	IDs     []uint64
@@ -42,14 +42,13 @@ func (m *Mutable) NextID() uint64 {
 // NewMutableFromColumns rebuilds a Mutable around already-sorted base
 // columns — the reopen path of a persisted dataset — deriving the block
 // aggregates in one pass. The columns are installed as generation gen with an
-// empty delta and no tombstones; pin (an mmap handle, typically) is kept
-// reachable for as long as any snapshot can alias the columns. Only
-// structural validity is checked here — consistent lengths, strict (key, ID)
-// order, unique IDs below nextID, finite weights; byte-level integrity is the
+// empty delta and no tombstones, and are only ever read. Only structural
+// validity is checked here — consistent lengths, strict (key, ID) order,
+// unique IDs below nextID, finite weights; byte-level integrity is the
 // caller's contract (the persist layer admits no section whose checksum does
 // not match). Uniqueness is checked on the ID index, which the check sorts
 // anyway and which is then installed for Delete.
-func NewMutableFromColumns(cols BaseColumns, d sfc.Domain, c sfc.Curve, dropped int, nextID, gen uint64, pin any) (*Mutable, error) {
+func NewMutableFromColumns(cols BaseColumns, d sfc.Domain, c sfc.Curve, dropped int, nextID, gen uint64) (*Mutable, error) {
 	n := len(cols.Keys)
 	if len(cols.IDs) != n || len(cols.Pts) != n || (cols.Weights != nil && len(cols.Weights) != n) {
 		return nil, fmt.Errorf("pointstore: column lengths disagree: %d keys, %d ids, %d points, %d weights",
@@ -74,7 +73,6 @@ func NewMutableFromColumns(cols BaseColumns, d sfc.Domain, c sfc.Curve, dropped 
 	if err != nil {
 		return nil, err
 	}
-	base.pin = pin
 	m := &Mutable{domain: d, curve: c, hasW: cols.Weights != nil, dropped: dropped, nextID: nextID}
 	m.baseByID.Store(byID)
 	m.snap.Store(&Snapshot{base: base, baseIDs: cols.IDs, basePts: cols.Pts, idFirst: nextID, gen: gen})

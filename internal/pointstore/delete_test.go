@@ -206,7 +206,7 @@ func TestDeleteMatchesReferenceModel(t *testing.T) {
 				m.Compact()
 				recent = recent[:0]
 				s := m.Snapshot()
-				m, err = NewMutableFromColumns(s.BaseColumns(), d, c, m.Dropped(), m.NextID(), s.Gen(), nil)
+				m, err = NewMutableFromColumns(s.BaseColumns(), d, c, m.Dropped(), m.NextID(), s.Gen())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -256,7 +256,7 @@ func TestMutableMemoryBytesCountsIDIndex(t *testing.T) {
 	m.Compact()
 	check("compacted", false)
 	s := m.Snapshot()
-	if m, err = NewMutableFromColumns(s.BaseColumns(), d, sfc.Hilbert{}, 0, m.NextID(), s.Gen(), nil); err != nil {
+	if m, err = NewMutableFromColumns(s.BaseColumns(), d, sfc.Hilbert{}, 0, m.NextID(), s.Gen()); err != nil {
 		t.Fatal(err)
 	}
 	check("reopened", true)

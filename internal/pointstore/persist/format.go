@@ -1,9 +1,9 @@
 // The on-disk snapshot format: a fixed header, a section table, and the raw
 // little-endian base columns, each section independently CRC'd. The columns
 // are exactly pointstore.BaseColumns — already flat arrays in memory — so a
-// snapshot is written in one streaming pass and can be mmap'd back and
-// served zero-copy on little-endian platforms. No derived column is stored:
-// the block aggregates are rebuilt from the weights at open.
+// snapshot is written in one streaming pass and decoded back in one pass
+// per section. No derived column is stored: the block aggregates are
+// rebuilt from the weights at open.
 //
 // Layout (version 2, all integers and floats little-endian):
 //
@@ -248,7 +248,7 @@ func writeSnapshot(f File, meta snapMeta, cols pointstore.BaseColumns) (int64, e
 // parseSnapshot validates data as a snapshot file — magic, version, header
 // CRC, section-table bounds, and every section's CRC — and returns the
 // decoded header plus the validated sections indexed by id. It never
-// modifies data, so the same validation serves full loads and mmaps.
+// modifies data.
 func parseSnapshot(data []byte) (snapMeta, map[uint32]section, error) {
 	var meta snapMeta
 	if len(data) < headerFixedSize+8 {
@@ -347,8 +347,8 @@ func parseSnapshot(data []byte) (snapMeta, map[uint32]section, error) {
 	return meta, secs, nil
 }
 
-// decodeColumns copies the sections out of data into fresh heap columns —
-// the portable full-load path (the mmap path aliases instead; see alias.go).
+// decodeColumns copies the sections out of data into fresh heap columns, so
+// the served store shares no memory with the file's bytes.
 func decodeColumns(data []byte, meta snapMeta, secs map[uint32]section) pointstore.BaseColumns {
 	u64s := func(id uint32) []uint64 {
 		s := secs[id]

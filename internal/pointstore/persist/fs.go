@@ -1,9 +1,9 @@
 // Package persist gives a resident point dataset a durable life on disk: a
 // versioned, checksummed columnar snapshot of the SFC-sorted base that Open
-// either loads fully or mmaps and serves zero-copy through the existing
-// Snapshot accessors, plus a write-ahead log for the append/delete tail so a
-// reopened store replays exactly the mutations acknowledged since the last
-// checkpoint.
+// reads, validates and decodes into heap columns served through the
+// existing Snapshot accessors, plus a write-ahead log for the append/delete
+// tail so a reopened store replays exactly the mutations acknowledged since
+// the last checkpoint.
 //
 // Crash-consistency rests on three disciplines, and on nothing else:
 //

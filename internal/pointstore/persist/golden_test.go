@@ -145,8 +145,8 @@ func TestGoldenSnapshotBytes(t *testing.T) {
 }
 
 // TestGoldenV1SnapshotOpens opens the pinned version-1 image — the golden
-// store written with its three derived sections — through both load paths:
-// it must open to the golden store's columns and answers.
+// store written with its three derived sections: it must open to the golden
+// store's columns and answers.
 func TestGoldenV1SnapshotOpens(t *testing.T) {
 	dump, err := os.ReadFile(filepath.Join("testdata", "golden_v1.snap.hexdump"))
 	if err != nil {
@@ -169,30 +169,26 @@ func TestGoldenV1SnapshotOpens(t *testing.T) {
 		t.Fatalf("pinned image is version %d, want 1", v)
 	}
 	want := goldenStore(t)
-	for _, fullLoad := range []bool{true, false} {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, SnapshotName), img, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		d, err := Open(dir, openOptions(fullLoad))
-		if err != nil {
-			t.Fatalf("fullLoad=%v: %v", fullLoad, err)
-		}
-		got := d.Mutable()
-		if got.NextID() != 4 || got.Len() != 4 {
-			t.Fatalf("fullLoad=%v: nextID %d, %d rows", fullLoad, got.NextID(), got.Len())
-		}
-		gs, ws := got.Snapshot(), want.Snapshot()
-		g, w := gs.BaseColumns(), ws.BaseColumns()
-		if !u64Equal(g.Keys, w.Keys) || !u64Equal(g.IDs, w.IDs) || !ptsEqual(g.Pts, w.Pts) || !f64Equal(g.Weights, w.Weights) {
-			t.Fatalf("fullLoad=%v: columns differ from the golden store", fullLoad)
-		}
-		if gs.SumSpan(0, 4) != 1023.5 || gs.MinSpan(0, 4) != -2 || gs.MaxSpan(0, 4) != 1024 {
-			t.Fatalf("fullLoad=%v: sum/min/max %v/%v/%v", fullLoad, gs.SumSpan(0, 4), gs.MinSpan(0, 4), gs.MaxSpan(0, 4))
-		}
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, SnapshotName), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	got := d.Mutable()
+	if got.NextID() != 4 || got.Len() != 4 {
+		t.Fatalf("nextID %d, %d rows", got.NextID(), got.Len())
+	}
+	gs, ws := got.Snapshot(), want.Snapshot()
+	g, w := gs.BaseColumns(), ws.BaseColumns()
+	if !u64Equal(g.Keys, w.Keys) || !u64Equal(g.IDs, w.IDs) || !ptsEqual(g.Pts, w.Pts) || !f64Equal(g.Weights, w.Weights) {
+		t.Fatal("columns differ from the golden store")
+	}
+	if gs.SumSpan(0, 4) != 1023.5 || gs.MinSpan(0, 4) != -2 || gs.MaxSpan(0, 4) != 1024 {
+		t.Fatalf("sum/min/max %v/%v/%v", gs.SumSpan(0, 4), gs.MinSpan(0, 4), gs.MaxSpan(0, 4))
 	}
 }
 

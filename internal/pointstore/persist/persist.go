@@ -33,14 +33,9 @@ type Stats struct {
 	// WALRecords and WALBytes measure the log extending the snapshot.
 	WALRecords uint64
 	WALBytes   int64
-	// RecoveryWall is how long Open took — snapshot load/map, validation,
-	// and WAL replay; zero for a store born with Create.
+	// RecoveryWall is how long Open took — snapshot read, validation,
+	// decode and WAL replay; zero for a store born with Create.
 	RecoveryWall time.Duration
-	// MMapped reports whether the base columns are currently served from
-	// the mapped snapshot file rather than heap copies. It clears at the
-	// first checkpoint whose compaction replaces the mapped base with
-	// freshly merged heap columns.
-	MMapped bool
 	// Err is the sticky wedge error: non-nil after a WAL write or sync
 	// failure — the in-memory state is ahead of what disk can replay — or
 	// after a checkpoint whose directory sync failed post-rename, when
@@ -82,7 +77,6 @@ type Durable struct {
 	gen       uint64 // generation of the snapshot file + log name on disk
 	snapBytes int64
 	recovery  time.Duration
-	mmapped   bool
 	err       error // sticky wedge
 	ckptErr   error
 	closed    bool
@@ -106,57 +100,36 @@ func Create(dir string, m *pointstore.Mutable, opts Options) (*Durable, error) {
 	return d, nil
 }
 
-// Open rebuilds the durable store persisted under dir: it validates and
-// loads the snapshot — mapped when the FS is OSFS and the platform supports
-// it, read into the heap otherwise — replays the log matching the snapshot's
-// generation, truncates any torn log tail, and resumes logging. The
-// recovered store is bit-identical to the acknowledged state at the crash:
-// same columns, same IDs, same nextID.
+// Open rebuilds the durable store persisted under dir: it reads the
+// snapshot, validates every section's checksum, decodes the columns into
+// the heap, replays the log matching the snapshot's generation, truncates
+// any torn log tail, and resumes logging. The recovered store is
+// bit-identical to the acknowledged state at the crash: same columns, same
+// IDs, same nextID. Nothing served afterwards reads the file, so a later
+// change to it cannot reach an answer.
 func Open(dir string, opts Options) (*Durable, error) {
 	start := time.Now()
 	fsys := opts.FS
 	if fsys == nil {
 		fsys = OSFS
 	}
-	snapPath := filepath.Join(dir, SnapshotName)
-
-	var (
-		data    []byte
-		pin     any
-		mmapped bool
-	)
-	if fsys == OSFS && mmapSupported {
-		if b, p, err := mmapFile(snapPath); err == nil {
-			data, pin, mmapped = b, p, true
-		}
-	}
-	if data == nil {
-		b, err := fsys.ReadFile(snapPath)
-		if err != nil {
-			return nil, err
-		}
-		data = b
+	data, err := fsys.ReadFile(filepath.Join(dir, SnapshotName))
+	if err != nil {
+		return nil, err
 	}
 	meta, secs, err := parseSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
-	var cols pointstore.BaseColumns
-	if mmapped {
-		cols = aliasColumns(data, meta, secs)
-	} else {
-		cols = decodeColumns(data, meta, secs)
-		pin = nil
-	}
-	m, err := pointstore.NewMutableFromColumns(cols, meta.domain, meta.curve,
-		int(meta.dropped), meta.nextID, meta.gen, pin)
+	m, err := pointstore.NewMutableFromColumns(decodeColumns(data, meta, secs),
+		meta.domain, meta.curve, int(meta.dropped), meta.nextID, meta.gen)
 	if err != nil {
 		return nil, err
 	}
 
 	d := &Durable{
 		dir: dir, fs: fsys, opts: opts, m: m, hasW: meta.hasW,
-		gen: meta.gen, snapBytes: int64(len(data)), mmapped: mmapped,
+		gen: meta.gen, snapBytes: int64(len(data)),
 	}
 	if err := d.recoverWAL(meta.gen); err != nil {
 		return nil, err
@@ -318,10 +291,6 @@ func (d *Durable) checkpointLocked() error {
 		// have forced Compact to publish a new generation): disk is current.
 		return nil
 	}
-	// Reaching here means a compaction has replaced the Open-time base with
-	// freshly merged heap columns — the mapped snapshot file, if any, no
-	// longer backs what is served, however this checkpoint ends.
-	d.mmapped = false
 	cols := s.BaseColumns()
 	meta := snapMeta{
 		gen:     gen,
@@ -389,7 +358,6 @@ func (d *Durable) Stats() Stats {
 		Generation:    d.gen,
 		SnapshotBytes: d.snapBytes,
 		RecoveryWall:  d.recovery,
-		MMapped:       d.mmapped,
 		Err:           d.err,
 		CheckpointErr: d.ckptErr,
 	}

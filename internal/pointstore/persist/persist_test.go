@@ -22,20 +22,6 @@ var tdom = sfc.Domain{Origin: geom.Point{}, Size: 1024}
 
 // tpoints generates n deterministic in-domain points with exactly
 // representable dyadic weights, so SUM comparisons are bitwise.
-// heapFS is the operating-system filesystem under another name: Open maps a
-// snapshot only through OSFS itself, so opening through heapFS takes the
-// full-load path on every platform.
-type heapFS struct{ FS }
-
-// openOptions returns Open's options for the full-load leg (fullLoad) or the
-// mapped one.
-func openOptions(fullLoad bool) Options {
-	if fullLoad {
-		return Options{FS: heapFS{OSFS}}
-	}
-	return Options{}
-}
-
 func tpoints(n int) ([]geom.Point, []float64) {
 	pts := make([]geom.Point, n)
 	ws := make([]float64, n)
@@ -160,47 +146,98 @@ func mutate(t *testing.T, d *Durable, oracle *pointstore.Mutable) {
 }
 
 // TestReopenReplaysTail is the basic durability roundtrip: create, mutate
-// (leaving an un-checkpointed WAL tail), close, reopen — full-load and mmap
-// — and require the recovered store bit-identical to the surviving oracle.
+// (leaving an un-checkpointed WAL tail), close, reopen, and require the
+// recovered store bit-identical to the surviving oracle.
 func TestReopenReplaysTail(t *testing.T) {
-	for _, fullLoad := range []bool{true, false} {
-		name := "mmap"
-		if fullLoad {
-			name = "fullload"
+	// Open reads, checksums and decodes the whole snapshot; the subtest
+	// name is kept from when a mapped load path ran beside it.
+	t.Run("fullload", func(t *testing.T) {
+		dir := t.TempDir()
+		oracle := newTestMutable(t, 512, true)
+		d, err := Create(dir, newTestMutable(t, 512, true), Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			oracle := newTestMutable(t, 512, true)
-			d, err := Create(dir, newTestMutable(t, 512, true), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mutate(t, d, oracle)
-			st := d.Stats()
-			if st.WALRecords != 3 {
-				t.Fatalf("WALRecords = %d, want 3", st.WALRecords)
-			}
-			if err := d.Close(); err != nil {
-				t.Fatal(err)
-			}
+		mutate(t, d, oracle)
+		st := d.Stats()
+		if st.WALRecords != 3 {
+			t.Fatalf("WALRecords = %d, want 3", st.WALRecords)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			d2, err := Open(dir, openOptions(fullLoad))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d2.Close()
-			st2 := d2.Stats()
-			if st2.WALRecords != 3 {
-				t.Fatalf("recovered WALRecords = %d, want 3", st2.WALRecords)
-			}
-			if fullLoad && st2.MMapped {
-				t.Fatal("MMapped through a filesystem other than OSFS")
-			}
-			if st2.RecoveryWall <= 0 {
-				t.Fatal("RecoveryWall not measured")
-			}
-			requireSameState(t, d2.Mutable(), oracle)
-		})
+		d2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d2.Close()
+		st2 := d2.Stats()
+		if st2.WALRecords != 3 {
+			t.Fatalf("recovered WALRecords = %d, want 3", st2.WALRecords)
+		}
+		if st2.RecoveryWall <= 0 {
+			t.Fatal("RecoveryWall not measured")
+		}
+		requireSameState(t, d2.Mutable(), oracle)
+	})
+}
+
+// TestServedColumnsIgnoreFileRewrite: the checksums are checked once, at
+// Open, so nothing served afterwards may read the snapshot file. Rewriting
+// its weight section in place after Open must change neither the served
+// weights nor a SUM over them, which the block aggregates derived at Open
+// also summarise.
+func TestServedColumnsIgnoreFileRewrite(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Create(dir, newTestMutable(t, 600, true), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	d2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	s := d2.Mutable().Snapshot()
+	n := s.BaseLen()
+	wantWs := slices.Clone(s.BaseColumns().Weights)
+	wantSum, wantTail := s.SumSpan(0, n), s.SumSpan(1, n-1)
+
+	path := filepath.Join(dir, SnapshotName)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, secs, err := parseSnapshot(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := secs[secWeights]
+	forged := make([]byte, ws.size)
+	for i := 0; i < len(forged); i += 8 {
+		binary.LittleEndian.PutUint64(forged[i:], math.Float64bits(32.5))
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(forged, int64(ws.off)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := s.BaseColumns().Weights; !f64Equal(got, wantWs) {
+		t.Fatalf("served weight of row 7 moved from %v to %v after the file was rewritten", wantWs[7], got[7])
+	}
+	if got := s.SumSpan(0, n); got != wantSum {
+		t.Fatalf("SUM over the snapshot moved from %v to %v", wantSum, got)
+	}
+	if got := s.SumSpan(1, n-1); got != wantTail {
+		t.Fatalf("SUM over rows [1, %d) moved from %v to %v", n-1, wantTail, got)
 	}
 }
 
@@ -286,17 +323,15 @@ func TestWeightlessRoundtrip(t *testing.T) {
 	oracle.Delete(2, 4)
 	d.Close()
 
-	for _, fullLoad := range []bool{true, false} {
-		d2, err := Open(dir, openOptions(fullLoad))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d2.Mutable().HasWeights() {
-			t.Fatal("weightless store recovered with weights")
-		}
-		requireSameState(t, d2.Mutable(), oracle)
-		d2.Close()
+	d2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer d2.Close()
+	if d2.Mutable().HasWeights() {
+		t.Fatal("weightless store recovered with weights")
+	}
+	requireSameState(t, d2.Mutable(), oracle)
 }
 
 // TestEmptyRoundtrip: zero rows is a valid snapshot (weighted and not).
@@ -334,78 +369,6 @@ func weightsFor(weighted bool, w float64) []float64 {
 		return nil
 	}
 	return []float64{w}
-}
-
-// TestMMapVsFullLoadParity opens the same directory both ways and requires
-// bit-identical states, with Stats reporting the serving mode truthfully.
-func TestMMapVsFullLoadParity(t *testing.T) {
-	dir := t.TempDir()
-	oracle := newTestMutable(t, 512, true)
-	d, err := Create(dir, newTestMutable(t, 512, true), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutate(t, d, oracle)
-	d.Close()
-
-	full, err := Open(dir, openOptions(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer full.Close()
-	mapped, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mapped.Close()
-	if full.Stats().MMapped {
-		t.Fatal("full-load store claims to be mapped")
-	}
-	if mmapSupported && !mapped.Stats().MMapped {
-		t.Fatal("mmap-supported platform fell back to full load")
-	}
-	requireSameState(t, mapped.Mutable(), full.Mutable())
-	requireSameState(t, full.Mutable(), oracle)
-}
-
-// TestMMappedClearsAtCheckpoint: the MMapped stat tracks the serving mode,
-// not the opening mode. A no-op checkpoint (nothing mutated) keeps serving
-// from the map; a checkpoint that folds new mutations replaces the mapped
-// base with heap-compacted columns and must drop the flag.
-func TestMMappedClearsAtCheckpoint(t *testing.T) {
-	if !mmapSupported {
-		t.Skip("mmap unsupported on this platform")
-	}
-	dir := t.TempDir()
-	d, err := Create(dir, newTestMutable(t, 256, true), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-
-	d2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if !d2.Stats().MMapped {
-		t.Fatal("freshly opened store is not mapped")
-	}
-	if err := d2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if !d2.Stats().MMapped {
-		t.Fatal("no-op checkpoint dropped the mapped base")
-	}
-	if _, err := d2.Append([]geom.Point{{X: 3, Y: 3}}, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if d2.Stats().MMapped {
-		t.Fatal("MMapped still set after the checkpoint compacted the base onto the heap")
-	}
 }
 
 // TestGroupCommitSyncs: records written under a group-commit interval are
@@ -455,11 +418,8 @@ func TestCorruptSnapshotRefused(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(dir, openOptions(true)); err == nil {
-			t.Fatalf("corruption at byte %d accepted", off)
-		}
 		if _, err := Open(dir, Options{}); err == nil {
-			t.Fatalf("corruption at byte %d accepted via mmap", off)
+			t.Fatalf("corruption at byte %d accepted", off)
 		}
 	}
 	if err := os.WriteFile(path, good, 0o644); err != nil {
@@ -472,7 +432,7 @@ func TestCorruptSnapshotRefused(t *testing.T) {
 
 // TestNonFiniteWeightRefused: a snapshot is input from outside the program,
 // so one whose checksums hold but whose weight column carries a NaN or ±Inf
-// must not open through either load path, and the error names the row.
+// must not open, and the error names the row.
 func TestNonFiniteWeightRefused(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		dir := t.TempDir()
@@ -506,41 +466,35 @@ func TestNonFiniteWeightRefused(t *testing.T) {
 		if err := os.WriteFile(path, img, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, fullLoad := range []bool{true, false} {
-			d, err := Open(dir, openOptions(fullLoad))
-			if err == nil {
-				d.Close()
-				t.Fatalf("weight %v, fullLoad=%v: snapshot opened", bad, fullLoad)
-			}
-			if !strings.Contains(err.Error(), "weight 1 ") {
-				t.Fatalf("weight %v, fullLoad=%v: error %q does not name row 1", bad, fullLoad, err)
-			}
+		d, err = Open(dir, Options{})
+		if err == nil {
+			d.Close()
+			t.Fatalf("weight %v: snapshot opened", bad)
+		}
+		if !strings.Contains(err.Error(), "weight 1 ") {
+			t.Fatalf("weight %v: error %q does not name row 1", bad, err)
 		}
 	}
 }
 
 // openCrafted writes meta and cols as the snapshot of a fresh directory —
-// every checksum valid — and opens it through both load paths, returning
-// each path's error.
-func openCrafted(t *testing.T, meta snapMeta, cols pointstore.BaseColumns) []error {
+// every checksum valid — and opens it. A store that opens is closed when
+// the test ends.
+func openCrafted(t *testing.T, meta snapMeta, cols pointstore.BaseColumns) (*Durable, error) {
 	t.Helper()
 	var buf memWriteFile
 	if _, err := writeSnapshot(&buf, meta, cols); err != nil {
 		t.Fatal(err)
 	}
-	var errs []error
-	for _, fullLoad := range []bool{true, false} {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, SnapshotName), buf.data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		d, err := Open(dir, openOptions(fullLoad))
-		if err == nil {
-			d.Close()
-		}
-		errs = append(errs, err)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, SnapshotName), buf.data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	return errs
+	d, err := Open(dir, Options{})
+	if err == nil {
+		t.Cleanup(func() { d.Close() })
+	}
+	return d, err
 }
 
 // TestDuplicateIDRefused: a snapshot whose rows keep (key, ID) order but
@@ -557,10 +511,8 @@ func TestDuplicateIDRefused(t *testing.T) {
 	cols.IDs = slices.Clone(cols.IDs)
 	cols.IDs[3] = cols.IDs[0]
 	want := fmt.Sprintf("ID %d appears at rows 0 and 3", cols.IDs[0])
-	for i, err := range openCrafted(t, meta, cols) {
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("load path %d: error %v, want one containing %q", i, err, want)
-		}
+	if _, err := openCrafted(t, meta, cols); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v, want one containing %q", err, want)
 	}
 }
 
@@ -575,27 +527,16 @@ func TestDroppedBeyondNextIDRefused(t *testing.T) {
 	spare := meta.nextID - meta.rows
 	for _, dropped := range []uint64{spare + 1, 1 << 63, math.MaxUint64} {
 		meta.dropped = dropped
-		for i, err := range openCrafted(t, meta, cols) {
-			if err == nil || !strings.Contains(err.Error(), "dropped points under next ID") {
-				t.Fatalf("dropped %d, load path %d: error %v", dropped, i, err)
-			}
+		if _, err := openCrafted(t, meta, cols); err == nil || !strings.Contains(err.Error(), "dropped points under next ID") {
+			t.Fatalf("dropped %d: error %v", dropped, err)
 		}
 	}
 	meta.nextID += 5
 	meta.dropped = spare + 5
-	var buf memWriteFile
-	if _, err := writeSnapshot(&buf, meta, cols); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, SnapshotName), buf.data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := Open(dir, Options{})
+	d, err := openCrafted(t, meta, cols)
 	if err != nil {
 		t.Fatalf("consistent header refused: %v", err)
 	}
-	defer d.Close()
 	if got := d.Mutable().Dropped(); uint64(got) != meta.dropped {
 		t.Fatalf("Dropped() = %d, header says %d", got, meta.dropped)
 	}

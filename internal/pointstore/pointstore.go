@@ -31,11 +31,6 @@ type Store struct {
 	blockSum,
 	blockMin,
 	blockMax []float64 // per-BlockSize sum/min/max of weights; nil when absent
-
-	// pin keeps an external backing allocation — an mmap of a snapshot file —
-	// reachable for as long as the store is: the columns above may alias it,
-	// so its lifetime must cover every Snapshot that can still read them.
-	pin any
 }
 
 // newStoreSorted builds a Store from already-sorted columns, deriving the
