@@ -297,9 +297,6 @@ func TestMultiPolygon(t *testing.T) {
 	if got := m.RelateRect(Rect{Pt(0.5, 0.5), Pt(3.5, 0.5)}); got != RectPartial {
 		t.Errorf("spanning rect relation = %v", got)
 	}
-	if got := m.NumVertices(); got != 8 {
-		t.Errorf("NumVertices = %v", got)
-	}
 }
 
 // randomStarPolygon builds a random star-shaped polygon around a center: it

@@ -175,58 +175,6 @@ func TestMinBoundingNCorner(t *testing.T) {
 	}
 }
 
-func TestWKTRoundTrip(t *testing.T) {
-	p := MustPolygon(
-		Ring{Pt(0, 0), Pt(10, 0), Pt(10, 10), Pt(0, 10)},
-		Ring{Pt(4, 4), Pt(6, 4), Pt(6, 6), Pt(4, 6)},
-	)
-	s := PolygonWKT(p)
-	back, err := ParsePolygonWKT(s)
-	if err != nil {
-		t.Fatalf("parse %q: %v", s, err)
-	}
-	if back.Area() != p.Area() || back.NumVertices() != p.NumVertices() {
-		t.Errorf("round trip changed polygon: %v vs %v", back, p)
-	}
-
-	m := NewMultiPolygon(p, p.Translate(Pt(100, 0)))
-	ms := MultiPolygonWKT(m)
-	v, err := ParseWKT(ms)
-	if err != nil {
-		t.Fatalf("parse multi: %v", err)
-	}
-	m2, ok := v.(*MultiPolygon)
-	if !ok {
-		t.Fatalf("got %T", v)
-	}
-	if m2.Area() != m.Area() || len(m2.Polygons) != 2 {
-		t.Errorf("multi round trip wrong: area %v vs %v", m2.Area(), m.Area())
-	}
-
-	pt, err := ParseWKT("POINT (3.5 -2)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.(Point) != Pt(3.5, -2) {
-		t.Errorf("point = %v", pt)
-	}
-}
-
-func TestWKTErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"LINESTRING (0 0, 1 1)",
-		"POLYGON 0 0",
-		"POINT (1)",
-		"POLYGON ((0 0, 1 1))", // degenerate after close-dedup
-	}
-	for _, s := range bad {
-		if _, err := ParseWKT(s); err == nil {
-			t.Errorf("ParseWKT(%q): expected error", s)
-		}
-	}
-}
-
 func TestSampleRingBoundary(t *testing.T) {
 	sq := unitSquare()
 	samples := SampleRingBoundary(sq, 0.1)

@@ -243,7 +243,7 @@ func (p *Polygon) RelateRect(r Rect) RectRelation {
 
 // Translate returns a copy of the polygon shifted by d.
 //
-//distbound:oracle the WKT round-trip test builds its second part with it
+//distbound:oracle the polygon and hull tests build a shifted copy with it
 func (p *Polygon) Translate(d Point) *Polygon {
 	move := func(r Ring) Ring {
 		out := make(Ring, len(r))
@@ -280,16 +280,9 @@ func NewMultiPolygon(parts ...*Polygon) *MultiPolygon {
 // Bounds returns the MBR of all parts.
 func (m *MultiPolygon) Bounds() Rect { return m.bounds }
 
-// NumVertices returns the total vertex count across all parts.
-func (m *MultiPolygon) NumVertices() int {
-	n := 0
-	for _, p := range m.Polygons {
-		n += p.NumVertices()
-	}
-	return n
-}
-
 // Area returns the summed area of all parts.
+//
+//distbound:api completes geom.Region for the multi-polygons data.NeighborhoodRegions260In builds
 func (m *MultiPolygon) Area() float64 {
 	var a float64
 	for _, p := range m.Polygons {

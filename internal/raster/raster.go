@@ -106,6 +106,8 @@ func (a *Approximation) NumCells() int { return len(a.Interior) + len(a.Boundary
 // MaxCellDiagonal returns the largest diagonal among boundary cells — the
 // guaranteed Hausdorff bound of the approximation. It returns 0 when there
 // are no boundary cells (the approximation is exact).
+//
+//distbound:api CoverBudget's documented report of the bound a budgeted cover achieved
 func (a *Approximation) MaxCellDiagonal() float64 {
 	var d float64
 	for _, id := range a.Boundary {
