@@ -517,11 +517,11 @@ func bucketsWithBoundaries(regions []Region, d Domain, bound float64) *[1 << 16]
 	const shift = 2 * (sfc.MaxLevel - 8)
 	var bounded [1 << 16]bool
 	for _, rg := range regions {
-		rs, err := raster.HierarchicalRanges(rg, d, Hilbert, bound, raster.Conservative)
+		a, err := raster.Hierarchical(rg, d, Hilbert, bound, raster.Conservative)
 		if err != nil {
 			panic(err)
 		}
-		for _, r := range rs {
+		for _, r := range a.Ranges() {
 			bounded[r.Lo>>shift] = true
 			if r.Hi < 1<<(2*sfc.MaxLevel)-1 { // Hi+1 is a leaf key
 				bounded[(r.Hi+1)>>shift] = true

@@ -9,6 +9,7 @@
 package geom
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 )
@@ -73,6 +74,21 @@ func (s Segment) Bounds() Rect {
 		Max: Point{max(s.A.X, s.B.X), max(s.A.Y, s.B.Y)},
 	}
 }
+
+// Canonical returns the segment with its endpoints in ascending order, by X
+// and then Y (cmp.Compare's order, NaN first): a segment and its reverse have
+// one canonical form, so a predicate evaluated on it cannot depend on which
+// way a ring traverses the edge.
+func (s Segment) Canonical() Segment {
+	if c := cmp.Compare(s.B.X, s.A.X); c < 0 || (c == 0 && cmp.Compare(s.B.Y, s.A.Y) < 0) {
+		return Segment{s.B, s.A}
+	}
+	return s
+}
+
+// Side returns the side of the segment's line p lies on, as seen walking
+// from A to B: +1 left (counter-clockwise), -1 right, 0 on the line.
+func (s Segment) Side(p Point) int { return orient(s.A, s.B, p) }
 
 // orientation classification for three points.
 const (
@@ -301,7 +317,13 @@ func (r Rect) DistToPoint(p Point) float64 {
 // segment's normal do not overlap. The bounds check projects onto the rect's
 // axes; the segment's normal separates them exactly when all four corners lie
 // strictly on one side of the segment's line.
+//
+// The answer does not depend on the order of s's endpoints: orient is plain
+// float arithmetic and not exactly antisymmetric, so the test runs on the
+// canonical form, and two regions that traverse a shared edge in opposite
+// directions agree on every cell it touches.
 func (r Rect) IntersectsSegment(s Segment) bool {
+	s = s.Canonical()
 	if r.ContainsPoint(s.A) || r.ContainsPoint(s.B) {
 		return true
 	}

@@ -431,10 +431,20 @@ func FuzzRectIntersectsSegment(f *testing.F) {
 		f.Add(x0, y0, x1, y1, x0-side, y0+side/2, x0, y0+side/2)                  // ending on the left side
 		f.Add(x0, y0, x1, y1, x0-side, y0+side/2, math.Nextafter(x0, 0), y0+side) // ending an ulp short of it
 	}
+	// Corners a hair off the segment's line, where orient's rounding
+	// answered differently for the two endpoint orders.
+	f.Add(141.33808441241248, 652.8802039598609, 142.4698176412974, 654.0119371887457,
+		141.7787687869967, 654.3795234077353, 631.3482346468528, 393.9652447815494)
+	f.Add(141.33808441241248, 652.8802039598609, 142.4698176412974, 654.0119371887457,
+		631.3482346468528, 393.9652447815494, 141.7787687869967, 654.3795234077353)
 	f.Fuzz(func(t *testing.T, x0, y0, x1, y1, ax, ay, bx, by float64) {
 		check := func(r Rect, s Segment) {
-			if got, want := r.IntersectsSegment(s), refRectIntersectsSegment(r, s); got != want {
+			got := r.IntersectsSegment(s)
+			if want := refRectIntersectsSegment(r, s.Canonical()); got != want {
 				t.Fatalf("%v.IntersectsSegment(%v) = %v, four sides say %v", r, s, got, want)
+			}
+			if rev := r.IntersectsSegment(Segment{s.B, s.A}); rev != got {
+				t.Fatalf("%v.IntersectsSegment(%v) = %v, reversed %v", r, s, got, rev)
 			}
 		}
 		check(Rect{Pt(x0, y0), Pt(x1, y1)}, Segment{Pt(ax, ay), Pt(bx, by)})

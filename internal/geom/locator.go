@@ -60,12 +60,24 @@ func newRingLocator(r Ring) ringLocator {
 		rl.minY, rl.scale = b.Min.Y, float64(len(r))/h
 		rl.buckets = make([][]Segment, len(r))
 	}
-	for i := range r {
-		e := r.Edge(i)
-		for b, hi := rl.bucket(min(e.A.Y, e.B.Y)), rl.bucket(max(e.A.Y, e.B.Y)); b <= hi; b++ {
-			rl.buckets[b] = append(rl.buckets[b], e)
+	// Count each bucket's edges, then fill the buckets as slices of one
+	// exact-size array: a region set's locators all stay live while it is
+	// rasterized.
+	eachBucket := func(visit func(b int, e Segment)) {
+		for i := range r {
+			e := r.Edge(i)
+			for b, hi := rl.bucket(min(e.A.Y, e.B.Y)), rl.bucket(max(e.A.Y, e.B.Y)); b <= hi; b++ {
+				visit(b, e)
+			}
 		}
 	}
+	n, total := make([]int, len(rl.buckets)), 0
+	eachBucket(func(b int, _ Segment) { n[b]++; total++ })
+	all := make([]Segment, total)
+	for b, c := range n {
+		rl.buckets[b], all = all[:0:c], all[c:]
+	}
+	eachBucket(func(b int, e Segment) { rl.buckets[b] = append(rl.buckets[b], e) })
 	return rl
 }
 

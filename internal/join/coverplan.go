@@ -195,49 +195,57 @@ type ProbeStats struct {
 	DeltaProbed int
 }
 
-// buildCoverPlan encodes per-region covers (each merged and Lo-ascending, as
-// the rasterizer emits them) as the table. A region's boundary keys — Lo₀,
-// Hi₀+1, Lo₁, Hi₁+1, … — are already strictly ascending, so the sorted,
-// deduplicated key list is a k-way merge of the regions' sequences through a
-// min-heap of one cursor per region, and each key's index is known the moment
+// buildCoverPlan encodes the set descent's covers as the table: owner r's
+// ranges, merged and Lo-ascending, are region r's. They are read in place,
+// piece after piece, through one cursor per region that coalesces a range
+// continuing across a seam — no per-region list is ever assembled. A region's
+// boundary keys — Lo₀, Hi₀+1, Lo₁, Hi₁+1, … — are strictly ascending, so the
+// sorted, deduplicated key list is a k-way merge of the regions' sequences
+// through a min-heap of the cursors, and each key's index is known the moment
 // it is emitted: it goes straight into the range it bounds, with no sort and
 // no search. Hi = MaxUint64 has no Hi+1, so such a range — necessarily its
 // region's last — is never given an hi and keeps -1.
-func buildCoverPlan(covers [][]raster.PosRange) *coverPlan {
+func buildCoverPlan(covers []raster.Cover) *coverPlan {
 	p := &coverPlan{regOff: make([]int32, len(covers)+1)}
-	for ri, rs := range covers {
-		p.regOff[ri+1] = p.regOff[ri] + int32(len(rs))
+	h := make(cursorHeap, 0, len(covers))
+	for ri, c := range covers {
+		n := 0
+		for i, rs := range c {
+			n += len(rs)
+			if i > 0 && continues(c[i-1][len(c[i-1])-1], rs[0]) {
+				n--
+			}
+		}
+		p.regOff[ri+1] = p.regOff[ri] + int32(n)
+		if cur := (boundaryCursor{region: int32(ri)}); cur.nextRange(c) {
+			h = append(h, cur)
+		}
 	}
 	total := int(p.regOff[len(covers)])
 	p.ranges = make([]keySpan, total)
 	for i := range p.ranges {
 		p.ranges[i].hi = -1
 	}
-
-	h := make(cursorHeap, 0, len(covers))
-	for ri, rs := range covers {
-		if key, ok := boundaryKey(rs, 0); ok {
-			h = append(h, boundaryCursor{key: key, region: int32(ri)})
-		}
-	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 	keys := make([]uint64, 0, 2*total)
 	for len(h) > 0 {
-		c := &h[0]
-		if n := len(keys); n == 0 || keys[n-1] != c.key {
-			keys = append(keys, c.key)
+		cur := &h[0]
+		if n := len(keys); n == 0 || keys[n-1] != cur.key {
+			keys = append(keys, cur.key)
 		}
-		ks := &p.ranges[int(p.regOff[c.region])+c.seq/2]
-		if c.seq&1 == 0 {
+		ks := &p.ranges[int(p.regOff[cur.region])+cur.seq/2]
+		alive := true
+		if cur.seq&1 == 0 {
 			ks.lo = int32(len(keys) - 1)
+			cur.key, alive = cur.hi+1, cur.hi != math.MaxUint64
 		} else {
 			ks.hi = int32(len(keys) - 1)
+			alive = cur.nextRange(covers[cur.region])
 		}
-		c.seq++
-		var ok bool
-		if c.key, ok = boundaryKey(covers[c.region], c.seq); !ok {
+		cur.seq++
+		if !alive {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 		}
@@ -249,27 +257,37 @@ func buildCoverPlan(covers [][]raster.PosRange) *coverPlan {
 	return p
 }
 
-// boundaryKey returns element seq of a merged cover's boundary-key sequence
-// Lo₀, Hi₀+1, Lo₁, Hi₁+1, …, and false past its end.
-func boundaryKey(rs []raster.PosRange, seq int) (uint64, bool) {
-	r := seq / 2
-	switch {
-	case r >= len(rs):
-		return 0, false
-	case seq&1 == 0:
-		return rs[r].Lo, true
-	case rs[r].Hi == math.MaxUint64:
-		return 0, false
-	}
-	return rs[r].Hi + 1, true
+// boundaryCursor is one region's position in its boundary-key sequence during
+// buildCoverPlan's merge: key is the sequence's element seq, hi the current
+// range's Hi, and range i of piece the next one of the region's cover.
+type boundaryCursor struct {
+	key, hi  uint64
+	region   int32
+	seq      int
+	piece, i int
 }
 
-// boundaryCursor is one region's position in its boundary-key sequence during
-// buildCoverPlan's merge: key is the sequence's element seq.
-type boundaryCursor struct {
-	key    uint64
-	region int32
-	seq    int
+// nextRange loads the region's next range from its cover c into key and hi,
+// coalescing it with the heads of the following pieces while they continue
+// it, and reports false past the cover's last range.
+func (cur *boundaryCursor) nextRange(c raster.Cover) bool {
+	if cur.piece == len(c) {
+		return false
+	}
+	r := c[cur.piece][cur.i]
+	for cur.i++; cur.i == len(c[cur.piece]); {
+		if cur.piece, cur.i = cur.piece+1, 0; cur.piece == len(c) || !continues(r, c[cur.piece][0]) {
+			break
+		}
+		r.Hi, cur.i = c[cur.piece][0].Hi, 1
+	}
+	cur.key, cur.hi = r.Lo, r.Hi
+	return true
+}
+
+// continues reports whether range next continues range last.
+func continues(last, next raster.PosRange) bool {
+	return last.Hi != math.MaxUint64 && next.Lo == last.Hi+1
 }
 
 // cursorHeap is a min-heap of cursors by key.

@@ -398,7 +398,7 @@ func BenchmarkCoverPlanRebuild(b *testing.B) {
 	})
 	b.Run("fromscratch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			plan := buildCoverPlan(covers)
+			plan := buildCoverPlan(coversOf(covers))
 			if len(plan.ranges) != len(pj.plan.ranges) {
 				b.Fatal("rebuilt plan diverged")
 			}

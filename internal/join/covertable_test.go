@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -108,9 +109,50 @@ var bucketProbes = sync.OnceValue(func() (pr struct {
 	return pr
 })
 
+// splitCovers holds per-region range lists as the set descent hands them
+// over: each region's list cut into pieces at random seams, a range now and
+// then split in two across one.
+func splitCovers(covers [][]raster.PosRange, rng *rand.Rand) []raster.Cover {
+	out := make([]raster.Cover, len(covers))
+	for ri, rs := range covers {
+		var cur []raster.PosRange
+		cut := func() {
+			if len(cur) > 0 {
+				out[ri] = append(out[ri], cur)
+				cur = nil
+			}
+		}
+		for _, r := range rs {
+			if r.Lo < r.Hi && rng.Intn(4) == 0 {
+				m := r.Lo + rng.Uint64()%(r.Hi-r.Lo)
+				cur = append(cur, raster.PosRange{Lo: r.Lo, Hi: m})
+				cut()
+				r.Lo = m + 1
+			}
+			cur = append(cur, r)
+			if rng.Intn(3) == 0 {
+				cut()
+			}
+		}
+		cut()
+	}
+	return out
+}
+
+// samePlan fails unless two cover tables are equal field for field.
+func samePlan(t *testing.T, label string, got, want *coverPlan) {
+	t.Helper()
+	if !slices.Equal(got.bkeys, want.bkeys) || !slices.Equal(got.regOff, want.regOff) || !slices.Equal(got.ranges, want.ranges) ||
+		!slices.Equal(got.stabOff, want.stabOff) || !slices.Equal(got.stabRegions, want.stabRegions) || !slices.Equal(got.radix, want.radix) {
+		t.Fatalf("%s: the tables differ: %d keys and %d ranges, want %d and %d", label, len(got.bkeys), len(got.ranges), len(want.bkeys), len(want.ranges))
+	}
+}
+
 func checkTable(t *testing.T, label string, covers [][]raster.PosRange, rng *rand.Rand) {
 	t.Helper()
-	p := buildCoverPlan(covers)
+	p := buildCoverPlan(coversOf(covers))
+	// Read through pieces cut at seams, the covers build the same table.
+	samePlan(t, label+" (cut at seams)", buildCoverPlan(splitCovers(covers, rng)), p)
 
 	// The merge builds what sorting and searching build.
 	ref := refBuildCoverPlan(covers)
@@ -284,10 +326,52 @@ func TestCoverTableExact(t *testing.T) {
 	})
 }
 
+// TestCoverBuildsMatchPerRegionTables: the tables the set descent feeds —
+// CoverSet's at ε 4, 16 and 64 (16 and 64 under -short) and ExactCover's —
+// equal buildCoverPlan over each region's own rasterization, field for field,
+// on the bench partition and the paper's region sets.
+func TestCoverBuildsMatchPerRegionTables(t *testing.T) {
+	d, c := data.CityDomain(), sfc.Hilbert{}
+	ctx := context.Background()
+	for name, polys := range map[string][]*geom.Polygon{
+		"partition":     data.Partition(1, 16, 16, 12),
+		"neighborhoods": data.Neighborhoods(1),
+		"boroughs":      data.Boroughs(1),
+		"census":        data.Census(13, 400),
+	} {
+		regions := data.Regions(polys)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for _, eps := range []float64{4, 16, 64} {
+				if testing.Short() && eps < 16 {
+					continue
+				}
+				cs, err := NewCoverSetCtx(ctx, regions, d, c, eps, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samePlan(t, fmt.Sprintf("cover set at ε %g", eps), cs.plan, buildCoverPlan(coversOf(rasterCovers(regions, d, c, eps, raster.Conservative))))
+			}
+			ec, err := NewExactCoverCtx(ctx, regions, d, c, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			level := exactLevel(regions, d)
+			kinds := make([][]raster.PosRange, 2*len(regions))
+			for ri, rg := range regions {
+				a := raster.HierarchicalAtLevel(rg, d, c, level, raster.Conservative)
+				kinds[2*ri] = (&raster.Approximation{Interior: a.Interior}).Ranges()
+				kinds[2*ri+1] = (&raster.Approximation{Boundary: a.Boundary}).Ranges()
+			}
+			samePlan(t, "exact cover", ec.plan, buildCoverPlan(coversOf(kinds)))
+		})
+	}
+}
+
 // syntheticJoiner pairs a cover table built from hand-made covers with a
 // store, bypassing the rasterizer.
 func syntheticJoiner(covers [][]raster.PosRange, src *pointstore.Mutable) *PointIdxJoiner {
-	return (&CoverSet{bound: 1, plan: buildCoverPlan(covers)}).Attach(src)
+	return (&CoverSet{bound: 1, plan: buildCoverPlan(coversOf(covers))}).Attach(src)
 }
 
 // TestCoverTableExecutionOnSyntheticCovers runs the fill and the inversion
@@ -351,5 +435,42 @@ func TestCoverTableExecutionOnSyntheticCovers(t *testing.T) {
 	check("compacted", true)
 	if got, want := pj.NumRanges(), 8; got != want {
 		t.Fatalf("NumRanges %d, want %d: a shared range is probed once per region holding it", got, want)
+	}
+}
+
+// BenchmarkCoverBuild times a cold cover-set build — the set descent and the
+// table — on the bench partition (16×16 regions, 12 points an edge), the
+// Neighborhoods, the Boroughs and 400 Census tracts, at ε 4, 16 and 64, on
+// one worker and on GOMAXPROCS. It reports the table's ranges beside the
+// time and the bytes: B/op follows the ranges, not the cells, since the
+// descent coalesces cells into ranges as they arrive and the table reads them
+// from the descent's pieces in place.
+func BenchmarkCoverBuild(b *testing.B) {
+	d := data.CityDomain()
+	for _, set := range []struct {
+		name  string
+		polys []*geom.Polygon
+	}{
+		{"partition", data.Partition(1, 16, 16, 12)},
+		{"neighborhoods", data.Neighborhoods(1)},
+		{"boroughs", data.Boroughs(1)},
+		{"census", data.Census(13, 400)},
+	} {
+		regions := data.Regions(set.polys)
+		for _, eps := range []float64{4, 16, 64} {
+			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+				b.Run(fmt.Sprintf("%s/e%g/w%d", set.name, eps, workers), func(b *testing.B) {
+					b.ReportAllocs()
+					var cs *CoverSet
+					for i := 0; i < b.N; i++ {
+						var err error
+						if cs, err = NewCoverSetCtx(context.Background(), regions, d, sfc.Hilbert{}, eps, workers); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(cs.NumRanges()), "ranges")
+				})
+			}
+		}
 	}
 }

@@ -6,15 +6,15 @@ import (
 	"slices"
 
 	"distbound/internal/geom"
-	"distbound/internal/pool"
 	"distbound/internal/raster"
 	"distbound/internal/sfc"
 )
 
 // ExactCover answers the ad-hoc join exactly with the approximation as its
-// filter: only points in boundary cells pay an exact test. Each region is
-// rasterized once at a coarse level L₀ with the descent's interior flag kept
-// (raster.KindRangesAtLevel), and the two kinds go into one cover table
+// filter: only points in boundary cells pay an exact test. The regions are
+// rasterized in one set descent at a coarse level L₀ with the descent's
+// interior flag kept (raster.CoverRanges' kind sink), and the two kinds go
+// into one cover table
 // (coverplan.go) as pseudo-regions — region r's interior ranges as 2r, its
 // boundary ranges as 2r+1 — so the table, its radix index and its stab lists
 // are the cover sets' own. A point's stab list then names, in region order,
@@ -83,16 +83,13 @@ func exactLevel(regions []geom.Region, d sfc.Domain) int {
 }
 
 // NewExactCoverCtx builds the exact cover of the regions over the domain and
-// curve at exactLevel, fanning the per-region descents across workers (≤ 0
-// selects GOMAXPROCS). Canceling ctx abandons the build between regions and
-// returns ctx.Err().
+// curve at exactLevel in one set descent (raster.CoverRanges with its kind
+// sink, so region r's interior ranges are owner 2r and its boundary ranges
+// 2r+1), the subtrees below the split level on workers (≤ 0 selects
+// GOMAXPROCS). Canceling ctx abandons the descent and returns ctx.Err().
 func NewExactCoverCtx(ctx context.Context, regions []geom.Region, d sfc.Domain, c sfc.Curve, workers int) (*ExactCover, error) {
 	level := exactLevel(regions, d)
-	covers := make([][]raster.PosRange, 2*len(regions))
-	err := pool.RunCtx(ctx, len(regions), pool.Workers(workers, len(regions)), func(_, ri int) error {
-		covers[2*ri], covers[2*ri+1] = raster.KindRangesAtLevel(regions[ri], d, c, level)
-		return nil
-	})
+	covers, err := raster.CoverRanges(ctx, regions, d, c, level, true, workers)
 	if err != nil {
 		return nil, err
 	}

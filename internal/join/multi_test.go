@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"distbound/internal/data"
 	"distbound/internal/geom"
@@ -195,6 +197,53 @@ func TestAggregateMultiCancellation(t *testing.T) {
 	if _, err := NewCoverSetCtx(ctx, regions, store.Domain(), store.Curve(), 16, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("NewCoverSetCtx: %v, want context.Canceled", err)
 	}
+	if _, err := NewExactCoverCtx(ctx, regions, store.Domain(), store.Curve(), 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("NewExactCoverCtx: %v, want context.Canceled", err)
+	}
+
+	// A cancellation that arrives while the subtree pool runs stops both
+	// cover builds inside their tasks, and no worker outlives the call.
+	partition := data.Regions(data.Partition(1, 16, 16, 12))
+	base := runtime.NumGoroutine()
+	builds := map[string]func(context.Context) error{
+		"NewCoverSetCtx": func(ctx context.Context) error {
+			_, err := NewCoverSetCtx(ctx, partition, d, sfc.Hilbert{}, 16, 3)
+			return err
+		},
+		"NewExactCoverCtx": func(ctx context.Context) error {
+			_, err := NewExactCoverCtx(ctx, partition, d, sfc.Hilbert{}, 3)
+			return err
+		},
+	}
+	for name, build := range builds {
+		ctx, cancel := context.WithCancel(context.Background())
+		// The top walk asks once; each worker's first task asks once more.
+		if err := build(&cancelOnErr{Context: ctx, cancel: cancel, left: 3}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s canceled mid-pool: %v, want context.Canceled", name, err)
+		}
+		cancel()
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines grew from %d to %d after the canceled builds", base, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// cancelOnErr is a context that cancels itself on its left-th Err call: a
+// cancellation arriving at a point of the callee's own choosing.
+type cancelOnErr struct {
+	context.Context
+	cancel func()
+	left   int32
+}
+
+func (c *cancelOnErr) Err() error {
+	if atomic.AddInt32(&c.left, -1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
 }
 
 // TestACTBuildPooledMatchesSequential: regions rasterised on a pool are still

@@ -7,7 +7,6 @@ import (
 
 	"distbound/internal/geom"
 	"distbound/internal/pointstore"
-	"distbound/internal/pool"
 	"distbound/internal/raster"
 	"distbound/internal/sfc"
 )
@@ -26,22 +25,23 @@ type CoverSet struct {
 	plan   *coverPlan
 }
 
-// NewCoverSetCtx rasterizes every region at distance bound eps over the
-// domain and curve straight to its leaf ranges, holding no cell list
-// (raster.HierarchicalRanges), fanning the per-region rasterization across
-// workers (≤ 0 selects GOMAXPROCS), and builds the cover table. Canceling ctx
-// abandons the rasterization between regions and returns ctx.Err(), so a
-// build nobody waits for anymore stops burning CPU.
+// NewCoverSetCtx rasterizes the regions at distance bound eps over the
+// domain and curve in one set descent (raster.CoverRanges): each cell is
+// classified once for every region that meets it, the subtrees below the
+// split level run on workers (≤ 0 selects GOMAXPROCS), and each region's
+// ranges go straight from the descent's pieces into the cover table, with no
+// cell list and no per-region range list. Canceling ctx abandons the descent
+// and returns ctx.Err(), so a build nobody waits for anymore stops burning
+// CPU.
 func NewCoverSetCtx(ctx context.Context, regions []geom.Region, d sfc.Domain, c sfc.Curve, eps float64, workers int) (*CoverSet, error) {
 	if !(eps > 0) {
 		return nil, fmt.Errorf("join: point-index join requires a positive bound, got %v", eps)
 	}
-	covers := make([][]raster.PosRange, len(regions))
-	err := pool.RunCtx(ctx, len(regions), pool.Workers(workers, len(regions)), func(_, ri int) error {
-		var err error
-		covers[ri], err = raster.HierarchicalRanges(regions[ri], d, c, eps, raster.Conservative)
-		return err
-	})
+	level, err := raster.BoundLevel(d, eps)
+	if err != nil {
+		return nil, err
+	}
+	covers, err := raster.CoverRanges(ctx, regions, d, c, level, false, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -33,6 +33,18 @@ func rasterCovers(regions []geom.Region, d sfc.Domain, c sfc.Curve, eps float64,
 	return covers
 }
 
+// coversOf holds per-region range lists as the set descent's covers, one
+// piece a region.
+func coversOf(covers [][]raster.PosRange) []raster.Cover {
+	out := make([]raster.Cover, len(covers))
+	for ri, rs := range covers {
+		if len(rs) > 0 {
+			out[ri] = raster.Cover{rs}
+		}
+	}
+	return out
+}
+
 // refCovers rasterizes the regions the way NewCoverSetCtx does, over the
 // joiner's own domain, curve and bound.
 func refCovers(regions []geom.Region, j *PointIdxJoiner) [][]raster.PosRange {
@@ -157,27 +169,6 @@ func BenchmarkCoverPlan(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkCoverBuild times the largest cold cost of the resident path: the
-// cover set of the repository benchmark's 16×16×12 partition at the three
-// bounds serve_executed queries. allocs/op must stay unrelated to the number
-// of partial cells the descent visits, and B/op follows the ranges, not the
-// cells: the descent coalesces cells into ranges as they arrive, and the
-// table is merged from the regions' ascending boundary keys, never sorted.
-func BenchmarkCoverBuild(b *testing.B) {
-	regions := data.Regions(data.Partition(1, 16, 16, 12))
-	ctx := context.Background()
-	for _, eps := range []float64{4, 8, 16} {
-		b.Run(fmt.Sprintf("e%g", eps), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := NewCoverSetCtx(ctx, regions, data.CityDomain(), sfc.Hilbert{}, eps, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

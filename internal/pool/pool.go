@@ -1,16 +1,14 @@
 // Package pool provides the one worker-pool primitive shared by the
 // parallel joins and the batched engine: run n independent jobs across k
 // workers, with worker-local state addressed by worker index and
-// first-error-wins semantics. Centralizing it also fixes a subtle hazard of
-// hand-rolled pools over unbuffered channels: a worker that stops
-// receiving on error would deadlock the feeder, so here workers keep
-// draining the channel after a failure without executing further jobs.
+// first-error-wins semantics.
 package pool
 
 import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers clamps a requested worker count (≤ 0 selects GOMAXPROCS) to the
@@ -142,17 +140,27 @@ func RunCtx(ctx context.Context, n, workers int, fn func(worker, job int) error)
 		}
 		mu.Unlock()
 	}
-	next := make(chan int)
+	// Workers claim job indexes from one counter: handing out a job costs
+	// one atomic add and wakes no goroutine, so many short jobs — the set
+	// descent's subtrees — stay cheap.
+	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := range next {
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				if done != nil {
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
 				mu.Lock()
 				stop := first != nil
 				mu.Unlock()
 				if stop {
-					continue
+					return
 				}
 				if err := fn(w, i); err != nil {
 					fail(err)
@@ -160,27 +168,6 @@ func RunCtx(ctx context.Context, n, workers int, fn func(worker, job int) error)
 			}
 		}(w)
 	}
-feed:
-	for i := 0; i < n; i++ {
-		if done == nil {
-			next <- i
-			continue
-		}
-		// Check done non-blockingly first: with a worker parked on <-next
-		// AND done already closed, the two-way select below picks uniformly
-		// at random and could dispatch a job under a dead context.
-		select {
-		case <-done:
-			break feed
-		default:
-		}
-		select {
-		case next <- i:
-		case <-done:
-			break feed
-		}
-	}
-	close(next)
 	wg.Wait()
 	if first != nil {
 		return first

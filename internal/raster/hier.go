@@ -2,6 +2,7 @@ package raster
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"slices"
 
@@ -16,29 +17,18 @@ import (
 // for Conservative mode.
 //
 // The returned approximation's boundary cells all sit at the level
-// Domain.LevelForBound(eps). An error is returned when eps is so small that
-// even MaxLevel cells cannot honor it.
+// BoundLevel(d, eps). An error is returned when eps is so small that even
+// MaxLevel cells cannot honor it.
 func Hierarchical(rg geom.Region, d sfc.Domain, curve sfc.Curve, eps float64, mode Mode) (*Approximation, error) {
-	level, err := boundLevel(d, eps)
+	level, err := BoundLevel(d, eps)
 	if err != nil {
 		return nil, err
 	}
 	return HierarchicalAtLevel(rg, d, curve, level, mode), nil
 }
 
-// HierarchicalRanges returns Hierarchical(rg, d, curve, eps, mode).Ranges()
-// without the cell lists: the descent's cells are coalesced into leaf ranges
-// as they arrive, so memory follows the range count, not the cell count.
-func HierarchicalRanges(rg geom.Region, d sfc.Domain, curve sfc.Curve, eps float64, mode Mode) ([]PosRange, error) {
-	level, err := boundLevel(d, eps)
-	if err != nil {
-		return nil, err
-	}
-	return rangesAtLevel(rg, d, curve, level, mode), nil
-}
-
-// boundLevel is the level whose cells honor the distance bound eps.
-func boundLevel(d sfc.Domain, eps float64) (int, error) {
+// BoundLevel is the level whose cells honor the distance bound eps.
+func BoundLevel(d sfc.Domain, eps float64) (int, error) {
 	level := d.LevelForBound(eps)
 	if eps > 0 && d.CellDiagonal(level) > eps {
 		return 0, fmt.Errorf("raster: bound %g m needs cells finer than MaxLevel (diagonal %g m)",
@@ -48,86 +38,210 @@ func boundLevel(d sfc.Domain, eps float64) (int, error) {
 }
 
 // HierarchicalAtLevel is Hierarchical with the refinement level given
-// directly instead of derived from a distance bound.
+// directly instead of derived from a distance bound: the set descent over a
+// one-region set, its cells appended to Interior and Boundary.
 func HierarchicalAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode) *Approximation {
 	a := &Approximation{Domain: d, Curve: curve}
-	descend(rg, d, curve, maxLevel, mode, func(id sfc.CellID, interior bool) {
+	cl := newClassifier([]geom.Region{rg})
+	w := newWalker(cl, d, curve, maxLevel, mode, func(_ int32, id sfc.CellID, interior bool) {
 		if interior {
 			a.Interior = append(a.Interior, id)
 		} else {
 			a.Boundary = append(a.Boundary, id)
 		}
 	})
+	w.visit(sfc.FromPosLevel(0, 0), 0, 0, 0, 0, cl.root())
 	return a
 }
 
-// rangesAtLevel is HierarchicalRanges at a given level. The descent emits
-// disjoint cells in ascending curve order, so a cell either extends the last
-// range or starts a new one.
-func rangesAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode) []PosRange {
-	var out []PosRange
-	descend(rg, d, curve, maxLevel, mode, func(id sfc.CellID, _ bool) {
-		out = appendCell(out, id)
-	})
-	return out
+// frame is one cell's classification, which its children read: the segments
+// crossing it and the regions partial in it.
+type frame struct {
+	segs []int32
+	part []partial
 }
 
-// KindRangesAtLevel is the conservative range sink that keeps the descent's
-// interior flag: interior and boundary cells coalesce into two separate
-// ascending range lists, so a range never mixes the two kinds. Every point of
-// an interior range's cells lies in the region; a boundary range's may not.
-func KindRangesAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int) (interior, boundary []PosRange) {
-	descend(rg, d, curve, maxLevel, Conservative, func(id sfc.CellID, in bool) {
-		if in {
-			interior = appendCell(interior, id)
-		} else {
-			boundary = appendCell(boundary, id)
-		}
-	})
-	return interior, boundary
+// partial is a region partial in a cell: the one segment crossing the cell
+// when exactly one does, else -1, and the side memo — the locator's answer on
+// each side of that segment's line (0 unknown, 1 inside, 2 outside).
+//
+// A region crossed by exactly one segment has that segment as a chord of the
+// cell: the rest of its boundary stays outside, so on either side of the
+// chord's line the region is uniformly inside or outside. A child no
+// segment crosses lies on one side, at least half its side away from the
+// line, so one locator test per side decides every such child — and every
+// such descendant while the chord stays the region's only segment, since a
+// descendant's sides lie on the cell's.
+type partial struct {
+	r, one int32
+	memo   [2]int8
 }
 
-// appendCell coalesces a cell arriving in ascending curve order into out: it
-// extends the last range when adjacent, else starts a new one.
-func appendCell(out []PosRange, id sfc.CellID) []PosRange {
-	lo, hi := id.LeafPosRange()
-	if n := len(out); n > 0 && lo == out[n-1].Hi+1 {
-		out[n-1].Hi = hi
-		return out
+// root is the frame above the root cell: every segment, every region.
+func (cl *classifier) root() *frame {
+	f := &frame{segs: cl.rootCand(nil), part: make([]partial, len(cl.regions))}
+	for r := range f.part {
+		f.part[r] = partial{r: int32(r), one: -1}
 	}
-	return append(out, PosRange{lo, hi})
+	return f
 }
 
-// descend is the one depth-first descent the package doc describes: it hands
-// every cell of the approximation to emit in ascending curve order, flagged
-// interior or boundary.
-func descend(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode, emit func(id sfc.CellID, interior bool)) {
-	cl := newClassifier(rg)
-	n := len(cl.edges)
-	blocks := make([]int32, (maxLevel+2)*n)
+// walker is the set descent on one goroutine: the classifier it reads, the
+// grid, the sink, and scratch reused by every cell.
+type walker struct {
+	cl       *classifier
+	d        sfc.Domain
+	curve    sfc.Curve
+	maxLevel int
+	mode     Mode
+	emit     func(r int32, id sfc.CellID, interior bool)
 
-	var visit func(id sfc.CellID, level int, x, y uint32, st uint8, cand []int32)
-	visit = func(id sfc.CellID, level int, x, y uint32, st uint8, cand []int32) {
-		rect := d.CellRect(x, y, level)
-		rel, sub := cl.relate(rect, cand, blocks[(level+1)*n:(level+1)*n:(level+2)*n])
-		switch rel {
-		case geom.RectInside:
-			emit(id, true)
-		case geom.RectPartial:
-			if level >= maxLevel {
-				if mode == Centroid && !cl.contains(rect.Center()) {
-					return
+	depth []frame      // depth[l]: the frame of the cell being visited at level l
+	marks []regionMark // per region
+	stamp uint64       // one per visited cell
+
+	spawn int    // the split level: visit records its cells as tasks instead of visiting them
+	tasks []task // recorded by the top walk, in curve order
+	ctx   context.Context
+	err   error
+}
+
+// regionMark counts the segments of one region crossing the current cell:
+// cnt of them, the last one last, valid while stamp is the walker's.
+type regionMark struct {
+	stamp     uint64
+	cnt, last int32
+}
+
+// task is a unit of the set descent in curve order: a subtree — a cell at
+// the split level and its parent's frame — or, with p nil, a cell the top
+// walk emitted above that level.
+type task struct {
+	id    sfc.CellID
+	x, y  uint32
+	st    uint8
+	level int
+	p     *frame
+	done  []piece
+}
+
+func newWalker(cl *classifier, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode, emit func(int32, sfc.CellID, bool)) *walker {
+	return &walker{cl: cl, d: d, curve: curve, maxLevel: maxLevel, mode: mode, emit: emit,
+		depth: make([]frame, maxLevel+1), marks: make([]regionMark, len(cl.regions)), spawn: -1}
+}
+
+// visit is the one depth-first descent the package doc describes: it
+// classifies the cell for every region partial in its parent p, emits the
+// cells each region's approximation takes in ascending curve order, and
+// descends while any region is partial.
+func (w *walker) visit(id sfc.CellID, level int, x, y uint32, st uint8, p *frame) {
+	if w.err != nil {
+		return
+	}
+	cl := w.cl
+	w.stamp++
+	if w.ctx != nil && w.stamp%1024 == 1 {
+		if w.err = w.ctx.Err(); w.err != nil {
+			return
+		}
+	}
+	rect := w.d.CellRect(x, y, level)
+	f := &w.depth[level]
+	f.segs = reserve(f.segs, len(p.segs))
+	for _, si := range p.segs {
+		if rect.Intersects(cl.bounds[si]) && rect.IntersectsSegment(cl.segs[si]) {
+			f.segs = append(f.segs, si)
+			for _, r := range cl.owners[cl.ownOff[si]:cl.ownOff[si+1]] {
+				m := &w.marks[r]
+				if m.stamp != w.stamp {
+					m.stamp, m.cnt = w.stamp, 0
 				}
-				emit(id, false)
-				return
-			}
-			for digit, ch := range id.Children() {
-				dx, dy, next := curve.Step(st, digit)
-				visit(ch, level+1, x<<1|dx, y<<1|dy, next, sub)
+				m.cnt++
+				m.last = si
 			}
 		}
 	}
-	visit(sfc.FromPosLevel(0, 0), 0, 0, 0, 0, cl.rootCand(blocks[:0]))
+	f.part = reserve(f.part, len(p.part))
+	for i := range p.part {
+		r := p.part[i].r
+		m := w.marks[r]
+		crossed := m.stamp == w.stamp
+		var rel geom.RectRelation
+		switch {
+		case cl.generic[r]:
+			rel = cl.regions[r].RelateRect(rect)
+		case crossed:
+			rel = geom.RectPartial
+		case w.inside(&p.part[i], rect.Center()):
+			rel = geom.RectInside
+		default:
+			rel = geom.RectOutside
+		}
+		switch {
+		case rel == geom.RectInside:
+			w.emit(r, id, true)
+		case rel != geom.RectPartial:
+		case level >= w.maxLevel:
+			if w.mode == Conservative || cl.contains[r](rect.Center()) {
+				w.emit(r, id, false)
+			}
+		case crossed && m.cnt == 1:
+			// A chord of the parent can only stay the chord here, and its
+			// sides here lie on its sides there: the parent's answers carry
+			// over (a parent with no chord has none).
+			f.part = append(f.part, partial{r, m.last, p.part[i].memo})
+		default:
+			f.part = append(f.part, partial{r: r, one: -1})
+		}
+	}
+	if len(f.part) == 0 {
+		return
+	}
+	if level+1 == w.spawn {
+		// The children are subtree tasks, each reading its own copy of this
+		// frame: the next cell at this level overwrites it, and a task writes
+		// its side memo.
+		segs := slices.Clone(f.segs)
+		for digit, ch := range id.Children() {
+			dx, dy, next := w.curve.Step(st, digit)
+			w.tasks = append(w.tasks, task{id: ch, x: x<<1 | dx, y: y<<1 | dy, st: next, level: level + 1, p: &frame{segs, slices.Clone(f.part)}})
+		}
+		return
+	}
+	for digit, ch := range id.Children() {
+		dx, dy, next := w.curve.Step(st, digit)
+		w.visit(ch, level+1, x<<1|dx, y<<1|dy, next, f)
+	}
+}
+
+// inside decides a region partial in the parent and crossed by none of the
+// parent's segments here by the locator test of the cell's center c, asked
+// once per side of the region's chord when the parent has one.
+func (w *walker) inside(pt *partial, c geom.Point) bool {
+	contains := w.cl.contains[pt.r]
+	if pt.one < 0 {
+		return contains(c)
+	}
+	side := w.cl.segs[pt.one].Side(c)
+	if side == 0 {
+		return contains(c)
+	}
+	m := &pt.memo[(side+1)/2]
+	if *m == 0 {
+		*m = 2
+		if contains(c) {
+			*m = 1
+		}
+	}
+	return *m == 1
+}
+
+// reserve returns s emptied, with room for n elements.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, max(n, 2*cap(s)))
+	}
+	return s[:0]
 }
 
 // Uniform computes the uniform raster (UR) approximation of a region at a
@@ -195,7 +309,7 @@ func CoverBudget(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxCells int) *A
 		maxCells = 1
 	}
 	a := &Approximation{Domain: d, Curve: curve}
-	cl := newClassifier(rg)
+	cl := newClassifier([]geom.Region{rg})
 
 	q := &coverQueue{}
 	push := func(id sfc.CellID, cand []int32) bool {

@@ -25,22 +25,33 @@
 // (the ACT trie, the cover sets): a region edge lying exactly on a grid line
 // touches the cells on both sides of it, and both are boundary cells.
 //
-// The descent is one depth-first walk of the quadtree. A cell's grid
-// coordinates and curve state travel down with it, so a child's rectangle
-// costs one sfc.Curve.Step, not a Decode from level 0. Children are visited
-// in curve order — ascending CellID order, a subtree finished before the next
-// sibling starts — so cells come out sorted and are never sorted afterwards.
-// A depth's candidate edges are a subset of its parent's and dead once its
-// subtree returns, so one block of the edge count per depth serves every
-// cell: nothing is allocated per cell (see classifier for what is decided at
-// each one).
+// The descent is one depth-first walk of the quadtree over a whole region
+// set, each cell classified once for every region that meets it. Every ring
+// edge of the set is stored once, in canonical endpoint order, with the
+// regions that own it (the segment table, see classifier), so an edge two
+// neighbours share is tested once per cell for both. A cell carries the
+// segments and the partial regions of its parent: a region is partial where
+// one of its segments crosses the cell, and any other is inside or outside by
+// one locator test of the cell's center — asked once per side of the region's
+// chord when a single segment of it crosses the parent, the answers carried
+// down while that segment stays the only one (the side memo, see partial).
+// A cell's grid coordinates and curve state travel down with it, so a
+// child's rectangle costs one sfc.Curve.Step, not a Decode from level 0.
+// Children are visited in curve order — ascending CellID order, a subtree
+// finished before the next sibling starts — so every region's cells come out
+// sorted and are never sorted afterwards. A depth's lists are subsets of its
+// parent's and dead once its subtree returns, so one slice per depth serves
+// every cell: nothing is allocated per cell.
 //
-// The descent hands each cell to one of two sinks. Hierarchical, and Uniform
-// through it, append the cells to Interior and Boundary, which merge into
-// Ranges in one pass. HierarchicalRanges, which builds the cover sets,
-// coalesces the cells into leaf ranges as they arrive and keeps no cell list:
-// at a fine bound a region has many more cells than ranges (the benchmark's
-// 16×16×12 partition has 5.2 M cells and 0.61 M ranges at ε 4).
+// The descent hands each (region, cell) to one of two sinks.
+// HierarchicalAtLevel, and Hierarchical and Uniform through it, walk a
+// one-region set and append the cells to Interior and Boundary, which merge
+// into Ranges in one pass. CoverRanges, which builds the cover sets, walks
+// the whole set: the subtrees below a fixed level run as tasks on a worker
+// pool, and each coalesces its cells into leaf ranges as they arrive and
+// keeps no cell list — at a fine bound a region has many more cells than
+// ranges (the benchmark's 16×16×12 partition has 5.2 M cells and 0.61 M
+// ranges at ε 4).
 package raster
 
 import (

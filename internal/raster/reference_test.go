@@ -2,6 +2,7 @@ package raster
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,19 +14,174 @@ import (
 	"distbound/internal/sfc"
 )
 
-// The reference descent: the hierarchical rasterization as it stood before
-// the descent carried coordinates and emitted in curve order. It decodes
-// every cell's coordinates from level 0, allocates a candidate list per
-// partial cell, tests cell against edge by the four-sides definition rather
-// than geom.Rect.IntersectsSegment, decides edge-free cells by
-// Region.ContainsPoint over every ring edge, and sorts cells and ranges at the
-// end. It is the oracle the live descent and the cover build's range sink are
-// held to cell for cell and range for range; nothing outside this file may
-// call it.
+// Two oracles hold the set descent. The per-region descent is the
+// rasterization as it stood before the set descent: one classifier per
+// region, its ring edges in ring order, each region walking the quadtree on
+// its own. The reference descent is older still: it decodes every cell's
+// coordinates from level 0, allocates a candidate list per partial cell, tests
+// cell against edge by the four-sides definition rather than
+// geom.Rect.IntersectsSegment, decides edge-free cells by Region.ContainsPoint
+// over every ring edge, and sorts cells and ranges at the end. Nothing outside
+// this file may call either.
+
+// perRegionClassifier is the per-region descent's classifier: one region's
+// ring edges, in ring order, and its locator.
+type perRegionClassifier struct {
+	region   geom.Region
+	contains func(geom.Point) bool
+	edges    []geom.Segment
+	bounds   []geom.Rect
+}
+
+func newPerRegionClassifier(rg geom.Region) *perRegionClassifier {
+	cl := &perRegionClassifier{region: rg}
+	for _, p := range geom.Polygons(rg) {
+		for _, ring := range p.Rings() {
+			for i := range ring {
+				e := ring.Edge(i)
+				cl.edges = append(cl.edges, e)
+				cl.bounds = append(cl.bounds, e.Bounds())
+			}
+		}
+	}
+	cl.contains = rg.ContainsPoint
+	if loc := geom.NewPointLocator(rg); loc != nil {
+		cl.contains = loc.ContainsPoint
+	}
+	return cl
+}
+
+func (cl *perRegionClassifier) generic() bool { return cl.edges == nil }
+
+func (cl *perRegionClassifier) rootCand(dst []int32) []int32 {
+	for i := range cl.edges {
+		dst = append(dst, int32(i))
+	}
+	return dst
+}
+
+func (cl *perRegionClassifier) relate(rect geom.Rect, cand, dst []int32) (geom.RectRelation, []int32) {
+	if cl.generic() {
+		return cl.region.RelateRect(rect), dst
+	}
+	for _, ei := range cand {
+		if rect.Intersects(cl.bounds[ei]) && rect.IntersectsSegment(cl.edges[ei]) {
+			dst = append(dst, ei)
+		}
+	}
+	if len(dst) > 0 {
+		return geom.RectPartial, dst
+	}
+	if cl.contains(rect.Center()) {
+		return geom.RectInside, dst
+	}
+	return geom.RectOutside, dst
+}
+
+// perRegionDescend is the per-region descent: every cell of one region's
+// approximation handed to emit in ascending curve order, flagged interior or
+// boundary.
+func perRegionDescend(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode, emit func(id sfc.CellID, interior bool)) {
+	cl := newPerRegionClassifier(rg)
+	n := len(cl.edges)
+	blocks := make([]int32, (maxLevel+2)*n)
+
+	var visit func(id sfc.CellID, level int, x, y uint32, st uint8, cand []int32)
+	visit = func(id sfc.CellID, level int, x, y uint32, st uint8, cand []int32) {
+		rect := d.CellRect(x, y, level)
+		rel, sub := cl.relate(rect, cand, blocks[(level+1)*n:(level+1)*n:(level+2)*n])
+		switch rel {
+		case geom.RectInside:
+			emit(id, true)
+		case geom.RectPartial:
+			if level >= maxLevel {
+				if mode == Centroid && !cl.contains(rect.Center()) {
+					return
+				}
+				emit(id, false)
+				return
+			}
+			for digit, ch := range id.Children() {
+				dx, dy, next := curve.Step(st, digit)
+				visit(ch, level+1, x<<1|dx, y<<1|dy, next, sub)
+			}
+		}
+	}
+	visit(sfc.FromPosLevel(0, 0), 0, 0, 0, 0, cl.rootCand(blocks[:0]))
+}
+
+// perRegionRanges is the per-region descent's range sinks: all of the
+// region's cells, its interior cells and its boundary cells, each coalesced
+// into leaf ranges as they arrive.
+func perRegionRanges(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode) (all, interior, boundary []PosRange) {
+	perRegionDescend(rg, d, curve, maxLevel, mode, func(id sfc.CellID, in bool) {
+		all = appendCell(all, id)
+		if in {
+			interior = appendCell(interior, id)
+		} else {
+			boundary = appendCell(boundary, id)
+		}
+	})
+	return all, interior, boundary
+}
+
+// appendCell coalesces a cell arriving in ascending curve order into out.
+func appendCell(out []PosRange, id sfc.CellID) []PosRange {
+	lo, hi := id.LeafPosRange()
+	if n := len(out); n > 0 && lo == out[n-1].Hi+1 {
+		out[n-1].Hi = hi
+		return out
+	}
+	return append(out, PosRange{lo, hi})
+}
+
+// ownerRanges flattens covers into each owner's ranges, coalescing across
+// the seams between pieces.
+func ownerRanges(covers []Cover) [][]PosRange {
+	out := make([][]PosRange, len(covers))
+	for o, c := range covers {
+		for _, p := range c {
+			for _, r := range p {
+				if n := len(out[o]); n > 0 && r.Lo == out[o][n-1].Hi+1 {
+					out[o][n-1].Hi = r.Hi
+				} else {
+					out[o] = append(out[o], r)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkSet holds both range sinks of the set descent over regions to the
+// per-region descent of each region, at one level: the plain sink on one
+// worker, the kind sink on three.
+func checkSet(t *testing.T, label string, regions []geom.Region, d sfc.Domain, curve sfc.Curve, level int) {
+	t.Helper()
+	all, err := CoverRanges(context.Background(), regions, d, curve, level, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds, err := CoverRanges(context.Background(), regions, d, curve, level, true, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotAll, gotKinds := ownerRanges(all), ownerRanges(kinds)
+	for ri, rg := range regions {
+		wantAll, wantIn, wantBd := perRegionRanges(rg, d, curve, level, Conservative)
+		if !slices.Equal(gotAll[ri], wantAll) {
+			t.Errorf("%s: region %d: %d ranges, per-region descent %d", label, ri, len(gotAll[ri]), len(wantAll))
+		}
+		if !slices.Equal(gotKinds[2*ri], wantIn) || !slices.Equal(gotKinds[2*ri+1], wantBd) {
+			t.Errorf("%s: region %d: %d interior and %d boundary ranges, per-region descent %d and %d",
+				label, ri, len(gotKinds[2*ri]), len(gotKinds[2*ri+1]), len(wantIn), len(wantBd))
+		}
+	}
+}
 
 func refHierarchicalAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode) *Approximation {
 	a := &Approximation{Domain: d, Curve: curve}
-	cl := newClassifier(rg)
+	cl := newPerRegionClassifier(rg)
 
 	var rec func(id sfc.CellID, cand []int32)
 	rec = func(id sfc.CellID, cand []int32) {
@@ -54,7 +210,7 @@ func refHierarchicalAtLevel(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLe
 	return a
 }
 
-func refRelate(cl *classifier, rect geom.Rect, cand []int32) (geom.RectRelation, []int32) {
+func refRelate(cl *perRegionClassifier, rect geom.Rect, cand []int32) (geom.RectRelation, []int32) {
 	if cl.generic() {
 		return cl.region.RelateRect(rect), nil
 	}
@@ -79,7 +235,9 @@ func refRelate(cl *classifier, rect geom.Rect, cand []int32) (geom.RectRelation,
 // refIntersectsSegment is the four-sides definition of a closed rect meeting
 // a segment, kept apart from geom.Rect.IntersectsSegment, which the live
 // descent calls: the rect holds an endpoint, or one of its sides Intersects e.
+// Like the live predicate it answers for e's canonical endpoint order.
 func refIntersectsSegment(rect geom.Rect, e geom.Segment) bool {
+	e = e.Canonical()
 	if rect.ContainsPoint(e.A) || rect.ContainsPoint(e.B) {
 		return true
 	}
@@ -126,17 +284,16 @@ func checkDescent(t *testing.T, label string, rg geom.Region, d sfc.Domain, curv
 	if !slices.Equal(got.Ranges(), wantRanges) {
 		t.Errorf("%s: ranges differ: %d, reference %d", label, len(got.Ranges()), len(wantRanges))
 	}
-	if cover := rangesAtLevel(rg, d, curve, level, mode); !slices.Equal(cover, wantRanges) {
-		t.Errorf("%s: the cover build's ranges differ: %d, reference %d", label, len(cover), len(wantRanges))
-	}
-	if mode == Conservative {
-		in, bd := KindRangesAtLevel(rg, d, curve, level)
-		if want := refRanges(&Approximation{Interior: want.Interior}); !slices.Equal(in, want) {
-			t.Errorf("%s: the kind sink's interior ranges differ: %d, reference %d", label, len(in), len(want))
+	var perIn, perBd []sfc.CellID
+	perRegionDescend(rg, d, curve, level, mode, func(id sfc.CellID, in bool) {
+		if in {
+			perIn = append(perIn, id)
+		} else {
+			perBd = append(perBd, id)
 		}
-		if want := refRanges(&Approximation{Boundary: want.Boundary}); !slices.Equal(bd, want) {
-			t.Errorf("%s: the kind sink's boundary ranges differ: %d, reference %d", label, len(bd), len(want))
-		}
+	})
+	if !slices.Equal(perIn, want.Interior) || !slices.Equal(perBd, want.Boundary) {
+		t.Errorf("%s: the per-region descent differs from the reference", label)
 	}
 }
 
@@ -156,6 +313,7 @@ func TestDescentMatchesReference(t *testing.T) {
 					for ri := 0; ri < len(polys); ri += stride {
 						checkDescent(t, fmt.Sprintf("region %d", ri), polys[ri], d, sfc.Hilbert{}, d.LevelForBound(eps), Conservative)
 					}
+					checkSet(t, "the partition", data.Regions(polys), d, sfc.Hilbert{}, d.LevelForBound(eps))
 				})
 			}
 		}
@@ -200,15 +358,39 @@ func TestDescentMatchesReference(t *testing.T) {
 					checkDescent(t, fmt.Sprintf("%s/%s/%v/L%d", name, curve.Name(), mode, level), rg, d, curve, level, mode)
 				}
 			}
+			for _, level := range []int{0, 3, 4, 5, 8} {
+				checkSet(t, fmt.Sprintf("%s/%s/L%d", name, curve.Name(), level), []geom.Region{rg}, d, curve, level)
+			}
 		}
 	}
 }
 
-// TestHierarchicalAllocs guards the descent's allocation shape: the
-// classifier and the locator's buckets once per region (a few per ring
-// edge), one candidate block, and the amortized growth of the output lists —
-// nothing per cell, where the reference allocates a candidate list for every
-// partial one.
+// TestSetDescentMatchesPerRegion holds the set descent over the paper's region
+// sets — partitions whose neighbours share every edge — to each region's own
+// descent, at ε 4, 16 and 64 (16 and 64 under -short).
+func TestSetDescentMatchesPerRegion(t *testing.T) {
+	d := data.CityDomain()
+	for name, polys := range map[string][]*geom.Polygon{
+		"neighborhoods": data.Neighborhoods(3),
+		"boroughs":      data.Boroughs(3),
+		"census":        data.Census(13, 400),
+	} {
+		for _, eps := range []float64{4, 16, 64} {
+			if testing.Short() && eps < 16 {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/e%g", name, eps), func(t *testing.T) {
+				t.Parallel()
+				checkSet(t, name, data.Regions(polys), d, sfc.Hilbert{}, d.LevelForBound(eps))
+			})
+		}
+	}
+}
+
+// TestHierarchicalAllocs guards the descent's allocation shape: the segment
+// table and the locator's buckets once per region, a few slices per depth,
+// and the amortized growth of the output lists — nothing per cell, where the
+// reference allocates a candidate list for every partial one.
 func TestHierarchicalAllocs(t *testing.T) {
 	d := data.CityDomain()
 	rg := data.Partition(1, 16, 16, 12)[100]
@@ -232,18 +414,21 @@ func TestHierarchicalAllocs(t *testing.T) {
 // change that materializes Interior and Boundary on that path again fails.
 func TestHierarchicalRangesBytes(t *testing.T) {
 	d := data.CityDomain()
-	rg := data.Partition(1, 16, 16, 12)[100]
+	rg := []geom.Region{data.Partition(1, 16, 16, 12)[100]}
 	level := d.LevelForBound(8)
-	ranges := 0
+	var c []Cover
 	got := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ranges = len(rangesAtLevel(rg, d, sfc.Hilbert{}, level, Conservative))
+			var err error
+			if c, err = CoverRanges(context.Background(), rg, d, sfc.Hilbert{}, level, false, 1); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}).AllocedBytesPerOp()
-	t.Logf("%d B/op for %d ranges", got, ranges)
-	// Twice the 74,160 B measured; through the 10,014-cell lists the same
-	// ranges take 330,768 B.
+	t.Logf("%d B/op for %d ranges", got, len(ownerRanges(c)[0]))
+	// Twice the 74,160 B the per-region range sink measured; through the
+	// 10,014-cell lists the same ranges take 330,768 B.
 	const ceiling = 148_000
 	if got > ceiling {
 		t.Errorf("the range sink allocates %d B/op, ceiling %d", got, ceiling)
@@ -441,5 +626,68 @@ func FuzzUniformMatchesDefinition(f *testing.F) {
 		slices.SortFunc(ring, func(a, b geom.Point) int { return cmp.Compare(angle(a), angle(b)) })
 		curve, mode := testCurves[flags&1], Mode(flags>>1&1)
 		checkUniform(t, fmt.Sprintf("%v/%s/%v/L%d", ring, curve.Name(), mode, level), geom.MustPolygon(ring), d, curve, level, mode)
+	})
+}
+
+// FuzzSetDescentMatchesPerRegion decodes a star from bytes as
+// FuzzUniformMatchesDefinition does — two bytes per vertex on a 64-unit
+// domain, an odd byte snapped to a grid line — and builds a region set around
+// it: a jittered partition whose neighbours share their edges and whose
+// border edges lie on grid lines, the star overlapping it, the star with a
+// hole, the star with repeated vertices, a multi-polygon of a partition cell
+// and the shifted star, and the star behind a non-polygon Region that takes
+// the RelateRect fallback. Both range sinks of the set descent must equal
+// each region's own descent at two levels. The committed corpus
+// (testdata/fuzz) seeds it with a convex star, a grid-snapped one and one at
+// the finest levels.
+func FuzzSetDescentMatchesPerRegion(f *testing.F) {
+	f.Fuzz(func(t *testing.T, verts []byte, lvl, flags uint8) {
+		n := min(len(verts)/2, 16)
+		if n < 3 {
+			return
+		}
+		d := mustDomain(t, geom.Pt(0, 0), 64)
+		level := int(lvl % 8)
+		side := d.CellSide(level)
+		ring := make(geom.Ring, n)
+		var mean geom.Point
+		for i := range ring {
+			coord := func(b byte) float64 {
+				if b&1 == 1 {
+					return math.Round(float64(b)/4/side) * side
+				}
+				return float64(b) / 4
+			}
+			ring[i] = geom.Pt(coord(verts[2*i]), coord(verts[2*i+1]))
+			mean = mean.Add(ring[i].Scale(1 / float64(n)))
+		}
+		angle := func(p geom.Point) float64 { return math.Atan2(p.Y-mean.Y, p.X-mean.X) }
+		slices.SortFunc(ring, func(a, b geom.Point) int { return cmp.Compare(angle(a), angle(b)) })
+		hole := make(geom.Ring, n)
+		var repeated geom.Ring
+		for i, p := range ring {
+			hole[i] = mean.Add(p.Sub(mean).Scale(0.5))
+			repeated = append(repeated, p)
+			if i%3 == 0 {
+				repeated = append(repeated, p)
+			}
+		}
+		star := geom.MustPolygon(ring)
+		seed := int64(0)
+		for _, b := range verts {
+			seed = seed*31 + int64(b)
+		}
+		part := data.PartitionIn(seed, geom.Rect{Min: geom.Pt(8, 8), Max: geom.Pt(56, 56)}, 1+int(flags%3), 2, int(flags>>2)%3)
+		regions := append(data.Regions(part),
+			star,
+			geom.MustPolygon(ring, hole),
+			geom.MustPolygon(repeated),
+			geom.NewMultiPolygon(part[0], star.Translate(geom.Pt(7, -5))),
+			wrappedRegion{star},
+		)
+		curve := testCurves[flags>>7]
+		for _, l := range []int{level, level + 3} {
+			checkSet(t, fmt.Sprintf("%v/%s/L%d", ring, curve.Name(), l), regions, d, curve, l)
+		}
 	})
 }
