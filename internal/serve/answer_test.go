@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"distbound"
+	"distbound/internal/data"
 	"distbound/internal/shard"
 )
 
@@ -129,6 +130,26 @@ func TestAnswerMatchesEncodingJSON(t *testing.T) {
 			}
 		}
 	}
+
+	// answerResponse gives every aggregate the same counts, as a merged
+	// answer has. The encoder renders that column once, so it must not
+	// assume it: here each aggregate carries its own column — one equal to
+	// another's in different storage — then windows of one backing array,
+	// which share storage but not content, then one slice shared outright.
+	backing := []int64{7, 1, 3, 3, 12, 9, 5, 1}
+	for _, cols := range [][][]int64{
+		{{1, 2, 3}, {4, 8, 6}, {1, 2, 3}, {3, 2, 1}, {10, 200, 3000}},
+		{backing[0:3], backing[1:4], backing[2:5], backing[0:3], backing[4:7]},
+		{backing[1:4], backing[1:4], backing[1:4], backing[1:4], backing[1:4]},
+	} {
+		for _, set := range [][]distbound.Agg{all, {distbound.Max, distbound.Min, distbound.Avg, distbound.Sum, distbound.Count}} {
+			req, resp := answerResponse(set, nil, []float64{0.5, -2, 1e-9})
+			for k := range resp.Results {
+				resp.Results[k].Counts = cols[k]
+			}
+			checkAnswer(t, req, resp)
+		}
+	}
 }
 
 // FuzzAnswerMatchesEncodingJSON holds answer to encoding/json over
@@ -146,6 +167,42 @@ func FuzzAnswerMatchesEncodingJSON(f *testing.F) {
 		resp.Wall = time.Duration(wall)
 		checkAnswer(t, req, resp)
 	})
+}
+
+// BenchmarkAnswer renders the answers serve_executed reads — {count} at
+// ε16, {count,sum,avg} at ε4 and all five aggregates at ε8 — over a
+// 256-region partition of weighted taxi points: the wire encoder alone, one
+// answer per op into a warm buffer.
+func BenchmarkAnswer(b *testing.B) {
+	regions := data.Regions(data.Partition(1, 16, 16, 12))
+	pts, ws := data.TaxiPoints(1, 100_000)
+	s, _, err := shard.New("taxi", regions, pts, ws, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	for _, sh := range []struct {
+		name  string
+		aggs  []distbound.Agg
+		bound float64
+	}{
+		{"count", []distbound.Agg{distbound.Count}, 16},
+		{"sums", []distbound.Agg{distbound.Count, distbound.Sum, distbound.Avg}, 4},
+		{"all", []distbound.Agg{distbound.Count, distbound.Sum, distbound.Avg, distbound.Min, distbound.Max}, 8},
+	} {
+		req := shard.Request{Aggs: sh.aggs, Bound: sh.bound}
+		resp, err := s.Do(context.Background(), req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var buf []byte
+			for b.Loop() {
+				buf, _, _ = appendAnswer(buf[:0], req, &resp)
+			}
+		})
+	}
 }
 
 // TestAnswerAllocationFree pins answer's allocation contract: a miss renders

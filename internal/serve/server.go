@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"slices"
@@ -105,6 +106,20 @@ func toShardRequest(q QueryRequest) (shard.Request, error) {
 	return shard.Request{Aggs: aggs, Bound: q.Bound, Workers: q.Workers}, nil
 }
 
+// decodeBody decodes r's body, at most maxBodyBytes, as one JSON value into
+// v. Anything but whitespace after the value is refused, as on a batch line:
+// a second object is not a second request.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err != nil {
+		return fmt.Errorf("decoding request: %w", err)
+	}
+	return nil
+}
+
 // answerBufs pools the buffers answers render into.
 var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -167,8 +182,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	var q QueryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&q); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := decodeBody(w, r, &q); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	req, err := toShardRequest(q)
@@ -296,8 +311,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	defer s.adm.release(ten)
 
 	var q AppendRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&q); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := decodeBody(w, r, &q); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(q.Points) == 0 {

@@ -636,6 +636,63 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestTrailingBytesAfterBody: /v1/query and /v1/append take exactly one
+// JSON value, as a /v1/batch line does. Anything but whitespace after it is
+// a 400, and a second append object lands no rows; a trailing newline is
+// whitespace.
+func TestTrailingBytesAfterBody(t *testing.T) {
+	ts, _, _, _ := newShardedTS(t, 0)
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(out)
+	}
+	live := func() int {
+		t.Helper()
+		var st StatsResponse
+		if _, body := getBody(t, ts.URL+"/v1/stats"); json.Unmarshal(body, &st) != nil {
+			t.Fatalf("stats body %s", body)
+		}
+		return st.Live
+	}
+	const query = `{"aggs":["count"],"bound":64}`
+	const row, row2 = `{"points":[[100,100]],"weights":[1.5]}`, `{"points":[[200,200]],"weights":[2.5]}`
+	for _, tc := range []struct{ path, body, char string }{
+		{"/v1/query", query + " garbage", "'g'"},
+		{"/v1/query", query + query, "'{'"},
+		{"/v1/query", query + "\n}", "'}'"},
+		{"/v1/append", row + row2, "'{'"},
+		{"/v1/append", row + " 1", "'1'"},
+	} {
+		before := live()
+		code, body := post(tc.path, tc.body)
+		if want := "invalid character " + tc.char + " after top-level value"; code != http.StatusBadRequest || !strings.Contains(body, want) {
+			t.Fatalf("%s %q: %d %s, want 400 naming %s", tc.path, tc.body, code, body, want)
+		}
+		if after := live(); after != before {
+			t.Fatalf("%s %q: refused, yet live rows went %d -> %d", tc.path, tc.body, before, after)
+		}
+	}
+	if code, body := post("/v1/query", query+"\n"); code != http.StatusOK {
+		t.Fatalf("query with a trailing newline: %d %s", code, body)
+	}
+	before := live()
+	if code, body := post("/v1/append", row+" \r\n\t\n"); code != http.StatusOK {
+		t.Fatalf("append with trailing whitespace: %d %s", code, body)
+	}
+	if after := live(); after != before+1 {
+		t.Fatalf("append of one row moved live rows %d -> %d", before, after)
+	}
+}
+
 // TestBoundFinerThanLeafCell: a positive bound finer than the leaf cell is
 // the client's error: a 400 naming the floor on /v1/query, and an inline
 // error on its /v1/batch line that leaves its sibling answered.

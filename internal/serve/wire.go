@@ -171,6 +171,7 @@ func ParseAggs(names []string) ([]distbound.Agg, error) {
 //
 //distbound:noalloc
 func appendAnswer(b []byte, req shard.Request, resp *shard.Response) (_ []byte, badAgg, badRegion int) {
+	var col countsColumn
 	b = append(b, `{"results":[`...)
 	for k, agg := range req.Aggs {
 		if k > 0 {
@@ -180,15 +181,17 @@ func appendAnswer(b []byte, req shard.Request, resp *shard.Response) (_ []byte, 
 		b = append(b, `{"agg":"`...)
 		b = append(b, aggNames[agg]...)
 		b = append(b, `","values":[`...)
-		for ri, c := range r.Counts {
-			if ri > 0 {
-				b = append(b, ',')
-			}
-			if r.Agg == distbound.Count {
-				b = strconv.AppendInt(b, c, 10)
-			} else if v := r.Value(ri); math.IsInf(v, 0) || math.IsNaN(v) {
-				return b, k, ri
-			} else {
+		if r.Agg == distbound.Count {
+			b = col.append(b, r.Counts)
+		} else {
+			for ri := range r.Counts {
+				if ri > 0 {
+					b = append(b, ',')
+				}
+				v := r.Value(ri)
+				if math.IsInf(v, 0) || math.IsNaN(v) {
+					return b, k, ri
+				}
 				b = appendFloat(b, v)
 			}
 		}
@@ -197,12 +200,7 @@ func appendAnswer(b []byte, req shard.Request, resp *shard.Response) (_ []byte, 
 			continue
 		}
 		b = append(b, `],"counts":[`...)
-		for ri, c := range r.Counts {
-			if ri > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, c, 10)
-		}
+		b = col.append(b, r.Counts)
 		b = append(b, "]}"...)
 	}
 	b = append(b, `],"shards_contacted":`...)
@@ -212,19 +210,32 @@ func appendAnswer(b []byte, req shard.Request, resp *shard.Response) (_ []byte, 
 	return b, -1, 0
 }
 
-// appendFloat appends a finite v as encoding/json writes a float64: the
-// shortest round-trip digits, exponent form below 1e-6 and from 1e21 up.
+// countsColumn is the first per-region counts column appendAnswer rendered
+// and where its digits sit in the buffer. A merged answer carries one counts
+// column for every aggregate, so COUNT's values and each aggregate's counts
+// copy those bytes instead of formatting the integers again.
+type countsColumn struct {
+	counts []int64
+	lo, hi int // the digits are b[lo:hi]; hi is 0 until a column is rendered
+}
+
+// append appends counts comma-separated, copied when they equal c's column.
 //
 //distbound:noalloc
-func appendFloat(b []byte, v float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+func (c *countsColumn) append(b []byte, counts []int64) []byte {
+	if c.hi > 0 && slices.Equal(counts, c.counts) {
+		b = append(b, b[c.lo:c.hi]...)
+		return b
 	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1] // e-07 → e-7
-		b = b[:n-1]
+	lo := len(b)
+	for i, n := range counts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, n, 10)
+	}
+	if c.hi == 0 {
+		c.counts, c.lo, c.hi = counts, lo, len(b)
 	}
 	return b
 }
