@@ -6,21 +6,14 @@ package distbound
 
 import (
 	"fmt"
-	"time"
 
 	"distbound/internal/pointstore/persist"
 )
 
-// PersistConfig tunes a dataset's durability; the zero value is a sound
-// default (sync every mutation).
+// PersistConfig configures a dataset's durability. Every mutation of a
+// durable dataset is synced to its write-ahead log before it is
+// acknowledged; the zero value persists through the operating system.
 type PersistConfig struct {
-	// GroupCommit batches write-ahead-log fsyncs: a mutation returns once
-	// written, and the log syncs at most GroupCommit later. A crash may
-	// lose the last unsynced window of mutations — recovery still lands on
-	// a consistent earlier state, never a torn one. Zero or negative syncs
-	// every mutation before acknowledging it.
-	GroupCommit time.Duration
-
 	// fs overrides the backing filesystem; nil selects the operating
 	// system. Unexported: only tests inject the fault-injecting
 	// implementation here, directly or through WithFS.
@@ -47,7 +40,7 @@ func (c PersistConfig) FS() persist.FS {
 }
 
 func (c PersistConfig) options() persist.Options {
-	return persist.Options{FS: c.fs, GroupCommit: c.GroupCommit}
+	return persist.Options{FS: c.fs}
 }
 
 // Persist makes the dataset durable under dir: an immediate checkpoint
@@ -71,17 +64,6 @@ func (d *Dataset) Persist(dir string, cfg PersistConfig) error {
 	if !d.dur.CompareAndSwap(nil, dur) {
 		dur.Close() //nolint:errcheck // lost the race; nothing was logged yet
 		return fmt.Errorf("distbound: dataset %q is already durable", d.name)
-	}
-	return nil
-}
-
-// Sync forces any group-committed log records of a durable dataset to
-// stable storage now; it is a no-op for non-durable datasets.
-//
-//distbound:api durability control for library users: flush group-committed records now
-func (d *Dataset) Sync() error {
-	if dur := d.dur.Load(); dur != nil {
-		return dur.Sync()
 	}
 	return nil
 }

@@ -40,9 +40,6 @@ func TestOpenDatasetServesIdenticalResults(t *testing.T) {
 	// name is kept from when a mapped load path ran beside it.
 	t.Run("fullload", func(t *testing.T) {
 		e, ds, _, dir := persistFixture(t, PersistConfig{})
-		if err := ds.Sync(); err != nil {
-			t.Fatal(err)
-		}
 		ctx := context.Background()
 
 		e2 := NewEngine(e.regions)
@@ -97,10 +94,7 @@ func TestPersistedWarmResidentAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomizes sync.Pool reuse; allocation counts are meaningless under it")
 	}
-	_, ds, _, dir := persistFixture(t, PersistConfig{})
-	if err := ds.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	_, _, _, dir := persistFixture(t, PersistConfig{})
 	e2 := NewEngine(dataRegions(92, 5, 5, 8))
 	ds2, err := e2.OpenDataset("req-recovered", dir, PersistConfig{})
 	if err != nil {

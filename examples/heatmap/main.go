@@ -10,6 +10,7 @@ import (
 	"math"
 
 	"distbound"
+	"distbound/internal/canvas"
 	"distbound/internal/data"
 )
 
@@ -19,8 +20,8 @@ func main() {
 	// A coarse canvas over the whole city: 64×64 pixels.
 	bounds := data.CityBounds()
 	eps := bounds.Width() / 64 * math.Sqrt2
-	grid := distbound.GridForBound(bounds.Min, eps)
-	density, err := distbound.CanvasForRect(grid, bounds)
+	grid := canvas.GridForBound(bounds.Min, eps)
+	density, err := canvas.CanvasForRect(grid, bounds)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,14 +41,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mask, err := distbound.CanvasForRect(grid, dtPoly.Bounds())
+	mask, err := canvas.CanvasForRect(grid, dtPoly.Bounds())
 	if err != nil {
 		log.Fatal(err)
 	}
 	mask.RenderRegion(dtPoly, 1)
 
 	masked := density.Clone()
-	if err := distbound.MaskCanvas(masked, mask, func(v float64) bool { return v > 0 }); err != nil {
+	if err := canvas.Mask(masked, mask, func(v float64) bool { return v > 0 }); err != nil {
 		log.Fatal(err)
 	}
 
@@ -58,7 +59,7 @@ func main() {
 	printCanvas(masked)
 }
 
-func printCanvas(c *distbound.Canvas) {
+func printCanvas(c *canvas.Canvas) {
 	shades := []rune(" .:-=+*#%@")
 	maxV := 0.0
 	for _, v := range c.Pix {

@@ -11,6 +11,7 @@ import (
 
 	"distbound"
 	"distbound/internal/data"
+	"distbound/internal/join"
 )
 
 func main() {
@@ -21,7 +22,7 @@ func main() {
 
 	// Build the polygon index: hierarchical raster approximations with a
 	// 10 m Hausdorff bound, linearized and stored in an Adaptive Cell Trie.
-	idx, err := distbound.NewPolygonIndex(districts, 10 /* meters */)
+	idx, err := join.NewACTJoiner(districts, distbound.DomainForRegions(districts...), distbound.Hilbert, 10 /* meters */, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func main() {
 	// Point lookup: which district is this pickup in? The answer is exact
 	// unless the point is within 10 m of a district boundary.
 	p := pts[0]
-	fmt.Printf("pickup at (%.0f, %.0f) is in district %d\n", p.X, p.Y, idx.Lookup(p))
+	fmt.Printf("pickup at (%.0f, %.0f) is in district %d\n", p.X, p.Y, idx.LookupPoint(p))
 
 	// Aggregation through the serving engine: one Request carries a set of
 	// aggregates, and one plan, one index and one pass answer all of them.

@@ -11,6 +11,7 @@ import (
 
 	"distbound"
 	"distbound/internal/data"
+	"distbound/internal/join"
 )
 
 func main() {
@@ -19,7 +20,7 @@ func main() {
 	ps := distbound.PointSet{Pts: pts}
 
 	// A deliberately coarse bound (200 m) so intervals are visibly wide.
-	idx, err := distbound.NewPolygonIndex(districts, 200)
+	idx, err := join.NewACTJoiner(districts, distbound.DomainForRegions(districts...), distbound.Hilbert, 200, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

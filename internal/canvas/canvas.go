@@ -194,6 +194,8 @@ var (
 // Blend merges src into dst over the overlap of their windows: dst[p] =
 // f(dst[p], src[p]). Pixels of dst outside src are untouched. The canvases
 // must share the same Grid.
+//
+//distbound:oracle TestDotSumsMatchesBlendThenSum holds the raster join's fused DotSums kernel to blend-then-sum
 func Blend(dst, src *Canvas, f BlendFunc) error {
 	if dst.G != src.G {
 		return fmt.Errorf("canvas: blend across different grids")

@@ -120,6 +120,8 @@ func onSegment(a, b, c Point) bool {
 
 // Intersects reports whether segments s and t share at least one point,
 // including touching endpoints and collinear overlap.
+//
+//distbound:oracle the four-sides references for Rect.IntersectsSegment in the geom and raster tests meet the rect's sides with it
 func (s Segment) Intersects(t Segment) bool {
 	o1 := orient(s.A, s.B, t.A)
 	o2 := orient(s.A, s.B, t.B)

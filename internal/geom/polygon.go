@@ -80,18 +80,6 @@ func (r Ring) DistToPoint(p Point) float64 {
 	return d
 }
 
-// IntersectsSegment reports whether any ring edge intersects s.
-func (r Ring) IntersectsSegment(s Segment) bool {
-	sb := s.Bounds()
-	for i := range r {
-		e := r.Edge(i)
-		if e.Bounds().Intersects(sb) && e.Intersects(s) {
-			return true
-		}
-	}
-	return false
-}
-
 // Clone returns a deep copy of the ring.
 func (r Ring) Clone() Ring {
 	out := make(Ring, len(r))

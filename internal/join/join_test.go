@@ -137,6 +137,10 @@ func TestACTJoinCountsConservative(t *testing.T) {
 			t.Errorf("region %d: exact %d outside guaranteed interval [%g, %g]",
 				ri, exact.Counts[ri], ivs[ri].Lo, ivs[ri].Hi)
 		}
+		// The interval's top is the approximate answer α itself.
+		if float64(approx.Counts[ri]) != ivs[ri].Hi {
+			t.Errorf("region %d: interval top %g is not the approximate count %d", ri, ivs[ri].Hi, approx.Counts[ri])
+		}
 	}
 }
 

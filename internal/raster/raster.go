@@ -118,7 +118,7 @@ func (a *Approximation) NumCells() int { return len(a.Interior) + len(a.Boundary
 // guaranteed Hausdorff bound of the approximation. It returns 0 when there
 // are no boundary cells (the approximation is exact).
 //
-//distbound:api CoverBudget's documented report of the bound a budgeted cover achieved
+//distbound:oracle TestHierarchicalDistanceBound, TestCoverBudget and TestCircleRasterization read each cover's achieved bound with it
 func (a *Approximation) MaxCellDiagonal() float64 {
 	var d float64
 	for _, id := range a.Boundary {
