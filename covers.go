@@ -40,10 +40,10 @@ func (ce *coverEntry) peek(src *pointstore.Mutable) *join.PointIdxJoiner {
 }
 
 // joiner returns ds's joiner over the entry's set, attaching one on first
-// use. It publishes first and checks the registration second, so a request
-// racing UnregisterPoints is still answered but cannot leave the dataset
-// attached — its store pinned — behind the unregister's sweep: whichever of
-// the two runs last removes the joiner.
+// use. It publishes first and checks the handle second, and UnregisterPoints
+// marks the handle gone before it sweeps, so a request racing it is still
+// answered but cannot leave the dataset attached — its store pinned — behind
+// the sweep: whichever of the two runs last removes the joiner.
 func (ce *coverEntry) joiner(e *Engine, ds *Dataset) *join.PointIdxJoiner {
 	if j := ce.peek(ds.src); j != nil {
 		return j

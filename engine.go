@@ -71,7 +71,7 @@ type Engine struct {
 	exact *cache.Cache[struct{}, *join.ExactCover] // the one exact cover; see covers.go
 	brj   *cache.Cache[float64, *join.BRJJoiner]
 
-	dsMu     sync.RWMutex // guards datasets
+	dsMu     sync.RWMutex // guards datasets, which reserves registered names
 	datasets map[string]*Dataset
 	covers   *cache.Cache[float64, *coverEntry] // by bound; see covers.go
 
@@ -140,6 +140,9 @@ type Dataset struct {
 	name string
 	src  *pointstore.Mutable
 	e    *Engine // the registering engine: owner of the cover cache holding the dataset's joiners
+	// gone is set, once, when UnregisterPoints releases the handle; from
+	// then on every request taking it is refused.
+	gone atomic.Bool
 
 	// dur, when set, binds the dataset to its on-disk snapshot + log (see
 	// Persist/OpenDataset in durable.go): mutations route through it so the
@@ -204,11 +207,6 @@ type DatasetStats struct {
 	DurableErr    error
 	CheckpointErr error
 }
-
-// Name returns the registration name.
-//
-//distbound:api library accessor: the name the dataset was registered under
-func (d *Dataset) Name() string { return d.name }
 
 // Len returns the number of live points in the dataset.
 func (d *Dataset) Len() int { return d.src.Len() }
@@ -459,16 +457,6 @@ func (e *Engine) register(name string, src *pointstore.Mutable, dur *persist.Dur
 	return ds, nil
 }
 
-// Dataset returns the handle registered under name, if any.
-//
-//distbound:api library lookup of a registered dataset by name
-func (e *Engine) Dataset(name string) (*Dataset, bool) {
-	e.dsMu.RLock()
-	defer e.dsMu.RUnlock()
-	ds, ok := e.datasets[name]
-	return ds, ok
-}
-
 // UnregisterPoints removes the dataset registered under name, freeing the
 // name for re-registration; it reports whether a dataset was registered.
 // Outstanding queries holding the old handle fail their next call. The
@@ -479,7 +467,10 @@ func (e *Engine) Dataset(name string) (*Dataset, bool) {
 func (e *Engine) UnregisterPoints(name string) bool {
 	e.dsMu.Lock()
 	ds, ok := e.datasets[name]
-	delete(e.datasets, name)
+	if ok {
+		delete(e.datasets, name)
+		ds.gone.Store(true)
+	}
 	e.dsMu.Unlock()
 	if ok {
 		e.covers.EachReady(func(_ float64, ce *coverEntry) { ce.joiners.Delete(ds.src) })
@@ -492,15 +483,13 @@ func (e *Engine) UnregisterPoints(name string) bool {
 
 // checkDataset rejects handles that were not registered with this engine —
 // a foreign handle's store is keyed over a different domain, so probing it
-// with this engine's covers would silently return garbage.
+// with this engine's covers would silently return garbage — and handles
+// UnregisterPoints has released. The handle answers both; no lock is taken.
 func (e *Engine) checkDataset(ds *Dataset) error {
 	if ds == nil {
 		return fmt.Errorf("distbound: nil dataset handle")
 	}
-	e.dsMu.RLock()
-	cur := e.datasets[ds.name]
-	e.dsMu.RUnlock()
-	if cur != ds {
+	if ds.e != e || ds.gone.Load() {
 		return fmt.Errorf("distbound: dataset %q is not registered with this engine", ds.name)
 	}
 	return nil

@@ -182,7 +182,7 @@ func TestUnregisterReleasesStore(t *testing.T) {
 	collected := make(chan struct{})
 	runtime.SetFinalizer(dss[0].src, func(*pointstore.Mutable) { close(collected) })
 	dead := dss[0]
-	if !e.UnregisterPoints(dead.Name()) {
+	if !e.UnregisterPoints(dead.name) {
 		t.Fatal("dataset was not registered")
 	}
 	for _, b := range bounds {
@@ -251,7 +251,7 @@ func TestUnregisterRacesQueries(t *testing.T) {
 		}(g)
 	}
 	close(start)
-	e.UnregisterPoints(dss[0].Name())
+	e.UnregisterPoints(dss[0].name)
 	wg.Wait()
 	for _, b := range bounds {
 		if ce, ok := peekReady(e.covers, b); ok && ce.peek(dss[0].src) != nil {

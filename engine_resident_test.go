@@ -26,17 +26,11 @@ func residentFixture(t *testing.T, n int) (*Engine, *Dataset, PointSet, []Region
 
 func TestRegisterPoints(t *testing.T) {
 	e, ds, _, _ := residentFixture(t, 5000)
-	if ds.Name() != "taxi" || ds.Len() != 5000 || ds.MemoryBytes() <= 0 {
+	if ds.Len() != 5000 || ds.MemoryBytes() <= 0 {
 		t.Error("dataset accounting wrong")
 	}
 	if ds.Dropped() != 0 {
 		t.Errorf("%d in-domain points dropped", ds.Dropped())
-	}
-	if got, ok := e.Dataset("taxi"); !ok || got != ds {
-		t.Error("lookup by name failed")
-	}
-	if _, ok := e.Dataset("nope"); ok {
-		t.Error("unknown name resolved")
 	}
 	if _, err := e.RegisterPoints("taxi", nil, nil); err == nil {
 		t.Error("duplicate registration accepted")

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"distbound/internal/data"
 	"distbound/internal/geom"
 	"distbound/internal/sfc"
 )
@@ -288,6 +289,28 @@ func TestCoverBudget(t *testing.T) {
 			t.Errorf("budget %d: bound %g worse than smaller budget's %g", budget, bound, prevBound)
 		}
 		prevBound = bound
+	}
+}
+
+// TestCoverBudgetSpendsItsBudget holds CoverBudget's stop rule to its
+// definition on the paper's partition: the cover never exceeds the budget,
+// and refinement stops early only where it must — a cover that still leaves
+// a boundary cell coarser than sfc.MaxLevel is one split (up to three more
+// cells) short of the budget, no earlier.
+func TestCoverBudgetSpendsItsBudget(t *testing.T) {
+	d := data.CityDomain()
+	for ri, rg := range data.Partition(1, 4, 4, 12) {
+		for _, budget := range []int{8, 16, 32, 64, 128, 512} {
+			a := CoverBudget(rg, d, sfc.Hilbert{}, budget)
+			if a.NumCells() > budget {
+				t.Errorf("region %d, budget %d: %d cells", ri, budget, a.NumCells())
+			}
+			coarse := slices.ContainsFunc(a.Boundary, func(id sfc.CellID) bool { return id.Level() < sfc.MaxLevel })
+			if coarse && a.NumCells()+3 <= budget {
+				t.Errorf("region %d, budget %d: stopped at %d cells with a coarse boundary cell left, room for another split",
+					ri, budget, a.NumCells())
+			}
+		}
 	}
 }
 

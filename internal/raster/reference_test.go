@@ -110,19 +110,38 @@ func perRegionDescend(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel in
 	visit(sfc.FromPosLevel(0, 0), 0, 0, 0, 0, cl.rootCand(blocks[:0]))
 }
 
-// perRegionRanges is the per-region descent's range sinks: all of the
-// region's cells, its interior cells and its boundary cells, each coalesced
-// into leaf ranges as they arrive.
-func perRegionRanges(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode) (all, interior, boundary []PosRange) {
+// perRegion is one run of the per-region descent: its interior and boundary
+// cells in curve order, and its range sinks — all of its cells, its interior
+// cells and its boundary cells, each coalesced into leaf ranges as they
+// arrive. checkDescent and checkSet both read it, so one run serves both.
+type perRegion struct {
+	interior, boundary []sfc.CellID
+	all, in, bd        []PosRange
+}
+
+func descend(rg geom.Region, d sfc.Domain, curve sfc.Curve, maxLevel int, mode Mode) perRegion {
+	var p perRegion
 	perRegionDescend(rg, d, curve, maxLevel, mode, func(id sfc.CellID, in bool) {
-		all = appendCell(all, id)
+		p.all = appendCell(p.all, id)
 		if in {
-			interior = appendCell(interior, id)
+			p.interior = append(p.interior, id)
+			p.in = appendCell(p.in, id)
 		} else {
-			boundary = appendCell(boundary, id)
+			p.boundary = append(p.boundary, id)
+			p.bd = appendCell(p.bd, id)
 		}
 	})
-	return all, interior, boundary
+	return p
+}
+
+// descendEach runs the conservative per-region descent once per region: what
+// checkSet holds the set descent to.
+func descendEach(regions []geom.Region, d sfc.Domain, curve sfc.Curve, level int) []perRegion {
+	out := make([]perRegion, len(regions))
+	for ri, rg := range regions {
+		out[ri] = descend(rg, d, curve, level, Conservative)
+	}
+	return out
 }
 
 // appendCell coalesces a cell arriving in ascending curve order into out.
@@ -154,9 +173,9 @@ func ownerRanges(covers []Cover) [][]PosRange {
 }
 
 // checkSet holds both range sinks of the set descent over regions to the
-// per-region descent of each region, at one level: the plain sink on one
-// worker, the kind sink on three.
-func checkSet(t *testing.T, label string, regions []geom.Region, d sfc.Domain, curve sfc.Curve, level int) {
+// per-region descent of each region (want, from descendEach), at one level:
+// the plain sink on one worker, the kind sink on three.
+func checkSet(t *testing.T, label string, regions []geom.Region, d sfc.Domain, curve sfc.Curve, level int, want []perRegion) {
 	t.Helper()
 	all, err := CoverRanges(context.Background(), regions, d, curve, level, false, 1)
 	if err != nil {
@@ -167,14 +186,13 @@ func checkSet(t *testing.T, label string, regions []geom.Region, d sfc.Domain, c
 		t.Fatal(err)
 	}
 	gotAll, gotKinds := ownerRanges(all), ownerRanges(kinds)
-	for ri, rg := range regions {
-		wantAll, wantIn, wantBd := perRegionRanges(rg, d, curve, level, Conservative)
-		if !slices.Equal(gotAll[ri], wantAll) {
-			t.Errorf("%s: region %d: %d ranges, per-region descent %d", label, ri, len(gotAll[ri]), len(wantAll))
+	for ri, w := range want {
+		if !slices.Equal(gotAll[ri], w.all) {
+			t.Errorf("%s: region %d: %d ranges, per-region descent %d", label, ri, len(gotAll[ri]), len(w.all))
 		}
-		if !slices.Equal(gotKinds[2*ri], wantIn) || !slices.Equal(gotKinds[2*ri+1], wantBd) {
+		if !slices.Equal(gotKinds[2*ri], w.in) || !slices.Equal(gotKinds[2*ri+1], w.bd) {
 			t.Errorf("%s: region %d: %d interior and %d boundary ranges, per-region descent %d and %d",
-				label, ri, len(gotKinds[2*ri]), len(gotKinds[2*ri+1]), len(wantIn), len(wantBd))
+				label, ri, len(gotKinds[2*ri]), len(gotKinds[2*ri+1]), len(w.in), len(w.bd))
 		}
 	}
 }
@@ -269,8 +287,9 @@ func refRanges(a *Approximation) []PosRange {
 	return out
 }
 
-// checkDescent holds the live descent to the reference on one input.
-func checkDescent(t *testing.T, label string, rg geom.Region, d sfc.Domain, curve sfc.Curve, level int, mode Mode) {
+// checkDescent holds the live descent, and per — the per-region descent of
+// the same input — to the reference on one input.
+func checkDescent(t *testing.T, label string, rg geom.Region, d sfc.Domain, curve sfc.Curve, level int, mode Mode, per perRegion) {
 	t.Helper()
 	got := HierarchicalAtLevel(rg, d, curve, level, mode)
 	want := refHierarchicalAtLevel(rg, d, curve, level, mode)
@@ -284,15 +303,7 @@ func checkDescent(t *testing.T, label string, rg geom.Region, d sfc.Domain, curv
 	if !slices.Equal(got.Ranges(), wantRanges) {
 		t.Errorf("%s: ranges differ: %d, reference %d", label, len(got.Ranges()), len(wantRanges))
 	}
-	var perIn, perBd []sfc.CellID
-	perRegionDescend(rg, d, curve, level, mode, func(id sfc.CellID, in bool) {
-		if in {
-			perIn = append(perIn, id)
-		} else {
-			perBd = append(perBd, id)
-		}
-	})
-	if !slices.Equal(perIn, want.Interior) || !slices.Equal(perBd, want.Boundary) {
+	if !slices.Equal(per.interior, want.Interior) || !slices.Equal(per.boundary, want.Boundary) {
 		t.Errorf("%s: the per-region descent differs from the reference", label)
 	}
 }
@@ -310,10 +321,12 @@ func TestDescentMatchesReference(t *testing.T) {
 			for _, eps := range []float64{4, 8, 16, 64} {
 				t.Run(fmt.Sprintf("seed=%d/e%g", seed, eps), func(t *testing.T) {
 					t.Parallel()
+					regions, level := data.Regions(polys), d.LevelForBound(eps)
+					per := descendEach(regions, d, sfc.Hilbert{}, level)
 					for ri := 0; ri < len(polys); ri += stride {
-						checkDescent(t, fmt.Sprintf("region %d", ri), polys[ri], d, sfc.Hilbert{}, d.LevelForBound(eps), Conservative)
+						checkDescent(t, fmt.Sprintf("region %d", ri), polys[ri], d, sfc.Hilbert{}, level, Conservative, per[ri])
 					}
-					checkSet(t, "the partition", data.Regions(polys), d, sfc.Hilbert{}, d.LevelForBound(eps))
+					checkSet(t, "the partition", regions, d, sfc.Hilbert{}, level, per)
 				})
 			}
 		}
@@ -355,11 +368,13 @@ func TestDescentMatchesReference(t *testing.T) {
 		for _, curve := range testCurves {
 			for _, mode := range []Mode{Conservative, Centroid} {
 				for _, level := range []int{0, 1, 4, 6, 8} {
-					checkDescent(t, fmt.Sprintf("%s/%s/%v/L%d", name, curve.Name(), mode, level), rg, d, curve, level, mode)
+					checkDescent(t, fmt.Sprintf("%s/%s/%v/L%d", name, curve.Name(), mode, level), rg, d, curve, level, mode,
+						descend(rg, d, curve, level, mode))
 				}
 			}
 			for _, level := range []int{0, 3, 4, 5, 8} {
-				checkSet(t, fmt.Sprintf("%s/%s/L%d", name, curve.Name(), level), []geom.Region{rg}, d, curve, level)
+				regions := []geom.Region{rg}
+				checkSet(t, fmt.Sprintf("%s/%s/L%d", name, curve.Name(), level), regions, d, curve, level, descendEach(regions, d, curve, level))
 			}
 		}
 	}
@@ -381,7 +396,8 @@ func TestSetDescentMatchesPerRegion(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/e%g", name, eps), func(t *testing.T) {
 				t.Parallel()
-				checkSet(t, name, data.Regions(polys), d, sfc.Hilbert{}, d.LevelForBound(eps))
+				regions, level := data.Regions(polys), d.LevelForBound(eps)
+				checkSet(t, name, regions, d, sfc.Hilbert{}, level, descendEach(regions, d, sfc.Hilbert{}, level))
 			})
 		}
 	}
@@ -687,7 +703,7 @@ func FuzzSetDescentMatchesPerRegion(f *testing.F) {
 		)
 		curve := testCurves[flags>>7]
 		for _, l := range []int{level, level + 3} {
-			checkSet(t, fmt.Sprintf("%v/%s/L%d", ring, curve.Name(), l), regions, d, curve, l)
+			checkSet(t, fmt.Sprintf("%v/%s/L%d", ring, curve.Name(), l), regions, d, curve, l, descendEach(regions, d, curve, l))
 		}
 	})
 }

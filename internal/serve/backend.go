@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"distbound"
-	"distbound/internal/cache"
 	"distbound/internal/shard"
 )
 
@@ -16,21 +15,16 @@ type Backend interface {
 	// Query answers one aggregation request under ctx.
 	Query(ctx context.Context, req shard.Request) (shard.Response, error)
 	// Append adds points to the dataset — weights iff it carries a weight
-	// column — returning the assigned IDs. Every successful append bumps
-	// Epoch, stranding cached results.
+	// column — returning the assigned IDs. Every successful append moves the
+	// epoch, stranding cached results.
 	Append(pts []distbound.Point, weights []float64) ([]uint64, error)
-	// Epoch is the dataset's mutation counter (the per-shard sum) — the
-	// result cache's invalidation currency.
-	Epoch() uint64
-	// ResultCacheStats reports the result cache's counters: the merged
-	// scatter-gather cache, the only one on the serving path.
-	ResultCacheStats() cache.Stats
 	// Healthy reports the sticky durable-log failure (DatasetStats.DurableErr
 	// of the first wedged shard) that makes the backend refuse every
 	// mutation; nil while writes are being accepted.
 	Healthy() error
-	// Describe fills the backend name and the dataset half of a stats
-	// response.
+	// Describe fills the backend half of a stats response — the dataset,
+	// its epoch, the result and cover caches, the scatter's fan-out and
+	// probe work — from one snapshot.
 	Describe(st *StatsResponse)
 	// Close releases the backend's datasets.
 	Close()
@@ -49,10 +43,6 @@ func (b *ShardedBackend) Append(pts []distbound.Point, weights []float64) ([]uin
 	return b.S.Append(pts, weights)
 }
 
-func (b *ShardedBackend) Epoch() uint64 { return b.S.EpochSum() }
-
-func (b *ShardedBackend) ResultCacheStats() cache.Stats { return b.S.CacheStats() }
-
 func (b *ShardedBackend) Healthy() error { return b.S.DurableErr() }
 
 func (b *ShardedBackend) Describe(st *StatsResponse) {
@@ -62,14 +52,14 @@ func (b *ShardedBackend) Describe(st *StatsResponse) {
 	st.Regions = b.S.NumRegions()
 	st.Live = s.Live
 	st.Dropped = s.Dropped
-	st.MemoryBytes = b.S.MemoryBytes()
+	st.MemoryBytes = s.MemoryBytes
+	st.Epoch = s.EpochSum
+	st.Shards = s.PerShard
+	st.ResultCache = CacheCounters{Hits: s.ResultCache.Hits, Misses: s.ResultCache.Misses, Evictions: s.ResultCache.Evictions}
+	st.Fanout = FanoutCounters{Queries: s.Queries, Contacted: s.ContactedTotal, Max: s.MaxFanOut}
+	st.Probes = ProbeCounters{Ranges: s.RangesProbed, Delta: s.DeltaProbed}
 	st.Covers = CoverCounters{Builds: s.Covers.Builds, BuildSeconds: s.Covers.BuildTime.Seconds(), Bytes: s.CoverBytes}
 	for _, sh := range s.PerShard {
-		st.Shards = append(st.Shards, ShardStats{
-			LoKey: sh.LoKey, HiKey: sh.HiKey, Live: sh.Live,
-			Generation: sh.Generation, Epoch: sh.Epoch,
-			CoverStateBytes: sh.CoverStateBytes,
-		})
 		st.Covers.StateBytes += sh.CoverStateBytes
 	}
 }

@@ -103,7 +103,7 @@ func toShardRequest(q QueryRequest) (shard.Request, error) {
 	if !(q.Bound > 0) {
 		return shard.Request{}, fmt.Errorf("bound must be positive, got %v", q.Bound)
 	}
-	return shard.Request{Aggs: aggs, Bound: q.Bound, Workers: q.Workers}, nil
+	return shard.Request{Aggs: aggs, Bound: q.Bound}, nil
 }
 
 // decodeBody decodes r's body, at most maxBodyBytes, as one JSON value into
@@ -274,7 +274,7 @@ func (s *Server) execute(ctx context.Context, req shard.Request, scratch *[]byte
 	if err != nil {
 		return nil, nil, err
 	}
-	s.met.observe(time.Since(t0), &resp)
+	s.met.observe(time.Since(t0))
 	return answer(scratch, req, &resp)
 }
 
@@ -350,22 +350,25 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(out) //nolint:errcheck // client disconnects surface as write errors
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	cs := s.backend.ResultCacheStats()
+// stats is one snapshot of the server and its backend: the body /v1/stats
+// serves and the state /metrics renders.
+func (s *Server) stats() StatsResponse {
 	st := StatsResponse{
 		Requests: map[string]uint64{
 			"query":  s.met.queries.Load(),
 			"batch":  s.met.batches.Load(),
 			"append": s.met.appends.Load(),
 		},
-		Rejections:  s.adm.rejections.Load(),
-		Draining:    s.draining.Load(),
-		Epoch:       s.backend.Epoch(),
-		ResultCache: CacheCounters{Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions},
+		Rejections: s.adm.rejections.Load(),
+		Draining:   s.draining.Load(),
 	}
 	s.backend.Describe(&st)
+	return st
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(st) //nolint:errcheck // client disconnects surface as write errors
+	json.NewEncoder(w).Encode(s.stats()) //nolint:errcheck // client disconnects surface as write errors
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -385,8 +388,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var st StatsResponse
-	s.backend.Describe(&st)
-	s.met.render(w, s.adm.rejections.Load(), s.draining.Load(),
-		s.backend.ResultCacheStats(), s.backend.Epoch(), st.Covers)
+	st := s.stats()
+	s.met.render(w, &st)
 }

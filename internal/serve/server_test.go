@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -18,7 +19,6 @@ import (
 	"time"
 
 	"distbound"
-	"distbound/internal/cache"
 	"distbound/internal/data"
 	"distbound/internal/shard"
 	"distbound/internal/testutil"
@@ -302,11 +302,9 @@ func (b *blockingBackend) Query(ctx context.Context, req shard.Request) (shard.R
 func (b *blockingBackend) Append(pts []distbound.Point, weights []float64) ([]uint64, error) {
 	return nil, fmt.Errorf("blocking backend is read-only")
 }
-func (b *blockingBackend) Epoch() uint64                 { return 0 }
-func (b *blockingBackend) ResultCacheStats() cache.Stats { return cache.Stats{} }
-func (b *blockingBackend) Healthy() error                { return nil }
-func (b *blockingBackend) Describe(st *StatsResponse)    {}
-func (b *blockingBackend) Close()                        {}
+func (b *blockingBackend) Healthy() error             { return nil }
+func (b *blockingBackend) Describe(st *StatsResponse) {}
+func (b *blockingBackend) Close()                     {}
 
 // TestAdmissionControl: with a per-tenant limit of 1, a tenant's second
 // concurrent request gets 429 while a different tenant's request proceeds;
@@ -416,6 +414,10 @@ func TestStatsHealthMetrics(t *testing.T) {
 	}
 	if st.Live != len(pts) || len(st.Shards) != 4 || st.Requests["query"] != 3 {
 		t.Fatalf("stats: %+v", st)
+	}
+	// Three queries, the last two result-cache hits: one scatter's fan-out.
+	if f := st.Fanout; f.Queries != 3 || f.Contacted == 0 || f.Contacted > 4 || f.Max != int(f.Contacted) {
+		t.Fatalf("stats fanout %+v after one scatter and two hits", f)
 	}
 
 	resp, body = getBody(t, ts.URL+"/healthz")
@@ -607,6 +609,9 @@ func TestProbeWorkMetrics(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
+	if p := st.Probes; p.Ranges != filled || p.Delta != 3 {
+		t.Fatalf("stats probes %+v, metrics said {%d 3}", p, filled)
+	}
 	perShard := 0
 	for _, sh := range st.Shards {
 		perShard += sh.CoverStateBytes
@@ -753,30 +758,110 @@ func TestRepeatedAggregateRejected(t *testing.T) {
 }
 
 // TestFanoutCountCountsObservations: distboundd_shard_fanout_count is the
-// denominator of the mean fan-out, so it counts exactly the executions
-// distboundd_shard_fanout_sum saw — a rejected query adds to neither.
+// denominator of the mean fan-out, so it counts exactly the queries the
+// scatter answered — a rejected query, or one whose deadline expires in the
+// scatter, adds to neither it nor distboundd_shard_fanout_sum, and a
+// result-cache hit adds one query that contacted no shard.
 func TestFanoutCountCountsObservations(t *testing.T) {
 	ts, _, _, _ := newShardedTS(t, 0)
-	scrape := func() (count uint64) {
+	scrape := func() (count, sum uint64) {
 		t.Helper()
 		_, body := getBody(t, ts.URL+"/metrics")
 		for _, line := range strings.Split(string(body), "\n") {
 			fmt.Sscanf(line, "distboundd_shard_fanout_count %d", &count) //nolint:errcheck // non-matching lines
+			fmt.Sscanf(line, "distboundd_shard_fanout_sum %d", &sum)     //nolint:errcheck // non-matching lines
 		}
-		return count
+		return count, sum
 	}
-	before := scrape()
+	before, sum0 := scrape()
 	if resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"count"}, Bound: -1}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid query: %d %s, want 400", resp.StatusCode, body)
 	}
-	if got := scrape(); got != before {
-		t.Fatalf("a 400 moved the fan-out count %d -> %d", before, got)
+	if got, sum := scrape(); got != before || sum != sum0 {
+		t.Fatalf("a 400 moved the fan-out count %d -> %d, sum %d -> %d", before, got, sum0, sum)
 	}
-	if resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"count"}, Bound: 16}, nil); resp.StatusCode != http.StatusOK {
+	resp, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"count"}, Bound: 16}, nil)
+	var q QueryResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &q) != nil {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
 	}
-	if got := scrape(); got != before+1 {
-		t.Fatalf("a served query moved the fan-out count %d -> %d, want +1", before, got)
+	got, sum1 := scrape()
+	if got != before+1 || sum1 != sum0+uint64(q.ShardsContacted) || q.ShardsContacted == 0 {
+		t.Fatalf("a served query moved the fan-out count %d -> %d and sum %d -> %d, want +1 and +%d", before, got, sum0, sum1, q.ShardsContacted)
+	}
+	postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"count"}, Bound: 16}, nil) // result-cache hit
+	if got, sum := scrape(); got != before+2 || sum != sum1 {
+		t.Fatalf("a result-cache hit moved the fan-out count to %d (want %d) and the sum %d -> %d (want no shard contacted)", got, before+2, sum1, sum)
+	}
+	// Another shape over the now-built cover: routed, then out of time.
+	resp, body = postJSON(t, ts.URL+"/v1/query", QueryRequest{Aggs: []string{"sum"}, Bound: 16}, map[string]string{DeadlineHeader: "0"})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("query with a spent deadline: %d %s, want 504", resp.StatusCode, body)
+	}
+	if got, sum := scrape(); got != before+2 || sum != sum1 {
+		t.Fatalf("a 504 moved the fan-out count to %d (want %d) and the sum %d -> %d", got, before+2, sum1, sum)
+	}
+}
+
+// TestWorkersFieldIgnored: /v1/query has no "workers" field; a body that
+// still carries one is the same request as one without it, answered byte
+// for byte alike up to wall_ns — on /v1/query and on a /v1/batch line, with
+// the result cache off so both executed.
+func TestWorkersFieldIgnored(t *testing.T) {
+	regions, pts, ws := testWorkload(t, 4000)
+	s, _, err := shard.New("taxi", regions, pts, ws, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetResultCacheCapacity(0)
+	srv := NewServer(&ShardedBackend{S: s}, 0)
+	ts := httptest.NewServer(srv.Handler())
+	defer func() { ts.Close(); srv.Close() }()
+
+	const plain = `{"aggs":["count","sum","min"],"bound":32}`
+	const withWorkers = `{"aggs":["count","sum","min"],"bound":32,"workers":1}`
+	upToWall := func(body []byte) string {
+		t.Helper()
+		i := bytes.LastIndex(body, []byte(`,"wall_ns":`))
+		if i < 0 {
+			t.Fatalf("no wall_ns in %s", body)
+		}
+		return string(body[:i])
+	}
+	post := func(path, body string) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: %d %s (%v)", path, body, resp.StatusCode, out, err)
+		}
+		return out
+	}
+	want := upToWall(post("/v1/query", plain))
+	if got := upToWall(post("/v1/query", withWorkers)); got != want {
+		t.Fatalf("/v1/query with workers answered\n%s\nwithout\n%s", got, want)
+	}
+	if got := upToWall(post("/v1/batch", withWorkers+"\n")); got != want {
+		t.Fatalf("/v1/batch line with workers answered\n%s\n/v1/query without\n%s", got, want)
+	}
+	if hits := s.Stats().ResultCache.Hits; hits != 0 {
+		t.Fatalf("%d result-cache hits with the cache off: the comparison did not execute", hits)
+	}
+}
+
+// TestShardStatsWire pins the bytes of a /v1/stats "shards" entry: keys in
+// order, SFC keys as decimal strings.
+func TestShardStatsWire(t *testing.T) {
+	b, err := json.Marshal([]ShardStats{{LoKey: 1, HiKey: math.MaxUint64, Live: 3, Generation: 4, Epoch: 5, CoverStateBytes: 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `[{"lo_key":"1","hi_key":"18446744073709551615","live":3,"generation":4,"epoch":5,"cover_state_bytes":6}]`; string(b) != want {
+		t.Fatalf("shards entry %s, want %s", b, want)
 	}
 }
 

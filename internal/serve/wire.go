@@ -41,8 +41,6 @@ type QueryRequest struct {
 	// Bound is the distance bound ε; it must be positive — the serving
 	// layer is the distance-bounded path.
 	Bound float64 `json:"bound"`
-	// Workers bounds the scatter width (≤ 0 selects the server default).
-	Workers int `json:"workers,omitempty"`
 }
 
 // AggResult is one aggregate's answer across every region.
@@ -87,6 +85,25 @@ type StatsResponse struct {
 	Draining    bool              `json:"draining"`
 	ResultCache CacheCounters     `json:"result_cache"`
 	Covers      CoverCounters     `json:"covers"`
+	Fanout      FanoutCounters    `json:"fanout"`
+	Probes      ProbeCounters     `json:"probes"`
+}
+
+// FanoutCounters is the scatter's routing economy: queries answered, result-
+// cache hits included; shards contacted across them, a hit contacting none;
+// and the widest single scatter.
+type FanoutCounters struct {
+	Queries   uint64 `json:"queries"`
+	Contacted uint64 `json:"contacted"`
+	Max       int    `json:"max"`
+}
+
+// ProbeCounters sums the executed scatters' probe work: cover ranges probed
+// by base fills and delta rows newly inverted (a hit probes nothing).
+// Against the query count they give the resident path's warm ratio.
+type ProbeCounters struct {
+	Ranges uint64 `json:"ranges"`
+	Delta  uint64 `json:"delta"`
 }
 
 // CoverCounters is the cover cache's slice of StatsResponse: cover sets built
@@ -106,16 +123,9 @@ type CacheCounters struct {
 	Evictions int64 `json:"evictions"`
 }
 
-// ShardStats is one shard's slice of StatsResponse.
-type ShardStats struct {
-	LoKey      uint64 `json:"lo_key,string"`
-	HiKey      uint64 `json:"hi_key,string"`
-	Live       int    `json:"live"`
-	Generation uint64 `json:"generation"`
-	Epoch      uint64 `json:"epoch"`
-	// CoverStateBytes is this shard's share of Covers.StateBytes.
-	CoverStateBytes int `json:"cover_state_bytes"`
-}
+// ShardStats is one shard's slice of StatsResponse; its CoverStateBytes
+// is that shard's share of Covers.StateBytes.
+type ShardStats = shard.ShardInfo
 
 // AppendRequest is the JSON body of POST /v1/append: points as [x, y]
 // pairs, weights required iff the dataset carries a weight column.

@@ -82,11 +82,14 @@ type Sharded struct {
 	dropped int
 	shards  []shardState
 
-	// Fan-out accounting: queries served, total shards contacted across
-	// them, and the widest single fan-out, all lock-free.
+	// Scatter accounting, all lock-free: queries served, total shards
+	// contacted across them, the widest single fan-out, and the probe work
+	// executed scatters did (see Response.RangesProbed).
 	queries  atomic.Uint64
 	contacts atomic.Uint64
 	maxFan   atomic.Uint64
+	ranges   atomic.Uint64
+	delta    atomic.Uint64
 
 	// results caches merged scatter-gather responses above the fan-out: a
 	// hit skips routing, the per-shard queries and the merge entirely.
@@ -346,21 +349,13 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	}
 	contacted := s.route(cover)
 
-	s.queries.Add(1)
-	s.contacts.Add(uint64(len(contacted)))
-	for {
-		cur := s.maxFan.Load()
-		if uint64(len(contacted)) <= cur || s.maxFan.CompareAndSwap(cur, uint64(len(contacted))) {
-			break
-		}
-	}
-
 	out := Response{
 		Results:         join.NewResults(req.Aggs, s.engine.NumRegions()),
 		ShardsContacted: len(contacted),
 		ShardsTotal:     len(s.shards),
 	}
 	if len(contacted) == 0 {
+		s.queries.Add(1)
 		out.Wall = time.Since(t0)
 		return out, nil
 	}
@@ -402,6 +397,18 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 		out.DeltaProbed += parts[i].DeltaProbed
 		parts[i].Release()
 	}
+	// Only an answered scatter is counted, so Queries and ContactedTotal
+	// describe answers; one that failed above returned its error instead.
+	s.queries.Add(1)
+	s.contacts.Add(uint64(len(contacted)))
+	for {
+		cur := s.maxFan.Load()
+		if uint64(len(contacted)) <= cur || s.maxFan.CompareAndSwap(cur, uint64(len(contacted))) {
+			break
+		}
+	}
+	s.ranges.Add(uint64(out.RangesProbed))
+	s.delta.Add(uint64(out.DeltaProbed))
 	out.Wall = time.Since(t0)
 	if cacheable {
 		// The merged Results are freshly allocated and never pooled, so the
@@ -434,10 +441,6 @@ func (s *Sharded) cacheKey(req Request) (resultKey, bool) {
 // only result cache on the path, the engine keeping none; 0 disables it, and
 // every Do then executes on the shards.
 func (s *Sharded) SetResultCacheCapacity(n int) { s.results.SetCapacity(n) }
-
-// CacheStats reports the scatter-gather result cache's hit/miss/eviction
-// counters.
-func (s *Sharded) CacheStats() cache.Stats { return s.results.Stats() }
 
 // EpochSum returns the sum of every shard's mutation epoch — the
 // invalidation counter the result cache keys on. Any mutation on any shard
@@ -611,17 +614,19 @@ func (s *Sharded) SetCompactionThreshold(n int) {
 	}
 }
 
-// ShardInfo is one shard's accounting snapshot.
+// ShardInfo is one shard's accounting snapshot, and its entry in the
+// daemon's /v1/stats "shards" array.
 type ShardInfo struct {
 	// LoKey and HiKey bound the shard's owned SFC key interval, inclusive.
-	LoKey, HiKey uint64
+	LoKey uint64 `json:"lo_key,string"`
+	HiKey uint64 `json:"hi_key,string"`
 	// Live is the shard's live point count; Generation its compaction
 	// generation; Epoch its mutation epoch.
-	Live       int
-	Generation uint64
-	Epoch      uint64
+	Live       int    `json:"live"`
+	Generation uint64 `json:"generation"`
+	Epoch      uint64 `json:"epoch"`
 	// CoverStateBytes is the shard's own state over the resident cover sets.
-	CoverStateBytes int
+	CoverStateBytes int `json:"cover_state_bytes"`
 }
 
 // Stats is a point-in-time accounting snapshot of the sharded dataset.
@@ -630,14 +635,21 @@ type Stats struct {
 	// fell outside the domain at construction.
 	Shards  int
 	Dropped int
-	// Live sums the shards' live point counts.
-	Live int
-	// Queries counts Do calls; ContactedTotal sums their fan-outs (the mean
+	// Live and MemoryBytes sum the shards' live point counts and resident
+	// footprints.
+	Live        int
+	MemoryBytes int
+	// Queries counts answered Do calls, result-cache hits included;
+	// ContactedTotal sums their fan-outs, a hit contacting none (the mean
 	// fan-out is ContactedTotal/Queries); MaxFanOut is the widest single
 	// scatter.
 	Queries        uint64
 	ContactedTotal uint64
 	MaxFanOut      int
+	// RangesProbed and DeltaProbed sum every executed scatter's probe work
+	// (Response.RangesProbed, Response.DeltaProbed).
+	RangesProbed uint64
+	DeltaProbed  uint64
 	// EpochSum is the result cache's invalidation counter: the sum of every
 	// shard's mutation epoch. ResultCache reports the merged-layer cache.
 	EpochSum    uint64
@@ -659,6 +671,8 @@ func (s *Sharded) Stats() Stats {
 		Queries:        s.queries.Load(),
 		ContactedTotal: s.contacts.Load(),
 		MaxFanOut:      int(s.maxFan.Load()),
+		RangesProbed:   s.ranges.Load(),
+		DeltaProbed:    s.delta.Load(),
 		ResultCache:    s.results.Stats(),
 		CoverBytes:     s.engine.CoverBytes(),
 	}
@@ -666,6 +680,7 @@ func (s *Sharded) Stats() Stats {
 	for i := range s.shards {
 		d := s.shards[i].ds.Stats()
 		st.Live += d.Live
+		st.MemoryBytes += s.shards[i].ds.MemoryBytes()
 		st.EpochSum += d.Epoch
 		st.PerShard = append(st.PerShard, ShardInfo{
 			LoKey:      s.shards[i].lo,

@@ -289,6 +289,12 @@ func TestShardedFanOut(t *testing.T) {
 	if st.Queries != 1 || st.ContactedTotal != uint64(resp.ShardsContacted) || st.MaxFanOut != resp.ShardsContacted {
 		t.Fatalf("stats = %+v after one query contacting %d", st, resp.ShardsContacted)
 	}
+	if st.RangesProbed == 0 || st.RangesProbed != uint64(resp.RangesProbed) || st.DeltaProbed != uint64(resp.DeltaProbed) {
+		t.Fatalf("stats probes {%d %d} after one scatter that probed {%d %d}", st.RangesProbed, st.DeltaProbed, resp.RangesProbed, resp.DeltaProbed)
+	}
+	if st.MemoryBytes != sc.MemoryBytes() {
+		t.Fatalf("stats memory %d B, the shards sum to %d B", st.MemoryBytes, sc.MemoryBytes())
+	}
 }
 
 // walkRoute is the routing rule the cover table's interval test replaced,
@@ -672,7 +678,7 @@ func TestShardedResultCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st0 := s.CacheStats()
+	st0 := s.Stats().ResultCache
 	if st0.Misses == 0 || s.results.Len() != 1 {
 		t.Fatalf("cold query did not populate the cache: %+v len=%d", st0, s.results.Len())
 	}
@@ -682,7 +688,7 @@ func TestShardedResultCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.CacheStats(); st.Hits != st0.Hits+1 {
+	if st := s.Stats().ResultCache; st.Hits != st0.Hits+1 {
 		t.Fatalf("repeated query missed: %+v -> %+v", st0, st)
 	}
 	if got := s.Stats().ContactedTotal; got != contacts0 {
@@ -695,6 +701,10 @@ func TestShardedResultCache(t *testing.T) {
 		t.Fatalf("probe counters must meter work done: cold {%d %d} (a fill), hit {%d %d} (none)",
 			cold.RangesProbed, cold.DeltaProbed, warm.RangesProbed, warm.DeltaProbed)
 	}
+	if st := s.Stats(); st.RangesProbed != uint64(cold.RangesProbed) || st.DeltaProbed != uint64(cold.DeltaProbed) {
+		t.Fatalf("stats probes {%d %d} after a fill {%d %d} and a hit: the hit must add none",
+			st.RangesProbed, st.DeltaProbed, cold.RangesProbed, cold.DeltaProbed)
+	}
 	want := unshardedDo(t, e, ds, allAggs, 64)
 	for k, agg := range allAggs {
 		testutil.CheckIdentical(t, fmt.Sprintf("warm agg=%v", agg), want.Results[k], warm.Results[k])
@@ -703,18 +713,18 @@ func TestShardedResultCache(t *testing.T) {
 
 	// Workers shapes only the scatter width, never the answer, so it is
 	// excluded from the key: a different Workers still hits.
-	hits := s.CacheStats().Hits
+	hits := s.Stats().ResultCache.Hits
 	if _, err := s.Do(ctx, Request{Aggs: allAggs, Bound: 64, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.CacheStats(); st.Hits != hits+1 {
+	if st := s.Stats().ResultCache; st.Hits != hits+1 {
 		t.Fatalf("Workers leaked into the cache key: %+v", st)
 	}
 	// A different bound is a different key.
 	if _, err := s.Do(ctx, Request{Aggs: allAggs, Bound: 128}); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.CacheStats(); st.Hits != hits+1 {
+	if st := s.Stats().ResultCache; st.Hits != hits+1 {
 		t.Fatalf("distinct bound hit a stale entry: %+v", st)
 	}
 
@@ -741,20 +751,20 @@ func TestShardedResultCache(t *testing.T) {
 		if after := s.EpochSum(); after == before {
 			t.Fatalf("%s left the epoch sum at %d", m.name, before)
 		}
-		misses := s.CacheStats().Misses
+		misses := s.Stats().ResultCache.Misses
 		fresh, err := s.Do(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := s.CacheStats(); st.Misses != misses+1 {
+		if st := s.Stats().ResultCache; st.Misses != misses+1 {
 			t.Fatalf("query after %s was served stale: %+v", m.name, st)
 		}
-		hits := s.CacheStats().Hits
+		hits := s.Stats().ResultCache.Hits
 		again, err := s.Do(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := s.CacheStats(); st.Hits != hits+1 {
+		if st := s.Stats().ResultCache; st.Hits != hits+1 {
 			t.Fatalf("re-warm after %s missed: %+v", m.name, st)
 		}
 		for k, agg := range allAggs {
@@ -784,7 +794,7 @@ func TestShardedResultCache(t *testing.T) {
 	// beneath the scatter caches in its place — every repeat executes on the
 	// shards and answers the same.
 	s.SetResultCacheCapacity(0)
-	frozen := s.CacheStats()
+	frozen := s.Stats().ResultCache
 	contacts := s.Stats().ContactedTotal
 	for i := 0; i < 2; i++ {
 		got, err := s.Do(ctx, req)
@@ -795,7 +805,7 @@ func TestShardedResultCache(t *testing.T) {
 			testutil.CheckIdentical(t, fmt.Sprintf("uncached repeat %d agg=%v", i, agg), final.Results[k], got.Results[k])
 		}
 	}
-	if st := s.CacheStats(); st.Hits != frozen.Hits || st.Misses != frozen.Misses {
+	if st := s.Stats().ResultCache; st.Hits != frozen.Hits || st.Misses != frozen.Misses {
 		t.Fatalf("disabled cache still probed: %+v -> %+v", frozen, st)
 	}
 	if got, want := s.Stats().ContactedTotal, contacts+2*uint64(final.ShardsContacted); got != want {
