@@ -218,10 +218,13 @@ func TestUnregisterReleasesStore(t *testing.T) {
 		}
 	}
 	before := coverBuilds(e)
+	if n, err := dss[1].Delete(0); n != 1 || err != nil {
+		t.Fatalf("Delete = (%d, %v), want one live row deleted", n, err)
+	}
 	resp := pointIdxDo(t, e, dss[1], bounds[0], Count, Sum, Min)
 	if after := coverBuilds(e); after != before || resp.RangesProbed == 0 {
-		// Min was never asked for, so this read widens the survivor's own
-		// partials — from the cover set that stayed cached.
+		// The delete changed the survivor's base rows, so this read refills
+		// its own partials — from the cover set that stayed cached.
 		t.Errorf("survivor rebuilt covers (%d → %d builds) or did no fill (%d ranges probed)", before, after, resp.RangesProbed)
 	}
 	resp.Release()

@@ -133,6 +133,7 @@ func (j *ACTJoiner) AggregateWithRange(ps PointSet, agg Agg) (Result, []Interval
 		return Result{}, nil, err
 	}
 	res := newResult(agg, j.numReg)
+	a := res.acc()
 	// The boundary partial, folded by sign.
 	pos, neg := make([]float64, j.numReg), make([]float64, j.numReg)
 	// The one loop that reads the payload's boundary bit; the visit order is
@@ -151,7 +152,7 @@ func (j *ACTJoiner) AggregateWithRange(ps PointSet, agg Agg) (Result, []Interval
 		buf = j.trie.LookupAppend(key, buf[:0])
 		for _, v := range buf {
 			region, isBoundary := decodePayload(v)
-			res.add(region, w)
+			a.add(region, w)
 			switch {
 			case !isBoundary:
 			case bw > 0:

@@ -28,16 +28,17 @@ import (
 //     each boundary located once however many ranges meet at it — and
 //     gathered through the index pairs into one region-ordered span column.
 //     The spans ride on the partials folded from them, so a fill over the
-//     same base store — after a delete, or to widen the columns — reuses
+//     same base store — after a delete, or to add the weight pass — reuses
 //     them; only a new base store forces a resolution.
 //  2. Fold: per region, the live count of each span in its contiguous slice
-//     of the span column comes from one count pass, and its sum, min and max
-//     from one span fold (whole blocks through their aggregates, the end
-//     rows read, tombstoned rows skipped); both fold in the region's own
-//     Lo-ascending range order into the region's base partial, and the
-//     partials are published (basePartials). Columns fill by need: a {count}
-//     query never reads a weight, and a later query asking for more refills
-//     with the union of what has been asked.
+//     of the span column comes from the count pass, and — once any query
+//     has asked for SUM, AVG, MIN or MAX — its sum, min and max from the
+//     weight pass, one span fold for all three (whole blocks through their
+//     aggregates, the end rows read, tombstoned rows skipped); both fold in
+//     the region's own Lo-ascending range order into the region's base
+//     partial, and the partials are published (basePartials). A {count}
+//     query never reads a weight, and on one base identity the partials
+//     fill at most twice: the count pass, then the count and weight passes.
 //
 // The inversion is incremental per delta lineage (a compaction generation
 // plus its dead-row count; appends extend it, delta deletes and compactions
@@ -135,7 +136,8 @@ const (
 // pointer and shared read-only by every query until a delete or compaction
 // changes the identity. gen orders publications: a reader still holding a
 // pre-compaction snapshot must not replace the partials of the base that
-// superseded it. acc holds the columns some query asked for.
+// superseded it. acc holds counts, and the three weight columns when the
+// weight pass ran (some query asked for a weight aggregate).
 //
 // spanLo and spanHi are every cover range resolved against base: the rows
 // [spanLo[i], spanHi[i]), region-ordered like the plan's ranges. They depend
@@ -151,13 +153,19 @@ type basePartials struct {
 	acc            acc
 }
 
-// serves reports whether bp answers needs over snap's base rows.
+// serves reports whether bp answers over snap's base rows, with the weight
+// columns when weights asks for them.
 //
 //distbound:noalloc
-func (bp *basePartials) serves(snap *pointstore.Snapshot, needs aggNeeds) bool {
+func (bp *basePartials) serves(snap *pointstore.Snapshot, weights bool) bool {
 	return bp != nil && bp.base == snap.BaseStore() && bp.tombs == snap.Tombstones() &&
-		bp.acc.held().with(needs) == bp.acc.held()
+		(bp.weighted() || !weights)
 }
+
+// weighted reports whether bp's fill ran the weight pass.
+//
+//distbound:noalloc
+func (bp *basePartials) weighted() bool { return bp.acc.sums != nil }
 
 // deltaPartials is the per-region accumulation of delta rows [0, upto) of
 // one delta lineage: within a compaction generation the delta tail is
@@ -186,8 +194,8 @@ func (dp *deltaPartials) extends(snap *pointstore.Snapshot) bool {
 type ProbeStats struct {
 	// RangesProbed is the number of cover ranges whose span aggregates were
 	// computed by a base fill: every region's every range (NumRanges) when
-	// this execution filled (or widened) the base partials, 0 when it was
-	// served from published ones.
+	// this execution filled the base partials — a count pass, or a count and
+	// weight pass — 0 when it was served from published ones.
 	RangesProbed int
 	// DeltaProbed is the number of live delta rows this execution searched
 	// into the boundary segments: the rows past the published watermark, 0
@@ -445,36 +453,38 @@ func (p *coverPlan) memoryBytes() int {
 
 // AggregateMultiInto computes every aggregate in aggs over the attached
 // dataset through the cover table — one monotone boundary sweep, one batched
-// span fold per region and needed column, the delta tail inverted into the
-// boundary segments once — into caller-provided results, allocation-free
-// when warm. One snapshot is loaded up front, so every aggregate of one call
-// answers over the same instant of the dataset. results must hold one Result
-// per aggregate, positionally aligned with aggs, each with Counts (and
-// Sums/Extremes where the aggregate needs them) sized to the region count;
-// every slot is overwritten. The returned ProbeStats counts the work this
-// call performed: zero on the warm path. workers only shapes a base fill;
-// inversion and merge run inline whatever it says.
+// count pass per region and one weight pass when an aggregate reads weights,
+// the delta tail inverted into the boundary segments once — into
+// caller-provided results, allocation-free when warm. One snapshot is loaded
+// up front, so every aggregate of one call answers over the same instant of
+// the dataset. results must hold one Result per aggregate, positionally
+// aligned with aggs, each with Counts (and Sums/Extremes where the aggregate
+// needs them) sized to the region count; every slot is overwritten. The
+// returned ProbeStats counts the work this call performed: zero on the warm
+// path. workers only shapes a base fill; inversion and merge run inline
+// whatever it says.
 //
 //distbound:noalloc
 func (j *PointIdxJoiner) AggregateMultiInto(ctx context.Context, aggs []Agg, workers int, results []Result) (ProbeStats, error) {
 	if err := j.validateAggs(aggs); err != nil {
 		return ProbeStats{}, err
 	}
-	return j.aggregateSnapshot(ctx, j.src.Snapshot(), needsOf(aggs), workers, results)
+	return j.aggregateSnapshot(ctx, j.src.Snapshot(), needsOf(aggs) != (aggNeeds{}), workers, results)
 }
 
 // aggregateSnapshot answers over one snapshot: load the published base
 // partials and delta accumulators, bring whichever does not cover snap up to
 // it (fillBase, extendDelta — the only steps that allocate), and merge. It
-// allocates nothing when both already do.
+// allocates nothing when both already do. weights asks for the weight
+// columns.
 //
 //distbound:noalloc
-func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore.Snapshot, needs aggNeeds, workers int, results []Result) (ProbeStats, error) {
+func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore.Snapshot, weights bool, workers int, results []Result) (ProbeStats, error) {
 	var stats ProbeStats
 	var err error
 	bp := j.base.Load()
-	if !bp.serves(snap, needs) {
-		if bp, err = j.fillBase(ctx, snap, needs, workers); err != nil {
+	if !bp.serves(snap, weights) {
+		if bp, err = j.fillBase(ctx, snap, weights, workers); err != nil {
 			return ProbeStats{}, err
 		}
 		stats.RangesProbed = j.NumRanges()
@@ -495,28 +505,23 @@ func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore
 
 // fillBase is the fill: it takes the published partials' spans when they
 // were resolved against snap's base store and resolves afresh otherwise,
-// folds every region's ranges for the columns needs asks, and publishes the
-// partials with their spans. When the published partials already describe
-// snap's base rows and merely lack columns, the fill computes the union, so
-// the published set only widens while the base rows stand still (three
-// widenings at most). Racing fills of one identity produce identical columns
-// from the same immutable base, so any of their publications is correct; a
-// fill for a superseded base answers its caller and publishes nothing.
-func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot, needs aggNeeds, workers int) (*basePartials, error) {
+// folds every region's ranges — the count pass, and the weight pass when
+// weights asks for it — and publishes the partials with their spans. Racing
+// fills of one identity produce identical columns from the same immutable
+// base, so any of their publications is correct; a fill for a superseded
+// base answers its caller and publishes nothing.
+func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot, weights bool, workers int) (*basePartials, error) {
 	p := j.plan
 	next := &basePartials{base: snap.BaseStore(), gen: snap.Gen(), tombs: snap.Tombstones()}
 	if cur := j.base.Load(); cur != nil && cur.base == next.base {
 		next.spanLo, next.spanHi = cur.spanLo, cur.spanHi
-		if cur.tombs == next.tombs {
-			needs = needs.with(cur.acc.held())
-		}
 	} else {
 		var err error
 		if next.spanLo, next.spanHi, err = p.resolve(ctx, snap, workers); err != nil {
 			return nil, err
 		}
 	}
-	next.acc = newAcc(needs, j.NumRegions())
+	next.acc = newAcc(aggNeeds{sum: weights, min: weights, max: weights}, j.NumRegions())
 	shards := pool.SplitWeighted(j.NumRegions(), workers, func(ri int) int64 {
 		return int64(p.regOff[ri+1]-p.regOff[ri]) + 1
 	})
@@ -534,8 +539,8 @@ func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot
 
 // foldRegions folds the base partials of regions [from, to) into bp's acc
 // slots: per region, its contiguous slice of bp's span columns goes through
-// the batched span folds a chunk of foldChunk ranges at a time — one count
-// pass, then one weight fold for every float column the acc holds — and the
+// the batched span folds a chunk of foldChunk ranges at a time — the count
+// pass, then the weight pass when bp holds weight columns — and the
 // per-range values fold in the region's own Lo-ascending order (the
 // reference execution's fold order).
 //
@@ -544,20 +549,8 @@ func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, 
 	var (
 		cnt         [foldChunk]int64
 		sum, mn, mx [foldChunk]float64
-		// The weight fold's output columns; nil for an aggregate not held.
-		sumCol, mnCol, mxCol []float64
 	)
-	a := &bp.acc
-	needs := a.held()
-	if needs.sum {
-		sumCol = sum[:]
-	}
-	if needs.min {
-		mnCol = mn[:]
-	}
-	if needs.max {
-		mxCol = mx[:]
-	}
+	a, weights := &bp.acc, bp.weighted()
 	done := ctx.Done()
 	for ri := from; ri < to; ri++ {
 		rc, rsum, rmn, rmx := int64(0), 0.0, math.Inf(1), math.Inf(-1)
@@ -568,29 +561,20 @@ func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, 
 			n := min(foldChunk, end-lo)
 			los, his := bp.spanLo[lo:lo+n], bp.spanHi[lo:lo+n]
 			snap.CountSpans(los, his, cnt[:n])
-			snap.FoldSpans(los, his, sumCol, mnCol, mxCol)
-			for i := 0; i < n; i++ {
-				rc += cnt[i]
-				if needs.sum {
-					rsum += sum[i]
-				}
-				if needs.min {
-					rmn = min(rmn, mn[i])
-				}
-				if needs.max {
-					rmx = max(rmx, mx[i])
-				}
+			for _, c := range cnt[:n] {
+				rc += c
+			}
+			if !weights {
+				continue
+			}
+			snap.FoldSpans(los, his, sum[:n], mn[:n], mx[:n])
+			for i := range n {
+				rsum, rmn, rmx = rsum+sum[i], min(rmn, mn[i]), max(rmx, mx[i])
 			}
 		}
 		a.counts[ri] = rc
-		if needs.sum {
-			a.sums[ri] = rsum
-		}
-		if needs.min {
-			a.mins[ri] = rmn
-		}
-		if needs.max {
-			a.maxs[ri] = rmx
+		if weights {
+			a.sums[ri], a.mins[ri], a.maxs[ri] = rsum, rmn, rmx
 		}
 	}
 	return nil

@@ -275,7 +275,7 @@ func TestCoverPlanWeightedFoldIsolation(t *testing.T) {
 
 // TestResolvedSpansIncrementalMaintenance pins the sharing contract of the
 // span resolution the base partials carry: fills against one base store —
-// under appends, deletes and column widenings, which never move base rows —
+// under appends, deletes and the weight pass, which never move base rows —
 // reuse one resolution; a compaction's new base forces exactly one
 // re-resolution, reusing the cover table by identity; a fill on a snapshot
 // the compaction superseded neither publishes nor disturbs the current
@@ -314,9 +314,9 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	if pj.base.Load().base != store.Snapshot().BaseStore() {
 		t.Fatal("published resolution names a foreign base")
 	}
-	checkPlanMatchesPerRegion(t, "widened", pj, ref, aggs)
+	checkPlanMatchesPerRegion(t, "weight-pass", pj, ref, aggs)
 	if spans() != rs1 {
-		t.Fatal("widening the columns re-resolved spans")
+		t.Fatal("the weight pass re-resolved spans")
 	}
 
 	// Mutations that keep the base: the resolution must survive untouched.
@@ -348,7 +348,7 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	// A reader still on the pre-compaction snapshot fills for its own
 	// answer and publishes nothing, so a delete on the current base then
 	// refills from the current base's spans.
-	if _, err := pj.aggregateSnapshot(ctx, old, needsOf(aggs), 1, NewResults(aggs, pj.NumRegions())); err != nil {
+	if _, err := pj.aggregateSnapshot(ctx, old, weightsAsked(aggs), 1, NewResults(aggs, pj.NumRegions())); err != nil {
 		t.Fatal(err)
 	}
 	if spans() != rs2 {

@@ -67,6 +67,7 @@ func (j *GridJoiner) Aggregate(regions []geom.Region, agg Agg) (Result, error) {
 		return Result{}, err
 	}
 	res := newResult(agg, len(regions))
+	a := res.acc()
 	for ri, rg := range regions {
 		bb := rg.Bounds().Intersection(j.bounds)
 		if bb.IsEmpty() {
@@ -83,7 +84,7 @@ func (j *GridJoiner) Aggregate(regions []geom.Region, agg Agg) (Result, error) {
 				for _, pi := range j.buckets[y*j.res+x] {
 					p := j.ps.Pts[pi]
 					if rg.ContainsPoint(p) {
-						res.add(ri, j.ps.weight(int(pi)))
+						a.add(ri, j.ps.weight(int(pi)))
 					}
 				}
 			}

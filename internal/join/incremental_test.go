@@ -58,6 +58,10 @@ func (j *PointIdxJoiner) withSource(src *pointstore.Mutable) *PointIdxJoiner {
 	return j.CoverSet.Attach(src)
 }
 
+// weightsAsked reports whether any aggregate in aggs reads a weight column:
+// the weight-pass bit AggregateMultiInto derives from its aggregate set.
+func weightsAsked(aggs []Agg) bool { return needsOf(aggs) != (aggNeeds{}) }
+
 // foldHarness is one store under mutation with, per bound, the joiner under
 // test (inc) and the drop-and-recompute reference (ref).
 type foldHarness struct {
@@ -174,12 +178,12 @@ func (h *foldHarness) queryAt(snap *pointstore.Snapshot, bi int, aggs []Agg, wor
 	ctx := context.Background()
 	n := h.inc[bi].NumRegions()
 	got, want := NewResults(aggs, n), NewResults(aggs, n)
-	stats, err := h.inc[bi].aggregateSnapshot(ctx, snap, needsOf(aggs), workers, got)
+	stats, err := h.inc[bi].aggregateSnapshot(ctx, snap, weightsAsked(aggs), workers, got)
 	if err != nil {
 		h.t.Fatal(err)
 	}
 	h.ref[bi].dropPartials()
-	full, err := h.ref[bi].aggregateSnapshot(ctx, snap, needsOf(aggs), 1, want)
+	full, err := h.ref[bi].aggregateSnapshot(ctx, snap, weightsAsked(aggs), 1, want)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -329,33 +333,34 @@ func TestIncrementalFoldEdges(t *testing.T) {
 		}
 	})
 
-	t.Run("lazy column union", func(t *testing.T) {
+	t.Run("a count pass then one weight pass", func(t *testing.T) {
 		h := newFoldHarness(t, true)
 		uniq := h.inc[2].NumRanges()
 		for _, step := range []struct {
-			aggs []Agg
-			have aggNeeds
+			aggs     []Agg
+			probed   int
+			weighted bool
 		}{
-			{[]Agg{Count}, aggNeeds{}},
-			{[]Agg{Min}, aggNeeds{min: true}},
-			{[]Agg{Sum, Max}, aggNeeds{sum: true, min: true, max: true}},
+			{[]Agg{Count}, uniq, false},
+			{[]Agg{Min}, uniq, true},
+			{[]Agg{Sum, Max}, 0, true},
+			{allFive, 0, true},
+			{[]Agg{Count}, 0, true},
 		} {
-			if st := h.query(2, step.aggs, 1); st.RangesProbed != uniq {
-				t.Fatalf("%v: reported %+v, want a fill for the missing columns", step.aggs, st)
+			if st := h.query(2, step.aggs, 1); st != (ProbeStats{RangesProbed: step.probed}) {
+				t.Fatalf("%v: reported %+v, want %d ranges probed", step.aggs, st, step.probed)
 			}
-			if have := h.inc[2].base.Load().acc.held(); have != step.have {
-				t.Fatalf("%v: published columns %+v, want %+v", step.aggs, have, step.have)
+			if w := h.inc[2].base.Load().weighted(); w != step.weighted {
+				t.Fatalf("%v: published weight pass %v, want %v", step.aggs, w, step.weighted)
 			}
 		}
-		if st := h.query(2, allFive, 1); st != (ProbeStats{}) {
-			t.Fatalf("query over the union reported %+v, want no work", st)
-		}
-		// A refill after a delete keeps serving what was asked for last, and
-		// a narrower query does not shrink the set.
+		// A count-only refill after a delete folds no weight column.
 		h.deleteFrom(&h.baseIDs, 5)
-		h.query(2, []Agg{Count}, 1)
-		if have := h.inc[2].base.Load().acc.held(); have != (aggNeeds{}) {
-			t.Fatalf("count-only refill computed columns %+v nobody asked for", have)
+		if st := h.query(2, []Agg{Count}, 1); st.RangesProbed != uniq {
+			t.Fatalf("count after a delete reported %+v, want a refill", st)
+		}
+		if bp := h.inc[2].base.Load(); bp.weighted() || bp.acc.sums != nil || bp.acc.mins != nil || bp.acc.maxs != nil {
+			t.Fatal("count-only refill folded a weight column nobody asked for")
 		}
 	})
 
@@ -427,14 +432,21 @@ func TestIncrementalFoldEdges(t *testing.T) {
 		if err := h.inc[1].Refresh(ctx, 1); err != nil {
 			t.Fatal(err)
 		}
-		if bp := h.inc[1].base.Load(); !bp.serves(h.store.Snapshot(), aggNeeds{sum: true}) || bp.acc.held() != (aggNeeds{sum: true}) {
-			t.Fatalf("Refresh published %+v", bp.acc.held())
+		if bp := h.inc[1].base.Load(); !bp.serves(h.store.Snapshot(), true) {
+			t.Fatalf("Refresh dropped the weight pass: published weighted=%v", bp.weighted())
 		}
-		if st := h.query(1, []Agg{Count, Sum}, 1); st != (ProbeStats{}) {
+		if st := h.query(1, allFive, 1); st != (ProbeStats{}) {
 			t.Fatalf("query after Refresh reported %+v, want no work", st)
 		}
-		if h.inc[1].base.Load().serves(h.store.Snapshot(), needsOf(allFive)) {
-			t.Fatal("Refresh claims columns nobody filled")
+		// A count-only joiner's Refresh stays count-only.
+		h.query(2, []Agg{Count}, 1)
+		h.append(8)
+		h.compact()
+		if err := h.inc[2].Refresh(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+		if bp := h.inc[2].base.Load(); !bp.serves(h.store.Snapshot(), false) || bp.weighted() {
+			t.Fatalf("Refresh of count-only partials: serves %v, weighted %v", bp.serves(h.store.Snapshot(), false), bp.weighted())
 		}
 	})
 }
@@ -493,12 +505,12 @@ func TestIncrementalFoldConcurrent(t *testing.T) {
 			got, want := NewResults(aggs, n), NewResults(aggs, n)
 			for i := 0; i < rounds; i++ {
 				snap := h.store.Snapshot()
-				if _, err := inc.aggregateSnapshot(ctx, snap, needsOf(aggs), 1+r%2, got); err != nil {
+				if _, err := inc.aggregateSnapshot(ctx, snap, weightsAsked(aggs), 1+r%2, got); err != nil {
 					t.Error(err)
 					return
 				}
 				own.dropPartials()
-				if _, err := own.aggregateSnapshot(ctx, snap, needsOf(aggs), 1, want); err != nil {
+				if _, err := own.aggregateSnapshot(ctx, snap, weightsAsked(aggs), 1, want); err != nil {
 					t.Error(err)
 					return
 				}

@@ -139,38 +139,31 @@ func NewResults(aggs []Agg, n int) []Result {
 	return out
 }
 
+// newResult is one Result over n regions: the columns its aggregate reads,
+// at the accumulator's fold identities (Result.acc's inverse).
 func newResult(agg Agg, n int) Result {
-	r := Result{Agg: agg, Counts: make([]int64, n)}
-	switch agg {
-	case Sum, Avg:
-		r.Sums = make([]float64, n)
-	case Min, Max:
-		r.Extremes = make([]float64, n)
-		init := math.Inf(1)
-		if agg == Max {
-			init = math.Inf(-1)
-		}
-		for i := range r.Extremes {
-			r.Extremes[i] = init
-		}
+	a := newAcc(needsOf([]Agg{agg}), n)
+	r := Result{Agg: agg, Counts: a.counts, Sums: a.sums, Extremes: a.mins}
+	if agg == Max {
+		r.Extremes = a.maxs
 	}
 	return r
 }
 
-// add records a matched point for a region. Extremes use the builtin min and
-// max, which order −0 below +0, as every join's accumulator does.
-func (r *Result) add(region int, w float64) {
-	r.Counts[region]++
-	if r.Sums != nil {
-		r.Sums[region] += w
+// acc returns r's columns as an accumulator over the same storage — counts,
+// sums for SUM and AVG, and Extremes as the MIN or MAX column — so every
+// per-region fold and merge writes a Result through the one accumulator.
+//
+//distbound:noalloc
+func (r *Result) acc() acc {
+	a := acc{counts: r.Counts, sums: r.Sums}
+	switch r.Agg {
+	case Min:
+		a.mins = r.Extremes
+	case Max:
+		a.maxs = r.Extremes
 	}
-	if r.Extremes != nil {
-		if r.Agg == Min {
-			r.Extremes[region] = min(r.Extremes[region], w)
-		} else {
-			r.Extremes[region] = max(r.Extremes[region], w)
-		}
-	}
+	return a
 }
 
 // Value returns the final aggregate for a region. Regions with no matched
@@ -202,10 +195,11 @@ func BruteForce(ps PointSet, regions []geom.Region, agg Agg) (Result, error) {
 		return Result{}, err
 	}
 	res := newResult(agg, len(regions))
+	a := res.acc()
 	for i, p := range ps.Pts {
 		for ri, rg := range regions {
 			if rg.ContainsPoint(p) {
-				res.add(ri, ps.weight(i))
+				a.add(ri, ps.weight(i))
 			}
 		}
 	}

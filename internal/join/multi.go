@@ -49,14 +49,10 @@ func ExtremeIn(aggs []Agg) bool {
 	return false
 }
 
-// aggNeeds records which accumulator columns an aggregate set requires.
+// aggNeeds records which accumulator columns an aggregate set requires: what
+// the streaming folds keep, column by column.
 type aggNeeds struct {
 	sum, min, max bool
-}
-
-// with returns the columns either set requires.
-func (n aggNeeds) with(o aggNeeds) aggNeeds {
-	return aggNeeds{sum: n.sum || o.sum, min: n.min || o.min, max: n.max || o.max}
 }
 
 func needsOf(aggs []Agg) aggNeeds {
@@ -74,11 +70,12 @@ func needsOf(aggs []Agg) aggNeeds {
 	return n
 }
 
-// acc is the per-region accumulator every fold keeps: the four columns every
-// aggregate derives from, counts always, the others only when some aggregate
-// needs them — a nil column is one nobody asked for. Extremes use the builtin
-// min and max, which order −0 below +0, so no MIN or MAX depends on the order
-// its values arrive in.
+// acc is the per-region accumulator every fold and merge goes through (a
+// Result's columns too, through Result.acc): the four columns every aggregate
+// derives from, counts always, the others only when some aggregate needs
+// them — a nil column is one nobody asked for. Extremes use the builtin min
+// and max, which order −0 below +0, so no MIN or MAX depends on the order its
+// values arrive in.
 type acc struct {
 	counts []int64
 	sums   []float64
@@ -104,13 +101,6 @@ func newAcc(needs aggNeeds, n int) acc {
 		}
 	}
 	return a
-}
-
-// held reports which weight columns a holds.
-//
-//distbound:noalloc
-func (a *acc) held() aggNeeds {
-	return aggNeeds{sum: a.sums != nil, min: a.mins != nil, max: a.maxs != nil}
 }
 
 // memoryBytes is the accumulator's footprint.
@@ -167,21 +157,26 @@ func (a *acc) merge(p *acc) {
 //distbound:noalloc
 func (a *acc) writeTo(results []Result, delta *acc) {
 	for k := range results {
-		r := &results[k]
-		out := acc{counts: r.Counts, sums: r.Sums}
+		out := results[k].acc()
 		copy(out.counts, a.counts)
 		copy(out.sums, a.sums)
-		switch r.Agg {
-		case Min:
-			out.mins = r.Extremes
-			copy(out.mins, a.mins)
-		case Max:
-			out.maxs = r.Extremes
-			copy(out.maxs, a.maxs)
-		}
+		copy(out.mins, a.mins)
+		copy(out.maxs, a.maxs)
 		if delta != nil {
 			out.merge(delta)
 		}
+	}
+}
+
+// MergeResults folds one partition's results into dst, aggregate by
+// aggregate and region by region, through the accumulator's merge: counts
+// and sums add, extremes take the builtin min or max. Empty regions hold the
+// fold identities (zero counts and sums, ±Inf extremes), so the merge is
+// unconditional; dst and part must align.
+func MergeResults(dst, part []Result) {
+	for k := range dst {
+		a, p := dst[k].acc(), part[k].acc()
+		a.merge(&p)
 	}
 }
 

@@ -122,9 +122,10 @@ func NewPointIdxJoiner(regions []geom.Region, src *pointstore.Mutable, eps float
 }
 
 // MemoryBytes returns this dataset's state over the cover set — whichever of
-// the per-region partials (8 bytes a region per held column) are published,
-// and the base partials' span resolution (8 bytes a cover range) — excluding
-// the shared CoverSet and the dataset.
+// the per-region partials (8 bytes a region per held column: counts, plus the
+// three weight columns once the weight pass ran) are published, and the base
+// partials' span resolution (8 bytes a cover range) — excluding the shared
+// CoverSet and the dataset.
 func (j *PointIdxJoiner) MemoryBytes() int {
 	n := 0
 	if bp := j.base.Load(); bp != nil {
@@ -137,18 +138,18 @@ func (j *PointIdxJoiner) MemoryBytes() int {
 }
 
 // Refresh brings the published base partials and their spans up to the
-// dataset's current snapshot, refilling exactly the columns earlier queries
-// asked for. A background compaction calls it right after publishing its new
-// base, so the refill happens on the compaction's goroutine instead of
-// inside the first query to arrive afterwards. A joiner no query has touched
+// dataset's current snapshot, keeping the weight pass when the partials it
+// replaces had one. A background compaction calls it right after publishing
+// its new base, so the refill happens on the compaction's goroutine instead
+// of inside the first query to arrive afterwards. A joiner no query has touched
 // has nothing to keep warm and is left alone.
 func (j *PointIdxJoiner) Refresh(ctx context.Context, workers int) error {
 	cur := j.base.Load()
 	snap := j.src.Snapshot()
-	if cur == nil || cur.serves(snap, cur.acc.held()) {
+	if cur == nil || cur.serves(snap, cur.weighted()) {
 		return nil
 	}
-	_, err := j.fillBase(ctx, snap, cur.acc.held(), workers)
+	_, err := j.fillBase(ctx, snap, cur.weighted(), workers)
 	return err
 }
 

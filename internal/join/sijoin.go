@@ -66,6 +66,7 @@ func (j *SIJoiner) Aggregate(ps PointSet, agg Agg) (Result, error) {
 		return Result{}, err
 	}
 	res := newResult(agg, len(j.regions))
+	a := res.acc()
 	buf := make([]int32, 0, 4)
 	for i, p := range ps.Pts {
 		pos, ok := j.domain.LeafPos(j.curve, p)
@@ -75,14 +76,14 @@ func (j *SIJoiner) Aggregate(ps PointSet, agg Agg) (Result, error) {
 		w := ps.weight(i)
 		buf = j.interior.LookupAppend(pos, buf[:0])
 		for _, v := range buf {
-			res.add(int(v), w)
+			a.add(int(v), w)
 		}
 		buf = j.boundary.LookupAppend(pos, buf[:0])
 		for _, v := range buf {
 			// Refinement: SI does not support approximate evaluation, so
 			// boundary hits pay the exact PIP test.
 			if j.regions[v].ContainsPoint(p) {
-				res.add(int(v), w)
+				a.add(int(v), w)
 			}
 		}
 	}

@@ -45,26 +45,14 @@ func (s *Snapshot) CountSpans(los, his []int32, out []int64) {
 
 // FoldSpans writes the live weight sum, minimum and maximum of base rows
 // [los[r], his[r]) to sum[r], mn[r] and mx[r] for every range: 0, +Inf and
-// -Inf when no live row remains. A nil column is not asked for and is left
-// alone; a non-nil one must hold at least len(los) entries. With every
-// column nil it does nothing; otherwise the snapshot must have weights.
+// -Inf when no live row remains. Each column must hold at least len(los)
+// entries, and the snapshot must have weights: a weightless one is never
+// folded.
 //
 //distbound:noalloc
 func (s *Snapshot) FoldSpans(los, his []int32, sum, mn, mx []float64) {
-	if sum == nil && mn == nil && mx == nil {
-		return
-	}
 	for r := range los {
-		a, lo, hi := s.foldSpan(int(los[r]), int(his[r]))
-		if sum != nil {
-			sum[r] = a
-		}
-		if mn != nil {
-			mn[r] = lo
-		}
-		if mx != nil {
-			mx[r] = hi
-		}
+		sum[r], mn[r], mx[r] = s.foldSpan(int(los[r]), int(his[r]))
 	}
 }
 

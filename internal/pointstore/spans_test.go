@@ -63,8 +63,7 @@ func spansFixture(t testing.TB, n, nSpans int, del bool) (*Snapshot, []int32, []
 }
 
 // TestBatchedSpansMatchScalar pins the batched fold bit-identical to the
-// scalar per-span accessors, with and without tombstones, and a column asked
-// for alone bit-identical to the same column asked for with the others.
+// scalar per-span accessors, with and without tombstones.
 func TestBatchedSpansMatchScalar(t *testing.T) {
 	for _, del := range []bool{false, true} {
 		name := "clean"
@@ -78,10 +77,8 @@ func TestBatchedSpansMatchScalar(t *testing.T) {
 			sum := make([]float64, n)
 			mn := make([]float64, n)
 			mx := make([]float64, n)
-			mnAlone := make([]float64, n)
 			s.CountSpans(los, his, cnt)
 			s.FoldSpans(los, his, sum, mn, mx)
-			s.FoldSpans(los, his, nil, mnAlone, nil)
 			for r := 0; r < n; r++ {
 				i, j := int(los[r]), int(his[r])
 				if want := int64(s.CountSpan(i, j)); cnt[r] != want {
@@ -90,8 +87,8 @@ func TestBatchedSpansMatchScalar(t *testing.T) {
 				if want := s.SumSpan(i, j); sum[r] != want {
 					t.Fatalf("span %d [%d,%d): sum %v, scalar %v", r, los[r], his[r], sum[r], want)
 				}
-				if want := s.MinSpan(i, j); mn[r] != want || mnAlone[r] != want {
-					t.Fatalf("span %d [%d,%d): min %v (alone %v), scalar %v", r, los[r], his[r], mn[r], mnAlone[r], want)
+				if want := s.MinSpan(i, j); mn[r] != want {
+					t.Fatalf("span %d [%d,%d): min %v, scalar %v", r, los[r], his[r], mn[r], want)
 				}
 				if want := s.MaxSpan(i, j); mx[r] != want {
 					t.Fatalf("span %d [%d,%d): max %v, scalar %v", r, los[r], his[r], mx[r], want)

@@ -310,7 +310,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release(ten)
 
-	var q AppendRequest
+	var q appendBody
 	if err := decodeBody(w, r, &q); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -321,7 +321,11 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	pts := make([]distbound.Point, len(q.Points))
 	for i, p := range q.Points {
-		pts[i] = distbound.Pt(p[0], p[1])
+		if !p[0].set || !p[1].set || p[2].set {
+			s.writeError(w, http.StatusBadRequest, fmt.Errorf("point %d is not [x, y]: exactly two numbers", i))
+			return
+		}
+		pts[i] = distbound.Pt(p[0].v, p[1].v)
 	}
 	ids, err := s.backend.Append(pts, q.Weights)
 	// IDs align with the request's points; a partial failure across shards

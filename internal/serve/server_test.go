@@ -698,6 +698,55 @@ func TestTrailingBytesAfterBody(t *testing.T) {
 	}
 }
 
+// TestMalformedPointRejected: an appended point is exactly two numbers.
+// encoding/json would truncate, zero-fill or skip null into a [2]float64 and
+// append a made-up point; each such body is a 400 that appends nothing and
+// leaves the epoch alone, while a well-formed one still lands.
+func TestMalformedPointRejected(t *testing.T) {
+	ts, _, _, _ := newShardedTS(t, 0)
+	stats := func() StatsResponse {
+		t.Helper()
+		var st StatsResponse
+		if _, body := getBody(t, ts.URL+"/v1/stats"); json.Unmarshal(body, &st) != nil {
+			t.Fatalf("stats body %s", body)
+		}
+		return st
+	}
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, out := postJSON(t, ts.URL+"/v1/append", json.RawMessage(body), nil)
+		return resp.StatusCode, string(out)
+	}
+	for _, body := range []string{
+		`{"points":[[5]],"weights":[1]}`,
+		`{"points":[[100,200,300]],"weights":[1]}`,
+		`{"points":[null],"weights":[1]}`,
+		`{"points":[[]],"weights":[1]}`,
+		`{"points":[[1,null]],"weights":[1]}`,
+		`{"points":[[null,1]],"weights":[1]}`,
+		`{"points":[[100,200],[300]],"weights":[1,2]}`,
+		`{"points":[["100",200]],"weights":[1]}`,
+		`{"points":[[100,1e400]],"weights":[1]}`,
+	} {
+		before := stats()
+		code, out := post(body)
+		if code != http.StatusBadRequest || !strings.Contains(out, `"error"`) {
+			t.Fatalf("%s: %d %s, want a 400 with an error", body, code, out)
+		}
+		if after := stats(); after.Live != before.Live || after.Epoch != before.Epoch {
+			t.Fatalf("%s: refused, yet live %d -> %d, epoch %d -> %d", body, before.Live, after.Live, before.Epoch, after.Epoch)
+		}
+	}
+	before := stats()
+	code, out := post(` {"points": [ [100, 200.5] , [ -0, 3e2 ] ], "weights": [1, 2]}`)
+	if code != http.StatusOK || !strings.HasPrefix(out, `{"appended":2,"ids":["`) {
+		t.Fatalf("well-formed append: %d %s", code, out)
+	}
+	if after := stats(); after.Live != before.Live+2 {
+		t.Fatalf("well-formed append of two rows moved live rows %d -> %d", before.Live, after.Live)
+	}
+}
+
 // TestBoundFinerThanLeafCell: a positive bound finer than the leaf cell is
 // the client's error: a 400 naming the floor on /v1/query, and an inline
 // error on its /v1/batch line that leaves its sibling answered.

@@ -134,6 +134,39 @@ type AppendRequest struct {
 	Weights []float64    `json:"weights,omitempty"`
 }
 
+// appendBody is AppendRequest as the handler decodes it. encoding/json
+// truncates a longer array into [2]float64, zero-fills a shorter one and
+// ignores a null element, so each point decodes into three slots that
+// record whether a number filled them: a point is exactly two numbers when
+// the first two are set and the third is not.
+type appendBody struct {
+	Points  [][3]wireCoord `json:"points"`
+	Weights []float64      `json:"weights,omitempty"`
+}
+
+// wireCoord is one coordinate of an appended point; null, and a slot past
+// the end of the point's array, leave it unset.
+type wireCoord struct {
+	v   float64
+	set bool
+}
+
+// UnmarshalJSON parses a JSON number, as encoding/json parses one into a
+// float64; anything else but null is an error.
+//
+//distbound:api json.Unmarshaler: the append handler decodes every coordinate through it
+func (c *wireCoord) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	v, err := strconv.ParseFloat(string(b), 64)
+	if err != nil {
+		return fmt.Errorf("coordinate %s is not a number a float64 holds", b)
+	}
+	c.v, c.set = v, true
+	return nil
+}
+
 // AppendResponse answers an append. IDs serialize as decimal strings —
 // they are shard-tagged uint64 handles that float64 JSON numbers cannot
 // carry exactly. When some shards refused their rows (Error set, 503), IDs

@@ -99,8 +99,8 @@ func (s *Sharded) Persist(dir string, cfg distbound.PersistConfig) error {
 // through OpenDataset into one fresh engine on regions — which must be the
 // region set the partition was built over; the per-shard domain check inside
 // OpenDataset rejects anything else. The recovered Sharded stays
-// durable shard by shard.
-func Open(regions []distbound.Region, dir string, cfg distbound.PersistConfig) (*Sharded, error) {
+// durable shard by shard. A failed Open closes the shards it opened.
+func Open(regions []distbound.Region, dir string, cfg distbound.PersistConfig) (_ *Sharded, err error) {
 	buf, err := cfg.FS().ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("shard: reading manifest: %w", err)
@@ -117,6 +117,11 @@ func Open(regions []distbound.Region, dir string, cfg distbound.PersistConfig) (
 	}
 	s := newSharded(m.Name, regions, m.HasWeights)
 	s.dropped = m.Dropped
+	defer func() {
+		if err != nil {
+			s.Close()
+		}
+	}()
 	prevHi := uint64(0)
 	for i, ms := range m.Shards {
 		// The intervals must tile the key space exactly: contiguity is what

@@ -100,8 +100,8 @@ type Sharded struct {
 // resultKey identifies one cacheable scatter-gather result. epochSum is the
 // sum of every shard's mutation epoch: any Append, Delete or Compact on any
 // shard bumps that shard's epoch, moving the sum and stranding every entry
-// keyed under the old one — no scanning, no cross-shard locks. Workers is
-// excluded: the merge folds in ascending shard order for every scatter
+// keyed under the old one — no scanning, no cross-shard locks. The scatter
+// width is no part of it: the merge folds in ascending shard order for every
 // width.
 type resultKey struct {
 	epochSum uint64
@@ -264,10 +264,6 @@ type Request struct {
 	// Bound is the distance bound ε; it must be positive — routing is
 	// cover-driven, and covers exist only for distance-bounded execution.
 	Bound float64
-	// Workers bounds how many shards are queried concurrently (≤ 0 selects
-	// GOMAXPROCS); each contacted shard runs its join single-threaded — the
-	// scatter is the parallelism.
-	Workers int
 }
 
 // Response is the merged outcome of one scatter-gather query.
@@ -341,9 +337,9 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 		}
 	}
 	// Route from the bound's shared cover set. A cold bound builds it here —
-	// once, with the request's whole worker budget — so the single-threaded
-	// shard queries below only ever attach to it.
-	cover, err := s.engine.CoverSet(ctx, req.Bound, req.Workers)
+	// once, on GOMAXPROCS workers — so the single-threaded shard queries
+	// below only ever attach to it.
+	cover, err := s.engine.CoverSet(ctx, req.Bound, 0)
 	if err != nil {
 		return Response{}, err
 	}
@@ -360,19 +356,19 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 		return out, nil
 	}
 
-	// Scatter: every contacted shard runs the resident point-index strategy
-	// — the one whose per-shard answers merge with the documented identity
-	// guarantees — with a single-threaded join each.
-	strat := distbound.StrategyPointIdx
+	// Scatter, up to GOMAXPROCS shards at a time: at a positive bound the
+	// engine's rule runs every contacted shard on the resident point-index
+	// strategy — the one whose per-shard answers merge with the documented
+	// identity guarantees — with a single-threaded join each; the scatter is
+	// the parallelism.
 	parts := make([]distbound.Response, len(contacted))
-	err = pool.RunCtx(ctx, len(contacted), pool.Workers(req.Workers, len(contacted)), func(_, i int) error {
+	err = pool.RunCtx(ctx, len(contacted), pool.Workers(0, len(contacted)), func(_, i int) error {
 		sh := &s.shards[contacted[i]]
 		resp, err := s.engine.Do(ctx, distbound.Request{
-			Dataset:  sh.ds,
-			Aggs:     req.Aggs,
-			Bound:    req.Bound,
-			Strategy: &strat,
-			Workers:  1,
+			Dataset: sh.ds,
+			Aggs:    req.Aggs,
+			Bound:   req.Bound,
+			Workers: 1,
 		})
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", contacted[i], err)
@@ -392,7 +388,7 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	// Gather: merge in ascending shard order, so float sums associate
 	// identically for every scatter width.
 	for i := range parts {
-		mergeResults(out.Results, parts[i].Results)
+		join.MergeResults(out.Results, parts[i].Results)
 		out.RangesProbed += parts[i].RangesProbed
 		out.DeltaProbed += parts[i].DeltaProbed
 		parts[i].Release()
@@ -463,28 +459,6 @@ func (s *Sharded) route(cover *join.CoverSet) []int {
 		}
 	}
 	return out
-}
-
-// mergeResults folds one shard's partial results into the accumulator:
-// counts and sums add, extremes merge through min/max. Empty regions
-// contribute the fold identities (+Inf/-Inf extremes, zero counts and
-// sums), so merging is unconditional.
-func mergeResults(acc, part []distbound.Result) {
-	for k := range acc {
-		for ri := range acc[k].Counts {
-			acc[k].Counts[ri] += part[k].Counts[ri]
-			if acc[k].Sums != nil {
-				acc[k].Sums[ri] += part[k].Sums[ri]
-			}
-			if acc[k].Extremes != nil {
-				if acc[k].Agg == distbound.Min {
-					acc[k].Extremes[ri] = math.Min(acc[k].Extremes[ri], part[k].Extremes[ri])
-				} else {
-					acc[k].Extremes[ri] = math.Max(acc[k].Extremes[ri], part[k].Extremes[ri])
-				}
-			}
-		}
-	}
 }
 
 // Append routes points to the shards owning their keys and appends each

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"distbound"
 	"distbound/internal/data"
 	"distbound/internal/geom"
+	"distbound/internal/pointstore/persist"
 	"distbound/internal/raster"
 	"distbound/internal/testutil"
 	"distbound/internal/testutil/errorfs"
@@ -74,7 +76,7 @@ func TestShardedDifferential(t *testing.T) {
 			t.Fatalf("fixture built %d shards, want %d", got, n)
 		}
 		for _, bound := range []float64{16, 64, 256} {
-			resp, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: bound, Workers: 4})
+			resp, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: bound})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,16 +90,21 @@ func TestShardedDifferential(t *testing.T) {
 }
 
 // TestShardedWorkerInvariance: the gather merges in ascending shard order
-// regardless of scatter width, so any Workers setting yields bitwise the
-// same answer.
+// regardless of scatter width, so every GOMAXPROCS — the scatter's width —
+// yields bitwise the same answer.
 func TestShardedWorkerInvariance(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	s, _, _, _, _, _, _ := fixture(t, 9, 6000, 6)
-	base, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64, Workers: 1})
+	s.SetResultCacheCapacity(0) // every width executes its own scatter
+	runtime.GOMAXPROCS(1)
+	base, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{-1, 0, 3, 16} {
-		got, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64, Workers: w})
+	for _, w := range []int{2, 3, 16} {
+		runtime.GOMAXPROCS(w)
+		got, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,6 +485,71 @@ func TestShardedManifestSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestShardedOpenClosesOnFailure: when a later shard fails to open, Open
+// closes the logs of the shards it already opened — every WAL it opened for
+// writing is closed — and once the damaged snapshot is restored, Open
+// recovers every row.
+func TestShardedOpenClosesOnFailure(t *testing.T) {
+	regions := data.Regions(data.Partition(5, 4, 4, 12))
+	pts, _ := data.TaxiPoints(39, 3000)
+	s, _, err := New("taxi", regions, pts, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := errorfs.New()
+	cfg := distbound.PersistConfig{}.WithFS(fs)
+	dir := filepath.Join(t.TempDir(), "taxi")
+	if err := s.Persist(dir, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if s.NumShards() != 3 {
+		t.Fatalf("fixture built %d shards, want 3", s.NumShards())
+	}
+	live := s.Len()
+	s.Close()
+
+	snap := filepath.Join(dir, shardDirName(2), persist.SnapshotName)
+	good := fs.Data(snap)
+	fs.SetData(snap, []byte("garbage"))
+	from := len(fs.Trace())
+	if re, err := Open(regions, dir, cfg); err == nil {
+		re.Close()
+		t.Fatal("Open accepted a garbage snapshot")
+	}
+	open := map[string]int{}
+	for _, line := range fs.Trace()[from:] {
+		f := strings.Fields(line)
+		switch {
+		case f[0] == "openwrite" && strings.HasSuffix(f[1], ".log"):
+			open[f[1]]++
+		case f[0] == "close":
+			open[f[1]]--
+		}
+	}
+	opened := 0
+	for name, n := range open {
+		if strings.HasSuffix(name, ".log") {
+			opened++
+		}
+		if n > 0 {
+			t.Errorf("the failed Open left %s open", name)
+		}
+	}
+	if opened != 2 {
+		t.Fatalf("the failed Open opened %d WALs, want the two shards before the damaged one", opened)
+	}
+
+	fs.SetData(snap, good)
+	re, err := Open(regions, dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != live {
+		t.Fatalf("reopened %d live rows, want %d", re.Len(), live)
+	}
+}
+
 // TestShardedDeleteSurfacesDurableError: a delete spanning several shards
 // where one shard's log write fails still attempts every shard and returns
 // the full live count — the removals are visible in memory — but the error
@@ -672,7 +744,7 @@ func TestShardedValidation(t *testing.T) {
 func TestShardedResultCache(t *testing.T) {
 	s, ids, e, ds, _, pts, ws := fixture(t, 21, 8000, 6)
 	ctx := context.Background()
-	req := Request{Aggs: allAggs, Bound: 64, Workers: 4}
+	req := Request{Aggs: allAggs, Bound: 64}
 
 	cold, err := s.Do(ctx, req)
 	if err != nil {
@@ -711,20 +783,12 @@ func TestShardedResultCache(t *testing.T) {
 	}
 	want.Release()
 
-	// Workers shapes only the scatter width, never the answer, so it is
-	// excluded from the key: a different Workers still hits.
-	hits := s.Stats().ResultCache.Hits
-	if _, err := s.Do(ctx, Request{Aggs: allAggs, Bound: 64, Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats().ResultCache; st.Hits != hits+1 {
-		t.Fatalf("Workers leaked into the cache key: %+v", st)
-	}
 	// A different bound is a different key.
+	hits := s.Stats().ResultCache.Hits
 	if _, err := s.Do(ctx, Request{Aggs: allAggs, Bound: 128}); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats().ResultCache; st.Hits != hits+1 {
+	if st := s.Stats().ResultCache; st.Hits != hits {
 		t.Fatalf("distinct bound hit a stale entry: %+v", st)
 	}
 

@@ -23,7 +23,7 @@ func TestShardedBuildsEachBoundOnce(t *testing.T) {
 		s.SetResultCacheCapacity(0)
 		for rep := 0; rep < 2; rep++ {
 			for _, b := range bounds {
-				if _, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: b, Workers: 4}); err != nil {
+				if _, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: b}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -69,7 +69,7 @@ func TestShardedColdBurstCoalesces(t *testing.T) {
 			if g == 0 {
 				ctx = quitter
 			}
-			resps[g], errs[g] = s.Do(ctx, Request{Aggs: allAggs, Bound: bound, Workers: 2})
+			resps[g], errs[g] = s.Do(ctx, Request{Aggs: allAggs, Bound: bound})
 		}(g)
 	}
 	// Cancel once the build has a second waiter (a build its only caller
