@@ -45,10 +45,11 @@ import (
 // restart it):
 //
 //  3. Invert: each delta row past the published watermark is located among
-//     the boundary segments once (segmentOf: a radix probe, then a binary
-//     search inside one bucket) and fanned out to the
-//     segment's covered regions' accumulators, in append order, and the
-//     accumulators are republished at the new watermark (deltaPartials).
+//     the boundary segments once (stab: one load of its radix bucket's
+//     resolution when a single segment spans the bucket, a binary search
+//     inside the bucket otherwise) and fanned out to the covering regions'
+//     accumulators, in append order, and the accumulators are republished
+//     at the new watermark (deltaPartials).
 //
 // Every query ends with
 //
@@ -106,19 +107,28 @@ type coverPlan struct {
 
 	// Boundary-segment stab lists: every key in [bkeys[s], bkeys[s+1]) — and,
 	// for the final segment, [bkeys[last], ∞) — is covered by exactly the
-	// regions in stabRegions[stabOff[s]:stabOff[s+1]] (range boundaries only
-	// ever fall on bkeys). One binary search per delta row then fans straight
-	// out to the covered regions, and the router asks whether a key interval
-	// meets any cover the same way, with no dependence on how wide any single
-	// range is.
+	// regions in stabRegions[stabOff[s]:stabOff[s+1]], in region order (range
+	// boundaries only ever fall on bkeys). One lookup per delta row or point
+	// then fans straight out to the covered regions, and the router asks
+	// whether a key interval meets any cover the same way, with no dependence
+	// on how wide any single range is.
 	stabOff     []int32
 	stabRegions []int32
 
 	// radix[b] is the index of the first boundary key whose top radixBits
 	// bits (of a 60-bit leaf key) are ≥ b; bucket radixBuckets holds every
 	// key ≥ 2^60, and radix[radixBuckets+1] = len(bkeys). segmentOf binary
-	// searches only inside its key's bucket.
+	// searches only inside its key's bucket, and only for a bucket its
+	// resolution leaves to the search.
 	radix []int32
+
+	// resolved[b] is bucket b's resolution, which stab reads before anything
+	// else. A bucket is resolved when one boundary segment spans it — no
+	// boundary key lies strictly after the bucket's first leaf key — and its
+	// segment's stab list holds at most one region: resolved[b] is then that
+	// region, or noRegion for an empty list (or a bucket before every
+	// boundary). Every other bucket holds searchBucket and is searched.
+	resolved []int32
 }
 
 // The cover table's radix index: the top 16 bits of a 60-bit leaf key.
@@ -126,6 +136,13 @@ const (
 	radixBits    = 16
 	radixShift   = 2*sfc.MaxLevel - radixBits
 	radixBuckets = 1 << radixBits
+)
+
+// A bucket resolution that names no region: the bucket's keys are covered
+// by none (noRegion), or by a list stab must search for (searchBucket).
+const (
+	noRegion     = -1
+	searchBucket = math.MinInt32
 )
 
 // basePartials is the per-region fold of one base column under one tombstone
@@ -361,7 +378,8 @@ func (p *coverPlan) buildStab() {
 	}
 }
 
-// buildRadix fills the radix offsets in one pass over the sorted keys.
+// buildRadix fills the radix offsets in one pass over the sorted keys, and
+// each bucket's resolution from them.
 func (p *coverPlan) buildRadix() {
 	p.radix = make([]int32, radixBuckets+2)
 	i := 0
@@ -372,6 +390,24 @@ func (p *coverPlan) buildRadix() {
 		p.radix[b] = int32(i)
 	}
 	p.radix[radixBuckets+1] = int32(len(p.bkeys))
+	p.resolved = make([]int32, radixBuckets+1)
+	for b := range p.resolved {
+		first, n := p.radix[b], p.radix[b+1]-p.radix[b]
+		seg := first - 1 // the segment starting before the bucket
+		if n == 1 && p.bkeys[first] == uint64(b)<<radixShift {
+			seg, n = first, 0
+		}
+		switch {
+		case n > 0:
+			p.resolved[b] = searchBucket
+		case seg < 0 || p.stabOff[seg] == p.stabOff[seg+1]:
+			p.resolved[b] = noRegion
+		case p.stabOff[seg+1]-p.stabOff[seg] == 1:
+			p.resolved[b] = p.stabRegions[p.stabOff[seg]]
+		default:
+			p.resolved[b] = searchBucket
+		}
+	}
 }
 
 // segmentOf returns the boundary segment holding key — the one starting at
@@ -395,42 +431,46 @@ func (p *coverPlan) segmentOf(key uint64) int {
 	return lo - 1
 }
 
-// resolvePoints writes into segs[i] the boundary segment of pts[i]'s leaf
-// key, or -1 when pts[i] lies outside the domain or its key precedes every
-// boundary: where nothing is covered. Most points need no leaf key: a
-// point's level-radixBits/2 cell is its key's radix bucket (the curve's
-// prefix property), and a bucket holding no boundary key lies inside the one
-// segment starting before it, which is what segmentOf would find. Only a
-// point whose bucket holds a boundary key pays the full leaf encode and the
-// in-bucket search.
-//
-//distbound:noalloc
-func (p *coverPlan) resolvePoints(d sfc.Domain, c sfc.Curve, pts []geom.Point, segs []int32) {
-	const shift = sfc.MaxLevel - radixBits/2
-	for i, pt := range pts {
-		x, y, ok := d.Coord(pt, sfc.MaxLevel)
-		b := c.Encode(radixBits/2, x>>shift, y>>shift)
-		switch {
-		case !ok:
-			segs[i] = -1
-		case p.radix[b] == p.radix[b+1]:
-			segs[i] = p.radix[b] - 1
-		default:
-			segs[i] = int32(p.segmentOf(c.Encode(sfc.MaxLevel, x, y)))
-		}
-	}
-}
-
-// stab returns the regions whose covers hold key: the stab list of key's
-// boundary segment, empty when key precedes every boundary.
+// stab returns the regions whose covers hold key, in region order: the one
+// region or none its radix bucket resolves to, and otherwise the stab list of
+// key's boundary segment, empty when key precedes every boundary. A resolved
+// key costs one load; only a key in a searched bucket pays segmentOf.
 //
 //distbound:noalloc
 func (p *coverPlan) stab(key uint64) []int32 {
+	b := min(key>>radixShift, radixBuckets)
+	switch e := p.resolved[b]; {
+	case e >= 0:
+		return p.resolved[b : b+1]
+	case e == noRegion:
+		return nil
+	}
 	seg := p.segmentOf(key)
 	if seg < 0 {
 		return nil
 	}
 	return p.stabRegions[p.stabOff[seg]:p.stabOff[seg+1]]
+}
+
+// stabPoint returns the regions whose covers hold pt's leaf cell, as stab
+// does, and none when pt lies outside the domain. Most points need no leaf
+// key: a point's level-radixBits/2 cell is its key's radix bucket (the
+// curve's prefix property), and a resolved bucket answers for every key in
+// it. Only a point in a searched bucket pays the full leaf encode.
+//
+//distbound:noalloc
+func (p *coverPlan) stabPoint(d sfc.Domain, c sfc.Curve, pt geom.Point) []int32 {
+	const shift = sfc.MaxLevel - radixBits/2
+	x, y, ok := d.Coord(pt, sfc.MaxLevel)
+	if !ok {
+		return nil
+	}
+	b := c.Encode(radixBits/2, x>>shift, y>>shift)
+	key := b << radixShift
+	if p.resolved[b] == searchBucket {
+		key = c.Encode(sfc.MaxLevel, x, y)
+	}
+	return p.stab(key)
 }
 
 // intersects reports whether any region's cover holds a key in [lo, hi]:
@@ -448,7 +488,7 @@ func (p *coverPlan) intersects(lo, hi uint64) bool {
 // memoryBytes is the plan's resident footprint.
 func (p *coverPlan) memoryBytes() int {
 	return 8*(len(p.bkeys)+len(p.ranges)) +
-		4*(len(p.regOff)+len(p.stabOff)+len(p.stabRegions)+len(p.radix))
+		4*(len(p.regOff)+len(p.stabOff)+len(p.stabRegions)+len(p.radix)+len(p.resolved))
 }
 
 // AggregateMultiInto computes every aggregate in aggs over the attached
@@ -645,11 +685,13 @@ func (p *coverPlan) resolve(ctx context.Context, snap *pointstore.Snapshot, work
 	return spanLo, spanHi, nil
 }
 
-// invertDelta searches each live delta row from index from on into the
-// plan's boundary segments and fans its contribution out to the segment's
-// stab list of covered regions, in append order, returning how many rows
-// were probed. One binary search plus the fan-out replaces the per-region
-// brute scan — O(rows × (log ranges + hits)) instead of O(regions × rows).
+// invertDelta locates each live delta row from index from on among the
+// plan's boundary segments (stab: one load when its radix bucket is
+// resolved, a search inside the bucket otherwise) and fans its contribution
+// out to the regions covering it, in append order, returning how many rows
+// were probed. The rows ascend, so one cursor walks the sorted dead list
+// beside them. The lookup plus the fan-out replaces the per-region brute
+// scan — O(rows × (log ranges + hits)) at worst instead of O(regions × rows).
 //
 //distbound:noalloc
 func (j *PointIdxJoiner) invertDelta(ctx context.Context, snap *pointstore.Snapshot, a *acc, from int) (int, error) {
@@ -657,11 +699,14 @@ func (j *PointIdxJoiner) invertDelta(ctx context.Context, snap *pointstore.Snaps
 	done := ctx.Done()
 	probed := 0
 	hasW := snap.HasWeights()
+	dead := snap.DeltaDeadRows()
+	d, _ := slices.BinarySearch(dead, from) // the first dead row at or after from
 	for k, dn := from, snap.DeltaLen(); k < dn; k++ {
 		if k%foldChunk == 0 && canceled(done) {
 			return 0, ctx.Err()
 		}
-		if !snap.DeltaLive(k) {
+		if d < len(dead) && dead[d] == k {
+			d++
 			continue
 		}
 		probed++

@@ -143,7 +143,8 @@ func splitCovers(covers [][]raster.PosRange, rng *rand.Rand) []raster.Cover {
 func samePlan(t *testing.T, label string, got, want *coverPlan) {
 	t.Helper()
 	if !slices.Equal(got.bkeys, want.bkeys) || !slices.Equal(got.regOff, want.regOff) || !slices.Equal(got.ranges, want.ranges) ||
-		!slices.Equal(got.stabOff, want.stabOff) || !slices.Equal(got.stabRegions, want.stabRegions) || !slices.Equal(got.radix, want.radix) {
+		!slices.Equal(got.stabOff, want.stabOff) || !slices.Equal(got.stabRegions, want.stabRegions) || !slices.Equal(got.radix, want.radix) ||
+		!slices.Equal(got.resolved, want.resolved) {
 		t.Fatalf("%s: the tables differ: %d keys and %d ranges, want %d and %d", label, len(got.bkeys), len(got.ranges), len(want.bkeys), len(want.ranges))
 	}
 }
@@ -216,14 +217,14 @@ func checkTable(t *testing.T, label string, covers [][]raster.PosRange, rng *ran
 		}
 	}
 
-	// The coarse-cell resolve ≡ segmentOf, at every radix bucket's first
-	// key, last key and one random key.
+	// Every bucket resolution ≡ the search it skips, and the coarse-cell
+	// lookup ≡ the segment search, at every radix bucket's first key, last
+	// key and one random key.
+	checkResolutions(t, label, p, rng)
 	bp := bucketProbes()
-	segs := make([]int32, len(bp.pts))
-	p.resolvePoints(bp.d, sfc.Hilbert{}, bp.pts, segs)
 	for i, key := range bp.keys {
-		if want := p.segmentOf(key); int(segs[i]) != want {
-			t.Fatalf("%s: the point of key %d resolves to segment %d, segmentOf says %d", label, key, segs[i], want)
+		if got, want := p.stabPoint(bp.d, sfc.Hilbert{}, bp.pts[i]), searchedStab(p, key); !slices.Equal(got, want) {
+			t.Fatalf("%s: the point of key %d meets regions %v, the segment search says %v", label, key, got, want)
 		}
 	}
 
@@ -249,6 +250,85 @@ func checkTable(t *testing.T, label string, covers [][]raster.PosRange, rng *ran
 		check(0, a-1)
 		check(a, math.MaxUint64)
 		check(rng.Uint64(), rng.Uint64())
+	}
+}
+
+// searchedStab is the stab list of key's segment as segmentOf finds it, the
+// search a resolved bucket skips.
+func searchedStab(p *coverPlan, key uint64) []int32 {
+	seg := p.segmentOf(key)
+	if seg < 0 {
+		return nil
+	}
+	return p.stabRegions[p.stabOff[seg]:p.stabOff[seg+1]]
+}
+
+// checkResolutions holds every resolved radix bucket of p to the search it
+// skips: at the bucket's first leaf key, its last and four seeded keys
+// between, the one region or none it names must be the stab list of the
+// segment segmentOf finds. It returns how many buckets are resolved.
+func checkResolutions(t *testing.T, label string, p *coverPlan, rng *rand.Rand) (resolved int) {
+	t.Helper()
+	if len(p.resolved) != radixBuckets+1 {
+		t.Fatalf("%s: %d bucket resolutions, want %d", label, len(p.resolved), radixBuckets+1)
+	}
+	for b, e := range p.resolved {
+		if e == searchBucket {
+			continue
+		}
+		resolved++
+		first := uint64(b) << radixShift
+		last := first + 1<<radixShift - 1
+		if b == radixBuckets {
+			last = math.MaxUint64
+		}
+		keys := []uint64{first, last}
+		for range 4 {
+			keys = append(keys, first+rng.Uint64()%(last-first))
+		}
+		for _, key := range keys {
+			if got, want := p.stab(key), searchedStab(p, key); !slices.Equal(got, want) {
+				t.Fatalf("%s: bucket %d resolves key %d to regions %v, the segment search says %v", label, b, key, got, want)
+			}
+		}
+	}
+	return resolved
+}
+
+// TestBucketResolutions walks every radix bucket of the tables the engine
+// builds — CoverSet's at ε 2, 4, 16, 64 and 128 (16 and up under -short) and
+// ExactCover's — on the bench partition, the Boroughs and the Neighborhoods,
+// and holds each resolved bucket to the segment search (checkResolutions).
+func TestBucketResolutions(t *testing.T) {
+	d, c := data.CityDomain(), sfc.Hilbert{}
+	ctx := context.Background()
+	for name, polys := range map[string][]*geom.Polygon{
+		"partition":     data.Partition(1, 16, 16, 12),
+		"boroughs":      data.Boroughs(1),
+		"neighborhoods": data.Neighborhoods(1),
+	} {
+		regions := data.Regions(polys)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(53))
+			for _, eps := range []float64{2, 4, 16, 64, 128} {
+				if testing.Short() && eps < 16 {
+					continue
+				}
+				cs, err := NewCoverSetCtx(ctx, regions, d, c, eps, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := checkResolutions(t, fmt.Sprintf("cover set at ε %g", eps), cs.plan, rng)
+				t.Logf("ε %g: %d of %d buckets resolved", eps, n, radixBuckets+1)
+			}
+			ec, err := NewExactCoverCtx(ctx, regions, d, c, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := checkResolutions(t, "exact cover", ec.plan, rng)
+			t.Logf("exact cover (L₀ %d): %d of %d buckets resolved", exactLevel(regions, d), n, radixBuckets+1)
+		})
 	}
 }
 

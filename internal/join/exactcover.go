@@ -16,11 +16,12 @@ import (
 // interior flag kept (raster.CoverRanges' kind sink), and the two kinds go
 // into one cover table
 // (coverplan.go) as pseudo-regions — region r's interior ranges as 2r, its
-// boundary ranges as 2r+1 — so the table, its radix index and its stab lists
-// are the cover sets' own. A point's stab list then names, in region order,
-// the regions whose interior holds it (hits, no test) and those whose boundary
-// cells hold it (refined with the region's point locator); a point in no list
-// lies in no region.
+// boundary ranges as 2r+1 — so the table, its radix index, its bucket
+// resolutions and its stab lists are the cover sets' own. A point's stab list
+// then names, in region order, the regions whose interior holds it (hits, no
+// test) and those whose boundary cells hold it (refined with the region's
+// point locator); a point in no list lies in no region. A resolved bucket's
+// one entry carries the same interior/boundary bit.
 //
 // That needs the point to lie where its key says. Its key names the leaf
 // cell Domain.Coord rounded it into, and a point within rounding of a leaf

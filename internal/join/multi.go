@@ -270,30 +270,22 @@ func (j *ACTJoiner) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg,
 	})
 }
 
-// AggregateMulti joins a streamed point set through the cover table, a chunk
-// at a time: the chunk's points are resolved to their boundary segments
-// (coverPlan.resolvePoints, most from their coarse cell alone), then each
-// point's weight fans out to its segment's stab list, the regions whose
-// covers hold it, in point order. The covers are the cells the ACT trie
-// indexes — the same conservative hierarchical raster per region at the same
-// bound — so a point meets exactly the regions its trie lookup finds, and the
-// fold visits points in the same order: every aggregate is bit-identical to
+// AggregateMulti joins a streamed point set through the cover table, point
+// after point: each point's weight fans out to the regions whose covers hold
+// it (coverPlan.stabPoint, most from their coarse cell alone), in point
+// order. The covers are the cells the ACT trie indexes — the same
+// conservative hierarchical raster per region at the same bound — so a point
+// meets exactly the regions its trie lookup finds, and the fold visits points
+// in the same order: every aggregate is bit-identical to
 // ACTJoiner.AggregateMulti.
 func (cs *CoverSet) AggregateMulti(ctx context.Context, ps PointSet, aggs []Agg, workers int) ([]Result, error) {
 	if err := ps.validateAggs(aggs); err != nil {
 		return nil, err
 	}
-	return pointChunkFold(ctx, len(ps.Pts), workers, cs.NumRegions(), aggs, func(lo, hi int, part *acc, segs *[]int32) {
-		p := cs.plan
-		*segs = append((*segs)[:0], make([]int32, hi-lo)...)
-		p.resolvePoints(cs.domain, cs.curve, ps.Pts[lo:hi], *segs)
-		for k, seg := range *segs {
-			if seg < 0 {
-				continue
-			}
-			w := ps.weight(lo + k)
-			for _, ri := range p.stabRegions[p.stabOff[seg]:p.stabOff[seg+1]] {
-				part.add(int(ri), w)
+	return pointChunkFold(ctx, len(ps.Pts), workers, cs.NumRegions(), aggs, func(lo, hi int, part *acc, _ *[]int32) {
+		for i := lo; i < hi; i++ {
+			for _, ri := range cs.plan.stabPoint(cs.domain, cs.curve, ps.Pts[i]) {
+				part.add(int(ri), ps.weight(i))
 			}
 		}
 	})

@@ -454,6 +454,13 @@ func (s *Snapshot) DeltaLiveLen() int { return len(s.deltaKeys) - len(s.deltaDea
 //distbound:noalloc
 func (s *Snapshot) DeltaDead() int { return len(s.deltaDead) }
 
+// DeltaDeadRows returns the dead delta rows, ascending. The slice is shared
+// with the snapshot and must be treated as read-only: it lets a reader walking
+// the tail in order skip dead rows with one cursor, where DeltaLive searches.
+//
+//distbound:noalloc
+func (s *Snapshot) DeltaDeadRows() []int { return s.deltaDead }
+
 // LiveLen returns the number of live points in the snapshot.
 func (s *Snapshot) LiveLen() int {
 	return s.base.Len() - len(s.tombPos) + s.DeltaLiveLen()

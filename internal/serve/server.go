@@ -327,7 +327,18 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		pts[i] = distbound.Pt(p[0].v, p[1].v)
 	}
-	ids, err := s.backend.Append(pts, q.Weights)
+	var ws []float64 // nil for a body without weights, as the backend expects
+	if q.Weights != nil {
+		ws = make([]float64, len(q.Weights))
+		for i, wt := range q.Weights {
+			if !wt.set {
+				s.writeError(w, http.StatusBadRequest, fmt.Errorf("weight %d is not a number", i))
+				return
+			}
+			ws[i] = wt.v
+		}
+	}
+	ids, err := s.backend.Append(pts, ws)
 	// IDs align with the request's points; a partial failure across shards
 	// still reports the rows that landed (NoID for the rest) beside its error.
 	var out AppendResponse

@@ -698,10 +698,11 @@ func TestTrailingBytesAfterBody(t *testing.T) {
 	}
 }
 
-// TestMalformedPointRejected: an appended point is exactly two numbers.
-// encoding/json would truncate, zero-fill or skip null into a [2]float64 and
-// append a made-up point; each such body is a 400 that appends nothing and
-// leaves the epoch alone, while a well-formed one still lands.
+// TestMalformedPointRejected: an appended point is exactly two numbers, and
+// a weight one number. encoding/json would truncate, zero-fill or skip null
+// into a [2]float64 or a float64 and append a made-up row; each such body is
+// a 400 that appends nothing and leaves the epoch alone (a null weight's
+// error names its index), while a well-formed one still lands.
 func TestMalformedPointRejected(t *testing.T) {
 	ts, _, _, _ := newShardedTS(t, 0)
 	stats := func() StatsResponse {
@@ -727,11 +728,17 @@ func TestMalformedPointRejected(t *testing.T) {
 		`{"points":[[100,200],[300]],"weights":[1,2]}`,
 		`{"points":[["100",200]],"weights":[1]}`,
 		`{"points":[[100,1e400]],"weights":[1]}`,
+		`{"points":[[100,200]],"weights":[null]}`,
+		`{"points":[[100,200],[300,400]],"weights":[1,null]}`,
 	} {
 		before := stats()
 		code, out := post(body)
 		if code != http.StatusBadRequest || !strings.Contains(out, `"error"`) {
 			t.Fatalf("%s: %d %s, want a 400 with an error", body, code, out)
+		}
+		if i := strings.Index(body, `"weights":[`); strings.HasSuffix(body, "null]}") &&
+			!strings.Contains(out, fmt.Sprintf("weight %d ", strings.Count(body[i:], ","))) {
+			t.Fatalf("%s: %s, want the error to name the null weight's index", body, out)
 		}
 		if after := stats(); after.Live != before.Live || after.Epoch != before.Epoch {
 			t.Fatalf("%s: refused, yet live %d -> %d, epoch %d -> %d", body, before.Live, after.Live, before.Epoch, after.Epoch)

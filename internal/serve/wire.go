@@ -136,17 +136,18 @@ type AppendRequest struct {
 
 // appendBody is AppendRequest as the handler decodes it. encoding/json
 // truncates a longer array into [2]float64, zero-fills a shorter one and
-// ignores a null element, so each point decodes into three slots that
-// record whether a number filled them: a point is exactly two numbers when
-// the first two are set and the third is not.
+// ignores a null element, so each point decodes into three slots and each
+// weight into one that record whether a number filled them: a point is
+// exactly two numbers when the first two are set and the third is not, and
+// a weight is a number when its slot is set.
 type appendBody struct {
-	Points  [][3]wireCoord `json:"points"`
-	Weights []float64      `json:"weights,omitempty"`
+	Points  [][3]wireNumber `json:"points"`
+	Weights []wireNumber    `json:"weights,omitempty"`
 }
 
-// wireCoord is one coordinate of an appended point; null, and a slot past
-// the end of the point's array, leave it unset.
-type wireCoord struct {
+// wireNumber is one number of an appended row; null, and a slot past the
+// end of a point's array, leave it unset.
+type wireNumber struct {
 	v   float64
 	set bool
 }
@@ -154,14 +155,14 @@ type wireCoord struct {
 // UnmarshalJSON parses a JSON number, as encoding/json parses one into a
 // float64; anything else but null is an error.
 //
-//distbound:api json.Unmarshaler: the append handler decodes every coordinate through it
-func (c *wireCoord) UnmarshalJSON(b []byte) error {
+//distbound:api json.Unmarshaler: the append handler decodes every coordinate and weight through it
+func (c *wireNumber) UnmarshalJSON(b []byte) error {
 	if string(b) == "null" {
 		return nil
 	}
 	v, err := strconv.ParseFloat(string(b), 64)
 	if err != nil {
-		return fmt.Errorf("coordinate %s is not a number a float64 holds", b)
+		return fmt.Errorf("%s is not a number a float64 holds", b)
 	}
 	c.v, c.set = v, true
 	return nil
