@@ -96,23 +96,6 @@ func (e *Engine) exactCoverCtx(ctx context.Context, workers int) (*join.ExactCov
 	return ec, nil
 }
 
-// CoverSet returns the engine's shared cover set at the bound — the cover
-// table every dataset queried at it attaches to. It depends only on the
-// engine's regions, domain, curve and bound, so it routes any dataset sharded
-// by key range over the region set: a shard whose key range the set does not
-// intersect can never contribute to a bound-ε answer. A cold call builds (and
-// caches) the set as a query would, across workers (≤ 0 selects GOMAXPROCS).
-func (e *Engine) CoverSet(ctx context.Context, bound float64, workers int) (*join.CoverSet, error) {
-	if !(bound > 0) {
-		return nil, fmt.Errorf("distbound: a cover set requires a positive bound, got %v", bound)
-	}
-	ce, err := e.coverEntryCtx(ctx, bound, workers)
-	if err != nil {
-		return nil, err
-	}
-	return ce.set, nil
-}
-
 // CoverBytes returns the resident cover sets' footprint, each counted once;
 // DatasetStats.CoverStateBytes is a dataset's own state over them.
 func (e *Engine) CoverBytes() int {

@@ -510,13 +510,13 @@ func (e *Engine) brjJoinerCtx(ctx context.Context, bound float64, workers int) (
 	return bj, nil
 }
 
-// CacheStats reports the engine's index-cache counters (hits, misses,
-// builds, coalesced waits on in-flight builds, evictions) for the BRJ and
-// cover caches. The cover cache is keyed by bound alone — one build per bound
-// however many datasets and ad-hoc act requests use it — and entries survive
-// dataset compactions, so a steady-state ingest workload shows cover hits,
-// not rebuilds, across generations; the per-dataset generation and delta
-// accounting lives in Dataset.Stats.
-func (e *Engine) CacheStats() (brj, cover cache.Stats) {
-	return e.brj.Stats(), e.covers.Stats()
+// CacheStats reports the cover cache's counters (hits, misses, builds,
+// coalesced waits on in-flight builds, evictions). The cache is keyed by
+// bound alone — one build per bound however many datasets and ad-hoc act
+// requests use it — and entries survive dataset compactions, so a
+// steady-state ingest workload shows cover hits, not rebuilds, across
+// generations; the per-dataset generation and delta accounting lives in
+// Dataset.Stats.
+func (e *Engine) CacheStats() cache.Stats {
+	return e.covers.Stats()
 }

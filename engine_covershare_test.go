@@ -42,7 +42,7 @@ func pointIdxDo(t *testing.T, e *Engine, ds *Dataset, bound float64, aggs ...Agg
 }
 
 // TestCoverSetSharedAcrossDatasets: however many datasets query a bound, the
-// engine rasterizes it once, the router and every dataset's joiner hold that
+// engine rasterizes it once, every dataset's joiner holds the cache entry's
 // one *CoverSet, and the set's bytes are charged once while each dataset
 // reports only its own state.
 func TestCoverSetSharedAcrossDatasets(t *testing.T) {
@@ -54,7 +54,7 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 			resp.Release()
 		}
 	}
-	if _, cover := e.CacheStats(); cover.Builds != int64(len(bounds)) {
+	if cover := e.CacheStats(); cover.Builds != int64(len(bounds)) {
 		t.Fatalf("%d cover builds for %d bounds × %d datasets, want one per bound", cover.Builds, len(bounds), len(dss))
 	}
 	setBytes := 0
@@ -64,16 +64,12 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 			t.Fatalf("bound %g not resident", b)
 		}
 		setBytes += ce.set.MemoryBytes()
-		routed, err := e.CoverSet(context.Background(), b, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for i, ds := range dss {
 			j := ce.peek(ds.src)
 			if j == nil {
 				t.Fatalf("bound %g: dataset %d has no joiner", b, i)
 			}
-			if j.CoverSet != routed {
+			if j.CoverSet != ce.set {
 				t.Errorf("bound %g: dataset %d probes its own copy of the cover table", b, i)
 			}
 		}
@@ -127,7 +123,7 @@ func TestCoverCacheEvictsByBound(t *testing.T) {
 		}
 	}
 	// Cyclic access to capacity+1 keys misses every time under LRU.
-	_, cover := e.CacheStats()
+	cover := e.CacheStats()
 	wantBuilds := int64(laps * len(bounds))
 	if cover.Builds != wantBuilds || cover.Evictions != wantBuilds-coverCacheCapacity {
 		t.Errorf("builds %d evictions %d, want %d and %d: capacity must count bounds, not (dataset, bound) pairs",
@@ -264,7 +260,7 @@ func TestUnregisterRacesQueries(t *testing.T) {
 }
 
 func coverBuilds(e *Engine) int64 {
-	_, cover := e.CacheStats()
+	cover := e.CacheStats()
 	return cover.Builds
 }
 

@@ -111,7 +111,7 @@ func TestPersistedWarmResidentAllocationFree(t *testing.T) {
 		}
 		resp.Release()
 	}
-	_, cover := e2.CacheStats()
+	cover := e2.CacheStats()
 	if cover.Builds != 1 {
 		t.Errorf("cover artifact built %d times for one (dataset, bound) after reopen", cover.Builds)
 	}

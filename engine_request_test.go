@@ -317,7 +317,7 @@ func TestBoundFinerThanLeafCellRefused(t *testing.T) {
 			t.Fatalf("bound %g: err %v, want a BoundTooFineError naming the floor %g", req.Bound, err, floor)
 		}
 	}
-	if _, cover := e.CacheStats(); cover.Builds != 0 {
+	if cover := e.CacheStats(); cover.Builds != 0 {
 		t.Errorf("refused bounds started %d cover builds", cover.Builds)
 	}
 }

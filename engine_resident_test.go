@@ -344,7 +344,7 @@ func TestAggregateBatchWithDatasets(t *testing.T) {
 				ri, results[0].Results[0].Counts[ri], single.Counts[ri])
 		}
 	}
-	_, cover := e.CacheStats()
+	cover := e.CacheStats()
 	if cover.Builds == 0 {
 		t.Error("resident queries never built a cover artifact")
 	}
@@ -418,7 +418,7 @@ func TestResidentConcurrency(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
 	}
-	_, cover := e2.CacheStats()
+	cover := e2.CacheStats()
 	if int(cover.Builds) > len(bounds) {
 		t.Errorf("%d cover builds for %d distinct bounds: singleflight failed", cover.Builds, len(bounds))
 	}

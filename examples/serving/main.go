@@ -83,7 +83,7 @@ func main() {
 	}
 	bresp.Body.Close()
 
-	// The stats endpoint exposes the shard layout the routing works over.
+	// The stats endpoint exposes the shard layout the scatter fans out over.
 	sresp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		log.Fatal(err)

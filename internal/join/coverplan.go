@@ -109,9 +109,8 @@ type coverPlan struct {
 	// for the final segment, [bkeys[last], ∞) — is covered by exactly the
 	// regions in stabRegions[stabOff[s]:stabOff[s+1]], in region order (range
 	// boundaries only ever fall on bkeys). One lookup per delta row or point
-	// then fans straight out to the covered regions, and the router asks
-	// whether a key interval meets any cover the same way, with no dependence
-	// on how wide any single range is.
+	// then fans straight out to the covered regions, with no dependence on
+	// how wide any single range is.
 	stabOff     []int32
 	stabRegions []int32
 
@@ -471,18 +470,6 @@ func (p *coverPlan) stabPoint(d sfc.Domain, c sfc.Curve, pt geom.Point) []int32 
 		key = c.Encode(sfc.MaxLevel, x, y)
 	}
 	return p.stab(key)
-}
-
-// intersects reports whether any region's cover holds a key in [lo, hi]:
-// from lo's segment it walks the segments starting at or below hi until one
-// has a non-empty stab list.
-func (p *coverPlan) intersects(lo, hi uint64) bool {
-	for s := max(p.segmentOf(lo), 0); s < len(p.bkeys) && p.bkeys[s] <= hi; s++ {
-		if p.stabOff[s] < p.stabOff[s+1] {
-			return true
-		}
-	}
-	return false
 }
 
 // memoryBytes is the plan's resident footprint.

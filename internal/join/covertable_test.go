@@ -20,10 +20,10 @@ import (
 )
 
 // The cover table must describe exactly the key set the rasterizer emitted —
-// no additions, no gaps — through each of its three readers: the per-region
-// index pairs the fill gathers spans through, the segment stab lists the
-// delta inversion fans out over, and the interval test the shard router asks.
-// checkTable pins all three against brute force over the covers themselves.
+// no additions, no gaps — through each of its two readers: the per-region
+// index pairs the fill gathers spans through, and the segment stab lists the
+// delta inversion fans out over. checkTable pins both against brute force
+// over the covers themselves.
 
 // stabbing returns the regions whose cover holds key, ascending.
 func stabbing(covers [][]raster.PosRange, key uint64) []int32 {
@@ -34,22 +34,6 @@ func stabbing(covers [][]raster.PosRange, key uint64) []int32 {
 		}
 	}
 	return out
-}
-
-// anyIntersects reports whether some cover range meets [lo, hi].
-func anyIntersects(covers [][]raster.PosRange, lo, hi uint64) bool {
-	for _, rs := range covers {
-		i, _ := slices.BinarySearchFunc(rs, lo, func(r raster.PosRange, k uint64) int {
-			if r.Hi < k {
-				return -1
-			}
-			return 1
-		})
-		if i < len(rs) && rs[i].Lo <= hi {
-			return true
-		}
-	}
-	return false
 }
 
 // refBuildCoverPlan is buildCoverPlan's construction by sort and search:
@@ -226,30 +210,6 @@ func checkTable(t *testing.T, label string, covers [][]raster.PosRange, rng *ran
 		if got, want := p.stabPoint(bp.d, sfc.Hilbert{}, bp.pts[i]), searchedStab(p, key); !slices.Equal(got, want) {
 			t.Fatalf("%s: the point of key %d meets regions %v, the segment search says %v", label, key, got, want)
 		}
-	}
-
-	// (c) intersects ≡ brute force, on intervals aligned to boundaries (each
-	// sampled boundary ± 1 as either end) and on random ones.
-	check := func(lo, hi uint64) {
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if got, want := p.intersects(lo, hi), anyIntersects(covers, lo, hi); got != want {
-			t.Fatalf("%s: intersects(%d, %d) = %v, brute force says %v", label, lo, hi, got, want)
-		}
-	}
-	check(0, math.MaxUint64)
-	for n := 0; n < 400 && len(p.bkeys) > 0; n++ {
-		a, b := p.bkeys[rng.Intn(len(p.bkeys))], p.bkeys[rng.Intn(len(p.bkeys))]
-		for _, lo := range []uint64{a - 1, a, a + 1} {
-			check(lo, lo)
-			for _, hi := range []uint64{b - 1, b, b + 1} {
-				check(lo, hi)
-			}
-		}
-		check(0, a-1)
-		check(a, math.MaxUint64)
-		check(rng.Uint64(), rng.Uint64())
 	}
 }
 

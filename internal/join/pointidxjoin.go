@@ -65,12 +65,6 @@ func (cs *CoverSet) NumRegions() int { return len(cs.plan.regOff) - 1 }
 // what a base fill probes.
 func (cs *CoverSet) NumRanges() int { return len(cs.plan.ranges) }
 
-// Intersects reports whether any region's cover holds a key in [lo, hi]
-// (lo ≤ hi) — whether a query at this bound can ever count a point whose key
-// lies in the interval, which is what a shard router asks of each shard's
-// key range.
-func (cs *CoverSet) Intersects(lo, hi uint64) bool { return cs.plan.intersects(lo, hi) }
-
 // MemoryBytes returns the cover table's footprint.
 func (cs *CoverSet) MemoryBytes() int { return cs.plan.memoryBytes() }
 

@@ -554,8 +554,10 @@ func (s *Snapshot) Materialize() ([]geom.Point, []float64) {
 			ws = append(ws, s.base.weights[row])
 		}
 	}
+	di := 0
 	for k := range s.deltaKeys {
-		if !s.DeltaLive(k) {
+		if di < len(s.deltaDead) && s.deltaDead[di] == k {
+			di++
 			continue
 		}
 		pts = append(pts, s.deltaPts[k])

@@ -238,6 +238,55 @@ func TestMaterializeKeepsNoCopy(t *testing.T) {
 	}
 }
 
+// TestMaterializeSkipsDeadDeltaRows: Materialize's one-cursor walk over the
+// dead delta rows keeps exactly the rows DeltaLive keeps, in append order
+// after the base survivors, with their weights — dead rows at the tail's
+// start, middle and end, beside tombstoned base rows.
+func TestMaterializeSkipsDeadDeltaRows(t *testing.T) {
+	d := testDomain(t)
+	grid := func(n int, y float64) ([]geom.Point, []float64) {
+		pts, ws := make([]geom.Point, n), make([]float64, n)
+		for i := range pts {
+			pts[i], ws[i] = geom.Pt(float64(10+97*i), y), y+float64(i)/8
+		}
+		return pts, ws
+	}
+	basePts, baseWs := grid(6, 100)
+	m, err := NewMutable(basePts, baseWs, d, sfc.Hilbert{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tailPts, tailWs := grid(9, 700)
+	ids, err := m.Append(tailPts, tailWs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Delete(1, 4, ids[0], ids[4], ids[5], ids[8])
+	snap := m.Snapshot()
+	if snap.Tombstones() != 2 || snap.DeltaDead() != 4 {
+		t.Fatalf("fixture has %d tombstones and %d dead delta rows, want 2 and 4", snap.Tombstones(), snap.DeltaDead())
+	}
+
+	var wantPts []geom.Point
+	var wantWs []float64
+	for row := range snap.basePts {
+		if !slices.Contains(snap.tombPos, row) {
+			wantPts = append(wantPts, snap.basePts[row])
+			wantWs = append(wantWs, snap.base.weights[row])
+		}
+	}
+	for k := range snap.deltaPts {
+		if snap.DeltaLive(k) {
+			wantPts = append(wantPts, snap.deltaPts[k])
+			wantWs = append(wantWs, snap.deltaWs[k])
+		}
+	}
+	pts, ws := snap.Materialize()
+	if len(pts) != snap.LiveLen() || !slices.Equal(pts, wantPts) || !slices.Equal(ws, wantWs) {
+		t.Fatalf("Materialize = %v %v, the DeltaLive filter keeps %v %v", pts, ws, wantPts, wantWs)
+	}
+}
+
 func TestMutableAppendValidation(t *testing.T) {
 	d := testDomain(t)
 	weighted, err := NewMutable([]geom.Point{geom.Pt(1, 1)}, []float64{1}, d, sfc.Hilbert{})

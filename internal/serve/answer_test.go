@@ -17,7 +17,7 @@ import (
 // copied into the wire types, for encoding/json to marshal.
 func toWire(req shard.Request, resp shard.Response) QueryResponse {
 	out := QueryResponse{
-		ShardsContacted: resp.ShardsContacted,
+		ShardsContacted: resp.ShardsTotal,
 		ShardsTotal:     resp.ShardsTotal,
 		WallNs:          resp.Wall.Nanoseconds(),
 	}
@@ -40,7 +40,7 @@ func toWire(req shard.Request, resp shard.Response) QueryResponse {
 // values: COUNT reads the counts, SUM and AVG take vals as sums, MIN and MAX
 // as extremes.
 func answerResponse(aggs []distbound.Agg, counts []int64, vals []float64) (shard.Request, shard.Response) {
-	resp := shard.Response{ShardsContacted: 3, ShardsTotal: 8, Wall: 12345 * time.Nanosecond}
+	resp := shard.Response{ShardsTotal: 8, Wall: 12345 * time.Nanosecond}
 	for _, a := range aggs {
 		r := distbound.Result{Agg: a, Counts: counts}
 		switch a {

@@ -58,8 +58,8 @@ type AggResult struct {
 // answering a batch. A batch line that failed carries Error and no Results.
 type QueryResponse struct {
 	Results []AggResult `json:"results,omitempty"`
-	// ShardsContacted / ShardsTotal report the routing economy (at most 1/1
-	// on a one-shard partition).
+	// ShardsContacted always equals ShardsTotal, the partition width: every
+	// scatter asks every shard. The field stays for the schema's sake.
 	ShardsContacted int `json:"shards_contacted"`
 	ShardsTotal     int `json:"shards_total"`
 	// WallNs is the backend execution time in nanoseconds.
@@ -89,9 +89,10 @@ type StatsResponse struct {
 	Probes      ProbeCounters     `json:"probes"`
 }
 
-// FanoutCounters is the scatter's routing economy: queries answered, result-
-// cache hits included; shards contacted across them, a hit contacting none;
-// and the widest single scatter.
+// FanoutCounters is the scatter's fan-out: queries answered, result-cache
+// hits included; shards contacted across them, an executed scatter asking
+// every shard and a hit none; and the partition width once any scatter has
+// executed.
 type FanoutCounters struct {
 	Queries   uint64 `json:"queries"`
 	Contacted uint64 `json:"contacted"`
@@ -187,7 +188,7 @@ var aggNames = [...]string{
 
 // ParseAggs maps wire aggregate names onto engine aggregates. A repeated
 // aggregate is rejected, which caps a set at the five distinct ones: every
-// entry costs a region-wide result column on every contacted shard.
+// entry costs a region-wide result column on every shard.
 func ParseAggs(names []string) ([]distbound.Agg, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("at least one aggregate is required")
@@ -247,8 +248,9 @@ func appendAnswer(b []byte, req shard.Request, resp *shard.Response) (_ []byte, 
 		b = col.append(b, r.Counts)
 		b = append(b, "]}"...)
 	}
+	// Every scatter asks every shard, so the contacted count is the width.
 	b = append(b, `],"shards_contacted":`...)
-	b = strconv.AppendInt(b, int64(resp.ShardsContacted), 10)
+	b = strconv.AppendInt(b, int64(resp.ShardsTotal), 10)
 	b = append(b, `,"shards_total":`...)
 	b = strconv.AppendInt(b, int64(resp.ShardsTotal), 10)
 	return b, -1, 0

@@ -87,7 +87,7 @@ func BenchmarkIngestRead(b *testing.B) {
 
 // BenchmarkShardedDo times one warm scatter-gather read over four shards at
 // ε 64 with all five aggregates: "executed" with the result cache off, so
-// every iteration routes, scatters and merges, and "hit" served from the
+// every iteration scatters and merges, and "hit" served from the
 // merged cache above the scatter. CI gates the hit at 0 allocs/op.
 func BenchmarkShardedDo(b *testing.B) {
 	regions := data.Regions(data.Partition(5, 16, 16, 12))

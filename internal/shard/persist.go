@@ -124,9 +124,15 @@ func Open(regions []distbound.Region, dir string, cfg distbound.PersistConfig) (
 	}()
 	prevHi := uint64(0)
 	for i, ms := range m.Shards {
+		// Each entry names the directory Persist wrote for its position:
+		// anything else could open one store as two shards or reach outside
+		// dir.
+		if ms.Dir != shardDirName(i) {
+			return nil, fmt.Errorf("shard: shard %d names directory %q, want %q", i, ms.Dir, shardDirName(i))
+		}
 		// The intervals must tile the key space exactly: contiguity is what
-		// makes Append's ownership search sound, and what lets routing skip
-		// a shard without losing a key.
+		// makes Append's ownership search sound and gives every key exactly
+		// one owning shard.
 		if i == 0 && ms.Lo != 0 {
 			return nil, fmt.Errorf("shard: first shard starts at key %d, want 0", ms.Lo)
 		}

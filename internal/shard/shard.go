@@ -1,15 +1,13 @@
 // Package shard partitions a resident point dataset into N contiguous
 // SFC-key-range shards — N datasets registered with one engine — and answers
-// distance-bounded aggregation queries by scatter-gather: each shard's key
-// interval is tested against the bound's cover table — the boundary segments
-// and their covering regions every bound-ε execution answers from — only
-// shards holding a covered key are contacted, and their partial per-region
-// aggregates merge exactly.
+// distance-bounded aggregation queries by scatter-gather: every shard is
+// asked, and their partial per-region aggregates merge exactly.
 //
 // The engine owns what does not depend on the data: the regions and, per
-// bound, one immutable cover set, built once — by the routing step, with the
-// query's whole worker budget — and shared by every shard. A shard owns only
-// its point store and its own span resolution and partials over each set.
+// bound, one immutable cover set, built once — by the first shard read at a
+// cold bound, the others coalescing onto that build — and shared by every
+// shard. A shard owns only its point store and its own span resolution and
+// partials over each set.
 //
 // Merge guarantees, relative to the same query on one unsharded engine over
 // the same points (both sides on the resident point-index strategy):
@@ -21,15 +19,6 @@
 // add in shard order instead of global key order); AVG derives from the
 // merged SUM and COUNT, so it inherits SUM's reassociation bound with an
 // exact denominator.
-//
-// Routing is conservative and exact: a shard whose key interval meets no
-// cover range holds no point any bound-respecting execution could count, so
-// skipping it can never change the answer; a shard meeting any range is
-// contacted. The test is one binary search into the table's boundary keys
-// per shard, then a walk over the segments inside the shard's interval to
-// the first one any region covers — a single step wherever covers are dense.
-// A query over a small region therefore touches only the few shards its
-// cover lands on, not all N.
 package shard
 
 import (
@@ -83,16 +72,15 @@ type Sharded struct {
 	shards  []shardState
 
 	// Scatter accounting, all lock-free: queries served, total shards
-	// contacted across them, the widest single fan-out, and the probe work
-	// executed scatters did (see Response.RangesProbed).
+	// contacted across them, and the probe work executed scatters did (see
+	// Response.RangesProbed).
 	queries  atomic.Uint64
 	contacts atomic.Uint64
-	maxFan   atomic.Uint64
 	ranges   atomic.Uint64
 	delta    atomic.Uint64
 
 	// results caches merged scatter-gather responses above the fan-out: a
-	// hit skips routing, the per-shard queries and the merge entirely.
+	// hit skips the per-shard queries and the merge entirely.
 	// Invalidation is epoch-sum based — see resultKey.
 	results *cache.ShardedLRU[resultKey, *Response]
 }
@@ -261,8 +249,8 @@ type Request struct {
 	// Aggs is the aggregate set, answered in one fan-out; at least one is
 	// required. Response.Results aligns with it positionally.
 	Aggs []distbound.Agg
-	// Bound is the distance bound ε; it must be positive — routing is
-	// cover-driven, and covers exist only for distance-bounded execution.
+	// Bound is the distance bound ε; it must be positive — the shards answer
+	// from covers, which exist only for distance-bounded execution.
 	Bound float64
 }
 
@@ -271,11 +259,9 @@ type Response struct {
 	// Results holds one merged Result per requested aggregate, positionally
 	// aligned with Request.Aggs, each spanning every region.
 	Results []distbound.Result
-	// ShardsContacted / ShardsTotal measure the routing economy: how many
-	// shards the cover set intersected vs the partition width.
-	ShardsContacted int
-	ShardsTotal     int
-	// RangesProbed / DeltaProbed sum the contacted shards' probe counters:
+	// ShardsTotal is the partition width: every scatter asks every shard.
+	ShardsTotal int
+	// RangesProbed / DeltaProbed sum the shards' probe counters:
 	// the work this scatter performed (see distbound.Response), 0 on a
 	// result-cache hit.
 	RangesProbed int
@@ -292,7 +278,7 @@ type Response struct {
 // which leaves *scratch empty. The first hit on an entry keeps an exact-size
 // copy for later hits (racing first hits both render, harmlessly), so an
 // entry never hit keeps none. render may read only what the entry fixes:
-// Results, ShardsContacted and ShardsTotal. A failed render keeps nothing.
+// Results and ShardsTotal. A failed render keeps nothing.
 func (r *Response) Rendered(scratch *[]byte, render func([]byte) ([]byte, error)) ([]byte, error) {
 	if r.rendered != nil {
 		if b := r.rendered.Load(); b != nil {
@@ -310,9 +296,9 @@ func (r *Response) Rendered(scratch *[]byte, render func([]byte) ([]byte, error)
 	return memo, nil
 }
 
-// Do answers one aggregation query: route, scatter to intersecting shards,
-// gather and merge. Canceling ctx unwinds the fan-out promptly and returns
-// ctx.Err(). Safe for concurrent use.
+// Do answers one aggregation query: scatter to every shard, gather and
+// merge. Canceling ctx unwinds the fan-out promptly and returns ctx.Err().
+// Safe for concurrent use.
 func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	t0 := time.Now()
 	if len(req.Aggs) == 0 {
@@ -336,42 +322,24 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 			return out, nil
 		}
 	}
-	// Route from the bound's shared cover set. A cold bound builds it here —
-	// once, on GOMAXPROCS workers — so the single-threaded shard queries
-	// below only ever attach to it.
-	cover, err := s.engine.CoverSet(ctx, req.Bound, 0)
-	if err != nil {
-		return Response{}, err
-	}
-	contacted := s.route(cover)
-
 	out := Response{
-		Results:         join.NewResults(req.Aggs, s.engine.NumRegions()),
-		ShardsContacted: len(contacted),
-		ShardsTotal:     len(s.shards),
+		Results:     join.NewResults(req.Aggs, s.engine.NumRegions()),
+		ShardsTotal: len(s.shards),
 	}
-	if len(contacted) == 0 {
-		s.queries.Add(1)
-		out.Wall = time.Since(t0)
-		return out, nil
-	}
-
 	// Scatter, up to GOMAXPROCS shards at a time: at a positive bound the
-	// engine's rule runs every contacted shard on the resident point-index
-	// strategy — the one whose per-shard answers merge with the documented
-	// identity guarantees — with a single-threaded join each; the scatter is
-	// the parallelism.
-	parts := make([]distbound.Response, len(contacted))
-	err = pool.RunCtx(ctx, len(contacted), pool.Workers(0, len(contacted)), func(_, i int) error {
-		sh := &s.shards[contacted[i]]
+	// engine's rule runs every shard on the resident point-index strategy —
+	// the one whose per-shard answers merge with the documented identity
+	// guarantees. A cold bound's cover is built by the first shard read, on
+	// the engine's default budget, and the others coalesce onto that build.
+	parts := make([]distbound.Response, len(s.shards))
+	err := pool.RunCtx(ctx, len(s.shards), pool.Workers(0, len(s.shards)), func(_, i int) error {
 		resp, err := s.engine.Do(ctx, distbound.Request{
-			Dataset: sh.ds,
+			Dataset: s.shards[i].ds,
 			Aggs:    req.Aggs,
 			Bound:   req.Bound,
-			Workers: 1,
 		})
 		if err != nil {
-			return fmt.Errorf("shard %d: %w", contacted[i], err)
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		parts[i] = resp
 		return nil
@@ -396,13 +364,7 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	// Only an answered scatter is counted, so Queries and ContactedTotal
 	// describe answers; one that failed above returned its error instead.
 	s.queries.Add(1)
-	s.contacts.Add(uint64(len(contacted)))
-	for {
-		cur := s.maxFan.Load()
-		if uint64(len(contacted)) <= cur || s.maxFan.CompareAndSwap(cur, uint64(len(contacted))) {
-			break
-		}
-	}
+	s.contacts.Add(uint64(len(s.shards)))
 	s.ranges.Add(uint64(out.RangesProbed))
 	s.delta.Add(uint64(out.DeltaProbed))
 	out.Wall = time.Since(t0)
@@ -447,18 +409,6 @@ func (s *Sharded) EpochSum() uint64 {
 		sum += s.shards[i].ds.Epoch()
 	}
 	return sum
-}
-
-// route returns the indexes of shards whose key interval the cover set
-// intersects, in ascending order.
-func (s *Sharded) route(cover *join.CoverSet) []int {
-	var out []int
-	for si := range s.shards {
-		if cover.Intersects(s.shards[si].lo, s.shards[si].hi) {
-			out = append(out, si)
-		}
-	}
-	return out
 }
 
 // Append routes points to the shards owning their keys and appends each
@@ -615,8 +565,8 @@ type Stats struct {
 	MemoryBytes int
 	// Queries counts answered Do calls, result-cache hits included;
 	// ContactedTotal sums their fan-outs, a hit contacting none (the mean
-	// fan-out is ContactedTotal/Queries); MaxFanOut is the widest single
-	// scatter.
+	// fan-out is ContactedTotal/Queries); MaxFanOut is the partition width
+	// once any scatter has executed, else 0.
 	Queries        uint64
 	ContactedTotal uint64
 	MaxFanOut      int
@@ -644,13 +594,15 @@ func (s *Sharded) Stats() Stats {
 		Dropped:        s.dropped,
 		Queries:        s.queries.Load(),
 		ContactedTotal: s.contacts.Load(),
-		MaxFanOut:      int(s.maxFan.Load()),
 		RangesProbed:   s.ranges.Load(),
 		DeltaProbed:    s.delta.Load(),
 		ResultCache:    s.results.Stats(),
 		CoverBytes:     s.engine.CoverBytes(),
 	}
-	_, st.Covers = s.engine.CacheStats()
+	if st.ContactedTotal > 0 {
+		st.MaxFanOut = len(s.shards)
+	}
+	st.Covers = s.engine.CacheStats()
 	for i := range s.shards {
 		d := s.shards[i].ds.Stats()
 		st.Live += d.Live

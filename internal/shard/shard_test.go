@@ -1,8 +1,8 @@
 package shard
 
 import (
-	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -18,7 +18,6 @@ import (
 	"distbound/internal/data"
 	"distbound/internal/geom"
 	"distbound/internal/pointstore/persist"
-	"distbound/internal/raster"
 	"distbound/internal/testutil"
 	"distbound/internal/testutil/errorfs"
 )
@@ -236,42 +235,18 @@ func TestShardedMutationParity(t *testing.T) {
 	}
 }
 
-// TestShardedFanOut proves the routing economy the issue demands: a query
-// over small regions tucked into opposite corners of a large domain must
-// not contact all N shards, while still answering exactly.
+// TestShardedFanOut: a region set covering only two corners of the data
+// still answers exactly when every shard is asked, and the scatter counts
+// the whole width as contacted.
 func TestShardedFanOut(t *testing.T) {
 	full := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(data.CitySize, data.CitySize)}
 	cornerA := geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(512, 512)}
 	cornerB := geom.Rect{Min: geom.Pt(data.CitySize-512, data.CitySize-512), Max: geom.Pt(data.CitySize, data.CitySize)}
-	// An anchor region spanning the full extent fixes the domain at city
-	// size; the two query-relevant corner polygons stay tiny within it.
-	regions := data.Regions(data.PartitionIn(21, full, 1, 1, 8))
-	regions = append(regions, data.Regions(data.PartitionIn(22, cornerA, 1, 1, 8))...)
-	regions = append(regions, data.Regions(data.PartitionIn(23, cornerB, 1, 1, 8))...)
+	corners := data.Regions(data.PartitionIn(22, cornerA, 1, 1, 8))
+	corners = append(corners, data.Regions(data.PartitionIn(23, cornerB, 1, 1, 8))...)
 
 	pts, _ := data.TaxiPointsIn(25, 8000, full)
-	s, _, err := New("corners", regions, pts, nil, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.NumShards() != 8 {
-		t.Fatalf("fixture collapsed to %d shards", s.NumShards())
-	}
-
-	// The full-extent anchor region forces a wide fan-out.
-	wide, err := s.Do(context.Background(), Request{Aggs: []distbound.Agg{distbound.Count}, Bound: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.ShardsContacted != 8 {
-		t.Fatalf("full-extent region contacted %d/8 shards", wide.ShardsContacted)
-	}
-
-	// Corner-only regions over the same partition: rebuild without the
-	// anchor, same points, and the cover must route past most shards.
-	corners := regions[1:]
-	sc, _, err := New("corners2", corners, pts, nil, 8)
+	sc, _, err := New("corners", corners, pts, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,103 +254,30 @@ func TestShardedFanOut(t *testing.T) {
 	if sc.NumShards() != 8 {
 		t.Fatalf("corner fixture collapsed to %d shards", sc.NumShards())
 	}
+	if st := sc.Stats(); st.MaxFanOut != 0 {
+		t.Fatalf("max fan-out %d before any scatter", st.MaxFanOut)
+	}
 	resp, err := sc.Do(context.Background(), Request{Aggs: []distbound.Agg{distbound.Count}, Bound: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ShardsContacted < 1 || resp.ShardsContacted >= sc.NumShards() {
-		t.Fatalf("corner regions contacted %d/%d shards; routing should skip the middle of the key space",
-			resp.ShardsContacted, sc.NumShards())
+	if resp.ShardsTotal != 8 {
+		t.Fatalf("scatter reports %d shards, the partition has 8", resp.ShardsTotal)
 	}
 
-	// The answer must still be exact vs a brute classification.
+	// The answer must be exact vs a brute classification.
 	cls := testutil.Classify(pts, nil, corners, 16)
 	cls.Check(t, "corner fan-out", distbound.Count, resp.Results[0])
 
 	st := sc.Stats()
-	if st.Queries != 1 || st.ContactedTotal != uint64(resp.ShardsContacted) || st.MaxFanOut != resp.ShardsContacted {
-		t.Fatalf("stats = %+v after one query contacting %d", st, resp.ShardsContacted)
+	if st.Queries != 1 || st.ContactedTotal != 8 || st.MaxFanOut != 8 {
+		t.Fatalf("stats = %+v after one scatter over 8 shards", st)
 	}
 	if st.RangesProbed == 0 || st.RangesProbed != uint64(resp.RangesProbed) || st.DeltaProbed != uint64(resp.DeltaProbed) {
 		t.Fatalf("stats probes {%d %d} after one scatter that probed {%d %d}", st.RangesProbed, st.DeltaProbed, resp.RangesProbed, resp.DeltaProbed)
 	}
 	if st.MemoryBytes != sc.MemoryBytes() {
 		t.Fatalf("stats memory %d B, the shards sum to %d B", st.MemoryBytes, sc.MemoryBytes())
-	}
-}
-
-// walkRoute is the routing rule the cover table's interval test replaced,
-// kept as its reference: one forward pointer over every region's cover
-// ranges, sorted by Lo, against the ascending shard intervals.
-func walkRoute(shards []shardState, ranges []raster.PosRange) []int {
-	var out []int
-	ri := 0
-	for si := range shards {
-		for ri < len(ranges) && ranges[ri].Hi < shards[si].lo {
-			ri++
-		}
-		if ri < len(ranges) && ranges[ri].Lo <= shards[si].hi {
-			out = append(out, si)
-		}
-	}
-	return out
-}
-
-// TestRoute pins route against the range walk it replaced, on ranges the
-// test rasterizes itself: a partition tiling the domain (every shard
-// contacted), corner regions (the middle of the key space skipped) and a
-// single small region, each across bounds and partition widths. The
-// synthetic edge cases — ranges between shards, wide before narrow, open
-// ends — are TestCoverTableExact's in internal/join.
-func TestRoute(t *testing.T) {
-	pts, _ := data.TaxiPoints(23, 6000)
-	tiling := data.Regions(data.Partition(5, 4, 4, 12))
-	b := data.CityDomain().Bounds()
-	corner := func(fx, fy float64) distbound.Region {
-		x0, y0 := b.Min.X+fx*b.Width(), b.Min.Y+fy*b.Height()
-		w, h := 0.06*b.Width(), 0.06*b.Height()
-		poly, err := geom.NewPolygon(geom.Ring{geom.Pt(x0, y0), geom.Pt(x0+w, y0), geom.Pt(x0+w, y0+h), geom.Pt(x0, y0+h)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return poly
-	}
-	skipped := false
-	for name, regions := range map[string][]distbound.Region{
-		"tiling":  tiling,
-		"corners": {corner(0.02, 0.02), corner(0.9, 0.02), corner(0.9, 0.9)},
-		"one":     {corner(0.4, 0.55)},
-	} {
-		for _, n := range []int{1, 5, 16} {
-			s, _, err := New("taxi", regions, pts, nil, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, bound := range []float64{8, 64, 512} {
-				var ranges []raster.PosRange
-				for _, rg := range regions {
-					a, err := raster.Hierarchical(rg, s.domain, distbound.Hilbert, bound, raster.Conservative)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ranges = append(ranges, a.Ranges()...)
-				}
-				slices.SortFunc(ranges, func(a, b raster.PosRange) int { return cmp.Compare(a.Lo, b.Lo) })
-				cover, err := s.engine.CoverSet(context.Background(), bound, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, want := s.route(cover), walkRoute(s.shards, ranges)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s, %d shards, ε=%g: route = %v, the range walk contacts %v", name, n, bound, got, want)
-				}
-				skipped = skipped || len(got) < len(s.shards)
-			}
-			s.Close()
-		}
-	}
-	if !skipped {
-		t.Fatal("no fixture made routing skip a shard")
 	}
 }
 
@@ -516,6 +418,25 @@ func TestShardedOpenClosesOnFailure(t *testing.T) {
 		re.Close()
 		t.Fatal("Open accepted a garbage snapshot")
 	}
+	if opened := closedWALs(t, fs, from); opened != 2 {
+		t.Fatalf("the failed Open opened %d WALs, want the two shards before the damaged one", opened)
+	}
+
+	fs.SetData(snap, good)
+	re, err := Open(regions, dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != live {
+		t.Fatalf("reopened %d live rows, want %d", re.Len(), live)
+	}
+}
+
+// closedWALs counts the logs opened for writing in fs's trace since from,
+// failing t for any file the trace leaves open.
+func closedWALs(t *testing.T, fs *errorfs.FS, from int) int {
+	t.Helper()
 	open := map[string]int{}
 	for _, line := range fs.Trace()[from:] {
 		f := strings.Fields(line)
@@ -535,19 +456,62 @@ func TestShardedOpenClosesOnFailure(t *testing.T) {
 			t.Errorf("the failed Open left %s open", name)
 		}
 	}
-	if opened != 2 {
-		t.Fatalf("the failed Open opened %d WALs, want the two shards before the damaged one", opened)
-	}
+	return opened
+}
 
-	fs.SetData(snap, good)
+// TestShardedOpenRejectsForeignDirs: a manifest entry must name the
+// directory Persist wrote for its position. A duplicated entry would open
+// one store as two shards, and an escaping one reaches outside the
+// partition's directory: Open refuses both and closes every WAL it opened.
+func TestShardedOpenRejectsForeignDirs(t *testing.T) {
+	regions := data.Regions(data.Partition(5, 4, 4, 12))
+	pts, _ := data.TaxiPoints(39, 3000)
+	s, _, err := New("taxi", regions, pts, nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := errorfs.New()
+	cfg := distbound.PersistConfig{}.WithFS(fs)
+	dir := filepath.Join(t.TempDir(), "taxi")
+	if err := s.Persist(dir, cfg); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	path := filepath.Join(dir, manifestName)
+	good := fs.Data(path)
+	for _, tc := range []struct {
+		shard  int
+		dir    string
+		opened int
+	}{
+		{1, shardDirName(0), 1},
+		{2, "../x", 2},
+	} {
+		var m manifest
+		if err := json.Unmarshal(good, &m); err != nil {
+			t.Fatal(err)
+		}
+		m.Shards[tc.shard].Dir = tc.dir
+		buf, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.SetData(path, buf)
+		from := len(fs.Trace())
+		if re, err := Open(regions, dir, cfg); err == nil {
+			re.Close()
+			t.Fatalf("Open accepted shard %d in directory %q", tc.shard, tc.dir)
+		}
+		if opened := closedWALs(t, fs, from); opened != tc.opened {
+			t.Fatalf("shard %d in %q: the failed Open opened %d WALs, want the %d shards before it", tc.shard, tc.dir, opened, tc.opened)
+		}
+	}
+	fs.SetData(path, good)
 	re, err := Open(regions, dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if re.Len() != live {
-		t.Fatalf("reopened %d live rows, want %d", re.Len(), live)
-	}
+	re.Close()
 }
 
 // TestShardedDeleteSurfacesDurableError: a delete spanning several shards
@@ -766,8 +730,8 @@ func TestShardedResultCache(t *testing.T) {
 	if got := s.Stats().ContactedTotal; got != contacts0 {
 		t.Fatalf("cache hit still contacted shards: %d -> %d", contacts0, got)
 	}
-	if warm.ShardsContacted != cold.ShardsContacted {
-		t.Fatalf("hit altered routing stats: cold %+v warm %+v", cold, warm)
+	if warm.ShardsTotal != cold.ShardsTotal {
+		t.Fatalf("hit altered the scatter width: cold %+v warm %+v", cold, warm)
 	}
 	if cold.RangesProbed == 0 || warm.RangesProbed != 0 || warm.DeltaProbed != 0 {
 		t.Fatalf("probe counters must meter work done: cold {%d %d} (a fill), hit {%d %d} (none)",
@@ -872,7 +836,7 @@ func TestShardedResultCache(t *testing.T) {
 	if st := s.Stats().ResultCache; st.Hits != frozen.Hits || st.Misses != frozen.Misses {
 		t.Fatalf("disabled cache still probed: %+v -> %+v", frozen, st)
 	}
-	if got, want := s.Stats().ContactedTotal, contacts+2*uint64(final.ShardsContacted); got != want {
+	if got, want := s.Stats().ContactedTotal, contacts+2*uint64(final.ShardsTotal); got != want {
 		t.Fatalf("uncached repeats contacted %d shards in total, want %d: something answered without executing", got, want)
 	}
 }
@@ -1005,7 +969,7 @@ func TestRenderedMemo(t *testing.T) {
 			if fail {
 				return b, errors.New("refused")
 			}
-			return fmt.Appendf(b, "%v %d/%d", resp.Results[0].Counts, resp.ShardsContacted, resp.ShardsTotal), nil
+			return fmt.Appendf(b, "%v %d", resp.Results[0].Counts, resp.ShardsTotal), nil
 		})
 		if (err != nil) != fail {
 			t.Fatalf("render error %v, want failure %v", err, fail)
@@ -1108,7 +1072,7 @@ func TestShardedBoundFinerThanLeafCell(t *testing.T) {
 	if !errors.As(err, &tf) || tf.Bound != 5e-324 || !(tf.Floor > 0) {
 		t.Fatalf("Do at bound 5e-324: %v, want a BoundTooFineError", err)
 	}
-	if _, cover := s.engine.CacheStats(); cover.Builds != 0 {
+	if cover := s.engine.CacheStats(); cover.Builds != 0 {
 		t.Errorf("a refused bound started %d cover builds", cover.Builds)
 	}
 }
