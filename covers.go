@@ -7,25 +7,20 @@ import (
 
 	"distbound/internal/join"
 	"distbound/internal/pointstore"
-	"distbound/internal/sfc"
+	"distbound/internal/raster"
 )
 
-// BoundTooFineError refuses a positive bound finer than the leaf cell: no
-// cover can meet it, so it is the caller's error, raised before any build.
-// Floor is the leaf cell's diagonal, the finest bound a cover serves.
-type BoundTooFineError struct{ Bound, Floor float64 }
+// BoundTooFineError refuses a positive Bound finer than Floor, the leaf cell's
+// diagonal: no cover can meet it, so it is refused before any build starts.
+type BoundTooFineError = raster.BoundTooFineError
 
-func (e *BoundTooFineError) Error() string {
-	return fmt.Sprintf("distbound: bound %g m is finer than the leaf cell's diagonal %g m, the finest bound a cover can meet", e.Bound, e.Floor)
-}
-
-// coverEntry is one resident bound of the cover cache: the immutable cover
+// coverEntry is one resident level of the cover cache: the immutable cover
 // set — the cover table, which depends only on the regions, domain, curve
-// and bound — shared by every registered dataset and by ad-hoc act requests,
+// and level — shared by every registered dataset and by ad-hoc act requests,
 // plus the joiner (span resolution and partials) of each dataset queried at
-// the bound. Joiners live inside the entry so that capacity counts bounds, an
-// evicted bound takes its set and every joiner over it along, and a joiner
-// can never meet another bound's plan.
+// the level. Joiners live inside the entry so that capacity counts levels, an
+// evicted level takes its set and every joiner over it along, and a joiner
+// can never meet another level's plan.
 type coverEntry struct {
 	set     *join.CoverSet
 	joiners sync.Map // *pointstore.Mutable → *join.PointIdxJoiner
@@ -55,23 +50,24 @@ func (ce *coverEntry) joiner(e *Engine, ds *Dataset) *join.PointIdxJoiner {
 	return j.(*join.PointIdxJoiner)
 }
 
-// coverEntryCtx returns the cover-cache entry for the bound, building its set
-// under the cache's singleflight on a miss — for a resident pointidx read and
-// an ad-hoc act read alike. Like BRJ mask builds, a cold rasterization fans
-// out across the caller's worker budget, no wider; canceling ctx abandons the
-// wait (and the build, once no caller is left). A bound no cover can meet is
-// refused with a BoundTooFineError before any build starts.
+// coverEntryCtx returns the cover-cache entry for the bound's level, building
+// its set under the cache's singleflight on a miss — for a resident pointidx
+// read and an ad-hoc act read alike. Like BRJ mask builds, a cold
+// rasterization fans out across the caller's worker budget, no wider;
+// canceling ctx abandons the wait (and the build, once no caller is left).
+// raster.BoundLevel's BoundTooFineError comes back before any build starts.
 func (e *Engine) coverEntryCtx(ctx context.Context, bound float64, workers int) (*coverEntry, error) {
+	level, err := raster.BoundLevel(e.domain, bound)
+	if err != nil {
+		return nil, err
+	}
 	// Closure-free warm path: a ready entry is served without materializing
 	// the build closure below, so a hot resident loop allocates nothing here.
-	if ce, ok := e.covers.GetReady(bound); ok {
+	if ce, ok := e.covers.GetReady(level); ok {
 		return ce, nil
 	}
-	if floor := e.domain.CellDiagonal(sfc.MaxLevel); bound > 0 && bound < floor {
-		return nil, &BoundTooFineError{Bound: bound, Floor: floor}
-	}
-	ce, err := e.covers.GetOrBuildCtx(ctx, bound, func(bctx context.Context) (*coverEntry, error) {
-		set, err := join.NewCoverSetCtx(bctx, e.regions, e.domain, Hilbert, bound, workers)
+	ce, err := e.covers.GetOrBuildCtx(ctx, level, func(bctx context.Context) (*coverEntry, error) {
+		set, err := join.NewCoverSetCtx(bctx, e.regions, e.domain, Hilbert, level, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -100,13 +96,13 @@ func (e *Engine) exactCoverCtx(ctx context.Context, workers int) (*join.ExactCov
 // DatasetStats.CoverStateBytes is a dataset's own state over them.
 func (e *Engine) CoverBytes() int {
 	n := 0
-	e.covers.EachReady(func(_ float64, ce *coverEntry) { n += ce.set.MemoryBytes() })
+	e.covers.EachReady(func(_ int, ce *coverEntry) { n += ce.set.MemoryBytes() })
 	return n
 }
 
-// eachJoiner visits the dataset's joiner at every resident bound.
+// eachJoiner visits the dataset's joiner at every resident level.
 func (d *Dataset) eachJoiner(fn func(*join.PointIdxJoiner)) {
-	d.e.covers.EachReady(func(_ float64, ce *coverEntry) {
+	d.e.covers.EachReady(func(_ int, ce *coverEntry) {
 		if j := ce.peek(d.src); j != nil {
 			fn(j)
 		}

@@ -80,7 +80,7 @@ func (d *Dataset) Persist(dir string, cfg PersistConfig) error {
 // opening a dataset persisted by an engine over a different region set is
 // an error. The engine's cover sets are shared and stay warm across a
 // reopen; only the dataset's own state over them (span resolution, partials)
-// starts cold and refills on the first query at each bound.
+// starts cold and refills on the first query at each level.
 func (e *Engine) OpenDataset(name, dir string, cfg PersistConfig) (*Dataset, error) {
 	if err := e.checkFreeName(name); err != nil {
 		return nil, err

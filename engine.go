@@ -25,9 +25,9 @@ const (
 	StrategyPointIdx = planner.StrategyPointIdx
 )
 
-// Artifact cache capacities, in distinct bounds. A long-running server that
-// has seen more bounds than a cache holds evicts the least recently used
-// artifact instead of accumulating one per bound forever.
+// Artifact cache capacities, in distinct keys (BRJ: bounds; covers: levels).
+// A long-running server that has seen more keys than a cache holds evicts
+// the least recently used artifact instead of accumulating them forever.
 const (
 	// maskCacheCapacity bounds the BRJ mask cache, tight: one cached bound
 	// holds 8 bytes per covered row span of every region mask, plus one
@@ -35,10 +35,10 @@ const (
 	// (BRJJoiner.MemoryBytes reports a resident set's footprint). It also
 	// caps how many mask builds run concurrently.
 	maskCacheCapacity = 2
-	// coverCacheCapacity bounds the cover cache: each entry is one bound's
-	// cover set (the cover table — megabytes at fine bounds), shared by the
+	// coverCacheCapacity bounds the cover cache: each entry is one level's
+	// cover set (the cover table — megabytes at fine levels), shared by the
 	// ad-hoc act strategy and every registered dataset, plus the datasets'
-	// own state over it; an evicted bound goes with every dataset's state
+	// own state over it; an evicted level goes with every dataset's state
 	// over it.
 	coverCacheCapacity = 8
 )
@@ -58,10 +58,10 @@ const (
 // Engine is a serving layer: all methods are safe for concurrent use by any
 // number of goroutines. Lazily built artifacts (the exact cover — interior and
 // boundary cells at one coarse level, with each region's point locator — one
-// set of BRJ region masks per bound, and one cover set per bound — the one
+// set of BRJ region masks per bound, and one cover set per level — the one
 // artifact both the ad-hoc act join and every registered dataset answer from)
 // are cached in bounded LRU caches with singleflight build deduplication —
-// concurrent misses on the same bound run one build and share it. Neither
+// concurrent misses on the same key run one build and share it. Neither
 // rule reads what is cached: the first request that needs an artifact builds
 // it.
 type Engine struct {
@@ -73,7 +73,7 @@ type Engine struct {
 
 	dsMu     sync.RWMutex // guards datasets, which reserves registered names
 	datasets map[string]*Dataset
-	covers   *cache.Cache[float64, *coverEntry] // by bound; see covers.go
+	covers   *cache.Cache[int, *coverEntry] // by level (raster.BoundLevel); see covers.go
 
 	// scratch recycles respScratch instances across Do calls; it makes the
 	// warm resident path allocation-free for callers that Release their
@@ -99,14 +99,14 @@ func NewEngine(regions []Region) *Engine {
 		exact:    cache.New[struct{}, *join.ExactCover](1),
 		brj:      cache.New[float64, *join.BRJJoiner](maskCacheCapacity),
 		datasets: map[string]*Dataset{},
-		covers:   cache.New[float64, *coverEntry](coverCacheCapacity),
+		covers:   cache.New[int, *coverEntry](coverCacheCapacity),
 	}
 }
 
 // DefaultResultCacheCapacity is the default bound, in distinct merged
 // answers, of the serving layer's result cache (shard.Sharded; the daemon's
 // -result-cache flag). Entries are one result column set per distinct
-// (epoch sum, bound, aggregate set) — a few hundred bytes per region set of
+// (epoch sum, level, aggregate set) — a few hundred bytes per region set of
 // ordinary width — so the default is sized for request diversity, not
 // memory pressure.
 const DefaultResultCacheCapacity = 1024
@@ -460,7 +460,7 @@ func (e *Engine) register(name string, src *pointstore.Mutable, dur *persist.Dur
 // UnregisterPoints removes the dataset registered under name, freeing the
 // name for re-registration; it reports whether a dataset was registered.
 // Outstanding queries holding the old handle fail their next call. The
-// dataset's joiners are dropped from every resident bound, so nothing in the
+// dataset's joiners are dropped from every resident level, so nothing in the
 // engine keeps its store reachable; the shared cover sets stay cached.
 // For a durable dataset the on-disk files stay behind — only the handle's
 // log is flushed and closed — so OpenDataset can resurrect it later.
@@ -473,7 +473,7 @@ func (e *Engine) UnregisterPoints(name string) bool {
 	}
 	e.dsMu.Unlock()
 	if ok {
-		e.covers.EachReady(func(_ float64, ce *coverEntry) { ce.joiners.Delete(ds.src) })
+		e.covers.EachReady(func(_ int, ce *coverEntry) { ce.joiners.Delete(ds.src) })
 		if dur := ds.dur.Load(); dur != nil {
 			dur.Close() //nolint:errcheck // flush-and-release; files stay valid
 		}
@@ -512,8 +512,8 @@ func (e *Engine) brjJoinerCtx(ctx context.Context, bound float64, workers int) (
 
 // CacheStats reports the cover cache's counters (hits, misses, builds,
 // coalesced waits on in-flight builds, evictions). The cache is keyed by
-// bound alone — one build per bound however many datasets and ad-hoc act
-// requests use it — and entries survive dataset compactions, so a
+// level alone — one build per level however many bounds of that level,
+// datasets and ad-hoc act requests use it — and entries survive dataset compactions, so a
 // steady-state ingest workload shows cover hits, not rebuilds, across
 // generations; the per-dataset generation and delta accounting lives in
 // Dataset.Stats.

@@ -80,7 +80,7 @@ func TestColdReadProbesEveryCoverRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ce, ok := peekReady(e.covers, 16)
+	ce, ok := coverAt(e, 16)
 	if !ok {
 		t.Fatal("cover set at bound 16 not resident after a pointidx read")
 	}

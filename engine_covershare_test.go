@@ -59,7 +59,7 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 	}
 	setBytes := 0
 	for _, b := range bounds {
-		ce, ok := peekReady(e.covers, b)
+		ce, ok := coverAt(e, b)
 		if !ok {
 			t.Fatalf("bound %g not resident", b)
 		}
@@ -84,17 +84,17 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 	}
 }
 
-// TestCoverCacheEvictsByBound rotates four datasets through nine bounds
-// under the default capacity of eight. Capacity counts bounds: every bound
-// is built once per lap — not once per dataset — the least recently used
-// bound leaves with all four joiners, and no answer ever comes from a joiner
-// paired with another bound's plan (each is compared against an engine that
-// never evicts).
+// TestCoverCacheEvictsByBound rotates four datasets through nine bounds on
+// nine levels under the default capacity of eight. Capacity counts levels:
+// every level is built once per lap — not once per dataset — the least
+// recently used level leaves with all four joiners, and no answer ever comes
+// from a joiner paired with another level's plan (each is compared against an
+// engine that never evicts).
 func TestCoverCacheEvictsByBound(t *testing.T) {
 	e, dss := shareFixture(t, 4, 3000)
 	ref, refDss := shareFixture(t, 4, 3000)
-	bounds := []float64{16, 24, 32, 48, 64, 96, 128, 192, 256}
-	ref.covers = cache.New[float64, *coverEntry](len(bounds))
+	bounds := []float64{16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
+	ref.covers = cache.New[int, *coverEntry](len(bounds))
 	if len(bounds) != coverCacheCapacity+1 {
 		t.Fatalf("fixture needs capacity+1 bounds, have %d", len(bounds))
 	}
@@ -111,12 +111,12 @@ func TestCoverCacheEvictsByBound(t *testing.T) {
 				got.Release()
 				want.Release()
 			}
-			ce, ok := peekReady(e.covers, b)
+			ce, ok := coverAt(e, b)
 			if !ok {
 				t.Fatalf("bound %g not resident right after its queries", b)
 			}
 			for i, ds := range dss {
-				if j := ce.peek(ds.src); j == nil || j.Bound() != b {
+				if j := ce.peek(ds.src); j == nil || j.CoverSet != ce.set {
 					t.Fatalf("bound %g: dataset %d's joiner is %v", b, i, j)
 				}
 			}
@@ -182,7 +182,7 @@ func TestUnregisterReleasesStore(t *testing.T) {
 		t.Fatal("dataset was not registered")
 	}
 	for _, b := range bounds {
-		ce, ok := peekReady(e.covers, b)
+		ce, ok := coverAt(e, b)
 		if !ok {
 			t.Fatalf("bound %g left the cache with the dataset", b)
 		}
@@ -193,11 +193,11 @@ func TestUnregisterReleasesStore(t *testing.T) {
 	dead.refreshJoiners() // the compaction goroutine's late refresh
 	// A request that passed checkDataset before the unregister reaches the
 	// joiner lookup after it: it is answered, and pins nothing.
-	if ce, _ := peekReady(e.covers, bounds[0]); ce.joiner(e, dead) == nil {
+	if ce, _ := coverAt(e, bounds[0]); ce.joiner(e, dead) == nil {
 		t.Fatal("the late request got no joiner to answer from")
 	}
 	for _, b := range bounds {
-		if ce, _ := peekReady(e.covers, b); ce.peek(dead.src) != nil {
+		if ce, _ := coverAt(e, b); ce.peek(dead.src) != nil {
 			t.Errorf("bound %g: the unregistered dataset was re-attached", b)
 		}
 	}
@@ -253,7 +253,7 @@ func TestUnregisterRacesQueries(t *testing.T) {
 	e.UnregisterPoints(dss[0].name)
 	wg.Wait()
 	for _, b := range bounds {
-		if ce, ok := peekReady(e.covers, b); ok && ce.peek(dss[0].src) != nil {
+		if ce, ok := coverAt(e, b); ok && ce.peek(dss[0].src) != nil {
 			t.Errorf("bound %g: the unregistered dataset is still attached", b)
 		}
 	}
@@ -264,8 +264,9 @@ func coverBuilds(e *Engine) int64 {
 	return cover.Builds
 }
 
-// coverReady reports whether the bound's cover set is resident and built.
+// coverReady reports whether the cover set serving the bound's level is
+// resident and built.
 func coverReady(e *Engine, bound float64) bool {
-	_, ok := peekReady(e.covers, bound)
+	_, ok := coverAt(e, bound)
 	return ok
 }

@@ -212,14 +212,14 @@ func TestEngineCachesACTIndex(t *testing.T) {
 	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16}); err != nil {
 		t.Fatal(err)
 	}
-	ce, ok := peekReady(e.covers, 16)
+	ce, ok := coverAt(e, 16)
 	if !ok {
 		t.Fatal("bound 16 not resident")
 	}
 	if _, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 16}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := peekReady(e.covers, 16); got != ce {
+	if got, _ := coverAt(e, 16); got != ce {
 		t.Error("cover set rebuilt instead of reused")
 	}
 	if st := e.covers.Stats(); st.Builds != 1 {

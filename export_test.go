@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"distbound/internal/cache"
+	"distbound/internal/raster"
 )
 
 // runDataset executes one dataset query on a fixed strategy — the hook the
@@ -21,14 +22,25 @@ func (e *Engine) runDataset(ds *Dataset, agg Agg, bound float64, strategy Strate
 	return resp.Results[0], nil
 }
 
-// dropJoiner detaches the dataset's joiner at bound — span resolution, base
-// partials and delta accumulators — so the next pointidx request attaches a
-// fresh one to the still-resident cover set and re-executes from nothing: the
-// cold side of the benchmarks. A bound with no built artifact is a no-op.
+// dropJoiner detaches the dataset's joiner at bound's level — span
+// resolution, base partials and delta accumulators — so the next pointidx
+// request attaches a fresh one to the still-resident cover set and
+// re-executes from nothing: the cold side of the benchmarks. A level with no
+// built artifact is a no-op.
 func (e *Engine) dropJoiner(ds *Dataset, bound float64) {
-	if ce, ok := peekReady(e.covers, bound); ok {
+	if ce, ok := coverAt(e, bound); ok {
 		ce.joiners.Delete(ds.src)
 	}
+}
+
+// coverAt returns the cover-cache entry serving bound — the one keyed on its
+// level — iff its build has completed, without touching stats or recency.
+func coverAt(e *Engine, bound float64) (*coverEntry, bool) {
+	level, err := raster.BoundLevel(e.domain, bound)
+	if err != nil {
+		return nil, false
+	}
+	return peekReady(e.covers, level)
 }
 
 // peekReady returns the value c holds under key iff its build has completed

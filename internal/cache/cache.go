@@ -5,7 +5,7 @@
 // concurrent queries miss on the same key, exactly one goroutine runs the
 // build while the others wait for its result instead of duplicating the
 // work. The capacity bound keeps long-running servers from accumulating one
-// index per distinct bound ever queried.
+// index per distinct key (a bound, or a cover level) ever queried.
 package cache
 
 import (

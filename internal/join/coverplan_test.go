@@ -61,7 +61,7 @@ func TestCoverPlanDeltaOnRangeBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := refCovers(regions, pj)
+	ref := refCovers(regions, pj, bound)
 	allAggs := []Agg{Count, Sum, Avg, Min, Max}
 
 	// Land one delta point exactly on every 16th range's Lo and Hi key
@@ -149,7 +149,7 @@ func TestCoverPlanSparseRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	allAggs := []Agg{Count, Sum, Avg, Min, Max}
-	checkPlanMatchesPerRegion(t, "sparse-regions", pj, refCovers(regions, pj), allAggs)
+	checkPlanMatchesPerRegion(t, "sparse-regions", pj, refCovers(regions, pj, 16), allAggs)
 
 	// The shared probes must agree with ground truth too, not only with the
 	// reference execution: counts can only overcount within the bound.
@@ -270,7 +270,7 @@ func TestCoverPlanWeightedFoldIsolation(t *testing.T) {
 	}
 	// Results must still be correct (and identical to the reference) under
 	// the weighted sharding.
-	checkPlanMatchesPerRegion(t, "weighted-fold", pj, refCovers(regions, pj), []Agg{Count})
+	checkPlanMatchesPerRegion(t, "weighted-fold", pj, refCovers(regions, pj, 32), []Agg{Count})
 }
 
 // TestResolvedSpansIncrementalMaintenance pins the sharing contract of the
@@ -305,7 +305,7 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	// spans identifies the published resolution by its first element.
 	spans := func() *int32 { return &pj.base.Load().spanLo[0] }
 	ctx := context.Background()
-	ref := refCovers(regions, pj)
+	ref := refCovers(regions, pj, 16)
 	aggs := []Agg{Count, Sum, Min, Max}
 	if _, err := residentAggregate(ctx, pj, []Agg{Count}, 1); err != nil {
 		t.Fatal(err)
@@ -387,7 +387,7 @@ func BenchmarkCoverPlanRebuild(b *testing.B) {
 	}
 	ctx := context.Background()
 	snap := store.Snapshot()
-	covers := refCovers(regions, pj)
+	covers := refCovers(regions, pj, 16)
 
 	b.Run("refresh", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

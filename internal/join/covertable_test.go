@@ -275,7 +275,7 @@ func TestBucketResolutions(t *testing.T) {
 				if testing.Short() && eps < 16 {
 					continue
 				}
-				cs, err := NewCoverSetCtx(ctx, regions, d, c, eps, 0)
+				cs, err := NewCoverSetCtx(ctx, regions, d, c, levelOf(d, eps), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -386,7 +386,7 @@ func TestCoverBuildsMatchPerRegionTables(t *testing.T) {
 				if testing.Short() && eps < 16 {
 					continue
 				}
-				cs, err := NewCoverSetCtx(ctx, regions, d, c, eps, 0)
+				cs, err := NewCoverSetCtx(ctx, regions, d, c, levelOf(d, eps), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -411,7 +411,7 @@ func TestCoverBuildsMatchPerRegionTables(t *testing.T) {
 // syntheticJoiner pairs a cover table built from hand-made covers with a
 // store, bypassing the rasterizer.
 func syntheticJoiner(covers [][]raster.PosRange, src *pointstore.Mutable) *PointIdxJoiner {
-	return (&CoverSet{bound: 1, plan: buildCoverPlan(coversOf(covers))}).Attach(src)
+	return (&CoverSet{plan: buildCoverPlan(coversOf(covers))}).Attach(src)
 }
 
 // TestCoverTableExecutionOnSyntheticCovers runs the fill and the inversion
@@ -504,7 +504,7 @@ func BenchmarkCoverBuild(b *testing.B) {
 					var cs *CoverSet
 					for i := 0; i < b.N; i++ {
 						var err error
-						if cs, err = NewCoverSetCtx(context.Background(), regions, d, sfc.Hilbert{}, eps, workers); err != nil {
+						if cs, err = NewCoverSetCtx(context.Background(), regions, d, sfc.Hilbert{}, levelOf(d, eps), workers); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -47,7 +47,7 @@ var foldTemplates = sync.OnceValue(func() []foldTemplate {
 		if out[i].PointIdxJoiner, err = NewPointIdxJoiner(regions, store, b, 0); err != nil {
 			panic(err)
 		}
-		out[i].ref = refCovers(regions, out[i].PointIdxJoiner)
+		out[i].ref = refCovers(regions, out[i].PointIdxJoiner, b)
 	}
 	return out
 })

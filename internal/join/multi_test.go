@@ -182,7 +182,7 @@ func TestAggregateMultiCancellation(t *testing.T) {
 		t.Errorf("pointidx: %v, want context.Canceled", err)
 	}
 
-	cs, err := NewCoverSetCtx(context.Background(), regions, d, sfc.Hilbert{}, 16, 0)
+	cs, err := NewCoverSetCtx(context.Background(), regions, d, sfc.Hilbert{}, levelOf(d, 16), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestAggregateMultiCancellation(t *testing.T) {
 	if _, err := NewBRJJoinerCtx(ctx, regions, d.Bounds(), 16, 0, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("NewBRJJoinerCtx: %v, want context.Canceled", err)
 	}
-	if _, err := NewCoverSetCtx(ctx, regions, store.Domain(), store.Curve(), 16, 0); !errors.Is(err, context.Canceled) {
+	if _, err := NewCoverSetCtx(ctx, regions, store.Domain(), store.Curve(), levelOf(d, 16), 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("NewCoverSetCtx: %v, want context.Canceled", err)
 	}
 	if _, err := NewExactCoverCtx(ctx, regions, store.Domain(), store.Curve(), 0); !errors.Is(err, context.Canceled) {
@@ -207,7 +207,7 @@ func TestAggregateMultiCancellation(t *testing.T) {
 	base := runtime.NumGoroutine()
 	builds := map[string]func(context.Context) error{
 		"NewCoverSetCtx": func(ctx context.Context) error {
-			_, err := NewCoverSetCtx(ctx, partition, d, sfc.Hilbert{}, 16, 3)
+			_, err := NewCoverSetCtx(ctx, partition, d, sfc.Hilbert{}, levelOf(d, 16), 3)
 			return err
 		},
 		"NewExactCoverCtx": func(ctx context.Context) error {

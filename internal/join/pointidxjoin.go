@@ -14,38 +14,30 @@ import (
 // CoverSet is the immutable, data-independent half of the resident §5 join:
 // every region covered once by its conservative distance-bounded hierarchical
 // raster, its merged 1D leaf ranges kept as the cover table (coverplan.go).
-// It depends only on the regions, domain, curve and bound — never on the
+// It depends only on the regions, domain, curve and level — never on the
 // points — so one set serves every dataset linearized over that domain and
 // curve, across all their appends, deletes and compactions. Attach pairs it
 // with a dataset; AggregateMulti joins a streamed point set through it.
 type CoverSet struct {
 	domain sfc.Domain
 	curve  sfc.Curve
-	bound  float64
 	plan   *coverPlan
 }
 
-// NewCoverSetCtx rasterizes the regions at distance bound eps over the
-// domain and curve in one set descent (raster.CoverRanges): each cell is
-// classified once for every region that meets it, the subtrees below the
-// split level run on workers (≤ 0 selects GOMAXPROCS), and each region's
-// ranges go straight from the descent's pieces into the cover table, with no
-// cell list and no per-region range list. Canceling ctx abandons the descent
-// and returns ctx.Err(), so a build nobody waits for anymore stops burning
-// CPU.
-func NewCoverSetCtx(ctx context.Context, regions []geom.Region, d sfc.Domain, c sfc.Curve, eps float64, workers int) (*CoverSet, error) {
-	if !(eps > 0) {
-		return nil, fmt.Errorf("join: point-index join requires a positive bound, got %v", eps)
-	}
-	level, err := raster.BoundLevel(d, eps)
-	if err != nil {
-		return nil, err
-	}
+// NewCoverSetCtx rasterizes the regions down to the boundary-cell level
+// (raster.BoundLevel of the bound) over the domain and curve in one set
+// descent (raster.CoverRanges): each cell is classified once for every region
+// that meets it, the subtrees below the split level run on workers (≤ 0
+// selects GOMAXPROCS), and each region's ranges go straight from the
+// descent's pieces into the cover table, with no cell list and no per-region
+// range list. Canceling ctx abandons the descent and returns ctx.Err(), so a
+// build nobody waits for anymore stops burning CPU.
+func NewCoverSetCtx(ctx context.Context, regions []geom.Region, d sfc.Domain, c sfc.Curve, level, workers int) (*CoverSet, error) {
 	covers, err := raster.CoverRanges(ctx, regions, d, c, level, false, workers)
 	if err != nil {
 		return nil, err
 	}
-	return &CoverSet{domain: d, curve: c, bound: eps, plan: buildCoverPlan(covers)}, nil
+	return &CoverSet{domain: d, curve: c, plan: buildCoverPlan(covers)}, nil
 }
 
 // Attach returns a joiner over src sharing this set read-only, with no state
@@ -53,9 +45,6 @@ func NewCoverSetCtx(ctx context.Context, regions []geom.Region, d sfc.Domain, c 
 func (cs *CoverSet) Attach(src *pointstore.Mutable) *PointIdxJoiner {
 	return &PointIdxJoiner{CoverSet: cs, src: src}
 }
-
-// Bound returns the distance bound the covers guarantee.
-func (cs *CoverSet) Bound() float64 { return cs.bound }
 
 // NumRegions returns how many regions the set covers — the length of every
 // result column.
@@ -101,14 +90,22 @@ type PointIdxJoiner struct {
 	delta atomic.Pointer[deltaPartials]
 }
 
-// NewPointIdxJoiner builds a cover set over the dataset's domain and curve
-// and attaches the dataset to it — the one-dataset convenience over
-// NewCoverSetCtx and Attach. The returned joiner is safe for concurrent use;
-// it reads a fresh snapshot of the dataset on every AggregateMultiInto call.
+// NewPointIdxJoiner builds a cover set at the positive bound eps's level over
+// the dataset's domain and curve and attaches the dataset to it — the
+// one-dataset convenience over NewCoverSetCtx and Attach. The returned joiner
+// is safe for concurrent use; it reads a fresh snapshot of the dataset on
+// every AggregateMultiInto call.
 //
 //distbound:allow-background context-free convenience over NewCoverSetCtx; callers hold no context to thread
 func NewPointIdxJoiner(regions []geom.Region, src *pointstore.Mutable, eps float64, workers int) (*PointIdxJoiner, error) {
-	cs, err := NewCoverSetCtx(context.Background(), regions, src.Domain(), src.Curve(), eps, workers)
+	if !(eps > 0) {
+		return nil, fmt.Errorf("join: point-index join requires a positive bound, got %v", eps)
+	}
+	level, err := raster.BoundLevel(src.Domain(), eps)
+	if err != nil {
+		return nil, err
+	}
+	cs, err := NewCoverSetCtx(context.Background(), regions, src.Domain(), src.Curve(), level, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -45,10 +45,19 @@ func coversOf(covers [][]raster.PosRange) []raster.Cover {
 	return out
 }
 
-// refCovers rasterizes the regions the way NewCoverSetCtx does, over the
-// joiner's own domain, curve and bound.
-func refCovers(regions []geom.Region, j *PointIdxJoiner) [][]raster.PosRange {
-	return rasterCovers(regions, j.src.Domain(), j.src.Curve(), j.bound, raster.Conservative)
+// refCovers rasterizes the regions the way NewCoverSetCtx does at the bound
+// eps's level, over the joiner's own domain and curve.
+func refCovers(regions []geom.Region, j *PointIdxJoiner, eps float64) [][]raster.PosRange {
+	return rasterCovers(regions, j.src.Domain(), j.src.Curve(), eps, raster.Conservative)
+}
+
+// levelOf is raster.BoundLevel for a bound a cover can meet.
+func levelOf(d sfc.Domain, eps float64) int {
+	level, err := raster.BoundLevel(d, eps)
+	if err != nil {
+		panic(err)
+	}
+	return level
 }
 
 // aggregatePerRegion answers aggs over snap from the per-region covers.
@@ -149,7 +158,7 @@ func BenchmarkCoverPlan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ref := refCovers(regions, pj)
+			ref := refCovers(regions, pj, bound)
 			b.Run(fmt.Sprintf("%s/per-region/bound=%g", cfg.name, bound), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -22,7 +22,7 @@ const (
 	// points in boundary cells pay the point-in-region test.
 	StrategyExact Strategy = iota
 	// StrategyACT is the approximate cell-lookup join: each point looks up
-	// its region in the bound's cover table, built once per bound.
+	// its region in the bound's cover table, built once per cover level.
 	StrategyACT
 	// StrategyBRJ is the Bounded Raster Join: region masks cached per bound
 	// as covered row spans; a run sorts the points by pixel and sweeps each

@@ -27,14 +27,24 @@ func Hierarchical(rg geom.Region, d sfc.Domain, curve sfc.Curve, eps float64, mo
 	return HierarchicalAtLevel(rg, d, curve, level, mode), nil
 }
 
-// BoundLevel is the level whose cells honor the distance bound eps.
+// BoundLevel is the level whose cells honor the distance bound eps (MaxLevel
+// for eps ≤ 0) — the one place a bound becomes a level, the key of every
+// cover and cached answer. A positive eps finer than the leaf cell is refused.
 func BoundLevel(d sfc.Domain, eps float64) (int, error) {
 	level := d.LevelForBound(eps)
 	if eps > 0 && d.CellDiagonal(level) > eps {
-		return 0, fmt.Errorf("raster: bound %g m needs cells finer than MaxLevel (diagonal %g m)",
-			eps, d.CellDiagonal(sfc.MaxLevel))
+		return 0, &BoundTooFineError{Bound: eps, Floor: d.CellDiagonal(sfc.MaxLevel)}
 	}
 	return level, nil
+}
+
+// BoundTooFineError refuses a positive bound finer than the leaf cell: no
+// cover can meet it, so it is the caller's error, raised before any build.
+// Floor is the leaf cell's diagonal, the finest bound a cover serves.
+type BoundTooFineError struct{ Bound, Floor float64 }
+
+func (e *BoundTooFineError) Error() string {
+	return fmt.Sprintf("distbound: bound %g m is finer than the leaf cell's diagonal %g m, the finest bound a cover can meet", e.Bound, e.Floor)
 }
 
 // HierarchicalAtLevel is Hierarchical with the refinement level given

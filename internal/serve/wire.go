@@ -108,7 +108,7 @@ type ProbeCounters struct {
 }
 
 // CoverCounters is the cover cache's slice of StatsResponse: cover sets built
-// (one per distinct bound, however many shards) and their total build wall,
+// (one per distinct level, however many shards) and their total build wall,
 // the resident sets' bytes counted once, and the shards' own state over them.
 type CoverCounters struct {
 	Builds       int64   `json:"builds"`

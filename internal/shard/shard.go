@@ -4,8 +4,8 @@
 // asked, and their partial per-region aggregates merge exactly.
 //
 // The engine owns what does not depend on the data: the regions and, per
-// bound, one immutable cover set, built once — by the first shard read at a
-// cold bound, the others coalescing onto that build — and shared by every
+// level, one immutable cover set, built once — by the first shard read at a
+// cold level, the others coalescing onto that build — and shared by every
 // shard. A shard owns only its point store and its own span resolution and
 // partials over each set.
 //
@@ -14,7 +14,7 @@
 // COUNT, MIN and MAX are bit-identical — each point contributes to exactly
 // the shard owning its key, the per-shard criterion (key ∈ cover range) is
 // the same as the unsharded one because covers depend only on the regions,
-// domain, curve and bound, integer counts add exactly, and float extremes
+// domain, curve and level, integer counts add exactly, and float extremes
 // merge without arithmetic. SUM agrees up to float reassociation (partials
 // add in shard order instead of global key order); AVG derives from the
 // merged SUM and COUNT, so it inherits SUM's reassociation bound with an
@@ -35,6 +35,7 @@ import (
 	"distbound/internal/join"
 	"distbound/internal/pointstore"
 	"distbound/internal/pool"
+	"distbound/internal/raster"
 )
 
 // MaxShards bounds the shard count: point IDs encode the owning shard in
@@ -88,12 +89,13 @@ type Sharded struct {
 // resultKey identifies one cacheable scatter-gather result. epochSum is the
 // sum of every shard's mutation epoch: any Append, Delete or Compact on any
 // shard bumps that shard's epoch, moving the sum and stranding every entry
-// keyed under the old one — no scanning, no cross-shard locks. The scatter
-// width is no part of it: the merge folds in ascending shard order for every
-// width.
+// keyed under the old one — no scanning, no cross-shard locks. Every bound of
+// one cover level (raster.BoundLevel) folds the same covers, so they share an
+// answer. The merge folds in ascending shard order for every scatter width,
+// so the width is no part of it.
 type resultKey struct {
 	epochSum uint64
-	bound    float64
+	level    int
 	aggs     uint64 // nibble-packed aggregate set, see join.PackAggs
 }
 
@@ -307,13 +309,22 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	if !(req.Bound > 0) {
 		return Response{}, fmt.Errorf("shard: scatter-gather requires a positive bound, got %v", req.Bound)
 	}
+	// A bound too fine for any cover is refused here, before the probe below
+	// could count a miss for a request no shard answers.
+	level, err := raster.BoundLevel(s.domain, req.Bound)
+	if err != nil {
+		return Response{}, err
+	}
 	// Result-cache probe above the whole fan-out. The epoch sum is read here,
 	// before any shard executes: an entry's data is at least as new as the
 	// epochs in its key, so a hit serves data at least as new as this scatter
 	// could have observed by executing. A hit's Results are the cached entry's
 	// own slices; callers must treat them as read-only, which every
-	// merge/wire consumer does.
-	key, cacheable := s.cacheKey(req)
+	// merge/wire consumer does. A disabled cache, or an aggregate set the
+	// key cannot pack, bypasses it.
+	aggs, cacheable := join.PackAggs(req.Aggs)
+	cacheable = cacheable && s.results.Enabled()
+	key := resultKey{epochSum: s.EpochSum(), level: level, aggs: aggs}
 	if cacheable {
 		if c, ok := s.results.Get(key); ok {
 			s.queries.Add(1)
@@ -329,10 +340,10 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	// Scatter, up to GOMAXPROCS shards at a time: at a positive bound the
 	// engine's rule runs every shard on the resident point-index strategy —
 	// the one whose per-shard answers merge with the documented identity
-	// guarantees. A cold bound's cover is built by the first shard read, on
+	// guarantees. A cold level's cover is built by the first shard read, on
 	// the engine's default budget, and the others coalesce onto that build.
 	parts := make([]distbound.Response, len(s.shards))
-	err := pool.RunCtx(ctx, len(s.shards), pool.Workers(0, len(s.shards)), func(_, i int) error {
+	err = pool.RunCtx(ctx, len(s.shards), pool.Workers(0, len(s.shards)), func(_, i int) error {
 		resp, err := s.engine.Do(ctx, distbound.Request{
 			Dataset: s.shards[i].ds,
 			Aggs:    req.Aggs,
@@ -378,21 +389,6 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 		s.results.Put(key, &c)
 	}
 	return out, nil
-}
-
-// cacheKey computes the scatter-gather result key, reporting !ok for
-// request shapes the cache bypasses (a disabled cache, oversized or unknown
-// aggregate sets). The caller has already rejected non-positive (and NaN)
-// bounds.
-func (s *Sharded) cacheKey(req Request) (resultKey, bool) {
-	if !s.results.Enabled() {
-		return resultKey{}, false
-	}
-	packed, ok := join.PackAggs(req.Aggs)
-	if !ok {
-		return resultKey{}, false
-	}
-	return resultKey{epochSum: s.EpochSum(), bound: req.Bound, aggs: packed}, true
 }
 
 // SetResultCacheCapacity re-bounds the scatter-gather result cache — the
@@ -578,7 +574,7 @@ type Stats struct {
 	// shard's mutation epoch. ResultCache reports the merged-layer cache.
 	EpochSum    uint64
 	ResultCache cache.Stats
-	// Covers reports the shared cover cache — Builds is one per bound,
+	// Covers reports the shared cover cache — Builds is one per level,
 	// whatever the shard count — and CoverBytes the resident sets' footprint,
 	// counted once; PerShard carries each shard's own state over them.
 	Covers     cache.Stats

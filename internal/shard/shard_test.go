@@ -747,7 +747,8 @@ func TestShardedResultCache(t *testing.T) {
 	}
 	want.Release()
 
-	// A different bound is a different key.
+	// A bound on another level is a different key: 64 and 128 are adjacent
+	// levels.
 	hits := s.Stats().ResultCache.Hits
 	if _, err := s.Do(ctx, Request{Aggs: allAggs, Bound: 128}); err != nil {
 		t.Fatal(err)
@@ -1064,9 +1065,11 @@ func TestRenderedMemoConcurrentFirstHits(t *testing.T) {
 }
 
 // TestShardedBoundFinerThanLeafCell: a positive bound finer than the leaf
-// cell comes back as the engine's typed error, before any cover build.
+// cell comes back as the engine's typed error, before any cover build and
+// before the result cache is probed, so the refusal counts no miss.
 func TestShardedBoundFinerThanLeafCell(t *testing.T) {
 	s, _, _, _, _, _, _ := fixture(t, 7, 2000, 4)
+	misses := s.Stats().ResultCache.Misses
 	_, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: 5e-324})
 	var tf *distbound.BoundTooFineError
 	if !errors.As(err, &tf) || tf.Bound != 5e-324 || !(tf.Floor > 0) {
@@ -1074,5 +1077,8 @@ func TestShardedBoundFinerThanLeafCell(t *testing.T) {
 	}
 	if cover := s.engine.CacheStats(); cover.Builds != 0 {
 		t.Errorf("a refused bound started %d cover builds", cover.Builds)
+	}
+	if got := s.Stats().ResultCache.Misses; got != misses {
+		t.Errorf("a refused bound counted %d result-cache misses", got-misses)
 	}
 }

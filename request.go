@@ -75,7 +75,7 @@ type Response struct {
 	// request against a base or after a delete, 0 once the joiner holds the
 	// fold), and the live delta rows newly searched into the cover table's
 	// boundary segments (the rows appended since the previous request at
-	// this bound, 0 when nothing was). Both are 0 for strategies other than
+	// this bound's level, 0 when nothing was). Both are 0 for strategies other than
 	// pointidx — the probe economy they meter is the resident path's.
 	RangesProbed int
 	// DeltaProbed — see RangesProbed.
@@ -302,8 +302,8 @@ func (e *Engine) executeMulti(ctx context.Context, req Request, resp *Response) 
 		resp.Results = results
 		return err
 	case StrategyACT:
-		// The approximate cell-lookup join answers from the bound's cover
-		// set, the artifact resident reads at the bound share.
+		// The approximate cell-lookup join answers from the cover set of the
+		// bound's level, the artifact resident reads at that level share.
 		tb := time.Now()
 		ce, err := e.coverEntryCtx(ctx, req.Bound, workers)
 		resp.Build = time.Since(tb)
