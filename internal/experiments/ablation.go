@@ -29,7 +29,10 @@ func AblApprox(cfg Config) (*Table, error) {
 		sample = sample[:24]
 	}
 	const bound = 64.0 // raster distance bound (meters) for UR/HR rows
-	urLevel := d.LevelForBound(bound)
+	urLevel, err := raster.BoundLevel(d, bound)
+	if err != nil {
+		return nil, err
+	}
 
 	kinds := []struct {
 		name  string

@@ -100,7 +100,11 @@ const (
 // orient returns the orientation of the triple (a, b, c):
 // +1 counter-clockwise, -1 clockwise, 0 collinear.
 func orient(a, b, c Point) int {
-	v := (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
+	return orientation((b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X))
+}
+
+// orientation classifies orient's determinant v by its sign (NaN: collinear).
+func orientation(v float64) int {
 	switch {
 	case v > 0:
 		return counterclockwise
@@ -332,15 +336,28 @@ func (r Rect) IntersectsSegment(s Segment) bool {
 	if !r.Intersects(s.Bounds()) {
 		return false
 	}
-	c := r.Corners()
-	o := orient(s.A, s.B, c[0])
-	if o == collinear {
-		return true
-	}
-	for _, p := range c[1:] {
-		if orient(s.A, s.B, p) != o {
-			return true
-		}
-	}
-	return false
+	return r.straddledBy(s)
+}
+
+// IntersectsCanonicalSegment is IntersectsSegment for a segment already in
+// canonical form whose bounds the caller has found to meet the rect — the
+// rasterizer's segment table holds both facts — so it neither reorders s nor
+// recomputes its bounds, and answers as IntersectsSegment does on every such
+// pair.
+func (r Rect) IntersectsCanonicalSegment(s Segment) bool {
+	return r.ContainsPoint(s.A) || r.ContainsPoint(s.B) || r.straddledBy(s)
+}
+
+// straddledBy reports whether the rect's corners do not all lie strictly on
+// one side of s's line: the separating-axis test's last axis.
+//
+// It is orient(s.A, s.B, corner) at each corner, term for term, with the
+// products shared — a corner's X meets only s's dy and its Y only its dx —
+// at half the multiplications.
+func (r Rect) straddledBy(s Segment) bool {
+	dx, dy := s.B.X-s.A.X, s.B.Y-s.A.Y
+	x0, x1 := dy*(r.Min.X-s.A.X), dy*(r.Max.X-s.A.X)
+	y0, y1 := dx*(r.Min.Y-s.A.Y), dx*(r.Max.Y-s.A.Y)
+	o := orientation(y0 - x0)
+	return o == collinear || orientation(y0-x1) != o || orientation(y1-x1) != o || orientation(y1-x0) != o
 }

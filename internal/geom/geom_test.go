@@ -407,7 +407,9 @@ func refRectIntersectsSegment(r Rect, s Segment) bool {
 // of its time in to its four-sides definition on every input: raw floats
 // (NaN, ±Inf, inverted and degenerate rects included) and the same values
 // snapped to a small lattice, where corner touches, collinear overlaps and
-// sides lying on the segment's line actually occur.
+// sides lying on the segment's line actually occur. It also holds
+// IntersectsCanonicalSegment to IntersectsSegment wherever the former applies:
+// on the canonical segment, when its bounds meet the rect.
 func FuzzRectIntersectsSegment(f *testing.F) {
 	f.Add(0.0, 0.0, 4.0, 4.0, -1.0, 2.0, 5.0, 2.0)    // straight through
 	f.Add(0.0, 0.0, 4.0, 4.0, -2.0, 2.0, 2.0, 6.0)    // touches corner (0,4)
@@ -430,6 +432,14 @@ func FuzzRectIntersectsSegment(f *testing.F) {
 		f.Add(x0, y0, x1, y1, x1, y0-side, x1, y0-side/2)                         // along the right side's line, short of it
 		f.Add(x0, y0, x1, y1, x0-side, y0+side/2, x0, y0+side/2)                  // ending on the left side
 		f.Add(x0, y0, x1, y1, x0-side, y0+side/2, math.Nextafter(x0, 0), y0+side) // ending an ulp short of it
+		// The lower-left child of that cell, the rect the descent tests next,
+		// with a segment ending an ulp outside its right side, its top side
+		// and its far corner, and one starting an ulp outside its right side.
+		xm, ym := x0+side/2, y0+side/2
+		f.Add(x0, y0, xm, ym, x0-side, y0+side/4, math.Nextafter(xm, math.Inf(1)), y0+side/4)
+		f.Add(x0, y0, xm, ym, x0+side/4, y0-side, x0+side/4, math.Nextafter(ym, math.Inf(1)))
+		f.Add(x0, y0, xm, ym, x0-side, y0-side, math.Nextafter(xm, math.Inf(1)), math.Nextafter(ym, math.Inf(1)))
+		f.Add(x0, y0, xm, ym, math.Nextafter(xm, math.Inf(1)), ym, x1, y0-side)
 	}
 	// Corners a hair off the segment's line, where orient's rounding
 	// answered differently for the two endpoint orders.
@@ -445,6 +455,11 @@ func FuzzRectIntersectsSegment(f *testing.F) {
 			}
 			if rev := r.IntersectsSegment(Segment{s.B, s.A}); rev != got {
 				t.Fatalf("%v.IntersectsSegment(%v) = %v, reversed %v", r, s, got, rev)
+			}
+			if c := s.Canonical(); r.Intersects(c.Bounds()) {
+				if lean := r.IntersectsCanonicalSegment(c); lean != got {
+					t.Fatalf("%v.IntersectsCanonicalSegment(%v) = %v, IntersectsSegment %v", r, c, lean, got)
+				}
 			}
 		}
 		check(Rect{Pt(x0, y0), Pt(x1, y1)}, Segment{Pt(ax, ay), Pt(bx, by)})

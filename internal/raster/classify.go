@@ -113,7 +113,7 @@ func (cl *classifier) relate(rect geom.Rect, cand, dst []int32) (geom.RectRelati
 		return cl.regions[0].RelateRect(rect), dst
 	}
 	for _, si := range cand {
-		if rect.Intersects(cl.bounds[si]) && rect.IntersectsSegment(cl.segs[si]) {
+		if rect.Intersects(cl.bounds[si]) && rect.IntersectsCanonicalSegment(cl.segs[si]) {
 			dst = append(dst, si)
 		}
 	}

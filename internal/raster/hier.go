@@ -81,7 +81,10 @@ type frame struct {
 // segment crosses lies on one side, at least half its side away from the
 // line, so one locator test per side decides every such child — and every
 // such descendant while the chord stays the region's only segment, since a
-// descendant's sides lie on the cell's.
+// descendant's sides lie on the cell's. visit copies the memo into each
+// child's frame; below a chord cell (see walkChord), where every region
+// partial is an owner of the one segment, the answer one descendant learns
+// holds for the whole cell, so the owners' memos are shared by the subtree.
 type partial struct {
 	r, one int32
 	memo   [2]int8
@@ -114,6 +117,19 @@ type walker struct {
 	tasks []task // recorded by the top walk, in curve order
 	ctx   context.Context
 	err   error
+
+	ch chord // the chord cell walkChord walks, if any
+}
+
+// chord is a cell crossed by one segment, s with bounds b, whose owners are
+// every region partial in the cell — one or two of them, each with the
+// segment as its chord, their partials part[:n]: all walkChord needs to walk
+// the cell's subtree.
+type chord struct {
+	s    geom.Segment
+	b    geom.Rect
+	part [2]partial
+	n    int
 }
 
 // regionMark counts the segments of one region crossing the current cell:
@@ -159,7 +175,7 @@ func (w *walker) visit(id sfc.CellID, level int, x, y uint32, st uint8, p *frame
 	f := &w.depth[level]
 	f.segs = reserve(f.segs, len(p.segs))
 	for _, si := range p.segs {
-		if rect.Intersects(cl.bounds[si]) && rect.IntersectsSegment(cl.segs[si]) {
+		if rect.Intersects(cl.bounds[si]) && rect.IntersectsCanonicalSegment(cl.segs[si]) {
 			f.segs = append(f.segs, si)
 			for _, r := range cl.owners[cl.ownOff[si]:cl.ownOff[si+1]] {
 				m := &w.marks[r]
@@ -218,9 +234,61 @@ func (w *walker) visit(id sfc.CellID, level int, x, y uint32, st uint8, p *frame
 		}
 		return
 	}
+	if w.spawn < 0 && len(f.segs) == 1 {
+		if si := f.segs[0]; len(f.part) <= len(w.ch.part) && int(cl.ownOff[si+1]-cl.ownOff[si]) == len(f.part) {
+			// The regions partial here are the segment's owners and no
+			// RelateRect-only region: a chord cell.
+			w.ch.s, w.ch.b, w.ch.n = cl.segs[si], cl.bounds[si], copy(w.ch.part[:], f.part)
+			w.walkChord(id, level, x, y, st)
+			return
+		}
+	}
 	for digit, ch := range id.Children() {
 		dx, dy, next := w.curve.Step(st, digit)
 		w.visit(ch, level+1, x<<1|dx, y<<1|dy, next, f)
+	}
+}
+
+// walkChord is visit below a chord cell, w.ch: every descendant is crossed
+// by the chord alone or by nothing, so a child costs one segment test, and an
+// uncrossed one one Side test for all its owners. It keeps no frame: the
+// owners' side memos live in w.ch and are shared by the whole subtree, since
+// within the chord cell each side of the line is uniformly inside or outside
+// each owner. It emits, descends and polls the context as visit does.
+func (w *walker) walkChord(id sfc.CellID, level int, x, y uint32, st uint8) {
+	ch, leaf := &w.ch, level+1 >= w.maxLevel
+	side := w.d.CellSide(level + 1)
+	for digit, cid := range id.Children() {
+		w.stamp++
+		if w.ctx != nil && w.stamp%1024 == 1 {
+			if w.err = w.ctx.Err(); w.err != nil {
+				return
+			}
+		}
+		dx, dy, next := w.curve.Step(st, digit)
+		cx, cy := x<<1|dx, y<<1|dy
+		rect := w.d.SideRect(cx, cy, side)
+		switch {
+		case !rect.Intersects(ch.b) || !rect.IntersectsCanonicalSegment(ch.s):
+			c := rect.Center()
+			sd := ch.s.Side(c)
+			for i := range ch.part[:ch.n] {
+				pt := &ch.part[i]
+				if pt.onSide(sd, c, w.cl.contains[pt.r]) {
+					w.emit(pt.r, cid, true)
+				}
+			}
+		case !leaf:
+			if w.walkChord(cid, level+1, cx, cy, next); w.err != nil {
+				return
+			}
+		default:
+			for _, pt := range ch.part[:ch.n] {
+				if w.mode == Conservative || w.cl.contains[pt.r](rect.Center()) {
+					w.emit(pt.r, cid, false)
+				}
+			}
+		}
 	}
 }
 
@@ -232,7 +300,13 @@ func (w *walker) inside(pt *partial, c geom.Point) bool {
 	if pt.one < 0 {
 		return contains(c)
 	}
-	side := w.cl.segs[pt.one].Side(c)
+	return pt.onSide(w.cl.segs[pt.one].Side(c), c, contains)
+}
+
+// onSide decides a cell whose center c lies on the given side of the chord's
+// line (0: on it) by the side memo, asking contains only for a side it does
+// not know yet — or for a center on the line, which decides nothing.
+func (pt *partial) onSide(side int, c geom.Point, contains func(geom.Point) bool) bool {
 	if side == 0 {
 		return contains(c)
 	}

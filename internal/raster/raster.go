@@ -25,23 +25,31 @@
 // (the ACT trie, the cover sets): a region edge lying exactly on a grid line
 // touches the cells on both sides of it, and both are boundary cells.
 //
-// The descent is one depth-first walk of the quadtree over a whole region
-// set, each cell classified once for every region that meets it. Every ring
-// edge of the set is stored once, in canonical endpoint order, with the
-// regions that own it (the segment table, see classifier), so an edge two
-// neighbours share is tested once per cell for both. A cell carries the
-// segments and the partial regions of its parent: a region is partial where
-// one of its segments crosses the cell, and any other is inside or outside by
-// one locator test of the cell's center — asked once per side of the region's
-// chord when a single segment of it crosses the parent, the answers carried
-// down while that segment stays the only one (the side memo, see partial).
-// A cell's grid coordinates and curve state travel down with it, so a
-// child's rectangle costs one sfc.Curve.Step, not a Decode from level 0.
-// Children are visited in curve order — ascending CellID order, a subtree
-// finished before the next sibling starts — so every region's cells come out
-// sorted and are never sorted afterwards. A depth's lists are subsets of its
-// parent's and dead once its subtree returns, so one slice per depth serves
-// every cell: nothing is allocated per cell.
+// The descent is one depth-first walk of the quadtree over a whole region set,
+// each cell classified once for every region that meets it. Every ring edge of
+// the set is stored once, in canonical endpoint order, with the regions that
+// own it (the segment table, see classifier), so an edge two neighbours share
+// is tested once per cell for both. A cell carries the segments and the
+// partial regions of its parent: a region is partial where one of its segments
+// crosses the cell, and any other is inside or outside by one locator test of
+// the cell's center — asked once per side of the region's chord when a single
+// segment of it crosses the parent, the answers carried down while that
+// segment stays the only one (the side memo, see partial). Nearly every cell
+// of a fine cover lies below a chord cell: one segment crosses it and its one
+// or two owners are the only regions partial there (96 % of the 5.3 M cells at
+// ε 4 on the benchmark's partition). Below the split level (everywhere, in a
+// one-region walk) a chord cell's subtree is walked on that segment alone (see
+// walkChord): no frames, no per-region marks, one segment test per child, one
+// side test per uncrossed child for both owners, and memos shared by the
+// subtree — the same cells in the same order as the general step, in about a
+// third less time on the benchmark's partition. A cell's grid coordinates and
+// curve state travel down with it, so a child's rectangle costs one
+// sfc.Curve.Step, not a Decode from level 0. Children are visited in curve
+// order — ascending CellID order, a subtree finished before the next sibling
+// starts — so every region's cells come out sorted and are never sorted
+// afterwards. A depth's lists are subsets of its parent's and dead once its
+// subtree returns, so one slice per depth serves every cell: nothing is
+// allocated per cell.
 //
 // The descent hands each (region, cell) to one of two sinks.
 // HierarchicalAtLevel, and Hierarchical and Uniform through it, walk a

@@ -95,7 +95,12 @@ func (d Domain) Coord(p geom.Point, level int) (x, y uint32, ok bool) {
 // CellRect returns the rectangle in the plane covered by cell (x, y) at the
 // given level.
 func (d Domain) CellRect(x, y uint32, level int) geom.Rect {
-	side := d.CellSide(level)
+	return d.SideRect(x, y, d.CellSide(level))
+}
+
+// SideRect is CellRect with the level's CellSide already computed, for a
+// caller that visits many cells of one level.
+func (d Domain) SideRect(x, y uint32, side float64) geom.Rect {
 	minX := d.Origin.X + float64(x)*side
 	minY := d.Origin.Y + float64(y)*side
 	return geom.Rect{Min: geom.Pt(minX, minY), Max: geom.Pt(minX+side, minY+side)}
