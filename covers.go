@@ -63,7 +63,7 @@ func (e *Engine) coverEntryCtx(ctx context.Context, bound float64, workers int) 
 	}
 	// Closure-free warm path: a ready entry is served without materializing
 	// the build closure below, so a hot resident loop allocates nothing here.
-	if ce, ok := e.covers.GetReady(level); ok {
+	if ce, ok := e.covers.Get(level); ok {
 		return ce, nil
 	}
 	ce, err := e.covers.GetOrBuildCtx(ctx, level, func(bctx context.Context) (*coverEntry, error) {

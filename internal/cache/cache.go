@@ -1,17 +1,20 @@
-// Package cache provides the bounded, concurrency-safe index cache of the
-// serving engine: a generic LRU keyed by comparable keys with
-// singleflight-style build deduplication. Index builds (ACT tries, BRJ mask
-// canvases) are expensive — seconds at fine distance bounds — so when many
-// concurrent queries miss on the same key, exactly one goroutine runs the
-// build while the others wait for its result instead of duplicating the
-// work. The capacity bound keeps long-running servers from accumulating one
-// index per distinct key (a bound, or a cover level) ever queried.
+// Package cache provides the one bounded, concurrency-safe LRU of the
+// serving stack, keyed by comparable keys. It has two uses. The engine's
+// artifacts (cover sets, the exact cover, BRJ mask canvases) are built
+// through GetOrBuildCtx with singleflight-style deduplication: a build can
+// take seconds at fine distance bounds, so when many concurrent queries miss
+// on the same key, exactly one goroutine runs it while the others wait for
+// its result. The shard layer's merged answers are stored with Put and read
+// with Get. The capacity bound keeps long-running servers from accumulating
+// one entry per distinct key (a cover level, a bound, a query shape) ever
+// queried.
 package cache
 
 import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -21,9 +24,11 @@ var errBuildPanicked = errors.New("cache: build panicked")
 
 // Stats counts cache events since construction.
 type Stats struct {
-	// Hits is the number of lookups answered from a resident entry.
+	// Hits is the number of lookups (Get or GetOrBuildCtx) answered from a
+	// resident entry.
 	Hits int64
-	// Misses is the number of GetOrBuildCtx calls that found no entry.
+	// Misses is the number of GetOrBuildCtx calls that found no entry; a Get
+	// that misses records nothing.
 	Misses int64
 	// Builds is the number of build functions actually executed (one per
 	// miss; concurrent callers arriving during a build count as hits).
@@ -32,7 +37,8 @@ type Stats struct {
 	// flight and waited for it — the calls deduplication saved from
 	// running their own build.
 	Coalesced int64
-	// Evictions is the number of entries dropped by the capacity bound.
+	// Evictions is the number of entries dropped by the capacity bound or
+	// replaced by a Put.
 	Evictions int64
 	// BuildTime is the wall time spent inside build functions, slot waits excluded.
 	BuildTime time.Duration
@@ -61,30 +67,43 @@ type entry[K comparable, V any] struct {
 // Cache is a bounded LRU with deduplicated builds. The zero value is not
 // usable; construct with New.
 //
-// The capacity also gates build concurrency: at most capacity builds for
-// distinct keys run at once, the rest queue. Without the gate, a cold burst
-// of distinct keys would hold arbitrarily many in-flight artifacts
-// simultaneously — unbounded peak memory on exactly the large artifacts the
-// capacity bound exists to contain.
+// The capacity also gates build concurrency: at most capacity builds (at
+// least one) for distinct keys run at once, the rest queue. Without the
+// gate, a cold burst of distinct keys would hold arbitrarily many in-flight
+// artifacts simultaneously — unbounded peak memory on exactly the large
+// artifacts the capacity bound exists to contain.
 type Cache[K comparable, V any] struct {
 	mu        sync.Mutex
-	buildSlot *sync.Cond // signaled when a build finishes
+	buildSlot *sync.Cond // signaled when a build finishes or the capacity changes
 	building  int
-	capacity  int
-	entries   map[K]*entry[K, V]
-	head      *entry[K, V] // most recently used
-	tail      *entry[K, V] // least recently used
-	stats     Stats
+	// capacity is written under mu; Enabled loads it without.
+	capacity atomic.Int64
+	entries  map[K]*entry[K, V]
+	head     *entry[K, V] // most recently used
+	tail     *entry[K, V] // least recently used
+	stats    Stats
 }
 
-// New returns a cache holding at most capacity entries (minimum 1).
+// New returns a cache holding at most capacity entries. A capacity of 0 (or
+// less) holds nothing: every build still runs and answers its callers, one
+// at a time, and is dropped as it completes.
 func New[K comparable, V any](capacity int) *Cache[K, V] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c := &Cache[K, V]{capacity: capacity, entries: map[K]*entry[K, V]{}}
+	c := &Cache[K, V]{entries: map[K]*entry[K, V]{}}
 	c.buildSlot = sync.NewCond(&c.mu)
+	c.capacity.Store(int64(max(capacity, 0)))
 	return c
+}
+
+// NewShardedLRU is New under the name the benchmark harness calls. onEvict
+// must be nil: a Cache drops values without a release hook, so any other
+// value panics rather than go uncalled.
+//
+//distbound:api kept for the benchmark harness
+func NewShardedLRU[K comparable, V any](capacity int, onEvict func(V)) *Cache[K, V] {
+	if onEvict != nil {
+		panic("cache: NewShardedLRU takes no onEvict")
+	}
+	return New[K, V](capacity)
 }
 
 // GetOrBuildCtx returns the cached value for key, building it with build on a
@@ -197,7 +216,7 @@ func (c *Cache[K, V]) runBuild(e *entry[K, V], build func() (V, error)) {
 	// Wait for a build slot. Waiters coalescing onto this key block on
 	// e.ready without the lock, so queuing here stalls only other builders.
 	c.mu.Lock()
-	for c.building >= c.capacity {
+	for int64(c.building) >= max(c.capacity.Load(), 1) {
 		c.buildSlot.Wait()
 	}
 	c.building++
@@ -227,6 +246,9 @@ func (c *Cache[K, V]) runBuild(e *entry[K, V], build func() (V, error)) {
 	completed = true
 	c.mu.Lock()
 	c.stats.BuildTime += time.Since(t0)
+	// Close under mu: the cancel path's readiness re-check also runs under
+	// mu, so a completed build can never be mistaken for one in flight.
+	close(e.ready)
 	if e.err != nil {
 		// Drop the failed entry so a later call can retry; only remove our
 		// own entry in case a concurrent retry already replaced it.
@@ -240,13 +262,11 @@ func (c *Cache[K, V]) runBuild(e *entry[K, V], build func() (V, error)) {
 		// servable, so it must not be evicted on the next lookup. Evict for
 		// capacity only now that the build has succeeded: evicting at insert
 		// time would let a build that ends up failing flush a warm resident
-		// entry and leave nothing in its place.
+		// entry and leave nothing in its place. The entry is ready, so at
+		// capacity 0 this drops it too.
 		e.abandoned = false
 		c.evictOver()
 	}
-	// Close under mu: the cancel path's readiness re-check also runs under
-	// mu, so a completed build can never be mistaken for one in flight.
-	close(e.ready)
 	c.mu.Unlock()
 }
 
@@ -255,26 +275,33 @@ func (c *Cache[K, V]) runBuild(e *entry[K, V], build func() (V, error)) {
 // false. Called with mu held.
 func (c *Cache[K, V]) lookupReady(key K) (*entry[K, V], bool) {
 	e, ok := c.entries[key]
-	if !ok || e.abandoned {
-		return nil, false
-	}
-	select {
-	case <-e.ready:
-	default:
+	if !ok || e.abandoned || !e.done() {
 		return nil, false
 	}
 	return e, e.err == nil
 }
 
-// GetReady returns the value cached under key iff its build has completed
-// successfully, recording a hit and refreshing recency exactly as
-// GetOrBuildCtx's warm path would. A missing, in-flight or abandoned entry
-// returns false without recording anything — the caller falls back to
-// GetOrBuildCtx, whose stats then tell the full story. It exists
-// as the allocation-free warm path: unlike GetOrBuildCtx it takes no build
-// closure, so a hot serving loop heap-allocates nothing to ask for an
-// artifact that is almost always resident.
-func (c *Cache[K, V]) GetReady(key K) (V, bool) {
+// done reports whether e's value is final: built, failed, or Put.
+func (e *entry[K, V]) done() bool {
+	select {
+	case <-e.ready:
+		return true
+	default:
+		return false
+	}
+}
+
+// Get returns the value cached under key iff its build has completed
+// successfully (or it was Put), recording a hit and refreshing recency
+// exactly as GetOrBuildCtx's warm path would. A missing, in-flight or
+// abandoned entry returns false without recording anything — a caller that
+// falls back to GetOrBuildCtx lets its stats tell the full story, and one
+// that does not counts its own misses. It is the allocation-free warm path:
+// unlike GetOrBuildCtx it takes no build closure, so a hot serving loop
+// heap-allocates nothing to ask for a value that is almost always resident.
+//
+//distbound:noalloc
+func (c *Cache[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.lookupReady(key)
@@ -285,6 +312,55 @@ func (c *Cache[K, V]) GetReady(key K) (V, bool) {
 	c.stats.Hits++
 	c.moveToFront(e)
 	return e.val, true
+}
+
+// Put stores v under key as the most recently used entry, then evicts down
+// to capacity — at capacity 0, v itself. Replacing a completed entry counts
+// as an eviction. An in-flight build under key is left alone: its waiters
+// keep what it builds.
+func (c *Cache[K, V]) Put(key K, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if old, ok := c.lookup(key); ok {
+		if !old.done() {
+			return
+		}
+		// A new entry rather than a new val: waiters and EachReady read a
+		// completed entry's val without the lock.
+		c.remove(old)
+		c.stats.Evictions++
+	}
+	e := &entry[K, V]{key: key, val: v, ready: make(chan struct{})}
+	close(e.ready)
+	c.entries[key] = e
+	c.pushFront(e)
+	c.evictOver()
+}
+
+// SetCapacity re-bounds the cache, evicting cold entries as needed; 0 (or
+// less) empties it and keeps later Puts from staying.
+func (c *Cache[K, V]) SetCapacity(capacity int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.capacity.Store(int64(max(capacity, 0)))
+	c.evictOver()
+	c.buildSlot.Broadcast()
+}
+
+// Enabled reports whether the capacity is positive — one atomic load, so a
+// caller can skip preparing a value only a Put would take. A racing
+// SetCapacity is benign: a Put on a freshly emptied cache keeps nothing.
+//
+//distbound:noalloc
+func (c *Cache[K, V]) Enabled() bool { return c.capacity.Load() > 0 }
+
+// Len returns the entry count, in-flight builds included.
+//
+//distbound:oracle the capacity tests count resident entries with it
+func (c *Cache[K, V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // EachReady calls fn for every entry whose build has completed successfully,
@@ -318,14 +394,12 @@ func (c *Cache[K, V]) Stats() Stats {
 // dropping the map slot would let a duplicate build start. Called with mu
 // held.
 func (c *Cache[K, V]) evictOver() {
-	e := c.tail
-	for len(c.entries) > c.capacity && e != nil {
+	capacity := int(c.capacity.Load())
+	for e := c.tail; len(c.entries) > capacity && e != nil; {
 		prev := e.prev
-		select {
-		case <-e.ready:
+		if e.done() {
 			c.remove(e)
 			c.stats.Evictions++
-		default:
 		}
 		e = prev
 	}

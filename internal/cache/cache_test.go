@@ -490,3 +490,208 @@ func TestEachReady(t *testing.T) {
 	close(release)
 	<-done
 }
+
+// The TestShardedLRU tests build their cache through NewShardedLRU, the
+// constructor the benchmark harness calls, and pin the Put/Get contract the
+// shard layer's result cache relies on.
+
+func TestShardedLRUBasics(t *testing.T) {
+	c := NewShardedLRU[int, string](64, nil)
+	if _, ok := c.Get(1); ok {
+		t.Fatal("hit on empty cache")
+	}
+	c.Put(1, "one")
+	if v, ok := c.Get(1); !ok || v != "one" {
+		t.Fatalf("Get(1) = %q, %v", v, ok)
+	}
+	c.Put(1, "uno")
+	if v, ok := c.Get(1); !ok || v != "uno" {
+		t.Fatalf("after replace Get(1) = %q, %v", v, ok)
+	}
+	// A Get that misses records nothing: its caller counts its own misses.
+	st := c.Stats()
+	if st.Hits != 2 || st.Misses != 0 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 2 hits, 0 misses, 1 eviction (replacement)", st)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", c.Len())
+	}
+}
+
+// TestShardedLRUEvictsColdEntries: the capacity is exact and eviction is
+// globally least-recently-used, so after overfilling, the residents are the
+// hot key and the newest others.
+func TestShardedLRUEvictsColdEntries(t *testing.T) {
+	const capacity, puts = 64, 500
+	c := NewShardedLRU[int, int](capacity, nil)
+	for i := 0; i < puts; i++ {
+		c.Put(i, i)
+		c.Get(0) // keep key 0 hot
+	}
+	if got := c.Len(); got != capacity {
+		t.Fatalf("Len = %d, want exactly the capacity %d", got, capacity)
+	}
+	if st := c.Stats(); st.Evictions != puts-capacity {
+		t.Fatalf("Stats.Evictions = %d, want %d", st.Evictions, puts-capacity)
+	}
+	for i := puts - capacity + 1; i < puts; i++ {
+		if !ready(c, i) {
+			t.Fatalf("key %d, among the %d newest, was evicted", i, capacity-1)
+		}
+	}
+	if ready(c, puts-capacity) {
+		t.Fatalf("key %d outlived the hot key's claim on a slot", puts-capacity)
+	}
+	if _, ok := c.Get(0); !ok {
+		t.Fatal("hot key 0 was evicted while colder entries survived")
+	}
+}
+
+// TestShardedLRUSetCapacity: capacity 0 empties the cache and keeps later
+// Puts from staying; re-enabling it works.
+func TestShardedLRUSetCapacity(t *testing.T) {
+	c := NewShardedLRU[int, int](256, nil)
+	for i := 0; i < 100; i++ {
+		c.Put(i, i)
+	}
+	if c.Len() != 100 || !c.Enabled() {
+		t.Fatalf("Len = %d, Enabled = %v; want 100, true", c.Len(), c.Enabled())
+	}
+	c.SetCapacity(0)
+	if c.Len() != 0 || c.Enabled() {
+		t.Fatalf("after disable Len = %d, Enabled = %v; want 0, false", c.Len(), c.Enabled())
+	}
+	if ev := c.Stats().Evictions; ev != 100 {
+		t.Fatalf("%d evictions on disable, want 100", ev)
+	}
+	c.Put(1, 1)
+	if c.Len() != 0 || c.Stats().Evictions != 101 {
+		t.Fatalf("disabled Put kept its value: Len = %d, %+v", c.Len(), c.Stats())
+	}
+	if _, ok := c.Get(1); ok {
+		t.Fatal("hit on disabled cache")
+	}
+	c.SetCapacity(64)
+	c.Put(1, 1)
+	if _, ok := c.Get(1); !ok {
+		t.Fatal("re-enabled cache refused an entry")
+	}
+}
+
+// TestShardedLRUConcurrent races Get, Put and SetCapacity (run it under
+// -race): values never mix across keys, and the bound holds at the end.
+func TestShardedLRUConcurrent(t *testing.T) {
+	const capacity = 128
+	c := NewShardedLRU[string, int](capacity, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				k := fmt.Sprintf("k%d", i%200)
+				if v, ok := c.Get(k); ok && v != i%200 {
+					t.Errorf("Get(%s) = %d", k, v)
+				}
+				c.Put(k, i%200)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			c.SetCapacity(capacity * (i % 2))
+		}
+	}()
+	wg.Wait()
+	c.SetCapacity(capacity)
+	if c.Len() > capacity {
+		t.Fatalf("Len = %d exceeds capacity", c.Len())
+	}
+}
+
+func TestShardedLRUGetAllocFree(t *testing.T) {
+	c := NewShardedLRU[uint64, *int](64, nil)
+	v := 42
+	for i := uint64(0); i < 8; i++ {
+		c.Put(i, &v)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := uint64(0); i < 8; i++ {
+			if _, ok := c.Get(i); !ok {
+				t.Fatal("miss on resident key")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Get allocates %v per run of 8 hits; the hit path must be allocation-free", allocs)
+	}
+}
+
+func TestNewShardedLRURefusesOnEvict(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a non-nil onEvict was accepted and would never be called")
+		}
+	}()
+	NewShardedLRU[int, int](8, func(int) {})
+}
+
+// TestGetOrBuildCtxAtCapacityZero: a cache that holds nothing still builds
+// and answers, through the build gate's one slot, and keeps nothing.
+func TestGetOrBuildCtxAtCapacityZero(t *testing.T) {
+	c := New[int, int](0)
+	for i := 0; i < 2; i++ {
+		if v, err := get(c, 1, func() (int, error) { return 7, nil }); err != nil || v != 7 {
+			t.Fatalf("build %d: (%d, %v)", i, v, err)
+		}
+	}
+	if st := c.Stats(); c.Len() != 0 || st.Builds != 2 || st.Evictions != 2 {
+		t.Fatalf("Len = %d, %+v; want nothing kept, 2 builds, 2 evictions", c.Len(), st)
+	}
+}
+
+// TestPutLeavesInFlightBuildAlone: a Put racing a build of its key neither
+// replaces the entry its waiters hold nor starts a duplicate.
+func TestPutLeavesInFlightBuildAlone(t *testing.T) {
+	c := New[int, int](4)
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan int)
+	go func() {
+		v, _ := get(c, 1, func() (int, error) {
+			close(started)
+			<-release
+			return 7, nil
+		})
+		done <- v
+	}()
+	<-started
+	c.Put(1, 9)
+	close(release)
+	if v := <-done; v != 7 {
+		t.Fatalf("waiter got %d, want its build's 7", v)
+	}
+	if v, ok := c.Get(1); !ok || v != 7 {
+		t.Fatalf("Get(1) = %d, %v; want the built 7", v, ok)
+	}
+}
+
+// BenchmarkGetParallel times the hit path under contention: every
+// goroutine reads the same twelve resident keys through the one lock.
+func BenchmarkGetParallel(b *testing.B) {
+	const keys = 12
+	c := New[int, int](1024)
+	for k := 0; k < keys; k++ {
+		c.Put(k, k)
+	}
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, ok := c.Get(i % keys); !ok {
+				b.Error("miss on resident key")
+				return
+			}
+		}
+	})
+}

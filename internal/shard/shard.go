@@ -73,17 +73,21 @@ type Sharded struct {
 	shards  []shardState
 
 	// Scatter accounting, all lock-free: queries served, total shards
-	// contacted across them, and the probe work executed scatters did (see
-	// Response.RangesProbed).
+	// contacted across them, the probe work executed scatters did (see
+	// Response.RangesProbed), and result-cache probes that missed (the cache
+	// counts only its hits).
 	queries  atomic.Uint64
 	contacts atomic.Uint64
 	ranges   atomic.Uint64
 	delta    atomic.Uint64
+	misses   atomic.Int64
 
 	// results caches merged scatter-gather responses above the fan-out: a
 	// hit skips the per-shard queries and the merge entirely.
-	// Invalidation is epoch-sum based — see resultKey.
-	results *cache.ShardedLRU[resultKey, *Response]
+	// Invalidation is epoch-sum based — see resultKey. Merged responses are
+	// plain GC-managed values (never pooled), so eviction needs no release
+	// hook.
+	results *cache.Cache[resultKey, *Response]
 }
 
 // resultKey identifies one cacheable scatter-gather result. epochSum is the
@@ -97,13 +101,6 @@ type resultKey struct {
 	epochSum uint64
 	level    int
 	aggs     uint64 // nibble-packed aggregate set, see join.PackAggs
-}
-
-// newShardResultCache sizes the scatter-gather result cache. Merged
-// responses are plain GC-managed values (never pooled), so eviction needs no
-// release hook.
-func newShardResultCache() *cache.ShardedLRU[resultKey, *Response] {
-	return cache.NewShardedLRU[resultKey, *Response](distbound.DefaultResultCacheCapacity, nil)
 }
 
 // New partitions pts into at most n contiguous key-range shards and
@@ -206,7 +203,7 @@ func newSharded(name string, regions []distbound.Region, hasW bool) *Sharded {
 		engine:  distbound.NewEngine(regions),
 		domain:  distbound.DomainForRegions(regions...),
 		hasW:    hasW,
-		results: newShardResultCache(),
+		results: cache.New[resultKey, *Response](distbound.DefaultResultCacheCapacity),
 	}
 }
 
@@ -332,6 +329,7 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 			out.Wall = time.Since(t0)
 			return out, nil
 		}
+		s.misses.Add(1)
 	}
 	out := Response{
 		Results:     join.NewResults(req.Aggs, s.engine.NumRegions()),
@@ -595,6 +593,7 @@ func (s *Sharded) Stats() Stats {
 		ResultCache:    s.results.Stats(),
 		CoverBytes:     s.engine.CoverBytes(),
 	}
+	st.ResultCache.Misses = s.misses.Load()
 	if st.ContactedTotal > 0 {
 		st.MaxFanOut = len(s.shards)
 	}

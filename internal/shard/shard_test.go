@@ -18,6 +18,7 @@ import (
 	"distbound/internal/data"
 	"distbound/internal/geom"
 	"distbound/internal/pointstore/persist"
+	"distbound/internal/raster"
 	"distbound/internal/testutil"
 	"distbound/internal/testutil/errorfs"
 )
@@ -839,6 +840,137 @@ func TestShardedResultCache(t *testing.T) {
 	}
 	if got, want := s.Stats().ContactedTotal, contacts+2*uint64(final.ShardsTotal); got != want {
 		t.Fatalf("uncached repeats contacted %d shards in total, want %d: something answered without executing", got, want)
+	}
+}
+
+// TestShardedResultCacheCapacityIsExact: the result cache holds exactly its
+// capacity in answers and evicts the least recently used one, whatever keys
+// the answers carry.
+func TestShardedResultCacheCapacityIsExact(t *testing.T) {
+	s, _, _, _, _, _, _ := fixture(t, 31, 2000, 4)
+	s.SetResultCacheCapacity(2)
+	ctx := context.Background()
+	var reqs []Request
+	levels := map[int]bool{}
+	for b := 64.0; len(reqs) < 8; b *= 2 {
+		level, err := raster.BoundLevel(s.domain, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if levels[level] {
+			t.Fatalf("bound %v shares level %d with a smaller one", b, level)
+		}
+		levels[level] = true
+		reqs = append(reqs, Request{Aggs: []distbound.Agg{distbound.Count}, Bound: b})
+	}
+	for _, req := range reqs {
+		if _, err := s.Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.results.Len(); n != 2 {
+		t.Fatalf("capacity 2 holds %d answers after eight levels", n)
+	}
+	st := s.Stats().ResultCache
+	for _, req := range reqs[6:] {
+		if _, err := s.Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().ResultCache; got.Hits != st.Hits+2 || got.Misses != st.Misses {
+		t.Fatalf("the two newest levels did not both hit: %+v -> %+v", st, got)
+	}
+	if _, err := s.Do(ctx, reqs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().ResultCache; got.Misses != st.Misses+1 {
+		t.Fatalf("the oldest level was still cached: %+v -> %+v", st, got)
+	}
+}
+
+// TestShardedResultCacheFreshUnderConcurrency races readers against appends
+// and against the cache being switched off and on (run it under -race).
+// Appends only add points, so no reader may see a region's count fall on
+// any shape, and once the writers stop a cached answer equals an executed
+// one.
+func TestShardedResultCacheFreshUnderConcurrency(t *testing.T) {
+	s, _, _, _, _, pts, ws := fixture(t, 37, 4000, 4)
+	ctx := context.Background()
+	shapes := []Request{
+		{Aggs: []distbound.Agg{distbound.Count}, Bound: 64},
+		{Aggs: []distbound.Agg{distbound.Count}, Bound: 256},
+		{Aggs: []distbound.Agg{distbound.Count}, Bound: 1024},
+	}
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			last := make([][]int64, len(shapes))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := i % len(shapes)
+				resp, err := s.Do(ctx, shapes[k])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				counts := resp.Results[0].Counts
+				for ri := range last[k] {
+					if counts[ri] < last[k][ri] {
+						t.Errorf("bound %v region %d: count fell %d -> %d", shapes[k].Bound, ri, last[k][ri], counts[ri])
+						return
+					}
+				}
+				last[k] = slices.Clone(counts)
+			}
+		}()
+	}
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		for i := 0; i < 50; i++ {
+			if _, err := s.Append(pts[i:i+1], ws[i:i+1]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for i := 0; i < 50; i++ {
+			s.SetResultCacheCapacity(distbound.DefaultResultCacheCapacity * (i % 2))
+		}
+		s.SetResultCacheCapacity(distbound.DefaultResultCacheCapacity)
+	}()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	for _, req := range shapes {
+		if _, err := s.Do(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		hits := s.Stats().ResultCache.Hits
+		cached, err := s.Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Stats().ResultCache.Hits != hits+1 {
+			t.Fatalf("bound %v: the repeat after the writers stopped was not a hit", req.Bound)
+		}
+		s.SetResultCacheCapacity(0)
+		executed, err := s.Do(ctx, req)
+		s.SetResultCacheCapacity(distbound.DefaultResultCacheCapacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		testutil.CheckIdentical(t, fmt.Sprintf("bound %v", req.Bound), executed.Results[0], cached.Results[0])
 	}
 }
 
