@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"distbound/internal/cache"
 	"distbound/internal/join"
 	"distbound/internal/pointstore"
 	"distbound/internal/raster"
@@ -14,69 +15,104 @@ import (
 // diagonal: no cover can meet it, so it is refused before any build starts.
 type BoundTooFineError = raster.BoundTooFineError
 
-// coverEntry is one resident level of the cover cache: the immutable cover
-// set — the cover table, which depends only on the regions, domain, curve
-// and level — shared by every registered dataset and by ad-hoc act requests,
+// Cover is one resident level of the cover cache: the immutable cover set —
+// the cover table, which depends only on the regions, domain, curve and
+// level — shared by every registered dataset and by ad-hoc act requests,
 // plus the joiner (span resolution and partials) of each dataset queried at
 // the level. Joiners live inside the entry so that capacity counts levels, an
 // evicted level takes its set and every joiner over it along, and a joiner
-// can never meet another level's plan.
-type coverEntry struct {
+// can never meet another level's plan. Engine.Cover hands one out so that
+// requests pinning it (Request.Cover) answer from one level.
+type Cover struct {
+	e       *Engine // the engine whose cache holds it
+	level   int
+	bound   float64 // the level's cell diagonal: the bound every answer read from it meets
 	set     *join.CoverSet
 	joiners sync.Map // *pointstore.Mutable → *join.PointIdxJoiner
 }
 
+// Level returns the cover's level (raster.BoundLevel's scale).
+func (c *Cover) Level() int { return c.level }
+
+// ServedBound returns the cover's cell diagonal: the distance bound every
+// answer read from it meets, whatever coarser bound the request named.
+func (c *Cover) ServedBound() float64 { return c.bound }
+
 // peek returns the joiner attached for src, or nil.
-func (ce *coverEntry) peek(src *pointstore.Mutable) *join.PointIdxJoiner {
-	if j, ok := ce.joiners.Load(src); ok {
+func (c *Cover) peek(src *pointstore.Mutable) *join.PointIdxJoiner {
+	if j, ok := c.joiners.Load(src); ok {
 		return j.(*join.PointIdxJoiner)
 	}
 	return nil
 }
 
-// joiner returns ds's joiner over the entry's set, attaching one on first
+// joiner returns ds's joiner over the cover's set, attaching one on first
 // use. It publishes first and checks the handle second, and UnregisterPoints
 // marks the handle gone before it sweeps, so a request racing it is still
 // answered but cannot leave the dataset attached — its store pinned — behind
 // the sweep: whichever of the two runs last removes the joiner.
-func (ce *coverEntry) joiner(e *Engine, ds *Dataset) *join.PointIdxJoiner {
-	if j := ce.peek(ds.src); j != nil {
+func (c *Cover) joiner(e *Engine, ds *Dataset) *join.PointIdxJoiner {
+	if j := c.peek(ds.src); j != nil {
 		return j
 	}
-	j, _ := ce.joiners.LoadOrStore(ds.src, ce.set.Attach(ds.src))
+	j, _ := c.joiners.LoadOrStore(ds.src, c.set.Attach(ds.src))
 	if e.checkDataset(ds) != nil {
-		ce.joiners.Delete(ds.src)
+		c.joiners.Delete(ds.src)
 	}
 	return j.(*join.PointIdxJoiner)
 }
 
-// coverEntryCtx returns the cover-cache entry for the bound's level, building
-// its set under the cache's singleflight on a miss — for a resident pointidx
-// read and an ad-hoc act read alike. Like BRJ mask builds, a cold
-// rasterization fans out across the caller's worker budget, no wider;
+// Cover returns the cover a read at bound is served from — by coverCtx's
+// rule, building the bound's own level on a miss with every core — for
+// requests to pin (Request.Cover). The shard scatter resolves one per query
+// and pins every shard's read to it, so its answers merge at one level
+// whatever the cache does in between. A bound finer than the leaf cell
+// returns BoundTooFineError; canceling ctx returns ctx.Err().
+func (e *Engine) Cover(ctx context.Context, bound float64) (*Cover, error) {
+	c, err := e.coverCtx(ctx, Request{Bound: bound})
+	if err != nil {
+		return nil, canceledAs(ctx, err)
+	}
+	return c, nil
+}
+
+// coverCtx returns the cover a normalized request reads — a resident pointidx
+// read and an ad-hoc act read alike: the one it pins, or the rule's. A level
+// is a floor: a cover whose boundary cells have diagonal ε′ meets every bound
+// ε ≥ ε′, so the bound is served by its own level (raster.BoundLevel) if that
+// cover is ready, and otherwise by the coarsest ready cover finer than it; a
+// build in flight serves nothing. Only when neither exists is the bound's own
+// level built, under the cache's singleflight. Like BRJ mask builds, a cold
+// rasterization fans out across the request's worker budget, no wider;
 // canceling ctx abandons the wait (and the build, once no caller is left).
 // raster.BoundLevel's BoundTooFineError comes back before any build starts.
-func (e *Engine) coverEntryCtx(ctx context.Context, bound float64, workers int) (*coverEntry, error) {
-	level, err := raster.BoundLevel(e.domain, bound)
+func (e *Engine) coverCtx(ctx context.Context, req Request) (*Cover, error) {
+	if req.Cover != nil {
+		return req.Cover, nil
+	}
+	level, err := raster.BoundLevel(e.domain, req.Bound)
 	if err != nil {
 		return nil, err
 	}
-	// Closure-free warm path: a ready entry is served without materializing
+	// Closure-free warm path: a ready cover is served without materializing
 	// the build closure below, so a hot resident loop allocates nothing here.
-	if ce, ok := e.covers.Get(level); ok {
-		return ce, nil
+	// Levels grow finer, so the least ready level ≥ level is the coarsest
+	// that meets the bound; the levels passed over count no hit or miss.
+	if _, c, ok := cache.GetAtLeast(e.covers, level); ok {
+		return c, nil
 	}
-	ce, err := e.covers.GetOrBuildCtx(ctx, level, func(bctx context.Context) (*coverEntry, error) {
+	workers := req.Workers
+	c, err := e.covers.GetOrBuildCtx(ctx, level, func(bctx context.Context) (*Cover, error) {
 		set, err := join.NewCoverSetCtx(bctx, e.regions, e.domain, Hilbert, level, workers)
 		if err != nil {
 			return nil, err
 		}
-		return &coverEntry{set: set}, nil
+		return &Cover{e: e, level: level, bound: e.domain.CellDiagonal(level), set: set}, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("distbound: building cover set: %w", err)
 	}
-	return ce, nil
+	return c, nil
 }
 
 // exactCoverCtx returns the engine's one exact cover, building it under the
@@ -96,14 +132,14 @@ func (e *Engine) exactCoverCtx(ctx context.Context, workers int) (*join.ExactCov
 // DatasetStats.CoverStateBytes is a dataset's own state over them.
 func (e *Engine) CoverBytes() int {
 	n := 0
-	e.covers.EachReady(func(_ int, ce *coverEntry) { n += ce.set.MemoryBytes() })
+	e.covers.EachReady(func(_ int, c *Cover) { n += c.set.MemoryBytes() })
 	return n
 }
 
 // eachJoiner visits the dataset's joiner at every resident level.
 func (d *Dataset) eachJoiner(fn func(*join.PointIdxJoiner)) {
-	d.e.covers.EachReady(func(_ int, ce *coverEntry) {
-		if j := ce.peek(d.src); j != nil {
+	d.e.covers.EachReady(func(_ int, c *Cover) {
+		if j := c.peek(d.src); j != nil {
 			fn(j)
 		}
 	})

@@ -62,8 +62,10 @@ const (
 // artifact both the ad-hoc act join and every registered dataset answer from)
 // are cached in bounded LRU caches with singleflight build deduplication —
 // concurrent misses on the same key run one build and share it. Neither
-// rule reads what is cached: the first request that needs an artifact builds
-// it.
+// strategy rule reads what is cached. The cover a bound is served from does
+// depend on it: a resident finer level serves every coarser bound, and a
+// bound's own level is built only when no ready level is at least as fine
+// (see coverCtx; Response.ServedBound reports the level that served).
 type Engine struct {
 	regions []Region
 	domain  Domain
@@ -73,7 +75,7 @@ type Engine struct {
 
 	dsMu     sync.RWMutex // guards datasets, which reserves registered names
 	datasets map[string]*Dataset
-	covers   *cache.Cache[int, *coverEntry] // by level (raster.BoundLevel); see covers.go
+	covers   *cache.Cache[int, *Cover] // by level (raster.BoundLevel); see covers.go
 
 	// scratch recycles respScratch instances across Do calls; it makes the
 	// warm resident path allocation-free for callers that Release their
@@ -99,7 +101,7 @@ func NewEngine(regions []Region) *Engine {
 		exact:    cache.New[struct{}, *join.ExactCover](1),
 		brj:      cache.New[float64, *join.BRJJoiner](maskCacheCapacity),
 		datasets: map[string]*Dataset{},
-		covers:   cache.New[int, *coverEntry](coverCacheCapacity),
+		covers:   cache.New[int, *Cover](coverCacheCapacity),
 	}
 }
 
@@ -473,7 +475,7 @@ func (e *Engine) UnregisterPoints(name string) bool {
 	}
 	e.dsMu.Unlock()
 	if ok {
-		e.covers.EachReady(func(_ int, ce *coverEntry) { ce.joiners.Delete(ds.src) })
+		e.covers.EachReady(func(_ int, c *Cover) { c.joiners.Delete(ds.src) })
 		if dur := ds.dur.Load(); dur != nil {
 			dur.Close() //nolint:errcheck // flush-and-release; files stay valid
 		}
@@ -512,8 +514,9 @@ func (e *Engine) brjJoinerCtx(ctx context.Context, bound float64, workers int) (
 
 // CacheStats reports the cover cache's counters (hits, misses, builds,
 // coalesced waits on in-flight builds, evictions). The cache is keyed by
-// level alone — one build per level however many bounds of that level,
-// datasets and ad-hoc act requests use it — and entries survive dataset compactions, so a
+// level alone — one build per level built however many bounds it serves,
+// datasets and ad-hoc act requests use it, and none for a bound a ready
+// finer level serves — and entries survive dataset compactions, so a
 // steady-state ingest workload shows cover hits, not rebuilds, across
 // generations; the per-dataset generation and delta accounting lives in
 // Dataset.Stats.

@@ -11,6 +11,7 @@ import (
 	"distbound/internal/cache"
 	"distbound/internal/data"
 	"distbound/internal/pointstore"
+	"distbound/internal/raster"
 	"distbound/internal/testutil"
 )
 
@@ -42,15 +43,20 @@ func pointIdxDo(t *testing.T, e *Engine, ds *Dataset, bound float64, aggs ...Agg
 }
 
 // TestCoverSetSharedAcrossDatasets: however many datasets query a bound, the
-// engine rasterizes it once, every dataset's joiner holds the cache entry's
-// one *CoverSet, and the set's bytes are charged once while each dataset
-// reports only its own state.
+// engine rasterizes its level once, every dataset's joiner holds the cache
+// entry's one *CoverSet, and the set's bytes are charged once while each
+// dataset reports only its own state. The bounds go coarse-first, so no ready
+// level is finer than the next one asked for and each is built and served at
+// its own level.
 func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 	e, dss := shareFixture(t, 3, 4000)
-	bounds := []float64{16, 64, 256}
+	bounds := []float64{256, 64, 16}
 	for _, b := range bounds {
 		for _, ds := range dss {
 			resp := pointIdxDo(t, e, ds, b, Count, Sum)
+			if want := ownBound(e, b); resp.ServedBound != want {
+				t.Fatalf("bound %g served at %g m, want its own level's %g m", b, resp.ServedBound, want)
+			}
 			resp.Release()
 		}
 	}
@@ -85,52 +91,59 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 }
 
 // TestCoverCacheEvictsByBound rotates four datasets through nine bounds on
-// nine levels under the default capacity of eight. Capacity counts levels:
-// every level is built once per lap — not once per dataset — the least
-// recently used level leaves with all four joiners, and no answer ever comes
-// from a joiner paired with another level's plan (each is compared against an
-// engine that never evicts).
+// nine levels under the default capacity of eight, coarse-first, so each lap
+// asks for a level no ready one is finer than. Capacity counts levels: the
+// first lap builds every level once — not once per dataset — and the least
+// recently used level, the coarsest, leaves with all four joiners. The second
+// lap builds nothing: the evicted level's bound is served by the next finer
+// level, and every other bound by its own. No answer ever comes from a joiner
+// paired with another level's plan: each is compared, at the bound it was
+// served at, against an engine that never evicts.
 func TestCoverCacheEvictsByBound(t *testing.T) {
 	e, dss := shareFixture(t, 4, 3000)
 	ref, refDss := shareFixture(t, 4, 3000)
-	bounds := []float64{16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
-	ref.covers = cache.New[int, *coverEntry](len(bounds))
+	bounds := []float64{4096, 2048, 1024, 512, 256, 128, 64, 32, 16}
+	ref.covers = cache.New[int, *Cover](len(bounds))
 	if len(bounds) != coverCacheCapacity+1 {
 		t.Fatalf("fixture needs capacity+1 bounds, have %d", len(bounds))
 	}
 	const laps = 2
 	aggs := []Agg{Count, Sum, Min, Max}
 	for lap := 0; lap < laps; lap++ {
-		for _, b := range bounds {
+		for bi, b := range bounds {
+			served := ownBound(e, b)
+			if lap > 0 && bi == 0 {
+				served = ownBound(e, bounds[1]) // evicted in lap 0: the next finer level serves it
+			}
 			for i, ds := range dss {
 				got := pointIdxDo(t, e, ds, b, aggs...)
-				want := pointIdxDo(t, ref, refDss[i], b, aggs...)
+				if got.ServedBound != served {
+					t.Fatalf("lap %d bound %g dataset %d: served at %g m, want %g m", lap, b, i, got.ServedBound, served)
+				}
+				want := pointIdxDo(t, ref, refDss[i], got.ServedBound, aggs...)
 				for k, agg := range aggs {
 					testutil.CheckIdentical(t, fmt.Sprintf("lap %d bound %g dataset %d %v", lap, b, i, agg), want.Results[k], got.Results[k])
 				}
 				got.Release()
 				want.Release()
 			}
-			ce, ok := coverAt(e, b)
+			ce, ok := coverAt(e, served)
 			if !ok {
-				t.Fatalf("bound %g not resident right after its queries", b)
+				t.Fatalf("lap %d bound %g: the level serving it is not resident right after its queries", lap, b)
 			}
 			for i, ds := range dss {
 				if j := ce.peek(ds.src); j == nil || j.CoverSet != ce.set {
-					t.Fatalf("bound %g: dataset %d's joiner is %v", b, i, j)
+					t.Fatalf("lap %d bound %g: dataset %d's joiner is %v", lap, b, i, j)
 				}
 			}
 		}
-	}
-	// Cyclic access to capacity+1 keys misses every time under LRU.
-	cover := e.CacheStats()
-	wantBuilds := int64(laps * len(bounds))
-	if cover.Builds != wantBuilds || cover.Evictions != wantBuilds-coverCacheCapacity {
-		t.Errorf("builds %d evictions %d, want %d and %d: capacity must count bounds, not (dataset, bound) pairs",
-			cover.Builds, cover.Evictions, wantBuilds, wantBuilds-coverCacheCapacity)
-	}
-	if coverReady(e, bounds[0]) || !coverReady(e, bounds[1]) {
-		t.Error("eviction did not take the least recently used bound")
+		if cover := e.CacheStats(); cover.Builds != int64(len(bounds)) || cover.Evictions != 1 {
+			t.Errorf("after lap %d: builds %d evictions %d, want %d and 1: capacity must count levels, not (dataset, level) pairs, and a resident finer level serves the evicted one",
+				lap, cover.Builds, cover.Evictions, len(bounds))
+		}
+		if coverReady(e, bounds[0]) || !coverReady(e, bounds[1]) {
+			t.Errorf("after lap %d: eviction did not take the least recently used level, or the lap rebuilt it", lap)
+		}
 	}
 }
 
@@ -162,13 +175,134 @@ func TestAdhocACTSharesResidentCoverSet(t *testing.T) {
 	}
 }
 
+// TestServedLevelIsTheCoarsestFinerReady: a level is a floor. With three
+// levels resident, a bound is served by its own level when that is ready, by
+// the coarsest ready level finer than it otherwise — for resident and ad-hoc
+// act reads alike — and only a bound finer than every ready level builds.
+// BRJ serves the bound itself and the exact join 0.
+func TestServedLevelIsTheCoarsestFinerReady(t *testing.T) {
+	e, dss := shareFixture(t, 1, 4000)
+	for _, b := range []float64{256, 64, 16} {
+		resp := pointIdxDo(t, e, dss[0], b, Count)
+		resp.Release()
+	}
+	pts, ws := data.TaxiPoints(64, 2000)
+	ps := PointSet{Pts: pts, Weights: ws}
+	act, brj, exact := StrategyACT, StrategyBRJ, StrategyExact
+	for _, c := range []struct {
+		bound, servedBy float64
+	}{
+		{256, 256}, {512, 256}, {128, 64}, {64, 64}, {32, 16}, {16, 16},
+	} {
+		resp := pointIdxDo(t, e, dss[0], c.bound, Count)
+		if want := ownBound(e, c.servedBy); resp.ServedBound != want {
+			t.Errorf("resident bound %g served at %g m, want %g's level, %g m", c.bound, resp.ServedBound, c.servedBy, want)
+		}
+		resp.Release()
+		resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: c.bound, Strategy: &act, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ownBound(e, c.servedBy); resp.ServedBound != want {
+			t.Errorf("act bound %g served at %g m, want %g's level, %g m", c.bound, resp.ServedBound, c.servedBy, want)
+		}
+	}
+	if got := coverBuilds(e); got != 3 {
+		t.Errorf("%d cover builds, want the 3 levels asked for coarse-first", got)
+	}
+	resp := pointIdxDo(t, e, dss[0], 8, Count)
+	if resp.ServedBound != ownBound(e, 8) || coverBuilds(e) != 4 {
+		t.Errorf("bound 8, finer than every ready level: served at %g m after %d builds, want its own level's %g m after 4",
+			resp.ServedBound, coverBuilds(e), ownBound(e, 8))
+	}
+	resp.Release()
+	for _, c := range []struct {
+		strategy *Strategy
+		want     float64
+	}{{&brj, 32}, {&exact, 0}} {
+		resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: 32, Strategy: c.strategy, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ServedBound != c.want {
+			t.Errorf("%v at bound 32 reports served_bound %g, want %g", *c.strategy, resp.ServedBound, c.want)
+		}
+	}
+}
+
+// TestPinnedCoverSurvivesEviction is a scatter's view of the engine: three
+// datasets read one bound pinned to the cover resolved once for it, while
+// finer builds complete and evict that cover between the reads. Every pinned
+// read answers from the resolved level — identical to a never-evicting
+// engine there — while an unpinned read at the same bound moves to the
+// coarsest finer level now ready. A pin of another engine's cover, or of one
+// coarser than the bound, is refused.
+func TestPinnedCoverSurvivesEviction(t *testing.T) {
+	e, dss := shareFixture(t, 3, 3000)
+	ref, refDss := shareFixture(t, 3, 3000)
+	e.covers = cache.New[int, *Cover](2)
+	ctx := context.Background()
+	aggs := []Agg{Count, Sum, Min, Max}
+	resp := pointIdxDo(t, e, dss[0], 16, Count)
+	resp.Release()
+	cov, err := e.Cover(ctx, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cov.ServedBound() != ownBound(e, 16) || coverBuilds(e) != 1 {
+		t.Fatalf("bound 64 resolved to %g m after %d builds, want level 16's %g m and no build", cov.ServedBound(), coverBuilds(e), ownBound(e, 16))
+	}
+	pinned := func(i int) Response {
+		t.Helper()
+		resp, err := e.Do(ctx, Request{Dataset: dss[i], Aggs: aggs, Bound: 64, Cover: cov, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	answers := []Response{pinned(0)}
+	for _, b := range []float64{8, 4} { // two finer builds; the second evicts level 16
+		resp := pointIdxDo(t, e, dss[1], b, Count)
+		resp.Release()
+	}
+	if coverReady(e, 16) {
+		t.Fatal("level 16 is still resident: the test needs it evicted between the pinned reads")
+	}
+	answers = append(answers, pinned(1), pinned(2))
+	for i, got := range answers {
+		if got.ServedBound != cov.ServedBound() {
+			t.Fatalf("dataset %d: pinned read served at %g m, want the pin's %g m", i, got.ServedBound, cov.ServedBound())
+		}
+		want := pointIdxDo(t, ref, refDss[i], 16, aggs...)
+		for k, agg := range aggs {
+			testutil.CheckIdentical(t, fmt.Sprintf("dataset %d %v", i, agg), want.Results[k], got.Results[k])
+		}
+		want.Release()
+	}
+	if resp := pointIdxDo(t, e, dss[0], 64, Count); resp.ServedBound != ownBound(e, 8) {
+		t.Errorf("unpinned bound 64 served at %g m, want level 8's %g m, the coarsest finer one ready", resp.ServedBound, ownBound(e, 8))
+	}
+	for _, req := range []Request{
+		{Dataset: dss[0], Aggs: aggs, Bound: 8, Cover: cov},
+		{Dataset: refDss[0], Aggs: aggs, Bound: 64, Cover: cov},
+	} {
+		eng := e
+		if req.Dataset == refDss[0] {
+			eng = ref
+		}
+		if _, err := eng.Do(ctx, req); err == nil {
+			t.Errorf("a pin coarser than its bound or of another engine was answered: bound %g", req.Bound)
+		}
+	}
+}
+
 // TestUnregisterReleasesStore: unregistering drops the dataset's joiners at
 // once — its store becomes collectable — while the cover sets stay cached
 // for the datasets that remain; and a background refresh that loses the race
 // with the unregister finds nothing to refresh instead of re-attaching.
 func TestUnregisterReleasesStore(t *testing.T) {
 	e, dss := shareFixture(t, 2, 4000)
-	bounds := []float64{16, 64}
+	bounds := []float64{64, 16} // coarse-first: both levels are built
 	for _, b := range bounds {
 		for _, ds := range dss {
 			resp := pointIdxDo(t, e, ds, b, Count, Sum)
@@ -264,7 +398,17 @@ func coverBuilds(e *Engine) int64 {
 	return cover.Builds
 }
 
-// coverReady reports whether the cover set serving the bound's level is
+// ownBound is the cell diagonal of bound's own level — the served bound when
+// that level's cover serves it.
+func ownBound(e *Engine, bound float64) float64 {
+	level, err := raster.BoundLevel(e.domain, bound)
+	if err != nil {
+		panic(err)
+	}
+	return e.domain.CellDiagonal(level)
+}
+
+// coverReady reports whether the cover set keyed on the bound's own level is
 // resident and built.
 func coverReady(e *Engine, bound float64) bool {
 	_, ok := coverAt(e, bound)

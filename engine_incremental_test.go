@@ -16,7 +16,7 @@ func TestResidentNeverFallsBackWhileWarm(t *testing.T) {
 	e, ds, ps := requestFixture(t)
 	ds.Compact()
 	ctx := context.Background()
-	bounds := []float64{16, 64}
+	bounds := []float64{64, 16} // coarse-first: each is served at its own level
 	aggs := []Agg{Count, Sum, Avg}
 
 	// Make every alternative as attractive as it can be: builds paid.
@@ -44,6 +44,9 @@ func TestResidentNeverFallsBackWhileWarm(t *testing.T) {
 			}
 			if resp.Strategy != StrategyPointIdx {
 				t.Fatalf("ε %g, delta %d: an unforced request fell back to %v", bound, delta, resp.Strategy)
+			}
+			if resp.ServedBound != ownBound(e, bound) {
+				t.Fatalf("ε %g, delta %d: served at %g m, not at its own level", bound, delta, resp.ServedBound)
 			}
 			if resp.RangesProbed != 0 || resp.DeltaProbed != chunk {
 				t.Fatalf("ε %g, delta %d: the read did {%d %d} of work, want only the %d new rows inverted",

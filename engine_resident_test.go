@@ -355,15 +355,18 @@ func TestAggregateBatchWithDatasets(t *testing.T) {
 
 // TestResidentConcurrency drives the new engine paths from many goroutines
 // with cold caches — concurrent cover builds must deduplicate, and every
-// caller must see results identical to a warm sequential run. Run with
-// -race.
+// caller must see results identical to a warm sequential run at the level
+// that served it (a racing caller may be served by a finer level another one
+// built). Run with -race.
 func TestResidentConcurrency(t *testing.T) {
 	e, ds, ps, _ := residentFixture(t, 200_000)
 	bounds := []float64{8, 16, 64}
 
-	// Reference results on a warm engine.
+	// Reference results on a warm engine, by served bound: asked coarse-first,
+	// every bound is served at its own level.
 	want := map[float64]Result{}
-	for _, b := range bounds {
+	for i := len(bounds) - 1; i >= 0; i-- {
+		b := bounds[i]
 		resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{Count}, Bound: b})
 		if err != nil {
 			t.Fatal(err)
@@ -371,7 +374,10 @@ func TestResidentConcurrency(t *testing.T) {
 		if resp.Strategy != StrategyPointIdx {
 			t.Skipf("fixture planned %v at bound %g; concurrency check needs pointidx", resp.Strategy, b)
 		}
-		want[b] = resp.Results[0]
+		if resp.ServedBound != ownBound(e, b) {
+			t.Fatalf("bound %g served at %g m, not at its own level", b, resp.ServedBound)
+		}
+		want[resp.ServedBound] = resp.Results[0]
 	}
 
 	// Fresh engine so every goroutine races on cold cover builds; also
@@ -402,9 +408,14 @@ func TestResidentConcurrency(t *testing.T) {
 					errs[g] = err
 					return
 				}
+				ref, ok := want[resp.ServedBound]
+				if !ok || resp.ServedBound > b {
+					errs[g] = fmt.Errorf("bound %g served at %g m, not at or below it on one of the three levels", b, resp.ServedBound)
+					return
+				}
 				res := resp.Results[0]
 				for ri := range res.Counts {
-					if res.Counts[ri] != want[b].Counts[ri] {
+					if res.Counts[ri] != ref.Counts[ri] {
 						errs[g] = errDrift
 						return
 					}

@@ -56,7 +56,10 @@ func main() {
 	}
 
 	// One streamed batch: three bounds down one connection, one NDJSON
-	// response line per request line.
+	// response line per request line. A level is a floor: the ε16 line
+	// builds a finer cover than the ε64 query's, and the ε32 line, whose own
+	// level is not resident, is served from it — its served_bound is the
+	// ε16 line's.
 	var in bytes.Buffer
 	for _, bound := range []float64{16, 32, 64} {
 		line, _ := json.Marshal(serve.QueryRequest{Aggs: []string{"count"}, Bound: bound})
@@ -78,8 +81,8 @@ func main() {
 		for _, c := range line.Results[0].Counts {
 			total += c
 		}
-		fmt.Printf("  %d matches across districts, %d/%d shards\n",
-			total, line.ShardsContacted, line.ShardsTotal)
+		fmt.Printf("  %d matches across districts, %d/%d shards, served_bound %.2f m\n",
+			total, line.ShardsContacted, line.ShardsTotal, line.ServedBound)
 	}
 	bresp.Body.Close()
 

@@ -22,7 +22,7 @@ func (e *Engine) runDataset(ds *Dataset, agg Agg, bound float64, strategy Strate
 	return resp.Results[0], nil
 }
 
-// dropJoiner detaches the dataset's joiner at bound's level — span
+// dropJoiner detaches the dataset's joiner at bound's own level — span
 // resolution, base partials and delta accumulators — so the next pointidx
 // request attaches a fresh one to the still-resident cover set and
 // re-executes from nothing: the cold side of the benchmarks. A level with no
@@ -33,9 +33,9 @@ func (e *Engine) dropJoiner(ds *Dataset, bound float64) {
 	}
 }
 
-// coverAt returns the cover-cache entry serving bound — the one keyed on its
-// level — iff its build has completed, without touching stats or recency.
-func coverAt(e *Engine, bound float64) (*coverEntry, bool) {
+// coverAt returns the cover-cache entry keyed on bound's own level iff its
+// build has completed, without touching stats or recency.
+func coverAt(e *Engine, bound float64) (*Cover, bool) {
 	level, err := raster.BoundLevel(e.domain, bound)
 	if err != nil {
 		return nil, false

@@ -11,6 +11,7 @@
 package cache
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"sync"
@@ -275,10 +276,16 @@ func (c *Cache[K, V]) runBuild(e *entry[K, V], build func() (V, error)) {
 // false. Called with mu held.
 func (c *Cache[K, V]) lookupReady(key K) (*entry[K, V], bool) {
 	e, ok := c.entries[key]
-	if !ok || e.abandoned || !e.done() {
+	if !ok || !e.servable() {
 		return nil, false
 	}
-	return e, e.err == nil
+	return e, true
+}
+
+// servable reports whether e holds a value to serve: its build completed
+// successfully, or it was Put. Called with mu held.
+func (e *entry[K, V]) servable() bool {
+	return !e.abandoned && e.done() && e.err == nil
 }
 
 // done reports whether e's value is final: built, failed, or Put.
@@ -312,6 +319,36 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	c.stats.Hits++
 	c.moveToFront(e)
 	return e.val, true
+}
+
+// GetAtLeast returns the least key ≥ min whose build has completed
+// successfully (or was Put), and its value, recording a hit and refreshing
+// recency on that entry alone: keys it passes over — missing, in flight,
+// failed, abandoned or greater — record nothing, as a missing Get records
+// nothing. Like Get it takes no closure and allocates nothing. The engine's
+// cover cache reads it with min a cover level, so the entry it returns is the
+// coarsest resident cover at least as fine as the level asked for.
+//
+//distbound:noalloc
+func GetAtLeast[K cmp.Ordered, V any](c *Cache[K, V], min K) (K, V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	best, ok := c.lookupReady(min)
+	if !ok {
+		for e := c.head; e != nil; e = e.next {
+			if e.key > min && (best == nil || e.key < best.key) && e.servable() {
+				best = e
+			}
+		}
+	}
+	if best == nil {
+		var zk K
+		var zv V
+		return zk, zv, false
+	}
+	c.stats.Hits++
+	c.moveToFront(best)
+	return best.key, best.val, true
 }
 
 // Put stores v under key as the most recently used entry, then evicts down

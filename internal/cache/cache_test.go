@@ -491,6 +491,69 @@ func TestEachReady(t *testing.T) {
 	<-done
 }
 
+// TestGetAtLeast: the lookup returns the least ready key at or above its
+// argument, skipping in-flight and failed entries, and records a hit and
+// recency on that entry alone — every key it passes over is left as it was,
+// and a lookup that finds nothing records nothing. It allocates nothing.
+func TestGetAtLeast(t *testing.T) {
+	c := New[int, string](3)
+	for k, v := range map[int]string{3: "c", 7: "g"} {
+		if _, err := get(c, k, func() (string, error) { return v, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := get(c, 4, func() (string, error) { return "", errors.New("boom") }); err == nil {
+		t.Fatal("the failing build succeeded")
+	}
+	release := make(chan struct{})
+	started := make(chan struct{})
+	done := make(chan struct{})
+	go func() { // an in-flight build at 5: must not be returned
+		defer close(done)
+		get(c, 5, func() (string, error) { //nolint:errcheck // result irrelevant
+			close(started)
+			<-release
+			return "e", nil
+		})
+	}()
+	<-started
+	before := c.Stats()
+	for _, tc := range []struct {
+		min  int
+		key  int
+		val  string
+		want bool
+	}{
+		{1, 3, "c", true}, {3, 3, "c", true}, {4, 7, "g", true}, {7, 7, "g", true}, {8, 0, "", false},
+	} {
+		k, v, ok := GetAtLeast(c, tc.min)
+		if k != tc.key || v != tc.val || ok != tc.want {
+			t.Errorf("GetAtLeast(%d) = (%d, %q, %v), want (%d, %q, %v)", tc.min, k, v, ok, tc.key, tc.val, tc.want)
+		}
+	}
+	if st := c.Stats(); st.Hits != before.Hits+4 || st.Misses != before.Misses {
+		t.Errorf("stats %+v -> %+v: want one hit per lookup that found a key and nothing else", before, st)
+	}
+	// Recency, most recent first, is then 3, 7, 5. Once 5 lands, asking for
+	// 4 returns it and passes over 7, which stays least recently used: a
+	// fourth key evicts it.
+	GetAtLeast(c, 1)
+	close(release)
+	<-done
+	if k, _, _ := GetAtLeast(c, 4); k != 5 {
+		t.Fatalf("GetAtLeast(4) = %d once 5 is built, want 5", k)
+	}
+	if _, err := get(c, 9, func() (string, error) { return "i", nil }); err != nil {
+		t.Fatal(err)
+	}
+	if ready(c, 7) || !ready(c, 3) || !ready(c, 5) {
+		t.Errorf("eviction took the wrong key: ready 3 %v, 5 %v, 7 %v", ready(c, 3), ready(c, 5), ready(c, 7))
+	}
+	if n := testing.AllocsPerRun(100, func() { GetAtLeast(c, 6) }); n != 0 {
+		t.Errorf("GetAtLeast allocates %v per call", n)
+	}
+}
+
 // The TestShardedLRU tests build their cache through NewShardedLRU, the
 // constructor the benchmark harness calls, and pin the Put/Get contract the
 // shard layer's result cache relies on.

@@ -59,7 +59,10 @@ import (
 // A warm query — same base, no new delta rows — is therefore one snapshot
 // load, two atomic loads and the merge: no probe, no fold, no allocation.
 // Under ingest a query pays the merge plus the rows appended since the last
-// query at this level. Tombstones are deliberately not maintained
+// query this level served. The engine serves a bound from the coarsest ready
+// level at least as fine as its own (a level is a floor), so every bound one
+// level serves reads one joiner: its fill, and each appended row's
+// inversion, is paid once per level served, not once per level asked for. Tombstones are deliberately not maintained
 // incrementally: subtracting a deleted weight from a published SUM would
 // associate differently from folding the surviving rows, so a base delete
 // invalidates the base partials and the next query refills them.

@@ -19,6 +19,7 @@ func toWire(req shard.Request, resp shard.Response) QueryResponse {
 	out := QueryResponse{
 		ShardsContacted: resp.ShardsTotal,
 		ShardsTotal:     resp.ShardsTotal,
+		ServedBound:     resp.ServedBound,
 		WallNs:          resp.Wall.Nanoseconds(),
 	}
 	for k, agg := range req.Aggs {
@@ -40,7 +41,7 @@ func toWire(req shard.Request, resp shard.Response) QueryResponse {
 // values: COUNT reads the counts, SUM and AVG take vals as sums, MIN and MAX
 // as extremes.
 func answerResponse(aggs []distbound.Agg, counts []int64, vals []float64) (shard.Request, shard.Response) {
-	resp := shard.Response{ShardsTotal: 8, Wall: 12345 * time.Nanosecond}
+	resp := shard.Response{ShardsTotal: 8, ServedBound: 0.75, Wall: 12345 * time.Nanosecond}
 	for _, a := range aggs {
 		r := distbound.Result{Agg: a, Counts: counts}
 		switch a {
@@ -153,18 +154,23 @@ func TestAnswerMatchesEncodingJSON(t *testing.T) {
 }
 
 // FuzzAnswerMatchesEncodingJSON holds answer to encoding/json over
-// arbitrary float bits, counts and wall times, all five aggregates at once.
-// Counts are point counts: non-negative, and under 2^53, where COUNT's
-// integer digits and encoding/json's float64 digits agree.
+// arbitrary float bits, counts, served bounds and wall times, all five
+// aggregates at once. Counts are point counts: non-negative, and under 2^53,
+// where COUNT's integer digits and encoding/json's float64 digits agree. A
+// served bound is a cell diagonal, so a non-finite one reads as 0.
 func FuzzAnswerMatchesEncodingJSON(f *testing.F) {
-	f.Add(math.Float64bits(1.5), int64(2), int64(1000))
-	f.Fuzz(func(t *testing.T, bits uint64, count, wall int64) {
+	f.Add(math.Float64bits(1.5), int64(2), int64(1000), math.Float64bits(16*math.Sqrt2))
+	f.Fuzz(func(t *testing.T, bits uint64, count, wall int64, served uint64) {
 		count &= 1<<53 - 1
 		v := math.Float64frombits(bits)
 		req, resp := answerResponse(
 			[]distbound.Agg{distbound.Count, distbound.Sum, distbound.Avg, distbound.Min, distbound.Max},
 			[]int64{count, 0, 1}, []float64{v, -v, v})
 		resp.Wall = time.Duration(wall)
+		resp.ServedBound = math.Float64frombits(served)
+		if math.IsInf(resp.ServedBound, 0) || math.IsNaN(resp.ServedBound) {
+			resp.ServedBound = 0
+		}
 		checkAnswer(t, req, resp)
 	})
 }

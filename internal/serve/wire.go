@@ -62,6 +62,10 @@ type QueryResponse struct {
 	// scatter asks every shard. The field stays for the schema's sake.
 	ShardsContacted int `json:"shards_contacted"`
 	ShardsTotal     int `json:"shards_total"`
+	// ServedBound is the distance bound the answer meets, ≤ the requested
+	// bound: the cell diagonal of the cover level that served it, which a
+	// resident finer level makes finer than asked.
+	ServedBound float64 `json:"served_bound"`
 	// WallNs is the backend execution time in nanoseconds.
 	WallNs int64  `json:"wall_ns"`
 	Error  string `json:"error,omitempty"`
@@ -108,7 +112,8 @@ type ProbeCounters struct {
 }
 
 // CoverCounters is the cover cache's slice of StatsResponse: cover sets built
-// (one per distinct level, however many shards) and their total build wall,
+// (one per level built, however many shards; a bound a resident finer level
+// serves builds none) and their total build wall,
 // the resident sets' bytes counted once, and the shards' own state over them.
 type CoverCounters struct {
 	Builds       int64   `json:"builds"`
@@ -208,7 +213,7 @@ func ParseAggs(names []string) ([]distbound.Agg, error) {
 }
 
 // appendAnswer appends the QueryResponse answering req with resp, byte for
-// byte as encoding/json marshals it, up to "shards_total": nothing
+// byte as encoding/json marshals it, up to "served_bound": nothing
 // per-request, so a result-cache entry can keep the bytes. req.Aggs is
 // non-empty, as shard.Sharded.Do requires. At the first value JSON cannot
 // carry (±Inf, NaN: a SUM can overflow from finite weights) it stops and
@@ -253,6 +258,8 @@ func appendAnswer(b []byte, req shard.Request, resp *shard.Response) (_ []byte, 
 	b = strconv.AppendInt(b, int64(resp.ShardsTotal), 10)
 	b = append(b, `,"shards_total":`...)
 	b = strconv.AppendInt(b, int64(resp.ShardsTotal), 10)
+	b = append(b, `,"served_bound":`...)
+	b = appendFloat(b, resp.ServedBound) // a cell diagonal: finite
 	return b, -1, 0
 }
 

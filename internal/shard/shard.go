@@ -4,10 +4,10 @@
 // asked, and their partial per-region aggregates merge exactly.
 //
 // The engine owns what does not depend on the data: the regions and, per
-// level, one immutable cover set, built once — by the first shard read at a
-// cold level, the others coalescing onto that build — and shared by every
-// shard. A shard owns only its point store and its own span resolution and
-// partials over each set.
+// level, one immutable cover set, built once — by the first scatter that
+// finds no ready cover at least as fine as its bound, concurrent scatters
+// coalescing onto that build — and shared by every shard. A shard owns only
+// its point store and its own span resolution and partials over each set.
 //
 // Merge guarantees, relative to the same query on one unsharded engine over
 // the same points (both sides on the resident point-index strategy):
@@ -35,7 +35,6 @@ import (
 	"distbound/internal/join"
 	"distbound/internal/pointstore"
 	"distbound/internal/pool"
-	"distbound/internal/raster"
 )
 
 // MaxShards bounds the shard count: point IDs encode the owning shard in
@@ -93,10 +92,10 @@ type Sharded struct {
 // resultKey identifies one cacheable scatter-gather result. epochSum is the
 // sum of every shard's mutation epoch: any Append, Delete or Compact on any
 // shard bumps that shard's epoch, moving the sum and stranding every entry
-// keyed under the old one — no scanning, no cross-shard locks. Every bound of
-// one cover level (raster.BoundLevel) folds the same covers, so they share an
-// answer. The merge folds in ascending shard order for every scatter width,
-// so the width is no part of it.
+// keyed under the old one — no scanning, no cross-shard locks. level is the
+// served level (distbound.Engine.Cover): every bound that level serves folds
+// the same cover, so they share an answer. The merge folds in ascending shard
+// order for every scatter width, so the width is no part of it.
 type resultKey struct {
 	epochSum uint64
 	level    int
@@ -267,6 +266,10 @@ type Response struct {
 	DeltaProbed  int
 	// Wall is the whole scatter-gather's execution time.
 	Wall time.Duration
+	// ServedBound is the distance bound every shard's answer meets, ≤
+	// Request.Bound: the cell diagonal of the one cover the scatter read
+	// (distbound.Response.ServedBound).
+	ServedBound float64
 
 	// rendered is the result-cache entry's byte slot (see Rendered); nil on a miss.
 	rendered *atomic.Pointer[[]byte]
@@ -277,7 +280,7 @@ type Response struct {
 // which leaves *scratch empty. The first hit on an entry keeps an exact-size
 // copy for later hits (racing first hits both render, harmlessly), so an
 // entry never hit keeps none. render may read only what the entry fixes:
-// Results and ShardsTotal. A failed render keeps nothing.
+// Results, ShardsTotal and ServedBound. A failed render keeps nothing.
 func (r *Response) Rendered(scratch *[]byte, render func([]byte) ([]byte, error)) ([]byte, error) {
 	if r.rendered != nil {
 		if b := r.rendered.Load(); b != nil {
@@ -306,9 +309,14 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	if !(req.Bound > 0) {
 		return Response{}, fmt.Errorf("shard: scatter-gather requires a positive bound, got %v", req.Bound)
 	}
-	// A bound too fine for any cover is refused here, before the probe below
-	// could count a miss for a request no shard answers.
-	level, err := raster.BoundLevel(s.domain, req.Bound)
+	// The served level is resolved once, before the probe: the cover the
+	// engine's rule serves the bound from (its own level, or the coarsest
+	// ready finer one), built on a miss with every core. The key holds that
+	// level and every shard's read is pinned to this cover, so a scatter
+	// racing a finer build or an eviction still merges one level's answers.
+	// A bound too fine for any cover is refused here, before the probe could
+	// count a miss for a request no shard answers.
+	cov, err := s.engine.Cover(ctx, req.Bound)
 	if err != nil {
 		return Response{}, err
 	}
@@ -321,7 +329,7 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	// key cannot pack, bypasses it.
 	aggs, cacheable := join.PackAggs(req.Aggs)
 	cacheable = cacheable && s.results.Enabled()
-	key := resultKey{epochSum: s.EpochSum(), level: level, aggs: aggs}
+	key := resultKey{epochSum: s.EpochSum(), level: cov.Level(), aggs: aggs}
 	if cacheable {
 		if c, ok := s.results.Get(key); ok {
 			s.queries.Add(1)
@@ -334,18 +342,19 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	out := Response{
 		Results:     join.NewResults(req.Aggs, s.engine.NumRegions()),
 		ShardsTotal: len(s.shards),
+		ServedBound: cov.ServedBound(),
 	}
 	// Scatter, up to GOMAXPROCS shards at a time: at a positive bound the
 	// engine's rule runs every shard on the resident point-index strategy —
 	// the one whose per-shard answers merge with the documented identity
-	// guarantees. A cold level's cover is built by the first shard read, on
-	// the engine's default budget, and the others coalesce onto that build.
+	// guarantees — each on the one cover resolved above.
 	parts := make([]distbound.Response, len(s.shards))
 	err = pool.RunCtx(ctx, len(s.shards), pool.Workers(0, len(s.shards)), func(_, i int) error {
 		resp, err := s.engine.Do(ctx, distbound.Request{
 			Dataset: s.shards[i].ds,
 			Aggs:    req.Aggs,
 			Bound:   req.Bound,
+			Cover:   cov,
 		})
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
@@ -572,9 +581,10 @@ type Stats struct {
 	// shard's mutation epoch. ResultCache reports the merged-layer cache.
 	EpochSum    uint64
 	ResultCache cache.Stats
-	// Covers reports the shared cover cache — Builds is one per level,
-	// whatever the shard count — and CoverBytes the resident sets' footprint,
-	// counted once; PerShard carries each shard's own state over them.
+	// Covers reports the shared cover cache — Builds is one per level built,
+	// whatever the shard count, and a bound a ready finer level serves builds
+	// none — and CoverBytes the resident sets' footprint, counted once;
+	// PerShard carries each shard's own state over them.
 	Covers     cache.Stats
 	CoverBytes int
 	// PerShard holds one entry per shard, in key order.

@@ -748,14 +748,23 @@ func TestShardedResultCache(t *testing.T) {
 	}
 	want.Release()
 
-	// A bound on another level is a different key: 64 and 128 are adjacent
-	// levels.
+	// A bound served by another level is a different key: 32 is the level
+	// next finer than 64's, and none finer is ready, so it is built. A bound
+	// on the coarser adjacent level, 128, is served by 64's ready level and
+	// shares its answer.
 	hits := s.Stats().ResultCache.Hits
-	if _, err := s.Do(ctx, Request{Aggs: allAggs, Bound: 128}); err != nil {
+	if _, err := s.Do(ctx, Request{Aggs: allAggs, Bound: 32}); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats().ResultCache; st.Hits != hits {
-		t.Fatalf("distinct bound hit a stale entry: %+v", st)
+		t.Fatalf("distinct level hit a stale entry: %+v", st)
+	}
+	coarser, err := s.Do(ctx, Request{Aggs: allAggs, Bound: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats().ResultCache; st.Hits != hits+1 || coarser.ServedBound != cold.ServedBound {
+		t.Fatalf("bound 128 served at %g m beside 64's %g m, result cache %+v: want 64's level and its entry", coarser.ServedBound, cold.ServedBound, st)
 	}
 
 	// Every mutation kind moves the epoch sum and strands the entry.
@@ -845,7 +854,8 @@ func TestShardedResultCache(t *testing.T) {
 
 // TestShardedResultCacheCapacityIsExact: the result cache holds exactly its
 // capacity in answers and evicts the least recently used one, whatever keys
-// the answers carry.
+// the answers carry. The eight levels go coarse-first, so each is served at
+// its own level and keys its own answer.
 func TestShardedResultCacheCapacityIsExact(t *testing.T) {
 	s, _, _, _, _, _, _ := fixture(t, 31, 2000, 4)
 	s.SetResultCacheCapacity(2)
@@ -863,6 +873,7 @@ func TestShardedResultCacheCapacityIsExact(t *testing.T) {
 		levels[level] = true
 		reqs = append(reqs, Request{Aggs: []distbound.Agg{distbound.Count}, Bound: b})
 	}
+	slices.Reverse(reqs)
 	for _, req := range reqs {
 		if _, err := s.Do(ctx, req); err != nil {
 			t.Fatal(err)

@@ -4,19 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"distbound"
 	"distbound/internal/testutil"
 )
 
 // TestShardedBuildsEachBoundOnce: the cover sets belong to the one engine
-// behind the shards, so first queries at three bounds cost three builds
+// behind the shards, so first queries at three bounds on three levels, asked
+// coarse-first so that no ready level serves the next, cost three builds
 // whether the partition is 1, 3 or 8 wide; the sets' bytes are the same for
 // every width, and only the per-shard state scales with it.
 func TestShardedBuildsEachBoundOnce(t *testing.T) {
-	bounds := []float64{16, 64, 256}
+	bounds := []float64{256, 64, 16}
 	coverBytes := 0
 	for _, n := range []int{1, 3, 8} {
 		s, _, _, _, _, _, _ := fixture(t, 3, 12000, n)
@@ -117,6 +120,63 @@ func TestShardedCloseDropsState(t *testing.T) {
 	for i, sh := range st.PerShard {
 		if sh.CoverStateBytes != 0 {
 			t.Errorf("shard %d still holds %d B of state after Close", i, sh.CoverStateBytes)
+		}
+	}
+}
+
+// TestShardedScatterIsOneLevel: scatters racing the cover builds of finer
+// levels — six callers asking six cold bounds, each in its own order — each
+// merge one level's answers. Every answer is served at or below the bound it
+// asked for, on one of the six levels, and equals the unsharded reference at
+// the bound it reports. Run under -race.
+func TestShardedScatterIsOneLevel(t *testing.T) {
+	bounds := []float64{256, 128, 64, 32, 16, 8}
+	s, _, e, ds, _, _, _ := fixture(t, 41, 12000, 8)
+	s.SetResultCacheCapacity(0)
+	// The reference, asked coarse-first, serves each bound at its own level.
+	want := map[float64]distbound.Response{}
+	for _, b := range bounds {
+		resp := unshardedDo(t, e, ds, allAggs, b)
+		want[resp.ServedBound] = resp
+	}
+	if len(want) != len(bounds) {
+		t.Fatalf("the reference served %d bounds at %d levels", len(bounds), len(want))
+	}
+	const callers = 6
+	type answer struct {
+		bound float64
+		resp  Response
+	}
+	got := make([][]answer, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(int64(g))).Perm(len(bounds)) {
+				resp, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: bounds[i]})
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				got[g] = append(got[g], answer{bounds[i], resp})
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("caller %d: %v", g, errs[g])
+		}
+		for _, a := range got[g] {
+			ref, ok := want[a.resp.ServedBound]
+			if !ok || a.resp.ServedBound > a.bound {
+				t.Fatalf("caller %d: bound %g served at %g m, not at or below it on one of the levels", g, a.bound, a.resp.ServedBound)
+			}
+			for k, agg := range allAggs {
+				testutil.CheckIdentical(t, fmt.Sprintf("caller %d bound %g served at %g %v", g, a.bound, a.resp.ServedBound, agg), ref.Results[k], a.resp.Results[k])
+			}
 		}
 	}
 }

@@ -54,7 +54,35 @@ type Classification struct {
 // Classify splits pts per region at the bound. A nil weight column
 // classifies with weight 1 per point (COUNT-only workloads).
 func Classify(pts []geom.Point, weights []float64, regions []geom.Region, bound float64) *Classification {
+	return NewClassifier(pts, weights, regions).At(bound)
+}
+
+// Classifier holds each point's containment and boundary distance per region,
+// so a workload asked at many bounds measures its geometry once.
+type Classifier struct {
+	weights []float64
+	pts, n  int       // points, regions
+	inside  []bool    // point-major: [i*n + ri]
+	dist    []float64 // BoundaryDist, point-major
+}
+
+// NewClassifier measures every point against every region. A nil weight
+// column classifies with weight 1 per point.
+func NewClassifier(pts []geom.Point, weights []float64, regions []geom.Region) *Classifier {
 	n := len(regions)
+	c := &Classifier{weights: weights, pts: len(pts), n: n, inside: make([]bool, len(pts)*n), dist: make([]float64, len(pts)*n)}
+	for i, p := range pts {
+		for ri, rg := range regions {
+			c.inside[i*n+ri] = rg.ContainsPoint(p)
+			c.dist[i*n+ri] = rg.BoundaryDist(p)
+		}
+	}
+	return c
+}
+
+// At classifies the measured points at the bound.
+func (cl *Classifier) At(bound float64) *Classification {
+	n := cl.n
 	c := &Classification{
 		Bound:     bound,
 		MustCount: make([]int64, n), MustSum: make([]float64, n),
@@ -63,18 +91,18 @@ func Classify(pts []geom.Point, weights []float64, regions []geom.Region, bound 
 		FreeNegSum: make([]float64, n), FreeMin: make([]float64, n),
 		FreeMax: make([]float64, n),
 	}
-	for ri := range regions {
+	for ri := 0; ri < n; ri++ {
 		c.MustMin[ri], c.FreeMin[ri] = math.Inf(1), math.Inf(1)
 		c.MustMax[ri], c.FreeMax[ri] = math.Inf(-1), math.Inf(-1)
 	}
-	for i, p := range pts {
+	for i := 0; i < cl.pts; i++ {
 		w := 1.0
-		if weights != nil {
-			w = weights[i]
+		if cl.weights != nil {
+			w = cl.weights[i]
 		}
-		for ri, rg := range regions {
-			inside := rg.ContainsPoint(p)
-			near := rg.BoundaryDist(p) <= bound
+		for ri := 0; ri < n; ri++ {
+			inside := cl.inside[i*n+ri]
+			near := cl.dist[i*n+ri] <= bound
 			switch {
 			case inside && !near:
 				c.MustCount[ri]++

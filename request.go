@@ -52,6 +52,12 @@ type Request struct {
 	// bit-identically at every worker count. A server already running many
 	// queries concurrently typically wants 1 to avoid oversubscription.
 	Workers int
+	// Cover, when non-nil, pins the cover strategies (pointidx, act) to this
+	// cover — one this engine's Cover returned — instead of resolving Bound
+	// by the serving rule, so requests whose answers merge (the shards of one
+	// scatter) read one level whatever the cache does between them. Its
+	// ServedBound must not exceed Bound.
+	Cover *Cover
 }
 
 // Response carries one request's outcome.
@@ -69,14 +75,19 @@ type Response struct {
 	Build time.Duration
 	// Wall is the request's total execution time.
 	Wall time.Duration
+	// ServedBound is the distance bound the answer meets, ≤ Bound: on
+	// pointidx and act the cell diagonal of the cover it was read from — a
+	// resident finer cover serves every coarser bound — on BRJ the bound
+	// itself (its pixel diagonal is ε), and 0 on the exact join.
+	ServedBound float64
 	// RangesProbed and DeltaProbed count the work this request performed on
 	// the resident path, not the size of what it answered from: the cover
 	// ranges probed by a base fill (every region's every range on the first
 	// request against a base or after a delete, 0 once the joiner holds the
 	// fold), and the live delta rows newly searched into the cover table's
-	// boundary segments (the rows appended since the previous request at
-	// this bound's level, 0 when nothing was). Both are 0 for strategies other than
-	// pointidx — the probe economy they meter is the resident path's.
+	// boundary segments (the rows appended since the previous request the
+	// serving level answered, 0 when nothing was). Both are 0 for strategies
+	// other than pointidx — the probe economy they meter is the resident path's.
 	RangesProbed int
 	// DeltaProbed — see RangesProbed.
 	DeltaProbed int
@@ -161,6 +172,14 @@ func (e *Engine) normalizeRequest(req Request) (Request, error) {
 	}
 	if req.Workers < 0 {
 		req.Workers = 0
+	}
+	if c := req.Cover; c != nil {
+		if c.e != e {
+			return req, fmt.Errorf("distbound: the request pins a cover of another engine")
+		}
+		if !(c.bound <= req.Bound) {
+			return req, fmt.Errorf("distbound: the pinned cover meets %g m, coarser than the bound %g m", c.bound, req.Bound)
+		}
 	}
 	if req.Strategy != nil {
 		if err := checkOverride(req); err != nil {
@@ -265,12 +284,13 @@ func (e *Engine) executeMulti(ctx context.Context, req Request, resp *Response) 
 	if ds := req.Dataset; ds != nil {
 		if strategy == StrategyPointIdx {
 			tb := time.Now()
-			ce, err := e.coverEntryCtx(ctx, req.Bound, workers)
+			c, err := e.coverCtx(ctx, req)
 			resp.Build = time.Since(tb)
 			if err != nil {
 				return err
 			}
-			j := ce.joiner(e, ds)
+			resp.ServedBound = c.bound
+			j := c.joiner(e, ds)
 			results := resp.scratch.prepResults(req.Aggs, len(e.regions))
 			stats, err := j.AggregateMultiInto(ctx, req.Aggs, workers, results)
 			if err != nil {
@@ -302,15 +322,16 @@ func (e *Engine) executeMulti(ctx context.Context, req Request, resp *Response) 
 		resp.Results = results
 		return err
 	case StrategyACT:
-		// The approximate cell-lookup join answers from the cover set of the
-		// bound's level, the artifact resident reads at that level share.
+		// The approximate cell-lookup join answers from the cover set the
+		// rule serves the bound from, the artifact resident reads share.
 		tb := time.Now()
-		ce, err := e.coverEntryCtx(ctx, req.Bound, workers)
+		c, err := e.coverCtx(ctx, req)
 		resp.Build = time.Since(tb)
 		if err != nil {
 			return err
 		}
-		results, err := ce.set.AggregateMulti(ctx, ps, req.Aggs, workers)
+		resp.ServedBound = c.bound
+		results, err := c.set.AggregateMulti(ctx, ps, req.Aggs, workers)
 		resp.Results = results
 		return err
 	case StrategyBRJ:
@@ -320,6 +341,7 @@ func (e *Engine) executeMulti(ctx context.Context, req Request, resp *Response) 
 		if err != nil {
 			return err
 		}
+		resp.ServedBound = req.Bound
 		results, err := bj.AggregateMulti(ctx, ps, req.Aggs, workers)
 		resp.Results = results
 		return err
