@@ -12,6 +12,7 @@ import (
 	"distbound/internal/planner"
 	"distbound/internal/pointstore"
 	"distbound/internal/pointstore/persist"
+	"distbound/internal/sfc"
 )
 
 // Strategy identifies a physical plan for an aggregation query (§4).
@@ -25,23 +26,13 @@ const (
 	StrategyPointIdx = planner.StrategyPointIdx
 )
 
-// Artifact cache capacities, in distinct keys (BRJ: bounds; covers: levels).
-// A long-running server that has seen more keys than a cache holds evicts
-// the least recently used artifact instead of accumulating them forever.
-const (
-	// maskCacheCapacity bounds the BRJ mask cache, tight: one cached bound
-	// holds 8 bytes per covered row span of every region mask, plus one
-	// retained set of point buffers sized by the last call's points
-	// (BRJJoiner.MemoryBytes reports a resident set's footprint). It also
-	// caps how many mask builds run concurrently.
-	maskCacheCapacity = 2
-	// coverCacheCapacity bounds the cover cache: each entry is one level's
-	// cover set (the cover table — megabytes at fine levels), shared by the
-	// ad-hoc act strategy and every registered dataset, plus the datasets'
-	// own state over it; an evicted level goes with every dataset's state
-	// over it.
-	coverCacheCapacity = 8
-)
+// maskCacheCapacity bounds the BRJ mask cache, in distinct bounds, tight: one
+// cached bound holds 8 bytes per covered row span of every region mask, plus
+// one retained set of point buffers sized by the last call's points
+// (BRJJoiner.MemoryBytes reports a resident set's footprint). A long-running
+// server that has asked more bounds evicts the least recently used set. It
+// also caps how many mask builds run concurrently.
+const maskCacheCapacity = 2
 
 // Engine answers spatial aggregation queries over a fixed region set. For an
 // ad-hoc point set a rule on the bound (planner.ChooseInto, §4) chooses the
@@ -60,12 +51,15 @@ const (
 // boundary cells at one coarse level, with each region's point locator — one
 // set of BRJ region masks per bound, and one cover set per level — the one
 // artifact both the ad-hoc act join and every registered dataset answer from)
-// are cached in bounded LRU caches with singleflight build deduplication —
-// concurrent misses on the same key run one build and share it. Neither
-// strategy rule reads what is cached. The cover a bound is served from does
-// depend on it: a resident finer level serves every coarser bound, and a
-// bound's own level is built only when no ready level is at least as fine
-// (see coverCtx; Response.ServedBound reports the level that served).
+// are cached with singleflight build deduplication — concurrent misses on the
+// same key run one build and share it. The masks sit in a small LRU; a cover
+// level once built stays. Neither strategy rule reads what is cached. The
+// cover a bound is served from does depend on it: a resident finer level
+// serves every coarser bound, and a bound's own level is built only when no
+// ready level is at least as fine (see coverCtx; Response.ServedBound reports
+// the level that served). So each level is built at most once, and since a
+// cover table doubles per level, every level ever built holds at most about
+// twice the finest one's bytes.
 type Engine struct {
 	regions []Region
 	domain  Domain
@@ -75,7 +69,7 @@ type Engine struct {
 
 	dsMu     sync.RWMutex // guards datasets, which reserves registered names
 	datasets map[string]*Dataset
-	covers   *cache.Cache[int, *Cover] // by level (raster.BoundLevel); see covers.go
+	covers   *cache.Cache[int, *Cover] // one entry per level (raster.BoundLevel), none evicted; see covers.go
 
 	// scratch recycles respScratch instances across Do calls; it makes the
 	// warm resident path allocation-free for callers that Release their
@@ -101,7 +95,7 @@ func NewEngine(regions []Region) *Engine {
 		exact:    cache.New[struct{}, *join.ExactCover](1),
 		brj:      cache.New[float64, *join.BRJJoiner](maskCacheCapacity),
 		datasets: map[string]*Dataset{},
-		covers:   cache.New[int, *Cover](coverCacheCapacity),
+		covers:   cache.New[int, *Cover](sfc.MaxLevel + 1),
 	}
 }
 
@@ -141,10 +135,13 @@ const DefaultCompactionThreshold = 1 << 16
 type Dataset struct {
 	name string
 	src  *pointstore.Mutable
-	e    *Engine // the registering engine: owner of the cover cache holding the dataset's joiners
+	e    *Engine // the registering engine, whose covers the joiners read
 	// gone is set, once, when UnregisterPoints releases the handle; from
 	// then on every request taking it is refused.
 	gone atomic.Bool
+	// joiners holds the dataset's span resolution and partials over each
+	// level's cover set, by level, attached on the level's first read.
+	joiners [sfc.MaxLevel + 1]atomic.Pointer[join.PointIdxJoiner]
 
 	// dur, when set, binds the dataset to its on-disk snapshot + log (see
 	// Persist/OpenDataset in durable.go): mutations route through it so the
@@ -462,8 +459,8 @@ func (e *Engine) register(name string, src *pointstore.Mutable, dur *persist.Dur
 // UnregisterPoints removes the dataset registered under name, freeing the
 // name for re-registration; it reports whether a dataset was registered.
 // Outstanding queries holding the old handle fail their next call. The
-// dataset's joiners are dropped from every resident level, so nothing in the
-// engine keeps its store reachable; the shared cover sets stay cached.
+// handle's joiners are cleared, and no cover references a dataset, so nothing
+// in the engine keeps its store reachable; the shared cover sets stay cached.
 // For a durable dataset the on-disk files stay behind — only the handle's
 // log is flushed and closed — so OpenDataset can resurrect it later.
 func (e *Engine) UnregisterPoints(name string) bool {
@@ -475,7 +472,9 @@ func (e *Engine) UnregisterPoints(name string) bool {
 	}
 	e.dsMu.Unlock()
 	if ok {
-		e.covers.EachReady(func(_ int, c *Cover) { c.joiners.Delete(ds.src) })
+		for i := range ds.joiners {
+			ds.joiners[i].Store(nil)
+		}
 		if dur := ds.dur.Load(); dur != nil {
 			dur.Close() //nolint:errcheck // flush-and-release; files stay valid
 		}
@@ -513,8 +512,8 @@ func (e *Engine) brjJoinerCtx(ctx context.Context, bound float64, workers int) (
 }
 
 // CacheStats reports the cover cache's counters (hits, misses, builds,
-// coalesced waits on in-flight builds, evictions). The cache is keyed by
-// level alone — one build per level built however many bounds it serves,
+// coalesced waits on in-flight builds; it evicts nothing). The cache is keyed
+// by level alone — one build per level built however many bounds it serves,
 // datasets and ad-hoc act requests use it, and none for a bound a ready
 // finer level serves — and entries survive dataset compactions, so a
 // steady-state ingest workload shows cover hits, not rebuilds, across

@@ -8,11 +8,10 @@ import (
 	"testing"
 	"time"
 
-	"distbound/internal/cache"
 	"distbound/internal/data"
+	"distbound/internal/join"
 	"distbound/internal/pointstore"
 	"distbound/internal/raster"
-	"distbound/internal/testutil"
 )
 
 // shareFixture registers n disjoint slices of one point pool as n datasets
@@ -71,7 +70,7 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 		}
 		setBytes += ce.set.MemoryBytes()
 		for i, ds := range dss {
-			j := ce.peek(ds.src)
+			j := ds.joiners[ce.level].Load()
 			if j == nil {
 				t.Fatalf("bound %g: dataset %d has no joiner", b, i)
 			}
@@ -86,63 +85,6 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 	for i, ds := range dss {
 		if st := ds.Stats().CoverStateBytes; st <= 0 || st >= setBytes {
 			t.Errorf("dataset %d reports %d B of state beside %d B of shared sets", i, st, setBytes)
-		}
-	}
-}
-
-// TestCoverCacheEvictsByBound rotates four datasets through nine bounds on
-// nine levels under the default capacity of eight, coarse-first, so each lap
-// asks for a level no ready one is finer than. Capacity counts levels: the
-// first lap builds every level once — not once per dataset — and the least
-// recently used level, the coarsest, leaves with all four joiners. The second
-// lap builds nothing: the evicted level's bound is served by the next finer
-// level, and every other bound by its own. No answer ever comes from a joiner
-// paired with another level's plan: each is compared, at the bound it was
-// served at, against an engine that never evicts.
-func TestCoverCacheEvictsByBound(t *testing.T) {
-	e, dss := shareFixture(t, 4, 3000)
-	ref, refDss := shareFixture(t, 4, 3000)
-	bounds := []float64{4096, 2048, 1024, 512, 256, 128, 64, 32, 16}
-	ref.covers = cache.New[int, *Cover](len(bounds))
-	if len(bounds) != coverCacheCapacity+1 {
-		t.Fatalf("fixture needs capacity+1 bounds, have %d", len(bounds))
-	}
-	const laps = 2
-	aggs := []Agg{Count, Sum, Min, Max}
-	for lap := 0; lap < laps; lap++ {
-		for bi, b := range bounds {
-			served := ownBound(e, b)
-			if lap > 0 && bi == 0 {
-				served = ownBound(e, bounds[1]) // evicted in lap 0: the next finer level serves it
-			}
-			for i, ds := range dss {
-				got := pointIdxDo(t, e, ds, b, aggs...)
-				if got.ServedBound != served {
-					t.Fatalf("lap %d bound %g dataset %d: served at %g m, want %g m", lap, b, i, got.ServedBound, served)
-				}
-				want := pointIdxDo(t, ref, refDss[i], got.ServedBound, aggs...)
-				for k, agg := range aggs {
-					testutil.CheckIdentical(t, fmt.Sprintf("lap %d bound %g dataset %d %v", lap, b, i, agg), want.Results[k], got.Results[k])
-				}
-				got.Release()
-				want.Release()
-			}
-			ce, ok := coverAt(e, served)
-			if !ok {
-				t.Fatalf("lap %d bound %g: the level serving it is not resident right after its queries", lap, b)
-			}
-			for i, ds := range dss {
-				if j := ce.peek(ds.src); j == nil || j.CoverSet != ce.set {
-					t.Fatalf("lap %d bound %g: dataset %d's joiner is %v", lap, b, i, j)
-				}
-			}
-		}
-		if cover := e.CacheStats(); cover.Builds != int64(len(bounds)) || cover.Evictions != 1 {
-			t.Errorf("after lap %d: builds %d evictions %d, want %d and 1: capacity must count levels, not (dataset, level) pairs, and a resident finer level serves the evicted one",
-				lap, cover.Builds, cover.Evictions, len(bounds))
-		}
-		if coverReady(e, bounds[0]) || !coverReady(e, bounds[1]) {
-			t.Errorf("after lap %d: eviction did not take the least recently used level, or the lap rebuilt it", lap)
 		}
 	}
 }
@@ -230,76 +172,11 @@ func TestServedLevelIsTheCoarsestFinerReady(t *testing.T) {
 	}
 }
 
-// TestPinnedCoverSurvivesEviction is a scatter's view of the engine: three
-// datasets read one bound pinned to the cover resolved once for it, while
-// finer builds complete and evict that cover between the reads. Every pinned
-// read answers from the resolved level — identical to a never-evicting
-// engine there — while an unpinned read at the same bound moves to the
-// coarsest finer level now ready. A pin of another engine's cover, or of one
-// coarser than the bound, is refused.
-func TestPinnedCoverSurvivesEviction(t *testing.T) {
-	e, dss := shareFixture(t, 3, 3000)
-	ref, refDss := shareFixture(t, 3, 3000)
-	e.covers = cache.New[int, *Cover](2)
-	ctx := context.Background()
-	aggs := []Agg{Count, Sum, Min, Max}
-	resp := pointIdxDo(t, e, dss[0], 16, Count)
-	resp.Release()
-	cov, err := e.Cover(ctx, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov.ServedBound() != ownBound(e, 16) || coverBuilds(e) != 1 {
-		t.Fatalf("bound 64 resolved to %g m after %d builds, want level 16's %g m and no build", cov.ServedBound(), coverBuilds(e), ownBound(e, 16))
-	}
-	pinned := func(i int) Response {
-		t.Helper()
-		resp, err := e.Do(ctx, Request{Dataset: dss[i], Aggs: aggs, Bound: 64, Cover: cov, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	answers := []Response{pinned(0)}
-	for _, b := range []float64{8, 4} { // two finer builds; the second evicts level 16
-		resp := pointIdxDo(t, e, dss[1], b, Count)
-		resp.Release()
-	}
-	if coverReady(e, 16) {
-		t.Fatal("level 16 is still resident: the test needs it evicted between the pinned reads")
-	}
-	answers = append(answers, pinned(1), pinned(2))
-	for i, got := range answers {
-		if got.ServedBound != cov.ServedBound() {
-			t.Fatalf("dataset %d: pinned read served at %g m, want the pin's %g m", i, got.ServedBound, cov.ServedBound())
-		}
-		want := pointIdxDo(t, ref, refDss[i], 16, aggs...)
-		for k, agg := range aggs {
-			testutil.CheckIdentical(t, fmt.Sprintf("dataset %d %v", i, agg), want.Results[k], got.Results[k])
-		}
-		want.Release()
-	}
-	if resp := pointIdxDo(t, e, dss[0], 64, Count); resp.ServedBound != ownBound(e, 8) {
-		t.Errorf("unpinned bound 64 served at %g m, want level 8's %g m, the coarsest finer one ready", resp.ServedBound, ownBound(e, 8))
-	}
-	for _, req := range []Request{
-		{Dataset: dss[0], Aggs: aggs, Bound: 8, Cover: cov},
-		{Dataset: refDss[0], Aggs: aggs, Bound: 64, Cover: cov},
-	} {
-		eng := e
-		if req.Dataset == refDss[0] {
-			eng = ref
-		}
-		if _, err := eng.Do(ctx, req); err == nil {
-			t.Errorf("a pin coarser than its bound or of another engine was answered: bound %g", req.Bound)
-		}
-	}
-}
-
-// TestUnregisterReleasesStore: unregistering drops the dataset's joiners at
-// once — its store becomes collectable — while the cover sets stay cached
-// for the datasets that remain; and a background refresh that loses the race
-// with the unregister finds nothing to refresh instead of re-attaching.
+// TestUnregisterReleasesStore: unregistering clears the dataset's joiners and
+// no cover references a dataset, so its store becomes collectable — even
+// after a late request attached a joiner to the released handle and a late
+// background refresh ran — while the cover sets stay cached for the datasets
+// that remain.
 func TestUnregisterReleasesStore(t *testing.T) {
 	e, dss := shareFixture(t, 2, 4000)
 	bounds := []float64{64, 16} // coarse-first: both levels are built
@@ -316,25 +193,18 @@ func TestUnregisterReleasesStore(t *testing.T) {
 		t.Fatal("dataset was not registered")
 	}
 	for _, b := range bounds {
-		ce, ok := coverAt(e, b)
-		if !ok {
+		if !coverReady(e, b) {
 			t.Fatalf("bound %g left the cache with the dataset", b)
 		}
-		if ce.peek(dead.src) != nil {
-			t.Errorf("bound %g still holds the unregistered dataset's joiner", b)
-		}
 	}
-	dead.refreshJoiners() // the compaction goroutine's late refresh
+	dead.eachJoiner(func(*join.PointIdxJoiner) { t.Error("the unregistered dataset still holds a joiner") })
 	// A request that passed checkDataset before the unregister reaches the
-	// joiner lookup after it: it is answered, and pins nothing.
-	if ce, _ := coverAt(e, bounds[0]); ce.joiner(e, dead) == nil {
+	// joiner lookup after it: it is answered, from a joiner only the released
+	// handle holds.
+	if ce, _ := coverAt(e, bounds[0]); dead.joiner(ce) == nil {
 		t.Fatal("the late request got no joiner to answer from")
 	}
-	for _, b := range bounds {
-		if ce, _ := coverAt(e, b); ce.peek(dead.src) != nil {
-			t.Errorf("bound %g: the unregistered dataset was re-attached", b)
-		}
-	}
+	dead.refreshJoiners() // the compaction goroutine's late refresh
 	dss[0], dead = nil, nil
 	deadline := time.After(10 * time.Second)
 	for done := false; !done; {
@@ -361,8 +231,8 @@ func TestUnregisterReleasesStore(t *testing.T) {
 }
 
 // TestUnregisterRacesQueries: queries in flight on a dataset while it is
-// unregistered are answered or refused, and whichever side finishes last the
-// dataset ends up attached to no bound. Run under -race.
+// unregistered are answered or refused, and every request issued after the
+// unregister returned is refused. Run under -race.
 func TestUnregisterRacesQueries(t *testing.T) {
 	e, dss := shareFixture(t, 2, 2000)
 	bounds := []float64{32, 64, 128}
@@ -385,12 +255,12 @@ func TestUnregisterRacesQueries(t *testing.T) {
 	}
 	close(start)
 	e.UnregisterPoints(dss[0].name)
-	wg.Wait()
 	for _, b := range bounds {
-		if ce, ok := coverAt(e, b); ok && ce.peek(dss[0].src) != nil {
-			t.Errorf("bound %g: the unregistered dataset is still attached", b)
+		if _, err := e.Do(context.Background(), Request{Dataset: dss[0], Aggs: []Agg{Count}, Bound: b, Strategy: &pidx, Workers: 1}); err == nil {
+			t.Errorf("bound %g: a request issued after the unregister was answered", b)
 		}
 	}
+	wg.Wait()
 }
 
 func coverBuilds(e *Engine) int64 {

@@ -29,7 +29,7 @@ func (e *Engine) runDataset(ds *Dataset, agg Agg, bound float64, strategy Strate
 // built artifact is a no-op.
 func (e *Engine) dropJoiner(ds *Dataset, bound float64) {
 	if ce, ok := coverAt(e, bound); ok {
-		ce.joiners.Delete(ds.src)
+		ds.joiners[ce.level].Store(nil)
 	}
 }
 

@@ -6,8 +6,8 @@
 // on the same key, exactly one goroutine runs it while the others wait for
 // its result. The shard layer's merged answers are stored with Put and read
 // with Get. The capacity bound keeps long-running servers from accumulating
-// one entry per distinct key (a cover level, a bound, a query shape) ever
-// queried.
+// one entry per distinct key (a BRJ bound, a query shape) ever queried; the
+// cover cache is sized to hold every level, so it evicts nothing.
 package cache
 
 import (
@@ -327,7 +327,8 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 // failed, abandoned or greater — record nothing, as a missing Get records
 // nothing. Like Get it takes no closure and allocates nothing. The engine's
 // cover cache reads it with min a cover level, so the entry it returns is the
-// coarsest resident cover at least as fine as the level asked for.
+// coarsest resident cover at least as fine as the level asked for; that cache
+// holds one entry per level, so the scan passes over at most 31.
 //
 //distbound:noalloc
 func GetAtLeast[K cmp.Ordered, V any](c *Cache[K, V], min K) (K, V, bool) {

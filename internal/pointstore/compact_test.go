@@ -370,10 +370,10 @@ func TestCompactNoOpSkipsRebuild(t *testing.T) {
 	}
 	// The Delete above left one tombstone, so the next Compact really
 	// compacts and bumps the generation…
-	g := m.Gen()
+	g := m.Snapshot().Gen()
 	m.Compact()
-	if m.Gen() != g+1 {
-		t.Fatalf("generation %d, want %d", m.Gen(), g+1)
+	if m.Snapshot().Gen() != g+1 {
+		t.Fatalf("generation %d, want %d", m.Snapshot().Gen(), g+1)
 	}
 	// …and a fully compact store (no delta, no tombstones) keeps the original
 	// early exit: no new snapshot at all.

@@ -192,9 +192,9 @@ func FuzzMutableOps(f *testing.F) {
 				}
 				issued[id].live = false
 			case 2:
-				gen, pending := m.Gen(), m.Pending()
+				gen, pending := m.Snapshot().Gen(), m.Pending()
 				m.Compact()
-				if pending > 0 && m.Gen() != gen+1 {
+				if pending > 0 && m.Snapshot().Gen() != gen+1 {
 					t.Fatal("compaction with pending rows did not bump the generation")
 				}
 				if m.Pending() != 0 {

@@ -179,9 +179,6 @@ func (m *Mutable) Dropped() int { return m.dropped }
 // delta).
 func (m *Mutable) Len() int { return m.Snapshot().LiveLen() }
 
-// Gen returns the current compaction generation.
-func (m *Mutable) Gen() uint64 { return m.Snapshot().gen }
-
 // Epoch returns the current mutation epoch — one atomic load. See
 // Snapshot.Epoch for the monotonicity contract.
 //

@@ -164,11 +164,11 @@ func TestMutableAppendDeleteCompactVsReference(t *testing.T) {
 				t.Fatalf("round %d: Delete reported %d live, want %d", round, got, wantLive)
 			}
 		case 4:
-			gen := m.Gen()
+			gen := m.Snapshot().Gen()
 			pending := m.Pending()
 			m.Compact()
-			if pending > 0 && m.Gen() != gen+1 {
-				t.Fatalf("compaction of %d pending rows left generation at %d", pending, m.Gen())
+			if pending > 0 && m.Snapshot().Gen() != gen+1 {
+				t.Fatalf("compaction of %d pending rows left generation at %d", pending, m.Snapshot().Gen())
 			}
 			if m.Pending() != 0 {
 				t.Fatalf("pending %d after compaction", m.Pending())
@@ -206,8 +206,8 @@ func TestMutableSnapshotIsolation(t *testing.T) {
 	if preCompact.Tombstones() != 1 || m.Snapshot().Tombstones() != 0 {
 		t.Error("compaction mutated an existing snapshot instead of swapping a new one")
 	}
-	if m.Gen() != 1 {
-		t.Errorf("generation %d after one compaction", m.Gen())
+	if m.Snapshot().Gen() != 1 {
+		t.Errorf("generation %d after one compaction", m.Snapshot().Gen())
 	}
 	// Materialized survivors: base order then delta order.
 	pts, ws := preCompact.Materialize()

@@ -14,7 +14,7 @@ func snapMetaFor(m *pointstore.Mutable) snapMeta {
 	m.Compact()
 	cols := m.Snapshot().BaseColumns()
 	return snapMeta{
-		gen:     m.Gen(),
+		gen:     m.Snapshot().Gen(),
 		nextID:  m.NextID(),
 		dropped: uint64(m.Dropped()),
 		rows:    uint64(len(cols.Keys)),

@@ -52,6 +52,11 @@ const localIDMask = (uint64(1) << shardIDBits) - 1
 // be deleted, matching the engine's own out-of-domain drop accounting.
 const NoID = math.MaxUint64
 
+// testHookResolved, when set by a test, runs between a scatter's cover
+// resolution and its scatter, and returns the cover the scatter reads: it puts
+// the scatter in the state a level's arrival in between would leave it in.
+var testHookResolved func(*distbound.Cover) *distbound.Cover
+
 // shardState is one shard: its dataset in the shared engine and the
 // inclusive SFC key interval it owns.
 type shardState struct {
@@ -312,13 +317,16 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	// The served level is resolved once, before the probe: the cover the
 	// engine's rule serves the bound from (its own level, or the coarsest
 	// ready finer one), built on a miss with every core. The key holds that
-	// level and every shard's read is pinned to this cover, so a scatter
-	// racing a finer build or an eviction still merges one level's answers.
-	// A bound too fine for any cover is refused here, before the probe could
-	// count a miss for a request no shard answers.
+	// level, and every shard is asked at its cell diagonal, which resolves to
+	// that same level: a ready level is never evicted. A bound too fine for
+	// any cover is refused here, before the probe could count a miss for a
+	// request no shard answers.
 	cov, err := s.engine.Cover(ctx, req.Bound)
 	if err != nil {
 		return Response{}, err
+	}
+	if testHookResolved != nil {
+		cov = testHookResolved(cov)
 	}
 	// Result-cache probe above the whole fan-out. The epoch sum is read here,
 	// before any shard executes: an entry's data is at least as new as the
@@ -347,14 +355,13 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	// Scatter, up to GOMAXPROCS shards at a time: at a positive bound the
 	// engine's rule runs every shard on the resident point-index strategy —
 	// the one whose per-shard answers merge with the documented identity
-	// guarantees — each on the one cover resolved above.
+	// guarantees — each at the served bound of the cover resolved above.
 	parts := make([]distbound.Response, len(s.shards))
 	err = pool.RunCtx(ctx, len(s.shards), pool.Workers(0, len(s.shards)), func(_, i int) error {
 		resp, err := s.engine.Do(ctx, distbound.Request{
 			Dataset: s.shards[i].ds,
 			Aggs:    req.Aggs,
-			Bound:   req.Bound,
-			Cover:   cov,
+			Bound:   cov.ServedBound(),
 		})
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
@@ -372,8 +379,13 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	}
 
 	// Gather: merge in ascending shard order, so float sums associate
-	// identically for every scatter width.
+	// identically for every scatter width. A part read from another level
+	// than the scatter's cover would merge two levels' answers under one
+	// served_bound, so it fails the scatter.
 	for i := range parts {
+		if parts[i].ServedBound != cov.ServedBound() {
+			return Response{}, fmt.Errorf("shard %d: answered at %g m, not at the scatter's %g m", i, parts[i].ServedBound, cov.ServedBound())
+		}
 		join.MergeResults(out.Results, parts[i].Results)
 		out.RangesProbed += parts[i].RangesProbed
 		out.DeltaProbed += parts[i].DeltaProbed
@@ -627,8 +639,9 @@ func (s *Sharded) Stats() Stats {
 }
 
 // Close unregisters every shard's dataset, flushing and closing durable
-// logs where Persist bound them; the on-disk files stay valid for Open. The
-// engine drops each shard's joiners with it, so nothing pins the stores.
+// logs where Persist bound them; the on-disk files stay valid for Open. Each
+// shard's joiners are cleared with it, so nothing in the engine pins the
+// stores.
 func (s *Sharded) Close() {
 	for i := range s.shards {
 		s.engine.UnregisterPoints(shardDatasetName(s.name, i))

@@ -124,14 +124,58 @@ func TestShardedCloseDropsState(t *testing.T) {
 	}
 }
 
-// TestShardedScatterIsOneLevel: scatters racing the cover builds of finer
-// levels — six callers asking six cold bounds, each in its own order — each
-// merge one level's answers. Every answer is served at or below the bound it
-// asked for, on one of the six levels, and equals the unsharded reference at
-// the bound it reports. Run under -race.
+// TestShardedScatterIsOneLevel: a scatter merges one level's answers.
+//   - Held level: the seam between the cover resolution and the scatter hands
+//     the scatter ε16's level while the rule serves its bound, ε64, from ε32's
+//     — the state ε32 built in between would leave it in. Every shard still
+//     answers at the held level, equal to the unsharded reference there.
+//   - Checked merge: a part read at another level than the scatter's cover
+//     fails the scatter. Here the cover is another engine's ε128 level, which
+//     this engine has not built, so the shards read ε32's.
+//   - Racing builds: six callers asking six bounds, each in its own order,
+//     each get an answer served at or below its bound on one of the six
+//     levels, equal to the reference there. Run under -race.
 func TestShardedScatterIsOneLevel(t *testing.T) {
-	bounds := []float64{256, 128, 64, 32, 16, 8}
 	s, _, e, ds, _, _, _ := fixture(t, 41, 12000, 8)
+	s.SetResultCacheCapacity(0)
+	ctx := context.Background()
+	foreign, err := e.Cover(ctx, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []float64{32, 16} { // coarse-first: both levels are built
+		if _, err := s.Do(ctx, Request{Aggs: allAggs, Bound: b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held, err := s.engine.Cover(ctx, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rule, err := s.engine.Cover(ctx, 64); err != nil || rule.Level() == held.Level() {
+		t.Fatalf("the rule serves ε64 from level %d, want ε32's, not the held %d (%v)", rule.Level(), held.Level(), err)
+	}
+	t.Cleanup(func() { testHookResolved = nil })
+	testHookResolved = func(*distbound.Cover) *distbound.Cover { return held }
+	got, err := s.Do(ctx, Request{Aggs: allAggs, Bound: 64})
+	if err != nil {
+		t.Fatalf("scatter holding ε16's level: %v", err)
+	}
+	ref := unshardedDo(t, e, ds, allAggs, 16)
+	if got.ServedBound != held.ServedBound() || ref.ServedBound != held.ServedBound() {
+		t.Fatalf("served at %g m, reference at %g m, want the held %g m", got.ServedBound, ref.ServedBound, held.ServedBound())
+	}
+	for k, agg := range allAggs {
+		testutil.CheckIdentical(t, fmt.Sprintf("held level %v", agg), ref.Results[k], got.Results[k])
+	}
+	testHookResolved = func(*distbound.Cover) *distbound.Cover { return foreign }
+	if _, err := s.Do(ctx, Request{Aggs: allAggs, Bound: 128}); err == nil {
+		t.Fatal("a scatter merged parts read at ε32's level under ε128's served bound")
+	}
+	testHookResolved = nil
+
+	bounds := []float64{256, 128, 64, 32, 16, 8}
+	s, _, e, ds, _, _, _ = fixture(t, 41, 12000, 8)
 	s.SetResultCacheCapacity(0)
 	// The reference, asked coarse-first, serves each bound at its own level.
 	want := map[float64]distbound.Response{}
@@ -147,7 +191,7 @@ func TestShardedScatterIsOneLevel(t *testing.T) {
 		bound float64
 		resp  Response
 	}
-	got := make([][]answer, callers)
+	answers := make([][]answer, callers)
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
 	for g := 0; g < callers; g++ {
@@ -155,21 +199,21 @@ func TestShardedScatterIsOneLevel(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for _, i := range rand.New(rand.NewSource(int64(g))).Perm(len(bounds)) {
-				resp, err := s.Do(context.Background(), Request{Aggs: allAggs, Bound: bounds[i]})
+				resp, err := s.Do(ctx, Request{Aggs: allAggs, Bound: bounds[i]})
 				if err != nil {
 					errs[g] = err
 					return
 				}
-				got[g] = append(got[g], answer{bounds[i], resp})
+				answers[g] = append(answers[g], answer{bounds[i], resp})
 			}
 		}(g)
 	}
 	wg.Wait()
-	for g := range got {
+	for g := range answers {
 		if errs[g] != nil {
 			t.Fatalf("caller %d: %v", g, errs[g])
 		}
-		for _, a := range got[g] {
+		for _, a := range answers[g] {
 			ref, ok := want[a.resp.ServedBound]
 			if !ok || a.resp.ServedBound > a.bound {
 				t.Fatalf("caller %d: bound %g served at %g m, not at or below it on one of the levels", g, a.bound, a.resp.ServedBound)

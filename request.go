@@ -52,12 +52,6 @@ type Request struct {
 	// bit-identically at every worker count. A server already running many
 	// queries concurrently typically wants 1 to avoid oversubscription.
 	Workers int
-	// Cover, when non-nil, pins the cover strategies (pointidx, act) to this
-	// cover — one this engine's Cover returned — instead of resolving Bound
-	// by the serving rule, so requests whose answers merge (the shards of one
-	// scatter) read one level whatever the cache does between them. Its
-	// ServedBound must not exceed Bound.
-	Cover *Cover
 }
 
 // Response carries one request's outcome.
@@ -173,14 +167,6 @@ func (e *Engine) normalizeRequest(req Request) (Request, error) {
 	if req.Workers < 0 {
 		req.Workers = 0
 	}
-	if c := req.Cover; c != nil {
-		if c.e != e {
-			return req, fmt.Errorf("distbound: the request pins a cover of another engine")
-		}
-		if !(c.bound <= req.Bound) {
-			return req, fmt.Errorf("distbound: the pinned cover meets %g m, coarser than the bound %g m", c.bound, req.Bound)
-		}
-	}
 	if req.Strategy != nil {
 		if err := checkOverride(req); err != nil {
 			return req, err
@@ -284,13 +270,13 @@ func (e *Engine) executeMulti(ctx context.Context, req Request, resp *Response) 
 	if ds := req.Dataset; ds != nil {
 		if strategy == StrategyPointIdx {
 			tb := time.Now()
-			c, err := e.coverCtx(ctx, req)
+			c, err := e.coverCtx(ctx, req.Bound, workers)
 			resp.Build = time.Since(tb)
 			if err != nil {
 				return err
 			}
 			resp.ServedBound = c.bound
-			j := c.joiner(e, ds)
+			j := ds.joiner(c)
 			results := resp.scratch.prepResults(req.Aggs, len(e.regions))
 			stats, err := j.AggregateMultiInto(ctx, req.Aggs, workers, results)
 			if err != nil {
@@ -325,7 +311,7 @@ func (e *Engine) executeMulti(ctx context.Context, req Request, resp *Response) 
 		// The approximate cell-lookup join answers from the cover set the
 		// rule serves the bound from, the artifact resident reads share.
 		tb := time.Now()
-		c, err := e.coverCtx(ctx, req)
+		c, err := e.coverCtx(ctx, req.Bound, workers)
 		resp.Build = time.Since(tb)
 		if err != nil {
 			return err
