@@ -34,15 +34,21 @@ func (c *Cover) ServedBound() float64 { return c.bound }
 
 // joiner returns the dataset's joiner over c's set, attaching one on first
 // use. Levels are never evicted, so the joiner in c's slot is always over c's
-// set. A request racing UnregisterPoints may attach one after the sweep; it
-// hangs off the released handle alone, which no cover references.
+// set. A request racing UnregisterPoints may attach one after the sweep, or
+// see the sweep clear the slot it just filled; either way it answers from
+// the joiner it attached, which only the released handle holds.
 func (d *Dataset) joiner(c *Cover) *join.PointIdxJoiner {
 	slot := &d.joiners[c.level]
 	if j := slot.Load(); j != nil {
 		return j
 	}
-	slot.CompareAndSwap(nil, c.set.Attach(d.src))
-	return slot.Load()
+	j := c.set.Attach(d.src)
+	if !slot.CompareAndSwap(nil, j) {
+		if cur := slot.Load(); cur != nil {
+			return cur
+		}
+	}
+	return j
 }
 
 // Cover returns the cover a read at bound is served from — by coverCtx's

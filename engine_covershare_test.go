@@ -263,6 +263,51 @@ func TestUnregisterRacesQueries(t *testing.T) {
 	wg.Wait()
 }
 
+// TestJoinerRacesSlotClears: a request that passed checkDataset before
+// UnregisterPoints reaches the joiner lookup while the unregister clears the
+// dataset's slots; it always gets a joiner to answer from, never nil. Run
+// under -race.
+func TestJoinerRacesSlotClears(t *testing.T) {
+	e, dss := shareFixture(t, 1, 500)
+	resp := pointIdxDo(t, e, dss[0], 64, Count)
+	resp.Release()
+	c, ok := coverAt(e, 64)
+	if !ok {
+		t.Fatal("bound 64's cover is not resident")
+	}
+	ds := dss[0]
+	stop := make(chan struct{})
+	var cleared sync.WaitGroup
+	cleared.Add(1)
+	go func() {
+		defer cleared.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				ds.joiners[c.level].Store(nil)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				if ds.joiner(c) == nil {
+					t.Error("a request racing the slot clear got a nil joiner")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	cleared.Wait()
+}
+
 func coverBuilds(e *Engine) int64 {
 	cover := e.CacheStats()
 	return cover.Builds
