@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"distbound/internal/cache"
 	"distbound/internal/join"
 	"distbound/internal/raster"
 )
@@ -13,12 +12,12 @@ import (
 // diagonal: no cover can meet it, so it is refused before any build starts.
 type BoundTooFineError = raster.BoundTooFineError
 
-// Cover is one resident level of the cover cache: the immutable cover set —
-// the cover table, which depends only on the regions, domain, curve and
-// level — shared by every registered dataset and by ad-hoc act requests. The
-// cache holds one entry per level and evicts none, so a level once built
-// stays: every read of its bound, and every dataset's joiner over its set
-// (Dataset.joiners), meets this one set for the engine's lifetime.
+// Cover is one resident level: the immutable cover set — the cover table,
+// which depends only on the regions, domain, curve and level — shared by
+// every registered dataset and by ad-hoc act requests. It sits in its
+// level's slot (Engine.ready) from the end of its build on, and nothing
+// clears a slot, so every read of its bound, and every dataset's joiner over
+// its set (Dataset.joiners), meets this one set for the engine's lifetime.
 type Cover struct {
 	level int
 	bound float64 // the level's cell diagonal: the bound every answer read from it meets
@@ -54,7 +53,7 @@ func (d *Dataset) joiner(c *Cover) *join.PointIdxJoiner {
 // Cover returns the cover a read at bound is served from — by coverCtx's
 // rule, building the bound's own level on a miss with every core. The shard
 // scatter resolves one per query and asks every shard at its ServedBound,
-// which resolves to this same level: a ready level is never evicted. A bound
+// which resolves to this same level: a filled slot is never cleared. A bound
 // finer than the leaf cell returns BoundTooFineError; canceling ctx returns
 // ctx.Err().
 func (e *Engine) Cover(ctx context.Context, bound float64) (*Cover, error) {
@@ -69,22 +68,19 @@ func (e *Engine) Cover(ctx context.Context, bound float64) (*Cover, error) {
 // pointidx read and an ad-hoc act read alike. A level is a floor: a cover
 // whose boundary cells have diagonal ε′ meets every bound ε ≥ ε′, so the
 // bound is served by its own level (raster.BoundLevel) if that cover is
-// ready, and otherwise by the coarsest ready cover finer than it; a build in
-// flight serves nothing. Only when neither exists is the bound's own
-// level built, under the cache's singleflight. Like BRJ mask builds, a cold
-// rasterization fans out across the caller's worker budget, no wider;
-// canceling ctx abandons the wait (and the build, once no caller is left).
+// ready, and otherwise by the coarsest ready cover finer than it (readyFrom);
+// a build in flight serves nothing. Only when neither exists is the bound's
+// own level built, under the cache's singleflight, which fills its slot
+// before the entry completes. Like BRJ mask builds, a cold rasterization
+// fans out across the caller's worker budget, no wider; canceling ctx
+// abandons the wait (and the build, once no caller is left).
 // raster.BoundLevel's BoundTooFineError comes back before any build starts.
 func (e *Engine) coverCtx(ctx context.Context, bound float64, workers int) (*Cover, error) {
 	level, err := raster.BoundLevel(e.domain, bound)
 	if err != nil {
 		return nil, err
 	}
-	// Closure-free warm path: a ready cover is served without materializing
-	// the build closure below, so a hot resident loop allocates nothing here.
-	// Levels grow finer, so the least ready level ≥ level is the coarsest
-	// that meets the bound; the levels passed over count no hit or miss.
-	if _, c, ok := cache.GetAtLeast(e.covers, level); ok {
+	if c := e.readyFrom(level); c != nil {
 		return c, nil
 	}
 	c, err := e.covers.GetOrBuildCtx(ctx, level, func(bctx context.Context) (*Cover, error) {
@@ -92,12 +88,27 @@ func (e *Engine) coverCtx(ctx context.Context, bound float64, workers int) (*Cov
 		if err != nil {
 			return nil, err
 		}
-		return &Cover{level: level, bound: e.domain.CellDiagonal(level), set: set}, nil
+		c := &Cover{level: level, bound: e.domain.CellDiagonal(level), set: set}
+		e.ready[level].Store(c)
+		return c, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("distbound: building cover set: %w", err)
 	}
 	return c, nil
+}
+
+// readyFrom returns the first ready cover at level or finer — the coarsest
+// that meets level's bound — in at most 31 atomic loads and no lock.
+//
+//distbound:noalloc
+func (e *Engine) readyFrom(level int) *Cover {
+	for l := level; l < len(e.ready); l++ {
+		if c := e.ready[l].Load(); c != nil {
+			return c
+		}
+	}
+	return nil
 }
 
 // exactCoverCtx returns the engine's one exact cover, building it under the
@@ -117,7 +128,11 @@ func (e *Engine) exactCoverCtx(ctx context.Context, workers int) (*join.ExactCov
 // DatasetStats.CoverStateBytes is a dataset's own state over them.
 func (e *Engine) CoverBytes() int {
 	n := 0
-	e.covers.EachReady(func(_ int, c *Cover) { n += c.set.MemoryBytes() })
+	for i := range e.ready {
+		if c := e.ready[i].Load(); c != nil {
+			n += c.set.MemoryBytes()
+		}
+	}
 	return n
 }
 

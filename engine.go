@@ -51,15 +51,15 @@ const maskCacheCapacity = 2
 // boundary cells at one coarse level, with each region's point locator — one
 // set of BRJ region masks per bound, and one cover set per level — the one
 // artifact both the ad-hoc act join and every registered dataset answer from)
-// are cached with singleflight build deduplication — concurrent misses on the
-// same key run one build and share it. The masks sit in a small LRU; a cover
-// level once built stays. Neither strategy rule reads what is cached. The
-// cover a bound is served from does depend on it: a resident finer level
-// serves every coarser bound, and a bound's own level is built only when no
-// ready level is at least as fine (see coverCtx; Response.ServedBound reports
-// the level that served). So each level is built at most once, and since a
-// cover table doubles per level, every level ever built holds at most about
-// twice the finest one's bytes.
+// are built with singleflight deduplication — concurrent misses on the same
+// key run one build and share it. The masks sit in a small LRU; a cover level
+// once built stays in its slot, read with no lock. Neither strategy rule
+// reads what is cached. The cover a bound is served from does depend on it:
+// a resident finer level serves every coarser bound, and a bound's own level
+// is built only when no ready level is at least as fine (see coverCtx;
+// Response.ServedBound reports the level that served). So each level is built
+// at most once, and since a cover table doubles per level, every level ever
+// built holds at most about twice the finest one's bytes.
 type Engine struct {
 	regions []Region
 	domain  Domain
@@ -69,7 +69,10 @@ type Engine struct {
 
 	dsMu     sync.RWMutex // guards datasets, which reserves registered names
 	datasets map[string]*Dataset
-	covers   *cache.Cache[int, *Cover] // one entry per level (raster.BoundLevel), none evicted; see covers.go
+	// ready holds each level's cover once built, the one place reads look;
+	// covers only builds levels (singleflight, the build gate). See covers.go.
+	ready  [sfc.MaxLevel + 1]atomic.Pointer[Cover]
+	covers *cache.Cache[int, *Cover]
 
 	// scratch recycles respScratch instances across Do calls; it makes the
 	// warm resident path allocation-free for callers that Release their
@@ -511,14 +514,13 @@ func (e *Engine) brjJoinerCtx(ctx context.Context, bound float64, workers int) (
 	return bj, nil
 }
 
-// CacheStats reports the cover cache's counters (hits, misses, builds,
-// coalesced waits on in-flight builds; it evicts nothing). The cache is keyed
-// by level alone — one build per level built however many bounds it serves,
-// datasets and ad-hoc act requests use it, and none for a bound a ready
-// finer level serves — and entries survive dataset compactions, so a
-// steady-state ingest workload shows cover hits, not rebuilds, across
-// generations; the per-dataset generation and delta accounting lives in
-// Dataset.Stats.
+// CacheStats reports the cover cache's counters (misses, builds and their
+// time, coalesced waits; it evicts nothing). It is keyed by level alone — one
+// build per level however many bounds it serves, datasets and ad-hoc act
+// requests use it, and none for a bound a ready finer level serves — and
+// levels survive dataset compactions. A read whose level slot is filled never
+// reaches the cache, so Hits counts only waits on a build in flight; the
+// per-dataset generation and delta accounting lives in Dataset.Stats.
 func (e *Engine) CacheStats() cache.Stats {
 	return e.covers.Stats()
 }

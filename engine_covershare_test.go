@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"distbound/internal/join"
 	"distbound/internal/pointstore"
 	"distbound/internal/raster"
+	"distbound/internal/testutil"
 )
 
 // shareFixture registers n disjoint slices of one point pool as n datasets
@@ -121,11 +123,15 @@ func TestAdhocACTSharesResidentCoverSet(t *testing.T) {
 // levels resident, a bound is served by its own level when that is ready, by
 // the coarsest ready level finer than it otherwise — for resident and ad-hoc
 // act reads alike — and only a bound finer than every ready level builds.
-// BRJ serves the bound itself and the exact join 0.
+// The answers of each data state nest by served level. BRJ serves the bound
+// itself and the exact join 0.
 func TestServedLevelIsTheCoarsestFinerReady(t *testing.T) {
 	e, dss := shareFixture(t, 1, 4000)
+	aggs := []Agg{Count, Min, Max}
+	var resident, adhoc []testutil.Served
 	for _, b := range []float64{256, 64, 16} {
-		resp := pointIdxDo(t, e, dss[0], b, Count)
+		resp := pointIdxDo(t, e, dss[0], b, aggs...)
+		resident = append(resident, servedAnswers(resp)...)
 		resp.Release()
 	}
 	pts, ws := data.TaxiPoints(64, 2000)
@@ -136,28 +142,33 @@ func TestServedLevelIsTheCoarsestFinerReady(t *testing.T) {
 	}{
 		{256, 256}, {512, 256}, {128, 64}, {64, 64}, {32, 16}, {16, 16},
 	} {
-		resp := pointIdxDo(t, e, dss[0], c.bound, Count)
+		resp := pointIdxDo(t, e, dss[0], c.bound, aggs...)
 		if want := ownBound(e, c.servedBy); resp.ServedBound != want {
 			t.Errorf("resident bound %g served at %g m, want %g's level, %g m", c.bound, resp.ServedBound, c.servedBy, want)
 		}
+		resident = append(resident, servedAnswers(resp)...)
 		resp.Release()
-		resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: []Agg{Count}, Bound: c.bound, Strategy: &act, Workers: 1})
+		resp, err := e.Do(context.Background(), Request{Points: ps, Aggs: aggs, Bound: c.bound, Strategy: &act, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := ownBound(e, c.servedBy); resp.ServedBound != want {
 			t.Errorf("act bound %g served at %g m, want %g's level, %g m", c.bound, resp.ServedBound, c.servedBy, want)
 		}
+		adhoc = append(adhoc, servedAnswers(resp)...)
 	}
 	if got := coverBuilds(e); got != 3 {
 		t.Errorf("%d cover builds, want the 3 levels asked for coarse-first", got)
 	}
-	resp := pointIdxDo(t, e, dss[0], 8, Count)
+	resp := pointIdxDo(t, e, dss[0], 8, aggs...)
 	if resp.ServedBound != ownBound(e, 8) || coverBuilds(e) != 4 {
 		t.Errorf("bound 8, finer than every ready level: served at %g m after %d builds, want its own level's %g m after 4",
 			resp.ServedBound, coverBuilds(e), ownBound(e, 8))
 	}
+	resident = append(resident, servedAnswers(resp)...)
 	resp.Release()
+	testutil.CheckNested(t, "resident", resident)
+	testutil.CheckNested(t, "act", adhoc)
 	for _, c := range []struct {
 		strategy *Strategy
 		want     float64
@@ -306,6 +317,17 @@ func TestJoinerRacesSlotClears(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	cleared.Wait()
+}
+
+// servedAnswers copies resp's results, with its served bound, for
+// testutil.CheckNested: a Release recycles the originals.
+func servedAnswers(resp Response) []testutil.Served {
+	out := make([]testutil.Served, len(resp.Results))
+	for k, r := range resp.Results {
+		r.Counts, r.Sums, r.Extremes = slices.Clone(r.Counts), slices.Clone(r.Sums), slices.Clone(r.Extremes)
+		out[k] = testutil.Served{Bound: resp.ServedBound, Result: r}
+	}
+	return out
 }
 
 func coverBuilds(e *Engine) int64 {

@@ -157,9 +157,7 @@ func TestResidentRule(t *testing.T) {
 			for _, s := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ} {
 				do("warming "+s.String(), Request{Points: ps, Aggs: []Agg{Count}, Bound: bound, Strategy: &s})
 			}
-			_, exact := peekReady(e.exact, struct{}{})
-			_, brj := peekReady(e.brj, bound)
-			if !exact || !brj || !coverReady(e, bound) {
+			if e.exact.Len() != 1 || e.brj.Len() != 1 || !coverReady(e, bound) {
 				t.Fatal("streaming artifacts not all resident")
 			}
 		}},

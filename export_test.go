@@ -3,7 +3,6 @@ package distbound
 import (
 	"context"
 
-	"distbound/internal/cache"
 	"distbound/internal/raster"
 )
 
@@ -33,26 +32,15 @@ func (e *Engine) dropJoiner(ds *Dataset, bound float64) {
 	}
 }
 
-// coverAt returns the cover-cache entry keyed on bound's own level iff its
-// build has completed, without touching stats or recency.
+// coverAt returns the cover in bound's own level slot iff its build has
+// completed, without touching the cover cache.
 func coverAt(e *Engine, bound float64) (*Cover, bool) {
 	level, err := raster.BoundLevel(e.domain, bound)
 	if err != nil {
 		return nil, false
 	}
-	return peekReady(e.covers, level)
-}
-
-// peekReady returns the value c holds under key iff its build has completed
-// successfully. It reads through EachReady, so it records no stats and leaves
-// recency alone: observing a cache does not change what later reads see.
-func peekReady[K comparable, V any](c *cache.Cache[K, V], key K) (v V, ok bool) {
-	c.EachReady(func(k K, val V) {
-		if k == key {
-			v, ok = val, true
-		}
-	})
-	return v, ok
+	c := e.ready[level].Load()
+	return c, c != nil
 }
 
 // adHoc is a one-aggregate request over n ad-hoc points, for strategyFor

@@ -7,11 +7,11 @@
 // its result. The shard layer's merged answers are stored with Put and read
 // with Get. The capacity bound keeps long-running servers from accumulating
 // one entry per distinct key (a BRJ bound, a query shape) ever queried; the
-// cover cache is sized to hold every level, so it evicts nothing.
+// cover cache holds every level and only builds them: the engine reads ready
+// covers from its own slots, so its Hits count waits on builds, not reads.
 package cache
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"sync"
@@ -272,20 +272,14 @@ func (c *Cache[K, V]) runBuild(e *entry[K, V], build func() (V, error)) {
 }
 
 // lookupReady returns the entry under key iff its build has completed
-// successfully; missing, in-flight, failed and abandoned entries all report
-// false. Called with mu held.
+// successfully, or it was Put; missing, in-flight, failed and abandoned
+// entries all report false. Called with mu held.
 func (c *Cache[K, V]) lookupReady(key K) (*entry[K, V], bool) {
 	e, ok := c.entries[key]
-	if !ok || !e.servable() {
+	if !ok || e.abandoned || !e.done() || e.err != nil {
 		return nil, false
 	}
 	return e, true
-}
-
-// servable reports whether e holds a value to serve: its build completed
-// successfully, or it was Put. Called with mu held.
-func (e *entry[K, V]) servable() bool {
-	return !e.abandoned && e.done() && e.err == nil
 }
 
 // done reports whether e's value is final: built, failed, or Put.
@@ -321,37 +315,6 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return e.val, true
 }
 
-// GetAtLeast returns the least key ≥ min whose build has completed
-// successfully (or was Put), and its value, recording a hit and refreshing
-// recency on that entry alone: keys it passes over — missing, in flight,
-// failed, abandoned or greater — record nothing, as a missing Get records
-// nothing. Like Get it takes no closure and allocates nothing. The engine's
-// cover cache reads it with min a cover level, so the entry it returns is the
-// coarsest resident cover at least as fine as the level asked for; that cache
-// holds one entry per level, so the scan passes over at most 31.
-//
-//distbound:noalloc
-func GetAtLeast[K cmp.Ordered, V any](c *Cache[K, V], min K) (K, V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	best, ok := c.lookupReady(min)
-	if !ok {
-		for e := c.head; e != nil; e = e.next {
-			if e.key > min && (best == nil || e.key < best.key) && e.servable() {
-				best = e
-			}
-		}
-	}
-	if best == nil {
-		var zk K
-		var zv V
-		return zk, zv, false
-	}
-	c.stats.Hits++
-	c.moveToFront(best)
-	return best.key, best.val, true
-}
-
 // Put stores v under key as the most recently used entry, then evicts down
 // to capacity — at capacity 0, v itself. Replacing a completed entry counts
 // as an eviction. An in-flight build under key is left alone: its waiters
@@ -363,8 +326,8 @@ func (c *Cache[K, V]) Put(key K, v V) {
 		if !old.done() {
 			return
 		}
-		// A new entry rather than a new val: waiters and EachReady read a
-		// completed entry's val without the lock.
+		// A new entry rather than a new val: waiters read a completed
+		// entry's val without the lock.
 		c.remove(old)
 		c.stats.Evictions++
 	}
@@ -399,25 +362,6 @@ func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// EachReady calls fn for every entry whose build has completed successfully,
-// without recording stats or refreshing recency. The entries are collected
-// under the lock and visited after it is released, so fn may take as long as
-// it likes — and may use the cache — without stalling lookups; an entry
-// evicted in between is still visited, one inserted in between is not.
-func (c *Cache[K, V]) EachReady(fn func(K, V)) {
-	c.mu.Lock()
-	ready := make([]*entry[K, V], 0, len(c.entries))
-	for key := range c.entries {
-		if e, ok := c.lookupReady(key); ok {
-			ready = append(ready, e)
-		}
-	}
-	c.mu.Unlock()
-	for _, e := range ready {
-		fn(e.key, e.val)
-	}
 }
 
 // Stats returns a snapshot of the event counters.

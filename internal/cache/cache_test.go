@@ -17,15 +17,16 @@ func get[K comparable, V any](c *Cache[K, V], key K, build func() (V, error)) (V
 }
 
 // peek returns the value cached under key iff its build has completed
-// successfully. It reads through EachReady, so it records no stats and
-// leaves recency alone.
-func peek[K comparable, V any](c *Cache[K, V], key K) (v V, ok bool) {
-	c.EachReady(func(k K, val V) {
-		if k == key {
-			v, ok = val, true
-		}
-	})
-	return v, ok
+// successfully. It reads the entries under the lock, so it records no stats
+// and leaves recency alone.
+func peek[K comparable, V any](c *Cache[K, V], key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.lookupReady(key); ok {
+		return e.val, true
+	}
+	var zero V
+	return zero, false
 }
 
 // ready reports whether key holds a completed, successful build.
@@ -34,10 +35,16 @@ func ready[K comparable, V any](c *Cache[K, V], key K) bool {
 	return ok
 }
 
-// resident counts the entries whose build has completed.
+// resident counts the entries whose build has completed successfully.
 func resident[K comparable, V any](c *Cache[K, V]) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	n := 0
-	c.EachReady(func(K, V) { n++ })
+	for k := range c.entries {
+		if _, ok := c.lookupReady(k); ok {
+			n++
+		}
+	}
 	return n
 }
 
@@ -244,8 +251,8 @@ func TestBuildConcurrencyGatedByCapacity(t *testing.T) {
 	}
 }
 
-// TestPeekDoesNotBumpRecency: reading an entry through EachReady leaves the
-// LRU order alone.
+// TestPeekDoesNotBumpRecency: the test helper's read leaves the LRU order
+// alone, so the tests that observe a cache through it do not change it.
 func TestPeekDoesNotBumpRecency(t *testing.T) {
 	c := New[int, int](2)
 	get(c, 1, func() (int, error) { return 1, nil })
@@ -453,107 +460,6 @@ func TestGetOrBuildCtxPanickingBuildContained(t *testing.T) {
 	v, err := c.GetOrBuildCtx(context.Background(), "k", func(context.Context) (int, error) { return 3, nil })
 	if err != nil || v != 3 {
 		t.Fatalf("key wedged after contained panic: (%d, %v)", v, err)
-	}
-}
-
-// TestEachReady: the walk visits exactly the entries whose builds completed
-// successfully, outside the lock — fn may use the cache — and leaves stats
-// and recency alone.
-func TestEachReady(t *testing.T) {
-	c := New[int, string](4)
-	for k, v := range map[int]string{1: "a", 2: "b"} {
-		if _, err := get(c, k, func() (string, error) { return v, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	release := make(chan struct{})
-	started := make(chan struct{})
-	done := make(chan struct{})
-	go func() { // an in-flight build: must not be visited
-		defer close(done)
-		get(c, 3, func() (string, error) { //nolint:errcheck // result irrelevant
-			close(started)
-			<-release
-			return "c", nil
-		})
-	}()
-	<-started
-	before := c.Stats()
-	seen := map[int]string{}
-	c.EachReady(func(k int, v string) {
-		seen[k] = v
-		peek(c, k) // re-entering the cache must not deadlock
-	})
-	if len(seen) != 2 || seen[1] != "a" || seen[2] != "b" {
-		t.Fatalf("EachReady visited %v, want the two completed entries", seen)
-	}
-	if after := c.Stats(); after != before {
-		t.Fatalf("EachReady moved the counters: %+v -> %+v", before, after)
-	}
-	close(release)
-	<-done
-}
-
-// TestGetAtLeast: the lookup returns the least ready key at or above its
-// argument, skipping in-flight and failed entries, and records a hit and
-// recency on that entry alone — every key it passes over is left as it was,
-// and a lookup that finds nothing records nothing. It allocates nothing.
-func TestGetAtLeast(t *testing.T) {
-	c := New[int, string](3)
-	for k, v := range map[int]string{3: "c", 7: "g"} {
-		if _, err := get(c, k, func() (string, error) { return v, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := get(c, 4, func() (string, error) { return "", errors.New("boom") }); err == nil {
-		t.Fatal("the failing build succeeded")
-	}
-	release := make(chan struct{})
-	started := make(chan struct{})
-	done := make(chan struct{})
-	go func() { // an in-flight build at 5: must not be returned
-		defer close(done)
-		get(c, 5, func() (string, error) { //nolint:errcheck // result irrelevant
-			close(started)
-			<-release
-			return "e", nil
-		})
-	}()
-	<-started
-	before := c.Stats()
-	for _, tc := range []struct {
-		min  int
-		key  int
-		val  string
-		want bool
-	}{
-		{1, 3, "c", true}, {3, 3, "c", true}, {4, 7, "g", true}, {7, 7, "g", true}, {8, 0, "", false},
-	} {
-		k, v, ok := GetAtLeast(c, tc.min)
-		if k != tc.key || v != tc.val || ok != tc.want {
-			t.Errorf("GetAtLeast(%d) = (%d, %q, %v), want (%d, %q, %v)", tc.min, k, v, ok, tc.key, tc.val, tc.want)
-		}
-	}
-	if st := c.Stats(); st.Hits != before.Hits+4 || st.Misses != before.Misses {
-		t.Errorf("stats %+v -> %+v: want one hit per lookup that found a key and nothing else", before, st)
-	}
-	// Recency, most recent first, is then 3, 7, 5. Once 5 lands, asking for
-	// 4 returns it and passes over 7, which stays least recently used: a
-	// fourth key evicts it.
-	GetAtLeast(c, 1)
-	close(release)
-	<-done
-	if k, _, _ := GetAtLeast(c, 4); k != 5 {
-		t.Fatalf("GetAtLeast(4) = %d once 5 is built, want 5", k)
-	}
-	if _, err := get(c, 9, func() (string, error) { return "i", nil }); err != nil {
-		t.Fatal(err)
-	}
-	if ready(c, 7) || !ready(c, 3) || !ready(c, 5) {
-		t.Errorf("eviction took the wrong key: ready 3 %v, 5 %v, 7 %v", ready(c, 3), ready(c, 5), ready(c, 7))
-	}
-	if n := testing.AllocsPerRun(100, func() { GetAtLeast(c, 6) }); n != 0 {
-		t.Errorf("GetAtLeast allocates %v per call", n)
 	}
 }
 

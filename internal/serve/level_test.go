@@ -50,6 +50,26 @@ func (a levelAnswer) bits() []uint64 {
 	return out
 }
 
+// nested returns the answer's results for aggs, each with its served bound.
+func (a levelAnswer) nested(t *testing.T, aggs []string) []testutil.Served {
+	parsed, err := ParseAggs(aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]testutil.Served, len(parsed))
+	for k, agg := range parsed {
+		r := join.Result{Agg: agg, Counts: a.counts[k]}
+		switch agg {
+		case distbound.Sum:
+			r.Sums = a.values[k]
+		case distbound.Min, distbound.Max:
+			r.Extremes = a.values[k]
+		}
+		out[k] = testutil.Served{Bound: a.served, Result: r}
+	}
+	return out
+}
+
 // levelScenario is one dataset the level tests ask: how to open it, and the
 // oracle over the live relation it holds.
 type levelScenario struct {
@@ -240,19 +260,9 @@ func (o *levelOracle) check(t *testing.T, aggs []string, bound float64, a levelA
 		t.Fatalf("bound %g: served_bound %g, want in (0, %g]", bound, a.served, bound)
 	}
 	c := o.cl.At(bound)
-	parsed, err := ParseAggs(aggs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, agg := range parsed {
+	for k, s := range a.nested(t, aggs) {
+		agg, got := s.Result.Agg, s.Result
 		label := fmt.Sprintf("bound %g served at %g %v", bound, a.served, agg)
-		got := join.Result{Agg: agg, Counts: a.counts[k]}
-		switch agg {
-		case distbound.Sum:
-			got.Sums = a.values[k]
-		case distbound.Min, distbound.Max:
-			got.Extremes = a.values[k]
-		}
 		if agg != distbound.Avg { // AVG is SUM over COUNT, both checked
 			c.Check(t, label, agg, got)
 		}
@@ -282,6 +292,7 @@ func TestBoundsOfOneLevelShareCoverAndAnswer(t *testing.T) {
 		builds0, misses0 := c.stats()
 		first := map[[2]int][]uint64{}
 		levels := map[int]bool{}
+		var nested []testutil.Served
 		for _, b := range sameLevelBounds() {
 			level := dom.LevelForBound(b)
 			levels[level] = true
@@ -294,6 +305,7 @@ func TestBoundsOfOneLevelShareCoverAndAnswer(t *testing.T) {
 				key := [2]int{level, si}
 				if want, ok := first[key]; !ok {
 					first[key] = a.bits()
+					nested = append(nested, a.nested(t, aggs)...)
 				} else if !slices.Equal(a.bits(), want) {
 					t.Errorf("bound %g %v: the answer differs from the first at level %d", b, aggs, level)
 				}
@@ -307,6 +319,7 @@ func TestBoundsOfOneLevelShareCoverAndAnswer(t *testing.T) {
 		if len(levels) < 9 {
 			t.Fatalf("the bounds fell on %d levels, want at least 9", len(levels))
 		}
+		testutil.CheckNested(t, "one level a bound", nested)
 		var matched uint64
 		for i, v := range first[[2]int{dom.LevelForBound(2), 1}] {
 			if i%2 == 0 {
@@ -323,9 +336,9 @@ func TestBoundsOfOneLevelShareCoverAndAnswer(t *testing.T) {
 // the same 90 bounds across nine levels cost one cover build — the finest,
 // which every coarser bound is then served from — and one result-cache miss
 // per aggregate set; every answer reports the finest level's served_bound,
-// meets the contract at the bound it asked for and equals ACTJoiner at the
-// bound it was served at — static, mutated and reopened, in process and over
-// HTTP.
+// meets the contract at the bound it asked for, equals ACTJoiner at the
+// bound it was served at and nests inside ACTJoiner's answer at its bound's
+// own level — static, mutated and reopened, in process and over HTTP.
 func TestFinerLevelServesCoarserBounds(t *testing.T) {
 	regions, scenarios := levelScenarios(t)
 	dom := distbound.DomainForRegions(regions...)
@@ -336,7 +349,10 @@ func TestFinerLevelServesCoarserBounds(t *testing.T) {
 		o := sc.oracle
 		builds0, misses0 := c.stats()
 		first := map[int][]uint64{}
+		var nested []testutil.Served
+		owns := map[float64]bool{}
 		for _, b := range bounds {
+			owns[dom.CellDiagonal(dom.LevelForBound(b))] = true
 			for si, aggs := range levelAggSets {
 				a := c.query(aggs, b)
 				if a.served != finest {
@@ -345,6 +361,7 @@ func TestFinerLevelServesCoarserBounds(t *testing.T) {
 				o.check(t, aggs, b, a)
 				if want, ok := first[si]; !ok {
 					first[si] = a.bits()
+					nested = append(nested, a.nested(t, aggs)...)
 				} else if !slices.Equal(a.bits(), want) {
 					t.Errorf("bound %g %v: the answer differs from the first, served at the same level", b, aggs)
 				}
@@ -354,5 +371,11 @@ func TestFinerLevelServesCoarserBounds(t *testing.T) {
 			t.Fatalf("%d bounds across nine levels, fine-to-coarse: %d cover builds and %d result-cache misses, want 1 and %d",
 				len(bounds), builds-builds0, misses-misses0, len(levelAggSets))
 		}
+		for own := range owns {
+			for _, agg := range []distbound.Agg{distbound.Count, distbound.Min, distbound.Max} {
+				nested = append(nested, testutil.Served{Bound: own, Result: o.reference(t, own, agg)})
+			}
+		}
+		testutil.CheckNested(t, "finer level, coarser bounds", nested)
 	})
 }

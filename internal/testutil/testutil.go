@@ -188,6 +188,33 @@ func CheckIdentical(t testing.TB, label string, want, got join.Result) {
 	}
 }
 
+// Served is one answer to CheckNested: a result and its served bound.
+type Served struct {
+	Bound  float64
+	Result join.Result
+}
+
+// CheckNested asserts that answers over one data state nest by level: a
+// region's finer cover lies inside its coarser one, so from a coarser served
+// bound to a finer one no COUNT or MAX may rise and no MIN may fall, and
+// answers at one served bound agree. Signed SUMs need not nest.
+func CheckNested(t testing.TB, label string, answers []Served) {
+	t.Helper()
+	for _, fine := range answers {
+		for _, coarse := range answers {
+			f, c := &fine.Result, &coarse.Result
+			for ri, n := range f.Counts {
+				if fine.Bound <= coarse.Bound && f.Agg == c.Agg && (n > c.Counts[ri] ||
+					n > 0 && f.Agg == join.Max && f.Value(ri) > c.Value(ri) ||
+					n > 0 && f.Agg == join.Min && f.Value(ri) < c.Value(ri)) {
+					t.Fatalf("%s region %d: %v served at %g is (%d, %v), at coarser %g (%d, %v): the levels do not nest",
+						label, ri, f.Agg, fine.Bound, n, f.Value(ri), coarse.Bound, c.Counts[ri], c.Value(ri))
+				}
+			}
+		}
+	}
+}
+
 // ExactWeights returns n weights drawn from the dyadic grid k/8 with
 // |k| ≤ 128. Every partial sum of millions of such weights is an exact
 // float64, so all summation orders agree bitwise — divergence between
