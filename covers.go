@@ -145,13 +145,14 @@ func (d *Dataset) eachJoiner(fn func(*join.PointIdxJoiner)) {
 	}
 }
 
-// refreshJoiners refreshes the dataset's joiners against its current
-// snapshot, single-threaded: the work is bounded by the levels the dataset
-// has read and must not crowd out the serving traffic it runs beside. A query
-// racing it does the same refill; both publish identical state. A late
+// refreshJoiners brings the dataset's joiners read since the previous pass
+// up to its current snapshot (PointIdxJoiner.Refresh), single-threaded: the
+// work is bounded by the levels in use and must not crowd out the serving
+// traffic it runs beside. A read racing it waits for the rows it is
+// inverting, or inverts them first; both publish identical state. A late
 // refresh of an unregistered dataset finds its slots cleared.
 //
-//distbound:allow-background runs on the dataset's own compaction goroutine, which no caller's context governs
+//distbound:allow-background runs on the dataset's own maintainer goroutine, which no caller's context governs
 func (d *Dataset) refreshJoiners() {
 	d.eachJoiner(func(j *join.PointIdxJoiner) {
 		j.Refresh(context.Background(), 1) //nolint:errcheck // only a canceled context fails it

@@ -153,7 +153,14 @@ type Dataset struct {
 	dur atomic.Pointer[persist.Durable]
 
 	compactThreshold atomic.Int64
-	compacting       atomic.Bool
+
+	// The maintainer (maintain): due marks a mutation it has yet to look at;
+	// guard is held by its one running goroutine, and for good by
+	// UnregisterPoints; maintainers counts that goroutine, which
+	// UnregisterPoints waits out.
+	due         atomic.Bool
+	guard       sync.Mutex
+	maintainers sync.WaitGroup
 
 	// compactMu serializes dataset-level compactions, manual and background
 	// alike.
@@ -185,6 +192,10 @@ type DatasetStats struct {
 	// CoverStateBytes is the dataset's own point-index state (span
 	// resolutions, partials) over the shared cover sets (Engine.CoverBytes).
 	CoverStateBytes int
+	// RangesProbed and DeltaProbed sum the probe work done over the
+	// dataset's joiners (see Response.RangesProbed): by reads, and by the
+	// maintainer ahead of them.
+	RangesProbed, DeltaProbed int
 
 	// Durable reports whether the dataset is bound to an on-disk snapshot +
 	// write-ahead log (Persist/OpenDataset); the fields below are zero
@@ -244,7 +255,12 @@ func (d *Dataset) Stats() DatasetStats {
 		DeltaLive:  s.DeltaLiveLen(),
 		DeltaDead:  s.DeltaLen() - s.DeltaLiveLen(),
 	}
-	d.eachJoiner(func(j *join.PointIdxJoiner) { st.CoverStateBytes += j.MemoryBytes() })
+	d.eachJoiner(func(j *join.PointIdxJoiner) {
+		st.CoverStateBytes += j.MemoryBytes()
+		p := j.Probed()
+		st.RangesProbed += p.RangesProbed
+		st.DeltaProbed += p.DeltaProbed
+	})
 	if dur := d.dur.Load(); dur != nil {
 		ps := dur.Stats()
 		st.Durable = true
@@ -273,8 +289,9 @@ func (d *Dataset) Points() ([]Point, []float64) {
 // registered with a weight column, and must be finite; a point outside the
 // engine's domain rejects the whole batch. Appended points are visible to
 // every query issued after Append returns — they are served from the delta
-// buffer until a compaction folds them into the sorted base. Crossing the
-// compaction threshold schedules a background compaction.
+// buffer until a compaction folds them into the sorted base. Append then
+// starts the dataset's maintainer, which inverts the rows for every level
+// read since its previous pass and compacts once the threshold is crossed.
 func (d *Dataset) Append(pts []Point, weights []float64) ([]uint64, error) {
 	var ids []uint64
 	var err error
@@ -286,7 +303,8 @@ func (d *Dataset) Append(pts []Point, weights []float64) ([]uint64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("distbound: appending to dataset %q: %w", d.name, err)
 	}
-	d.maybeCompact()
+	d.due.Store(true)
+	d.maintain()
 	return ids, nil
 }
 
@@ -317,8 +335,9 @@ func (d *Dataset) Delete(ids ...uint64) (int, error) {
 	} else {
 		n = d.src.Delete(ids...)
 	}
-	if n > 0 {
-		d.maybeCompact()
+	if n > 0 && d.overThreshold() {
+		d.due.Store(true)
+		d.maintain()
 	}
 	return n, err
 }
@@ -353,40 +372,47 @@ func (d *Dataset) Compact() {
 //distbound:api library tuning knob; tests pin compaction timing with it
 func (d *Dataset) SetCompactionThreshold(n int) { d.compactThreshold.Store(int64(n)) }
 
-// maybeCompact schedules a background compaction when the un-compacted
-// state crosses the threshold. The CAS guard keeps at most one compaction
-// goroutine per dataset in flight; that goroutine keeps compacting while
-// mutations that landed during a merge leave the pending state over the
-// threshold (their own maybeCompact calls CAS-fail against it), and
-// re-arms once more after releasing the guard to close the race with a
-// mutation that crossed the threshold between its last check and the
-// release.
+// maintain starts the dataset's maintainer unless it is running (guard) or
+// nothing is due: an Append makes it due, and so does a Delete that crosses
+// the compaction threshold. A pass compacts past the threshold, then
+// refreshes every joiner read since the previous pass (refreshJoiners), and
+// repeats while mutations land during it. A mutation that finds the guard
+// held leaves its mark for the running goroutine, which looks once more
+// after releasing the guard.
 //
-// After each publish the goroutine also brings the dataset's joiners up to
-// the new base (refreshJoiners), so the span re-resolution
-// and base refill a compaction forces are paid here, off the read path,
-// rather than by the first query to arrive afterwards. A synchronous
-// Compact caller is never charged for it — its next query is, as before.
-func (d *Dataset) maybeCompact() {
-	th := d.compactThreshold.Load()
-	if th <= 0 || int64(d.src.Pending()) < th {
+// So the new rows' inversion, and a background compaction's re-resolution
+// and refill, are paid off the read path for the levels in use. A level
+// unread since the previous pass is left to its next read, so levels read
+// long ago (levels never leave) cost an append nothing. A synchronous
+// Compact, or a Delete below the threshold, leaves its refill to the next
+// read or pass.
+func (d *Dataset) maintain() {
+	if !d.due.Load() || !d.guard.TryLock() {
 		return
 	}
-	if !d.compacting.CompareAndSwap(false, true) {
-		return
-	}
+	d.maintainers.Add(1)
 	go func() {
+		defer d.maintainers.Done()
 		for {
-			d.Compact()
-			d.refreshJoiners()
-			th := d.compactThreshold.Load()
-			if th <= 0 || int64(d.src.Pending()) < th {
-				break
+			for d.due.Swap(false) && !d.gone.Load() {
+				if d.overThreshold() {
+					d.Compact()
+				}
+				d.refreshJoiners()
+			}
+			d.guard.Unlock()
+			if !d.due.Load() || !d.guard.TryLock() {
+				return
 			}
 		}
-		d.compacting.Store(false)
-		d.maybeCompact()
 	}()
+}
+
+// overThreshold reports whether the un-compacted state has reached the
+// compaction threshold.
+func (d *Dataset) overThreshold() bool {
+	th := d.compactThreshold.Load()
+	return th > 0 && int64(d.src.Pending()) >= th
 }
 
 // RegisterPoints builds the resident artifact for a point dataset over the
@@ -464,6 +490,8 @@ func (e *Engine) register(name string, src *pointstore.Mutable, dur *persist.Dur
 // Outstanding queries holding the old handle fail their next call. The
 // handle's joiners are cleared, and no cover references a dataset, so nothing
 // in the engine keeps its store reachable; the shared cover sets stay cached.
+// The handle's maintainer is waited out — a pass in flight finishes over the
+// cleared slots — and never starts again.
 // For a durable dataset the on-disk files stay behind — only the handle's
 // log is flushed and closed — so OpenDataset can resurrect it later.
 func (e *Engine) UnregisterPoints(name string) bool {
@@ -478,6 +506,8 @@ func (e *Engine) UnregisterPoints(name string) bool {
 		for i := range ds.joiners {
 			ds.joiners[i].Store(nil)
 		}
+		ds.guard.Lock() // held for good: no maintainer starts again
+		ds.maintainers.Wait()
 		if dur := ds.dur.Load(); dur != nil {
 			dur.Close() //nolint:errcheck // flush-and-release; files stay valid
 		}

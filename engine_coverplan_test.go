@@ -9,7 +9,9 @@ import (
 // pointidx responses report the work the request did — unique cover-plan
 // ranges probed by a base fill, live delta rows newly inverted — so a warm
 // request reports zeros; every other strategy always reports zero — the
-// counters meter the probe economy only pointidx has.
+// counters meter the probe economy only pointidx has. The dataset's
+// counters sum the work of its reads and its maintainer: an append's rows
+// are inverted once, by whichever got there first.
 func TestResponseProbeCounters(t *testing.T) {
 	e, ds, ps := requestFixture(t)
 	ctx := context.Background()
@@ -29,19 +31,37 @@ func TestResponseProbeCounters(t *testing.T) {
 	}
 	// The fixture's delta: 4000 appended, the first 1000 deleted again —
 	// dead rows must not be counted as probed.
-	if want := 3000; resp.DeltaProbed != want {
-		t.Errorf("DeltaProbed %d, want %d (live delta rows only)", resp.DeltaProbed, want)
+	const liveDelta = 3000
+	if resp.DeltaProbed != liveDelta {
+		t.Errorf("DeltaProbed %d, want %d (live delta rows only)", resp.DeltaProbed, liveDelta)
 	}
 	ranges := resp.RangesProbed
 	if resp = do(Count, Sum); resp.RangesProbed != 0 || resp.DeltaProbed != 0 {
 		t.Errorf("warm repeat reports {%d %d}, want no work", resp.RangesProbed, resp.DeltaProbed)
 	}
-	// An append costs the next read exactly its rows; a base delete, a refill.
-	if _, err := ds.Append(ps.Pts[:25], ps.Weights[:25]); err != nil {
-		t.Fatal(err)
+	if st := ds.Stats(); st.RangesProbed != ranges || st.DeltaProbed != liveDelta {
+		t.Errorf("dataset counters {%d %d} after one cold read that did {%d %d}", st.RangesProbed, st.DeltaProbed, ranges, liveDelta)
 	}
-	if resp = do(Count, Sum); resp.RangesProbed != 0 || resp.DeltaProbed != 25 {
-		t.Errorf("read after 25 appends reports {%d %d}, want {0 25}", resp.RangesProbed, resp.DeltaProbed)
+	// An append's rows are inverted exactly once, by the maintainer or by
+	// the read racing it; after the maintainer, a read does nothing. A base
+	// delete costs the next read a refill.
+	for _, wait := range []bool{false, true} {
+		before := ds.Stats().DeltaProbed
+		if _, err := ds.Append(ps.Pts[:25], ps.Weights[:25]); err != nil {
+			t.Fatal(err)
+		}
+		if wait {
+			waitMaintained(ds)
+		}
+		resp = do(Count, Sum)
+		waitMaintained(ds)
+		if got := ds.Stats().DeltaProbed - before; resp.RangesProbed != 0 || resp.DeltaProbed > 25 || got != 25 {
+			t.Errorf("25 appends, maintainer waited for: %v: the read did {%d %d}, %d rows inverted in all, want 25",
+				wait, resp.RangesProbed, resp.DeltaProbed, got)
+		}
+		if wait && resp.DeltaProbed != 0 {
+			t.Errorf("read after the maintainer inverted %d rows, want 0", resp.DeltaProbed)
+		}
 	}
 	ds.Delete(0)
 	if resp = do(Count, Sum); resp.RangesProbed != ranges || resp.DeltaProbed != 0 {
@@ -134,6 +154,7 @@ func TestWarmResidentDoAllocationFree(t *testing.T) {
 		if _, err := ds.Append(ps.Pts[:500], ps.Weights[:500]); err != nil {
 			t.Fatal(err)
 		}
+		waitMaintained(ds) // its pass allocates, and must not land in the count
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -215,7 +216,7 @@ func TestUnregisterReleasesStore(t *testing.T) {
 	if ce, _ := coverAt(e, bounds[0]); dead.joiner(ce) == nil {
 		t.Fatal("the late request got no joiner to answer from")
 	}
-	dead.refreshJoiners() // the compaction goroutine's late refresh
+	dead.refreshJoiners() // the maintainer's late refresh
 	dss[0], dead = nil, nil
 	deadline := time.After(10 * time.Second)
 	for done := false; !done; {
@@ -350,4 +351,113 @@ func ownBound(e *Engine, bound float64) float64 {
 func coverReady(e *Engine, bound float64) bool {
 	_, ok := coverAt(e, bound)
 	return ok
+}
+
+// TestMaintainerStopsAtUnregister: UnregisterPoints waits out a maintainer
+// pass in flight — held here inside its compaction — and no pass runs after
+// it returns. Then appends and two-level reads race the unregistering of
+// four datasets at once, with compaction thresholds low enough that passes
+// compact: every read is answered or refused, a released handle's
+// generation stays put while its appends keep crossing the threshold, and
+// the goroutine count is soon back where it started. Run under -race.
+func TestMaintainerStopsAtUnregister(t *testing.T) {
+	start := runtime.NumGoroutine()
+	stacks := func() string {
+		buf := make([]byte, 1<<20)
+		return string(buf[:runtime.Stack(buf, true)])
+	}
+	e, dss := shareFixture(t, 5, 3000)
+	extra, extraWs := data.TaxiPoints(63, 2000)
+
+	held := dss[4]
+	held.SetCompactionThreshold(1)
+	held.compactMu.Lock() // the pass blocks in its compaction
+	if _, err := held.Append(extra[:10], extraWs[:10]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(stacks(), "(*Dataset).Compact"); {
+		if time.Now().After(deadline) {
+			t.Fatal("the append started no compacting maintainer")
+		}
+		runtime.Gosched()
+	}
+	returned := make(chan struct{})
+	go func() {
+		e.UnregisterPoints(held.name)
+		close(returned)
+	}()
+	select {
+	case <-returned:
+		t.Fatal("UnregisterPoints returned while its dataset's maintainer was compacting")
+	case <-time.After(50 * time.Millisecond):
+	}
+	held.compactMu.Unlock()
+	<-returned
+	if s := stacks(); strings.Contains(s, "refreshJoiners") || strings.Contains(s, "(*Dataset).Compact") {
+		t.Fatalf("a maintainer pass outlived UnregisterPoints:\n%s", s)
+	}
+
+	gens := make([]uint64, 4) // each handle's generation once its unregister returned
+	var wg sync.WaitGroup
+	for i, ds := range dss[:4] {
+		ds.SetCompactionThreshold(120 + 40*i)
+		wg.Add(3)
+		appended := make(chan struct{})
+		go func() { // appender, on past the unregister
+			defer wg.Done()
+			for k := 0; k < 40; k++ {
+				off := (k * 50) % (len(extra) - 50)
+				if _, err := ds.Append(extra[off:off+50], extraWs[off:off+50]); err != nil {
+					t.Error(err)
+					return
+				}
+				if k == 10 {
+					close(appended)
+				}
+			}
+		}()
+		go func() { // reader at two levels
+			defer wg.Done()
+			for k := 0; k < 40; k++ {
+				resp, err := e.Do(context.Background(), Request{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: []float64{64, 16}[k%2], Workers: 1})
+				if err != nil {
+					return // unregistered under us: refused from here on
+				}
+				resp.Release()
+			}
+		}()
+		go func() { // unregisterer, mid-stream
+			defer wg.Done()
+			<-appended
+			if !e.UnregisterPoints(ds.name) {
+				t.Errorf("%s was not registered", ds.name)
+			}
+			gens[i] = ds.Stats().Generation
+		}()
+	}
+	wg.Wait()
+	for i, ds := range dss[:4] {
+		// A released in-memory handle still takes rows; only its maintainer
+		// is gone, so these cross the threshold and nothing compacts them.
+		if _, err := ds.Append(extra[:300], extraWs[:300]); err != nil {
+			t.Fatal(err)
+		}
+		waitMaintained(ds)
+		if g := ds.Stats().Generation; g != gens[i] {
+			t.Errorf("%s compacted after its UnregisterPoints returned: generation %d → %d", ds.name, gens[i], g)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s := stacks()
+		left := strings.Count(s, "distbound.(*Dataset).maintain")
+		if left == 0 && runtime.NumGoroutine() <= start {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d maintainer frames and %d goroutines (%d at the start) outlive every handle:\n%s",
+				left, runtime.NumGoroutine(), start, s)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

@@ -3,15 +3,15 @@ package distbound
 import (
 	"context"
 	"testing"
-	"time"
 )
 
 // TestResidentNeverFallsBackWhileWarm pins what a warm resident read costs
 // under ingest: an unforced request on a registered dataset runs pointidx at
 // every delta size below the compaction threshold, even with the streaming
-// strategies' build artifacts resident, and each
-// read does only what it owes — the rows appended since the last read
-// inverted, no range probed.
+// strategies' build artifacts resident, and probes no range. Every appended
+// row is inverted exactly once per level read, by the dataset's maintainer or
+// by a read that got there first: on alternate appends the reads race the
+// maintainer, and on the others they wait for it and then probe nothing.
 func TestResidentNeverFallsBackWhileWarm(t *testing.T) {
 	e, ds, ps := requestFixture(t)
 	ds.Compact()
@@ -34,9 +34,15 @@ func TestResidentNeverFallsBackWhileWarm(t *testing.T) {
 	// default threshold's edge.
 	const chunk = 4096
 	for delta := chunk; delta < DefaultCompactionThreshold; delta += chunk {
+		before := ds.Stats().DeltaProbed
 		if _, err := ds.Append(ps.Pts[:chunk], ps.Weights[:chunk]); err != nil {
 			t.Fatal(err)
 		}
+		waited := delta%(2*chunk) == 0
+		if waited {
+			waitMaintained(ds)
+		}
+		byReads := 0
 		for _, bound := range bounds {
 			resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: aggs, Bound: bound, Workers: 1})
 			if err != nil {
@@ -48,20 +54,26 @@ func TestResidentNeverFallsBackWhileWarm(t *testing.T) {
 			if resp.ServedBound != ownBound(e, bound) {
 				t.Fatalf("ε %g, delta %d: served at %g m, not at its own level", bound, delta, resp.ServedBound)
 			}
-			if resp.RangesProbed != 0 || resp.DeltaProbed != chunk {
-				t.Fatalf("ε %g, delta %d: the read did {%d %d} of work, want only the %d new rows inverted",
-					bound, delta, resp.RangesProbed, resp.DeltaProbed, chunk)
+			if resp.RangesProbed != 0 || (waited && resp.DeltaProbed != 0) {
+				t.Fatalf("ε %g, delta %d (maintainer waited for: %v): the read did {%d %d} of work",
+					bound, delta, waited, resp.RangesProbed, resp.DeltaProbed)
 			}
+			byReads += resp.DeltaProbed
 			resp.Release()
+		}
+		waitMaintained(ds)
+		if got, want := ds.Stats().DeltaProbed-before, chunk*len(bounds); got != want {
+			t.Fatalf("delta %d: %d rows inverted (%d by the reads), want each of the %d new rows once per level read",
+				delta, got, byReads, chunk)
 		}
 	}
 }
 
 // TestBackgroundCompactionRefreshesJoiners pins who pays for a compaction's
-// new base: a threshold-triggered compaction refreshes the dataset's ready
-// cover artifacts on its own goroutine, so the first read afterwards does no
-// fill; a synchronous Compact never does that work on its caller's time, so
-// the next read does.
+// new base: a threshold-triggered compaction runs on the dataset's
+// maintainer, which then refreshes the joiners read since its previous pass,
+// so the first read afterwards does no fill; a synchronous Compact never does
+// that work on its caller's time, so the next read does.
 func TestBackgroundCompactionRefreshesJoiners(t *testing.T) {
 	e, ds, ps, _ := residentFixture(t, 4000)
 	ctx := context.Background()
@@ -84,12 +96,9 @@ func TestBackgroundCompactionRefreshesJoiners(t *testing.T) {
 	if _, err := ds.Append(ps.Pts[:150], ps.Weights[:150]); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for ds.Stats().Generation == 0 || ds.compacting.Load() {
-		if time.Now().After(deadline) {
-			t.Fatalf("background compaction did not finish (stats %+v)", ds.Stats())
-		}
-		time.Sleep(time.Millisecond)
+	waitMaintained(ds)
+	if ds.Stats().Generation == 0 {
+		t.Fatalf("the maintainer did not compact (stats %+v)", ds.Stats())
 	}
 	ds.SetCompactionThreshold(0)
 	for _, c := range []struct {
@@ -98,7 +107,7 @@ func TestBackgroundCompactionRefreshesJoiners(t *testing.T) {
 	}{{16, []Agg{Count, Sum}}, {64, []Agg{Count, Min, Max}}} {
 		resp := read(c.bound, c.aggs...)
 		if resp.RangesProbed != 0 || resp.DeltaProbed != 0 {
-			t.Errorf("bound %g: first read after a background compaction did {%d %d} of work; the compaction goroutine should have refilled",
+			t.Errorf("bound %g: first read after a background compaction did {%d %d} of work; the maintainer should have refilled",
 				c.bound, resp.RangesProbed, resp.DeltaProbed)
 		}
 		resp.Release()
@@ -110,6 +119,7 @@ func TestBackgroundCompactionRefreshesJoiners(t *testing.T) {
 	if _, err := ds.Append(ps.Pts[:10], ps.Weights[:10]); err != nil {
 		t.Fatal(err)
 	}
+	waitMaintained(ds) // its pass over the appended rows must not land after the Compact
 	ds.Compact()
 	resp := read(16, Count, Sum)
 	if resp.RangesProbed == 0 {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"distbound/internal/data"
 )
@@ -156,12 +155,9 @@ func TestDatasetAutoCompaction(t *testing.T) {
 	if _, err := ds.Append(ps.Pts[:150], ps.Weights[:150]); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for ds.Stats().Generation == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no background compaction after threshold crossing (stats %+v)", ds.Stats())
-		}
-		time.Sleep(time.Millisecond)
+	waitMaintained(ds)
+	if ds.Stats().Generation == 0 {
+		t.Fatalf("no background compaction after threshold crossing (stats %+v)", ds.Stats())
 	}
 	if ds.Len() != 2150 {
 		t.Errorf("Len %d after auto-compaction, want 2150", ds.Len())
@@ -172,7 +168,7 @@ func TestDatasetAutoCompaction(t *testing.T) {
 	if _, err := ds.Append(ps.Pts[:150], ps.Weights[:150]); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
+	waitMaintained(ds)
 	if ds.Stats().Generation != gen {
 		t.Error("auto-compaction ran with the threshold disabled")
 	}

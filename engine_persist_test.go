@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"distbound/internal/data"
 	"distbound/internal/geom"
@@ -166,7 +167,9 @@ func TestPersistRegistrationErrors(t *testing.T) {
 
 // TestDeleteSurfacesDurableError: a delete whose log write fails still
 // reports its live count — the removal is visible in memory — beside the
-// wedge error, and the dataset refuses later mutations.
+// wedge error, and the dataset refuses later mutations. The delete crosses
+// the compaction threshold, and the maintainer it starts finishes although
+// the wedge refuses its compaction: it runs again only for new mutations.
 func TestDeleteSurfacesDurableError(t *testing.T) {
 	_, ds, ps := requestFixture(t)
 	if n, err := ds.Delete(9); n != 1 || err != nil {
@@ -179,6 +182,7 @@ func TestDeleteSurfacesDurableError(t *testing.T) {
 	if n, err := ds.Delete(10); n != 1 || err != nil {
 		t.Fatalf("healthy durable Delete = (%d, %v), want (1, nil)", n, err)
 	}
+	ds.SetCompactionThreshold(1)
 	fs.FailAt(fs.Ops()) // the very next call: the delete's log record write
 	n, err := ds.Delete(11)
 	if n != 1 {
@@ -195,6 +199,16 @@ func TestDeleteSurfacesDurableError(t *testing.T) {
 	}
 	if n, err := ds.Delete(12); n != 0 || err == nil {
 		t.Fatalf("wedged Delete = (%d, %v), want (0, refused)", n, err)
+	}
+	done := make(chan struct{})
+	go func() {
+		waitMaintained(ds)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the wedged dataset's maintainer is still retrying a compaction the wedge refuses")
 	}
 }
 

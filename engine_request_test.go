@@ -37,6 +37,7 @@ func requestFixture(t *testing.T) (*Engine, *Dataset, PointSet) {
 	}
 	ds.Delete(ids[:1000]...) // dead delta rows
 	ds.Delete(1, 3, 5, 7)    // base tombstones
+	waitMaintained(ds)       // the append's pass, so no test's first read races it
 	return e, ds, PointSet{Pts: pts, Weights: weights}
 }
 

@@ -48,3 +48,8 @@ func coverAt(e *Engine, bound float64) (*Cover, bool) {
 func adHoc(n int, agg Agg, bound float64) Request {
 	return Request{Points: PointSet{Pts: make([]Point, n)}, Aggs: []Agg{agg}, Bound: bound}
 }
+
+// waitMaintained returns once the dataset's maintainer, if one was started,
+// has finished every pass its mutations made due, so a test can tell the work
+// it did from the work a read does. Nothing may mutate ds meanwhile.
+func waitMaintained(ds *Dataset) { ds.maintainers.Wait() }

@@ -58,14 +58,20 @@ import (
 //
 // A warm query — same base, no new delta rows — is therefore one snapshot
 // load, two atomic loads and the merge: no probe, no fold, no allocation.
-// Under ingest a query pays the merge plus the rows appended since the last
-// query this level served. The engine serves a bound from the coarsest ready
-// level at least as fine as its own (a level is a floor), so every bound one
-// level serves reads one joiner: its fill, and each appended row's
-// inversion, is paid once per level served, not once per level asked for. Tombstones are deliberately not maintained
-// incrementally: subtracting a deleted weight from a published SUM would
-// associate differently from folding the surviving rows, so a base delete
-// invalidates the base partials and the next query refills them.
+// Under ingest a query pays only the merge as well: after each append the
+// dataset's maintainer calls Refresh on every joiner read since its previous
+// pass, which inverts the new rows off the read path. A read that arrives
+// first inverts them itself (extensions are serialized, so a read that finds
+// the maintainer inverting waits for its rows instead of inverting them
+// twice), and a level nobody read since the previous pass leaves the rows to
+// its next read. The engine serves a bound from the coarsest ready level at
+// least as fine as its own (a level is a floor), so every bound one level
+// serves reads one joiner: its fill, and each appended row's inversion, is
+// paid once per level served, not once per level asked for. Tombstones are
+// deliberately not maintained incrementally: subtracting a deleted weight
+// from a published SUM would associate differently from folding the
+// surviving rows, so a base delete invalidates the base partials and the
+// next query (or the maintainer's next pass) refills them.
 //
 // A parallel fill partitions the regions by range count, so one region with
 // a huge cover does not pin a whole worker's tail latency the way
@@ -206,6 +212,13 @@ type deltaPartials struct {
 //distbound:noalloc
 func (dp *deltaPartials) extends(snap *pointstore.Snapshot) bool {
 	return dp != nil && dp.gen == snap.Gen() && dp.dead == snap.DeltaDead() && dp.upto <= snap.DeltaLen()
+}
+
+// covers reports whether dp accumulates snap's whole delta tail.
+//
+//distbound:noalloc
+func (dp *deltaPartials) covers(snap *pointstore.Snapshot) bool {
+	return dp.extends(snap) && dp.upto == snap.DeltaLen()
 }
 
 // ProbeStats reports the work one cover-plan execution performed — not the
@@ -499,14 +512,30 @@ func (j *PointIdxJoiner) AggregateMultiInto(ctx context.Context, aggs []Agg, wor
 	if err := j.validateAggs(aggs); err != nil {
 		return ProbeStats{}, err
 	}
-	return j.aggregateSnapshot(ctx, j.src.Snapshot(), needsOf(aggs) != (aggNeeds{}), workers, results)
+	return j.aggregateSnapshot(ctx, j.current(j.src.Snapshot()), needsOf(aggs) != (aggNeeds{}), workers, results)
+}
+
+// current returns the snapshot a read loaded, or the store's current one when
+// the published delta accumulators already run past snap's tail in its
+// lineage — a Refresh published a later watermark after snap was loaded.
+// Those accumulators are a prefix of the current snapshot's tail, a later
+// committed state the read may answer instead, so it merges them rather than
+// inverting snap's shorter tail again from row 0. The caller reads the one
+// snapshot current returns.
+//
+//distbound:noalloc
+func (j *PointIdxJoiner) current(snap *pointstore.Snapshot) *pointstore.Snapshot {
+	if dp := j.delta.Load(); dp != nil && dp.gen == snap.Gen() && dp.dead == snap.DeltaDead() && dp.upto > snap.DeltaLen() {
+		return j.src.Snapshot()
+	}
+	return snap
 }
 
 // aggregateSnapshot answers over one snapshot: load the published base
 // partials and delta accumulators, bring whichever does not cover snap up to
-// it (fillBase, extendDelta — the only steps that allocate), and merge. It
-// allocates nothing when both already do. weights asks for the weight
-// columns.
+// it (fillBase, extendDelta — the only steps that allocate), mark the joiner
+// read for the maintainer (Refresh), and merge. It allocates nothing when
+// both already do. weights asks for the weight columns.
 //
 //distbound:noalloc
 func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore.Snapshot, weights bool, workers int, results []Result) (ProbeStats, error) {
@@ -522,12 +551,15 @@ func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore
 	var delta *acc
 	if snap.DeltaLen() > 0 {
 		dp := j.delta.Load()
-		if !(dp.extends(snap) && dp.upto == snap.DeltaLen()) {
-			if dp, stats.DeltaProbed, err = j.extendDelta(ctx, snap, dp); err != nil {
+		if !dp.covers(snap) {
+			if dp, stats.DeltaProbed, err = j.extendDelta(ctx, snap); err != nil {
 				return ProbeStats{}, err
 			}
 		}
 		delta = &dp.acc
+	}
+	if !j.read.Load() {
+		j.read.Store(true)
 	}
 	bp.acc.writeTo(results, delta)
 	return stats, nil
@@ -561,6 +593,7 @@ func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot
 	if err != nil {
 		return nil, err
 	}
+	j.rangesProbed.Add(int64(j.NumRanges()))
 	if cur := j.base.Load(); cur == nil || cur.gen < next.gen || (cur.gen == next.gen && cur.tombs <= next.tombs) {
 		j.base.Store(next)
 	}
@@ -611,15 +644,21 @@ func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, 
 }
 
 // extendDelta returns delta accumulators covering snap's whole delta tail:
-// cur's copied and extended by the rows past its watermark when cur
-// accumulates a prefix of that tail, a fresh inversion from row 0 otherwise
+// the published ones when a racing extension got there first, else the
+// published ones copied and extended by the rows past their watermark when
+// they accumulate a prefix of that tail, else a fresh inversion from row 0
 // (a delta delete or compaction started a new lineage, or the reader's
 // snapshot predates the watermark). It also returns how many live rows it
-// inverted. The result is published unless the slot already holds something
-// at least as new — racing extensions of one lineage are identical over
-// their common prefix, so keeping the larger watermark loses nothing, and a
-// stale reader's inversion is its own answer only.
-func (j *PointIdxJoiner) extendDelta(ctx context.Context, snap *pointstore.Snapshot, cur *deltaPartials) (*deltaPartials, int, error) {
+// inverted. Extensions run one at a time (extending), so no row is inverted
+// twice for one watermark. The result is published unless the slot holds
+// something newer: a stale reader's inversion is its own answer only.
+func (j *PointIdxJoiner) extendDelta(ctx context.Context, snap *pointstore.Snapshot) (*deltaPartials, int, error) {
+	j.extending.Lock()
+	defer j.extending.Unlock()
+	cur := j.delta.Load()
+	if cur.covers(snap) {
+		return cur, 0, nil
+	}
 	w := snap.HasWeights()
 	next := &deltaPartials{
 		gen: snap.Gen(), dead: snap.DeltaDead(), upto: snap.DeltaLen(),
@@ -634,15 +673,10 @@ func (j *PointIdxJoiner) extendDelta(ctx context.Context, snap *pointstore.Snaps
 	if err != nil {
 		return nil, 0, err
 	}
-	for {
-		cur = j.delta.Load()
-		if cur != nil && (cur.gen > next.gen || (cur.gen == next.gen &&
-			(cur.dead > next.dead || (cur.dead == next.dead && cur.upto >= next.upto)))) {
-			break
-		}
-		if j.delta.CompareAndSwap(cur, next) {
-			break
-		}
+	j.deltaProbed.Add(int64(probed))
+	if cur == nil || cur.gen < next.gen || (cur.gen == next.gen &&
+		(cur.dead < next.dead || (cur.dead == next.dead && cur.upto < next.upto))) {
+		j.delta.Store(next)
 	}
 	return next, probed, nil
 }

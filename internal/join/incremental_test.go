@@ -333,6 +333,89 @@ func TestIncrementalFoldEdges(t *testing.T) {
 		}
 	})
 
+	t.Run("a read behind a published watermark answers at it", func(t *testing.T) {
+		h := newFoldHarness(t, true)
+		h.append(20)
+		h.query(1, allFive, 1)
+		old := h.store.Snapshot()
+		h.append(30)
+		if err := h.inc[1].Refresh(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		if published := h.inc[1].delta.Load(); published.upto != 50 {
+			t.Fatalf("Refresh published watermark %d, want 50", published.upto)
+		}
+		// The snapshot loaded before the Refresh is retaken, not inverted
+		// again from row 0; the retaken one is answered from the published
+		// accumulators alone.
+		cur := h.inc[1].current(old)
+		if cur.DeltaLen() != 50 {
+			t.Fatalf("a read behind the watermark kept a %d-row tail, want the current 50", cur.DeltaLen())
+		}
+		if st := h.queryAt(cur, 1, allFive, 1); st != (ProbeStats{}) {
+			t.Fatalf("the retaken read reported %+v, want no work", st)
+		}
+		if h.inc[1].current(cur) != cur {
+			t.Fatal("a read at the watermark retook its snapshot")
+		}
+		// Once a delta delete's lineage is published, a read of the old one
+		// keeps its snapshot: nothing published extends it.
+		h.deleteFrom(&h.deltaIDs, 0)
+		h.query(1, allFive, 1)
+		if h.inc[1].current(old) != old {
+			t.Fatal("a read of another lineage retook its snapshot")
+		}
+	})
+
+	t.Run("refresh extends only joiners read since it last worked", func(t *testing.T) {
+		h := newFoldHarness(t, true)
+		ctx := context.Background()
+		refresh := func(bi int) ProbeStats {
+			t.Helper()
+			before := h.inc[bi].Probed()
+			if err := h.inc[bi].Refresh(ctx, 1); err != nil {
+				t.Fatal(err)
+			}
+			after := h.inc[bi].Probed()
+			return ProbeStats{RangesProbed: after.RangesProbed - before.RangesProbed, DeltaProbed: after.DeltaProbed - before.DeltaProbed}
+		}
+		h.query(1, allFive, 1)
+		h.append(30)
+		if st := refresh(1); st != (ProbeStats{DeltaProbed: 30}) {
+			t.Fatalf("Refresh of a read joiner did %+v, want the 30 new rows inverted", st)
+		}
+		if st := refresh(2); st != (ProbeStats{}) {
+			t.Fatalf("Refresh of a joiner never read did %+v, want nothing", st)
+		}
+		if st := h.query(1, allFive, 1); st != (ProbeStats{}) {
+			t.Fatalf("read after Refresh reported %+v, want no work", st)
+		}
+		// The read marked the joiner again; a read that got to the rows first
+		// leaves its mark for the next append.
+		h.append(5)
+		if st := h.query(1, allFive, 1); st != (ProbeStats{DeltaProbed: 5}) {
+			t.Fatalf("read reported %+v, want 5 rows", st)
+		}
+		if st := refresh(1); st != (ProbeStats{}) {
+			t.Fatalf("Refresh after the read did %+v, want nothing", st)
+		}
+		h.append(4)
+		if st := refresh(1); st != (ProbeStats{DeltaProbed: 4}) {
+			t.Fatalf("Refresh did %+v, want the 4 new rows", st)
+		}
+		// Unread since that Refresh: the next append is left to the read.
+		h.append(6)
+		if st := refresh(1); st != (ProbeStats{}) {
+			t.Fatalf("Refresh of a joiner unread since its last one did %+v, want nothing", st)
+		}
+		if st := h.query(1, allFive, 1); st != (ProbeStats{DeltaProbed: 6}) {
+			t.Fatalf("read reported %+v, want the 6 rows Refresh left", st)
+		}
+		if p := h.inc[1].Probed(); p.DeltaProbed != 30+5+4+6 || p.RangesProbed != h.inc[1].NumRanges() {
+			t.Fatalf("joiner counted %+v, want one fill and each row once", p)
+		}
+	})
+
 	t.Run("a count pass then one weight pass", func(t *testing.T) {
 		h := newFoldHarness(t, true)
 		uniq := h.inc[2].NumRanges()

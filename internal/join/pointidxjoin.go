@@ -3,6 +3,7 @@ package join
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"distbound/internal/geom"
@@ -88,6 +89,17 @@ type PointIdxJoiner struct {
 	// grows.
 	base  atomic.Pointer[basePartials]
 	delta atomic.Pointer[deltaPartials]
+	// extending serializes delta extensions, so a read that finds a refresh
+	// inverting the rows it needs waits for them instead of inverting them
+	// again; the warm path, which finds the watermark current, never takes it.
+	extending sync.Mutex
+
+	// read is set by every read once it has its answer and cleared by a
+	// Refresh that works: only a joiner read since then is kept current.
+	read atomic.Bool
+	// rangesProbed and deltaProbed sum the work of every fill and inversion
+	// on this joiner, reads' and refreshes' alike (Probed).
+	rangesProbed, deltaProbed atomic.Int64
 }
 
 // NewPointIdxJoiner builds a cover set at the positive bound eps's level over
@@ -128,20 +140,44 @@ func (j *PointIdxJoiner) MemoryBytes() int {
 	return n
 }
 
-// Refresh brings the published base partials and their spans up to the
-// dataset's current snapshot, keeping the weight pass when the partials it
-// replaces had one. A background compaction calls it right after publishing
-// its new base, so the refill happens on the compaction's goroutine instead
-// of inside the first query to arrive afterwards. A joiner no query has touched
-// has nothing to keep warm and is left alone.
+// Refresh brings a joiner read since Refresh last worked on it up to the
+// dataset's current snapshot: the base partials and their spans refilled
+// (keeping the weight pass when the partials it replaces had one), and the
+// delta accumulators extended by the rows past their watermark. The dataset's
+// maintainer calls it after appends and background compactions, so that work
+// happens on its goroutine instead of inside the first read to arrive
+// afterwards. A joiner no read has touched since then is left to the reads'
+// own lazy refill and extension; one it finds already current (a read got
+// there first) keeps its mark for the next call.
 func (j *PointIdxJoiner) Refresh(ctx context.Context, workers int) error {
-	cur := j.base.Load()
-	snap := j.src.Snapshot()
-	if cur == nil || cur.serves(snap, cur.weighted()) {
+	if !j.read.Swap(false) {
 		return nil
 	}
-	_, err := j.fillBase(ctx, snap, cur.weighted(), workers)
-	return err
+	snap := j.src.Snapshot()
+	worked := false
+	if cur := j.base.Load(); cur != nil && !cur.serves(snap, cur.weighted()) {
+		if _, err := j.fillBase(ctx, snap, cur.weighted(), workers); err != nil {
+			return err
+		}
+		worked = true
+	}
+	if snap.DeltaLen() > 0 {
+		_, probed, err := j.extendDelta(ctx, snap)
+		if err != nil {
+			return err
+		}
+		worked = worked || probed > 0
+	}
+	if !worked {
+		j.read.Store(true) // already current: a read got there first, and its mark stands
+	}
+	return nil
+}
+
+// Probed returns the work done on this joiner so far: every base fill's
+// ranges and every inverted delta row, whether a read or a Refresh did it.
+func (j *PointIdxJoiner) Probed() ProbeStats {
+	return ProbeStats{RangesProbed: int(j.rangesProbed.Load()), DeltaProbed: int(j.deltaProbed.Load())}
 }
 
 // validate mirrors PointSet.validate for the resident dataset.

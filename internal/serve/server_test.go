@@ -556,13 +556,14 @@ func TestAppendErrorBodyCarriesLandedIDs(t *testing.T) {
 	}
 }
 
-// TestProbeWorkMetrics: /metrics sums the probe work executed queries did —
-// a fill's ranges on the first query, nothing on a result-cache hit, and
-// after an append exactly the appended rows with no new fill — which is the
-// resident path's warm ratio, readable without a profiler. The cover
-// counters beside them show the bound was rasterized once for all four
-// shards, and /v1/stats splits its bytes into the shared sets and the
-// shards' own state.
+// TestProbeWorkMetrics: /metrics sums the probe work the shards did — a
+// fill's ranges on the first query, nothing on a result-cache hit, and after
+// an append exactly the appended rows with no new fill, whether a read or
+// the shard's maintainer inverted them — which is the resident path's warm
+// ratio, readable without a profiler. Over two read levels the delta count
+// is the live appended rows once per level. The cover counters beside them
+// show the bound was rasterized once for all four shards, and /v1/stats
+// splits its bytes into the shared sets and the shards' own state.
 func TestProbeWorkMetrics(t *testing.T) {
 	ts, _, pts, _ := newShardedTS(t, 0)
 	scrape := func() (ranges, delta, builds, coverBytes uint64) {
@@ -618,6 +619,23 @@ func TestProbeWorkMetrics(t *testing.T) {
 	}
 	if c := st.Covers; c.Builds != 1 || uint64(c.Bytes) != coverBytes || c.BuildSeconds <= 0 || c.StateBytes == 0 || c.StateBytes != perShard {
 		t.Fatalf("stats covers %+v (shards sum to %d B of state), metrics said %d B", c, perShard, coverBytes)
+	}
+
+	// A second, finer level inverts the 3 live rows on its first read; two
+	// more rows are then inverted once at each of the two levels.
+	fine := QueryRequest{Aggs: []string{"count", "sum"}, Bound: 16}
+	postJSON(t, ts.URL+"/v1/query", fine, nil)
+	app = AppendRequest{Weights: []float64{4, 5}}
+	for _, p := range pts[3:5] {
+		app.Points = append(app.Points, [2]float64{p.X, p.Y})
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/append", app, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("append: %d %s", resp.StatusCode, body)
+	}
+	postJSON(t, ts.URL+"/v1/query", q, nil)
+	postJSON(t, ts.URL+"/v1/query", fine, nil)
+	if _, d, b, _ := scrape(); d != 5*2 || b != 2 {
+		t.Fatalf("after 5 appended rows read at two levels: %d delta rows inverted, %d cover builds; want 10 and 2", d, b)
 	}
 }
 

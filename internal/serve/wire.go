@@ -103,9 +103,12 @@ type FanoutCounters struct {
 	Max       int    `json:"max"`
 }
 
-// ProbeCounters sums the executed scatters' probe work: cover ranges probed
-// by base fills and delta rows newly inverted (a hit probes nothing).
-// Against the query count they give the resident path's warm ratio.
+// ProbeCounters sums the shards' probe work: cover ranges probed by base
+// fills and delta rows inverted, by the reads and by each shard's
+// maintainer, which inverts appended rows for the levels in use off the
+// read path (a hit probes nothing). Each live appended row counts once per
+// level read; against the query count they give the resident path's warm
+// ratio.
 type ProbeCounters struct {
 	Ranges uint64 `json:"ranges"`
 	Delta  uint64 `json:"delta"`

@@ -77,13 +77,11 @@ type Sharded struct {
 	shards  []shardState
 
 	// Scatter accounting, all lock-free: queries served, total shards
-	// contacted across them, the probe work executed scatters did (see
-	// Response.RangesProbed), and result-cache probes that missed (the cache
-	// counts only its hits).
+	// contacted across them, and result-cache probes that missed (the cache
+	// counts only its hits). The probe work is the shards' datasets' own
+	// (Stats).
 	queries  atomic.Uint64
 	contacts atomic.Uint64
-	ranges   atomic.Uint64
-	delta    atomic.Uint64
 	misses   atomic.Int64
 
 	// results caches merged scatter-gather responses above the fan-out: a
@@ -395,8 +393,6 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 	// describe answers; one that failed above returned its error instead.
 	s.queries.Add(1)
 	s.contacts.Add(uint64(len(s.shards)))
-	s.ranges.Add(uint64(out.RangesProbed))
-	s.delta.Add(uint64(out.DeltaProbed))
 	out.Wall = time.Since(t0)
 	if cacheable {
 		// The merged Results are freshly allocated and never pooled, so the
@@ -585,8 +581,11 @@ type Stats struct {
 	Queries        uint64
 	ContactedTotal uint64
 	MaxFanOut      int
-	// RangesProbed and DeltaProbed sum every executed scatter's probe work
-	// (Response.RangesProbed, Response.DeltaProbed).
+	// RangesProbed and DeltaProbed sum the shards' probe work
+	// (distbound.DatasetStats): their reads' (Response.RangesProbed,
+	// Response.DeltaProbed) and their maintainers', which invert appended
+	// rows and refill after a background compaction ahead of the reads. A
+	// result-cache hit adds none.
 	RangesProbed uint64
 	DeltaProbed  uint64
 	// EpochSum is the result cache's invalidation counter: the sum of every
@@ -610,8 +609,6 @@ func (s *Sharded) Stats() Stats {
 		Dropped:        s.dropped,
 		Queries:        s.queries.Load(),
 		ContactedTotal: s.contacts.Load(),
-		RangesProbed:   s.ranges.Load(),
-		DeltaProbed:    s.delta.Load(),
 		ResultCache:    s.results.Stats(),
 		CoverBytes:     s.engine.CoverBytes(),
 	}
@@ -625,6 +622,8 @@ func (s *Sharded) Stats() Stats {
 		st.Live += d.Live
 		st.MemoryBytes += s.shards[i].ds.MemoryBytes()
 		st.EpochSum += d.Epoch
+		st.RangesProbed += uint64(d.RangesProbed)
+		st.DeltaProbed += uint64(d.DeltaProbed)
 		st.PerShard = append(st.PerShard, ShardInfo{
 			LoKey:      s.shards[i].lo,
 			HiKey:      s.shards[i].hi,

@@ -79,9 +79,11 @@ type Response struct {
 	// ranges probed by a base fill (every region's every range on the first
 	// request against a base or after a delete, 0 once the joiner holds the
 	// fold), and the live delta rows newly searched into the cover table's
-	// boundary segments (the rows appended since the previous request the
-	// serving level answered, 0 when nothing was). Both are 0 for strategies
-	// other than pointidx — the probe economy they meter is the resident path's.
+	// boundary segments (the appended rows neither the dataset's maintainer
+	// nor an earlier request had inverted at the serving level yet, 0 when
+	// none were left). Both are 0 for strategies other than pointidx — the
+	// probe economy they meter is the resident path's. DatasetStats sums the
+	// same work, the maintainer's included.
 	RangesProbed int
 	// DeltaProbed — see RangesProbed.
 	DeltaProbed int
