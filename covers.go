@@ -70,8 +70,8 @@ func (e *Engine) Cover(ctx context.Context, bound float64) (*Cover, error) {
 // bound is served by its own level (raster.BoundLevel) if that cover is
 // ready, and otherwise by the coarsest ready cover finer than it (readyFrom);
 // a build in flight serves nothing. Only when neither exists is the bound's
-// own level built, under the cache's singleflight, which fills its slot
-// before the entry completes. Like BRJ mask builds, a cold rasterization
+// own level built, under the cover Flight, whose build fills the slot before
+// it completes. Like BRJ mask builds, a cold rasterization
 // fans out across the caller's worker budget, no wider; canceling ctx
 // abandons the wait (and the build, once no caller is left).
 // raster.BoundLevel's BoundTooFineError comes back before any build starts.
@@ -83,7 +83,10 @@ func (e *Engine) coverCtx(ctx context.Context, bound float64, workers int) (*Cov
 	if c := e.readyFrom(level); c != nil {
 		return c, nil
 	}
-	c, err := e.covers.GetOrBuildCtx(ctx, level, func(bctx context.Context) (*Cover, error) {
+	c, err := e.covers.Do(ctx, level, func() (*Cover, bool) {
+		c := e.readyFrom(level)
+		return c, c != nil
+	}, func(bctx context.Context) (*Cover, error) {
 		set, err := join.NewCoverSetCtx(bctx, e.regions, e.domain, Hilbert, level, workers)
 		if err != nil {
 			return nil, err
@@ -111,12 +114,21 @@ func (e *Engine) readyFrom(level int) *Cover {
 	return nil
 }
 
-// exactCoverCtx returns the engine's one exact cover, building it under the
-// cache's singleflight on a miss across the caller's worker budget; canceling
-// ctx abandons the wait (and the build, once no caller is left).
+// exactCoverCtx returns the engine's one exact cover from its slot, building
+// it under its Flight on a miss across the caller's worker budget; the build
+// fills the slot, which nothing clears. Canceling ctx abandons the wait (and
+// the build, once no caller is left).
 func (e *Engine) exactCoverCtx(ctx context.Context, workers int) (*join.ExactCover, error) {
-	ec, err := e.exact.GetOrBuildCtx(ctx, struct{}{}, func(bctx context.Context) (*join.ExactCover, error) {
-		return join.NewExactCoverCtx(bctx, e.regions, e.domain, Hilbert, workers)
+	ec, err := e.exactBuild.Do(ctx, struct{}{}, func() (*join.ExactCover, bool) {
+		ec := e.exact.Load()
+		return ec, ec != nil
+	}, func(bctx context.Context) (*join.ExactCover, error) {
+		ec, err := join.NewExactCoverCtx(bctx, e.regions, e.domain, Hilbert, workers)
+		if err != nil {
+			return nil, err
+		}
+		e.exact.Store(ec)
+		return ec, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("distbound: building exact cover: %w", err)

@@ -26,12 +26,13 @@ const (
 	StrategyPointIdx = planner.StrategyPointIdx
 )
 
-// maskCacheCapacity bounds the BRJ mask cache, in distinct bounds, tight: one
+// maskCacheCapacity bounds the BRJ mask LRU, in distinct bounds, tight: one
 // cached bound holds 8 bytes per covered row span of every region mask, plus
 // one retained set of point buffers sized by the last call's points
 // (BRJJoiner.MemoryBytes reports a resident set's footprint). A long-running
 // server that has asked more bounds evicts the least recently used set. It
-// also caps how many mask builds run concurrently.
+// is also the number of mask builds that may run at once (Engine.maskSlots),
+// so builds in flight hold at most as many sets again.
 const maskCacheCapacity = 2
 
 // Engine answers spatial aggregation queries over a fixed region set. For an
@@ -51,9 +52,11 @@ const maskCacheCapacity = 2
 // boundary cells at one coarse level, with each region's point locator — one
 // set of BRJ region masks per bound, and one cover set per level — the one
 // artifact both the ad-hoc act join and every registered dataset answer from)
-// are built with singleflight deduplication — concurrent misses on the same
-// key run one build and share it. The masks sit in a small LRU; a cover level
-// once built stays in its slot, read with no lock. Neither strategy rule
+// are built with singleflight deduplication (cache.Flight) — concurrent
+// misses on the same key run one build and share it — and each build stores
+// its artifact where reads look: the exact cover and each cover level in a
+// slot of their own, read with no lock and never cleared, the masks in a
+// small LRU that a build fills only once it succeeds. Neither strategy rule
 // reads what is cached. The cover a bound is served from does depend on it:
 // a resident finer level serves every coarser bound, and a bound's own level
 // is built only when no ready level is at least as fine (see coverCtx;
@@ -64,15 +67,23 @@ type Engine struct {
 	regions []Region
 	domain  Domain
 
-	exact *cache.Cache[struct{}, *join.ExactCover] // the one exact cover; see covers.go
-	brj   *cache.Cache[float64, *join.BRJJoiner]
+	// exact holds the one exact cover once built; exactBuild builds it. See
+	// covers.go.
+	exact      atomic.Pointer[join.ExactCover]
+	exactBuild cache.Flight[struct{}, *join.ExactCover]
+	// masks holds the BRJ mask sets of the maskCacheCapacity most recently
+	// used bounds; maskBuild builds them, each holding one of maskSlots'
+	// tokens while it rasterizes.
+	masks     *cache.LRU[float64, *join.BRJJoiner]
+	maskBuild cache.Flight[float64, *join.BRJJoiner]
+	maskSlots chan struct{}
 
 	dsMu     sync.RWMutex // guards datasets, which reserves registered names
 	datasets map[string]*Dataset
 	// ready holds each level's cover once built, the one place reads look;
-	// covers only builds levels (singleflight, the build gate). See covers.go.
+	// covers builds the levels. See covers.go.
 	ready  [sfc.MaxLevel + 1]atomic.Pointer[Cover]
-	covers *cache.Cache[int, *Cover]
+	covers cache.Flight[int, *Cover]
 
 	// scratch recycles respScratch instances across Do calls; it makes the
 	// warm resident path allocation-free for callers that Release their
@@ -93,12 +104,11 @@ func (e *Engine) getScratch() *respScratch {
 // NewEngine creates an engine over the region set.
 func NewEngine(regions []Region) *Engine {
 	return &Engine{
-		regions:  regions,
-		domain:   DomainForRegions(regions...),
-		exact:    cache.New[struct{}, *join.ExactCover](1),
-		brj:      cache.New[float64, *join.BRJJoiner](maskCacheCapacity),
-		datasets: map[string]*Dataset{},
-		covers:   cache.New[int, *Cover](sfc.MaxLevel + 1),
+		regions:   regions,
+		domain:    DomainForRegions(regions...),
+		masks:     cache.NewLRU[float64, *join.BRJJoiner](maskCacheCapacity),
+		maskSlots: make(chan struct{}, maskCacheCapacity),
+		datasets:  map[string]*Dataset{},
 	}
 }
 
@@ -292,7 +302,11 @@ func (d *Dataset) Points() ([]Point, []float64) {
 // buffer until a compaction folds them into the sorted base. Append then
 // starts the dataset's maintainer, which inverts the rows for every level
 // read since its previous pass and compacts once the threshold is crossed.
+// A handle UnregisterPoints has released refuses the batch.
 func (d *Dataset) Append(pts []Point, weights []float64) ([]uint64, error) {
+	if err := d.e.checkDataset(d); err != nil {
+		return nil, err
+	}
 	var ids []uint64
 	var err error
 	if dur := d.dur.Load(); dur != nil {
@@ -321,11 +335,15 @@ func (d *Dataset) Append(pts []Point, weights []float64) ([]uint64, error) {
 // On a durable dataset a deletion that fails to reach the log still returns
 // its live count — the removal is visible in memory — but the dataset wedges
 // (later mutations are refused, Stats().DurableErr stays set) and the error
-// reports it at the call site. On a non-durable dataset the error is always
-// nil.
+// reports it at the call site. On a non-durable dataset the error is nil
+// unless UnregisterPoints has released the handle, which refuses every
+// Delete.
 //
 //distbound:api the delete chain (Sharded.Delete, Dataset.Delete, Durable.Delete) has no endpoint yet
 func (d *Dataset) Delete(ids ...uint64) (int, error) {
+	if err := d.e.checkDataset(d); err != nil {
+		return 0, err
+	}
 	var n int
 	var err error
 	if dur := d.dur.Load(); dur != nil {
@@ -487,9 +505,10 @@ func (e *Engine) register(name string, src *pointstore.Mutable, dur *persist.Dur
 
 // UnregisterPoints removes the dataset registered under name, freeing the
 // name for re-registration; it reports whether a dataset was registered.
-// Outstanding queries holding the old handle fail their next call. The
-// handle's joiners are cleared, and no cover references a dataset, so nothing
-// in the engine keeps its store reachable; the shared cover sets stay cached.
+// Outstanding queries, appends and deletes holding the old handle fail
+// their next call. The handle's joiners are cleared, and no cover references
+// a dataset, so nothing in the engine keeps its store reachable; the shared
+// cover sets stay in their slots.
 // The handle's maintainer is waited out — a pass in flight finishes over the
 // cleared slots — and never starts again.
 // For a durable dataset the on-disk files stay behind — only the handle's
@@ -530,27 +549,42 @@ func (e *Engine) checkDataset(ds *Dataset) error {
 }
 
 // brjJoinerCtx returns the mask-cached raster joiner for the bound, building
-// it under the cache's singleflight on a miss. A cold build rasterizes across
-// the request's worker budget, so it never exceeds the parallelism the query
-// itself was granted; canceling ctx abandons the wait (and the build itself,
-// once no caller remains interested in it).
+// it under the mask Flight on a miss. A build waits for one of maskSlots'
+// tokens, then rasterizes across the request's worker budget, so it never
+// exceeds the parallelism the query itself was granted, and enters the LRU
+// only once it succeeds: a failed or abandoned build evicts no resident set.
+// Canceling ctx abandons the wait (and the build itself, once no caller
+// remains interested in it).
 func (e *Engine) brjJoinerCtx(ctx context.Context, bound float64, workers int) (*join.BRJJoiner, error) {
-	bj, err := e.brj.GetOrBuildCtx(ctx, bound, func(bctx context.Context) (*join.BRJJoiner, error) {
-		return join.NewBRJJoinerCtx(bctx, e.regions, e.domain.Bounds(), bound, 0, workers)
-	})
+	bj, err := e.maskBuild.Do(ctx, bound, func() (*join.BRJJoiner, bool) { return e.masks.Get(bound) },
+		func(bctx context.Context) (*join.BRJJoiner, error) {
+			select {
+			case e.maskSlots <- struct{}{}:
+				defer func() { <-e.maskSlots }()
+			case <-bctx.Done():
+				return nil, bctx.Err()
+			}
+			bj, err := join.NewBRJJoinerCtx(bctx, e.regions, e.domain.Bounds(), bound, 0, workers)
+			if err != nil {
+				return nil, err
+			}
+			e.masks.Put(bound, bj)
+			return bj, nil
+		})
 	if err != nil {
 		return nil, fmt.Errorf("distbound: building BRJ canvases: %w", err)
 	}
 	return bj, nil
 }
 
-// CacheStats reports the cover cache's counters (misses, builds and their
-// time, coalesced waits; it evicts nothing). It is keyed by level alone — one
-// build per level however many bounds it serves, datasets and ad-hoc act
-// requests use it, and none for a bound a ready finer level serves — and
-// levels survive dataset compactions. A read whose level slot is filled never
-// reaches the cache, so Hits counts only waits on a build in flight; the
-// per-dataset generation and delta accounting lives in Dataset.Stats.
+// CacheStats reports the cover Flight's counters: builds and their time, and
+// Hits, the calls that reached it and built nothing — a wait on a build in
+// flight (Coalesced) or a level another build stored just before. It is
+// keyed by level alone — one build per level however many bounds it serves,
+// datasets and ad-hoc act requests use it, and none for a bound a ready finer
+// level serves — and levels survive dataset compactions. A read whose level
+// slot is filled never reaches the Flight; the per-dataset generation and
+// delta accounting lives in Dataset.Stats.
 func (e *Engine) CacheStats() cache.Stats {
 	return e.covers.Stats()
 }

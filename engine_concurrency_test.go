@@ -2,8 +2,11 @@ package distbound
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // engineReference answers every bound once, building the engine's caches,
@@ -73,8 +76,8 @@ func TestEngineConcurrentMixedBounds(t *testing.T) {
 }
 
 // TestEngineConcurrentBuildsAreDeduplicated hammers a cold engine with many
-// goroutines asking for the same two bounds; the singleflight cover cache
-// must run exactly one build per distinct bound.
+// goroutines asking for the same two bounds; the cover Flight must run
+// exactly one build per distinct bound.
 func TestEngineConcurrentBuildsAreDeduplicated(t *testing.T) {
 	ps, _ := facadeWorkload(2000)
 	regions := complexRegions()
@@ -101,8 +104,8 @@ func TestEngineConcurrentBuildsAreDeduplicated(t *testing.T) {
 	if st.Builds != 2 {
 		t.Errorf("10 goroutines over 2 bounds ran %d builds (want 2); stats %+v", st.Builds, st)
 	}
-	if !coverReady(e, 8) || !coverReady(e, 16) || st.Evictions != 0 {
-		t.Errorf("cache does not hold both bounds' cover sets; stats %+v", st)
+	if !coverReady(e, 8) || !coverReady(e, 16) {
+		t.Errorf("the slots do not hold both bounds' cover sets; stats %+v", st)
 	}
 }
 
@@ -120,7 +123,7 @@ func TestEngineColdRequestBuildsRuleArm(t *testing.T) {
 		builds func() int64
 	}{
 		{16, StrategyACT, func() int64 { return e.covers.Stats().Builds }},
-		{64, StrategyBRJ, func() int64 { return e.brj.Stats().Builds }},
+		{64, StrategyBRJ, func() int64 { return e.maskBuild.Stats().Builds }},
 	} {
 		for round := 1; round <= 2; round++ {
 			resp, err := e.Do(ctx, Request{Points: ps, Aggs: []Agg{Count}, Bound: c.bound})
@@ -138,5 +141,63 @@ func TestEngineColdRequestBuildsRuleArm(t *testing.T) {
 				t.Errorf("ε%g round %d: %d builds of the %v artifact, want 1", c.bound, round, got, c.want)
 			}
 		}
+	}
+}
+
+// TestMaskBuildsTakeATokenAndStoreOnlyOnSuccess: a BRJ mask build waits for
+// one of maskCacheCapacity tokens, so at most that many run at once, and its
+// set enters the LRU only once it succeeds: a failed or canceled build evicts
+// no resident set, and a successful one evicts the least recently used.
+func TestMaskBuildsTakeATokenAndStoreOnlyOnSuccess(t *testing.T) {
+	e := NewEngine(complexRegions())
+	bg := context.Background()
+	for _, b := range []float64{32, 64} {
+		if _, err := e.brjJoinerCtx(bg, b, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.brjJoinerCtx(bg, 0, 1); err == nil {
+		t.Fatal("a mask build at bound 0 succeeded")
+	}
+	if e.masks.Len() != 2 {
+		t.Fatalf("%d mask sets resident after a failed build, want the 2 built before it", e.masks.Len())
+	}
+
+	for i := 0; i < maskCacheCapacity; i++ {
+		e.maskSlots <- struct{}{} // as many builds as may run hold the gate
+	}
+	built := e.maskBuild.Stats().BuildTime
+	ctx, cancel := context.WithCancel(bg)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.brjJoinerCtx(ctx, 128, 1)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		t.Fatalf("a mask build returned (%v) while %d others held the gate", err, maskCacheCapacity)
+	case <-time.After(50 * time.Millisecond):
+	}
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the canceled build's caller got %v", err)
+	}
+	for e.maskBuild.Stats().BuildTime == built { // the abandoned build has returned
+		runtime.Gosched()
+	}
+	for i := 0; i < maskCacheCapacity; i++ {
+		<-e.maskSlots
+	}
+	for _, b := range []float64{32, 64} {
+		if _, ok := e.masks.Get(b); !ok {
+			t.Fatalf("a failed or canceled build evicted the resident ε%g set", b)
+		}
+	}
+
+	if _, err := e.brjJoinerCtx(bg, 128, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.masks.Get(32); ok || e.masks.Len() != 2 {
+		t.Errorf("a third bound's build kept %d sets, ε32 among them: %v; want ε32, the least recently used, evicted", e.masks.Len(), ok)
 	}
 }

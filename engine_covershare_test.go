@@ -93,7 +93,7 @@ func TestCoverSetSharedAcrossDatasets(t *testing.T) {
 }
 
 // TestAdhocACTSharesResidentCoverSet: the ad-hoc act join answers from the
-// cover cache, so a resident read at a bound, a forced act read and a
+// level slots, so a resident read at a bound, a forced act read and a
 // planned act read at the same bound build one cover set between them.
 func TestAdhocACTSharesResidentCoverSet(t *testing.T) {
 	e, dss := shareFixture(t, 1, 4000)
@@ -357,9 +357,10 @@ func coverReady(e *Engine, bound float64) bool {
 // pass in flight — held here inside its compaction — and no pass runs after
 // it returns. Then appends and two-level reads race the unregistering of
 // four datasets at once, with compaction thresholds low enough that passes
-// compact: every read is answered or refused, a released handle's
-// generation stays put while its appends keep crossing the threshold, and
-// the goroutine count is soon back where it started. Run under -race.
+// compact: every append and read is answered or refused, a released handle
+// refuses a batch that would cross its threshold and its generation stays
+// put, and the goroutine count is soon back where it started. Run under
+// -race.
 func TestMaintainerStopsAtUnregister(t *testing.T) {
 	start := runtime.NumGoroutine()
 	stacks := func() string {
@@ -408,8 +409,10 @@ func TestMaintainerStopsAtUnregister(t *testing.T) {
 			for k := 0; k < 40; k++ {
 				off := (k * 50) % (len(extra) - 50)
 				if _, err := ds.Append(extra[off:off+50], extraWs[off:off+50]); err != nil {
-					t.Error(err)
-					return
+					if !ds.gone.Load() {
+						t.Error(err)
+					}
+					return // unregistered under us: refused from here on
 				}
 				if k == 10 {
 					close(appended)
@@ -437,10 +440,10 @@ func TestMaintainerStopsAtUnregister(t *testing.T) {
 	}
 	wg.Wait()
 	for i, ds := range dss[:4] {
-		// A released in-memory handle still takes rows; only its maintainer
-		// is gone, so these cross the threshold and nothing compacts them.
-		if _, err := ds.Append(extra[:300], extraWs[:300]); err != nil {
-			t.Fatal(err)
+		// A released handle refuses rows, so none can cross the threshold
+		// and start a maintainer.
+		if _, err := ds.Append(extra[:300], extraWs[:300]); err == nil {
+			t.Fatalf("%s took 300 rows after its UnregisterPoints returned", ds.name)
 		}
 		waitMaintained(ds)
 		if g := ds.Stats().Generation; g != gens[i] {

@@ -32,6 +32,51 @@ func persistFixture(t *testing.T, cfg PersistConfig) (*Engine, *Dataset, PointSe
 	return e, ds, ps, dir
 }
 
+// TestReleasedHandleRefusesWrites: once UnregisterPoints has released a
+// handle, Append and Delete on it fail with an error naming the dataset and
+// write nothing: not to its store, and for a durable dataset not to its log,
+// so the directory reopens to the state at the unregister.
+func TestReleasedHandleRefusesWrites(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(map[bool]string{false: "in-memory", true: "durable"}[durable], func(t *testing.T) {
+			var e *Engine
+			var ds *Dataset
+			var ps PointSet
+			var dir string
+			if durable {
+				e, ds, ps, dir = persistFixture(t, PersistConfig{})
+			} else {
+				e, ds, ps = requestFixture(t)
+			}
+			before := ds.Stats()
+			if !e.UnregisterPoints(ds.name) {
+				t.Fatal("the dataset was not registered")
+			}
+			named := func(err error) bool { return err != nil && strings.Contains(err.Error(), `"`+ds.name+`"`) }
+			if ids, err := ds.Append(ps.Pts[:10], ps.Weights[:10]); !named(err) || ids != nil {
+				t.Errorf("Append on a released handle returned %v, %v; want an error naming %q", ids, err, ds.name)
+			}
+			if n, err := ds.Delete(0, 1, 2); !named(err) || n != 0 {
+				t.Errorf("Delete on a released handle returned %d, %v; want an error naming %q", n, err, ds.name)
+			}
+			if st := ds.Stats(); st.Live != before.Live || st.Epoch != before.Epoch {
+				t.Errorf("a refused write changed the store: %d live at epoch %d, was %d at %d", st.Live, st.Epoch, before.Live, before.Epoch)
+			}
+			if !durable {
+				return
+			}
+			reopened, err := NewEngine(e.regions).OpenDataset("reopened", dir, PersistConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.e.UnregisterPoints("reopened")
+			if n := reopened.Len(); n != before.Live {
+				t.Errorf("the directory reopens with %d live points, want the %d at the unregister", n, before.Live)
+			}
+		})
+	}
+}
+
 // TestOpenDatasetServesIdenticalResults is the durability acceptance
 // criterion at the query layer: an engine restarted from disk — snapshot
 // plus replayed log tail — answers resident requests bit-identically to the

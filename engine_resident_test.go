@@ -157,7 +157,7 @@ func TestResidentRule(t *testing.T) {
 			for _, s := range []Strategy{StrategyExact, StrategyACT, StrategyBRJ} {
 				do("warming "+s.String(), Request{Points: ps, Aggs: []Agg{Count}, Bound: bound, Strategy: &s})
 			}
-			if e.exact.Len() != 1 || e.brj.Len() != 1 || !coverReady(e, bound) {
+			if e.exact.Load() == nil || e.masks.Len() != 1 || !coverReady(e, bound) {
 				t.Fatal("streaming artifacts not all resident")
 			}
 		}},

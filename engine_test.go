@@ -158,7 +158,7 @@ func TestAdhocBelowLeafCellIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	testutil.CheckIdentical(t, "below the leaf cell vs brute force", brute, resp.Results[0])
-	if c, b := e.covers.Stats().Builds, e.brj.Stats().Builds; c != 0 || b != 0 {
+	if c, b := e.covers.Stats().Builds, e.maskBuild.Stats().Builds; c != 0 || b != 0 {
 		t.Errorf("ε%g started %d cover and %d mask builds, want none", bound, c, b)
 	}
 }

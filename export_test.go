@@ -33,7 +33,7 @@ func (e *Engine) dropJoiner(ds *Dataset, bound float64) {
 }
 
 // coverAt returns the cover in bound's own level slot iff its build has
-// completed, without touching the cover cache.
+// completed, without starting one.
 func coverAt(e *Engine, bound float64) (*Cover, bool) {
 	level, err := raster.BoundLevel(e.domain, bound)
 	if err != nil {

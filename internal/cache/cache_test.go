@@ -10,50 +10,51 @@ import (
 	"testing"
 )
 
-// get is GetOrBuildCtx under a context that never cancels, with a build that
-// ignores its own.
-func get[K comparable, V any](c *Cache[K, V], key K, build func() (V, error)) (V, error) {
-	return c.GetOrBuildCtx(context.Background(), key, func(context.Context) (V, error) { return build() })
+// get is the engine's mask shape: Do under a context that never cancels,
+// looking key up in c and storing a build's value there once it succeeds,
+// with a build that ignores its own context.
+func get[K comparable, V any](f *Flight[K, V], c *LRU[K, V], key K, build func() (V, error)) (V, error) {
+	return f.Do(context.Background(), key, func() (V, bool) { return c.Get(key) }, func(context.Context) (V, error) {
+		v, err := build()
+		if err == nil {
+			c.Put(key, v)
+		}
+		return v, err
+	})
 }
 
-// peek returns the value cached under key iff its build has completed
-// successfully. It reads the entries under the lock, so it records no stats
-// and leaves recency alone.
-func peek[K comparable, V any](c *Cache[K, V], key K) (V, bool) {
+// none is the lookup of a Flight whose builds store nothing.
+func none[V any]() (V, bool) {
+	var zero V
+	return zero, false
+}
+
+// peek returns the value resident under key. It reads the entries under the
+// lock, so it records no stats and leaves recency alone.
+func peek[K comparable, V any](c *LRU[K, V], key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.lookupReady(key); ok {
-		return e.val, true
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*lruItem[K, V]).val, true
 	}
 	var zero V
 	return zero, false
 }
 
-// ready reports whether key holds a completed, successful build.
-func ready[K comparable, V any](c *Cache[K, V], key K) bool {
+// ready reports whether key is resident.
+func ready[K comparable, V any](c *LRU[K, V], key K) bool {
 	_, ok := peek(c, key)
 	return ok
 }
 
-// resident counts the entries whose build has completed successfully.
-func resident[K comparable, V any](c *Cache[K, V]) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for k := range c.entries {
-		if _, ok := c.lookupReady(k); ok {
-			n++
-		}
-	}
-	return n
-}
-
+// TestGetOrBuildCachesValue: a key builds once; later calls find what the
+// build stored through their lookup, which Do runs under its lock.
 func TestGetOrBuildCachesValue(t *testing.T) {
-	c := New[int, string](4)
+	f, c := &Flight[int, string]{}, NewLRU[int, string](4)
 	builds := 0
 	build := func() (string, error) { builds++; return "v", nil }
 	for i := 0; i < 3; i++ {
-		v, err := get(c, 7, build)
+		v, err := get(f, c, 7, build)
 		if err != nil || v != "v" {
 			t.Fatalf("get %d: %q, %v", i, v, err)
 		}
@@ -61,29 +62,25 @@ func TestGetOrBuildCachesValue(t *testing.T) {
 	if builds != 1 {
 		t.Errorf("built %d times", builds)
 	}
-	st := c.Stats()
-	if st.Builds != 1 || st.Hits != 2 || st.Misses != 1 {
+	if st := f.Stats(); st.Builds != 1 || st.Hits != 2 || st.Coalesced != 0 {
 		t.Errorf("stats %+v", st)
 	}
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	c := New[int, int](2)
-	mk := func(k int) func() (int, error) {
-		return func() (int, error) { return k * 10, nil }
-	}
-	get(c, 1, mk(1))
-	get(c, 2, mk(2))
-	get(c, 1, mk(1)) // bump 1; 2 is now LRU
-	get(c, 3, mk(3)) // evicts 2
+	c := NewLRU[int, int](2)
+	c.Put(1, 10)
+	c.Put(2, 20)
+	c.Get(1)     // bump 1; 2 is now LRU
+	c.Put(3, 30) // evicts 2
 	if ready(c, 2) {
 		t.Error("2 not evicted")
 	}
 	if !ready(c, 1) || !ready(c, 3) {
 		t.Error("wrong survivors")
 	}
-	if resident(c) != 2 {
-		t.Errorf("len %d", resident(c))
+	if c.Len() != 2 {
+		t.Errorf("len %d", c.Len())
 	}
 	if ev := c.Stats().Evictions; ev != 1 {
 		t.Errorf("evictions %d", ev)
@@ -91,48 +88,53 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestFailedBuildNotCached(t *testing.T) {
-	c := New[int, int](2)
+	f, c := &Flight[int, int]{}, NewLRU[int, int](2)
 	boom := errors.New("boom")
-	if _, err := get(c, 1, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, err := get(f, c, 1, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err %v", err)
 	}
 	if ready(c, 1) {
-		t.Error("failed build cached")
+		t.Error("failed build stored")
 	}
-	v, err := get(c, 1, func() (int, error) { return 5, nil })
+	v, err := get(f, c, 1, func() (int, error) { return 5, nil })
 	if err != nil || v != 5 {
 		t.Fatalf("retry: %d, %v", v, err)
 	}
+	if b := f.Stats().Builds; b != 2 {
+		t.Errorf("%d builds, want the failed one and its retry", b)
+	}
 }
 
+// TestFailedBuildDoesNotEvictResidents: a build enters the LRU only once it
+// succeeds, so a failed one leaves a warm resident where it was.
 func TestFailedBuildDoesNotEvictResidents(t *testing.T) {
-	c := New[int, int](1)
-	get(c, 1, func() (int, error) { return 1, nil })
-	if _, err := get(c, 2, func() (int, error) { return 0, errors.New("boom") }); err == nil {
+	f, c := &Flight[int, int]{}, NewLRU[int, int](1)
+	get(f, c, 1, func() (int, error) { return 1, nil })
+	if _, err := get(f, c, 2, func() (int, error) { return 0, errors.New("boom") }); err == nil {
 		t.Fatal("build error lost")
 	}
 	if !ready(c, 1) {
 		t.Error("failed build for key 2 evicted the resident key 1")
 	}
 	// A successful build still evicts the LRU resident.
-	get(c, 3, func() (int, error) { return 3, nil })
-	if ready(c, 1) || !ready(c, 3) || resident(c) != 1 {
-		t.Error("successful build did not take over the capacity-1 cache")
+	get(f, c, 3, func() (int, error) { return 3, nil })
+	if ready(c, 1) || !ready(c, 3) || c.Len() != 1 {
+		t.Error("successful build did not take over the capacity-1 LRU")
 	}
 }
 
 func TestPanickingBuildDoesNotWedgeKey(t *testing.T) {
-	c := New[int, int](2)
+	f, c := &Flight[int, int]{}, NewLRU[int, int](2)
 	waiting := make(chan struct{})
 	gotErr := make(chan error, 1)
 	go func() {
 		// Coalesce onto the panicking build: this call must be released
 		// with an error, not block forever.
 		<-waiting
-		_, err := get(c, 1, func() (int, error) { return 9, nil })
+		_, err := get(f, c, 1, func() (int, error) { return 9, nil })
 		gotErr <- err
 	}()
-	if _, err := get(c, 1, func() (int, error) {
+	if _, err := get(f, c, 1, func() (int, error) {
 		close(waiting)
 		// Give the waiter a moment to coalesce before panicking.
 		for i := 0; i < 1000; i++ {
@@ -143,22 +145,22 @@ func TestPanickingBuildDoesNotWedgeKey(t *testing.T) {
 		t.Error("the caller that started the panicking build got a nil error")
 	}
 	// The waiter either coalesced onto the panicking build and failed with
-	// it, or raced in after the cleanup and rebuilt: then its 9 is cached,
-	// and the next call is a hit on it. A hang is the bug.
+	// it, or raced in after the cleanup and rebuilt: then its 9 is stored,
+	// and the next call finds it. A hang is the bug.
 	want := 42
 	if err := <-gotErr; err == nil {
 		want = 9
 	}
 	// The key is not wedged: the next call answers, from a fresh build or the
 	// waiter's.
-	v, err := get(c, 1, func() (int, error) { return 42, nil })
+	v, err := get(f, c, 1, func() (int, error) { return 42, nil })
 	if err != nil || v != want {
 		t.Fatalf("key wedged after panic: %d, %v; want %d", v, err, want)
 	}
 }
 
 func TestConcurrentMissesCoalesce(t *testing.T) {
-	c := New[int, int](8)
+	f, c := &Flight[int, int]{}, NewLRU[int, int](8)
 	var builds atomic.Int64
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -168,7 +170,7 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for k := 0; k < 4; k++ {
-				v, err := get(c, k, func() (int, error) {
+				v, err := get(f, c, k, func() (int, error) {
 					builds.Add(1)
 					return k + 100, nil
 				})
@@ -186,12 +188,12 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 }
 
 func TestCoalescedWaitsAreCounted(t *testing.T) {
-	c := New[int, int](2)
+	f, c := &Flight[int, int]{}, NewLRU[int, int](2)
 	inBuild := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		get(c, 1, func() (int, error) {
+		get(f, c, 1, func() (int, error) {
 			close(inBuild)
 			<-release
 			return 1, nil
@@ -201,73 +203,40 @@ func TestCoalescedWaitsAreCounted(t *testing.T) {
 	<-inBuild // the build is provably in flight
 	waited := make(chan struct{})
 	go func() {
-		get(c, 1, func() (int, error) { return 0, errors.New("must coalesce") })
+		get(f, c, 1, func() (int, error) { return 0, errors.New("must coalesce") })
 		close(waited)
 	}()
-	// The waiter registers as a hit (coalesced) before blocking on ready;
-	// poll until it has.
-	for c.Stats().Coalesced == 0 {
+	// The waiter registers as a hit (coalesced) before blocking on the
+	// build; poll until it has.
+	for f.Stats().Coalesced == 0 {
 		runtime.Gosched()
 	}
 	close(release)
 	<-done
 	<-waited
-	st := c.Stats()
+	st := f.Stats()
 	if st.Coalesced != 1 || st.Builds != 1 {
 		t.Errorf("stats %+v: want 1 coalesced wait on 1 build", st)
 	}
 }
 
-func TestBuildConcurrencyGatedByCapacity(t *testing.T) {
-	c := New[int, int](2)
-	var concurrent, peak atomic.Int32
-	var wg sync.WaitGroup
-	release := make(chan struct{})
-	for k := 0; k < 8; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			get(c, k, func() (int, error) {
-				n := concurrent.Add(1)
-				for {
-					p := peak.Load()
-					if n <= p || peak.CompareAndSwap(p, n) {
-						break
-					}
-				}
-				<-release
-				concurrent.Add(-1)
-				return k, nil
-			})
-		}(k)
-	}
-	// Let builders reach the gate, then run them to completion in waves.
-	for i := 0; i < 8; i++ {
-		release <- struct{}{}
-	}
-	wg.Wait()
-	if p := peak.Load(); p > 2 {
-		t.Errorf("%d builds ran concurrently despite capacity 2", p)
-	}
-}
-
 // TestPeekDoesNotBumpRecency: the test helper's read leaves the LRU order
-// alone, so the tests that observe a cache through it do not change it.
+// alone, so the tests that observe an LRU through it do not change it.
 func TestPeekDoesNotBumpRecency(t *testing.T) {
-	c := New[int, int](2)
-	get(c, 1, func() (int, error) { return 1, nil })
-	get(c, 2, func() (int, error) { return 2, nil })
+	c := NewLRU[int, int](2)
+	c.Put(1, 1)
+	c.Put(2, 2)
 	if v, ok := peek(c, 1); !ok || v != 1 {
 		t.Fatalf("peek: %d, %v", v, ok)
 	}
-	get(c, 3, func() (int, error) { return 3, nil }) // evicts 1 (peek did not bump)
+	c.Put(3, 3) // evicts 1 (peek did not bump)
 	if ready(c, 1) {
 		t.Error("peek bumped recency")
 	}
 }
 
 func TestConcurrentMixedKeysUnderCapacityPressure(t *testing.T) {
-	c := New[string, int](3)
+	f, c := &Flight[string, int]{}, NewLRU[string, int](3)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -275,32 +244,37 @@ func TestConcurrentMixedKeysUnderCapacityPressure(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := fmt.Sprintf("k%d", (g+i)%6)
-				if _, err := get(c, k, func() (int, error) { return len(k), nil }); err != nil {
-					t.Errorf("get %s: %v", k, err)
+				if v, err := get(f, c, k, func() (int, error) { return len(k), nil }); err != nil || v != len(k) {
+					t.Errorf("get %s: %d, %v", k, v, err)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if resident(c) > 3 {
-		t.Errorf("len %d exceeds capacity", resident(c))
+	if c.Len() > 3 {
+		t.Errorf("len %d exceeds capacity", c.Len())
 	}
 }
 
 func TestGetOrBuildCtxHitAndMiss(t *testing.T) {
-	c := New[string, int](2)
-	v, err := c.GetOrBuildCtx(context.Background(), "a", func(context.Context) (int, error) { return 7, nil })
+	f := &Flight[string, int]{}
+	var stored atomic.Int64
+	lookup := func() (int, bool) { v := stored.Load(); return int(v), v != 0 }
+	v, err := f.Do(context.Background(), "a", lookup, func(context.Context) (int, error) {
+		stored.Store(7)
+		return 7, nil
+	})
 	if err != nil || v != 7 {
 		t.Fatalf("miss: got (%d, %v)", v, err)
 	}
-	v, err = c.GetOrBuildCtx(context.Background(), "a", func(context.Context) (int, error) {
+	v, err = f.Do(context.Background(), "a", lookup, func(context.Context) (int, error) {
 		t.Error("hit ran a build")
 		return 0, nil
 	})
 	if err != nil || v != 7 {
 		t.Fatalf("hit: got (%d, %v)", v, err)
 	}
-	if st := c.Stats(); st.Builds != 1 || st.Hits != 1 {
+	if st := f.Stats(); st.Builds != 1 || st.Hits != 1 {
 		t.Errorf("stats %+v, want 1 build / 1 hit", st)
 	}
 }
@@ -308,29 +282,31 @@ func TestGetOrBuildCtxHitAndMiss(t *testing.T) {
 // TestGetOrBuildCtxCanceledWaiterDetaches pins the work-conserving half of
 // the contract: a caller that cancels while another caller still waits gets
 // ctx.Err() immediately, the build keeps running for the survivor, and the
-// artifact is cached.
+// artifact is stored.
 func TestGetOrBuildCtxCanceledWaiterDetaches(t *testing.T) {
-	c := New[string, int](2)
+	f, c := &Flight[string, int]{}, NewLRU[string, int](2)
 	enter := make(chan struct{})
 	release := make(chan struct{})
 	var built atomic.Int32
+	lookup := func() (int, bool) { return c.Get("k") }
 	build := func(context.Context) (int, error) {
 		close(enter)
 		<-release
 		built.Add(1)
+		c.Put("k", 42)
 		return 42, nil
 	}
 
 	survivor := make(chan error, 1)
 	go func() {
-		_, err := c.GetOrBuildCtx(context.Background(), "k", build)
+		_, err := f.Do(context.Background(), "k", lookup, build)
 		survivor <- err
 	}()
 	<-enter // the build is in flight
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.GetOrBuildCtx(ctx, "k", build); !errors.Is(err, context.Canceled) {
+	if _, err := f.Do(ctx, "k", lookup, build); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter got %v, want context.Canceled", err)
 	}
 
@@ -339,7 +315,7 @@ func TestGetOrBuildCtxCanceledWaiterDetaches(t *testing.T) {
 		t.Fatalf("surviving waiter got %v", err)
 	}
 	if v, ok := peek(c, "k"); !ok || v != 42 {
-		t.Errorf("artifact not cached after a co-waiter canceled: (%d, %v)", v, ok)
+		t.Errorf("artifact not stored after a co-waiter canceled: (%d, %v)", v, ok)
 	}
 	if built.Load() != 1 {
 		t.Errorf("build ran %d times", built.Load())
@@ -348,10 +324,9 @@ func TestGetOrBuildCtxCanceledWaiterDetaches(t *testing.T) {
 
 // TestGetOrBuildCtxLastWaiterCancelsBuild pins the CPU-conserving half: when
 // the last interested caller cancels, the build's own context is canceled, a
-// ctx-aware build aborts, the failed entry is dropped, and a later call
-// retries from scratch.
+// ctx-aware build aborts, and a later call builds from scratch.
 func TestGetOrBuildCtxLastWaiterCancelsBuild(t *testing.T) {
-	c := New[string, int](2)
+	f := &Flight[string, int]{}
 	enter := make(chan struct{})
 	aborted := make(chan struct{})
 	build := func(bctx context.Context) (int, error) {
@@ -364,7 +339,7 @@ func TestGetOrBuildCtxLastWaiterCancelsBuild(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.GetOrBuildCtx(ctx, "k", build)
+		_, err := f.Do(ctx, "k", none[int], build)
 		errc <- err
 	}()
 	<-enter
@@ -374,8 +349,7 @@ func TestGetOrBuildCtxLastWaiterCancelsBuild(t *testing.T) {
 	}
 	<-aborted // the build's context really was canceled
 
-	// The aborted build must not be cached; a retry builds fresh.
-	v, err := c.GetOrBuildCtx(context.Background(), "k", func(context.Context) (int, error) { return 9, nil })
+	v, err := f.Do(context.Background(), "k", none[int], func(context.Context) (int, error) { return 9, nil })
 	if err != nil || v != 9 {
 		t.Fatalf("retry after aborted build: (%d, %v)", v, err)
 	}
@@ -385,12 +359,12 @@ func TestGetOrBuildCtxLastWaiterCancelsBuild(t *testing.T) {
 // cancels stays interested, so a second caller canceling must not cancel the
 // build out from under it.
 func TestGetOrBuildCtxCancelSparesRemainingWaiter(t *testing.T) {
-	c := New[string, int](2)
+	f, c := &Flight[string, int]{}, NewLRU[string, int](2)
 	enter := make(chan struct{})
 	release := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		_, err := get(c, "k", func() (int, error) {
+		_, err := get(f, c, "k", func() (int, error) {
 			close(enter)
 			<-release
 			return 5, nil
@@ -401,7 +375,7 @@ func TestGetOrBuildCtxCancelSparesRemainingWaiter(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.GetOrBuildCtx(ctx, "k", nil); !errors.Is(err, context.Canceled) {
+	if _, err := f.Do(ctx, "k", none[int], nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ctx waiter got %v", err)
 	}
 	close(release)
@@ -413,17 +387,17 @@ func TestGetOrBuildCtxCancelSparesRemainingWaiter(t *testing.T) {
 	}
 }
 
-// TestAbandonedBuildIsReplacedNotJoined: a lookup landing on a build whose
-// last waiter canceled must start a fresh build rather than coalesce onto
+// TestAbandonedBuildIsReplacedNotJoined: a call landing on a key whose build
+// every waiter abandoned must start a fresh build rather than coalesce onto
 // work doomed to fail with someone else's cancellation.
 func TestAbandonedBuildIsReplacedNotJoined(t *testing.T) {
-	c := New[string, int](2)
+	f := &Flight[string, int]{}
 	enter := make(chan struct{})
 	stuck := make(chan struct{})
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.GetOrBuildCtx(ctx, "k", func(context.Context) (int, error) {
+		_, err := f.Do(ctx, "k", none[int], func(context.Context) (int, error) {
 			close(enter)
 			<-stuck // ignores its context: the abandoned build lingers
 			return 1, nil
@@ -435,14 +409,19 @@ func TestAbandonedBuildIsReplacedNotJoined(t *testing.T) {
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled caller got %v", err)
 	}
-	// The new caller gets its own build immediately, not the doomed one.
-	v, err := c.GetOrBuildCtx(context.Background(), "k", func(context.Context) (int, error) { return 2, nil })
-	if err != nil || v != 2 {
-		t.Fatalf("replacement build: (%d, %v), want (2, nil)", v, err)
+	// The new caller gets its own build, not the doomed one: it has started
+	// one (or, wrongly, joined) before the abandoned build is let go.
+	got := make(chan int, 1)
+	go func() {
+		v, _ := f.Do(context.Background(), "k", none[int], func(context.Context) (int, error) { return 2, nil })
+		got <- v
+	}()
+	for st := f.Stats(); st.Builds < 2 && st.Coalesced == 0; st = f.Stats() {
+		runtime.Gosched()
 	}
 	close(stuck)
-	if v, ok := peek(c, "k"); !ok || v != 2 {
-		t.Errorf("cache serves (%d, %v), want the replacement's 2", v, ok)
+	if v := <-got; v != 2 {
+		t.Fatalf("replacement call got %d, want its own build's 2", v)
 	}
 }
 
@@ -450,14 +429,14 @@ func TestAbandonedBuildIsReplacedNotJoined(t *testing.T) {
 // goroutine a panic must fail the waiters and be swallowed — crashing the
 // process would turn one bad build into a full outage.
 func TestGetOrBuildCtxPanickingBuildContained(t *testing.T) {
-	c := New[string, int](2)
-	if _, err := c.GetOrBuildCtx(context.Background(), "k", func(context.Context) (int, error) {
+	f := &Flight[string, int]{}
+	if _, err := f.Do(context.Background(), "k", none[int], func(context.Context) (int, error) {
 		panic("builder bug")
 	}); err == nil {
 		t.Fatal("panicking build returned a nil error")
 	}
 	// The key is not wedged and the process is alive: a fresh build works.
-	v, err := c.GetOrBuildCtx(context.Background(), "k", func(context.Context) (int, error) { return 3, nil })
+	v, err := f.Do(context.Background(), "k", none[int], func(context.Context) (int, error) { return 3, nil })
 	if err != nil || v != 3 {
 		t.Fatalf("key wedged after contained panic: (%d, %v)", v, err)
 	}
@@ -480,10 +459,9 @@ func TestShardedLRUBasics(t *testing.T) {
 	if v, ok := c.Get(1); !ok || v != "uno" {
 		t.Fatalf("after replace Get(1) = %q, %v", v, ok)
 	}
-	// A Get that misses records nothing: its caller counts its own misses.
 	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 0 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want 2 hits, 0 misses, 1 eviction (replacement)", st)
+	if st.Hits != 2 || st.Misses != 1 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 2 hits, 1 miss, 1 eviction (replacement)", st)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
@@ -610,28 +588,28 @@ func TestNewShardedLRURefusesOnEvict(t *testing.T) {
 	NewShardedLRU[int, int](8, func(int) {})
 }
 
-// TestGetOrBuildCtxAtCapacityZero: a cache that holds nothing still builds
-// and answers, through the build gate's one slot, and keeps nothing.
+// TestGetOrBuildCtxAtCapacityZero: builds into an LRU that holds nothing
+// still answer, and each call builds again.
 func TestGetOrBuildCtxAtCapacityZero(t *testing.T) {
-	c := New[int, int](0)
+	f, c := &Flight[int, int]{}, NewLRU[int, int](0)
 	for i := 0; i < 2; i++ {
-		if v, err := get(c, 1, func() (int, error) { return 7, nil }); err != nil || v != 7 {
+		if v, err := get(f, c, 1, func() (int, error) { return 7, nil }); err != nil || v != 7 {
 			t.Fatalf("build %d: (%d, %v)", i, v, err)
 		}
 	}
-	if st := c.Stats(); c.Len() != 0 || st.Builds != 2 || st.Evictions != 2 {
-		t.Fatalf("Len = %d, %+v; want nothing kept, 2 builds, 2 evictions", c.Len(), st)
+	if c.Len() != 0 || f.Stats().Builds != 2 || c.Stats().Evictions != 2 {
+		t.Fatalf("Len = %d, %+v, %+v; want nothing kept, 2 builds, 2 evictions", c.Len(), f.Stats(), c.Stats())
 	}
 }
 
-// TestPutLeavesInFlightBuildAlone: a Put racing a build of its key neither
-// replaces the entry its waiters hold nor starts a duplicate.
+// TestPutLeavesInFlightBuildAlone: a Put racing a build of its key changes
+// neither what the build's waiters get nor what the build stores.
 func TestPutLeavesInFlightBuildAlone(t *testing.T) {
-	c := New[int, int](4)
+	f, c := &Flight[int, int]{}, NewLRU[int, int](4)
 	started, release := make(chan struct{}), make(chan struct{})
 	done := make(chan int)
 	go func() {
-		v, _ := get(c, 1, func() (int, error) {
+		v, _ := get(f, c, 1, func() (int, error) {
 			close(started)
 			<-release
 			return 7, nil
@@ -653,7 +631,7 @@ func TestPutLeavesInFlightBuildAlone(t *testing.T) {
 // goroutine reads the same twelve resident keys through the one lock.
 func BenchmarkGetParallel(b *testing.B) {
 	const keys = 12
-	c := New[int, int](1024)
+	c := NewLRU[int, int](1024)
 	for k := 0; k < keys; k++ {
 		c.Put(k, k)
 	}

@@ -114,7 +114,7 @@ type ProbeCounters struct {
 	Delta  uint64 `json:"delta"`
 }
 
-// CoverCounters is the cover cache's slice of StatsResponse: cover sets built
+// CoverCounters is the cover levels' slice of StatsResponse: cover sets built
 // (one per level built, however many shards; a bound a resident finer level
 // serves builds none) and their total build wall,
 // the resident sets' bytes counted once, and the shards' own state over them.

@@ -76,20 +76,18 @@ type Sharded struct {
 	dropped int
 	shards  []shardState
 
-	// Scatter accounting, all lock-free: queries served, total shards
-	// contacted across them, and result-cache probes that missed (the cache
-	// counts only its hits). The probe work is the shards' datasets' own
+	// Scatter accounting, all lock-free: queries served and total shards
+	// contacted across them. The probe work is the shards' datasets' own
 	// (Stats).
 	queries  atomic.Uint64
 	contacts atomic.Uint64
-	misses   atomic.Int64
 
 	// results caches merged scatter-gather responses above the fan-out: a
 	// hit skips the per-shard queries and the merge entirely.
 	// Invalidation is epoch-sum based — see resultKey. Merged responses are
 	// plain GC-managed values (never pooled), so eviction needs no release
 	// hook.
-	results *cache.Cache[resultKey, *Response]
+	results *cache.LRU[resultKey, *Response]
 }
 
 // resultKey identifies one cacheable scatter-gather result. epochSum is the
@@ -205,7 +203,7 @@ func newSharded(name string, regions []distbound.Region, hasW bool) *Sharded {
 		engine:  distbound.NewEngine(regions),
 		domain:  distbound.DomainForRegions(regions...),
 		hasW:    hasW,
-		results: cache.New[resultKey, *Response](distbound.DefaultResultCacheCapacity),
+		results: cache.NewLRU[resultKey, *Response](distbound.DefaultResultCacheCapacity),
 	}
 }
 
@@ -343,7 +341,6 @@ func (s *Sharded) Do(ctx context.Context, req Request) (Response, error) {
 			out.Wall = time.Since(t0)
 			return out, nil
 		}
-		s.misses.Add(1)
 	}
 	out := Response{
 		Results:     join.NewResults(req.Aggs, s.engine.NumRegions()),
@@ -592,10 +589,11 @@ type Stats struct {
 	// shard's mutation epoch. ResultCache reports the merged-layer cache.
 	EpochSum    uint64
 	ResultCache cache.Stats
-	// Covers reports the shared cover cache — Builds is one per level built,
-	// whatever the shard count, and a bound a ready finer level serves builds
-	// none — and CoverBytes the resident sets' footprint, counted once;
-	// PerShard carries each shard's own state over them.
+	// Covers reports the shared cover builds (distbound.Engine.CacheStats) —
+	// Builds is one per level built, whatever the shard count, and a bound a
+	// ready finer level serves builds none — and CoverBytes the resident
+	// sets' footprint, counted once; PerShard carries each shard's own state
+	// over them.
 	Covers     cache.Stats
 	CoverBytes int
 	// PerShard holds one entry per shard, in key order.
@@ -612,7 +610,6 @@ func (s *Sharded) Stats() Stats {
 		ResultCache:    s.results.Stats(),
 		CoverBytes:     s.engine.CoverBytes(),
 	}
-	st.ResultCache.Misses = s.misses.Load()
 	if st.ContactedTotal > 0 {
 		st.MaxFanOut = len(s.shards)
 	}
