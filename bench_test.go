@@ -377,8 +377,8 @@ func BenchmarkResident(b *testing.B) {
 			benchResidentDo(b, e, req, deleteOne)
 		})
 	}
-	// The same warm request over an un-compacted delta whose watermark is
-	// current — the steady state between two appends — under the same
+	// The same warm request over an un-compacted delta the published state
+	// already holds — the steady state between two appends — under the same
 	// zero-alloc gate. Runs last: the delta stays.
 	if _, err := ds.Append(pts[:4096], weights[:4096]); err != nil {
 		b.Fatal(err)

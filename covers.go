@@ -157,12 +157,12 @@ func (d *Dataset) eachJoiner(fn func(*join.PointIdxJoiner)) {
 	}
 }
 
-// refreshJoiners brings the dataset's joiners read since the previous pass
-// up to its current snapshot (PointIdxJoiner.Refresh), single-threaded: the
+// refreshJoiners advances the dataset's joiners read since the previous pass
+// to its current snapshot (PointIdxJoiner.Refresh), single-threaded: the
 // work is bounded by the levels in use and must not crowd out the serving
-// traffic it runs beside. A read racing it waits for the rows it is
-// inverting, or inverts them first; both publish identical state. A late
-// refresh of an unregistered dataset finds its slots cleared.
+// traffic it runs beside. A read that finds a joiner advancing waits for
+// that advance, up to its own deadline, instead of computing the state
+// again. A late refresh of an unregistered dataset finds its slots cleared.
 //
 //distbound:allow-background runs on the dataset's own maintainer goroutine, which no caller's context governs
 func (d *Dataset) refreshJoiners() {

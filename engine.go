@@ -364,8 +364,12 @@ func (d *Dataset) Delete(ids ...uint64) (int, error) {
 // freshly sorted base and swaps it in atomically, bumping Generation.
 // In-flight queries finish on the pre-compaction snapshot; queries issued
 // after Compact returns probe the new base with an empty delta. Appends and
-// deletes block for the duration; queries never do.
-func (d *Dataset) Compact() {
+// deletes block for the duration; queries never do. A handle
+// UnregisterPoints has released refuses, as Append and Delete do.
+func (d *Dataset) Compact() error {
+	if err := d.e.checkDataset(d); err != nil {
+		return err
+	}
 	d.compactMu.Lock()
 	defer d.compactMu.Unlock()
 	if dur := d.dur.Load(); dur != nil {
@@ -373,13 +377,16 @@ func (d *Dataset) Compact() {
 		// result replaces the on-disk snapshot atomically and the log is
 		// retired. A checkpoint that fails before the snapshot rename leaves
 		// the previous snapshot+log pair in charge and is retried at the next
-		// compaction, reported via Stats().CheckpointErr; a directory-sync
-		// failure after the rename wedges the dataset (Stats().DurableErr),
-		// because the on-disk generation is ambiguous.
-		dur.Checkpoint() //nolint:errcheck // surfaced via Stats().CheckpointErr
-	} else {
-		d.src.Compact()
+		// compaction, and is also kept in Stats().CheckpointErr; a
+		// directory-sync failure after the rename wedges the dataset
+		// (Stats().DurableErr), because the on-disk generation is ambiguous.
+		if err := dur.Checkpoint(); err != nil {
+			return fmt.Errorf("distbound: compacting dataset %q: %w", d.name, err)
+		}
+		return nil
 	}
+	d.src.Compact()
+	return nil
 }
 
 // SetCompactionThreshold sets how much un-compacted state (delta rows plus
@@ -399,11 +406,12 @@ func (d *Dataset) SetCompactionThreshold(n int) { d.compactThreshold.Store(int64
 // after releasing the guard.
 //
 // So the new rows' inversion, and a background compaction's re-resolution
-// and refill, are paid off the read path for the levels in use. A level
-// unread since the previous pass is left to its next read, so levels read
-// long ago (levels never leave) cost an append nothing. A synchronous
-// Compact, or a Delete below the threshold, leaves its refill to the next
-// read or pass.
+// and refill, are paid off the read path for the levels in use: a read that
+// arrives during a pass waits for the level's advance rather than computing
+// it again. A level unread since the previous pass is left to its next read,
+// so levels read long ago (levels never leave) cost an append nothing. A
+// synchronous Compact, or a Delete below the threshold, leaves its refill to
+// the next read or pass.
 func (d *Dataset) maintain() {
 	if !d.due.Load() || !d.guard.TryLock() {
 		return
@@ -414,7 +422,7 @@ func (d *Dataset) maintain() {
 		for {
 			for d.due.Swap(false) && !d.gone.Load() {
 				if d.overThreshold() {
-					d.Compact()
+					d.Compact() //nolint:errcheck // kept in Stats().CheckpointErr, and the loop stops on a released handle
 				}
 				d.refreshJoiners()
 			}

@@ -121,7 +121,7 @@ func TestColdReadProbesEveryCoverRange(t *testing.T) {
 // responses are released must not allocate — not in planning (pooled maps),
 // not in artifact lookup (closure-free cache hit), not in execution
 // (published partials merged into pooled result columns) — on a compact
-// dataset and on one carrying a delta whose watermark is current.
+// dataset and on one carrying a delta the published state already holds.
 func TestWarmResidentDoAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomizes sync.Pool reuse; allocation counts are meaningless under it")

@@ -2,7 +2,11 @@ package distbound
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
+
+	"distbound/internal/data"
 )
 
 // TestResidentNeverFallsBackWhileWarm pins what a warm resident read costs
@@ -126,4 +130,91 @@ func TestBackgroundCompactionRefreshesJoiners(t *testing.T) {
 		t.Error("a synchronous Compact refreshed the joiners on its caller's time")
 	}
 	resp.Release()
+}
+
+// TestOneAdvancePerCommittedState pins what ingest costs a level, counted
+// from DatasetStats, so the maintainer's work is included: one appender,
+// which reads after each of its appends, drives threshold compactions on the
+// dataset's maintainer beside 0, 1, 2 or 4 readers of the same level; each
+// append's read races the maintainer's pass that the append starts.
+// However the reads, the maintainer's passes and the compactions interleave,
+// the level's base is filled at most once per generation — once for every
+// generation when the appender reads alone — and no appended row is inverted
+// twice.
+func TestOneAdvancePerCommittedState(t *testing.T) {
+	const bound, chunk, appends, threshold = 16, 300, 40, 1000
+	pts, ws := data.TaxiPoints(95, 8000+chunk*appends)
+	for _, readers := range []int{0, 1, 2, 4} {
+		t.Run(fmt.Sprintf("readers=%d", readers), func(t *testing.T) {
+			e := NewEngine(dataRegions(92, 5, 5, 8))
+			ds, err := e.RegisterPoints("ingest", pts[:8000], ws[:8000])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds.SetCompactionThreshold(threshold)
+			ctx := context.Background()
+			read := func() error {
+				resp, err := e.Do(ctx, Request{Dataset: ds, Aggs: []Agg{Count, Sum}, Bound: bound, Workers: 1})
+				if err == nil && resp.Strategy != StrategyPointIdx {
+					err = fmt.Errorf("read ran %v, want pointidx", resp.Strategy)
+				}
+				resp.Release()
+				return err
+			}
+			if err := read(); err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := read(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			for i := 0; i < appends; i++ {
+				// The previous append's pass first, so every threshold
+				// crossing compacts: this append's read races the pass it
+				// starts.
+				waitMaintained(ds)
+				off := 8000 + i*chunk
+				if _, err := ds.Append(pts[off:off+chunk], ws[off:off+chunk]); err != nil {
+					t.Fatal(err)
+				}
+				if err := read(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			waitMaintained(ds)
+			if err := read(); err != nil { // the last generation's base, if no pass filled it
+				t.Fatal(err)
+			}
+			c, _ := coverAt(e, bound)
+			ranges, st := c.set.NumRanges(), ds.Stats()
+			// A compaction every fourth append: 4 × 300 rows cross 1000.
+			if st.Generation != appends/4 {
+				t.Fatalf("%d threshold compactions, want %d", st.Generation, appends/4)
+			}
+			fills := st.RangesProbed / ranges
+			if st.RangesProbed%ranges != 0 || fills > int(st.Generation)+1 || (readers == 0 && fills != int(st.Generation)+1) {
+				t.Errorf("%d ranges probed: %d base fills over %d generations, want one each", st.RangesProbed, fills, st.Generation+1)
+			}
+			if st.DeltaProbed > chunk*appends {
+				t.Errorf("%d delta rows inverted for %d appended: a row was inverted twice", st.DeltaProbed, chunk*appends)
+			}
+		})
+	}
 }

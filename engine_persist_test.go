@@ -33,9 +33,10 @@ func persistFixture(t *testing.T, cfg PersistConfig) (*Engine, *Dataset, PointSe
 }
 
 // TestReleasedHandleRefusesWrites: once UnregisterPoints has released a
-// handle, Append and Delete on it fail with an error naming the dataset and
-// write nothing: not to its store, and for a durable dataset not to its log,
-// so the directory reopens to the state at the unregister.
+// handle, Append, Delete and Compact on it fail with an error naming the
+// dataset and write nothing: not to its store, and for a durable dataset not
+// to its log or its snapshot, so the directory reopens to the state at the
+// unregister.
 func TestReleasedHandleRefusesWrites(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		t.Run(map[bool]string{false: "in-memory", true: "durable"}[durable], func(t *testing.T) {
@@ -59,8 +60,12 @@ func TestReleasedHandleRefusesWrites(t *testing.T) {
 			if n, err := ds.Delete(0, 1, 2); !named(err) || n != 0 {
 				t.Errorf("Delete on a released handle returned %d, %v; want an error naming %q", n, err, ds.name)
 			}
-			if st := ds.Stats(); st.Live != before.Live || st.Epoch != before.Epoch {
-				t.Errorf("a refused write changed the store: %d live at epoch %d, was %d at %d", st.Live, st.Epoch, before.Live, before.Epoch)
+			if err := ds.Compact(); !named(err) {
+				t.Errorf("Compact on a released handle returned %v; want an error naming %q", err, ds.name)
+			}
+			if st := ds.Stats(); st.Live != before.Live || st.Epoch != before.Epoch || st.Generation != before.Generation ||
+				st.WALRecords != before.WALRecords || st.CheckpointErr != nil {
+				t.Errorf("a refused write changed the store: %+v, was %+v", st, before)
 			}
 			if !durable {
 				return
@@ -245,6 +250,9 @@ func TestDeleteSurfacesDurableError(t *testing.T) {
 	if n, err := ds.Delete(12); n != 0 || err == nil {
 		t.Fatalf("wedged Delete = (%d, %v), want (0, refused)", n, err)
 	}
+	if err := ds.Compact(); err == nil {
+		t.Fatal("Compact on a wedged dataset returned no error; its checkpoint is refused")
+	}
 	done := make(chan struct{})
 	go func() {
 		waitMaintained(ds)
@@ -266,7 +274,9 @@ func TestDurableCompactionCheckpoints(t *testing.T) {
 	if before.WALRecords == 0 {
 		t.Fatal("fixture left no log tail")
 	}
-	ds.Compact()
+	if err := ds.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	after := ds.Stats()
 	if after.WALRecords != 0 {
 		t.Errorf("compaction left %d log records", after.WALRecords)

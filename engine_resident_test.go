@@ -171,7 +171,11 @@ func TestResidentRule(t *testing.T) {
 				t.Fatalf("deleted %d (%v)", n, err)
 			}
 		}},
-		{"after Compact", ds.Compact},
+		{"after Compact", func() {
+			if err := ds.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, step := range steps {
 		step.mutate()

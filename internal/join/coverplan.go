@@ -18,7 +18,8 @@ import (
 // query then costs depends on what changed since the previous one, because
 // the two halves of an answer — the per-region fold of the base column and
 // the per-region accumulators of the un-compacted delta — are published on
-// the joiner and only ever extended:
+// the joiner as one state, which one advance at a time moves forward to the
+// store's current snapshot, reusing what still holds:
 //
 // The fill runs once per base identity (a base store plus its tombstone
 // count; compactions and deletes change it, appends do not):
@@ -36,7 +37,7 @@ import (
 //     weight pass, one span fold for all three (whole blocks through their
 //     aggregates, the end rows read, tombstoned rows skipped); both fold in
 //     the region's own Lo-ascending range order into the region's base
-//     partial, and the partials are published (basePartials). A {count}
+//     partial. A {count}
 //     query never reads a weight, and on one base identity the partials
 //     fill at most twice: the count pass, then the count and weight passes.
 //
@@ -44,27 +45,28 @@ import (
 // plus its dead-row count; appends extend it, delta deletes and compactions
 // restart it):
 //
-//  3. Invert: each delta row past the published watermark is located among
-//     the boundary segments once (stab: one load of its radix bucket's
-//     resolution when a single segment spans the bucket, a binary search
-//     inside the bucket otherwise) and fanned out to the covering regions'
-//     accumulators, in append order, and the accumulators are republished
-//     at the new watermark (deltaPartials).
+//  3. Invert: each delta row past those the published state accumulated is
+//     located among the boundary segments once (stab: one load of its radix
+//     bucket's resolution when a single segment spans the bucket, a binary
+//     search inside the bucket otherwise) and fanned out to the covering
+//     regions' accumulators, in append order.
 //
 // Every query ends with
 //
 //  4. Merge: one O(regions) pass adds each region's delta accumulator to its
 //     base partial and writes the caller's result columns.
 //
-// A warm query — same base, no new delta rows — is therefore one snapshot
-// load, two atomic loads and the merge: no probe, no fold, no allocation.
-// Under ingest a query pays only the merge as well: after each append the
-// dataset's maintainer calls Refresh on every joiner read since its previous
-// pass, which inverts the new rows off the read path. A read that arrives
-// first inverts them itself (extensions are serialized, so a read that finds
-// the maintainer inverting waits for its rows instead of inverting them
-// twice), and a level nobody read since the previous pass leaves the rows to
-// its next read. The engine serves a bound from the coarsest ready level at
+// The advance publishes each state it computes (state). A read merges the
+// published state when it answers the read's snapshot or a later one, so a
+// warm query — nothing committed since the state — is one snapshot load, one
+// atomic load and the merge: no probe, no fold, no allocation. Under ingest a
+// query pays only the merge as well: after each append the dataset's
+// maintainer calls Refresh on every joiner read since its previous pass,
+// which advances it off the read path. A read that finds the state behind
+// its snapshot advances the joiner itself, or waits for the advance already
+// running — the maintainer's or another read's — so each committed state's
+// partials are computed once; a level nobody read since the previous pass
+// leaves the rows to its next read. The engine serves a bound from the coarsest ready level at
 // least as fine as its own (a level is a floor), so every bound one level
 // serves reads one joiner: its fill, and each appended row's inversion, is
 // paid once per level served, not once per level asked for. Tombstones are
@@ -153,85 +155,53 @@ const (
 	searchBucket = math.MinInt32
 )
 
-// basePartials is the per-region fold of one base column under one tombstone
-// set — the output of the fill — with the span resolution it was folded
-// from. For one base store the tombstone list only grows, so (base, tombs)
-// identifies the live base rows exactly. The fold is a pure function of that
-// identity and the plan, so it is published through the joiner's atomic
-// pointer and shared read-only by every query until a delete or compaction
-// changes the identity. gen orders publications: a reader still holding a
-// pre-compaction snapshot must not replace the partials of the base that
-// superseded it. acc holds counts, and the three weight columns when the
-// weight pass ran (some query asked for a weight aggregate).
+// state is what a joiner publishes: the answer to one committed state of its
+// dataset, snap, as the two halves every read merges — the per-region fold of
+// snap's live base rows (base) with the span resolution it was folded from,
+// and the per-region accumulators of snap's live delta rows (delta, no
+// columns while the tail is empty). It is immutable once published. base
+// holds counts, and the three weight columns when the fill ran the weight
+// pass (some read asked for a weight aggregate); delta holds all four
+// whenever the dataset has weights — a row's fan-out costs about the same
+// either way.
 //
-// spanLo and spanHi are every cover range resolved against base: the rows
-// [spanLo[i], spanHi[i]), region-ordered like the plan's ranges. They depend
-// only on the plan and the base store — not on deltas, tombstones or the
-// query — so the next fill over the same store reuses them, and cover-plan
-// maintenance across a compaction is incremental: the table survives
-// verbatim, and the first fill against the new base re-runs only resolve.
-type basePartials struct {
-	base           *pointstore.Store
-	gen            uint64
-	tombs          int
+// spanLo and spanHi are every cover range resolved against snap's base
+// store: the rows [spanLo[i], spanHi[i]), region-ordered like the plan's
+// ranges. They depend only on the plan and the base store — not on deltas,
+// tombstones or the query — so the next state over the same store reuses
+// them, and cover-plan maintenance across a compaction is incremental: the
+// table survives verbatim, and the first advance past it re-runs only resolve.
+type state struct {
+	snap           *pointstore.Snapshot
 	spanLo, spanHi []int32
-	acc            acc
+	base, delta    acc
 }
 
-// serves reports whether bp answers over snap's base rows, with the weight
-// columns when weights asks for them.
+// answers reports whether a read of snap may merge st: st answers snap's
+// committed state or a later one (one store's epochs order its snapshots),
+// with the weight columns when weights asks for them.
 //
 //distbound:noalloc
-func (bp *basePartials) serves(snap *pointstore.Snapshot, weights bool) bool {
-	return bp != nil && bp.base == snap.BaseStore() && bp.tombs == snap.Tombstones() &&
-		(bp.weighted() || !weights)
+func (st *state) answers(snap *pointstore.Snapshot, weights bool) bool {
+	return st != nil && st.snap.Epoch() >= snap.Epoch() && (st.weighted() || !weights)
 }
 
-// weighted reports whether bp's fill ran the weight pass.
+// weighted reports whether st's base fill ran the weight pass.
 //
 //distbound:noalloc
-func (bp *basePartials) weighted() bool { return bp.acc.sums != nil }
+func (st *state) weighted() bool { return st != nil && st.base.sums != nil }
 
-// deltaPartials is the per-region accumulation of delta rows [0, upto) of
-// one delta lineage: within a compaction generation the delta tail is
-// append-only and its dead set only grows, so (gen, dead) fixes the content
-// and liveness of every row below upto, and any snapshot of the same lineage
-// with a longer tail extends these accumulators instead of recomputing them.
-// All four columns are maintained whenever the dataset has weights — a row's
-// fan-out costs about the same either way, and it spares the watermark a
-// per-column history.
-type deltaPartials struct {
-	gen  uint64
-	dead int
-	upto int
-	acc  acc
-}
-
-// extends reports whether dp accumulates a prefix of snap's delta tail.
-//
-//distbound:noalloc
-func (dp *deltaPartials) extends(snap *pointstore.Snapshot) bool {
-	return dp != nil && dp.gen == snap.Gen() && dp.dead == snap.DeltaDead() && dp.upto <= snap.DeltaLen()
-}
-
-// covers reports whether dp accumulates snap's whole delta tail.
-//
-//distbound:noalloc
-func (dp *deltaPartials) covers(snap *pointstore.Snapshot) bool {
-	return dp.extends(snap) && dp.upto == snap.DeltaLen()
-}
-
-// ProbeStats reports the work one cover-plan execution performed — not the
-// size of what it answered from.
+// ProbeStats reports the work one advance performed — not the size of what
+// it answered from.
 type ProbeStats struct {
 	// RangesProbed is the number of cover ranges whose span aggregates were
 	// computed by a base fill: every region's every range (NumRanges) when
-	// this execution filled the base partials — a count pass, or a count and
-	// weight pass — 0 when it was served from published ones.
+	// the advance filled the base partials — a count pass, or a count and
+	// weight pass — 0 when it kept the published ones.
 	RangesProbed int
-	// DeltaProbed is the number of live delta rows this execution searched
-	// into the boundary segments: the rows past the published watermark, 0
-	// when the watermark already covered the snapshot's tail.
+	// DeltaProbed is the number of live delta rows the advance searched into
+	// the boundary segments: the rows past those the published state
+	// accumulated, 0 when it covered the snapshot's tail.
 	DeltaProbed int
 }
 
@@ -499,121 +469,158 @@ func (p *coverPlan) memoryBytes() int {
 // count pass per region and one weight pass when an aggregate reads weights,
 // the delta tail inverted into the boundary segments once — into
 // caller-provided results, allocation-free when warm. One snapshot is loaded
-// up front, so every aggregate of one call answers over the same instant of
-// the dataset. results must hold one Result per aggregate, positionally
-// aligned with aggs, each with Counts (and Sums/Extremes where the aggregate
-// needs them) sized to the region count; every slot is overwritten. The
-// returned ProbeStats counts the work this call performed: zero on the warm
-// path. workers only shapes a base fill; inversion and merge run inline
-// whatever it says.
+// up front, and every aggregate of one call answers from one published state:
+// that snapshot's committed state or a later one (stateAt). results must hold
+// one Result per aggregate, positionally aligned with aggs, each with Counts
+// (and Sums/Extremes where the aggregate needs them) sized to the region
+// count; every slot is overwritten. The returned ProbeStats counts the work
+// this call performed: zero on the warm path, and zero when it waited for an
+// advance another caller started. workers only shapes a base fill; inversion
+// and merge run inline whatever it says.
 //
 //distbound:noalloc
 func (j *PointIdxJoiner) AggregateMultiInto(ctx context.Context, aggs []Agg, workers int, results []Result) (ProbeStats, error) {
 	if err := j.validateAggs(aggs); err != nil {
 		return ProbeStats{}, err
 	}
-	return j.aggregateSnapshot(ctx, j.current(j.src.Snapshot()), needsOf(aggs) != (aggNeeds{}), workers, results)
-}
-
-// current returns the snapshot a read loaded, or the store's current one when
-// the published delta accumulators already run past snap's tail in its
-// lineage — a Refresh published a later watermark after snap was loaded.
-// Those accumulators are a prefix of the current snapshot's tail, a later
-// committed state the read may answer instead, so it merges them rather than
-// inverting snap's shorter tail again from row 0. The caller reads the one
-// snapshot current returns.
-//
-//distbound:noalloc
-func (j *PointIdxJoiner) current(snap *pointstore.Snapshot) *pointstore.Snapshot {
-	if dp := j.delta.Load(); dp != nil && dp.gen == snap.Gen() && dp.dead == snap.DeltaDead() && dp.upto > snap.DeltaLen() {
-		return j.src.Snapshot()
+	st, stats, err := j.stateAt(ctx, j.src.Snapshot(), needsOf(aggs) != (aggNeeds{}), workers)
+	if err != nil {
+		return ProbeStats{}, err
 	}
-	return snap
+	st.base.writeTo(results, &st.delta)
+	return stats, nil
 }
 
-// aggregateSnapshot answers over one snapshot: load the published base
-// partials and delta accumulators, bring whichever does not cover snap up to
-// it (fillBase, extendDelta — the only steps that allocate), mark the joiner
-// read for the maintainer (Refresh), and merge. It allocates nothing when
-// both already do. weights asks for the weight columns.
+// stateAt returns a published state a read of snap may merge, and marks the
+// joiner read for the maintainer (Refresh). When the published one does not
+// answer snap the read advances the joiner, and returns the work of the
+// advance it started. An advance another caller started may lack the weight
+// columns this read needs; the read then starts one of its own. It allocates
+// nothing when the published state answers.
 //
 //distbound:noalloc
-func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore.Snapshot, weights bool, workers int, results []Result) (ProbeStats, error) {
+func (j *PointIdxJoiner) stateAt(ctx context.Context, snap *pointstore.Snapshot, weights bool, workers int) (*state, ProbeStats, error) {
 	var stats ProbeStats
-	var err error
-	bp := j.base.Load()
-	if !bp.serves(snap, weights) {
-		if bp, err = j.fillBase(ctx, snap, weights, workers); err != nil {
-			return ProbeStats{}, err
+	st := j.state.Load()
+	for !st.answers(snap, weights) {
+		var err error
+		if st, stats, err = j.advance(ctx, snap, weights, workers); err != nil {
+			return nil, ProbeStats{}, err
 		}
-		stats.RangesProbed = j.NumRanges()
-	}
-	var delta *acc
-	if snap.DeltaLen() > 0 {
-		dp := j.delta.Load()
-		if !dp.covers(snap) {
-			if dp, stats.DeltaProbed, err = j.extendDelta(ctx, snap); err != nil {
-				return ProbeStats{}, err
-			}
-		}
-		delta = &dp.acc
 	}
 	if !j.read.Load() {
 		j.read.Store(true)
 	}
-	bp.acc.writeTo(results, delta)
-	return stats, nil
+	return st, stats, nil
 }
 
-// fillBase is the fill: it takes the published partials' spans when they
-// were resolved against snap's base store and resolves afresh otherwise,
-// folds every region's ranges — the count pass, and the weight pass when
-// weights asks for it — and publishes the partials with their spans. Racing
-// fills of one identity produce identical columns from the same immutable
-// base, so any of their publications is correct; a fill for a superseded
-// base answers its caller and publishes nothing.
-func (j *PointIdxJoiner) fillBase(ctx context.Context, snap *pointstore.Snapshot, weights bool, workers int) (*basePartials, error) {
-	p := j.plan
-	next := &basePartials{base: snap.BaseStore(), gen: snap.Gen(), tombs: snap.Tombstones()}
-	if cur := j.base.Load(); cur != nil && cur.base == next.base {
-		next.spanLo, next.spanHi = cur.spanLo, cur.spanHi
-	} else {
-		var err error
-		if next.spanLo, next.spanHi, err = p.resolve(ctx, snap, workers); err != nil {
+// advance returns the published state when it answers snap with the weight
+// columns weights asks for, and otherwise computes the state of the store's
+// current snapshot — not snap — from the published one (next), publishes it
+// and returns it with its work. Advances run through the joiner's Flight: a
+// caller arriving while one runs waits for it instead of starting its own,
+// reports none of its work, and stops waiting with ctx.Err() when ctx ends,
+// whoever started the advance. Since the advance loads the store's snapshot
+// after its caller did, what it publishes answers its caller's snapshot or a
+// later one. An advance every caller abandoned may still finish beside the
+// one its next caller starts and publish an older state after it; that costs
+// a later read another advance, never a wrong answer.
+func (j *PointIdxJoiner) advance(ctx context.Context, snap *pointstore.Snapshot, weights bool, workers int) (*state, ProbeStats, error) {
+	var work ProbeStats
+	st, err := j.advancing.Do(ctx, struct{}{}, func() (*state, bool) {
+		st := j.state.Load()
+		return st, st.answers(snap, weights)
+	}, func(ctx context.Context) (*state, error) {
+		next, w, err := j.next(ctx, j.state.Load(), j.src.Snapshot(), weights, workers)
+		if err != nil {
 			return nil, err
 		}
-	}
-	next.acc = newAcc(aggNeeds{sum: weights, min: weights, max: weights}, j.NumRegions())
-	shards := pool.SplitWeighted(j.NumRegions(), workers, func(ri int) int64 {
-		return int64(p.regOff[ri+1]-p.regOff[ri]) + 1
-	})
-	err := pool.RunCtx(ctx, len(shards), len(shards), func(_, si int) error {
-		return p.foldRegions(ctx, snap, next, shards[si][0], shards[si][1])
+		j.rangesProbed.Add(int64(w.RangesProbed))
+		j.deltaProbed.Add(int64(w.DeltaProbed))
+		j.state.Store(next)
+		work = w
+		return next, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, ProbeStats{}, err
 	}
-	j.rangesProbed.Add(int64(j.NumRanges()))
-	if cur := j.base.Load(); cur == nil || cur.gen < next.gen || (cur.gen == next.gen && cur.tombs <= next.tombs) {
-		j.base.Store(next)
-	}
-	return next, nil
+	return st, work, nil
 }
 
-// foldRegions folds the base partials of regions [from, to) into bp's acc
-// slots: per region, its contiguous slice of bp's span columns goes through
+// next computes the state of snap from prev, the published state (nil when
+// none is), and the work that took. It keeps prev's spans when snap has the
+// same base store and resolves them afresh otherwise; it keeps prev's base
+// fold when the tombstones are the same too and prev holds the weight columns
+// weights asks for, and otherwise folds every region's ranges — the count
+// pass, and the weight pass when weights asks for it. It keeps prev's delta
+// accumulators when they cover snap's tail, copies and extends them by the
+// rows past prev's when prev is of snap's delta lineage (a compaction
+// generation plus its dead-row count), and otherwise inverts from row 0.
+// prev's snapshot must not be later than snap.
+func (j *PointIdxJoiner) next(ctx context.Context, prev *state, snap *pointstore.Snapshot, weights bool, workers int) (*state, ProbeStats, error) {
+	p := j.plan
+	next := &state{snap: snap}
+	var work ProbeStats
+	sameBase := prev != nil && prev.snap.BaseStore() == snap.BaseStore()
+	if sameBase && prev.snap.Tombstones() == snap.Tombstones() && (prev.weighted() || !weights) {
+		next.spanLo, next.spanHi, next.base = prev.spanLo, prev.spanHi, prev.base
+	} else {
+		if sameBase {
+			next.spanLo, next.spanHi = prev.spanLo, prev.spanHi
+		} else {
+			var err error
+			if next.spanLo, next.spanHi, err = p.resolve(ctx, snap, workers); err != nil {
+				return nil, ProbeStats{}, err
+			}
+		}
+		next.base = newAcc(aggNeeds{sum: weights, min: weights, max: weights}, j.NumRegions())
+		shards := pool.SplitWeighted(j.NumRegions(), workers, func(ri int) int64 {
+			return int64(p.regOff[ri+1]-p.regOff[ri]) + 1
+		})
+		err := pool.RunCtx(ctx, len(shards), len(shards), func(_, si int) error {
+			return p.foldRegions(ctx, snap, next, shards[si][0], shards[si][1])
+		})
+		if err != nil {
+			return nil, ProbeStats{}, err
+		}
+		work.RangesProbed = j.NumRanges()
+	}
+	from := 0
+	if prev != nil && prev.snap.Gen() == snap.Gen() && prev.snap.DeltaDead() == snap.DeltaDead() {
+		from = prev.snap.DeltaLen()
+	}
+	switch n := snap.DeltaLen(); {
+	case n == 0:
+	case from == n:
+		next.delta = prev.delta
+	default:
+		w := snap.HasWeights()
+		next.delta = newAcc(aggNeeds{sum: w, min: w, max: w}, j.NumRegions())
+		if from > 0 {
+			next.delta.merge(&prev.delta) // into the identities: a copy
+		}
+		var err error
+		if work.DeltaProbed, err = j.invertDelta(ctx, snap, &next.delta, from); err != nil {
+			return nil, ProbeStats{}, err
+		}
+	}
+	return next, work, nil
+}
+
+// foldRegions folds the base partials of regions [from, to) into st's base
+// slots: per region, its contiguous slice of st's span columns goes through
 // the batched span folds a chunk of foldChunk ranges at a time — the count
-// pass, then the weight pass when bp holds weight columns — and the
+// pass, then the weight pass when st holds weight columns — and the
 // per-range values fold in the region's own Lo-ascending order (the
 // reference execution's fold order).
 //
 //distbound:noalloc
-func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, bp *basePartials, from, to int) error {
+func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, st *state, from, to int) error {
 	var (
 		cnt         [foldChunk]int64
 		sum, mn, mx [foldChunk]float64
 	)
-	a, weights := &bp.acc, bp.weighted()
+	a, weights := &st.base, st.weighted()
 	done := ctx.Done()
 	for ri := from; ri < to; ri++ {
 		rc, rsum, rmn, rmx := int64(0), 0.0, math.Inf(1), math.Inf(-1)
@@ -622,7 +629,7 @@ func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, 
 				return ctx.Err()
 			}
 			n := min(foldChunk, end-lo)
-			los, his := bp.spanLo[lo:lo+n], bp.spanHi[lo:lo+n]
+			los, his := st.spanLo[lo:lo+n], st.spanHi[lo:lo+n]
 			snap.CountSpans(los, his, cnt[:n])
 			for _, c := range cnt[:n] {
 				rc += c
@@ -641,44 +648,6 @@ func (p *coverPlan) foldRegions(ctx context.Context, snap *pointstore.Snapshot, 
 		}
 	}
 	return nil
-}
-
-// extendDelta returns delta accumulators covering snap's whole delta tail:
-// the published ones when a racing extension got there first, else the
-// published ones copied and extended by the rows past their watermark when
-// they accumulate a prefix of that tail, else a fresh inversion from row 0
-// (a delta delete or compaction started a new lineage, or the reader's
-// snapshot predates the watermark). It also returns how many live rows it
-// inverted. Extensions run one at a time (extending), so no row is inverted
-// twice for one watermark. The result is published unless the slot holds
-// something newer: a stale reader's inversion is its own answer only.
-func (j *PointIdxJoiner) extendDelta(ctx context.Context, snap *pointstore.Snapshot) (*deltaPartials, int, error) {
-	j.extending.Lock()
-	defer j.extending.Unlock()
-	cur := j.delta.Load()
-	if cur.covers(snap) {
-		return cur, 0, nil
-	}
-	w := snap.HasWeights()
-	next := &deltaPartials{
-		gen: snap.Gen(), dead: snap.DeltaDead(), upto: snap.DeltaLen(),
-		acc: newAcc(aggNeeds{sum: w, min: w, max: w}, j.NumRegions()),
-	}
-	from := 0
-	if cur.extends(snap) {
-		next.acc.merge(&cur.acc) // into the identities: a copy
-		from = cur.upto
-	}
-	probed, err := j.invertDelta(ctx, snap, &next.acc, from)
-	if err != nil {
-		return nil, 0, err
-	}
-	j.deltaProbed.Add(int64(probed))
-	if cur == nil || cur.gen < next.gen || (cur.gen == next.gen &&
-		(cur.dead < next.dead || (cur.dead == next.dead && cur.upto < next.upto))) {
-		j.delta.Store(next)
-	}
-	return next, probed, nil
 }
 
 // resolve is the incremental cover-plan maintenance step: every boundary

@@ -277,10 +277,10 @@ func TestCoverPlanWeightedFoldIsolation(t *testing.T) {
 // span resolution the base partials carry: fills against one base store —
 // under appends, deletes and the weight pass, which never move base rows —
 // reuse one resolution; a compaction's new base forces exactly one
-// re-resolution, reusing the cover table by identity; a fill on a snapshot
-// the compaction superseded neither publishes nor disturbs the current
-// base's spans; and results stay bit-identical to the reference execution
-// throughout.
+// re-resolution, reusing the cover table by identity; a read of a snapshot
+// the compaction superseded answers the published state without a fill, so
+// it cannot disturb the current base's spans; and results stay bit-identical
+// to the reference execution throughout.
 func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	pts, _ := data.TaxiPoints(31, 8000)
 	// Integer weights: the two executions associate the delta tail's float
@@ -299,11 +299,11 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pj.base.Load() != nil {
+	if pj.state.Load() != nil {
 		t.Fatal("construction resolved spans before any query")
 	}
 	// spans identifies the published resolution by its first element.
-	spans := func() *int32 { return &pj.base.Load().spanLo[0] }
+	spans := func() *int32 { return &pj.state.Load().spanLo[0] }
 	ctx := context.Background()
 	ref := refCovers(regions, pj, 16)
 	aggs := []Agg{Count, Sum, Min, Max}
@@ -311,7 +311,7 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs1 := spans()
-	if pj.base.Load().base != store.Snapshot().BaseStore() {
+	if pj.state.Load().snap.BaseStore() != store.Snapshot().BaseStore() {
 		t.Fatal("published resolution names a foreign base")
 	}
 	checkPlanMatchesPerRegion(t, "weight-pass", pj, ref, aggs)
@@ -339,25 +339,25 @@ func TestResolvedSpansIncrementalMaintenance(t *testing.T) {
 	if rs2 == rs1 {
 		t.Fatal("compaction did not refresh the span resolution")
 	}
-	if pj.base.Load().base != store.Snapshot().BaseStore() {
+	if pj.state.Load().snap.BaseStore() != store.Snapshot().BaseStore() {
 		t.Fatal("refreshed resolution names a stale base")
 	}
 	if pj.plan != plan {
 		t.Fatal("compaction rebuilt the cover plan; maintenance must be incremental")
 	}
-	// A reader still on the pre-compaction snapshot fills for its own
-	// answer and publishes nothing, so a delete on the current base then
+	// A reader still on the pre-compaction snapshot answers the published
+	// later state and fills nothing, so a delete on the current base then
 	// refills from the current base's spans.
-	if _, err := pj.aggregateSnapshot(ctx, old, weightsAsked(aggs), 1, NewResults(aggs, pj.NumRegions())); err != nil {
-		t.Fatal(err)
+	if _, work, err := pj.stateAt(ctx, old, weightsAsked(aggs), 1); err != nil || work != (ProbeStats{}) {
+		t.Fatalf("a read of the superseded snapshot did %+v (err %v), want no work", work, err)
 	}
 	if spans() != rs2 {
-		t.Fatal("a fill on a superseded snapshot replaced the current base's spans")
+		t.Fatal("a read of a superseded snapshot replaced the current base's spans")
 	}
 	store.Delete(11)
-	checkPlanMatchesPerRegion(t, "deleted-after-stale-fill", pj, ref, aggs)
+	checkPlanMatchesPerRegion(t, "deleted-after-stale-read", pj, ref, aggs)
 	if spans() != rs2 {
-		t.Fatal("a delete after a stale fill re-resolved the current base")
+		t.Fatal("a delete after a stale read re-resolved the current base")
 	}
 	// The steady state after the refresh shares again.
 	if _, err := residentAggregate(ctx, pj, aggs, 1); err != nil {

@@ -2,10 +2,12 @@ package join
 
 import (
 	"context"
+	"errors"
 	"math"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"distbound/internal/data"
 	"distbound/internal/geom"
@@ -14,9 +16,10 @@ import (
 	"distbound/internal/sfc"
 )
 
-// The incremental state of the resident execution — base partials published
-// per base identity, delta accumulators published per lineage up to a
-// watermark — must be invisible in the answers. The harness below drives one
+// The incremental state of the resident execution — one published state per
+// joiner, whose base partials an advance keeps while the base identity holds
+// and whose delta accumulators it extends within a lineage — must be
+// invisible in the answers. The harness below drives one
 // mutable store through appends, deletes and compactions and asks every
 // query twice: of a joiner that keeps its partials across the whole stream,
 // and of a sibling over the same store whose partials are dropped before
@@ -170,12 +173,7 @@ func (h *foldHarness) aggSubset(mask int) []Agg {
 // per-region reference, and returns the incremental run's ProbeStats.
 func (h *foldHarness) query(bi int, aggs []Agg, workers int) ProbeStats {
 	h.t.Helper()
-	return h.queryAt(h.store.Snapshot(), bi, aggs, workers)
-}
-
-func (h *foldHarness) queryAt(snap *pointstore.Snapshot, bi int, aggs []Agg, workers int) ProbeStats {
-	h.t.Helper()
-	ctx := context.Background()
+	ctx, snap := context.Background(), h.store.Snapshot()
 	n := h.inc[bi].NumRegions()
 	got, want := NewResults(aggs, n), NewResults(aggs, n)
 	stats, err := h.inc[bi].aggregateSnapshot(ctx, snap, weightsAsked(aggs), workers, got)
@@ -297,40 +295,40 @@ func TestIncrementalFoldEdges(t *testing.T) {
 		}
 	})
 
+	// A stale reader — its snapshot older than the published state —
+	// answers that later state and does no work: epochs order one store's
+	// snapshots, whatever lineage or base they are of.
+	stale := func(h *foldHarness, old *pointstore.Snapshot) {
+		t.Helper()
+		published := h.inc[1].state.Load()
+		if published.snap != h.store.Snapshot() {
+			t.Fatalf("published state at epoch %d, want the current %d", published.snap.Epoch(), h.store.Epoch())
+		}
+		st, work, err := h.inc[1].stateAt(context.Background(), old, true, 1)
+		if err != nil || work != (ProbeStats{}) || st != published {
+			t.Fatalf("stale reader: err %v, work %+v, answered the published state: %v; want it, with no work", err, work, st == published)
+		}
+		if h.inc[1].state.Load() != published {
+			t.Fatal("a stale reader replaced the published state")
+		}
+	}
+
 	t.Run("stale reader after the watermark advanced", func(t *testing.T) {
 		h := newFoldHarness(t, true)
 		h.append(20)
 		h.query(1, allFive, 1)
 		old := h.store.Snapshot()
 		h.append(30)
-		h.query(1, allFive, 1)
-		published := h.inc[1].delta.Load()
-		if published.upto != 50 {
-			t.Fatalf("watermark at %d, want 50", published.upto)
+		if st := h.query(1, allFive, 1); st != (ProbeStats{DeltaProbed: 30}) {
+			t.Fatalf("current reader reported %+v, want the 30 new rows", st)
 		}
-		// The pre-append snapshot is answered from row 0 and leaves the
-		// published accumulators alone.
-		if st := h.queryAt(old, 1, allFive, 1); st != (ProbeStats{DeltaProbed: 20}) {
-			t.Fatalf("stale reader reported %+v, want its own 20 rows inverted", st)
-		}
-		if h.inc[1].delta.Load() != published {
-			t.Fatal("a stale reader replaced the published delta accumulators")
-		}
-		if st := h.query(1, allFive, 1); st != (ProbeStats{}) {
-			t.Fatalf("current reader after the stale one reported %+v, want no work", st)
-		}
-		// The same across a compaction: a reader of the superseded base
-		// fills for itself and publishes nothing.
+		stale(h, old)
+		// The same across a compaction: the pre-compaction reader answers
+		// the state of the new base.
 		h.compact()
 		h.append(2)
 		h.query(1, allFive, 1)
-		base, delta := h.inc[1].base.Load(), h.inc[1].delta.Load()
-		if st := h.queryAt(old, 1, allFive, 1); st.RangesProbed == 0 || st.DeltaProbed != 20 {
-			t.Fatalf("pre-compaction reader reported %+v, want a private fill and inversion", st)
-		}
-		if h.inc[1].base.Load() != base || h.inc[1].delta.Load() != delta {
-			t.Fatal("a pre-compaction reader replaced state published for the new base")
-		}
+		stale(h, old)
 	})
 
 	t.Run("a read behind a published watermark answers at it", func(t *testing.T) {
@@ -342,28 +340,69 @@ func TestIncrementalFoldEdges(t *testing.T) {
 		if err := h.inc[1].Refresh(context.Background(), 1); err != nil {
 			t.Fatal(err)
 		}
-		if published := h.inc[1].delta.Load(); published.upto != 50 {
-			t.Fatalf("Refresh published watermark %d, want 50", published.upto)
+		stale(h, old)
+		if st := h.query(1, allFive, 1); st != (ProbeStats{}) {
+			t.Fatalf("a read at the refreshed state reported %+v, want no work", st)
 		}
-		// The snapshot loaded before the Refresh is retaken, not inverted
-		// again from row 0; the retaken one is answered from the published
-		// accumulators alone.
-		cur := h.inc[1].current(old)
-		if cur.DeltaLen() != 50 {
-			t.Fatalf("a read behind the watermark kept a %d-row tail, want the current 50", cur.DeltaLen())
-		}
-		if st := h.queryAt(cur, 1, allFive, 1); st != (ProbeStats{}) {
-			t.Fatalf("the retaken read reported %+v, want no work", st)
-		}
-		if h.inc[1].current(cur) != cur {
-			t.Fatal("a read at the watermark retook its snapshot")
-		}
-		// Once a delta delete's lineage is published, a read of the old one
-		// keeps its snapshot: nothing published extends it.
+		// A delta delete starts another lineage; a read of the old one still
+		// answers the published state.
 		h.deleteFrom(&h.deltaIDs, 0)
 		h.query(1, allFive, 1)
-		if h.inc[1].current(old) != old {
-			t.Fatal("a read of another lineage retook its snapshot")
+		stale(h, old)
+	})
+
+	t.Run("an advance computes the store's current state and publishes it", func(t *testing.T) {
+		h := newFoldHarness(t, true)
+		h.query(1, allFive, 1)
+		h.append(10)
+		old := h.store.Snapshot()
+		h.append(5)
+		st, work, err := h.inc[1].stateAt(context.Background(), old, true, 1)
+		if err != nil || work != (ProbeStats{DeltaProbed: 15}) || st.snap != h.store.Snapshot() {
+			t.Fatalf("a read of a snapshot behind the store did %+v (err %v) and answered epoch %d; want all 15 rows and the current epoch %d",
+				work, err, st.snap.Epoch(), h.store.Epoch())
+		}
+		if h.inc[1].state.Load() != st {
+			t.Fatal("the read answered a state it did not publish")
+		}
+		if st := h.query(1, allFive, 1); st != (ProbeStats{}) {
+			t.Fatalf("a read of the current snapshot reported %+v, want no work", st)
+		}
+	})
+
+	t.Run("a canceled read stops waiting for another caller's advance", func(t *testing.T) {
+		h := newFoldHarness(t, true)
+		j := h.inc[1]
+		started, release, finished := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() { // an advance that runs until released, as a slow fill would
+			defer close(finished)
+			_, _ = j.advancing.Do(context.Background(), struct{}{}, func() (*state, bool) { return nil, false },
+				func(context.Context) (*state, error) {
+					close(started)
+					<-release
+					return nil, context.Canceled
+				})
+		}()
+		<-started
+		ctx, cancel := context.WithCancel(context.Background())
+		read := make(chan error, 1)
+		go func() {
+			_, _, err := j.stateAt(ctx, h.store.Snapshot(), true, 1)
+			read <- err
+		}()
+		cancel()
+		select {
+		case err := <-read:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("canceled read returned %v, want context.Canceled", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a canceled read kept waiting for the advance it joined")
+		}
+		close(release)
+		<-finished
+		if st := h.query(1, allFive, 1); st != (ProbeStats{RangesProbed: j.NumRanges()}) {
+			t.Fatalf("the read after the abandoned wait reported %+v, want its own fill", st)
 		}
 	})
 
@@ -433,7 +472,7 @@ func TestIncrementalFoldEdges(t *testing.T) {
 			if st := h.query(2, step.aggs, 1); st != (ProbeStats{RangesProbed: step.probed}) {
 				t.Fatalf("%v: reported %+v, want %d ranges probed", step.aggs, st, step.probed)
 			}
-			if w := h.inc[2].base.Load().weighted(); w != step.weighted {
+			if w := h.inc[2].state.Load().weighted(); w != step.weighted {
 				t.Fatalf("%v: published weight pass %v, want %v", step.aggs, w, step.weighted)
 			}
 		}
@@ -442,7 +481,7 @@ func TestIncrementalFoldEdges(t *testing.T) {
 		if st := h.query(2, []Agg{Count}, 1); st.RangesProbed != uniq {
 			t.Fatalf("count after a delete reported %+v, want a refill", st)
 		}
-		if bp := h.inc[2].base.Load(); bp.weighted() || bp.acc.sums != nil || bp.acc.mins != nil || bp.acc.maxs != nil {
+		if st := h.inc[2].state.Load(); st.weighted() || st.base.sums != nil || st.base.mins != nil || st.base.maxs != nil {
 			t.Fatal("count-only refill folded a weight column nobody asked for")
 		}
 	})
@@ -506,8 +545,8 @@ func TestIncrementalFoldEdges(t *testing.T) {
 	t.Run("refresh refills what was asked for", func(t *testing.T) {
 		h := newFoldHarness(t, true)
 		ctx := context.Background()
-		if err := h.inc[1].Refresh(ctx, 1); err != nil || h.inc[1].base.Load() != nil {
-			t.Fatalf("Refresh of an untouched joiner: err %v, published %v", err, h.inc[1].base.Load())
+		if err := h.inc[1].Refresh(ctx, 1); err != nil || h.inc[1].state.Load() != nil {
+			t.Fatalf("Refresh of an untouched joiner: err %v, published %v", err, h.inc[1].state.Load())
 		}
 		h.query(1, []Agg{Count, Sum}, 1)
 		h.append(8)
@@ -515,8 +554,8 @@ func TestIncrementalFoldEdges(t *testing.T) {
 		if err := h.inc[1].Refresh(ctx, 1); err != nil {
 			t.Fatal(err)
 		}
-		if bp := h.inc[1].base.Load(); !bp.serves(h.store.Snapshot(), true) {
-			t.Fatalf("Refresh dropped the weight pass: published weighted=%v", bp.weighted())
+		if st := h.inc[1].state.Load(); !st.answers(h.store.Snapshot(), true) {
+			t.Fatalf("Refresh dropped the weight pass: published weighted=%v", st.weighted())
 		}
 		if st := h.query(1, allFive, 1); st != (ProbeStats{}) {
 			t.Fatalf("query after Refresh reported %+v, want no work", st)
@@ -528,8 +567,8 @@ func TestIncrementalFoldEdges(t *testing.T) {
 		if err := h.inc[2].Refresh(ctx, 1); err != nil {
 			t.Fatal(err)
 		}
-		if bp := h.inc[2].base.Load(); !bp.serves(h.store.Snapshot(), false) || bp.weighted() {
-			t.Fatalf("Refresh of count-only partials: serves %v, weighted %v", bp.serves(h.store.Snapshot(), false), bp.weighted())
+		if st := h.inc[2].state.Load(); !st.answers(h.store.Snapshot(), false) || st.weighted() {
+			t.Fatalf("Refresh of count-only partials: answers %v, weighted %v", st.answers(h.store.Snapshot(), false), st.weighted())
 		}
 	})
 }

@@ -3,9 +3,9 @@ package join
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"distbound/internal/cache"
 	"distbound/internal/geom"
 	"distbound/internal/pointstore"
 	"distbound/internal/raster"
@@ -66,10 +66,12 @@ func (cs *CoverSet) MemoryBytes() int { return cs.plan.memoryBytes() }
 // compaction.
 //
 // A query loads one immutable snapshot of the dataset and answers from the
-// cover table (coverplan.go): per region, the base's range aggregates folded
-// over the region's cover ranges (tombstoned rows skipped), plus the delta
-// tail's rows fanned out to the regions covering their keys. The result is
-// therefore exactly what a freshly compacted store would return:
+// cover table (coverplan.go) at that snapshot's committed state or a later
+// one, whichever the joiner has published: per region, the base's range
+// aggregates folded over the region's cover ranges (tombstoned rows
+// skipped), plus the delta tail's rows fanned out to the regions covering
+// their keys. The result is therefore exactly what a freshly compacted store
+// would return:
 // COUNT/MIN/MAX are bit-identical to a full rebuild of the surviving points,
 // SUM/AVG agree up to float re-association (the delta tail sums in append
 // order rather than key order).
@@ -81,24 +83,18 @@ type PointIdxJoiner struct {
 	*CoverSet
 	src *pointstore.Mutable
 
-	// base and delta publish the two halves of the current answer: the
-	// per-region fold of the base rows with the span resolution it was
-	// folded from, refilled when a delete or compaction changes the rows and
-	// re-resolved only when a compaction installs a new base, and the
-	// per-region delta accumulators up to a watermark, extended as the tail
-	// grows.
-	base  atomic.Pointer[basePartials]
-	delta atomic.Pointer[deltaPartials]
-	// extending serializes delta extensions, so a read that finds a refresh
-	// inverting the rows it needs waits for them instead of inverting them
-	// again; the warm path, which finds the watermark current, never takes it.
-	extending sync.Mutex
+	// state is the published answer to one committed state of src, and
+	// advancing runs the one advance that replaces it (advance): a read
+	// merges state when it answers the read's snapshot, and otherwise starts
+	// an advance or waits for the one running.
+	state     atomic.Pointer[state]
+	advancing cache.Flight[struct{}, *state]
 
 	// read is set by every read once it has its answer and cleared by a
 	// Refresh that works: only a joiner read since then is kept current.
 	read atomic.Bool
-	// rangesProbed and deltaProbed sum the work of every fill and inversion
-	// on this joiner, reads' and refreshes' alike (Probed).
+	// rangesProbed and deltaProbed sum the work of every advance on this
+	// joiner, reads' and refreshes' alike (Probed).
 	rangesProbed, deltaProbed atomic.Int64
 }
 
@@ -124,58 +120,40 @@ func NewPointIdxJoiner(regions []geom.Region, src *pointstore.Mutable, eps float
 	return cs.Attach(src), nil
 }
 
-// MemoryBytes returns this dataset's state over the cover set — whichever of
-// the per-region partials (8 bytes a region per held column: counts, plus the
-// three weight columns once the weight pass ran) are published, and the base
-// partials' span resolution (8 bytes a cover range) — excluding the shared
-// CoverSet and the dataset.
+// MemoryBytes returns this dataset's published state over the cover set —
+// the per-region partials (8 bytes a region per held column: counts, plus
+// the three weight columns once the weight pass ran, and the delta's) and the
+// span resolution (8 bytes a cover range) — excluding the shared CoverSet and
+// the dataset.
 func (j *PointIdxJoiner) MemoryBytes() int {
-	n := 0
-	if bp := j.base.Load(); bp != nil {
-		n += 4*(len(bp.spanLo)+len(bp.spanHi)) + bp.acc.memoryBytes()
+	st := j.state.Load()
+	if st == nil {
+		return 0
 	}
-	if dp := j.delta.Load(); dp != nil {
-		n += dp.acc.memoryBytes()
-	}
-	return n
+	return 4*(len(st.spanLo)+len(st.spanHi)) + st.base.memoryBytes() + st.delta.memoryBytes()
 }
 
-// Refresh brings a joiner read since Refresh last worked on it up to the
-// dataset's current snapshot: the base partials and their spans refilled
-// (keeping the weight pass when the partials it replaces had one), and the
-// delta accumulators extended by the rows past their watermark. The dataset's
-// maintainer calls it after appends and background compactions, so that work
-// happens on its goroutine instead of inside the first read to arrive
-// afterwards. A joiner no read has touched since then is left to the reads'
-// own lazy refill and extension; one it finds already current (a read got
-// there first) keeps its mark for the next call.
+// Refresh advances a joiner read since Refresh last worked on it to the
+// dataset's current snapshot, keeping the weight pass when its state has
+// one. The dataset's maintainer calls it after appends and background
+// compactions, so that work happens on its goroutine instead of inside the
+// first read to arrive afterwards. A joiner no read has touched since then is
+// left to its next read's advance; one it finds already current, or advancing
+// for a read that got there first, keeps its mark for the next call.
 func (j *PointIdxJoiner) Refresh(ctx context.Context, workers int) error {
 	if !j.read.Swap(false) {
 		return nil
 	}
-	snap := j.src.Snapshot()
-	worked := false
-	if cur := j.base.Load(); cur != nil && !cur.serves(snap, cur.weighted()) {
-		if _, err := j.fillBase(ctx, snap, cur.weighted(), workers); err != nil {
-			return err
-		}
-		worked = true
+	_, work, err := j.advance(ctx, j.src.Snapshot(), j.state.Load().weighted(), workers)
+	if work == (ProbeStats{}) {
+		j.read.Store(true)
 	}
-	if snap.DeltaLen() > 0 {
-		_, probed, err := j.extendDelta(ctx, snap)
-		if err != nil {
-			return err
-		}
-		worked = worked || probed > 0
-	}
-	if !worked {
-		j.read.Store(true) // already current: a read got there first, and its mark stands
-	}
-	return nil
+	return err
 }
 
 // Probed returns the work done on this joiner so far: every base fill's
-// ranges and every inverted delta row, whether a read or a Refresh did it.
+// ranges and every inverted delta row, whether a read's advance or a
+// Refresh's did it.
 func (j *PointIdxJoiner) Probed() ProbeStats {
 	return ProbeStats{RangesProbed: int(j.rangesProbed.Load()), DeltaProbed: int(j.deltaProbed.Load())}
 }

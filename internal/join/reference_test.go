@@ -119,13 +119,30 @@ func coversKey(ranges []raster.PosRange, key uint64) bool {
 	return i < len(ranges) && ranges[i].Lo <= key
 }
 
-// dropPartials discards the published base partials and delta accumulators,
-// so the next query recomputes both from nothing — the re-execution the
-// incremental state is differentially tested against, and what a benchmark
-// comparing cold and warm executions must time.
+// dropPartials discards the published state, so the next query recomputes
+// it from nothing — the re-execution the incremental state is differentially
+// tested against, and what a benchmark comparing cold and warm executions
+// must time.
 func (j *PointIdxJoiner) dropPartials() {
-	j.base.Store(nil)
-	j.delta.Store(nil)
+	j.state.Store(nil)
+}
+
+// aggregateSnapshot is a read pinned to snap, as the differential suites ask
+// it of a shared joiner and of a private sibling: it merges the state stateAt
+// returns — the published one, or the one its advance published — when that
+// is snap's own. When a writer committed after snap, that state answers a
+// later one, and snap's is computed from nothing and published nowhere. The
+// returned work is stateAt's.
+func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore.Snapshot, weights bool, workers int, results []Result) (ProbeStats, error) {
+	st, stats, err := j.stateAt(ctx, snap, weights, workers)
+	if err == nil && st.snap.Epoch() != snap.Epoch() {
+		st, _, err = j.next(ctx, nil, snap, weights, workers)
+	}
+	if err != nil {
+		return ProbeStats{}, err
+	}
+	st.base.writeTo(results, &st.delta)
+	return stats, nil
 }
 
 // BenchmarkCoverPlan is the head-to-head of the cover-table execution (one

@@ -527,13 +527,17 @@ func (s *Sharded) Delete(ids ...uint64) (int, error) {
 
 // Compact synchronously compacts every shard — mainly a test and benchmark
 // convenience; production shards compact in the background on their own
-// thresholds.
+// thresholds. It returns the shards' errors joined, each naming its shard.
 //
 //distbound:api test seam: tests and benchmarks compact every shard synchronously
-func (s *Sharded) Compact() {
+func (s *Sharded) Compact() error {
+	var errs []error
 	for i := range s.shards {
-		s.shards[i].ds.Compact()
+		if err := s.shards[i].ds.Compact(); err != nil {
+			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
+		}
 	}
+	return errors.Join(errs...)
 }
 
 // SetCompactionThreshold forwards the auto-compaction threshold to every

@@ -789,7 +789,11 @@ func TestShardedResultCache(t *testing.T) {
 				t.Fatalf("delete removed %d points (%v)", n, err)
 			}
 		}},
-		{"compact", s.Compact},
+		{"compact", func() {
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, m := range mutate {
 		before := s.EpochSum()

@@ -75,15 +75,18 @@ type Response struct {
 	// itself (its pixel diagonal is ε), and 0 on the exact join.
 	ServedBound float64
 	// RangesProbed and DeltaProbed count the work this request performed on
-	// the resident path, not the size of what it answered from: the cover
-	// ranges probed by a base fill (every region's every range on the first
-	// request against a base or after a delete, 0 once the joiner holds the
-	// fold), and the live delta rows newly searched into the cover table's
-	// boundary segments (the appended rows neither the dataset's maintainer
-	// nor an earlier request had inverted at the serving level yet, 0 when
-	// none were left). Both are 0 for strategies other than pointidx — the
-	// probe economy they meter is the resident path's. DatasetStats sums the
-	// same work, the maintainer's included.
+	// the resident path, not the size of what it answered from: the work of
+	// the advance it started when the serving level's published state was
+	// behind its snapshot — the cover ranges probed by a base fill (every
+	// region's every range on the first request against a base or after a
+	// delete, 0 when the state kept its fold), and the live delta rows newly
+	// searched into the cover table's boundary segments (the appended rows
+	// the published state did not yet hold). Both are 0 when the published
+	// state answered, and when the request waited for an advance the
+	// dataset's maintainer or another request started. Both are 0 for
+	// strategies other than pointidx — the probe economy they meter is the
+	// resident path's. DatasetStats sums the same work, the maintainer's
+	// included.
 	RangesProbed int
 	// DeltaProbed — see RangesProbed.
 	DeltaProbed int
