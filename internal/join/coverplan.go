@@ -37,9 +37,9 @@ import (
 //     weight pass, one span fold for all three (whole blocks through their
 //     aggregates, the end rows read, tombstoned rows skipped); both fold in
 //     the region's own Lo-ascending range order into the region's base
-//     partial. A {count}
-//     query never reads a weight, and on one base identity the partials
-//     fill at most twice: the count pass, then the count and weight passes.
+//     partial. A {count} query never reads a weight, and on one base
+//     identity the partials fill at most twice: the count pass, then the
+//     count and weight passes.
 //
 // The inversion is incremental per delta lineage (a compaction generation
 // plus its dead-row count; appends extend it, delta deletes and compactions
@@ -66,14 +66,14 @@ import (
 // its snapshot advances the joiner itself, or waits for the advance already
 // running — the maintainer's or another read's — so each committed state's
 // partials are computed once; a level nobody read since the previous pass
-// leaves the rows to its next read. The engine serves a bound from the coarsest ready level at
-// least as fine as its own (a level is a floor), so every bound one level
-// serves reads one joiner: its fill, and each appended row's inversion, is
-// paid once per level served, not once per level asked for. Tombstones are
-// deliberately not maintained incrementally: subtracting a deleted weight
-// from a published SUM would associate differently from folding the
-// surviving rows, so a base delete invalidates the base partials and the
-// next query (or the maintainer's next pass) refills them.
+// leaves the rows to its next read. The engine serves a bound from the
+// coarsest ready level at least as fine as its own (a level is a floor), so
+// every bound one level serves reads one joiner: its fill, and each appended
+// row's inversion, is paid once per level served, not once per level asked
+// for. Tombstones are deliberately not maintained incrementally: subtracting
+// a deleted weight from a published SUM would associate differently from
+// folding the surviving rows, so a base delete invalidates the base partials
+// and the next query (or the maintainer's next pass) refills them.
 //
 // A parallel fill partitions the regions by range count, so one region with
 // a huge cover does not pin a whole worker's tail latency the way
@@ -499,11 +499,9 @@ func (j *PointIdxJoiner) AggregateMultiInto(ctx context.Context, aggs []Agg, wor
 // nothing when the published state answers.
 //
 //distbound:noalloc
-func (j *PointIdxJoiner) stateAt(ctx context.Context, snap *pointstore.Snapshot, weights bool, workers int) (*state, ProbeStats, error) {
-	var stats ProbeStats
-	st := j.state.Load()
+func (j *PointIdxJoiner) stateAt(ctx context.Context, snap *pointstore.Snapshot, weights bool, workers int) (st *state, stats ProbeStats, err error) {
+	st = j.state.Load()
 	for !st.answers(snap, weights) {
-		var err error
 		if st, stats, err = j.advance(ctx, snap, weights, workers); err != nil {
 			return nil, ProbeStats{}, err
 		}
@@ -522,9 +520,10 @@ func (j *PointIdxJoiner) stateAt(ctx context.Context, snap *pointstore.Snapshot,
 // reports none of its work, and stops waiting with ctx.Err() when ctx ends,
 // whoever started the advance. Since the advance loads the store's snapshot
 // after its caller did, what it publishes answers its caller's snapshot or a
-// later one. An advance every caller abandoned may still finish beside the
-// one its next caller starts and publish an older state after it; that costs
-// a later read another advance, never a wrong answer.
+// later one. One every caller abandoned publishes nothing, lest it overwrite
+// the newer state of the advance started next; should the last caller leave
+// just after that check, a later read pays one more advance, never a wrong
+// answer.
 func (j *PointIdxJoiner) advance(ctx context.Context, snap *pointstore.Snapshot, weights bool, workers int) (*state, ProbeStats, error) {
 	var work ProbeStats
 	st, err := j.advancing.Do(ctx, struct{}{}, func() (*state, bool) {
@@ -532,6 +531,9 @@ func (j *PointIdxJoiner) advance(ctx context.Context, snap *pointstore.Snapshot,
 		return st, st.answers(snap, weights)
 	}, func(ctx context.Context) (*state, error) {
 		next, w, err := j.next(ctx, j.state.Load(), j.src.Snapshot(), weights, workers)
+		if err == nil {
+			err = ctx.Err() // every caller left
+		}
 		if err != nil {
 			return nil, err
 		}

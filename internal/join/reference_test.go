@@ -128,21 +128,55 @@ func (j *PointIdxJoiner) dropPartials() {
 }
 
 // aggregateSnapshot is a read pinned to snap, as the differential suites ask
-// it of a shared joiner and of a private sibling: it merges the state stateAt
-// returns — the published one, or the one its advance published — when that
-// is snap's own. When a writer committed after snap, that state answers a
-// later one, and snap's is computed from nothing and published nowhere. The
-// returned work is stateAt's.
+// it of a shared joiner and of a private sibling. It writes the answer of the
+// state stateAt returns — the published one, or the one its advance published
+// — when that state is snap's own, for the caller to check. When a writer
+// committed after snap, that state answers a later snapshot: it is checked
+// here, bit for bit, against its own snapshot computed from nothing, and a
+// divergence is the returned error; snap's answer is then computed from
+// nothing and published nowhere. The returned work is stateAt's.
 func (j *PointIdxJoiner) aggregateSnapshot(ctx context.Context, snap *pointstore.Snapshot, weights bool, workers int, results []Result) (ProbeStats, error) {
 	st, stats, err := j.stateAt(ctx, snap, weights, workers)
-	if err == nil && st.snap.Epoch() != snap.Epoch() {
-		st, _, err = j.next(ctx, nil, snap, weights, workers)
-	}
 	if err != nil {
 		return ProbeStats{}, err
 	}
 	st.base.writeTo(results, &st.delta)
+	if st.snap.Epoch() == snap.Epoch() {
+		return stats, nil
+	}
+	if err := j.sameAsRecomputed(ctx, st.snap, weights, results); err != nil {
+		return ProbeStats{}, fmt.Errorf("published state at epoch %d: %w", st.snap.Epoch(), err)
+	}
+	if st, _, err = j.next(ctx, nil, snap, weights, workers); err != nil {
+		return ProbeStats{}, err
+	}
+	st.base.writeTo(results, &st.delta)
 	return stats, nil
+}
+
+// sameAsRecomputed reports, as an error, the first slot where got differs
+// bitwise from snap's state computed from nothing.
+func (j *PointIdxJoiner) sameAsRecomputed(ctx context.Context, snap *pointstore.Snapshot, weights bool, got []Result) error {
+	st, _, err := j.next(ctx, nil, snap, weights, 1)
+	if err != nil {
+		return err
+	}
+	want := make([]Result, len(got))
+	for k := range got {
+		want[k] = newResult(got[k].Agg, len(got[k].Counts))
+	}
+	st.base.writeTo(want, &st.delta)
+	same := func(a, b []float64, ri int) bool {
+		return a == nil || math.Float64bits(a[ri]) == math.Float64bits(b[ri])
+	}
+	for k := range want {
+		for ri := range want[k].Counts {
+			if got[k].Counts[ri] != want[k].Counts[ri] || !same(want[k].Sums, got[k].Sums, ri) || !same(want[k].Extremes, got[k].Extremes, ri) {
+				return fmt.Errorf("%v region %d diverged from re-execution", want[k].Agg, ri)
+			}
+		}
+	}
+	return nil
 }
 
 // BenchmarkCoverPlan is the head-to-head of the cover-table execution (one
